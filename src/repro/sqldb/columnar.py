@@ -1,9 +1,9 @@
 """Columnar chunk layout: parallel column arrays + selection vectors.
 
-The columnar engine (``Database(engine="columnar")``) exchanges
-:class:`ColumnChunk` objects between physical operators instead of the
-batch engine's chunks of wide row lists.  A chunk holds one entry per
-flat joined-row position:
+The production engine exchanges :class:`ColumnChunk` objects between
+physical operators (the reference interpreter, ``engine="row"``, pulls
+wide row lists instead).  A chunk holds one entry per flat joined-row
+position:
 
 - a plain Python list of values (one per chunk row),
 - a :class:`DictColumn` — dictionary-encoded strings, comparing codes
@@ -46,7 +46,7 @@ from repro.sqldb.types import DATE, TEXT, canonical_type
 __all__ = ["CHUNK_SIZE", "ColumnChunk", "ColumnStore", "DictColumn",
            "DictMeta"]
 
-# Rows per chunk in the chunked engines (re-exported by
+# Rows per chunk (re-exported by
 # ``repro.sqldb.plan.physical``).  Zone maps are built at this
 # granularity so scan slices and zone entries align one-to-one.
 CHUNK_SIZE = 1024
@@ -290,9 +290,9 @@ class ColumnChunk:
 
     @classmethod
     def from_rows(cls, rows, width):
-        """Transpose wide rows (the batch/row engines' exchange format)
-        into a fully-live chunk — the shim the default ``iter_cchunks``
-        and the prefetched shared-scan path go through."""
+        """Transpose wide rows into a fully-live chunk — the shim the
+        prefetched shared-scan path and the nested-loop join (row-shaped
+        inside) go through."""
         if not rows:
             return cls([[] for _ in range(width)], 0, None)
         return cls([list(lane) for lane in zip(*rows)], len(rows), None)

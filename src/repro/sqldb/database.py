@@ -29,29 +29,24 @@ class Database:
     (:mod:`repro.sqldb.result_cache`); pass ``0`` to disable caching
     entirely (differential baselines, re-execution-counting tests).
 
-    ``engine`` selects the physical execution engine: ``"batch"`` (the
-    default) pulls chunks of wide rows through plan-compiled expression
-    closures; ``"columnar"`` exchanges :class:`ColumnChunk` column arrays
-    with selection vectors and fused predicate/projection loops (see
-    :mod:`repro.sqldb.columnar`); ``"row"`` is the legacy interpreted
-    row-at-a-time pull, kept selectable for differential testing and the
-    wall-clock benchmark lane.  Results and ``rows_touched`` are
-    identical under all three — only real wall-clock time differs.  The
-    attribute may be flipped between statements; cached plans carry every
-    path, and compiled closures are bound per-call to the active engine's
-    chunk layout.
+    ``engine`` selects the physical execution engine, one of
+    :attr:`ENGINES`: the first entry (the default) is the production
+    engine, exchanging :class:`ColumnChunk` column arrays with selection
+    vectors and fused predicate/projection loops (see
+    :mod:`repro.sqldb.columnar`); ``"row"`` is the interpreted
+    row-at-a-time pull, kept as the reference the differential oracles
+    compare against.  Results and ``rows_touched`` are identical under
+    both — only real wall-clock time differs.  The attribute may be
+    flipped between statements (an unknown name raises ``ValueError``);
+    cached plans carry both paths.
     """
 
-    ENGINES = ("batch", "columnar", "row")
+    ENGINES = ("columnar", "row")
 
     def __init__(self, name="main", optimizer_options=None,
                  result_cache_size=DEFAULT_RESULT_CACHE_LIMIT,
-                 engine="batch"):
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of "
-                "'batch', 'columnar', 'row'")
-        self.engine = engine
+                 engine=None):
+        self.engine = self.ENGINES[0] if engine is None else engine
         self.name = name
         self.catalog = Catalog()
         self.tables = {}
@@ -62,6 +57,18 @@ class Database:
         self.executor = Executor(self)
         self.statements_executed = 0
         self.total_rows_touched = 0
+
+    @property
+    def engine(self):
+        return self._engine
+
+    @engine.setter
+    def engine(self, name):
+        if name not in self.ENGINES:
+            raise ValueError(
+                f"unknown engine {name!r}; expected one of "
+                + ", ".join(repr(e) for e in self.ENGINES))
+        self._engine = name
 
     def tables_get(self, name):
         table = self.tables.get(name)
@@ -166,8 +173,8 @@ class Database:
 
     def engine_stats(self):
         """Which execution engine is active and how much work it has done:
-        ``batches_executed`` counts every chunk that flowed through the
-        batch operators (0 forever under the row engine), so tests and
+        ``batches_executed`` counts every chunk that flowed between the
+        operators (0 forever under the row engine), so tests and
         benchmarks can assert which path actually ran."""
         return {
             "engine": self.engine,

@@ -3,7 +3,7 @@
 SELECT statements run through the planner subsystem
 (:mod:`repro.sqldb.plan`): the statement is translated to a logical plan,
 rewritten by the rule-based optimizer (predicate pushdown, index selection,
-join-strategy choice) and lowered to Volcano-style physical operators.
+join-strategy choice) and lowered to physical operators.
 Optimized plans are cached per parsed statement and invalidated when DDL
 changes the catalog — parameters never affect plan shape (index-key values
 resolve at execution time), so one plan serves every execution of a
@@ -55,8 +55,8 @@ class Executor:
         self._plans = {}
         self._catalog_version = 0
         self.plans_built = 0  # optimize() invocations, for staleness tests
-        # Chunks that flowed through the batch engine's operators, summed
-        # over every plan execution — stays 0 under Database(engine="row"),
+        # Chunks that flowed between the physical operators, summed over
+        # every plan execution — stays 0 under Database(engine="row"),
         # which is how tests assert which execution path ran.
         self.batches_executed = 0
 

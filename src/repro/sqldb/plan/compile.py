@@ -28,9 +28,13 @@ the executor's plan cache is invalidated by DDL and stats epochs, which is
 also when column positions could shift, so a cached closure can never read
 a stale layout.
 
+The row closures serve wherever rows are the input: the nested-loop join
+condition, result operators over materialized rows (``limit_hint`` output,
+Sort keys, grouping without a chunk form) and the per-row fallback below.
+
 **Columnar compilation** (:func:`compile_filter`, :func:`compile_project`,
 :func:`compile_aggregate_item_columnar`) lowers the same ASTs one level
-further for the columnar engine: instead of a per-row closure, a predicate
+further for the chunk pipeline: instead of a per-row closure, a predicate
 becomes a function over a whole :class:`repro.sqldb.columnar.ColumnChunk`
 that returns the selection vector of rows evaluating to SQL TRUE.
 Internally every predicate node is ``node(chunk, sel, params) -> (t, u)``
@@ -584,7 +588,7 @@ def _compile_like(expr, positions, ambiguous):
 
 
 # ---------------------------------------------------------------------------
-# Aggregate select items (used by AggregateOp's batch path)
+# Aggregate select items (used by AggregateOp over row-shaped groups)
 # ---------------------------------------------------------------------------
 
 

@@ -19,7 +19,7 @@ parameter value).
 
 Snapshot statistics are built **at plan time** (``table.column_store()``
 builds on demand) whichever engine will execute the plan — if only the
-columnar engine consulted them, the three engines would pick different
+columnar engine consulted them, the two engines would pick different
 join orders and ``rows_touched`` would stop being engine-invariant.  The
 snapshot cache is invalidated by every table mutation, so a fresh plan
 always sees current-data statistics; a *cached* plan can hold estimates
@@ -124,7 +124,7 @@ def _snapshot_stats(db, table_name):
     Builds the snapshot on demand (it is cached on the table until the
     next mutation), under **every** engine: plans must not depend on
     which engine executes them, or rows_touched would diverge across the
-    three-engine differential oracles.  The build cost is amortized by
+    columnar-vs-row differential oracles.  The build cost is amortized by
     the plan cache — planning only happens on a cache miss.
     """
     if table_name is None:

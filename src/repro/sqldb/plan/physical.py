@@ -1,4 +1,4 @@
-"""Vectorized physical operators with a row-at-a-time compat shim.
+"""Physical operators: columnar chunks in production, rows as the oracle.
 
 Two operator flavours mirror the two halves of a SELECT:
 
@@ -12,31 +12,31 @@ Two operator flavours mirror the two halves of a SELECT:
   :class:`DistinctOp`, :class:`SortOp`, :class:`LimitOp`) transform the
   materialized output relation via ``apply(run)``.
 
-Row sources implement **two execution protocols**:
+Row sources implement exactly **two execution protocols**:
 
-``iter_batches(run)``
-    The default (batch) engine: operators exchange chunks of up to
-    :data:`CHUNK_SIZE` rows.  Scans materialize chunks directly from
-    storage; filters apply a predicate **compiled once per cached plan**
-    (:mod:`repro.sqldb.plan.compile`) over whole chunks; joins probe
-    chunk-wise.  This is the wall-clock fast path — per-row generator
-    resumption and expression-tree walks disappear from the hot loop.
+``iter_cchunks(run)``
+    The production engine: operators exchange
+    :class:`repro.sqldb.columnar.ColumnChunk` column arrays of up to
+    :data:`CHUNK_SIZE` rows.  Sequential scans slice chunks off the
+    table's cached ``ColumnStore``; filters narrow selection vectors with
+    a predicate **compiled once per cached plan**
+    (:mod:`repro.sqldb.plan.compile`); equi-joins gather probe keys per
+    chunk and assemble their output column-wise.
 
 ``iter_rows_interp(run)``
-    The legacy interpreted Volcano pull, one row at a time through
-    :func:`repro.sqldb.expressions.evaluate`.  Kept fully functional and
-    selectable (``Database(engine="row")``) so the wall-clock benchmark
-    lane and the differential oracle can compare both engines, and used
-    by **both** engines for ``limit_hint`` stop-after-N execution, where
-    chunked pulls would overshoot the cutoff and charge storage rows the
-    row engine never touches.
+    The reference interpreter: a Volcano pull, one row at a time through
+    :func:`repro.sqldb.expressions.evaluate`.  Selectable
+    (``Database(engine="row")``) so the differential oracles can compare
+    the production engine against it, and used under **every** engine for
+    ``limit_hint`` stop-after-N execution, where chunked pulls would
+    overshoot the cutoff and charge storage rows the interpreter never
+    touches.
 
-``iter_rows(run)`` is the row-at-a-time compat shim, implemented over
-``iter_batches``.  ``rows_touched`` is engine-invariant by construction:
-rows are charged only where storage is read, both engines consume their
-sources to exhaustion (the only early stop — ``limit_hint`` — runs the
-interpreted path in both), so every figure's simulated cost is identical
-whichever engine produced it.
+``rows_touched`` is engine-invariant by construction: rows are charged
+only where storage is read, both protocols consume their sources to
+exhaustion (the only early stop — ``limit_hint`` — runs the interpreter
+under both), so every figure's simulated cost is identical whichever
+engine produced it.
 
 ``build_physical`` lowers an optimized logical tree into a
 :class:`PhysicalPlan`; ``PhysicalPlan.execute(db, params)`` returns an
@@ -46,7 +46,7 @@ whichever engine produced it.
 """
 
 import copy
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from operator import itemgetter
 from time import perf_counter
 
@@ -67,12 +67,10 @@ from repro.sqldb.plan.compile import (compile_aggregate_item,
 from repro.sqldb.plan.planner import _AGGREGATE_NAMES
 from repro.sqldb.result import ExecResult
 
-# CHUNK_SIZE (rows per chunk in the chunked engines) lives in
-# repro.sqldb.columnar so zone maps are built at scan-slice granularity;
-# it is re-exported here for its historical home.  Large enough to
-# amortize per-chunk Python overhead, small enough that a chunk of
-# joined rows stays cache-friendly and LIMITed queries don't materialize
-# far past their cutoff.
+# CHUNK_SIZE (rows per chunk) lives in repro.sqldb.columnar, where zone
+# maps are built at scan-slice granularity, and is re-exported here.
+# Large enough to amortize per-chunk Python overhead, small enough that
+# a chunk of joined rows stays cache-friendly.
 
 
 class PlanRun:
@@ -90,7 +88,7 @@ class PlanRun:
         self.ctx = sctx.fresh_context()
         self.rows_touched = 0
         self._source_rows = None  # materialized rows entering projection
-        self.source_chunks = None  # ColumnChunks (columnar engine only)
+        self.source_chunks = None  # ColumnChunks (None under the interpreter)
         self.out_columns = None
         self.out_rows = None
         self.has_aggregates = False
@@ -98,15 +96,15 @@ class PlanRun:
         # of scanning storage (the batch shared-scan path): the scan already
         # happened once for the whole group, so no rows are charged here.
         self.prefetched_base_rows = prefetched_base_rows
-        self.engine = getattr(db, "engine", "batch")
-        self.batches = 0  # chunks that flowed through the batch operators
+        self.engine = db.engine
+        self.batches = 0  # chunks that flowed between the operators
         self.chunks_skipped = 0  # chunks zone maps proved irrelevant
 
     @property
     def source_rows(self):
         """The materialized source relation as wide rows.
 
-        Under the columnar engine the source lands as ``source_chunks``;
+        Outside the interpreter the source lands as ``source_chunks``;
         result operators that stayed row-shaped (Sort, grouped
         aggregation, interpreted fallbacks) transpose it here lazily —
         fully columnar pipelines never pay for the rows.
@@ -120,9 +118,11 @@ class PlanRun:
             self._source_rows = rows
         return rows
 
-    @source_rows.setter
-    def source_rows(self, rows):
-        self._source_rows = rows
+    def result(self):
+        return ExecResult(self.out_columns, self.out_rows,
+                          rowcount=len(self.out_rows),
+                          rows_touched=self.rows_touched,
+                          chunks_skipped=self.chunks_skipped)
 
 
 def _pad(row, offset, total_width):
@@ -131,53 +131,16 @@ def _pad(row, offset, total_width):
     return values
 
 
-def _chunked(run, rows):
-    """Re-chunk a row stream into CHUNK_SIZE batches."""
-    chunk = []
-    append = chunk.append
-    for values in rows:
-        append(values)
-        if len(chunk) >= CHUNK_SIZE:
-            run.batches += 1
-            yield chunk
-            chunk = []
-            append = chunk.append
-    if chunk:
-        run.batches += 1
-        yield chunk
-
-
 # ---------------------------------------------------------------------------
 # Row sources
 # ---------------------------------------------------------------------------
 
-class RowSource:
-    """Base class for row sources: the row-at-a-time compat shim and the
-    columnar transpose shim."""
-
-    def iter_rows(self, run):
-        """Row-at-a-time view over the batch protocol."""
-        for chunk in self.iter_batches(run):
-            yield from chunk
-
-    def iter_cchunks(self, run):
-        """Columnar view over the batch protocol (transpose shim).
-
-        Operators without a native columnar path — the nested-loop joins,
-        whose per-pair work is row-shaped anyway — inherit this, so the
-        columnar engine is total over every plan shape.
-        """
-        total = run.sctx.total_width
-        for chunk in self.iter_batches(run):
-            yield ColumnChunk.from_rows(chunk, total)
-
-
-class _BaseTableScan(RowSource):
+class _BaseTableScan:
     """Shared scaffolding for base-table access operators.
 
     Subclasses define ``_pairs(run, table)`` yielding ``(row_id, row)``
     from storage; charging, padding, chunking, the shared-scan prefetch
-    and the zero-copy fast path live here so both engines stay in exact
+    and the zero-copy fast path live here so both protocols stay in exact
     accounting agreement.
 
     Zero-copy fast path: when the table sits at offset 0 of a joined-row
@@ -250,14 +213,13 @@ class _BaseTableScan(RowSource):
                         col[start:stop] for col in store.columns]
                 yield ColumnChunk(columns, stop - start, None)
             return
-        pairs = list(self._pairs(run, table))
-        for start in range(0, len(pairs), CHUNK_SIZE):
-            part = pairs[start:start + CHUNK_SIZE]
+        rows = [row for _, row in self._pairs(run, table)]
+        for start in range(0, len(rows), CHUNK_SIZE):
+            part = rows[start:start + CHUNK_SIZE]
             run.rows_touched += len(part)
             run.batches += 1
-            lanes = list(zip(*[row for _, row in part]))
             columns = [None] * total
-            columns[offset:offset + width] = [list(lane) for lane in lanes]
+            columns[offset:offset + width] = map(list, zip(*part))
             yield ColumnChunk(columns, len(part), None)
 
     def iter_rows_interp(self, run):
@@ -275,31 +237,6 @@ class _BaseTableScan(RowSource):
         for _, row in self._pairs(run, table):
             run.rows_touched += 1
             yield _pad(row, offset, total)
-
-    def iter_batches(self, run):
-        if self.uses_prefetch and run.prefetched_base_rows is not None:
-            rows = run.prefetched_base_rows
-            for start in range(0, len(rows), CHUNK_SIZE):
-                run.batches += 1
-                yield rows[start:start + CHUNK_SIZE]
-            return
-        table = run.db.tables_get(self.table_name)
-        total = run.sctx.total_width
-        offset = self.offset
-        direct = offset == 0 and len(table.schema.columns) == total
-        # Materialize the access path's (row_id, row) pairs once and carve
-        # chunks by slicing: charging per chunk instead of per row.  Safe
-        # because the batch path never stops early (limit_hint runs the
-        # interpreted path), so the full charge is identical either way.
-        pairs = list(self._pairs(run, table))
-        for start in range(0, len(pairs), CHUNK_SIZE):
-            part = pairs[start:start + CHUNK_SIZE]
-            run.rows_touched += len(part)
-            run.batches += 1
-            if direct:
-                yield [row for _, row in part]
-            else:
-                yield [_pad(row, offset, total) for _, row in part]
 
 
 class SeqScanOp(_BaseTableScan):
@@ -406,25 +343,21 @@ class IndexRangeScanOp(_BaseTableScan):
                 yield row_id, row
 
 
-class FilterOp(RowSource):
+class FilterOp:
     """Keep rows whose predicate evaluates to SQL TRUE.
 
-    The batch path applies the plan-compiled predicate closure over whole
-    chunks; the interpreted path re-walks the AST per row.
+    The chunk path narrows the selection vector with the plan-compiled
+    fused predicate — the output chunk shares the input's column arrays,
+    so no row materializes; the interpreted path re-walks the AST per row.
     """
 
     def __init__(self, child, predicate, sctx):
         self.child = child
         self.predicate = predicate
-        self._compiled = compile_expr(predicate, sctx.context.positions,
-                                      sctx.context.ambiguous)
         self._columnar = compile_filter(predicate, sctx.context.positions,
                                         sctx.context.ambiguous)
 
     def iter_cchunks(self, run):
-        """Columnar filtering flips selection-vector bits: the output
-        chunk shares the input's column arrays, narrowed to the indices
-        where the fused predicate is TRUE — no row materializes."""
         predicate = self._columnar
         params = run.params
         for chunk in self.child.iter_cchunks(run):
@@ -441,16 +374,6 @@ class FilterOp(RowSource):
             ctx.bind(values)
             if evaluate(predicate, ctx, params) is True:
                 yield values
-
-    def iter_batches(self, run):
-        predicate = self._compiled
-        params = run.params
-        for chunk in self.child.iter_batches(run):
-            kept = [values for values in chunk
-                    if predicate(values, params) is True]
-            if kept:
-                run.batches += 1
-                yield kept
 
 
 def _build_join_buckets(run, table, right_ordinal):
@@ -485,9 +408,47 @@ def _hash_join_rows(run, table, left_rows, kind, left_pos, right_ordinal,
             yield list(values)
 
 
-class HashJoinOp(RowSource):
+def _join_chunk(run, chunk, picks, right_rows, offset, width):
+    """The joined output chunk for one probe chunk — the emit step every
+    equi-join shares: ``take`` replicates the left lanes at ``picks`` for
+    the match fan-out (dictionary lanes stay encoded) and the right
+    table's lanes are transposed from ``right_rows``, the matched storage
+    rows (an all-NULL row for a LEFT join's unmatched row)."""
+    out = chunk.take(picks, skip_range=(offset, offset + width))
+    # Not zip(*right_rows), fine for an index scan's handful of rows: one
+    # GC-tracked iterator per row costs a large probe half again its time.
+    out.columns[offset:offset + width] = [
+        [row[j] for row in right_rows] for j in range(width)]
+    run.batches += 1
+    return out
+
+
+def _hash_join_chunks(run, table, chunks, kind, left_pos, right_ordinal,
+                      offset, width):
+    """Columnar twin of :func:`_hash_join_rows`: the build is charged
+    eagerly, even when the probe side turns out empty, exactly like the
+    interpreted path."""
+    buckets = _build_join_buckets(run, table, right_ordinal)
+    null_row = (None,) * width
+    for chunk in chunks:
+        picks = []
+        right_rows = []
+        for i, key in zip(chunk.live_indices(), chunk.gather(left_pos)):
+            matches = buckets.get(key, ()) if key is not None else ()
+            if matches:
+                for row in matches:
+                    picks.append(i)
+                    right_rows.append(row)
+            elif kind == "LEFT":
+                picks.append(i)
+                right_rows.append(null_row)
+        if picks:
+            yield _join_chunk(run, chunk, picks, right_rows, offset, width)
+
+
+class HashJoinOp:
     """Equi-join: build a hash table over the right table, probe with the
-    child's rows (chunk-wise in the batch engine)."""
+    child's rows (one gathered key lane per chunk)."""
 
     def __init__(self, child, join_index, kind, table_name,
                  left_pos, right_ordinal):
@@ -507,72 +468,15 @@ class HashJoinOp(RowSource):
             self.left_pos, self.right_ordinal, offset, width)
 
     def iter_cchunks(self, run):
-        """Columnar probe: gather the probe keys, then assemble the output
-        chunk column-wise — ``take`` replicates the left lanes for the
-        match fan-out (dictionary lanes stay encoded) and the right
-        table's lanes are transposed from the matched build rows."""
         right_table = run.db.tables_get(self.table_name)
         offset = run.sctx.offsets[self.join_index]
         width = run.sctx.widths[self.join_index]
-        left_pos = self.left_pos
-        kind = self.kind
-        buckets = _build_join_buckets(run, right_table, self.right_ordinal)
-        for chunk in self.child.iter_cchunks(run):
-            picks = []
-            right_rows = []
-            pick = picks.append
-            emit = right_rows.append
-            keys = chunk.gather(left_pos)
-            for i, key in zip(chunk.live_indices(), keys):
-                matches = buckets.get(key, ()) if key is not None else ()
-                if matches:
-                    for row in matches:
-                        pick(i)
-                        emit(row)
-                elif kind == "LEFT":
-                    pick(i)
-                    emit(None)
-            if not picks:
-                continue
-            out = chunk.take(picks, skip_range=(offset, offset + width))
-            out.columns[offset:offset + width] = [
-                [None if row is None else row[j] for row in right_rows]
-                for j in range(width)]
-            run.batches += 1
-            yield out
-
-    def iter_batches(self, run):
-        right_table = run.db.tables_get(self.table_name)
-        offset = run.sctx.offsets[self.join_index]
-        width = run.sctx.widths[self.join_index]
-        left_pos = self.left_pos
-        kind = self.kind
-        # Build eagerly, exactly like the interpreted path: the right scan
-        # is charged even when the probe side turns out empty, keeping
-        # rows_touched engine-invariant.
-        buckets = _build_join_buckets(run, right_table, self.right_ordinal)
-        out = []
-        for chunk in self.child.iter_batches(run):
-            for values in chunk:
-                key = values[left_pos]
-                matches = buckets.get(key, ()) if key is not None else ()
-                if matches:
-                    for row in matches:
-                        merged = list(values)
-                        merged[offset:offset + width] = row
-                        out.append(merged)
-                elif kind == "LEFT":
-                    out.append(list(values))
-                if len(out) >= CHUNK_SIZE:
-                    run.batches += 1
-                    yield out
-                    out = []
-        if out:
-            run.batches += 1
-            yield out
+        yield from _hash_join_chunks(
+            run, right_table, self.child.iter_cchunks(run), self.kind,
+            self.left_pos, self.right_ordinal, offset, width)
 
 
-class IndexNLJoinOp(RowSource):
+class IndexNLJoinOp:
     """Index nested-loop equi-join: probe the right table's primary key or
     a single-column secondary index once per left row, touching only the
     rows each probe returns instead of building a hash table over a full
@@ -586,8 +490,9 @@ class IndexNLJoinOp(RowSource):
     never touches more rows than the hash strategy it replaces, whatever
     the optimizer's estimates predicted.
 
-    Both engines materialize the child (the metadata pass needs every left
-    key before anything streams), so accounting is identical by design.
+    Both protocols materialize the child (the metadata pass needs every
+    left key before anything streams), so accounting is identical by
+    design.
     """
 
     def __init__(self, child, join_index, kind, table_name,
@@ -612,31 +517,37 @@ class IndexNLJoinOp(RowSource):
             return None
         return index.lookup((key,))
 
-    def _join_rows(self, run, table, left_rows, offset, width):
-        left_pos = self.left_pos
-        kind = self.kind
-
-        # Metadata pass: how many right rows would the probes touch?  The
-        # per-row id sets are kept so the emit loop never probes twice.
+    def _probe_all(self, table, keys):
+        """Metadata pass: the row-id set each left key's probe would
+        fetch (kept so the emit loop never probes twice), or None when
+        the hash fallback must run — the index vanished, or the probes
+        together would touch more rows than one full scan."""
         probes = []
         total_probe = 0
-        usable = True
-        for values in left_rows:
-            key = values[left_pos]
+        for key in keys:
             ids = self._probe_ids(table, key) if key is not None else ()
             if ids is None:
-                usable = False
-                break
+                return None
             probes.append(ids)
             total_probe += len(ids)
             if total_probe > len(table):
-                break  # fallback already inevitable: stop probing
-        if not usable or total_probe > len(table):
+                return None
+        return probes
+
+    def iter_rows_interp(self, run):
+        table = run.db.tables_get(self.table_name)
+        offset = run.sctx.offsets[self.join_index]
+        width = run.sctx.widths[self.join_index]
+        left_pos = self.left_pos
+        kind = self.kind
+        left_rows = list(self.child.iter_rows_interp(run))
+        probes = self._probe_all(
+            table, [values[left_pos] for values in left_rows])
+        if probes is None:
             yield from _hash_join_rows(run, table, left_rows, kind,
                                        left_pos, self.right_ordinal,
                                        offset, width)
             return
-
         for values, ids in zip(left_rows, probes):
             matched = False
             for row_id in sorted(ids):
@@ -651,27 +562,49 @@ class IndexNLJoinOp(RowSource):
             if not matched and kind == "LEFT":
                 yield list(values)
 
-    def iter_rows_interp(self, run):
+    def iter_cchunks(self, run):
         table = run.db.tables_get(self.table_name)
         offset = run.sctx.offsets[self.join_index]
         width = run.sctx.widths[self.join_index]
-        left_rows = list(self.child.iter_rows_interp(run))
-        yield from self._join_rows(run, table, left_rows, offset, width)
+        left_pos = self.left_pos
+        kind = self.kind
+        chunks = list(self.child.iter_cchunks(run))
+        keys = [chunk.gather(left_pos) for chunk in chunks]
+        probes = self._probe_all(table, chain.from_iterable(keys))
+        if probes is None:
+            yield from _hash_join_chunks(run, table, chunks, kind, left_pos,
+                                         self.right_ordinal, offset, width)
+            return
+        probe = iter(probes)
+        rows_get = table.rows.get
+        null_row = (None,) * width
+        for chunk in chunks:
+            picks = []
+            right_rows = []
+            for i, ids in zip(chunk.live_indices(), probe):
+                matched = False
+                for row_id in sorted(ids):
+                    row = rows_get(row_id)
+                    if row is not None:
+                        run.rows_touched += 1
+                        picks.append(i)
+                        right_rows.append(row)
+                        matched = True
+                if not matched and kind == "LEFT":
+                    picks.append(i)
+                    right_rows.append(null_row)
+            if picks:
+                yield _join_chunk(run, chunk, picks, right_rows, offset,
+                                  width)
 
-    def iter_batches(self, run):
-        table = run.db.tables_get(self.table_name)
-        offset = run.sctx.offsets[self.join_index]
-        width = run.sctx.widths[self.join_index]
-        left_rows = []
-        for chunk in self.child.iter_batches(run):
-            left_rows.extend(chunk)
-        yield from _chunked(
-            run, self._join_rows(run, table, left_rows, offset, width))
 
+class NestedLoopJoinOp:
+    """General join with an arbitrary ON condition.
 
-class NestedLoopJoinOp(RowSource):
-    """General join with an arbitrary ON condition (compiled once in the
-    batch engine)."""
+    The per-pair work is row-shaped, so the chunk path stays row-shaped
+    inside: each probe chunk is transposed to rows, joined through the
+    plan-compiled condition, and transposed back.
+    """
 
     def __init__(self, child, join_index, kind, table_name, condition,
                  sctx):
@@ -703,18 +636,19 @@ class NestedLoopJoinOp(RowSource):
             if not matched and self.kind == "LEFT":
                 yield list(values)
 
-    def iter_batches(self, run):
+    def iter_cchunks(self, run):
         right_table = run.db.tables_get(self.table_name)
         offset = run.sctx.offsets[self.join_index]
         width = run.sctx.widths[self.join_index]
+        total = run.sctx.total_width
         right_rows = [row for _, row in right_table.scan()]
         run.rows_touched += len(right_rows)
         condition = self._compiled
         params = run.params
         kind = self.kind
-        out = []
-        for chunk in self.child.iter_batches(run):
-            for values in chunk:
+        for chunk in self.child.iter_cchunks(run):
+            out = []
+            for values in chunk.to_rows():
                 matched = False
                 for row in right_rows:
                     merged = list(values)
@@ -723,14 +657,10 @@ class NestedLoopJoinOp(RowSource):
                         out.append(merged)
                         matched = True
                 if not matched and kind == "LEFT":
-                    out.append(list(values))
-                if len(out) >= CHUNK_SIZE:
-                    run.batches += 1
-                    yield out
-                    out = []
-        if out:
-            run.batches += 1
-            yield out
+                    out.append(values)
+            if out:
+                run.batches += 1
+                yield ColumnChunk.from_rows(out, total)
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +673,7 @@ class ProjectOp:
     Star expansion and output-column names depend only on the statement and
     the FROM-list layout, both fixed for the plan's lifetime (DDL
     invalidates the plan cache), so they are computed once at build time —
-    as are the compiled item closures the batch engine evaluates with.
+    as are the compiled item closures row-shaped input is evaluated with.
     """
 
     def __init__(self, items, sctx):
@@ -756,40 +686,37 @@ class ProjectOp:
             None if expansion is not None
             else compile_expr(item.expr, positions, ambiguous)
             for item, expansion in zip(items, self.expansions)]
-        self._all_plain = all(e is None for e in self.expansions)
         # All-column-reference select lists (the overwhelmingly common
         # shape) become a single C-level itemgetter per row.
         self._getter = None
-        if self._all_plain:
-            column_positions = []
-            for item in items:
-                expr = item.expr
-                if not isinstance(expr, A.ColumnRef):
-                    break
-                if expr.table is None and expr.column in ambiguous:
-                    break
-                pos = positions.get((expr.table, expr.column))
-                if pos is None:
-                    break
-                column_positions.append(pos)
-            else:
-                if len(column_positions) > 1:
-                    self._getter = itemgetter(*column_positions)
-                elif len(column_positions) == 1:
-                    only = column_positions[0]
-                    self._getter = lambda values: (values[only],)
-        # The columnar engine's fused projection: per-output-column
-        # gathers / vectorized expression loops, zipped into tuples.
-        # None when an item has no vector form — then the chunks
-        # materialize rows and the batch path below takes over.
+        column_positions = []
+        for item in items:
+            expr = item.expr
+            if not isinstance(expr, A.ColumnRef):
+                break
+            if expr.table is None and expr.column in ambiguous:
+                break
+            pos = positions.get((expr.table, expr.column))
+            if pos is None:
+                break
+            column_positions.append(pos)
+        else:
+            if len(column_positions) > 1:
+                self._getter = itemgetter(*column_positions)
+            elif len(column_positions) == 1:
+                only = column_positions[0]
+                self._getter = lambda values: (values[only],)
+        # The fused projection: per-output-column gathers / vectorized
+        # expression loops, zipped into tuples.  None when an item has
+        # no vector form — then the chunks materialize rows and the
+        # compiled closures take over.
         self._columnar = compile_project(items, self.expansions,
                                          positions, ambiguous)
 
     def apply(self, run):
         run.out_columns = self.out_columns
         params = run.params
-        if (run.engine == "columnar" and run.source_chunks is not None
-                and self._columnar is not None):
+        if run.source_chunks is not None and self._columnar is not None:
             project = self._columnar
             out_rows = []
             extend = out_rows.extend
@@ -804,10 +731,6 @@ class ProjectOp:
                 run.out_rows = [getter(values) for values in rows]
                 return
             fns = self._compiled
-            if self._all_plain:
-                run.out_rows = [tuple(fn(values, params) for fn in fns)
-                                for values in rows]
-                return
             out_rows = []
             for values in rows:
                 out = []
@@ -837,11 +760,12 @@ class ProjectOp:
 class AggregateOp:
     """GROUP BY + aggregate select items + HAVING.
 
-    The batch engine groups with compiled key closures and evaluates
-    straightforward items (plain aggregates, group keys) through compiled
-    per-group closures; composite shapes (aggregates nested in arithmetic)
-    and HAVING keep the interpreted recursion — they run once per group,
-    not once per row.
+    Chunks fold straight into accumulators where every item has a
+    chunk-at-a-time form.  Otherwise rows are grouped with compiled key
+    closures and straightforward items (plain aggregates, group keys)
+    evaluated through compiled per-group closures; composite shapes
+    (aggregates nested in arithmetic) and HAVING keep the interpreted
+    recursion — they run once per group, not once per row.
     """
 
     def __init__(self, items, group_by, having, sctx):
@@ -857,8 +781,8 @@ class AggregateOp:
         self._item_fns = [compile_aggregate_item(item.expr, positions,
                                                  ambiguous)
                           for item in items]
-        # Chunk-at-a-time aggregate closures for the columnar engine's
-        # fused no-GROUP-BY path (None entries force row materialization).
+        # Chunk-at-a-time aggregate closures for the fused no-GROUP-BY
+        # path (None entries force row materialization).
         self._citem_fns = [compile_aggregate_item_columnar(
             item.expr, positions, ambiguous) for item in items]
         # Grouped columnar path: per-item (make, update, final) triples
@@ -894,7 +818,7 @@ class AggregateOp:
         run.has_aggregates = True
         ctx = run.ctx
         params = run.params
-        if (run.engine == "columnar" and run.source_chunks is not None
+        if (run.source_chunks is not None
                 and not self.group_by and self.having is None
                 and all(fn is not None for fn in self._citem_fns)):
             # Fused path: aggregates consume chunks directly — the wide
@@ -905,7 +829,7 @@ class AggregateOp:
             run.out_rows = [tuple(fn(chunks, params)
                                   for fn in self._citem_fns)]
             return
-        if (run.engine == "columnar" and run.source_chunks is not None
+        if (run.source_chunks is not None
                 and self.group_by and self.having is None
                 and self._cgrouped_items is not None):
             # Grouped fused path: group by gathered key lanes — integer
@@ -916,44 +840,33 @@ class AggregateOp:
             run.out_rows = self._apply_grouped_columnar(run, params)
             return
         rows = run.source_rows
-        batch = run.engine != "row"
-        # Partition rows into groups by the GROUP BY key (a single group
-        # covering everything when there is no GROUP BY).
+        compiled = run.engine != "row"
+        # Partition rows into groups by the GROUP BY key, in
+        # first-encounter order (a single group covering everything when
+        # there is no GROUP BY).
         groups = {}
-        order = []
-        if self.group_by:
-            if batch:
-                fns = self._group_fns
-                for values in rows:
-                    key = tuple(fn(values, params) for fn in fns)
-                    if key not in groups:
-                        groups[key] = []
-                        order.append(key)
-                    groups[key].append(values)
-            else:
-                for values in rows:
-                    ctx.bind(values)
-                    key = tuple(
-                        evaluate(e, ctx, params) for e in self.group_by
-                    )
-                    if key not in groups:
-                        groups[key] = []
-                        order.append(key)
-                    groups[key].append(values)
-        else:
+        if not self.group_by:
             groups[()] = list(rows)
-            order.append(())
+        elif compiled:
+            fns = self._group_fns
+            for values in rows:
+                key = tuple(fn(values, params) for fn in fns)
+                groups.setdefault(key, []).append(values)
+        else:
+            for values in rows:
+                ctx.bind(values)
+                key = tuple(evaluate(e, ctx, params) for e in self.group_by)
+                groups.setdefault(key, []).append(values)
 
         run.out_columns = self.out_columns
         out_rows = []
-        for key in order:
-            group_rows = groups[key]
+        for group_rows in groups.values():
             if self.having is not None:
                 keep = _eval_aggregate_expr(self.having, group_rows, ctx,
                                             params)
                 if keep is not True:
                     continue
-            if batch:
+            if compiled:
                 out = tuple(
                     fn(group_rows, params) if fn is not None
                     else _eval_aggregate_expr(item.expr, group_rows, ctx,
@@ -1095,7 +1008,7 @@ class SortOp:
 
     Keys may reference output aliases/positions or — for non-aggregate
     queries, where output rows align 1:1 with source rows — source columns
-    (evaluated through compiled closures in the batch engine).
+    (evaluated through compiled closures outside the interpreter).
     """
 
     def __init__(self, order_by, sctx):
@@ -1245,40 +1158,32 @@ class PhysicalPlan:
         """Pull ``source`` to completion under the run's engine.
 
         The ``limit_hint`` cutoff always streams the interpreted row-at-a-
-        time path — in *both* engines — because stop-after-N is the one
-        place chunked materialization would touch storage rows the row
-        engine never reads, breaking ``rows_touched`` engine-invariance.
+        time path — under *every* engine — because stop-after-N is the one
+        place chunked materialization would touch storage rows the
+        interpreter never reads, breaking ``rows_touched``
+        engine-invariance.
         """
         cutoff = self._resolve_limit_hint(run.params)
         if cutoff is not None:
-            return list(islice(source.iter_rows_interp(run), cutoff))
-        if run.engine == "columnar":
+            run._source_rows = list(
+                islice(source.iter_rows_interp(run), cutoff))
+        elif run.engine == "row":
+            run._source_rows = list(source.iter_rows_interp(run))
+        else:
             # Chunks are kept columnar; result operators that can consume
             # them do so directly, and ``run.source_rows`` materializes
             # wide rows lazily for the ones that cannot.
             run.source_chunks = list(source.iter_cchunks(run))
-            return None
-        if run.engine == "batch":
-            rows = []
-            for chunk in source.iter_batches(run):
-                rows.extend(chunk)
-            return rows
-        return list(source.iter_rows_interp(run))
 
     def execute(self, db, params=(), prefetched_base_rows=None):
         """Run the plan; returns an :class:`ExecResult`."""
         run = PlanRun(db, params, self.sctx,
                       prefetched_base_rows=prefetched_base_rows)
-        run.source_rows = self._materialize_source(run, self.source)
+        self._materialize_source(run, self.source)
         for op in self.result_ops:
             op.apply(run)
-        executor = getattr(db, "executor", None)
-        if executor is not None:
-            executor.batches_executed += run.batches
-        return ExecResult(run.out_columns, run.out_rows,
-                          rowcount=len(run.out_rows),
-                          rows_touched=run.rows_touched,
-                          chunks_skipped=run.chunks_skipped)
+        db.executor.batches_executed += run.batches
+        return run.result()
 
     def execute_analyze(self, db, params=()):
         """Run the plan with per-operator instrumentation.
@@ -1308,7 +1213,7 @@ class PhysicalPlan:
         source_records.reverse()  # top-of-chain first
 
         started = perf_counter()
-        run.source_rows = self._materialize_source(run, timed)
+        self._materialize_source(run, timed)
         result_records = []
         for op in self.result_ops:
             record = _AnalyzeRecord(type(op).__name__.removesuffix("Op"))
@@ -1323,10 +1228,7 @@ class PhysicalPlan:
             # Zone-map skips happen only in the base-table scan — the
             # deepest operator of the source chain.
             source_records[-1].skipped = run.chunks_skipped
-        result = ExecResult(run.out_columns, run.out_rows,
-                            rowcount=len(run.out_rows),
-                            rows_touched=run.rows_touched,
-                            chunks_skipped=run.chunks_skipped)
+        result = run.result()
         lines = [
             f"EXPLAIN ANALYZE [engine={run.engine}, "
             f"rows={len(run.out_rows)}, "
@@ -1359,11 +1261,10 @@ class PhysicalPlan:
 class _AnalyzeRecord:
     """One operator's EXPLAIN ANALYZE measurements.
 
-    ``rows`` counts produced (live) rows under every engine.  The chunked
-    engines additionally report ``chunks`` (batches yielded) and — when
-    selection vectors are in play — ``sel``, the live fraction of chunk
-    capacity, so EXPLAIN ANALYZE shows how dense the surviving selection
-    is after each operator.
+    ``rows`` counts produced (live) rows under every engine.  Chunked
+    execution additionally reports ``chunks`` (chunks yielded) and
+    ``sel``, the live fraction of chunk capacity, so EXPLAIN ANALYZE
+    shows how dense the surviving selection is after each operator.
     """
 
     __slots__ = ("label", "rows", "seconds", "chunks", "capacity",
@@ -1376,6 +1277,14 @@ class _AnalyzeRecord:
         self.chunks = 0
         self.capacity = 0
         self.skipped = 0  # chunks the scan's zone maps pruned
+
+    def add_row(self, values):
+        self.rows += 1
+
+    def add_chunk(self, chunk):
+        self.rows += chunk.n_live()
+        self.chunks += 1
+        self.capacity += chunk.length
 
     def render(self):
         parts = [f"rows={self.rows}"]
@@ -1397,54 +1306,25 @@ class _TimedSource:
         self.op = op
         self.record = record
 
-    def iter_batches(self, run):
+    def _timed(self, gen, count):
         record = self.record
-        gen = self.op.iter_batches(run)
         while True:
             t0 = perf_counter()
             try:
-                chunk = next(gen)
+                item = next(gen)
             except StopIteration:
                 record.seconds += perf_counter() - t0
                 return
             record.seconds += perf_counter() - t0
-            record.rows += len(chunk)
-            record.chunks += 1
-            yield chunk
+            count(item)
+            yield item
 
     def iter_cchunks(self, run):
-        record = self.record
-        gen = self.op.iter_cchunks(run)
-        while True:
-            t0 = perf_counter()
-            try:
-                chunk = next(gen)
-            except StopIteration:
-                record.seconds += perf_counter() - t0
-                return
-            record.seconds += perf_counter() - t0
-            record.rows += chunk.n_live()
-            record.chunks += 1
-            record.capacity += chunk.length
-            yield chunk
+        return self._timed(self.op.iter_cchunks(run), self.record.add_chunk)
 
     def iter_rows_interp(self, run):
-        record = self.record
-        gen = self.op.iter_rows_interp(run)
-        while True:
-            t0 = perf_counter()
-            try:
-                values = next(gen)
-            except StopIteration:
-                record.seconds += perf_counter() - t0
-                return
-            record.seconds += perf_counter() - t0
-            record.rows += 1
-            yield values
-
-    def iter_rows(self, run):
-        for chunk in self.iter_batches(run):
-            yield from chunk
+        return self._timed(self.op.iter_rows_interp(run),
+                           self.record.add_row)
 
 
 def _op_label(op):

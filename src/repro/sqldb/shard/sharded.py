@@ -195,11 +195,10 @@ class ShardedDatabase:
 
     def __init__(self, topology, name="sharded", optimizer_options=None,
                  result_cache_size=DEFAULT_RESULT_CACHE_LIMIT,
-                 engine="batch", read_from_replicas=None):
+                 engine=None, read_from_replicas=None):
         self.topology = topology
         self.name = name
         self.router = Router(topology)
-        self._engine = engine
         self._result_cache_size = result_cache_size
 
         def make(suffix, cache_size=result_cache_size):
@@ -239,12 +238,11 @@ class ShardedDatabase:
 
     @property
     def engine(self):
-        return self._engine
+        return self._coord.engine
 
     @engine.setter
     def engine(self, value):
-        self._engine = value
-        for db in self.all_databases():
+        for db in self.all_databases():  # the first backend validates
             db.engine = value
 
     def primary(self, shard):
@@ -308,7 +306,7 @@ class ShardedDatabase:
 
     def engine_stats(self):
         return {
-            "engine": self._engine,
+            "engine": self.engine,
             "batches_executed": sum(db.executor.batches_executed
                                     for db in self.all_databases()),
             "plans_built": sum(db.executor.plans_built

@@ -18,6 +18,7 @@ from repro.sqldb import Database
 from repro.sqldb import columnar as columnar_mod
 from repro.sqldb.columnar import (ColumnChunk, DictColumn, LIKE_CACHE_LIMIT,
                                   NULL_CODE, _column_zones, _encode_dict)
+from repro.sqldb.parser import parse
 from repro.sqldb.plan import physical as physical_mod
 
 
@@ -191,6 +192,26 @@ def test_dictionary_predicates_agree_with_row_engine():
         assert a.rows_touched == b.rows_touched, sql
 
 
+def test_index_join_keeps_left_dictionary_lanes_encoded():
+    """The native index join emits through ``take``: the probe side's
+    dictionary lane fans out as codes and decodes only at projection."""
+    db = _db(n=100)
+    db.execute("CREATE TABLE r (id INT PRIMARY KEY, w INT)")
+    for i in range(0, 600, 6):
+        db.execute("INSERT INTO r VALUES (?, ?)", (i, -i))
+    sql = "SELECT t.name, r.w FROM t JOIN r ON t.v = r.id WHERE t.id < 60"
+    plan = db.executor.plan_for(parse(sql))
+    assert isinstance(plan.source, physical_mod.IndexNLJoinOp)
+    run = physical_mod.PlanRun(db, (), plan.sctx)
+    (chunk,) = plan.source.iter_cchunks(run)
+    assert chunk.length == 30 and chunk.sel is None
+    assert isinstance(chunk.columns[1], DictColumn)
+    assert chunk.columns[4] == list(range(0, -180, -6))
+    assert db.execute(sql).rows == [
+        (None if i % 10 == 9 else f"label{i % 4}", -3 * i)
+        for i in range(0, 60, 2)]
+
+
 # ---------------------------------------------------------------------------
 # Zone maps
 # ---------------------------------------------------------------------------
@@ -295,13 +316,13 @@ def test_zone_maps_follow_read_view_swap():
 def test_chunk_skipping_never_changes_results(values, low, span, op):
     """Differential oracle: with tiny chunks (so zone pruning fires on
     realistic data sizes), the columnar engine must return exactly the
-    batch engine's rows and rows_touched for every predicate shape the
+    row engine's rows and rows_touched for every predicate shape the
     prune compiler handles — skipping may only ever change wall-clock."""
     old_chunk = columnar_mod.CHUNK_SIZE
     columnar_mod.CHUNK_SIZE = physical_mod.CHUNK_SIZE = 8
     try:
         dbs = {}
-        for engine in ("batch", "columnar"):
+        for engine in Database.ENGINES:
             db = Database(result_cache_size=0, engine=engine)
             db.execute("CREATE TABLE o (id INT PRIMARY KEY, v INT)")
             for i, v in enumerate(values):
@@ -320,11 +341,11 @@ def test_chunk_skipping_never_changes_results(values, low, span, op):
             params = ()
         else:
             sql, params = f"SELECT id, v FROM o WHERE v {op} ?", (low,)
-        batch = dbs["batch"].execute(sql, params)
+        row = dbs["row"].execute(sql, params)
         col = dbs["columnar"].execute(sql, params)
-        assert col.rows == batch.rows
-        assert col.rows_touched == batch.rows_touched
-        assert batch.chunks_skipped == 0
+        assert col.rows == row.rows
+        assert col.rows_touched == row.rows_touched
+        assert row.chunks_skipped == 0
     finally:
         columnar_mod.CHUNK_SIZE = physical_mod.CHUNK_SIZE = old_chunk
 

@@ -23,13 +23,13 @@ FROM-order execution — the adaptivity contract of the index nested-loop
 join, the safety contract of join reordering, and the superset contract of
 range scans.
 
-Every case additionally runs under **both physical engines**
-(``Database(engine="row")`` — the interpreted row-at-a-time shim — and
-``engine="batch"`` — chunked pull through compiled expressions) and the
-two executions must agree *exactly*: byte-identical rows in identical
-order and identical ``rows_touched``.  This is the differential contract
-of the vectorized engine — not a multiset comparison, because the engines
-share the plan and so must also agree on ordering.
+Every case additionally runs under **both physical engines** (the
+production columnar engine and ``Database(engine="row")`` — the
+interpreted row-at-a-time reference) and the two executions must agree
+*exactly*: byte-identical rows in identical order and identical
+``rows_touched``.  This is the differential contract of the production
+engine — not a multiset comparison, because the engines share the plan
+and so must also agree on ordering.
 """
 
 from hypothesis import given, settings
@@ -181,7 +181,7 @@ def join_cases(draw):
     return tables, sql, order_items
 
 
-def build_db(tables, options=None, engine="batch"):
+def build_db(tables, options=None, engine=None):
     db = Database(optimizer_options=options, engine=engine)
     for i, (rows, index_method) in enumerate(tables):
         db.execute(f"CREATE TABLE t{i} (a{i} INT PRIMARY KEY, "
@@ -237,17 +237,16 @@ def reference_tables(tables):
 
 
 def assert_engines_agree(tables, sql, params=(), options=None):
-    """Execute under all three physical engines and require *exact*
+    """Execute under both physical engines and require *exact*
     agreement: identical rows in identical order and identical
-    ``rows_touched``.  Returns the batch execution so callers don't run
-    it twice."""
-    batch = build_db(tables, options, engine="batch").execute(sql, params)
-    for engine in ("columnar", "row"):
-        other = build_db(tables, options, engine=engine).execute(sql, params)
-        assert other.rows == batch.rows, engine
-        assert other.columns == batch.columns, engine
-        assert other.rows_touched == batch.rows_touched, engine
-    return batch
+    ``rows_touched``.  Returns the production-engine execution so callers
+    don't run it twice."""
+    columnar, row = (build_db(tables, options, engine).execute(sql, params)
+                     for engine in Database.ENGINES)
+    assert row.rows == columnar.rows
+    assert row.columns == columnar.columns
+    assert row.rows_touched == columnar.rows_touched
+    return columnar
 
 
 # The reference evaluator ignores ORDER BY (it compares multisets), so the

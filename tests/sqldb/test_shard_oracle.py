@@ -15,7 +15,7 @@ The oracle asserts:
   order-contract check otherwise — LIMIT cases always order by a unique
   key, since tie-breaking under a cut is not a portable contract);
 - **engine invariance** per topology: the sharded facade run under the
-  batch engine and the row engine returns identical rows *and* identical
+  columnar engine and the row engine returns identical rows *and* identical
   ``rows_touched`` (each shard's execution is engine-invariant, so the
   sum across shards must be too);
 - the same equivalences after a random interleaving of autocommit
@@ -197,15 +197,15 @@ def test_cross_topology_oracle(label, shards, method, case):
     topology = make_topology(shards, method, part_col)
     reference = seed(Database("ref"), t_rows, lk_rows).execute(sql, params)
 
-    batch = seed(ShardedDatabase(topology, engine="batch"),
-                 t_rows, lk_rows).execute(sql, params)
+    columnar = seed(ShardedDatabase(topology, engine="columnar"),
+                    t_rows, lk_rows).execute(sql, params)
     row = seed(ShardedDatabase(topology, engine="row"),
                t_rows, lk_rows).execute(sql, params)
 
-    _compare(reference, batch, order_positions, exact)
-    assert batch.rows == row.rows
-    assert batch.columns == row.columns
-    assert batch.rows_touched == row.rows_touched
+    _compare(reference, columnar, order_positions, exact)
+    assert columnar.rows == row.rows
+    assert columnar.columns == row.columns
+    assert columnar.rows_touched == row.rows_touched
 
 
 _WRITE_OPS = st.lists(st.tuples(

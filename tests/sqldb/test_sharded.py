@@ -4,6 +4,7 @@ surface (``shard_phases``)."""
 
 import pytest
 
+from repro.sqldb import Database
 from repro.sqldb.errors import SqlError
 from repro.sqldb.parser import parse
 from repro.sqldb.shard import (COORD_STATION, KIND_BROADCAST_READ,
@@ -207,7 +208,13 @@ def test_result_cache_toggle_fans_out():
 
 def test_engine_setter_fans_out():
     db = make_db()
+    assert db.engine == Database.ENGINES[0]
     db.engine = "row"
+    assert db.engine == db.engine_stats()["engine"] == "row"
+    assert all(backend.engine == "row" for backend in db.all_databases())
+    # An unknown engine is rejected before any backend changes.
+    with pytest.raises(ValueError):
+        db.engine = "batch"
     assert all(backend.engine == "row" for backend in db.all_databases())
 
 

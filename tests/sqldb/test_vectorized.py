@@ -1,23 +1,23 @@
-"""Chunk-boundary and engine-parity tests for the chunked engines.
+"""Chunk-boundary and engine-parity tests for the production engine.
 
-The batch engine pulls chunks of ``CHUNK_SIZE`` wide rows through
-plan-compiled expression closures; the columnar engine exchanges
-``ColumnChunk`` column arrays with selection vectors and fused
-predicates; the row engine is the interpreted row-at-a-time shim kept
-for differential testing.  These tests pin the edges the chunking can
-get wrong — empty inputs, result sizes straddling the chunk boundary,
-LIMIT cutting mid-chunk, NULL-heavy data through the compiled
-three-valued logic — plus the observability surface (``engine_stats``,
-the explain Engine trailer, EXPLAIN ANALYZE) and the zero-copy scan's
-no-mutation contract.
+The columnar engine exchanges ``ColumnChunk`` column arrays of up to
+``CHUNK_SIZE`` rows, with selection vectors and fused predicates; the
+row engine is the interpreted row-at-a-time reference kept for
+differential testing.  These tests pin the edges the chunking can get
+wrong — empty inputs, result sizes straddling the chunk boundary, every
+join operator's native chunk path, LIMIT cutting mid-chunk, NULL-heavy
+data through the compiled three-valued logic — plus the observability
+surface (``engine_stats``, the explain Engine trailer, EXPLAIN ANALYZE),
+engine selection and the zero-copy scan's no-mutation contract.
 """
 
 import pytest
 
 from repro.sqldb import Database
-from repro.sqldb.plan.physical import CHUNK_SIZE
+from repro.sqldb.parser import parse
+from repro.sqldb.plan.physical import CHUNK_SIZE, _pad
 
-ENGINES = ("batch", "columnar", "row")
+ENGINES = ("columnar", "row")
 
 
 def _seed(db, n_rows):
@@ -31,7 +31,7 @@ def _seed(db, n_rows):
 
 def _pair(n_rows):
     """The same seeded table under every engine (result cache off), in
-    ``ENGINES`` order: ``(batch, columnar, row)``."""
+    ``ENGINES`` order: ``(columnar, row)``."""
     return tuple(_seed(Database(result_cache_size=0, engine=e), n_rows)
                  for e in ENGINES)
 
@@ -77,18 +77,104 @@ def test_empty_join_sides():
     assert result.rows == [(1, None)]
 
 
-@pytest.mark.parametrize("size", [1, CHUNK_SIZE - 1, CHUNK_SIZE,
+# Join shapes over ``t`` (NULL and duplicate-heavy ``v``, dictionary-
+# encoded ``s``) filtered to its first ``?`` rows, so every join probes
+# above a selection-vector chunk: label -> (operator the plan must use,
+# SQL).  ``u`` holds even ids only (odd keys stay unmatched) and two rows
+# per ``k``; ``small`` is outgrown by the probe volume of a full ``t``,
+# which trips the index join's adaptive hash fallback.
+JOIN_SHAPES = {
+    "pk-probe": ("IndexNLJoin(u via <pk>)",
+                 "SELECT t.id, t.s, u.w FROM t JOIN u ON t.v = u.id "
+                 "WHERE t.id < ?"),
+    "pk-probe-left": ("IndexNLJoin(u via <pk>)",
+                      "SELECT t.id, t.s, u.w FROM t LEFT JOIN u "
+                      "ON t.v = u.id WHERE t.id < ?"),
+    "secondary-probe": ("IndexNLJoin(u via idx_u_k)",
+                        "SELECT t.id, t.s, u.id FROM t JOIN u ON t.v = u.k "
+                        "WHERE t.id < ?"),
+    "secondary-probe-left": ("IndexNLJoin(u via idx_u_k)",
+                             "SELECT t.id, t.s, u.id FROM t LEFT JOIN u "
+                             "ON t.v = u.k WHERE t.id < ?"),
+    "hash-fallback": ("IndexNLJoin(small via <pk>)",
+                      "SELECT t.id, t.s, small.w FROM t LEFT JOIN small "
+                      "ON t.v = small.id "
+                      "WHERE t.id < ? AND t.s = 's1' AND t.v >= 0"),
+    "hash": ("HashJoin(t)",
+             "SELECT small.id, t.s FROM small JOIN t ON small.w = t.v "
+             "WHERE small.id < ?"),
+    "nested-left": ("NestedLoopJoin(small)",
+                    "SELECT t.id, t.s, small.w FROM t LEFT JOIN small "
+                    "ON small.id < t.v AND small.id > t.v - 4 "
+                    "WHERE t.id < ?"),
+}
+
+
+def _seed_join_tables(db):
+    db.execute("CREATE TABLE u (id INT PRIMARY KEY, k INT, w INT)")
+    db.execute("CREATE INDEX idx_u_k ON u (k)")
+    for i in range(0, 1600, 2):
+        db.execute("INSERT INTO u (id, k, w) VALUES (?, ?, ?)",
+                   (i, i // 4, i * 10))
+    db.execute("CREATE TABLE small (id INT PRIMARY KEY, w INT)")
+    for i in range(0, 97, 2):
+        db.execute("INSERT INTO small (id, w) VALUES (?, ?)", (i, i))
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK_SIZE - 1, CHUNK_SIZE,
                                   CHUNK_SIZE + 1])
 def test_result_sizes_straddling_chunk_boundary(size):
-    batch_db, columnar_db, row_db = _pair(CHUNK_SIZE + 1)
-    result = _agree(batch_db, columnar_db, row_db,
+    columnar_db, row_db = _pair(CHUNK_SIZE + 1)
+    result = _agree(columnar_db, row_db,
                     "SELECT id, v FROM t WHERE id < ?", (size,))
     assert len(result.rows) == size
     assert result.rows_touched == CHUNK_SIZE + 1
-    # A multi-chunk scan really flowed through the chunked operators.
-    assert batch_db.executor.batches_executed > 0
-    assert columnar_db.executor.batches_executed > 0
+    # A multi-chunk scan really flowed through the chunked operators
+    # (unless zone maps proved both chunks empty of ``id < 0``).
+    assert (columnar_db.executor.batches_executed > 0
+            or result.chunks_skipped == 2)
     assert row_db.executor.batches_executed == 0
+    # The same left-side sizes through every join operator's chunk path.
+    for db in (columnar_db, row_db):
+        _seed_join_tables(db)
+    for label, (operator, sql) in JOIN_SHAPES.items():
+        _agree(columnar_db, row_db, sql, (size,))
+        assert operator in columnar_db.explain(
+            sql, params=(size,), analyze=True), label
+
+
+def test_index_join_falls_back_to_hash_on_duplicate_heavy_keys():
+    """The metadata pass sums probe volume before fetching: a handful of
+    left rows probe the index, a full ``t`` would re-touch ``small``'s
+    rows more often than one scan of it costs, so the join hash-builds
+    instead — the same decision, and the same charge, in both engines."""
+    columnar_db, row_db = _pair(CHUNK_SIZE + 1)
+    for db in (columnar_db, row_db):
+        _seed_join_tables(db)
+    _, sql = JOIN_SHAPES["hash-fallback"]
+    probed = _agree(columnar_db, row_db, sql, (30,))
+    assert CHUNK_SIZE + 1 < probed.rows_touched < CHUNK_SIZE + 1 + 49
+    fallback = _agree(columnar_db, row_db, sql, (CHUNK_SIZE + 1,))
+    assert fallback.rows_touched == CHUNK_SIZE + 1 + 49
+    assert any(w is None for *_, w in fallback.rows)  # unmatched LEFT rows
+
+
+@pytest.mark.parametrize("label", ["pk-probe-left", "nested-left"])
+def test_prefetched_base_rows_feed_joins(label):
+    """The shared-scan hand-off (``prefetched_base_rows``) replaces the
+    base scan under a join exactly as it does under a bare filter: same
+    rows, and the base table's scan is not charged again."""
+    _, sql = JOIN_SHAPES[label]
+    for db in _pair(CHUNK_SIZE + 1):
+        _seed_join_tables(db)
+        private = db.execute(sql, (CHUNK_SIZE,))
+        plan = db.executor.plan_for(parse(sql))
+        shared_rows = [_pad(row, 0, plan.sctx.total_width)
+                       for _, row in db.tables["t"].scan()]
+        shared = plan.execute(db, (CHUNK_SIZE,),
+                              prefetched_base_rows=shared_rows)
+        assert shared.rows == private.rows, db.engine
+        assert shared.rows_touched == private.rows_touched - len(shared_rows)
 
 
 def test_limit_cuts_mid_chunk():
@@ -154,7 +240,7 @@ def test_all_null_column():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["batch", "columnar"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_zero_copy_scan_does_not_leak_mutable_storage_rows(engine):
     """Single-table full-width scans hand storage data straight to the
     operators (no ``_pad`` copy); results must still be immutable
@@ -183,13 +269,21 @@ def test_engines_agree_after_interleaved_writes():
 
 
 def test_engine_validation():
-    with pytest.raises(ValueError) as err:
-        Database(engine="vectorised")
-    # The error names every accepted engine.
-    for name in ENGINES:
-        assert f"'{name}'" in str(err.value)
+    assert Database.ENGINES == ENGINES
+    assert Database().engine == "columnar"
     for engine in ENGINES:
         assert Database(engine=engine).engine == engine
+    db = Database()
+    # A typo must not silently select the production engine — that would
+    # turn a differential test into columnar-vs-columnar.
+    for attempt in (lambda: Database(engine="batch"),
+                    lambda: setattr(db, "engine", "batch"),
+                    lambda: setattr(db, "engine", "rwo")):
+        with pytest.raises(ValueError) as err:
+            attempt()
+        # The error names the accepted engines, and only those.
+        assert str(err.value).endswith("expected one of 'columnar', 'row'")
+    assert db.engine == "columnar"
 
 
 def test_engine_flip_rebinds_chunk_layout():
@@ -209,18 +303,15 @@ def test_engine_flip_rebinds_chunk_layout():
     assert after_write != first
     db.engine = "columnar"
     assert db.execute(sql, (40,)).rows == after_write
-    db.engine = "batch"
-    assert db.execute(sql, (40,)).rows == after_write
 
 
 def test_engine_stats_counts_batches():
-    batch_db, columnar_db, row_db = _pair(CHUNK_SIZE + 1)
-    for db in (batch_db, columnar_db, row_db):
+    columnar_db, row_db = _pair(CHUNK_SIZE + 1)
+    for db in (columnar_db, row_db):
         db.execute("SELECT id FROM t WHERE v > 10")
-    for db in (batch_db, columnar_db):
-        stats = db.engine_stats()
-        assert stats["engine"] == db.engine
-        assert stats["batches_executed"] > 0
+    stats = columnar_db.engine_stats()
+    assert stats["engine"] == "columnar"
+    assert stats["batches_executed"] > 0
     assert row_db.engine_stats() == {
         "engine": "row",
         "batches_executed": 0,
@@ -229,47 +320,42 @@ def test_engine_stats_counts_batches():
 
 
 def test_engine_flippable_between_statements():
-    db = _seed(Database(result_cache_size=0, engine="batch"), 200)
-    batch_rows = db.execute("SELECT id, v FROM t WHERE v > 5").rows
+    db = _seed(Database(result_cache_size=0), 200)
+    chunk_rows = db.execute("SELECT id, v FROM t WHERE v > 5").rows
     flipped_at = db.executor.batches_executed
     assert flipped_at > 0
     db.engine = "row"
     row_rows = db.execute("SELECT id, v FROM t WHERE v > 5").rows
-    assert row_rows == batch_rows
-    # The cached plan served both paths; no batches under the row engine.
+    assert row_rows == chunk_rows
+    # The cached plan served both paths; no chunks under the row engine.
     assert db.executor.batches_executed == flipped_at
 
 
 def test_explain_engine_trailer():
-    db = _seed(Database(engine="batch"), 10)
+    db = _seed(Database(), 10)
     with_params = db.explain("SELECT id FROM t WHERE v > ?", params=(1,))
-    assert "Engine [name='batch', batches_executed=" in with_params
+    assert "Engine [name='columnar', batches_executed=" in with_params
     # The golden plain-explain surface is unchanged: no Engine line.
     plain = db.explain("SELECT id FROM t WHERE v > ?")
     assert "Engine [" not in plain
     db.engine = "row"
     assert "Engine [name='row'" in db.explain(
         "SELECT id FROM t WHERE v > ?", params=(1,))
-    db.engine = "columnar"
-    assert "Engine [name='columnar'" in db.explain(
-        "SELECT id FROM t WHERE v > ?", params=(1,))
 
 
 def test_explain_analyze_shape():
-    db = _seed(Database(result_cache_size=0, engine="batch"), 500)
+    db = _seed(Database(result_cache_size=0), 500)
     out = db.explain(
         "SELECT s, COUNT(*) FROM t WHERE v > ? GROUP BY s ORDER BY s",
         params=(10,), analyze=True)
     lines = out.splitlines()
-    assert lines[0].startswith("EXPLAIN ANALYZE [engine=batch, rows=")
+    assert lines[0].startswith("EXPLAIN ANALYZE [engine=columnar, rows=")
     assert "rows_touched=500" in lines[0]
     assert "total_ms=" in lines[0]
     body = "\n".join(lines[1:])
-    assert "SeqScan(t) [rows=500, chunks=1, time=" in body
+    assert "SeqScan(t) [rows=500, chunks=1, sel=100.0%, time=" in body
     assert "Filter [rows=" in body
     assert "Aggregate [rows=" in body
-    # Batch chunks carry no selection vectors: no density annotation.
-    assert "sel=" not in body
     # Deeper operators are indented further than their consumers.
     scan_line = next(l for l in lines if "SeqScan(t)" in l)
     filter_line = next(l for l in lines if "Filter [" in l)
@@ -324,7 +410,7 @@ def test_explain_analyze_columnar_reports_chunks_skipped():
 
 
 def test_explain_analyze_is_side_effect_light():
-    db = _seed(Database(engine="batch"), 50)
+    db = _seed(Database(), 50)
     statements = db.statements_executed
     db.explain("SELECT id FROM t WHERE v > ?", params=(3,), analyze=True)
     assert db.statements_executed == statements
@@ -335,9 +421,8 @@ def test_explain_analyze_is_side_effect_light():
 
 def test_explain_analyze_rows_match_execution():
     dbs = _pair(800)
-    batch_db = dbs[0]
     sql = "SELECT id, v FROM t WHERE v > ? ORDER BY v LIMIT 20"
     executed = _agree(*dbs, sql, (30,))
-    out = batch_db.explain(sql, params=(30,), analyze=True)
+    out = dbs[0].explain(sql, params=(30,), analyze=True)
     assert f"rows={len(executed.rows)}" in out.splitlines()[0]
     assert f"rows_touched={executed.rows_touched}" in out.splitlines()[0]
