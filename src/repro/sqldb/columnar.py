@@ -291,8 +291,9 @@ class ColumnChunk:
     @classmethod
     def from_rows(cls, rows, width):
         """Transpose wide rows into a fully-live chunk — the shim the
-        prefetched shared-scan path and the nested-loop join (row-shaped
-        inside) go through."""
+        prefetched shared-scan path, the nested-loop join (row-shaped
+        inside) and the ``limit_hint`` cutoff's interpreted rows go
+        through."""
         if not rows:
             return cls([[] for _ in range(width)], 0, None)
         return cls([list(lane) for lane in zip(*rows)], len(rows), None)

@@ -1,96 +1,78 @@
-"""Expression compilation: lower ASTs to Python closures once per plan.
+"""Chunk compilation: lower expression ASTs to kernels over column chunks.
 
-The interpreted evaluator (:func:`repro.sqldb.expressions.evaluate`) re-walks
-the expression tree for every row — type dispatch, attribute loads and
-recursive calls dominate the real wall-clock of every scan and filter.  This
-module lowers an expression **once** (when the physical plan is built) into a
-tree of small Python closures with the shape ``fn(values, params) -> value``:
+The engine has two expression evaluators.  The interpreter
+(:func:`repro.sqldb.expressions.evaluate`) re-walks an AST for every row:
+it is the ``engine="row"`` oracle.  This module is the other one.  It
+lowers an expression **once** (when the physical plan is built) into a
+kernel over a whole :class:`repro.sqldb.columnar.ColumnChunk`:
 
-- column references become direct position loads (``values[pos]``), resolved
-  against the select context at compile time,
-- constant subtrees are folded to a single captured value,
-- literal LIKE patterns are pre-compiled to regexes, IN lists keep their
-  item closures pre-built,
-- comparisons against a known constant bake the comparability check for the
-  constant's type.
+- :func:`compile_filter` — a predicate becomes ``fn(chunk, params) ->
+  sel``, the selection vector of rows evaluating to SQL TRUE;
+- :func:`compile_project`, :func:`compile_vec` — select items and
+  computed group keys become per-column gathers and element-wise loops;
+- :func:`compile_aggregate_item_columnar`,
+  :func:`compile_grouped_item_columnar` — aggregates fold chunks into
+  accumulators;
+- :func:`compile_prune` — a predicate becomes a test over a chunk's zone
+  map that can rule the chunk out before it is scanned.
 
-Semantics are **bit-identical** to the interpreter, including three-valued
-logic, evaluation order and every error: anything the interpreter raises
-only when a row is actually evaluated (unknown columns, ambiguous
-references, type errors in constant subtrees) compiles to a closure that
-raises the same error at call time, so an empty input still raises nothing.
-Node shapes without a compiled form (scalar function calls, ``*``) fall
-back to a closure over the interpreter itself, so compilation never
-changes behaviour — only speed.
+**Every shape without a kernel is the interpreter.**  A predicate (or an
+AND/OR/NOT operand) with no kernel evaluates ``evaluate`` over
+``chunk.row(i)`` for each candidate row; the projection and aggregate
+compilers return None and their operators run their interpreted form
+(see :mod:`repro.sqldb.plan.physical`).  A gap in kernel coverage is
+therefore the oracle's own code — same values, same evaluation order,
+same errors — and never a third evaluator to keep in step by hand.
+What has a kernel: comparisons, BETWEEN, IN and LIKE of a column against
+literals/parameters, ``IS [NOT] NULL`` of a column, AND/OR/NOT over
+those; arithmetic, ``||`` and unary minus over columns, literals and
+parameters in select lists, aggregate arguments and group keys.  What
+does not: column-vs-column and computed-operand predicates, scalar
+function calls, boolean-valued select items, aggregates nested in
+arithmetic, HAVING.
 
-Compiled closures live exactly as long as the physical plan that owns them:
-the executor's plan cache is invalidated by DDL and stats epochs, which is
-also when column positions could shift, so a cached closure can never read
-a stale layout.
-
-The row closures serve wherever rows are the input: the nested-loop join
-condition, result operators over materialized rows (``limit_hint`` output,
-Sort keys, grouping without a chunk form) and the per-row fallback below.
-
-**Columnar compilation** (:func:`compile_filter`, :func:`compile_project`,
-:func:`compile_aggregate_item_columnar`) lowers the same ASTs one level
-further for the chunk pipeline: instead of a per-row closure, a predicate
-becomes a function over a whole :class:`repro.sqldb.columnar.ColumnChunk`
-that returns the selection vector of rows evaluating to SQL TRUE.
 Internally every predicate node is ``node(chunk, sel, params) -> (t, u)``
 — the ascending index lists where the node is TRUE and UNKNOWN (FALSE is
-the remainder) — so AND/OR combine Kleene-exactly and preserve the row
-engine's short-circuit scope: AND evaluates its right operand only over
-the left's TRUE∪UNKNOWN rows, OR only over the left's non-TRUE rows.
+the remainder) — so AND/OR combine Kleene-exactly and preserve the
+interpreter's short-circuit scope: AND evaluates its right operand only
+over the left's TRUE∪UNKNOWN rows, OR only over the left's non-TRUE rows.
 Comparison leaves against a row-independent operand (literal or
 parameter) compile to generated fused loops (memoized per operator ×
-type-family) that bake in the same comparability lattice and the same
-``a < c``-derived comparison expressions as the row closures, so NaN and
-mixed-type behaviour are bit-identical.  Dictionary-encoded columns get
-code-level equality/IN and a per-dictionary-value LIKE match table.
-Shapes with no fused form fall back to the row closure applied to
-materialized rows of the chunk — never a behaviour change.
+type-family) that bake in the interpreter's comparability lattice and
+its ``a < b`` / ``a > b`` probes, so NaN and mixed-type behaviour are
+bit-identical.  Dictionary-encoded columns get code-level equality/IN
+and a per-dictionary-value LIKE match table.  Errors the interpreter
+raises only when a row is actually evaluated (missing parameters, type
+errors) are raised by the kernels only when a row is evaluated too, so an
+empty input still raises nothing.
+
+Kernels live exactly as long as the physical plan that owns them: the
+executor's plan cache is invalidated by DDL and stats epochs, which is
+also when column positions could shift, so a cached kernel can never
+read a stale layout.
 
 One documented divergence: fused evaluation runs column-at-a-time, so
 when *several* rows of one chunk would raise (mixed-type data smuggled
 past the typed storage layer), the row that wins the race — and thus the
-error message — can differ from the row engine's strictly row-at-a-time
+error message — can differ from the interpreter's strictly row-at-a-time
 order.  Whether an error is raised at all, and the result when none is,
 are identical.
 """
 
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.columnar import DictColumn
-from repro.sqldb.errors import SqlError, SqlTypeError
+from repro.sqldb.errors import SqlTypeError
 from repro.sqldb.expressions import (
     RowContext,
-    _compare,
-    _like_match,
     _truthy,
     evaluate,
     like_to_regex,
 )
-from repro.sqldb.plan.planner import _AGGREGATE_NAMES
-from repro.sqldb.types import is_comparable
+from repro.sqldb.plan.planner import _AGGREGATE_NAMES, contains_aggregate
 
-__all__ = ["compile_expr", "compile_filter", "compile_project",
-           "compile_aggregate_item", "compile_aggregate_item_columnar",
+__all__ = ["compile_filter", "compile_project",
+           "compile_aggregate_item_columnar",
            "compile_grouped_item_columnar", "compile_prune", "compile_vec"]
-
-
-def compile_expr(expr, positions, ambiguous=frozenset()):
-    """Compile ``expr`` to ``fn(values, params) -> value``.
-
-    ``positions``/``ambiguous`` come from the select context's
-    :class:`~repro.sqldb.expressions.RowContext` (``ctx.positions`` /
-    ``ctx.ambiguous``).  Never raises: any shape that cannot be compiled
-    returns an interpreting fallback closure.
-    """
-    try:
-        fn, _ = _compile(expr, positions, ambiguous)
-        return fn
-    except Exception:  # defensive: compilation must never change behaviour
-        return _interpreted(expr, positions, ambiguous)
 
 
 # ---------------------------------------------------------------------------
@@ -98,329 +80,22 @@ def compile_expr(expr, positions, ambiguous=frozenset()):
 # ---------------------------------------------------------------------------
 
 
-def _interpreted(expr, positions, ambiguous):
-    """Fallback: evaluate the subtree with the interpreter per call."""
-    ctx = RowContext(positions, ambiguous)
-
-    def fn(values, params):
-        ctx.bind(values)
-        return evaluate(expr, ctx, params)
-
-    return fn
-
-
-def _const_fn(value):
-    def fn(values, params):
-        return value
-
-    return fn
-
-
-def _raiser(exc):
-    """A closure that defers an error discovered at compile time to call
-    time — preserving the interpreter's contract that errors only surface
-    when a row is actually evaluated."""
-
-    def fn(values, params):
-        raise exc
-
-    return _mark_bool(fn)  # never returns, so trivially three-valued
-
-
-def _mark_bool(fn):
-    """Tag a closure as **three-valued**: provably returns only True,
-    False or None.  AND/OR over tagged operands skip the per-call
-    ``_truthy`` type dispatch — the interpreter's behaviour on booleans,
-    reached without the function call."""
-    fn.tvl = True
-    return fn
-
-
-def _is_bool(fn):
-    return getattr(fn, "tvl", False)
-
-
-def _fold(fn):
-    """Evaluate a fully-constant closure once; defer any SQL error."""
-    try:
-        value = fn(None, ())
-    except SqlError as exc:
-        return _raiser(exc), False
-    folded = _const_fn(value)
-    if value is None or value is True or value is False:
-        _mark_bool(folded)
-    return folded, True
-
-
 def _column_position(expr, positions, ambiguous):
-    """The flat row position of a ColumnRef, or a deferred-error closure.
-
-    Returns ``(pos, None)`` on success, ``(None, raiser)`` when resolution
-    fails (the interpreter would raise the same error per evaluation).
-    """
+    """The flat row position of a ColumnRef, or None when the reference is
+    ambiguous or unknown: the shape then has no kernel, and the interpreter
+    raises the resolution error for each row it evaluates."""
     if expr.table is None and expr.column in ambiguous:
-        return None, _raiser(
-            SqlError(f"ambiguous column reference {expr.column!r}"))
-    pos = positions.get((expr.table, expr.column))
-    if pos is None:
-        where = f"table {expr.table!r}" if expr.table else "any table"
-        return None, _raiser(
-            SqlError(f"unknown column {expr.column!r} in {where}"))
-    return pos, None
-
-
-# ---------------------------------------------------------------------------
-# The compiler
-# ---------------------------------------------------------------------------
-
-
-def _compile(expr, positions, ambiguous):
-    """Compile one node; returns ``(fn, is_const)``.
-
-    ``is_const`` marks closures whose value cannot depend on the row or the
-    parameters *and* that cannot raise — the precondition for folding.
-    """
-    kind = type(expr)
-    if kind is A.Literal:
-        fn = _const_fn(expr.value)
-        value = expr.value
-        if value is None or value is True or value is False:
-            _mark_bool(fn)
-        return fn, True
-    if kind is A.Param:
-        index = expr.index
-
-        def param_fn(values, params):
-            try:
-                return params[index]
-            except IndexError:
-                raise SqlError(
-                    f"missing parameter #{index + 1} "
-                    f"(got {len(params)} parameters)") from None
-
-        return param_fn, False
-    if kind is A.ColumnRef:
-        pos, raiser = _column_position(expr, positions, ambiguous)
-        if raiser is not None:
-            return raiser, False
-
-        def column_fn(values, params):
-            return values[pos]
-
-        return column_fn, False
-    if kind is A.BinaryOp:
-        return _compile_binary(expr, positions, ambiguous)
-    if kind is A.UnaryOp:
-        return _compile_unary(expr, positions, ambiguous)
-    if kind is A.IsNull:
-        inner, const = _compile(expr.expr, positions, ambiguous)
-        negated = expr.negated
-
-        def isnull_fn(values, params):
-            result = inner(values, params) is None
-            return (not result) if negated else result
-
-        _mark_bool(isnull_fn)
-        return _fold(isnull_fn) if const else (isnull_fn, False)
-    if kind is A.InList:
-        return _compile_in(expr, positions, ambiguous)
-    if kind is A.Between:
-        return _compile_between(expr, positions, ambiguous)
-    if kind is A.Like:
-        return _compile_like(expr, positions, ambiguous)
-    # FuncCall (scalar functions, misplaced aggregates), Star, and anything
-    # newer than this compiler: interpret per call.
-    return _interpreted(expr, positions, ambiguous), False
-
-
-def _compile_binary(expr, positions, ambiguous):
-    op = expr.op
-    lf, lconst = _compile(expr.left, positions, ambiguous)
-    rf, rconst = _compile(expr.right, positions, ambiguous)
-    both_const = lconst and rconst
-    if op == "AND":
-        if _is_bool(lf) and _is_bool(rf):
-            # Both operands provably three-valued: the _truthy dispatch
-            # reduces to identity, leaving pure Kleene AND.
-            def and_fn(values, params):
-                left = lf(values, params)
-                if left is False:
-                    return False
-                right = rf(values, params)
-                if right is False:
-                    return False
-                if left is None or right is None:
-                    return None
-                return True
-        else:
-            def and_fn(values, params):
-                left = lf(values, params)
-                if left is not None and not _truthy(left):
-                    return False
-                right = rf(values, params)
-                if right is not None and not _truthy(right):
-                    return False
-                if left is None or right is None:
-                    return None
-                return True
-
-        _mark_bool(and_fn)
-        return _fold(and_fn) if both_const else (and_fn, False)
-    if op == "OR":
-        if _is_bool(lf) and _is_bool(rf):
-            def or_fn(values, params):
-                left = lf(values, params)
-                if left is True:
-                    return True
-                right = rf(values, params)
-                if right is True:
-                    return True
-                if left is None or right is None:
-                    return None
-                return False
-        else:
-            def or_fn(values, params):
-                left = lf(values, params)
-                if left is not None and _truthy(left):
-                    return True
-                right = rf(values, params)
-                if right is not None and _truthy(right):
-                    return True
-                if left is None or right is None:
-                    return None
-                return False
-
-        _mark_bool(or_fn)
-        return _fold(or_fn) if both_const else (or_fn, False)
-    if op in _CMP_OPS:
-        return _compile_comparison(expr, op, lf, lconst, rf, rconst,
-                                   positions, ambiguous)
-    if op == "||":
-
-        def concat_fn(values, params):
-            left = lf(values, params)
-            right = rf(values, params)
-            if left is None or right is None:
-                return None
-            if not isinstance(left, str) or not isinstance(right, str):
-                raise SqlTypeError("'||' requires text operands")
-            return left + right
-
-        return _fold(concat_fn) if both_const else (concat_fn, False)
-    if op in ("+", "-", "*", "/", "%"):
-        arith_fn = _arith(op, lf, rf)
-        return _fold(arith_fn) if both_const else (arith_fn, False)
-    return _raiser(SqlError(f"unknown binary operator {op!r}")), False
-
-
-# Derived from the interpreter's _compare (a < b / a > b probes), not the
-# native ==/!= — identical for every SQL type, and bit-for-bit the same on
-# degenerate floats a user might smuggle through parameters.
-_CMP_OPS = {
-    "=": lambda a, b: not (a < b or a > b),
-    "<>": lambda a, b: a < b or a > b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: not (a > b),
-    ">=": lambda a, b: not (a < b),
-}
-
-
-def _compile_comparison(expr, op, lf, lconst, rf, rconst, positions,
-                        ambiguous):
-    cmp = _CMP_OPS[op]
-    if lconst and rconst:
-
-        def const_cmp_fn(values, params):
-            return _cmp_generic(cmp, lf(values, params), rf(values, params))
-
-        return _fold(const_cmp_fn)
-    # The hottest shape: one side a plain column load, the other a non-NULL
-    # constant — bake the constant and its comparability test.
-    for col_side, const_side, const_is_right in (
-            (expr.left, (rf, rconst), True),
-            (expr.right, (lf, lconst), False)):
-        side_fn, side_const = const_side
-        if not (side_const and isinstance(col_side, A.ColumnRef)):
-            continue
-        constant = side_fn(None, ())
-        if constant is None:
-            break  # NULL constant: comparison is always UNKNOWN
-        pos, raiser = _column_position(col_side, positions, ambiguous)
-        if raiser is not None:
-            break  # unresolvable column: generic path defers the error
-        type_ok = _const_type_check(constant)
-
-        def fast_cmp_fn(values, params, pos=pos, constant=constant,
-                        type_ok=type_ok, const_is_right=const_is_right):
-            a = values[pos]
-            if a is None:
-                return None
-            if not type_ok(a):
-                left, right = ((a, constant) if const_is_right
-                               else (constant, a))
-                raise SqlTypeError(f"cannot compare {left!r} with {right!r}")
-            return cmp(a, constant) if const_is_right else cmp(constant, a)
-
-        return _mark_bool(fast_cmp_fn), False
-
-    # Next-hottest: a column against a parameter or arbitrary expression —
-    # inline the position load on the column side and the comparability
-    # lattice, preserving the interpreter's left-then-right evaluation
-    # order (the non-column side may raise).
-    if isinstance(expr.left, A.ColumnRef):
-        pos, raiser = _column_position(expr.left, positions, ambiguous)
-        if raiser is None:
-
-            def col_left_cmp_fn(values, params):
-                a = values[pos]
-                b = rf(values, params)
-                if a is None or b is None:
-                    return None
-                if isinstance(a, bool) or isinstance(b, bool):
-                    if not (isinstance(a, bool) and isinstance(b, bool)):
-                        raise SqlTypeError(
-                            f"cannot compare {a!r} with {b!r}")
-                elif (not (isinstance(a, (int, float))
-                           and isinstance(b, (int, float)))
-                        and type(a) is not type(b)):
-                    raise SqlTypeError(f"cannot compare {a!r} with {b!r}")
-                return cmp(a, b)
-
-            return _mark_bool(col_left_cmp_fn), False
-    elif isinstance(expr.right, A.ColumnRef):
-        pos, raiser = _column_position(expr.right, positions, ambiguous)
-        if raiser is None:
-
-            def col_right_cmp_fn(values, params):
-                a = lf(values, params)
-                b = values[pos]
-                if a is None or b is None:
-                    return None
-                if isinstance(a, bool) or isinstance(b, bool):
-                    if not (isinstance(a, bool) and isinstance(b, bool)):
-                        raise SqlTypeError(
-                            f"cannot compare {a!r} with {b!r}")
-                elif (not (isinstance(a, (int, float))
-                           and isinstance(b, (int, float)))
-                        and type(a) is not type(b)):
-                    raise SqlTypeError(f"cannot compare {a!r} with {b!r}")
-                return cmp(a, b)
-
-            return _mark_bool(col_right_cmp_fn), False
-
-    def cmp_fn(values, params):
-        return _cmp_generic(cmp, lf(values, params), rf(values, params))
-
-    return _mark_bool(cmp_fn), False
-
-
-def _cmp_generic(cmp, a, b):
-    if a is None or b is None:
         return None
-    if not is_comparable(a, b):
-        raise SqlTypeError(f"cannot compare {a!r} with {b!r}")
-    return cmp(a, b)
+    return positions.get((expr.table, expr.column))
+
+
+def _row_independent(expr):
+    """True when ``expr`` resolves without a row: a literal or parameter.
+    Kernels resolve such an operand once per chunk with
+    ``evaluate(expr, None, params)`` — the interpreter never consults the
+    row context for these two node types, so none is bound, and a missing
+    parameter raises the interpreter's own error."""
+    return isinstance(expr, (A.Literal, A.Param))
 
 
 def _const_type_check(constant):
@@ -437,8 +112,8 @@ def _const_type_check(constant):
 
 def _arith_value(op, left, right):
     """One arithmetic application — the single home for NULL propagation,
-    numeric type checking and divide-by-zero, shared by the row closures
-    and the columnar element-wise loops."""
+    numeric type checking and divide-by-zero of the element-wise loops
+    (the interpreter's ``_eval_binary`` rules, value for value)."""
     if left is None or right is None:
         return None
     if (isinstance(left, bool) or isinstance(right, bool)
@@ -464,196 +139,6 @@ def _arith_value(op, left, right):
     return left % right
 
 
-def _arith(op, lf, rf):
-    def fn(values, params):
-        return _arith_value(op, lf(values, params), rf(values, params))
-
-    return fn
-
-
-def _compile_unary(expr, positions, ambiguous):
-    inner, const = _compile(expr.operand, positions, ambiguous)
-    if expr.op == "NOT":
-
-        def not_fn(values, params):
-            value = inner(values, params)
-            return None if value is None else (not _truthy(value))
-
-        _mark_bool(not_fn)
-        return _fold(not_fn) if const else (not_fn, False)
-    if expr.op == "-":
-
-        def neg_fn(values, params):
-            value = inner(values, params)
-            if value is None:
-                return None
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SqlTypeError(f"cannot negate {value!r}")
-            return -value
-
-        return _fold(neg_fn) if const else (neg_fn, False)
-    return _raiser(SqlError(f"unknown unary operator {expr.op!r}")), False
-
-
-def _compile_in(expr, positions, ambiguous):
-    ef, _ = _compile(expr.expr, positions, ambiguous)
-    item_fns = [_compile(item, positions, ambiguous)[0]
-                for item in expr.items]
-    negated = expr.negated
-
-    def in_fn(values, params):
-        value = ef(values, params)
-        if value is None:
-            return None
-        saw_null = False
-        for item_fn in item_fns:
-            candidate = item_fn(values, params)
-            if candidate is None:
-                saw_null = True
-                continue
-            if (is_comparable(value, candidate)
-                    and not (value < candidate or value > candidate)):
-                return not negated
-        if saw_null:
-            return None
-        return negated
-
-    return _mark_bool(in_fn), False
-
-
-def _compile_between(expr, positions, ambiguous):
-    ef, econst = _compile(expr.expr, positions, ambiguous)
-    lf, lconst = _compile(expr.low, positions, ambiguous)
-    hf, hconst = _compile(expr.high, positions, ambiguous)
-    negated = expr.negated
-
-    def between_fn(values, params):
-        value = ef(values, params)
-        low = lf(values, params)
-        high = hf(values, params)
-        if value is None or low is None or high is None:
-            return None
-        result = _compare(value, low) >= 0 and _compare(value, high) <= 0
-        return (not result) if negated else result
-
-    _mark_bool(between_fn)
-    if econst and lconst and hconst:
-        return _fold(between_fn)
-    return between_fn, False
-
-
-def _compile_like(expr, positions, ambiguous):
-    ef, econst = _compile(expr.expr, positions, ambiguous)
-    pf, pconst = _compile(expr.pattern, positions, ambiguous)
-    negated = expr.negated
-    if pconst:
-        pattern = pf(None, ())
-        if pattern is None:
-            # LIKE with a NULL pattern is UNKNOWN for every value — but the
-            # value expression still evaluates first (it may raise).
-            def null_pattern_fn(values, params):
-                ef(values, params)
-                return None
-
-            _mark_bool(null_pattern_fn)
-            return (_fold(null_pattern_fn) if econst
-                    else (null_pattern_fn, False))
-        if isinstance(pattern, str):
-            regex = like_to_regex(pattern)
-
-            def fast_like_fn(values, params):
-                value = ef(values, params)
-                if value is None:
-                    return None
-                if not isinstance(value, str):
-                    raise SqlTypeError("LIKE requires text operands")
-                result = regex.match(value) is not None
-                return (not result) if negated else result
-
-            _mark_bool(fast_like_fn)
-            return (_fold(fast_like_fn) if econst
-                    else (fast_like_fn, False))
-
-    def like_fn(values, params):
-        value = ef(values, params)
-        pattern = pf(values, params)
-        if value is None or pattern is None:
-            return None
-        if not isinstance(value, str) or not isinstance(pattern, str):
-            raise SqlTypeError("LIKE requires text operands")
-        result = _like_match(value, pattern)
-        return (not result) if negated else result
-
-    return _mark_bool(like_fn), False
-
-
-# ---------------------------------------------------------------------------
-# Aggregate select items (used by AggregateOp over row-shaped groups)
-# ---------------------------------------------------------------------------
-
-
-def compile_aggregate_item(expr, positions, ambiguous):
-    """Compiled ``fn(group_rows, params)`` for one aggregate-query select
-    item, or None when the shape needs the interpreted
-    ``_eval_aggregate_expr`` (aggregates nested in arithmetic, HAVING-style
-    composites, zero-argument calls that must raise).
-    """
-    if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:
-        name = expr.name
-        if name == "COUNT" and expr.args and isinstance(expr.args[0], A.Star):
-            return lambda group_rows, params: len(group_rows)
-        if not expr.args:
-            return None  # interpreter raises "requires an argument"
-        arg_fn = compile_expr(expr.args[0], positions, ambiguous)
-        distinct = expr.distinct
-
-        def agg_fn(group_rows, params):
-            collected = []
-            append = collected.append
-            for row in group_rows:
-                value = arg_fn(row, params)
-                if value is not None:
-                    append(value)
-            if distinct:
-                collected = list(dict.fromkeys(collected))
-            if name == "COUNT":
-                return len(collected)
-            if not collected:
-                return None
-            if name == "SUM":
-                return sum(collected)
-            if name == "AVG":
-                return sum(collected) / len(collected)
-            if name == "MIN":
-                return min(collected)
-            return max(collected)  # MAX
-
-        return agg_fn
-    if _contains_aggregate(expr):
-        return None  # composite shapes keep the interpreted recursion
-    # Plain expression in an aggregate query: constant within a group, so
-    # the interpreter evaluates it against the group's first row.
-    plain_fn = compile_expr(expr, positions, ambiguous)
-
-    def first_row_fn(group_rows, params):
-        if group_rows:
-            return plain_fn(group_rows[0], params)
-        return None
-
-    return first_row_fn
-
-
-def _contains_aggregate(expr):
-    if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:
-        return True
-    if isinstance(expr, A.BinaryOp):
-        return (_contains_aggregate(expr.left)
-                or _contains_aggregate(expr.right))
-    if isinstance(expr, A.UnaryOp):
-        return _contains_aggregate(expr.operand)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Columnar compilation: fused loops over ColumnChunk arrays
 # ---------------------------------------------------------------------------
@@ -667,50 +152,35 @@ def _contains_aggregate(expr):
 def compile_filter(expr, positions, ambiguous=frozenset()):
     """Compile a WHERE predicate to ``fn(chunk, params) -> sel`` — the
     selection vector (ascending live indices) of chunk rows where the
-    predicate is strictly TRUE.  Never raises at compile time; shapes
-    without a fused form evaluate the row closure over materialized rows.
+    predicate is strictly TRUE.  Never raises at compile time; a shape
+    without a kernel is interpreted row by row.
     """
     try:
-        node, is_bool = _compile_pred(expr, positions, ambiguous)
+        node = _compile_pred(expr, positions, ambiguous)
     except Exception:  # defensive: compilation must never change behaviour
-        node, is_bool = None, False
-    if node is not None and is_bool:
+        node = None
+    if node is not None:
 
         def filter_fn(chunk, params):
-            sel = chunk.sel
-            if sel is None:
-                sel = range(chunk.length)
-            return node(chunk, sel, params)[0]
+            return node(chunk, chunk.live_indices(), params)[0]
 
         return filter_fn
+
     # Top-level fallback is *strict* (`is True`), exactly like FilterOp's
-    # row path: a non-boolean predicate value keeps nothing and raises
-    # nothing (unlike the truthy classification AND/OR operands use).
-    rowfn = compile_expr(expr, positions, ambiguous)
-
-    def strict_filter_fn(chunk, params):
-        sel = chunk.sel
-        if sel is None:
-            sel = range(chunk.length)
+    # interpreted form: a non-boolean predicate value keeps nothing and
+    # raises nothing (unlike the truthy classification AND/OR operands use).
+    def interpreted_filter_fn(chunk, params):
+        ctx = RowContext(positions, ambiguous)
         row = chunk.row
-        return [i for i in sel if rowfn(row(i), params) is True]
+        return [i for i in chunk.live_indices()
+                if evaluate(expr, ctx.bind(row(i)), params) is True]
 
-    return strict_filter_fn
-
-
-def _row_independent(expr):
-    """True when ``expr`` resolves without a row: a literal or parameter.
-    Such operands are evaluated once per chunk and baked into the loop."""
-    return isinstance(expr, (A.Literal, A.Param))
+    return interpreted_filter_fn
 
 
 def _compile_pred(expr, positions, ambiguous):
-    """Compile one predicate node; returns ``(node, is_bool)``.
-
-    ``node`` is None when the shape has no fused form at this level
-    (callers fall back); ``is_bool`` marks nodes that classify rows by
-    the strict three-valued result (always True for fused nodes).
-    """
+    """The kernel node for one predicate, or None when the shape has none
+    at this level (callers fall back to the interpreter)."""
     kind = type(expr)
     if kind is A.BinaryOp:
         op = expr.op
@@ -718,66 +188,48 @@ def _compile_pred(expr, positions, ambiguous):
             left = _pred_operand(expr.left, positions, ambiguous)
             right = _pred_operand(expr.right, positions, ambiguous)
             combine = _and_node if op == "AND" else _or_node
-            return combine(left, right), True
+            return combine(left, right)
         if op in _CMP_EXPRS:
-            node = _cmp_node(expr, op, positions, ambiguous)
-            return node, node is not None
-        return None, False
+            return _cmp_node(expr, op, positions, ambiguous)
+        return None
     if kind is A.UnaryOp and expr.op == "NOT":
-        child = _pred_operand(expr.operand, positions, ambiguous)
-        return _not_node(child), True
+        return _not_node(_pred_operand(expr.operand, positions, ambiguous))
     if kind is A.IsNull and isinstance(expr.expr, A.ColumnRef):
-        pos, raiser = _column_position(expr.expr, positions, ambiguous)
-        if raiser is not None:
-            return None, False
-        return _isnull_node(pos, expr.negated), True
+        pos = _column_position(expr.expr, positions, ambiguous)
+        if pos is None:
+            return None
+        return _isnull_node(pos, expr.negated)
     if kind is A.InList:
-        node = _in_node(expr, positions, ambiguous)
-        return node, node is not None
+        return _in_node(expr, positions, ambiguous)
     if kind is A.Between:
-        node = _between_node(expr, positions, ambiguous)
-        return node, node is not None
+        return _between_node(expr, positions, ambiguous)
     if kind is A.Like:
-        node = _like_node(expr, positions, ambiguous)
-        return node, node is not None
-    return None, False
+        return _like_node(expr, positions, ambiguous)
+    return None
 
 
 def _pred_operand(expr, positions, ambiguous):
-    """A fused node for an AND/OR/NOT operand, falling back to the row
-    closure with the interpreter's *truthy* classification (numbers count
-    by ``!= 0``, non-numeric non-bools raise — exactly ``_truthy``)."""
-    node, _ = _compile_pred(expr, positions, ambiguous)
+    """The node for an AND/OR/NOT operand: its kernel, or the interpreter
+    per candidate row, classified as AND/OR/NOT classify an operand value
+    (NULL is UNKNOWN, numbers count by ``!= 0``, non-numeric non-bools
+    raise — ``_truthy``)."""
+    node = _compile_pred(expr, positions, ambiguous)
     if node is not None:
         return node
-    rowfn = compile_expr(expr, positions, ambiguous)
-    if _is_bool(rowfn):
 
-        def bool_fallback(chunk, sel, params):
-            t, u = [], []
-            row = chunk.row
-            for i in sel:
-                value = rowfn(row(i), params)
-                if value is True:
-                    t.append(i)
-                elif value is None:
-                    u.append(i)
-            return t, u
-
-        return bool_fallback
-
-    def truthy_fallback(chunk, sel, params):
+    def interpreted_node(chunk, sel, params):
+        ctx = RowContext(positions, ambiguous)
         t, u = [], []
         row = chunk.row
         for i in sel:
-            value = rowfn(row(i), params)
+            value = evaluate(expr, ctx.bind(row(i)), params)
             if value is None:
                 u.append(i)
             elif _truthy(value):
                 t.append(i)
         return t, u
 
-    return truthy_fallback
+    return interpreted_node
 
 
 def _merge(a, b):
@@ -882,8 +334,9 @@ def _isnull_node(pos, negated):
     return node
 
 
-# Comparison expressions over (a, c), derived — like _CMP_OPS — from the
-# interpreter's `a < b` / `a > b` probes so NaN behaviour is identical.
+# Comparison expressions over (a, c), derived from the interpreter's
+# `a < b` / `a > b` probes (``_compare``), not the native ==/!=, so NaN
+# behaviour is identical.
 _CMP_EXPRS = {
     "=": "not (a < c or a > c)",
     "<>": "a < c or a > c",
@@ -975,7 +428,7 @@ def _dict_eq(col, sel, constant, op):
 
 def _cmp_node(expr, op, positions, ambiguous):
     """A fused comparison node for column-vs-row-independent shapes, or
-    None (column-vs-column and arbitrary expressions keep the row path)."""
+    None (column-vs-column and arbitrary expressions are interpreted)."""
     left, right = expr.left, expr.right
     if isinstance(left, A.ColumnRef) and _row_independent(right):
         col_expr, const_expr, const_is_right, kop = left, right, True, op
@@ -984,15 +437,14 @@ def _cmp_node(expr, op, positions, ambiguous):
         const_is_right, kop = False, _FLIP[op]
     else:
         return None
-    pos, raiser = _column_position(col_expr, positions, ambiguous)
-    if raiser is not None:
-        return None  # row fallback raises the same unknown-column error
-    cfn = _compile(const_expr, positions, ambiguous)[0]
+    pos = _column_position(col_expr, positions, ambiguous)
+    if pos is None:
+        return None  # the interpreter raises the unknown-column error
 
     def node(chunk, sel, params):
         if not sel:
             return [], []  # nothing evaluated, nothing raised
-        c = cfn(None, params)
+        c = evaluate(const_expr, None, params)
         col = chunk.columns[pos]
         if c is None or col is None:
             return [], list(sel)
@@ -1016,18 +468,16 @@ def _between_node(expr, positions, ambiguous):
             and _row_independent(expr.low)
             and _row_independent(expr.high)):
         return None
-    pos, raiser = _column_position(expr.expr, positions, ambiguous)
-    if raiser is not None:
+    pos = _column_position(expr.expr, positions, ambiguous)
+    if pos is None:
         return None
-    lf = _compile(expr.low, positions, ambiguous)[0]
-    hf = _compile(expr.high, positions, ambiguous)[0]
     negated = expr.negated
 
     def node(chunk, sel, params):
         if not sel:
             return [], []
-        low = lf(None, params)
-        high = hf(None, params)
+        low = evaluate(expr.low, None, params)
+        high = evaluate(expr.high, None, params)
         col = chunk.columns[pos]
         if low is None or high is None or col is None:
             return [], list(sel)
@@ -1061,17 +511,16 @@ def _like_node(expr, positions, ambiguous):
     if not (isinstance(expr.expr, A.ColumnRef)
             and _row_independent(expr.pattern)):
         return None
-    pos, raiser = _column_position(expr.expr, positions, ambiguous)
-    if raiser is not None:
+    pos = _column_position(expr.expr, positions, ambiguous)
+    if pos is None:
         return None
-    pf = _compile(expr.pattern, positions, ambiguous)[0]
     negated = expr.negated
     regex_cache = {}
 
     def node(chunk, sel, params):
         if not sel:
             return [], []
-        pattern = pf(None, params)
+        pattern = evaluate(expr.pattern, None, params)
         col = chunk.columns[pos]
         if pattern is None:
             return [], list(sel)
@@ -1122,11 +571,9 @@ def _in_node(expr, positions, ambiguous):
     if not (isinstance(expr.expr, A.ColumnRef)
             and all(_row_independent(item) for item in expr.items)):
         return None
-    pos, raiser = _column_position(expr.expr, positions, ambiguous)
-    if raiser is not None:
+    pos = _column_position(expr.expr, positions, ambiguous)
+    if pos is None:
         return None
-    item_fns = [_compile(item, positions, ambiguous)[0]
-                for item in expr.items]
     negated = expr.negated
 
     def node(chunk, sel, params):
@@ -1150,7 +597,8 @@ def _in_node(expr, positions, ambiguous):
                     continue
                 if not resolved:
                     resolved = True
-                    items = [fn(None, params) for fn in item_fns]
+                    items = [evaluate(item, None, params)
+                             for item in expr.items]
                     saw_null = any(v is None for v in items)
                     code_of = col.meta.code_of
                     code_set = {
@@ -1172,7 +620,8 @@ def _in_node(expr, positions, ambiguous):
                 continue
             if not resolved:
                 resolved = True
-                items = [fn(None, params) for fn in item_fns]
+                items = [evaluate(item, None, params)
+                         for item in expr.items]
                 saw_null = any(v is None for v in items)
                 typed = [
                     (v,
@@ -1227,18 +676,18 @@ def _compile_vec(expr, positions, ambiguous):
     """Compile an expression to ``fn(chunk, sel, params) -> (scalar, v)``
     — ``v`` a single broadcast value when ``scalar`` is true, else a list
     aligned with ``sel``.  Returns None for shapes without a vector form
-    (function calls, comparisons, stars): callers fall back to rows.
+    (function calls, comparisons, stars): callers interpret rows instead.
     """
     kind = type(expr)
     if kind is A.Literal:
         value = expr.value
         return lambda chunk, sel, params: (True, value)
     if kind is A.Param:
-        pfn = _compile(expr, positions, ambiguous)[0]
-        return lambda chunk, sel, params: (True, pfn(None, params))
+        return lambda chunk, sel, params: (
+            True, evaluate(expr, None, params))
     if kind is A.ColumnRef:
-        pos, raiser = _column_position(expr, positions, ambiguous)
-        if raiser is not None:
+        pos = _column_position(expr, positions, ambiguous)
+        if pos is None:
             return None
         return lambda chunk, sel, params: (False, chunk.gather_at(pos, sel))
     if kind is A.BinaryOp and expr.op in ("+", "-", "*", "/", "%", "||"):
@@ -1283,7 +732,7 @@ def _compile_vec(expr, positions, ambiguous):
 def compile_vec(expr, positions, ambiguous=frozenset()):
     """Public wrapper over the vectorized expression compiler:
     ``fn(chunk, sel, params) -> (scalar, value)`` or None when the shape
-    has no vector form.  Never raises (callers fall back to rows)."""
+    has no vector form.  Never raises (callers interpret rows instead)."""
     try:
         return _compile_vec(expr, positions, ambiguous)
     except Exception:  # defensive: compilation must never change behaviour
@@ -1327,8 +776,8 @@ def compile_project(items, expansions, positions, ambiguous):
 def compile_aggregate_item_columnar(expr, positions, ambiguous):
     """Compiled ``fn(chunks, params)`` for one select item of a
     no-GROUP-BY aggregate query over columnar chunks, or None when the
-    shape needs the row path (composite aggregate arithmetic, grouped
-    queries — handled by the caller)."""
+    shape needs the interpreted form (composite aggregate arithmetic,
+    grouped queries — handled by the caller)."""
     if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:
         name = expr.name
         if name == "COUNT" and expr.args and isinstance(expr.args[0], A.Star):
@@ -1368,7 +817,7 @@ def compile_aggregate_item_columnar(expr, positions, ambiguous):
                 return min(collected)
             return max(collected)  # MAX
         return agg_fn
-    if _contains_aggregate(expr):
+    if contains_aggregate(expr):
         return None
     vec = _compile_vec(expr, positions, ambiguous)
     if vec is None:
@@ -1387,7 +836,7 @@ def compile_aggregate_item_columnar(expr, positions, ambiguous):
 def compile_grouped_item_columnar(expr, positions, ambiguous):
     """Compiled ``(make, update, final)`` triple for one select item of a
     GROUP BY aggregate query over columnar chunks, or None when the shape
-    needs the row-materializing path (composite aggregate arithmetic,
+    needs the interpreted form over rows (composite aggregate arithmetic,
     shapes without a vector form).
 
     The caller keeps one accumulator list per item, one slot per group:
@@ -1413,7 +862,7 @@ def compile_grouped_item_columnar(expr, positions, ambiguous):
         if vec is None:
             return None
         if expr.distinct:
-            # Collect per group, dedupe at emit — exactly the row path.
+            # Collect per group, dedupe at emit — as the interpreter does.
             def update_collect(acc, gidxs, chunk, live, params):
                 scalar, value = vec(chunk, live, params)
                 if scalar:
@@ -1500,14 +949,14 @@ def compile_grouped_item_columnar(expr, positions, ambiguous):
                         st[0] = v
 
         return (lambda: [None]), update_extremum, (lambda state: state[0])
-    if _contains_aggregate(expr):
-        return None  # composite shapes keep the row-materializing path
+    if contains_aggregate(expr):
+        return None  # composite shapes keep the interpreted form
     vec = _compile_vec(expr, positions, ambiguous)
     if vec is None:
         return None
 
     # Plain expression: constant within a group — evaluated against the
-    # group's first row, like the row path's ``group_rows[0]``.
+    # group's first row, like the interpreted form's ``group_rows[0]``.
     def update_first(acc, gidxs, chunk, live, params):
         for i, g in zip(live, gidxs):
             if acc[g] is None:
@@ -1610,8 +1059,8 @@ def _prune_node(expr, positions, ambiguous):
 
         return not_node, False
     if kind is A.IsNull and isinstance(expr.expr, A.ColumnRef):
-        pos, raiser = _column_position(expr.expr, positions, ambiguous)
-        if raiser is not None:
+        pos = _column_position(expr.expr, positions, ambiguous)
+        if pos is None:
             return (lambda zone_of, params: _ALWAYS), False
         negated = expr.negated
 
@@ -1648,10 +1097,9 @@ def _prune_cmp(expr, op, positions, ambiguous):
         col_expr, const_expr, kop = right, left, _FLIP[op]
     else:
         return None
-    pos, raiser = _column_position(col_expr, positions, ambiguous)
-    if raiser is not None:
+    pos = _column_position(col_expr, positions, ambiguous)
+    if pos is None:
         return None
-    cfn = _compile(const_expr, positions, ambiguous)[0]
 
     def node(zone_of, params):
         zone = zone_of(pos)
@@ -1660,7 +1108,7 @@ def _prune_cmp(expr, op, positions, ambiguous):
         lo, hi, nulls, count = zone
         if count == 0:
             return _NEVER
-        c = cfn(None, params)
+        c = evaluate(const_expr, None, params)
         if c is None or nulls == count:
             return (False, True, False)  # UNKNOWN on every evaluated row
         if lo is None:
@@ -1697,11 +1145,9 @@ def _prune_between(expr, positions, ambiguous):
             and _row_independent(expr.low)
             and _row_independent(expr.high)):
         return None
-    pos, raiser = _column_position(expr.expr, positions, ambiguous)
-    if raiser is not None:
+    pos = _column_position(expr.expr, positions, ambiguous)
+    if pos is None:
         return None
-    lf = _compile(expr.low, positions, ambiguous)[0]
-    hf = _compile(expr.high, positions, ambiguous)[0]
 
     def node(zone_of, params):
         zone = zone_of(pos)
@@ -1710,8 +1156,8 @@ def _prune_between(expr, positions, ambiguous):
         lo, hi, nulls, count = zone
         if count == 0:
             return _NEVER
-        low = lf(None, params)
-        high = hf(None, params)
+        low = evaluate(expr.low, None, params)
+        high = evaluate(expr.high, None, params)
         if low is None or high is None or nulls == count:
             return (False, True, False)
         if lo is None:
@@ -1741,11 +1187,9 @@ def _prune_in(expr, positions, ambiguous):
     if not (isinstance(expr.expr, A.ColumnRef)
             and all(_row_independent(item) for item in expr.items)):
         return None
-    pos, raiser = _column_position(expr.expr, positions, ambiguous)
-    if raiser is not None:
+    pos = _column_position(expr.expr, positions, ambiguous)
+    if pos is None:
         return None
-    item_fns = [_compile(item, positions, ambiguous)[0]
-                for item in expr.items]
 
     def node(zone_of, params):
         zone = zone_of(pos)
@@ -1762,7 +1206,8 @@ def _prune_in(expr, positions, ambiguous):
             return _ALWAYS
         # Item resolution may raise (missing parameter) — so would the
         # scan; compile_prune's caller treats a raise as must-scan.
-        items = [fn(None, params) for fn in item_fns]
+        items = [evaluate(item, None, params)
+                 for item in expr.items]
         saw_null = False
         may_true = False
         for v in items:

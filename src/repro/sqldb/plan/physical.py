@@ -10,7 +10,13 @@ Two operator flavours mirror the two halves of a SELECT:
 
 - **Result operators** (:class:`ProjectOp`, :class:`AggregateOp`,
   :class:`DistinctOp`, :class:`SortOp`, :class:`LimitOp`) transform the
-  materialized output relation via ``apply(run)``.
+  materialized output relation via ``apply(run)``.  Each has at most two
+  forms: a chunk kernel over ``run.source_chunks`` and the interpreted
+  form over ``run.source_rows``.  The interpreted form is the oracle's
+  *and* the production fallback for any shape without a kernel (scalar
+  functions, boolean-valued items, HAVING, aggregate arithmetic), so no
+  result operator asks which engine is running — only whether chunks and
+  a kernel are there.
 
 Row sources implement exactly **two execution protocols**:
 
@@ -30,7 +36,7 @@ Row sources implement exactly **two execution protocols**:
     the production engine against it, and used under **every** engine for
     ``limit_hint`` stop-after-N execution, where chunked pulls would
     overshoot the cutoff and charge storage rows the interpreter never
-    touches.
+    touches (production wraps those few rows in one chunk afterwards).
 
 ``rows_touched`` is engine-invariant by construction: rows are charged
 only where storage is read, both protocols consume their sources to
@@ -47,7 +53,6 @@ engine produced it.
 
 import copy
 from itertools import chain, groupby, islice
-from operator import itemgetter
 from time import perf_counter
 
 from repro.sqldb import ast_nodes as A
@@ -58,9 +63,8 @@ from repro.sqldb.indexes import OrderedIndex, wrap_key
 from repro.sqldb.plan import logical as L
 from repro.sqldb.plan.access import (pk_lookup_keys, range_scan_ids,
                                      resolve_index_lookup)
-from repro.sqldb.plan.compile import (compile_aggregate_item,
-                                      compile_aggregate_item_columnar,
-                                      compile_expr, compile_filter,
+from repro.sqldb.plan.compile import (compile_aggregate_item_columnar,
+                                      compile_filter,
                                       compile_grouped_item_columnar,
                                       compile_project, compile_prune,
                                       compile_vec)
@@ -105,9 +109,9 @@ class PlanRun:
         """The materialized source relation as wide rows.
 
         Outside the interpreter the source lands as ``source_chunks``;
-        result operators that stayed row-shaped (Sort, grouped
-        aggregation, interpreted fallbacks) transpose it here lazily —
-        fully columnar pipelines never pay for the rows.
+        a result operator running its interpreted form (no chunk kernel
+        for the shape, or a Sort key over a source column) transposes it
+        here lazily — fully columnar pipelines never pay for the rows.
         """
         rows = self._source_rows
         if rows is None and self.source_chunks is not None:
@@ -601,63 +605,55 @@ class IndexNLJoinOp:
 class NestedLoopJoinOp:
     """General join with an arbitrary ON condition.
 
-    The per-pair work is row-shaped, so the chunk path stays row-shaped
-    inside: each probe chunk is transposed to rows, joined through the
-    plan-compiled condition, and transposed back.
+    The per-pair work is row-shaped and has no chunk kernel, so both
+    protocols run the same interpreted per-row loop: the chunk path
+    transposes each probe chunk to rows, joins them, and transposes back.
     """
 
-    def __init__(self, child, join_index, kind, table_name, condition,
-                 sctx):
+    def __init__(self, child, join_index, kind, table_name, condition):
         self.child = child
         self.join_index = join_index
         self.kind = kind
         self.table_name = table_name
         self.condition = condition
-        self._compiled = compile_expr(condition, sctx.context.positions,
-                                      sctx.context.ambiguous)
 
-    def iter_rows_interp(self, run):
-        right_table = run.db.tables_get(self.table_name)
+    def _scan_right(self, run):
+        """The right table's rows, charged once per execution — before
+        the first left row is pulled, under either protocol."""
+        right_rows = [row for _, row in
+                      run.db.tables_get(self.table_name).scan()]
+        run.rows_touched += len(right_rows)
+        return right_rows
+
+    def _join_rows(self, run, left_rows, right_rows):
         offset = run.sctx.offsets[self.join_index]
         width = run.sctx.widths[self.join_index]
-        right_rows = [row for _, row in right_table.scan()]
-        run.rows_touched += len(right_rows)
+        condition = self.condition
+        keep_unmatched = self.kind == "LEFT"
         ctx = run.ctx
         params = run.params
-        for values in self.child.iter_rows_interp(run):
+        for values in left_rows:
             matched = False
             for row in right_rows:
                 merged = list(values)
                 merged[offset:offset + width] = row
                 ctx.bind(merged)
-                if evaluate(self.condition, ctx, params) is True:
+                if evaluate(condition, ctx, params) is True:
                     yield merged
                     matched = True
-            if not matched and self.kind == "LEFT":
+            if not matched and keep_unmatched:
                 yield list(values)
 
+    def iter_rows_interp(self, run):
+        right_rows = self._scan_right(run)
+        yield from self._join_rows(run, self.child.iter_rows_interp(run),
+                                   right_rows)
+
     def iter_cchunks(self, run):
-        right_table = run.db.tables_get(self.table_name)
-        offset = run.sctx.offsets[self.join_index]
-        width = run.sctx.widths[self.join_index]
+        right_rows = self._scan_right(run)
         total = run.sctx.total_width
-        right_rows = [row for _, row in right_table.scan()]
-        run.rows_touched += len(right_rows)
-        condition = self._compiled
-        params = run.params
-        kind = self.kind
         for chunk in self.child.iter_cchunks(run):
-            out = []
-            for values in chunk.to_rows():
-                matched = False
-                for row in right_rows:
-                    merged = list(values)
-                    merged[offset:offset + width] = row
-                    if condition(merged, params) is True:
-                        out.append(merged)
-                        matched = True
-                if not matched and kind == "LEFT":
-                    out.append(values)
+            out = list(self._join_rows(run, chunk.to_rows(), right_rows))
             if out:
                 run.batches += 1
                 yield ColumnChunk.from_rows(out, total)
@@ -673,45 +669,20 @@ class ProjectOp:
     Star expansion and output-column names depend only on the statement and
     the FROM-list layout, both fixed for the plan's lifetime (DDL
     invalidates the plan cache), so they are computed once at build time —
-    as are the compiled item closures row-shaped input is evaluated with.
+    as is the select list's chunk kernel, when every item has one.
     """
 
     def __init__(self, items, sctx):
         self.items = items
         self.expansions = _expand_stars(sctx.stmt, sctx.context)
         self.out_columns = _output_columns(sctx.stmt, self.expansions)
-        positions = sctx.context.positions
-        ambiguous = sctx.context.ambiguous
-        self._compiled = [
-            None if expansion is not None
-            else compile_expr(item.expr, positions, ambiguous)
-            for item, expansion in zip(items, self.expansions)]
-        # All-column-reference select lists (the overwhelmingly common
-        # shape) become a single C-level itemgetter per row.
-        self._getter = None
-        column_positions = []
-        for item in items:
-            expr = item.expr
-            if not isinstance(expr, A.ColumnRef):
-                break
-            if expr.table is None and expr.column in ambiguous:
-                break
-            pos = positions.get((expr.table, expr.column))
-            if pos is None:
-                break
-            column_positions.append(pos)
-        else:
-            if len(column_positions) > 1:
-                self._getter = itemgetter(*column_positions)
-            elif len(column_positions) == 1:
-                only = column_positions[0]
-                self._getter = lambda values: (values[only],)
         # The fused projection: per-output-column gathers / vectorized
         # expression loops, zipped into tuples.  None when an item has
-        # no vector form — then the chunks materialize rows and the
-        # compiled closures take over.
+        # no vector form — then every row is interpreted, under either
+        # engine.
         self._columnar = compile_project(items, self.expansions,
-                                         positions, ambiguous)
+                                         sctx.context.positions,
+                                         sctx.context.ambiguous)
 
     def apply(self, run):
         run.out_columns = self.out_columns
@@ -724,28 +695,10 @@ class ProjectOp:
                 extend(project(chunk, params))
             run.out_rows = out_rows
             return
-        rows = run.source_rows
-        if run.engine != "row":
-            if self._getter is not None:
-                getter = self._getter
-                run.out_rows = [getter(values) for values in rows]
-                return
-            fns = self._compiled
-            out_rows = []
-            for values in rows:
-                out = []
-                for fn, expansion in zip(fns, self.expansions):
-                    if expansion is not None:
-                        out.extend(values[pos] for pos, _ in expansion)
-                    else:
-                        out.append(fn(values, params))
-                out_rows.append(tuple(out))
-            run.out_rows = out_rows
-            return
         ctx = run.ctx
         expansions = self.expansions
         out_rows = []
-        for values in rows:
+        for values in run.source_rows:
             ctx.bind(values)
             out = []
             for item, expansion in zip(self.items, expansions):
@@ -761,11 +714,10 @@ class AggregateOp:
     """GROUP BY + aggregate select items + HAVING.
 
     Chunks fold straight into accumulators where every item has a
-    chunk-at-a-time form.  Otherwise rows are grouped with compiled key
-    closures and straightforward items (plain aggregates, group keys)
-    evaluated through compiled per-group closures; composite shapes
-    (aggregates nested in arithmetic) and HAVING keep the interpreted
-    recursion — they run once per group, not once per row.
+    chunk-at-a-time form.  Every other shape — composite items
+    (aggregates nested in arithmetic), keys or arguments without a vector
+    form, HAVING — is interpreted over the materialized source rows,
+    under either engine.
     """
 
     def __init__(self, items, group_by, having, sctx):
@@ -776,19 +728,14 @@ class AggregateOp:
             sctx.stmt, _expand_stars(sctx.stmt, sctx.context))
         positions = sctx.context.positions
         ambiguous = sctx.context.ambiguous
-        self._group_fns = [compile_expr(e, positions, ambiguous)
-                           for e in group_by or ()]
-        self._item_fns = [compile_aggregate_item(item.expr, positions,
-                                                 ambiguous)
-                          for item in items]
         # Chunk-at-a-time aggregate closures for the fused no-GROUP-BY
-        # path (None entries force row materialization).
+        # path (a None entry means the query is interpreted).
         self._citem_fns = [compile_aggregate_item_columnar(
             item.expr, positions, ambiguous) for item in items]
         # Grouped columnar path: per-item (make, update, final) triples
         # plus a key plan — ("pos", flat position) for plain column keys
         # (dictionary lanes group by integer code), ("vec", closure) for
-        # computed keys.  None disables the path (row fallback).
+        # computed keys.  None means the query is interpreted.
         self._cgrouped_items = None
         self._ckey_plan = None
         if group_by:
@@ -803,7 +750,7 @@ class AggregateOp:
                             if pos is not None:
                                 key_plan.append(("pos", pos))
                                 continue
-                        key_plan = None  # row path raises the same error
+                        key_plan = None  # the interpreter raises the error
                         break
                     vec = compile_vec(e, positions, ambiguous)
                     if vec is None:
@@ -839,19 +786,13 @@ class AggregateOp:
             run.out_columns = self.out_columns
             run.out_rows = self._apply_grouped_columnar(run, params)
             return
+        # Interpreted form.  Partition rows into groups by the GROUP BY
+        # key, in first-encounter order (a single group covering
+        # everything when there is no GROUP BY).
         rows = run.source_rows
-        compiled = run.engine != "row"
-        # Partition rows into groups by the GROUP BY key, in
-        # first-encounter order (a single group covering everything when
-        # there is no GROUP BY).
         groups = {}
         if not self.group_by:
             groups[()] = list(rows)
-        elif compiled:
-            fns = self._group_fns
-            for values in rows:
-                key = tuple(fn(values, params) for fn in fns)
-                groups.setdefault(key, []).append(values)
         else:
             for values in rows:
                 ctx.bind(values)
@@ -866,18 +807,9 @@ class AggregateOp:
                                             params)
                 if keep is not True:
                     continue
-            if compiled:
-                out = tuple(
-                    fn(group_rows, params) if fn is not None
-                    else _eval_aggregate_expr(item.expr, group_rows, ctx,
-                                              params)
-                    for fn, item in zip(self._item_fns, self.items))
-            else:
-                out = tuple(
-                    _eval_aggregate_expr(item.expr, group_rows, ctx, params)
-                    for item in self.items
-                )
-            out_rows.append(out)
+            out_rows.append(tuple(
+                _eval_aggregate_expr(item.expr, group_rows, ctx, params)
+                for item in self.items))
         run.out_rows = out_rows
 
     def _apply_grouped_columnar(self, run, params):
@@ -1007,48 +939,85 @@ class SortOp:
     """ORDER BY over projected rows.
 
     Keys may reference output aliases/positions or — for non-aggregate
-    queries, where output rows align 1:1 with source rows — source columns
-    (evaluated through compiled closures outside the interpreter).
+    queries, where output rows align 1:1 with source rows — source
+    columns, interpreted against the source row.  Only such a key makes
+    the operator ask for ``run.source_rows``: ordering by output columns
+    never transposes the source chunks.
     """
 
-    def __init__(self, order_by, sctx):
+    def __init__(self, order_by):
         self.order_by = order_by
-        self._compiled = [compile_expr(item.expr, sctx.context.positions,
-                                       sctx.context.ambiguous)
-                          for item in order_by]
 
     def apply(self, run):
+        out_columns = run.out_columns
+        alias_positions = {name: i for i, name in enumerate(out_columns)}
+        # Each key's provenance, resolved once per execution: an output
+        # position, or None for an expression over the source row.
+        keys = []
+        for item in self.order_by:
+            expr = item.expr
+            if (isinstance(expr, A.ColumnRef) and expr.table is None
+                    and expr.column in alias_positions):
+                pos = alias_positions[expr.column]
+            else:
+                pos = order_by_position(expr, len(out_columns))
+            keys.append((pos, expr, item.descending))
+        out_rows = run.out_rows
+        source_rows = None
+        if out_rows and any(pos is None for pos, _, _ in keys):
+            if run.has_aggregates:
+                raise SqlError(
+                    "ORDER BY in aggregate queries must reference "
+                    "output columns")
+            source_rows = run.source_rows
         ctx = run.ctx
         params = run.params
-        source_rows = run.source_rows
-        compiled = self._compiled if run.engine != "row" else None
         keyed = []
-        alias_positions = {
-            name: i for i, name in enumerate(run.out_columns)}
-        for i, out in enumerate(run.out_rows):
+        for i, out in enumerate(out_rows):
             key = []
-            for j, item in enumerate(self.order_by):
-                expr = item.expr
-                if (isinstance(expr, A.ColumnRef) and expr.table is None
-                        and expr.column in alias_positions):
-                    value = out[alias_positions[expr.column]]
-                elif isinstance(expr, A.Literal) and isinstance(
-                        expr.value, int):
-                    value = out[expr.value - 1]
-                elif not run.has_aggregates and i < len(source_rows):
-                    if compiled is not None:
-                        value = compiled[j](source_rows[i], params)
-                    else:
-                        ctx.bind(source_rows[i])
-                        value = evaluate(expr, ctx, params)
+            for pos, expr, descending in keys:
+                if pos is not None:
+                    value = out[pos]
                 else:
-                    raise SqlError(
-                        "ORDER BY in aggregate queries must reference "
-                        "output columns")
-                key.append(_SortKey(value, item.descending))
+                    ctx.bind(source_rows[i])
+                    value = evaluate(expr, ctx, params)
+                key.append(_SortKey(value, descending))
             keyed.append((key, out))
         keyed.sort(key=lambda pair: pair[0])
         run.out_rows = [out for _, out in keyed]
+
+
+def order_by_position(expr, width):
+    """The 0-based output column an ``ORDER BY <integer literal>`` key
+    names, or None when the key is any other expression.  A position
+    outside ``1..width`` raises instead of indexing the row with it
+    (``ORDER BY 0`` would silently sort by the last column)."""
+    if not (isinstance(expr, A.Literal) and isinstance(expr.value, int)
+            and not isinstance(expr.value, bool)):
+        return None
+    if not 1 <= expr.value <= width:
+        raise SqlError(
+            f"ORDER BY position {expr.value} is not in the select list")
+    return expr.value - 1
+
+
+def resolve_limit(limit_expr, offset_expr, params):
+    """``(limit, offset)`` of a LIMIT clause — the one place its values
+    are validated; :class:`LimitOp`, the ``limit_hint`` cutoff and the
+    shard coordinator's merge all slice with what this returns.  Anything
+    but a non-negative integer (a string, NULL, a float, a bool, ``-1``)
+    raises instead of reaching a Python slice, where it would leak a
+    ``TypeError`` or count from the wrong end."""
+    ctx = RowContext({}).bind(())
+    bounds = []
+    for clause, expr in (("LIMIT", limit_expr), ("OFFSET", offset_expr)):
+        value = evaluate(expr, ctx, params) if expr is not None else 0
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or value < 0):
+            raise SqlError(
+                f"{clause} must be a non-negative integer, got {value!r}")
+        bounds.append(value)
+    return bounds
 
 
 class LimitOp:
@@ -1059,11 +1028,7 @@ class LimitOp:
         self.offset = offset
 
     def apply(self, run):
-        empty_ctx = RowContext({}).bind(())
-        limit = evaluate(self.limit, empty_ctx, run.params)
-        offset = 0
-        if self.offset is not None:
-            offset = evaluate(self.offset, empty_ctx, run.params)
+        limit, offset = resolve_limit(self.limit, self.offset, run.params)
         run.out_rows = run.out_rows[offset:offset + limit]
 
 
@@ -1161,19 +1126,26 @@ class PhysicalPlan:
         time path — under *every* engine — because stop-after-N is the one
         place chunked materialization would touch storage rows the
         interpreter never reads, breaking ``rows_touched``
-        engine-invariance.
+        engine-invariance.  In production its few rows then re-enter the
+        pipeline as one chunk, so result operators see chunks only.
         """
-        cutoff = self._resolve_limit_hint(run.params)
-        if cutoff is not None:
-            run._source_rows = list(
-                islice(source.iter_rows_interp(run), cutoff))
-        elif run.engine == "row":
-            run._source_rows = list(source.iter_rows_interp(run))
-        else:
+        interpreted = run.engine == "row"
+        if self.limit_hint is None and not interpreted:
             # Chunks are kept columnar; result operators that can consume
             # them do so directly, and ``run.source_rows`` materializes
             # wide rows lazily for the ones that cannot.
             run.source_chunks = list(source.iter_cchunks(run))
+            return
+        rows = source.iter_rows_interp(run)
+        if self.limit_hint is not None:
+            limit, offset = resolve_limit(*self.limit_hint, run.params)
+            rows = islice(rows, limit + offset)
+        rows = list(rows)
+        if interpreted:
+            run._source_rows = rows
+        else:
+            run.source_chunks = [
+                ColumnChunk.from_rows(rows, run.sctx.total_width)]
 
     def execute(self, db, params=(), prefetched_base_rows=None):
         """Run the plan; returns an :class:`ExecResult`."""
@@ -1242,20 +1214,6 @@ class PhysicalPlan:
             lines.append("  " * depth + record.render())
             depth += 1
         return result, lines
-
-    def _resolve_limit_hint(self, params):
-        if self.limit_hint is None:
-            return None
-        limit_expr, offset_expr = self.limit_hint
-        ctx = RowContext({}).bind(())
-        limit = evaluate(limit_expr, ctx, params)
-        offset = (evaluate(offset_expr, ctx, params)
-                  if offset_expr is not None else 0)
-        if (isinstance(limit, int) and not isinstance(limit, bool)
-                and limit >= 0 and isinstance(offset, int)
-                and not isinstance(offset, bool) and offset >= 0):
-            return limit + offset
-        return None  # malformed LIMIT: let LimitOp surface the error
 
 
 class _AnalyzeRecord:
@@ -1353,7 +1311,7 @@ def build_physical(node, sctx):
             result_ops.append(LimitOp(node.limit, node.offset))
             node = node.child
         elif isinstance(node, L.Sort):
-            result_ops.append(SortOp(node.order_by, sctx))
+            result_ops.append(SortOp(node.order_by))
             node = node.child
         elif isinstance(node, L.Distinct):
             result_ops.append(DistinctOp())
@@ -1417,7 +1375,7 @@ def _build_source(node, sctx):
             return HashJoinOp(child, node.table_index, node.kind,
                               node.table, left_pos, right_ordinal)
         return NestedLoopJoinOp(child, node.table_index, node.kind,
-                                node.table, node.condition, sctx)
+                                node.table, node.condition)
     raise SqlError(f"unexpected plan node in row source: {node!r}")
 
 

@@ -39,6 +39,7 @@ import zlib
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlError
 from repro.sqldb.expressions import split_conjuncts
+from repro.sqldb.plan.physical import order_by_position
 from repro.sqldb.plan.planner import contains_aggregate
 
 KIND_SINGLE = "single"
@@ -458,12 +459,8 @@ def _build_merge(stmt):
     key_positions = []
     extra = []
     for oi in stmt.order_by:
-        pos = None
         expr = oi.expr
-        if isinstance(expr, A.Literal) and isinstance(expr.value, int) \
-                and not isinstance(expr.value, bool):
-            if 1 <= expr.value <= len(items):
-                pos = expr.value - 1
+        pos = order_by_position(expr, len(items))
         if pos is None:
             for i, item in enumerate(items):
                 if item.expr == expr:

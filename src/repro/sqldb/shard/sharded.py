@@ -38,7 +38,7 @@ from repro.sqldb import ast_nodes as A
 from repro.sqldb.database import Database
 from repro.sqldb.errors import SqlError
 from repro.sqldb.parser import parse
-from repro.sqldb.plan.physical import _SortKey
+from repro.sqldb.plan.physical import _SortKey, resolve_limit
 from repro.sqldb.result import ExecResult
 from repro.sqldb.result_cache import DEFAULT_RESULT_CACHE_LIMIT
 from repro.sqldb.shard.router import (KIND_BROADCAST_READ, KIND_GATHER,
@@ -732,22 +732,9 @@ def _merge_streams(per_shard, merge, stmt, params):
         rows = list(heapq.merge(*(r.rows for r in per_shard), key=rank))
     else:
         rows = [row for r in per_shard for row in r.rows]
-    offset = _bound_value(stmt.offset, params)
-    limit = _bound_value(stmt.limit, params)
-    if offset:
-        rows = rows[offset:]
-    if limit is not None:
-        rows = rows[:limit]
+    if stmt.limit is not None:
+        limit, offset = resolve_limit(stmt.limit, stmt.offset, params)
+        rows = rows[offset:offset + limit]
     if merge.extra_cols:
         rows = [row[:width] for row in rows]
     return rows, columns
-
-
-def _bound_value(expr, params):
-    if expr is None:
-        return None
-    if isinstance(expr, A.Literal):
-        return expr.value
-    if isinstance(expr, A.Param):
-        return params[expr.index]
-    raise SqlError("LIMIT/OFFSET must be a literal or parameter")

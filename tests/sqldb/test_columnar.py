@@ -192,6 +192,26 @@ def test_dictionary_predicates_agree_with_row_engine():
         assert a.rows_touched == b.rows_touched, sql
 
 
+def test_sort_transposes_source_only_for_source_keys(monkeypatch):
+    """ORDER BY over output aliases and positions sorts the projected rows
+    alone; only a key that is an expression over the *source* row makes
+    Sort ask for the wide rows (``PlanRun.source_rows``)."""
+    columnar, row = _db("columnar", n=50), _db("row", n=50)
+    transposed = []
+    to_rows = ColumnChunk.to_rows
+    monkeypatch.setattr(
+        ColumnChunk, "to_rows",
+        lambda chunk: transposed.append(chunk) or to_rows(chunk))
+    for sql in ("SELECT id, v AS w FROM t WHERE v > 30 ORDER BY w DESC, 1",
+                "SELECT name, COUNT(*) AS n FROM t GROUP BY name "
+                "ORDER BY n DESC, name"):
+        assert columnar.execute(sql).rows == row.execute(sql).rows
+        assert not transposed, sql
+    sql = "SELECT id FROM t WHERE v > 30 ORDER BY name DESC, v % 7, id"
+    assert columnar.execute(sql).rows == row.execute(sql).rows
+    assert transposed
+
+
 def test_index_join_keeps_left_dictionary_lanes_encoded():
     """The native index join emits through ``take``: the probe side's
     dictionary lane fans out as codes and decodes only at projection."""

@@ -36,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sqldb import Database
+from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.expressions import RowContext, evaluate
 from repro.sqldb.parser import parse
 from repro.sqldb.plan import FROM_ORDER_OPTIONS
@@ -240,9 +241,19 @@ def assert_engines_agree(tables, sql, params=(), options=None):
     """Execute under both physical engines and require *exact*
     agreement: identical rows in identical order and identical
     ``rows_touched``.  Returns the production-engine execution so callers
-    don't run it twice."""
-    columnar, row = (build_db(tables, options, engine).execute(sql, params)
-                     for engine in Database.ENGINES)
+    don't run it twice.  A statement that raises must raise the same
+    error — type and message — under both; the agreed error is re-raised."""
+    outcomes = []
+    for engine in Database.ENGINES:
+        try:
+            outcomes.append(
+                build_db(tables, options, engine).execute(sql, params))
+        except SqlError as exc:
+            outcomes.append(exc)
+    columnar, row = outcomes
+    if isinstance(columnar, SqlError) or isinstance(row, SqlError):
+        assert (type(row), str(row)) == (type(columnar), str(columnar))
+        raise columnar
     assert row.rows == columnar.rows
     assert row.columns == columnar.columns
     assert row.rows_touched == columnar.rows_touched
@@ -323,3 +334,23 @@ def test_oracle_with_parameterized_range(case, low, high):
     assert optimized.rows_touched <= from_order.rows_touched
     if order_items:
         assert_ordered(optimized.rows, order_items)
+
+
+@given(join_cases())
+@settings(max_examples=60, deadline=None)
+def test_oracle_agrees_on_errors(case):
+    """A conjunct without a chunk kernel that raises for every non-NULL
+    value it meets: whichever row the plan reaches first, both engines
+    surface the same error there — or, when no row reaches it (empty
+    tables, NULL-only lanes), the same rows.  (The reference evaluator is
+    no guide to *whether* a plan raises: pushdown legitimately evaluates
+    the conjunct on rows a later join would have dropped.)"""
+    tables, sql, _ = case
+    where, sep, order_by = sql.partition(" ORDER BY ")
+    where += (" AND" if "WHERE" in where else " WHERE") + " t0.c0 + 'x' > 0"
+    try:
+        optimized = assert_engines_agree(tables, where + sep + order_by)
+    except SqlTypeError as exc:
+        assert str(exc).startswith("arithmetic requires numbers, got ")
+    else:
+        assert optimized.rows == []  # a non-NULL c0 would have raised

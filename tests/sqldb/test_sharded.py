@@ -222,3 +222,86 @@ def test_explain_analyze_is_rejected():
     db = make_db()
     with pytest.raises(SqlError):
         db.explain("SELECT id FROM t", analyze=True)
+
+
+# ---------------------------------------------------------------------------
+# LIMIT / OFFSET / ORDER BY position validation: one resolver, every backend
+# ---------------------------------------------------------------------------
+
+def _bound_backends():
+    """The same five rows behind each engine and a 2-shard topology; the
+    ordered index makes ``ORDER BY v LIMIT n`` take the ``limit_hint``
+    cutoff on the single nodes."""
+    dbs = [Database(engine=engine, result_cache_size=0)
+           for engine in Database.ENGINES]
+    dbs.append(ShardedDatabase(ShardTopology(2, {"t": PartitionSpec("id")})))
+    for db in dbs:
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, s TEXT)")
+        db.execute("CREATE INDEX idx_t_v ON t (v) USING ORDERED")
+        for i in range(5):
+            db.execute("INSERT INTO t (id, v, s) VALUES (?, ?, ?)",
+                       (i, 10 - i, f"s{i}"))
+    return dbs
+
+
+@pytest.mark.parametrize("sql, params, message", [
+    pytest.param("SELECT id FROM t ORDER BY id LIMIT ?", ("x",),
+                 "LIMIT must be a non-negative integer, got 'x'",
+                 id="limit-text"),
+    pytest.param("SELECT id FROM t ORDER BY id LIMIT ?", (None,),
+                 "LIMIT must be a non-negative integer, got None",
+                 id="limit-null"),
+    pytest.param("SELECT id FROM t ORDER BY id LIMIT ?", (1.5,),
+                 "LIMIT must be a non-negative integer, got 1.5",
+                 id="limit-float"),
+    pytest.param("SELECT id FROM t ORDER BY id LIMIT ?", (True,),
+                 "LIMIT must be a non-negative integer, got True",
+                 id="limit-bool"),
+    pytest.param("SELECT id FROM t ORDER BY id LIMIT -1", (),
+                 "LIMIT must be a non-negative integer, got -1",
+                 id="limit-negative"),
+    pytest.param("SELECT id FROM t ORDER BY id LIMIT 2 OFFSET ?", (-1,),
+                 "OFFSET must be a non-negative integer, got -1",
+                 id="offset-negative"),
+    pytest.param("SELECT id FROM t ORDER BY v LIMIT ?", ("x",),
+                 "LIMIT must be a non-negative integer, got 'x'",
+                 id="limit-hint-cutoff-text"),
+    pytest.param("SELECT id FROM t ORDER BY id LIMIT ?", (),
+                 "missing parameter #1 (got 0 parameters)",
+                 id="limit-missing-parameter"),
+    pytest.param("SELECT id, v, s FROM t ORDER BY 7", (),
+                 "ORDER BY position 7 is not in the select list",
+                 id="order-position-far"),
+    pytest.param("SELECT id, v, s FROM t ORDER BY 4", (),
+                 "ORDER BY position 4 is not in the select list",
+                 id="order-position-one-past"),
+    pytest.param("SELECT id, v, s FROM t ORDER BY 0", (),
+                 "ORDER BY position 0 is not in the select list",
+                 id="order-position-zero"),
+    pytest.param("SELECT * FROM t ORDER BY 4", (),
+                 "ORDER BY position 4 is not in the select list",
+                 id="order-position-star"),
+])
+def test_malformed_bounds_raise_sql_error_everywhere(sql, params, message):
+    """Never a bare Python exception, never a silently wrong row set
+    (``LIMIT -1`` used to drop the last row, ``ORDER BY 0`` to sort by the
+    last column) — and the same error on every backend."""
+    for db in _bound_backends():
+        with pytest.raises(SqlError) as err:
+            db.execute(sql, params)
+        assert type(err.value) is SqlError and str(err.value) == message, db
+
+
+def test_valid_bounds_slice_as_before():
+    for db in _bound_backends():
+        for sql, params, ids in [
+                ("SELECT id FROM t ORDER BY id LIMIT 0", (), []),
+                ("SELECT id FROM t ORDER BY id LIMIT 2 OFFSET 1", (), [1, 2]),
+                ("SELECT id FROM t ORDER BY id LIMIT ? OFFSET ?", (2, 3),
+                 [3, 4]),
+                ("SELECT id FROM t ORDER BY id LIMIT 9 OFFSET 4", (), [4]),
+                ("SELECT id FROM t ORDER BY v LIMIT ? OFFSET ?", (2, 1),
+                 [3, 2]),
+                ("SELECT id, v FROM t ORDER BY 2 DESC LIMIT 2", (), [0, 1])]:
+            rows = db.execute(sql, params).rows
+            assert [row[0] for row in rows] == ids, (db, sql)

@@ -14,6 +14,7 @@ engine selection and the zero-copy scan's no-mutation contract.
 import pytest
 
 from repro.sqldb import Database
+from repro.sqldb.errors import SqlError
 from repro.sqldb.parser import parse
 from repro.sqldb.plan.physical import CHUNK_SIZE, _pad
 
@@ -36,17 +37,30 @@ def _pair(n_rows):
                  for e in ENGINES)
 
 
+def _outcome(db, sql, params):
+    try:
+        return db.execute(sql, params)
+    except SqlError as exc:  # anything else is a leak and fails the test
+        return exc
+
+
 def _agree(*args):
     """``_agree(db, db, ..., sql[, params])`` — execute under every given
-    engine; exact row, column and accounting agreement."""
+    engine; exact row, column and accounting agreement, or — when the
+    statement raises — the same error type and message.  Returns the
+    first engine's result (or its error)."""
     if isinstance(args[-1], tuple):
         *dbs, sql, params = args
     else:
         *dbs, sql = args
         params = ()
-    results = [db.execute(sql, params) for db in dbs]
-    first = results[0]
-    for db, other in zip(dbs[1:], results[1:]):
+    outcomes = [_outcome(db, sql, params) for db in dbs]
+    first = outcomes[0]
+    for db, other in zip(dbs[1:], outcomes[1:]):
+        if isinstance(first, SqlError) or isinstance(other, SqlError):
+            assert (type(other), str(other)) == (type(first), str(first)), \
+                db.engine
+            continue
         assert other.rows == first.rows, db.engine
         assert other.columns == first.columns, db.engine
         assert other.rows_touched == first.rows_touched, db.engine
@@ -110,6 +124,69 @@ JOIN_SHAPES = {
 }
 
 
+# Shapes with no chunk kernel, each beside a fused leaf (``id < ?``) so the
+# interpreter fallback runs inside AND/OR nodes, projections, group and sort
+# keys and join conditions of an otherwise fused pipeline: label -> (SQL,
+# message of the error every row raises, or None).  A raising shape must
+# raise the identical error under both engines whenever a row reaches it —
+# and nothing when none does (size 0).
+FALLBACK_SHAPES = {
+    "col-vs-col": ("SELECT id FROM t WHERE id < ? AND v < id", None),
+    "col-vs-col-or": ("SELECT id FROM t WHERE id < ? "
+                      "AND (v > id OR s = 's1')", None),
+    "arith-cmp": ("SELECT id FROM t WHERE id < ? AND v + 1 < id", None),
+    "arith-cmp-or": ("SELECT id FROM t WHERE v + 1 < id OR id >= ?", None),
+    "func-where": ("SELECT id FROM t WHERE id < ? AND LENGTH(s) = 2 "
+                   "AND COALESCE(v, 7) > 5", None),
+    "func-where-or": ("SELECT id FROM t WHERE id < ? "
+                      "AND (UPPER(s) = 'S1' OR v > 90)", None),
+    "func-select": ("SELECT id, UPPER(s), COALESCE(v, -1) FROM t "
+                    "WHERE id < ?", None),
+    "func-group-key": ("SELECT UPPER(s), COUNT(v) FROM t WHERE id < ? "
+                       "GROUP BY UPPER(s)", None),
+    "func-order-key": ("SELECT id, s FROM t WHERE id < ? "
+                       "ORDER BY LENGTH(s), COALESCE(v, 0) DESC, id", None),
+    "bool-select": ("SELECT id, id < 2, v IS NULL FROM t WHERE id < ?",
+                    None),
+    "not-number": ("SELECT id FROM t WHERE id < ? AND NOT v", None),
+    "not-number-or": ("SELECT id FROM t WHERE id < ? "
+                      "AND (NOT (v - 1) OR s = 's2')", None),
+    "in-column-item": ("SELECT id FROM t WHERE id < ? "
+                       "AND v IN (id, 5, NULL)", None),
+    "like-column-pattern": ("SELECT id FROM t WHERE id < ? "
+                            "AND (s LIKE s OR v = 3)", None),
+    "having": ("SELECT s, COUNT(v) FROM t WHERE id < ? GROUP BY s "
+               "HAVING COUNT(v) > 1 ORDER BY s", None),
+    "agg-arith-grouped": ("SELECT s, COUNT(*) + 1, SUM(v) * 2 FROM t "
+                          "WHERE id < ? GROUP BY s ORDER BY 1", None),
+    "agg-arith": ("SELECT COUNT(*) + 1, -MAX(v) FROM t WHERE id < ?", None),
+    "non-equi-on": ("SELECT t.id, tiny.w FROM t JOIN tiny "
+                    "ON tiny.id < t.v AND tiny.id > t.v - 4 "
+                    "WHERE t.id < ?", None),
+    "or-on": ("SELECT t.id, tiny.w FROM t JOIN tiny "
+              "ON tiny.id = t.v OR tiny.id = t.id WHERE t.id < ?", None),
+    "or-on-left": ("SELECT t.id, tiny.w FROM t LEFT JOIN tiny "
+                   "ON tiny.id = t.v OR tiny.w = t.id WHERE t.id < ?", None),
+    "unknown-column": ("SELECT id FROM t WHERE id < ? AND nope > 1",
+                       "unknown column 'nope' in any table"),
+    "unknown-column-select": ("SELECT id, nope FROM t WHERE id < ?",
+                              "unknown column 'nope' in any table"),
+    "ambiguous-column": ("SELECT t.id FROM t LEFT JOIN tiny ON tiny.id < t.v "
+                         "WHERE t.id < ? AND id >= 0",
+                         "ambiguous column reference 'id'"),
+    "text-vs-number": ("SELECT id FROM t WHERE id < ? AND 'a' < 1",
+                       "cannot compare 'a' with 1"),
+    "text-vs-number-column": ("SELECT id FROM t WHERE id < ? AND s < id",
+                              "cannot compare 's0' with 0"),
+    "negate-text": ("SELECT id, -'x' FROM t WHERE id < ?",
+                    "cannot negate 'x'"),
+    "negate-text-where": ("SELECT id FROM t WHERE id < ? AND -s < 1",
+                          "cannot negate 's0'"),
+    "missing-parameter": ("SELECT id FROM t WHERE id < ? AND v + 1 < ?",
+                          "missing parameter #2 (got 1 parameters)"),
+}
+
+
 def _seed_join_tables(db):
     db.execute("CREATE TABLE u (id INT PRIMARY KEY, k INT, w INT)")
     db.execute("CREATE INDEX idx_u_k ON u (k)")
@@ -119,6 +196,9 @@ def _seed_join_tables(db):
     db.execute("CREATE TABLE small (id INT PRIMARY KEY, w INT)")
     for i in range(0, 97, 2):
         db.execute("INSERT INTO small (id, w) VALUES (?, ?)", (i, i))
+    db.execute("CREATE TABLE tiny (id INT PRIMARY KEY, w INT)")
+    for i in range(4):
+        db.execute("INSERT INTO tiny (id, w) VALUES (?, ?)", (i * 3, i))
 
 
 @pytest.mark.parametrize("size", [0, 1, CHUNK_SIZE - 1, CHUNK_SIZE,
@@ -141,6 +221,15 @@ def test_result_sizes_straddling_chunk_boundary(size):
         _agree(columnar_db, row_db, sql, (size,))
         assert operator in columnar_db.explain(
             sql, params=(size,), analyze=True), label
+    # ... and through every shape the interpreter serves inside the
+    # chunk pipeline, errors included.
+    for label, (sql, message) in FALLBACK_SHAPES.items():
+        outcome = _agree(columnar_db, row_db, sql, (size,))
+        if message is not None and size:
+            assert isinstance(outcome, SqlError), label
+            assert str(outcome) == message, label
+        else:
+            assert not isinstance(outcome, SqlError), label
 
 
 def test_index_join_falls_back_to_hash_on_duplicate_heavy_keys():
