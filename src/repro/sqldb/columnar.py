@@ -29,8 +29,8 @@ table, computed in the same build pass.  ``lo``/``hi`` are the chunk's
 non-NULL min/max — ``None`` when the slice holds no usable range (all
 NULL, or mixed value types whose ordering SQL would reject), in which
 case only the null count is trustworthy.  Sequential scans consult them
-through compiled predicate prune trees
-(:func:`repro.sqldb.plan.compile.compile_prune`) to skip whole chunks,
+through the zone test compiled alongside each filter kernel
+(:func:`repro.sqldb.plan.compile.compile_filter`) to skip whole chunks,
 and the cost model reads the per-column aggregate ``ranges``/``nulls``
 (plus ``distinct``) as its snapshot statistics source.
 
@@ -38,8 +38,6 @@ Everything here is layout only — expression evaluation over these
 chunks lives in :mod:`repro.sqldb.plan.compile`, the operators in
 :mod:`repro.sqldb.plan.physical`.
 """
-
-from collections import OrderedDict
 
 from repro.sqldb.types import DATE, TEXT, canonical_type
 
@@ -54,41 +52,17 @@ CHUNK_SIZE = 1024
 # Code used for NULL in a DictColumn's code array (real codes are >= 0).
 NULL_CODE = -1
 
-# Per-dictionary LIKE match-table cache cap (mirrors the parser's
-# bounded statement cache): patterns are per-query literals, so a
-# handful stay hot; an unbounded cache would grow with every distinct
-# pattern ever run against a long-lived dictionary.
-LIKE_CACHE_LIMIT = 64
-
-
 class DictMeta:
     """The shared dictionary behind one or more :class:`DictColumn`
-    slices: the distinct values in first-appearance order, the reverse
-    map, and a per-pattern LIKE match cache (pattern -> list of bools,
-    one per code) so LIKE over an encoded column matches each distinct
-    value once instead of each row.  The cache is an LRU capped at
-    :data:`LIKE_CACHE_LIMIT` patterns, with hit/miss counters
-    (see :meth:`like_cache_stats`)."""
+    slices: the distinct values in first-appearance order (``values``)
+    and the reverse map (``code_of``) that equality kernels and group-by
+    translate through."""
 
-    __slots__ = ("values", "code_of", "like_cache", "like_hits",
-                 "like_misses")
+    __slots__ = ("values", "code_of")
 
     def __init__(self, values, code_of):
         self.values = values
         self.code_of = code_of
-        self.like_cache = OrderedDict()
-        self.like_hits = 0
-        self.like_misses = 0
-
-    def like_cache_stats(self):
-        """Cache counters for tests and observability (mirrors the
-        parser's ``parse_cache_stats``)."""
-        return {
-            "size": len(self.like_cache),
-            "limit": LIKE_CACHE_LIMIT,
-            "hits": self.like_hits,
-            "misses": self.like_misses,
-        }
 
 
 class DictColumn:
@@ -119,24 +93,6 @@ class DictColumn:
         """The column as a plain list of values (NULLs as None)."""
         values = self.meta.values
         return [None if code < 0 else values[code] for code in self.codes]
-
-    def like_matches(self, pattern, regex):
-        """Per-code match table for ``value LIKE pattern`` — computed once
-        per (dictionary, pattern) and cached on the shared meta."""
-        meta = self.meta
-        cache = meta.like_cache
-        matches = cache.get(pattern)
-        if matches is None:
-            meta.like_misses += 1
-            matches = [regex.match(value) is not None
-                       for value in meta.values]
-            cache[pattern] = matches
-            if len(cache) > LIKE_CACHE_LIMIT:
-                cache.popitem(last=False)
-        else:
-            meta.like_hits += 1
-            cache.move_to_end(pattern)
-        return matches
 
 
 def _encode_dict(values):

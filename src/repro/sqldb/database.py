@@ -9,6 +9,7 @@ touched) that the simulated server reads for its cost model.
 from repro.sqldb.catalog import Catalog
 from repro.sqldb.errors import CatalogError
 from repro.sqldb.executor import Executor
+from repro.sqldb.lexer import split_statements
 from repro.sqldb.parser import parse
 from repro.sqldb.read_view import ReadViewManager
 from repro.sqldb.result_cache import DEFAULT_RESULT_CACHE_LIMIT, ResultCache
@@ -108,12 +109,7 @@ class Database:
 
     def execute_script(self, script):
         """Execute a semicolon-separated list of statements (DDL helper)."""
-        results = []
-        for piece in script.split(";"):
-            piece = piece.strip()
-            if piece:
-                results.append(self.execute(piece))
-        return results
+        return [self.execute(piece) for piece in split_statements(script)]
 
     def query(self, sql, params=()):
         """Execute a SELECT and return rows as a list of dicts."""

@@ -251,6 +251,38 @@ def _eval_scalar_func(expr, ctx, params):
     raise SqlError(f"unknown function {name!r}")
 
 
+def aggregate_type_error(name, values):
+    """The error SUM/AVG raise for the first non-numeric entry of
+    ``values``.  It names the aggregate and the value's *type*, never the
+    value: grouped and chunked accumulation may meet a different offending
+    row first than the row-at-a-time fold does, and the text must not
+    depend on which."""
+    bad = next(v for v in values if not isinstance(v, (int, float)))
+    return SqlTypeError(
+        f"{name} requires numeric values, got {type(bad).__name__}")
+
+
+def fold_aggregate(name, values):
+    """COUNT/SUM/AVG/MIN/MAX over the collected non-NULL argument values
+    (already deduplicated for DISTINCT) — the one fold behind every
+    aggregate form that collects a list, interpreted or compiled."""
+    if name == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    if name == "SUM" or name == "AVG":
+        try:
+            total = sum(values)
+        except TypeError:
+            raise aggregate_type_error(name, values) from None
+        return total if name == "SUM" else total / len(values)
+    if name == "MIN":
+        return min(values)
+    if name == "MAX":
+        return max(values)
+    raise SqlError(f"unknown aggregate {name!r}")
+
+
 def split_conjuncts(expr):
     """Split a predicate on top-level ANDs, left to right.
 

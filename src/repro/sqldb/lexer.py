@@ -6,6 +6,8 @@ identifiers preserve case.  String literals use single quotes with ``''``
 escaping, as in standard SQL.
 """
 
+import re
+
 from repro.sqldb.errors import SqlParseError
 
 # Token kinds
@@ -29,6 +31,19 @@ KEYWORDS = frozenset(
 
 _TWO_CHAR_OPS = ("<=", ">=", "<>", "!=", "||")
 _ONE_CHAR_OPS = "+-*/%(),.=<>"
+
+
+# One statement of a script: any run of string literals (an unterminated one
+# runs to the end, for tokenize to report), ``--`` comments and other
+# characters up to a ``;`` — the same quoting and comment rules as tokenize.
+_STATEMENT = re.compile(r"(?:'[^']*(?:'|$)|--[^\n]*|[^;'])+")
+
+
+def split_statements(script):
+    """The non-empty statements of a ``;``-separated script.  A ``;`` inside
+    a string literal or a ``--`` comment does not end a statement."""
+    pieces = (piece.strip() for piece in _STATEMENT.findall(script))
+    return [piece for piece in pieces if piece]
 
 
 class Token:

@@ -7,44 +7,46 @@ lowers an expression **once** (when the physical plan is built) into a
 kernel over a whole :class:`repro.sqldb.columnar.ColumnChunk`:
 
 - :func:`compile_filter` — a predicate becomes ``fn(chunk, params) ->
-  sel``, the selection vector of rows evaluating to SQL TRUE;
+  sel``, the selection vector of rows evaluating to SQL TRUE, **and**, out
+  of the same walk, a test over a chunk's zone map that can rule the
+  chunk out before it is scanned;
 - :func:`compile_project`, :func:`compile_vec` — select items and
   computed group keys become per-column gathers and element-wise loops;
 - :func:`compile_aggregate_item_columnar`,
   :func:`compile_grouped_item_columnar` — aggregates fold chunks into
-  accumulators;
-- :func:`compile_prune` — a predicate becomes a test over a chunk's zone
-  map that can rule the chunk out before it is scanned.
+  accumulators.
 
 **Every shape without a kernel is the interpreter.**  A predicate (or an
-AND/OR/NOT operand) with no kernel evaluates ``evaluate`` over
-``chunk.row(i)`` for each candidate row; the projection and aggregate
-compilers return None and their operators run their interpreted form
-(see :mod:`repro.sqldb.plan.physical`).  A gap in kernel coverage is
+AND operand) with no kernel evaluates ``evaluate`` over ``chunk.row(i)``
+for each candidate row; the projection and aggregate compilers return
+None and their operators run their interpreted form (see
+:mod:`repro.sqldb.plan.physical`).  A gap in kernel coverage is
 therefore the oracle's own code — same values, same evaluation order,
 same errors — and never a third evaluator to keep in step by hand.
-What has a kernel: comparisons, BETWEEN, IN and LIKE of a column against
-literals/parameters, ``IS [NOT] NULL`` of a column, AND/OR/NOT over
-those; arithmetic, ``||`` and unary minus over columns, literals and
-parameters in select lists, aggregate arguments and group keys.  What
-does not: column-vs-column and computed-operand predicates, scalar
-function calls, boolean-valued select items, aggregates nested in
-arithmetic, HAVING.
+What has a kernel: comparisons and BETWEEN of a column against
+literals/parameters, ``IS [NOT] NULL`` of a column, AND over those — the
+sargable conjunctions :mod:`repro.sqldb.plan.access` recognises for index
+paths, and the only WHERE shapes any workload issues; arithmetic, ``||``
+and unary minus over columns, literals and parameters in select lists,
+aggregate arguments and group keys.  What does not: OR, NOT, IN and LIKE
+(a kernel needs a workload that issues its shape — see ROADMAP),
+column-vs-column and computed-operand predicates, scalar function calls,
+boolean-valued select items, aggregates nested in arithmetic, HAVING.
 
 Internally every predicate node is ``node(chunk, sel, params) -> (t, u)``
 — the ascending index lists where the node is TRUE and UNKNOWN (FALSE is
-the remainder) — so AND/OR combine Kleene-exactly and preserve the
-interpreter's short-circuit scope: AND evaluates its right operand only
-over the left's TRUE∪UNKNOWN rows, OR only over the left's non-TRUE rows.
-Comparison leaves against a row-independent operand (literal or
-parameter) compile to generated fused loops (memoized per operator ×
-type-family) that bake in the interpreter's comparability lattice and
-its ``a < b`` / ``a > b`` probes, so NaN and mixed-type behaviour are
-bit-identical.  Dictionary-encoded columns get code-level equality/IN
-and a per-dictionary-value LIKE match table.  Errors the interpreter
-raises only when a row is actually evaluated (missing parameters, type
-errors) are raised by the kernels only when a row is evaluated too, so an
-empty input still raises nothing.
+the remainder) — so AND combines Kleene-exactly and preserves the
+interpreter's short-circuit scope: it evaluates its right operand only
+over the left's TRUE∪UNKNOWN rows, which is also all an interpreted
+operand beside a selective fused leaf ever sees.  Comparison leaves
+against a row-independent operand (literal or parameter) compile to
+generated fused loops (memoized per operator × type-family) that bake in
+the interpreter's comparability lattice and its ``a < b`` / ``a > b``
+probes, so NaN and mixed-type behaviour are bit-identical.
+Dictionary-encoded columns get code-level equality.  Errors the
+interpreter raises only when a row is actually evaluated (missing
+parameters, type errors) are raised by the kernels only when a row is
+evaluated too, so an empty input still raises nothing.
 
 Kernels live exactly as long as the physical plan that owns them: the
 executor's plan cache is invalidated by DDL and stats epochs, which is
@@ -65,14 +67,15 @@ from repro.sqldb.errors import SqlTypeError
 from repro.sqldb.expressions import (
     RowContext,
     _truthy,
+    aggregate_type_error,
     evaluate,
-    like_to_regex,
+    fold_aggregate,
 )
 from repro.sqldb.plan.planner import _AGGREGATE_NAMES, contains_aggregate
 
 __all__ = ["compile_filter", "compile_project",
            "compile_aggregate_item_columnar",
-           "compile_grouped_item_columnar", "compile_prune", "compile_vec"]
+           "compile_grouped_item_columnar", "compile_vec"]
 
 
 # ---------------------------------------------------------------------------
@@ -140,82 +143,102 @@ def _arith_value(op, left, right):
 
 
 # ---------------------------------------------------------------------------
-# Columnar compilation: fused loops over ColumnChunk arrays
+# Fused predicates: one walk, two products
 # ---------------------------------------------------------------------------
 #
-# Predicate nodes follow the protocol ``node(chunk, sel, params) -> (t, u)``
-# where ``sel`` is an ascending iterable of candidate row indices and
-# ``t``/``u`` are the ascending index lists where the node evaluates to
-# TRUE and UNKNOWN; FALSE is implicit (see the module docstring).
+# A fused predicate is AND over sargable leaves — ``col <cmp> c``,
+# ``col [NOT] BETWEEN c AND c``, ``col IS [NOT] NULL``, every ``c`` a
+# literal or parameter.  Each builder below recognises its shape once and
+# returns a pair:
+#
+# - the kernel ``node(chunk, sel, params) -> (t, u)``, where ``sel`` is an
+#   ascending iterable of candidate row indices and ``t``/``u`` are the
+#   ascending index lists where the node evaluates to TRUE and UNKNOWN;
+#   FALSE is implicit (see the module docstring);
+# - the zone test ``zone_test(zone_of, params) -> (may_true, may_unknown,
+#   may_raise)`` — conservative upper bounds on whether *any* row of the
+#   chunk could evaluate TRUE / UNKNOWN / raise — or None when the shape
+#   can rule no chunk out (an interpreted operand, NOT BETWEEN).
+#   ``zone_of(pos)`` returns the chunk's ``(lo, hi, nulls, count)`` for a
+#   flat column position, or None when no zone is known for it.  A chunk
+#   may be skipped only when it can neither produce a TRUE row nor raise:
+#   pruning must never suppress an error the full scan would surface.
+
+_ALWAYS = (True, True, True)
+_NEVER = (False, False, False)
 
 
 def compile_filter(expr, positions, ambiguous=frozenset()):
-    """Compile a WHERE predicate to ``fn(chunk, params) -> sel`` — the
-    selection vector (ascending live indices) of chunk rows where the
-    predicate is strictly TRUE.  Never raises at compile time; a shape
-    without a kernel is interpreted row by row.
+    """Compile a WHERE predicate to ``(filter_fn, prune_fn)``, both built
+    in the same walk so they cannot disagree about which shapes they cover.
+
+    ``filter_fn(chunk, params) -> sel`` is the selection vector (ascending
+    live indices) of chunk rows where the predicate is strictly TRUE.
+    ``prune_fn(zone_of, params) -> must_scan`` is False only when the zone
+    maps prove no chunk row can be TRUE and none can raise; it is None when
+    no conjunct is zone-prunable (the scan then skips the per-chunk call
+    entirely).  Never raises at compile time; a shape without a kernel is
+    interpreted row by row.
     """
     try:
-        node = _compile_pred(expr, positions, ambiguous)
+        compiled = _compile_pred(expr, positions, ambiguous)
     except Exception:  # defensive: compilation must never change behaviour
-        node = None
-    if node is not None:
+        compiled = None
+    if compiled is None:
+        # Top-level fallback is *strict* (`is True`), exactly like
+        # FilterOp's interpreted form: a non-boolean predicate value keeps
+        # nothing and raises nothing (unlike the truthy classification AND
+        # operands use).
+        def interpreted_filter_fn(chunk, params):
+            ctx = RowContext(positions, ambiguous)
+            row = chunk.row
+            return [i for i in chunk.live_indices()
+                    if evaluate(expr, ctx.bind(row(i)), params) is True]
 
-        def filter_fn(chunk, params):
-            return node(chunk, chunk.live_indices(), params)[0]
+        return interpreted_filter_fn, None
+    node, zone_test = compiled
 
-        return filter_fn
+    def filter_fn(chunk, params):
+        return node(chunk, chunk.live_indices(), params)[0]
 
-    # Top-level fallback is *strict* (`is True`), exactly like FilterOp's
-    # interpreted form: a non-boolean predicate value keeps nothing and
-    # raises nothing (unlike the truthy classification AND/OR operands use).
-    def interpreted_filter_fn(chunk, params):
-        ctx = RowContext(positions, ambiguous)
-        row = chunk.row
-        return [i for i in chunk.live_indices()
-                if evaluate(expr, ctx.bind(row(i)), params) is True]
+    if zone_test is None:
+        return filter_fn, None
 
-    return interpreted_filter_fn
+    def prune_fn(zone_of, params):
+        may_true, _, may_raise = zone_test(zone_of, params)
+        return may_true or may_raise
+
+    return filter_fn, prune_fn
 
 
 def _compile_pred(expr, positions, ambiguous):
-    """The kernel node for one predicate, or None when the shape has none
-    at this level (callers fall back to the interpreter)."""
+    """``(kernel, zone test or None)`` for one predicate, or None when the
+    shape has no kernel at this level (callers fall back to the
+    interpreter)."""
     kind = type(expr)
     if kind is A.BinaryOp:
-        op = expr.op
-        if op == "AND" or op == "OR":
-            left = _pred_operand(expr.left, positions, ambiguous)
-            right = _pred_operand(expr.right, positions, ambiguous)
-            combine = _and_node if op == "AND" else _or_node
-            return combine(left, right)
-        if op in _CMP_EXPRS:
-            return _cmp_node(expr, op, positions, ambiguous)
+        if expr.op == "AND":
+            return _and_pair(_pred_operand(expr.left, positions, ambiguous),
+                             _pred_operand(expr.right, positions, ambiguous))
+        if expr.op in _CMP_EXPRS:
+            return _cmp_leaf(expr, positions, ambiguous)
         return None
-    if kind is A.UnaryOp and expr.op == "NOT":
-        return _not_node(_pred_operand(expr.operand, positions, ambiguous))
-    if kind is A.IsNull and isinstance(expr.expr, A.ColumnRef):
-        pos = _column_position(expr.expr, positions, ambiguous)
-        if pos is None:
-            return None
-        return _isnull_node(pos, expr.negated)
-    if kind is A.InList:
-        return _in_node(expr, positions, ambiguous)
+    if kind is A.IsNull:
+        return _isnull_leaf(expr, positions, ambiguous)
     if kind is A.Between:
-        return _between_node(expr, positions, ambiguous)
-    if kind is A.Like:
-        return _like_node(expr, positions, ambiguous)
+        return _between_leaf(expr, positions, ambiguous)
     return None
 
 
 def _pred_operand(expr, positions, ambiguous):
-    """The node for an AND/OR/NOT operand: its kernel, or the interpreter
-    per candidate row, classified as AND/OR/NOT classify an operand value
-    (NULL is UNKNOWN, numbers count by ``!= 0``, non-numeric non-bools
-    raise — ``_truthy``)."""
-    node = _compile_pred(expr, positions, ambiguous)
-    if node is not None:
-        return node
+    """The pair for an AND operand: its kernel and zone test, or the
+    interpreter per candidate row — classified as AND classifies an operand
+    value (NULL is UNKNOWN, numbers count by ``!= 0``, non-numeric
+    non-bools raise — ``_truthy``) — with no zone test: an interpreted
+    operand may raise on any row."""
+    compiled = _compile_pred(expr, positions, ambiguous)
+    if compiled is not None:
+        return compiled
 
     def interpreted_node(chunk, sel, params):
         ctx = RowContext(positions, ambiguous)
@@ -229,7 +252,7 @@ def _pred_operand(expr, positions, ambiguous):
                 t.append(i)
         return t, u
 
-    return interpreted_node
+    return interpreted_node, None
 
 
 def _merge(a, b):
@@ -255,9 +278,13 @@ def _merge(a, b):
     return out
 
 
-def _and_node(lnode, rnode):
+def _and_pair(left, right):
     """Kleene AND with the row engine's short-circuit scope: the right
-    operand is evaluated only where the left is TRUE or UNKNOWN."""
+    operand is evaluated only where the left is TRUE or UNKNOWN — in the
+    kernel row by row, in the zone test chunk by chunk.  A prunable left
+    conjunct suffices to rule chunks out (AND ``may_true`` needs both)."""
+    lnode, lzone = left
+    rnode, rzone = right
 
     def node(chunk, sel, params):
         lt, lu = lnode(chunk, sel, params)
@@ -273,48 +300,36 @@ def _and_node(lnode, rnode):
              if i in ru_set or (i in rt_set and i in lu_set)]
         return t, u
 
-    return node
+    if lzone is None:
+        # The left operand runs on every row and may raise on any of
+        # them: whatever the right knows, no chunk can be ruled out.
+        return node, None
+
+    def zone_test(zone_of, params):
+        lt, lu, lr = lzone(zone_of, params)
+        if lr:
+            return _ALWAYS
+        if not lt and not lu:
+            # Every row FALSE on the left: the row engine never
+            # evaluates the right operand (its errors included).
+            return _NEVER
+        if rzone is None:
+            return _ALWAYS
+        rt, ru, rr = rzone(zone_of, params)
+        return (lt and rt, lu or ru, rr)
+
+    return node, zone_test
 
 
-def _or_node(lnode, rnode):
-    """Kleene OR: the right operand is evaluated only where the left is
-    not TRUE."""
+def _isnull_leaf(expr, positions, ambiguous):
+    """Kernel and zone test for ``col IS [NOT] NULL``, or None."""
+    if not isinstance(expr.expr, A.ColumnRef):
+        return None
+    pos = _column_position(expr.expr, positions, ambiguous)
+    if pos is None:
+        return None
+    negated = expr.negated
 
-    def node(chunk, sel, params):
-        lt, lu = lnode(chunk, sel, params)
-        if lt:
-            lt_set = set(lt)
-            cand = [i for i in sel if i not in lt_set]
-        else:
-            cand = sel
-        rt, ru = rnode(chunk, cand, params)
-        t = _merge(lt, rt)
-        if not lu and not ru:
-            return t, []
-        lu_set = set(lu)
-        rt_set = set(rt)
-        ru_set = set(ru)
-        u = [i for i in cand
-             if i not in rt_set and (i in lu_set or i in ru_set)]
-        return t, u
-
-    return node
-
-
-def _not_node(child):
-    def node(chunk, sel, params):
-        ct, cu = child(chunk, sel, params)
-        if not ct and not cu:
-            return sel if type(sel) is list else list(sel), []
-        ct_set = set(ct)
-        cu_set = set(cu)
-        t = [i for i in sel if i not in ct_set and i not in cu_set]
-        return t, cu
-
-    return node
-
-
-def _isnull_node(pos, negated):
     def node(chunk, sel, params):
         col = chunk.columns[pos]
         if col is None:  # all-NULL lane
@@ -331,7 +346,18 @@ def _isnull_node(pos, negated):
         null_set = set(nulls)
         return [i for i in sel if i not in null_set], []
 
-    return node
+    def zone_test(zone_of, params):
+        zone = zone_of(pos)
+        if zone is None:
+            return _ALWAYS
+        _, _, nulls, count = zone
+        if count == 0:
+            return _NEVER
+        if negated:
+            return (nulls < count, False, False)
+        return (nulls > 0, False, False)
+
+    return node, zone_test
 
 
 # Comparison expressions over (a, c), derived from the interpreter's
@@ -426,15 +452,16 @@ def _dict_eq(col, sel, constant, op):
     return t, u
 
 
-def _cmp_node(expr, op, positions, ambiguous):
-    """A fused comparison node for column-vs-row-independent shapes, or
-    None (column-vs-column and arbitrary expressions are interpreted)."""
+def _cmp_leaf(expr, positions, ambiguous):
+    """Kernel and zone test for a column compared with a row-independent
+    operand, or None (column-vs-column and arbitrary expressions are
+    interpreted)."""
     left, right = expr.left, expr.right
     if isinstance(left, A.ColumnRef) and _row_independent(right):
-        col_expr, const_expr, const_is_right, kop = left, right, True, op
+        col_expr, const_expr, const_is_right, kop = left, right, True, expr.op
     elif isinstance(right, A.ColumnRef) and _row_independent(left):
         col_expr, const_expr = right, left
-        const_is_right, kop = False, _FLIP[op]
+        const_is_right, kop = False, _FLIP[expr.op]
     else:
         return None
     pos = _column_position(col_expr, positions, ambiguous)
@@ -460,10 +487,45 @@ def _cmp_node(expr, op, positions, ambiguous):
         kernel = _cmp_kernel(kop, kind)
         return kernel(col, sel, c, cls, _cmp_fail(c, const_is_right))
 
-    return node
+    def zone_test(zone_of, params):
+        zone = zone_of(pos)
+        if zone is None:
+            return _ALWAYS
+        lo, hi, nulls, count = zone
+        if count == 0:
+            return _NEVER
+        c = evaluate(const_expr, None, params)
+        if c is None or nulls == count:
+            return (False, True, False)  # UNKNOWN on every evaluated row
+        if lo is None:
+            return _ALWAYS  # chunk has values but no orderable range
+        type_ok = _const_type_check(c)
+        if not (type_ok(lo) and type_ok(hi)):
+            # Some chunk value is incomparable with the constant — the
+            # fused kernel would raise; the chunk must be scanned.
+            return (True, nulls > 0, True)
+        try:
+            if kop == "=":
+                may_true = not (c < lo or c > hi)
+            elif kop == "<":
+                may_true = lo < c
+            elif kop == "<=":
+                may_true = not (lo > c)
+            elif kop == ">":
+                may_true = hi > c
+            elif kop == ">=":
+                may_true = not (hi < c)
+            else:  # <> — only an all-equal chunk (lo == hi == c) fails
+                may_true = (lo < c or lo > c) or (hi < c or hi > c)
+        except TypeError:
+            return _ALWAYS
+        return (may_true, nulls > 0, False)
+
+    return node, zone_test
 
 
-def _between_node(expr, positions, ambiguous):
+def _between_leaf(expr, positions, ambiguous):
+    """Kernel and zone test for ``col [NOT] BETWEEN c AND c``, or None."""
     if not (isinstance(expr.expr, A.ColumnRef)
             and _row_independent(expr.low)
             and _row_independent(expr.high)):
@@ -504,153 +566,39 @@ def _between_node(expr, positions, ambiguous):
             t = [i for i in sel if i not in t_set and i not in u_set]
         return t, u
 
-    return node
+    if negated:
+        return node, None  # both bounds open-ended: rules no chunk out
 
+    def zone_test(zone_of, params):
+        zone = zone_of(pos)
+        if zone is None:
+            return _ALWAYS
+        lo, hi, nulls, count = zone
+        if count == 0:
+            return _NEVER
+        low = evaluate(expr.low, None, params)
+        high = evaluate(expr.high, None, params)
+        if low is None or high is None or nulls == count:
+            return (False, True, False)
+        if lo is None:
+            return _ALWAYS
+        ok_low = _const_type_check(low)
+        if not (ok_low(lo) and ok_low(hi)):
+            return (True, True, True)
+        try:
+            if hi < low:
+                # Every value below the range: the fused loop never
+                # touches the high bound, so it cannot raise either.
+                return (False, nulls > 0, False)
+            ok_high = _const_type_check(high)
+            if not (ok_high(lo) and ok_high(hi)):
+                return (True, nulls > 0, True)
+            may_true = not (lo > high)
+        except TypeError:
+            return _ALWAYS
+        return (may_true, nulls > 0, False)
 
-def _like_node(expr, positions, ambiguous):
-    if not (isinstance(expr.expr, A.ColumnRef)
-            and _row_independent(expr.pattern)):
-        return None
-    pos = _column_position(expr.expr, positions, ambiguous)
-    if pos is None:
-        return None
-    negated = expr.negated
-    regex_cache = {}
-
-    def node(chunk, sel, params):
-        if not sel:
-            return [], []
-        pattern = evaluate(expr.pattern, None, params)
-        col = chunk.columns[pos]
-        if pattern is None:
-            return [], list(sel)
-        if not isinstance(pattern, str):
-            u = []
-            for i in sel:
-                if col is None or col[i] is None:
-                    u.append(i)
-                else:
-                    raise SqlTypeError("LIKE requires text operands")
-            return [], u
-        if col is None:
-            return [], list(sel)
-        regex = regex_cache.get(pattern)
-        if regex is None:
-            regex = like_to_regex(pattern)
-            if len(regex_cache) < 64:
-                regex_cache[pattern] = regex
-        t, u = [], []
-        ta = t.append
-        ua = u.append
-        if type(col) is DictColumn:
-            matches = col.like_matches(pattern, regex)
-            codes = col.codes
-            for i in sel:
-                cd = codes[i]
-                if cd < 0:
-                    ua(i)
-                elif matches[cd] is not negated:
-                    ta(i)
-            return t, u
-        match = regex.match
-        for i in sel:
-            a = col[i]
-            if a is None:
-                ua(i)
-            elif isinstance(a, str):
-                if (match(a) is not None) is not negated:
-                    ta(i)
-            else:
-                raise SqlTypeError("LIKE requires text operands")
-        return t, u
-
-    return node
-
-
-def _in_node(expr, positions, ambiguous):
-    if not (isinstance(expr.expr, A.ColumnRef)
-            and all(_row_independent(item) for item in expr.items)):
-        return None
-    pos = _column_position(expr.expr, positions, ambiguous)
-    if pos is None:
-        return None
-    negated = expr.negated
-
-    def node(chunk, sel, params):
-        col = chunk.columns[pos]
-        t, u = [], []
-        ta = t.append
-        ua = u.append
-        if col is None:
-            return [], list(sel)
-        # Item expressions resolve lazily at the first non-NULL value —
-        # the interpreter never evaluates the list for NULL values, so a
-        # bad item (missing parameter) must not raise on all-NULL input.
-        resolved = False
-        saw_null = typed = code_set = None
-        if type(col) is DictColumn:
-            codes = col.codes
-            for i in sel:
-                cd = codes[i]
-                if cd < 0:
-                    ua(i)
-                    continue
-                if not resolved:
-                    resolved = True
-                    items = [evaluate(item, None, params)
-                             for item in expr.items]
-                    saw_null = any(v is None for v in items)
-                    code_of = col.meta.code_of
-                    code_set = {
-                        code_of[v] for v in items
-                        if v is not None and v.__class__ is str
-                        and v in code_of}
-                if cd in code_set:
-                    if not negated:
-                        ta(i)
-                elif saw_null:
-                    ua(i)
-                elif negated:
-                    ta(i)
-            return t, u
-        for i in sel:
-            a = col[i]
-            if a is None:
-                ua(i)
-                continue
-            if not resolved:
-                resolved = True
-                items = [evaluate(item, None, params)
-                         for item in expr.items]
-                saw_null = any(v is None for v in items)
-                typed = [
-                    (v,
-                     not isinstance(v, bool) and isinstance(v, (int, float)),
-                     v.__class__ is bool)
-                    for v in items if v is not None]
-            a_bool = a.__class__ is bool
-            a_num = not a_bool and isinstance(a, (int, float))
-            a_cls = a.__class__
-            hit = False
-            for v, v_num, v_bool in typed:
-                if a_bool or v_bool:
-                    if not (a_bool and v_bool):
-                        continue
-                elif not (a_num and v_num) and type(v) is not a_cls:
-                    continue  # incomparable item: skipped, never an error
-                if not (a < v or a > v):
-                    hit = True
-                    break
-            if hit:
-                if not negated:
-                    ta(i)
-            elif saw_null:
-                ua(i)
-            elif negated:
-                ta(i)
-        return t, u
-
-    return node
+    return node, zone_test
 
 
 # -- vectorized projection / aggregation ------------------------------------
@@ -805,17 +753,7 @@ def compile_aggregate_item_columnar(expr, positions, ambiguous):
                     extend(v for v in value if v is not None)
             if distinct:
                 collected = list(dict.fromkeys(collected))
-            if name == "COUNT":
-                return len(collected)
-            if not collected:
-                return None
-            if name == "SUM":
-                return sum(collected)
-            if name == "AVG":
-                return sum(collected) / len(collected)
-            if name == "MIN":
-                return min(collected)
-            return max(collected)  # MAX
+            return fold_aggregate(name, collected)
         return agg_fn
     if contains_aggregate(expr):
         return None
@@ -875,18 +813,7 @@ def compile_grouped_item_columnar(expr, positions, ambiguous):
                             acc[g].append(v)
 
             def final_distinct(state):
-                collected = list(dict.fromkeys(state))
-                if name == "COUNT":
-                    return len(collected)
-                if not collected:
-                    return None
-                if name == "SUM":
-                    return sum(collected)
-                if name == "AVG":
-                    return sum(collected) / len(collected)
-                if name == "MIN":
-                    return min(collected)
-                return max(collected)  # MAX
+                return fold_aggregate(name, list(dict.fromkeys(state)))
 
             return (lambda: []), update_collect, final_distinct
         if name == "COUNT":
@@ -905,21 +832,20 @@ def compile_grouped_item_columnar(expr, positions, ambiguous):
             return (lambda: 0), update_count, (lambda state: state)
         if name in ("SUM", "AVG"):
             # state = [non-NULL count, running total]; the total starts
-            # at 0 so the first `0 + value` raises exactly like sum().
+            # at 0 so the first `0 + value` fails exactly where sum() does
+            # — on the first non-numeric value, with fold_aggregate's error.
             def update_sum(acc, gidxs, chunk, live, params):
                 scalar, value = vec(chunk, live, params)
                 if scalar:
-                    if value is not None:
-                        for g in gidxs:
-                            st = acc[g]
-                            st[0] += 1
-                            st[1] = st[1] + value
-                else:
+                    value = [value] * len(gidxs)
+                try:
                     for g, v in zip(gidxs, value):
                         if v is not None:
                             st = acc[g]
                             st[0] += 1
                             st[1] = st[1] + v
+                except TypeError:
+                    raise aggregate_type_error(name, (v,)) from None
 
             if name == "SUM":
                 final_sum = lambda state: state[1] if state[0] else None
@@ -967,259 +893,3 @@ def compile_grouped_item_columnar(expr, positions, ambiguous):
         return state[0] if state is not None else None
 
     return (lambda: None), update_first, final_first
-
-
-# ---------------------------------------------------------------------------
-# Zone-map pruning: predicate trees over per-chunk (lo, hi, nulls, count)
-# ---------------------------------------------------------------------------
-#
-# Prune nodes follow the protocol ``node(zone_of, params) ->
-# (may_true, may_unknown, may_raise)`` — conservative upper bounds on
-# whether *any* row of the chunk could evaluate TRUE / UNKNOWN / raise.
-# ``zone_of(pos)`` returns the chunk's ``(lo, hi, nulls, count)`` for a
-# flat column position, or None when no zone is known for it.  A chunk
-# may be skipped only when it can neither produce a TRUE row nor raise:
-# pruning must never suppress an error the full scan would surface.
-
-_ALWAYS = (True, True, True)
-_NEVER = (False, False, False)
-
-
-def compile_prune(expr, positions, ambiguous=frozenset()):
-    """Compile a WHERE predicate to ``fn(zone_of, params) -> must_scan``,
-    or None when no conjunct is zone-prunable (the scan then skips the
-    per-chunk call entirely).  ``must_scan`` is False only when the zone
-    maps prove no chunk row can be TRUE and none can raise."""
-    try:
-        node, useful = _prune_node(expr, positions, ambiguous)
-    except Exception:  # defensive: pruning is an optimization only
-        return None
-    if not useful:
-        return None
-
-    def prune_fn(zone_of, params):
-        may_true, _, may_raise = node(zone_of, params)
-        return may_true or may_raise
-
-    return prune_fn
-
-
-def _prune_node(expr, positions, ambiguous):
-    """Compile one prune node; returns ``(node, useful)`` — ``useful``
-    is False when the subtree can never rule a chunk out (callers drop
-    the whole prune function rather than evaluate a no-op per chunk)."""
-    kind = type(expr)
-    if kind is A.BinaryOp:
-        op = expr.op
-        if op == "AND":
-            lnode, luse = _prune_node(expr.left, positions, ambiguous)
-            rnode, ruse = _prune_node(expr.right, positions, ambiguous)
-
-            def and_node(zone_of, params):
-                lt, lu, lr = lnode(zone_of, params)
-                if lr:
-                    return _ALWAYS
-                if not lt and not lu:
-                    # Every row FALSE on the left: the row engine never
-                    # evaluates the right operand (its errors included).
-                    return _NEVER
-                rt, ru, rr = rnode(zone_of, params)
-                return (lt and rt, lu or ru, rr)
-
-            # One prunable conjunct suffices: AND may_true needs both.
-            return and_node, luse or ruse
-        if op == "OR":
-            lnode, luse = _prune_node(expr.left, positions, ambiguous)
-            rnode, ruse = _prune_node(expr.right, positions, ambiguous)
-
-            def or_node(zone_of, params):
-                lt, lu, lr = lnode(zone_of, params)
-                if lr:
-                    return _ALWAYS
-                rt, ru, rr = rnode(zone_of, params)
-                return (lt or rt, lu or ru, rr)
-
-            # OR needs both branches prunable to ever rule a chunk out.
-            return or_node, luse and ruse
-        if op in _CMP_EXPRS:
-            node = _prune_cmp(expr, op, positions, ambiguous)
-            if node is not None:
-                return node, True
-        return (lambda zone_of, params: _ALWAYS), False
-    if kind is A.UnaryOp and expr.op == "NOT":
-        cnode, _ = _prune_node(expr.operand, positions, ambiguous)
-
-        def not_node(zone_of, params):
-            ct, cu, cr = cnode(zone_of, params)
-            if cr:
-                return _ALWAYS
-            # may_false is not tracked, so NOT may always be TRUE; it
-            # still launders "cannot raise" through for enclosing ANDs.
-            return (True, cu, False)
-
-        return not_node, False
-    if kind is A.IsNull and isinstance(expr.expr, A.ColumnRef):
-        pos = _column_position(expr.expr, positions, ambiguous)
-        if pos is None:
-            return (lambda zone_of, params: _ALWAYS), False
-        negated = expr.negated
-
-        def isnull_node(zone_of, params):
-            zone = zone_of(pos)
-            if zone is None:
-                return _ALWAYS
-            _, _, nulls, count = zone
-            if count == 0:
-                return _NEVER
-            if negated:
-                return (nulls < count, False, False)
-            return (nulls > 0, False, False)
-
-        return isnull_node, True
-    if kind is A.Between:
-        node = _prune_between(expr, positions, ambiguous)
-        if node is not None:
-            return node, True
-    if kind is A.InList:
-        node = _prune_in(expr, positions, ambiguous)
-        if node is not None:
-            return node, True
-    return (lambda zone_of, params: _ALWAYS), False
-
-
-def _prune_cmp(expr, op, positions, ambiguous):
-    """A prune node for column-vs-row-independent comparisons (the same
-    shapes `_cmp_node` fuses), or None."""
-    left, right = expr.left, expr.right
-    if isinstance(left, A.ColumnRef) and _row_independent(right):
-        col_expr, const_expr, kop = left, right, op
-    elif isinstance(right, A.ColumnRef) and _row_independent(left):
-        col_expr, const_expr, kop = right, left, _FLIP[op]
-    else:
-        return None
-    pos = _column_position(col_expr, positions, ambiguous)
-    if pos is None:
-        return None
-
-    def node(zone_of, params):
-        zone = zone_of(pos)
-        if zone is None:
-            return _ALWAYS
-        lo, hi, nulls, count = zone
-        if count == 0:
-            return _NEVER
-        c = evaluate(const_expr, None, params)
-        if c is None or nulls == count:
-            return (False, True, False)  # UNKNOWN on every evaluated row
-        if lo is None:
-            return _ALWAYS  # chunk has values but no orderable range
-        type_ok = _const_type_check(c)
-        if not (type_ok(lo) and type_ok(hi)):
-            # Some chunk value is incomparable with the constant — the
-            # fused kernel would raise; the chunk must be scanned.
-            return (True, nulls > 0, True)
-        try:
-            if kop == "=":
-                may_true = not (c < lo or c > hi)
-            elif kop == "<":
-                may_true = lo < c
-            elif kop == "<=":
-                may_true = not (lo > c)
-            elif kop == ">":
-                may_true = hi > c
-            elif kop == ">=":
-                may_true = not (hi < c)
-            else:  # <> — only an all-equal chunk (lo == hi == c) fails
-                may_true = (lo < c or lo > c) or (hi < c or hi > c)
-        except TypeError:
-            return _ALWAYS
-        return (may_true, nulls > 0, False)
-
-    return node
-
-
-def _prune_between(expr, positions, ambiguous):
-    if expr.negated:
-        return None  # NOT BETWEEN: both bounds open-ended, not prunable
-    if not (isinstance(expr.expr, A.ColumnRef)
-            and _row_independent(expr.low)
-            and _row_independent(expr.high)):
-        return None
-    pos = _column_position(expr.expr, positions, ambiguous)
-    if pos is None:
-        return None
-
-    def node(zone_of, params):
-        zone = zone_of(pos)
-        if zone is None:
-            return _ALWAYS
-        lo, hi, nulls, count = zone
-        if count == 0:
-            return _NEVER
-        low = evaluate(expr.low, None, params)
-        high = evaluate(expr.high, None, params)
-        if low is None or high is None or nulls == count:
-            return (False, True, False)
-        if lo is None:
-            return _ALWAYS
-        ok_low = _const_type_check(low)
-        if not (ok_low(lo) and ok_low(hi)):
-            return (True, True, True)
-        try:
-            if hi < low:
-                # Every value below the range: the fused loop never
-                # touches the high bound, so it cannot raise either.
-                return (False, nulls > 0, False)
-            ok_high = _const_type_check(high)
-            if not (ok_high(lo) and ok_high(hi)):
-                return (True, nulls > 0, True)
-            may_true = not (lo > high)
-        except TypeError:
-            return _ALWAYS
-        return (may_true, nulls > 0, False)
-
-    return node
-
-
-def _prune_in(expr, positions, ambiguous):
-    if expr.negated:
-        return None  # NOT IN: matches almost everything, not prunable
-    if not (isinstance(expr.expr, A.ColumnRef)
-            and all(_row_independent(item) for item in expr.items)):
-        return None
-    pos = _column_position(expr.expr, positions, ambiguous)
-    if pos is None:
-        return None
-
-    def node(zone_of, params):
-        zone = zone_of(pos)
-        if zone is None:
-            return _ALWAYS
-        lo, hi, nulls, count = zone
-        if count == 0:
-            return _NEVER
-        if nulls == count:
-            # Items resolve lazily at the first non-NULL value; an
-            # all-NULL chunk never resolves them (nor their errors).
-            return (False, True, False)
-        if lo is None:
-            return _ALWAYS
-        # Item resolution may raise (missing parameter) — so would the
-        # scan; compile_prune's caller treats a raise as must-scan.
-        items = [evaluate(item, None, params)
-                 for item in expr.items]
-        saw_null = False
-        may_true = False
-        for v in items:
-            if v is None:
-                saw_null = True
-                continue
-            try:
-                if not (v < lo or v > hi):
-                    may_true = True
-                    break
-            except TypeError:
-                continue  # incomparable item: IN skips it, never raises
-        return (may_true, nulls > 0 or saw_null, False)
-
-    return node

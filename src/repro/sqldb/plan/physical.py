@@ -58,7 +58,7 @@ from time import perf_counter
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.columnar import CHUNK_SIZE, ColumnChunk, DictColumn
 from repro.sqldb.errors import SqlError, SqlTypeError
-from repro.sqldb.expressions import evaluate, RowContext
+from repro.sqldb.expressions import evaluate, fold_aggregate, RowContext
 from repro.sqldb.indexes import OrderedIndex, wrap_key
 from repro.sqldb.plan import logical as L
 from repro.sqldb.plan.access import (pk_lookup_keys, range_scan_ids,
@@ -66,8 +66,7 @@ from repro.sqldb.plan.access import (pk_lookup_keys, range_scan_ids,
 from repro.sqldb.plan.compile import (compile_aggregate_item_columnar,
                                       compile_filter,
                                       compile_grouped_item_columnar,
-                                      compile_project, compile_prune,
-                                      compile_vec)
+                                      compile_project, compile_vec)
 from repro.sqldb.plan.planner import _AGGREGATE_NAMES
 from repro.sqldb.result import ExecResult
 
@@ -142,8 +141,8 @@ def _pad(row, offset, total_width):
 class _BaseTableScan:
     """Shared scaffolding for base-table access operators.
 
-    Subclasses define ``_pairs(run, table)`` yielding ``(row_id, row)``
-    from storage; charging, padding, chunking, the shared-scan prefetch
+    Subclasses define ``_rows(run, table)`` returning the list of storage
+    rows to read; charging, padding, chunking, the shared-scan prefetch
     and the zero-copy fast path live here so both protocols stay in exact
     accounting agreement.
 
@@ -159,11 +158,11 @@ class _BaseTableScan:
     uses_prefetch = True
     # Sequential scans slice chunks straight off the table's cached
     # ColumnStore (zero transpose per query); index access paths produce
-    # dynamic row sets, so they transpose their pairs per execution.
+    # dynamic row sets, so they transpose their rows per execution.
     columnar_store_scan = False
-    # Compiled zone-map prune function (SeqScanOp under a Filter sets it
-    # via set_prune); None everywhere else.
-    _prune = None
+    # Zone test of the Filter directly above (FilterOp hands it to a
+    # SeqScanOp child); None everywhere else.
+    prune = None
 
     def iter_cchunks(self, run):
         if self.uses_prefetch and run.prefetched_base_rows is not None:
@@ -181,7 +180,7 @@ class _BaseTableScan:
         if self.columnar_store_scan:
             store = table.column_store()
             length = store.length
-            prune = self._prune
+            prune = self.prune
             zone_lists = None
             if prune is not None and length:
                 zone_lists = [store.zones[col.name]
@@ -217,7 +216,7 @@ class _BaseTableScan:
                         col[start:stop] for col in store.columns]
                 yield ColumnChunk(columns, stop - start, None)
             return
-        rows = [row for _, row in self._pairs(run, table)]
+        rows = self._rows(run, table)
         for start in range(0, len(rows), CHUNK_SIZE):
             part = rows[start:start + CHUNK_SIZE]
             run.rows_touched += len(part)
@@ -234,11 +233,11 @@ class _BaseTableScan:
         total = run.sctx.total_width
         offset = self.offset
         if offset == 0 and len(table.schema.columns) == total:
-            for _, row in self._pairs(run, table):
+            for row in self._rows(run, table):
                 run.rows_touched += 1
                 yield row
             return
-        for _, row in self._pairs(run, table):
+        for row in self._rows(run, table):
             run.rows_touched += 1
             yield _pad(row, offset, total)
 
@@ -256,15 +255,8 @@ class SeqScanOp(_BaseTableScan):
         self.table_name = table_name
         self.offset = offset
 
-    def set_prune(self, predicate, sctx):
-        """Compile the Filter-above's predicate into a zone-map prune
-        function (see :func:`compile_prune`); the columnar store scan
-        consults it per chunk to skip chunks no row of which can pass."""
-        self._prune = compile_prune(predicate, sctx.context.positions,
-                                    sctx.context.ambiguous)
-
-    def _pairs(self, run, table):
-        return table.scan()
+    def _rows(self, run, table):
+        return [row for _, row in table.scan()]
 
 
 class IndexLookupOp(_BaseTableScan):
@@ -282,15 +274,12 @@ class IndexLookupOp(_BaseTableScan):
         self.where = where
         self.offset = offset
 
-    def _pairs(self, run, table):
+    def _rows(self, run, table):
         lookup = resolve_index_lookup(table, self.where, run.params)
         if lookup is None:
-            yield from table.scan()
-            return
-        for row_id in sorted(lookup):
-            row = table.rows.get(row_id)
-            if row is not None:
-                yield row_id, row
+            return [row for _, row in table.scan()]
+        return [row for row in map(table.rows.get, sorted(lookup))
+                if row is not None]
 
 
 class IndexRangeScanOp(_BaseTableScan):
@@ -340,11 +329,10 @@ class IndexRangeScanOp(_BaseTableScan):
             groups.reverse()
         return [row_id for group in groups for row_id in group]
 
-    def _pairs(self, run, table):
-        for row_id in self._row_ids(table, run.params):
-            row = table.rows.get(row_id)
-            if row is not None:
-                yield row_id, row
+    def _rows(self, run, table):
+        return [row for row in
+                map(table.rows.get, self._row_ids(table, run.params))
+                if row is not None]
 
 
 class FilterOp:
@@ -353,13 +341,18 @@ class FilterOp:
     The chunk path narrows the selection vector with the plan-compiled
     fused predicate — the output chunk shares the input's column arrays,
     so no row materializes; the interpreted path re-walks the AST per row.
+    The same compile yields the predicate's zone test: a sequential scan
+    directly below consults it per chunk, so zone maps can skip chunks
+    before the selection vector is ever built.
     """
 
     def __init__(self, child, predicate, sctx):
         self.child = child
         self.predicate = predicate
-        self._columnar = compile_filter(predicate, sctx.context.positions,
-                                        sctx.context.ambiguous)
+        self._columnar, prune = compile_filter(
+            predicate, sctx.context.positions, sctx.context.ambiguous)
+        if isinstance(child, SeqScanOp):
+            child.prune = prune
 
     def iter_cchunks(self, run):
         predicate = self._columnar
@@ -1356,13 +1349,8 @@ def _build_source(node, sctx):
     if isinstance(node, L.IndexRangeScan):
         return IndexRangeScanOp(node, sctx.offsets[node.table_index])
     if isinstance(node, L.Filter):
-        child = _build_source(node.child, sctx)
-        if isinstance(child, SeqScanOp):
-            # Filter directly over a sequential scan: hand the predicate
-            # down so zone maps can skip chunks before the selection
-            # vector is ever built.
-            child.set_prune(node.predicate, sctx)
-        return FilterOp(child, node.predicate, sctx)
+        return FilterOp(_build_source(node.child, sctx), node.predicate,
+                        sctx)
     if isinstance(node, L.Join):
         child = _build_source(node.child, sctx)
         if node.strategy == "index":
@@ -1463,16 +1451,4 @@ def _eval_aggregate_call(expr, group_rows, ctx, params):
             values.append(value)
     if expr.distinct:
         values = list(dict.fromkeys(values))
-    if name == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if name == "SUM":
-        return sum(values)
-    if name == "AVG":
-        return sum(values) / len(values)
-    if name == "MIN":
-        return min(values)
-    if name == "MAX":
-        return max(values)
-    raise SqlError(f"unknown aggregate {name!r}")
+    return fold_aggregate(name, values)

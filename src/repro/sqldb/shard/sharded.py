@@ -278,17 +278,10 @@ class ShardedDatabase:
         self.statements_executed += 1
         self.total_rows_touched += rows_touched
 
-    def execute_script(self, script):
-        results = []
-        for piece in script.split(";"):
-            piece = piece.strip()
-            if piece:
-                results.append(self.execute(piece))
-        return results
-
-    def query(self, sql, params=()):
-        result = self.execute(sql, params)
-        return [dict(zip(result.columns, row)) for row in result.rows]
+    # Both are written against ``self.execute`` alone: the facade reuses
+    # the single-node definitions instead of carrying copies.
+    execute_script = Database.execute_script
+    query = Database.query
 
     def result_cache_stats(self):
         return self.result_cache.stats()
@@ -462,25 +455,39 @@ class ShardedDatabase:
         out.shard_phases = (tuple(entries),)
         return out
 
+    def _fan_out(self, stmt, params, shards, log=True, copies=False):
+        """Run one write on the primaries of ``shards``, appending it to
+        each shard's replication log unless ``log`` is false.  The result
+        sums the per-shard counts — or, when the shards hold ``copies`` of
+        one logical table (broadcast tables, DDL), is the first shard's:
+        the copies are replicas, not additional rows."""
+        results = []
+        for shard in shards:
+            results.append(
+                self.shards[shard].primary.execute_parsed(stmt, params))
+            if log:
+                self._log_write(shard, stmt, params)
+        if copies:
+            first = results[0]
+            out = ExecResult(first.columns, first.rows, first.rowcount,
+                             first.rows_touched, first.last_insert_id)
+        else:
+            out = ExecResult(
+                rowcount=sum(r.rowcount for r in results),
+                rows_touched=sum(r.rows_touched for r in results))
+        out.shard_phases = (tuple(
+            (shard, r.rows_touched, False)
+            for shard, r in zip(shards, results)),)
+        return out
+
     def _write_update_delete(self, stmt, params):
         spec = self.topology.spec_for(stmt.table)
         if spec is None:
             return self._broadcast_write(stmt, params)
         if isinstance(stmt, A.Update):
             self._check_partition_key_update(stmt, params, spec)
-        shards = self.router.write_shards(stmt, params)
-        entries = []
-        rowcount = 0
-        rows_touched = 0
-        for shard in shards:
-            result = self.shards[shard].primary.execute_parsed(stmt, params)
-            self._log_write(shard, stmt, params)
-            rowcount += result.rowcount
-            rows_touched += result.rows_touched
-            entries.append((shard, result.rows_touched, False))
-        out = ExecResult(rowcount=rowcount, rows_touched=rows_touched)
-        out.shard_phases = (tuple(entries),)
-        return out
+        return self._fan_out(stmt, params,
+                             self.router.write_shards(stmt, params))
 
     def _check_partition_key_update(self, stmt, params, spec):
         """Reject UPDATEs that would move a row to a different shard."""
@@ -497,60 +504,29 @@ class ShardedDatabase:
                     f"{spec.column!r}); delete and re-insert instead")
 
     def _write_truncate(self, stmt, params):
-        spec = self.topology.spec_for(stmt.table)
-        if spec is None:
+        if self.topology.spec_for(stmt.table) is None:
             return self._broadcast_write(stmt, params)
-        entries = []
-        rowcount = 0
-        rows_touched = 0
-        for sh in self.shards:
-            result = sh.primary.execute_parsed(stmt, params)
-            self._log_write(sh.index, stmt, params)
-            rowcount += result.rowcount
-            rows_touched += result.rows_touched
-            entries.append((sh.index, result.rows_touched, False))
-        out = ExecResult(rowcount=rowcount, rows_touched=rows_touched)
-        out.shard_phases = (tuple(entries),)
-        return out
+        return self._fan_out(stmt, params, range(len(self.shards)))
 
     def _broadcast_write(self, stmt, params):
-        """A write to a broadcast table: applied on every primary (and the
-        coordinator, which owns live copies of broadcast tables); the
-        logical result comes from shard 0 — the copies are replicas of one
-        logical table, not additional rows."""
-        first = None
-        entries = []
-        for sh in self.shards:
-            result = sh.primary.execute_parsed(stmt, params)
-            self._log_write(sh.index, stmt, params)
-            if first is None:
-                first = result
-            entries.append((sh.index, result.rows_touched, False))
+        """A write to a broadcast table: applied on every primary and on
+        the coordinator, which owns live copies of broadcast tables."""
+        out = self._fan_out(stmt, params, range(len(self.shards)),
+                            copies=True)
         self._coord.execute_parsed(stmt, params)
-        out = ExecResult(first.columns, first.rows, first.rowcount,
-                         first.rows_touched, first.last_insert_id)
-        out.shard_phases = (tuple(entries),)
         return out
 
     def _apply_ddl(self, stmt, params):
         """DDL is a replication barrier: every replica catches up fully,
         then the DDL applies everywhere directly (never through the log)."""
-        for sh in self.shards:
-            for rep in sh.replicas:
-                self._catch_up(sh, rep, 0)
-        first = None
-        entries = []
-        for sh in self.shards:
-            result = sh.primary.execute_parsed(stmt, params)
-            if first is None:
-                first = result
-            entries.append((sh.index, result.rows_touched, False))
-            for rep in sh.replicas:
-                rep.db.execute_parsed(stmt, params)
+        replicas = [(sh, rep) for sh in self.shards for rep in sh.replicas]
+        for sh, rep in replicas:
+            self._catch_up(sh, rep, 0)
+        out = self._fan_out(stmt, params, range(len(self.shards)),
+                            log=False, copies=True)
+        for _, rep in replicas:
+            rep.db.execute_parsed(stmt, params)
         self._coord.execute_parsed(stmt, params)
-        out = ExecResult(first.columns, first.rows, first.rowcount,
-                         first.rows_touched, first.last_insert_id)
-        out.shard_phases = (tuple(entries),)
         return out
 
     def _txn_control(self, stmt):

@@ -5,19 +5,16 @@ columnar engine's *results*; these tests pin the layout internals —
 dictionary-encoding decisions, ColumnStore snapshot caching and
 invalidation, selection-vector plumbing, per-chunk zone maps (their
 construction, the scans that skip on them, and their invalidation
-under writes, rollbacks and read-view swaps), and the per-dictionary
-bounded LIKE match cache.
+under writes, rollbacks and read-view swaps).
 """
-
-import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sqldb import Database
 from repro.sqldb import columnar as columnar_mod
-from repro.sqldb.columnar import (ColumnChunk, DictColumn, LIKE_CACHE_LIMIT,
-                                  NULL_CODE, _column_zones, _encode_dict)
+from repro.sqldb.columnar import (ColumnChunk, DictColumn, NULL_CODE,
+                                  _column_zones, _encode_dict)
 from repro.sqldb.parser import parse
 from repro.sqldb.plan import physical as physical_mod
 
@@ -67,19 +64,6 @@ def test_dict_column_slice_shares_meta():
     assert part.decode() == ["b", "a", "b"]
     assert part[0] == "b"
     assert len(part) == 3
-
-
-def test_dict_like_cache_is_per_dictionary():
-    import re
-    col, _ = _encode_dict(["apple", "banana", "apple", "avocado",
-                           "banana", "apple"])
-    regex = re.compile("a.*")
-    first = col.like_matches("a%", regex)
-    assert first == [True, False, True]  # one flag per distinct value
-    # Second call returns the cached table, no recompute.
-    assert col.like_matches("a%", regex) is first
-    # Slices share the cache through the shared meta.
-    assert col[2:5].like_matches("a%", regex) is first
 
 
 def test_column_store_encodes_text_not_int():
@@ -273,6 +257,27 @@ def test_scan_skips_chunks_outside_range():
     assert a.rows_touched == b.rows_touched == 2500
 
 
+def test_scan_skips_chunks_beside_interpreted_operand():
+    """IN / LIKE / OR / NOT have no kernel and no zone test; as the right
+    operand of a fused leaf they neither stop the leaf's zone test from
+    skipping chunks nor see the skipped rows.  With the interpreted
+    operand on the left nothing can be ruled out: it runs — and may
+    raise — on every row."""
+    columnar, row = _db("columnar", n=2500), _db("row", n=2500)
+    for operand in ("name IN ('label1', 'label3')", "name LIKE '%2'",
+                    "(v = 30 OR name IS NULL)", "NOT (v > 300)"):
+        sql = f"SELECT id, name FROM t WHERE id < ? AND {operand}"
+        a, b = columnar.execute(sql, (1024,)), row.execute(sql, (1024,))
+        assert a.rows == b.rows and a.rows, sql
+        assert a.chunks_skipped == 2 and b.chunks_skipped == 0, sql
+        assert a.rows_touched == b.rows_touched == 2500, sql
+        sql = f"SELECT id, name FROM t WHERE {operand} AND id < ?"
+        a, b = columnar.execute(sql, (1024,)), row.execute(sql, (1024,))
+        assert a.rows == b.rows and a.rows, sql
+        assert a.chunks_skipped == 0, sql
+        assert a.rows_touched == b.rows_touched == 2500, sql
+
+
 def test_zone_maps_invalidated_by_interleaved_writes():
     db = _db(n=2500)
     table = db.tables["t"]
@@ -368,34 +373,6 @@ def test_chunk_skipping_never_changes_results(values, low, span, op):
         assert row.chunks_skipped == 0
     finally:
         columnar_mod.CHUNK_SIZE = physical_mod.CHUNK_SIZE = old_chunk
-
-
-# ---------------------------------------------------------------------------
-# LIKE cache LRU cap
-# ---------------------------------------------------------------------------
-
-
-def test_like_cache_capped_lru_with_stats():
-    col, _ = _encode_dict(["alpha", "beta"] * 4)
-    meta = col.meta
-    regex = re.compile("a.*")
-    for i in range(LIKE_CACHE_LIMIT + 10):
-        col.like_matches(f"p{i}%", regex)
-    stats = meta.like_cache_stats()
-    assert stats["size"] == stats["limit"] == LIKE_CACHE_LIMIT
-    assert stats["misses"] == LIKE_CACHE_LIMIT + 10
-    assert stats["hits"] == 0
-    # The ten oldest patterns were evicted, the newest survive.
-    assert "p0%" not in meta.like_cache
-    assert f"p{LIKE_CACHE_LIMIT + 9}%" in meta.like_cache
-    # A hit refreshes recency: p10 (currently oldest) survives the next
-    # insertion and the new oldest entry (p11) is evicted instead.
-    col.like_matches("p10%", regex)
-    assert meta.like_cache_stats()["hits"] == 1
-    col.like_matches("fresh%", regex)
-    assert "p10%" in meta.like_cache
-    assert "p11%" not in meta.like_cache
-    assert meta.like_cache_stats()["size"] == LIKE_CACHE_LIMIT
 
 
 def test_read_view_swap_invalidates_snapshot():

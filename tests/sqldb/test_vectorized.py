@@ -14,19 +14,24 @@ engine selection and the zero-copy scan's no-mutation contract.
 import pytest
 
 from repro.sqldb import Database
-from repro.sqldb.errors import SqlError
+from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.parser import parse
 from repro.sqldb.plan.physical import CHUNK_SIZE, _pad
+from repro.sqldb.shard import PartitionSpec, ShardTopology, ShardedDatabase
 
 ENGINES = ("columnar", "row")
 
 
 def _seed(db, n_rows):
-    db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, s TEXT)")
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, s TEXT, "
+               "p TEXT, z TEXT)")
     for i in range(n_rows):
-        # v cycles through NULL every third row; s through a few labels.
-        db.execute("INSERT INTO t (id, v, s) VALUES (?, ?, ?)",
-                   (i, None if i % 3 == 0 else i % 97, f"s{i % 5}"))
+        # v cycles through NULL every third row; s through a few labels
+        # (a dictionary-encoded lane); p is unique per row (a plain TEXT
+        # lane); z is never set (an all-NULL lane).
+        db.execute("INSERT INTO t (id, v, s, p) VALUES (?, ?, ?, ?)",
+                   (i, None if i % 3 == 0 else i % 97, f"s{i % 5}",
+                    f"p{i}"))
     return db
 
 
@@ -184,6 +189,60 @@ FALLBACK_SHAPES = {
                           "cannot negate 's0'"),
     "missing-parameter": ("SELECT id FROM t WHERE id < ? AND v + 1 < ?",
                           "missing parameter #2 (got 1 parameters)"),
+    # OR / NOT / IN / LIKE have no kernel (no workload issues them): alone
+    # the whole WHERE is interpreted over full chunks, under AND the
+    # interpreter sees the fused leaf's selection vector.  Each over the
+    # dictionary-encoded lane ``s``, the plain TEXT lane ``p`` and the
+    # all-NULL lane ``z``.
+    "or-alone": ("SELECT id FROM t WHERE id < ? OR s = 'nope'", None),
+    "or-lanes": ("SELECT id FROM t WHERE id < ? "
+                 "AND (s = 's1' OR p = 'p7' OR z = 'x' OR v IS NULL)", None),
+    "not-alone": ("SELECT id FROM t WHERE NOT (id >= ?)", None),
+    "not-lanes": ("SELECT id FROM t WHERE id < ? AND NOT (s = 's1') "
+                  "AND NOT (p > 'p5') AND NOT (z = 'x' AND v > 3)", None),
+    "in-alone": ("SELECT id FROM t WHERE id IN (?, 1, 2, NULL)", None),
+    "in-dict": ("SELECT id FROM t WHERE id < ? "
+                "AND s IN ('s1', 's3', 'zzz')", None),
+    "in-dict-alone": ("SELECT id, ? FROM t WHERE s IN ('s1', 's3')", None),
+    "in-plain": ("SELECT id FROM t WHERE id < ? "
+                 "AND p IN ('p0', 'p1023', 'p1024', 's1')", None),
+    "in-all-null": ("SELECT id FROM t WHERE id < ? AND z IN ('a', 'b')",
+                    None),
+    "in-null-item": ("SELECT id FROM t WHERE id < ? "
+                     "AND (s IN ('s1', NULL) OR v IN (NULL, 5))", None),
+    "in-bool-vs-int-items": ("SELECT id FROM t WHERE id < ? "
+                             "AND v IN (TRUE, 1, 's1', 2.0)", None),
+    "in-missing-parameter-all-null": (
+        "SELECT id FROM t WHERE id < ? AND z IN (?, 'a')", None),
+    "in-missing-parameter": ("SELECT id FROM t WHERE id < ? AND p IN (?, 'a')",
+                             "missing parameter #2 (got 1 parameters)"),
+    "not-in-dict": ("SELECT id FROM t WHERE id < ? "
+                    "AND s NOT IN ('s1', 's3')", None),
+    "not-in-plain-alone": ("SELECT id, ? FROM t WHERE p NOT IN ('p0', 'p9')",
+                           None),
+    "not-in-null-item": ("SELECT id FROM t WHERE id < ? "
+                         "AND s NOT IN ('s1', NULL)", None),
+    "not-in-all-null": ("SELECT id FROM t WHERE id < ? AND z NOT IN ('a')",
+                        None),
+    "like-dict": ("SELECT id FROM t WHERE id < ? AND s LIKE 's_'", None),
+    "like-dict-alone": ("SELECT id, ? FROM t WHERE s LIKE '%3'", None),
+    "like-plain": ("SELECT id FROM t WHERE id < ? AND p LIKE 'p10%'", None),
+    "like-plain-alone": ("SELECT id, ? FROM t WHERE p LIKE 'p_'", None),
+    "like-all-null": ("SELECT id FROM t WHERE id < ? AND z LIKE '%'", None),
+    "like-null-pattern": ("SELECT id FROM t WHERE id < ? AND s LIKE NULL",
+                          None),
+    "like-non-text-pattern-all-null": (
+        "SELECT id FROM t WHERE id < ? AND z LIKE 5", None),
+    "like-non-text-pattern": ("SELECT id FROM t WHERE id < ? AND s LIKE 5",
+                              "LIKE requires text operands"),
+    "like-non-text-column": ("SELECT id FROM t WHERE id < ? AND id LIKE 'x'",
+                             "LIKE requires text operands"),
+    "not-like-dict": ("SELECT id FROM t WHERE id < ? AND s NOT LIKE 's1'",
+                      None),
+    "not-like-plain": ("SELECT id FROM t WHERE id < ? "
+                       "AND p NOT LIKE '%7' AND v > 5", None),
+    "not-like-all-null-alone": ("SELECT id, ? FROM t WHERE z NOT LIKE 'a%'",
+                                None),
 }
 
 
@@ -322,6 +381,63 @@ def test_all_null_column():
     assert _agree(*dbs, "SELECT COUNT(v), SUM(v), AVG(v) FROM n").rows == \
         [(0, None, None)]
     assert _agree(*dbs, "SELECT id FROM n WHERE v = v").rows == []
+
+
+def _sharded(n_rows):
+    """The seeded table hash-partitioned on ``id`` over two shards."""
+    topology = ShardTopology(2, {"t": PartitionSpec("id")})
+    return _seed(ShardedDatabase(topology, result_cache_size=0), n_rows)
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT SUM(s) FROM t",
+    "SELECT AVG(s) FROM t",
+    "SELECT SUM(DISTINCT s) FROM t",
+    "SELECT AVG(DISTINCT p) FROM t",
+    "SELECT s, SUM(s) FROM t GROUP BY s",
+    "SELECT v, AVG(p) FROM t GROUP BY v",
+    "SELECT s, SUM(DISTINCT p) FROM t GROUP BY s",
+    "SELECT s, SUM(v) + SUM(s) FROM t GROUP BY s",
+    "SELECT SUM(p) FROM t WHERE id = 7",
+])
+def test_sum_avg_over_text_raise_sql_type_error(sql):
+    """SUM/AVG over a non-numeric column is a SqlTypeError naming the
+    aggregate and the value's type — never a bare Python TypeError, and
+    the same text from every aggregate form, engine and topology."""
+    dbs = (*_pair(40), _sharded(40))
+    outcome = _agree(*dbs, sql)
+    assert type(outcome) is SqlTypeError
+    name = "AVG" if "AVG" in sql else "SUM"
+    assert str(outcome) == f"{name} requires numeric values, got str"
+
+
+def test_aggregates_over_text_and_empty_input_still_work():
+    engines, sharded = _pair(40), _sharded(40)
+    for sql, expected in (
+            ("SELECT MIN(s), MAX(p), COUNT(s), COUNT(DISTINCT s) FROM t",
+             [("s0", "p9", 40, 5)]),
+            ("SELECT s, MIN(p), MAX(p) FROM t GROUP BY s ORDER BY s LIMIT 1",
+             [("s0", "p0", "p5")]),
+            # No value reaches the fold: nothing to reject.
+            ("SELECT SUM(z), AVG(z), SUM(DISTINCT z) FROM t",
+             [(None, None, None)]),
+            ("SELECT SUM(s) FROM t WHERE id < 0", [(None,)]),
+    ):
+        assert _agree(*engines, sql).rows == expected, sql
+        # (a gather also charges the rows it pulls to the coordinator)
+        assert sharded.execute(sql).rows == expected, sql
+
+
+def test_execute_script_keeps_semicolons_inside_string_literals():
+    for db in (*_pair(3), _sharded(3)):
+        results = db.execute_script(
+            "INSERT INTO t (id, v, s, p) VALUES (10, 1, 'a;b', 'it''s;');\n"
+            "-- a comment; with a semicolon and an apostrophe '\n"
+            "SELECT s, p FROM t WHERE id = 10; ;")
+        assert len(results) == 2
+        assert results[1].rows == [("a;b", "it's;")]
+        assert db.query("SELECT s FROM t WHERE p = 'it''s;'") == \
+            [{"s": "a;b"}]
 
 
 # ---------------------------------------------------------------------------
