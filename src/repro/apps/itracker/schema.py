@@ -203,6 +203,7 @@ def shard_topology(shards, replicas=0, staleness_bound=0):
     partition-friendly access path — most pages are scoped to one
     project), per-issue detail tables by issue, everything else broadcast
     (users, preferences, admin/config tables are small and read-mostly)."""
+    # Cold path (once per cluster set-up): unsharded runs never load shard.
     from repro.sqldb.shard import PartitionSpec, ShardTopology
 
     return ShardTopology(shards, {

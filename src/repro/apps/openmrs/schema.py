@@ -428,6 +428,7 @@ def shard_topology(shards, replicas=0, staleness_bound=0):
     """The OpenMRS cluster layout: patient-scoped clinical data partitions
     by patient, per-encounter detail by encounter; the concept dictionary
     and other reference tables broadcast."""
+    # Cold path (once per cluster set-up): unsharded runs never load shard.
     from repro.sqldb.shard import PartitionSpec, ShardTopology
 
     return ShardTopology(shards, {

@@ -53,6 +53,7 @@ def shard_topology(shards, replicas=0, staleness_bound=0):
     """The classic TPC-C layout: everything partitions by warehouse (the
     spec's own scaling unit — §1.4 home-warehouse locality makes ~90% of
     transactions single-shard); the item catalog is broadcast."""
+    # Cold path (once per cluster set-up): unsharded runs never load shard.
     from repro.sqldb.shard import PartitionSpec, ShardTopology
 
     return ShardTopology(shards, {

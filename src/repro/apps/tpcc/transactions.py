@@ -8,6 +8,7 @@ what Fig. 13 measures.
 
 from repro.apps.tpcc import data as D
 from repro.core.thunk import force
+from repro.net.clock import PHASE_APP
 
 TRANSACTION_TYPES = ("new_order", "payment", "order_status", "stock_level",
                      "delivery")
@@ -30,8 +31,6 @@ class OriginalClient:
         return self.driver.execute(sql, params)
 
     def ops(self, count):
-        from repro.net.clock import PHASE_APP
-
         self.clock.charge(PHASE_APP, self.cost_model.app_op_ms * count)
 
 

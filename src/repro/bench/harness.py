@@ -173,6 +173,7 @@ def measure_tpc_overhead(seed_fn, runner_factory, schedule, cost_model=None):
     builds the workload runner.  Each mode gets a freshly seeded database
     (transactions mutate state).
     """
+    # Cold path (once per experiment): page-load users skip the TPC stack.
     from repro.apps.tpcc.transactions import OriginalClient, SlothClient
     from repro.core.runtime import SlothRuntime
     from repro.sqldb import Database

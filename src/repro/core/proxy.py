@@ -12,7 +12,9 @@ value do.  Use :func:`unwrap` (or :func:`repro.core.thunk.force`) to get the
 plain value explicitly.
 """
 
-from repro.core.thunk import Thunk
+import operator
+
+from repro.core.thunk import Thunk, force
 
 
 def lazy(fn, runtime=None):
@@ -27,8 +29,6 @@ def lazy_from_thunk(thunk):
 
 def unwrap(value):
     """Force a proxy (or thunk) into its plain value."""
-    from repro.core.thunk import force
-
     return force(value)
 
 
@@ -87,8 +87,6 @@ class LazyProxy:
         return float(self._target())
 
     def __index__(self):
-        import operator
-
         return operator.index(self._target())
 
     def __hash__(self):

@@ -42,6 +42,9 @@ server: each distinct SQL string is parsed once per process no matter how
 many stores, servers or benchmark runs touch it.
 """
 
+from collections import OrderedDict
+from itertools import islice
+
 from repro.sqldb.parser import is_read_statement
 
 #: Default bound on concurrently in-flight async batches.
@@ -56,8 +59,10 @@ class QueryId:
     """Unique identifier for a query registered with one store.
 
     Ids are allocated per :class:`QueryStore` (no process-global counter to
-    leak across stores or benchmark runs) and hash/compare by
-    ``(store, value)`` so equal ids from different stores stay distinct.
+    leak across stores or benchmark runs).  Only ``QueryStore._new_id``
+    mints them, once per ``(store, value)``, so that pair being equal *is*
+    being the same object: ids hash and compare by identity, and equal
+    values from different stores stay distinct.
     """
 
     __slots__ = ("store", "value")
@@ -68,13 +73,6 @@ class QueryId:
 
     def __repr__(self):
         return f"QueryId({self.value})"
-
-    def __hash__(self):
-        return hash((id(self.store), self.value))
-
-    def __eq__(self, other):
-        return (isinstance(other, QueryId) and other.store is self.store
-                and other.value == self.value)
 
 
 class QueryStoreStats:
@@ -138,10 +136,13 @@ class QueryStore:
         self._buffer = []  # list of (QueryId, sql, params)
         self._buffer_has_write = False
         self._pending_keys = {}  # (sql, params) -> QueryId, for dedup
-        self._results = {}  # QueryId -> ExecResult
+        self._results = {}  # QueryId -> ExecResult, in issue order
         self._owner = {}  # QueryId -> AsyncCompletion while batch in flight
         self._in_flight = []  # AsyncCompletions in dispatch order
-        self._delivered = {}  # QueryId -> None, in delivery (LRU) order
+        # QueryId -> None, in delivery (LRU) order.  Linked, not a plain
+        # dict: the limit backstop takes the oldest entry after every flush,
+        # and a dict iterator first steps over every slot deleted ahead of it.
+        self._delivered = OrderedDict()
         # Outstanding fetches per id, *per request token*: each registration
         # (dedup included) takes a reference under the registering request's
         # token, each delivery releases one from the fetching request's
@@ -219,6 +220,9 @@ class QueryStore:
         residual if the owning batch is still in flight."""
         result = self._results.get(query_id)
         if result is None:
+            if query_id.store is not self:
+                # Never ours: no flush (a charged round trip) on its behalf.
+                raise KeyError(f"query id from another store: {query_id!r}")
             self._flush()
             result = self._results.get(query_id)
             if result is None:
@@ -228,8 +232,8 @@ class QueryStore:
             self._wait_completion(completion)
         # LRU bookkeeping: most recently delivered last; one outstanding
         # reference released from this request's holds.
-        self._delivered.pop(query_id, None)
         self._delivered[query_id] = None
+        self._delivered.move_to_end(query_id)
         self._release_ref(query_id)
         return result
 
@@ -356,7 +360,7 @@ class QueryStore:
 
     def _evict_delivered(self):
         """Drop delivered results with no outstanding fetch reference."""
-        keep = {}
+        keep = OrderedDict()
         for query_id in self._delivered:
             if self._has_refs(query_id):
                 keep[query_id] = None  # a dedup twin still owes a fetch
@@ -373,20 +377,22 @@ class QueryStore:
         outright.  Re-fetching an evicted id is an error; unbounded growth
         would be worse, and the limit is far above any single request's
         working set.
+
+        Runs after every flush, so it walks only the entries it evicts or
+        skips (held ids at the old end), never the whole store.
         """
         limit = self.result_store_limit
         if limit is None or len(self._results) <= limit:
             return
-        for query_id in list(self._delivered):  # oldest delivery first
-            if len(self._results) <= limit:
-                return
-            if self._has_refs(query_id):
-                continue  # a dedup twin still owes a fetch
+        # Held ids are skipped: a dedup twin still owes a fetch.
+        unheld = (query_id for query_id in self._delivered
+                  if not self._has_refs(query_id))
+        excess = len(self._results) - limit
+        for query_id in list(islice(unheld, excess)):  # oldest delivery first
             del self._delivered[query_id]
             self._drop(query_id)
-        for query_id in list(self._results):  # oldest issued first
-            if len(self._results) <= limit:
-                return
+        excess = len(self._results) - limit
+        for query_id in list(islice(self._results, excess)):  # oldest issued
             self._delivered.pop(query_id, None)
             self._drop(query_id)
 

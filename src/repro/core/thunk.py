@@ -155,15 +155,11 @@ class ThunkBlock:
 
 def is_thunk(value):
     """Whether ``value`` is any flavour of delayed computation."""
-    from repro.core.proxy import LazyProxy
-
     return isinstance(value, (Thunk, ThunkBlock, LazyProxy))
 
 
 def force(value):
     """Force thunks/proxies to plain values; pass other values through."""
-    from repro.core.proxy import LazyProxy
-
     while True:
         if isinstance(value, Thunk):
             value = value.force()
@@ -190,3 +186,10 @@ def force_deep(value):
     if isinstance(value, dict):
         return {force(k): force_deep(v) for k, v in value.items()}
     return value
+
+
+# The thunk <-> proxy cycle, resolved once: ``proxy`` imports ``Thunk`` and
+# ``force`` from this (by now fully defined) module, and ``is_thunk`` /
+# ``force`` above find ``LazyProxy`` as a module global with no per-call
+# import.  ``repro.core.__init__`` imports this module before ``proxy``.
+from repro.core.proxy import LazyProxy  # noqa: E402

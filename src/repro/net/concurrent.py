@@ -289,6 +289,7 @@ def record_page_trace(db, dispatcher, url, cost_model=None,
     every recorded statement cost is a cold solo cost (replay decides what
     merges, and with whom).
     """
+    # Import cycle (web imports net); runs once per recorded page.
     from repro.web.appserver import AppServer, MODE_SLOTH
     from repro.web.framework import Request
 

@@ -137,6 +137,7 @@ class Database:
 
         For non-SELECT statements, returns the statement repr.
         """
+        # Cold path: EXPLAIN is a diagnostic, never on a statement's path.
         from repro.sqldb import ast_nodes as A
         from repro.sqldb.plan import build_select_plan, explain, optimize
 

@@ -575,6 +575,8 @@ def _base_order_requirement(sctx, base_table_index):
 def _output_passthrough(sctx):
     """Per output column: the flat source position it passes through
     unmodified (None for computed expressions), plus the output names."""
+    # Cold path (once per plan build): the logical optimizer otherwise
+    # loads without the physical layer.
     from repro.sqldb.plan.physical import _expand_stars, _output_columns
 
     expansions = _expand_stars(sctx.stmt, sctx.context)

@@ -587,6 +587,7 @@ class ShardedDatabase:
         render the coordinator's plan.  ``analyze`` is unsupported here —
         profile the per-shard statement on a :class:`Database` directly.
         """
+        # Cold path: EXPLAIN is a diagnostic, never on a statement's path.
         from repro.sqldb.plan import build_select_plan, explain, optimize
 
         if analyze:

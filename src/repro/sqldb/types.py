@@ -7,6 +7,8 @@ expressions with three-valued logic handled in
 :mod:`repro.sqldb.expressions`.
 """
 
+from repro.sqldb.errors import SqlTypeError
+
 INTEGER = "INTEGER"
 FLOAT = "FLOAT"
 TEXT = "TEXT"
@@ -52,8 +54,6 @@ def canonical_type(name):
     >>> canonical_type("varchar")
     'TEXT'
     """
-    from repro.sqldb.errors import SqlTypeError
-
     key = name.upper()
     if key not in TYPE_ALIASES:
         raise SqlTypeError(f"unknown column type: {name!r}")
@@ -68,8 +68,6 @@ def coerce_value(value, type_name):
     widened; bools are accepted for INTEGER columns (0/1) to match common
     driver behaviour.
     """
-    from repro.sqldb.errors import SqlTypeError
-
     if value is None:
         return None
     if type_name == INTEGER:

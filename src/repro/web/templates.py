@@ -27,7 +27,7 @@ conditions.
 
 import re
 
-from repro.core.thunk import Thunk, force
+from repro.core.thunk import Thunk, force, is_thunk
 
 
 class TemplateError(Exception):
@@ -147,8 +147,6 @@ def _lookup_until_delayed(scope, path):
     return proxies (relation registration fires here) — those are returned
     undisturbed, never forced.
     """
-    from repro.core.thunk import is_thunk
-
     head = path[0]
     if head not in scope:
         raise TemplateError(f"unknown template variable {head!r}")
