@@ -27,7 +27,7 @@ from repro.compiler.standard_interp import StandardInterpreter, StandardResult
 from repro.compiler.analysis import (
     classify_functions, liveness, persistent_functions,
 )
-from repro.compiler.optimize import label_deferrable_branches, coalesce_plan
+from repro.compiler.optimize import coalesce_plan
 
 __all__ = [
     "Program",
@@ -38,7 +38,6 @@ __all__ = [
     "classify_functions",
     "persistent_functions",
     "liveness",
-    "label_deferrable_branches",
     "coalesce_plan",
     "KernelError",
     "KernelParseError",

@@ -249,13 +249,6 @@ def deferrable_branches(program, summaries):
 # Liveness (§4.3, thunk coalescing)
 # -----------------------------------------------------------------------------
 
-def expr_vars(expr):
-    """Variables read by an expression."""
-    out = set()
-    _expr_vars(expr, out)
-    return out
-
-
 def _expr_vars(expr, out):
     kind = type(expr)
     if kind is K.Var:

@@ -74,12 +74,6 @@ class OptimizationPlan:
         return plan
 
 
-def label_deferrable_branches(program):
-    """Convenience: the §4.2 analysis with fresh summaries."""
-    summaries = analysis.classify_functions(program)
-    return analysis.deferrable_branches(program, summaries)
-
-
 def coalesce_plan(seq_stmt, summaries, live_out=frozenset()):
     """Greedy maximal-run coalescing with liveness-pruned outputs (§4.3).
 

@@ -143,46 +143,15 @@ class QueryStore:
         # dict: the limit backstop takes the oldest entry after every flush,
         # and a dict iterator first steps over every slot deleted ahead of it.
         self._delivered = OrderedDict()
-        # Outstanding fetches per id, *per request token*: each registration
-        # (dedup included) takes a reference under the registering request's
-        # token, each delivery releases one from the fetching request's
-        # token (clamped at zero — an over-fetch by one request must never
-        # consume a reference another request still holds).  Boundary
-        # eviction only drops ids with no outstanding reference under any
-        # token, so a dedup-shared id spanning requests that drain() at
-        # different times survives until every request has fetched.
-        self._refs = {}  # QueryId -> {request token -> outstanding count}
-        self._request_token = 0  # high-water mark of issued tokens
-        self._active_token = 0  # scope charged by register/fetch right now
+        # Outstanding fetches per id: each registration (dedup included)
+        # takes a reference, each delivery releases one (clamped at zero).
+        # Boundary eviction only drops ids with no outstanding reference,
+        # so a dedup-shared id survives until every holder has fetched.
+        self._refs = {}  # QueryId -> outstanding count
         self._next_id = 0
         self.stats = QueryStoreStats()
 
     # -- public API (paper §3.3) ---------------------------------------------
-
-    def begin_request(self):
-        """Start a new request scope for holder accounting; returns its token.
-
-        Stores serving several interleaved requests (the concurrent workload
-        layer) call this as each request is admitted, so references taken by
-        one request's registrations are released only by that request's
-        fetches — a request draining early cannot strand or steal another
-        request's holds on a dedup-shared id.  Single-request stores never
-        need to call it (everything lives under one token).
-        """
-        self._request_token += 1
-        self._active_token = self._request_token
-        return self._request_token
-
-    def enter_request(self, token):
-        """Make ``token`` (from :meth:`begin_request`) the active scope.
-
-        Interleaved requests register and fetch in alternation; the
-        scheduler re-enters a request's scope before replaying its steps so
-        every release lands on the right request's holds.
-        """
-        if not 0 <= token <= self._request_token:
-            raise ValueError(f"unknown request token: {token}")
-        self._active_token = token
 
     def register_query(self, sql, params=()):
         """Add a query to the current batch; returns its :class:`QueryId`.
@@ -231,7 +200,7 @@ class QueryStore:
         if completion is not None and not completion.waited:
             self._wait_completion(completion)
         # LRU bookkeeping: most recently delivered last; one outstanding
-        # reference released from this request's holds.
+        # reference released.
         self._delivered[query_id] = None
         self._delivered.move_to_end(query_id)
         self._release_ref(query_id)
@@ -281,28 +250,18 @@ class QueryStore:
         return QueryId(self, self._next_id)
 
     def _take_ref(self, query_id):
-        holders = self._refs.setdefault(query_id, {})
-        token = self._active_token
-        holders[token] = holders.get(token, 0) + 1
+        self._refs[query_id] = self._refs.get(query_id, 0) + 1
 
     def _release_ref(self, query_id):
-        """Release one hold from the active request; clamped at zero."""
-        holders = self._refs.get(query_id)
-        if not holders:
-            return
-        token = self._active_token
-        count = holders.get(token, 0)
+        """Release one hold; an over-fetch (no hold left) releases nothing."""
+        count = self._refs.get(query_id, 0)
         if count > 1:
-            holders[token] = count - 1
+            self._refs[query_id] = count - 1
         elif count == 1:
-            del holders[token]
-            if not holders:
-                del self._refs[query_id]
-        # count == 0: over-fetch by this request — other requests' holds
-        # stay untouched.
+            del self._refs[query_id]
 
     def _has_refs(self, query_id):
-        return bool(self._refs.get(query_id))
+        return query_id in self._refs
 
     def _flush(self):
         batch = self._buffer

@@ -150,21 +150,22 @@ class SlothRuntime:
         """Register a read and return its thunk (§3.3).
 
         In non-lazy (original application) mode the query executes
-        immediately through the same store, costing one round trip.
+        immediately through the driver — one round trip, nothing
+        registered — and the deserialized value is returned.
         """
         if not self.lazy_mode:
-            thunk = QueryThunk(self.query_store, sql, params, deserialize)
-            return thunk.force()
+            result = self.driver.execute(sql, params)
+            return result if deserialize is None else deserialize(result)
         return QueryThunk(self.query_store, sql, params, deserialize,
                           runtime=self)
 
     def execute_write(self, sql, params=()):
-        """Writes are never deferred: register (which flushes) and force."""
+        """Writes are never deferred: register (which flushes) and force;
+        in non-lazy mode, one round trip through the driver."""
+        if not self.lazy_mode:
+            return self.driver.execute(sql, params)
         thunk = QueryThunk(self.query_store, sql, params)
         return thunk.force()
-
-    def force(self, value):
-        return force(value)
 
     # -- modelled application work ---------------------------------------------
 

@@ -196,10 +196,6 @@ class SimClock:
         """Dict of phase -> accumulated ms."""
         return dict(self._by_phase)
 
-    def overlap_breakdown(self):
-        """Dict of phase -> overlapped (hidden behind app work) ms."""
-        return dict(self._overlap_by_phase)
-
     def shadowed_breakdown(self):
         """Dict of phase -> shadowed (hidden behind non-app advances) ms."""
         return dict(self._shadowed_by_phase)

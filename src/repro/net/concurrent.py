@@ -223,13 +223,7 @@ class TracingBatchDriver(BatchDriver):
                     shard_costs[station] = (
                         shard_costs.get(station, 0.0)
                         + model.query_cost_ms(rows, from_cache=cached))
-            solo = sum(
-                max(model.query_cost_ms(rows, from_cache=cached)
-                    for _s, rows, cached in phase)
-                for phase in phases if phase)
-        else:
-            solo = model.query_cost_ms(result.rows_touched,
-                                       from_cache=result.from_cache)
+        solo = self.server.statement_cost(result)
         share_key = None
         scan_rows = 0
         pk_keys = None
@@ -262,11 +256,7 @@ class TracingBatchDriver(BatchDriver):
         A sharded facade plans against its ``planner_backend`` — any
         primary answers the structural questions (shared-scannable?
         pk point lookup?) identically."""
-        db = self.server.database
-        backend = getattr(db, "planner_backend", db)
-        executor = getattr(backend, "executor", None)
-        if executor is None:
-            return None, None
+        backend = self.server.database.planner_backend
         try:
             stmt = parse(sql)
         except SqlError:
@@ -274,7 +264,7 @@ class TracingBatchDriver(BatchDriver):
         if not isinstance(stmt, A.Select):
             return None, None
         try:
-            return executor.plan_for(stmt), backend
+            return backend.executor.plan_for(stmt), backend
         except SqlError:
             return None, None
 

@@ -96,8 +96,7 @@ class DatabaseServer:
         """
         hits_before = self.database.result_cache.hits
         with self.database.read_views.using(read_view):
-            if batch_optimize and getattr(self.database,
-                                          "supports_batch_plan", True):
+            if batch_optimize and self.database.supports_batch_plan:
                 outcomes, elapsed_ms = self._execute_batch_plan(statements)
             else:
                 outcomes, elapsed_ms = self._execute_batch_direct(statements)
@@ -183,9 +182,9 @@ class DatabaseServer:
 
     def _run(self, sql, params):
         result = self.database.execute(sql, params)
-        return StatementOutcome(sql, result, self._statement_cost(result))
+        return StatementOutcome(sql, result, self.statement_cost(result))
 
-    def _statement_cost(self, result):
+    def statement_cost(self, result):
         """One statement's standalone elapsed time.
 
         Single-node results price directly off ``rows_touched``; sharded

@@ -37,11 +37,6 @@ EAGER = "eager"
 _REGISTRY = {}
 
 
-def clear_registry():
-    """Reset the entity registry (used by tests that redeclare entities)."""
-    _REGISTRY.clear()
-
-
 def resolve_entity(ref):
     """Resolve a relation target given as a class or class name."""
     if isinstance(ref, type):

@@ -238,7 +238,6 @@ class Query:
         self._params = []
         self._order_by = None
         self._limit = None
-        self._offset = None
 
     def where(self, fragment, *params):
         self._where.append(fragment)
@@ -253,10 +252,6 @@ class Query:
         self._limit = n
         return self
 
-    def offset(self, n):
-        self._offset = n
-        return self
-
     def _sql(self, select_list=None):
         info = self.cls.__info__
         sql = (f"SELECT {select_list or info.select_list} "
@@ -267,8 +262,6 @@ class Query:
             sql += f" ORDER BY {self._order_by}"
         if self._limit is not None:
             sql += f" LIMIT {self._limit}"
-            if self._offset is not None:
-                sql += f" OFFSET {self._offset}"
         return sql
 
     def all(self):

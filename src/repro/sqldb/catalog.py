@@ -39,52 +39,15 @@ class TableStats:
     cardinality current cached plans were optimized against).
     """
 
-    __slots__ = ("row_count", "_baseline", "_epoch", "order_stats")
+    __slots__ = ("row_count", "_baseline", "_epoch")
 
     def __init__(self):
         self.row_count = 0
         self._baseline = 0
         self._epoch = None
-        # Key-order statistics: leading column name -> live OrderedIndex.
-        # Registered by storage when an ordered index is (dropped) created;
-        # the sorted key list doubles as a full-resolution histogram, so
-        # the cost model prices range predicates by bisecting it
-        # (see range_fraction) instead of falling back to constants.
-        # Composite (equality prefix + suffix bound) pricing needs no
-        # registry: a range candidate names its own index, whose
-        # OrderedIndex.prefix_range_fraction bisects within the prefix's
-        # key region.
-        self.order_stats = {}
 
     def bind_epoch(self, epoch):
         self._epoch = epoch
-
-    def register_order_stats(self, index):
-        """Adopt an ordered index as the key-order statistic for its
-        leading column (first registration wins)."""
-        self.order_stats.setdefault(index.info.columns[0], index)
-
-    def unregister_order_stats(self, index):
-        for column, registered in list(self.order_stats.items()):
-            if registered is index:
-                del self.order_stats[column]
-
-    def range_fraction(self, column, low, high, low_incl=True,
-                       high_incl=True):
-        """Estimated fraction of rows with ``column`` in the given range,
-        from the column's key-order statistic; None when no ordered index
-        leads with ``column`` or the bounds cannot be compared against the
-        stored keys (caller falls back to a heuristic constant — the type
-        error, if real, surfaces at execution with the engine's usual
-        SqlTypeError, exactly as it would without the statistic).
-        """
-        index = self.order_stats.get(column)
-        if index is None:
-            return None
-        try:
-            return index.range_fraction(low, high, low_incl, high_incl)
-        except TypeError:
-            return None
 
     def note_mutation(self, row_count):
         """Record the table's new size; tick the epoch on a >2x shift."""
@@ -199,12 +162,6 @@ class Catalog:
         if schema is None:
             raise CatalogError(f"no such table: {name!r}")
         return schema
-
-    def has_table(self, name):
-        return name in self._tables
-
-    def table_names(self):
-        return sorted(self._tables)
 
     def register_index(self, info):
         if info.name in self._index_names:

@@ -30,9 +30,8 @@ non-NULL min/max — ``None`` when the slice holds no usable range (all
 NULL, or mixed value types whose ordering SQL would reject), in which
 case only the null count is trustworthy.  Sequential scans consult them
 through the zone test compiled alongside each filter kernel
-(:func:`repro.sqldb.plan.compile.compile_filter`) to skip whole chunks,
-and the cost model reads the per-column aggregate ``ranges``/``nulls``
-(plus ``distinct``) as its snapshot statistics source.
+(:func:`repro.sqldb.plan.compile.compile_filter`) to skip whole chunks;
+the cost model reads ``distinct`` as its snapshot statistic.
 
 Everything here is layout only — expression evaluation over these
 chunks lives in :mod:`repro.sqldb.plan.compile`, the operators in
@@ -163,11 +162,9 @@ class ColumnStore:
 
     ``columns[j]`` is the j-th schema column as a plain list or
     :class:`DictColumn`; ``distinct`` maps column name to its distinct
-    non-NULL count at snapshot time.  ``zones`` maps column name to the
-    per-chunk zone-map list (see :func:`_column_zones`), ``ranges`` to
-    the whole-column ``(lo, hi)`` aggregate (``None`` bounds when any
-    chunk lacks a range), and ``nulls`` to the total NULL count — the
-    planner's snapshot statistics.  ``rows_ref`` pins the exact
+    non-NULL count at snapshot time — the planner's snapshot statistic —
+    and ``zones`` column name to the per-chunk zone-map list (see
+    :func:`_column_zones`).  ``rows_ref`` pins the exact
     ``table.rows`` dict the snapshot was built from: validity is
     ``rows_ref is table.rows and mutations == table's counter``, which
     survives the read-view manager swapping ``table.rows`` wholesale
@@ -178,17 +175,15 @@ class ColumnStore:
     invalidates the snapshot discards its zone maps with it.
     """
 
-    __slots__ = ("columns", "length", "distinct", "zones", "ranges",
-                 "nulls", "rows_ref", "mutations")
+    __slots__ = ("columns", "length", "distinct", "zones", "rows_ref",
+                 "mutations")
 
-    def __init__(self, columns, length, distinct, zones, ranges, nulls,
-                 rows_ref, mutations):
+    def __init__(self, columns, length, distinct, zones, rows_ref,
+                 mutations):
         self.columns = columns
         self.length = length
         self.distinct = distinct
         self.zones = zones
-        self.ranges = ranges
-        self.nulls = nulls
         self.rows_ref = rows_ref
         self.mutations = mutations
 
@@ -200,13 +195,10 @@ class ColumnStore:
         columns = []
         distinct = {}
         zones = {}
-        ranges = {}
-        nulls = {}
         transposed = list(zip(*rows)) if rows else [
             () for _ in schema_columns]
         for j, col in enumerate(schema_columns):
             values = list(transposed[j])
-            col_zones = _column_zones(values, n)
             if n and canonical_type(col.type_name) in (TEXT, DATE):
                 column, n_distinct = _encode_dict(values)
             else:
@@ -215,23 +207,9 @@ class ColumnStore:
                     v for v in values if v is not None))
             columns.append(column)
             distinct[col.name] = n_distinct
-            zones[col.name] = col_zones
-            nulls[col.name] = sum(z[2] for z in col_zones)
-            lo = hi = None
-            try:
-                for z_lo, z_hi, z_nulls, z_count in col_zones:
-                    if z_lo is None:
-                        if z_nulls == z_count:
-                            continue  # all-NULL chunk: no range to add
-                        lo = hi = None  # unorderable chunk: no column range
-                        break
-                    lo = z_lo if lo is None or z_lo < lo else lo
-                    hi = z_hi if hi is None or z_hi > hi else hi
-            except TypeError:
-                lo = hi = None
-            ranges[col.name] = (lo, hi)
-        return cls(columns, n, distinct, zones, ranges, nulls,
-                   table.rows, table._mutation_count)
+            zones[col.name] = _column_zones(values, n)
+        return cls(columns, n, distinct, zones, table.rows,
+                   table._mutation_count)
 
 
 class ColumnChunk:

@@ -107,9 +107,7 @@ class OrderedIndex:
     Keys (wrapped via :func:`wrap_key`) live in a sorted list maintained by
     binary insertion; a parallel dict maps each key to its row-id set.  The
     sorted list is what makes this index more than a hash index: bisecting
-    it answers range queries and yields rows in key order, and the position
-    of a bound within it *is* a key-order statistic — the cost model reads
-    range selectivities straight off :meth:`range_fraction`.
+    it answers range queries and yields rows in key order.
     """
 
     method = "ordered"
@@ -219,30 +217,3 @@ class OrderedIndex:
         for key in keys:
             for row_id in sorted(self._rows[key]):
                 yield row_id
-
-    def range_fraction(self, low, high, low_incl=True, high_incl=True):
-        """Fraction of distinct keys whose *first* column falls in the
-        range — the key-order statistic the cost model uses for range
-        selectivity (resolution: one key, i.e. exact over distinct keys).
-        """
-        return self.prefix_range_fraction((), low, high, low_incl,
-                                          high_incl)
-
-    def prefix_range_fraction(self, prefix_values, low, high, low_incl=True,
-                              high_incl=True):
-        """Fraction of the equality-prefix key region whose *next* column
-        falls in the range — the composite-key generalization of
-        :meth:`range_fraction` (``prefix_values = ()`` prices the leading
-        column over the whole key list).
-
-        Bisecting within the prefix region makes suffix-column bounds
-        exact over distinct keys, where a leading-column-only statistic
-        would have to fall back to heuristic constants.  Returns 0.0 when
-        the prefix region is empty.
-        """
-        p_start, p_end = self._region(prefix_values, None, None, True, True)
-        if p_end <= p_start:
-            return 0.0
-        start, end = self._region(prefix_values, low, high, low_incl,
-                                  high_incl)
-        return (end - start) / (p_end - p_start)

@@ -331,13 +331,6 @@ class RangeCandidate:
     def has_bounds(self):
         return self.low is not None or self.high is not None
 
-    @property
-    def range_column(self):
-        """The index column the range applies to (None without bounds)."""
-        if not self.has_bounds:
-            return None
-        return self.columns[self.n_prefix]
-
 
 def ordered_scan_candidates(table, where):
     """A :class:`RangeCandidate` per ordered index of ``table``, matching

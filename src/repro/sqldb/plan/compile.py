@@ -10,8 +10,8 @@ kernel over a whole :class:`repro.sqldb.columnar.ColumnChunk`:
   sel``, the selection vector of rows evaluating to SQL TRUE, **and**, out
   of the same walk, a test over a chunk's zone map that can rule the
   chunk out before it is scanned;
-- :func:`compile_project`, :func:`compile_vec` — select items and
-  computed group keys become per-column gathers and element-wise loops;
+- :func:`compile_project` — select items become per-column gathers and
+  element-wise loops;
 - :func:`compile_aggregate_item_columnar`,
   :func:`compile_grouped_item_columnar` — aggregates fold chunks into
   accumulators.
@@ -26,12 +26,15 @@ same errors — and never a third evaluator to keep in step by hand.
 What has a kernel: comparisons and BETWEEN of a column against
 literals/parameters, ``IS [NOT] NULL`` of a column, AND over those — the
 sargable conjunctions :mod:`repro.sqldb.plan.access` recognises for index
-paths, and the only WHERE shapes any workload issues; arithmetic, ``||``
-and unary minus over columns, literals and parameters in select lists,
-aggregate arguments and group keys.  What does not: OR, NOT, IN and LIKE
-(a kernel needs a workload that issues its shape — see ROADMAP),
-column-vs-column and computed-operand predicates, scalar function calls,
-boolean-valued select items, aggregates nested in arithmetic, HAVING.
+paths, and the only WHERE shapes any workload issues; arithmetic over
+columns, literals and parameters in select lists and aggregate arguments;
+``COUNT(*)``, ungrouped aggregates of such an argument, grouped ``SUM`` /
+``AVG``.  What does not (a kernel needs a workload that issues its shape
+— see ROADMAP): OR, NOT, IN and LIKE, column-vs-column and
+computed-operand predicates, ``||``, unary minus, scalar function calls,
+boolean-valued select items, computed GROUP BY keys, grouped ``COUNT(col)``
+/ ``MIN`` / ``MAX`` / DISTINCT aggregates, aggregates nested in
+arithmetic, HAVING.
 
 Internally every predicate node is ``node(chunk, sel, params) -> (t, u)``
 — the ascending index lists where the node is TRUE and UNKNOWN (FALSE is
@@ -75,7 +78,7 @@ from repro.sqldb.plan.planner import _AGGREGATE_NAMES, contains_aggregate
 
 __all__ = ["compile_filter", "compile_project",
            "compile_aggregate_item_columnar",
-           "compile_grouped_item_columnar", "compile_vec"]
+           "compile_grouped_item_columnar"]
 
 
 # ---------------------------------------------------------------------------
@@ -604,27 +607,12 @@ def _between_leaf(expr, positions, ambiguous):
 # -- vectorized projection / aggregation ------------------------------------
 
 
-def _concat_value(left, right):
-    if left is None or right is None:
-        return None
-    if not isinstance(left, str) or not isinstance(right, str):
-        raise SqlTypeError("'||' requires text operands")
-    return left + right
-
-
-def _neg_value(value):
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SqlTypeError(f"cannot negate {value!r}")
-    return -value
-
-
 def _compile_vec(expr, positions, ambiguous):
     """Compile an expression to ``fn(chunk, sel, params) -> (scalar, v)``
     — ``v`` a single broadcast value when ``scalar`` is true, else a list
     aligned with ``sel``.  Returns None for shapes without a vector form
-    (function calls, comparisons, stars): callers interpret rows instead.
+    (function calls, comparisons, ``||``, unary minus, stars): callers
+    interpret rows instead.
     """
     kind = type(expr)
     if kind is A.Literal:
@@ -638,53 +626,27 @@ def _compile_vec(expr, positions, ambiguous):
         if pos is None:
             return None
         return lambda chunk, sel, params: (False, chunk.gather_at(pos, sel))
-    if kind is A.BinaryOp and expr.op in ("+", "-", "*", "/", "%", "||"):
+    if kind is A.BinaryOp and expr.op in ("+", "-", "*", "/", "%"):
         lv = _compile_vec(expr.left, positions, ambiguous)
         rv = _compile_vec(expr.right, positions, ambiguous)
         if lv is None or rv is None:
             return None
-        if expr.op == "||":
-            pair = _concat_value
-        else:
-            op = expr.op
-            pair = (lambda left, right, op=op:
-                    _arith_value(op, left, right))
+        op = expr.op
 
         def binary_vec(chunk, sel, params):
             lscalar, lval = lv(chunk, sel, params)
             rscalar, rval = rv(chunk, sel, params)
             if lscalar and rscalar:
-                return True, pair(lval, rval)
+                return True, _arith_value(op, lval, rval)
             if lscalar:
-                return False, [pair(lval, b) for b in rval]
+                return False, [_arith_value(op, lval, b) for b in rval]
             if rscalar:
-                return False, [pair(a, rval) for a in lval]
-            return False, [pair(a, b) for a, b in zip(lval, rval)]
+                return False, [_arith_value(op, a, rval) for a in lval]
+            return False, [_arith_value(op, a, b)
+                           for a, b in zip(lval, rval)]
 
         return binary_vec
-    if kind is A.UnaryOp and expr.op == "-":
-        iv = _compile_vec(expr.operand, positions, ambiguous)
-        if iv is None:
-            return None
-
-        def neg_vec(chunk, sel, params):
-            scalar, value = iv(chunk, sel, params)
-            if scalar:
-                return True, _neg_value(value)
-            return False, [_neg_value(v) for v in value]
-
-        return neg_vec
     return None
-
-
-def compile_vec(expr, positions, ambiguous=frozenset()):
-    """Public wrapper over the vectorized expression compiler:
-    ``fn(chunk, sel, params) -> (scalar, value)`` or None when the shape
-    has no vector form.  Never raises (callers interpret rows instead)."""
-    try:
-        return _compile_vec(expr, positions, ambiguous)
-    except Exception:  # defensive: compilation must never change behaviour
-        return None
 
 
 def compile_project(items, expansions, positions, ambiguous):
@@ -724,8 +686,8 @@ def compile_project(items, expansions, positions, ambiguous):
 def compile_aggregate_item_columnar(expr, positions, ambiguous):
     """Compiled ``fn(chunks, params)`` for one select item of a
     no-GROUP-BY aggregate query over columnar chunks, or None when the
-    shape needs the interpreted form (composite aggregate arithmetic,
-    grouped queries — handled by the caller)."""
+    shape needs the interpreted form (anything but one aggregate call
+    over a vector argument; grouped queries — handled by the caller)."""
     if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:
         name = expr.name
         if name == "COUNT" and expr.args and isinstance(expr.args[0], A.Star):
@@ -755,35 +717,24 @@ def compile_aggregate_item_columnar(expr, positions, ambiguous):
                 collected = list(dict.fromkeys(collected))
             return fold_aggregate(name, collected)
         return agg_fn
-    if contains_aggregate(expr):
-        return None
-    vec = _compile_vec(expr, positions, ambiguous)
-    if vec is None:
-        return None
-
-    def first_row_fn(chunks, params):
-        for chunk in chunks:
-            for i in chunk.live_indices():
-                scalar, value = vec(chunk, (i,), params)
-                return value if scalar else value[0]
-        return None
-
-    return first_row_fn
+    return None
 
 
 def compile_grouped_item_columnar(expr, positions, ambiguous):
     """Compiled ``(make, update, final)`` triple for one select item of a
     GROUP BY aggregate query over columnar chunks, or None when the shape
-    needs the interpreted form over rows (composite aggregate arithmetic,
-    shapes without a vector form).
+    needs the interpreted form over rows.  ``COUNT(*)``, ``SUM`` / ``AVG``
+    and plain (group-constant) expressions fold chunks; DISTINCT
+    aggregates, ``COUNT(col)``, ``MIN`` / ``MAX``, composite aggregate
+    arithmetic and shapes without a vector form are interpreted.
 
     The caller keeps one accumulator list per item, one slot per group:
     ``make()`` builds a fresh group state, ``update(acc, gidxs, chunk,
     live, params)`` folds a chunk's live rows in (``gidxs`` maps each
     live row to its group slot), ``final(state)`` emits the value.
     Accumulation order is scan order — the same order the row engine's
-    per-group row lists preserve — so float SUM/AVG results and
-    first-of-equals MIN/MAX ties are bit-identical.
+    per-group row lists preserve — so float SUM/AVG results are
+    bit-identical.
     """
     if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:
         name = expr.name
@@ -794,87 +745,34 @@ def compile_grouped_item_columnar(expr, positions, ambiguous):
                     acc[g] += 1
 
             return (lambda: 0), update_count_star, (lambda state: state)
-        if not expr.args:
-            return None  # interpreter raises "requires an argument"
+        if name not in ("SUM", "AVG") or expr.distinct or not expr.args:
+            return None
         vec = _compile_vec(expr.args[0], positions, ambiguous)
         if vec is None:
             return None
-        if expr.distinct:
-            # Collect per group, dedupe at emit — as the interpreter does.
-            def update_collect(acc, gidxs, chunk, live, params):
-                scalar, value = vec(chunk, live, params)
-                if scalar:
-                    if value is not None:
-                        for g in gidxs:
-                            acc[g].append(value)
-                else:
-                    for g, v in zip(gidxs, value):
-                        if v is not None:
-                            acc[g].append(v)
 
-            def final_distinct(state):
-                return fold_aggregate(name, list(dict.fromkeys(state)))
-
-            return (lambda: []), update_collect, final_distinct
-        if name == "COUNT":
-
-            def update_count(acc, gidxs, chunk, live, params):
-                scalar, value = vec(chunk, live, params)
-                if scalar:
-                    if value is not None:
-                        for g in gidxs:
-                            acc[g] += 1
-                else:
-                    for g, v in zip(gidxs, value):
-                        if v is not None:
-                            acc[g] += 1
-
-            return (lambda: 0), update_count, (lambda state: state)
-        if name in ("SUM", "AVG"):
-            # state = [non-NULL count, running total]; the total starts
-            # at 0 so the first `0 + value` fails exactly where sum() does
-            # — on the first non-numeric value, with fold_aggregate's error.
-            def update_sum(acc, gidxs, chunk, live, params):
-                scalar, value = vec(chunk, live, params)
-                if scalar:
-                    value = [value] * len(gidxs)
-                try:
-                    for g, v in zip(gidxs, value):
-                        if v is not None:
-                            st = acc[g]
-                            st[0] += 1
-                            st[1] = st[1] + v
-                except TypeError:
-                    raise aggregate_type_error(name, (v,)) from None
-
-            if name == "SUM":
-                final_sum = lambda state: state[1] if state[0] else None
-            else:
-                final_sum = (lambda state:
-                             state[1] / state[0] if state[0] else None)
-            return (lambda: [0, 0]), update_sum, final_sum
-        pick_min = name == "MIN"
-
-        def update_extremum(acc, gidxs, chunk, live, params):
+        # state = [non-NULL count, running total]; the total starts
+        # at 0 so the first `0 + value` fails exactly where sum() does
+        # — on the first non-numeric value, with fold_aggregate's error.
+        def update_sum(acc, gidxs, chunk, live, params):
             scalar, value = vec(chunk, live, params)
             if scalar:
-                if value is None:
-                    return
-                for g in gidxs:
-                    st = acc[g]
-                    m = st[0]
-                    if m is None or (value < m if pick_min else value > m):
-                        st[0] = value
-            else:
+                value = [value] * len(gidxs)
+            try:
                 for g, v in zip(gidxs, value):
-                    if v is None:
-                        continue
-                    st = acc[g]
-                    m = st[0]
-                    if m is None or (v < m if pick_min else v > m):
-                        st[0] = v
+                    if v is not None:
+                        st = acc[g]
+                        st[0] += 1
+                        st[1] = st[1] + v
+            except TypeError:
+                raise aggregate_type_error(name, (v,)) from None
 
-        return (lambda: [None]), update_extremum, (lambda state: state[0])
+        if name == "SUM":
+            final_sum = lambda state: state[1] if state[0] else None
+        else:
+            final_sum = (lambda state:
+                         state[1] / state[0] if state[0] else None)
+        return (lambda: [0, 0]), update_sum, final_sum
     if contains_aggregate(expr):
         return None  # composite shapes keep the interpreted form
     vec = _compile_vec(expr, positions, ambiguous)

@@ -3,19 +3,17 @@
 The cost model works in the same currency the physical operators charge at
 execution time: **storage rows touched** (which the simulated server's
 :class:`repro.net.clock.CostModel` converts to database time).  Estimates
-come from live catalog statistics — :class:`repro.sqldb.catalog.TableStats`
+come from three live statistics — :class:`repro.sqldb.catalog.TableStats`
 row counts maintained on every INSERT/DELETE/TRUNCATE, exact per-index
-distinct-key counts read from the indexes, **key-order statistics**
-(the sorted key list of an ordered index, bisected for the position of
-literal range bounds), and **snapshot statistics** read from the table's
-cached columnar snapshot (:class:`repro.sqldb.columnar.ColumnStore`):
-exact per-column distinct counts for join fan-out and equality
-selectivity on unindexed columns, and whole-column min/max ranges
-interpolated uniformly for literal range bounds no ordered index covers.
-Standard textbook selectivity heuristics remain the last resort for
-predicate shapes no statistic can resolve (notably parameter bounds,
-which are unknown at plan time by design: one cached plan serves every
-parameter value).
+distinct-key counts read from the indexes, and exact per-column distinct
+counts read from the table's cached columnar snapshot
+(:class:`repro.sqldb.columnar.ColumnStore`) for join fan-out and equality
+selectivity on unindexed columns — and five textbook selectivity
+constants for everything else.  Range and BETWEEN bounds are always
+priced by a constant: every bound the apps, reports and TPC-C issue is a
+parameter, unknown at plan time by design (one cached plan serves every
+parameter value), and a literal bound gets the same price until a
+workload shows a plan it would change.
 
 Snapshot statistics are built **at plan time** (``table.column_store()``
 builds on demand) whichever engine will execute the plan — if only the
@@ -55,20 +53,13 @@ planning quality but never correctness or a rows-touched regression.
 
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.expressions import expr_columns, split_conjuncts
-from repro.sqldb.indexes import OrderedIndex
-from repro.sqldb.plan.access import FLIPPED_OPS
 
-# Fallback selectivities for predicate shapes the statistics cannot price.
+# Selectivities of the predicate shapes no statistic prices.
 EQ_SELECTIVITY = 0.1
 RANGE_SELECTIVITY = 0.3
 NULL_SELECTIVITY = 0.1
-LIKE_SELECTIVITY = 0.25
 BETWEEN_SELECTIVITY = 0.25
 DEFAULT_SELECTIVITY = 0.5
-
-# When no index reveals a column's distinct-key count, assume one key per
-# this many rows (i.e. NDV = rows / 10, at least 1).
-_FALLBACK_ROWS_PER_KEY = 10
 
 
 class Estimate:
@@ -90,52 +81,20 @@ def table_rows(db, table_name):
 
 
 def column_ndv(db, table_name, column):
-    """Distinct-key estimate for one column.
-
-    Exact for the primary key (== row count), for columns carrying a
-    single-column hash index (the bucket count *is* the NDV), and for
-    any column of a table with a valid columnar snapshot (per-column
-    distinct counts are recorded at snapshot build); the density
-    heuristic is the last resort.
-    """
+    """Distinct-key count for one column: the row count for the primary
+    key, the bucket count of a single-column index, else the per-column
+    distinct count recorded when the table's columnar snapshot was built
+    (on demand, under every engine — see the module docstring; the build
+    is amortized by the plan cache, planning only happens on a miss)."""
     schema = db.catalog.table(table_name)
-    rows = schema.stats.row_count
     pk = schema.primary_key
     if pk is not None and pk.name == column:
-        return max(rows, 1)
+        return max(schema.stats.row_count, 1)
     table = db.tables_get(table_name)
     for index in table.indexes.values():
         if index.info.columns == (column,):
             return max(index.distinct_keys, 1)
-    store = _snapshot_stats(db, table_name)
-    if store is not None:
-        n_distinct = store.distinct.get(column)
-        if n_distinct is not None:
-            return max(n_distinct, 1)
-    # Density heuristic: one key per _FALLBACK_ROWS_PER_KEY rows, but never
-    # fewer keys than min(rows, 10) so equality stays selective on small
-    # tables instead of degenerating to "matches everything".
-    return max(rows // _FALLBACK_ROWS_PER_KEY, min(rows, 10), 1)
-
-
-def _snapshot_stats(db, table_name):
-    """The table's columnar snapshot as a statistics source, or None.
-
-    Builds the snapshot on demand (it is cached on the table until the
-    next mutation), under **every** engine: plans must not depend on
-    which engine executes them, or rows_touched would diverge across the
-    columnar-vs-row differential oracles.  The build cost is amortized by
-    the plan cache — planning only happens on a cache miss.
-    """
-    if table_name is None:
-        return None
-    try:
-        table = db.tables_get(table_name)
-        if table is None:
-            return None
-        return table.column_store()
-    except Exception:
-        return None  # stats are optional; planning must never fail here
+    return max(table.column_store().distinct[column], 1)
 
 
 def probe_index_name(db, table_name, ordinal):
@@ -175,17 +134,15 @@ def selectivity(db, table_name, expr):
         if expr.op == "<>":
             return 1.0 - _equality_selectivity(db, table_name, expr)
         if expr.op in ("<", ">", "<=", ">="):
-            return _range_op_selectivity(db, table_name, expr)
+            return RANGE_SELECTIVITY
         return DEFAULT_SELECTIVITY
     if isinstance(expr, A.UnaryOp) and expr.op == "NOT":
         return 1.0 - selectivity(db, table_name, expr.operand)
     if isinstance(expr, A.IsNull):
         return 1.0 - NULL_SELECTIVITY if expr.negated else NULL_SELECTIVITY
     if isinstance(expr, A.Between):
-        sel = _between_selectivity(db, table_name, expr)
-        return 1.0 - sel if expr.negated else sel
-    if isinstance(expr, A.Like):
-        return 1.0 - LIKE_SELECTIVITY if expr.negated else LIKE_SELECTIVITY
+        return (1.0 - BETWEEN_SELECTIVITY if expr.negated
+                else BETWEEN_SELECTIVITY)
     if isinstance(expr, A.InList):
         sel = min(1.0, EQ_SELECTIVITY * max(len(expr.items), 1))
         return 1.0 - sel if expr.negated else sel
@@ -196,108 +153,6 @@ def selectivity(db, table_name, expr):
             return 0.0
         return DEFAULT_SELECTIVITY
     return DEFAULT_SELECTIVITY
-
-
-def _order_stats_fraction(db, table_name, column, low, high, low_incl,
-                          high_incl):
-    """Range fraction from the column's key-order statistic (an ordered
-    index whose sorted key list is bisected for the bound positions),
-    falling back to uniform interpolation over the columnar snapshot's
-    whole-column min/max; None when neither statistic covers ``column``."""
-    if table_name is None:
-        return None
-    schema = db.catalog.table(table_name)
-    if not schema.has_column(column):
-        return None
-    fraction = schema.stats.range_fraction(column, low, high, low_incl,
-                                           high_incl)
-    if fraction is not None:
-        return fraction
-    return _snapshot_range_fraction(db, table_name, column, low, high)
-
-
-def _is_plain_number(value):
-    """Numeric and not a bool (bools order against ints in Python but are
-    a distinct SQL family — interpolating across them would be wrong)."""
-    return (value is not None and value.__class__ is not bool
-            and isinstance(value, (int, float)))
-
-
-def _snapshot_range_fraction(db, table_name, column, low, high):
-    """Uniform-interpolation range fraction from the snapshot's
-    whole-column ``(lo, hi)`` aggregate, numeric columns and bounds only
-    (bound inclusivity is below the resolution of a continuous
-    approximation and is ignored).  Scaled by the non-NULL fraction —
-    NULL rows satisfy no range predicate."""
-    for bound in (low, high):
-        if bound is not None and not _is_plain_number(bound):
-            return None
-    store = _snapshot_stats(db, table_name)
-    if store is None or store.length == 0:
-        return None
-    bounds = store.ranges.get(column)
-    if bounds is None:
-        return None
-    lo, hi = bounds
-    if not (_is_plain_number(lo) and _is_plain_number(hi)):
-        nulls = store.nulls.get(column)
-        if nulls is not None and nulls == store.length:
-            return 0.0  # all-NULL column: nothing satisfies a range
-        return None
-    nonnull = store.length - store.nulls.get(column, 0)
-    if nonnull <= 0:
-        return 0.0
-    if hi <= lo:
-        # Degenerate span (single distinct value): containment decides.
-        inside = ((low is None or low <= lo)
-                  and (high is None or high >= hi))
-        fraction = 1.0 if inside else 0.0
-    else:
-        lo_eff = lo if low is None else max(low, lo)
-        hi_eff = hi if high is None else min(high, hi)
-        fraction = (0.0 if hi_eff < lo_eff
-                    else (hi_eff - lo_eff) / (hi - lo))
-    return fraction * (nonnull / store.length)
-
-
-def _range_op_selectivity(db, table_name, expr):
-    """Selectivity of ``col <op> constant``: the key-order statistic when
-    the bound is a literal over an ordered-indexed column, the
-    RANGE_SELECTIVITY constant otherwise (parameters are unknown at plan
-    time by design — plans are cached across parameter values)."""
-    for a, b, op in ((expr.left, expr.right, expr.op),
-                     (expr.right, expr.left, FLIPPED_OPS[expr.op])):
-        if isinstance(a, A.ColumnRef) and isinstance(b, A.Literal):
-            if b.value is None:
-                return 0.0  # col < NULL is UNKNOWN for every row
-            if op in ("<", "<="):
-                fraction = _order_stats_fraction(
-                    db, table_name, a.column, None, b.value,
-                    True, op == "<=")
-            else:
-                fraction = _order_stats_fraction(
-                    db, table_name, a.column, b.value, None,
-                    op == ">=", True)
-            if fraction is not None:
-                return fraction
-            break
-    return RANGE_SELECTIVITY
-
-
-def _between_selectivity(db, table_name, expr):
-    """Selectivity of (non-negated) BETWEEN via the key-order statistic
-    when both bounds are literals, BETWEEN_SELECTIVITY otherwise."""
-    if (isinstance(expr.expr, A.ColumnRef)
-            and isinstance(expr.low, A.Literal)
-            and isinstance(expr.high, A.Literal)):
-        if expr.low.value is None or expr.high.value is None:
-            return 0.0
-        fraction = _order_stats_fraction(
-            db, table_name, expr.expr.column, expr.low.value,
-            expr.high.value, True, True)
-        if fraction is not None:
-            return fraction
-    return BETWEEN_SELECTIVITY
 
 
 def _equality_selectivity(db, table_name, expr):
@@ -336,9 +191,9 @@ def range_scan_estimate(db, table_name, candidate, predicate=None):
 
         cost = rows × Π 1/NDV(prefix column) × range fraction
 
-    where the range fraction comes from the key-order statistic for
-    literal bounds and from the RANGE/BETWEEN constants for parameter
-    bounds.  The *output* cardinality applies the full predicate's
+    where the range fraction is BETWEEN_SELECTIVITY for a two-sided bound
+    and RANGE_SELECTIVITY for a one-sided one.  The *output* cardinality
+    applies the full predicate's
     selectivity (the Filter above the scan re-applies every conjunct),
     clamped to never exceed the rows touched.
     """
@@ -346,64 +201,16 @@ def range_scan_estimate(db, table_name, candidate, predicate=None):
     touch_sel = 1.0
     for column in candidate.columns[:candidate.n_prefix]:
         touch_sel /= column_ndv(db, table_name, column)
-    if candidate.low is not None or candidate.high is not None:
-        touch_sel *= _bound_fraction(db, table_name, candidate)
+    if candidate.low is not None and candidate.high is not None:
+        touch_sel *= BETWEEN_SELECTIVITY
+    elif candidate.low is not None or candidate.high is not None:
+        touch_sel *= RANGE_SELECTIVITY
     touched = _floor(rows * touch_sel, rows)
     out = touched
     if predicate is not None:
         out = min(_floor(rows * selectivity(db, table_name, predicate),
                          rows), touched)
     return Estimate(out, touched)
-
-
-def _bound_fraction(db, table_name, candidate):
-    """Fraction of the prefix region the range bounds keep.
-
-    Literal bounds are priced exactly off the candidate's *own* ordered
-    index (it names it — no registry needed): a leading-column range
-    bisects the whole sorted key list, and a suffix-column range under an
-    **all-literal** equality prefix bisects within that prefix's key
-    region (composite key-order statistics).  Parameter bounds or prefixes
-    are unknown at plan time by design (one cached plan serves every
-    parameter value) and keep the heuristic constants.
-    """
-    low, high = candidate.low, candidate.high
-    low_lit = isinstance(low, A.Literal) or low is None
-    high_lit = isinstance(high, A.Literal) or high is None
-    if low_lit and high_lit and table_name is not None:
-        low_value = low.value if low is not None else None
-        high_value = high.value if high is not None else None
-        if (low is not None and low_value is None) or (
-                high is not None and high_value is None):
-            return 0.0  # a NULL bound is UNKNOWN for every row
-        prefix_values = _literal_prefix(candidate)
-        if prefix_values is not None:
-            if any(value is None for value in prefix_values):
-                return 0.0  # col = NULL never matches: empty region
-            index = db.tables_get(table_name).indexes.get(
-                candidate.index_name)
-            if isinstance(index, OrderedIndex):
-                try:
-                    return index.prefix_range_fraction(
-                        prefix_values, low_value, high_value,
-                        candidate.low_incl, candidate.high_incl)
-                except TypeError:
-                    pass  # incomparable bound: heuristic constants below
-    if low is not None and high is not None:
-        return BETWEEN_SELECTIVITY
-    return RANGE_SELECTIVITY
-
-
-def _literal_prefix(candidate):
-    """The candidate's equality-prefix values when every prefix constant
-    is a literal (None when any is a parameter — unpriceable at plan
-    time).  An empty prefix yields ``()``."""
-    values = []
-    for expr in candidate.prefix_exprs:
-        if not isinstance(expr, A.Literal):
-            return None
-        values.append(expr.value)
-    return tuple(values)
 
 
 def join_step(db, sctx, left, table_index, condition, kind,

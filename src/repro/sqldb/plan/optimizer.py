@@ -83,7 +83,7 @@ FROM_ORDER_OPTIONS = OptimizerOptions(reorder_joins=False, index_joins=False,
 def optimize(node, sctx, db, options=None):
     """Apply all rewrite rules to a canonical logical plan."""
     if options is None:
-        options = getattr(db, "optimizer_options", None) or DEFAULT_OPTIONS
+        options = db.optimizer_options or DEFAULT_OPTIONS
     if options.reorder_joins:
         node = reorder_joins(node, sctx, db, options)
     node = push_down_predicates(node, sctx)

@@ -66,7 +66,7 @@ from repro.sqldb.plan.access import (pk_lookup_keys, range_scan_ids,
 from repro.sqldb.plan.compile import (compile_aggregate_item_columnar,
                                       compile_filter,
                                       compile_grouped_item_columnar,
-                                      compile_project, compile_vec)
+                                      compile_project)
 from repro.sqldb.plan.planner import _AGGREGATE_NAMES
 from repro.sqldb.result import ExecResult
 
@@ -707,10 +707,10 @@ class AggregateOp:
     """GROUP BY + aggregate select items + HAVING.
 
     Chunks fold straight into accumulators where every item has a
-    chunk-at-a-time form.  Every other shape — composite items
-    (aggregates nested in arithmetic), keys or arguments without a vector
-    form, HAVING — is interpreted over the materialized source rows,
-    under either engine.
+    chunk-at-a-time form and every key is a plain column.  Every other
+    shape — composite items (aggregates nested in arithmetic), computed
+    keys, arguments without a vector form, HAVING — is interpreted over
+    the materialized source rows, under either engine.
     """
 
     def __init__(self, items, group_by, having, sctx):
@@ -726,33 +726,23 @@ class AggregateOp:
         self._citem_fns = [compile_aggregate_item_columnar(
             item.expr, positions, ambiguous) for item in items]
         # Grouped columnar path: per-item (make, update, final) triples
-        # plus a key plan — ("pos", flat position) for plain column keys
-        # (dictionary lanes group by integer code), ("vec", closure) for
-        # computed keys.  None means the query is interpreted.
+        # plus the flat position of each key — every key a plain column
+        # (dictionary lanes group by integer code).  None means the query
+        # is interpreted: a computed key, or a reference only the
+        # interpreter can raise the error for.
         self._cgrouped_items = None
-        self._ckey_plan = None
+        self._ckey_positions = None
         if group_by:
             triples = [compile_grouped_item_columnar(
                 item.expr, positions, ambiguous) for item in items]
-            if all(t is not None for t in triples):
-                key_plan = []
-                for e in group_by:
-                    if isinstance(e, A.ColumnRef):
-                        if not (e.table is None and e.column in ambiguous):
-                            pos = positions.get((e.table, e.column))
-                            if pos is not None:
-                                key_plan.append(("pos", pos))
-                                continue
-                        key_plan = None  # the interpreter raises the error
-                        break
-                    vec = compile_vec(e, positions, ambiguous)
-                    if vec is None:
-                        key_plan = None
-                        break
-                    key_plan.append(("vec", vec))
-                if key_plan is not None:
-                    self._cgrouped_items = triples
-                    self._ckey_plan = key_plan
+            key_positions = [
+                positions.get((e.table, e.column))
+                if isinstance(e, A.ColumnRef)
+                and not (e.table is None and e.column in ambiguous)
+                else None for e in group_by]
+            if None not in triples and None not in key_positions:
+                self._cgrouped_items = triples
+                self._ckey_positions = key_positions
 
     def apply(self, run):
         run.has_aggregates = True
@@ -823,8 +813,8 @@ class AggregateOp:
         makes = [t[0] for t in triples]
         updates = [t[1] for t in triples]
         finals = [t[2] for t in triples]
-        key_plan = self._ckey_plan
-        single = len(key_plan) == 1
+        key_positions = self._ckey_positions
+        single = len(key_positions) == 1
         groups = {}  # key value (scalar when single) -> group index
         accs = [[] for _ in triples]
         n_groups = 0
@@ -837,9 +827,8 @@ class AggregateOp:
             gidxs = []
             ga = gidxs.append
             if single:
-                kind, payload = key_plan[0]
-                col = chunk.columns[payload] if kind == "pos" else None
-                if kind == "pos" and type(col) is DictColumn:
+                col = chunk.columns[key_positions[0]]
+                if type(col) is DictColumn:
                     meta = col.meta
                     cached = trans_cache.get(id(meta))
                     if cached is None or cached[0] is not meta:
@@ -875,12 +864,8 @@ class AggregateOp:
                                 code_map[cd] = g
                         ga(g)
                 else:
-                    if kind == "pos":
-                        keys = ([None] * n if col is None
-                                else [col[i] for i in live])
-                    else:
-                        scalar, value = payload(chunk, live, params)
-                        keys = [value] * n if scalar else value
+                    keys = ([None] * n if col is None
+                            else [col[i] for i in live])
                     for key in keys:
                         g = groups.get(key, -1)
                         if g < 0:
@@ -891,13 +876,8 @@ class AggregateOp:
                                 acc.append(make())
                         ga(g)
             else:
-                lanes = []
-                for kind, payload in key_plan:
-                    if kind == "pos":
-                        lanes.append(chunk.gather_at(payload, live))
-                    else:
-                        scalar, value = payload(chunk, live, params)
-                        lanes.append([value] * n if scalar else value)
+                lanes = [chunk.gather_at(pos, live)
+                         for pos in key_positions]
                 for key in zip(*lanes):
                     g = groups.get(key, -1)
                     if g < 0:

@@ -60,33 +60,16 @@ class Table:
         for row_id, row in self.rows.items():
             index.insert(row_id, row)
         self.indexes[info.name] = index
-        if info.method == "ordered":
-            self.schema.stats.register_order_stats(index)
         return index
 
     def drop_index(self, name):
-        index = self.indexes.pop(name, None)
-        if isinstance(index, OrderedIndex):
-            self.schema.stats.unregister_order_stats(index)
-            # Another ordered index may still provide key-order stats for
-            # its leading column.
-            for other in self.indexes.values():
-                if isinstance(other, OrderedIndex):
-                    self.schema.stats.register_order_stats(other)
+        self.indexes.pop(name, None)
 
     def ordered_indexes(self):
         """The table's ordered indexes (the planner's range-scan and
         sort-elision candidates), in creation order."""
         return [index for index in self.indexes.values()
                 if isinstance(index, OrderedIndex)]
-
-    def index_on(self, columns):
-        """Find an index whose column list equals ``columns``, or None."""
-        wanted = tuple(columns)
-        for index in self.indexes.values():
-            if index.info.columns == wanted:
-                return index
-        return None
 
     # -- row operations ------------------------------------------------------
 

@@ -198,13 +198,11 @@ class AppServer:
 
         mav = controller(ctx, request)
         writer = ThunkWriter()
-        # Template thunks come from the extended JSP writer's pre-allocated
-        # buffer (paper §5, writeThunk); their cost is the per-node render
-        # charge below, not a per-thunk allocation.
-        render_runtime = None
+        # Template thunks are entries of the extended JSP writer's buffer
+        # (paper §5, writeThunk); their cost is the per-node render charge
+        # below, not a per-thunk allocation.
         scope = dict(mav.model)
-        template.render(scope, writer, runtime=render_runtime,
-                        lazy_mode=(self.mode == MODE_SLOTH))
+        template.render(scope, writer, lazy_mode=(self.mode == MODE_SLOTH))
         # Rendering itself costs CPU proportional to the page size.
         self.clock.charge(
             PHASE_APP, self.cost_model.app_op_ms * max(1, len(writer._buffer)))

@@ -13,8 +13,8 @@ Semantics match the paper's extended JSP engine:
 - ``{{ expr }}`` — under the original stack the expression is evaluated and
   written immediately (forcing any lazily-fetched ORM value right there,
   which is how the original OpenMRS pages incur one round trip per concept).
-  Under Sloth the expression becomes a thunk handed to
-  :meth:`repro.web.writer.ThunkWriter.write_thunk`, evaluated only when the
+  Under Sloth the value reached so far and the rest of the path are handed
+  to :meth:`repro.web.writer.ThunkWriter.write_thunk`, walked only when the
   page flushes.
 - ``{% for %}`` / ``{% if %}`` — control flow needs real values, so the
   iterated collection / condition is forced in both modes (rendering is an
@@ -27,7 +27,7 @@ conditions.
 
 import re
 
-from repro.core.thunk import Thunk, force, is_thunk
+from repro.core.thunk import force, is_thunk
 
 
 class TemplateError(Exception):
@@ -44,15 +44,12 @@ class Template:
         self.name = name
         self.nodes = _parse(_tokenize(source), name)
 
-    def render(self, scope, writer, runtime=None, lazy_mode=False):
-        """Render into ``writer``.
-
-        ``lazy_mode`` selects Sloth semantics (defer ``{{ }}`` to flush);
-        ``runtime`` (optional) charges thunk-allocation overhead.
-        """
+    def render(self, scope, writer, lazy_mode=False):
+        """Render into ``writer``; ``lazy_mode`` selects Sloth semantics
+        (defer ``{{ }}`` to flush)."""
         frame = dict(scope)
         for node in self.nodes:
-            node.render(frame, writer, runtime, lazy_mode)
+            node.render(frame, writer, lazy_mode)
 
 
 def _tokenize(source):
@@ -160,7 +157,7 @@ def _lookup_until_delayed(scope, path):
     return value, ()
 
 
-def _walk(value, path):
+def walk(value, path):
     """Forced traversal of the remaining path segments (flush time)."""
     for segment in path:
         value = force(value)
@@ -186,7 +183,7 @@ class _TextNode:
     def __init__(self, text):
         self.text = text
 
-    def render(self, scope, writer, runtime, lazy_mode):
+    def render(self, scope, writer, lazy_mode):
         writer.write(self.text)
 
 
@@ -196,20 +193,14 @@ class _VarNode:
     def __init__(self, path):
         self.path = path
 
-    def render(self, scope, writer, runtime, lazy_mode):
+    def render(self, scope, writer, lazy_mode):
         if lazy_mode:
             # Sloth: walk the path eagerly while values are concrete — this
             # is what *registers* relation queries during rendering, exactly
             # like the compiled loop bodies in the paper (all N queries of a
             # 1+N pattern register before any of them is forced).  Stop at
             # the first delayed value and defer the rest of the path.
-            value, remainder = _lookup_until_delayed(scope, self.path)
-            if remainder:
-                writer.write_thunk(Thunk(
-                    lambda: _walk(force(value), remainder),
-                    runtime=runtime))
-            else:
-                writer.write_thunk(Thunk(lambda: value, runtime=runtime))
+            writer.write_thunk(*_lookup_until_delayed(scope, self.path))
         else:
             value = force(_lookup(scope, self.path))
             writer.write("" if value is None else _text(value))
@@ -223,14 +214,14 @@ class _ForNode:
         self.path = path
         self.body = body
 
-    def render(self, scope, writer, runtime, lazy_mode):
+    def render(self, scope, writer, lazy_mode):
         collection = force(_lookup(scope, self.path))
         if collection is None:
             return
         for item in collection:
             scope[self.var] = item
             for node in self.body:
-                node.render(scope, writer, runtime, lazy_mode)
+                node.render(scope, writer, lazy_mode)
         scope.pop(self.var, None)
 
 
@@ -243,14 +234,14 @@ class _IfNode:
         self.body = body
         self.orelse = orelse
 
-    def render(self, scope, writer, runtime, lazy_mode):
+    def render(self, scope, writer, lazy_mode):
         value = force(_lookup(scope, self.path))
         truthy = bool(value)
         if self.negated:
             truthy = not truthy
         branch = self.body if truthy else self.orelse
         for node in branch:
-            node.render(scope, writer, runtime, lazy_mode)
+            node.render(scope, writer, lazy_mode)
 
 
 def _text(value):

@@ -10,7 +10,7 @@ Keeping scalar outputs delayed until flush is what lets the very last
 queries of a page accumulate into one final batch.
 """
 
-from repro.core.thunk import force
+from repro.web.templates import walk
 
 
 class ThunkWriter:
@@ -18,38 +18,25 @@ class ThunkWriter:
 
     def __init__(self):
         self._buffer = []
-        self._flushed = False
-        self.thunk_writes = 0
 
     def write(self, text):
         """Append already-evaluated text."""
         self._buffer.append(text)
 
-    def write_thunk(self, value):
-        """Append a value that may still be a thunk/proxy (not forced)."""
-        self._buffer.append(_Deferred(value))
-        self.thunk_writes += 1
+    def write_thunk(self, value, path=()):
+        """Append a value that may still be a thunk/proxy (not forced) and
+        the attribute path still to be walked from it.  The buffer entry
+        *is* the thunk: nothing else is allocated per deferred cell."""
+        self._buffer.append((value, path))
 
     def flush(self):
         """Force everything and return the rendered page string."""
         parts = []
         for piece in self._buffer:
-            if isinstance(piece, _Deferred):
-                piece = _to_text(force(piece.value))
+            if piece.__class__ is tuple:
+                piece = _to_text(walk(*piece))
             parts.append(piece)
-        self._flushed = True
         return "".join(parts)
-
-    @property
-    def flushed(self):
-        return self._flushed
-
-
-class _Deferred:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
 
 
 def _to_text(value):

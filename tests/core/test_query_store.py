@@ -185,28 +185,6 @@ class TestResultStoreBounded:
         # result is still servable.
         assert qs.get_result_set(pending).scalar() == 0
 
-    def test_per_request_refs_survive_other_requests_drain(self, sim_stack):
-        # A dedup-shared id spanning two requests that reach their
-        # boundaries at different times: request A registering, fetching
-        # and draining must not evict the result request B still owes a
-        # fetch for.  Holder counts are per-request, not a global int.
-        qs = self._seeded_store(sim_stack)
-        token_a = qs.begin_request()
-        a_id = qs.register_query("SELECT v FROM t WHERE id = ?", (7,))
-        qs.begin_request()
-        b_id = qs.register_query("SELECT v FROM t WHERE id = ?", (7,))
-        assert a_id == b_id  # dedup across the shared pending buffer
-        qs.get_result_set(b_id)  # request B is active: fetches first
-        # Request B over-fetches; with a global count this would consume
-        # request A's hold and the boundary below would evict.
-        qs.get_result_set(b_id)
-        qs.flush()  # request B's boundary
-        assert qs.result_store_size == 1  # request A still owes a fetch
-        qs.enter_request(token_a)
-        assert qs.get_result_set(a_id).scalar() == 7
-        qs.flush()  # request A's boundary
-        assert qs.result_store_size == 0
-
     def test_over_fetch_does_not_strand_results(self, sim_stack):
         # Clamping at zero must not leak: an id fetched more times than
         # registered is still evicted at the boundary.

@@ -92,8 +92,6 @@ _OPS = st.lists(st.one_of(
     st.tuples(st.just("get"), st.integers(0, 200)),
     st.tuples(st.just("flush")),
     st.tuples(st.just("drain")),
-    st.tuples(st.just("begin")),
-    st.tuples(st.just("enter"), st.integers(0, 200)),
 ), max_size=60)
 
 
@@ -115,10 +113,6 @@ def _apply(store, minted, op):
         store.flush()
     elif kind == "drain":
         store.drain()
-    elif kind == "begin":
-        return store.begin_request()
-    elif kind == "enter":
-        store.enter_request(op[1] % (store._request_token + 1))
     return None
 
 
@@ -126,7 +120,7 @@ def _bookkeeping(store):
     return {
         "retained": [q.value for q in store._results],
         "delivered": [q.value for q in store._delivered],
-        "held": {q.value: dict(h) for q, h in store._refs.items()},
+        "held": {q.value: count for q, count in store._refs.items()},
         "result_store_size": store.result_store_size,
         "results_evicted": store.stats.results_evicted,
         "pending": store.pending_count,

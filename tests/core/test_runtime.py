@@ -117,6 +117,23 @@ class TestRequestLifecycle:
         assert result.scalar() == 10
         assert runtime.driver.stats.round_trips == 1
 
+    def test_original_mode_runtime_runs_over_the_plain_driver(
+            self, sim_stack):
+        # What AppServer builds in MODE_ORIGINAL: a non-lazy runtime over a
+        # Driver, which has no execute_batch for a query store to call.
+        db, clock, server, driver, _ = sim_stack
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        runtime = SlothRuntime(driver, clock, server.cost_model,
+                               lazy_mode=False)
+        runtime.execute_write("INSERT INTO t (id, v) VALUES (1, 10)")
+        value = runtime.query("SELECT v FROM t WHERE id = ?", (1,),
+                              deserialize=lambda result: result.scalar())
+        assert value == 10
+        assert driver.stats.round_trips == 2
+        # Nothing went through the store; its stats stay readable, zeroed.
+        assert runtime.query_store.stats.queries_registered == 0
+        assert runtime.query_store.stats.batches_flushed == 0
+
 
 class TestAsyncBranchBarrier:
     """With branch deferral off, run_ops' branch-point flush is a true

@@ -229,10 +229,6 @@ def test_zone_maps_record_chunk_min_max_and_nulls():
     (lo, hi, nulls, count), = store.zones["name"]
     assert (lo, hi) == ("label0", "label3")
     assert nulls == 10 and count == 100
-    # The column-level aggregates the cost model reads.
-    assert store.ranges["id"] == (0, 99)
-    assert store.ranges["name"] == ("label0", "label3")
-    assert store.nulls["name"] == 10 and store.nulls["id"] == 0
 
 
 def test_zone_maps_withhold_unorderable_ranges():

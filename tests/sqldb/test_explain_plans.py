@@ -106,10 +106,10 @@ Project
 
 
 def test_itracker_latest_issues_page_descending_top_n(itracker_db):
-    """Top-N-by-date page: a literal-bounded range scan (the key-order
-    statistic prices the bound), walked descending so the DESC sort is
-    elided; with the Sort gone and a LIMIT above, execution stops after
-    the first limit+offset rows."""
+    """Top-N-by-date page: a literal-bounded range scan (priced, like a
+    parameter bound, by RANGE_SELECTIVITY), walked descending so the DESC
+    sort is elided; with the Sort gone and a LIMIT above, execution stops
+    after the first limit+offset rows."""
     assert_plan(itracker_db, (
         "SELECT i.id, i.description, u.login FROM it_issue i "
         "JOIN it_user u ON i.creator_id = u.id "
@@ -117,9 +117,9 @@ def test_itracker_latest_issues_page_descending_top_n(itracker_db):
         "ORDER BY i.last_modified DESC LIMIT 10"), """
 Limit
   Project
-    Join [kind='INNER', table='it_user', strategy='hash'] (~167 rows, ~187 touched)
-      Filter [predicate=BinaryOp(op='>=', left=ColumnRef(table='i', column='last_modified'), right=Literal(value='2014-07-01'))] (~167 rows, ~167 touched)
-        IndexRangeScan [table='it_issue', index='idx_it_issue_modified', bounds='last_modified >= '2014-07-01'', order='last_modified DESC (sort elided)'] (~167 rows, ~167 touched)
+    Join [kind='INNER', table='it_user', strategy='hash'] (~150 rows, ~170 touched)
+      Filter [predicate=BinaryOp(op='>=', left=ColumnRef(table='i', column='last_modified'), right=Literal(value='2014-07-01'))] (~150 rows, ~150 touched)
+        IndexRangeScan [table='it_issue', index='idx_it_issue_modified', bounds='last_modified >= '2014-07-01'', order='last_modified DESC (sort elided)'] (~150 rows, ~150 touched)
 """)
 
 
@@ -132,34 +132,27 @@ Project
 
 
 def test_snapshot_ndv_picks_cheaper_join_order():
-    """Snapshot distinct counts flip the join base to the genuinely
-    cheaper side.  ``refs.ref`` is all-distinct but carries no index, so
-    the density heuristic prices its equality filter at rows//10 (~10
-    survivors) — no better than the flag filter — and bases the chain on
-    ``flags`` (130 rows actually touched).  The snapshot knows ``ref``
-    has 100 distinct values (~1 survivor) and re-bases onto ``refs``
-    with a PK probe into ``flags``: 101 rows actually touched."""
-    from repro.sqldb.plan import cost
-
-    def build():
-        db = Database(result_cache_size=0)
-        db.execute(
-            "CREATE TABLE flags (id INT PRIMARY KEY, flag TEXT, note TEXT)")
-        db.execute(
-            "CREATE TABLE refs (id INT PRIMARY KEY, flag_id INT, ref TEXT)")
-        db.execute("CREATE INDEX idx_refs_flag_id ON refs (flag_id)")
-        for i in range(80):
-            db.execute("INSERT INTO flags VALUES (?, ?, ?)",
-                       (i, "hot" if i % 2 else "cold", f"n{i}"))
-        for i in range(100):
-            db.execute("INSERT INTO refs VALUES (?, ?, ?)",
-                       (i, i % 80, f"R-{i:04d}"))
-        return db
-
+    """Snapshot distinct counts put the join base on the genuinely
+    cheaper side.  ``refs.ref`` is all-distinct but carries no index; the
+    snapshot knows it has 100 distinct values (~1 survivor of the
+    equality filter), so the chain is based on ``refs`` with a PK probe
+    into ``flags`` — 101 rows actually touched, where basing it on
+    ``flags`` (the FROM order) would touch 130."""
+    db = Database(result_cache_size=0)
+    db.execute(
+        "CREATE TABLE flags (id INT PRIMARY KEY, flag TEXT, note TEXT)")
+    db.execute(
+        "CREATE TABLE refs (id INT PRIMARY KEY, flag_id INT, ref TEXT)")
+    db.execute("CREATE INDEX idx_refs_flag_id ON refs (flag_id)")
+    for i in range(80):
+        db.execute("INSERT INTO flags VALUES (?, ?, ?)",
+                   (i, "hot" if i % 2 else "cold", f"n{i}"))
+    for i in range(100):
+        db.execute("INSERT INTO refs VALUES (?, ?, ?)",
+                   (i, i % 80, f"R-{i:04d}"))
     sql = ("SELECT f.note, r.id FROM flags f "
            "JOIN refs r ON r.flag_id = f.id "
            "WHERE f.flag = 'hot' AND r.ref = 'R-0043'")
-    db = build()
     assert_plan(db, sql, """
 Project
   Filter [predicate=BinaryOp(op='=', left=ColumnRef(table='f', column='flag'), right=Literal(value='hot'))] (~1 rows, ~101 touched)
@@ -170,20 +163,6 @@ Project
     with_stats = db.execute(sql)
     assert with_stats.rows == [("n43", 43)]
     assert with_stats.rows_touched == 101
-    # The same schema planned without snapshot statistics bases the
-    # chain on flags and touches measurably more storage.
-    heuristic_db = build()
-    orig = cost._snapshot_stats
-    cost._snapshot_stats = lambda db, table_name: None
-    try:
-        plan = heuristic_db.explain(sql)
-        without_stats = heuristic_db.execute(sql)
-    finally:
-        cost._snapshot_stats = orig
-    assert "Scan [table='flags', alias='f']" in plan
-    assert without_stats.rows == with_stats.rows
-    assert without_stats.rows_touched == 130
-    assert with_stats.rows_touched < without_stats.rows_touched
 
 
 # ---------------------------------------------------------------------------

@@ -119,19 +119,6 @@ class TestOrderedIndexStructure:
         days = [table.rows[rid][1] for rid in index.scan()]
         assert days == [None, 3, 3, 5, 7, 7, 9, 100]
 
-    def test_range_fraction_tracks_data(self, events_db):
-        stats = events_db.catalog.table("ev").stats
-        # distinct day keys: None, 1, 3, 5, 7, 9 -> [3, 7] covers 3 of 6
-        assert stats.range_fraction("day", 3, 7) == pytest.approx(0.5)
-        assert stats.range_fraction("val", 0, 100) is None  # no stats
-
-    def test_drop_index_unregisters_stats(self, events_db):
-        events_db.execute("DROP INDEX idx_ev_day")
-        stats = events_db.catalog.table("ev").stats
-        assert stats.range_fraction("day", 3, 7) is None
-        # the (kind, day) index still covers kind
-        assert stats.range_fraction("kind", "a", "b") is not None
-
 
 # ---------------------------------------------------------------------------
 # Range-scan access path
@@ -378,9 +365,9 @@ class TestPlanCache:
 
 class TestBoundTypeMismatch:
     def test_literal_mismatch_raises_sql_type_error(self, events_db):
-        # Planning must not crash (the key-order statistic falls back to
-        # the heuristic constant); execution surfaces the engine's usual
-        # SqlTypeError, exactly as a scan-and-filter would.
+        # Planning prices the bound by a constant and never compares it;
+        # execution surfaces the engine's usual SqlTypeError, exactly as a
+        # scan-and-filter would.
         from repro.sqldb.errors import SqlTypeError
         with pytest.raises(SqlTypeError):
             events_db.execute("SELECT id FROM ev WHERE day < 'oops'")
@@ -487,13 +474,13 @@ class TestRangeBoundIntersection:
 
 
 # ---------------------------------------------------------------------------
-# Composite key-order statistics
+# Suffix-column bounds under an equality prefix
 # ---------------------------------------------------------------------------
 
 class TestCompositeKeyOrderStats:
-    """Suffix-column bounds under a literal equality prefix are priced by
-    bisecting *within the prefix's key region* instead of falling back to
-    the RANGE/BETWEEN constants."""
+    """A bound on a suffix column under an equality prefix is priced by
+    the RANGE/BETWEEN constants, whatever its operands: planning never
+    compares a bound against stored keys."""
 
     @pytest.fixture
     def skewed_db(self):
@@ -513,29 +500,9 @@ class TestCompositeKeyOrderStats:
             i += 1
         return db
 
-    def test_fraction_is_exact_within_prefix_region(self, skewed_db):
-        index = skewed_db.tables["ev2"].indexes["idx_kind_day"]
-        assert index.prefix_range_fraction(("b",), None, 5, True,
-                                           False) == 0.05
-        assert index.prefix_range_fraction(("a",), None, 5, True,
-                                           False) == 0.5
-        assert index.prefix_range_fraction(("b",), 90, None, True,
-                                           True) == 0.1
-
-    def test_empty_prefix_region_prices_zero(self, skewed_db):
-        index = skewed_db.tables["ev2"].indexes["idx_kind_day"]
-        assert index.prefix_range_fraction(("zzz",), None, 5, True,
-                                           False) == 0.0
-
-    def test_empty_prefix_equals_leading_column_fraction(self, skewed_db):
-        index = skewed_db.tables["ev2"].indexes["idx_kind_day"]
-        assert index.prefix_range_fraction((), None, "b", True, False) == \
-            index.range_fraction(None, "b", True, False)
-
     def test_incomparable_bound_falls_back(self, skewed_db):
-        # An incomparable literal bound must not crash pricing: the cost
-        # model catches the TypeError and keeps the heuristic constants
-        # (the real type error still surfaces at execution).
+        # An incomparable literal bound must not crash pricing (the real
+        # type error still surfaces at execution).
         from repro.sqldb.errors import SqlTypeError
         plan = skewed_db.explain(
             "SELECT id FROM ev2 WHERE kind = 'b' AND day < 'oops'")
@@ -544,21 +511,6 @@ class TestCompositeKeyOrderStats:
             skewed_db.execute(
                 "SELECT id FROM ev2 WHERE kind = 'b' AND day < 'oops'")
 
-    def test_estimates_track_the_actual_region(self, skewed_db):
-        """The estimated rows touched scales with the literal suffix
-        bound — constants cannot do that."""
-        narrow = skewed_db.explain(
-            "SELECT id FROM ev2 WHERE kind = 'b' AND day < 5")
-        wide = skewed_db.explain(
-            "SELECT id FROM ev2 WHERE kind = 'b' AND day < 95")
-
-        def touched(plan):
-            line = next(l for l in plan.splitlines()
-                        if "IndexRangeScan" in l)
-            return int(line.rsplit("~", 1)[1].split(" ")[0])
-
-        assert touched(narrow) < touched(wide)
-
     def test_parameter_prefix_keeps_heuristics(self, skewed_db):
         # A parameter prefix is unknown at plan time: pricing must not
         # crash and must keep working (constants), since one cached plan
@@ -566,14 +518,3 @@ class TestCompositeKeyOrderStats:
         plan = skewed_db.explain(
             "SELECT id FROM ev2 WHERE kind = ? AND day < 5")
         assert "IndexRangeScan" in plan
-
-    def test_null_prefix_literal_prices_empty(self, skewed_db):
-        from repro.sqldb.plan.access import ordered_scan_candidates
-        from repro.sqldb.plan.cost import range_scan_estimate
-        from repro.sqldb.parser import parse
-
-        stmt = parse("SELECT id FROM ev2 WHERE kind = NULL AND day < 5")
-        [cand] = [c for c in ordered_scan_candidates(
-            skewed_db.tables["ev2"], stmt.where) if c.has_bounds]
-        est = range_scan_estimate(skewed_db, "ev2", cand, stmt.where)
-        assert est.cost == 1.0  # floored empty region

@@ -129,7 +129,7 @@ ShardLimit [pushdown: LIMIT 5 per shard]
   Limit
     Sort [order_by=[OrderItem(expr=ColumnRef(table=None, column='val'), descending=False), OrderItem(expr=ColumnRef(table=None, column='id'), descending=False)]]
       Project
-        Filter [predicate=BinaryOp(op='>', left=ColumnRef(table=None, column='val'), right=Literal(value=2))] (~5 rows, ~8 touched)
+        Filter [predicate=BinaryOp(op='>', left=ColumnRef(table=None, column='val'), right=Literal(value=2))] (~2 rows, ~8 touched)
           Scan [table='t', alias='t'] (~8 rows, ~8 touched)
 """)
 

@@ -243,6 +243,44 @@ FALLBACK_SHAPES = {
                        "AND p NOT LIKE '%7' AND v > 5", None),
     "not-like-all-null-alone": ("SELECT id, ? FROM t WHERE z NOT LIKE 'a%'",
                                 None),
+    # Aggregate and vector shapes without a kernel (no workload issues
+    # them): the whole projection / aggregation is interpreted over the
+    # rows the fused filter kept.  Over the NULL-bearing lane ``v``, the
+    # dictionary lane ``s``, the plain lane ``p`` and the all-NULL ``z``.
+    "group-count-col": ("SELECT s, COUNT(v), COUNT(z), COUNT(s) FROM t "
+                        "WHERE id < ? GROUP BY s", None),
+    "group-count-distinct": ("SELECT s, COUNT(DISTINCT v), SUM(DISTINCT v), "
+                             "COUNT(DISTINCT z) FROM t WHERE id < ? "
+                             "GROUP BY s", None),
+    "group-min-max": ("SELECT s, MIN(v), MAX(v), MIN(p), MAX(s), MAX(z) "
+                      "FROM t WHERE id < ? GROUP BY s", None),
+    "group-min-max-beside-sum": ("SELECT s, SUM(v), MIN(v), COUNT(*) FROM t "
+                                 "WHERE id < ? GROUP BY s", None),
+    "group-computed-key": ("SELECT v % 3, COUNT(*), SUM(v) FROM t "
+                           "WHERE id < ? GROUP BY v % 3", None),
+    "group-computed-key-mixed": ("SELECT s, id / 100, COUNT(*) FROM t "
+                                 "WHERE id < ? GROUP BY s, id / 100", None),
+    "group-concat-key": ("SELECT s || '-', COUNT(*) FROM t WHERE id < ? "
+                         "GROUP BY s || '-'", None),
+    "ungrouped-plain-item": ("SELECT id + 1, 7, COUNT(*) FROM t WHERE id < ?",
+                             None),
+    "neg-select": ("SELECT id, -v, -(v + 1), -z, -7 FROM t WHERE id < ?",
+                   None),
+    "neg-agg-argument": ("SELECT s, SUM(-v), SUM(-z) FROM t WHERE id < ? "
+                         "GROUP BY s", None),
+    "neg-dict-lane": ("SELECT id, -s FROM t WHERE id < ?",
+                      "cannot negate 's0'"),
+    "neg-grouped-argument": ("SELECT s, MAX(-p) FROM t WHERE id < ? "
+                             "GROUP BY s", "cannot negate 'p0'"),
+    "concat-select": ("SELECT id, s || p, s || z, 'x' || s FROM t "
+                      "WHERE id < ?", None),
+    "concat-agg-argument": ("SELECT s, MIN(s || p) FROM t WHERE id < ? "
+                            "GROUP BY s", None),
+    "concat-non-text": ("SELECT id, s || id FROM t WHERE id < ?",
+                        "'||' requires text operands"),
+    "concat-non-text-key": ("SELECT p || id, COUNT(*) FROM t WHERE id < ? "
+                            "GROUP BY p || id",
+                            "'||' requires text operands"),
 }
 
 

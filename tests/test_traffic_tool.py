@@ -1,0 +1,46 @@
+"""Smoke test for ``tools/traffic.py``: the whole-tree call counter that
+ROADMAP's zero-traffic rule is applied with."""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+pytestmark = pytest.mark.skipif(sys.version_info < (3, 11),
+                                reason="co_qualname needs Python 3.11")
+
+# Deleted under the rule; a later PR bringing one back needs a workload.
+DELETED = {
+    "_order_stats_fraction", "_snapshot_range_fraction", "_bound_fraction",
+    "_literal_prefix", "_snapshot_stats", "TableStats.range_fraction",
+    "OrderedIndex.range_fraction", "OrderedIndex.prefix_range_fraction",
+    "compile_vec", "_neg_value", "_concat_value",
+    "compile_grouped_item_columnar.<locals>.update_count",
+    "compile_grouped_item_columnar.<locals>.update_extremum",
+    "compile_grouped_item_columnar.<locals>.update_collect",
+    "compile_aggregate_item_columnar.<locals>.first_row_fn",
+    "QueryStore.begin_request", "QueryStore.enter_request",
+    "ThunkWriter.flushed",
+}
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "traffic", os.path.join(ROOT, "tools", "traffic.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reports_smoke_counts_are_repeatable():
+    traffic = _load_tool()
+    first = traffic.count_calls("reports", smoke=True)
+    second = traffic.count_calls("reports", smoke=True)
+    assert first[traffic.EXECUTE] > 0
+    assert set(first) == set(second)
+    defined = traffic.defined_functions()
+    assert set(first) <= defined  # every called name is a defined one
+    assert not {name for _, name in defined} & DELETED
