@@ -4,7 +4,10 @@ The query store is the batching mechanism at the heart of Sloth.  It keeps:
 
 - a *buffer* of registered-but-unissued queries (the current batch), each
   with a unique :class:`QueryId`, and
-- a *result store* mapping issued query ids to their result sets.
+- the map from issued query id to result set — kept *on the id*: a flush
+  writes each result into the :class:`QueryId` that names it, so a result
+  lives exactly as long as some thunk holds its id and the store retains
+  nothing it has issued.
 
 ``register_query`` adds a read to the current batch (deduplicating against
 queries already in the buffer: re-registering an identical pending query
@@ -14,7 +17,7 @@ not linger, and pending reads must execute first to preserve program order
 relative to the write (the appendix's [Write query] rule issues all unissued
 reads before the update).
 
-``get_result_set`` returns a cached result, or flushes the current batch in
+``get_result_set`` returns the id's result, or flushes the current batch in
 a single round trip and then returns it.
 
 With ``shared_scans`` enabled the store hands each flushed batch to the
@@ -30,53 +33,53 @@ landed yet.  At most ``pipeline_depth`` batches are in flight; a write
 barriers on every in-flight batch before issuing, preserving the [Write
 query] ordering on the virtual timeline as well as in the data.
 
-Delivered results are evicted at ``flush()``/``drain()`` request boundaries
-(reference-counted, so an id shared by deduplicated registrations survives
-until every holder has fetched) and the result store is LRU-bounded
-(``result_store_limit``) so a long-lived store does not retain every result
-ever fetched.
-
 Write-vs-read classification goes through the process-wide LRU parse cache
 (:func:`repro.sqldb.parser.is_read_statement`), shared with the simulated
 server: each distinct SQL string is parsed once per process no matter how
 many stores, servers or benchmark runs touch it.
 """
 
-from collections import OrderedDict
-from itertools import islice
-
 from repro.sqldb.parser import is_read_statement
 
 #: Default bound on concurrently in-flight async batches.
 DEFAULT_PIPELINE_DEPTH = 4
 
-#: Default LRU bound on retained (issued) results; only results that have
-#: already been delivered at least once are ever evicted.
-DEFAULT_RESULT_STORE_LIMIT = 4096
-
 
 class QueryId:
-    """Unique identifier for a query registered with one store.
+    """Unique identifier for a query registered with one store, and the slot
+    its result lands in.
 
     Ids are allocated per :class:`QueryStore` (no process-global counter to
     leak across stores or benchmark runs).  Only ``QueryStore._new_id``
     mints them, once per ``(store, value)``, so that pair being equal *is*
     being the same object: ids hash and compare by identity, and equal
     values from different stores stay distinct.
+
+    ``result`` is None until the id's batch has been issued; ``completion``
+    is the :class:`repro.net.clock.AsyncCompletion` of a batch shipped in
+    the background, until the first fetch has waited on it.  Deduplicated
+    registrations hold the same id, hence the same result object.
     """
 
-    __slots__ = ("store", "value")
+    __slots__ = ("store", "value", "result", "completion")
 
     def __init__(self, store, value):
         self.store = store
         self.value = value
+        self.result = None
+        self.completion = None
 
     def __repr__(self):
         return f"QueryId({self.value})"
 
 
 class QueryStoreStats:
-    """Counters the benchmarks read out of a query store."""
+    """Counters the benchmarks read out of a query store.
+
+    Stalls and overlap of async batches are the driver's to count
+    (:class:`repro.net.driver.DriverStats`): the store only decides *when*
+    to wait.
+    """
 
     def __init__(self):
         self.queries_registered = 0
@@ -84,11 +87,6 @@ class QueryStoreStats:
         self.batches_flushed = 0
         self.largest_batch = 0
         self.queries_issued = 0
-        self.async_batches = 0
-        self.stall_ms = 0.0
-        self.overlap_ms = 0.0
-        self.shadowed_ms = 0.0
-        self.results_evicted = 0
 
     def snapshot(self):
         return {
@@ -97,16 +95,16 @@ class QueryStoreStats:
             "batches_flushed": self.batches_flushed,
             "largest_batch": self.largest_batch,
             "queries_issued": self.queries_issued,
-            "async_batches": self.async_batches,
-            "stall_ms": self.stall_ms,
-            "overlap_ms": self.overlap_ms,
-            "shadowed_ms": self.shadowed_ms,
-            "results_evicted": self.results_evicted,
         }
 
 
 class QueryStore:
     """Accumulates queries into batches issued over a batch driver.
+
+    The store holds only what is *pending*: the unissued batch, its dedup
+    keys and the async batches still in flight.  Issued state — result and
+    completion — is on the :class:`QueryId`, so it is reclaimed when the
+    last thunk holding the id goes, and a held id is always servable.
 
     ``auto_flush_threshold`` implements the execution strategy the paper
     sketches as future work (§6.7): when set, a batch is shipped as soon
@@ -123,8 +121,7 @@ class QueryStore:
 
     def __init__(self, batch_driver, auto_flush_threshold=None,
                  shared_scans=False, async_dispatch=False,
-                 pipeline_depth=DEFAULT_PIPELINE_DEPTH,
-                 result_store_limit=DEFAULT_RESULT_STORE_LIMIT):
+                 pipeline_depth=DEFAULT_PIPELINE_DEPTH):
         if pipeline_depth < 1:
             raise ValueError(f"pipeline_depth must be >= 1: {pipeline_depth}")
         self.driver = batch_driver
@@ -132,22 +129,10 @@ class QueryStore:
         self.shared_scans = shared_scans
         self.async_dispatch = async_dispatch
         self.pipeline_depth = pipeline_depth
-        self.result_store_limit = result_store_limit
         self._buffer = []  # list of (QueryId, sql, params)
         self._buffer_has_write = False
         self._pending_keys = {}  # (sql, params) -> QueryId, for dedup
-        self._results = {}  # QueryId -> ExecResult, in issue order
-        self._owner = {}  # QueryId -> AsyncCompletion while batch in flight
         self._in_flight = []  # AsyncCompletions in dispatch order
-        # QueryId -> None, in delivery (LRU) order.  Linked, not a plain
-        # dict: the limit backstop takes the oldest entry after every flush,
-        # and a dict iterator first steps over every slot deleted ahead of it.
-        self._delivered = OrderedDict()
-        # Outstanding fetches per id: each registration (dedup included)
-        # takes a reference, each delivery releases one (clamped at zero).
-        # Boundary eviction only drops ids with no outstanding reference,
-        # so a dedup-shared id survives until every holder has fetched.
-        self._refs = {}  # QueryId -> outstanding count
         self._next_id = 0
         self.stats = QueryStoreStats()
 
@@ -163,7 +148,6 @@ class QueryStore:
         self.stats.queries_registered += 1
         if not is_read_statement(sql):
             query_id = self._new_id()
-            self._take_ref(query_id)
             self._buffer.append((query_id, sql, params))
             self._buffer_has_write = True
             self._flush()
@@ -172,10 +156,8 @@ class QueryStore:
         existing = self._pending_keys.get(key)
         if existing is not None:
             self.stats.dedup_hits += 1
-            self._take_ref(existing)
             return existing
         query_id = self._new_id()
-        self._take_ref(query_id)
         self._buffer.append((query_id, sql, params))
         self._pending_keys[key] = query_id
         if (self.auto_flush_threshold is not None
@@ -187,23 +169,20 @@ class QueryStore:
         """Result set for ``query_id``; flushes the current batch if it is
         not yet available, and — under async dispatch — stalls for the
         residual if the owning batch is still in flight."""
-        result = self._results.get(query_id)
+        if query_id.store is not self:
+            # Never ours: no flush (a charged round trip) on its behalf.
+            raise KeyError(f"query id from another store: {query_id!r}")
+        result = query_id.result
         if result is None:
-            if query_id.store is not self:
-                # Never ours: no flush (a charged round trip) on its behalf.
-                raise KeyError(f"query id from another store: {query_id!r}")
             self._flush()
-            result = self._results.get(query_id)
+            result = query_id.result
             if result is None:
                 raise KeyError(f"unknown query id: {query_id!r}")
-        completion = self._owner.pop(query_id, None)
-        if completion is not None and not completion.waited:
-            self._wait_completion(completion)
-        # LRU bookkeeping: most recently delivered last; one outstanding
-        # reference released.
-        self._delivered[query_id] = None
-        self._delivered.move_to_end(query_id)
-        self._release_ref(query_id)
+        completion = query_id.completion
+        if completion is not None:
+            query_id.completion = None
+            if not completion.waited:
+                self._wait_completion(completion)
         return result
 
     @property
@@ -216,52 +195,27 @@ class QueryStore:
         """Number of async batches dispatched but not yet awaited."""
         return len(self._in_flight)
 
-    @property
-    def result_store_size(self):
-        """Number of issued results currently retained."""
-        return len(self._results)
-
     def flush(self):
-        """Issue any pending batch (used at request boundaries).
-
-        Request boundaries also evict results that have already been
-        delivered, so a long-lived store does not grow without bound.
-        """
+        """Issue any pending batch (used at request boundaries)."""
         if self._buffer:
             self._flush()
-        self._evict_delivered()
 
     def drain(self):
         """Request-end barrier: wait every in-flight async batch.
 
         Charges only residual stalls (batches fully covered by app progress
-        cost nothing here) and evicts delivered results.  Does *not* flush
-        the pending buffer: queries registered after the last force stay
-        unissued, exactly like the synchronous path.
+        cost nothing here).  Does *not* flush the pending buffer: queries
+        registered after the last force stay unissued, exactly like the
+        synchronous path.
         """
         while self._in_flight:
             self._wait_completion(self._in_flight[0])
-        self._evict_delivered()
 
     # -- internals -------------------------------------------------------------
 
     def _new_id(self):
         self._next_id += 1
         return QueryId(self, self._next_id)
-
-    def _take_ref(self, query_id):
-        self._refs[query_id] = self._refs.get(query_id, 0) + 1
-
-    def _release_ref(self, query_id):
-        """Release one hold; an over-fetch (no hold left) releases nothing."""
-        count = self._refs.get(query_id, 0)
-        if count > 1:
-            self._refs[query_id] = count - 1
-        elif count == 1:
-            del self._refs[query_id]
-
-    def _has_refs(self, query_id):
-        return query_id in self._refs
 
     def _flush(self):
         batch = self._buffer
@@ -287,11 +241,10 @@ class QueryStore:
             results = self.driver.execute_batch(
                 statements, batch_optimize=self.shared_scans)
             for (query_id, _, _), result in zip(batch, results):
-                self._results[query_id] = result
+                query_id.result = result
         self.stats.batches_flushed += 1
         self.stats.queries_issued += len(batch)
         self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
-        self._enforce_result_limit()
 
     def _dispatch_async(self, batch, statements):
         """Ship an all-read batch in the background (bounded pipeline)."""
@@ -300,63 +253,10 @@ class QueryStore:
         completion, results = self.driver.execute_batch_async(
             statements, batch_optimize=self.shared_scans)
         for (query_id, _, _), result in zip(batch, results):
-            self._results[query_id] = result
-            self._owner[query_id] = completion
+            query_id.result = result
+            query_id.completion = completion
         self._in_flight.append(completion)
-        self.stats.async_batches += 1
 
     def _wait_completion(self, completion):
-        shadowed_before = self.driver.stats.shadowed_ms
-        stall, overlap = self.driver.wait(completion)
-        self.stats.stall_ms += stall
-        self.stats.overlap_ms += overlap
-        self.stats.shadowed_ms += (
-            self.driver.stats.shadowed_ms - shadowed_before)
-        try:
-            self._in_flight.remove(completion)
-        except ValueError:
-            pass
-
-    def _evict_delivered(self):
-        """Drop delivered results with no outstanding fetch reference."""
-        keep = OrderedDict()
-        for query_id in self._delivered:
-            if self._has_refs(query_id):
-                keep[query_id] = None  # a dedup twin still owes a fetch
-                continue
-            self._drop(query_id)
-        self._delivered = keep
-
-    def _enforce_result_limit(self):
-        """LRU backstop for stores that never hit a request boundary.
-
-        A *hard* bound: delivered entries go first (oldest delivery
-        first), but if the store is still over the limit — issued results
-        whose thunks were never forced — the oldest issued entries go
-        outright.  Re-fetching an evicted id is an error; unbounded growth
-        would be worse, and the limit is far above any single request's
-        working set.
-
-        Runs after every flush, so it walks only the entries it evicts or
-        skips (held ids at the old end), never the whole store.
-        """
-        limit = self.result_store_limit
-        if limit is None or len(self._results) <= limit:
-            return
-        # Held ids are skipped: a dedup twin still owes a fetch.
-        unheld = (query_id for query_id in self._delivered
-                  if not self._has_refs(query_id))
-        excess = len(self._results) - limit
-        for query_id in list(islice(unheld, excess)):  # oldest delivery first
-            del self._delivered[query_id]
-            self._drop(query_id)
-        excess = len(self._results) - limit
-        for query_id in list(islice(self._results, excess)):  # oldest issued
-            self._delivered.pop(query_id, None)
-            self._drop(query_id)
-
-    def _drop(self, query_id):
-        if self._results.pop(query_id, None) is not None:
-            self.stats.results_evicted += 1
-        self._owner.pop(query_id, None)
-        self._refs.pop(query_id, None)
+        self.driver.wait(completion)
+        self._in_flight.remove(completion)

@@ -90,10 +90,13 @@ class QueryThunk(Thunk):
 
     def __init__(self, query_store, sql, params=(), deserialize=None,
                  runtime=None):
-        self.query_id = query_store.register_query(sql, params)
+        # _fetch closes over the local, not ``self``: thunk -> _fn -> cell ->
+        # thunk would be a cycle, and a never-forced thunk (with the result
+        # its id holds) would wait for the cyclic collector.
+        query_id = self.query_id = query_store.register_query(sql, params)
 
         def _fetch():
-            result_set = query_store.get_result_set(self.query_id)
+            result_set = query_store.get_result_set(query_id)
             if deserialize is None:
                 return result_set
             return deserialize(result_set)

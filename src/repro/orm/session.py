@@ -27,8 +27,6 @@ from repro.orm.mapping import EAGER, ManyToOne, OneToMany
 class OriginalBackend:
     """Executes reads through the one-round-trip-per-statement driver."""
 
-    lazy_mode = False
-
     def __init__(self, driver):
         self.driver = driver
 
@@ -49,8 +47,6 @@ class OriginalBackend:
 
 class SlothBackend:
     """Registers reads with the Sloth runtime's query store."""
-
-    lazy_mode = True
 
     def __init__(self, runtime):
         self.runtime = runtime
@@ -94,8 +90,6 @@ class Session:
             entities = self._deserialize_many(cls, result_set)
             return entities[0] if entities else None
 
-        if self.backend.lazy_mode:
-            return self.backend.read_eager(sql, (pk,), _one)
         return self.backend.read_eager(sql, (pk,), _one)
 
     def get(self, cls, pk):

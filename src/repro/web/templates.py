@@ -115,25 +115,11 @@ def _compile_path(expr, name):
 
 
 def _lookup(scope, path):
-    """Resolve a dotted path; forces intermediate thunks/proxies."""
+    """Resolve a dotted path against the scope to a plain value."""
     head = path[0]
     if head not in scope:
         raise TemplateError(f"unknown template variable {head!r}")
-    value = scope[head]
-    for segment in path[1:]:
-        value = force(value)
-        if value is None:
-            return None
-        if isinstance(value, dict):
-            value = value.get(segment)
-        else:
-            try:
-                value = getattr(value, segment)
-            except AttributeError:
-                raise TemplateError(
-                    f"{type(value).__name__} has no attribute "
-                    f"{segment!r}") from None
-    return value
+    return walk(scope[head], path[1:])
 
 
 def _lookup_until_delayed(scope, path):
@@ -158,7 +144,8 @@ def _lookup_until_delayed(scope, path):
 
 
 def walk(value, path):
-    """Forced traversal of the remaining path segments (flush time)."""
+    """Forced traversal of ``path`` from ``value``: every thunk/proxy on the
+    way, and the value reached, is forced."""
     for segment in path:
         value = force(value)
         if value is None:
@@ -202,8 +189,7 @@ class _VarNode:
             # the first delayed value and defer the rest of the path.
             writer.write_thunk(*_lookup_until_delayed(scope, self.path))
         else:
-            value = force(_lookup(scope, self.path))
-            writer.write("" if value is None else _text(value))
+            writer.write(to_text(_lookup(scope, self.path)))
 
 
 class _ForNode:
@@ -215,7 +201,7 @@ class _ForNode:
         self.body = body
 
     def render(self, scope, writer, lazy_mode):
-        collection = force(_lookup(scope, self.path))
+        collection = _lookup(scope, self.path)
         if collection is None:
             return
         for item in collection:
@@ -235,8 +221,7 @@ class _IfNode:
         self.orelse = orelse
 
     def render(self, scope, writer, lazy_mode):
-        value = force(_lookup(scope, self.path))
-        truthy = bool(value)
+        truthy = bool(_lookup(scope, self.path))
         if self.negated:
             truthy = not truthy
         branch = self.body if truthy else self.orelse
@@ -244,7 +229,12 @@ class _IfNode:
             node.render(scope, writer, lazy_mode)
 
 
-def _text(value):
+def to_text(value):
+    """A forced value as page text (None renders as nothing)."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, float):
         return f"{value:g}"
     return str(value)

@@ -10,7 +10,7 @@ Keeping scalar outputs delayed until flush is what lets the very last
 queries of a page accumulate into one final batch.
 """
 
-from repro.web.templates import walk
+from repro.web.templates import to_text, walk
 
 
 class ThunkWriter:
@@ -34,16 +34,7 @@ class ThunkWriter:
         parts = []
         for piece in self._buffer:
             if piece.__class__ is tuple:
-                piece = _to_text(walk(*piece))
+                piece = to_text(walk(*piece))
             parts.append(piece)
         return "".join(parts)
 
-
-def _to_text(value):
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, float):
-        return f"{value:g}"
-    return str(value)

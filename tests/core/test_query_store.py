@@ -1,6 +1,11 @@
+import gc
+import sys
+from collections.abc import Sized
+
 import pytest
 
-from repro.core.query_store import QueryStore
+from repro.core.query_store import QueryId, QueryStore
+from repro.core.thunk import QueryThunk
 
 
 @pytest.fixture
@@ -60,8 +65,6 @@ def test_write_flushes_immediately_preserving_order(store):
 
 def test_unknown_id_raises(store):
     qs, _ = store
-    from repro.core.query_store import QueryId
-
     with pytest.raises(KeyError):
         qs.get_result_set(QueryId(qs, 999_999))
 
@@ -115,8 +118,18 @@ def test_batch_size_tracking(store):
     assert qs.stats.queries_issued == 4
 
 
+def _retained(store):
+    """Every sized attribute of the store, by name, that is not empty."""
+    return {name: value for name, value in vars(store).items()
+            if isinstance(value, Sized) and len(value)}
+
+
 class TestResultStoreBounded:
-    """Issued results must not accumulate forever (the old leak)."""
+    """Issued results must not accumulate in the store (the old leak): it
+    retains none.  A result sits on the id that names it, so it lives as
+    long as something holds the id — and a held id is always servable."""
+
+    READ = "SELECT v FROM t WHERE id = ?"
 
     def _seeded_store(self, sim_stack, **kwargs):
         db, clock, server, driver, batch_driver = sim_stack
@@ -125,86 +138,110 @@ class TestResultStoreBounded:
             db.execute("INSERT INTO t (id, v) VALUES (?, ?)", (i, i))
         return QueryStore(batch_driver, **kwargs)
 
-    def test_flush_boundary_evicts_delivered_results(self, sim_stack):
-        qs = self._seeded_store(sim_stack)
-        ids = [qs.register_query("SELECT v FROM t WHERE id = ?", (i,))
-               for i in range(5)]
-        for query_id in ids:
-            qs.get_result_set(query_id)
-        assert qs.result_store_size == 5
-        qs.flush()  # request boundary
-        assert qs.result_store_size == 0
-        assert qs.stats.results_evicted == 5
-
     def test_undelivered_results_survive_the_boundary(self, sim_stack):
         qs = self._seeded_store(sim_stack)
-        fetched = qs.register_query("SELECT v FROM t WHERE id = ?", (1,))
-        kept = qs.register_query("SELECT v FROM t WHERE id = ?", (2,))
+        fetched = qs.register_query(self.READ, (1,))
+        kept = qs.register_query(self.READ, (2,))
         qs.get_result_set(fetched)
         qs.flush()
         # The never-delivered result is still servable after the boundary.
         assert qs.get_result_set(kept).scalar() == 2
-        assert qs.result_store_size == 1
 
     def test_dedup_shared_id_survives_boundary_until_both_fetch(
             self, sim_stack):
         qs = self._seeded_store(sim_stack)
-        first = qs.register_query("SELECT v FROM t WHERE id = ?", (7,))
-        twin = qs.register_query("SELECT v FROM t WHERE id = ?", (7,))
+        first = qs.register_query(self.READ, (7,))
+        twin = qs.register_query(self.READ, (7,))
         assert first == twin
         qs.get_result_set(first)
         qs.flush()  # a mid-request flush (e.g. branch-deferral off)
-        # The twin registration still owes a fetch: not evicted.
         assert qs.get_result_set(twin).scalar() == 7
         qs.flush()
-        assert qs.result_store_size == 0
-
-    def test_long_lived_store_stays_bounded_by_lru(self, sim_stack):
-        qs = self._seeded_store(sim_stack, result_store_limit=8)
-        # A long-lived store that never hits a request boundary: fetch
-        # many results without ever calling flush().
-        for _ in range(10):
-            for i in range(4):
-                # Each loop registers afresh (dedup only spans one pending
-                # window) and forces immediately: 40 issued results.
-                query_id = qs.register_query(
-                    "SELECT v FROM t WHERE id = ?", (i,))
-                qs.get_result_set(query_id)
-        assert qs.result_store_size <= 8
-        assert qs.stats.results_evicted > 0
-
-    def test_lru_prefers_delivered_over_undelivered(self, sim_stack):
-        qs = self._seeded_store(sim_stack, result_store_limit=2,
-                                auto_flush_threshold=1)
-        pending = qs.register_query("SELECT v FROM t WHERE id = ?", (0,))
-        for i in range(1, 8):
-            query_id = qs.register_query(
-                "SELECT v FROM t WHERE id = ?", (i,))
-            qs.get_result_set(query_id)
-        # Delivered entries absorbed the evictions; the issued-but-unforced
-        # result is still servable.
-        assert qs.get_result_set(pending).scalar() == 0
+        assert _retained(qs) == {}
 
     def test_over_fetch_does_not_strand_results(self, sim_stack):
-        # Clamping at zero must not leak: an id fetched more times than
-        # registered is still evicted at the boundary.
+        # Fetching an id more often than it was registered leaves nothing
+        # behind in the store.
         qs = self._seeded_store(sim_stack)
-        query_id = qs.register_query("SELECT v FROM t WHERE id = ?", (3,))
+        query_id = qs.register_query(self.READ, (3,))
         for _ in range(3):
             assert qs.get_result_set(query_id).scalar() == 3
         qs.flush()
-        assert qs.result_store_size == 0
+        assert _retained(qs) == {}
 
-    def test_limit_is_hard_even_for_never_forced_results(self, sim_stack):
-        # A long-lived auto-flushing store whose thunks are never forced
-        # must still stay bounded: the backstop falls back to evicting the
-        # oldest issued entries outright.
-        qs = self._seeded_store(sim_stack, result_store_limit=8,
-                                auto_flush_threshold=1)
-        for i in range(20):
-            qs.register_query("SELECT v FROM t WHERE id = ?", (i % 20,))
-        assert qs.result_store_size <= 8
-        assert qs.stats.results_evicted >= 12
+    @pytest.mark.parametrize("async_dispatch", [False, True],
+                             ids=["sync", "async"])
+    def test_held_id_is_servable_any_number_of_times(self, sim_stack,
+                                                     async_dispatch):
+        qs = self._seeded_store(sim_stack, async_dispatch=async_dispatch)
+        first = qs.register_query(self.READ, (7,))
+        twin = qs.register_query(self.READ, (7,))  # one id, two holders
+        result = qs.get_result_set(first)  # before any boundary: flushes
+        assert result.scalar() == 7
+        round_trips = qs.driver.stats.round_trips
+        for boundary in (qs.flush, qs.drain, qs.flush):
+            boundary()
+            for _ in range(3):
+                # Twins share one result object, not equal copies.
+                assert qs.get_result_set(first) is result
+                assert qs.get_result_set(twin) is result
+        assert qs.driver.stats.round_trips == round_trips
+
+    def test_issued_but_unforced_id_survives_later_traffic(self, sim_stack):
+        # A long-lived auto-flushing store (no request boundary) whose
+        # other thunks are issued and dropped unforced: more of them than
+        # any bound the store ever had.
+        qs = self._seeded_store(sim_stack, auto_flush_threshold=1)
+        held = qs.register_query(self.READ, (0,))
+        for i in range(5000):
+            qs.register_query(self.READ, (i % 20,))
+        assert qs.get_result_set(held).scalar() == 0
+        assert _retained(qs) == {}
+
+    @pytest.mark.parametrize("async_dispatch", [False, True],
+                             ids=["sync", "async"])
+    def test_long_lived_store_retains_nothing(self, sim_stack,
+                                              async_dispatch):
+        # The TPC-C client's shape: one store, every statement forced at
+        # once and dropped, never a flush() / drain() boundary.  With the
+        # cyclic collector off, so refcounts alone must reclaim.
+        qs = self._seeded_store(sim_stack, async_dispatch=async_dispatch)
+        gc.disable()
+        try:
+            for i in range(10_000):
+                query_id = qs.register_query(self.READ, (i % 20,))
+                assert qs.get_result_set(query_id).scalar() == i % 20
+                assert _retained(qs) == {}, i
+        finally:
+            gc.enable()
+
+    def test_dropping_an_unforced_thunk_frees_its_result_at_once(
+            self, sim_stack):
+        qs = self._seeded_store(sim_stack, auto_flush_threshold=1)
+        gc.disable()
+        try:
+            thunk = QueryThunk(qs, self.READ, (4,))  # issued on registration
+            result = thunk.query_id.result
+            assert result.scalar() == 4 and not thunk.is_forced
+            holders = sys.getrefcount(result)
+            del thunk  # no cycle: the id, and its hold on the result, go now
+            assert sys.getrefcount(result) == holders - 1
+        finally:
+            gc.enable()
+
+
+@pytest.mark.parametrize("mint", [
+    lambda other: other.register_query("SELECT v FROM t WHERE id = ?", (2,)),
+    lambda other: QueryId(other, 1),
+], ids=["another-stores-id", "hand-built-id"])
+def test_foreign_id_raises_without_flushing(store, mint):
+    qs, driver = store
+    qs.register_query("SELECT v FROM t WHERE id = ?", (1,))
+    foreign = mint(QueryStore(driver))
+    with pytest.raises(KeyError):
+        qs.get_result_set(foreign)
+    assert qs.pending_count == 1
+    assert driver.stats.round_trips == 0
 
 
 class TestAsyncDispatch:
@@ -238,14 +275,14 @@ class TestAsyncDispatch:
         clock.charge("app", completion.in_flight_ms / 2)
         assert qs.get_result_set(ids[0]).scalar() == 0
         assert qs.in_flight_count == 0
-        assert qs.stats.stall_ms == pytest.approx(
+        assert driver.stats.stall_ms == pytest.approx(
             completion.in_flight_ms / 2)
-        assert qs.stats.overlap_ms == pytest.approx(
+        assert driver.stats.overlap_ms == pytest.approx(
             completion.in_flight_ms / 2)
         # The second member of the batch is already there: no extra wait.
-        stall_before = qs.stats.stall_ms
+        stall_before = driver.stats.stall_ms
         assert qs.get_result_set(ids[1]).scalar() == 10
-        assert qs.stats.stall_ms == stall_before
+        assert driver.stats.stall_ms == stall_before
 
     def test_fully_overlapped_batch_stalls_nothing(self, sim_stack):
         qs, driver, clock = self._stack(sim_stack)
@@ -253,8 +290,8 @@ class TestAsyncDispatch:
                for i in range(2)]
         clock.charge("app", 1e6)  # plenty of concurrent app progress
         qs.get_result_set(ids[0])
-        assert qs.stats.stall_ms == 0.0
-        assert qs.stats.overlap_ms > 0.0
+        assert driver.stats.stall_ms == 0.0
+        assert driver.stats.overlap_ms > 0.0
         assert clock.phase_time("network") == 0.0
 
     def test_pipeline_depth_bounds_in_flight(self, sim_stack):
@@ -265,7 +302,7 @@ class TestAsyncDispatch:
         # room (their stall shows up in the stats).
         assert qs.in_flight_count <= 2
         assert driver.stats.async_batches == 4
-        assert qs.stats.stall_ms > 0
+        assert driver.stats.stall_ms > 0
 
     def test_write_barriers_on_in_flight_batches(self, sim_stack):
         qs, driver, clock = self._stack(sim_stack)
