@@ -8,8 +8,8 @@ position:
 - a plain Python list of values (one per chunk row),
 - a :class:`DictColumn` — dictionary-encoded strings, comparing codes
   instead of characters, or
-- ``None`` — an all-NULL lane, standing in for the ``_pad`` NULLs the
-  row layouts materialize for table slots a scan has not filled yet.
+- ``None`` — an all-NULL lane: the row layouts' ``_pad`` NULLs of a table
+  slot not filled yet, or a position outside ``SelectContext.read``.
 
 ``sel`` is the optional **selection vector**: ``None`` means every chunk
 row is live; otherwise an ascending list of live row indices.  Filters
@@ -18,20 +18,20 @@ never copy column data — they yield the same columns with a narrowed
 shared by any number of downstream chunks.
 
 :class:`ColumnStore` is the per-table cached columnar snapshot that
-sequential scans slice chunks from (see ``Table.column_store``).  TEXT
-and DATE columns whose distinct count stays at or below half the row
-count are dictionary-encoded at snapshot time; per-column distinct
-counts are kept as stats either way.
+sequential scans slice chunks from (see ``Table.column_store``).  It is
+**column-lazy**: building it pins the table's rows in scan order, and a
+column's lane (dictionary-encoded when it is TEXT / DATE with a distinct
+count at or below half the row count), zone map and distinct count are
+each materialised the first time a statement asks for them.
 
-The snapshot also carries **zone maps**: for every column, one
-``(lo, hi, nulls, count)`` tuple per :data:`CHUNK_SIZE` slice of the
-table, computed in the same build pass.  ``lo``/``hi`` are the chunk's
+A column's **zone map** is one ``(lo, hi, nulls, count)`` tuple per
+:data:`CHUNK_SIZE` slice of the table.  ``lo``/``hi`` are the chunk's
 non-NULL min/max — ``None`` when the slice holds no usable range (all
 NULL, or mixed value types whose ordering SQL would reject), in which
 case only the null count is trustworthy.  Sequential scans consult them
 through the zone test compiled alongside each filter kernel
 (:func:`repro.sqldb.plan.compile.compile_filter`) to skip whole chunks;
-the cost model reads ``distinct`` as its snapshot statistic.
+the cost model reads a column's ``distinct`` as its snapshot statistic.
 
 Everything here is layout only — expression evaluation over these
 chunks lives in :mod:`repro.sqldb.plan.compile`, the operators in
@@ -158,58 +158,70 @@ def _column_zones(values, n):
 
 
 class ColumnStore:
-    """A cached columnar snapshot of one table, in ``row_id`` scan order.
+    """A cached, column-lazy snapshot of one table, in ``row_id`` scan order.
 
-    ``columns[j]`` is the j-th schema column as a plain list or
-    :class:`DictColumn`; ``distinct`` maps column name to its distinct
-    non-NULL count at snapshot time — the planner's snapshot statistic —
-    and ``zones`` column name to the per-chunk zone-map list (see
-    :func:`_column_zones`).  ``rows_ref`` pins the exact
-    ``table.rows`` dict the snapshot was built from: validity is
-    ``rows_ref is table.rows and mutations == table's counter``, which
-    survives the read-view manager swapping ``table.rows`` wholesale
-    (identity changes) and catches every in-place mutation (the counter
-    changes) — and holding the reference means a dead dict's id can
-    never be recycled into a false match.  Zone maps therefore share
-    the snapshot's lifetime exactly: any write or read-view swap that
-    invalidates the snapshot discards its zone maps with it.
+    :meth:`build` pins ``rows`` — the storage rows sorted by row id — and
+    nothing else; per column (by schema ordinal) :meth:`lane`,
+    :meth:`zones` and :meth:`distinct` each materialise on first request
+    and are cached, so a statement pays for the columns it reads and a
+    write for none.  ``rows_ref`` pins the exact ``table.rows`` dict the
+    snapshot was built from: validity is ``rows_ref is table.rows and
+    mutations == table's counter``, which survives the read-view manager
+    swapping ``table.rows`` wholesale (identity changes) and catches
+    every in-place mutation (the counter changes) — and holding the
+    reference means a dead dict's id can never be recycled into a false
+    match.  A facet built late cannot observe a later write: storage rows
+    are never mutated in place (an UPDATE installs a fresh list), so the
+    pinned ``rows`` keep their build-time values and every facet of one
+    store describes the same contents.  Any write or read-view swap
+    discards the store — lanes, dictionaries and zone maps with it.
     """
 
-    __slots__ = ("columns", "length", "distinct", "zones", "rows_ref",
-                 "mutations")
+    __slots__ = ("rows", "length", "rows_ref", "mutations", "_schema",
+                 "_lanes", "_zones", "_distinct")
 
-    def __init__(self, columns, length, distinct, zones, rows_ref,
-                 mutations):
-        self.columns = columns
-        self.length = length
-        self.distinct = distinct
-        self.zones = zones
+    def __init__(self, rows, schema_columns, rows_ref, mutations):
+        self.rows = rows
+        self.length = len(rows)
         self.rows_ref = rows_ref
         self.mutations = mutations
+        self._schema = schema_columns
+        self._lanes, self._zones, self._distinct = (
+            [None] * len(schema_columns) for _ in range(3))
 
     @classmethod
     def build(cls, table):
-        rows = [row for _, row in sorted(table.rows.items())]
-        schema_columns = table.schema.columns
-        n = len(rows)
-        columns = []
-        distinct = {}
-        zones = {}
-        transposed = list(zip(*rows)) if rows else [
-            () for _ in schema_columns]
-        for j, col in enumerate(schema_columns):
-            values = list(transposed[j])
-            if n and canonical_type(col.type_name) in (TEXT, DATE):
-                column, n_distinct = _encode_dict(values)
-            else:
-                column = values
-                n_distinct = len(set(
-                    v for v in values if v is not None))
-            columns.append(column)
-            distinct[col.name] = n_distinct
-            zones[col.name] = _column_zones(values, n)
-        return cls(columns, n, distinct, zones, table.rows,
-                   table._mutation_count)
+        return cls([row for _, row in sorted(table.rows.items())],
+                   table.schema.columns, table.rows, table._mutation_count)
+
+    def lane(self, j):
+        """Column ``j`` as a plain list or :class:`DictColumn`."""
+        lane = self._lanes[j]
+        if lane is None:
+            lane = [row[j] for row in self.rows]
+            if lane and canonical_type(
+                    self._schema[j].type_name) in (TEXT, DATE):
+                lane, self._distinct[j] = _encode_dict(lane)
+            self._lanes[j] = lane
+        return lane
+
+    def zones(self, j):
+        """Column ``j``'s zone tuples, one per :data:`CHUNK_SIZE` rows."""
+        zones = self._zones[j]
+        if zones is None:
+            values = self._lanes[j]
+            if type(values) is not list:  # not built, or dictionary codes
+                values = [row[j] for row in self.rows]
+            zones = self._zones[j] = _column_zones(values, self.length)
+        return zones
+
+    def distinct(self, j):
+        """Column ``j``'s distinct non-NULL count (no lane is built)."""
+        n = self._distinct[j]
+        if n is None:
+            values = {row[j] for row in self.rows}
+            n = self._distinct[j] = len(values) - (None in values)
+        return n
 
 
 class ColumnChunk:
@@ -223,14 +235,15 @@ class ColumnChunk:
         self.sel = sel
 
     @classmethod
-    def from_rows(cls, rows, width):
-        """Transpose wide rows into a fully-live chunk — the shim the
-        prefetched shared-scan path, the nested-loop join (row-shaped
-        inside) and the ``limit_hint`` cutoff's interpreted rows go
-        through."""
-        if not rows:
-            return cls([[] for _ in range(width)], 0, None)
-        return cls([list(lane) for lane in zip(*rows)], len(rows), None)
+    def from_rows(cls, rows, width, read):
+        """Transpose the ``read`` positions of wide rows into a fully-live
+        chunk, every other lane all-NULL — the shim the prefetched
+        shared-scan path, the nested-loop join (row-shaped inside) and
+        the ``limit_hint`` cutoff's interpreted rows go through."""
+        columns = [None] * width
+        for pos in read:
+            columns[pos] = [row[pos] for row in rows]
+        return cls(columns, len(rows), None)
 
     def live_indices(self):
         """The live row indices, ascending (a range when all live)."""

@@ -224,6 +224,15 @@ def _eval_in(expr, ctx, params):
     return expr.negated
 
 
+# One-argument scalar functions: name -> (types accepted, their name, body).
+_SCALAR_FUNCS = {
+    "UPPER": ((str,), "a text", str.upper),
+    "LOWER": ((str,), "a text", str.lower),
+    "LENGTH": ((str,), "a text", len),
+    "ABS": ((int, float), "a numeric", abs),
+}
+
+
 def _eval_scalar_func(expr, ctx, params):
     name = expr.name
     if name in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
@@ -240,15 +249,13 @@ def _eval_scalar_func(expr, ctx, params):
     value = args[0]
     if value is None:
         return None
-    if name == "UPPER":
-        return value.upper()
-    if name == "LOWER":
-        return value.lower()
-    if name == "LENGTH":
-        return len(value)
-    if name == "ABS":
-        return abs(value)
-    raise SqlError(f"unknown function {name!r}")
+    if name not in _SCALAR_FUNCS:
+        raise SqlError(f"unknown function {name!r}")
+    accepted, what, apply = _SCALAR_FUNCS[name]
+    if type(value) not in accepted:  # names the type, never the value
+        raise SqlTypeError(
+            f"{name} requires {what} value, got {type(value).__name__}")
+    return apply(value)
 
 
 def aggregate_type_error(name, values):

@@ -53,6 +53,16 @@ def equality_conjuncts(where, params):
     return pairs
 
 
+def _probe_key(column, value):
+    """``value`` as an index probe key: an unhashable parameter (list, set,
+    dict) raises what comparing it in a scan-and-filter raises, whichever
+    index class would have leaked its ``TypeError`` for it."""
+    if type(value).__hash__ is None:
+        raise SqlTypeError(f"cannot compare column {column!r} with a "
+                           f"{type(value).__name__} value")
+    return value
+
+
 def pinned_columns(where):
     """Plan-time view of :func:`equality_conjuncts`: the set of column names
     equated to *some* literal or parameter, regardless of its eventual value.
@@ -102,7 +112,7 @@ def _in_list_keys(column, where, params):
         if any(isinstance(item, A.Param) and item.index >= len(params)
                for item in items):
             continue
-        values = {value for value in
+        values = {_probe_key(column, value) for value in
                   (evaluate(item, ctx, params) for item in items)
                   if value is not None}
         keys = values if keys is None else (keys & values)
@@ -142,7 +152,7 @@ def resolve_index_lookup(table, where, params):
     schema = table.schema
     pk = schema.primary_key
     if pk is not None and pk.name in pairs:
-        hit = table.find_by_pk(pairs[pk.name])
+        hit = table.find_by_pk(_probe_key(pk.name, pairs[pk.name]))
         return [hit[0]] if hit else []
     if pk is not None:
         keys = _in_list_keys(pk.name, where, params)
@@ -162,7 +172,7 @@ def resolve_index_lookup(table, where, params):
                 best = index
     if best is None:
         return None
-    key = [pairs[col] for col in best.info.columns]
+    key = [_probe_key(col, pairs[col]) for col in best.info.columns]
     return sorted(best.lookup(key))
 
 
@@ -182,7 +192,7 @@ def pk_lookup_keys(table, where, params):
         return None
     pairs = equality_conjuncts(where, params)
     if pk.name in pairs:
-        return frozenset((pairs[pk.name],))
+        return frozenset((_probe_key(pk.name, pairs[pk.name]),))
     keys = _in_list_keys(pk.name, where, params)
     return frozenset(keys) if keys is not None else None
 

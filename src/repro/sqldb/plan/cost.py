@@ -15,14 +15,14 @@ parameter, unknown at plan time by design (one cached plan serves every
 parameter value), and a literal bound gets the same price until a
 workload shows a plan it would change.
 
-Snapshot statistics are built **at plan time** (``table.column_store()``
-builds on demand) whichever engine will execute the plan — if only the
-columnar engine consulted them, the two engines would pick different
-join orders and ``rows_touched`` would stop being engine-invariant.  The
-snapshot cache is invalidated by every table mutation, so a fresh plan
-always sees current-data statistics; a *cached* plan can hold estimates
-from an older snapshot until the stats epoch ticks — exactly the
-staleness contract row-count stats already have.
+A snapshot statistic is **one column's distinct count, counted on demand
+at plan time** (``table.column_store().distinct(ordinal)`` builds no lane
+or zone map) whichever engine will execute the plan — if only the
+columnar engine consulted it, the two engines would pick different join
+orders and ``rows_touched`` would stop being engine-invariant.  Every
+table mutation invalidates the snapshot, so a fresh plan always sees
+current-data statistics; a *cached* plan can hold estimates from an older
+one until the stats epoch ticks — row-count stats' own staleness contract.
 
 Public API (documented formulas in ``docs/cost-model.md``):
 
@@ -82,10 +82,10 @@ def table_rows(db, table_name):
 
 def column_ndv(db, table_name, column):
     """Distinct-key count for one column: the row count for the primary
-    key, the bucket count of a single-column index, else the per-column
-    distinct count recorded when the table's columnar snapshot was built
-    (on demand, under every engine — see the module docstring; the build
-    is amortized by the plan cache, planning only happens on a miss)."""
+    key, the bucket count of a single-column index, else that column's
+    distinct count from the table's columnar snapshot (counted on first
+    request, under every engine — see the module docstring; amortized
+    by the plan cache, planning only happens on a miss)."""
     schema = db.catalog.table(table_name)
     pk = schema.primary_key
     if pk is not None and pk.name == column:
@@ -94,7 +94,7 @@ def column_ndv(db, table_name, column):
     for index in table.indexes.values():
         if index.info.columns == (column,):
             return max(index.distinct_keys, 1)
-    return max(table.column_store().distinct[column], 1)
+    return max(table.column_store().distinct(schema.ordinal_of(column)), 1)
 
 
 def probe_index_name(db, table_name, ordinal):

@@ -23,8 +23,9 @@ Row sources implement exactly **two execution protocols**:
 ``iter_cchunks(run)``
     The production engine: operators exchange
     :class:`repro.sqldb.columnar.ColumnChunk` column arrays of up to
-    :data:`CHUNK_SIZE` rows.  Sequential scans slice chunks off the
-    table's cached ``ColumnStore``; filters narrow selection vectors with
+    :data:`CHUNK_SIZE` rows, of which only the statement's read set
+    (``SelectContext.read``) is filled.  Sequential scans slice chunks off
+    the table's cached ``ColumnStore``; filters narrow selection vectors with
     a predicate **compiled once per cached plan**
     (:mod:`repro.sqldb.plan.compile`); equi-joins gather probe keys per
     chunk and assemble their output column-wise.
@@ -142,49 +143,52 @@ class _BaseTableScan:
     """Shared scaffolding for base-table access operators.
 
     Subclasses define ``_rows(run, table)`` returning the list of storage
-    rows to read; charging, padding, chunking, the shared-scan prefetch
-    and the zero-copy fast path live here so both protocols stay in exact
-    accounting agreement.
+    rows to read; charging, padding, chunking and the shared-scan prefetch
+    live here so both protocols stay in exact accounting agreement.
 
-    Zero-copy fast path: when the table sits at offset 0 of a joined-row
-    layout exactly as wide as the table itself (every single-table plan),
-    the storage row *is* the flat row — the per-row ``[None] * total``
-    copy is skipped and the storage list yielded directly.  This is safe
+    ``read`` is the table's share of the statement's read set
+    (``SelectContext.table_reads``): the chunk protocol fills those lanes
+    and leaves every other the all-NULL lane.  The interpreter reads
+    whole storage rows, and when the table sits at offset 0 of a layout
+    exactly as wide as itself (every single-table plan) the storage row
+    *is* the flat row — no ``[None] * total`` copy.  Both are safe
     because storage rows are never mutated in place (updates install
     fresh lists) and no plan operator mutates source rows: joins merge
     into copies (``list(values)``) and projections emit new tuples.
     """
 
     uses_prefetch = True
-    # Sequential scans slice chunks straight off the table's cached
-    # ColumnStore (zero transpose per query); index access paths produce
+    # Sequential scans slice their lanes off the table's cached
+    # ColumnStore (no transpose per query); index access paths produce
     # dynamic row sets, so they transpose their rows per execution.
     columnar_store_scan = False
-    # Zone test of the Filter directly above (FilterOp hands it to a
-    # SeqScanOp child); None everywhere else.
+    # Zone test of the Filter directly above and the ordinals of the
+    # columns it tests (FilterOp hands both to a SeqScanOp child).
     prune = None
+    prune_ordinals = ()
+
+    def __init__(self, table_name, offset, read):
+        self.table_name = table_name
+        self.offset = offset
+        self.read = read
 
     def iter_cchunks(self, run):
+        total = run.sctx.total_width
         if self.uses_prefetch and run.prefetched_base_rows is not None:
             rows = run.prefetched_base_rows
-            total = run.sctx.total_width
             for start in range(0, len(rows), CHUNK_SIZE):
                 run.batches += 1
                 yield ColumnChunk.from_rows(
-                    rows[start:start + CHUNK_SIZE], total)
+                    rows[start:start + CHUNK_SIZE], total, run.sctx.read)
             return
         table = run.db.tables_get(self.table_name)
-        total = run.sctx.total_width
         offset = self.offset
-        width = len(table.schema.columns)
         if self.columnar_store_scan:
             store = table.column_store()
             length = store.length
-            prune = self.prune
-            zone_lists = None
-            if prune is not None and length:
-                zone_lists = [store.zones[col.name]
-                              for col in table.schema.columns]
+            lanes = [(offset + j, store.lane(j)) for j in self.read]
+            zone_lists = [(offset + j, store.zones(j))
+                          for j in self.prune_ordinals]
             params = run.params
             for ci, start in enumerate(range(0, length, CHUNK_SIZE)):
                 stop = min(start + CHUNK_SIZE, length)
@@ -193,27 +197,19 @@ class _BaseTableScan:
                 # model's currency and must stay engine-invariant —
                 # zone maps change wall-clock, never simulated cost.
                 run.rows_touched += stop - start
-                if zone_lists is not None:
-
-                    def zone_of(pos, ci=ci):
-                        if offset <= pos < offset + width:
-                            return zone_lists[pos - offset][ci]
-                        return None
-
+                if zone_lists:
+                    zones = {pos: zl[ci] for pos, zl in zone_lists}
                     try:
-                        must_scan = prune(zone_of, params)
+                        must_scan = self.prune(zones.get, params)
                     except Exception:
                         must_scan = True  # scan and surface the error
                     if not must_scan:
                         run.chunks_skipped += 1
                         continue
                 run.batches += 1
-                if offset == 0 and width == total:
-                    columns = [col[start:stop] for col in store.columns]
-                else:
-                    columns = [None] * total
-                    columns[offset:offset + width] = [
-                        col[start:stop] for col in store.columns]
+                columns = [None] * total
+                for pos, lane in lanes:
+                    columns[pos] = lane[start:stop]
                 yield ColumnChunk(columns, stop - start, None)
             return
         rows = self._rows(run, table)
@@ -222,7 +218,11 @@ class _BaseTableScan:
             run.rows_touched += len(part)
             run.batches += 1
             columns = [None] * total
-            columns[offset:offset + width] = map(list, zip(*part))
+            # One C-level transpose; the read lanes are kept, as tuples
+            # (half the cost of a comprehension per lane over a few rows).
+            lanes = list(zip(*part))
+            for j in self.read:
+                columns[offset + j] = lanes[j]
             yield ColumnChunk(columns, len(part), None)
 
     def iter_rows_interp(self, run):
@@ -251,10 +251,6 @@ class SeqScanOp(_BaseTableScan):
 
     columnar_store_scan = True
 
-    def __init__(self, table_name, offset=0):
-        self.table_name = table_name
-        self.offset = offset
-
     def _rows(self, run, table):
         return [row for _, row in table.scan()]
 
@@ -269,10 +265,9 @@ class IndexLookupOp(_BaseTableScan):
     does all the work.
     """
 
-    def __init__(self, table_name, where, offset=0):
-        self.table_name = table_name
+    def __init__(self, table_name, where, offset, read):
+        super().__init__(table_name, offset, read)
         self.where = where
-        self.offset = offset
 
     def _rows(self, run, table):
         lookup = resolve_index_lookup(table, self.where, run.params)
@@ -299,8 +294,8 @@ class IndexRangeScanOp(_BaseTableScan):
 
     uses_prefetch = False
 
-    def __init__(self, node, offset=0):
-        self.table_name = node.table
+    def __init__(self, node, offset, read):
+        super().__init__(node.table, offset, read)
         self.index_name = node.index_name
         self.ordinals = node.ordinals
         self.n_prefix = node.n_prefix
@@ -310,7 +305,6 @@ class IndexRangeScanOp(_BaseTableScan):
         self.high = node.high
         self.high_incl = node.high_incl
         self.descending = node.descending
-        self.offset = offset
 
     def _row_ids(self, table, params):
         index = table.indexes.get(self.index_name)
@@ -351,8 +345,11 @@ class FilterOp:
         self.predicate = predicate
         self._columnar, prune = compile_filter(
             predicate, sctx.context.positions, sctx.context.ambiguous)
-        if isinstance(child, SeqScanOp):
+        if isinstance(child, SeqScanOp) and prune is not None:
             child.prune = prune
+            tested = sctx.positions_of([predicate])
+            child.prune_ordinals = [j for j in child.read
+                                    if child.offset + j in tested]
 
     def iter_cchunks(self, run):
         predicate = self._columnar
@@ -405,28 +402,31 @@ def _hash_join_rows(run, table, left_rows, kind, left_pos, right_ordinal,
             yield list(values)
 
 
-def _join_chunk(run, chunk, picks, right_rows, offset, width):
+def _join_chunk(run, chunk, picks, right_rows, join_index):
     """The joined output chunk for one probe chunk — the emit step every
     equi-join shares: ``take`` replicates the left lanes at ``picks`` for
     the match fan-out (dictionary lanes stay encoded) and the right
-    table's lanes are transposed from ``right_rows``, the matched storage
-    rows (an all-NULL row for a LEFT join's unmatched row)."""
-    out = chunk.take(picks, skip_range=(offset, offset + width))
-    # Not zip(*right_rows), fine for an index scan's handful of rows: one
-    # GC-tracked iterator per row costs a large probe half again its time.
-    out.columns[offset:offset + width] = [
-        [row[j] for row in right_rows] for j in range(width)]
+    table's read lanes are transposed from ``right_rows``, the matched
+    storage rows (an all-NULL row for a LEFT join's unmatched row)."""
+    sctx = run.sctx
+    offset = sctx.offsets[join_index]
+    out = chunk.take(
+        picks, skip_range=(offset, offset + sctx.widths[join_index]))
+    # Not zip(*right_rows): one GC-tracked iterator per row costs a large
+    # probe half again its time.
+    for j in sctx.table_reads[join_index]:
+        out.columns[offset + j] = [row[j] for row in right_rows]
     run.batches += 1
     return out
 
 
 def _hash_join_chunks(run, table, chunks, kind, left_pos, right_ordinal,
-                      offset, width):
+                      join_index):
     """Columnar twin of :func:`_hash_join_rows`: the build is charged
     eagerly, even when the probe side turns out empty, exactly like the
     interpreted path."""
     buckets = _build_join_buckets(run, table, right_ordinal)
-    null_row = (None,) * width
+    null_row = (None,) * run.sctx.widths[join_index]
     for chunk in chunks:
         picks = []
         right_rows = []
@@ -440,7 +440,7 @@ def _hash_join_chunks(run, table, chunks, kind, left_pos, right_ordinal,
                 picks.append(i)
                 right_rows.append(null_row)
         if picks:
-            yield _join_chunk(run, chunk, picks, right_rows, offset, width)
+            yield _join_chunk(run, chunk, picks, right_rows, join_index)
 
 
 class HashJoinOp:
@@ -465,12 +465,10 @@ class HashJoinOp:
             self.left_pos, self.right_ordinal, offset, width)
 
     def iter_cchunks(self, run):
-        right_table = run.db.tables_get(self.table_name)
-        offset = run.sctx.offsets[self.join_index]
-        width = run.sctx.widths[self.join_index]
         yield from _hash_join_chunks(
-            run, right_table, self.child.iter_cchunks(run), self.kind,
-            self.left_pos, self.right_ordinal, offset, width)
+            run, run.db.tables_get(self.table_name),
+            self.child.iter_cchunks(run), self.kind, self.left_pos,
+            self.right_ordinal, self.join_index)
 
 
 class IndexNLJoinOp:
@@ -561,8 +559,6 @@ class IndexNLJoinOp:
 
     def iter_cchunks(self, run):
         table = run.db.tables_get(self.table_name)
-        offset = run.sctx.offsets[self.join_index]
-        width = run.sctx.widths[self.join_index]
         left_pos = self.left_pos
         kind = self.kind
         chunks = list(self.child.iter_cchunks(run))
@@ -570,11 +566,11 @@ class IndexNLJoinOp:
         probes = self._probe_all(table, chain.from_iterable(keys))
         if probes is None:
             yield from _hash_join_chunks(run, table, chunks, kind, left_pos,
-                                         self.right_ordinal, offset, width)
+                                         self.right_ordinal, self.join_index)
             return
         probe = iter(probes)
         rows_get = table.rows.get
-        null_row = (None,) * width
+        null_row = (None,) * run.sctx.widths[self.join_index]
         for chunk in chunks:
             picks = []
             right_rows = []
@@ -591,8 +587,8 @@ class IndexNLJoinOp:
                     picks.append(i)
                     right_rows.append(null_row)
             if picks:
-                yield _join_chunk(run, chunk, picks, right_rows, offset,
-                                  width)
+                yield _join_chunk(run, chunk, picks, right_rows,
+                                  self.join_index)
 
 
 class NestedLoopJoinOp:
@@ -649,7 +645,7 @@ class NestedLoopJoinOp:
             out = list(self._join_rows(run, chunk.to_rows(), right_rows))
             if out:
                 run.batches += 1
-                yield ColumnChunk.from_rows(out, total)
+                yield ColumnChunk.from_rows(out, total, run.sctx.read)
 
 
 # ---------------------------------------------------------------------------
@@ -1117,8 +1113,8 @@ class PhysicalPlan:
         if interpreted:
             run._source_rows = rows
         else:
-            run.source_chunks = [
-                ColumnChunk.from_rows(rows, run.sctx.total_width)]
+            run.source_chunks = [ColumnChunk.from_rows(
+                rows, run.sctx.total_width, run.sctx.read)]
 
     def execute(self, db, params=(), prefetched_base_rows=None):
         """Run the plan; returns an :class:`ExecResult`."""
@@ -1322,12 +1318,15 @@ def _limit_hint(result_ops, sctx):
 
 def _build_source(node, sctx):
     if isinstance(node, L.Scan):
-        return SeqScanOp(node.table, sctx.offsets[node.table_index])
+        return SeqScanOp(node.table, sctx.offsets[node.table_index],
+                         sctx.table_reads[node.table_index])
     if isinstance(node, L.IndexLookup):
         return IndexLookupOp(node.table, node.where,
-                             sctx.offsets[node.table_index])
+                             sctx.offsets[node.table_index],
+                             sctx.table_reads[node.table_index])
     if isinstance(node, L.IndexRangeScan):
-        return IndexRangeScanOp(node, sctx.offsets[node.table_index])
+        return IndexRangeScanOp(node, sctx.offsets[node.table_index],
+                                sctx.table_reads[node.table_index])
     if isinstance(node, L.Filter):
         return FilterOp(_build_source(node.child, sctx), node.predicate,
                         sctx)

@@ -7,7 +7,7 @@ optimization — see :mod:`repro.sqldb.plan.optimizer`.
 """
 
 from repro.sqldb import ast_nodes as A
-from repro.sqldb.expressions import RowContext
+from repro.sqldb.expressions import RowContext, expr_columns
 from repro.sqldb.plan import logical as L
 
 _AGGREGATE_NAMES = frozenset(["COUNT", "SUM", "AVG", "MIN", "MAX"])
@@ -19,6 +19,13 @@ class SelectContext:
     Joined rows are flat lists; table ``i``'s columns live at positions
     ``offsets[i] .. offsets[i] + widths[i]``.  ``context`` is the
     :class:`RowContext` every expression in the statement evaluates against.
+
+    ``read`` is the statement's **read set**: the sorted flat positions
+    its select items, join conditions, WHERE, GROUP BY, HAVING and ORDER
+    BY name — a superset of what any operator or kernel of the plan can
+    evaluate, since the optimizer only moves those expressions around;
+    the chunk operators leave every other lane all-NULL.
+    ``table_reads[i]`` is table ``i``'s share of it, as schema ordinals.
     """
 
     def __init__(self, db, stmt):
@@ -33,6 +40,15 @@ class SelectContext:
             offset += width
         self.total_width = offset
         self.context = self._build_context()
+        self.read = sorted(self.positions_of(
+            [item.expr for item in stmt.items]
+            + [join.condition for join in stmt.joins]
+            + [stmt.where, stmt.having, *stmt.group_by]
+            + [key.expr for key in stmt.order_by]))
+        self.table_reads = [
+            [pos - offset for pos in self.read
+             if offset <= pos < offset + width]
+            for offset, width in zip(self.offsets, self.widths)]
 
     def _build_context(self):
         positions = {}
@@ -50,6 +66,22 @@ class SelectContext:
             if name not in ambiguous:
                 positions[(None, name)] = pos
         return RowContext(positions, frozenset(ambiguous))
+
+    def positions_of(self, exprs):
+        """The flat positions ``exprs`` (None entries allowed) can read:
+        every column a ``*`` / ``alias.*`` expands to and every ColumnRef
+        that resolves (for the others the resolver raises, per row)."""
+        positions, ambiguous = self.context.positions, self.context.ambiguous
+        found = set()
+        for expr in exprs:
+            if isinstance(expr, A.Star):
+                found.update(pos for (alias, _), pos in positions.items()
+                             if expr.table in (None, alias))
+            found.update(
+                positions.get((ref.table, ref.column))
+                for ref in expr_columns(expr)
+                if ref.table is not None or ref.column not in ambiguous)
+        return found - {None}
 
     def fresh_context(self):
         """A new (unbound) RowContext over the same layout, safe for use on

@@ -220,15 +220,14 @@ class Table:
 
     def column_store(self):
         """The cached columnar snapshot of the current contents, in scan
-        order (see :class:`repro.sqldb.columnar.ColumnStore`).  Rebuilt
+        order (see :class:`repro.sqldb.columnar.ColumnStore`).  Replaced
         lazily whenever the physical mutation counter moved or the rows
         dict itself was swapped (per-request read views).
 
-        The snapshot is both the columnar engine's scan source and the
-        planner's statistics source (per-column distinct counts, zone-map
-        min/max — see :mod:`repro.sqldb.plan.cost`), so any engine may
-        trigger a build at plan time; zone maps share the snapshot's
-        lifetime and are invalidated with it by every write or rollback."""
+        Replacing it costs one sort of the rows: the snapshot is
+        column-lazy — a scan materialises the lanes and zone maps its
+        statement reads, the planner (under any engine) one column's
+        distinct count — and every write or rollback discards it all."""
         store = self._column_store
         if (store is None or store.rows_ref is not self.rows
                 or store.mutations != self._mutation_count):

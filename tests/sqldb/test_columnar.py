@@ -11,12 +11,14 @@ under writes, rollbacks and read-view swaps).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import tpcc
 from repro.sqldb import Database
 from repro.sqldb import columnar as columnar_mod
 from repro.sqldb.columnar import (ColumnChunk, DictColumn, NULL_CODE,
                                   _column_zones, _encode_dict)
 from repro.sqldb.parser import parse
 from repro.sqldb.plan import physical as physical_mod
+from repro.sqldb.plan.cost import column_ndv
 
 
 def _db(engine="columnar", n=100):
@@ -26,6 +28,9 @@ def _db(engine="columnar", n=100):
         db.execute("INSERT INTO t VALUES (?, ?, ?)",
                    (i, None if i % 10 == 9 else f"label{i % 4}", i * 3))
     return db
+
+
+ID, NAME, V = range(3)  # schema ordinals of ``t``, the stores' facet keys
 
 
 # ---------------------------------------------------------------------------
@@ -69,12 +74,12 @@ def test_dict_column_slice_shares_meta():
 def test_column_store_encodes_text_not_int():
     db = _db(n=100)
     store = db.tables["t"].column_store()
-    id_col, name_col, v_col = store.columns
+    id_col, name_col, v_col = map(store.lane, (ID, NAME, V))
     assert isinstance(name_col, DictColumn)
     assert not isinstance(id_col, DictColumn)
     assert not isinstance(v_col, DictColumn)
-    assert store.distinct["name"] == 4
-    assert store.distinct["id"] == 100
+    assert store.distinct(NAME) == 4
+    assert store.distinct(ID) == 100
     assert store.length == 100
 
 
@@ -95,6 +100,115 @@ def test_column_store_cached_until_mutation():
     assert second is not first
     db.execute("DELETE FROM t WHERE id = 6")
     assert table.column_store() is not second
+
+
+def _materialised(table):
+    """The column names whose lane / zone map / distinct count the
+    table's current store holds — read off the cache slots, so asking
+    builds nothing."""
+    store = table.column_store()
+    names = table.schema.column_names
+    return tuple({name for name, facet in zip(names, facets)
+                  if facet is not None}
+                 for facets in (store._lanes, store._zones, store._distinct))
+
+
+def test_store_materialises_only_what_statements_read():
+    db = Database(result_cache_size=0)
+    tpcc.seed(db, warehouses=1)
+    order_line = db.tables["order_line"]
+    assert order_line.column_store().rows == [
+        row for _, row in order_line.scan()]
+    assert _materialised(order_line) == (set(), set(), set())
+    # An unfiltered aggregate: its two lanes, nothing to zone-test.
+    sql = "SELECT ol_w_id, SUM(ol_amount) FROM order_line GROUP BY ol_w_id"
+    first = db.execute(sql).rows
+    assert _materialised(order_line) == (
+        {"ol_w_id", "ol_amount"}, set(), set())
+    # A filtered scan adds its own lanes, and zones of the filtered
+    # columns only — the projected lanes are never zone-tested.
+    db.execute("SELECT ol_i_id, ol_delivery_d FROM order_line "
+               "WHERE ol_quantity > ? AND ol_d_id = ?", (3, 1))
+    lanes, zones, distinct = _materialised(order_line)
+    assert lanes == {"ol_w_id", "ol_amount", "ol_i_id", "ol_delivery_d",
+                     "ol_quantity", "ol_d_id"}
+    assert zones == {"ol_quantity", "ol_d_id"}
+    # Planning priced ``ol_d_id = ?`` by that column's count; encoding the
+    # TEXT lane ol_delivery_d counted its distinct values on the way.
+    assert distinct == {"ol_d_id", "ol_delivery_d"}
+    # A second execution builds nothing: same store, same facet objects.
+    store = order_line.column_store()
+    facets = [list(f) for f in (store._lanes, store._zones, store._distinct)]
+    assert db.execute(sql).rows == first
+    assert order_line.column_store() is store
+    assert all(now is before for cached, was in zip(
+        (store._lanes, store._zones, store._distinct), facets)
+        for now, before in zip(cached, was))
+
+
+def test_column_ndv_counts_one_column_and_builds_no_lane():
+    db = Database(result_cache_size=0)
+    tpcc.seed(db, warehouses=1)
+    # Unindexed: the count comes off the store, alone.
+    assert column_ndv(db, "order_line", "ol_d_id") == 10
+    assert _materialised(db.tables["order_line"]) == (
+        set(), set(), {"ol_d_id"})
+    # Primary key and single-column index: no store facet at all.
+    assert column_ndv(db, "order_line", "ol_id") == 300
+    assert column_ndv(db, "order_line", "ol_o_id") == 100
+    assert _materialised(db.tables["order_line"]) == (
+        set(), set(), {"ol_d_id"})
+    # Planning a join asks for the unindexed key's count and nothing more.
+    db.explain("SELECT c_last, h_amount FROM customer "
+               "JOIN history ON h_c_id = c_id WHERE c_balance > 0")
+    assert _materialised(db.tables["history"]) == (set(), set(), {"h_c_id"})
+    assert _materialised(db.tables["customer"]) == (set(), set(), set())
+
+
+def test_lane_requested_after_a_write_comes_from_a_fresh_store():
+    """Laziness must not let a facet straddle a write: whatever discards
+    the store discards what it had built, a lane first requested
+    afterwards is built from the post-write rows, and the discarded
+    store — asked only now — still answers with the contents it pinned."""
+    db = _db(n=50)
+    table = db.tables["t"]
+
+    def current_v():
+        return [row[V] for _, row in table.scan()]
+
+    def write_between_requests(write):
+        old = table.column_store()
+        old.lane(ID)  # something cached that must not carry over
+        before = current_v()
+        write()
+        new = table.column_store()
+        assert new is not old
+        assert (new._lanes, new._zones, new._distinct) == ([None] * 3,) * 3
+        values = new.lane(V)
+        assert values == current_v() != before
+        assert new.zones(V) == [(min(values), max(values), 0, len(values))]
+        assert new.distinct(V) == len(set(values))
+        assert old.lane(V) == before
+        return old, new
+
+    write_between_requests(
+        lambda: db.execute("INSERT INTO t VALUES (50, 'x', -5)"))
+    write_between_requests(
+        lambda: db.execute("UPDATE t SET v = -9 WHERE id = 7"))
+    write_between_requests(lambda: db.execute("DELETE FROM t WHERE id = 8"))
+    db.execute("BEGIN")
+    db.execute("UPDATE t SET v = 1000 WHERE id < 10")
+    mid, after = write_between_requests(lambda: db.execute("ROLLBACK"))
+    assert max(mid.lane(V)) == 1000 > max(after.lane(V))
+    # Read-view swap: table.rows replaced wholesale, counters untouched.
+    old_rows = table.rows
+    try:
+        _, swapped = write_between_requests(lambda: setattr(
+            table, "rows", dict(list(old_rows.items())[:10])))
+        assert swapped.length == 10
+    finally:
+        table.rows = old_rows
+    assert table.column_store().length == len(old_rows)
 
 
 def test_column_store_invalidated_by_rollback():
@@ -144,12 +258,16 @@ def test_chunk_take_keeps_dictionaries_encoded():
 
 
 def test_from_rows_transpose_shim():
-    chunk = ColumnChunk.from_rows([[1, "a"], [2, "b"]], 2)
+    chunk = ColumnChunk.from_rows([[1, "a"], [2, "b"]], 2, (0, 1))
     assert chunk.length == 2 and chunk.sel is None
     assert chunk.columns == [[1, 2], ["a", "b"]]
-    empty = ColumnChunk.from_rows([], 3)
+    # Positions outside the read set stay the all-NULL lane.
+    pruned = ColumnChunk.from_rows([[1, "a", 7], [2, "b", 8]], 3, (1,))
+    assert pruned.columns == [None, ["a", "b"], None]
+    assert pruned.to_rows() == [[None, "a", None], [None, "b", None]]
+    empty = ColumnChunk.from_rows([], 3, (0, 2))
     assert empty.length == 0
-    assert empty.columns == [[], [], []]
+    assert empty.columns == [[], None, []]
     assert empty.to_rows() == []
 
 
@@ -224,9 +342,9 @@ def test_index_join_keeps_left_dictionary_lanes_encoded():
 def test_zone_maps_record_chunk_min_max_and_nulls():
     db = _db(n=100)
     store = db.tables["t"].column_store()
-    assert store.zones["id"] == [(0, 99, 0, 100)]
-    assert store.zones["v"] == [(0, 297, 0, 100)]
-    (lo, hi, nulls, count), = store.zones["name"]
+    assert store.zones(ID) == [(0, 99, 0, 100)]
+    assert store.zones(V) == [(0, 297, 0, 100)]
+    (lo, hi, nulls, count), = store.zones(NAME)
     assert (lo, hi) == ("label0", "label3")
     assert nulls == 10 and count == 100
 
@@ -278,8 +396,8 @@ def test_zone_maps_invalidated_by_interleaved_writes():
     db = _db(n=2500)
     table = db.tables["t"]
     first = table.column_store()
-    assert first.zones["id"][0][:2] == (0, 1023)
-    assert len(first.zones["id"]) == 3
+    assert first.zones(ID)[0][:2] == (0, 1023)
+    assert len(first.zones(ID)) == 3
     # v is non-negative everywhere, so v < 0 skips all three chunks.
     assert db.execute("SELECT id FROM t WHERE v < 0").chunks_skipped == 3
     # An UPDATE moves one value below chunk 0's advertised minimum; a
@@ -287,7 +405,7 @@ def test_zone_maps_invalidated_by_interleaved_writes():
     db.execute("UPDATE t SET v = -1 WHERE id = 0")
     second = table.column_store()
     assert second is not first
-    assert second.zones["v"][0][0] == -1
+    assert second.zones(V)[0][0] == -1
     res = db.execute("SELECT id FROM t WHERE v < 0")
     assert res.rows == [(0,)] and res.chunks_skipped == 2
 
@@ -298,11 +416,11 @@ def test_zone_maps_invalidated_by_rollback():
     db.execute("BEGIN")
     db.execute("UPDATE t SET v = -7 WHERE id = 2400")
     mid = table.column_store()
-    assert mid.zones["v"][2][0] == -7
+    assert mid.zones(V)[2][0] == -7
     db.execute("ROLLBACK")
     after = table.column_store()
     assert after is not mid
-    assert after.zones["v"][2][0] >= 0
+    assert after.zones(V)[2][0] >= 0
     # Post-rollback scans skip on the restored (non-negative) zones and
     # still agree with the logical contents.
     res = db.execute("SELECT COUNT(*) FROM t WHERE v < 0")
@@ -313,16 +431,16 @@ def test_zone_maps_follow_read_view_swap():
     db = _db(n=2500)
     table = db.tables["t"]
     baseline = table.column_store()
-    assert len(baseline.zones["id"]) == 3
+    assert len(baseline.zones(ID)) == 3
     old_rows = table.rows
     table.rows = dict(list(old_rows.items())[:100])  # simulate _swap_in
     try:
         swapped = table.column_store()
         assert swapped is not baseline
-        assert swapped.zones["id"] == [(0, 99, 0, 100)]
+        assert swapped.zones(ID) == [(0, 99, 0, 100)]
     finally:
         table.rows = old_rows
-    assert len(table.column_store().zones["id"]) == 3
+    assert len(table.column_store().zones(ID)) == 3
 
 
 @settings(max_examples=30, deadline=None)

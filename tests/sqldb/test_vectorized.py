@@ -13,6 +13,10 @@ engine selection and the zero-copy scan's no-mutation contract.
 
 import pytest
 
+from repro.core.query_store import QueryStore
+from repro.net.clock import CostModel, SimClock
+from repro.net.driver import BatchDriver
+from repro.net.server import DatabaseServer
 from repro.sqldb import Database
 from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.parser import parse
@@ -281,6 +285,51 @@ FALLBACK_SHAPES = {
     "concat-non-text-key": ("SELECT p || id, COUNT(*) FROM t WHERE id < ? "
                             "GROUP BY p || id",
                             "'||' requires text operands"),
+    # Read-set shapes: the chunk operators fill only the lanes the
+    # statement names (``SelectContext.read``) while the interpreter reads
+    # whole storage rows, so a column the read set missed would come back
+    # NULL under the columnar engine alone.  ``id`` is filtered but rarely
+    # projected; ``tiny`` / ``u`` lanes are filled by the join emit.
+    "read-star": ("SELECT * FROM t WHERE id < ?", None),
+    "read-alias-star": ("SELECT t.*, tiny.w FROM t LEFT JOIN tiny "
+                        "ON tiny.id = t.v WHERE t.id < ?", None),
+    "read-other-alias-star": ("SELECT t.p, tiny.* FROM t JOIN tiny "
+                              "ON tiny.id = t.v WHERE t.id < ?", None),
+    "read-nothing": ("SELECT COUNT(*) FROM t", None),
+    "read-nothing-joined": ("SELECT COUNT(*) FROM t JOIN u ON u.k = t.v "
+                            "WHERE t.id < ?", None),
+    "read-order-unprojected": ("SELECT s FROM t WHERE id < ? "
+                               "ORDER BY v DESC, p", None),
+    "read-order-shadowing-alias": ("SELECT v AS id, s AS p FROM t "
+                                   "WHERE id < ? ORDER BY id, p, z", None),
+    "read-group-having-unprojected": (
+        "SELECT COUNT(*) FROM t WHERE id < ? GROUP BY s "
+        "HAVING MAX(v) > 10 ORDER BY 1", None),
+    "read-group-fused-unprojected": ("SELECT SUM(v) FROM t WHERE id < ? "
+                                     "GROUP BY s", None),
+    "read-on-unprojected": ("SELECT t.p, u.w FROM t JOIN u ON t.v = u.id "
+                            "WHERE t.id < ?", None),
+    "read-on-unprojected-left": ("SELECT t.p, u.w FROM t LEFT JOIN u "
+                                 "ON t.v = u.k WHERE t.id < ?", None),
+    "read-on-unprojected-hash": ("SELECT small.id FROM small JOIN t "
+                                 "ON small.w = t.v WHERE t.id < ?", None),
+    "read-on-unprojected-nested": ("SELECT t.p FROM t LEFT JOIN tiny "
+                                   "ON tiny.id < t.v AND tiny.w > 1 "
+                                   "WHERE t.id < ?", None),
+    "read-interpreted-items": ("SELECT UPPER(s), v IS NULL, LENGTH(p) > 2 "
+                               "FROM t WHERE id < ?", None),
+    "read-unknown-order-key": ("SELECT s FROM t WHERE id < ? ORDER BY nope",
+                               "unknown column 'nope' in any table"),
+    "read-unknown-qualified": ("SELECT t.s, tiny.nope FROM t LEFT JOIN tiny "
+                               "ON tiny.id = t.v WHERE t.id < ?",
+                               "unknown column 'nope' in table 'tiny'"),
+    "read-ambiguous-item": ("SELECT id FROM t LEFT JOIN tiny "
+                            "ON tiny.id = t.v WHERE t.id < ?",
+                            "ambiguous column reference 'id'"),
+    "read-ambiguous-order-key": ("SELECT t.s FROM t LEFT JOIN tiny "
+                                 "ON tiny.id = t.v WHERE t.id < ? "
+                                 "ORDER BY w, id",
+                                 "ambiguous column reference 'id'"),
 }
 
 
@@ -363,6 +412,35 @@ def test_prefetched_base_rows_feed_joins(label):
         assert shared.rows_touched == private.rows_touched - len(shared_rows)
 
 
+def test_shared_scan_members_read_different_columns():
+    """A ``QueryStore(shared_scans=True)`` batch scans ``t`` once and hands
+    every member the same wide rows; each member transposes its own read
+    set out of them, so members naming different columns must each get
+    what a private execution — and the row engine — gets."""
+    statements = [
+        ("SELECT id, s FROM t WHERE v > ?", (90,)),
+        ("SELECT p FROM t WHERE s = ? ORDER BY v DESC, id", ("s2",)),
+        ("SELECT s, COUNT(*), SUM(v) FROM t GROUP BY s", ()),
+        ("SELECT COUNT(*) FROM t", ()),
+        ("SELECT * FROM t WHERE id < ?", (3,)),
+        ("SELECT UPPER(s), z FROM t WHERE id < ?", (3,)),
+    ]
+    answers = []
+    for db in _pair(CHUNK_SIZE + 5):
+        cost_model, clock = CostModel(), SimClock()
+        batch_driver = BatchDriver(DatabaseServer(db, cost_model), clock,
+                                   cost_model)
+        store = QueryStore(batch_driver, shared_scans=True)
+        ids = [store.register_query(sql, params)
+               for sql, params in statements]
+        shared = [store.get_result_set(query_id).rows for query_id in ids]
+        assert batch_driver.stats.shared_scan_groups == 1, db.engine
+        assert shared == [db.execute(sql, params).rows
+                          for sql, params in statements], db.engine
+        answers.append(shared)
+    assert answers[0] == answers[1]
+
+
 def test_limit_cuts_mid_chunk():
     n = CHUNK_SIZE + 400
     dbs = _pair(n)
@@ -390,6 +468,11 @@ def test_limit_hint_stops_early_in_all_engines():
     result = _agree(*dbs, "SELECT id, v FROM t ORDER BY v LIMIT 50 OFFSET 25")
     assert len(result.rows) == 50
     assert result.rows_touched <= 76
+    # The page's rows re-enter the chunk pipeline through the read lanes
+    # only: ``s`` is filtered and ``v`` ordered by, neither projected.
+    result = _agree(*dbs, "SELECT p, UPPER(p) FROM t WHERE s = ? "
+                          "ORDER BY v LIMIT 7", ("s1",))
+    assert len(result.rows) == 7 and all(p for p, _ in result.rows)
 
 
 def test_null_heavy_columns():
@@ -447,6 +530,58 @@ def test_sum_avg_over_text_raise_sql_type_error(sql):
     assert type(outcome) is SqlTypeError
     name = "AVG" if "AVG" in sql else "SUM"
     assert str(outcome) == f"{name} requires numeric values, got str"
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("call, message", [
+    ("UPPER(v)", "UPPER requires a text value, got int"),
+    ("LOWER(id)", "LOWER requires a text value, got int"),
+    ("LENGTH(v)", "LENGTH requires a text value, got int"),
+    ("ABS(s)", "ABS requires a numeric value, got str"),
+    ("ABS(v IS NULL)", "ABS requires a numeric value, got bool"),
+])
+def test_scalar_functions_over_the_wrong_type_raise_sql_type_error(
+        engine, call, message):
+    """A scalar function over a value of the wrong type is a SqlTypeError
+    naming the function and the value's type — never the AttributeError /
+    TypeError of the Python builtin behind it; NULL still yields NULL."""
+    db = _seed(Database(result_cache_size=0, engine=engine), 6)
+    for sql in (f"SELECT {call} FROM t WHERE id = 1",
+                f"SELECT id FROM t WHERE {call} = 1"):
+        outcome = _outcome(db, sql, ())
+        assert type(outcome) is SqlTypeError, sql
+        assert str(outcome) == message, sql
+    assert db.execute("SELECT UPPER(z), LOWER(z), LENGTH(z), ABS(v), "
+                      "ABS(-id), LENGTH(s) FROM t WHERE id = 3").rows == \
+        [(None, None, None, None, 3, 2)]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("column", ["id", "k"])  # primary key, hash index
+@pytest.mark.parametrize("bad", [[1], {1}, {1: 2}],
+                         ids=lambda bad: type(bad).__name__)
+def test_unhashable_parameter_raises_sql_type_error_on_index_paths(
+        engine, column, bad):
+    """``col = ?`` with a list / set / dict parameter is a SqlTypeError
+    whichever access path serves it — not the ``TypeError`` of the index's
+    dict probe — and a failed UPDATE / DELETE leaves the table as it was."""
+    db = Database(result_cache_size=0, engine=engine)
+    _seed_join_tables(db)
+    before = db.execute("SELECT * FROM u").rows
+    message = (f"cannot compare column {column!r} with a "
+               f"{type(bad).__name__} value")
+    for sql in (f"SELECT id FROM u WHERE {column} = ?",
+                f"SELECT w FROM u WHERE {column} = ? AND w > 0",
+                f"UPDATE u SET w = 0 WHERE {column} = ?",
+                f"DELETE FROM u WHERE {column} = ?"):
+        outcome = _outcome(db, sql, (bad,))
+        assert type(outcome) is SqlTypeError, sql
+        assert str(outcome) == message, sql
+    assert db.execute("SELECT * FROM u").rows == before
+    # Unindexed, the comparison itself raises (unchanged).
+    outcome = _outcome(db, "SELECT id FROM u WHERE w = ?", (bad,))
+    assert type(outcome) is SqlTypeError
+    assert str(outcome) == f"cannot compare 0 with {bad!r}"
 
 
 def test_aggregates_over_text_and_empty_input_still_work():
