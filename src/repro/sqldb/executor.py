@@ -6,7 +6,7 @@ rewritten by the rule-based optimizer (predicate pushdown, index selection,
 join-strategy choice) and lowered to physical operators.
 Optimized plans are cached per parsed statement and invalidated when DDL
 changes the catalog — parameters never affect plan shape (index-key values
-resolve at execution time), so one plan serves every execution of a
+are bound at execution time), so one plan serves every execution of a
 prepared statement.  On top of the plan cache sits the database's
 cross-request **result cache** (:mod:`repro.sqldb.result_cache`): a SELECT
 whose (statement, parameters) pair was executed before, against the same
@@ -14,9 +14,12 @@ catalog/stats/options and unchanged write versions of every referenced
 table, returns its cached rows without building a plan or touching
 storage.
 
-Writes and DDL are interpreted directly here; UPDATE/DELETE share the
-planner's access-path machinery (:mod:`repro.sqldb.plan.access`) for their
-candidate-row search.
+INSERT / UPDATE / DELETE get a :class:`_WritePlan` in the same cache —
+whatever depends only on the statement and the schema — and an execution
+binds parameters to it; UPDATE/DELETE share the planner's access-path
+machinery (:mod:`repro.sqldb.plan.access`) for their candidate-row search.
+A write statement's rows succeed or fail together.  DDL is interpreted
+directly here.
 
 Every execution returns an :class:`ExecResult` carrying the result rows plus
 ``rows_touched``, the number of storage rows the statement examined; the
@@ -28,7 +31,8 @@ from repro.sqldb.catalog import IndexInfo, TableSchema, Column
 from repro.sqldb.errors import SqlError
 from repro.sqldb.expressions import RowContext, evaluate
 from repro.sqldb.plan import plan_select
-from repro.sqldb.plan.access import candidate_row_ids
+from repro.sqldb.plan.access import (LookupShape, candidate_row_ids,
+                                     range_lookup_candidate)
 from repro.sqldb.result import ExecResult
 from repro.sqldb.storage import Table
 
@@ -64,12 +68,8 @@ class Executor:
         kind = type(stmt)
         if kind is A.Select:
             return self._exec_select(stmt, params)
-        if kind is A.Insert:
-            return self._exec_insert(stmt, params)
-        if kind is A.Update:
-            return self._exec_update(stmt, params)
-        if kind is A.Delete:
-            return self._exec_delete(stmt, params)
+        if kind is A.Insert or kind is A.Update or kind is A.Delete:
+            return self._exec_write(stmt, params)
         if kind is A.CreateTable:
             return self._exec_create_table(stmt)
         if kind is A.CreateIndex:
@@ -185,8 +185,10 @@ class Executor:
         entry = self._plans.get(id(stmt))
         if entry is not None and entry[1] == key:
             return entry[2]
-        plan = plan_select(self.db, stmt)
         self.plans_built += 1
+        return self._cache_plan(stmt, key, plan_select(self.db, stmt))
+
+    def _cache_plan(self, stmt, key, plan):
         if len(self._plans) >= _PLAN_CACHE_LIMIT:
             self._plans.clear()
         self._plans[id(stmt)] = (stmt, key, plan)
@@ -219,77 +221,122 @@ class Executor:
 
     # -- writes ---------------------------------------------------------------
 
-    def _exec_insert(self, stmt, params):
+    def _exec_write(self, stmt, params):
+        """One INSERT / UPDATE / DELETE: bind its cached :class:`_WritePlan`
+        to these parameters and apply it so that its rows succeed or fail
+        together — a statement that raises part-way is undone to the open
+        transaction's savepoint, or with the transaction of its own that an
+        auto-committed statement over several rows runs in."""
         self.db.read_views.before_write(stmt.table)
         table = self.db.tables_get(stmt.table)
-        schema = table.schema
-        columns = stmt.columns or schema.column_names
-        ordinals = [schema.ordinal_of(c) for c in columns]
-        undo = self.db.transactions.undo_log()
-        empty_ctx = RowContext({}).bind(())
-        last_id = None
-        count = 0
-        for value_row in stmt.rows:
-            if len(value_row) != len(columns):
-                raise SqlError(
-                    f"INSERT has {len(columns)} columns but "
-                    f"{len(value_row)} values")
-            full = [None] * len(schema.columns)
-            for ordinal, expr in zip(ordinals, value_row):
-                full[ordinal] = evaluate(expr, empty_ctx, params)
-            table.insert_row(full, undo)
-            count += 1
-            if schema.primary_key is not None:
-                key = full[schema.primary_key.ordinal]
-                if isinstance(key, int):
-                    last_id = key
-        return ExecResult(rowcount=count, rows_touched=count,
-                          last_insert_id=last_id)
+        entry = self._plans.get(id(stmt))
+        # A write plan holds nothing of statistics or options: it is stale
+        # only after DDL, which empties the cache, so it needs no key.
+        plan = entry[2] if entry is not None else self._cache_plan(
+            stmt, None, _WritePlan(stmt, table))
+        if plan.rows is not None:
+            apply, targets = _insert_rows, plan.rows
+        else:
+            apply, targets = _change_rows, candidate_row_ids(
+                table, plan.shape, plan.ranged, params)
+        transactions = self.db.transactions
+        own = len(targets) > 1 and not transactions.in_transaction
+        if own:
+            transactions.begin()
+        undo = transactions.undo_log()
+        savepoint = 0 if undo is None else len(undo)
+        try:
+            result = apply(plan, table, targets, params, undo)
+        except BaseException:
+            if own:
+                transactions.rollback()
+            elif undo is not None:
+                transactions.rollback_to(savepoint)
+            raise
+        if own:
+            transactions.commit()
+        return result
 
-    def _exec_update(self, stmt, params):
-        self.db.read_views.before_write(stmt.table)
-        table = self.db.tables_get(stmt.table)
+
+class _WritePlan:
+    """What an INSERT / UPDATE / DELETE needs of its statement and schema,
+    resolved once and cached beside the SELECT plans.  An execution binds
+    parameters and does the per-row work: the candidate search (a NULL or
+    missing key drops out, an unhashable one raises, per execution), the
+    full-WHERE re-check of every candidate, assignment evaluation, undo.
+
+    INSERT: ``rows`` holds, per value row, its ``(ordinal, expr)`` pairs
+    (arity checked).  UPDATE / DELETE: ``rows`` is None; ``ctx`` resolves
+    the table's columns, ``shape`` / ``ranged`` are the WHERE's
+    :class:`LookupShape` and :func:`range_lookup_candidate`; UPDATE alone
+    has ``(ordinal, expr)`` ``assignments`` and their ordinal set
+    ``assigned``.
+    """
+
+    __slots__ = ("rows", "width", "pk", "where", "ctx", "shape", "ranged",
+                 "assignments", "assigned")
+
+    def __init__(self, stmt, table):
         schema = table.schema
-        ctx = _single_table_context(schema, stmt.table)
-        target_ids, touched = candidate_row_ids(table, stmt.where, params)
-        assignments = [(schema.ordinal_of(c), e) for c, e in stmt.assignments]
-        undo = self.db.transactions.undo_log()
-        updated = 0
-        for row_id in target_ids:
-            row = table.rows.get(row_id)
-            if row is None:
-                continue
-            ctx.bind(row)
-            if stmt.where is not None:
-                keep = evaluate(stmt.where, ctx, params)
-                if keep is not True:
-                    continue
+        self.rows = self.assignments = None
+        if type(stmt) is A.Insert:
+            columns = stmt.columns or schema.column_names
+            ordinals = [schema.ordinal_of(c) for c in columns]
+            for value_row in stmt.rows:
+                if len(value_row) != len(columns):
+                    raise SqlError(
+                        f"INSERT has {len(columns)} columns but "
+                        f"{len(value_row)} values")
+            self.rows = [list(zip(ordinals, row)) for row in stmt.rows]
+            self.width = len(schema.columns)
+            self.pk = schema.primary_key
+            return
+        self.where = stmt.where
+        self.ctx = _single_table_context(schema, stmt.table)
+        self.shape = LookupShape(stmt.where)
+        self.ranged = range_lookup_candidate(table, stmt.where)
+        if type(stmt) is A.Update:
+            self.assignments = [(schema.ordinal_of(c), e)
+                                for c, e in stmt.assignments]
+            self.assigned = frozenset(o for o, _ in self.assignments)
+
+
+def _insert_rows(plan, table, rows, params, undo):
+    empty_ctx = RowContext({}).bind(())
+    pk = plan.pk
+    last_id = None
+    for pairs in rows:
+        full = [None] * plan.width
+        for ordinal, expr in pairs:
+            full[ordinal] = evaluate(expr, empty_ctx, params)
+        table.insert_row(full, undo)
+        if pk is not None and isinstance(full[pk.ordinal], int):
+            last_id = full[pk.ordinal]
+    return ExecResult(rowcount=len(rows), rows_touched=len(rows),
+                      last_insert_id=last_id)
+
+
+def _change_rows(plan, table, row_ids, params, undo):
+    """UPDATE, or DELETE (no assignments), every candidate row the full
+    WHERE holds for."""
+    ctx, where, assignments = plan.ctx, plan.where, plan.assignments
+    changed = 0
+    for row_id in row_ids:
+        row = table.rows.get(row_id)
+        if row is None:
+            continue
+        ctx.bind(row)
+        if where is not None and evaluate(where, ctx, params) is not True:
+            continue
+        if assignments is None:
+            table.delete_row(row_id, undo)
+        else:
             new_row = list(row)
             for ordinal, expr in assignments:
                 new_row[ordinal] = evaluate(expr, ctx, params)
-            table.update_row(row_id, new_row, undo)
-            updated += 1
-        return ExecResult(rowcount=updated, rows_touched=touched)
-
-    def _exec_delete(self, stmt, params):
-        self.db.read_views.before_write(stmt.table)
-        table = self.db.tables_get(stmt.table)
-        ctx = _single_table_context(table.schema, stmt.table)
-        target_ids, touched = candidate_row_ids(table, stmt.where, params)
-        undo = self.db.transactions.undo_log()
-        deleted = 0
-        for row_id in list(target_ids):
-            row = table.rows.get(row_id)
-            if row is None:
-                continue
-            if stmt.where is not None:
-                ctx.bind(row)
-                keep = evaluate(stmt.where, ctx, params)
-                if keep is not True:
-                    continue
-            table.delete_row(row_id, undo)
-            deleted += 1
-        return ExecResult(rowcount=deleted, rows_touched=touched)
+            table.update_row(row_id, new_row, plan.assigned, undo)
+        changed += 1
+    return ExecResult(rowcount=changed, rows_touched=len(row_ids))
 
 
 def _single_table_context(schema, table_name):

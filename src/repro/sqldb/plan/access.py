@@ -4,16 +4,18 @@ Shared by the SELECT pipeline (``IndexLookup`` / ``IndexRangeScan``
 physical operators) and by the ``UPDATE``/``DELETE`` candidate-row search
 in the executor facade.
 
-Index choice has a structural half and a runtime half.  At *plan* time,
-:func:`pinned_columns` and :func:`candidate_indexes` decide whether the
-predicate's shape (equality conjuncts over the primary key or an index's
-columns) could ever use an index — if not, the optimizer keeps a plain scan
-— and :func:`ordered_scan_candidates` does the analogous analysis for
-ordered indexes (equality prefix + range suffix + ORDER BY potential).  At
-*execution* time, :func:`resolve_index_lookup` re-derives the key values
-from the actual parameters; a key that resolves to NULL or a missing
-parameter drops out of the conjunct set, which can disqualify the index and
-fall back to a full scan (SQL semantics: ``col = NULL`` never matches).
+Index choice has a structural half and a runtime half.  At *plan* time the
+predicate's equality and IN-list conjuncts are extracted once into a
+:class:`LookupShape`; :func:`pinned_columns` and :func:`candidate_indexes`
+decide from it whether the predicate (equality conjuncts over the primary
+key or an index's columns) could ever use an index — if not, the optimizer
+keeps a plain scan — and :func:`ordered_scan_candidates` does the analogous
+analysis for ordered indexes (equality prefix + range suffix + ORDER BY
+potential).  At *execution* time, :func:`resolve_index_lookup` only binds
+the actual parameters to that same shape; a key that resolves to NULL or a
+missing parameter drops out of the conjunct set, which can disqualify the
+index and fall back to a full scan (SQL semantics: ``col = NULL`` never
+matches) — which is why the final index decision cannot move to plan time.
 """
 
 from repro.sqldb import ast_nodes as A
@@ -38,10 +40,24 @@ def _equality_shapes(where):
                     break
 
 
-def equality_conjuncts(where, params):
-    """Extract ``column -> constant`` pairs from top-level AND conjuncts."""
+class LookupShape:
+    """The equality and IN-list conjuncts of one WHERE (None: no conjunct),
+    extracted when the statement is planned and immutable from then on:
+    ``equalities`` holds the :func:`_equality_shapes` pairs, ``in_lists``
+    the :func:`_in_list_shapes` pairs.  Plan-time candidacy and every
+    execution's key binding read the same two tuples."""
+
+    __slots__ = ("equalities", "in_lists")
+
+    def __init__(self, where):
+        self.equalities = tuple(_equality_shapes(where))
+        self.in_lists = tuple(_in_list_shapes(where))
+
+
+def equality_conjuncts(shape, params):
+    """Bind ``column -> constant`` pairs from the shape's equalities."""
     pairs = {}
-    for column, constant in _equality_shapes(where):
+    for column, constant in shape.equalities:
         if isinstance(constant, A.Literal):
             value = constant.value
         else:
@@ -63,7 +79,7 @@ def _probe_key(column, value):
     return value
 
 
-def pinned_columns(where):
+def pinned_columns(shape):
     """Plan-time view of :func:`equality_conjuncts`: the set of column names
     equated to *some* literal or parameter, regardless of its eventual value.
 
@@ -74,7 +90,7 @@ def pinned_columns(where):
     column takes several.  IN access paths go through
     :func:`_in_list_shapes` instead.
     """
-    return {column for column, _ in _equality_shapes(where)}
+    return {column for column, _ in shape.equalities}
 
 
 def _in_list_shapes(where):
@@ -94,7 +110,7 @@ def _in_list_shapes(where):
             yield node.expr.column, tuple(node.items)
 
 
-def _in_list_keys(column, where, params):
+def _in_list_keys(column, shape, params):
     """The set of values IN conjuncts over ``column`` allow, or None when
     no resolvable IN conjunct constrains it.
 
@@ -105,13 +121,13 @@ def _in_list_keys(column, where, params):
     never matches through the NULL (SQL three-valued equality).
     """
     keys = None
-    ctx = RowContext({}).bind(())
-    for shape_column, items in _in_list_shapes(where):
+    for shape_column, items in shape.in_lists:
         if shape_column != column:
             continue
         if any(isinstance(item, A.Param) and item.index >= len(params)
                for item in items):
             continue
+        ctx = RowContext({}).bind(())
         values = {_probe_key(column, value) for value in
                   (evaluate(item, ctx, params) for item in items)
                   if value is not None}
@@ -119,19 +135,17 @@ def _in_list_keys(column, where, params):
     return keys
 
 
-def candidate_indexes(table, where):
+def candidate_indexes(table, shape):
     """Plan-time candidates: names of access paths the predicate could pin.
 
     Returns a list like ``["<pk>", "idx_owner"]`` (empty when no index can
     ever apply, in which case the optimizer keeps a sequential scan).
     """
-    if where is None:
-        return []
-    pinned = pinned_columns(where)
+    pinned = pinned_columns(shape)
     names = []
     pk = table.schema.primary_key
     if pk is not None and (pk.name in pinned or any(
-            column == pk.name for column, _ in _in_list_shapes(where))):
+            column == pk.name for column, _ in shape.in_lists)):
         names.append("<pk>")
     if pinned:
         for index in table.indexes.values():
@@ -140,22 +154,20 @@ def candidate_indexes(table, where):
     return names
 
 
-def resolve_index_lookup(table, where, params):
-    """Resolve WHERE to row ids via the PK or a secondary index.
+def resolve_index_lookup(table, shape, params):
+    """Resolve a WHERE's shape to row ids via the PK or a secondary index.
 
-    Returns a collection of row ids, or None when no index applies for the
-    actual parameter values (caller falls back to a scan).
+    Returns a sorted list of row ids, or None when no index applies for
+    the actual parameter values (caller falls back to a scan).
     """
-    if where is None:
-        return None
-    pairs = equality_conjuncts(where, params)
+    pairs = equality_conjuncts(shape, params)
     schema = table.schema
     pk = schema.primary_key
     if pk is not None and pk.name in pairs:
         hit = table.find_by_pk(_probe_key(pk.name, pairs[pk.name]))
         return [hit[0]] if hit else []
     if pk is not None:
-        keys = _in_list_keys(pk.name, where, params)
+        keys = _in_list_keys(pk.name, shape, params)
         if keys is not None:
             # Multi-probe point lookup: one pk probe per distinct key.
             # Sorted row ids keep emission in insertion order, identical
@@ -176,7 +188,7 @@ def resolve_index_lookup(table, where, params):
     return sorted(best.lookup(key))
 
 
-def pk_lookup_keys(table, where, params):
+def pk_lookup_keys(table, shape, params):
     """The primary-key values an index lookup would probe, or None when the
     primary key does not serve this predicate for these parameters.
 
@@ -185,33 +197,33 @@ def pk_lookup_keys(table, where, params):
     uses this to merge point lookups from different requests into one
     shared multi-probe.
     """
-    if where is None:
-        return None
     pk = table.schema.primary_key
     if pk is None:
         return None
-    pairs = equality_conjuncts(where, params)
+    pairs = equality_conjuncts(shape, params)
     if pk.name in pairs:
         return frozenset((_probe_key(pk.name, pairs[pk.name]),))
-    keys = _in_list_keys(pk.name, where, params)
+    keys = _in_list_keys(pk.name, shape, params)
     return frozenset(keys) if keys is not None else None
 
 
-def candidate_row_ids(table, where, params):
-    """Row ids that may satisfy ``where`` plus a rows-touched count.
+def candidate_row_ids(table, shape, ranged, params):
+    """Row ids that may satisfy a WHERE — the rows the statement touches.
 
-    Used by UPDATE/DELETE: equality index lookup when the predicate pins
-    indexed columns, ordered-index range scan when it bounds an ordered
-    index's key, full scan otherwise.  The executor re-checks the full
-    WHERE per candidate row, so any superset is safe.
+    Used by UPDATE/DELETE with what their write plan resolved of the WHERE
+    (its :class:`LookupShape`, its :func:`range_lookup_candidate`):
+    equality index lookup when the predicate pins indexed columns,
+    ordered-index range scan when it bounds an ordered index's key, full
+    scan otherwise.  The executor re-checks the full WHERE per candidate
+    row, so any superset is safe.
     """
-    lookup = resolve_index_lookup(table, where, params)
+    lookup = resolve_index_lookup(table, shape, params)
+    if lookup is None and ranged is not None:
+        lookup = range_scan_ids(table.indexes[ranged.index_name], ranged,
+                                params)
     if lookup is None:
-        lookup = resolve_range_lookup(table, where, params)
-    if lookup is not None:
-        return list(lookup), len(lookup)
-    row_ids = [row_id for row_id, _ in table.scan()]
-    return row_ids, len(row_ids)
+        lookup = [row_id for row_id, _ in table.scan()]
+    return lookup
 
 
 # ---------------------------------------------------------------------------
@@ -398,18 +410,13 @@ def range_scan_ids(index, shape, params, descending=False):
             f"index {shape.index_name!r}") from None
 
 
-def resolve_range_lookup(table, where, params):
-    """Resolve WHERE to row ids via an ordered-index range scan.
-
-    The UPDATE/DELETE counterpart of :func:`resolve_index_lookup`: picks
-    the candidate with the longest pinned prefix (bounds required — a
-    bound-free walk is no cheaper than the scan it replaces) and returns
-    the row ids in the range via :func:`range_scan_ids`.  Returns None
-    when no bounded ordered candidate exists.
+def range_lookup_candidate(table, where):
+    """The ordered-index range scan an UPDATE/DELETE falls back to when no
+    equality lookup serves an execution, chosen once per write plan: the
+    candidate with the longest pinned prefix (bounds required — a
+    bound-free walk is no cheaper than the scan it replaces), or None.
+    :func:`range_scan_ids` binds it per execution.
     """
     candidates = [c for c in ordered_scan_candidates(table, where)
                   if c.has_bounds]
-    if not candidates:
-        return None
-    best = max(candidates, key=lambda c: c.n_prefix)
-    return range_scan_ids(table.indexes[best.index_name], best, params)
+    return max(candidates, key=lambda c: c.n_prefix, default=None)

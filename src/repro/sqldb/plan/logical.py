@@ -59,8 +59,9 @@ class Scan(LogicalNode):
 class IndexLookup(LogicalNode):
     """Index-accelerated access to the base table.
 
-    ``where`` is the full predicate the lookup keys are drawn from; key
-    values are resolved against the statement parameters at execution time,
+    ``where`` is the full predicate the lookup keys are drawn from and
+    ``shape`` its :class:`~repro.sqldb.plan.access.LookupShape`; key
+    values are bound to the statement parameters at execution time,
     falling back to a full scan when no index applies for the actual
     parameter values (e.g. a key bound to NULL).  ``candidates`` names the
     indexes the optimizer found structurally applicable (informational).
@@ -68,11 +69,12 @@ class IndexLookup(LogicalNode):
 
     _show = ("table", "candidates")
 
-    def __init__(self, table_index, table, alias, where, candidates):
+    def __init__(self, table_index, table, alias, where, shape, candidates):
         self.table_index = table_index
         self.table = table
         self.alias = alias
         self.where = where
+        self.shape = shape
         self.candidates = candidates  # e.g. ["<pk>"] or index names
 
 

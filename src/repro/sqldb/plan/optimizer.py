@@ -47,6 +47,7 @@ from repro.sqldb.expressions import conjoin, split_conjuncts
 from repro.sqldb.plan import cost as C
 from repro.sqldb.plan import logical as L
 from repro.sqldb.plan.access import (
+    LookupShape,
     candidate_indexes,
     ordered_scan_candidates,
     pinned_columns,
@@ -240,7 +241,7 @@ def _best_base_estimate(db, table_name, predicate, options):
     rules that later pick the base's actual operator."""
     indexed = bool(options.index_joins and predicate is not None
                    and candidate_indexes(db.tables_get(table_name),
-                                         predicate))
+                                         LookupShape(predicate)))
     best = C.access_estimate(db, table_name, predicate, indexed)
     if options.range_scans and predicate is not None:
         for cand in ordered_scan_candidates(db.tables_get(table_name),
@@ -433,11 +434,12 @@ def _to_index_lookup(node, db):
         return node
     scan = node.child
     table = db.tables_get(scan.table)
-    candidates = candidate_indexes(table, node.predicate)
+    shape = LookupShape(node.predicate)
+    candidates = candidate_indexes(table, shape)
     if not candidates:
         return node
     node.child = L.IndexLookup(scan.table_index, scan.table, scan.alias,
-                               node.predicate, candidates)
+                               node.predicate, shape, candidates)
     return node
 
 
@@ -483,7 +485,7 @@ def select_ordered_access(root, sctx, db, options):
         order_spec = _base_order_requirement(sctx, access.table_index)
     pinned_ordinals = {
         table.schema.ordinal_of(c)
-        for c in (pinned_columns(predicate) if predicate is not None else ())
+        for c in pinned_columns(LookupShape(predicate))
         if table.schema.has_column(c)}
 
     current = C.access_estimate(db, access.table, predicate,

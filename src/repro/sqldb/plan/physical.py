@@ -260,20 +260,21 @@ class IndexLookupOp(_BaseTableScan):
 
     Key values come from the statement parameters, so the final index
     decision happens per execution (mirroring the legacy interpreter): when
-    :func:`resolve_index_lookup` finds no usable index for the actual
-    values, this operator degrades to a sequential scan and the filter above
-    does all the work.
+    :func:`resolve_index_lookup` finds no usable index for the values bound
+    to the plan's :class:`~repro.sqldb.plan.access.LookupShape`, this
+    operator degrades to a sequential scan and the filter above does all
+    the work.
     """
 
-    def __init__(self, table_name, where, offset, read):
+    def __init__(self, table_name, shape, offset, read):
         super().__init__(table_name, offset, read)
-        self.where = where
+        self.shape = shape
 
     def _rows(self, run, table):
-        lookup = resolve_index_lookup(table, self.where, run.params)
+        lookup = resolve_index_lookup(table, self.shape, run.params)
         if lookup is None:
             return [row for _, row in table.scan()]
-        return [row for row in map(table.rows.get, sorted(lookup))
+        return [row for row in map(table.rows.get, lookup)
                 if row is not None]
 
 
@@ -1083,7 +1084,7 @@ class PhysicalPlan:
         table = db.tables.get(op.table_name)
         if table is None:
             return None
-        keys = pk_lookup_keys(table, op.where, params)
+        keys = pk_lookup_keys(table, op.shape, params)
         if keys is None:
             return None
         return op.table_name, keys
@@ -1321,7 +1322,7 @@ def _build_source(node, sctx):
         return SeqScanOp(node.table, sctx.offsets[node.table_index],
                          sctx.table_reads[node.table_index])
     if isinstance(node, L.IndexLookup):
-        return IndexLookupOp(node.table, node.where,
+        return IndexLookupOp(node.table, node.shape,
                              sctx.offsets[node.table_index],
                              sctx.table_reads[node.table_index])
     if isinstance(node, L.IndexRangeScan):

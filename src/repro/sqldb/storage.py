@@ -21,8 +21,9 @@ class Table:
         self._pk_index = {}  # pk value -> row_id
         self.indexes = {}  # index name -> HashIndex
         # Monotonically increasing committed-write counter: bumped once per
-        # auto-committed mutation and once per table per COMMIT — never by
-        # rolled-back work (rollback restores the pre-transaction contents,
+        # auto-committed mutation and once per table per COMMIT (also the
+        # implicit one of a multi-row statement) — never by rolled-back
+        # work (rollback restores the pre-transaction contents,
         # so results computed against them are still valid).  The
         # cross-request result cache keys cached rows on a snapshot of
         # these versions (see repro.sqldb.result_cache).
@@ -73,16 +74,17 @@ class Table:
 
     # -- row operations ------------------------------------------------------
 
-    def _check_row(self, values):
-        checked = []
-        for col, value in zip(self.schema.columns, values):
-            coerced = coerce_value(value, col.type_name)
-            if coerced is None and col.not_null:
+    def _check(self, row, ordinals):
+        """Coerce ``row``'s values at ``ordinals`` in place to their
+        columns' types and enforce NOT NULL on them."""
+        columns = self.schema.columns
+        for ordinal in ordinals:
+            col = columns[ordinal]
+            row[ordinal] = value = coerce_value(row[ordinal], col.type_name)
+            if value is None and col.not_null:
                 raise ConstraintError(
                     f"column {col.name!r} of table {self.schema.name!r} "
                     f"is NOT NULL")
-            checked.append(coerced)
-        return checked
 
     def insert_row(self, values, undo_log=None):
         """Insert a full-width row; returns the new row id."""
@@ -90,7 +92,8 @@ class Table:
             raise ConstraintError(
                 f"table {self.schema.name!r} expects "
                 f"{len(self.schema.columns)} values, got {len(values)}")
-        row = self._check_row(values)
+        row = list(values)
+        self._check(row, range(len(row)))
         pk = self.schema.primary_key
         if pk is not None:
             key = row[pk.ordinal]
@@ -104,8 +107,14 @@ class Table:
         self.rows[row_id] = row
         if pk is not None:
             self._pk_index[row[pk.ordinal]] = row_id
-        for index in self.indexes.values():
-            index.insert(row_id, row)
+        try:
+            for index in self.indexes.values():
+                index.insert(row_id, row)
+        except ConstraintError:
+            # A refused write is refused everywhere: the row leaves storage
+            # and every index it reached before the unique one that raised.
+            self._remove_row(row_id)
+            raise
         if undo_log is not None:
             undo_log.append(("insert", self, row_id))
         self._note_write(undo_log)
@@ -144,29 +153,38 @@ class Table:
             self.delete_row(row_id, undo_log)
         return len(row_ids)
 
-    def update_row(self, row_id, new_values, undo_log=None):
+    def update_row(self, row_id, new_row, assigned, undo_log=None):
+        """Replace a row by ``new_row``, a fresh copy of it in which the
+        statement assigned the ordinals in the set ``assigned``.
+
+        Only those are coerced and NOT-NULL-checked (the others were when
+        they were stored) and only the indexes covering one of them are
+        maintained: an index on untouched columns holds the same entry
+        before and after.
+        """
         old_row = self.rows[row_id]
-        new_row = self._check_row(new_values)
+        self._check(new_row, assigned)
         pk = self.schema.primary_key
-        if pk is not None:
-            old_key = old_row[pk.ordinal]
-            new_key = new_row[pk.ordinal]
-            if new_key != old_key and new_key in self._pk_index:
-                raise ConstraintError(
-                    f"duplicate primary key {new_key!r} in table "
-                    f"{self.schema.name!r}")
-        for index in self.indexes.values():
+        rekeyed = pk is not None and new_row[pk.ordinal] != old_row[pk.ordinal]
+        if rekeyed and new_row[pk.ordinal] in self._pk_index:
+            raise ConstraintError(
+                f"duplicate primary key {new_row[pk.ordinal]!r} in table "
+                f"{self.schema.name!r}")
+        indexes = [index for index in self.indexes.values()
+                   if not assigned.isdisjoint(index.ordinals)]
+        for index in indexes:
             index.delete(row_id, old_row)
         self._mutation_count += 1
         self.rows[row_id] = new_row
-        if pk is not None:
-            old_key = old_row[pk.ordinal]
-            new_key = new_row[pk.ordinal]
-            if new_key != old_key:
-                self._pk_index.pop(old_key, None)
-                self._pk_index[new_key] = row_id
-        for index in self.indexes.values():
-            index.insert(row_id, new_row)
+        if rekeyed:
+            self._pk_index.pop(old_row[pk.ordinal], None)
+            self._pk_index[new_row[pk.ordinal]] = row_id
+        try:
+            for index in indexes:
+                index.insert(row_id, new_row)
+        except ConstraintError:
+            self.undo_update(row_id, old_row)  # refused: see insert_row
+            raise
         if undo_log is not None:
             undo_log.append(("update", self, row_id, old_row))
         self._note_write(undo_log)

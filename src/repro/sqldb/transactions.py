@@ -2,8 +2,9 @@
 
 The engine runs single-writer (the simulated server serializes writes), so
 transactions only need atomicity, which the undo log provides.  When no
-transaction is open, statements auto-commit (the undo log is discarded after
-each statement).
+transaction is open, statements auto-commit: a statement writing one row
+needs no undo log (storage refuses a row whole), one writing several runs as
+its own transaction, so a statement that raises part-way leaves nothing.
 """
 
 from repro.sqldb.errors import TransactionError
@@ -76,7 +77,17 @@ class TransactionManager:
     def rollback(self):
         if not self._in_transaction:
             raise TransactionError("no transaction in progress")
-        for entry in reversed(self._undo_log):
+        self.rollback_to(0)
+        self._in_transaction = False
+        self._undo_log = UndoLog()
+
+    def rollback_to(self, savepoint):
+        """Undo, newest first, what the open transaction logged beyond
+        ``savepoint`` (a length of its undo log): everything for ROLLBACK,
+        one statement's rows when it raised part-way."""
+        log = self._undo_log
+        while len(log) > savepoint:
+            entry = log.pop()
             action = entry[0]
             if action == "insert":
                 _, table, row_id = entry
@@ -87,5 +98,3 @@ class TransactionManager:
             elif action == "update":
                 _, table, row_id, old_row = entry
                 table.undo_update(row_id, old_row)
-        self._in_transaction = False
-        self._undo_log = UndoLog()

@@ -219,3 +219,8 @@ class TestIndexUse:
         db.execute("INSERT INTO u (id, code) VALUES (1, 'a')")
         with pytest.raises(ConstraintError):
             db.execute("INSERT INTO u (id, code) VALUES (2, 'a')")
+        # The refused row is in neither the table nor its indexes.
+        assert db.execute("SELECT * FROM u").rows == [(1, "a")]
+        assert db.execute("SELECT id FROM u WHERE id = 2").rows == []
+        assert db.execute("SELECT id FROM u WHERE code = 'a'").rows == [(1,)]
+        assert len(db.tables["u"].indexes["uq"]) == 1

@@ -44,3 +44,20 @@ def test_reports_smoke_counts_are_repeatable():
     defined = traffic.defined_functions()
     assert set(first) <= defined  # every called name is a defined one
     assert not {name for _, name in defined} & DELETED
+
+
+def test_plan_time_work_does_not_scale_with_executions():
+    """A WHERE's lookup shape and a write's row context are built per
+    plan; an execution only binds parameters to them.  Judged against the
+    executions that need a shape (2 559 in this run, before and after):
+    re-deriving per execution made 2.4x as many ``_equality_shapes`` calls
+    and one ``_single_table_context`` per UPDATE / DELETE (1 041)."""
+    traffic = _load_tool()
+    calls = traffic.count_calls("mixed_rw", smoke=True)
+    access = os.path.join("sqldb", "plan", "access.py")
+    executions = calls[access, "resolve_index_lookup"]
+    assert executions > 2000
+    assert 0 < calls[access, "_equality_shapes"] < executions
+    contexts = calls[os.path.join("sqldb", "executor.py"),
+                     "_single_table_context"]
+    assert 0 < contexts <= executions // 10
