@@ -33,10 +33,14 @@ landed yet.  At most ``pipeline_depth`` batches are in flight; a write
 barriers on every in-flight batch before issuing, preserving the [Write
 query] ordering on the virtual timeline as well as in the data.
 
-Write-vs-read classification goes through the process-wide LRU parse cache
-(:func:`repro.sqldb.parser.is_read_statement`), shared with the simulated
-server: each distinct SQL string is parsed once per process no matter how
-many stores, servers or benchmark runs touch it.
+The pending batch is kept in the shape the driver receives it — a list of
+``(sql, params)`` pairs, ids beside it — and that pair is the dedup key; a
+flush hands the list over as it is.  A statement is classified here, once
+(:func:`repro.sqldb.parser.is_read_statement`, a probe of the process-wide
+parse cache); the server parses it once more, to execute it.  A batch is
+one round trip and **fails as one**: when the driver raises, every id of
+the batch remembers the exception and re-raises it on every fetch; nothing
+is re-issued, and the failed batch is not counted as flushed.
 """
 
 from repro.sqldb.parser import is_read_statement
@@ -57,17 +61,18 @@ class QueryId:
 
     ``result`` is None until the id's batch has been issued; ``completion``
     is the :class:`repro.net.clock.AsyncCompletion` of a batch shipped in
-    the background, until the first fetch has waited on it.  Deduplicated
-    registrations hold the same id, hence the same result object.
+    the background, until the first fetch has waited on it; ``error`` is
+    the exception the id's batch failed with, if it did (``result`` then
+    stays None).  Deduplicated registrations hold the same id, hence the
+    same result object.
     """
 
-    __slots__ = ("store", "value", "result", "completion")
+    __slots__ = ("store", "value", "result", "completion", "error")
 
     def __init__(self, store, value):
         self.store = store
         self.value = value
-        self.result = None
-        self.completion = None
+        self.result = self.completion = self.error = None
 
     def __repr__(self):
         return f"QueryId({self.value})"
@@ -129,9 +134,11 @@ class QueryStore:
         self.shared_scans = shared_scans
         self.async_dispatch = async_dispatch
         self.pipeline_depth = pipeline_depth
-        self._buffer = []  # list of (QueryId, sql, params)
-        self._buffer_has_write = False
-        self._pending_keys = {}  # (sql, params) -> QueryId, for dedup
+        # The pending batch in the shape the driver receives it —
+        # ``[(sql, params), ...]`` — with each statement's id in step.
+        self._buffer = []
+        self._buffer_ids = []
+        self._pending_keys = {}  # buffered (sql, params) -> QueryId, for dedup
         self._in_flight = []  # AsyncCompletions in dispatch order
         self._next_id = 0
         self.stats = QueryStoreStats()
@@ -144,22 +151,26 @@ class QueryStore:
         Writes flush the batch immediately (including the write itself);
         duplicate pending reads return the already-registered id.
         """
-        params = tuple(params)
+        statement = (sql, tuple(params))
         self.stats.queries_registered += 1
         if not is_read_statement(sql):
             query_id = self._new_id()
-            self._buffer.append((query_id, sql, params))
-            self._buffer_has_write = True
-            self._flush()
+            self._buffer.append(statement)
+            self._buffer_ids.append(query_id)
+            self._flush(has_write=True)
             return query_id
-        key = (sql, params)
-        existing = self._pending_keys.get(key)
-        if existing is not None:
-            self.stats.dedup_hits += 1
-            return existing
-        query_id = self._new_id()
-        self._buffer.append((query_id, sql, params))
-        self._pending_keys[key] = query_id
+        try:
+            query_id = self._pending_keys.get(statement)
+            if query_id is not None:
+                self.stats.dedup_hits += 1
+                return query_id
+            query_id = self._pending_keys[statement] = self._new_id()
+        except TypeError:
+            # An unhashable parameter: not a dedup key, so never a twin.
+            # The statement ships and the engine names the error.
+            query_id = self._new_id()
+        self._buffer.append(statement)
+        self._buffer_ids.append(query_id)
         if (self.auto_flush_threshold is not None
                 and len(self._buffer) >= self.auto_flush_threshold):
             self._flush()
@@ -168,12 +179,15 @@ class QueryStore:
     def get_result_set(self, query_id):
         """Result set for ``query_id``; flushes the current batch if it is
         not yet available, and — under async dispatch — stalls for the
-        residual if the owning batch is still in flight."""
+        residual if the owning batch is still in flight.  An id whose
+        batch failed re-raises that batch's exception, on every fetch."""
         if query_id.store is not self:
             # Never ours: no flush (a charged round trip) on its behalf.
             raise KeyError(f"query id from another store: {query_id!r}")
         result = query_id.result
         if result is None:
+            if query_id.error is not None:
+                raise query_id.error
             self._flush()
             result = query_id.result
             if result is None:
@@ -217,42 +231,49 @@ class QueryStore:
         self._next_id += 1
         return QueryId(self, self._next_id)
 
-    def _flush(self):
-        batch = self._buffer
-        # A write is only ever appended by register_query's write branch,
-        # which flushes immediately — so the flag classifies the batch
-        # without re-parsing its statements.
-        has_write = self._buffer_has_write
+    def _flush(self, has_write=False):
+        """Issue the pending batch.  A write is only ever appended by
+        ``register_query``'s write branch, which flushes at once and says
+        so — no statement is re-parsed to classify the batch."""
+        batch, ids = self._buffer, self._buffer_ids
         self._buffer = []
-        self._buffer_has_write = False
+        self._buffer_ids = []
         self._pending_keys = {}
         if not batch:
             return
-        statements = [(sql, params) for _, sql, params in batch]
-        if self.async_dispatch and not has_write:
-            self._dispatch_async(batch, statements)
-        else:
-            if self.async_dispatch and has_write:
+        try:
+            if self.async_dispatch and not has_write:
+                self._dispatch_async(batch, ids)
+            else:
                 # [Write query] barrier: every in-flight batch must land
                 # before the write issues (its own batch still carries the
-                # pending reads first, preserving program order).
+                # pending reads first, preserving program order).  Under
+                # synchronous dispatch nothing ever is in flight.
                 while self._in_flight:
                     self._wait_completion(self._in_flight[0])
-            results = self.driver.execute_batch(
-                statements, batch_optimize=self.shared_scans)
-            for (query_id, _, _), result in zip(batch, results):
-                query_id.result = result
-        self.stats.batches_flushed += 1
-        self.stats.queries_issued += len(batch)
-        self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
+                results = self.driver.execute_batch(
+                    batch, batch_optimize=self.shared_scans)
+                for query_id, result in zip(ids, results):
+                    query_id.result = result
+        except BaseException as error:
+            # One round trip fails as one: every id of the batch remembers
+            # why, nothing is re-issued and nothing is counted as flushed.
+            for query_id in ids:
+                query_id.error = error
+            raise
+        stats = self.stats
+        stats.batches_flushed += 1
+        stats.queries_issued += len(batch)
+        if len(batch) > stats.largest_batch:
+            stats.largest_batch = len(batch)
 
-    def _dispatch_async(self, batch, statements):
+    def _dispatch_async(self, batch, ids):
         """Ship an all-read batch in the background (bounded pipeline)."""
         while len(self._in_flight) >= self.pipeline_depth:
             self._wait_completion(self._in_flight[0])
         completion, results = self.driver.execute_batch_async(
-            statements, batch_optimize=self.shared_scans)
-        for (query_id, _, _), result in zip(batch, results):
+            batch, batch_optimize=self.shared_scans)
+        for query_id, result in zip(ids, results):
             query_id.result = result
             query_id.completion = completion
         self._in_flight.append(completion)

@@ -2,7 +2,9 @@
 
 Mirrors the paper's compiled form (§3.2): every delayed statement becomes an
 object with a ``_force`` method that runs the original computation once and
-memoizes the result.  Four flavours:
+memoizes the result.  ``Thunk.force`` is where memoisation, accounting,
+chained-laziness collapse and release live; a flavour only says how its
+value is computed (``_compute``).  Four flavours:
 
 - :class:`Thunk` — wraps a zero-argument callable.
 - :class:`LiteralThunk` — wraps an already-computed value (used for results
@@ -38,18 +40,22 @@ class Thunk:
         return self._value is not _UNEVALUATED
 
     def force(self):
-        """Evaluate the delayed computation (memoized)."""
+        """Evaluate the delayed computation (memoized); one that raises
+        leaves the thunk unforced, to be run — and charged — again."""
         if self._value is _UNEVALUATED:
             if self._runtime is not None:
                 self._runtime.on_force()
-            value = self._fn()
             # Collapse chained laziness so callers always get a plain value.
-            self._value = force(value)
+            self._value = force(self._compute())
             self._fn = None  # release captured state
         return self._value
 
     # The paper's concrete syntax calls this method ``_force``.
     _force = force
+
+    def _compute(self):
+        """How the value is computed: all a flavour of thunk supplies."""
+        return self._fn()
 
     def __repr__(self):
         if self.is_forced:
@@ -64,13 +70,8 @@ class LiteralThunk(Thunk):
 
     def __init__(self, value, runtime=None):
         super().__init__(None, runtime=None)
-        self._value = value
+        self._value = value  # born forced: ``force`` just returns it
         self._runtime = runtime
-
-    def force(self):
-        return self._value
-
-    _force = force
 
     def __repr__(self):
         return f"LiteralThunk({self._value!r})"
@@ -90,18 +91,16 @@ class QueryThunk(Thunk):
 
     def __init__(self, query_store, sql, params=(), deserialize=None,
                  runtime=None):
-        # _fetch closes over the local, not ``self``: thunk -> _fn -> cell ->
-        # thunk would be a cycle, and a never-forced thunk (with the result
-        # its id holds) would wait for the cyclic collector.
-        query_id = self.query_id = query_store.register_query(sql, params)
+        # No closure: the id names its store and ``_fn`` holds the
+        # deserialiser.  thunk -> id -> store is acyclic, so a never-forced
+        # thunk (with the result its id holds) goes by refcount alone.
+        self.query_id = query_store.register_query(sql, params)
+        super().__init__(deserialize, runtime=runtime)
 
-        def _fetch():
-            result_set = query_store.get_result_set(query_id)
-            if deserialize is None:
-                return result_set
-            return deserialize(result_set)
-
-        super().__init__(_fetch, runtime=runtime)
+    def _compute(self):
+        query_id = self.query_id
+        result_set = query_id.store.get_result_set(query_id)
+        return result_set if self._fn is None else self._fn(result_set)
 
     def __repr__(self):
         state = "forced" if self.is_forced else "pending"

@@ -47,7 +47,8 @@ class DriverStats:
         self.round_trips += 1
         self.batches += 1
         self.statements += batch_size
-        self.largest_batch = max(self.largest_batch, batch_size)
+        if batch_size > self.largest_batch:
+            self.largest_batch = batch_size
 
     def snapshot(self):
         return {
@@ -73,8 +74,8 @@ class Driver:
         self.clock = clock
         self.cost_model = cost_model or server.cost_model
         self.stats = DriverStats()
-        # Optional per-request snapshot every statement executes under
-        # (see repro.sqldb.read_view); set by the concurrent serving layer.
+        # Optional per-request snapshot every statement or batch executes
+        # under (see repro.sqldb.read_view); set by concurrent serving.
         self.read_view = read_view
         self._closed = False
 
@@ -94,44 +95,24 @@ class Driver:
             PHASE_NETWORK,
             model.round_trip_ms + model.serialization_per_query_ms)
         hits_before = self.server.result_cache_hits
-        outcome = self.server.execute_one(sql, params,
-                                          read_view=self.read_view)
+        result, cost_ms = self.server.execute_one(sql, params,
+                                                  read_view=self.read_view)
         self.stats.result_cache_hits += (
             self.server.result_cache_hits - hits_before)
-        self.clock.charge(PHASE_DB, outcome.cost_ms)
+        self.clock.charge(PHASE_DB, cost_ms)
         self.stats.record(1)
-        return outcome.result
+        return result
 
 
-class BatchDriver:
-    """The Sloth batch driver: many statements, one round trip.
+class BatchDriver(Driver):
+    """The Sloth batch driver — the paper's *extended* driver: the same
+    connection (``execute`` included), plus many statements in one round
+    trip.
 
     ``execute_batch(..., batch_optimize=True)`` routes the batch through
     the server's batch-plan path (shared scans across union-compatible
     SELECTs); the query store opts in per its ``shared_scans`` flag.
     """
-
-    def __init__(self, server, clock, cost_model=None, read_view=None):
-        self.server = server
-        self.clock = clock
-        self.cost_model = cost_model or server.cost_model
-        self.stats = DriverStats()
-        # Optional per-request snapshot every batch executes under
-        # (see repro.sqldb.read_view); set by the concurrent serving layer.
-        self.read_view = read_view
-        self._closed = False
-
-    def close(self):
-        self._closed = True
-
-    def _check_open(self):
-        if self._closed:
-            raise DriverError("connection is closed")
-
-    def execute(self, sql, params=()):
-        """Single-statement convenience: a batch of one."""
-        results = self.execute_batch([(sql, params)])
-        return results[0]
 
     def execute_batch(self, statements, batch_optimize=False):
         """Execute ``[(sql, params), ...]`` in one round trip.
@@ -147,10 +128,10 @@ class BatchDriver:
             PHASE_NETWORK,
             model.round_trip_ms
             + model.serialization_per_query_ms * len(statements))
-        outcomes, elapsed_ms = self._server_batch(statements, batch_optimize)
+        results, elapsed_ms = self._server_batch(statements, batch_optimize)
         self.clock.charge(PHASE_DB, elapsed_ms)
         self.stats.record(len(statements))
-        return [outcome.result for outcome in outcomes]
+        return results
 
     def execute_batch_async(self, statements, batch_optimize=False):
         """Dispatch a batch without blocking on its round trip (§6.7).
@@ -172,12 +153,12 @@ class BatchDriver:
         self.clock.charge(PHASE_APP, model.driver_call_app_ms)
         network_ms = (model.round_trip_ms
                       + model.serialization_per_query_ms * len(statements))
-        outcomes, elapsed_ms = self._server_batch(statements, batch_optimize)
+        results, elapsed_ms = self._server_batch(statements, batch_optimize)
         completion = self.clock.begin_async(
             ((PHASE_NETWORK, network_ms), (PHASE_DB, elapsed_ms)))
         self.stats.record(len(statements))
         self.stats.async_batches += 1
-        return completion, [outcome.result for outcome in outcomes]
+        return completion, results
 
     def wait(self, completion):
         """Block until an async batch lands; returns ``(stall, overlap)``.
@@ -199,7 +180,7 @@ class BatchDriver:
         groups_before = self.server.shared_scan_groups
         saved_before = self.server.shared_scan_rows_saved
         hits_before = self.server.result_cache_hits
-        outcomes, elapsed_ms = self.server.execute_batch(
+        served = self.server.execute_batch(
             statements, batch_optimize=batch_optimize,
             read_view=self.read_view)
         self.stats.shared_scan_groups += (
@@ -208,4 +189,4 @@ class BatchDriver:
             self.server.shared_scan_rows_saved - saved_before)
         self.stats.result_cache_hits += (
             self.server.result_cache_hits - hits_before)
-        return outcomes, elapsed_ms
+        return served

@@ -13,6 +13,13 @@ Virtual database time for a batch is therefore::
 where ``parallel_elapsed`` assigns reads to the least-loaded worker
 (longest-processing-time-first greedy makespan).
 
+**One body.**  ``execute_one`` and ``execute_batch`` are entry points over
+``_execute``: the cache-hit diff, the request's read view *if it brought
+one*, dispatch and counters — once, for one statement or many.  What
+arrives is ``(sql, params)``; a statement is parsed here once (a probe of
+the process-wide parse cache), executed as an AST through
+``execute_parsed``, and is a read or a write by its type.
+
 **Sharded backends.**  A :class:`repro.sqldb.shard.ShardedDatabase` result
 carries ``shard_phases`` — sequential phases of ``(station, rows_touched,
 from_cache)`` entries that executed in parallel on distinct backends.  A
@@ -32,19 +39,9 @@ one scan plus one dispatch — not N scans — so the server's total database
 time drops whenever the optimizer finds sharing.
 """
 
-from repro.sqldb.parser import is_read_statement
+from repro.sqldb.ast_nodes import Select
+from repro.sqldb.parser import is_read_statement, parse
 from repro.sqldb.plan.batch import execute_batch_plan
-
-
-class StatementOutcome:
-    """One statement's result plus its virtual execution cost."""
-
-    __slots__ = ("result", "cost_ms", "sql")
-
-    def __init__(self, sql, result, cost_ms):
-        self.sql = sql
-        self.result = result
-        self.cost_ms = cost_ms
 
 
 class DatabaseServer:
@@ -66,27 +63,24 @@ class DatabaseServer:
         self.result_cache_hits = 0
 
     def execute_one(self, sql, params=(), read_view=None):
-        """Execute a single statement; returns a :class:`StatementOutcome`.
+        """Execute a single statement; returns ``(result, cost_ms)``.
 
-        With ``read_view`` the statement executes under that request's
-        snapshot (see :mod:`repro.sqldb.read_view`).
+        ``cost_ms`` is the statement's standalone cost
+        (:meth:`statement_cost`): for a sharded result that is its phases
+        summed, not the one-statement batch's makespan.  With ``read_view``
+        the statement executes under that request's snapshot (see
+        :mod:`repro.sqldb.read_view`).
         """
-        hits_before = self.database.result_cache.hits
-        with self.database.read_views.using(read_view):
-            outcome = self._run(sql, params)
-        self.result_cache_hits += (
-            self.database.result_cache.hits - hits_before)
-        self.statements_executed += 1
-        self.batches_executed += 1
-        self.largest_batch = max(self.largest_batch, 1)
-        self.total_db_time_ms += outcome.cost_ms
-        return outcome
+        (result,), _ = self._execute([(sql, params)], False, read_view)
+        cost_ms = self.statement_cost(result)
+        self.total_db_time_ms += cost_ms
+        return result, cost_ms
 
     def execute_batch(self, statements, batch_optimize=False,
                       read_view=None):
         """Execute ``[(sql, params), ...]`` as one batch.
 
-        Returns ``(outcomes, elapsed_ms)`` where ``elapsed_ms`` models
+        Returns ``(results, elapsed_ms)`` where ``elapsed_ms`` models
         parallel execution of reads.  With ``batch_optimize`` the batch
         runs through the shared-scan planner first.  Either path consults
         the database's cross-request result cache per statement: cached
@@ -94,19 +88,30 @@ class DatabaseServer:
         out of shared-scan grouping.  With ``read_view`` every statement
         in the batch executes under that request's snapshot.
         """
-        hits_before = self.database.result_cache.hits
-        with self.database.read_views.using(read_view):
-            if batch_optimize and self.database.supports_batch_plan:
-                outcomes, elapsed_ms = self._execute_batch_plan(statements)
-            else:
-                outcomes, elapsed_ms = self._execute_batch_direct(statements)
-        self.result_cache_hits += (
-            self.database.result_cache.hits - hits_before)
+        results, elapsed_ms = self._execute(statements, batch_optimize,
+                                            read_view)
+        self.total_db_time_ms += elapsed_ms
+        return results, elapsed_ms
+
+    def _execute(self, statements, batch_optimize, read_view):
+        """The one body under both entry points: ``(results, elapsed_ms)``
+        of the batch, with every counter but the caller's time charge."""
+        database = self.database
+        run = (self._execute_batch_plan
+               if batch_optimize and database.supports_batch_plan
+               else self._execute_batch_direct)
+        hits_before = database.result_cache.hits
+        if read_view is None:
+            served = run(statements)
+        else:
+            with database.read_views.using(read_view):
+                served = run(statements)
+        self.result_cache_hits += database.result_cache.hits - hits_before
         self.batches_executed += 1
         self.statements_executed += len(statements)
-        self.largest_batch = max(self.largest_batch, len(statements))
-        self.total_db_time_ms += elapsed_ms
-        return outcomes, elapsed_ms
+        if len(statements) > self.largest_batch:
+            self.largest_batch = len(statements)
+        return served
 
     def result_cache_stats(self):
         """The underlying database's result-cache counters."""
@@ -117,72 +122,65 @@ class DatabaseServer:
     def _execute_batch_direct(self, statements):
         """Every statement on its own plan (the pre-optimizer behaviour).
 
-        Reads bucket per station: statements without ``shard_phases`` all
-        land in the single default bucket (the one-node behaviour), while
-        sharded statements spread their per-station entry costs across the
-        stations that actually served them.  The batch's read time is the
-        ``max()`` of the per-station makespans — stations are separate
-        machines with ``db_workers`` workers each.
+        Reads bucket per station: statements without ``shard_phases`` are
+        the one default station (one node: a plain list), while sharded
+        statements spread their per-station entry costs across the
+        stations that served them — buckets allocated once a result
+        carries phases.  The batch's read time is the ``max()`` of the
+        per-station makespans: stations are separate machines with
+        ``db_workers`` workers each.
         """
         model = self.cost_model
-        outcomes = []
-        station_reads = {}  # station id -> [cost, ...]
+        execute = self.database.execute_parsed
+        results = []
+        read_costs = []
+        station_reads = None  # station id -> [cost, ...]
         serial_ms = 0.0
         for sql, params in statements:
-            outcome = self._run(sql, params)
-            outcomes.append(outcome)
-            if not is_read_statement(sql):
-                serial_ms += outcome.cost_ms
-                continue
-            phases = outcome.result.shard_phases
-            if phases is None:
-                station_reads.setdefault(None, []).append(outcome.cost_ms)
+            stmt = parse(sql)
+            result = execute(stmt, params)
+            results.append(result)
+            if type(stmt) is not Select:
+                serial_ms += self.statement_cost(result)
+            elif result.shard_phases is None:
+                read_costs.append(self.statement_cost(result))
             else:
-                for phase in phases:
+                if station_reads is None:
+                    station_reads = {}
+                for phase in result.shard_phases:
                     for station, rows, cached in phase:
                         station_reads.setdefault(station, []).append(
                             model.query_cost_ms(rows, from_cache=cached))
-        elapsed_ms = serial_ms + max(
-            (_parallel_elapsed(costs, model.db_workers)
-             for costs in station_reads.values()), default=0.0)
-        return outcomes, elapsed_ms
+        read_ms = _parallel_elapsed(read_costs, model.db_workers)
+        if station_reads:
+            read_ms = max(read_ms, max(
+                _parallel_elapsed(costs, model.db_workers)
+                for costs in station_reads.values()))
+        return results, serial_ms + read_ms
 
     def _execute_batch_plan(self, statements):
         """The shared-scan path: group, execute, charge groups once."""
         plan_result = execute_batch_plan(self.database, statements)
+        model = self.cost_model
         grouped = set()
-        group_costs = []
+        read_costs = []
         for group in plan_result.groups:
             grouped.update(group.member_indices)
             # One job: one dispatch plus the single shared scan.
-            group_costs.append(self.cost_model.query_cost_ms(group.scan_rows))
+            read_costs.append(model.query_cost_ms(group.scan_rows))
             self.shared_scan_groups += 1
             self.shared_scan_rows_saved += group.rows_saved
-
-        outcomes = []
-        read_costs = list(group_costs)
         serial_ms = 0.0
-        for index, (sql, params) in enumerate(statements):
-            result = plan_result.results[index]
+        for index, (sql, _) in enumerate(statements):
             if index in grouped:
-                # The group job already carries the cost; members ship free.
-                cost = 0.0
-                outcomes.append(StatementOutcome(sql, result, cost))
-                continue
-            cost = self.cost_model.query_cost_ms(result.rows_touched,
-                                                 from_cache=result.from_cache)
-            outcomes.append(StatementOutcome(sql, result, cost))
+                continue  # the group job carries the cost; members are free
+            cost = self.statement_cost(plan_result.results[index])
             if is_read_statement(sql):
                 read_costs.append(cost)
             else:
                 serial_ms += cost
-        elapsed_ms = serial_ms + _parallel_elapsed(
-            read_costs, self.cost_model.db_workers)
-        return outcomes, elapsed_ms
-
-    def _run(self, sql, params):
-        result = self.database.execute(sql, params)
-        return StatementOutcome(sql, result, self.statement_cost(result))
+        return plan_result.results, serial_ms + _parallel_elapsed(
+            read_costs, model.db_workers)
 
     def statement_cost(self, result):
         """One statement's standalone elapsed time.
@@ -203,13 +201,22 @@ class DatabaseServer:
 
 
 def _parallel_elapsed(costs, workers):
-    """Makespan of scheduling ``costs`` on ``workers`` (LPT greedy)."""
+    """Makespan of scheduling ``costs`` on ``workers`` (LPT greedy).
+
+    With no more jobs than workers LPT gives every job a worker of its own
+    and ``0.0 + c == c``, so the makespan *is* ``max(costs)``, bit for bit:
+    the algorithm's identity, not a second algorithm.  It covers every
+    batch of ``mixed_rw`` / ``pages_original`` and 768 of the 779 batches
+    of a ``pages_sloth`` sweep.
+    """
     if not costs:
         return 0.0
     if workers <= 1:
         return sum(costs)
-    loads = [0.0] * min(workers, len(costs))
+    if len(costs) <= workers:
+        return max(costs)
+    loads = [0.0] * workers
     for cost in sorted(costs, reverse=True):
-        lightest = min(range(len(loads)), key=loads.__getitem__)
+        lightest = min(range(workers), key=loads.__getitem__)
         loads[lightest] += cost
     return max(loads)

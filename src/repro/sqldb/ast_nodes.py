@@ -17,6 +17,9 @@ class Node:
     """Base class: structural equality and a compact repr for debugging."""
 
     _fields = ()
+    #: the source text of a statement the parser built (not a field: it
+    #: takes no part in equality), so the text and the AST name each other.
+    sql = None
 
     def __eq__(self, other):
         if type(self) is not type(other):

@@ -20,9 +20,10 @@ ORM, the benchmark applications and the TPC workloads:
 Parsed statements are cached in a process-wide LRU keyed by the SQL string
 (parameterized queries are parsed once and re-executed many times by the
 benchmarks).  The cache is shared by every consumer of :func:`parse` — the
-query store's write/read classification, the simulated database server's
-batch scheduling, and statement execution — so each distinct SQL string is
-parsed once per process.
+query store's write/read classification on one side of the wire, the
+simulated database server's execution on the other (it ships ``(sql,
+params)``, not ASTs) — so each distinct SQL string is parsed once per
+process and a shipped statement costs two probes.
 """
 
 from collections import OrderedDict
@@ -52,6 +53,7 @@ def parse(sql):
         return cached
     _parse_cache_misses += 1
     stmt = _Parser(sql).parse_statement()
+    stmt.sql = sql
     _PARSE_CACHE[sql] = stmt
     if len(_PARSE_CACHE) > _PARSE_CACHE_LIMIT:
         _PARSE_CACHE.popitem(last=False)

@@ -133,14 +133,8 @@ class ReadViewManager:
 
     @contextmanager
     def using(self, view):
-        """Make ``view`` the active view for the duration.
-
-        ``None`` preserves whatever view is already active, so callers
-        threading an optional per-request view can wrap unconditionally.
-        """
-        if view is None:
-            yield self.active
-            return
+        """Make ``view`` the active view for the duration (a request that
+        brings no view does not enter this at all)."""
         previous = self.active
         self.active = view
         try:

@@ -121,12 +121,12 @@ class Router:
             self._plans[id(stmt)] = plan
         return plan
 
-    def decide(self, stmt, params, sql=None):
+    def decide(self, stmt, params):
         """Resolve a SELECT's route for one set of bound parameters."""
         plan = self.plan_select(stmt)
         shards = self.topology.shards
         if not plan.partitioned:
-            target = self.broadcast_read_shard(sql, stmt, params)
+            target = self.broadcast_read_shard(stmt, params)
             return RouteDecision(KIND_BROADCAST_READ, (target,),
                                  detail=f"no partitioned tables; "
                                         f"pinned to shard {target}")
@@ -162,7 +162,7 @@ class Router:
                 # Contradictory restrictions: no shard can hold a match.
                 return RouteDecision(
                     KIND_SINGLE,
-                    (self.broadcast_read_shard(sql, stmt, params),),
+                    (self.broadcast_read_shard(stmt, params),),
                     detail="empty shard set (contradictory keys); any shard "
                            "returns zero rows")
         if plan.distributive:
@@ -171,7 +171,7 @@ class Router:
         return RouteDecision(KIND_GATHER, range(shards),
                              detail=plan.gather_reason or "not distributive")
 
-    def broadcast_read_shard(self, sql, stmt, params=()):
+    def broadcast_read_shard(self, stmt, params=()):
         """Deterministic home shard for a read of broadcast tables only.
 
         Pinned by statement text *and* bound parameters: every shard holds
@@ -181,8 +181,7 @@ class Router:
         single shard.  The pin stays deterministic per (sql, params), so
         repeats still land on the shard whose result cache is warm.
         """
-        text = sql if sql is not None else repr(type(stmt).__name__)
-        text = f"{text}|{tuple(params)!r}"
+        text = f"{stmt.sql or type(stmt).__name__}|{tuple(params)!r}"
         return zlib.crc32(text.encode()) % self.topology.shards
 
     def write_shards(self, stmt, params):

@@ -104,9 +104,6 @@ class ShardedReadViewManager:
 
     @contextmanager
     def using(self, view):
-        if view is None:
-            yield self.active
-            return
         previous = self.active
         self.active = view
         try:
@@ -260,15 +257,10 @@ class ShardedDatabase:
 
     # -- Database facade -----------------------------------------------------
 
-    def execute(self, sql, params=()):
-        return self._dispatch(parse(sql), tuple(params), sql=sql)
-
     def execute_parsed(self, stmt, params=()):
-        return self._dispatch(stmt, tuple(params))
-
-    def _dispatch(self, stmt, params, sql=None):
+        params = tuple(params)
         if isinstance(stmt, A.Select):
-            result = self._execute_read(stmt, params, sql=sql)
+            result = self._execute_read(stmt, params)
         else:
             result = self._execute_write(stmt, params)
         self.record_statement(result.rows_touched)
@@ -278,8 +270,9 @@ class ShardedDatabase:
         self.statements_executed += 1
         self.total_rows_touched += rows_touched
 
-    # Both are written against ``self.execute`` alone: the facade reuses
-    # the single-node definitions instead of carrying copies.
+    # Written against ``self.execute_parsed`` / ``self.execute`` alone: the
+    # facade reuses the single-node definitions instead of carrying copies.
+    execute = Database.execute
     execute_script = Database.execute_script
     query = Database.query
 
@@ -312,8 +305,8 @@ class ShardedDatabase:
 
     # -- reads ---------------------------------------------------------------
 
-    def _execute_read(self, stmt, params, sql=None):
-        decision = self.router.decide(stmt, params, sql=sql)
+    def _execute_read(self, stmt, params):
+        decision = self.router.decide(stmt, params)
         if decision.kind in (KIND_SINGLE, KIND_BROADCAST_READ):
             result, station = self._read_on(decision.shards[0], stmt, params)
             return _with_phases(result, (
@@ -596,7 +589,7 @@ class ShardedDatabase:
         stmt = parse(sql)
         if not isinstance(stmt, A.Select):
             return self._explain_write(stmt, params)
-        decision = self.router.decide(stmt, params or (), sql=sql)
+        decision = self.router.decide(stmt, params or ())
         plan = self.router.plan_select(stmt)
         lines = []
         if decision.kind == KIND_SINGLE:

@@ -1,7 +1,8 @@
 import pytest
 
+from repro.core.query_store import QueryStore
 from repro.core.thunk import (
-    LiteralThunk, Thunk, ThunkBlock, force, force_deep, is_thunk,
+    LiteralThunk, QueryThunk, Thunk, ThunkBlock, force, force_deep, is_thunk,
 )
 
 
@@ -142,3 +143,76 @@ def test_runtime_accounting(sim_stack):
     assert runtime.stats.thunks_allocated == 1
     t.force()
     assert runtime.stats.forces == 1
+
+
+class _CountingRuntime:
+    """The two accounting hooks a thunk calls, counted."""
+
+    def __init__(self):
+        self.allocated = self.forces = 0
+
+    def on_thunk_allocated(self):
+        self.allocated += 1
+
+    def on_force(self):
+        self.forces += 1
+
+
+def test_thunk_whose_function_raises_stays_unforced_and_retries():
+    runtime = _CountingRuntime()
+    attempts = []
+
+    def flaky():
+        attempts.append(1)
+        if len(attempts) < 3:
+            raise ValueError("not yet")
+        return Thunk(lambda: "ready")
+
+    thunk = Thunk(flaky, runtime=runtime)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            thunk.force()
+        assert not thunk.is_forced  # a failed force does not poison it
+    assert runtime.forces == 2  # each attempt is a force, and charged
+    assert thunk.force() == "ready" and thunk.is_forced
+    assert thunk.force() == "ready"  # memoized from here on
+    assert (len(attempts), runtime.forces, runtime.allocated) == (3, 3, 1)
+
+
+def test_query_thunk_whose_deserialiser_raises_stays_unforced(sim_stack):
+    db, clock, server, driver, batch_driver = sim_stack
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+    db.execute("INSERT INTO t (id, v) VALUES (1, 10)")
+    runtime = _CountingRuntime()
+    seen = []
+
+    def deserialize(result_set):
+        seen.append(result_set)
+        if len(seen) == 1:
+            raise ValueError("bad row")
+        return result_set.scalar()
+
+    thunk = QueryThunk(QueryStore(batch_driver), "SELECT v FROM t WHERE id = ?",
+                       (1,), deserialize, runtime=runtime)
+    query_id = thunk.query_id
+    with pytest.raises(ValueError):
+        thunk.force()
+    assert not thunk.is_forced and thunk._fn is deserialize
+    assert thunk.force() == 10 and thunk.is_forced
+    # Two forces charged, one round trip: the second fetch found the
+    # result on the id.
+    assert (runtime.forces, batch_driver.stats.round_trips) == (2, 1)
+    assert seen[0] is seen[1] is query_id.result
+    # Forced: the deserialiser is released, the id (and its result) kept.
+    assert thunk._fn is None and thunk.query_id is query_id
+    assert thunk.force() == 10 and runtime.forces == 2 and len(seen) == 2
+
+
+def test_query_thunk_without_a_deserialiser_delivers_the_result_set(
+        sim_stack):
+    db, clock, server, driver, batch_driver = sim_stack
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+    db.execute("INSERT INTO t (id, v) VALUES (1, 10)")
+    thunk = QueryThunk(QueryStore(batch_driver), "SELECT v FROM t")
+    assert thunk.force() is thunk.query_id.result
+    assert thunk.force().rows == [(10,)]

@@ -1,9 +1,16 @@
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.clock import AsyncCompletion, CostModel, SimClock
 from repro.net.driver import BatchDriver, Driver
 from repro.net.errors import DriverError
 from repro.net.server import DatabaseServer, _parallel_elapsed
+from repro.sqldb import Database
+from repro.sqldb.shard import (PartitionSpec, ShardTopology,
+                               ShardedDatabase)
 
 
 class TestSimClock:
@@ -241,6 +248,32 @@ class TestParallelElapsed:
         elapsed = _parallel_elapsed(costs, 2)
         assert max(costs) <= elapsed <= sum(costs)
 
+    @staticmethod
+    def _reference_lpt(costs, workers):
+        """Longest-processing-time-first, written out: every job, longest
+        first, goes to the worker with the least load so far."""
+        if not costs:
+            return 0.0
+        if workers <= 1:
+            return sum(costs)
+        loads = [0.0] * min(workers, len(costs))
+        for cost in sorted(costs, reverse=True):
+            lightest = min(range(len(loads)), key=loads.__getitem__)
+            loads[lightest] += cost
+        return max(loads)
+
+    @given(costs=st.lists(st.floats(min_value=0.0, max_value=1e9,
+                                    allow_nan=False), max_size=40),
+           workers=st.integers(1, 16))
+    @settings(max_examples=300, deadline=None)
+    def test_makespan_is_the_reference_lpt_bit_for_bit(self, costs, workers):
+        # ``==``, not ``approx``: every simulated figure is a sum of these.
+        elapsed = _parallel_elapsed(costs, workers)
+        assert elapsed == self._reference_lpt(costs, workers)
+        if 0 < len(costs) <= workers:
+            # A worker each: the schedule is the identity, no load is a sum.
+            assert elapsed == max(costs)
+
 
 class TestDrivers:
     def test_driver_one_round_trip_per_statement(self, sim_stack):
@@ -391,3 +424,115 @@ def test_begin_async_accepts_any_iterable():
     assert completion.segments == (("network", 1.0), ("db", 2.0))
     stall, _ = clock.wait(completion)
     assert stall == pytest.approx(3.0)
+
+
+def _single_node():
+    return Database()
+
+
+def _two_shards():
+    return ShardedDatabase(ShardTopology(2, {"t": PartitionSpec("grp")}))
+
+
+class TestOneStatementOrABatchOfOne:
+    """``execute_one(sql, params)`` against ``execute_batch([(sql, params)])``
+    on twin servers: one body serves both, so rows and every counter agree
+    step by step; what differs is the time each charges for a *sharded*
+    statement of more than one phase, and that is pinned here."""
+
+    READ = "SELECT id, val FROM t WHERE grp = ? ORDER BY id"
+    GATHER = "SELECT id FROM t ORDER BY id LIMIT 1 + 2"  # computed LIMIT
+
+    @staticmethod
+    def _server(make_db):
+        db = make_db()
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp INT, "
+                   "val INT)")
+        for i in range(12):
+            db.execute("INSERT INTO t (id, grp, val) VALUES (?, ?, ?)",
+                       (i, i % 4, i * 10))
+        return DatabaseServer(db, CostModel())
+
+    @staticmethod
+    def _by_hand(server, result):
+        """(phases summed, stations max'ed) off ``shard_phases``."""
+        cost = server.cost_model.query_cost_ms
+        if result.shard_phases is None:
+            solo = cost(result.rows_touched, from_cache=result.from_cache)
+            return solo, solo
+        stations = {}
+        for phase in result.shard_phases:
+            for station, rows, cached in phase:
+                stations[station] = (stations.get(station, 0.0)
+                                     + cost(rows, from_cache=cached))
+        return (sum(max(cost(rows, from_cache=cached)
+                        for _, rows, cached in phase)
+                    for phase in result.shard_phases),
+                max(stations.values()))
+
+    def _step(self, one, batch, sql, params=(), views=(None, None),
+              write=False):
+        result, cost_ms = one.execute_one(sql, params, read_view=views[0])
+        (twin,), elapsed_ms = batch.execute_batch([(sql, params)],
+                                                  read_view=views[1])
+        assert (result.columns, result.rows, result.rowcount) == (
+            twin.columns, twin.rows, twin.rowcount)
+        assert result.shard_phases == twin.shard_phases
+        for counter in ("batches_executed", "statements_executed",
+                        "largest_batch", "result_cache_hits"):
+            assert getattr(one, counter) == getattr(batch, counter), counter
+        summed, maxed = self._by_hand(one, result)
+        assert cost_ms == summed
+        # A write serializes at its standalone cost; a read is its
+        # stations' makespan.
+        assert elapsed_ms == (summed if write else maxed)
+        return result, cost_ms, elapsed_ms
+
+    @pytest.mark.parametrize("make_db", [_single_node, _two_shards],
+                             ids=["single-node", "two-shards"])
+    def test_rows_counters_and_charges(self, make_db):
+        one, batch = self._server(make_db), self._server(make_db)
+        sharded = make_db is _two_shards
+        step = functools.partial(self._step, one, batch)
+        miss, cost_ms, elapsed_ms = step(self.READ, (1,))
+        assert miss.rows == [(1, 10), (5, 50), (9, 90)]
+        assert cost_ms == elapsed_ms  # one phase: summed is max'ed
+        hit, _, _ = step(self.READ, (1,))
+        assert hit.from_cache and one.result_cache_hits == 1
+        written, cost_ms, elapsed_ms = step(
+            "UPDATE t SET val = val + 1 WHERE grp = ?", (1,), write=True)
+        assert written.rowcount == 3 and cost_ms == elapsed_ms
+        assert step(self.READ, (1,))[0].rows == [(1, 11), (5, 51), (9, 91)]
+
+        # A read view, opened on each twin, then made stale from outside.
+        views = [server.database.read_views.open()
+                 for server in (one, batch)]
+        for server in (one, batch):
+            server.database.execute(
+                "UPDATE t SET val = 0 WHERE grp = ?", (1,))
+        stale, _, _ = step(self.READ, (1,), views=views)
+        assert stale.rows == [(1, 11), (5, 51), (9, 91)]  # the snapshot
+        assert not stale.from_cache
+        assert step(self.READ, (1,))[0].rows == [(1, 0), (5, 0), (9, 0)]
+        for server in (one, batch):  # nothing stays installed
+            assert server.database.read_views.active is None
+        # A write under the view: read-your-writes from then on.
+        step("UPDATE t SET val = 7 WHERE grp = ?", (1,), views=views,
+             write=True)
+        assert step(self.READ, (1,), views=views)[0].rows == [
+            (1, 7), (5, 7), (9, 7)]
+        for view in views:
+            view.close()
+
+        # More than one phase: sync the coordinator, then run there.
+        gathered, cost_ms, elapsed_ms = step(self.GATHER)
+        assert gathered.rows == [(0,), (1,), (2,)]
+        if sharded:
+            assert len(gathered.shard_phases) == 2
+            assert cost_ms > elapsed_ms  # phases summed vs stations max'ed
+            assert one.total_db_time_ms > batch.total_db_time_ms
+        else:
+            assert cost_ms == elapsed_ms
+            assert one.total_db_time_ms == batch.total_db_time_ms
+        assert one.batches_executed == one.statements_executed == 9
+        assert one.largest_batch == 1

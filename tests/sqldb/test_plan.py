@@ -598,5 +598,5 @@ class TestSharedScanThroughStack:
         direct, _ = server.execute_batch(statements)
         shared, _ = server.execute_batch(statements, batch_optimize=True)
         for a, b in zip(direct, shared):
-            assert a.result.columns == b.result.columns
-            assert a.result.rows == b.result.rows
+            assert a.columns == b.columns
+            assert a.rows == b.rows

@@ -18,7 +18,7 @@ TOPO = ShardTopology(4, {"t": PartitionSpec("grp"),
 
 
 def decide(sql, params=()):
-    return Router(TOPO).decide(parse(sql), params, sql=sql)
+    return Router(TOPO).decide(parse(sql), params)
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +69,10 @@ def test_broadcast_table_read_pins_to_one_shard():
 def test_broadcast_pin_varies_with_params_but_is_deterministic():
     router = Router(TOPO)
     stmt = parse("SELECT id FROM lk WHERE id = ?")
-    sql = "SELECT id FROM lk WHERE id = ?"
-    pins = {router.broadcast_read_shard(sql, stmt, (k,)) for k in range(32)}
+    pins = {router.broadcast_read_shard(stmt, (k,)) for k in range(32)}
     assert len(pins) > 1  # spreads across the fleet
-    assert (router.broadcast_read_shard(sql, stmt, (3,))
-            == router.broadcast_read_shard(sql, stmt, (3,)))
+    assert (router.broadcast_read_shard(stmt, (3,))
+            == router.broadcast_read_shard(stmt, (3,)))
 
 
 def test_contradictory_keys_route_to_one_empty_shard():

@@ -1,6 +1,7 @@
 """Smoke test for ``tools/traffic.py``: the whole-tree call counter that
 ROADMAP's zero-traffic rule is applied with."""
 
+import functools
 import importlib.util
 import os
 import sys
@@ -35,6 +36,12 @@ def _load_tool():
     return module
 
 
+@functools.lru_cache(maxsize=None)
+def _mixed_rw_smoke_calls():
+    """One profiled smoke episode, shared by the tests that read it."""
+    return _load_tool().count_calls("mixed_rw", smoke=True)
+
+
 def test_reports_smoke_counts_are_repeatable():
     traffic = _load_tool()
     first = traffic.count_calls("reports", smoke=True)
@@ -52,8 +59,7 @@ def test_plan_time_work_does_not_scale_with_executions():
     executions that need a shape (2 559 in this run, before and after):
     re-deriving per execution made 2.4x as many ``_equality_shapes`` calls
     and one ``_single_table_context`` per UPDATE / DELETE (1 041)."""
-    traffic = _load_tool()
-    calls = traffic.count_calls("mixed_rw", smoke=True)
+    calls = _mixed_rw_smoke_calls()
     access = os.path.join("sqldb", "plan", "access.py")
     executions = calls[access, "resolve_index_lookup"]
     assert executions > 2000
@@ -61,3 +67,23 @@ def test_plan_time_work_does_not_scale_with_executions():
     contexts = calls[os.path.join("sqldb", "executor.py"),
                      "_single_table_context"]
     assert 0 < contexts <= executions // 10
+
+
+def test_a_statement_is_parsed_once_per_side_of_the_wire():
+    """Every parse beyond the one an execution needs is a registration:
+    the store classifies a statement (read or write) and the server parses
+    it to execute it — 27 186 - 24 061 = 3 125 registrations in this run;
+    classifying on the server as well made it 2 x 3 125.  And a workload
+    that opens no read view never enters ``ReadViewManager.using`` (7 770
+    call and generator-resume events when a view-less request entered it
+    to install nothing)."""
+    calls = _mixed_rw_smoke_calls()
+    parses = calls[os.path.join("sqldb", "parser.py"), "parse"]
+    executions = calls[os.path.join("sqldb", "database.py"),
+                       "Database.execute_parsed"]
+    registrations = calls[os.path.join("core", "query_store.py"),
+                          "QueryStore.register_query"]
+    assert registrations > 3000
+    assert parses - executions == registrations
+    assert (os.path.join("sqldb", "read_view.py"),
+            "ReadViewManager.using") not in calls
