@@ -16,12 +16,12 @@ def test_fig12_optimizations(benchmark):
         assert per_config["SC+TC"] < per_config["SC"]
         assert per_config["SC+TC+BD"] < per_config["SC+TC"]
         # Paper: >2x difference between none and all optimizations (our
-        # miniature controllers land somewhat lower; see EXPERIMENTS.md).
+        # miniature controllers land somewhat lower).
         assert per_config["noopt"] / per_config["SC+TC+BD"] > 1.4
         # Branch deferral contributes a real, positive gain.  (In the
         # paper BD is the largest single win; our miniature controllers
         # have far fewer branch sites than 300k lines of Java, so its
-        # share is smaller here — documented in EXPERIMENTS.md.)
+        # share is smaller here.)
         gain_bd = per_config["SC+TC"] - per_config["SC+TC+BD"]
         assert gain_bd > 0
         # The batch shared-scan series: merging union-compatible SELECTs

@@ -6,9 +6,11 @@ once all thunks are forced.  This package implements that formalism:
 
 - :mod:`repro.compiler.kernel` — the kernel-language AST and program model,
 - :mod:`repro.compiler.standard_interp` — standard (eager) semantics,
-- :mod:`repro.compiler.lazy_interp` — extended lazy semantics with a query
-  store, thunks as ``(environment, expression)`` pairs and a ``force``
-  function, plus the §4 optimizations as interpreter flags,
+- :mod:`repro.compiler.lazy_interp` — extended lazy semantics, run on the
+  production runtime library: thunks, ``force`` and the query store are
+  :mod:`repro.core`'s, the database is the appendix's dict behind the
+  server contract :mod:`repro.net`'s batch driver speaks, and the §4
+  optimizations are the runtime's flags,
 - :mod:`repro.compiler.analysis` — the compiler's analysis passes:
   persistence analysis (selective compilation, §4.1), side-effect/deferrable
   labeling (branch deferral, §4.2) and liveness (thunk coalescing, §4.3),
@@ -16,8 +18,11 @@ once all thunks are forced.  This package implements that formalism:
 - :mod:`repro.compiler.parser` — a concrete syntax for writing kernel
   programs in tests and examples.
 
-The property-based tests in ``tests/compiler`` exercise the soundness
-theorem on randomly generated programs.
+Compiled code *calls* the runtime library (paper §5), so this package sits
+above ``core`` and ``net`` in the import order.  The property-based tests in
+``tests/compiler`` exercise the soundness theorem on randomly generated
+programs — through the production dedup key, write barrier and failed-batch
+contract.
 """
 
 from repro.compiler.errors import KernelError, KernelParseError

@@ -1,17 +1,29 @@
 """Extended lazy semantics for the kernel language (paper §3.8 + appendix).
 
-The interpreter mirrors the appendix's evaluation rules:
+Compiled code *calls* the runtime library (§5), and so does this
+interpreter: every delayed value is a :mod:`repro.core.thunk` thunk
+allocated by a :class:`repro.core.runtime.SlothRuntime`, every query goes
+through that runtime's :class:`repro.core.query_store.QueryStore`, and the
+database is the appendix's dict behind the server contract the batch driver
+speaks (:class:`KernelServer`).  The interpreter counts nothing itself:
+round trips, allocations, batches and dedup hits are the production stats
+objects, and a kernel program has a virtual clock.  The appendix's
+evaluation rules, in those terms:
 
 - expression evaluation produces *thunks* instead of values; a thunk
-  captures the environment snapshot it needs and is forced at most once;
+  captures the environment snapshot it needs and is forced at most once
+  (``runtime.defer``);
 - ``R(e)`` eagerly forces the query value and **registers** it with the
-  query store, returning a thunk that fetches the result set; registration
-  deduplicates identical pending queries;
+  query store, returning a thunk that fetches the result set
+  (``runtime.query``); registration deduplicates identical pending queries;
 - forcing an unissued query flushes the whole pending batch in one round
   trip;
-- ``W(e)`` is never deferred: the pending batch (reads first, then the
-  write) ships in a single round trip, reads observing the pre-write
-  database — the appendix's [Write query] rule;
+- ``W(e)`` is never deferred (``runtime.execute_write``): the pending batch
+  (reads first, then the write) ships in a single round trip, reads
+  observing the pre-write database — the appendix's [Write query] rule is
+  ``QueryStore._flush(has_write=True)``;
+- a batch fails as one: an error in any of its statements is re-raised by
+  every thunk of the batch, on every force;
 - heap writes, output, branch conditions and loop conditions force eagerly
   (§3.5, §3.6) unless branch deferral applies (§4.2);
 - calls follow §3.4: effect-free query-free internal calls defer whole;
@@ -19,141 +31,73 @@ The interpreter mirrors the appendix's evaluation rules:
   calls force their arguments and run eagerly.
 
 Optimizations (§4) are applied through an
-:class:`repro.compiler.optimize.OptimizationPlan`; they change how many
-thunks are allocated and when batches flush, never the final state — the
-property tests assert exactly that.
+:class:`repro.compiler.optimize.OptimizationPlan`, whose three switches
+become the runtime's :class:`repro.core.runtime.OptimizationFlags`; they
+change how many thunks are allocated and when batches flush, never the
+final state — the property tests assert exactly that.
 """
 
 from repro.compiler import kernel as K
-from repro.compiler.analysis import classify_functions, effective_kind
+from repro.compiler.analysis import (
+    classify_functions, effective_kind, stmt_uses_defs,
+)
 from repro.compiler.errors import KernelError
 from repro.compiler.standard_interp import (
     Address, HeapObject, apply_binop, apply_unop, truthy,
 )
+from repro.core.runtime import OptimizationFlags, SlothRuntime
+from repro.core.thunk import force, is_thunk
+from repro.net.clock import CostModel, SimClock
+from repro.net.driver import BatchDriver
 
 _MAX_STEPS = 400_000
-_UNSET = object()
+
+# ``R(v)`` and ``W(v)`` over the appendix's one relation, as statements the
+# query store can classify (``is_read_statement`` parses them); ``v`` is the
+# one parameter.  :class:`KernelServer` gives them the kernel's meaning.
+_READ_SQL = "SELECT result FROM db WHERE query = ?"
+_WRITE_SQL = "UPDATE db SET result = result + 1 WHERE query = ?"
 
 
-class KernelThunk:
-    """A memoized delayed computation."""
+class KernelServer:
+    """The appendix's database — a dict from query value to result — behind
+    the server contract :class:`repro.net.driver.BatchDriver` speaks."""
 
-    __slots__ = ("_compute", "_value")
+    # The counters the driver diffs around a batch; nothing here moves them.
+    shared_scan_groups = shared_scan_rows_saved = result_cache_hits = 0
 
-    def __init__(self, compute):
-        self._compute = compute
-        self._value = _UNSET
+    def __init__(self, db, cost_model):
+        self.db = db
+        self.cost_model = cost_model
 
-    def force(self):
-        if self._value is _UNSET:
-            self._value = kforce(self._compute())
-            self._compute = None
-        return self._value
-
-    def __repr__(self):
-        return "KernelThunk(forced)" if self._value is not _UNSET \
-            else "KernelThunk(pending)"
-
-
-class BlockThunk:
-    """A deferred block (coalesced run or deferred branch, §4.2/§4.3)."""
-
-    __slots__ = ("_run", "_values")
-
-    def __init__(self, run):
-        self._run = run
-        self._values = None
-
-    def force_block(self):
-        if self._values is None:
-            self._values = self._run()
-            self._run = None
-        return self._values
-
-
-class BlockOutput:
-    """One named output of a :class:`BlockThunk`."""
-
-    __slots__ = ("block", "name")
-
-    def __init__(self, block, name):
-        self.block = block
-        self.name = name
-
-    def force(self):
-        return kforce(self.block.force_block()[self.name])
-
-
-def kforce(value):
-    """Force kernel thunks to plain values."""
-    while isinstance(value, (KernelThunk, BlockOutput)):
-        value = value.force()
-    return value
-
-
-class KernelQueryStore:
-    """The appendix's Q: id -> (query value, result-or-unset)."""
-
-    def __init__(self):
-        self._pending = []  # list of (id, query_value)
-        self._results = {}
-        self._next_id = 1
-        self.round_trips = 0
-        self.batches = []  # sizes, for assertions on batching
-        self.queries_issued = 0
-        self.dedup_hits = 0
-
-    def register(self, query_value):
-        for existing_id, pending_value in self._pending:
-            if pending_value == query_value:
-                self.dedup_hits += 1
-                return existing_id
-        query_id = self._next_id
-        self._next_id += 1
-        self._pending.append((query_id, query_value))
-        return query_id
-
-    def fetch(self, query_id, db):
-        """Result for ``query_id``, flushing the pending batch if needed."""
-        if query_id in self._results:
-            return self._results[query_id]
-        self.flush(db)
-        if query_id not in self._results:
-            raise KernelError(f"unknown query id {query_id}")
-        return self._results[query_id]
-
-    def flush(self, db, extra_write=False):
-        """Issue all pending reads (plus optionally a write) in one round
-        trip against the current database."""
-        if not self._pending and not extra_write:
-            return
-        batch_size = len(self._pending) + (1 if extra_write else 0)
-        for query_id, query_value in self._pending:
-            self._results[query_id] = K.read_db(db, query_value)
-        self.queries_issued += len(self._pending)
-        if extra_write:
-            self.queries_issued += 1
-        self._pending = []
-        self.round_trips += 1
-        self.batches.append(batch_size)
-
-    @property
-    def largest_batch(self):
-        return max(self.batches) if self.batches else 0
+    def execute_batch(self, statements, batch_optimize=False, read_view=None):
+        """Run ``statements`` in batch order — a write is the last of its
+        batch, so the reads shipped with it observe the pre-write database.
+        Each statement is priced as one row touched, one after the other."""
+        results = []
+        for sql, (query_value,) in statements:
+            if sql == _READ_SQL:
+                results.append(K.read_db(self.db, query_value))
+            else:
+                self.db = K.update_db(self.db, query_value)
+                results.append(True)  # not None: that means "not issued"
+        return results, self.cost_model.query_cost_ms(1) * len(statements)
 
 
 class LazyResult:
-    """Final state of a lazy-semantics run (after force-all)."""
+    """Final state of a lazy-semantics run (after force-all).  The counters
+    are read off the run's runtime: ``round_trips`` is the driver's,
+    ``thunks_allocated`` the runtime's, ``store.stats`` the query store's."""
 
-    def __init__(self, env, heap, db, output, round_trips,
-                 thunks_allocated, store):
+    def __init__(self, env, heap, db, output, runtime):
         self.env = env
         self.heap = heap
         self.db = db
         self.output = output
-        self.round_trips = round_trips
-        self.thunks_allocated = thunks_allocated
-        self.store = store
+        self.runtime = runtime
+        self.store = runtime.query_store
+        self.round_trips = runtime.driver.stats.round_trips
+        self.thunks_allocated = runtime.stats.thunks_allocated
 
 
 class LazyInterpreter:
@@ -161,14 +105,21 @@ class LazyInterpreter:
 
     def __init__(self, program, db=None, plan=None):
         self.program = program
-        self.db = dict(db or {})
         self.heap = []
         self.output = []
-        self.store = KernelQueryStore()
         self.plan = plan
         self.summaries = (plan.summaries if plan is not None
                           else classify_functions(program))
-        self.thunks_allocated = 0
+        cost_model = CostModel()
+        clock = SimClock()
+        self.server = KernelServer(dict(db or {}), cost_model)
+        self.runtime = SlothRuntime(
+            BatchDriver(self.server, clock), clock, cost_model,
+            optimizations=OptimizationFlags.none() if plan is None
+            else OptimizationFlags(plan.selective_compilation,
+                                   plan.thunk_coalescing,
+                                   plan.branch_deferral))
+        self.store = self.runtime.query_store
         self._steps = 0
 
     # -- public -------------------------------------------------------------
@@ -181,24 +132,17 @@ class LazyInterpreter:
         self.exec_stmt(self.program.main, env)
         if force_final:
             self._force_state(env)
-        return LazyResult(env, self.heap, self.db, self.output,
-                          self.store.round_trips, self.thunks_allocated,
-                          self.store)
+        return LazyResult(env, self.heap, self.server.db, self.output,
+                          self.runtime)
 
     def _force_state(self, env):
         """Force every thunk reachable from env and heap (the theorem's
         closing step)."""
         for name in list(env):
-            env[name] = kforce(env[name])
+            env[name] = force(env[name])
         for obj in self.heap:
             for field in list(obj.fields):
-                obj.fields[field] = kforce(obj.fields[field])
-
-    # -- thunk helpers --------------------------------------------------------
-
-    def _alloc(self, compute):
-        self.thunks_allocated += 1
-        return KernelThunk(compute)
+                obj.fields[field] = force(obj.fields[field])
 
     # -- statements -------------------------------------------------------------
 
@@ -208,7 +152,7 @@ class LazyInterpreter:
         if kind is K.Skip:
             return
         if kind is K.Seq:
-            if self.plan is not None and self.plan.thunk_coalescing:
+            if self.runtime.opts.thunk_coalescing:
                 self._exec_seq_coalesced(stmt, env)
             else:
                 for child in stmt.stmts:
@@ -218,27 +162,26 @@ class LazyInterpreter:
             self._exec_assign(stmt, env)
             return
         if kind is K.If:
-            if (self.plan is not None
+            if (self.runtime.opts.branch_deferral
                     and self.plan.branch_is_deferrable(stmt)):
                 self._defer_branch(stmt, env)
                 return
-            cond = kforce(self.eval_lazy(stmt.cond, env))
+            cond = force(self.eval_lazy(stmt.cond, env))
             self.exec_stmt(stmt.then if truthy(cond) else stmt.orelse, env)
             return
         if kind is K.While:
-            while truthy(kforce(self.eval_lazy(stmt.cond, env))):
+            while truthy(force(self.eval_lazy(stmt.cond, env))):
                 self._tick()
                 self.exec_stmt(stmt.body, env)
             return
         if kind is K.WriteQuery:
-            query_value = kforce(self.eval_lazy(stmt.query, env))
             # One round trip carries the pending reads plus the write;
             # reads observe the pre-write database ([Write query] rule).
-            self.store.flush(self.db, extra_write=True)
-            self.db = K.update_db(self.db, query_value)
+            self.runtime.execute_write(
+                _WRITE_SQL, (force(self.eval_lazy(stmt.query, env)),))
             return
         if kind is K.Output:
-            self.output.append(kforce(self.eval_lazy(stmt.expr, env)))
+            self.output.append(force(self.eval_lazy(stmt.expr, env)))
             return
         raise KernelError(f"cannot execute {stmt!r}")
 
@@ -250,65 +193,61 @@ class LazyInterpreter:
         else:
             # Heap writes are not delayed (§3.5): force the receiver; the
             # written value stays a thunk.
-            obj = kforce(self.eval_lazy(target.obj, env))
+            obj = force(self.eval_lazy(target.obj, env))
             self._heap_object(obj).fields[target.name] = value
 
     def _exec_seq_coalesced(self, stmt, env):
         """TC (§4.3): run coalesce groups as single block thunks."""
-        plan_items = self.plan.coalesce_groups(stmt)
-        for item in plan_items:
+        for item in self.plan.coalesce_groups(stmt):
             if isinstance(item, K.Node):
                 self.exec_stmt(item, env)
-                continue
-            group = item
-            # Constant folding: when every upward-exposed input is already
-            # concrete, the block's statements evaluate to plain values —
-            # run them now with zero thunk allocations (matching what the
-            # basic compiler's folding achieves on constant runs).
-            if all(not _is_delayed(env.get(name)) for name in group.uses):
-                for child in group.stmts:
+            elif any(is_thunk(env.get(name)) for name in item.uses):
+                # Dead temporaries get no thunk object in compiled code.
+                self._defer_block(item.stmts, env,
+                                  {s.target.name for s in item.stmts},
+                                  item.outputs)
+            else:
+                # Constant folding: when every upward-exposed input is
+                # already concrete, the block's statements evaluate to plain
+                # values — run them now with zero thunk allocations
+                # (matching what the basic compiler's folding achieves on
+                # constant runs).
+                for child in item.stmts:
                     self.exec_eager_stmt(child, env)
-                continue
-            snapshot = dict(env)
-            block = BlockThunk(
-                lambda stmts=group.stmts, snap=snapshot:
-                self._run_block(stmts, snap))
-            defined = [s.target.name for s in group.stmts]
-            # One allocation for the block plus one per *live* output; dead
-            # temporaries get no thunk object in compiled code (§4.3).
-            self.thunks_allocated += 1 + len(group.outputs)
-            for name in defined:
-                env[name] = BlockOutput(block, name)
-
-    def _run_block(self, stmts, snapshot):
-        """Execute a deferred effect-free block eagerly at force time."""
-        local = dict(snapshot)
-        for child in stmts:
-            self.exec_eager_stmt(child, local)
-        return local
 
     def _defer_branch(self, stmt, env):
         """BD (§4.2): wrap the whole If into a block thunk."""
-        snapshot = dict(env)
-        defs = _branch_defs(stmt)
+        _, defs_then = stmt_uses_defs(stmt.then)
+        _, defs_else = stmt_uses_defs(stmt.orelse)
         # A variable defined in only one arm and unbound beforehand would
         # make the block's output undefined when the other arm is taken;
         # fall back to forcing the condition in that (rare) case.
-        if any(name not in snapshot for name in defs["partial"]):
-            cond = kforce(self.eval_lazy(stmt.cond, env))
+        if any(name not in env for name in defs_then ^ defs_else):
+            cond = force(self.eval_lazy(stmt.cond, env))
             self.exec_stmt(stmt.then if truthy(cond) else stmt.orelse, env)
             return
-        defs = defs["all"]
+        defs = defs_then | defs_else
+        self._defer_block([stmt], env, defs, defs)
+
+    def _defer_block(self, stmts, env, defined, live):
+        """Bind ``defined`` to the outputs of one block thunk that runs the
+        effect-free ``stmts`` eagerly, over a snapshot of ``env``, when the
+        first output is forced: one allocation for the block plus one per
+        *live* output."""
+        snapshot = dict(env)
 
         def run():
             local = dict(snapshot)
-            self.exec_eager_stmt(stmt, local)
-            return local
+            for stmt in stmts:
+                self.exec_eager_stmt(stmt, local)
+            # Only what the block defines: ``force_block`` forces every
+            # value it is handed, and the pending thunks of the snapshot
+            # are not this block's to force.
+            return {name: local[name] for name in defined}
 
-        block = BlockThunk(run)
-        self.thunks_allocated += 1 + len(defs)
-        for name in defs:
-            env[name] = BlockOutput(block, name)
+        block = self.runtime.defer_block(run)
+        for name in defined:
+            env[name] = block.output(name, live=name in live)
 
     # -- lazy expression evaluation ------------------------------------------------
 
@@ -324,19 +263,20 @@ class LazyInterpreter:
         if kind is K.BinOp:
             left = self.eval_lazy(expr.left, env)
             right = self.eval_lazy(expr.right, env)
-            if not _is_delayed(left) and not _is_delayed(right):
+            if not is_thunk(left) and not is_thunk(right):
                 # Constant folding keeps thunk counts comparable with the
                 # paper's simplified three-address form.
                 return apply_binop(expr.op, left, right)
-            return self._alloc(
-                lambda: apply_binop(expr.op, kforce(left), kforce(right)))
+            return self.runtime.defer(
+                lambda: apply_binop(expr.op, force(left), force(right)))
         if kind is K.UnOp:
             operand = self.eval_lazy(expr.operand, env)
-            if not _is_delayed(operand):
+            if not is_thunk(operand):
                 return apply_unop(expr.op, operand)
-            return self._alloc(lambda: apply_unop(expr.op, kforce(operand)))
+            return self.runtime.defer(
+                lambda: apply_unop(expr.op, force(operand)))
         if kind is K.Field:
-            obj = kforce(self.eval_lazy(expr.obj, env))
+            obj = force(self.eval_lazy(expr.obj, env))
             fields = self._heap_object(obj).fields
             if expr.name not in fields:
                 raise KernelError(f"no field {expr.name!r}")
@@ -349,17 +289,15 @@ class LazyInterpreter:
             }))
             return Address(address)
         if kind is K.Index:
-            arr = kforce(self.eval_lazy(expr.arr, env))
-            idx = kforce(self.eval_lazy(expr.idx, env))
+            arr = force(self.eval_lazy(expr.arr, env))
+            idx = force(self.eval_lazy(expr.idx, env))
             fields = self._heap_object(arr).fields
             if idx not in fields:
                 raise KernelError(f"index {idx!r} out of range")
             return fields[idx]
         if kind is K.Read:
-            query_value = kforce(self.eval_lazy(expr.query, env))
-            query_id = self.store.register(query_value)
-            return self._alloc(
-                lambda: self.store.fetch(query_id, self.db))
+            return self.runtime.query(
+                _READ_SQL, (force(self.eval_lazy(expr.query, env)),))
         if kind is K.Call:
             return self._call_lazy(expr, env)
         raise KernelError(f"cannot evaluate {expr!r}")
@@ -370,10 +308,11 @@ class LazyInterpreter:
             raise KernelError(
                 f"{fn.name} expects {len(fn.params)} args, got "
                 f"{len(expr.args)}")
-        if self.plan is not None and self.plan.function_is_eager(fn.name):
+        if (self.runtime.opts.selective_compilation
+                and self.plan.function_is_eager(fn.name)):
             # SC (§4.1): not persistent — compiled as-is, fully eager.
             local = {
-                param: kforce(self.eval_lazy(arg, env))
+                param: force(self.eval_lazy(arg, env))
                 for param, arg in zip(fn.params, expr.args)
             }
             self.exec_eager_stmt(fn.body, local)
@@ -388,7 +327,7 @@ class LazyInterpreter:
                 self.exec_eager_stmt(fn.body, local)
                 return self.eval_eager(fn.ret, local)
 
-            return self._alloc(run)
+            return self.runtime.defer(run)
         if kind == K.IMPURE:
             # Run the body now with thunk parameters (§3.4); queries inside
             # register now, keeping their order against writes.
@@ -400,7 +339,7 @@ class LazyInterpreter:
             return self.eval_lazy(fn.ret, local)
         # External: force arguments, run eagerly (§3.4).
         local = {
-            param: kforce(self.eval_lazy(arg, env))
+            param: force(self.eval_lazy(arg, env))
             for param, arg in zip(fn.params, expr.args)
         }
         self.exec_eager_stmt(fn.body, local)
@@ -416,7 +355,7 @@ class LazyInterpreter:
         if kind is K.Var:
             if expr.name not in env:
                 raise KernelError(f"unbound variable {expr.name!r}")
-            return kforce(env[expr.name])
+            return force(env[expr.name])
         if kind is K.BinOp:
             return apply_binop(expr.op,
                                self.eval_eager(expr.left, env),
@@ -428,7 +367,7 @@ class LazyInterpreter:
             fields = self._heap_object(obj).fields
             if expr.name not in fields:
                 raise KernelError(f"no field {expr.name!r}")
-            return kforce(fields[expr.name])
+            return force(fields[expr.name])
         if kind is K.Record:
             address = len(self.heap)
             self.heap.append(HeapObject({
@@ -442,11 +381,11 @@ class LazyInterpreter:
             fields = self._heap_object(arr).fields
             if idx not in fields:
                 raise KernelError(f"index {idx!r} out of range")
-            return kforce(fields[idx])
+            return force(fields[idx])
         if kind is K.Read:
-            query_value = self.eval_eager(expr.query, env)
-            query_id = self.store.register(query_value)
-            return self.store.fetch(query_id, self.db)
+            # Needed now and no value of the compiled code: not a thunk.
+            return self.store.get_result_set(self.store.register_query(
+                _READ_SQL, (self.eval_eager(expr.query, env),)))
         if kind is K.Call:
             fn = self.program.function(expr.fn)
             local = {
@@ -485,9 +424,8 @@ class LazyInterpreter:
                 self.exec_eager_stmt(stmt.body, env)
             return
         if kind is K.WriteQuery:
-            query_value = self.eval_eager(stmt.query, env)
-            self.store.flush(self.db, extra_write=True)
-            self.db = K.update_db(self.db, query_value)
+            self.runtime.execute_write(
+                _WRITE_SQL, (self.eval_eager(stmt.query, env),))
             return
         if kind is K.Output:
             self.output.append(self.eval_eager(stmt.expr, env))
@@ -505,23 +443,3 @@ class LazyInterpreter:
         self._steps += 1
         if self._steps > _MAX_STEPS:
             raise KernelError("program exceeded step budget (diverging?)")
-
-
-def _is_delayed(value):
-    return isinstance(value, (KernelThunk, BlockOutput))
-
-
-def _branch_defs(stmt):
-    """Defs across the arms of an If.
-
-    Returns ``{"all": defined in either arm, "partial": defined in exactly
-    one arm}``.
-    """
-    from repro.compiler.analysis import _block_uses_defs
-
-    _, defs_then = _block_uses_defs(stmt.then)
-    _, defs_else = _block_uses_defs(stmt.orelse)
-    return {
-        "all": defs_then | defs_else,
-        "partial": defs_then ^ defs_else,
-    }

@@ -14,17 +14,7 @@ plain value explicitly.
 
 import operator
 
-from repro.core.thunk import Thunk, force
-
-
-def lazy(fn, runtime=None):
-    """Build a transparent proxy for the delayed ``fn()``."""
-    return LazyProxy(Thunk(fn, runtime=runtime))
-
-
-def lazy_from_thunk(thunk):
-    """Wrap an existing thunk in a transparent proxy."""
-    return LazyProxy(thunk)
+from repro.core.thunk import force
 
 
 def unwrap(value):

@@ -19,9 +19,7 @@ charge *and* the real batching behaviour, exactly as in the paper's Fig. 12.
 """
 
 from repro.core.query_store import QueryStore
-from repro.core.thunk import (
-    LiteralThunk, QueryThunk, Thunk, ThunkBlock, force,
-)
+from repro.core.thunk import QueryThunk, Thunk, ThunkBlock
 from repro.net.clock import PHASE_APP
 
 
@@ -130,10 +128,6 @@ class SlothRuntime:
 
     # -- building blocks used by Sloth-compiled application code ---------------
 
-    def literal(self, value):
-        """Wrap an external call's result (§3.4)."""
-        return LiteralThunk(value, runtime=self)
-
     def defer(self, fn):
         """Defer a single computation into a thunk."""
         if not self.lazy_mode:
@@ -211,20 +205,6 @@ class SlothRuntime:
             + model.force_ms * thunk_count
             + model.app_op_ms * count)
         self.stats.forces += thunk_count
-
-    def branch(self, condition_thunk, deferrable=True):
-        """Evaluate (or defer) a branch condition (§4.2).
-
-        With BD enabled and a deferrable body, returns ``None`` without
-        forcing anything — the caller defers the whole branch.  Otherwise
-        the condition is forced (possibly flushing a query batch) and its
-        value returned.
-        """
-        if self.lazy_mode and deferrable and self.opts.branch_deferral:
-            self.stats.branches_deferred += 1
-            return None
-        self.stats.branches_forced += 1
-        return force(condition_thunk)
 
     def finish_request(self):
         """End-of-request barrier: flush any pending batch (the page is

@@ -4,16 +4,16 @@ Mirrors the paper's compiled form (§3.2): every delayed statement becomes an
 object with a ``_force`` method that runs the original computation once and
 memoizes the result.  ``Thunk.force`` is where memoisation, accounting,
 chained-laziness collapse and release live; a flavour only says how its
-value is computed (``_compute``).  Four flavours:
+value is computed (``_compute``).  Two flavours, and a block of them:
 
 - :class:`Thunk` — wraps a zero-argument callable.
-- :class:`LiteralThunk` — wraps an already-computed value (used for results
-  of external calls, §3.4).
 - :class:`QueryThunk` — registers a query with the query store on
   *construction* and fetches/deserializes the result set when forced (§3.3).
 - :class:`ThunkBlock` — a group of statements coalesced into one deferred
   unit whose named outputs are individual thunks (§4.3); forcing any output
-  runs the whole block once.
+  runs the whole block once.  The kernel-language interpreter
+  (:mod:`repro.compiler.lazy_interp`) binds coalesced runs and deferred
+  branches with it.
 
 :func:`force` forces any value: thunks and lazy proxies are evaluated
 (recursively, so a thunk returning a thunk fully resolves); other values
@@ -61,20 +61,6 @@ class Thunk:
         if self.is_forced:
             return f"Thunk(forced={self._value!r})"
         return "Thunk(<delayed>)"
-
-
-class LiteralThunk(Thunk):
-    """A thunk holding an already-computed value (§3.4, external calls)."""
-
-    __slots__ = ()
-
-    def __init__(self, value, runtime=None):
-        super().__init__(None, runtime=None)
-        self._value = value  # born forced: ``force`` just returns it
-        self._runtime = runtime
-
-    def __repr__(self):
-        return f"LiteralThunk({self._value!r})"
 
 
 class QueryThunk(Thunk):
@@ -142,13 +128,16 @@ class ThunkBlock:
             self._fn = None
         return self._values
 
-    def output(self, name):
+    def output(self, name, live=True):
         """A thunk for the named output of this block.
 
-        Output thunks intentionally bypass per-thunk allocation accounting:
-        avoiding those allocations is the point of coalescing.
+        A block costs one allocation plus one per *live* output; a dead
+        temporary has no thunk object in compiled code — avoiding those
+        allocations is the point of coalescing — so a binding made for one
+        (``live=False``) bypasses the accounting.
         """
-        return Thunk(lambda: self.force_block()[name])
+        return Thunk(lambda: self.force_block()[name],
+                     runtime=self._runtime if live else None)
 
     def __repr__(self):
         state = "forced" if self.is_forced else "pending"
@@ -169,25 +158,6 @@ def force(value):
             value = object.__getattribute__(value, "_thunk").force()
         else:
             return value
-
-
-def force_deep(value):
-    """Force a value and, for common containers, its elements too.
-
-    Used at externalization boundaries (e.g., writing a model into an HTML
-    page): lists/tuples/dicts/sets built from thunks are resolved into plain
-    containers of plain values.
-    """
-    value = force(value)
-    if isinstance(value, list):
-        return [force_deep(v) for v in value]
-    if isinstance(value, tuple):
-        return tuple(force_deep(v) for v in value)
-    if isinstance(value, set):
-        return {force_deep(v) for v in value}
-    if isinstance(value, dict):
-        return {force(k): force_deep(v) for k, v in value.items()}
-    return value
 
 
 # The thunk <-> proxy cycle, resolved once: ``proxy`` imports ``Thunk`` and

@@ -221,7 +221,8 @@ class CostModel:
     regime as the paper's testbed (0.5 ms RTT in-datacenter; a 12-worker
     database server; lazy-evaluation overhead in the 5-15 % range on
     query-dense workloads).  Experiment shapes are robust to ±2× changes
-    in any single constant (see EXPERIMENTS.md).
+    in any single constant; docs/cost-model.md has the database side
+    (rows touched, which ``query_cost_ms`` turns into time).
     """
 
     def __init__(

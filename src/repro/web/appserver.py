@@ -50,11 +50,6 @@ class RequestContext:
         """Defer a computation under Sloth; execute it now otherwise."""
         return self.runtime.defer(fn)
 
-    def branch(self, condition, deferrable=True):
-        """Paper §4.2: evaluate a branch condition, or defer it (returns
-        None) when branch deferral applies."""
-        return self.runtime.branch(condition, deferrable=deferrable)
-
     def if_branch(self, cond_fn, then_fn, else_fn=None, deferrable=True):
         """A branch in Sloth-compiled style (paper §4.2).
 

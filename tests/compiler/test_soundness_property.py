@@ -3,9 +3,22 @@
 For randomly generated kernel programs, running under standard semantics
 and extended lazy semantics (with and without §4 optimizations) must yield
 identical final environments, databases and output traces once every thunk
-is forced — and the lazy run must never use *more* database round trips.
+is forced — and the lazy run must never use *more* database round trips
+than the standard one.  The lazy runs go through ``repro.core``: random
+whole programs exercise the production dedup key, write barrier and batch
+accounting.
+
+That is all the paper claims.  An optimization is *not* monotone against
+the basic compiler — a block costs one allocation plus its live outputs and
+evaluates its dead assignments, so thunk coalescing and branch deferral can
+each allocate one thunk more, or force one batch earlier, than no
+optimization at all; ``test_interpreters.py`` pins those programs with
+their exact counts.
 """
 
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +26,7 @@ from repro.compiler import kernel as K
 from repro.compiler.lazy_interp import LazyInterpreter
 from repro.compiler.optimize import OptimizationPlan
 from repro.compiler.standard_interp import StandardInterpreter
+from repro.core.runtime import OptimizationFlags
 
 VARS = ("a", "b", "c", "d")
 
@@ -85,30 +99,10 @@ def test_basic_lazy_equals_standard(program, db):
     check_equivalent(program, db, None)
 
 
-@given(programs, initial_dbs)
-@settings(max_examples=120, deadline=None)
-def test_optimized_lazy_equals_standard(program, db):
-    plan = OptimizationPlan(program, selective_compilation=True,
-                            thunk_coalescing=True, branch_deferral=True)
-    check_equivalent(program, db, plan)
-
-
+@pytest.mark.parametrize(
+    "flags", list(itertools.product((False, True), repeat=3)),
+    ids=lambda flags: OptimizationFlags(*flags).label())
 @given(programs, initial_dbs)
 @settings(max_examples=60, deadline=None)
-def test_optimizations_never_increase_round_trips_vs_basic(program, db):
-    basic = LazyInterpreter(program, db, None).run(dict(ENV0))
-    plan = OptimizationPlan(program, True, True, True)
-    optimized = LazyInterpreter(program, db, plan).run(dict(ENV0))
-    assert optimized.env == basic.env
-    assert optimized.db == basic.db
-    assert optimized.round_trips <= basic.round_trips
-
-
-@given(programs, initial_dbs)
-@settings(max_examples=60, deadline=None)
-def test_coalescing_never_increases_allocations(program, db):
-    basic = LazyInterpreter(program, db, None).run(dict(ENV0))
-    plan = OptimizationPlan(program, thunk_coalescing=True)
-    coalesced = LazyInterpreter(program, db, plan).run(dict(ENV0))
-    assert coalesced.env == basic.env
-    assert coalesced.thunks_allocated <= basic.thunks_allocated
+def test_lazy_equals_standard_under_every_plan(flags, program, db):
+    check_equivalent(program, db, OptimizationPlan(program, *flags))

@@ -1,5 +1,10 @@
-from repro.core.proxy import LazyProxy, lazy, unwrap
+from repro.core.proxy import LazyProxy, unwrap
 from repro.core.thunk import Thunk
+
+
+def lazy(fn):
+    """A proxy over a fresh thunk, built the way ``orm/session.py`` does."""
+    return LazyProxy(Thunk(fn))
 
 
 def test_proxy_defers_until_used():

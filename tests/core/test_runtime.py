@@ -85,25 +85,6 @@ class TestRunOps:
         assert runtime.driver.stats.round_trips == 0
 
 
-class TestBranch:
-    def test_branch_deferred_returns_none(self, runtime_factory):
-        runtime, _ = runtime_factory(OptimizationFlags.all())
-        result = runtime.branch(lambda: True, deferrable=True)
-        assert result is None
-        assert runtime.stats.branches_deferred == 1
-
-    def test_branch_forced_without_bd(self, runtime_factory):
-        runtime, _ = runtime_factory(OptimizationFlags.none())
-        thunk = runtime.query("SELECT v FROM t WHERE id = ?", (1,))
-        result = runtime.branch(thunk)
-        assert result.scalar() == 10
-        assert runtime.stats.branches_forced == 1
-
-    def test_nondeferrable_branch_always_forces(self, runtime_factory):
-        runtime, _ = runtime_factory(OptimizationFlags.all())
-        assert runtime.branch(5, deferrable=False) == 5
-
-
 class TestRequestLifecycle:
     def test_finish_request_flushes(self, runtime_factory):
         runtime, _ = runtime_factory()

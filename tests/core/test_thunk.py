@@ -1,9 +1,7 @@
 import pytest
 
 from repro.core.query_store import QueryStore
-from repro.core.thunk import (
-    LiteralThunk, QueryThunk, Thunk, ThunkBlock, force, force_deep, is_thunk,
-)
+from repro.core.thunk import QueryThunk, Thunk, ThunkBlock, force, is_thunk
 
 
 def test_thunk_defers_and_memoizes():
@@ -27,12 +25,6 @@ def test_chained_thunks_collapse():
     assert outer.force() == 5
 
 
-def test_literal_thunk():
-    t = LiteralThunk("x")
-    assert t.is_forced
-    assert t.force() == "x"
-
-
 def test_force_passthrough_for_plain_values():
     assert force(3) == 3
     assert force(None) is None
@@ -40,7 +32,6 @@ def test_force_passthrough_for_plain_values():
 
 def test_is_thunk():
     assert is_thunk(Thunk(lambda: 1))
-    assert is_thunk(LiteralThunk(1))
     assert not is_thunk(42)
 
 
@@ -63,29 +54,6 @@ def test_thunk_block_requires_dict():
     block = ThunkBlock(lambda: [1, 2])
     with pytest.raises(TypeError):
         block.force_block()
-
-
-def test_force_deep_containers():
-    value = [Thunk(lambda: 1), (Thunk(lambda: 2),),
-             {"k": Thunk(lambda: 3)}, {4}]
-    assert force_deep(value) == [1, (2,), {"k": 3}, {4}]
-
-
-def test_force_deep_nested_containers():
-    value = {
-        "list": [Thunk(lambda: [Thunk(lambda: 1)])],
-        "tuple": (Thunk(lambda: (Thunk(lambda: 2), 3)),),
-        "set": Thunk(lambda: {4, 5}),
-    }
-    resolved = force_deep(value)
-    assert resolved == {"list": [[1]], "tuple": ((2, 3),), "set": {4, 5}}
-    # Every container is rebuilt as a plain container of plain values.
-    assert type(resolved["tuple"][0]) is tuple
-
-
-def test_force_deep_forces_dict_keys():
-    value = {Thunk(lambda: "k"): Thunk(lambda: "v")}
-    assert force_deep(value) == {"k": "v"}
 
 
 def test_thunk_block_non_dict_variants():
@@ -156,6 +124,17 @@ class _CountingRuntime:
 
     def on_force(self):
         self.forces += 1
+
+
+def test_thunk_block_charges_itself_and_its_live_outputs_only():
+    runtime = _CountingRuntime()
+    block = ThunkBlock(lambda: {"t": 1, "x": 2}, runtime=runtime)
+    x = block.output("x")
+    t = block.output("t", live=False)  # a dead temporary (§4.3)
+    assert runtime.allocated == 2  # the block + its one live output
+    assert (t.force(), x.force()) == (1, 2)
+    assert runtime.forces == 2  # the block once, the live output once
+    assert (t.force(), x.force()) == (1, 2) and runtime.forces == 2
 
 
 def test_thunk_whose_function_raises_stays_unforced_and_retries():
