@@ -17,8 +17,6 @@ TRANSACTION_TYPES = ("new_order", "payment", "order_status", "stock_level",
 class OriginalClient:
     """Direct driver access, one round trip per statement."""
 
-    lazy = False
-
     def __init__(self, driver, clock, cost_model):
         self.driver = driver
         self.clock = clock
@@ -36,8 +34,6 @@ class OriginalClient:
 
 class SlothClient:
     """Sloth-compiled access: register + force immediately."""
-
-    lazy = True
 
     def __init__(self, runtime):
         self.runtime = runtime

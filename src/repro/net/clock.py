@@ -264,23 +264,6 @@ class CostModel:
         # the dispatch overhead the hit avoids).
         self.cache_hit_cost_ms = cache_hit_cost_ms
 
-    def copy(self, **overrides):
-        """A copy of this model with some constants replaced."""
-        values = {
-            "round_trip_ms": self.round_trip_ms,
-            "per_query_overhead_ms": self.per_query_overhead_ms,
-            "per_row_ms": self.per_row_ms,
-            "db_workers": self.db_workers,
-            "app_op_ms": self.app_op_ms,
-            "thunk_alloc_ms": self.thunk_alloc_ms,
-            "force_ms": self.force_ms,
-            "serialization_per_query_ms": self.serialization_per_query_ms,
-            "driver_call_app_ms": self.driver_call_app_ms,
-            "cache_hit_cost_ms": self.cache_hit_cost_ms,
-        }
-        values.update(overrides)
-        return CostModel(**values)
-
     def query_cost_ms(self, rows_touched, from_cache=False):
         """Database execution cost of one statement.
 

@@ -23,7 +23,6 @@ class DriverStats:
     def __init__(self):
         self.round_trips = 0
         self.statements = 0
-        self.batches = 0
         self.largest_batch = 0
         self.shared_scan_groups = 0
         self.shared_scan_rows_saved = 0
@@ -45,7 +44,6 @@ class DriverStats:
 
     def record(self, batch_size):
         self.round_trips += 1
-        self.batches += 1
         self.statements += batch_size
         if batch_size > self.largest_batch:
             self.largest_batch = batch_size
@@ -54,7 +52,6 @@ class DriverStats:
         return {
             "round_trips": self.round_trips,
             "statements": self.statements,
-            "batches": self.batches,
             "largest_batch": self.largest_batch,
             "shared_scan_groups": self.shared_scan_groups,
             "shared_scan_rows_saved": self.shared_scan_rows_saved,

@@ -8,7 +8,7 @@ touched) that the simulated server reads for its cost model.
 
 from repro.sqldb.catalog import Catalog
 from repro.sqldb.errors import CatalogError
-from repro.sqldb.executor import Executor
+from repro.sqldb.executor import Executor, as_params
 from repro.sqldb.lexer import split_statements
 from repro.sqldb.parser import parse
 from repro.sqldb.read_view import ReadViewManager
@@ -99,10 +99,13 @@ class Database:
     def execute_parsed(self, stmt, params=()):
         """Execute an already-parsed statement, with counter bookkeeping.
 
-        The batch planner uses this to run statements it has already
+        The one place a statement's ``params`` are normalised
+        (:func:`~repro.sqldb.executor.as_params`: a tuple passes untouched,
+        a list is copied, anything else raises :class:`SqlError`).  The
+        batch planner uses this to run statements it has already
         classified without re-parsing or duplicating the accounting.
         """
-        result = self.executor.execute(stmt, tuple(params))
+        result = self.executor.execute(stmt, as_params(params))
         self.record_statement(result.rows_touched)
         return result
 
@@ -153,6 +156,8 @@ class Database:
         stmt = parse(sql)
         if not isinstance(stmt, A.Select):
             return repr(stmt)
+        if params is not None:
+            params = as_params(params)
         if analyze:
             plan = self.executor.plan_for(stmt)
             _, lines = plan.execute_analyze(self, params or ())

@@ -14,6 +14,24 @@ catalog/stats/options and unchanged write versions of every referenced
 table, returns its cached rows without building a plan or touching
 storage.
 
+The cache protocol lives in one function.  :meth:`Executor.select` reads
+the active read view once and then does exactly one of three things:
+
+* **frozen** — the view is stale for a referenced table: the plan runs
+  against the frozen state and the cache is passed by in both directions
+  (entries validate against *live* versions, so a hit would hand a
+  snapshot reader rows from the future and a store would poison them);
+* **cache off** — the cached plan runs; no key, no version walk, no call
+  into the cache;
+* **probe → run → store** — one key, one ``lookup`` (a hit returns here:
+  no plan, no rows touched), the referenced tables' write versions taken
+  before the run, the run, one ``store`` (refused if a version moved
+  meanwhile, or while a referenced table has uncommitted writes).
+
+:meth:`Executor.cached_select` is the only other entry: a probe that
+executes nothing, for ``EXPLAIN`` (``peek``) and for the batch planner's
+probe-ahead.
+
 INSERT / UPDATE / DELETE get a :class:`_WritePlan` in the same cache —
 whatever depends only on the statement and the schema — and an execution
 binds parameters to it; UPDATE/DELETE share the planner's access-path
@@ -34,13 +52,28 @@ from repro.sqldb.plan import plan_select
 from repro.sqldb.plan.access import (LookupShape, candidate_row_ids,
                                      range_lookup_candidate)
 from repro.sqldb.result import ExecResult
+from repro.sqldb.result_cache import current_versions
 from repro.sqldb.storage import Table
 
-__all__ = ["ExecResult", "Executor"]
+__all__ = ["ExecResult", "Executor", "as_params"]
 
 # Cached physical plans per executor; cleared wholesale on overflow (the
 # workloads' hot sets are far smaller) and invalidated by catalog changes.
 _PLAN_CACHE_LIMIT = 512
+
+
+def as_params(params):
+    """A statement's parameters as the tuple the engine binds and keys on:
+    a tuple as it is (the drivers and the query store send tuples), a list
+    copied.  Anything else is refused — ``None`` and scalars are no
+    sequence, text would bind one parameter per character, a mapping its
+    keys, a set in no order."""
+    if isinstance(params, tuple):
+        return params
+    if isinstance(params, list):
+        return tuple(params)
+    raise SqlError("statement parameters must be a tuple or a list, not "
+                   f"{type(params).__name__}")
 
 
 class Executor:
@@ -67,7 +100,7 @@ class Executor:
     def execute(self, stmt, params=()):
         kind = type(stmt)
         if kind is A.Select:
-            return self._exec_select(stmt, params)
+            return self.select(stmt, params)
         if kind is A.Insert or kind is A.Update or kind is A.Delete:
             return self._exec_write(stmt, params)
         if kind is A.CreateTable:
@@ -103,80 +136,56 @@ class Executor:
             return ExecResult()
         raise SqlError(f"cannot execute statement {stmt!r}")
 
-    # -- SELECT: the plan pipeline --------------------------------------------
+    # -- SELECT: the plan pipeline and the cross-request result cache ---------
 
-    def _exec_select(self, stmt, params):
-        cached = self.cached_select(stmt, params)
+    def select(self, stmt, params, probe=True, base_rows=None):
+        """The one body a SELECT runs through (the module docstring has its
+        three outcomes).  The batch planner, which has probed ahead, passes
+        ``probe=False`` so that a miss counts once, and the rows of a scan
+        group's shared scan as ``base_rows``."""
+        db = self.db
+        view, plan = db.read_views.active, None
+        if view is not None:
+            plan = self.plan_for(stmt)
+            stale = view.stale_tables(plan.referenced_tables, db)
+            if stale:
+                with db.read_views.reading(stale):
+                    return plan.execute(db, params, base_rows)
+        cache = db.result_cache
+        if not cache.enabled:
+            return (plan or self.plan_for(stmt)).execute(db, params, base_rows)
+        key = self._result_key(stmt, params)
+        cached = cache.lookup(key, db) if probe else None
         if cached is not None:
             return cached
-        return self.execute_select(stmt, params)
-
-    def execute_select(self, stmt, params):
-        """Plan, execute and cache-store one SELECT, *without* probing the
-        result cache first — for callers that already probed (the batch
-        shared-scan planner), so a miss is counted exactly once."""
-        plan = self.plan_for(stmt)
-        view = self.db.read_views.active
-        if view is not None:
-            stale = view.stale_tables(plan.referenced_tables, self.db)
-            if stale:
-                # Snapshot read: execute against the frozen state and keep
-                # the rows out of the result cache (they are correct for
-                # this view's versions, not the live ones).
-                with self.db.read_views.reading(stale):
-                    return plan.execute(self.db, params)
-        # Snapshot the referenced tables' write versions *before* running:
-        # if a commit lands mid-execution, the store below must be refused
-        # rather than caching pre-commit rows against post-commit versions.
-        expected = self.db.result_cache.version_snapshot(
-            self.db, plan.referenced_tables)
-        result = plan.execute(self.db, params)
-        self.store_select(stmt, params, plan, result,
-                          expected_versions=expected)
+        plan = plan or self.plan_for(stmt)
+        # Versions from *before* the run: a commit landing inside it gets
+        # the store refused, not its pre-commit rows cached as current.
+        expected = current_versions(db, plan.referenced_tables)
+        result = plan.execute(db, params, base_rows)
+        cache.store(key, stmt, plan.referenced_tables, result, db, expected)
         return result
 
-    # -- the cross-request result cache ---------------------------------------
-
-    def result_key(self, stmt, params):
-        """The result-cache key for one SELECT execution: the plan-cache
-        key components plus the parameter tuple (parameters decide the
-        rows even though they never decide the plan)."""
-        return (id(stmt), tuple(params), self._catalog_version,
-                self.db.catalog.stats_epoch.value,
-                id(self.db.optimizer_options))
-
     def cached_select(self, stmt, params, peek=False):
-        """Probe the database's result cache for a SELECT; None on miss.
-
-        A hit needs no plan (``plans_built`` stays flat) and touches no
-        storage rows.  Also used directly by the batch shared-scan planner
-        so fully cached statements drop out of scan groups.
-
-        View-stale statements never hit: cache entries validate against
-        *live* versions, so a hit would hand a snapshot reader rows from
-        the future.
-        """
+        """Probe only: the cached result of a SELECT or None, and always
+        None when the active view is stale for it.  ``peek`` leaves the
+        counters and the LRU order alone (EXPLAIN)."""
         view = self.db.read_views.active
         if view is not None:
             try:
                 plan = self.plan_for(stmt)
             except SqlError:
-                return None
+                return None  # execution raises it, at the statement's turn
             if view.stale_tables(plan.referenced_tables, self.db):
                 return None
         return self.db.result_cache.lookup(
-            self.result_key(stmt, params), self.db, peek=peek)
+            self._result_key(stmt, params), self.db, peek=peek)
 
-    def store_select(self, stmt, params, plan, result,
-                     expected_versions=None):
-        """Record a freshly executed SELECT in the result cache."""
-        view = self.db.read_views.active
-        if view is not None and view.stale_tables(
-                plan.referenced_tables, self.db):
-            return  # snapshot-relative rows must not validate as current
-        self.db.result_cache.store(
-            self.result_key(stmt, params), stmt, plan.referenced_tables,
-            result, self.db, expected_versions=expected_versions)
+    def _result_key(self, stmt, params):
+        """The plan-cache key plus the parameters, which decide the rows."""
+        return (id(stmt), params, self._catalog_version,
+                self.db.catalog.stats_epoch.value,
+                id(self.db.optimizer_options))
 
     def plan_for(self, stmt):
         """The cached optimized physical plan for a SELECT statement."""

@@ -10,6 +10,12 @@ the shared row stream.  Per-query result sets are byte-identical to
 independent execution; only the cost changes — the group touches the table
 once instead of N times.
 
+This module owns the grouping, the once-per-group row charge and the
+statement counters; the cache protocol, read views and the plan run are
+the executor's.  A run of reads is probed ahead (``Executor.cached_select``)
+and each miss then runs through ``Executor.select(..., probe=False)`` like
+a lone SELECT — a grouped member on the shared rows (``base_rows``).
+
 Grouping never crosses a write: statements are partitioned into read
 segments at each non-SELECT, and only reads within one segment (hence one
 database snapshot) may share a scan.  Index-served reads (e.g. primary-key
@@ -21,6 +27,7 @@ lookups) are cheaper alone and are never grouped.
 
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlError
+from repro.sqldb.executor import as_params
 from repro.sqldb.parser import parse
 from repro.sqldb.plan.physical import _pad
 
@@ -82,14 +89,14 @@ def execute_batch_plan(database, statements):
     segment = []  # [(index, stmt, params), ...] consecutive reads
     for index, (sql, params) in enumerate(statements):
         try:
-            stmt = parse(sql)
+            stmt, params = parse(sql), as_params(params)
         except SqlError:
             # Sequential execution would have run the buffered reads (and
             # surfaced any of their errors) before reaching this statement.
             _flush_segment(database, segment, results, groups)
             raise
         if isinstance(stmt, A.Select):
-            segment.append((index, stmt, tuple(params)))
+            segment.append((index, stmt, params))
             continue
         _flush_segment(database, segment, results, groups)
         segment = []
@@ -108,11 +115,9 @@ def _flush_segment(db, segment, results, groups):
     """
     if not segment:
         return
-    # Cross-request result cache first: a cached member needs neither a
-    # private execution nor a slot in a scan group (the whole segment sees
-    # one snapshot, so probing ahead of batch order is safe — probes have
-    # no side effects).  Grouping decisions then run over the misses only:
-    # a fully cached hot batch does not scan at all.
+    # Result cache first: a cached member needs neither an execution nor a
+    # slot in a scan group, so grouping runs over the misses only.  The
+    # whole segment sees one snapshot, so probing ahead of order is safe.
     fresh = []
     for index, stmt, params in segment:
         cached = db.executor.cached_select(stmt, params)
@@ -134,30 +139,21 @@ def _flush_segment(db, segment, results, groups):
     for index, stmt, params in fresh:
         table = eligible.get(index)
         if table is None or member_counts[table] < 2:
-            # Already probed above: execute without a second cache lookup
-            # (the store still happens) so the miss counts exactly once.
-            result = db.executor.execute_select(stmt, params)
-            results[index] = result
-            db.record_statement(result.rows_touched)
-            continue
-        entry = open_groups.get(table)
-        if entry is None:
-            entry = _start_shared_scan(db, table)
-            open_groups[table] = entry
-            groups.append(entry[0])
-        group, shared_rows = entry
-        plan = db.executor.plan_for(stmt)
-        expected = db.result_cache.version_snapshot(
-            db, plan.referenced_tables)
-        result = plan.execute(db, params, prefetched_base_rows=shared_rows)
-        # Charge the scan once: the first member carries the shared cost,
-        # the demultiplexed rest touch nothing new.
-        result.rows_touched = group.scan_rows if not group.member_indices \
-            else 0
-        group.member_indices.append(index)
+            result = db.executor.select(stmt, params, probe=False)
+        else:
+            entry = open_groups.get(table)
+            if entry is None:
+                entry = open_groups[table] = _start_shared_scan(db, table)
+                groups.append(entry[0])
+            group, shared_rows = entry
+            result = db.executor.select(stmt, params, probe=False,
+                                        base_rows=shared_rows)
+            # Charge the scan once: the first member carries the shared
+            # cost, the demultiplexed rest touch nothing new.
+            result.rows_touched = 0 if group.member_indices \
+                else group.scan_rows
+            group.member_indices.append(index)
         results[index] = result
-        db.executor.store_select(stmt, params, plan, result,
-                                 expected_versions=expected)
         db.record_statement(result.rows_touched)
 
 

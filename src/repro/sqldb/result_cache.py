@@ -14,6 +14,12 @@ that decide the rows::
      catalog version, stats epoch, optimizer options)
 
 i.e. the executor's plan-cache key extended with the parameter tuple.  The
+executor is the only caller, through two entries: ``Executor.select`` —
+one :meth:`~ResultCache.lookup`, then :func:`current_versions` before the
+run and one :meth:`~ResultCache.store` after it — and the probe-only
+``Executor.cached_select``.  ``select`` makes none of these calls while
+the cache is switched off, and neither entry does while the active read
+view is stale for the statement.  The
 **entry** additionally records the names and write versions of every table
 the plan reads.  A hit requires the key to match *and* every recorded
 version to equal the table's current :attr:`~repro.sqldb.storage.Table.
@@ -76,7 +82,7 @@ class ResultCache:
         stale entry (``EXPLAIN`` uses this to report cache status without
         perturbing it).
         """
-        if not self.enabled or key is None:
+        if not self.enabled:
             return None
         try:
             entry = self._entries.get(key)
@@ -92,7 +98,7 @@ class ResultCache:
             # Uncommitted writes to a referenced table: storage is ahead
             # of the recorded versions, so neither serve nor discard.
             return None
-        if versions != _current_versions(db, table_names):
+        if versions != current_versions(db, table_names):
             if not peek:
                 del self._entries[key]
                 self.invalidations += 1
@@ -104,30 +110,29 @@ class ResultCache:
         return ExecResult(columns, rows, rowcount=rowcount, rows_touched=0,
                           from_cache=True)
 
-    def store(self, key, stmt, table_names, result, db,
-              expected_versions=None):
+    def store(self, key, stmt, table_names, result, db, expected_versions):
         """Record a freshly executed SELECT's rows under ``key``.
 
         ``stmt`` is kept in the entry to pin the parsed AST (the key
         embeds ``id(stmt)``, which must not be reused while the entry
         lives — the same pinning trick the plan cache uses).
 
-        ``expected_versions`` is the executor's write-version snapshot
-        taken *before* execution (:meth:`version_snapshot`).  If any
-        referenced table's version has moved since — another request's
-        commit landed while the rows were being computed — the store is
-        refused: the rows reflect the pre-commit state and must never be
-        cached against the post-commit versions.
+        ``expected_versions`` is :func:`current_versions` as the executor
+        read it *before* execution.  If any referenced table's version has
+        moved since — another request's commit landed while the rows were
+        being computed — the store is refused: the rows reflect the
+        pre-commit state and must never be cached against the post-commit
+        versions.
         """
-        if not self.enabled or key is None:
+        if not self.enabled:
             return
         pending = db.transactions.pending_table_names()
         if pending and not pending.isdisjoint(table_names):
             return  # rows computed from uncommitted state: never cache
-        versions = _current_versions(db, table_names)
+        versions = current_versions(db, table_names)
         if versions is None:
             return
-        if expected_versions is not None and versions != expected_versions:
+        if versions != expected_versions:
             self.rejected_stores += 1
             return
         entry = (stmt, table_names, versions, tuple(result.columns),
@@ -140,12 +145,6 @@ class ResultCache:
         self.stores += 1
         while len(self._entries) > self.limit:
             self._entries.popitem(last=False)
-
-    @staticmethod
-    def version_snapshot(db, table_names):
-        """The referenced tables' current write versions, for callers that
-        must capture them *before* executing (see :meth:`store`)."""
-        return _current_versions(db, table_names)
 
     # -- management ----------------------------------------------------------
 
@@ -169,8 +168,8 @@ class ResultCache:
         }
 
 
-def _current_versions(db, table_names):
-    """The write-version snapshot for ``table_names``, or None when any
+def current_versions(db, table_names):
+    """The write versions of ``table_names`` now, or None when any
     table vanished (DDL changes the catalog version in the key, so this
     only guards direct storage edits behind the catalog's back)."""
     versions = []

@@ -37,6 +37,7 @@ from contextlib import ExitStack, contextmanager
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.database import Database
 from repro.sqldb.errors import SqlError
+from repro.sqldb.executor import as_params
 from repro.sqldb.parser import parse
 from repro.sqldb.plan.physical import _SortKey, resolve_limit
 from repro.sqldb.result import ExecResult
@@ -258,7 +259,7 @@ class ShardedDatabase:
     # -- Database facade -----------------------------------------------------
 
     def execute_parsed(self, stmt, params=()):
-        params = tuple(params)
+        params = as_params(params)
         if isinstance(stmt, A.Select):
             result = self._execute_read(stmt, params)
         else:

@@ -13,19 +13,15 @@ from repro.orm.errors import OrmError
 
 
 class Request:
-    """An HTTP request: URL, query parameters and server-side attributes."""
+    """An HTTP request: URL, query parameters and the user it is for."""
 
-    def __init__(self, url, params=None, attributes=None, user=None):
+    def __init__(self, url, params=None, user=None):
         self.url = url
         self.params = dict(params or {})
-        self.attributes = dict(attributes or {})
         self.user = user
 
     def get_parameter(self, name, default=None):
         return self.params.get(name, default)
-
-    def get_attribute(self, name, default=None):
-        return self.attributes.get(name, default)
 
     def __repr__(self):
         return f"Request({self.url!r})"
@@ -37,10 +33,6 @@ class ModelAndView:
     def __init__(self, view, model=None):
         self.view = view
         self.model = dict(model or {})
-
-    def put(self, key, value):
-        self.model[key] = value
-        return self
 
     def __repr__(self):
         return f"ModelAndView({self.view!r}, keys={sorted(self.model)})"

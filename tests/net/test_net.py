@@ -227,11 +227,6 @@ class TestCostModel:
         assert cm.query_cost_ms(0) == pytest.approx(0.1)
         assert cm.query_cost_ms(10) == pytest.approx(0.2)
 
-    def test_copy_with_overrides(self):
-        cm = CostModel().copy(round_trip_ms=10.0)
-        assert cm.round_trip_ms == 10.0
-        assert cm.db_workers == CostModel().db_workers
-
 
 class TestParallelElapsed:
     def test_empty(self):

@@ -11,6 +11,7 @@ server in both modes, and a seeded differential oracle interleaving
 writer/reader sessions against a cache-disabled twin.
 """
 
+import collections
 import random
 
 import pytest
@@ -18,7 +19,10 @@ import pytest
 from repro.net.clock import CostModel, SimClock
 from repro.net.driver import BatchDriver, Driver
 from repro.net.server import DatabaseServer
-from repro.sqldb import Database
+from repro.sqldb import Database, executor as executor_module
+from repro.sqldb.executor import Executor
+from repro.sqldb.plan.physical import PhysicalPlan
+from repro.sqldb.result_cache import ResultCache
 
 
 @pytest.fixture
@@ -249,21 +253,23 @@ class TestStoreValidateRace:
 
     SQL = "SELECT v FROM t WHERE id = ?"
 
-    def test_stale_expected_versions_refuse_the_store(self, cached_db):
-        from repro.sqldb.parser import parse
+    def test_stale_expected_versions_refuse_the_store(self, cached_db,
+                                                      monkeypatch):
+        run = PhysicalPlan.execute
 
-        stmt = parse(self.SQL)
-        executor = cached_db.executor
-        plan = executor.plan_for(stmt)
-        # Simulate: execution started (versions snapshotted, rows read)...
-        expected = cached_db.result_cache.version_snapshot(
-            cached_db, plan.referenced_tables)
-        result = plan.execute(cached_db, (1,))
-        # ...then another request's commit lands before the store.
-        cached_db.execute("UPDATE t SET v = 999 WHERE id = 1")
-        executor.store_select(stmt, (1,), plan, result,
-                              expected_versions=expected)
+        def execute_then_commit(plan, db, *args):
+            result = run(plan, db, *args)
+            # Another request's commit lands while the rows are being
+            # computed: after the version snapshot, before the store.
+            db.execute("UPDATE t SET v = 999 WHERE id = 1")
+            return result
+
+        monkeypatch.setattr(PhysicalPlan, "execute", execute_then_commit)
+        racing = cached_db.execute(self.SQL, (1,))
+        monkeypatch.undo()
+        assert racing.rows == [(2,)]  # the caller's rows are its own
         assert cached_db.result_cache.rejected_stores == 1
+        assert cached_db.result_cache.stores == 0
         # The stale rows were not cached: the next read re-executes and
         # sees the committed value.
         after = cached_db.execute(self.SQL, (1,))
@@ -277,6 +283,76 @@ class TestStoreValidateRace:
 
     def test_rejected_store_counter_in_stats(self, cached_db):
         assert "rejected_stores" in cached_db.result_cache_stats()
+
+
+class TestOneBody:
+    """A SELECT crosses the facade once: what ``Executor.select`` calls on
+    each of its ways out, counted from outside.  The classes are patched
+    after the database exists, as perfbench's tracer patches them — a
+    method bound at construction would go uncounted."""
+
+    SQL = "SELECT v FROM t WHERE id = ?"
+
+    @pytest.fixture
+    def calls(self, cached_db, monkeypatch):
+        counts = collections.Counter()
+
+        def count(owner, name, label):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[label] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(ResultCache, "lookup", "lookup")
+        count(ResultCache, "store", "store")
+        count(Executor, "plan_for", "plan")
+        count(PhysicalPlan, "execute", "run")
+        count(Executor, "_result_key", "key")
+        count(executor_module, "current_versions", "versions")
+        return counts
+
+    def test_cache_off_calls_nothing_of_the_cache(self, cached_db, calls):
+        cached_db.result_cache.enabled = False
+        assert cached_db.execute(self.SQL, (3,)).rows == [(6,)]
+        assert calls == {"plan": 1, "run": 1}
+
+    def test_a_miss_probes_snapshots_and_stores_once(self, cached_db, calls):
+        cached_db.execute(self.SQL, (3,))
+        assert calls == {"key": 1, "lookup": 1, "plan": 1, "versions": 1,
+                         "run": 1, "store": 1}
+
+    def test_a_hit_is_one_lookup_and_no_plan(self, cached_db, calls):
+        cached_db.execute(self.SQL, (3,))
+        calls.clear()
+        assert cached_db.execute(self.SQL, (3,)).from_cache
+        assert calls == {"key": 1, "lookup": 1}
+
+    def test_a_stale_view_goes_past_the_cache(self, cached_db, calls):
+        cached_db.execute(self.SQL, (3,))  # cached, and about to go stale
+        view = cached_db.read_views.open()
+        cached_db.execute("UPDATE t SET v = 99 WHERE id = 3")
+        calls.clear()
+        with cached_db.read_views.using(view):
+            assert cached_db.execute(self.SQL, (3,)).rows == [(6,)]
+        assert calls == {"plan": 1, "run": 1}
+        view.close()
+
+    def test_the_batch_planner_adds_its_probe_ahead_only(self, cached_db,
+                                                         calls):
+        """Two scans sharing one: each is probed once (ahead), snapshotted,
+        run and stored once, by the same body."""
+        server = DatabaseServer(cached_db, CostModel())
+        statements = [("SELECT v FROM t WHERE v > ?", (10,)),
+                      ("SELECT v FROM t WHERE v > ?", (20,))]
+        server.execute_batch(statements, batch_optimize=True)
+        assert server.shared_scan_groups == 1
+        assert calls == {"key": 4, "lookup": 2, "plan": 4, "versions": 2,
+                         "run": 2, "store": 2}
+        calls.clear()
+        server.execute_batch(statements, batch_optimize=True)  # both cached
+        assert calls == {"key": 2, "lookup": 2}
 
 
 class TestServerBatchPaths:

@@ -4,8 +4,10 @@ surface (``shard_phases``)."""
 
 import pytest
 
+from repro.net import CostModel, DatabaseServer
 from repro.sqldb import Database
 from repro.sqldb.errors import SqlError
+from repro.sqldb.executor import as_params
 from repro.sqldb.parser import parse
 from repro.sqldb.shard import (COORD_STATION, KIND_BROADCAST_READ,
                                KIND_GATHER, KIND_SCATTER, KIND_SINGLE,
@@ -304,3 +306,50 @@ def test_valid_bounds_slice_as_before():
                 ("SELECT id, v FROM t ORDER BY 2 DESC LIMIT 2", (), [0, 1])]:
             rows = db.execute(sql, params).rows
             assert [row[0] for row in rows] == ids, (db, sql)
+
+
+# ---------------------------------------------------------------------------
+# Parameter shapes: normalised once, in execute_parsed, on every backend
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("params", [
+    pytest.param(None, id="none"), pytest.param(5, id="scalar"),
+    pytest.param("5", id="text"), pytest.param(b"5", id="bytes"),
+    pytest.param({"a": 1}, id="mapping"), pytest.param({1}, id="set"),
+    pytest.param(iter((1,)), id="iterator"),
+])
+def test_params_that_are_no_sequence_raise_sql_error_everywhere(params):
+    """``None`` and a scalar used to leak ``TypeError`` from ``tuple()``;
+    ``"5"`` bound ``('5',)`` and ``{"a": 1}`` bound ``('a',)`` silently."""
+    backends = _bound_backends()
+    for db in backends:
+        for sql in ("SELECT v FROM t WHERE id = ?",
+                    "UPDATE t SET v = 0 WHERE id = ?"):
+            with pytest.raises(SqlError) as err:
+                db.execute(sql, params)
+            assert type(err.value) is SqlError, db
+            assert "must be a tuple or a list" in str(err.value)
+        assert db.execute("SELECT v FROM t WHERE id = 1").rows == [(9,)]
+    server = DatabaseServer(backends[0], CostModel())
+    for batch_optimize in (False, True):
+        with pytest.raises(SqlError):
+            server.execute_batch([("SELECT v FROM t WHERE id = ?", params)],
+                                 batch_optimize=batch_optimize)
+
+
+def test_a_tuple_passes_untouched_and_a_list_is_copied():
+    params = (1,)
+    assert as_params(params) is params
+    listed = [1]
+    assert as_params(listed) == (1,) and listed == [1]
+    for db in _bound_backends():
+        assert db.execute("SELECT v FROM t WHERE id = ?", [1]).rows == [(9,)]
+        assert db.execute("UPDATE t SET v = ? WHERE id = ?",
+                          [7, 1]).rowcount == 1
+        assert db.execute("SELECT v FROM t WHERE id = ?", (1,)).rows == [(7,)]
+    cached = Database()
+    cached.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+    cached.execute("SELECT id FROM t WHERE id = ?", [1])
+    assert cached.execute("SELECT id FROM t WHERE id = ?", (1,)).from_cache
+    assert "status='hit'" in cached.explain(
+        "SELECT id FROM t WHERE id = ?", params=[1])

@@ -87,3 +87,32 @@ def test_a_statement_is_parsed_once_per_side_of_the_wire():
     assert parses - executions == registrations
     assert (os.path.join("sqldb", "read_view.py"),
             "ReadViewManager.using") not in calls
+
+
+def test_calls_prints_raw_counts_per_target(monkeypatch, capsys):
+    """``--calls NAME ... TARGET ...``: one row a function, one column a
+    target, raw counts.  Read off it: with the cache on (``mixed_rw``) a
+    SELECT is exactly one ``lookup`` and a miss exactly one ``plan_for``
+    and one ``store``; with it off (``reports``) a SELECT makes no call
+    into the cache at all."""
+    traffic = _load_tool()
+    runs = {"mixed_rw": _mixed_rw_smoke_calls(),
+            "reports": traffic.count_calls("reports", smoke=True)}
+    monkeypatch.setattr(traffic, "count_calls",
+                        lambda target, seed, smoke: runs[target])
+    names = ["Executor.select", "ResultCache.lookup", "Executor.plan_for",
+             "ResultCache.store"]
+    assert traffic.main(["--smoke", "--calls", *names, "mixed_rw",
+                         "reports"]) == 0
+    header, *rows = [line.split() for line in
+                     capsys.readouterr().out.splitlines()
+                     if not line.startswith("#")]
+    assert header == ["mixed_rw", "reports"]
+    assert [row[0] for row in rows] == names
+    table = {row[0]: list(map(int, row[1:])) for row in rows}
+    selects, lookups, plans, stores = (table[name] for name in names)
+    assert selects[0] > 1000 and lookups[0] == selects[0]
+    assert 0 < stores[0] == plans[0] <= lookups[0]
+    assert selects[1] == plans[1] > 100 and lookups[1] == stores[1] == 0
+    with pytest.raises(SystemExit):
+        traffic.main(["--calls", "Executor.no_such_function", "reports"])

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.core.thunk import Thunk
-from repro.web.framework import Dispatcher, ModelAndView, Request
+from repro.web.framework import Dispatcher, Request
 from repro.web.templates import Template, TemplateError
 from repro.web.writer import ThunkWriter
 
@@ -151,11 +151,6 @@ class TestDispatcher:
             Dispatcher().route("missing.jsp")
 
     def test_request_accessors(self):
-        r = Request("u", params={"a": "1"}, attributes={"b": 2})
+        r = Request("u", params={"a": "1"})
         assert r.get_parameter("a") == "1"
         assert r.get_parameter("zz", "d") == "d"
-        assert r.get_attribute("b") == 2
-
-    def test_model_and_view_put(self):
-        mav = ModelAndView("v").put("k", 1)
-        assert mav.model == {"k": 1}

@@ -2,6 +2,7 @@
 """Which functions of ``src/repro`` does anything actually call?
 
     python3 tools/traffic.py [--smoke] [--seed N] [--kernels] [TARGET ...]
+    python3 tools/traffic.py [--smoke] [--seed N] --calls NAME ... [TARGET ...]
 
 A TARGET is a perfbench workload (set-up, one round and its output check),
 ``figures`` (``pytest --benchmark-disable benchmarks`` — pytest-benchmark
@@ -22,6 +23,13 @@ module-level function that returns closures is a kernel *build*
 per-value *helper*; closures named ``interpreted_*`` are the *fallback*s
 that run ``expressions.evaluate`` per row for a shape with no kernel.
 Counts are raw and per ``PhysicalPlan.execute``.
+
+``--calls NAME ...`` asks the other question of the same counters: how
+often did each target call these functions?  A NAME is a qualname as the
+zero-call report prints it (``ResultCache.lookup``, ``Executor.select``);
+the table holds raw calls per target — divide by the target's
+``Database.execute_parsed`` or ``PhysicalPlan.execute`` row for a
+per-statement figure — and replaces the zero-call report.
 
 Needs Python 3.11 (``co_qualname``).
 """
@@ -142,6 +150,17 @@ def print_kernels(calls):
         print(f"{kind:<9}{label:<49} {n:>9} {n / max(executions, 1):>9.3f}")
 
 
+def print_calls(names, per_target):
+    """Raw calls of each named function per target, one row a name (a
+    qualname defined in two modules is summed)."""
+    width = max(map(len, names))
+    print(" " * width + "".join(f" {t:>14}" for t in per_target))
+    for name in names:
+        print(f"{name:<{width}}" + "".join(
+            f" {sum(n for (_, q), n in calls.items() if q == name):>14}"
+            for calls in per_target.values()))
+
+
 def print_zero_calls(defined, called):
     """Functions nothing called, grouped by module and owner (the class, or
     the builder whose closure it is)."""
@@ -169,24 +188,38 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--kernels", action="store_true",
                         help="also print the plan/compile.py kernel view")
+    parser.add_argument("--calls", nargs="+", default=[], metavar="NAME",
+                        help="print raw calls per target of these functions "
+                        "(qualnames) instead of the zero-call report; "
+                        "targets may follow the names")
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    # ``--calls`` takes every word after it: the targets among them.
+    args.targets += [name for name in args.calls if name in TARGETS]
+    names = [name for name in args.calls if name not in TARGETS]
     unknown = set(args.targets) - set(TARGETS)
     if unknown:
         parser.error(f"unknown target(s): {', '.join(sorted(unknown))}")
     if args.child:
         return _child(args.targets[0], args.seed, args.smoke)
-    called = set()
+    defined = defined_functions()
+    unknown = set(names) - {qualname for _, qualname in defined}
+    if unknown:
+        parser.error("no such function in src/repro: "
+                     + ", ".join(sorted(unknown)))
+    per_target = {}
     for target in args.targets or TARGETS:
-        calls = count_calls(target, args.seed, args.smoke)
-        called |= set(calls)
+        calls = per_target[target] = count_calls(target, args.seed, args.smoke)
         print(f"# {target}: {len(calls)} functions called, "
               f"{sum(calls.values())} calls, "
               f"{calls.get(EXECUTE, 0)} PhysicalPlan.execute")
         if args.kernels:
             print_kernels(calls)
-    print_zero_calls(defined_functions(), called)
+    if names:
+        print_calls(names, per_target)
+    else:
+        print_zero_calls(defined, set().union(*per_target.values()))
     return 0
 
 
