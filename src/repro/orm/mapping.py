@@ -25,7 +25,24 @@ Each mapped class gets a :class:`EntityInfo` at class-creation time with the
 table name, columns, primary key and relations; string relation targets
 resolve lazily through the module-level registry so mutually referential
 entities can be declared in any order.
+
+The info is also the class's **load plan** (ARCHITECTURE.md, "The statement
+path"): what a load needs and the mapping alone decides is resolved once —
+per class the SQL text (one ``str`` object a statement, hashed once
+downstream), the EAGER relations and each relation's key :class:`Column`;
+per relation its target and SELECT; per result shape
+:meth:`EntityInfo.hydration`.  A row costs an identity-map probe, one
+generated ``fill`` and its EAGER loads.
+
+:class:`Column` and :class:`Relation` are **non-data descriptors** (no
+``__set__``): assignment and hydration store on the instance, which then
+shadows the descriptor, so reading a hydrated column or a loaded relation
+enters no Python code; ``__get__`` runs only while the instance lacks the
+attribute (a column never set reads ``None``, a relation never loaded loads).
 """
+
+from functools import cache, cached_property, partial
+from operator import attrgetter
 
 from repro.orm.errors import MappingError
 from repro.sqldb import types as sqltypes
@@ -35,17 +52,6 @@ EAGER = "eager"
 
 # name -> entity class, for resolving string targets in relations
 _REGISTRY = {}
-
-
-def resolve_entity(ref):
-    """Resolve a relation target given as a class or class name."""
-    if isinstance(ref, type):
-        return ref
-    target = _REGISTRY.get(ref)
-    if target is None:
-        raise MappingError(f"unknown entity {ref!r}; declared entities: "
-                           f"{sorted(_REGISTRY)}")
-    return target
 
 
 class Column:
@@ -65,49 +71,53 @@ class Column:
             self.column = name
 
     def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        return instance.__dict__.get(self.name)
-
-    def __set__(self, instance, value):
-        instance.__dict__[self.name] = value
+        return self if instance is None else None  # not set on the instance
 
     def __repr__(self):
         return f"Column({self.name!r}, {self.type_name})"
 
 
 class Relation:
-    """Base class for relationship descriptors."""
+    """Base class for relationship descriptors.
+
+    A subclass carries its half of the load plan: ``bind(info)`` sets
+    ``key``, the owner's :class:`Column` whose value parametrises the SELECT
+    that ``load(session, instance)`` (``Session.load_relation``) registers.
+    """
 
     def __init__(self, target, fetch=LAZY):
         self.target_ref = target
         self.fetch = fetch
         self.name = None
+        # LAZY and EAGER loads differ only in the backend read they go to.
+        self._read = attrgetter("backend.read_eager" if fetch == EAGER
+                                else "backend.read_lazy")
 
     def __set_name__(self, owner, name):
         self.name = name
 
-    @property
+    @cached_property
     def target(self):
-        return resolve_entity(self.target_ref)
+        """The target class, resolved from a class or a class name."""
+        ref = self.target_ref
+        target = ref if isinstance(ref, type) else _REGISTRY.get(ref)
+        if target is None:
+            raise MappingError(f"unknown entity {ref!r}; declared entities: "
+                               f"{sorted(_REGISTRY)}")
+        return target
 
     def __get__(self, instance, owner=None):
+        # The first access of a relation not loaded or assigned yet.
         if instance is None:
             return self
-        cached = instance.__dict__.get(self.name)
-        if cached is not None or self.name in instance.__dict__:
-            return cached
         session = instance.__sloth_session__
         if session is None:
             raise MappingError(
                 f"accessing relation {self.name!r} on a detached "
                 f"{type(instance).__name__} instance")
         value = session.load_relation(instance, self)
-        instance.__dict__[self.name] = value
+        setattr(instance, self.name, value)
         return value
-
-    def __set__(self, instance, value):
-        instance.__dict__[self.name] = value
 
 
 class ManyToOne(Relation):
@@ -116,6 +126,26 @@ class ManyToOne(Relation):
     def __init__(self, target, column, fetch=LAZY):
         super().__init__(target, fetch)
         self.column = column  # FK column on *this* entity's table
+
+    def bind(self, info):  # key: the Column mapping ``column``
+        self.key = next(
+            (c for c in info.columns if c.column == self.column), None)
+        if self.key is None:
+            raise MappingError(
+                f"{info.cls.__name__}.{self.name}: ManyToOne over column "
+                f"{self.column!r}, which {info.cls.__name__} does not map")
+
+    def load(self, session, instance):
+        fk_value = getattr(instance, self.key.name)
+        if fk_value is None:
+            return None
+        target = self.target
+        cached = session.identity_map.get((target, fk_value))
+        if cached is not None:
+            return cached
+        return self._read(session)(
+            target.__info__.select_by_pk_sql, (fk_value,),
+            partial(session._deserialize_one, target))
 
 
 class OneToMany(Relation):
@@ -126,9 +156,25 @@ class OneToMany(Relation):
         self.foreign_key = foreign_key  # FK column on the *target* table
         self.order_by = order_by
 
+    def bind(self, info):  # key: the owner's primary key
+        self.key = info.pk
+
+    @cached_property
+    def select_by_fk_sql(self):
+        info = self.target.__info__
+        order = f" ORDER BY {self.order_by}" if self.order_by else ""
+        return (f"SELECT {info.select_list} FROM {info.table} "
+                f"WHERE {self.foreign_key} = ?{order}")
+
+    def load(self, session, instance):
+        return self._read(session)(
+            self.select_by_fk_sql, (getattr(instance, self.key.name),),
+            partial(session._deserialize_many, self.target))
+
 
 class EntityInfo:
-    """Mapping metadata extracted from an entity class."""
+    """Mapping metadata extracted from an entity class, and its load plan
+    (module docstring)."""
 
     def __init__(self, cls, table, columns, relations):
         self.cls = cls
@@ -140,37 +186,42 @@ class EntityInfo:
             raise MappingError(
                 f"entity {cls.__name__} must declare exactly one "
                 f"primary-key Column, found {len(pks)}")
-        self.pk = pks[0]
-        self.column_names = [c.column for c in columns]
+        self.pk = pk = pks[0]
+        self.column_names = names = [c.column for c in columns]
+        self.select_list = ", ".join(names)
+        self.select_by_pk_sql = (f"SELECT {self.select_list} FROM {table} "
+                                 f"WHERE {pk.column} = ?")
+        self.insert_sql = (f"INSERT INTO {table} ({self.select_list}) "
+                           f"VALUES ({', '.join('?' for _ in names)})")
+        sets = ", ".join(f"{c} = ?" for c in names if c != pk.column)
+        self.update_sql = f"UPDATE {table} SET {sets} WHERE {pk.column} = ?"
+        self.delete_sql = f"DELETE FROM {table} WHERE {pk.column} = ?"
+        for relation in relations:
+            relation.bind(self)
+        self._eager = tuple(r for r in relations if r.fetch == EAGER)
+        # The method runs at the first result set of a shape; a hit is a
+        # C-level probe, and a refused shape is not remembered.
+        self.hydration = cache(self.hydration)
 
-    @property
-    def select_list(self):
-        return ", ".join(self.column_names)
-
-    def select_by_pk_sql(self):
-        return (f"SELECT {self.select_list} FROM {self.table} "
-                f"WHERE {self.pk.column} = ?")
-
-    def select_by_fk_sql(self, fk_column, order_by=None):
-        sql = (f"SELECT {self.select_list} FROM {self.table} "
-               f"WHERE {fk_column} = ?")
-        if order_by:
-            sql += f" ORDER BY {order_by}"
-        return sql
-
-    def insert_sql(self):
-        placeholders = ", ".join("?" for _ in self.column_names)
-        return (f"INSERT INTO {self.table} "
-                f"({', '.join(self.column_names)}) VALUES ({placeholders})")
-
-    def update_sql(self):
-        sets = ", ".join(f"{c} = ?" for c in self.column_names
-                         if c != self.pk.column)
-        return (f"UPDATE {self.table} SET {sets} "
-                f"WHERE {self.pk.column} = ?")
-
-    def delete_sql(self):
-        return f"DELETE FROM {self.table} WHERE {self.pk.column} = ?"
+    def hydration(self, columns):
+        """``(pk_position, fill, eager)`` for rows whose columns are the
+        tuple ``columns``.  ``fill(entity, row, session)`` is generated for
+        the shape: a plain attribute store per mapped column, its row
+        position a constant, then the session — a hand-written hydrator,
+        the form the interpreter runs fastest (no ``__dict__`` materialised).
+        ``eager``: what every new instance loads, in ``relations`` order."""
+        position = {name: i for i, name in enumerate(columns)}
+        missing = [c for c in self.column_names if c not in position]
+        if missing:
+            raise MappingError(
+                f"cannot hydrate {self.cls.__name__}: the result set lacks "
+                f"{missing} (its columns: {list(columns)})")
+        stores = "".join(f"    entity.{c.name} = row[{position[c.column]}]\n"
+                         for c in self.columns)
+        namespace = {}
+        exec(f"def fill(entity, row, session):\n{stores}"
+             f"    entity.__sloth_session__ = session\n", namespace)
+        return position[self.pk.column], namespace["fill"], self._eager
 
     def ddl(self):
         """CREATE TABLE statement for this entity."""

@@ -16,12 +16,21 @@ reads execute:
 
 Both backends share deserialization, so the two application variants differ
 only in query timing — exactly the comparison the paper's evaluation makes.
+
+A read runs from the class's load plan (:mod:`repro.orm.mapping`): ``find``
+/ ``Query.all`` / ``Relation.__get__`` → :meth:`Session.load_relation` →
+``backend.read_*(sql, params, deserialize)``, ``deserialize`` a ``partial``
+over :meth:`Session._deserialize_many`.  The descriptor and the hydrator both
+look ``load_relation`` up on the session, so a tracer wrapping it sees every
+relation load.
 """
+
+from functools import partial
 
 from repro.core.proxy import LazyProxy
 from repro.core.thunk import QueryThunk, Thunk, force
-from repro.orm.errors import EntityNotFound, MappingError
-from repro.orm.mapping import EAGER, ManyToOne, OneToMany
+from repro.orm.errors import EntityNotFound
+from repro.sqldb.result import ExecResult
 
 
 class OriginalBackend:
@@ -34,12 +43,8 @@ class OriginalBackend:
         return deserialize(self.driver.execute(sql, tuple(params)))
 
     def read_lazy(self, sql, params, deserialize):
-        params = tuple(params)
-
-        def _load():
-            return deserialize(self.driver.execute(sql, params))
-
-        return LazyProxy(Thunk(_load))
+        return LazyProxy(Thunk(
+            partial(self.read_eager, sql, tuple(params), deserialize)))
 
     def write(self, sql, params=()):
         return self.driver.execute(sql, tuple(params))
@@ -52,7 +57,8 @@ class SlothBackend:
         self.runtime = runtime
 
     def _register(self, sql, params, deserialize):
-        thunk = QueryThunk(self.runtime.query_store, sql, tuple(params),
+        # ``params`` goes as it came: the store tuples it into the key.
+        thunk = QueryThunk(self.runtime.query_store, sql, params,
                            deserialize, runtime=self.runtime)
         return LazyProxy(thunk)
 
@@ -62,7 +68,7 @@ class SlothBackend:
     read_lazy = _register
 
     def write(self, sql, params=()):
-        return self.runtime.execute_write(sql, tuple(params))
+        return self.runtime.execute_write(sql, params)
 
 
 class Session:
@@ -83,14 +89,8 @@ class Session:
         cached = self.identity_map.get((cls, pk))
         if cached is not None:
             return cached
-        info = cls.__info__
-        sql = info.select_by_pk_sql()
-
-        def _one(result_set):
-            entities = self._deserialize_many(cls, result_set)
-            return entities[0] if entities else None
-
-        return self.backend.read_eager(sql, (pk,), _one)
+        return self.backend.read_eager(cls.__info__.select_by_pk_sql, (pk,),
+                                       partial(self._deserialize_one, cls))
 
     def get(self, cls, pk):
         """Like :meth:`find` but raises :class:`EntityNotFound` on miss.
@@ -111,9 +111,9 @@ class Session:
     def persist(self, entity):
         """INSERT the entity and attach it to this session."""
         info = type(entity).__info__
-        result = self.backend.write(info.insert_sql(),
+        result = self.backend.write(info.insert_sql,
                                     entity.column_values())
-        self._attach(entity)
+        entity.__sloth_session__ = self
         self.identity_map[(type(entity), entity.pk_value)] = entity
         return result
 
@@ -123,12 +123,12 @@ class Session:
         values = [getattr(entity, c.name) for c in info.columns
                   if c.column != info.pk.column]
         values.append(entity.pk_value)
-        return self.backend.write(info.update_sql(), values)
+        return self.backend.write(info.update_sql, values)
 
     def delete(self, entity):
         info = type(entity).__info__
         self.identity_map.pop((type(entity), entity.pk_value), None)
-        return self.backend.write(info.delete_sql(), (entity.pk_value,))
+        return self.backend.write(info.delete_sql, (entity.pk_value,))
 
     def execute_write(self, sql, params=()):
         """Escape hatch for raw writes (used by the TPC workloads)."""
@@ -145,78 +145,34 @@ class Session:
     def rollback(self):
         self.backend.write("ROLLBACK")
 
-    # -- relation loading (called by Relation descriptors) -------------------------
+    # -- loading: relations (first access, EAGER) and result sets -------------------
 
     def load_relation(self, instance, relation):
-        if isinstance(relation, ManyToOne):
-            return self._load_many_to_one(instance, relation)
-        if isinstance(relation, OneToMany):
-            return self._load_one_to_many(instance, relation)
-        raise MappingError(f"unknown relation type {type(relation).__name__}")
-
-    def _load_many_to_one(self, instance, relation):
-        fk_value = getattr(instance, relation.column)
-        if fk_value is None:
-            return None
-        target = relation.target
-        cached = self.identity_map.get((target, fk_value))
-        if cached is not None:
-            return cached
-        info = target.__info__
-        sql = info.select_by_pk_sql()
-
-        def _one(result_set):
-            entities = self._deserialize_many(target, result_set)
-            return entities[0] if entities else None
-
-        if relation.fetch == EAGER:
-            return self.backend.read_eager(sql, (fk_value,), _one)
-        return self.backend.read_lazy(sql, (fk_value,), _one)
-
-    def _load_one_to_many(self, instance, relation):
-        target = relation.target
-        info = target.__info__
-        sql = info.select_by_fk_sql(relation.foreign_key, relation.order_by)
-        pk = instance.pk_value
-
-        def _many(result_set):
-            return self._deserialize_many(target, result_set)
-
-        if relation.fetch == EAGER:
-            return self.backend.read_eager(sql, (pk,), _many)
-        return self.backend.read_lazy(sql, (pk,), _many)
-
-    # -- deserialization ------------------------------------------------------------
-
-    def _attach(self, entity):
-        entity.__sloth_session__ = self
+        """The relation's value, for the caller to store on ``instance``."""
+        return relation.load(self, instance)
 
     def _deserialize_many(self, cls, result_set):
         """Materialize entities from a result set, honoring the identity map
         and triggering EAGER relation loads (paper §6.1: eager fetching
         issues queries whether or not the data is used)."""
-        info = cls.__info__
-        by_name = {}
-        for i, name in enumerate(result_set.columns):
-            by_name[name] = i
+        pk_at, fill, eager = cls.__info__.hydration(tuple(result_set.columns))
+        identity_map = self.identity_map
         entities = []
         for row in result_set.rows:
-            pk_value = row[by_name[info.pk.column]]
-            cached = self.identity_map.get((cls, pk_value))
-            if cached is not None:
-                entities.append(cached)
-                continue
-            entity = cls.__new__(cls)
-            for column in info.columns:
-                entity.__dict__[column.name] = row[by_name[column.column]]
-            self._attach(entity)
-            self.identity_map[(cls, pk_value)] = entity
-            for relation in info.relations:
-                if relation.fetch == EAGER:
-                    entity.__dict__[relation.name] = self.load_relation(
-                        entity, relation)
+            key = (cls, row[pk_at])
+            entity = identity_map.get(key)
+            if entity is None:
+                entity = identity_map[key] = cls.__new__(cls)
+                fill(entity, row, self)
+                for relation in eager:
+                    setattr(entity, relation.name,
+                            self.load_relation(entity, relation))
             entities.append(entity)
         return entities
+
+    def _deserialize_one(self, cls, result_set):
+        entities = self._deserialize_many(cls, result_set)
+        return entities[0] if entities else None
 
 
 class Query:
@@ -246,30 +202,26 @@ class Query:
         self._limit = n
         return self
 
-    def _sql(self, select_list=None):
+    def all(self):
+        """All matching entities (a transparent proxy under Sloth)."""
         info = self.cls.__info__
-        sql = (f"SELECT {select_list or info.select_list} "
-               f"FROM {info.table}")
+        sql = f"SELECT {info.select_list} FROM {info.table}"
         if self._where:
             sql += " WHERE " + " AND ".join(self._where)
         if self._order_by:
             sql += f" ORDER BY {self._order_by}"
         if self._limit is not None:
             sql += f" LIMIT {self._limit}"
-        return sql
-
-    def all(self):
-        """All matching entities (a transparent proxy under Sloth)."""
-        sql = self._sql()
-
-        def _many(result_set):
-            return self.session._deserialize_many(self.cls, result_set)
-
-        return self.session.backend.read_eager(sql, self._params, _many)
+        session = self.session
+        return session.backend.read_eager(
+            sql, self._params, partial(session._deserialize_many, self.cls))
 
     def first(self):
-        """First matching entity or None (forces under Sloth)."""
-        entities = force(self.limit(1).all())
+        """First matching entity or None (forces under Sloth); the
+        ``LIMIT 1`` goes on a copy, this query keeps its own limit."""
+        limited = Query(self.session, self.cls)
+        limited.__dict__.update(self.__dict__, _limit=1)
+        entities = force(limited.all())
         return entities[0] if entities else None
 
     def count(self):
@@ -278,8 +230,5 @@ class Query:
         sql = f"SELECT COUNT(*) AS n FROM {info.table}"
         if self._where:
             sql += " WHERE " + " AND ".join(self._where)
-
-        def _scalar(result_set):
-            return result_set.scalar()
-
-        return self.session.backend.read_eager(sql, self._params, _scalar)
+        return self.session.backend.read_eager(sql, self._params,
+                                               ExecResult.scalar)
