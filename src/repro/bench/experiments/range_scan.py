@@ -4,9 +4,9 @@ Executes the range/ORDER BY report queries of the three seeded benchmark
 applications (``repro.apps.*.reports.RANGE_REPORT_QUERIES``) twice — once
 through the full pipeline (ordered-index range scans + sort elision
 enabled, the default) and once with the ordered access paths disabled
-(``range_scans=False, sort_elision=False``: the base table is read by
-sequential scan and ORDER BY is an explicit sort, exactly the pre-ordered-
-index engine) — and reports per-query and per-app rows touched.
+(``ordered_access=False``: the base table is read by sequential scan and
+ORDER BY is an explicit sort, exactly the pre-ordered-index engine) — and
+reports per-query and per-app rows touched.
 
 ``benchmarks/test_range_rows_touched.py`` asserts the headline claim over
 this data (>=2x fewer rows touched per app in aggregate, identical result
@@ -24,7 +24,7 @@ from repro.sqldb.plan import OptimizerOptions
 
 # The baseline disables only the ordered access paths: joins still reorder
 # and probe indexes, so the delta isolates what the ordered indexes buy.
-SEQ_SCAN_BASELINE = OptimizerOptions(range_scans=False, sort_elision=False)
+SEQ_SCAN_BASELINE = OptimizerOptions(ordered_access=False)
 
 
 def _build_itracker():

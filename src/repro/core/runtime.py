@@ -13,9 +13,10 @@ lazy-evaluation overhead accounting), and the optimization flags of §4:
   externally visible effects are deferred whole instead of forcing their
   condition (which would flush pending query batches early).
 
-The application layer (``repro.apps``) calls :meth:`run_ops`,
-:meth:`maybe_force` and :meth:`lazy_call` so the flags change both the CPU
-charge *and* the real batching behaviour, exactly as in the paper's Fig. 12.
+The application layer (``repro.apps``) calls :meth:`run_ops`, :meth:`defer`,
+:meth:`query`, :meth:`execute_write` and ``RequestContext.if_branch`` so the
+flags change both the CPU charge *and* the real batching behaviour, exactly
+as in the paper's Fig. 12.
 """
 
 from repro.core.query_store import QueryStore

@@ -21,10 +21,11 @@ class Database:
 
     ``optimizer_options`` (an
     :class:`repro.sqldb.plan.optimizer.OptimizerOptions`, None for the
-    defaults) gates the cost-based rules — pass
-    ``FROM_ORDER_OPTIONS`` to get PR-1 behaviour (joins in FROM order,
-    sequential scans under joins), the baseline the differential join
-    oracle measures against.
+    defaults) gates the cost-based rules with two switches,
+    ``cost_based_joins`` and ``ordered_access`` — pass
+    ``FROM_ORDER_OPTIONS`` (both off) for the rule-free planner (joins in FROM
+    order, sequential scans under joins, no range scan or sort elision),
+    the baseline the differential join oracle measures against.
 
     ``result_cache_size`` bounds the cross-request result cache
     (:mod:`repro.sqldb.result_cache`); pass ``0`` to disable caching

@@ -8,12 +8,14 @@ row counts maintained on every INSERT/DELETE/TRUNCATE, exact per-index
 distinct-key counts read from the indexes, and exact per-column distinct
 counts read from the table's cached columnar snapshot
 (:class:`repro.sqldb.columnar.ColumnStore`) for join fan-out and equality
-selectivity on unindexed columns — and five textbook selectivity
-constants for everything else.  Range and BETWEEN bounds are always
-priced by a constant: every bound the apps, reports and TPC-C issue is a
-parameter, unknown at plan time by design (one cached plan serves every
-parameter value), and a literal bound gets the same price until a
-workload shows a plan it would change.
+selectivity on unindexed columns — and one fallback selectivity,
+:data:`FALLBACK_SELECTIVITY`, for every predicate shape they do not price.
+Range and BETWEEN bounds are among those shapes: every bound the apps,
+reports and TPC-C issue is a parameter, unknown at plan time by design
+(one cached plan serves every parameter value).  One constant is all the
+workloads need: every target of ``tools/traffic.py --plans`` builds the
+same plans under it as under the five per-shape constants it replaced
+(``docs/cost-model.md`` has the table).
 
 A snapshot statistic is **one column's distinct count, counted on demand
 at plan time** (``table.column_store().distinct(ordinal)`` builds no lane
@@ -54,12 +56,8 @@ planning quality but never correctness or a rows-touched regression.
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.expressions import expr_columns, split_conjuncts
 
-# Selectivities of the predicate shapes no statistic prices.
-EQ_SELECTIVITY = 0.1
-RANGE_SELECTIVITY = 0.3
-NULL_SELECTIVITY = 0.1
-BETWEEN_SELECTIVITY = 0.25
-DEFAULT_SELECTIVITY = 0.5
+# The selectivity of every predicate shape no statistic prices.
+FALLBACK_SELECTIVITY = 0.3
 
 
 class Estimate:
@@ -116,54 +114,21 @@ def probe_index_name(db, table_name, ordinal):
 def selectivity(db, table_name, expr):
     """Estimated fraction of rows satisfying ``expr``.
 
-    ``table_name`` (may be None) lets equality predicates consult the
-    column's distinct-key count; every other shape uses the fallback
-    constants.  Conjunctions multiply, disjunctions combine inclusively,
-    NOT complements.
+    Conjunctions multiply; ``column = constant`` is ``1 / NDV`` of the
+    column when ``table_name`` (may be None) names a table that has it;
+    every other shape is :data:`FALLBACK_SELECTIVITY`.
     """
     if isinstance(expr, A.BinaryOp):
         if expr.op == "AND":
             return (selectivity(db, table_name, expr.left)
                     * selectivity(db, table_name, expr.right))
-        if expr.op == "OR":
-            a = selectivity(db, table_name, expr.left)
-            b = selectivity(db, table_name, expr.right)
-            return min(1.0, a + b - a * b)
-        if expr.op == "=":
-            return _equality_selectivity(db, table_name, expr)
-        if expr.op == "<>":
-            return 1.0 - _equality_selectivity(db, table_name, expr)
-        if expr.op in ("<", ">", "<=", ">="):
-            return RANGE_SELECTIVITY
-        return DEFAULT_SELECTIVITY
-    if isinstance(expr, A.UnaryOp) and expr.op == "NOT":
-        return 1.0 - selectivity(db, table_name, expr.operand)
-    if isinstance(expr, A.IsNull):
-        return 1.0 - NULL_SELECTIVITY if expr.negated else NULL_SELECTIVITY
-    if isinstance(expr, A.Between):
-        return (1.0 - BETWEEN_SELECTIVITY if expr.negated
-                else BETWEEN_SELECTIVITY)
-    if isinstance(expr, A.InList):
-        sel = min(1.0, EQ_SELECTIVITY * max(len(expr.items), 1))
-        return 1.0 - sel if expr.negated else sel
-    if isinstance(expr, A.Literal):
-        if expr.value is True:
-            return 1.0
-        if expr.value in (False, None):
-            return 0.0
-        return DEFAULT_SELECTIVITY
-    return DEFAULT_SELECTIVITY
-
-
-def _equality_selectivity(db, table_name, expr):
-    for a, b in ((expr.left, expr.right), (expr.right, expr.left)):
-        if isinstance(a, A.ColumnRef) and isinstance(b, (A.Literal, A.Param)):
-            if table_name is not None:
-                schema = db.catalog.table(table_name)
-                if schema.has_column(a.column):
+        if expr.op == "=" and table_name is not None:
+            for a, b in ((expr.left, expr.right), (expr.right, expr.left)):
+                if (isinstance(a, A.ColumnRef)
+                        and isinstance(b, (A.Literal, A.Param))
+                        and db.catalog.table(table_name).has_column(a.column)):
                     return 1.0 / column_ndv(db, table_name, a.column)
-            return EQ_SELECTIVITY
-    return EQ_SELECTIVITY
+    return FALLBACK_SELECTIVITY
 
 
 def access_estimate(db, table_name, predicate, indexed):
@@ -191,20 +156,17 @@ def range_scan_estimate(db, table_name, candidate, predicate=None):
 
         cost = rows × Π 1/NDV(prefix column) × range fraction
 
-    where the range fraction is BETWEEN_SELECTIVITY for a two-sided bound
-    and RANGE_SELECTIVITY for a one-sided one.  The *output* cardinality
-    applies the full predicate's
-    selectivity (the Filter above the scan re-applies every conjunct),
-    clamped to never exceed the rows touched.
+    where the range fraction is FALLBACK_SELECTIVITY for a bound on either
+    side or both, and 1 without one.  The *output* cardinality applies the
+    full predicate's selectivity (the Filter above the scan re-applies
+    every conjunct), clamped to never exceed the rows touched.
     """
     rows = table_rows(db, table_name)
     touch_sel = 1.0
     for column in candidate.columns[:candidate.n_prefix]:
         touch_sel /= column_ndv(db, table_name, column)
-    if candidate.low is not None and candidate.high is not None:
-        touch_sel *= BETWEEN_SELECTIVITY
-    elif candidate.low is not None or candidate.high is not None:
-        touch_sel *= RANGE_SELECTIVITY
+    if candidate.low is not None or candidate.high is not None:
+        touch_sel *= FALLBACK_SELECTIVITY
     touched = _floor(rows * touch_sel, rows)
     out = touched
     if predicate is not None:

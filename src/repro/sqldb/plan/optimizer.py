@@ -8,7 +8,8 @@ Rule families run in order:
    are barriers: tables are never reordered across an outer join, only
    within maximal runs of INNER joins (and the base table participates in
    the first run).  The greedy order is kept only when its estimated
-   rows-touched beats the FROM order.
+   rows-touched beats the FROM order.  Gated by
+   ``OptimizerOptions.cost_based_joins``.
 2. **Predicate pushdown** — single-table conjuncts of the WHERE clause move
    to where that table enters the plan: conjuncts over the (possibly
    reordered) base table drop below the join chain, conjuncts over an
@@ -18,8 +19,8 @@ Rule families run in order:
 3. **Access-path selection** — a ``Filter(Scan)`` whose predicate pins the
    primary key or a secondary index becomes ``Filter(IndexLookup)``.  The
    rule also applies to the base access *below* joins (gated by
-   ``OptimizerOptions.index_joins``); the final index decision still
-   happens at execution time against actual parameter values.
+   ``cost_based_joins``); the final index decision still happens at
+   execution time against actual parameter values.
 4. **Ordered access + order propagation** — the chain's base access is
    compared against the table's ordered indexes: an equality prefix plus a
    range conjunct (``BETWEEN``/``<``/``<=``/``>``/``>=``) over an index's
@@ -28,11 +29,11 @@ Rule families run in order:
    equality-pinned columns) covers the statement's ORDER BY — every join
    operator preserves its left input's order, so base-table order survives
    the chain — the ``Sort`` node is **elided** and the scan direction set
-   from the ORDER BY.  Gated by ``OptimizerOptions.range_scans`` /
-   ``sort_elision``.
+   from the ORDER BY.  Gated by ``OptimizerOptions.ordered_access``.
 5. **Join-strategy choice** — equi joins compare an index nested-loop probe
    (per-left-row PK/secondary-index lookup) against a hash build and keep
-   the cheaper estimate; non-equi joins fall back to a nested loop.  For
+   the cheaper estimate (the probe only under ``cost_based_joins``);
+   non-equi joins fall back to a nested loop.  For
    INNER joins an ON condition with extra conjuncts is split into the equi
    key plus a residual filter above the join; LEFT joins keep their whole
    ON condition (matching decides NULL-extension, so it cannot be split)
@@ -52,45 +53,43 @@ from repro.sqldb.plan.access import (
     ordered_scan_candidates,
     pinned_columns,
 )
-from repro.sqldb.plan.planner import contains_aggregate
+from repro.sqldb.plan.planner import contains_aggregate, order_by_position
 
 
 class OptimizerOptions:
     """Feature gates for the cost-based rules.
 
-    ``FROM_ORDER_OPTIONS`` reproduces the PR-1 planner exactly: joins
-    execute in FROM order, base scans under joins stay sequential, equi
-    joins only ever hash, and neither range scans nor sort elision apply —
-    the baseline the differential join oracle and the rows-touched
-    benchmarks compare against.
+    ``cost_based_joins`` gates join reordering, index nested-loop joins and
+    index access to the base table under a join; ``ordered_access`` gates
+    ordered-index range scans and sort elision.  ``FROM_ORDER_OPTIONS``
+    turns both off and reproduces the rule-free planner exactly: joins execute
+    in FROM order, base scans under joins stay sequential, equi joins only
+    ever hash — the baseline the differential join oracle and the
+    rows-touched benchmarks compare against.
     """
 
-    __slots__ = ("reorder_joins", "index_joins", "range_scans",
-                 "sort_elision")
+    __slots__ = ("cost_based_joins", "ordered_access")
 
-    def __init__(self, reorder_joins=True, index_joins=True,
-                 range_scans=True, sort_elision=True):
-        self.reorder_joins = reorder_joins
-        self.index_joins = index_joins
-        self.range_scans = range_scans
-        self.sort_elision = sort_elision
+    def __init__(self, cost_based_joins=True, ordered_access=True):
+        self.cost_based_joins = cost_based_joins
+        self.ordered_access = ordered_access
 
 
 DEFAULT_OPTIONS = OptimizerOptions()
-FROM_ORDER_OPTIONS = OptimizerOptions(reorder_joins=False, index_joins=False,
-                                      range_scans=False, sort_elision=False)
+FROM_ORDER_OPTIONS = OptimizerOptions(cost_based_joins=False,
+                                      ordered_access=False)
 
 
 def optimize(node, sctx, db, options=None):
     """Apply all rewrite rules to a canonical logical plan."""
     if options is None:
         options = db.optimizer_options or DEFAULT_OPTIONS
-    if options.reorder_joins:
+    if options.cost_based_joins:
         node = reorder_joins(node, sctx, db, options)
     node = push_down_predicates(node, sctx)
     node = select_access_path(node, sctx, db, options)
-    if options.range_scans or options.sort_elision:
-        node = select_ordered_access(node, sctx, db, options)
+    if options.ordered_access:
+        node = select_ordered_access(node, sctx, db)
     node = choose_join_strategies(node, sctx, db, options)
     return node
 
@@ -239,11 +238,11 @@ def _best_base_estimate(db, table_name, predicate, options):
     equality index lookup, or (when enabled) an ordered-index range scan.
     Keeps the reorder rule's arithmetic in agreement with the access-path
     rules that later pick the base's actual operator."""
-    indexed = bool(options.index_joins and predicate is not None
+    indexed = bool(predicate is not None
                    and candidate_indexes(db.tables_get(table_name),
                                          LookupShape(predicate)))
     best = C.access_estimate(db, table_name, predicate, indexed)
-    if options.range_scans and predicate is not None:
+    if options.ordered_access and predicate is not None:
         for cand in ordered_scan_candidates(db.tables_get(table_name),
                                             predicate):
             if not cand.has_bounds:
@@ -271,7 +270,7 @@ def _entry_estimate(entry, left, sctx, db, options, where_by_table):
     if kind == "INNER" and own:
         merged = conjoin([condition] + own)
     estimate, _, _, _ = C.join_step(db, sctx, left, table_index, merged,
-                                    kind, allow_index=options.index_joins)
+                                    kind)
     return estimate
 
 
@@ -333,8 +332,7 @@ def _greedy_run(run, outer_available, outer_left, sctx, db, options,
                 connected = any(t in cond_refs[id(c)] for c in bound)
                 merged = conjoin(bound + where_by_table.get(t, []))
                 estimate, _, _, _ = C.join_step(
-                    db, sctx, left, t, merged, "INNER",
-                    allow_index=options.index_joins)
+                    db, sctx, left, t, merged, "INNER")
                 candidates.append((not connected, estimate.rows,
                                    estimate.cost, t, bound, estimate))
             candidates.sort(key=lambda c: c[:4])
@@ -418,11 +416,11 @@ def select_access_path(node, sctx, db, options):
     could pin the primary key or a secondary index.
 
     Applies to single-table plans (as in PR 1) and — when
-    ``options.index_joins`` is on — to the base access below a join chain,
-    where pushdown has just deposited the base table's conjuncts.
+    ``options.cost_based_joins`` is on — to the base access below a join
+    chain, where pushdown has just deposited the base table's conjuncts.
     """
     if sctx.stmt.joins:
-        if not options.index_joins:
+        if not options.cost_based_joins:
             return node  # PR-1 cost parity: scans under joins stay sequential
     elif sctx.stmt.where is None:
         return node
@@ -447,7 +445,7 @@ def _to_index_lookup(node, db):
 # Rule 4: ordered access paths + order propagation (sort elision)
 # ---------------------------------------------------------------------------
 
-def select_ordered_access(root, sctx, db, options):
+def select_ordered_access(root, sctx, db):
     """Consider the base table's ordered indexes for the chain's access
     path, and elide the Sort when the chosen scan already delivers the
     ORDER BY keys.
@@ -477,8 +475,7 @@ def select_ordered_access(root, sctx, db, options):
         return root
 
     order_spec = None
-    if (options.sort_elision and isinstance(top, L.Project)
-            and not sctx.stmt.distinct):
+    if isinstance(top, L.Project) and not sctx.stmt.distinct:
         # DISTINCT keeps *first* occurrences before the Sort would have
         # run, so eliding the Sort would change which representative rows
         # (and row order) survive dedup — keep the explicit sort.
@@ -492,8 +489,6 @@ def select_ordered_access(root, sctx, db, options):
                                 indexed=isinstance(access, L.IndexLookup))
     best = None
     for cand in candidates:
-        if cand.has_bounds and not options.range_scans:
-            continue  # a bounded walk IS a range scan: the gate covers it
         est = C.range_scan_estimate(db, access.table, cand, predicate)
         satisfies = (order_spec is not None
                      and _order_satisfied(cand, pinned_ordinals,
@@ -537,7 +532,8 @@ def _base_order_requirement(sctx, base_table_index):
     Mirrors ``SortOp``'s key resolution exactly: an unqualified name that
     matches an output column sorts by that output value (elidable only
     when the output column passes a base column through untouched), an
-    integer literal sorts by output position, anything else evaluates
+    integer literal sorts by output position (``order_by_position``, the
+    one rule for that: a bool is no position), anything else evaluates
     against the source row.  Mixed ASC/DESC directions cannot be served by
     one index walk, so they disqualify the requirement.
     """
@@ -559,11 +555,11 @@ def _base_order_requirement(sctx, base_table_index):
             if expr.table is None and expr.column in sctx.context.ambiguous:
                 return None
             pos = sctx.context.positions.get((expr.table, expr.column))
-        elif isinstance(expr, A.Literal) and isinstance(expr.value, int):
-            index = expr.value - 1
-            pos = sources[index] if 0 <= index < len(sources) else None
         else:
-            return None
+            index = order_by_position(expr, len(sources))
+            if index is None:
+                return None
+            pos = sources[index]
         if pos is None or not offset <= pos < offset + width:
             return None
         if direction is None:
@@ -660,7 +656,7 @@ def _annotate_node(node, sctx, db, options):
     child_est = _estimate_of(node.child)
     est, strategy, equi, index_name = C.join_step(
         db, sctx, child_est, node.table_index, node.condition, node.kind,
-        allow_index=options.index_joins)
+        allow_index=options.cost_based_joins)
     node.strategy = strategy
     node.equi = equi
     node.index_name = index_name

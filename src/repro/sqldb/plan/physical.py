@@ -68,7 +68,7 @@ from repro.sqldb.plan.compile import (compile_aggregate_item_columnar,
                                       compile_filter,
                                       compile_grouped_item_columnar,
                                       compile_project)
-from repro.sqldb.plan.planner import _AGGREGATE_NAMES
+from repro.sqldb.plan.planner import _AGGREGATE_NAMES, order_by_position
 from repro.sqldb.result import ExecResult
 
 # CHUNK_SIZE (rows per chunk) lives in repro.sqldb.columnar, where zone
@@ -955,20 +955,6 @@ class SortOp:
             keyed.append((key, out))
         keyed.sort(key=lambda pair: pair[0])
         run.out_rows = [out for _, out in keyed]
-
-
-def order_by_position(expr, width):
-    """The 0-based output column an ``ORDER BY <integer literal>`` key
-    names, or None when the key is any other expression.  A position
-    outside ``1..width`` raises instead of indexing the row with it
-    (``ORDER BY 0`` would silently sort by the last column)."""
-    if not (isinstance(expr, A.Literal) and isinstance(expr.value, int)
-            and not isinstance(expr.value, bool)):
-        return None
-    if not 1 <= expr.value <= width:
-        raise SqlError(
-            f"ORDER BY position {expr.value} is not in the select list")
-    return expr.value - 1
 
 
 def resolve_limit(limit_expr, offset_expr, params):

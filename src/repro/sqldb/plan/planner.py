@@ -7,6 +7,7 @@ optimization — see :mod:`repro.sqldb.plan.optimizer`.
 """
 
 from repro.sqldb import ast_nodes as A
+from repro.sqldb.errors import SqlError
 from repro.sqldb.expressions import RowContext, expr_columns
 from repro.sqldb.plan import logical as L
 
@@ -97,6 +98,20 @@ def contains_aggregate(expr):
     if isinstance(expr, A.UnaryOp):
         return contains_aggregate(expr.operand)
     return False
+
+
+def order_by_position(expr, width):
+    """The 0-based output column an ``ORDER BY <integer literal>`` key
+    names, or None when the key is any other expression.  A position
+    outside ``1..width`` raises instead of indexing the row with it
+    (``ORDER BY 0`` would silently sort by the last column)."""
+    if not (isinstance(expr, A.Literal) and isinstance(expr.value, int)
+            and not isinstance(expr.value, bool)):
+        return None
+    if not 1 <= expr.value <= width:
+        raise SqlError(
+            f"ORDER BY position {expr.value} is not in the select list")
+    return expr.value - 1
 
 
 def select_has_aggregates(stmt):

@@ -39,8 +39,7 @@ import zlib
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlError
 from repro.sqldb.expressions import split_conjuncts
-from repro.sqldb.plan.physical import order_by_position
-from repro.sqldb.plan.planner import contains_aggregate
+from repro.sqldb.plan.planner import contains_aggregate, order_by_position
 
 KIND_SINGLE = "single"
 KIND_SCATTER = "scatter"

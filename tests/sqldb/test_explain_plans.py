@@ -107,7 +107,7 @@ Project
 
 def test_itracker_latest_issues_page_descending_top_n(itracker_db):
     """Top-N-by-date page: a literal-bounded range scan (priced, like a
-    parameter bound, by RANGE_SELECTIVITY), walked descending so the DESC
+    parameter bound, by FALLBACK_SELECTIVITY), walked descending so the DESC
     sort is elided; with the Sort gone and a LIMIT above, execution stops
     after the first limit+offset rows."""
     assert_plan(itracker_db, (
@@ -221,7 +221,9 @@ def test_openmrs_encounters_in_period_rebases_onto_range_scan(openmrs_db):
     """Range-aware join reordering: the BETWEEN over encounter_date makes
     encounter the cheapest chain base (via its ordered index), so the
     chain re-bases onto it and the ORDER BY rides the index order through
-    both joins."""
+    both joins.  A bound is priced by the one fallback selectivity, 0.3 of
+    the 400 encounters (~120 rows; ~100 when BETWEEN had a constant of its
+    own, 0.25): the same tree either way."""
     assert_plan(openmrs_db, (
         "SELECT e.id, e.encounter_date, pe.name FROM encounter e "
         "JOIN patient pt ON e.patient_id = pt.id "
@@ -229,10 +231,10 @@ def test_openmrs_encounters_in_period_rebases_onto_range_scan(openmrs_db):
         "WHERE e.encounter_date BETWEEN ? AND ? "
         "ORDER BY e.encounter_date"), """
 Project
-  Join [kind='INNER', table='person', strategy='hash'] (~100 rows, ~222 touched)
-    Join [kind='INNER', table='patient', strategy='hash'] (~100 rows, ~150 touched)
-      Filter [predicate=Between(expr=ColumnRef(table='e', column='encounter_date'), low=Param(index=0), high=Param(index=1), negated=False)] (~100 rows, ~100 touched)
-        IndexRangeScan [table='encounter', index='idx_encounter_date', bounds='? <= encounter_date <= ?', order='encounter_date ASC (sort elided)'] (~100 rows, ~100 touched)
+  Join [kind='INNER', table='person', strategy='hash'] (~120 rows, ~242 touched)
+    Join [kind='INNER', table='patient', strategy='hash'] (~120 rows, ~170 touched)
+      Filter [predicate=Between(expr=ColumnRef(table='e', column='encounter_date'), low=Param(index=0), high=Param(index=1), negated=False)] (~120 rows, ~120 touched)
+        IndexRangeScan [table='encounter', index='idx_encounter_date', bounds='? <= encounter_date <= ?', order='encounter_date ASC (sort elided)'] (~120 rows, ~120 touched)
 """)
 
 

@@ -256,6 +256,22 @@ class TestSortElision:
         plan = events_db.explain("SELECT day, id FROM ev ORDER BY 1")
         assert "sort elided" in plan
 
+    def test_order_by_true_is_no_position(self):
+        # ``ORDER BY TRUE`` sorts by a constant (rows keep scan order),
+        # not by output column 1: eliding the sort through the ordered
+        # index on that column returned the two smallest days instead.
+        rows = {}
+        for options in (None, FROM_ORDER_OPTIONS):
+            db = Database(optimizer_options=options)
+            db.execute("CREATE TABLE ev (id INT PRIMARY KEY, day INT)")
+            db.execute("CREATE INDEX idx_ev_day ON ev (day) USING ORDERED")
+            for i, day in enumerate((5, 3, 9, 1, 7)):
+                db.execute("INSERT INTO ev (id, day) VALUES (?, ?)", (i, day))
+            sql = "SELECT day, id FROM ev ORDER BY TRUE LIMIT 2"
+            assert "sort elided" not in db.explain(sql)
+            rows[options] = db.execute(sql).rows
+        assert rows[None] == rows[FROM_ORDER_OPTIONS] == [(5, 0), (3, 1)]
+
 
 # ---------------------------------------------------------------------------
 # Top-N limit hint
@@ -339,22 +355,19 @@ class TestPlanCache:
         assert sorted(r[0] for r in result.rows) == [0, 4, 6]
 
     def test_options_object_feature_gates(self, events_db):
-        events_db.optimizer_options = OptimizerOptions(sort_elision=False)
+        events_db.optimizer_options = OptimizerOptions(ordered_access=False)
         plan = events_db.explain("SELECT id FROM ev ORDER BY day")
         assert "Sort" in plan and "sort elided" not in plan
-        events_db.optimizer_options = OptimizerOptions(range_scans=False)
         plan = events_db.explain("SELECT id FROM ev WHERE day > 3")
         assert "IndexRangeScan" not in plan
-
-    def test_range_scans_gate_holds_under_sort_elision(self, events_db):
-        # A bounded walk IS a range scan: sort_elision alone must not
-        # smuggle one in through the order-satisfaction branch.
-        events_db.optimizer_options = OptimizerOptions(
-            range_scans=False, sort_elision=True)
-        plan = events_db.explain(
-            "SELECT id FROM ev WHERE day >= 5 ORDER BY day")
-        assert "bounds=" not in plan
-        # a bound-free ordered walk is still allowed for elision
+        events_db.execute("CREATE TABLE kinds (kind TEXT PRIMARY KEY, "
+                          "label TEXT)")
+        sql = ("SELECT e.id, k.label FROM ev e JOIN kinds k "
+               "ON e.kind = k.kind WHERE e.id = ?")
+        assert "IndexLookup" in events_db.explain(sql)
+        events_db.optimizer_options = OptimizerOptions(cost_based_joins=False)
+        plan = events_db.explain(sql)
+        assert "IndexLookup" not in plan and "strategy='hash'" in plan
         assert "sort elided" in events_db.explain(
             "SELECT id FROM ev ORDER BY day")
 

@@ -4,6 +4,7 @@ ROADMAP's zero-traffic rule is applied with."""
 import functools
 import importlib.util
 import os
+import re
 import sys
 
 import pytest
@@ -116,3 +117,23 @@ def test_calls_prints_raw_counts_per_target(monkeypatch, capsys):
     assert selects[1] == plans[1] > 100 and lookups[1] == stores[1] == 0
     with pytest.raises(SystemExit):
         traffic.main(["--calls", "Executor.no_such_function", "reports"])
+
+
+def test_plans_mode_reports_decisions_and_digest(capsys):
+    """``--plans TARGET``: one row a count or a variant, one column a
+    target.  On the report statements turning ``ordered_access`` off
+    changes plans and scaling the fallback selectivity by 3 changes none.
+    Dividing it by 4 changes one: ``encounters_in_period``'s range scan
+    then estimates ~30 rows instead of ~120, below the 50-row patient
+    table, so both of its joins cross from hash builds to PK probes."""
+    traffic = _load_tool()
+    assert traffic.main(["--smoke", "--plans", "reports"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == ["reports"]
+    rows = {name: cells for name, *cells in map(str.split, lines)}
+    assert re.fullmatch("[0-9a-f]{12}", rows["digest"][0])
+    assert int(rows["builds"][0]) == int(rows["selects"][0]) > 20
+    builds, selects = map(int, rows["ordered_access=False"][0].split("/"))
+    assert builds >= selects > 0
+    assert rows["FALLBACK_SELECTIVITY*3"] == ["0/0"]
+    assert rows["FALLBACK_SELECTIVITY/4"] == ["1/1"]

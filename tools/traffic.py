@@ -3,6 +3,7 @@
 
     python3 tools/traffic.py [--smoke] [--seed N] [--kernels] [TARGET ...]
     python3 tools/traffic.py [--smoke] [--seed N] --calls NAME ... [TARGET ...]
+    python3 tools/traffic.py [--smoke] [--seed N] --plans [TARGET ...]
 
 A TARGET is a perfbench workload (set-up, one round and its output check),
 ``figures`` (``pytest --benchmark-disable benchmarks`` — pytest-benchmark
@@ -31,14 +32,30 @@ the table holds raw calls per target — divide by the target's
 ``Database.execute_parsed`` or ``PhysicalPlan.execute`` row for a
 per-statement figure — and replaces the zero-call report.
 
+``--plans`` asks what the optimizer's knobs decide, the way the zero-call
+report asks what a function is for.  The target runs with no profiler and
+with ``repro.sqldb.executor.plan_select`` wrapped (again no source edit):
+at every plan build the statement is re-optimized against the same
+database state under each *variant* — each ``OptimizerOptions`` switch
+turned off, each ``*_SELECTIVITY`` constant of ``plan/cost.py`` times 3
+and divided by 4, all read off the tree, so the tool runs unchanged on any
+commit — and its EXPLAIN, estimates stripped, compared with the build's
+own.  The table gives per target the builds, the distinct SELECTs (and
+how many join), per variant the builds / distinct SELECTs whose plan
+changed, and a digest over every (SQL, EXPLAIN with estimates stripped)
+pair built: two commits that print the same digest for a target built the
+same plans for it, baselines included.
+
 Needs Python 3.11 (``co_qualname``).
 """
 
 import argparse
 import collections
 import glob
+import hashlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -57,11 +74,33 @@ EXECUTE = (os.path.join("sqldb", "plan", "physical.py"),
 FALLBACKS = ("compile_filter.<locals>.interpreted_filter_fn",
              "_pred_operand.<locals>.interpreted_node")
 _INLINE = ("<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>")
+# What EXPLAIN appends to a row-source node: estimates, not plan shape.
+_ESTIMATE = re.compile(r" \(~\d+ rows, ~\d+ touched\)")
+_FACTORS = (("*3", 3.0), ("/4", 0.25))
 
 
-def _child(target, seed, smoke):
-    """Run one target in this interpreter under the hook; print the counts
-    as one JSON line ``[[file, qualname, calls], ...]``."""
+def _run_target(target, seed, smoke):
+    """Run one target in this interpreter; its exit status."""
+    if target == "figures":
+        import pytest
+        return pytest.main(["-q", "--benchmark-disable", "-p",
+                            "no:cacheprovider",
+                            os.path.join(ROOT, "benchmarks")])
+    if target == "examples":
+        for script in sorted(glob.glob(os.path.join(ROOT, "examples",
+                                                    "*.py"))):
+            runpy.run_path(script, run_name="__main__")
+        return 0
+    from perfbench import measure, workloads
+    workload = workloads.make(
+        target, workloads.SMOKE if smoke else workloads.FULL)
+    workload.setup(seed)
+    return measure.measure(workload, 0, False, min_rounds=1).failed
+
+
+def _count_child(target, seed, smoke):
+    """Run one target under the hook; print the counts as one JSON line
+    ``[[file, qualname, calls], ...]``."""
     calls = collections.Counter()
 
     def hook(frame, event, arg):
@@ -73,25 +112,9 @@ def _child(target, seed, smoke):
                     and code.co_name not in _INLINE):
                 calls[code.co_filename[len(SRC):], code.co_qualname] += 1
 
-    sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
     sys.setprofile(hook)
     try:
-        if target == "figures":
-            import pytest
-            status = pytest.main(["-q", "--benchmark-disable", "-p",
-                                  "no:cacheprovider",
-                                  os.path.join(ROOT, "benchmarks")])
-        elif target == "examples":
-            for script in sorted(glob.glob(
-                    os.path.join(ROOT, "examples", "*.py"))):
-                runpy.run_path(script, run_name="__main__")
-            status = 0
-        else:
-            from perfbench import measure, workloads
-            workload = workloads.make(
-                target, workloads.SMOKE if smoke else workloads.FULL)
-            workload.setup(seed)
-            status = measure.measure(workload, 0, False, min_rounds=1).failed
+        status = _run_target(target, seed, smoke)
     finally:
         sys.setprofile(None)
     print(json.dumps([[file, name, n]
@@ -99,19 +122,107 @@ def _child(target, seed, smoke):
     return int(status)
 
 
-def count_calls(target, seed=1, smoke=False):
-    """``{(file under src/repro, qualname): calls}`` for one target, run in
-    a fresh interpreter (parse, plan and kernel caches are process-wide).
-    The target's own output goes to stderr."""
+def _plan_variants():
+    """``[(name, options of a build -> variant options, cost overrides)]``:
+    each optimizer switch off, each selectivity constant scaled."""
+    from repro.sqldb.plan import cost, optimizer
+
+    switches = optimizer.OptimizerOptions.__slots__
+    variants = []
+    for switch in switches:
+        def options(base, switch=switch):
+            values = {name: getattr(base, name) for name in switches}
+            values[switch] = False
+            return optimizer.OptimizerOptions(**values)
+        variants.append((f"{switch}=False", options, {}))
+    for name, value in sorted(vars(cost).items()):
+        if name.endswith("_SELECTIVITY"):
+            for label, factor in _FACTORS:
+                variants.append((name + label, lambda base: base,
+                                 {name: value * factor}))
+    return variants
+
+
+def _plans_child(target, seed, smoke):
+    """Run one target with every plan build re-optimized under each
+    variant; print the summary as one JSON line."""
+    from repro.sqldb import executor
+    from repro.sqldb.plan import build_select_plan, cost, explain, optimizer
+
+    def shape(db, stmt, options, overrides):
+        saved = {name: getattr(cost, name) for name in overrides}
+        vars(cost).update(overrides)
+        try:
+            logical, sctx = build_select_plan(db, stmt)
+            text = explain(optimizer.optimize(logical, sctx, db, options))
+        finally:
+            vars(cost).update(saved)
+        return _ESTIMATE.sub("", text)
+
+    variants = _plan_variants()
+    built = collections.Counter()
+    joins = set()
+    changed = {name: collections.Counter() for name, _, _ in variants}
+    plan_select = executor.plan_select
+
+    def wrapped(db, stmt):
+        plan = plan_select(db, stmt)
+        options = db.optimizer_options or optimizer.DEFAULT_OPTIONS
+        sql = stmt.sql or repr(stmt)
+        own = shape(db, stmt, options, {})
+        built[sql, own] += 1
+        if stmt.joins:
+            joins.add(sql)
+        for name, variant, overrides in variants:
+            if shape(db, stmt, variant(options), overrides) != own:
+                changed[name][sql] += 1
+        return plan
+
+    executor.plan_select = wrapped
+    try:
+        status = _run_target(target, seed, smoke)
+    finally:
+        executor.plan_select = plan_select
+    digest = hashlib.sha256(json.dumps(sorted(
+        [sql, text, n] for (sql, text), n in built.items())).encode())
+    print(json.dumps({
+        "builds": sum(built.values()),
+        "selects": len({sql for sql, _ in built}),
+        "joins": len(joins),
+        "changed": {name: [sum(c.values()), len(c)]
+                    for name, c in changed.items()},
+        "digest": digest.hexdigest()[:12],
+    }))
+    return int(status)
+
+
+def _child_output(target, seed, smoke, *flags):
+    """The last stdout line of a fresh interpreter running one target
+    (parse, plan and kernel caches are process-wide), as JSON.  The
+    target's own output goes to stderr."""
     argv = [sys.executable, os.path.abspath(__file__), "--child",
-            "--seed", str(seed), target] + (["--smoke"] if smoke else [])
+            "--seed", str(seed), target, *flags] + (
+                ["--smoke"] if smoke else [])
     env = dict(os.environ, PYTHONHASHSEED="0")
     proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.splitlines()
     sys.stderr.write("\n".join(lines[:-1] + [""]))
     if proc.returncode:
         sys.exit(f"traffic: target {target} failed ({proc.returncode})")
-    return {(file, name): n for file, name, n in json.loads(lines[-1])}
+    return json.loads(lines[-1])
+
+
+def count_calls(target, seed=1, smoke=False):
+    """``{(file under src/repro, qualname): calls}`` for one target."""
+    return {(file, name): n
+            for file, name, n in _child_output(target, seed, smoke)}
+
+
+def plan_decisions(target, seed=1, smoke=False):
+    """What ``--plans`` reports for one target (see the module docstring):
+    ``{"builds", "selects", "joins", "changed": {variant: [builds,
+    selects]}, "digest"}``."""
+    return _child_output(target, seed, smoke, "--plans")
 
 
 def defined_functions():
@@ -161,6 +272,24 @@ def print_calls(names, per_target):
             for calls in per_target.values()))
 
 
+def print_plans(per_target):
+    """Builds, distinct SELECTs and joins per target, builds / SELECTs
+    whose plan each variant changed, and the plans digest."""
+    variants = list(dict.fromkeys(
+        name for plans in per_target.values() for name in plans["changed"]))
+    width = max(map(len, variants))
+    print(" " * width + "".join(f" {t:>14}" for t in per_target))
+    for row in ("builds", "selects", "joins"):
+        print(f"{row:<{width}}" + "".join(
+            f" {plans[row]:>14}" for plans in per_target.values()))
+    for name in variants:
+        print(f"{name:<{width}}" + "".join(
+            " {:>14}".format("/".join(map(str, plans["changed"][name])))
+            for plans in per_target.values()))
+    print(f"{'digest':<{width}}" + "".join(
+        f" {plans['digest']:>14}" for plans in per_target.values()))
+
+
 def print_zero_calls(defined, called):
     """Functions nothing called, grouped by module and owner (the class, or
     the builder whose closure it is)."""
@@ -192,6 +321,10 @@ def main(argv=None):
                         help="print raw calls per target of these functions "
                         "(qualnames) instead of the zero-call report; "
                         "targets may follow the names")
+    parser.add_argument("--plans", action="store_true",
+                        help="print what each optimizer switch and "
+                        "selectivity constant decides, and a plans digest, "
+                        "instead of the zero-call report")
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -202,7 +335,13 @@ def main(argv=None):
     if unknown:
         parser.error(f"unknown target(s): {', '.join(sorted(unknown))}")
     if args.child:
-        return _child(args.targets[0], args.seed, args.smoke)
+        sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
+        child = _plans_child if args.plans else _count_child
+        return child(args.targets[0], args.seed, args.smoke)
+    if args.plans:
+        print_plans({target: plan_decisions(target, args.seed, args.smoke)
+                     for target in args.targets or TARGETS})
+        return 0
     defined = defined_functions()
     unknown = set(names) - {qualname for _, qualname in defined}
     if unknown:
