@@ -6,11 +6,13 @@ helpers.  It also keeps cumulative counters (statements executed, rows
 touched) that the simulated server reads for its cost model.
 """
 
+from repro.sqldb import ast_nodes as A
 from repro.sqldb.catalog import Catalog
 from repro.sqldb.errors import CatalogError
 from repro.sqldb.executor import Executor, as_params
 from repro.sqldb.lexer import split_statements
 from repro.sqldb.parser import parse
+from repro.sqldb.plan import explain
 from repro.sqldb.read_view import ReadViewManager
 from repro.sqldb.result_cache import DEFAULT_RESULT_CACHE_LIMIT, ResultCache
 from repro.sqldb.transactions import TransactionManager
@@ -130,9 +132,12 @@ class Database:
         return [dict(zip(result.columns, row)) for row in result.rows]
 
     def explain(self, sql, params=None, analyze=False):
-        """The optimized logical plan for a SELECT, as an indented tree —
-        join order (tree nesting), join strategy (hash / index / nested)
-        and per-node cost estimates included.
+        """The plan a SELECT executes, as an indented tree — join order
+        (tree nesting), join strategy (hash / index / nested) and per-node
+        cost estimates included.  It is the executor's cached plan
+        (``Executor.plan_for``: built and cached on a miss, exactly as an
+        execution would), rendered from the optimized logical tree it was
+        lowered from — never a second planning of the statement.
 
         With ``params`` the output gains a trailing ``ResultCache`` line
         reporting whether this exact (statement, parameters) execution
@@ -142,29 +147,25 @@ class Database:
         (counters and LRU order stay untouched).
 
         With ``analyze=True`` the plan is **executed** (with ``params`` or
-        none) and each physical operator line is annotated with its
-        produced-row count and inclusive wall time — the EXPLAIN ANALYZE
-        profiling surface.  The analyze run bypasses the result cache and
-        statement counters: it measures the plan, it doesn't count as
-        workload.
+        none) under an ``EXPLAIN ANALYZE`` header, and each line of the
+        same tree ends in ``actual [...]``: produced rows, their q-error
+        against the line's estimate, chunk counts and inclusive wall time
+        — the profiling surface.  The analyze run bypasses the result
+        cache and statement counters: it measures the plan, it doesn't
+        count as workload.
 
         For non-SELECT statements, returns the statement repr.
         """
-        # Cold path: EXPLAIN is a diagnostic, never on a statement's path.
-        from repro.sqldb import ast_nodes as A
-        from repro.sqldb.plan import build_select_plan, explain, optimize
-
         stmt = parse(sql)
         if not isinstance(stmt, A.Select):
             return repr(stmt)
         if params is not None:
             params = as_params(params)
+        plan = self.executor.plan_for(stmt)
         if analyze:
-            plan = self.executor.plan_for(stmt)
             _, lines = plan.execute_analyze(self, params or ())
             return "\n".join(lines)
-        logical, sctx = build_select_plan(self, stmt)
-        rendered = explain(optimize(logical, sctx, self))
+        rendered = explain(plan.logical)
         if params is not None:
             status = ("hit" if self.executor.cached_select(
                 stmt, params, peek=True) is not None else "miss")

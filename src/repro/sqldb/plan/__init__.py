@@ -10,7 +10,9 @@ The classic optimizer pipeline, in miniature:
    range scans with sort elision, and join-strategy choice.
 3. :mod:`repro.sqldb.plan.physical` lowers the logical tree into
    Volcano-style physical operators and runs them, producing an
-   :class:`repro.sqldb.result.ExecResult`.
+   :class:`repro.sqldb.result.ExecResult`.  The physical plan keeps the
+   optimized logical tree (``PhysicalPlan.logical``), which is what EXPLAIN
+   and EXPLAIN ANALYZE render.
 
 :mod:`repro.sqldb.plan.access` holds the index-selection machinery shared by
 ``SELECT`` scans and ``UPDATE``/``DELETE`` candidate-row lookups, and

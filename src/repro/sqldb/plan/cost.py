@@ -44,8 +44,9 @@ Consumers:
   current access path (:func:`range_scan_estimate`);
 - the **join-strategy** rule compares an index nested-loop probe against a
   hash build for equi joins (:func:`probe_index_name`, :func:`join_step`);
-- ``Database.explain`` renders the per-node ``est_rows``/``est_cost``
-  annotations the strategy pass stores on the tree.
+- ``Database.explain`` renders the per-node ``estimate`` the strategy
+  pass stores on the tree, and EXPLAIN ANALYZE sets each against the
+  operator's actual rows (q-error).
 
 Estimates are estimates: the physical operators stay adaptive (an index
 nested-loop join falls back to a hash build at execution time when the

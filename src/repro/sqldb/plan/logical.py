@@ -10,8 +10,11 @@ the algorithms used to compute it.  The planner builds the canonical tree
 and the optimizer rewrites it (pushing filters below joins, replacing a
 ``Scan`` with an ``IndexLookup`` or ``IndexRangeScan``, removing a ``Sort``
 an ordered scan already satisfies, annotating ``Join`` nodes with a
-physical strategy).  :func:`explain` renders a tree for debugging and
-tests.
+physical strategy, and giving every row-source node its ``estimate``).
+The optimized tree is kept on the physical plan lowered from it
+(``PhysicalPlan.logical``): the lowering maps node to operator one to one,
+so :func:`explain` renders the plan that executes — its estimates, and
+under EXPLAIN ANALYZE each operator's measurements on the same lines.
 """
 
 
@@ -20,24 +23,27 @@ class LogicalNode:
 
     _show = ()  # attribute names rendered by explain()
 
-    # Cost annotations, set by the optimizer's strategy pass on row-source
-    # nodes: estimated output cardinality and cumulative rows touched.
-    est_rows = None
-    est_cost = None
+    # The optimizer's :class:`~repro.sqldb.plan.cost.Estimate` (output rows,
+    # cumulative rows touched), set on row-source nodes only.
+    estimate = None
 
     def children(self):
         return ()
 
-    def label(self):
+    def _parts(self):
         parts = []
         for name in self._show:
             value = getattr(self, name)
             if value is not None and value != [] and value is not False:
                 parts.append(f"{name}={value!r}")
+        return parts
+
+    def label(self):
+        parts = self._parts()
         suffix = f" [{', '.join(parts)}]" if parts else ""
-        if self.est_rows is not None:
-            suffix += (f" (~{round(self.est_rows)} rows, "
-                       f"~{round(self.est_cost)} touched)")
+        if self.estimate is not None:
+            suffix += (f" (~{round(self.estimate.rows)} rows, "
+                       f"~{round(self.estimate.cost)} touched)")
         return f"{type(self).__name__}{suffix}"
 
     def __repr__(self):
@@ -111,7 +117,7 @@ class IndexRangeScan(LogicalNode):
         self.sort_elided = False
         self.order_columns = ()  # set when a Sort was elided (for explain)
 
-    def label(self):
+    def _parts(self):
         parts = [f"table={self.table!r}", f"index={self.index_name!r}"]
         if self.n_prefix:
             eq = " AND ".join(
@@ -125,11 +131,7 @@ class IndexRangeScan(LogicalNode):
             keys = ", ".join(self.order_columns)
             direction = "DESC" if self.descending else "ASC"
             parts.append(f"order='{keys} {direction} (sort elided)'")
-        suffix = f" [{', '.join(parts)}]"
-        if self.est_rows is not None:
-            suffix += (f" (~{round(self.est_rows)} rows, "
-                       f"~{round(self.est_cost)} touched)")
-        return f"{type(self).__name__}{suffix}"
+        return parts
 
     def _render_bounds(self):
         column = (self.columns[self.n_prefix]
@@ -256,12 +258,24 @@ class Limit(LogicalNode):
         return (self.child,)
 
 
-def explain(node, indent=0):
-    """Render a logical plan tree as an indented multi-line string."""
-    lines = ["  " * indent + node.label()]
-    for child in node.children():
-        lines.append(explain(child, indent + 1))
-    return "\n".join(lines)
+def explain(node, actuals=None):
+    """Render a logical plan — a chain, every node one child at most — as
+    an indented multi-line string, one line a node, top first.
+
+    ``actuals`` (EXPLAIN ANALYZE) holds one measurement per node in the
+    same order; each renders itself against the node's estimate and is
+    appended to the node's line.
+    """
+    lines = []
+    while True:
+        line = "  " * len(lines) + node.label()
+        if actuals is not None:
+            line += " " + actuals[len(lines)].render(node.estimate)
+        lines.append(line)
+        children = node.children()
+        if not children:
+            return "\n".join(lines)
+        node, = children
 
 
 def transform_bottom_up(node, fn):

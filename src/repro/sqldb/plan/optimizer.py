@@ -39,8 +39,8 @@ Rule families run in order:
    ON condition (matching decides NULL-extension, so it cannot be split)
    and use hash/index only when the ON is exactly one equality.
 
-The pass doubles as the cost annotator: every row-source node gets
-``est_rows``/``est_cost`` attributes that ``explain`` renders.
+The pass doubles as the cost annotator: every row-source node gets the
+``estimate`` that ``explain`` renders.
 """
 
 from repro.sqldb import ast_nodes as A
@@ -637,30 +637,29 @@ def _annotate_node(node, sctx, db, options):
     """Pick physical join strategies bottom-up, annotating every row-source
     node with its cost estimate along the way."""
     if isinstance(node, L.Scan):
-        est = C.access_estimate(db, node.table, None, indexed=False)
-        _set_estimate(node, est)
+        node.estimate = C.access_estimate(db, node.table, None,
+                                          indexed=False)
         return node
     if isinstance(node, L.IndexLookup):
-        est = C.access_estimate(db, node.table, node.where, indexed=True)
-        _set_estimate(node, est)
+        node.estimate = C.access_estimate(db, node.table, node.where,
+                                          indexed=True)
         return node
     if isinstance(node, L.IndexRangeScan):
-        est = C.range_scan_estimate(db, node.table, node, node.where)
-        _set_estimate(node, est)
+        node.estimate = C.range_scan_estimate(db, node.table, node,
+                                              node.where)
         return node
     if isinstance(node, L.Filter):
         return _annotate_filter(node, sctx, db)
     if not isinstance(node, L.Join):
         return node
 
-    child_est = _estimate_of(node.child)
     est, strategy, equi, index_name = C.join_step(
-        db, sctx, child_est, node.table_index, node.condition, node.kind,
-        allow_index=options.cost_based_joins)
+        db, sctx, node.child.estimate, node.table_index, node.condition,
+        node.kind, allow_index=options.cost_based_joins)
     node.strategy = strategy
     node.equi = equi
     node.index_name = index_name
-    _set_estimate(node, est)
+    node.estimate = est
     if strategy in ("hash", "index") and node.kind == "INNER":
         # Split a conjunctive ON into the equi key plus a residual filter
         # above the join (safe for INNER joins only).
@@ -671,19 +670,17 @@ def _annotate_node(node, sctx, db, options):
         if residual:
             node.condition = equi_conjunct[3]
             wrapper = L.Filter(node, conjoin(residual))
-            _set_estimate(wrapper, est)
+            wrapper.estimate = est
             return wrapper
     return node
 
 
 def _annotate_filter(node, sctx, db):
-    child_est = _estimate_of(node.child)
-    if child_est is None:
-        return node
     child = node.child
+    child_est = child.estimate
     if (isinstance(child, (L.IndexLookup, L.IndexRangeScan))
             and child.where is node.predicate):
-        _set_estimate(node, child_est)  # selectivity already applied
+        node.estimate = child_est  # selectivity already applied
         return node
     t = _single_table_of(node.predicate, sctx)
     table_name = sctx.tables[t].name if t is not None and t >= 0 else None
@@ -691,18 +688,5 @@ def _annotate_filter(node, sctx, db):
     rows = child_est.rows * sel
     if child_est.rows > 0:
         rows = max(1.0, rows)
-    _set_estimate(node, C.Estimate(rows, child_est.cost))
+    node.estimate = C.Estimate(rows, child_est.cost)
     return node
-
-
-def _estimate_of(node):
-    rows = getattr(node, "est_rows", None)
-    cost = getattr(node, "est_cost", None)
-    if rows is None or cost is None:
-        return None
-    return C.Estimate(float(rows), float(cost))
-
-
-def _set_estimate(node, estimate):
-    node.est_rows = estimate.rows
-    node.est_cost = estimate.cost

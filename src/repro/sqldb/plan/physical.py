@@ -46,10 +46,11 @@ under both), so every figure's simulated cost is identical whichever
 engine produced it.
 
 ``build_physical`` lowers an optimized logical tree into a
-:class:`PhysicalPlan`; ``PhysicalPlan.execute(db, params)`` returns an
+:class:`PhysicalPlan`, one operator per logical node, and keeps the tree
+(``PhysicalPlan.logical``); ``PhysicalPlan.execute(db, params)`` returns an
 :class:`repro.sqldb.result.ExecResult`, and
-``PhysicalPlan.execute_analyze`` additionally times every operator
-(EXPLAIN ANALYZE).
+``PhysicalPlan.execute_analyze`` additionally measures every operator and
+writes each measurement on its node's EXPLAIN line (EXPLAIN ANALYZE).
 """
 
 import copy
@@ -1024,28 +1025,34 @@ class _SortKey:
 class PhysicalPlan:
     """A row-source tree plus the result-operator pipeline above it.
 
+    ``logical`` is the optimized logical chain the plan was lowered from,
+    node for operator (top first: the result operators in reverse, then
+    the row-source chain) — the one tree EXPLAIN renders, so what it shows
+    is what runs.
+
     ``shared_scan_table`` is the table name when the row source is a pure
     sequential scan (no joins, no index access path) — the batch shared-scan
     optimizer's eligibility test, precomputed here so it rides the plan
     cache instead of re-walking the AST on every batch flush.
     """
 
-    __slots__ = ("source", "result_ops", "sctx", "shared_scan_table",
-                 "limit_hint", "referenced_tables")
+    __slots__ = ("source", "result_ops", "sctx", "logical",
+                 "shared_scan_table", "limit_hint", "referenced_tables")
 
-    def __init__(self, source, result_ops, sctx, limit_hint=None):
+    def __init__(self, source, result_ops, sctx, logical):
         self.source = source
         self.result_ops = result_ops
         self.sctx = sctx
+        self.logical = logical
         # Every base table the plan reads (deduplicated, FROM order) — the
         # result cache snapshots these tables' write versions per entry.
         self.referenced_tables = tuple(
             dict.fromkeys(ref.name for ref in sctx.tables))
-        # Set only when a Sort was elided under a LIMIT (see
-        # build_physical): the first limit+offset source rows are the
-        # final answer, so stop pulling once they have streamed out —
-        # top-N-by-key pages touch ~N rows instead of the whole range.
-        self.limit_hint = limit_hint
+        # Set only when a Sort was elided under a LIMIT (see _limit_hint):
+        # the first limit+offset source rows are the final answer, so stop
+        # pulling once they have streamed out — top-N-by-key pages touch
+        # ~N rows instead of the whole range.
+        self.limit_hint = _limit_hint(result_ops, sctx)
         op = source
         while isinstance(op, FilterOp):
             op = op.child
@@ -1117,22 +1124,24 @@ class PhysicalPlan:
         """Run the plan with per-operator instrumentation.
 
         Returns ``(result, lines)`` where ``lines`` is the EXPLAIN
-        ANALYZE report: one line per operator annotated with produced-row
-        count and inclusive wall time (an operator's time contains its
+        ANALYZE report: a header, then the plan's EXPLAIN (``logical``)
+        with every operator's measurements appended to its node's line —
+        produced rows, their q-error against the node's estimate, chunk
+        counts and inclusive wall time (an operator's time contains its
         children's, as in the classic EXPLAIN ANALYZE convention).
         Deliberately side-effect-light: no result-cache store, no
         statement counters — a profiling probe, not an execution.
         """
         run = PlanRun(db, params, self.sctx)
-        chain = []
+        ops = []
         op = self.source
         while op is not None:
-            chain.append(op)
+            ops.append(op)
             op = getattr(op, "child", None)
         timed = None
         source_records = []
-        for op in reversed(chain):
-            record = _AnalyzeRecord(_op_label(op))
+        for op in reversed(ops):
+            record = _AnalyzeRecord()
             if timed is not None:
                 op = copy.copy(op)
                 op.child = timed
@@ -1144,7 +1153,7 @@ class PhysicalPlan:
         self._materialize_source(run, timed)
         result_records = []
         for op in self.result_ops:
-            record = _AnalyzeRecord(type(op).__name__.removesuffix("Op"))
+            record = _AnalyzeRecord()
             t0 = perf_counter()
             op.apply(run)
             record.seconds = perf_counter() - t0
@@ -1156,36 +1165,29 @@ class PhysicalPlan:
             # Zone-map skips happen only in the base-table scan — the
             # deepest operator of the source chain.
             source_records[-1].skipped = run.chunks_skipped
-        result = run.result()
-        lines = [
-            f"EXPLAIN ANALYZE [engine={run.engine}, "
-            f"rows={len(run.out_rows)}, "
-            f"rows_touched={run.rows_touched}, "
-            f"total_ms={total * 1000:.3f}]"]
-        depth = 0
-        for record in reversed(result_records):
-            lines.append("  " * depth + record.render())
-            depth += 1
-        for record in source_records:
-            lines.append("  " * depth + record.render())
-            depth += 1
-        return result, lines
+        header = (f"EXPLAIN ANALYZE [engine={run.engine}, "
+                  f"rows={len(run.out_rows)}, "
+                  f"rows_touched={run.rows_touched}, "
+                  f"total_ms={total * 1000:.3f}]")
+        rendered = L.explain(self.logical,
+                             result_records[::-1] + source_records)
+        return run.result(), [header, *rendered.splitlines()]
 
 
 class _AnalyzeRecord:
     """One operator's EXPLAIN ANALYZE measurements.
 
-    ``rows`` counts produced (live) rows under every engine.  Chunked
-    execution additionally reports ``chunks`` (chunks yielded) and
-    ``sel``, the live fraction of chunk capacity, so EXPLAIN ANALYZE
-    shows how dense the surviving selection is after each operator.
+    ``rows`` counts produced (live) rows under every engine, and ``q`` is
+    their q-error against the node's estimate, ``max(est / act, act /
+    est)`` with both floored at 1.  Chunked execution additionally reports
+    ``chunks`` (chunks yielded) and ``sel``, the live fraction of chunk
+    capacity, so EXPLAIN ANALYZE shows how dense the surviving selection
+    is after each operator.
     """
 
-    __slots__ = ("label", "rows", "seconds", "chunks", "capacity",
-                 "skipped")
+    __slots__ = ("rows", "seconds", "chunks", "capacity", "skipped")
 
-    def __init__(self, label):
-        self.label = label
+    def __init__(self):
         self.rows = 0
         self.seconds = 0.0
         self.chunks = 0
@@ -1200,8 +1202,11 @@ class _AnalyzeRecord:
         self.chunks += 1
         self.capacity += chunk.length
 
-    def render(self):
+    def render(self, estimate):
         parts = [f"rows={self.rows}"]
+        if estimate is not None:
+            est, act = max(estimate.rows, 1.0), max(self.rows, 1)
+            parts.append(f"q={max(est / act, act / est):.1f}")
         if self.chunks:
             parts.append(f"chunks={self.chunks}")
         if self.skipped:
@@ -1209,7 +1214,7 @@ class _AnalyzeRecord:
         if self.capacity:
             parts.append(f"sel={100.0 * self.rows / self.capacity:.1f}%")
         parts.append(f"time={self.seconds * 1000:.3f}ms")
-        return f"{self.label} [{', '.join(parts)}]"
+        return f"actual [{', '.join(parts)}]"
 
 
 class _TimedSource:
@@ -1241,26 +1246,10 @@ class _TimedSource:
                            self.record.add_row)
 
 
-def _op_label(op):
-    if isinstance(op, SeqScanOp):
-        return f"SeqScan({op.table_name})"
-    if isinstance(op, IndexLookupOp):
-        return f"IndexLookup({op.table_name})"
-    if isinstance(op, IndexRangeScanOp):
-        return f"IndexRangeScan({op.table_name} via {op.index_name})"
-    if isinstance(op, FilterOp):
-        return "Filter"
-    if isinstance(op, HashJoinOp):
-        return f"HashJoin({op.table_name})"
-    if isinstance(op, IndexNLJoinOp):
-        return f"IndexNLJoin({op.table_name} via {op.index_name})"
-    if isinstance(op, NestedLoopJoinOp):
-        return f"NestedLoopJoin({op.table_name})"
-    return type(op).__name__
-
-
-def build_physical(node, sctx):
-    """Lower an optimized logical tree into a :class:`PhysicalPlan`."""
+def build_physical(root, sctx):
+    """Lower an optimized logical tree into a :class:`PhysicalPlan`, one
+    operator per node."""
+    node = root
     result_ops = []
     while True:
         if isinstance(node, L.Limit):
@@ -1285,8 +1274,7 @@ def build_physical(node, sctx):
             raise SqlError(f"unexpected plan node above projection: {node!r}")
     result_ops.reverse()
     source = _build_source(node, sctx)
-    return PhysicalPlan(source, result_ops, sctx,
-                        limit_hint=_limit_hint(result_ops, sctx))
+    return PhysicalPlan(source, result_ops, sctx, root)
 
 
 def _limit_hint(result_ops, sctx):

@@ -39,6 +39,7 @@ from repro.sqldb.database import Database
 from repro.sqldb.errors import SqlError
 from repro.sqldb.executor import as_params
 from repro.sqldb.parser import parse
+from repro.sqldb.plan import explain
 from repro.sqldb.plan.physical import _SortKey, resolve_limit
 from repro.sqldb.result import ExecResult
 from repro.sqldb.result_cache import DEFAULT_RESULT_CACHE_LIMIT
@@ -573,17 +574,17 @@ class ShardedDatabase:
 
     def explain(self, sql, params=None, analyze=False):
         """The routed plan: shard routing annotations above the plan of the
-        statement each backend actually runs.
+        statement each backend actually runs — the backend's cached plan
+        (``Executor.plan_for``), rendered as :meth:`Database.explain`
+        renders it.
 
-        Single-shard and broadcast reads render the target shard's plan;
-        scatter reads render the *rewritten* per-shard statement (appended
-        merge keys, pushed LIMIT) plus the merge strategy; gather reads
-        render the coordinator's plan.  ``analyze`` is unsupported here —
-        profile the per-shard statement on a :class:`Database` directly.
+        Single-shard and broadcast reads render the target shard
+        primary's plan; scatter reads render shard 0's plan of the
+        *rewritten* per-shard statement (appended merge keys, pushed LIMIT)
+        plus the merge strategy; gather reads render the coordinator's
+        plan.  ``analyze`` is unsupported here — profile the per-shard
+        statement on a :class:`Database` directly.
         """
-        # Cold path: EXPLAIN is a diagnostic, never on a statement's path.
-        from repro.sqldb.plan import build_select_plan, explain, optimize
-
         if analyze:
             raise SqlError("EXPLAIN ANALYZE is per-backend; run it on a "
                            "shard's Database")
@@ -633,8 +634,7 @@ class ShardedDatabase:
             for name in sorted(plan.partitioned):
                 self._sync_coord_table(name)
             inner_db, inner_stmt = self._coord, stmt
-        logical, sctx = build_select_plan(inner_db, inner_stmt)
-        rendered = explain(optimize(logical, sctx, inner_db))
+        rendered = explain(inner_db.executor.plan_for(inner_stmt).logical)
         lines.extend("  " + line for line in rendered.splitlines())
         return "\n".join(lines)
 

@@ -6,13 +6,22 @@ These lock the optimizer's chosen join order (tree nesting), join strategy
 deterministic seeded app databases, so any optimizer or cost-model change
 surfaces as a readable plan diff rather than a silent perf regression.
 
+Every golden also holds the one-tree property: EXPLAIN ANALYZE of the
+statement, run with the parameters given, is the golden tree line for
+line plus each operator's ``actual [...]``, and the q-error sits on
+exactly the lines that carry an estimate.
+
 The databases are built fresh at module scope (not the shared session
 fixtures) so plan estimates cannot drift with test execution order.
 """
 
+import re
+
 import pytest
 
 from repro.sqldb import Database
+
+_ESTIMATE = re.compile(r" \(~\d+ rows, ~\d+ touched\)")
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +49,20 @@ def tpcc_db():
     return db
 
 
-def assert_plan(db, sql, expected):
-    assert db.explain(sql) == expected.strip("\n")
+def assert_plan(db, sql, expected, params=()):
+    """EXPLAIN of ``sql`` is ``expected``, and EXPLAIN ANALYZE with
+    ``params`` annotates the same lines: header dropped and every
+    `` actual [...]`` stripped, the rest is the EXPLAIN; ``q=`` appears
+    on a line exactly when it carries ``(~N rows, ~M touched)``."""
+    plan = db.explain(sql)
+    assert plan == expected.strip("\n")
+    header, *analyzed = db.explain(sql, params, analyze=True).splitlines()
+    assert header.startswith("EXPLAIN ANALYZE [")
+    lines = [line.rpartition(" actual [") for line in analyzed]
+    assert [tree for tree, _, _ in lines] == plan.splitlines()
+    for tree, _, actual in lines:
+        assert actual.startswith("rows=")
+        assert ("q=" in actual) == bool(_ESTIMATE.search(tree)), tree
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +77,7 @@ Project
   Join [kind='INNER', table='it_user', strategy='hash'] (~50 rows, ~70 touched)
     Filter [predicate=BinaryOp(op='=', left=ColumnRef(table='i', column='project_id'), right=Param(index=0))] (~50 rows, ~50 touched)
       IndexLookup [table='it_issue', candidates=['idx_it_issue_project_id']] (~50 rows, ~50 touched)
-""")
+""", params=(3,))
 
 
 def test_itracker_severe_issue_report_reorders_to_project(itracker_db):
@@ -77,7 +98,7 @@ Project
       Join [kind='INNER', table='it_issue', strategy='index', index_name='idx_it_issue_project_id'] (~12 rows, ~51 touched)
         Filter [predicate=BinaryOp(op='=', left=ColumnRef(table='p', column='id'), right=Param(index=0))] (~1 rows, ~1 touched)
           IndexLookup [table='it_project', candidates=['<pk>']] (~1 rows, ~1 touched)
-""")
+""", params=(2, 1))
 
 
 def test_itracker_user_history_audit(itracker_db):
@@ -88,7 +109,7 @@ Project
   Join [kind='INNER', table='it_user', strategy='hash'] (~50 rows, ~70 touched)
     Filter [predicate=BinaryOp(op='=', left=ColumnRef(table='h', column='user_id'), right=Param(index=0))] (~50 rows, ~50 touched)
       IndexLookup [table='it_history', candidates=['idx_it_history_user_id']] (~50 rows, ~50 touched)
-""")
+""", params=(7,))
 
 
 def test_itracker_stale_project_issues_prefix_plus_range(itracker_db):
@@ -102,7 +123,7 @@ def test_itracker_stale_project_issues_prefix_plus_range(itracker_db):
 Project
   Filter [predicate=BinaryOp(op='AND', left=BinaryOp(op='=', left=ColumnRef(table='i', column='project_id'), right=Param(index=0)), right=BinaryOp(op='<', left=ColumnRef(table='i', column='last_modified'), right=Param(index=1)))] (~15 rows, ~15 touched)
     IndexRangeScan [table='it_issue', index='idx_it_issue_proj_modified', eq='project_id = ?', bounds='last_modified < ?', order='last_modified ASC (sort elided)'] (~15 rows, ~15 touched)
-""")
+""", params=(3, "2014-03-01"))
 
 
 def test_itracker_latest_issues_page_descending_top_n(itracker_db):
@@ -128,7 +149,7 @@ def test_itracker_user_by_pk(itracker_db):
 Project
   Filter [predicate=BinaryOp(op='=', left=ColumnRef(table=None, column='id'), right=Param(index=0))] (~1 rows, ~1 touched)
     IndexLookup [table='it_user', candidates=['<pk>']] (~1 rows, ~1 touched)
-""")
+""", params=(3,))
 
 
 def test_snapshot_ndv_picks_cheaper_join_order():
@@ -177,7 +198,7 @@ Project
   Join [kind='INNER', table='concept', strategy='index', index_name='<pk>'] (~11 rows, ~21 touched)
     Filter [predicate=BinaryOp(op='=', left=ColumnRef(table='o', column='encounter_id'), right=Param(index=0))] (~11 rows, ~11 touched)
       IndexLookup [table='obs', candidates=['idx_obs_encounter_id']] (~11 rows, ~11 touched)
-""")
+""", params=(3,))
 
 
 def test_openmrs_encounter_concept_numeric_report(openmrs_db):
@@ -192,7 +213,7 @@ Project
       Join [kind='INNER', table='obs', strategy='index', index_name='idx_obs_encounter_id'] (~26 rows, ~93 touched)
         Filter [predicate=BinaryOp(op='=', left=ColumnRef(table='e', column='patient_id'), right=Param(index=0))] (~8 rows, ~8 touched)
           IndexLookup [table='encounter', candidates=['idx_encounter_patient_id']] (~8 rows, ~8 touched)
-""")
+""", params=(1, 50))
 
 
 def test_openmrs_patient_demographics(openmrs_db):
@@ -203,7 +224,7 @@ Project
   Join [kind='INNER', table='person', strategy='index', index_name='<pk>'] (~1 rows, ~2 touched)
     Filter [predicate=BinaryOp(op='=', left=ColumnRef(table='pt', column='id'), right=Param(index=0))] (~1 rows, ~1 touched)
       IndexLookup [table='patient', candidates=['<pk>']] (~1 rows, ~1 touched)
-""")
+""", params=(4,))
 
 
 def test_openmrs_concept_class_listing_probes_fk_index(openmrs_db):
@@ -214,7 +235,7 @@ Project
   Join [kind='INNER', table='concept', strategy='index', index_name='idx_concept_class_id'] (~15 rows, ~16 touched)
     Filter [predicate=BinaryOp(op='=', left=ColumnRef(table='k', column='id'), right=Param(index=0))] (~1 rows, ~1 touched)
       IndexLookup [table='concept_class', candidates=['<pk>']] (~1 rows, ~1 touched)
-""")
+""", params=(1,))
 
 
 def test_openmrs_encounters_in_period_rebases_onto_range_scan(openmrs_db):
@@ -235,7 +256,7 @@ Project
     Join [kind='INNER', table='patient', strategy='hash'] (~120 rows, ~170 touched)
       Filter [predicate=Between(expr=ColumnRef(table='e', column='encounter_date'), low=Param(index=0), high=Param(index=1), negated=False)] (~120 rows, ~120 touched)
         IndexRangeScan [table='encounter', index='idx_encounter_date', bounds='? <= encounter_date <= ?', order='encounter_date ASC (sort elided)'] (~120 rows, ~120 touched)
-""")
+""", params=("2013-02-01", "2013-03-31"))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +279,7 @@ Aggregate
     Join [kind='INNER', table='stock', strategy='hash'] (~3 rows, ~580 touched)
       Filter [predicate=BinaryOp(op='AND', left=BinaryOp(op='=', left=ColumnRef(table=None, column='ol_d_id'), right=Param(index=0)), right=BinaryOp(op='<', left=ColumnRef(table=None, column='ol_o_id'), right=Param(index=1)))] (~9 rows, ~180 touched)
         IndexRangeScan [table='order_line', index='idx_order_line_o', bounds='ol_o_id < ?'] (~9 rows, ~180 touched)
-""")
+""", params=(1, 21, 1, 70))
 
 
 def test_tpcc_orders_customer_pk_probe_elides_sort(tpcc_db):
@@ -272,7 +293,7 @@ Project
   Join [kind='INNER', table='customer', strategy='index', index_name='<pk>'] (~10 rows, ~210 touched)
     Filter [predicate=BinaryOp(op='=', left=ColumnRef(table=None, column='o_d_id'), right=Param(index=0))] (~10 rows, ~200 touched)
       IndexRangeScan [table='orders', index='idx_orders_id', order='o_id ASC (sort elided)'] (~10 rows, ~200 touched)
-""")
+""", params=(1,))
 
 
 def test_tpcc_customer_by_last_name(tpcc_db):
@@ -283,4 +304,40 @@ Sort [order_by=[OrderItem(expr=ColumnRef(table=None, column='c_id'), descending=
   Project
     Filter [predicate=BinaryOp(op='AND', left=BinaryOp(op='=', left=ColumnRef(table=None, column='c_last'), right=Param(index=0)), right=BinaryOp(op='=', left=ColumnRef(table=None, column='c_d_id'), right=Param(index=1)))] (~1 rows, ~1 touched)
       IndexLookup [table='customer', candidates=['idx_customer_last']] (~1 rows, ~1 touched)
-""")
+""", params=("BARBARABLE", 1))
+
+
+# ---------------------------------------------------------------------------
+# EXPLAIN is the plan that runs
+# ---------------------------------------------------------------------------
+
+def test_explain_is_the_plan_that_runs():
+    """EXPLAIN renders the cached plan executions use, not a second
+    planning.  Executed with ``a`` at 700 rows, the join probes ``b``
+    through ``b_y`` (700 probes beat a 1 000-row hash build).  ``a`` then
+    grows to 1 150 rows, short of the >2x stats-epoch shift from its
+    575-row baseline, so the cached plan keeps running — a fresh planning
+    would now pick the hash build, and that is what EXPLAIN used to
+    print while ANALYZE and every execution ran the index join."""
+    db = Database(result_cache_size=0)
+    db.execute("CREATE TABLE a (id INT PRIMARY KEY, x INT)")
+    db.execute("CREATE TABLE b (id INT PRIMARY KEY, y INT)")
+    db.execute("CREATE INDEX b_y ON b (y)")
+    for i in range(1000):
+        db.execute("INSERT INTO b VALUES (?, ?)", (i, i))
+    for i in range(700):
+        db.execute("INSERT INTO a VALUES (?, ?)", (i, i))
+    sql = "SELECT a.id, b.id FROM a JOIN b ON a.x = b.y"
+    db.execute(sql)
+    epoch = db.catalog.stats_epoch.value
+    for i in range(700, 1150):
+        db.execute("INSERT INTO a VALUES (?, ?)", (i, i))
+    assert db.catalog.stats_epoch.value == epoch
+
+    built = db.executor.plans_built
+    plan = db.explain(sql)
+    analyzed = db.explain(sql, analyze=True)
+    assert db.executor.plans_built == built
+    for text in (plan, analyzed):
+        assert "strategy='index', index_name='b_y'" in text
+    assert db.execute(sql).rowcount == 1000

@@ -102,31 +102,34 @@ def test_empty_join_sides():
 
 # Join shapes over ``t`` (NULL and duplicate-heavy ``v``, dictionary-
 # encoded ``s``) filtered to its first ``?`` rows, so every join probes
-# above a selection-vector chunk: label -> (operator the plan must use,
-# SQL).  ``u`` holds even ids only (odd keys stay unmatched) and two rows
-# per ``k``; ``small`` is outgrown by the probe volume of a full ``t``,
-# which trips the index join's adaptive hash fallback.
+# above a selection-vector chunk: label -> (the join the plan must run,
+# as its EXPLAIN line names it; SQL).  ``u`` holds even ids only (odd keys
+# stay unmatched) and two rows per ``k``; ``small`` is outgrown by the
+# probe volume of a full ``t``, which trips the index join's adaptive hash
+# fallback.
 JOIN_SHAPES = {
-    "pk-probe": ("IndexNLJoin(u via <pk>)",
+    "pk-probe": ("table='u', strategy='index', index_name='<pk>'",
                  "SELECT t.id, t.s, u.w FROM t JOIN u ON t.v = u.id "
                  "WHERE t.id < ?"),
-    "pk-probe-left": ("IndexNLJoin(u via <pk>)",
+    "pk-probe-left": ("table='u', strategy='index', index_name='<pk>'",
                       "SELECT t.id, t.s, u.w FROM t LEFT JOIN u "
                       "ON t.v = u.id WHERE t.id < ?"),
-    "secondary-probe": ("IndexNLJoin(u via idx_u_k)",
-                        "SELECT t.id, t.s, u.id FROM t JOIN u ON t.v = u.k "
-                        "WHERE t.id < ?"),
-    "secondary-probe-left": ("IndexNLJoin(u via idx_u_k)",
-                             "SELECT t.id, t.s, u.id FROM t LEFT JOIN u "
-                             "ON t.v = u.k WHERE t.id < ?"),
-    "hash-fallback": ("IndexNLJoin(small via <pk>)",
+    "secondary-probe": (
+        "table='u', strategy='index', index_name='idx_u_k'",
+        "SELECT t.id, t.s, u.id FROM t JOIN u ON t.v = u.k "
+        "WHERE t.id < ?"),
+    "secondary-probe-left": (
+        "table='u', strategy='index', index_name='idx_u_k'",
+        "SELECT t.id, t.s, u.id FROM t LEFT JOIN u "
+        "ON t.v = u.k WHERE t.id < ?"),
+    "hash-fallback": ("table='small', strategy='index', index_name='<pk>'",
                       "SELECT t.id, t.s, small.w FROM t LEFT JOIN small "
                       "ON t.v = small.id "
                       "WHERE t.id < ? AND t.s = 's1' AND t.v >= 0"),
-    "hash": ("HashJoin(t)",
+    "hash": ("table='t', strategy='hash'",
              "SELECT small.id, t.s FROM small JOIN t ON small.w = t.v "
              "WHERE small.id < ?"),
-    "nested-left": ("NestedLoopJoin(small)",
+    "nested-left": ("table='small', strategy='nested'",
                     "SELECT t.id, t.s, small.w FROM t LEFT JOIN small "
                     "ON small.id < t.v AND small.id > t.v - 4 "
                     "WHERE t.id < ?"),
@@ -721,7 +724,17 @@ def test_explain_engine_trailer():
         "SELECT id FROM t WHERE v > ?", params=(1,))
 
 
+def _line(out, node):
+    """The EXPLAIN line of the (first) node of type ``node``."""
+    return next(line for line in out.splitlines()
+                if line.lstrip().startswith(node + " "))
+
+
 def test_explain_analyze_shape():
+    """EXPLAIN ANALYZE is the EXPLAIN tree with ``actual [...]`` on every
+    line; a line with an estimate also carries its q-error.  ``v > ?``
+    is priced by the 0.3 fallback (~150 of 500 rows) and keeps 289, so
+    ``q = 289 / 150``."""
     db = _seed(Database(result_cache_size=0), 500)
     out = db.explain(
         "SELECT s, COUNT(*) FROM t WHERE v > ? GROUP BY s ORDER BY s",
@@ -730,13 +743,16 @@ def test_explain_analyze_shape():
     assert lines[0].startswith("EXPLAIN ANALYZE [engine=columnar, rows=")
     assert "rows_touched=500" in lines[0]
     assert "total_ms=" in lines[0]
-    body = "\n".join(lines[1:])
-    assert "SeqScan(t) [rows=500, chunks=1, sel=100.0%, time=" in body
-    assert "Filter [rows=" in body
-    assert "Aggregate [rows=" in body
+    assert [line.split(" [")[0].strip() for line in lines[1:]] == [
+        "Sort", "Aggregate", "Filter", "Scan"]
+    assert ("Scan [table='t', alias='t'] (~500 rows, ~500 touched) "
+            "actual [rows=500, q=1.0, chunks=1, sel=100.0%, time="
+            in _line(out, "Scan"))
+    assert ("(~150 rows, ~500 touched) actual [rows=289, q=1.9, chunks=1, "
+            "sel=57.8%, time=" in _line(out, "Filter"))
+    assert "] actual [rows=5, time=" in _line(out, "Aggregate")
     # Deeper operators are indented further than their consumers.
-    scan_line = next(l for l in lines if "SeqScan(t)" in l)
-    filter_line = next(l for l in lines if "Filter [" in l)
+    scan_line, filter_line = _line(out, "Scan"), _line(out, "Filter")
     assert (len(scan_line) - len(scan_line.lstrip())
             > len(filter_line) - len(filter_line.lstrip()))
 
@@ -749,12 +765,10 @@ def test_explain_analyze_columnar_chunks_and_density():
                2 * CHUNK_SIZE)
     out = db.explain("SELECT id FROM t WHERE s = 's1'",
                      params=(), analyze=True)
-    lines = out.splitlines()
-    assert lines[0].startswith("EXPLAIN ANALYZE [engine=columnar, rows=")
-    scan_line = next(l for l in lines if "SeqScan(t)" in l)
-    filter_line = next(l for l in lines if "Filter [" in l)
-    assert f"SeqScan(t) [rows={2 * CHUNK_SIZE}, chunks=2, sel=100.0%, " \
-        f"time=" in scan_line
+    assert out.startswith("EXPLAIN ANALYZE [engine=columnar, rows=")
+    scan_line, filter_line = _line(out, "Scan"), _line(out, "Filter")
+    assert (f"actual [rows={2 * CHUNK_SIZE}, q=1.0, chunks=2, sel=100.0%, "
+            f"time=") in scan_line
     # s cycles through 5 labels: the filter keeps exactly 1/5 of rows.
     assert "chunks=2" in filter_line
     assert "sel=20.0%" in filter_line
@@ -770,16 +784,17 @@ def test_explain_analyze_columnar_reports_chunks_skipped():
     """Pins the ``chunks_skipped=`` annotation: a chunk-order-correlated
     range bound lets zone maps prove two of three chunks irrelevant, the
     base scan reports them, and header ``rows_touched`` still charges
-    every storage row (the cost currency is engine-invariant).  The row
-    engine's output carries no chunk annotations at all."""
+    every storage row (the cost currency is engine-invariant).  The scan
+    produces one chunk's rows against an estimate of all three (q=3.0).
+    The row engine's output carries no chunk annotations at all."""
     db = _seed(Database(result_cache_size=0, engine="columnar"),
                3 * CHUNK_SIZE)
     sql = "SELECT id FROM t WHERE id < ? AND v > ?"
     out = db.explain(sql, params=(CHUNK_SIZE, 0), analyze=True)
     assert f"rows_touched={3 * CHUNK_SIZE}" in out.splitlines()[0]
-    scan_line = next(l for l in out.splitlines() if "SeqScan(t)" in l)
-    assert (f"SeqScan(t) [rows={CHUNK_SIZE}, chunks=1, chunks_skipped=2, "
-            f"sel=100.0%, time=") in scan_line
+    assert (f"(~{3 * CHUNK_SIZE} rows, ~{3 * CHUNK_SIZE} touched) "
+            f"actual [rows={CHUNK_SIZE}, q=3.0, chunks=1, chunks_skipped=2, "
+            f"sel=100.0%, time=") in _line(out, "Scan")
     db.engine = "row"
     row_out = db.explain(sql, params=(CHUNK_SIZE, 0), analyze=True)
     assert f"rows_touched={3 * CHUNK_SIZE}" in row_out.splitlines()[0]

@@ -27,13 +27,10 @@ UPWARD_ALLOWED = {
     ("net", "web"): "record_page_trace's function-level import (see ALLOWED)",
 }
 
-COLD_EXPLAIN = "cold path: EXPLAIN is a diagnostic, never on a statement's path"
 COLD_TOPOLOGY = ("cold path: once per cluster set-up; unsharded runs never "
                  "load the shard package")
 
 ALLOWED = {
-    ("sqldb/database.py", "Database.explain"): COLD_EXPLAIN,
-    ("sqldb/shard/sharded.py", "ShardedDatabase.explain"): COLD_EXPLAIN,
     ("sqldb/plan/optimizer.py", "_output_passthrough"):
         "cold path: once per plan build; keeps the logical optimizer "
         "loadable without the physical layer",

@@ -125,7 +125,12 @@ def test_plans_mode_reports_decisions_and_digest(capsys):
     changes plans and scaling the fallback selectivity by 3 changes none.
     Dividing it by 4 changes one: ``encounters_in_period``'s range scan
     then estimates ~30 rows instead of ~120, below the 50-row patient
-    table, so both of its joins cross from hash builds to PK probes."""
+    table, so both of its joins cross from hash builds to PK probes.
+
+    Every plan's first execution is probed by EXPLAIN ANALYZE: each
+    row-source operator of a plan that reads its source to the end gives
+    one q-error, and the top-N pages (a ``limit_hint`` stops them after N
+    rows) are counted apart."""
     traffic = _load_tool()
     assert traffic.main(["--smoke", "--plans", "reports"]) == 0
     header, *lines = capsys.readouterr().out.splitlines()
@@ -137,3 +142,9 @@ def test_plans_mode_reports_decisions_and_digest(capsys):
     assert builds >= selects > 0
     assert rows["FALLBACK_SELECTIVITY*3"] == ["0/0"]
     assert rows["FALLBACK_SELECTIVITY/4"] == ["1/1"]
+    assert int(rows["operators"][0]) > int(rows["builds"][0])
+    median, p90, worst = (float(rows[name][0])
+                          for name in ("q_median", "q_p90", "q_max"))
+    assert 1.0 <= median <= p90 <= worst
+    assert worst > 2.0  # the fallback prices a range 0.3 whatever it holds
+    assert int(rows["limit_cutoff"][0]) > 0

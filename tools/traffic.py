@@ -44,7 +44,16 @@ own.  The table gives per target the builds, the distinct SELECTs (and
 how many join), per variant the builds / distinct SELECTs whose plan
 changed, and a digest over every (SQL, EXPLAIN with estimates stripped)
 pair built: two commits that print the same digest for a target built the
-same plans for it, baselines included.
+same plans for it, baselines included.  It also judges the estimates the
+plans were chosen by: ``PhysicalPlan.execute`` is wrapped too, and after
+the first execution of each plan (one without shared-scan rows or an
+active read view) the plan runs once more under ``execute_analyze`` with
+the same parameters.  Every ``q=`` its text prints is one operator's
+q-error, estimated against actual rows; the table gives the operators, q
+median / p90 / max, and apart from them the operators of plans that stop
+after N rows (``limit_hint``), whose actual is the cutoff rather than what
+the estimate describes.  A tree whose EXPLAIN ANALYZE prints no q-error
+reads ``n/a``.
 
 Needs Python 3.11 (``co_qualname``).
 """
@@ -54,9 +63,11 @@ import collections
 import glob
 import hashlib
 import json
+import math
 import os
 import re
 import runpy
+import statistics
 import subprocess
 import sys
 
@@ -76,6 +87,8 @@ FALLBACKS = ("compile_filter.<locals>.interpreted_filter_fn",
 _INLINE = ("<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>")
 # What EXPLAIN appends to a row-source node: estimates, not plan shape.
 _ESTIMATE = re.compile(r" \(~\d+ rows, ~\d+ touched\)")
+# What EXPLAIN ANALYZE appends to a node with an estimate: its q-error.
+_Q_ERROR = re.compile(r" actual \[rows=\d+, q=([0-9.]+)")
 _FACTORS = (("*3", 3.0), ("/4", 0.25))
 
 
@@ -143,11 +156,23 @@ def _plan_variants():
     return variants
 
 
+def _q_summary(q_errors):
+    """``[median, p90, max]`` of the q-errors (p90 by nearest rank), or
+    None when there are none."""
+    if not q_errors:
+        return None
+    ordered = sorted(q_errors)
+    return [statistics.median(ordered),
+            ordered[math.ceil(0.9 * len(ordered)) - 1], ordered[-1]]
+
+
 def _plans_child(target, seed, smoke):
     """Run one target with every plan build re-optimized under each
-    variant; print the summary as one JSON line."""
+    variant and every plan's first execution probed by EXPLAIN ANALYZE;
+    print the summary as one JSON line."""
     from repro.sqldb import executor
     from repro.sqldb.plan import build_select_plan, cost, explain, optimizer
+    from repro.sqldb.plan.physical import PhysicalPlan
 
     def shape(db, stmt, options, overrides):
         saved = {name: getattr(cost, name) for name in overrides}
@@ -178,11 +203,28 @@ def _plans_child(target, seed, smoke):
                 changed[name][sql] += 1
         return plan
 
+    execute = PhysicalPlan.execute
+    probed = set()
+    q_errors = []
+    cutoff = []
+
+    def probe(plan, db, params=(), prefetched_base_rows=None):
+        result = execute(plan, db, params, prefetched_base_rows)
+        if (plan not in probed and prefetched_base_rows is None
+                and db.active_read_view is None):
+            probed.add(plan)
+            _, lines = plan.execute_analyze(db, params)
+            found = map(float, _Q_ERROR.findall("\n".join(lines)))
+            (q_errors if plan.limit_hint is None else cutoff).extend(found)
+        return result
+
     executor.plan_select = wrapped
+    PhysicalPlan.execute = probe
     try:
         status = _run_target(target, seed, smoke)
     finally:
         executor.plan_select = plan_select
+        PhysicalPlan.execute = execute
     digest = hashlib.sha256(json.dumps(sorted(
         [sql, text, n] for (sql, text), n in built.items())).encode())
     print(json.dumps({
@@ -191,6 +233,9 @@ def _plans_child(target, seed, smoke):
         "joins": len(joins),
         "changed": {name: [sum(c.values()), len(c)]
                     for name, c in changed.items()},
+        "operators": len(q_errors),
+        "q": _q_summary(q_errors),
+        "cutoff": len(cutoff),
         "digest": digest.hexdigest()[:12],
     }))
     return int(status)
@@ -274,20 +319,28 @@ def print_calls(names, per_target):
 
 def print_plans(per_target):
     """Builds, distinct SELECTs and joins per target, builds / SELECTs
-    whose plan each variant changed, and the plans digest."""
+    whose plan each variant changed, the operators judged and their
+    q-error median / p90 / max, the operators under a stop-after-N cutoff,
+    and the plans digest."""
     variants = list(dict.fromkeys(
         name for plans in per_target.values() for name in plans["changed"]))
     width = max(map(len, variants))
-    print(" " * width + "".join(f" {t:>14}" for t in per_target))
-    for row in ("builds", "selects", "joins"):
-        print(f"{row:<{width}}" + "".join(
-            f" {plans[row]:>14}" for plans in per_target.values()))
-    for name in variants:
+
+    def row(name, cell):
         print(f"{name:<{width}}" + "".join(
-            " {:>14}".format("/".join(map(str, plans["changed"][name])))
-            for plans in per_target.values()))
-    print(f"{'digest':<{width}}" + "".join(
-        f" {plans['digest']:>14}" for plans in per_target.values()))
+            f" {cell(plans):>14}" for plans in per_target.values()))
+
+    print(" " * width + "".join(f" {t:>14}" for t in per_target))
+    for name in ("builds", "selects", "joins"):
+        row(name, lambda plans: plans[name])
+    for name in variants:
+        row(name, lambda plans: "/".join(map(str, plans["changed"][name])))
+    row("operators", lambda plans: plans["operators"])
+    for i, name in enumerate(("q_median", "q_p90", "q_max")):
+        row(name, lambda plans: "n/a" if plans["q"] is None
+            else f"{plans['q'][i]:.1f}")
+    row("limit_cutoff", lambda plans: plans["cutoff"])
+    row("digest", lambda plans: plans["digest"])
 
 
 def print_zero_calls(defined, called):
