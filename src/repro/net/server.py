@@ -66,13 +66,15 @@ class DatabaseServer:
         """Execute a single statement; returns ``(result, cost_ms)``.
 
         ``cost_ms`` is the statement's standalone cost
-        (:meth:`statement_cost`): for a sharded result that is its phases
-        summed, not the one-statement batch's makespan.  With ``read_view``
-        the statement executes under that request's snapshot (see
-        :mod:`repro.sqldb.read_view`).
+        (:meth:`statement_cost`): on one node its one-statement batch's
+        elapsed time, bit for bit; a sharded result sums its phases.  With
+        ``read_view`` the statement executes under that request's snapshot
+        (see :mod:`repro.sqldb.read_view`).
         """
-        (result,), _ = self._execute([(sql, params)], False, read_view)
-        cost_ms = self.statement_cost(result)
+        (result,), elapsed_ms = self._execute([(sql, params)], False,
+                                              read_view)
+        cost_ms = (elapsed_ms if result.shard_phases is None
+                   else self.statement_cost(result))
         self.total_db_time_ms += cost_ms
         return result, cost_ms
 

@@ -283,7 +283,8 @@ class ColumnChunk:
         return self.gather_at(pos, self.live_indices())
 
     def gather_at(self, pos, sel):
-        """Column ``pos`` at the given indices, decoded to plain values."""
+        """Column ``pos`` at the given indices, decoded to plain values —
+        read-only: a plain lane asked for every row comes back as it is."""
         col = self.columns[pos]
         if col is None:
             return [None] * len(sel)
@@ -291,6 +292,8 @@ class ColumnChunk:
             values = col.meta.values
             codes = col.codes
             return [None if codes[i] < 0 else values[codes[i]] for i in sel]
+        if type(sel) is range and len(sel) == len(col):
+            return col
         return [col[i] for i in sel]
 
     def take(self, picks, skip_range=None):

@@ -54,10 +54,14 @@ class LookupShape:
         self.in_lists = tuple(_in_list_shapes(where))
 
 
-def equality_conjuncts(shape, params):
-    """Bind ``column -> constant`` pairs from the shape's equalities."""
+def equality_conjuncts(shape, params, column=None):
+    """Bind ``column -> constant`` pairs from the shape's equalities — only
+    ``column``'s when it is given; of several on one column, the last
+    non-NULL value wins."""
     pairs = {}
-    for column, constant in shape.equalities:
+    for name, constant in shape.equalities:
+        if column is not None and name != column:
+            continue
         if isinstance(constant, A.Literal):
             value = constant.value
         else:
@@ -65,7 +69,7 @@ def equality_conjuncts(shape, params):
                 continue
             value = params[constant.index]
         if value is not None:
-            pairs[column] = value
+            pairs[name] = value
     return pairs
 
 
@@ -158,15 +162,15 @@ def resolve_index_lookup(table, shape, params):
     """Resolve a WHERE's shape to row ids via the PK or a secondary index.
 
     Returns a sorted list of row ids, or None when no index applies for
-    the actual parameter values (caller falls back to a scan).
+    the actual parameter values (caller falls back to a scan).  A primary
+    key equality is probed before any other key is bound.
     """
-    pairs = equality_conjuncts(shape, params)
-    schema = table.schema
-    pk = schema.primary_key
-    if pk is not None and pk.name in pairs:
-        hit = table.find_by_pk(_probe_key(pk.name, pairs[pk.name]))
-        return [hit[0]] if hit else []
+    pk = table.schema.primary_key
     if pk is not None:
+        key = equality_conjuncts(shape, params, pk.name).get(pk.name)
+        if key is not None:
+            hit = table.find_by_pk(_probe_key(pk.name, key))
+            return [hit[0]] if hit else []
         keys = _in_list_keys(pk.name, shape, params)
         if keys is not None:
             # Multi-probe point lookup: one pk probe per distinct key.
@@ -174,6 +178,7 @@ def resolve_index_lookup(table, shape, params):
             # to the scan-and-filter row stream.
             hits = (table.find_by_pk(key) for key in keys)
             return sorted({hit[0] for hit in hits if hit is not None})
+    pairs = equality_conjuncts(shape, params)
     if not pairs:
         return None
     best = None
@@ -200,9 +205,9 @@ def pk_lookup_keys(table, shape, params):
     pk = table.schema.primary_key
     if pk is None:
         return None
-    pairs = equality_conjuncts(shape, params)
-    if pk.name in pairs:
-        return frozenset((_probe_key(pk.name, pairs[pk.name]),))
+    key = equality_conjuncts(shape, params, pk.name).get(pk.name)
+    if key is not None:
+        return frozenset((_probe_key(pk.name, key),))
     keys = _in_list_keys(pk.name, shape, params)
     return frozenset(keys) if keys is not None else None
 

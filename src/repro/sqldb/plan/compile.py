@@ -188,8 +188,8 @@ def compile_filter(expr, positions, ambiguous=frozenset()):
     except Exception:  # defensive: compilation must never change behaviour
         compiled = None
     if compiled is None:
-        # Top-level fallback is *strict* (`is True`), exactly like
-        # FilterOp's interpreted form: a non-boolean predicate value keeps
+        # Top-level fallback is *strict* (`is True`), exactly like a
+        # filter's interpreted form: a non-boolean predicate value keeps
         # nothing and raises nothing (unlike the truthy classification AND
         # operands use).
         def interpreted_filter_fn(chunk, params):
@@ -393,7 +393,8 @@ _CMP_KERNELS = {}
 
 def _cmp_kernel(op, kind):
     """The generated fused comparison loop for one (operator, type-family)
-    pair — built once per process, shared by every plan."""
+    pair — built once per process, shared by every plan; ``fail(a, c)``
+    raises the incomparable-value error (``_fail_const_*``)."""
     fn = _CMP_KERNELS.get((op, kind))
     if fn is None:
         src = (
@@ -410,7 +411,7 @@ def _cmp_kernel(op, kind):
             f"            if {_CMP_EXPRS[op]}:\n"
             "                ta(i)\n"
             "        else:\n"
-            "            fail(a)\n"
+            "            fail(a, c)\n"
             "    return t, u\n")
         namespace = {}
         exec(src, namespace)  # noqa: S102 - trusted, templated source
@@ -419,14 +420,14 @@ def _cmp_kernel(op, kind):
     return fn
 
 
-def _cmp_fail(constant, const_is_right):
-    """The incomparable-value error, with operands in source order."""
+def _fail_const_right(a, c):
+    """The incomparable-value error of ``col <op> c``."""
+    raise SqlTypeError(f"cannot compare {a!r} with {c!r}")
 
-    def fail(a):
-        left, right = (a, constant) if const_is_right else (constant, a)
-        raise SqlTypeError(f"cannot compare {left!r} with {right!r}")
 
-    return fail
+def _fail_const_left(a, c):
+    """The incomparable-value error of ``c <op> col``."""
+    raise SqlTypeError(f"cannot compare {c!r} with {a!r}")
 
 
 def _dict_eq(col, sel, constant, op):
@@ -470,6 +471,7 @@ def _cmp_leaf(expr, positions, ambiguous):
     pos = _column_position(col_expr, positions, ambiguous)
     if pos is None:
         return None  # the interpreter raises the unknown-column error
+    fail = _fail_const_right if const_is_right else _fail_const_left
 
     def node(chunk, sel, params):
         if not sel:
@@ -487,8 +489,7 @@ def _cmp_leaf(expr, positions, ambiguous):
             kind, cls = "num", None
         else:
             kind, cls = "exact", type(c)
-        kernel = _cmp_kernel(kop, kind)
-        return kernel(col, sel, c, cls, _cmp_fail(c, const_is_right))
+        return _cmp_kernel(kop, kind)(col, sel, c, cls, fail)
 
     def zone_test(zone_of, params):
         zone = zone_of(pos)
@@ -653,28 +654,29 @@ def compile_project(items, expansions, positions, ambiguous):
     """Compile a select list to ``fn(chunk, params) -> list of tuples``
     (the chunk's live output rows), or None when any item lacks a vector
     form.  ``expansions`` is ProjectOp's star-expansion table: expanded
-    positions become straight column gathers."""
-    makers = []  # ("pos", flat position) | ("vec", vector closure)
+    positions and plain column items become straight column gathers."""
+    makers = []  # a flat position (a gather) or a vector closure
     for item, expansion in zip(items, expansions):
         if expansion is not None:
-            makers.extend(("pos", pos) for pos, _ in expansion)
-            continue
-        vec = _compile_vec(item.expr, positions, ambiguous)
-        if vec is None:
-            return None
-        makers.append(("vec", vec))
+            makers.extend(pos for pos, _ in expansion)
+        elif type(item.expr) is A.ColumnRef:
+            makers.append(_column_position(item.expr, positions, ambiguous))
+        else:
+            makers.append(_compile_vec(item.expr, positions, ambiguous))
+    if None in makers:
+        return None
 
     def project_fn(chunk, params):
         sel = chunk.live_indices()
-        n = chunk.length if chunk.sel is None else len(chunk.sel)
+        n = len(sel)
         if n == 0:
             return []
         lanes = []
-        for mk, payload in makers:
-            if mk == "pos":
-                lanes.append(chunk.gather_at(payload, sel))
+        for maker in makers:
+            if type(maker) is int:
+                lanes.append(chunk.gather_at(maker, sel))
             else:
-                scalar, value = payload(chunk, sel, params)
+                scalar, value = maker(chunk, sel, params)
                 lanes.append([value] * n if scalar else value)
         if len(lanes) == 1:
             return [(v,) for v in lanes[0]]

@@ -7,6 +7,8 @@ Two operator flavours mirror the two halves of a SELECT:
   :class:`IndexNLJoinOp`, :class:`NestedLoopJoinOp`) stream flat joined
   rows.  They charge every storage row they examine to
   ``run.rows_touched``, which the cost model converts to database time.
+  A base-table access applies its own WHERE; ``FilterOp`` is left above
+  joins.
 
 - **Result operators** (:class:`ProjectOp`, :class:`AggregateOp`,
   :class:`DistinctOp`, :class:`SortOp`, :class:`LimitOp`) transform the
@@ -25,10 +27,10 @@ Row sources implement exactly **two execution protocols**:
     :class:`repro.sqldb.columnar.ColumnChunk` column arrays of up to
     :data:`CHUNK_SIZE` rows, of which only the statement's read set
     (``SelectContext.read``) is filled.  Sequential scans slice chunks off
-    the table's cached ``ColumnStore``; filters narrow selection vectors with
-    a predicate **compiled once per cached plan**
-    (:mod:`repro.sqldb.plan.compile`); equi-joins gather probe keys per
-    chunk and assemble their output column-wise.
+    the table's cached ``ColumnStore``; a scan's own predicate, **compiled
+    once per cached plan** (:mod:`repro.sqldb.plan.compile`), sets each
+    chunk's selection vector before the chunk is yielded; equi-joins
+    gather probe keys per chunk and assemble their output column-wise.
 
 ``iter_rows_interp(run)``
     The reference interpreter: a Volcano pull, one row at a time through
@@ -46,9 +48,10 @@ under both), so every figure's simulated cost is identical whichever
 engine produced it.
 
 ``build_physical`` lowers an optimized logical tree into a
-:class:`PhysicalPlan`, one operator per logical node, and keeps the tree
+:class:`PhysicalPlan`, one operator per logical node (a base-table access
+absorbs the Filter above it), and keeps the tree
 (``PhysicalPlan.logical``); ``PhysicalPlan.execute(db, params)`` returns an
-:class:`repro.sqldb.result.ExecResult`, and
+:class:`repro.sqldb.result.ExecResult` of the result operators' tuples, and
 ``PhysicalPlan.execute_analyze`` additionally measures every operator and
 writes each measurement on its node's EXPLAIN line (EXPLAIN ANALYZE).
 """
@@ -81,22 +84,21 @@ from repro.sqldb.result import ExecResult
 class PlanRun:
     """Mutable state for one execution of a physical plan."""
 
-    __slots__ = ("db", "params", "sctx", "ctx", "rows_touched",
+    __slots__ = ("db", "params", "sctx", "_ctx", "rows_touched",
                  "_source_rows", "source_chunks", "out_columns", "out_rows",
-                 "has_aggregates", "prefetched_base_rows", "engine",
-                 "batches", "chunks_skipped")
+                 "prefetched_base_rows", "engine", "batches",
+                 "chunks_skipped")
 
     def __init__(self, db, params, sctx, prefetched_base_rows=None):
         self.db = db
         self.params = tuple(params)
         self.sctx = sctx
-        self.ctx = sctx.fresh_context()
+        self._ctx = None
         self.rows_touched = 0
         self._source_rows = None  # materialized rows entering projection
         self.source_chunks = None  # ColumnChunks (None under the interpreter)
         self.out_columns = None
         self.out_rows = None
-        self.has_aggregates = False
         # When set, the base-table access operator yields these rows instead
         # of scanning storage (the batch shared-scan path): the scan already
         # happened once for the whole group, so no rows are charged here.
@@ -104,6 +106,14 @@ class PlanRun:
         self.engine = db.engine
         self.batches = 0  # chunks that flowed between the operators
         self.chunks_skipped = 0  # chunks zone maps proved irrelevant
+
+    @property
+    def ctx(self):
+        """A :class:`RowContext`, built when an interpreted form asks."""
+        ctx = self._ctx
+        if ctx is None:
+            ctx = self._ctx = self.sctx.fresh_context()
+        return ctx
 
     @property
     def source_rows(self):
@@ -144,8 +154,11 @@ class _BaseTableScan:
     """Shared scaffolding for base-table access operators.
 
     Subclasses define ``_rows(run, table)`` returning the list of storage
-    rows to read; charging, padding, chunking and the shared-scan prefetch
-    live here so both protocols stay in exact accounting agreement.
+    rows to read; charging, padding, chunking, the shared-scan prefetch
+    and the ``predicate`` (the Filter directly above, whole: an index
+    probe finds a superset) live here so both protocols stay in exact
+    accounting agreement.  Chunks leave with the selection vector its
+    kernel ``keep`` sets; a sequential scan also owns its zone test.
 
     ``read`` is the table's share of the statement's read set
     (``SelectContext.table_reads``): the chunk protocol fills those lanes
@@ -158,89 +171,107 @@ class _BaseTableScan:
     into copies (``list(values)``) and projections emit new tuples.
     """
 
-    uses_prefetch = True
-    # Sequential scans slice their lanes off the table's cached
-    # ColumnStore (no transpose per query); index access paths produce
-    # dynamic row sets, so they transpose their rows per execution.
-    columnar_store_scan = False
-    # Zone test of the Filter directly above and the ordinals of the
-    # columns it tests (FilterOp hands both to a SeqScanOp child).
+    # A sequential scan slices its lanes off the table's cached
+    # ColumnStore (no transpose per query) and takes the batch's shared
+    # scan rows; index access paths transpose their rows per execution.
+    sequential = False
     prune = None
     prune_ordinals = ()
 
-    def __init__(self, table_name, offset, read):
-        self.table_name = table_name
-        self.offset = offset
-        self.read = read
+    def __init__(self, node, sctx, predicate):
+        self.table_name = node.table
+        self.offset = sctx.offsets[node.table_index]
+        self.read = sctx.table_reads[node.table_index]
+        self.predicate = predicate
+        self.keep = None
+        if predicate is not None:
+            context = sctx.context
+            self.keep, prune = compile_filter(predicate, context.positions,
+                                              context.ambiguous)
+            if prune is not None and self.sequential:
+                tested = sctx.positions_of([predicate])
+                self.prune = prune
+                self.prune_ordinals = [j for j in self.read
+                                       if self.offset + j in tested]
 
     def iter_cchunks(self, run):
-        total = run.sctx.total_width
-        if self.uses_prefetch and run.prefetched_base_rows is not None:
-            rows = run.prefetched_base_rows
-            for start in range(0, len(rows), CHUNK_SIZE):
+        keep = self.keep
+        params = run.params
+        for chunk in self._chunks(run):
+            # One chunk step per EXPLAIN line: the scan, then the Filter.
+            run.batches += 1
+            if keep is not None:
+                sel = keep(chunk, params)
+                if not sel:
+                    continue
                 run.batches += 1
-                yield ColumnChunk.from_rows(
-                    rows[start:start + CHUNK_SIZE], total, run.sctx.read)
-            return
+                if len(sel) < chunk.length:
+                    chunk.sel = sel  # nothing else holds the chunk yet
+            yield chunk
+
+    def _chunks(self, run):
+        """The chunks before the predicate, every row charged: zone maps
+        change wall-clock, never the simulated cost."""
+        sctx = run.sctx
+        total = sctx.total_width
+        if self.sequential and run.prefetched_base_rows is not None:
+            rows = run.prefetched_base_rows
+            return [ColumnChunk.from_rows(rows[start:start + CHUNK_SIZE],
+                                          total, sctx.read)
+                    for start in range(0, len(rows), CHUNK_SIZE)]
         table = run.db.tables_get(self.table_name)
         offset = self.offset
-        if self.columnar_store_scan:
+        if self.sequential:
             store = table.column_store()
-            length = store.length
-            lanes = [(offset + j, store.lane(j)) for j in self.read]
+            length, lane = store.length, store.lane
             zone_lists = [(offset + j, store.zones(j))
                           for j in self.prune_ordinals]
-            params = run.params
-            for ci, start in enumerate(range(0, length, CHUNK_SIZE)):
-                stop = min(start + CHUNK_SIZE, length)
-                # Skipped chunks are charged exactly as a scan would
-                # charge them: rows_touched is the storage-read cost
-                # model's currency and must stay engine-invariant —
-                # zone maps change wall-clock, never simulated cost.
-                run.rows_touched += stop - start
-                if zone_lists:
-                    zones = {pos: zl[ci] for pos, zl in zone_lists}
-                    try:
-                        must_scan = self.prune(zones.get, params)
-                    except Exception:
-                        must_scan = True  # scan and surface the error
-                    if not must_scan:
-                        run.chunks_skipped += 1
-                        continue
-                run.batches += 1
-                columns = [None] * total
-                for pos, lane in lanes:
-                    columns[pos] = lane[start:stop]
-                yield ColumnChunk(columns, stop - start, None)
-            return
-        rows = self._rows(run, table)
-        for start in range(0, len(rows), CHUNK_SIZE):
-            part = rows[start:start + CHUNK_SIZE]
-            run.rows_touched += len(part)
-            run.batches += 1
-            columns = [None] * total
+        else:
+            rows = self._rows(run, table)
             # One C-level transpose; the read lanes are kept, as tuples
-            # (half the cost of a comprehension per lane over a few rows).
-            lanes = list(zip(*part))
-            for j in self.read:
-                columns[offset + j] = lanes[j]
-            yield ColumnChunk(columns, len(part), None)
+            # (half the cost of a comprehension per lane over a few rows,
+            # and a chunk's slice of a whole tuple is the tuple itself).
+            length, lane, zone_lists = (len(rows),
+                                        list(zip(*rows)).__getitem__, ())
+        run.rows_touched += length
+        lanes = [(offset + j, lane(j)) for j in self.read] if length else ()
+        chunks = []
+        for ci, start in enumerate(range(0, length, CHUNK_SIZE)):
+            if zone_lists:
+                zones = {pos: zl[ci] for pos, zl in zone_lists}
+                try:
+                    must_scan = self.prune(zones.get, run.params)
+                except Exception:
+                    must_scan = True  # scan and surface the error
+                if not must_scan:
+                    run.chunks_skipped += 1
+                    continue
+            stop = min(start + CHUNK_SIZE, length)
+            columns = [None] * total
+            for pos, values in lanes:
+                columns[pos] = values[start:stop]
+            chunks.append(ColumnChunk(columns, stop - start))
+        return chunks
 
     def iter_rows_interp(self, run):
-        if self.uses_prefetch and run.prefetched_base_rows is not None:
-            yield from run.prefetched_base_rows
-            return
-        table = run.db.tables_get(self.table_name)
-        total = run.sctx.total_width
+        predicate = self.predicate
+        ctx = run.ctx if predicate is not None else None
+        params = run.params
         offset = self.offset
-        if offset == 0 and len(table.schema.columns) == total:
-            for row in self._rows(run, table):
-                run.rows_touched += 1
+        total = run.sctx.total_width
+        if self.sequential and run.prefetched_base_rows is not None:
+            rows, charge, pad = run.prefetched_base_rows, 0, False
+        else:
+            table = run.db.tables_get(self.table_name)
+            rows, charge = self._rows(run, table), 1
+            pad = offset != 0 or len(table.schema.columns) != total
+        for row in rows:
+            run.rows_touched += charge
+            if pad:
+                row = _pad(row, offset, total)
+            if (predicate is None
+                    or evaluate(predicate, ctx.bind(row), params) is True):
                 yield row
-            return
-        for row in self._rows(run, table):
-            run.rows_touched += 1
-            yield _pad(row, offset, total)
 
 
 class SeqScanOp(_BaseTableScan):
@@ -250,7 +281,7 @@ class SeqScanOp(_BaseTableScan):
     join reordering made a non-first FROM table the base of the chain.
     """
 
-    columnar_store_scan = True
+    sequential = True
 
     def _rows(self, run, table):
         return [row for _, row in table.scan()]
@@ -263,13 +294,13 @@ class IndexLookupOp(_BaseTableScan):
     decision happens per execution (mirroring the legacy interpreter): when
     :func:`resolve_index_lookup` finds no usable index for the values bound
     to the plan's :class:`~repro.sqldb.plan.access.LookupShape`, this
-    operator degrades to a sequential scan and the filter above does all
-    the work.
+    operator degrades to a sequential scan and its predicate does all the
+    work.
     """
 
-    def __init__(self, table_name, shape, offset, read):
-        super().__init__(table_name, offset, read)
-        self.shape = shape
+    def __init__(self, node, sctx, predicate):
+        super().__init__(node, sctx, predicate)
+        self.shape = node.shape
 
     def _rows(self, run, table):
         lookup = resolve_index_lookup(table, self.shape, run.params)
@@ -286,7 +317,7 @@ class IndexRangeScanOp(_BaseTableScan):
     Prefix and bound constants resolve against the statement parameters at
     execution time.  A prefix or bound that resolves to NULL yields no
     rows — the conjunct it came from is UNKNOWN for every row, so the
-    Filter above would reject everything anyway.  Unlike ``IndexLookupOp``
+    predicate would reject everything anyway.  Unlike ``IndexLookupOp``
     this operator never degrades to an *unordered* scan (a Sort may have
     been elided on the strength of its ordering): if the index vanished
     underneath a cached plan (only possible by editing storage behind the
@@ -294,34 +325,25 @@ class IndexRangeScanOp(_BaseTableScan):
     columns, preserving the order contract.
     """
 
-    uses_prefetch = False
-
-    def __init__(self, node, offset, read):
-        super().__init__(node.table, offset, read)
-        self.index_name = node.index_name
-        self.ordinals = node.ordinals
-        self.n_prefix = node.n_prefix
-        self.prefix_exprs = node.prefix_exprs
-        self.low = node.low
-        self.low_incl = node.low_incl
-        self.high = node.high
-        self.high_incl = node.high_incl
-        self.descending = node.descending
+    def __init__(self, node, sctx, predicate):
+        super().__init__(node, sctx, predicate)
+        self.scan = node  # index, equality prefix, bounds and direction
 
     def _row_ids(self, table, params):
-        index = table.indexes.get(self.index_name)
+        scan = self.scan
+        index = table.indexes.get(scan.index_name)
         if not isinstance(index, OrderedIndex):
             return self._sorted_fallback(table)
-        return range_scan_ids(index, self, params, self.descending)
+        return range_scan_ids(index, scan, params, scan.descending)
 
     def _sorted_fallback(self, table):
         """Full scan in key order (see class docstring)."""
         keyed = sorted(
-            ((wrap_key(tuple(row[i] for i in self.ordinals)), row_id)
+            ((wrap_key(tuple(row[i] for i in self.scan.ordinals)), row_id)
              for row_id, row in table.rows.items()))
         groups = [[row_id for _, row_id in group] for _, group in
                   groupby(keyed, key=lambda pair: pair[0])]
-        if self.descending:
+        if self.scan.descending:
             groups.reverse()
         return [row_id for group in groups for row_id in group]
 
@@ -332,32 +354,24 @@ class IndexRangeScanOp(_BaseTableScan):
 
 
 class FilterOp:
-    """Keep rows whose predicate evaluates to SQL TRUE.
+    """Keep rows whose predicate evaluates to SQL TRUE (above a join).
 
-    The chunk path narrows the selection vector with the plan-compiled
-    fused predicate — the output chunk shares the input's column arrays,
-    so no row materializes; the interpreted path re-walks the AST per row.
-    The same compile yields the predicate's zone test: a sequential scan
-    directly below consults it per chunk, so zone maps can skip chunks
-    before the selection vector is ever built.
+    The chunk path narrows the selection vector with ``keep``, the
+    plan-compiled fused predicate — the output chunk shares the input's
+    column arrays, so no row materializes; the interpreted path re-walks
+    the AST per row.
     """
 
-    def __init__(self, child, predicate, sctx):
+    def __init__(self, child, predicate, keep):
         self.child = child
         self.predicate = predicate
-        self._columnar, prune = compile_filter(
-            predicate, sctx.context.positions, sctx.context.ambiguous)
-        if isinstance(child, SeqScanOp) and prune is not None:
-            child.prune = prune
-            tested = sctx.positions_of([predicate])
-            child.prune_ordinals = [j for j in child.read
-                                    if child.offset + j in tested]
+        self.keep = keep
 
     def iter_cchunks(self, run):
-        predicate = self._columnar
+        keep = self.keep
         params = run.params
         for chunk in self.child.iter_cchunks(run):
-            sel = predicate(chunk, params)
+            sel = keep(chunk, params)
             if sel:
                 run.batches += 1
                 yield ColumnChunk(chunk.columns, chunk.length, sel)
@@ -720,10 +734,11 @@ class AggregateOp:
         positions = sctx.context.positions
         ambiguous = sctx.context.ambiguous
         # Chunk-at-a-time aggregate closures for the fused no-GROUP-BY
-        # path (a None entry means the query is interpreted).
-        self._citem_fns = [compile_aggregate_item_columnar(
-            item.expr, positions, ambiguous) for item in items]
-        # Grouped columnar path: per-item (make, update, final) triples
+        # path (None: an item has none, so the query is interpreted).
+        fns = [compile_aggregate_item_columnar(item.expr, positions,
+                                               ambiguous) for item in items]
+        self._citem_fns = None if None in fns else fns
+        # Grouped columnar path: the items' makes, updates and finals
         # plus the flat position of each key — every key a plain column
         # (dictionary lanes group by integer code).  None means the query
         # is interpreted: a computed key, or a reference only the
@@ -739,16 +754,14 @@ class AggregateOp:
                 and not (e.table is None and e.column in ambiguous)
                 else None for e in group_by]
             if None not in triples and None not in key_positions:
-                self._cgrouped_items = triples
+                self._cgrouped_items = tuple(zip(*triples))
                 self._ckey_positions = key_positions
 
     def apply(self, run):
-        run.has_aggregates = True
-        ctx = run.ctx
         params = run.params
         if (run.source_chunks is not None
                 and not self.group_by and self.having is None
-                and all(fn is not None for fn in self._citem_fns)):
+                and self._citem_fns is not None):
             # Fused path: aggregates consume chunks directly — the wide
             # rows are never built.  A single implicit group, so one
             # output row even over empty input (matching groups[()]).
@@ -770,6 +783,7 @@ class AggregateOp:
         # Interpreted form.  Partition rows into groups by the GROUP BY
         # key, in first-encounter order (a single group covering
         # everything when there is no GROUP BY).
+        ctx = run.ctx
         rows = run.source_rows
         groups = {}
         if not self.group_by:
@@ -807,76 +821,60 @@ class AggregateOp:
         while value-keyed grouping keeps differently-encoded chunks of
         the same column correct.
         """
-        triples = self._cgrouped_items
-        makes = [t[0] for t in triples]
-        updates = [t[1] for t in triples]
-        finals = [t[2] for t in triples]
+        makes, updates, finals = self._cgrouped_items
         key_positions = self._ckey_positions
         single = len(key_positions) == 1
         groups = {}  # key value (scalar when single) -> group index
-        accs = [[] for _ in triples]
+        accs = [[] for _ in makes]
         n_groups = 0
         trans_cache = {}  # id(meta) -> (meta, code -> gidx list, [null gidx])
         for chunk in run.source_chunks:
-            n = chunk.n_live()
-            if n == 0:
+            if chunk.n_live() == 0:
                 continue
             live = chunk.live_indices()
             gidxs = []
             ga = gidxs.append
-            if single:
-                col = chunk.columns[key_positions[0]]
-                if type(col) is DictColumn:
-                    meta = col.meta
-                    cached = trans_cache.get(id(meta))
-                    if cached is None or cached[0] is not meta:
-                        cached = (meta, [-1] * len(meta.values), [-1])
-                        trans_cache[id(meta)] = cached
-                    _, code_map, null_slot = cached
-                    dict_values = meta.values
-                    codes = col.codes
-                    for i in live:
-                        cd = codes[i]
-                        if cd < 0:
-                            g = null_slot[0]
-                            if g < 0:
-                                g = groups.get(None, -1)
-                                if g < 0:
-                                    g = n_groups
-                                    groups[None] = g
-                                    n_groups += 1
-                                    for make, acc in zip(makes, accs):
-                                        acc.append(make())
-                                null_slot[0] = g
-                        else:
-                            g = code_map[cd]
-                            if g < 0:
-                                key = dict_values[cd]
-                                g = groups.get(key, -1)
-                                if g < 0:
-                                    g = n_groups
-                                    groups[key] = g
-                                    n_groups += 1
-                                    for make, acc in zip(makes, accs):
-                                        acc.append(make())
-                                code_map[cd] = g
-                        ga(g)
-                else:
-                    keys = ([None] * n if col is None
-                            else [col[i] for i in live])
-                    for key in keys:
-                        g = groups.get(key, -1)
+            col = chunk.columns[key_positions[0]] if single else None
+            if type(col) is DictColumn:
+                meta = col.meta
+                cached = trans_cache.get(id(meta))
+                if cached is None or cached[0] is not meta:
+                    cached = (meta, [-1] * len(meta.values), [-1])
+                    trans_cache[id(meta)] = cached
+                _, code_map, null_slot = cached
+                dict_values = meta.values
+                codes = col.codes
+                for i in live:
+                    cd = codes[i]
+                    if cd < 0:
+                        g = null_slot[0]
                         if g < 0:
-                            g = n_groups
-                            groups[key] = g
-                            n_groups += 1
-                            for make, acc in zip(makes, accs):
-                                acc.append(make())
-                        ga(g)
+                            g = groups.get(None, -1)
+                            if g < 0:
+                                g = n_groups
+                                groups[None] = g
+                                n_groups += 1
+                                for make, acc in zip(makes, accs):
+                                    acc.append(make())
+                            null_slot[0] = g
+                    else:
+                        g = code_map[cd]
+                        if g < 0:
+                            key = dict_values[cd]
+                            g = groups.get(key, -1)
+                            if g < 0:
+                                g = n_groups
+                                groups[key] = g
+                                n_groups += 1
+                                for make, acc in zip(makes, accs):
+                                    acc.append(make())
+                            code_map[cd] = g
+                    ga(g)
             else:
-                lanes = [chunk.gather_at(pos, live)
-                         for pos in key_positions]
-                for key in zip(*lanes):
+                keys = (chunk.gather_at(key_positions[0], live) if single
+                        else zip(*[chunk.gather_at(pos, live)
+                                   for pos in key_positions]))
+                for key in keys:
                     g = groups.get(key, -1)
                     if g < 0:
                         g = n_groups
@@ -893,69 +891,94 @@ class AggregateOp:
 
 
 class DistinctOp:
-    """Drop duplicate output rows, keeping first occurrences."""
+    """Drop duplicate output rows (tuples), keeping first occurrences."""
 
     def apply(self, run):
-        seen = set()
-        unique = []
-        for row in run.out_rows:
-            key = tuple(row)
-            if key not in seen:
-                seen.add(key)
-                unique.append(row)
-        run.out_rows = unique
+        run.out_rows = list(dict.fromkeys(run.out_rows))
 
 
 class SortOp:
-    """ORDER BY over projected rows.
+    """ORDER BY over projected rows, sorted by :func:`sort_rows`.
 
-    Keys may reference output aliases/positions or — for non-aggregate
-    queries, where output rows align 1:1 with source rows — source
-    columns, interpreted against the source row.  Only such a key makes
-    the operator ask for ``run.source_rows``: ordering by output columns
-    never transposes the source chunks.
-    """
+    A key is an output position (alias or ``ORDER BY <n>``), fixed at
+    build time, or None: an expression over the source row, which lines
+    up with the output only under a plain projection — above an aggregate
+    or a DISTINCT it raises at build time, data or no data."""
 
-    def __init__(self, order_by):
-        self.order_by = order_by
-
-    def apply(self, run):
-        out_columns = run.out_columns
+    def __init__(self, order_by, out_columns, aggregated, distinct):
         alias_positions = {name: i for i, name in enumerate(out_columns)}
-        # Each key's provenance, resolved once per execution: an output
-        # position, or None for an expression over the source row.
-        keys = []
-        for item in self.order_by:
+        self.keys = []  # (output position or None, expression)
+        for item in order_by:
             expr = item.expr
             if (isinstance(expr, A.ColumnRef) and expr.table is None
                     and expr.column in alias_positions):
                 pos = alias_positions[expr.column]
             else:
                 pos = order_by_position(expr, len(out_columns))
-            keys.append((pos, expr, item.descending))
-        out_rows = run.out_rows
-        source_rows = None
-        if out_rows and any(pos is None for pos, _, _ in keys):
-            if run.has_aggregates:
-                raise SqlError(
-                    "ORDER BY in aggregate queries must reference "
-                    "output columns")
-            source_rows = run.source_rows
-        ctx = run.ctx
-        params = run.params
-        keyed = []
-        for i, out in enumerate(out_rows):
-            key = []
-            for pos, expr, descending in keys:
-                if pos is not None:
-                    value = out[pos]
-                else:
-                    ctx.bind(source_rows[i])
-                    value = evaluate(expr, ctx, params)
-                key.append(_SortKey(value, descending))
-            keyed.append((key, out))
-        keyed.sort(key=lambda pair: pair[0])
-        run.out_rows = [out for _, out in keyed]
+            if pos is None and aggregated:
+                raise SqlError("ORDER BY in aggregate queries must reference "
+                               "output columns")
+            if pos is None and distinct:
+                raise SqlError("for SELECT DISTINCT, ORDER BY expressions "
+                               "must appear in the select list")
+            self.keys.append((pos, expr))
+        self.reads_source = any(pos is None for pos, _ in self.keys)
+        self.descending = [item.descending for item in order_by]
+
+    def apply(self, run):
+        rows = run.out_rows
+        if self.reads_source:
+            # Row by row, keys in order: the interpreter's first error.
+            ctx, params = run.ctx, run.params
+            columns = list(zip(*[
+                [out[pos] if pos is not None
+                 else evaluate(expr, ctx.bind(source), params)
+                 for pos, expr in self.keys]
+                for out, source in zip(rows, run.source_rows)]))
+        else:
+            columns = [[row[pos] for row in rows] for pos, _ in self.keys]
+        run.out_rows = sort_rows(rows, columns, self.descending)
+
+
+def sort_rows(rows, columns, descending):
+    """``rows`` sorted stably on ORDER BY ``columns`` (one value sequence
+    per key) with these DESC flags, for :class:`SortOp` and the shard
+    coordinator's merge.  Natively: ``v`` becomes ``(v is not None, v)``,
+    NULL first (last under ``reverse``, used when most keys are DESC), a
+    key of the other direction :class:`_Flipped`; ``==`` before ``<``
+    makes equal values (``1``, ``TRUE``) tie."""
+    reverse = 2 * sum(descending) > len(descending)
+    decorated = []
+    for values, desc in zip(columns, descending):
+        keys = [(v is not None, v) for v in values]
+        decorated.append(keys if desc == reverse
+                         else list(map(_Flipped, keys)))
+    keys = decorated[0] if len(decorated) == 1 else list(zip(*decorated))
+    try:
+        order = sorted(range(len(rows)), key=keys.__getitem__,
+                       reverse=reverse)
+    except TypeError as exc:
+        raise SqlTypeError(f"cannot order ORDER BY values: {exc}") from None
+    return [rows[i] for i in order]
+
+
+class _Flipped:
+    """A sort key of the minority direction, compared the other way."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __lt__(self, other):
+        return other.key < self.key
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+# LIMIT / OFFSET expressions never read a row.
+_NO_ROW = RowContext({}).bind(())
 
 
 def resolve_limit(limit_expr, offset_expr, params):
@@ -965,10 +988,9 @@ def resolve_limit(limit_expr, offset_expr, params):
     but a non-negative integer (a string, NULL, a float, a bool, ``-1``)
     raises instead of reaching a Python slice, where it would leak a
     ``TypeError`` or count from the wrong end."""
-    ctx = RowContext({}).bind(())
     bounds = []
     for clause, expr in (("LIMIT", limit_expr), ("OFFSET", offset_expr)):
-        value = evaluate(expr, ctx, params) if expr is not None else 0
+        value = evaluate(expr, _NO_ROW, params) if expr is not None else 0
         if (isinstance(value, bool) or not isinstance(value, int)
                 or value < 0):
             raise SqlError(
@@ -987,35 +1009,6 @@ class LimitOp:
     def apply(self, run):
         limit, offset = resolve_limit(self.limit, self.offset, run.params)
         run.out_rows = run.out_rows[offset:offset + limit]
-
-
-class _SortKey:
-    """Comparable wrapper: NULLs sort first ascending; honors DESC."""
-
-    __slots__ = ("value", "descending")
-
-    def __init__(self, value, descending):
-        self.value = value
-        self.descending = descending
-
-    def __lt__(self, other):
-        a, b = self.value, other.value
-        if a is None and b is None:
-            return False
-        if a is None:
-            return not self.descending
-        if b is None:
-            return self.descending
-        if a == b:
-            return False
-        try:
-            less = a < b
-        except TypeError:
-            raise SqlTypeError(f"cannot order {a!r} against {b!r}") from None
-        return (not less) if self.descending else less
-
-    def __eq__(self, other):
-        return self.value == other.value
 
 
 # ---------------------------------------------------------------------------
@@ -1053,25 +1046,20 @@ class PhysicalPlan:
         # pulling once they have streamed out — top-N-by-key pages touch
         # ~N rows instead of the whole range.
         self.limit_hint = _limit_hint(result_ops, sctx)
-        op = source
-        while isinstance(op, FilterOp):
-            op = op.child
         self.shared_scan_table = (
-            op.table_name if isinstance(op, SeqScanOp) else None)
+            source.table_name if isinstance(source, SeqScanOp) else None)
 
     def pk_probe_keys(self, db, params=()):
         """The primary-key values this plan probes as a pure point lookup,
         or None when the plan is not a pk point lookup for these params.
 
-        Non-None only when the row source (below any filters) is an
-        :class:`IndexLookupOp` whose predicate the primary key serves —
-        a single equality or an IN list.  The concurrent serving layer
-        uses the ``(table, keys)`` pair to merge point lookups issued by
-        different requests into one shared multi-probe.
+        Non-None only when the row source is an :class:`IndexLookupOp`
+        whose predicate the primary key serves — a single equality or an
+        IN list.  The concurrent serving layer uses the ``(table, keys)``
+        pair to merge point lookups issued by different requests into one
+        shared multi-probe.
         """
         op = self.source
-        while isinstance(op, FilterOp):
-            op = op.child
         if not isinstance(op, IndexLookupOp):
             return None
         table = db.tables.get(op.table_name)
@@ -1136,6 +1124,12 @@ class PhysicalPlan:
         ops = []
         op = self.source
         while op is not None:
+            if isinstance(op, _BaseTableScan) and op.predicate is not None:
+                # Its two EXPLAIN lines: the rows read, the rows kept.
+                bare = copy.copy(op)
+                bare.predicate = bare.keep = None
+                ops.append(FilterOp(bare, op.predicate, op.keep))
+                op = bare
             ops.append(op)
             op = getattr(op, "child", None)
         timed = None
@@ -1248,32 +1242,30 @@ class _TimedSource:
 
 def build_physical(root, sctx):
     """Lower an optimized logical tree into a :class:`PhysicalPlan`, one
-    operator per node."""
-    node = root
-    result_ops = []
-    while True:
-        if isinstance(node, L.Limit):
-            result_ops.append(LimitOp(node.limit, node.offset))
-            node = node.child
-        elif isinstance(node, L.Sort):
-            result_ops.append(SortOp(node.order_by))
-            node = node.child
-        elif isinstance(node, L.Distinct):
-            result_ops.append(DistinctOp())
-            node = node.child
-        elif isinstance(node, L.Project):
-            result_ops.append(ProjectOp(node.items, sctx))
-            node = node.child
-            break
-        elif isinstance(node, L.Aggregate):
-            result_ops.append(AggregateOp(node.items, node.group_by,
-                                          node.having, sctx))
-            node = node.child
-            break
+    operator per node but a ``Filter`` over a base-table access, which
+    that access operator applies."""
+    node, above = root, []
+    while isinstance(node, (L.Limit, L.Sort, L.Distinct)):
+        above.append(node)
+        node = node.child
+    if isinstance(node, L.Project):
+        op = ProjectOp(node.items, sctx)
+    elif isinstance(node, L.Aggregate):
+        op = AggregateOp(node.items, node.group_by, node.having, sctx)
+    else:
+        raise SqlError(f"unexpected plan node above projection: {node!r}")
+    result_ops = [op]
+    distinct = False
+    for step in reversed(above):  # bottom-up, as the operators run
+        if isinstance(step, L.Limit):
+            result_ops.append(LimitOp(step.limit, step.offset))
+        elif isinstance(step, L.Sort):
+            result_ops.append(SortOp(step.order_by, op.out_columns,
+                                     isinstance(op, AggregateOp), distinct))
         else:
-            raise SqlError(f"unexpected plan node above projection: {node!r}")
-    result_ops.reverse()
-    source = _build_source(node, sctx)
+            result_ops.append(DistinctOp())
+            distinct = True
+    source = _build_source(node.child, sctx)
     return PhysicalPlan(source, result_ops, sctx, root)
 
 
@@ -1291,20 +1283,22 @@ def _limit_hint(result_ops, sctx):
     return stmt.limit, stmt.offset
 
 
+_ACCESS_OPS = {L.Scan: SeqScanOp, L.IndexLookup: IndexLookupOp,
+               L.IndexRangeScan: IndexRangeScanOp}
+
+
 def _build_source(node, sctx):
-    if isinstance(node, L.Scan):
-        return SeqScanOp(node.table, sctx.offsets[node.table_index],
-                         sctx.table_reads[node.table_index])
-    if isinstance(node, L.IndexLookup):
-        return IndexLookupOp(node.table, node.shape,
-                             sctx.offsets[node.table_index],
-                             sctx.table_reads[node.table_index])
-    if isinstance(node, L.IndexRangeScan):
-        return IndexRangeScanOp(node, sctx.offsets[node.table_index],
-                                sctx.table_reads[node.table_index])
+    predicate = None
+    if isinstance(node, L.Filter) and type(node.child) in _ACCESS_OPS:
+        node, predicate = node.child, node.predicate
+    access = _ACCESS_OPS.get(type(node))
+    if access is not None:
+        return access(node, sctx, predicate)
     if isinstance(node, L.Filter):
+        keep, _ = compile_filter(node.predicate, sctx.context.positions,
+                                 sctx.context.ambiguous)
         return FilterOp(_build_source(node.child, sctx), node.predicate,
-                        sctx)
+                        keep)
     if isinstance(node, L.Join):
         child = _build_source(node.child, sctx)
         if node.strategy == "index":

@@ -2,6 +2,9 @@
 
 Lives in its own module so both the executor facade and the plan pipeline
 (:mod:`repro.sqldb.plan`) can build results without importing each other.
+A result keeps the list of tuples it is given — the engine's result
+operators emit tuples — so a SELECT's rows are not copied on the way out;
+the result cache hands each hit a fresh list.
 """
 
 
@@ -9,7 +12,7 @@ class ExecResult:
     """Result of executing one statement.
 
     ``columns`` — output column names (empty for writes).
-    ``rows`` — list of tuples (empty for writes).
+    ``rows`` — list of tuples, kept as given (empty for writes).
     ``rowcount`` — rows returned for reads, rows affected for writes.
     ``rows_touched`` — storage rows examined (cost-model input).  Chunks
     the columnar engine skips via zone maps still charge their rows here
@@ -32,15 +35,10 @@ class ExecResult:
                  "last_insert_id", "from_cache", "shard_phases",
                  "chunks_skipped")
 
-    def __init__(self, columns=(), rows=(), rowcount=0, rows_touched=0,
+    def __init__(self, columns=(), rows=None, rowcount=0, rows_touched=0,
                  last_insert_id=None, from_cache=False, chunks_skipped=0):
         self.columns = list(columns)
-        # The engines' projection operators already emit tuples (the
-        # columnar engine's fused projection zips straight into them);
-        # re-wrapping every row would be a second full copy of the result,
-        # so only rows arriving in other shapes (lists from interpreted
-        # fallbacks, external callers) pay for the conversion.
-        self.rows = [r if type(r) is tuple else tuple(r) for r in rows]
+        self.rows = [] if rows is None else rows
         self.rowcount = rowcount
         self.rows_touched = rows_touched
         self.last_insert_id = last_insert_id

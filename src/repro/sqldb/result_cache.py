@@ -107,8 +107,8 @@ class ResultCache:
         if not peek:
             self.hits += 1
             self._entries.move_to_end(key)
-        return ExecResult(columns, rows, rowcount=rowcount, rows_touched=0,
-                          from_cache=True)
+        return ExecResult(columns, list(rows), rowcount=rowcount,
+                          rows_touched=0, from_cache=True)
 
     def store(self, key, stmt, table_names, result, db, expected_versions):
         """Record a freshly executed SELECT's rows under ``key``.

@@ -90,7 +90,7 @@ class ScatterMerge:
     appended to the select list when not already projected, and
     ``LIMIT + OFFSET`` pushed down per shard when both are literals.
     ``key_positions`` — ``[(column_index, descending), ...]`` into the
-    rewritten row for the k-way merge rank.
+    rewritten row for the merge's sort.
     ``extra_cols`` — trailing columns to strip after merging.
     ``pushed_limit`` — the per-shard row cap, or None.
     """

@@ -9,11 +9,11 @@ with ``topology.replicas`` read replicas.
 **Reads** go through the :class:`~repro.sqldb.shard.router.Router`:
 single-shard and broadcast reads execute on one backend; scatter reads run
 the (possibly rewritten) statement on every target shard and merge the
-ordered per-shard streams with a k-way merge keyed exactly like the
-engine's own ``SortOp`` (LIMIT+OFFSET pushed per shard as a plain ``LIMIT``
-so each shard's sort-elision / ``limit_hint`` machinery applies); gather
-reads lazily sync the referenced partitioned tables into a coordinator
-database and execute there.
+ordered per-shard streams with the engine's own ``SortOp`` sort (stable;
+it merges the streams' runs), LIMIT+OFFSET pushed per shard as a plain
+``LIMIT`` so each shard's sort-elision / ``limit_hint`` machinery
+applies; gather reads lazily sync the referenced partitioned tables into
+a coordinator database and execute there.
 
 **Writes** route to primaries (split per shard for INSERT, key-routed for
 UPDATE/DELETE), bump the owning shard's table versions — which is what
@@ -31,7 +31,6 @@ entries that execute in parallel.  The server charges each phase as the
 makes a scatter over N shards cost one shard's work, not N.
 """
 
-import heapq
 from contextlib import ExitStack, contextmanager
 
 from repro.sqldb import ast_nodes as A
@@ -40,7 +39,7 @@ from repro.sqldb.errors import SqlError
 from repro.sqldb.executor import as_params
 from repro.sqldb.parser import parse
 from repro.sqldb.plan import explain
-from repro.sqldb.plan.physical import _SortKey, resolve_limit
+from repro.sqldb.plan.physical import resolve_limit, sort_rows
 from repro.sqldb.result import ExecResult
 from repro.sqldb.result_cache import DEFAULT_RESULT_CACHE_LIMIT
 from repro.sqldb.shard.router import (KIND_BROADCAST_READ, KIND_GATHER,
@@ -687,22 +686,19 @@ def _merge_streams(per_shard, merge, stmt, params):
     """Merge per-shard result streams into the global row list."""
     width = len(per_shard[0].columns) - merge.extra_cols
     columns = per_shard[0].columns[:width]
+    rows = [row for r in per_shard for row in r.rows]
     if merge.key_positions:
         positions = []
-        for pos, desc in merge.key_positions:
+        for pos, _ in merge.key_positions:
             if isinstance(pos, tuple):  # ("name", column) — SELECT * path
                 pos = per_shard[0].columns.index(pos[1])
-            positions.append((pos, desc))
-
-        def rank(row):
-            return tuple(_SortKey(row[pos], desc)
-                         for pos, desc in positions)
-
-        # heapq.merge is stable across its input order, so ties resolve
-        # by shard index — deterministic under every topology.
-        rows = list(heapq.merge(*(r.rows for r in per_shard), key=rank))
-    else:
-        rows = [row for r in per_shard for row in r.rows]
+            positions.append(pos)
+        # Each stream is sorted on these keys by its shard's SortOp, so the
+        # stable sort merges runs, and ties resolve by shard index —
+        # deterministic under every topology.
+        rows = sort_rows(rows, [[row[pos] for row in rows]
+                                for pos in positions],
+                         [desc for _, desc in merge.key_positions])
     if stmt.limit is not None:
         limit, offset = resolve_limit(stmt.limit, stmt.offset, params)
         rows = rows[offset:offset + limit]

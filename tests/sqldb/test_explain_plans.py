@@ -9,19 +9,36 @@ surfaces as a readable plan diff rather than a silent perf regression.
 Every golden also holds the one-tree property: EXPLAIN ANALYZE of the
 statement, run with the parameters given, is the golden tree line for
 line plus each operator's ``actual [...]``, and the q-error sits on
-exactly the lines that carry an estimate.
+exactly the lines that carry an estimate.  With its times stripped that
+ANALYZE is itself a golden (``explain_analyze_goldens.txt``): rows,
+q-errors, chunks, zone-skipped chunks and selection density per line,
+whichever operator computes them.
 
 The databases are built fresh at module scope (not the shared session
 fixtures) so plan estimates cannot drift with test execution order.
 """
 
 import re
+from pathlib import Path
 
 import pytest
 
 from repro.sqldb import Database
 
 _ESTIMATE = re.compile(r" \(~\d+ rows, ~\d+ touched\)")
+_TIMES = re.compile(r",? (total_ms|time)=[0-9.]+(ms)?")
+
+
+def _analyze_goldens():
+    """``{(sql, repr(params)): [header, line, ...]}`` from the data file."""
+    text = (Path(__file__).parent / "explain_analyze_goldens.txt").read_text()
+    blocks = [block.splitlines() for block in text.strip().split("\n\n")]
+    return {(sql[len("sql: "):], params[len("params: "):]): lines
+            for sql, params, *lines in blocks
+            if sql.startswith("sql: ")}
+
+
+_ANALYZE_GOLDENS = _analyze_goldens()
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +70,13 @@ def assert_plan(db, sql, expected, params=()):
     """EXPLAIN of ``sql`` is ``expected``, and EXPLAIN ANALYZE with
     ``params`` annotates the same lines: header dropped and every
     `` actual [...]`` stripped, the rest is the EXPLAIN; ``q=`` appears
-    on a line exactly when it carries ``(~N rows, ~M touched)``."""
+    on a line exactly when it carries ``(~N rows, ~M touched)``; and the
+    ANALYZE without its times is the statement's analyze golden."""
     plan = db.explain(sql)
     assert plan == expected.strip("\n")
     header, *analyzed = db.explain(sql, params, analyze=True).splitlines()
+    assert [_TIMES.sub("", line) for line in [header, *analyzed]] == \
+        _ANALYZE_GOLDENS[(sql, repr(tuple(params)))]
     assert header.startswith("EXPLAIN ANALYZE [")
     lines = [line.rpartition(" actual [") for line in analyzed]
     assert [tree for tree, _, _ in lines] == plan.splitlines()
