@@ -63,14 +63,12 @@ class KernelServer:
     """The appendix's database — a dict from query value to result — behind
     the server contract :class:`repro.net.driver.BatchDriver` speaks."""
 
-    # The counters the driver diffs around a batch; nothing here moves them.
-    shared_scan_groups = shared_scan_rows_saved = result_cache_hits = 0
-
     def __init__(self, db, cost_model):
         self.db = db
         self.cost_model = cost_model
 
-    def execute_batch(self, statements, batch_optimize=False, read_view=None):
+    def execute_batch(self, statements, batch_optimize=False, read_view=None,
+                      stats=None):
         """Run ``statements`` in batch order — a write is the last of its
         batch, so the reads shipped with it observe the pre-write database.
         Each statement is priced as one row touched, one after the other."""

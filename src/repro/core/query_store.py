@@ -34,8 +34,10 @@ barriers on every in-flight batch before issuing, preserving the [Write
 query] ordering on the virtual timeline as well as in the data.
 
 The pending batch is kept in the shape the driver receives it — a list of
-``(sql, params)`` pairs, ids beside it — and that pair is the dedup key; a
-flush hands the list over as it is.  A statement is classified here, once
+``(sql, params)`` pairs (``params`` through the engine's ``as_params``),
+ids beside it; a flush hands the list over as it is.  A read's dedup key
+adds ``param_types(params)``, as the result cache's does: ``(1,)`` and
+``(True,)`` are two queries.  A statement is classified here, once
 (:func:`repro.sqldb.parser.is_read_statement`, a probe of the process-wide
 parse cache); the server parses it once more, to execute it.  A batch is
 one round trip and **fails as one**: when the driver raises, every id of
@@ -43,6 +45,7 @@ the batch remembers the exception and re-raises it on every fetch; nothing
 is re-issued, and the failed batch is not counted as flushed.
 """
 
+from repro.sqldb.executor import as_params, param_types
 from repro.sqldb.parser import is_read_statement
 
 #: Default bound on concurrently in-flight async batches.
@@ -93,15 +96,6 @@ class QueryStoreStats:
         self.largest_batch = 0
         self.queries_issued = 0
 
-    def snapshot(self):
-        return {
-            "queries_registered": self.queries_registered,
-            "dedup_hits": self.dedup_hits,
-            "batches_flushed": self.batches_flushed,
-            "largest_batch": self.largest_batch,
-            "queries_issued": self.queries_issued,
-        }
-
 
 class QueryStore:
     """Accumulates queries into batches issued over a batch driver.
@@ -138,7 +132,7 @@ class QueryStore:
         # ``[(sql, params), ...]`` — with each statement's id in step.
         self._buffer = []
         self._buffer_ids = []
-        self._pending_keys = {}  # buffered (sql, params) -> QueryId, for dedup
+        self._pending_keys = {}  # a buffered read's key -> QueryId, for dedup
         self._in_flight = []  # AsyncCompletions in dispatch order
         self._next_id = 0
         self.stats = QueryStoreStats()
@@ -150,8 +144,10 @@ class QueryStore:
 
         Writes flush the batch immediately (including the write itself);
         duplicate pending reads return the already-registered id.
+        Non-sequence ``params`` raise here, where the original executes.
         """
-        statement = (sql, tuple(params))
+        params = as_params(params)
+        statement = (sql, params)
         self.stats.queries_registered += 1
         if not is_read_statement(sql):
             query_id = self._new_id()
@@ -159,12 +155,13 @@ class QueryStore:
             self._buffer_ids.append(query_id)
             self._flush(has_write=True)
             return query_id
+        key = (sql, params, param_types(params))
         try:
-            query_id = self._pending_keys.get(statement)
+            query_id = self._pending_keys.get(key)
             if query_id is not None:
                 self.stats.dedup_hits += 1
                 return query_id
-            query_id = self._pending_keys[statement] = self._new_id()
+            query_id = self._pending_keys[key] = self._new_id()
         except TypeError:
             # An unhashable parameter: not a dedup key, so never a twin.
             # The statement ships and the engine names the error.

@@ -78,15 +78,6 @@ class RuntimeStats:
         self.branches_deferred = 0
         self.branches_forced = 0
 
-    def snapshot(self):
-        return {
-            "thunks_allocated": self.thunks_allocated,
-            "forces": self.forces,
-            "ops_executed": self.ops_executed,
-            "branches_deferred": self.branches_deferred,
-            "branches_forced": self.branches_forced,
-        }
-
 
 # When thunk coalescing is on, runs of deferrable statements collapse into
 # thunk blocks.  The paper reports the statement-to-thunk ratio after code
@@ -155,12 +146,12 @@ class SlothRuntime:
                           runtime=self)
 
     def execute_write(self, sql, params=()):
-        """Writes are never deferred: register (which flushes) and force;
-        in non-lazy mode, one round trip through the driver."""
+        """Writes are never deferred, so they have no thunk: registering
+        one flushes it, and its result is on its id; in non-lazy mode, one
+        round trip through the driver."""
         if not self.lazy_mode:
             return self.driver.execute(sql, params)
-        thunk = QueryThunk(self.query_store, sql, params)
-        return thunk.force()
+        return self.query_store.register_query(sql, params).result
 
     # -- modelled application work ---------------------------------------------
 

@@ -81,7 +81,11 @@ class QueryThunk(Thunk):
         # deserialiser.  thunk -> id -> store is acyclic, so a never-forced
         # thunk (with the result its id holds) goes by refcount alone.
         self.query_id = query_store.register_query(sql, params)
-        super().__init__(deserialize, runtime=runtime)
+        self._fn = deserialize
+        self._value = _UNEVALUATED
+        self._runtime = runtime
+        if runtime is not None:
+            runtime.on_thunk_allocated()
 
     def _compute(self):
         query_id = self.query_id

@@ -90,8 +90,10 @@ class SimClock:
         self._shadowed_by_phase = {phase: 0.0 for phase in _PHASES}
         # Merged, ordered [start, end) intervals of app-phase charges on
         # this clock's timeline; adjacent charges coalesce, so the list
-        # grows only at app/stall alternation points.
+        # grows only at app/stall alternation points; the latest one stays
+        # open as [_app_lo, _app_hi) (None before the first app charge).
         self._app_intervals = []
+        self._app_lo = self._app_hi = None
 
     @property
     def now(self):
@@ -101,25 +103,27 @@ class SimClock:
         """Advance the clock by ``dt`` ms, attributed to ``phase``."""
         if dt < 0:
             raise ValueError(f"negative time charge: {dt}")
-        if phase not in self._by_phase:
-            raise ValueError(f"unknown phase {phase!r}")
+        try:
+            self._by_phase[phase] += dt
+        except KeyError:
+            raise ValueError(f"unknown phase {phase!r}") from None
         start = self._now
-        self._now += dt
-        self._by_phase[phase] += dt
+        self._now = now = start + dt
         if phase == PHASE_APP and dt > 0:
-            intervals = self._app_intervals
-            if intervals and intervals[-1][1] == start:
-                intervals[-1] = (intervals[-1][0], self._now)
-            else:
-                intervals.append((start, self._now))
+            if self._app_hi != start:
+                if self._app_hi is not None:
+                    self._app_intervals.append((self._app_lo, self._app_hi))
+                self._app_lo = start
+            self._app_hi = now
 
     def _app_covered(self, start, end):
         """Length of ``[start, end)`` covered by app-phase charges."""
-        if end <= start:
+        hi = self._app_hi
+        if end <= start or hi is None or hi <= start:
             return 0.0
-        covered = 0.0
-        # Intervals are ordered; scan from the right, since waits probe
-        # recent history (bounded by the in-flight window).
+        # Intervals are ordered; scan from the right (the open one first),
+        # since waits probe recent history (bounded by the in-flight window).
+        covered = max(0.0, min(hi, end) - max(self._app_lo, start))
         for lo, hi in reversed(self._app_intervals):
             if hi <= start:
                 break

@@ -10,7 +10,8 @@ charges only the residual stall.
 
 Both drivers charge network and database time to the shared
 :class:`repro.net.clock.SimClock` and count round trips / statements, which
-is what the benchmark harness reads out.
+is what the benchmark harness reads out; the server adds its cache hits
+and shared scans to the :class:`DriverStats` a driver hands it.
 """
 
 from repro.net.clock import PHASE_APP, PHASE_DB, PHASE_NETWORK
@@ -27,8 +28,8 @@ class DriverStats:
         self.shared_scan_groups = 0
         self.shared_scan_rows_saved = 0
         # Statements served from the database's cross-request result cache
-        # through this driver (the server counts them too; surfacing them
-        # here is what the harness and benchmark JSON read).
+        # through this driver (the server counts them into both; surfacing
+        # them here is what the harness and benchmark JSON read).
         self.result_cache_hits = 0
         # Asynchronous dispatch (§6.7 overlap): batches shipped without
         # blocking, the residual time the app actually stalled waiting for
@@ -91,11 +92,8 @@ class Driver:
         self.clock.charge(
             PHASE_NETWORK,
             model.round_trip_ms + model.serialization_per_query_ms)
-        hits_before = self.server.result_cache_hits
-        result, cost_ms = self.server.execute_one(sql, params,
-                                                  read_view=self.read_view)
-        self.stats.result_cache_hits += (
-            self.server.result_cache_hits - hits_before)
+        result, cost_ms = self.server.execute_one(sql, params, self.read_view,
+                                                  self.stats)
         self.clock.charge(PHASE_DB, cost_ms)
         self.stats.record(1)
         return result
@@ -125,7 +123,8 @@ class BatchDriver(Driver):
             PHASE_NETWORK,
             model.round_trip_ms
             + model.serialization_per_query_ms * len(statements))
-        results, elapsed_ms = self._server_batch(statements, batch_optimize)
+        results, elapsed_ms = self.server.execute_batch(
+            statements, batch_optimize, self.read_view, self.stats)
         self.clock.charge(PHASE_DB, elapsed_ms)
         self.stats.record(len(statements))
         return results
@@ -150,7 +149,8 @@ class BatchDriver(Driver):
         self.clock.charge(PHASE_APP, model.driver_call_app_ms)
         network_ms = (model.round_trip_ms
                       + model.serialization_per_query_ms * len(statements))
-        results, elapsed_ms = self._server_batch(statements, batch_optimize)
+        results, elapsed_ms = self.server.execute_batch(
+            statements, batch_optimize, self.read_view, self.stats)
         completion = self.clock.begin_async(
             ((PHASE_NETWORK, network_ms), (PHASE_DB, elapsed_ms)))
         self.stats.record(len(statements))
@@ -171,19 +171,3 @@ class BatchDriver(Driver):
         self.stats.shadowed_ms += (
             sum(self.clock.shadowed_breakdown().values()) - shadowed_before)
         return stall, overlap
-
-    def _server_batch(self, statements, batch_optimize):
-        """Run a batch on the server, diffing its per-server counters."""
-        groups_before = self.server.shared_scan_groups
-        saved_before = self.server.shared_scan_rows_saved
-        hits_before = self.server.result_cache_hits
-        served = self.server.execute_batch(
-            statements, batch_optimize=batch_optimize,
-            read_view=self.read_view)
-        self.stats.shared_scan_groups += (
-            self.server.shared_scan_groups - groups_before)
-        self.stats.shared_scan_rows_saved += (
-            self.server.shared_scan_rows_saved - saved_before)
-        self.stats.result_cache_hits += (
-            self.server.result_cache_hits - hits_before)
-        return served

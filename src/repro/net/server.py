@@ -13,12 +13,13 @@ Virtual database time for a batch is therefore::
 where ``parallel_elapsed`` assigns reads to the least-loaded worker
 (longest-processing-time-first greedy makespan).
 
-**One body.**  ``execute_one`` and ``execute_batch`` are entry points over
-``_execute``: the cache-hit diff, the request's read view *if it brought
-one*, dispatch and counters — once, for one statement or many.  What
-arrives is ``(sql, params)``; a statement is parsed here once (a probe of
-the process-wide parse cache), executed as an AST through
-``execute_parsed``, and is a read or a write by its type.
+**One body.**  ``execute_batch`` (``execute_one`` runs it over a
+one-tuple): the request's read view *if it brought one*, dispatch, and
+counts taken where they arise, added to the server's and the driver's
+``DriverStats`` once the run returns.  What arrives is ``(sql, params)``;
+a statement is parsed here once (a probe of the process-wide parse
+cache), executed as an AST through ``execute_parsed``, and is a read or a
+write by its type.
 
 **Sharded backends.**  A :class:`repro.sqldb.shard.ShardedDatabase` result
 carries ``shard_phases`` — sequential phases of ``(station, rows_touched,
@@ -62,24 +63,22 @@ class DatabaseServer:
         # lives on the database and is shared by every server over it.
         self.result_cache_hits = 0
 
-    def execute_one(self, sql, params=(), read_view=None):
-        """Execute a single statement; returns ``(result, cost_ms)``.
-
-        ``cost_ms`` is the statement's standalone cost
+    def execute_one(self, sql, params=(), read_view=None, stats=None):
+        """:meth:`execute_batch` over a one-tuple; returns ``(result,
+        cost_ms)``.  ``cost_ms`` is the statement's standalone cost
         (:meth:`statement_cost`): on one node its one-statement batch's
-        elapsed time, bit for bit; a sharded result sums its phases.  With
-        ``read_view`` the statement executes under that request's snapshot
-        (see :mod:`repro.sqldb.read_view`).
+        elapsed time, bit for bit; a sharded result sums its phases.
         """
-        (result,), elapsed_ms = self._execute([(sql, params)], False,
-                                              read_view)
-        cost_ms = (elapsed_ms if result.shard_phases is None
-                   else self.statement_cost(result))
-        self.total_db_time_ms += cost_ms
+        (result,), elapsed_ms = self.execute_batch(
+            ((sql, params),), False, read_view, stats)
+        if result.shard_phases is None:
+            return result, elapsed_ms
+        cost_ms = self.statement_cost(result)
+        self.total_db_time_ms += cost_ms - elapsed_ms  # the charged cost
         return result, cost_ms
 
     def execute_batch(self, statements, batch_optimize=False,
-                      read_view=None):
+                      read_view=None, stats=None):
         """Execute ``[(sql, params), ...]`` as one batch.
 
         Returns ``(results, elapsed_ms)`` where ``elapsed_ms`` models
@@ -88,77 +87,88 @@ class DatabaseServer:
         the database's cross-request result cache per statement: cached
         SELECTs cost zero rows touched and, on the batch-plan path, drop
         out of shared-scan grouping.  With ``read_view`` every statement
-        in the batch executes under that request's snapshot.
+        in the batch executes under that request's snapshot.  The run's
+        counts go, once it has returned, to this server's counters and to
+        ``stats`` (the calling driver's ``DriverStats``).
         """
-        results, elapsed_ms = self._execute(statements, batch_optimize,
-                                            read_view)
-        self.total_db_time_ms += elapsed_ms
-        return results, elapsed_ms
-
-    def _execute(self, statements, batch_optimize, read_view):
-        """The one body under both entry points: ``(results, elapsed_ms)``
-        of the batch, with every counter but the caller's time charge."""
         database = self.database
         run = (self._execute_batch_plan
                if batch_optimize and database.supports_batch_plan
                else self._execute_batch_direct)
-        hits_before = database.result_cache.hits
         if read_view is None:
-            served = run(statements)
+            results, elapsed_ms, hits, groups, saved = run(statements)
         else:
             with database.read_views.using(read_view):
-                served = run(statements)
-        self.result_cache_hits += database.result_cache.hits - hits_before
+                results, elapsed_ms, hits, groups, saved = run(statements)
+        size = len(statements)
         self.batches_executed += 1
-        self.statements_executed += len(statements)
-        if len(statements) > self.largest_batch:
-            self.largest_batch = len(statements)
-        return served
+        self.statements_executed += size
+        if size > self.largest_batch:
+            self.largest_batch = size
+        self.total_db_time_ms += elapsed_ms
+        self.result_cache_hits += hits
+        self.shared_scan_groups += groups
+        self.shared_scan_rows_saved += saved
+        if stats is not None:
+            stats.result_cache_hits += hits
+            stats.shared_scan_groups += groups
+            stats.shared_scan_rows_saved += saved
+        return results, elapsed_ms
 
-    def result_cache_stats(self):
-        """The underlying database's result-cache counters."""
-        return self.database.result_cache_stats()
-
-    # -- the two batch paths --------------------------------------------------
+    # -- the two batch paths: (results, elapsed_ms, hits, groups, saved) -----
 
     def _execute_batch_direct(self, statements):
         """Every statement on its own plan (the pre-optimizer behaviour).
 
-        Reads bucket per station: statements without ``shard_phases`` are
-        the one default station (one node: a plain list), while sharded
-        statements spread their per-station entry costs across the
-        stations that served them — buckets allocated once a result
-        carries phases.  The batch's read time is the ``max()`` of the
-        per-station makespans: stations are separate machines with
-        ``db_workers`` workers each.
+        A single-node result is priced inline (``query_cost_ms``'s
+        arithmetic).  Reads bucket per station: statements without
+        ``shard_phases`` are the one default station (one node: a plain
+        list), while sharded statements spread their per-station entry
+        costs — and cache hits — across the stations that served them.
+        The batch's read time is the ``max()`` of the per-station
+        makespans: stations are separate machines with ``db_workers``
+        workers each.
         """
         model = self.cost_model
+        hit_ms, overhead_ms, row_ms = (model.cache_hit_cost_ms,
+                                       model.per_query_overhead_ms,
+                                       model.per_row_ms)
         execute = self.database.execute_parsed
         results = []
         read_costs = []
         station_reads = None  # station id -> [cost, ...]
         serial_ms = 0.0
+        hits = 0
         for sql, params in statements:
             stmt = parse(sql)
             result = execute(stmt, params)
             results.append(result)
+            phases = result.shard_phases
+            if phases is None:
+                hits += result.from_cache
+                cost = (hit_ms if result.from_cache
+                        else overhead_ms + row_ms * result.rows_touched)
+                if type(stmt) is Select:
+                    read_costs.append(cost)
+                else:
+                    serial_ms += cost
+                continue
+            hits += sum(entry[2] for phase in phases for entry in phase)
             if type(stmt) is not Select:
                 serial_ms += self.statement_cost(result)
-            elif result.shard_phases is None:
-                read_costs.append(self.statement_cost(result))
-            else:
-                if station_reads is None:
-                    station_reads = {}
-                for phase in result.shard_phases:
-                    for station, rows, cached in phase:
-                        station_reads.setdefault(station, []).append(
-                            model.query_cost_ms(rows, from_cache=cached))
+                continue
+            if station_reads is None:
+                station_reads = {}
+            for phase in phases:
+                for station, rows, cached in phase:
+                    station_reads.setdefault(station, []).append(
+                        model.query_cost_ms(rows, from_cache=cached))
         read_ms = _parallel_elapsed(read_costs, model.db_workers)
         if station_reads:
             read_ms = max(read_ms, max(
                 _parallel_elapsed(costs, model.db_workers)
                 for costs in station_reads.values()))
-        return results, serial_ms + read_ms
+        return results, serial_ms + read_ms, hits, 0, 0
 
     def _execute_batch_plan(self, statements):
         """The shared-scan path: group, execute, charge groups once."""
@@ -170,19 +180,22 @@ class DatabaseServer:
             grouped.update(group.member_indices)
             # One job: one dispatch plus the single shared scan.
             read_costs.append(model.query_cost_ms(group.scan_rows))
-            self.shared_scan_groups += 1
-            self.shared_scan_rows_saved += group.rows_saved
         serial_ms = 0.0
+        hits = 0
         for index, (sql, _) in enumerate(statements):
             if index in grouped:
                 continue  # the group job carries the cost; members are free
-            cost = self.statement_cost(plan_result.results[index])
+            result = plan_result.results[index]
+            hits += result.from_cache
+            cost = self.statement_cost(result)
             if is_read_statement(sql):
                 read_costs.append(cost)
             else:
                 serial_ms += cost
-        return plan_result.results, serial_ms + _parallel_elapsed(
-            read_costs, model.db_workers)
+        return (plan_result.results,
+                serial_ms + _parallel_elapsed(read_costs, model.db_workers),
+                hits, len(plan_result.groups),
+                sum(group.rows_saved for group in plan_result.groups))
 
     def statement_cost(self, result):
         """One statement's standalone elapsed time.

@@ -10,7 +10,7 @@ cardinalities they were costed against are no longer representative.
 """
 
 from repro.sqldb.errors import CatalogError
-from repro.sqldb.types import canonical_type
+from repro.sqldb.types import COERCERS, canonical_type
 
 
 class StatsEpoch:
@@ -64,12 +64,14 @@ class TableStats:
 class Column:
     """A column definition in a table schema."""
 
-    __slots__ = ("name", "type_name", "primary_key", "not_null", "ordinal")
+    __slots__ = ("name", "type_name", "primary_key", "not_null", "ordinal",
+                 "coerce")
 
     def __init__(self, name, type_name, primary_key=False, not_null=False,
                  ordinal=0):
         self.name = name
         self.type_name = canonical_type(type_name)
+        self.coerce = COERCERS[self.type_name]
         self.primary_key = primary_key
         self.not_null = not_null or primary_key
         self.ordinal = ordinal

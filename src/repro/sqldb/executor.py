@@ -55,7 +55,7 @@ from repro.sqldb.result import ExecResult
 from repro.sqldb.result_cache import current_versions
 from repro.sqldb.storage import Table
 
-__all__ = ["ExecResult", "Executor", "as_params"]
+__all__ = ["ExecResult", "Executor", "as_params", "param_types"]
 
 # Cached physical plans per executor; cleared wholesale on overflow (the
 # workloads' hot sets are far smaller) and invalidated by catalog changes.
@@ -74,6 +74,25 @@ def as_params(params):
         return tuple(params)
     raise SqlError("statement parameters must be a tuple or a list, not "
                    f"{type(params).__name__}")
+
+
+def param_types(params):
+    """What a key made of ``params`` carries beside them, since ``1``,
+    ``1.0`` and ``True`` are equal but bind differently: None when every
+    value is an ``int``, a ``str`` or NULL (no two of those types hold
+    equal values), else their types, interned (the first 1 024), so the
+    cached keys share one tuple per signature."""
+    for value in params:
+        if type(value) not in _UNAMBIGUOUS:
+            types = tuple(map(type, params))
+            if len(_PARAM_TYPES) < 1024:
+                return _PARAM_TYPES.setdefault(types, types)
+            return _PARAM_TYPES.get(types, types)
+    return None
+
+
+_UNAMBIGUOUS = frozenset((int, str, type(None)))
+_PARAM_TYPES = {}
 
 
 class Executor:
@@ -183,7 +202,7 @@ class Executor:
 
     def _result_key(self, stmt, params):
         """The plan-cache key plus the parameters, which decide the rows."""
-        return (id(stmt), params, self._catalog_version,
+        return (id(stmt), params, param_types(params), self._catalog_version,
                 self.db.catalog.stats_epoch.value,
                 id(self.db.optimizer_options))
 
@@ -272,14 +291,14 @@ class _WritePlan:
     resolved once and cached beside the SELECT plans.  An execution binds
     parameters and does the per-row work: the candidate search (a NULL or
     missing key drops out, an unhashable one raises, per execution), the
-    full-WHERE re-check of every candidate, assignment evaluation, undo.
+    full-WHERE re-check of every candidate, assignment binding, undo.
 
-    INSERT: ``rows`` holds, per value row, its ``(ordinal, expr)`` pairs
-    (arity checked).  UPDATE / DELETE: ``rows`` is None; ``ctx`` resolves
-    the table's columns, ``shape`` / ``ranged`` are the WHERE's
+    INSERT: ``rows`` holds, per value row, its :class:`_Cells` (arity
+    checked).  UPDATE / DELETE: ``rows`` is None; ``ctx`` resolves the
+    table's columns, ``shape`` / ``ranged`` are the WHERE's
     :class:`LookupShape` and :func:`range_lookup_candidate`; UPDATE alone
-    has ``(ordinal, expr)`` ``assignments`` and their ordinal set
-    ``assigned``.
+    has its SET list as ``assignments`` (:class:`_Cells`) and their
+    ordinal set ``assigned``.
     """
 
     __slots__ = ("rows", "width", "pk", "where", "ctx", "shape", "ranged",
@@ -296,7 +315,7 @@ class _WritePlan:
                     raise SqlError(
                         f"INSERT has {len(columns)} columns but "
                         f"{len(value_row)} values")
-            self.rows = [list(zip(ordinals, row)) for row in stmt.rows]
+            self.rows = [_Cells(zip(ordinals, row)) for row in stmt.rows]
             self.width = len(schema.columns)
             self.pk = schema.primary_key
             return
@@ -305,19 +324,52 @@ class _WritePlan:
         self.shape = LookupShape(stmt.where)
         self.ranged = range_lookup_candidate(table, stmt.where)
         if type(stmt) is A.Update:
-            self.assignments = [(schema.ordinal_of(c), e)
-                                for c, e in stmt.assignments]
-            self.assigned = frozenset(o for o, _ in self.assignments)
+            self.assignments = _Cells((schema.ordinal_of(c), e)
+                                      for c, e in stmt.assignments)
+            self.assigned = frozenset(o for o, _ in self.assignments.pairs)
+
+
+class _Cells:
+    """The ``(ordinal, expr)`` cells of an INSERT value row or a SET list:
+    a ``Literal``'s value and a ``Param``'s index bind without the
+    interpreter, anything else is evaluated."""
+
+    __slots__ = ("pairs", "consts", "binds", "evaluated", "arity")
+
+    def __init__(self, pairs):
+        self.pairs = pairs = list(pairs)
+        self.consts = [(o, e.value) for o, e in pairs if type(e) is A.Literal]
+        self.binds = [(o, e.index) for o, e in pairs if type(e) is A.Param]
+        self.evaluated = [(o, e) for o, e in pairs
+                          if type(e) not in (A.Literal, A.Param)]
+        self.arity = max((index + 1 for _, index in self.binds), default=0)
+
+    def fill(self, row, ctx, params):
+        """Store each cell's value in ``row``.  A direct bind cannot fail;
+        with a parameter missing, every cell is evaluated in order so that
+        the interpreter names the first error."""
+        if len(params) < self.arity:
+            for ordinal, expr in self.pairs:
+                row[ordinal] = evaluate(expr, ctx, params)
+            return
+        for ordinal, value in self.consts:
+            row[ordinal] = value
+        for ordinal, index in self.binds:
+            row[ordinal] = params[index]
+        for ordinal, expr in self.evaluated:
+            row[ordinal] = evaluate(expr, ctx, params)
+
+
+# What an INSERT value is evaluated against: no row, no column.
+_NO_ROW = RowContext({}).bind(())
 
 
 def _insert_rows(plan, table, rows, params, undo):
-    empty_ctx = RowContext({}).bind(())
     pk = plan.pk
     last_id = None
-    for pairs in rows:
+    for cells in rows:
         full = [None] * plan.width
-        for ordinal, expr in pairs:
-            full[ordinal] = evaluate(expr, empty_ctx, params)
+        cells.fill(full, _NO_ROW, params)
         table.insert_row(full, undo)
         if pk is not None and isinstance(full[pk.ordinal], int):
             last_id = full[pk.ordinal]
@@ -341,8 +393,7 @@ def _change_rows(plan, table, row_ids, params, undo):
             table.delete_row(row_id, undo)
         else:
             new_row = list(row)
-            for ordinal, expr in assignments:
-                new_row[ordinal] = evaluate(expr, ctx, params)
+            assignments.fill(new_row, ctx, params)
             table.update_row(row_id, new_row, plan.assigned, undo)
         changed += 1
     return ExecResult(rowcount=changed, rows_touched=len(row_ids))

@@ -6,6 +6,7 @@ propagates through arithmetic and comparisons; ``AND``/``OR`` use
 three-valued logic (``None`` stands for UNKNOWN).
 """
 
+import operator
 import re
 
 from repro.sqldb import ast_nodes as A
@@ -146,6 +147,11 @@ def _compare(a, b):
     return 0
 
 
+# Comparison operator -> the test of ``_compare``'s -1 / 0 / 1 against 0.
+_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+
+
 def _eval_binary(expr, ctx, params):
     op = expr.op
     if op == "AND":
@@ -172,12 +178,9 @@ def _eval_binary(expr, ctx, params):
     right = evaluate(expr.right, ctx, params)
     if left is None or right is None:
         return None
-    if op in ("=", "<>", "<", ">", "<=", ">="):
-        cmp = _compare(left, right)
-        return {
-            "=": cmp == 0, "<>": cmp != 0, "<": cmp < 0,
-            ">": cmp > 0, "<=": cmp <= 0, ">=": cmp >= 0,
-        }[op]
+    holds = _COMPARISONS.get(op)
+    if holds is not None:
+        return holds(_compare(left, right), 0)
     if op == "||":
         if not isinstance(left, str) or not isinstance(right, str):
             raise SqlTypeError("'||' requires text operands")

@@ -10,10 +10,12 @@ the Sloth batch driver and the batch shared-scan planner all land here).
 A cache **key** is everything that decides plan shape plus the parameters
 that decide the rows::
 
-    (statement identity, parameters,
+    (statement identity, parameters, their types,
      catalog version, stats epoch, optimizer options)
 
-i.e. the executor's plan-cache key extended with the parameter tuple.  The
+i.e. the executor's plan-cache key extended with the parameter tuple and
+its types (``executor.param_types``: ``(1,)`` and ``(True,)`` are equal
+tuples that bind differently, so they key apart).  The
 executor is the only caller, through two entries: ``Executor.select`` —
 one :meth:`~ResultCache.lookup`, then :func:`current_versions` before the
 run and one :meth:`~ResultCache.store` after it — and the probe-only

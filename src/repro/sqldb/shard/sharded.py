@@ -132,7 +132,8 @@ class ShardedResultCache:
     The caches themselves stay per-backend — keyed on that backend's own
     table versions, which is exactly what makes replica cache hits respect
     the staleness bound (a replica's cache can never be fresher than the
-    replica).  This facade only fans out ``enabled`` and sums counters.
+    replica).  This facade only fans out ``enabled`` and ``clear`` and sums
+    the counters in ``stats()``.
     """
 
     def __init__(self, owner):
@@ -152,18 +153,6 @@ class ShardedResultCache:
         self._enabled = bool(value)
         for cache in self._caches():
             cache.enabled = self._enabled and cache.limit > 0
-
-    @property
-    def hits(self):
-        return sum(c.hits for c in self._caches())
-
-    @property
-    def misses(self):
-        return sum(c.misses for c in self._caches())
-
-    @property
-    def invalidations(self):
-        return sum(c.invalidations for c in self._caches())
 
     def clear(self):
         for cache in self._caches():

@@ -8,7 +8,6 @@ undo hooks used by :mod:`repro.sqldb.transactions` for rollback.
 from repro.sqldb.columnar import ColumnStore
 from repro.sqldb.errors import ConstraintError
 from repro.sqldb.indexes import HashIndex, OrderedIndex
-from repro.sqldb.types import coerce_value
 
 
 class Table:
@@ -76,11 +75,12 @@ class Table:
 
     def _check(self, row, ordinals):
         """Coerce ``row``'s values at ``ordinals`` in place to their
-        columns' types and enforce NOT NULL on them."""
+        columns' types (each column's resolved coercer) and enforce NOT
+        NULL on them."""
         columns = self.schema.columns
         for ordinal in ordinals:
             col = columns[ordinal]
-            row[ordinal] = value = coerce_value(row[ordinal], col.type_name)
+            row[ordinal] = value = col.coerce(row[ordinal])
             if value is None and col.not_null:
                 raise ConstraintError(
                     f"column {col.name!r} of table {self.schema.name!r} "

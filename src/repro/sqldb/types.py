@@ -17,14 +17,6 @@ DATE = "DATE"
 
 ALL_TYPES = (INTEGER, FLOAT, TEXT, BOOLEAN, DATE)
 
-_PY_FOR_TYPE = {
-    INTEGER: int,
-    FLOAT: float,
-    TEXT: str,
-    BOOLEAN: bool,
-    DATE: str,
-}
-
 # Aliases accepted in DDL, mapped to canonical names.
 TYPE_ALIASES = {
     "INT": INTEGER,
@@ -60,41 +52,54 @@ def canonical_type(name):
     return TYPE_ALIASES[key]
 
 
-def coerce_value(value, type_name):
-    """Coerce a Python value to the given SQL type, or raise ``SqlTypeError``.
+def _to_integer(value):
+    if value is None or type(value) is int:
+        return value
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise SqlTypeError(f"cannot store {value!r} in INTEGER column")
 
-    ``None`` passes through unchanged (NULL is valid for any type until
-    constraints are checked).  Integers are accepted for FLOAT columns and
-    widened; bools are accepted for INTEGER columns (0/1) to match common
-    driver behaviour.
-    """
-    if value is None:
-        return None
-    if type_name == INTEGER:
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise SqlTypeError(f"cannot store {value!r} in INTEGER column")
-    if type_name == FLOAT:
-        if isinstance(value, bool):
-            raise SqlTypeError(f"cannot store {value!r} in FLOAT column")
-        if isinstance(value, (int, float)):
-            return float(value)
-        raise SqlTypeError(f"cannot store {value!r} in FLOAT column")
-    if type_name == TEXT or type_name == DATE:
-        if isinstance(value, str):
+
+def _to_float(value):
+    if value is None or type(value) is float:
+        return value
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        return float(value)
+    raise SqlTypeError(f"cannot store {value!r} in FLOAT column")
+
+
+def _to_text(type_name):
+    def to_text(value):
+        if value is None or isinstance(value, str):
             return value
         raise SqlTypeError(f"cannot store {value!r} in {type_name} column")
-    if type_name == BOOLEAN:
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, int) and value in (0, 1):
-            return bool(value)
-        raise SqlTypeError(f"cannot store {value!r} in BOOLEAN column")
-    raise SqlTypeError(f"unknown type {type_name!r}")
+    return to_text
+
+
+def _to_boolean(value):
+    if value is None or isinstance(value, bool):
+        return value
+    if isinstance(value, int) and value in (0, 1):
+        return bool(value)
+    raise SqlTypeError(f"cannot store {value!r} in BOOLEAN column")
+
+
+#: Canonical type -> the function coercing a Python value to it or raising
+#: ``SqlTypeError``; a :class:`~repro.sqldb.catalog.Column` resolves its
+#: own once.  ``None`` passes through (NULL is valid for any type until
+#: constraints are checked); ints widen to FLOAT, integral floats narrow to
+#: INTEGER, bools are 0 / 1 for INTEGER and 0 / 1 is a BOOLEAN.
+COERCERS = {
+    INTEGER: _to_integer,
+    FLOAT: _to_float,
+    TEXT: _to_text(TEXT),
+    BOOLEAN: _to_boolean,
+    DATE: _to_text(DATE),
+}
 
 
 def is_comparable(a, b):

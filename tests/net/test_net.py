@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.clock import AsyncCompletion, CostModel, SimClock
-from repro.net.driver import BatchDriver, Driver
+from repro.net.driver import BatchDriver, Driver, DriverStats
 from repro.net.errors import DriverError
 from repro.net.server import DatabaseServer, _parallel_elapsed
 from repro.sqldb import Database
+from repro.sqldb.errors import SqlError
 from repro.sqldb.shard import (PartitionSpec, ShardTopology,
                                ShardedDatabase)
 
@@ -221,6 +222,94 @@ class TestInterleavedWaits:
         assert sum(clock.shadowed_breakdown().values()) == pytest.approx(0.0)
 
 
+class _ListClock(SimClock):
+    """The clock with the app intervals as one list, every charge writing
+    its last entry — the form ``SimClock`` had before it kept the open
+    interval as two floats; the reference for the property below."""
+
+    def __init__(self):
+        super().__init__()
+        self.intervals = []
+
+    def charge(self, phase, dt):
+        if dt < 0:
+            raise ValueError(f"negative time charge: {dt}")
+        if phase not in self._by_phase:
+            raise ValueError(f"unknown phase {phase!r}")
+        start = self._now
+        self._now += dt
+        self._by_phase[phase] += dt
+        if phase == "app" and dt > 0:
+            intervals = self.intervals
+            if intervals and intervals[-1][1] == start:
+                intervals[-1] = (intervals[-1][0], self._now)
+            else:
+                intervals.append((start, self._now))
+
+    def _app_covered(self, start, end):
+        if end <= start:
+            return 0.0
+        covered = 0.0
+        for lo, hi in reversed(self.intervals):
+            if hi <= start:
+                break
+            covered += max(0.0, min(hi, end) - max(lo, start))
+        return covered
+
+
+durations = st.one_of(st.sampled_from([0.0, 0.045, 0.02, 0.1, 0.51]),
+                      st.floats(0.0, 5.0))
+clock_steps = st.lists(st.one_of(
+    st.tuples(st.just("charge"), st.sampled_from(["app", "network", "db"]),
+              durations),
+    # A batch in flight from now, or from a past point of the timeline.
+    st.tuples(st.just("begin"),
+              st.lists(st.tuples(st.sampled_from(["network", "db"]),
+                                 durations), min_size=1, max_size=2),
+              st.one_of(st.none(), st.floats(0.0, 1.0))),
+    st.tuples(st.just("wait"), st.integers(0, 7))), max_size=40)
+
+
+class TestOpenAppInterval:
+    @given(steps=clock_steps)
+    @settings(max_examples=400, deadline=None)
+    def test_stall_overlap_and_shadow_match_the_list_clock(self, steps):
+        # ``==`` throughout: the same floats, added in the same order.
+        clock, reference = SimClock(), _ListClock()
+        pending = []
+        for step in steps:
+            if step[0] == "charge":
+                clock.charge(step[1], step[2])
+                reference.charge(step[1], step[2])
+            elif step[0] == "begin":
+                start = (None if step[2] is None
+                         else clock.now * step[2])
+                pending.append((clock.begin_async(step[1], start),
+                                reference.begin_async(step[1], start)))
+            elif pending:
+                ours, theirs = pending[step[1] % len(pending)]
+                assert clock.wait(ours) == reference.wait(theirs)
+            assert clock.now == reference.now
+            for view in ("breakdown", "shadowed_breakdown"):
+                assert getattr(clock, view)() == getattr(reference, view)()
+            assert all(clock.overlap_time(phase) ==
+                       reference.overlap_time(phase)
+                       for phase in ("app", "network", "db"))
+            opened = ([] if clock._app_hi is None
+                      else [(clock._app_lo, clock._app_hi)])
+            assert clock._app_intervals + opened == reference.intervals
+
+    def test_an_unknown_phase_moves_nothing(self):
+        clock = SimClock()
+        clock.charge("app", 1.0)
+        with pytest.raises(ValueError, match="unknown phase"):
+            clock.charge("disk", 2.0)
+        with pytest.raises(ValueError, match="negative"):
+            clock.charge("disk", -2.0)  # the sign is checked first
+        assert clock.now == 1.0 and clock.breakdown() == {
+            "network": 0.0, "db": 0.0, "app": 1.0}
+
+
 class TestCostModel:
     def test_query_cost_scales_with_rows(self):
         cm = CostModel(per_query_overhead_ms=0.1, per_row_ms=0.01)
@@ -360,6 +449,53 @@ class TestDrivers:
         assert driver.stats.snapshot()["result_cache_hits"] == 1
         batch.execute_batch([("SELECT * FROM t", ())] * 2)  # two more hits
         assert batch.stats.snapshot()["result_cache_hits"] == 2
+        assert driver.server.result_cache_hits == 3
+
+    def test_the_server_counts_into_the_stats_it_is_handed(self, sim_stack):
+        db, _, server, _, _ = sim_stack
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        for i in range(4):
+            db.execute("INSERT INTO t (id, v) VALUES (?, ?)", (i, i))
+        scans = [("SELECT id FROM t WHERE v > ?", (i,)) for i in range(3)]
+        stats = DriverStats()
+        # One shared scan of the 4 rows serves 3 members: 8 touches saved.
+        server.execute_batch(scans, batch_optimize=True, stats=stats)
+        server.execute_batch(scans, stats=stats)  # three result-cache hits
+        server.execute_one(*scans[0], stats=stats)  # and one more
+        assert stats.shared_scan_groups == server.shared_scan_groups == 1
+        assert stats.shared_scan_rows_saved == 8
+        assert server.shared_scan_rows_saved == 8
+        assert stats.result_cache_hits == server.result_cache_hits == 4
+        server.execute_batch(scans)  # no stats handed in: the server's own
+        assert (server.result_cache_hits, stats.result_cache_hits) == (7, 4)
+
+    @pytest.mark.parametrize("batch_optimize", [False, True],
+                             ids=["direct", "batch-plan"])
+    def test_a_batch_that_raises_counts_nowhere(self, sim_stack,
+                                                batch_optimize):
+        db, _, server, driver, batch = sim_stack
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        for i in range(4):
+            db.execute("INSERT INTO t (id, v) VALUES (?, ?)", (i, i))
+        scans = [("SELECT id FROM t WHERE v > ?", (i,)) for i in range(2)]
+        batch.execute_batch(scans)  # cached: the failing batch hits them
+        server_before = {name: getattr(server, name) for name in (
+            "batches_executed", "statements_executed", "largest_batch",
+            "total_db_time_ms", "result_cache_hits", "shared_scan_groups",
+            "shared_scan_rows_saved")}
+        stats_before = (driver.stats.snapshot(), batch.stats.snapshot())
+        hits_before = db.result_cache.hits
+        failing = scans + [("SELECT id FROM t WHERE v < ?", (i,))
+                           for i in range(2)] + [("SELECT v FROM nope", ())]
+        with pytest.raises(SqlError):
+            batch.execute_batch(failing, batch_optimize)
+        with pytest.raises(SqlError):
+            driver.execute("SELECT v FROM nope")
+        assert db.result_cache.hits == hits_before + 2  # they arose...
+        assert {name: getattr(server, name)
+                for name in server_before} == server_before  # ...uncounted
+        assert (driver.stats.snapshot(), batch.stats.snapshot()) == \
+            stats_before
 
 
 class TestAsyncBatchDriver:
@@ -465,17 +601,23 @@ class TestOneStatementOrABatchOfOne:
                     for phase in result.shard_phases),
                 max(stations.values()))
 
-    def _step(self, one, batch, sql, params=(), views=(None, None),
+    def _step(self, one, batch, stats, sql, params=(), views=(None, None),
               write=False):
-        result, cost_ms = one.execute_one(sql, params, read_view=views[0])
-        (twin,), elapsed_ms = batch.execute_batch([(sql, params)],
-                                                  read_view=views[1])
+        result, cost_ms = one.execute_one(sql, params, read_view=views[0],
+                                          stats=stats[0])
+        (twin,), elapsed_ms = batch.execute_batch(
+            [(sql, params)], read_view=views[1], stats=stats[1])
         assert (result.columns, result.rows, result.rowcount) == (
             twin.columns, twin.rows, twin.rowcount)
         assert result.shard_phases == twin.shard_phases
         for counter in ("batches_executed", "statements_executed",
                         "largest_batch", "result_cache_hits"):
             assert getattr(one, counter) == getattr(batch, counter), counter
+        # The stats each twin was handed got exactly its server's counts.
+        assert stats[0].snapshot() == stats[1].snapshot()
+        for server, counts in zip((one, batch), stats):
+            assert counts.result_cache_hits == server.result_cache_hits
+            assert counts.shared_scan_groups == server.shared_scan_groups == 0
         summed, maxed = self._by_hand(one, result)
         assert cost_ms == summed
         # A write serializes at its standalone cost; a read is its
@@ -488,7 +630,8 @@ class TestOneStatementOrABatchOfOne:
     def test_rows_counters_and_charges(self, make_db):
         one, batch = self._server(make_db), self._server(make_db)
         sharded = make_db is _two_shards
-        step = functools.partial(self._step, one, batch)
+        step = functools.partial(self._step, one, batch,
+                                 (DriverStats(), DriverStats()))
         miss, cost_ms, elapsed_ms = step(self.READ, (1,))
         assert miss.rows == [(1, 10), (5, 50), (9, 90)]
         assert cost_ms == elapsed_ms  # one phase: summed is max'ed

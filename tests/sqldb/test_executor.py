@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from repro.sqldb.errors import (
@@ -184,6 +186,40 @@ class TestWrites:
     def test_delete_all(self, people_db):
         people_db.execute("DELETE FROM pet")
         assert people_db.table_size("pet") == 0
+
+    def test_literal_and_parameter_cells_store_as_evaluated(self, people_db):
+        people_db.execute(
+            "INSERT INTO person (id, name, age, city) VALUES (?, 'erin', ?, "
+            "LOWER(?))", (7, 30.0, "LA"))
+        people_db.execute("UPDATE person SET age = ?, city = 'sf', "
+                          "name = name || ? WHERE id = ?", (True, "!", 7))
+        assert people_db.query("SELECT * FROM person WHERE id = 7") == [
+            {"id": 7, "name": "erin!", "age": 1, "city": "sf"}]
+        stored = people_db.tables["person"].find_by_pk(7)[1]
+        assert [type(value) for value in stored] == [int, str, int, str]
+
+    @pytest.mark.parametrize("sql,params,error,message", [
+        ("INSERT INTO person (id, name) VALUES (?, ?)", (7,),
+         SqlError, "missing parameter #2"),
+        # An earlier cell's own error comes first, as cell by cell.
+        ("INSERT INTO person (id, name, age) VALUES (?, 'x' || 1, ?)", (7,),
+         SqlTypeError, "'||' requires text"),
+        ("UPDATE person SET city = 1 + 'x', age = ? WHERE id = 1", (),
+         SqlTypeError, "arithmetic requires numbers"),
+        ("UPDATE person SET city = 1 + 'x', age = ? WHERE id = 1", (5,),
+         SqlTypeError, "arithmetic requires numbers"),
+        ("UPDATE person SET city = ?, age = ? WHERE id = 1", ("la",),
+         SqlError, "missing parameter #2"),
+        ("INSERT INTO person (id, name) VALUES (?, name)", (7,),
+         SqlError, "unknown column"),
+    ])
+    def test_a_write_binding_errs_as_cell_by_cell(self, people_db, sql,
+                                                  params, error, message):
+        before = people_db.query("SELECT * FROM person ORDER BY id")
+        with pytest.raises(SqlError, match=re.escape(message)) as raised:
+            people_db.execute(sql, params)
+        assert raised.type is error
+        assert people_db.query("SELECT * FROM person ORDER BY id") == before
 
     def test_drop_table(self, people_db):
         people_db.execute("DROP TABLE pet")

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sqldb import ast_nodes as A
+from repro.sqldb.catalog import Column
 from repro.sqldb.errors import SqlTypeError
 from repro.sqldb.expressions import RowContext, evaluate, like_to_regex
 from repro.sqldb.types import (
-    BOOLEAN, FLOAT, INTEGER, TEXT, canonical_type, coerce_value,
+    ALL_TYPES, BOOLEAN, COERCERS, DATE, FLOAT, INTEGER, TEXT, canonical_type,
     is_comparable,
 )
 
@@ -21,37 +24,97 @@ class TestTypes:
             canonical_type("blob")
 
     def test_coerce_none_passthrough(self):
-        assert coerce_value(None, INTEGER) is None
+        assert COERCERS[INTEGER](None) is None
 
     def test_int_widens_to_float(self):
-        assert coerce_value(3, FLOAT) == 3.0
-        assert isinstance(coerce_value(3, FLOAT), float)
+        assert COERCERS[FLOAT](3) == 3.0
+        assert isinstance(COERCERS[FLOAT](3), float)
 
     def test_integral_float_narrows_to_int(self):
-        assert coerce_value(4.0, INTEGER) == 4
+        assert COERCERS[INTEGER](4.0) == 4
 
     def test_fractional_float_rejected_for_int(self):
         with pytest.raises(SqlTypeError):
-            coerce_value(4.5, INTEGER)
+            COERCERS[INTEGER](4.5)
 
     def test_bool_for_integer_column(self):
-        assert coerce_value(True, INTEGER) == 1
+        assert COERCERS[INTEGER](True) == 1
 
     def test_int_01_for_boolean_column(self):
-        assert coerce_value(1, BOOLEAN) is True
-        assert coerce_value(0, BOOLEAN) is False
+        assert COERCERS[BOOLEAN](1) is True
+        assert COERCERS[BOOLEAN](0) is False
         with pytest.raises(SqlTypeError):
-            coerce_value(2, BOOLEAN)
+            COERCERS[BOOLEAN](2)
 
     def test_text_rejects_numbers(self):
         with pytest.raises(SqlTypeError):
-            coerce_value(5, TEXT)
+            COERCERS[TEXT](5)
 
     def test_comparability(self):
         assert is_comparable(1, 2.5)
         assert is_comparable("a", "b")
         assert not is_comparable(1, "a")
         assert not is_comparable(True, 1)  # bools only compare to bools
+
+
+def _dispatching_coerce(value, type_name):
+    """Coercion as one function dispatching on the type's name per value —
+    ``types.coerce_value``, before each column resolved its coercer — kept as
+    the reference the coercers must equal."""
+    if value is None:
+        return None
+    if type_name == INTEGER:
+        if isinstance(value, bool):
+            return int(value)
+        if isinstance(value, int):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        raise SqlTypeError(f"cannot store {value!r} in INTEGER column")
+    if type_name == FLOAT:
+        if isinstance(value, bool):
+            raise SqlTypeError(f"cannot store {value!r} in FLOAT column")
+        if isinstance(value, (int, float)):
+            return float(value)
+        raise SqlTypeError(f"cannot store {value!r} in FLOAT column")
+    if type_name == TEXT or type_name == DATE:
+        if isinstance(value, str):
+            return value
+        raise SqlTypeError(f"cannot store {value!r} in {type_name} column")
+    if type_name == BOOLEAN:
+        if isinstance(value, bool):
+            return value
+        if isinstance(value, int) and value in (0, 1):
+            return bool(value)
+        raise SqlTypeError(f"cannot store {value!r} in BOOLEAN column")
+    raise SqlTypeError(f"unknown type {type_name!r}")
+
+
+def _outcome(fn, *args):
+    """``(type, value)`` of a result — NaN by its repr, so that it equals
+    itself — or ``(error type, message)``."""
+    try:
+        value = fn(*args)
+    except SqlTypeError as error:
+        return type(error), str(error)
+    return type(value), (repr(value) if value != value else value)
+
+
+cells = st.one_of(st.integers(), st.integers(-3, 3).map(float),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.booleans(), st.text(max_size=3), st.none())
+
+
+class TestCoercers:
+    @given(value=cells, type_name=st.sampled_from(ALL_TYPES))
+    @settings(max_examples=500, deadline=None)
+    def test_each_coercer_is_the_dispatching_coerce(self, value, type_name):
+        expected = _outcome(_dispatching_coerce, value, type_name)
+        assert _outcome(COERCERS[type_name], value) == expected
+        assert Column("c", type_name).coerce is COERCERS[type_name]
+
+    def test_every_type_has_one(self):
+        assert set(COERCERS) == set(ALL_TYPES)
 
 
 def ev(expr, **env):

@@ -112,16 +112,27 @@ class TestInterleavedRequestsOracle:
             mid_writes = [_random_write(rng, seq)
                           for seq in range(50, 54)]
 
-            class InterferingDriver(BatchDriver):
-                """Commits one foreign write after each of its batches —
-                the single-threaded stand-in for a concurrent writer."""
+            def interfere():
+                if mid_writes:
+                    sql, params = mid_writes.pop(0)
+                    db.execute(sql, params)
 
-                def _server_batch(self, statements, batch_optimize):
-                    outcome = super()._server_batch(statements,
+            class InterferingDriver(BatchDriver):
+                """Commits one foreign write after each of its batches,
+                synchronous or shipped in the background — the
+                single-threaded stand-in for a concurrent writer."""
+
+                def execute_batch(self, statements, batch_optimize=False):
+                    results = super().execute_batch(statements,
                                                     batch_optimize)
-                    if mid_writes:
-                        sql, params = mid_writes.pop(0)
-                        db.execute(sql, params)
+                    interfere()
+                    return results
+
+                def execute_batch_async(self, statements,
+                                        batch_optimize=False):
+                    outcome = super().execute_batch_async(statements,
+                                                          batch_optimize)
+                    interfere()
                     return outcome
 
             view = db.read_views.open()
