@@ -67,14 +67,14 @@ def main():
         plan = flags and OptimizationPlan(program, *flags)
         lazy = LazyInterpreter(program, DB, plan).run()
         runs.append(lazy)
-        stats = lazy.store.stats
+        wire = lazy.runtime.driver.stats
         print(f"{'lazy ' + lazy.runtime.opts.label():16s} "
               f"output={lazy.output} "
               f"round_trips={lazy.round_trips} "
               f"thunks={lazy.thunks_allocated} "
-              f"batches_flushed={stats.batches_flushed} "
-              f"largest_batch={stats.largest_batch} "
-              f"queries_issued={stats.queries_issued} "
+              f"batches_flushed={lazy.store.stats.batches_flushed} "
+              f"largest_batch={wire.largest_batch} "
+              f"queries_issued={wire.statements} "
               f"virtual_ms={lazy.runtime.clock.now:.3f}")
         assert (lazy.env, lazy.db, lazy.output) == (
             std.env, std.db, std.output)

@@ -84,8 +84,10 @@ class KernelServer:
 
 class LazyResult:
     """Final state of a lazy-semantics run (after force-all).  The counters
-    are read off the run's runtime: ``round_trips`` is the driver's,
-    ``thunks_allocated`` the runtime's, ``store.stats`` the query store's."""
+    are read off the run's runtime: ``round_trips`` — like every count of
+    what crossed the wire — is the driver's (``runtime.driver.stats``);
+    ``thunks_allocated`` and ``store.stats`` are the query store's one
+    stats object, which is also ``runtime.stats``."""
 
     def __init__(self, env, heap, db, output, runtime):
         self.env = env

@@ -43,6 +43,11 @@ parse cache); the server parses it once more, to execute it.  A batch is
 one round trip and **fails as one**: when the driver raises, every id of
 the batch remembers the exception and re-raises it on every fetch; nothing
 is re-issued, and the failed batch is not counted as flushed.
+
+The store counts what only it sees — registrations, dedup hits, batches
+flushed — in :class:`QueryStoreStats`, which is also its runtime's stats
+object.  What ships is counted once, by the driver
+(:class:`repro.net.driver.DriverStats`: statements, largest batch).
 """
 
 from repro.sqldb.executor import as_params, param_types
@@ -82,19 +87,22 @@ class QueryId:
 
 
 class QueryStoreStats:
-    """Counters the benchmarks read out of a query store.
+    """The one stats object of a Sloth request's ``core``: the store's
+    counters, and the thunks its :class:`repro.core.runtime.SlothRuntime`
+    allocates and forces (``runtime.stats`` is this object).
 
-    Stalls and overlap of async batches are the driver's to count
-    (:class:`repro.net.driver.DriverStats`): the store only decides *when*
-    to wait.
+    What crosses the wire — statements, the largest batch, stalls and
+    overlap of async batches — is the driver's to count
+    (:class:`repro.net.driver.DriverStats`): the store only decides *what*
+    ships and *when* to wait.
     """
 
     def __init__(self):
         self.queries_registered = 0
         self.dedup_hits = 0
         self.batches_flushed = 0
-        self.largest_batch = 0
-        self.queries_issued = 0
+        self.thunks_allocated = 0
+        self.forces = 0
 
 
 class QueryStore:
@@ -258,11 +266,7 @@ class QueryStore:
             for query_id in ids:
                 query_id.error = error
             raise
-        stats = self.stats
-        stats.batches_flushed += 1
-        stats.queries_issued += len(batch)
-        if len(batch) > stats.largest_batch:
-            stats.largest_batch = len(batch)
+        self.stats.batches_flushed += 1
 
     def _dispatch_async(self, batch, ids):
         """Ship an all-read batch in the background (bounded pipeline)."""

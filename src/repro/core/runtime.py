@@ -17,6 +17,12 @@ The application layer (``repro.apps``) calls :meth:`run_ops`, :meth:`defer`,
 :meth:`query`, :meth:`execute_write` and ``RequestContext.if_branch`` so the
 flags change both the CPU charge *and* the real batching behaviour, exactly
 as in the paper's Fig. 12.
+
+A runtime keeps no stats object of its own: ``runtime.stats`` *is* its
+query store's :class:`repro.core.query_store.QueryStoreStats`, which
+counts the thunks allocated and forced beside the queries registered,
+deduplicated and flushed.  Round trips and statements are the driver's
+(:class:`repro.net.driver.DriverStats`).
 """
 
 from repro.core.query_store import QueryStore
@@ -68,17 +74,6 @@ class OptimizationFlags:
         return f"OptimizationFlags({self.label()})"
 
 
-class RuntimeStats:
-    """Lazy-evaluation bookkeeping for one runtime."""
-
-    def __init__(self):
-        self.thunks_allocated = 0
-        self.forces = 0
-        self.ops_executed = 0
-        self.branches_deferred = 0
-        self.branches_forced = 0
-
-
 # When thunk coalescing is on, runs of deferrable statements collapse into
 # thunk blocks.  The paper reports the statement-to-thunk ratio after code
 # simplification is large (each Java line expands to several three-address
@@ -106,7 +101,7 @@ class SlothRuntime:
             batch_driver, auto_flush_threshold=auto_flush_threshold,
             shared_scans=self.opts.shared_scans,
             async_dispatch=async_dispatch, **store_kwargs)
-        self.stats = RuntimeStats()
+        self.stats = self.query_store.stats  # one stats object a request
 
     # -- overhead accounting hooks (called by Thunk/ThunkBlock) ---------------
 
@@ -164,7 +159,6 @@ class SlothRuntime:
         non-persistent methods; TC coalesces runs of operations into thunk
         blocks.
         """
-        self.stats.ops_executed += count
         model = self.cost_model
         if not self.lazy_mode:
             self.clock.charge(PHASE_APP, model.app_op_ms * count)
@@ -182,7 +176,6 @@ class SlothRuntime:
         # under async dispatch this is a true barrier: the flushed batch
         # (and anything else in flight) must land before the ops proceed.
         if not self.opts.branch_deferral:
-            self.stats.branches_forced += 1
             self.query_store.flush()
             self.query_store.drain()
         if self.opts.thunk_coalescing:

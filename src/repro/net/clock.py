@@ -13,7 +13,10 @@ charges model the app server making progress *concurrently* with the round
 trip, and :meth:`SimClock.wait` charges only the residual stall — the part
 of the in-flight timeline the app's own progress did not cover.  Phase
 totals therefore always sum to ``now`` (Fig-8-style breakdowns stay
-meaningful); the hidden portion is tracked separately as *overlap*.
+meaningful); the hidden portion is not time on the clock at all, so the
+clock keeps no tally of it: ``wait`` returns it, and whoever waited
+(``BatchDriver.wait`` into its ``DriverStats``, the concurrent replay into
+its page record) adds it up.
 
 With several completions in flight at once (pipelined batches within one
 request, or — under the concurrent workload driver — batches queued behind
@@ -23,9 +26,10 @@ the clock was stalled on a different completion, or inside a synchronous
 round trip.  Counting that part as overlap would double-count the same wall
 interval (once as another batch's stall, once as this batch's overlap), so
 the clock records the intervals that app-phase charges actually covered and
-splits every hidden prefix into **overlap** (covered by app work) and
-**shadowed** (covered by other batches' stalls or synchronous round trips).
-``stall + overlap + shadowed`` always equals a completion's in-flight time.
+``wait`` splits every hidden prefix into **overlap** (covered by app work)
+and **shadowed** (covered by other batches' stalls or synchronous round
+trips).  The ``(stall, overlap, shadowed)`` it returns always sums to the
+completion's in-flight time.
 """
 
 PHASE_NETWORK = "network"
@@ -78,16 +82,6 @@ class SimClock:
     def __init__(self):
         self._now = 0.0
         self._by_phase = {phase: 0.0 for phase in _PHASES}
-        # In-flight time hidden behind concurrent app progress, per phase.
-        # Never part of ``now`` or the phase totals: it is the time that
-        # did NOT appear on the serial timeline.
-        self._overlap_by_phase = {phase: 0.0 for phase in _PHASES}
-        # In-flight time hidden behind *non-app* advances of the clock —
-        # another completion's residual stall, or a synchronous round
-        # trip.  Kept apart from overlap so interleaved waits (a newer
-        # completion awaited before an older one) never double-count the
-        # same wall interval as both a stall and an overlap.
-        self._shadowed_by_phase = {phase: 0.0 for phase in _PHASES}
         # Merged, ordered [start, end) intervals of app-phase charges on
         # this clock's timeline; adjacent charges coalesce, so the list
         # grows only at app/stall alternation points; the latest one stays
@@ -148,7 +142,8 @@ class SimClock:
         return AsyncCompletion(start, segments)
 
     def wait(self, completion):
-        """Block until ``completion`` is ready; returns ``(stall, overlap)``.
+        """Block until ``completion`` is ready; returns ``(stall, overlap,
+        shadowed)``.
 
         Only the *residual* — the part of the in-flight timeline beyond the
         clock's current position — is charged, segment by segment to each
@@ -158,16 +153,18 @@ class SimClock:
         charges count as overlap, anything else (another completion's
         stall, a synchronous round trip) counts as shadowed time — waiting
         completions out of dispatch order must not re-count an interval
-        already charged as a different batch's stall.  Waiting twice is
-        free (idempotent).
+        already charged as a different batch's stall.  Neither is charged
+        or kept: they are the time that did *not* appear on the serial
+        timeline.  Waiting twice is free (idempotent).
         """
         if completion.waited:
-            return 0.0, 0.0
+            return 0.0, 0.0, 0.0
         completion.waited = True
         entry = self._now
         cursor = completion.start
         stall = 0.0
         overlap = 0.0
+        shadowed = 0.0
         for phase, dt in completion.segments:
             seg_end = cursor + dt
             residual = max(0.0, seg_end - max(entry, cursor))
@@ -175,34 +172,20 @@ class SimClock:
             if hidden > 0:
                 hidden_end = min(seg_end, entry)
                 behind_app = self._app_covered(cursor, hidden_end)
-                self._overlap_by_phase[phase] += behind_app
-                self._shadowed_by_phase[phase] += hidden - behind_app
                 overlap += behind_app
+                shadowed += hidden - behind_app
             if residual > 0:
                 self.charge(phase, residual)
                 stall += residual
             cursor = seg_end
-        return stall, overlap
+        return stall, overlap, shadowed
 
     def phase_time(self, phase):
         return self._by_phase[phase]
 
-    def overlap_time(self, phase):
-        """In-flight ms of ``phase`` hidden behind concurrent app work."""
-        return self._overlap_by_phase[phase]
-
-    def shadowed_time(self, phase):
-        """In-flight ms of ``phase`` hidden behind non-app clock advances
-        (other completions' stalls, synchronous round trips)."""
-        return self._shadowed_by_phase[phase]
-
     def breakdown(self):
         """Dict of phase -> accumulated ms."""
         return dict(self._by_phase)
-
-    def shadowed_breakdown(self):
-        """Dict of phase -> shadowed (hidden behind non-app advances) ms."""
-        return dict(self._shadowed_by_phase)
 
     def checkpoint(self):
         """Snapshot for measuring a window of activity."""

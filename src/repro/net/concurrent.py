@@ -460,7 +460,7 @@ class _RequestRun:
 
     __slots__ = ("user", "page_no", "trace", "clock", "start", "pc",
                  "pending", "parked_on", "on_resume", "queue_ms", "stall_ms",
-                 "overlap_ms")
+                 "overlap_ms", "shadowed_ms")
 
     def __init__(self, user, page_no, trace, start):
         self.user = user
@@ -475,6 +475,7 @@ class _RequestRun:
         self.queue_ms = 0.0
         self.stall_ms = 0.0
         self.overlap_ms = 0.0
+        self.shadowed_ms = 0.0
 
 
 # Event priorities: at one instant, round completions land first, then
@@ -604,9 +605,10 @@ class _ConcurrentSimulation:
             ((PHASE_NETWORK, net_ms),
              (PHASE_DB, job.completed_at - job.arrival)),
             start=dispatch_local)
-        stall, overlap = req.clock.wait(completion)
+        stall, overlap, shadowed = req.clock.wait(completion)
         req.stall_ms += stall
         req.overlap_ms += overlap
+        req.shadowed_ms += shadowed
 
     def _finish_page(self, req):
         clock = req.clock
@@ -615,7 +617,7 @@ class _ConcurrentSimulation:
         self._pages.append(PageReplayStat(
             req.user, req.trace.url, req.start, clock.now,
             clock.breakdown(), req.queue_ms, req.stall_ms, req.overlap_ms,
-            sum(clock.shadowed_breakdown().values())))
+            req.shadowed_ms))
         next_page = req.page_no + 1
         if next_page < self.pages_per_user:
             self._push(end + self.think_time_ms, _PRIO_USER, "page",

@@ -11,7 +11,10 @@ charges only the residual stall.
 Both drivers charge network and database time to the shared
 :class:`repro.net.clock.SimClock` and count round trips / statements, which
 is what the benchmark harness reads out; the server adds its cache hits
-and shared scans to the :class:`DriverStats` a driver hands it.
+and shared scans to the :class:`DriverStats` a driver hands it, and
+``wait`` adds up what the clock returns.  A driver's :class:`DriverStats`
+is the one home of the wire's counts: neither the server nor the clock
+keeps a second tally.
 """
 
 from repro.net.clock import PHASE_APP, PHASE_DB, PHASE_NETWORK
@@ -19,7 +22,8 @@ from repro.net.errors import DriverError
 
 
 class DriverStats:
-    """Counters shared by both driver flavours."""
+    """Counters shared by both driver flavours.  The fields are the whole
+    record: ``dict(vars(stats))`` is what a benchmark exports."""
 
     def __init__(self):
         self.round_trips = 0
@@ -28,8 +32,8 @@ class DriverStats:
         self.shared_scan_groups = 0
         self.shared_scan_rows_saved = 0
         # Statements served from the database's cross-request result cache
-        # through this driver (the server counts them into both; surfacing
-        # them here is what the harness and benchmark JSON read).
+        # through this driver (the server counts them into the stats it is
+        # handed; the harness and benchmark JSON read them here).
         self.result_cache_hits = 0
         # Asynchronous dispatch (§6.7 overlap): batches shipped without
         # blocking, the residual time the app actually stalled waiting for
@@ -39,8 +43,8 @@ class DriverStats:
         self.overlap_ms = 0.0
         # In-flight time hidden behind non-app clock advances (another
         # completion's stall, a synchronous round trip) — see
-        # SimClock.shadowed_time.  stall + overlap + shadowed equals the
-        # total in-flight time of the waited completions.
+        # SimClock.wait.  stall + overlap + shadowed equals the total
+        # in-flight time of the waited completions.
         self.shadowed_ms = 0.0
 
     def record(self, batch_size):
@@ -48,20 +52,6 @@ class DriverStats:
         self.statements += batch_size
         if batch_size > self.largest_batch:
             self.largest_batch = batch_size
-
-    def snapshot(self):
-        return {
-            "round_trips": self.round_trips,
-            "statements": self.statements,
-            "largest_batch": self.largest_batch,
-            "shared_scan_groups": self.shared_scan_groups,
-            "shared_scan_rows_saved": self.shared_scan_rows_saved,
-            "result_cache_hits": self.result_cache_hits,
-            "async_batches": self.async_batches,
-            "stall_ms": self.stall_ms,
-            "overlap_ms": self.overlap_ms,
-            "shadowed_ms": self.shadowed_ms,
-        }
 
 
 class Driver:
@@ -160,14 +150,15 @@ class BatchDriver(Driver):
     def wait(self, completion):
         """Block until an async batch lands; returns ``(stall, overlap)``.
 
-        Charges only the residual stall (idempotent per completion).
+        Charges only the residual stall (idempotent per completion); the
+        clock's ``(stall, overlap, shadowed)`` goes into this driver's
+        stats.
         """
         if completion is None:
             return 0.0, 0.0
-        shadowed_before = sum(self.clock.shadowed_breakdown().values())
-        stall, overlap = self.clock.wait(completion)
-        self.stats.stall_ms += stall
-        self.stats.overlap_ms += overlap
-        self.stats.shadowed_ms += (
-            sum(self.clock.shadowed_breakdown().values()) - shadowed_before)
+        stall, overlap, shadowed = self.clock.wait(completion)
+        stats = self.stats
+        stats.stall_ms += stall
+        stats.overlap_ms += overlap
+        stats.shadowed_ms += shadowed
         return stall, overlap

@@ -15,11 +15,12 @@ where ``parallel_elapsed`` assigns reads to the least-loaded worker
 
 **One body.**  ``execute_batch`` (``execute_one`` runs it over a
 one-tuple): the request's read view *if it brought one*, dispatch, and
-counts taken where they arise, added to the server's and the driver's
-``DriverStats`` once the run returns.  What arrives is ``(sql, params)``;
-a statement is parsed here once (a probe of the process-wide parse
-cache), executed as an AST through ``execute_parsed``, and is a read or a
-write by its type.
+counts taken where they arise, added to the ``DriverStats`` the caller
+hands in once the run returns.  The server keeps no counters of its own:
+every batch arrives through a driver, whose stats are the one home of the
+wire's counts.  What arrives is ``(sql, params)``; a statement is parsed
+here once (a probe of the process-wide parse cache), executed as an AST
+through ``execute_parsed``, and is a read or a write by its type.
 
 **Sharded backends.**  A :class:`repro.sqldb.shard.ShardedDatabase` result
 carries ``shard_phases`` — sequential phases of ``(station, rows_touched,
@@ -36,8 +37,8 @@ batch planner needs single-node executor access;
 With ``batch_optimize`` the batch takes the **batch-plan path**
 (:mod:`repro.sqldb.plan.batch`): union-compatible SELECTs over one table
 share a single scan.  A shared group is one job on one worker, charged for
-one scan plus one dispatch — not N scans — so the server's total database
-time drops whenever the optimizer finds sharing.
+one scan plus one dispatch — not N scans — so the batch's database time
+drops whenever the optimizer finds sharing.
 """
 
 from repro.sqldb.ast_nodes import Select
@@ -51,17 +52,6 @@ class DatabaseServer:
     def __init__(self, database, cost_model):
         self.database = database
         self.cost_model = cost_model
-        self.batches_executed = 0
-        self.statements_executed = 0
-        self.largest_batch = 0
-        self.total_db_time_ms = 0.0
-        # Batch-plan path counters (shared-scan optimizer).
-        self.shared_scan_groups = 0
-        self.shared_scan_rows_saved = 0
-        # Cross-request result cache hits served through this server
-        # (single statements and batch members alike); the cache itself
-        # lives on the database and is shared by every server over it.
-        self.result_cache_hits = 0
 
     def execute_one(self, sql, params=(), read_view=None, stats=None):
         """:meth:`execute_batch` over a one-tuple; returns ``(result,
@@ -73,9 +63,7 @@ class DatabaseServer:
             ((sql, params),), False, read_view, stats)
         if result.shard_phases is None:
             return result, elapsed_ms
-        cost_ms = self.statement_cost(result)
-        self.total_db_time_ms += cost_ms - elapsed_ms  # the charged cost
-        return result, cost_ms
+        return result, self.statement_cost(result)
 
     def execute_batch(self, statements, batch_optimize=False,
                       read_view=None, stats=None):
@@ -88,8 +76,8 @@ class DatabaseServer:
         SELECTs cost zero rows touched and, on the batch-plan path, drop
         out of shared-scan grouping.  With ``read_view`` every statement
         in the batch executes under that request's snapshot.  The run's
-        counts go, once it has returned, to this server's counters and to
-        ``stats`` (the calling driver's ``DriverStats``).
+        counts go, once it has returned, to ``stats`` (the calling
+        driver's ``DriverStats``); the server keeps none of its own.
         """
         database = self.database
         run = (self._execute_batch_plan
@@ -100,15 +88,6 @@ class DatabaseServer:
         else:
             with database.read_views.using(read_view):
                 results, elapsed_ms, hits, groups, saved = run(statements)
-        size = len(statements)
-        self.batches_executed += 1
-        self.statements_executed += size
-        if size > self.largest_batch:
-            self.largest_batch = size
-        self.total_db_time_ms += elapsed_ms
-        self.result_cache_hits += hits
-        self.shared_scan_groups += groups
-        self.shared_scan_rows_saved += saved
         if stats is not None:
             stats.result_cache_hits += hits
             stats.shared_scan_groups += groups

@@ -2,8 +2,7 @@
 
 :class:`Database` owns the catalog, table storage, the transaction manager
 and the executor, and exposes ``execute(sql, params)`` plus convenience
-helpers.  It also keeps cumulative counters (statements executed, rows
-touched) that the simulated server reads for its cost model.
+helpers.  It also keeps one cumulative counter, ``total_rows_touched``.
 """
 
 from repro.sqldb import ast_nodes as A
@@ -62,7 +61,6 @@ class Database:
         self.result_cache = ResultCache(result_cache_size)
         self.read_views = ReadViewManager(self)
         self.executor = Executor(self)
-        self.statements_executed = 0
         self.total_rows_touched = 0
 
     @property
@@ -113,13 +111,12 @@ class Database:
         return result
 
     def record_statement(self, rows_touched):
-        """The single home for per-statement counter bookkeeping.
+        """Add one statement's rows to ``total_rows_touched``.
 
         Also called directly by the batch planner for shared-scan group
         members, whose row charge is attributed to the group's one scan
         rather than re-counted per member.
         """
-        self.statements_executed += 1
         self.total_rows_touched += rows_touched
 
     def execute_script(self, script):

@@ -272,6 +272,17 @@ def aggregate_type_error(name, values):
         f"{name} requires numeric values, got {type(bad).__name__}")
 
 
+def first_occurrences(values, clause):
+    """``values`` without duplicates, in first-occurrence order — the one
+    dedup behind DISTINCT and an aggregate's DISTINCT.  A value that cannot
+    be hashed (only a parameter can bind a list or a dict) raises
+    :class:`SqlTypeError` naming the ``clause``."""
+    try:
+        return list(dict.fromkeys(values))
+    except TypeError as exc:
+        raise SqlTypeError(f"cannot compare {clause} values: {exc}") from None
+
+
 def fold_aggregate(name, values):
     """COUNT/SUM/AVG/MIN/MAX over the collected non-NULL argument values
     (already deduplicated for DISTINCT) — the one fold behind every
@@ -286,10 +297,12 @@ def fold_aggregate(name, values):
         except TypeError:
             raise aggregate_type_error(name, values) from None
         return total if name == "SUM" else total / len(values)
-    if name == "MIN":
-        return min(values)
-    if name == "MAX":
-        return max(values)
+    if name == "MIN" or name == "MAX":
+        try:
+            return min(values) if name == "MIN" else max(values)
+        except TypeError as exc:  # values without an order: dicts
+            raise SqlTypeError(f"cannot compare {name} values: {exc}") \
+                from None
     raise SqlError(f"unknown aggregate {name!r}")
 
 

@@ -122,8 +122,7 @@ def _flush_segment(db, segment, results, groups):
     for index, stmt, params in segment:
         cached = db.executor.cached_select(stmt, params)
         if cached is not None:
-            results[index] = cached
-            db.record_statement(cached.rows_touched)  # zero by contract
+            results[index] = cached  # touches no row: nothing to record
         else:
             fresh.append((index, stmt, params))
 

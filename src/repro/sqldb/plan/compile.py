@@ -72,6 +72,7 @@ from repro.sqldb.expressions import (
     _truthy,
     aggregate_type_error,
     evaluate,
+    first_occurrences,
     fold_aggregate,
 )
 from repro.sqldb.plan.planner import _AGGREGATE_NAMES, contains_aggregate
@@ -716,7 +717,7 @@ def compile_aggregate_item_columnar(expr, positions, ambiguous):
                 else:
                     extend(v for v in value if v is not None)
             if distinct:
-                collected = list(dict.fromkeys(collected))
+                collected = first_occurrences(collected, name + " DISTINCT")
             return fold_aggregate(name, collected)
         return agg_fn
     return None

@@ -63,7 +63,8 @@ from time import perf_counter
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.columnar import CHUNK_SIZE, ColumnChunk, DictColumn
 from repro.sqldb.errors import SqlError, SqlTypeError
-from repro.sqldb.expressions import evaluate, fold_aggregate, RowContext
+from repro.sqldb.expressions import (evaluate, first_occurrences,
+                                     fold_aggregate, RowContext)
 from repro.sqldb.indexes import OrderedIndex, wrap_key
 from repro.sqldb.plan import logical as L
 from repro.sqldb.plan.access import (pk_lookup_keys, range_scan_ids,
@@ -729,8 +730,11 @@ class AggregateOp:
         self.items = items
         self.group_by = group_by
         self.having = having
-        self.out_columns = _output_columns(
-            sctx.stmt, _expand_stars(sctx.stmt, sctx.context))
+        if any(isinstance(item.expr, A.Star) for item in items):
+            # Refused at build time, data or no data: a group has no one
+            # source row for ``*`` to expand over.
+            raise SqlError("'*' cannot be selected in an aggregate query")
+        self.out_columns = _output_columns(sctx.stmt, [None] * len(items))
         positions = sctx.context.positions
         ambiguous = sctx.context.ambiguous
         # Chunk-at-a-time aggregate closures for the fused no-GROUP-BY
@@ -792,7 +796,11 @@ class AggregateOp:
             for values in rows:
                 ctx.bind(values)
                 key = tuple(evaluate(e, ctx, params) for e in self.group_by)
-                groups.setdefault(key, []).append(values)
+                try:
+                    groups.setdefault(key, []).append(values)
+                except TypeError as exc:  # a list or dict parameter
+                    raise SqlTypeError(
+                        f"cannot compare GROUP BY values: {exc}") from None
 
         run.out_columns = self.out_columns
         out_rows = []
@@ -894,7 +902,7 @@ class DistinctOp:
     """Drop duplicate output rows (tuples), keeping first occurrences."""
 
     def apply(self, run):
-        run.out_rows = list(dict.fromkeys(run.out_rows))
+        run.out_rows = first_occurrences(run.out_rows, "DISTINCT")
 
 
 class SortOp:
@@ -1398,5 +1406,5 @@ def _eval_aggregate_call(expr, group_rows, ctx, params):
         if value is not None:
             values.append(value)
     if expr.distinct:
-        values = list(dict.fromkeys(values))
+        values = first_occurrences(values, name + " DISTINCT")
     return fold_aggregate(name, values)

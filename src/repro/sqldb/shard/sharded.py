@@ -209,7 +209,6 @@ class ShardedDatabase:
                                    else read_from_replicas)
         self.read_views = ShardedReadViewManager(self)
         self.result_cache = ShardedResultCache(self)
-        self.statements_executed = 0
         self.total_rows_touched = 0
         self._in_txn = False
 
@@ -257,7 +256,6 @@ class ShardedDatabase:
         return result
 
     def record_statement(self, rows_touched):
-        self.statements_executed += 1
         self.total_rows_touched += rows_touched
 
     # Written against ``self.execute_parsed`` / ``self.execute`` alone: the

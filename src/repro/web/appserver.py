@@ -60,11 +60,9 @@ class RequestContext:
         """
         if self.lazy_mode and deferrable \
                 and self.runtime.opts.branch_deferral:
-            self.runtime.stats.branches_deferred += 1
             return self.runtime.defer(
                 lambda: then_fn() if cond_fn() else (
                     else_fn() if else_fn is not None else None))
-        self.runtime.stats.branches_forced += 1
         if cond_fn():
             return then_fn()
         return else_fn() if else_fn is not None else None

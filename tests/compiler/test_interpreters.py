@@ -104,7 +104,7 @@ class TestLazySemantics:
         assert std.output == lazy.output == [6]
         assert std.round_trips == 3
         assert lazy.round_trips == 1
-        assert lazy.store.stats.largest_batch == 3
+        assert lazy.runtime.driver.stats.largest_batch == 3
 
     def test_dependent_queries_force_sequentially(self):
         src = "a := R(1); b := R(a); output b;"
@@ -119,7 +119,7 @@ class TestLazySemantics:
         lazy = LazyInterpreter(program, {1: 5}).run(force_final=False)
         # The program never needed a's value: the query stayed pending.
         assert lazy.round_trips == 0
-        assert lazy.store.stats.queries_issued == 0
+        assert lazy.runtime.driver.stats.statements == 0
         assert lazy.output == [2]
 
     def test_write_ships_with_pending_reads(self):
@@ -129,7 +129,7 @@ class TestLazySemantics:
         assert std.round_trips == 2
         assert lazy.round_trips == 1  # read + write in one batch
         assert lazy.store.stats.batches_flushed == 1
-        assert lazy.store.stats.largest_batch == 2
+        assert lazy.runtime.driver.stats.largest_batch == 2
 
     def test_reads_before_write_see_old_db(self):
         src = "a := R(1); W(1); b := R(1); output a; output b;"
@@ -162,7 +162,7 @@ class TestOptimizations:
                                 plan_flags=(False, False, True))
         assert optimized.output == basic.output
         assert optimized.round_trips < basic.round_trips
-        assert optimized.store.stats.largest_batch == 2
+        assert optimized.runtime.driver.stats.largest_batch == 2
 
     def test_coalescing_reduces_allocations(self):
         # Seed the chain with a query result so the arithmetic is genuinely
@@ -221,11 +221,11 @@ class TestOptimizations:
         assert coalesced.db == basic.db == std.db
         assert (basic.round_trips, coalesced.round_trips,
                 std.round_trips) == (1, 2, 3)
-        assert (basic.store.stats.largest_batch,
-                coalesced.store.stats.largest_batch) == (3, 2)
+        assert (basic.runtime.driver.stats.largest_batch,
+                coalesced.runtime.driver.stats.largest_batch) == (3, 2)
 
 
-# (round_trips, thunks_allocated, largest_batch, dedup_hits, queries_issued)
+# (round_trips, thunks_allocated, largest_batch, dedup_hits, statements)
 # of the lazy run after force-all, under no plan and under SC+TC+BD — read
 # off the interpreter's own counters before it ran on ``repro.core``, so a
 # drift in the accounting of Thunk / ThunkBlock / QueryStoreStats /
@@ -265,13 +265,15 @@ def test_exact_counts_under_no_plan_and_every_optimization(name):
     for flags, expected in ((None, basic_counts),
                             ((True, True, True), optimized_counts)):
         std, lazy = run_both(src, db=db, plan_flags=flags)
-        stats = lazy.store.stats
+        stats, wire = lazy.store.stats, lazy.runtime.driver.stats
         assert (lazy.env, lazy.db, lazy.output) == (
             std.env, std.db, std.output)
-        assert (lazy.round_trips, lazy.thunks_allocated, stats.largest_batch,
-                stats.dedup_hits, stats.queries_issued) == expected
-        # The driver and the store saw the same batches.
+        assert (lazy.round_trips, lazy.thunks_allocated, wire.largest_batch,
+                stats.dedup_hits, wire.statements) == expected
+        # The driver and the store saw the same batches, and the runtime
+        # counts into the store's stats.
         assert lazy.round_trips == stats.batches_flushed
+        assert lazy.runtime.stats is stats
 
 
 def test_errors_are_delayed_like_values_and_a_batch_fails_as_one():
@@ -294,6 +296,6 @@ def test_errors_are_delayed_like_values_and_a_batch_fails_as_one():
             force(env[name])
         assert again.value is raised.value
     assert lazy.store.stats.batches_flushed == 0
-    assert lazy.store.stats.queries_issued == 0
     assert lazy.runtime.driver.stats.round_trips == 0
+    assert lazy.runtime.driver.stats.statements == 0
     assert lazy.server.db == {1: 5}

@@ -109,13 +109,13 @@ def test_flush_noop_when_empty(store):
 
 
 def test_batch_size_tracking(store):
-    qs, _ = store
+    qs, driver = store
     ids = [qs.register_query("SELECT v FROM t WHERE id = ?", (i,))
            for i in range(4)]
     qs.get_result_set(ids[0])
-    assert qs.stats.largest_batch == 4
+    assert driver.stats.largest_batch == 4
     assert qs.stats.batches_flushed == 1
-    assert qs.stats.queries_issued == 4
+    assert driver.stats.statements == 4
 
 
 def _retained(store):

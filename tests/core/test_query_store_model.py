@@ -213,7 +213,7 @@ def test_store_matches_the_dict_model(ops, threshold, async_dispatch):
             "round_trips": store.driver.stats.round_trips,
             "batches_flushed": store.stats.batches_flushed,
             "dedup_hits": store.stats.dedup_hits,
-            "queries_issued": store.stats.queries_issued,
+            "queries_issued": store.driver.stats.statements,
             "pending": store.pending_count,
             "in_flight": store.in_flight_count,
             "now": store.driver.clock.now,
@@ -257,7 +257,7 @@ def test_a_failed_batch_fails_as_one_and_stays_failed(async_dispatch):
     # Nothing was re-issued, flushed or counted on their behalf.
     assert driver.clock.now == charged
     assert (driver.stats.round_trips, store.stats.batches_flushed,
-            store.stats.queries_issued, store.pending_count,
+            driver.stats.statements, store.pending_count,
             store.in_flight_count) == (0, 0, 0, 0, 0)
     # Later batches of the same store are unaffected.
     d = store.register_query(READ, (2,))
@@ -267,7 +267,7 @@ def test_a_failed_batch_fails_as_one_and_stays_failed(async_dispatch):
         store.get_result_set(again_b)
     e = store.register_query(READ, (2,))
     assert store.get_result_set(e).rows == [(20,)]
-    assert (store.stats.batches_flushed, store.stats.queries_issued) == (1, 1)
+    assert (store.stats.batches_flushed, driver.stats.statements) == (1, 1)
     with pytest.raises(SqlError, match="unknown column 'nope'"):
         store.get_result_set(d)  # shipped beside again_b: failed with it
 

@@ -111,6 +111,7 @@ def test_runtime_accounting(sim_stack):
     assert runtime.stats.thunks_allocated == 1
     t.force()
     assert runtime.stats.forces == 1
+    assert runtime.stats is runtime.query_store.stats  # one per request
 
 
 class _CountingRuntime:

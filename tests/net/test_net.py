@@ -55,9 +55,9 @@ class TestAsyncTimeline:
     def test_wait_with_no_progress_stalls_fully(self):
         clock = SimClock()
         completion = clock.begin_async((("network", 2.0), ("db", 1.0)))
-        stall, overlap = clock.wait(completion)
+        stall, overlap, shadowed = clock.wait(completion)
         assert stall == pytest.approx(3.0)
-        assert overlap == pytest.approx(0.0)
+        assert overlap == shadowed == 0.0
         assert clock.now == pytest.approx(3.0)
         # Residual attribution lands on each segment's own phase.
         assert clock.phase_time("network") == pytest.approx(2.0)
@@ -67,15 +67,14 @@ class TestAsyncTimeline:
         clock = SimClock()
         completion = clock.begin_async((("network", 2.0), ("db", 1.0)))
         clock.charge("app", 2.5)  # app progresses into the db segment
-        stall, overlap = clock.wait(completion)
+        stall, overlap, shadowed = clock.wait(completion)
         assert stall == pytest.approx(0.5)
         assert overlap == pytest.approx(2.5)
+        assert shadowed == 0.0
         # The whole network leg and half the db leg were hidden; only the
         # residual db tail shows up in the breakdown.
         assert clock.phase_time("network") == pytest.approx(0.0)
         assert clock.phase_time("db") == pytest.approx(0.5)
-        assert clock.overlap_time("network") == pytest.approx(2.0)
-        assert clock.overlap_time("db") == pytest.approx(0.5)
         assert clock.now == pytest.approx(3.0)
         # Phase totals still sum to elapsed time (Fig-8 breakdowns hold).
         assert sum(clock.breakdown().values()) == pytest.approx(clock.now)
@@ -84,8 +83,8 @@ class TestAsyncTimeline:
         clock = SimClock()
         completion = clock.begin_async((("network", 1.0), ("db", 1.0)))
         clock.charge("app", 5.0)
-        stall, overlap = clock.wait(completion)
-        assert stall == 0.0
+        stall, overlap, shadowed = clock.wait(completion)
+        assert stall == shadowed == 0.0
         assert overlap == pytest.approx(2.0)
         assert clock.now == pytest.approx(5.0)
 
@@ -94,7 +93,7 @@ class TestAsyncTimeline:
         completion = clock.begin_async((("network", 1.0),))
         clock.wait(completion)
         now = clock.now
-        assert clock.wait(completion) == (0.0, 0.0)
+        assert clock.wait(completion) == (0.0, 0.0, 0.0)
         assert clock.now == now
 
     def test_total_time_is_max_of_app_and_in_flight(self):
@@ -143,24 +142,19 @@ class TestInterleavedWaits:
         clock.charge("app", 0.5)
         c2 = clock.begin_async((("network", 1.0), ("db", 2.0)))  # [0.5, 3.5)
         # Newer first: full stall, nothing hidden.
-        stall2, overlap2 = clock.wait(c2)
+        stall2, overlap2, shadowed2 = clock.wait(c2)
         assert stall2 == pytest.approx(3.0)
-        assert overlap2 == pytest.approx(0.0)
+        assert overlap2 == shadowed2 == 0.0
         assert clock.now == pytest.approx(3.5)
         # Older second: fully elapsed, but only the 0.5 ms of app work is
-        # overlap — the other 2.5 ms passed during c2's charged stall.
-        stall1, overlap1 = clock.wait(c1)
+        # overlap — the other 2.5 ms passed during c2's charged stall
+        # (0.5 ms of c1's network leg, all 2 ms of its db leg).
+        stall1, overlap1, shadowed1 = clock.wait(c1)
         assert stall1 == pytest.approx(0.0)
         assert overlap1 == pytest.approx(0.5)
-        shadowed = sum(clock.shadowed_breakdown().values())
-        assert shadowed == pytest.approx(2.5)
-        assert (stall1 + overlap1 + shadowed
+        assert shadowed1 == pytest.approx(2.5)
+        assert (stall1 + overlap1 + shadowed1
                 == pytest.approx(c1.in_flight_ms))
-        # Per-phase: c1's network leg [0, 1) was half app-covered; its db
-        # leg [1, 3) elapsed entirely inside c2's stall.
-        assert clock.overlap_time("network") == pytest.approx(0.5)
-        assert clock.shadowed_time("network") == pytest.approx(0.5)
-        assert clock.shadowed_time("db") == pytest.approx(2.0)
         # Phase totals still sum to elapsed time (Fig-8 breakdowns hold).
         assert sum(clock.breakdown().values()) == pytest.approx(clock.now)
 
@@ -176,11 +170,7 @@ class TestInterleavedWaits:
         app_total = clock.phase_time("app")
         splits = []
         for completion in reversed(completions):
-            shadowed_before = sum(clock.shadowed_breakdown().values())
-            stall, overlap = clock.wait(completion)
-            shadowed = (sum(clock.shadowed_breakdown().values())
-                        - shadowed_before)
-            splits.append((completion, stall, overlap, shadowed))
+            splits.append((completion, *clock.wait(completion)))
         for completion, stall, overlap, shadowed in splits:
             assert (stall + overlap + shadowed
                     == pytest.approx(completion.in_flight_ms))
@@ -205,10 +195,10 @@ class TestInterleavedWaits:
         clock = SimClock()
         completion = clock.begin_async((("network", 1.0), ("db", 1.0)))
         clock.charge("db", 2.0)  # a synchronous round trip, not app work
-        stall, overlap = clock.wait(completion)
+        stall, overlap, shadowed = clock.wait(completion)
         assert stall == pytest.approx(0.0)
         assert overlap == pytest.approx(0.0)
-        assert sum(clock.shadowed_breakdown().values()) == pytest.approx(2.0)
+        assert shadowed == pytest.approx(2.0)
 
     def test_in_order_waits_unchanged(self):
         # The single-completion contract is untouched: an app-covered
@@ -216,16 +206,56 @@ class TestInterleavedWaits:
         clock = SimClock()
         completion = clock.begin_async((("network", 2.0), ("db", 1.0)))
         clock.charge("app", 2.5)
-        stall, overlap = clock.wait(completion)
+        stall, overlap, shadowed = clock.wait(completion)
         assert stall == pytest.approx(0.5)
         assert overlap == pytest.approx(2.5)
-        assert sum(clock.shadowed_breakdown().values()) == pytest.approx(0.0)
+        assert shadowed == 0.0
 
 
-class _ListClock(SimClock):
+class _TallyClock(SimClock):
+    """``SimClock.wait`` as it was while the clock kept overlap and shadowed
+    time per phase: it returned ``(stall, overlap)``, and a waiter read its
+    shadowed time as the difference of ``sum(shadowed_breakdown())`` across
+    the wait; the reference for the triple ``wait`` returns now."""
+
+    def __init__(self):
+        super().__init__()
+        self.overlap_by_phase = dict.fromkeys(("network", "db", "app"), 0.0)
+        self.shadowed_by_phase = dict(self.overlap_by_phase)
+
+    def wait(self, completion):
+        if completion.waited:
+            return 0.0, 0.0
+        completion.waited = True
+        entry = self._now
+        cursor = completion.start
+        stall = 0.0
+        overlap = 0.0
+        for phase, dt in completion.segments:
+            seg_end = cursor + dt
+            residual = max(0.0, seg_end - max(entry, cursor))
+            hidden = dt - residual
+            if hidden > 0:
+                hidden_end = min(seg_end, entry)
+                behind_app = self._app_covered(cursor, hidden_end)
+                self.overlap_by_phase[phase] += behind_app
+                self.shadowed_by_phase[phase] += hidden - behind_app
+                overlap += behind_app
+            if residual > 0:
+                self.charge(phase, residual)
+                stall += residual
+            cursor = seg_end
+        return stall, overlap
+
+    def shadowed_breakdown(self):
+        return dict(self.shadowed_by_phase)
+
+
+class _ListClock(_TallyClock):
     """The clock with the app intervals as one list, every charge writing
     its last entry — the form ``SimClock`` had before it kept the open
-    interval as two floats; the reference for the property below."""
+    interval as two floats; with the tallying ``wait`` above, the
+    reference for the property below."""
 
     def __init__(self):
         super().__init__()
@@ -274,7 +304,10 @@ class TestOpenAppInterval:
     @given(steps=clock_steps)
     @settings(max_examples=400, deadline=None)
     def test_stall_overlap_and_shadow_match_the_list_clock(self, steps):
-        # ``==`` throughout: the same floats, added in the same order.
+        # ``==`` for everything on the timeline and for stall and overlap:
+        # the same floats, added in the same order.  The shadowed time is
+        # one sum where the reference's is a difference of sums, so it
+        # agrees to rounding.
         clock, reference = SimClock(), _ListClock()
         pending = []
         for step in steps:
@@ -288,13 +321,17 @@ class TestOpenAppInterval:
                                 reference.begin_async(step[1], start)))
             elif pending:
                 ours, theirs = pending[step[1] % len(pending)]
-                assert clock.wait(ours) == reference.wait(theirs)
+                in_flight = 0.0 if ours.waited else ours.in_flight_ms
+                before = sum(reference.shadowed_breakdown().values())
+                stall, overlap, shadowed = clock.wait(ours)
+                assert (stall, overlap) == reference.wait(theirs)
+                assert shadowed == pytest.approx(
+                    sum(reference.shadowed_breakdown().values()) - before,
+                    rel=0, abs=1e-9)
+                assert stall + overlap + shadowed == pytest.approx(
+                    in_flight, rel=0, abs=1e-9)
             assert clock.now == reference.now
-            for view in ("breakdown", "shadowed_breakdown"):
-                assert getattr(clock, view)() == getattr(reference, view)()
-            assert all(clock.overlap_time(phase) ==
-                       reference.overlap_time(phase)
-                       for phase in ("app", "network", "db"))
+            assert clock.breakdown() == reference.breakdown()
             opened = ([] if clock._app_hi is None
                       else [(clock._app_lo, clock._app_hi)])
             assert clock._app_intervals + opened == reference.intervals
@@ -430,14 +467,16 @@ class TestDrivers:
         driver.execute("SELECT * FROM t")
         assert clock.phase_time("app") > before
 
-    def test_server_counters(self, sim_stack):
+    def test_each_driver_counts_its_own_trips_and_the_server_none(
+            self, sim_stack):
         db, _, server, driver, batch = sim_stack
         db.execute("CREATE TABLE t (id INT PRIMARY KEY)")
         driver.execute("SELECT * FROM t")
         batch.execute_batch([("SELECT * FROM t", ())] * 3)
-        assert server.statements_executed == 4
-        assert server.batches_executed == 2
-        assert server.largest_batch == 3
+        trips = [(stats.round_trips, stats.statements, stats.largest_batch)
+                 for stats in (driver.stats, batch.stats)]
+        assert trips == [(1, 1, 1), (1, 3, 3)]
+        assert set(vars(server)) == {"database", "cost_model"}
 
     def test_driver_stats_surface_result_cache_hits(self, sim_stack):
         db, _, _, driver, batch = sim_stack
@@ -446,10 +485,9 @@ class TestDrivers:
         driver.execute("SELECT * FROM t")   # miss: populates the cache
         driver.execute("SELECT * FROM t")   # hit
         assert driver.stats.result_cache_hits == 1
-        assert driver.stats.snapshot()["result_cache_hits"] == 1
         batch.execute_batch([("SELECT * FROM t", ())] * 2)  # two more hits
-        assert batch.stats.snapshot()["result_cache_hits"] == 2
-        assert driver.server.result_cache_hits == 3
+        assert batch.stats.result_cache_hits == 2
+        assert driver.stats.result_cache_hits == 1  # each its own
 
     def test_the_server_counts_into_the_stats_it_is_handed(self, sim_stack):
         db, _, server, _, _ = sim_stack
@@ -462,12 +500,13 @@ class TestDrivers:
         server.execute_batch(scans, batch_optimize=True, stats=stats)
         server.execute_batch(scans, stats=stats)  # three result-cache hits
         server.execute_one(*scans[0], stats=stats)  # and one more
-        assert stats.shared_scan_groups == server.shared_scan_groups == 1
+        assert stats.shared_scan_groups == 1
         assert stats.shared_scan_rows_saved == 8
-        assert server.shared_scan_rows_saved == 8
-        assert stats.result_cache_hits == server.result_cache_hits == 4
-        server.execute_batch(scans)  # no stats handed in: the server's own
-        assert (server.result_cache_hits, stats.result_cache_hits) == (7, 4)
+        assert stats.result_cache_hits == 4
+        counted = dict(vars(stats))
+        server.execute_batch(scans)  # no stats handed in: counted nowhere
+        server.execute_one(*scans[0])
+        assert vars(stats) == counted
 
     @pytest.mark.parametrize("batch_optimize", [False, True],
                              ids=["direct", "batch-plan"])
@@ -479,11 +518,7 @@ class TestDrivers:
             db.execute("INSERT INTO t (id, v) VALUES (?, ?)", (i, i))
         scans = [("SELECT id FROM t WHERE v > ?", (i,)) for i in range(2)]
         batch.execute_batch(scans)  # cached: the failing batch hits them
-        server_before = {name: getattr(server, name) for name in (
-            "batches_executed", "statements_executed", "largest_batch",
-            "total_db_time_ms", "result_cache_hits", "shared_scan_groups",
-            "shared_scan_rows_saved")}
-        stats_before = (driver.stats.snapshot(), batch.stats.snapshot())
+        stats_before = (dict(vars(driver.stats)), dict(vars(batch.stats)))
         hits_before = db.result_cache.hits
         failing = scans + [("SELECT id FROM t WHERE v < ?", (i,))
                            for i in range(2)] + [("SELECT v FROM nope", ())]
@@ -492,10 +527,8 @@ class TestDrivers:
         with pytest.raises(SqlError):
             driver.execute("SELECT v FROM nope")
         assert db.result_cache.hits == hits_before + 2  # they arose...
-        assert {name: getattr(server, name)
-                for name in server_before} == server_before  # ...uncounted
-        assert (driver.stats.snapshot(), batch.stats.snapshot()) == \
-            stats_before
+        assert (vars(driver.stats), vars(batch.stats)) == \
+            stats_before  # ...uncounted
 
 
 class TestAsyncBatchDriver:
@@ -553,7 +586,7 @@ def test_begin_async_accepts_any_iterable():
     completion = clock.begin_async(
         (phase, dt) for phase, dt in [("network", 1.0), ("db", 2.0)])
     assert completion.segments == (("network", 1.0), ("db", 2.0))
-    stall, _ = clock.wait(completion)
+    stall, _, _ = clock.wait(completion)
     assert stall == pytest.approx(3.0)
 
 
@@ -610,14 +643,9 @@ class TestOneStatementOrABatchOfOne:
         assert (result.columns, result.rows, result.rowcount) == (
             twin.columns, twin.rows, twin.rowcount)
         assert result.shard_phases == twin.shard_phases
-        for counter in ("batches_executed", "statements_executed",
-                        "largest_batch", "result_cache_hits"):
-            assert getattr(one, counter) == getattr(batch, counter), counter
-        # The stats each twin was handed got exactly its server's counts.
-        assert stats[0].snapshot() == stats[1].snapshot()
-        for server, counts in zip((one, batch), stats):
-            assert counts.result_cache_hits == server.result_cache_hits
-            assert counts.shared_scan_groups == server.shared_scan_groups == 0
+        # The stats each twin was handed got the same counts.
+        assert vars(stats[0]) == vars(stats[1])
+        assert stats[0].shared_scan_groups == 0
         summed, maxed = self._by_hand(one, result)
         assert cost_ms == summed
         # A write serializes at its standalone cost; a read is its
@@ -630,13 +658,13 @@ class TestOneStatementOrABatchOfOne:
     def test_rows_counters_and_charges(self, make_db):
         one, batch = self._server(make_db), self._server(make_db)
         sharded = make_db is _two_shards
-        step = functools.partial(self._step, one, batch,
-                                 (DriverStats(), DriverStats()))
+        stats = (DriverStats(), DriverStats())
+        step = functools.partial(self._step, one, batch, stats)
         miss, cost_ms, elapsed_ms = step(self.READ, (1,))
         assert miss.rows == [(1, 10), (5, 50), (9, 90)]
         assert cost_ms == elapsed_ms  # one phase: summed is max'ed
         hit, _, _ = step(self.READ, (1,))
-        assert hit.from_cache and one.result_cache_hits == 1
+        assert hit.from_cache and stats[0].result_cache_hits == 1
         written, cost_ms, elapsed_ms = step(
             "UPDATE t SET val = val + 1 WHERE grp = ?", (1,), write=True)
         assert written.rowcount == 3 and cost_ms == elapsed_ms
@@ -668,9 +696,5 @@ class TestOneStatementOrABatchOfOne:
         if sharded:
             assert len(gathered.shard_phases) == 2
             assert cost_ms > elapsed_ms  # phases summed vs stations max'ed
-            assert one.total_db_time_ms > batch.total_db_time_ms
         else:
             assert cost_ms == elapsed_ms
-            assert one.total_db_time_ms == batch.total_db_time_ms
-        assert one.batches_executed == one.statements_executed == 9
-        assert one.largest_batch == 1

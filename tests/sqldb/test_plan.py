@@ -575,7 +575,6 @@ class TestSharedScanThroughStack:
         assert values[0] == [0, 3, 6, 9, 12, 15, 18, 21, 24, 27]
         assert batch_driver.stats.shared_scan_groups == 1
         assert batch_driver.stats.shared_scan_rows_saved == 60
-        assert server.shared_scan_groups == 1
 
     def test_shared_batch_cheaper_than_direct(self, sim_stack):
         db, clock, server, driver, batch_driver = sim_stack

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.net.clock import CostModel, SimClock
-from repro.net.driver import BatchDriver, Driver
+from repro.net.driver import BatchDriver, Driver, DriverStats
 from repro.net.server import DatabaseServer
 from repro.sqldb import Database, executor as executor_module
 from repro.sqldb.executor import Executor
@@ -344,10 +344,11 @@ class TestOneBody:
         """Two scans sharing one: each is probed once (ahead), snapshotted,
         run and stored once, by the same body."""
         server = DatabaseServer(cached_db, CostModel())
+        stats = DriverStats()
         statements = [("SELECT v FROM t WHERE v > ?", (10,)),
                       ("SELECT v FROM t WHERE v > ?", (20,))]
-        server.execute_batch(statements, batch_optimize=True)
-        assert server.shared_scan_groups == 1
+        server.execute_batch(statements, batch_optimize=True, stats=stats)
+        assert stats.shared_scan_groups == 1
         assert calls == {"key": 4, "lookup": 2, "plan": 4, "versions": 2,
                          "run": 2, "store": 2}
         calls.clear()
@@ -369,9 +370,9 @@ class TestServerBatchPaths:
                       ("SELECT v FROM t WHERE v > ?", (20,)),
                       ("SELECT w FROM u WHERE w > ?", (30,))]
         cold = driver.execute_batch(statements, batch_optimize=True)
-        assert server.result_cache_hits == 0
+        assert driver.stats.result_cache_hits == 0
         hot = driver.execute_batch(statements, batch_optimize=True)
-        assert server.result_cache_hits == 3
+        assert driver.stats.result_cache_hits == 3
         for a, b in zip(cold, hot):
             assert a.rows == b.rows and a.columns == b.columns
         assert all(r.rows_touched == 0 for r in hot)
@@ -382,12 +383,12 @@ class TestServerBatchPaths:
                       ("SELECT v FROM t WHERE v > ?", (20,))]
         touched_before = db.total_rows_touched
         driver.execute_batch(statements, batch_optimize=True)
-        groups_after_cold = server.shared_scan_groups
+        groups_after_cold = driver.stats.shared_scan_groups
         assert groups_after_cold == 1  # the two scans shared once
         assert db.total_rows_touched == touched_before + 20
         driver.execute_batch(statements, batch_optimize=True)
         # Fully cached batch: no new group, no scan at all.
-        assert server.shared_scan_groups == groups_after_cold
+        assert driver.stats.shared_scan_groups == groups_after_cold
         assert db.total_rows_touched == touched_before + 20
 
     def test_write_in_batch_invalidates_following_reads(self, stack):
@@ -404,7 +405,7 @@ class TestServerBatchPaths:
         plain = Driver(server, SimClock(), server.cost_model)
         plain.execute("SELECT v FROM t WHERE id = ?", (5,))
         plain.execute("SELECT v FROM t WHERE id = ?", (5,))
-        assert server.result_cache_hits == 1
+        assert plain.stats.result_cache_hits == 1
 
 
 class TestHotPageLoads:

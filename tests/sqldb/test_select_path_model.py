@@ -28,6 +28,7 @@ import random
 import pytest
 
 from repro.net import CostModel, DatabaseServer
+from repro.net.driver import DriverStats
 from repro.sqldb import Database
 from repro.sqldb.errors import TransactionError
 
@@ -298,10 +299,12 @@ class Batched:
     def __init__(self, db):
         self.db = db
         self.server = DatabaseServer(db, CostModel())
+        self.stats = DriverStats()
 
     def run(self, statements, view):
         results, _ = self.server.execute_batch(
-            statements, batch_optimize=True, read_view=view)
+            statements, batch_optimize=True, read_view=view,
+            stats=self.stats)
         return results
 
 
@@ -415,7 +418,7 @@ def run_sequence(seed, mode, limit=None, steps=120):
             assert db.tables[table].write_version == m.version[table], step
         log.append(dict(m.counters))
     if isinstance(path, Batched):
-        m.outcomes["shared-scan-groups"] = path.server.shared_scan_groups
+        m.outcomes["shared-scan-groups"] = path.stats.shared_scan_groups
     return m, log
 
 

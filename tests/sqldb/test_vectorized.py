@@ -804,9 +804,9 @@ def test_explain_analyze_columnar_reports_chunks_skipped():
 
 def test_explain_analyze_is_side_effect_light():
     db = _seed(Database(), 50)
-    statements = db.statements_executed
+    touched = db.total_rows_touched
     db.explain("SELECT id FROM t WHERE v > ?", params=(3,), analyze=True)
-    assert db.statements_executed == statements
+    assert db.total_rows_touched == touched
     # The analyze run did not populate the result cache.
     assert "status='miss'" in db.explain(
         "SELECT id FROM t WHERE v > ?", params=(3,))
