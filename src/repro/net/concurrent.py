@@ -233,7 +233,7 @@ class TracingBatchDriver(BatchDriver):
         # rounds.  Multi-station scatter/gather statements stay unshared.
         shareable = shard_costs is None or len(shard_costs) == 1
         if is_read and not result.from_cache and shareable:
-            plan, backend = self._plan_of(sql)
+            plan = self._plan_of(sql)
             if plan is not None:
                 if plan.shared_scan_table is not None:
                     share_key = ("scan", plan.shared_scan_table)
@@ -241,7 +241,7 @@ class TracingBatchDriver(BatchDriver):
                     # so the statement's rows_touched IS the scan's size.
                     scan_rows = result.rows_touched
                 else:
-                    probe = plan.pk_probe_keys(backend, params)
+                    probe = plan.pk_probe_keys(params)
                     if probe is not None:
                         share_key = ("pk", probe[0])
                         pk_keys = probe[1]
@@ -251,22 +251,22 @@ class TracingBatchDriver(BatchDriver):
                               shard_costs=shard_costs)
 
     def _plan_of(self, sql):
-        """(plan, backend-db) for a SELECT, or (None, None).
+        """The plan of a SELECT, or None.
 
         A sharded facade plans against its ``planner_backend`` — any
         primary answers the structural questions (shared-scannable?
         pk point lookup?) identically."""
-        backend = self.server.database.planner_backend
         try:
             stmt = parse(sql)
         except SqlError:
-            return None, None
+            return None
         if not isinstance(stmt, A.Select):
-            return None, None
+            return None
         try:
-            return backend.executor.plan_for(stmt), backend
+            return self.server.database.planner_backend.executor.plan_for(
+                stmt)
         except SqlError:
-            return None, None
+            return None
 
 
 def record_page_trace(db, dispatcher, url, cost_model=None,

@@ -49,7 +49,7 @@ from repro.sqldb.catalog import IndexInfo, TableSchema, Column
 from repro.sqldb.errors import SqlError
 from repro.sqldb.expressions import RowContext, evaluate
 from repro.sqldb.plan import plan_select
-from repro.sqldb.plan.access import (LookupShape, candidate_row_ids,
+from repro.sqldb.plan.access import (IndexProbe, candidate_rows,
                                      range_lookup_candidate)
 from repro.sqldb.result import ExecResult
 from repro.sqldb.result_cache import current_versions
@@ -265,8 +265,8 @@ class Executor:
         if plan.rows is not None:
             apply, targets = _insert_rows, plan.rows
         else:
-            apply, targets = _change_rows, candidate_row_ids(
-                table, plan.shape, plan.ranged, params)
+            apply, targets = _change_rows, candidate_rows(
+                table, plan.probe, plan.ranged, params)
         transactions = self.db.transactions
         own = len(targets) > 1 and not transactions.in_transaction
         if own:
@@ -290,18 +290,19 @@ class _WritePlan:
     """What an INSERT / UPDATE / DELETE needs of its statement and schema,
     resolved once and cached beside the SELECT plans.  An execution binds
     parameters and does the per-row work: the candidate search (a NULL or
-    missing key drops out, an unhashable one raises, per execution), the
+    missing key drops out, one its column cannot compare scans, per
+    execution), the
     full-WHERE re-check of every candidate, assignment binding, undo.
 
     INSERT: ``rows`` holds, per value row, its :class:`_Cells` (arity
     checked).  UPDATE / DELETE: ``rows`` is None; ``ctx`` resolves the
-    table's columns, ``shape`` / ``ranged`` are the WHERE's
-    :class:`LookupShape` and :func:`range_lookup_candidate`; UPDATE alone
+    table's columns, ``probe`` / ``ranged`` are the WHERE's
+    :class:`IndexProbe` and :func:`range_lookup_candidate`; UPDATE alone
     has its SET list as ``assignments`` (:class:`_Cells`) and their
     ordinal set ``assigned``.
     """
 
-    __slots__ = ("rows", "width", "pk", "where", "ctx", "shape", "ranged",
+    __slots__ = ("rows", "width", "pk", "where", "ctx", "probe", "ranged",
                  "assignments", "assigned")
 
     def __init__(self, stmt, table):
@@ -321,7 +322,7 @@ class _WritePlan:
             return
         self.where = stmt.where
         self.ctx = _single_table_context(schema, stmt.table)
-        self.shape = LookupShape(stmt.where)
+        self.probe = IndexProbe(table, stmt.where)
         self.ranged = range_lookup_candidate(table, stmt.where)
         if type(stmt) is A.Update:
             self.assignments = _Cells((schema.ordinal_of(c), e)
@@ -377,15 +378,12 @@ def _insert_rows(plan, table, rows, params, undo):
                       last_insert_id=last_id)
 
 
-def _change_rows(plan, table, row_ids, params, undo):
-    """UPDATE, or DELETE (no assignments), every candidate row the full
-    WHERE holds for."""
+def _change_rows(plan, table, candidates, params, undo):
+    """UPDATE, or DELETE (no assignments), every candidate ``(row_id,
+    row)`` the full WHERE holds for."""
     ctx, where, assignments = plan.ctx, plan.where, plan.assignments
     changed = 0
-    for row_id in row_ids:
-        row = table.rows.get(row_id)
-        if row is None:
-            continue
+    for row_id, row in candidates:
         ctx.bind(row)
         if where is not None and evaluate(where, ctx, params) is not True:
             continue
@@ -396,7 +394,7 @@ def _change_rows(plan, table, row_ids, params, undo):
             assignments.fill(new_row, ctx, params)
             table.update_row(row_id, new_row, plan.assigned, undo)
         changed += 1
-    return ExecResult(rowcount=changed, rows_touched=len(row_ids))
+    return ExecResult(rowcount=changed, rows_touched=len(candidates))
 
 
 def _single_table_context(schema, table_name):

@@ -4,23 +4,27 @@ Shared by the SELECT pipeline (``IndexLookup`` / ``IndexRangeScan``
 physical operators) and by the ``UPDATE``/``DELETE`` candidate-row search
 in the executor facade.
 
-Index choice has a structural half and a runtime half.  At *plan* time the
-predicate's equality and IN-list conjuncts are extracted once into a
-:class:`LookupShape`; :func:`pinned_columns` and :func:`candidate_indexes`
-decide from it whether the predicate (equality conjuncts over the primary
-key or an index's columns) could ever use an index — if not, the optimizer
-keeps a plain scan — and :func:`ordered_scan_candidates` does the analogous
-analysis for ordered indexes (equality prefix + range suffix + ORDER BY
-potential).  At *execution* time, :func:`resolve_index_lookup` only binds
-the actual parameters to that same shape; a key that resolves to NULL or a
-missing parameter drops out of the conjunct set, which can disqualify the
-index and fall back to a full scan (SQL semantics: ``col = NULL`` never
-matches) — which is why the final index decision cannot move to plan time.
+Index choice has a structural half and a runtime half.  At *plan* time an
+:class:`IndexProbe` extracts the predicate's equality and IN-list
+conjuncts once and decides from them which access paths (the primary key,
+indexes whose columns the equalities cover) could ever serve it — if none,
+the optimizer keeps a plain scan — and :func:`ordered_scan_candidates`
+does the analogous analysis for ordered indexes (equality prefix + range
+suffix + ORDER BY potential).  At *execution* time,
+:func:`resolve_index_lookup` only binds the actual parameters to the
+probe; a key that resolves to NULL or a missing parameter drops out of
+the conjunct set, which can disqualify the index and fall back to a full
+scan (SQL semantics: ``col = NULL`` never matches), and a key its column
+cannot compare disqualifies every index — which is why the final index
+decision cannot move to plan time.  What an equality probe decided is
+left out of the predicate a SELECT re-checks (:func:`residual_predicate`).
 """
 
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlTypeError
-from repro.sqldb.expressions import RowContext, evaluate, split_conjuncts
+from repro.sqldb.expressions import (RowContext, conjoin, evaluate,
+                                     split_conjuncts)
+from repro.sqldb.types import STORED_SAMPLES, is_comparable
 
 
 def _equality_shapes(where):
@@ -40,61 +44,14 @@ def _equality_shapes(where):
                     break
 
 
-class LookupShape:
-    """The equality and IN-list conjuncts of one WHERE (None: no conjunct),
-    extracted when the statement is planned and immutable from then on:
-    ``equalities`` holds the :func:`_equality_shapes` pairs, ``in_lists``
-    the :func:`_in_list_shapes` pairs.  Plan-time candidacy and every
-    execution's key binding read the same two tuples."""
-
-    __slots__ = ("equalities", "in_lists")
-
-    def __init__(self, where):
-        self.equalities = tuple(_equality_shapes(where))
-        self.in_lists = tuple(_in_list_shapes(where))
-
-
-def equality_conjuncts(shape, params, column=None):
-    """Bind ``column -> constant`` pairs from the shape's equalities — only
-    ``column``'s when it is given; of several on one column, the last
-    non-NULL value wins."""
-    pairs = {}
-    for name, constant in shape.equalities:
-        if column is not None and name != column:
-            continue
-        if isinstance(constant, A.Literal):
-            value = constant.value
-        else:
-            if constant.index >= len(params):
-                continue
-            value = params[constant.index]
-        if value is not None:
-            pairs[name] = value
-    return pairs
-
-
-def _probe_key(column, value):
-    """``value`` as an index probe key: an unhashable parameter (list, set,
-    dict) raises what comparing it in a scan-and-filter raises, whichever
-    index class would have leaked its ``TypeError`` for it."""
-    if type(value).__hash__ is None:
-        raise SqlTypeError(f"cannot compare column {column!r} with a "
-                           f"{type(value).__name__} value")
-    return value
-
-
-def pinned_columns(shape):
-    """Plan-time view of :func:`equality_conjuncts`: the set of column names
-    equated to *some* literal or parameter, regardless of its eventual value.
-
-    A superset of what :func:`equality_conjuncts` yields for any concrete
-    parameters, so a negative answer here is a safe "never uses an index".
-    Deliberately excludes IN-list columns: a pinned column is *single*-valued
-    — the contract sort elision and prefix matching rely on — whereas an IN
-    column takes several.  IN access paths go through
-    :func:`_in_list_shapes` instead.
-    """
-    return {column for column, _ in shape.equalities}
+def pinned_columns(where):
+    """The set of column names ``where`` equates to *some* literal or
+    parameter, regardless of its eventual value — a superset of the
+    columns :func:`equality_conjuncts` binds for any parameters, so a
+    negative answer is a safe "never uses an index".  Deliberately
+    excludes IN-list columns: a pinned column is *single*-valued — the
+    contract sort elision and prefix matching rely on."""
+    return {column for column, _ in _equality_shapes(where)}
 
 
 def _in_list_shapes(where):
@@ -114,7 +71,74 @@ def _in_list_shapes(where):
             yield node.expr.column, tuple(node.items)
 
 
-def _in_list_keys(column, shape, params):
+class IndexProbe:
+    """One WHERE's index access to one table, settled when its plan is
+    built: an execution only binds parameters to it.
+
+    ``candidates`` names the access paths the WHERE could pin, like
+    ``["<pk>", "idx_owner"]`` (empty: no index can ever apply).  Per
+    equality conjunct over a column of the table, ``keys`` holds
+    ``(parameter index or None, literal value, a value of the column's
+    stored type, the column's position in columns)``; the paths read
+    their keys by those positions: ``pk_slot`` the primary key's (None
+    without an equality on it; ``pk`` names it when ``<pk>`` is a
+    candidate), ``indexes`` one ``(name, columns, positions)`` per
+    candidate index, most columns first (ties in the table's order).
+    ``in_lists`` holds the :func:`_in_list_shapes` pairs.
+    """
+
+    __slots__ = ("in_lists", "candidates", "columns", "keys", "pk",
+                 "pk_slot", "indexes")
+
+    def __init__(self, table, where):
+        schema = table.schema
+        self.in_lists = tuple(_in_list_shapes(where))
+        slot = {}
+        self.keys = []
+        for column, constant in _equality_shapes(where):
+            if not schema.has_column(column):
+                continue
+            sample = STORED_SAMPLES[schema.column(column).type_name]
+            position = slot.setdefault(column, len(slot))
+            if type(constant) is A.Param:
+                self.keys.append((constant.index, None, sample, position))
+            else:
+                self.keys.append((None, constant.value, sample, position))
+        self.columns = tuple(slot)
+        pk = schema.primary_key
+        self.pk = pk.name if pk is not None and (pk.name in slot or any(
+            column == pk.name for column, _ in self.in_lists)) else None
+        self.pk_slot = slot.get(self.pk)
+        covering = [index.info for index in table.indexes.values()
+                    if index.covers(slot)]
+        self.candidates = [info.name for info in covering]
+        if self.pk is not None:
+            self.candidates.insert(0, "<pk>")
+        self.indexes = sorted(
+            ((info.name, info.columns,
+              tuple(slot[column] for column in info.columns))
+             for info in covering), key=lambda path: -len(path[1]))
+
+    def paths(self):
+        """``(name, keyed columns)`` of each path an equality probe can
+        take."""
+        if self.pk_slot is not None:
+            yield "<pk>", (self.pk,)
+        for name, columns, _ in self.indexes:
+            yield name, columns
+
+
+def _probe_key(column, value):
+    """``value`` as an IN-list probe key: an unhashable parameter (list,
+    set, dict) raises what comparing it in a scan-and-filter raises,
+    whichever index class would have leaked its ``TypeError`` for it."""
+    if type(value).__hash__ is None:
+        raise SqlTypeError(f"cannot compare column {column!r} with a "
+                           f"{type(value).__name__} value")
+    return value
+
+
+def _in_list_keys(column, probe, params):
     """The set of values IN conjuncts over ``column`` allow, or None when
     no resolvable IN conjunct constrains it.
 
@@ -125,7 +149,7 @@ def _in_list_keys(column, shape, params):
     never matches through the NULL (SQL three-valued equality).
     """
     keys = None
-    for shape_column, items in shape.in_lists:
+    for shape_column, items in probe.in_lists:
         if shape_column != column:
             continue
         if any(isinstance(item, A.Param) and item.index >= len(params)
@@ -139,61 +163,59 @@ def _in_list_keys(column, shape, params):
     return keys
 
 
-def candidate_indexes(table, shape):
-    """Plan-time candidates: names of access paths the predicate could pin.
+def equality_conjuncts(probe, params):
+    """Bind the probe's equality keys: one per ``probe.columns`` entry (of
+    several conjuncts on a column the last non-NULL value wins; None where
+    each is NULL or a missing parameter — the conjunct drops out), or None
+    when a key is not comparable with what its column stores (``'1'`` for
+    an INTEGER, ``FALSE`` for a number, a list for anything).  Such a key
+    disqualifies every index for the execution, so the scan that runs
+    instead answers what an unindexed table answers."""
+    n = len(params)
+    bound = [None] * len(probe.columns)
+    for index, value, sample, column in probe.keys:
+        if index is not None:
+            value = params[index] if index < n else None
+        if value is not None:
+            if type(value) is not type(sample) and not is_comparable(
+                    value, sample):
+                return None
+            bound[column] = value
+    return bound
 
-    Returns a list like ``["<pk>", "idx_owner"]`` (empty when no index can
-    ever apply, in which case the optimizer keeps a sequential scan).
+
+def resolve_index_lookup(table, probe, params):
+    """Probe ``table`` for the rows a WHERE may hold for, through the
+    primary key or the longest candidate index its bound keys cover.
+
+    Returns ``(path, hits)``: ``hits`` the ``(row_id, row)`` pairs found,
+    in row-id order (the scan's), or None when no candidate serves these
+    parameters and the caller scans; ``path`` the candidate whose equality
+    conjuncts the probe decided — ``"<pk>"`` or an index name — or None
+    (a scan, or a ``pk IN (...)`` multi-probe, which decides nothing).  A
+    primary-key equality is probed before any IN list or index.
     """
-    pinned = pinned_columns(shape)
-    names = []
-    pk = table.schema.primary_key
-    if pk is not None and (pk.name in pinned or any(
-            column == pk.name for column, _ in shape.in_lists)):
-        names.append("<pk>")
-    if pinned:
-        for index in table.indexes.values():
-            if index.covers(pinned):
-                names.append(index.info.name)
-    return names
-
-
-def resolve_index_lookup(table, shape, params):
-    """Resolve a WHERE's shape to row ids via the PK or a secondary index.
-
-    Returns a sorted list of row ids, or None when no index applies for
-    the actual parameter values (caller falls back to a scan).  A primary
-    key equality is probed before any other key is bound.
-    """
-    pk = table.schema.primary_key
-    if pk is not None:
-        key = equality_conjuncts(shape, params, pk.name).get(pk.name)
-        if key is not None:
-            hit = table.find_by_pk(_probe_key(pk.name, key))
-            return [hit[0]] if hit else []
-        keys = _in_list_keys(pk.name, shape, params)
+    bound = equality_conjuncts(probe, params)
+    if bound is None:
+        return None, None
+    if probe.pk_slot is not None and bound[probe.pk_slot] is not None:
+        hit = table.find_by_pk(bound[probe.pk_slot])
+        return "<pk>", [hit] if hit else []
+    if probe.pk is not None:
+        keys = _in_list_keys(probe.pk, probe, params)
         if keys is not None:
-            # Multi-probe point lookup: one pk probe per distinct key.
-            # Sorted row ids keep emission in insertion order, identical
-            # to the scan-and-filter row stream.
-            hits = (table.find_by_pk(key) for key in keys)
-            return sorted({hit[0] for hit in hits if hit is not None})
-    pairs = equality_conjuncts(shape, params)
-    if not pairs:
-        return None
-    best = None
-    for index in table.indexes.values():
-        if index.covers(pairs):
-            if best is None or len(index.info.columns) > len(
-                    best.info.columns):
-                best = index
-    if best is None:
-        return None
-    key = [_probe_key(col, pairs[col]) for col in best.info.columns]
-    return sorted(best.lookup(key))
+            # One pk probe per distinct key; row-id order is the scan's.
+            return None, sorted(filter(None, map(table.find_by_pk, keys)))
+    for name, _, slots in probe.indexes:
+        key = [bound[slot] for slot in slots]
+        if None not in key:
+            rows = table.rows
+            return name, [(row_id, rows[row_id]) for row_id in
+                          sorted(table.indexes[name].lookup(key))]
+    return None, None
 
 
-def pk_lookup_keys(table, shape, params):
+def pk_lookup_keys(probe, params):
     """The primary-key values an index lookup would probe, or None when the
     primary key does not serve this predicate for these parameters.
 
@@ -202,33 +224,62 @@ def pk_lookup_keys(table, shape, params):
     uses this to merge point lookups from different requests into one
     shared multi-probe.
     """
-    pk = table.schema.primary_key
-    if pk is None:
+    bound = equality_conjuncts(probe, params)
+    if bound is None or probe.pk is None:
         return None
-    key = equality_conjuncts(shape, params, pk.name).get(pk.name)
-    if key is not None:
-        return frozenset((_probe_key(pk.name, key),))
-    keys = _in_list_keys(pk.name, shape, params)
+    if probe.pk_slot is not None and bound[probe.pk_slot] is not None:
+        return frozenset((bound[probe.pk_slot],))
+    keys = _in_list_keys(probe.pk, probe, params)
     return frozenset(keys) if keys is not None else None
 
 
-def candidate_row_ids(table, shape, ranged, params):
-    """Row ids that may satisfy a WHERE — the rows the statement touches.
+def residual_predicate(where, columns):
+    """``where`` without its equality conjunct on each of ``columns``: what
+    is left to check of the rows an equality probe keyed on them found
+    (None when nothing is).  A found row equals its comparable key, so
+    those conjuncts are TRUE for it.  ``where`` stays whole when a keyed
+    column has two or more equality conjuncts (the probe bound one of
+    them), and when the one conjunct left is not TRUE / FALSE / NULL
+    valued: an AND counts ``10`` as TRUE, a WHERE keeps only TRUE."""
+    keyed, rest = [], []
+    for node in split_conjuncts(where):
+        shape = next(_equality_shapes(node), None)
+        if shape is not None and shape[0] in columns:
+            keyed.append(shape[0])
+        else:
+            rest.append(node)
+    if len(set(keyed)) < len(keyed) or (
+            len(rest) == 1 and not _truth_valued(rest[0])):
+        return where
+    return conjoin(rest)
+
+
+def _truth_valued(node):
+    if type(node) is A.BinaryOp:
+        return node.op in ("AND", "OR", "=", "<>", "<", ">", "<=", ">=")
+    return type(node) in (A.IsNull, A.Between, A.InList, A.Like) or (
+        type(node) is A.UnaryOp and node.op == "NOT")
+
+
+def candidate_rows(table, probe, ranged, params):
+    """The ``(row_id, row)`` pairs that may satisfy a WHERE — the rows the
+    statement touches.
 
     Used by UPDATE/DELETE with what their write plan resolved of the WHERE
-    (its :class:`LookupShape`, its :func:`range_lookup_candidate`):
+    (its :class:`IndexProbe`, its :func:`range_lookup_candidate`):
     equality index lookup when the predicate pins indexed columns,
     ordered-index range scan when it bounds an ordered index's key, full
     scan otherwise.  The executor re-checks the full WHERE per candidate
     row, so any superset is safe.
     """
-    lookup = resolve_index_lookup(table, shape, params)
-    if lookup is None and ranged is not None:
-        lookup = range_scan_ids(table.indexes[ranged.index_name], ranged,
-                                params)
-    if lookup is None:
-        lookup = [row_id for row_id, _ in table.scan()]
-    return lookup
+    _, hits = resolve_index_lookup(table, probe, params)
+    if hits is None and ranged is not None:
+        rows = table.rows
+        hits = [(row_id, rows[row_id]) for row_id in range_scan_ids(
+            table.indexes[ranged.index_name], ranged, params)]
+    if hits is None:
+        hits = list(table.scan())
+    return hits
 
 
 # ---------------------------------------------------------------------------

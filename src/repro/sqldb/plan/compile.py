@@ -651,6 +651,9 @@ def _compile_vec(expr, positions, ambiguous):
     return None
 
 
+_PLAIN_LANES = frozenset((list, tuple))  # a plain-column select list zips
+
+
 def compile_project(items, expansions, positions, ambiguous):
     """Compile a select list to ``fn(chunk, params) -> list of tuples``
     (the chunk's live output rows), or None when any item lacks a vector
@@ -666,6 +669,18 @@ def compile_project(items, expansions, positions, ambiguous):
             makers.append(_compile_vec(item.expr, positions, ambiguous))
     if None in makers:
         return None
+    if all(type(maker) is int for maker in makers):
+        # Plain columns: the lanes zipped — as they stand on a fully-live
+        # chunk of plain lanes, else each gathered once.
+        def zip_columns(chunk, params):
+            if chunk.sel is None:
+                lanes = list(map(chunk.columns.__getitem__, makers))
+                if _PLAIN_LANES.issuperset(map(type, lanes)):
+                    return list(zip(*lanes))
+            sel = chunk.live_indices()
+            return list(zip(*[chunk.gather_at(pos, sel) for pos in makers]))
+
+        return zip_columns
 
     def project_fn(chunk, params):
         sel = chunk.live_indices()
@@ -679,8 +694,6 @@ def compile_project(items, expansions, positions, ambiguous):
             else:
                 scalar, value = maker(chunk, sel, params)
                 lanes.append([value] * n if scalar else value)
-        if len(lanes) == 1:
-            return [(v,) for v in lanes[0]]
         return list(zip(*lanes))
 
     return project_fn

@@ -66,22 +66,23 @@ class IndexLookup(LogicalNode):
     """Index-accelerated access to the base table.
 
     ``where`` is the full predicate the lookup keys are drawn from and
-    ``shape`` its :class:`~repro.sqldb.plan.access.LookupShape`; key
-    values are bound to the statement parameters at execution time,
-    falling back to a full scan when no index applies for the actual
+    ``probe`` its :class:`~repro.sqldb.plan.access.IndexProbe` over the
+    table; key values are bound to the statement parameters at execution
+    time, falling back to a full scan when no index applies for the actual
     parameter values (e.g. a key bound to NULL).  ``candidates`` names the
-    indexes the optimizer found structurally applicable (informational).
+    indexes the optimizer found structurally applicable, the paths the
+    probe considers.
     """
 
     _show = ("table", "candidates")
 
-    def __init__(self, table_index, table, alias, where, shape, candidates):
+    def __init__(self, table_index, table, alias, where, probe):
         self.table_index = table_index
         self.table = table
         self.alias = alias
         self.where = where
-        self.shape = shape
-        self.candidates = candidates  # e.g. ["<pk>"] or index names
+        self.probe = probe
+        self.candidates = probe.candidates  # e.g. ["<pk>"] or index names
 
 
 class IndexRangeScan(LogicalNode):

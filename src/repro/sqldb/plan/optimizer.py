@@ -48,8 +48,7 @@ from repro.sqldb.expressions import conjoin, split_conjuncts
 from repro.sqldb.plan import cost as C
 from repro.sqldb.plan import logical as L
 from repro.sqldb.plan.access import (
-    LookupShape,
-    candidate_indexes,
+    IndexProbe,
     ordered_scan_candidates,
     pinned_columns,
 )
@@ -238,9 +237,8 @@ def _best_base_estimate(db, table_name, predicate, options):
     equality index lookup, or (when enabled) an ordered-index range scan.
     Keeps the reorder rule's arithmetic in agreement with the access-path
     rules that later pick the base's actual operator."""
-    indexed = bool(predicate is not None
-                   and candidate_indexes(db.tables_get(table_name),
-                                         LookupShape(predicate)))
+    indexed = bool(predicate is not None and IndexProbe(
+        db.tables_get(table_name), predicate).candidates)
     best = C.access_estimate(db, table_name, predicate, indexed)
     if options.ordered_access and predicate is not None:
         for cand in ordered_scan_candidates(db.tables_get(table_name),
@@ -432,12 +430,11 @@ def _to_index_lookup(node, db):
         return node
     scan = node.child
     table = db.tables_get(scan.table)
-    shape = LookupShape(node.predicate)
-    candidates = candidate_indexes(table, shape)
-    if not candidates:
+    probe = IndexProbe(table, node.predicate)
+    if not probe.candidates:
         return node
     node.child = L.IndexLookup(scan.table_index, scan.table, scan.alias,
-                               node.predicate, shape, candidates)
+                               node.predicate, probe)
     return node
 
 
@@ -482,7 +479,7 @@ def select_ordered_access(root, sctx, db):
         order_spec = _base_order_requirement(sctx, access.table_index)
     pinned_ordinals = {
         table.schema.ordinal_of(c)
-        for c in pinned_columns(LookupShape(predicate))
+        for c in pinned_columns(predicate)
         if table.schema.has_column(c)}
 
     current = C.access_estimate(db, access.table, predicate,

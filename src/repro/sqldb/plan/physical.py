@@ -58,6 +58,7 @@ writes each measurement on its node's EXPLAIN line (EXPLAIN ANALYZE).
 
 import copy
 from itertools import chain, groupby, islice
+from operator import itemgetter
 from time import perf_counter
 
 from repro.sqldb import ast_nodes as A
@@ -68,6 +69,7 @@ from repro.sqldb.expressions import (evaluate, first_occurrences,
 from repro.sqldb.indexes import OrderedIndex, wrap_key
 from repro.sqldb.plan import logical as L
 from repro.sqldb.plan.access import (pk_lookup_keys, range_scan_ids,
+                                     residual_predicate,
                                      resolve_index_lookup)
 from repro.sqldb.plan.compile import (compile_aggregate_item_columnar,
                                       compile_filter,
@@ -141,6 +143,10 @@ class PlanRun:
                           chunks_skipped=self.chunks_skipped)
 
 
+# The row of a ``(row_id, row)`` pair.
+_ROW = itemgetter(1)
+
+
 def _pad(row, offset, total_width):
     values = [None] * total_width
     values[offset:offset + len(row)] = row
@@ -154,12 +160,12 @@ def _pad(row, offset, total_width):
 class _BaseTableScan:
     """Shared scaffolding for base-table access operators.
 
-    Subclasses define ``_rows(run, table)`` returning the list of storage
-    rows to read; charging, padding, chunking, the shared-scan prefetch
-    and the ``predicate`` (the Filter directly above, whole: an index
-    probe finds a superset) live here so both protocols stay in exact
-    accounting agreement.  Chunks leave with the selection vector its
-    kernel ``keep`` sets; a sequential scan also owns its zone test.
+    Subclasses define ``_keep_rows(run, table)`` returning the kernel to
+    run — ``keep``, the ``predicate``'s (the Filter directly above,
+    whole), or an index probe's residual — and the list of storage rows to
+    read.  Charging, padding, chunking and the predicate live
+    here so both protocols stay in exact accounting agreement; a
+    sequential scan owns its zone test and the shared-scan prefetch.
 
     ``read`` is the table's share of the statement's read set
     (``SelectContext.table_reads``): the chunk protocol fills those lanes
@@ -196,63 +202,38 @@ class _BaseTableScan:
                                        if self.offset + j in tested]
 
     def iter_cchunks(self, run):
-        keep = self.keep
+        keep, chunks = self._keep_chunks(run)
         params = run.params
-        for chunk in self._chunks(run):
+        filtered = self.predicate is not None
+        for chunk in chunks:
             # One chunk step per EXPLAIN line: the scan, then the Filter.
             run.batches += 1
             if keep is not None:
                 sel = keep(chunk, params)
                 if not sel:
                     continue
-                run.batches += 1
                 if len(sel) < chunk.length:
                     chunk.sel = sel  # nothing else holds the chunk yet
+            run.batches += filtered
             yield chunk
 
-    def _chunks(self, run):
-        """The chunks before the predicate, every row charged: zone maps
-        change wall-clock, never the simulated cost."""
-        sctx = run.sctx
-        total = sctx.total_width
-        if self.sequential and run.prefetched_base_rows is not None:
-            rows = run.prefetched_base_rows
-            return [ColumnChunk.from_rows(rows[start:start + CHUNK_SIZE],
-                                          total, sctx.read)
-                    for start in range(0, len(rows), CHUNK_SIZE)]
-        table = run.db.tables_get(self.table_name)
-        offset = self.offset
-        if self.sequential:
-            store = table.column_store()
-            length, lane = store.length, store.lane
-            zone_lists = [(offset + j, store.zones(j))
-                          for j in self.prune_ordinals]
-        else:
-            rows = self._rows(run, table)
-            # One C-level transpose; the read lanes are kept, as tuples
-            # (half the cost of a comprehension per lane over a few rows,
-            # and a chunk's slice of a whole tuple is the tuple itself).
-            length, lane, zone_lists = (len(rows),
-                                        list(zip(*rows)).__getitem__, ())
-        run.rows_touched += length
-        lanes = [(offset + j, lane(j)) for j in self.read] if length else ()
+    def _keep_chunks(self, run):
+        """``(keep, chunks)``: the kernel to run and the chunks before it,
+        every row charged — one C-level transpose per chunk, of which the
+        read lanes are kept, as tuples (half the cost of a comprehension
+        per lane over a few rows)."""
+        keep, rows = self._keep_rows(run, run.db.tables_get(self.table_name))
+        run.rows_touched += len(rows)
+        offset, read = self.offset, self.read
+        total = run.sctx.total_width
         chunks = []
-        for ci, start in enumerate(range(0, length, CHUNK_SIZE)):
-            if zone_lists:
-                zones = {pos: zl[ci] for pos, zl in zone_lists}
-                try:
-                    must_scan = self.prune(zones.get, run.params)
-                except Exception:
-                    must_scan = True  # scan and surface the error
-                if not must_scan:
-                    run.chunks_skipped += 1
-                    continue
-            stop = min(start + CHUNK_SIZE, length)
+        for start in range(0, len(rows), CHUNK_SIZE):
+            lanes = list(zip(*rows[start:start + CHUNK_SIZE]))
             columns = [None] * total
-            for pos, values in lanes:
-                columns[pos] = values[start:stop]
-            chunks.append(ColumnChunk(columns, stop - start))
-        return chunks
+            for j in read:
+                columns[offset + j] = lanes[j]
+            chunks.append(ColumnChunk(columns, len(lanes[0])))
+        return keep, chunks
 
     def iter_rows_interp(self, run):
         predicate = self.predicate
@@ -264,7 +245,7 @@ class _BaseTableScan:
             rows, charge, pad = run.prefetched_base_rows, 0, False
         else:
             table = run.db.tables_get(self.table_name)
-            rows, charge = self._rows(run, table), 1
+            rows, charge = self._keep_rows(run, table)[1], 1
             pad = offset != 0 or len(table.schema.columns) != total
         for row in rows:
             run.rows_touched += charge
@@ -284,8 +265,44 @@ class SeqScanOp(_BaseTableScan):
 
     sequential = True
 
-    def _rows(self, run, table):
-        return [row for _, row in table.scan()]
+    def _keep_rows(self, run, table):
+        return self.keep, list(map(_ROW, table.scan()))
+
+    def _keep_chunks(self, run):
+        """The table's cached ColumnStore sliced into chunks (or the
+        batch's prefetched rows), every row charged: zone maps change
+        wall-clock, never the simulated cost."""
+        sctx = run.sctx
+        total = sctx.total_width
+        if run.prefetched_base_rows is not None:
+            rows = run.prefetched_base_rows
+            return self.keep, [
+                ColumnChunk.from_rows(rows[start:start + CHUNK_SIZE], total,
+                                      sctx.read)
+                for start in range(0, len(rows), CHUNK_SIZE)]
+        store = run.db.tables_get(self.table_name).column_store()
+        length, offset = store.length, self.offset
+        zone_lists = [(offset + j, store.zones(j))
+                      for j in self.prune_ordinals]
+        run.rows_touched += length
+        lanes = [(offset + j, store.lane(j)) for j in self.read]
+        chunks = []
+        for ci, start in enumerate(range(0, length, CHUNK_SIZE)):
+            if zone_lists:
+                zones = {pos: zl[ci] for pos, zl in zone_lists}
+                try:
+                    must_scan = self.prune(zones.get, run.params)
+                except Exception:
+                    must_scan = True  # scan and surface the error
+                if not must_scan:
+                    run.chunks_skipped += 1
+                    continue
+            stop = min(start + CHUNK_SIZE, length)
+            columns = [None] * total
+            for pos, values in lanes:
+                columns[pos] = values[start:stop]
+            chunks.append(ColumnChunk(columns, stop - start))
+        return self.keep, chunks
 
 
 class IndexLookupOp(_BaseTableScan):
@@ -294,21 +311,31 @@ class IndexLookupOp(_BaseTableScan):
     Key values come from the statement parameters, so the final index
     decision happens per execution (mirroring the legacy interpreter): when
     :func:`resolve_index_lookup` finds no usable index for the values bound
-    to the plan's :class:`~repro.sqldb.plan.access.LookupShape`, this
+    to the plan's :class:`~repro.sqldb.plan.access.IndexProbe`, this
     operator degrades to a sequential scan and its predicate does all the
-    work.
+    work.  An equality probe decides the conjuncts it keyed on, so the
+    chunk protocol then runs ``residuals[path]`` — the predicate without
+    them (:func:`residual_predicate`), compiled per candidate path when
+    the plan is built — instead of ``keep``; an IN-list probe, the scan
+    and the interpreter re-check the whole predicate.
     """
 
     def __init__(self, node, sctx, predicate):
         super().__init__(node, sctx, predicate)
-        self.shape = node.shape
+        self.probe = node.probe
+        context = sctx.context
+        self.residuals = {}
+        for name, columns in self.probe.paths():
+            residual = residual_predicate(predicate, columns)
+            self.residuals[name] = None if residual is None else (
+                compile_filter(residual, context.positions,
+                               context.ambiguous)[0])
 
-    def _rows(self, run, table):
-        lookup = resolve_index_lookup(table, self.shape, run.params)
-        if lookup is None:
-            return [row for _, row in table.scan()]
-        return [row for row in map(table.rows.get, lookup)
-                if row is not None]
+    def _keep_rows(self, run, table):
+        path, hits = resolve_index_lookup(table, self.probe, run.params)
+        if hits is None:
+            return self.keep, list(map(_ROW, table.scan()))
+        return self.residuals.get(path, self.keep), list(map(_ROW, hits))
 
 
 class IndexRangeScanOp(_BaseTableScan):
@@ -348,10 +375,10 @@ class IndexRangeScanOp(_BaseTableScan):
             groups.reverse()
         return [row_id for group in groups for row_id in group]
 
-    def _rows(self, run, table):
-        return [row for row in
-                map(table.rows.get, self._row_ids(table, run.params))
-                if row is not None]
+    def _keep_rows(self, run, table):
+        ids = self._row_ids(table, run.params)
+        return self.keep, [row for row in map(table.rows.get, ids)
+                           if row is not None]
 
 
 class FilterOp:
@@ -1057,7 +1084,7 @@ class PhysicalPlan:
         self.shared_scan_table = (
             source.table_name if isinstance(source, SeqScanOp) else None)
 
-    def pk_probe_keys(self, db, params=()):
+    def pk_probe_keys(self, params=()):
         """The primary-key values this plan probes as a pure point lookup,
         or None when the plan is not a pk point lookup for these params.
 
@@ -1070,10 +1097,7 @@ class PhysicalPlan:
         op = self.source
         if not isinstance(op, IndexLookupOp):
             return None
-        table = db.tables.get(op.table_name)
-        if table is None:
-            return None
-        keys = pk_lookup_keys(table, op.shape, params)
+        keys = pk_lookup_keys(op.probe, params)
         if keys is None:
             return None
         return op.table_name, keys
@@ -1136,6 +1160,7 @@ class PhysicalPlan:
                 # Its two EXPLAIN lines: the rows read, the rows kept.
                 bare = copy.copy(op)
                 bare.predicate = bare.keep = None
+                bare.residuals = {}  # an index probe's, with the predicate
                 ops.append(FilterOp(bare, op.predicate, op.keep))
                 op = bare
             ops.append(op)

@@ -102,6 +102,11 @@ COERCERS = {
 }
 
 
+#: One value of what each type stores: an index over a column of the type
+#: is probed only with a key :func:`is_comparable` with it.
+STORED_SAMPLES = {INTEGER: 0, FLOAT: 0.0, TEXT: "", BOOLEAN: False, DATE: ""}
+
+
 def is_comparable(a, b):
     """Whether two non-null Python values can be compared with <, >, =."""
     if isinstance(a, bool) or isinstance(b, bool):

@@ -110,15 +110,15 @@ class TestPkInPointLookups:
         executor = people_db.executor
         plan = executor.plan_for(
             parse("SELECT name FROM person WHERE id IN (?, ?)"))
-        assert plan.pk_probe_keys(people_db, (1, 3)) == (
+        assert plan.pk_probe_keys((1, 3)) == (
             "person", frozenset({1, 3}))
         eq_plan = executor.plan_for(
             parse("SELECT name FROM person WHERE id = 2"))
-        assert eq_plan.pk_probe_keys(people_db, ()) == (
+        assert eq_plan.pk_probe_keys(()) == (
             "person", frozenset({2}))
         scan_plan = executor.plan_for(
             parse("SELECT name FROM person WHERE city = 'sf'"))
-        assert scan_plan.pk_probe_keys(people_db, ()) is None
+        assert scan_plan.pk_probe_keys(()) is None
 
     def test_pk_in_members_are_not_grouped(self, people_db):
         batch = [("SELECT name FROM person WHERE id IN (1, 2)", ()),

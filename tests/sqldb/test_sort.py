@@ -258,9 +258,9 @@ def test_engine_rows_are_tuples(engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_a_probe_key_of_the_wrong_type_is_caught_by_the_recheck(engine):
-    """``id = ?`` bound to TRUE finds row 1 through the primary-key hash
-    (``TRUE == 1``); the access operator re-checks the full WHERE, and that
-    comparison is what raises — the probe alone would return the row."""
+    """``id = ?`` bound to TRUE would find row 1 through the primary-key
+    hash (``TRUE == 1``).  TRUE is no key for an INTEGER column, so no index
+    serves the execution and the scan's comparison is what raises."""
     db = _backend(engine)
     with pytest.raises(SqlTypeError, match="cannot compare 1 with True"):
         db.execute("SELECT x FROM t WHERE id = ?", (True,))

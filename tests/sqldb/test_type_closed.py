@@ -5,11 +5,15 @@ never a builtin ``TypeError`` / ``IndexError`` from inside it.
 
 Generated SELECTs over one small table put aggregates beside ``*`` and
 ``t.*``, and DISTINCT / GROUP BY / ORDER BY / LIMIT over columns and
-``?``; the parameters are ints, floats, bools, text, NULL, a list and a
+``?``, under a WHERE of equalities on the primary key and on an indexed
+column; the parameters are ints, floats, bools, text, NULL, a list and a
 dict.  Each statement runs on both engines and on two hash-partitioned
 shards, over an empty table and over a table with rows (several bugs
 here answered differently by data: a malformed row over no rows, an
-error over some).  A result row has exactly one value per column.
+error over some).  A result row has exactly one value per column.  On
+one node an index answers what a scan does: the same statement over a
+twin table with no index and no primary key gives the same rows, or an
+error of the same type.
 """
 
 import pytest
@@ -25,6 +29,8 @@ ROWS = ((1, 10, "a"), (2, None, "b"), (3, 10, None), (4, 7, "a"))
 ITEMS = ("*", "t.*", "id", "v", "f", "?", "COUNT(*)", "SUM(v)", "AVG(v)",
          "MAX(f)", "COUNT(DISTINCT v)", "COUNT(DISTINCT ?)", "MIN(?)",
          "SUM(?)", "v + ?")
+WHERE = ("", " WHERE id = ?", " WHERE v = ?", " WHERE id = ? AND v = ?",
+         " WHERE id = ? AND id = ?")
 GROUP_BY = ("", " GROUP BY id", " GROUP BY f", " GROUP BY ?",
             " GROUP BY v, ?")
 ORDER_BY = ("", " ORDER BY 1", " ORDER BY v", " ORDER BY f DESC",
@@ -42,8 +48,14 @@ def _backend(name, rows):
     else:
         db = Database(engine=name)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f TEXT)")
-    for row in rows:
-        db.execute("INSERT INTO t (id, v, f) VALUES (?, ?, ?)", row)
+    db.execute("CREATE INDEX t_v ON t (v)")
+    tables = ("t",) if name == "2 shards" else ("t", "twin")
+    if name != "2 shards":
+        db.execute("CREATE TABLE twin (id INT, v INT, f TEXT)")
+    for table in tables:
+        for row in rows:
+            db.execute(f"INSERT INTO {table} (id, v, f) VALUES (?, ?, ?)",
+                       row)
     return db
 
 
@@ -56,7 +68,8 @@ DATABASES = {(name, len(rows)): _backend(name, rows)
 def selects(draw):
     items = draw(st.lists(st.sampled_from(ITEMS), min_size=1, max_size=3))
     sql = ("SELECT " + ("DISTINCT " if draw(st.booleans()) else "")
-           + ", ".join(items) + " FROM t" + draw(st.sampled_from(GROUP_BY))
+           + ", ".join(items) + " FROM t" + draw(st.sampled_from(WHERE))
+           + draw(st.sampled_from(GROUP_BY))
            + draw(st.sampled_from(ORDER_BY)) + draw(st.sampled_from(LIMIT)))
     params = draw(st.lists(PARAMS, min_size=sql.count("?"),
                            max_size=sql.count("?")))
@@ -79,6 +92,24 @@ def test_only_the_engines_own_errors_escape(statement):
     sql, params = statement
     for db in DATABASES.values():
         _outcome(db, sql, params)  # anything but SqlError fails here
+
+
+def _answer(db, sql, params):
+    try:
+        return db.execute(sql, params).rows
+    except SqlError as error:
+        return type(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(statement=selects())
+def test_an_index_answers_what_the_unindexed_twin_answers(statement):
+    sql, params = statement
+    twin = sql.replace(" FROM t", " FROM twin t", 1)
+    for key, db in DATABASES.items():
+        if key[0] != "2 shards":
+            assert _answer(db, sql, params) == _answer(db, twin, params), (
+                key, sql, params)
 
 
 # -- the two shapes the property found, pinned ------------------------------

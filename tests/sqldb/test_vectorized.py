@@ -567,12 +567,13 @@ def test_unhashable_parameter_raises_sql_type_error_on_index_paths(
         engine, column, bad):
     """``col = ?`` with a list / set / dict parameter is a SqlTypeError
     whichever access path serves it — not the ``TypeError`` of the index's
-    dict probe — and a failed UPDATE / DELETE leaves the table as it was."""
+    dict probe — and a failed UPDATE / DELETE leaves the table as it was.
+    A key its column cannot compare disqualifies the index, so the error is
+    the scan's, the same as over the unindexed column below."""
     db = Database(result_cache_size=0, engine=engine)
     _seed_join_tables(db)
     before = db.execute("SELECT * FROM u").rows
-    message = (f"cannot compare column {column!r} with a "
-               f"{type(bad).__name__} value")
+    message = f"cannot compare 0 with {bad!r}"
     for sql in (f"SELECT id FROM u WHERE {column} = ?",
                 f"SELECT w FROM u WHERE {column} = ? AND w > 0",
                 f"UPDATE u SET w = 0 WHERE {column} = ?",
