@@ -11,7 +11,7 @@ import re
 
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlError, SqlTypeError
-from repro.sqldb.types import is_comparable
+from repro.sqldb.types import _OUT_OF_RANGE, is_comparable
 
 
 class RowContext:
@@ -186,28 +186,50 @@ def _eval_binary(expr, ctx, params):
             raise SqlTypeError("'||' requires text operands")
         return left + right
     if op in ("+", "-", "*", "/", "%"):
-        if (isinstance(left, bool) or isinstance(right, bool)
-                or not isinstance(left, (int, float))
-                or not isinstance(right, (int, float))):
-            raise SqlTypeError(
-                f"arithmetic requires numbers, got {left!r} {op} {right!r}")
+        return arithmetic(op, left, right)
+    raise SqlError(f"unknown binary operator {op!r}")
+
+
+def arithmetic(op, left, right):
+    """One application of ``+ - * / %`` — the one home of SQL's arithmetic
+    rules, for the interpreter and the compiled loops alike: NULL
+    propagates, only non-bool numbers combine, division and modulo by zero
+    yield NULL, an int divided by an int is exact when it divides evenly,
+    and a result no float can hold raises :class:`SqlTypeError`."""
+    if left is None or right is None:
+        return None
+    if (isinstance(left, bool) or isinstance(right, bool)
+            or not isinstance(left, (int, float))
+            or not isinstance(right, (int, float))):
+        raise SqlTypeError(
+            f"arithmetic requires numbers, got {left!r} {op} {right!r}")
+    try:
         if op == "+":
             return left + right
         if op == "-":
             return left - right
         if op == "*":
             return left * right
-        if op == "/":
-            if right == 0:
-                return None  # SQL semantics: division by zero yields NULL
-            result = left / right
-            if isinstance(left, int) and isinstance(right, int):
-                return int(result) if result == int(result) else result
-            return result
         if right == 0:
-            return None
-        return left % right
-    raise SqlError(f"unknown binary operator {op!r}")
+            return None  # SQL semantics: division by zero yields NULL
+        if op == "%":
+            return left % right
+        if isinstance(left, int) and isinstance(right, int):
+            quotient, remainder = divmod(left, right)
+            if remainder == 0:
+                return quotient
+        return left / right
+    except OverflowError:
+        raise SqlTypeError(_OUT_OF_RANGE) from None
+
+
+def average(total, count):
+    """AVG's final ``total / count`` — every AVG form's, so a total no
+    float can hold is the same :class:`SqlTypeError` everywhere."""
+    try:
+        return total / count
+    except OverflowError:
+        raise SqlTypeError(_OUT_OF_RANGE) from None
 
 
 def _eval_in(expr, ctx, params):
@@ -296,7 +318,9 @@ def fold_aggregate(name, values):
             total = sum(values)
         except TypeError:
             raise aggregate_type_error(name, values) from None
-        return total if name == "SUM" else total / len(values)
+        except OverflowError:
+            raise SqlTypeError(_OUT_OF_RANGE) from None
+        return total if name == "SUM" else average(total, len(values))
     if name == "MIN" or name == "MAX":
         try:
             return min(values) if name == "MIN" else max(values)

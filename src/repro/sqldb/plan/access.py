@@ -168,17 +168,19 @@ def equality_conjuncts(probe, params):
     several conjuncts on a column the last non-NULL value wins; None where
     each is NULL or a missing parameter — the conjunct drops out), or None
     when a key is not comparable with what its column stores (``'1'`` for
-    an INTEGER, ``FALSE`` for a number, a list for anything).  Such a key
-    disqualifies every index for the execution, so the scan that runs
-    instead answers what an unindexed table answers."""
+    an INTEGER, ``FALSE`` for a number, a list for anything) or is NaN
+    (which the interpreter's ``<`` / ``>`` probes find equal to every
+    number: no lookup finds that).  Such a key disqualifies every index
+    for the execution, so the scan that runs instead answers what an
+    unindexed table answers."""
     n = len(params)
     bound = [None] * len(probe.columns)
     for index, value, sample, column in probe.keys:
         if index is not None:
             value = params[index] if index < n else None
         if value is not None:
-            if type(value) is not type(sample) and not is_comparable(
-                    value, sample):
+            if value != value or (type(value) is not type(sample)
+                                  and not is_comparable(value, sample)):
                 return None
             bound[column] = value
     return bound

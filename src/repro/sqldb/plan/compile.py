@@ -41,15 +41,26 @@ Internally every predicate node is ``node(chunk, sel, params) -> (t, u)``
 the remainder) — so AND combines Kleene-exactly and preserves the
 interpreter's short-circuit scope: it evaluates its right operand only
 over the left's TRUE∪UNKNOWN rows, which is also all an interpreted
-operand beside a selective fused leaf ever sees.  Comparison leaves
-against a row-independent operand (literal or parameter) compile to
-generated fused loops (memoized per operator × type-family) that bake in
-the interpreter's comparability lattice and its ``a < b`` / ``a > b``
-probes, so NaN and mixed-type behaviour are bit-identical.
+operand beside a selective fused leaf ever sees.
 Dictionary-encoded columns get code-level equality.  Errors the
 interpreter raises only when a row is actually evaluated (missing
 parameters, type errors) are raised by the kernels only when a row is
 evaluated too, so an empty input still raises nothing.
+
+**Generated loops.**  ``_loop`` builds the per-value loops from source
+templates: one function per key, at most once per process, shared by
+every plan and compiled under this file's name (``cmp_ge_num``,
+``between_num_exact``, ``arith_mul_vs``).  Comparison and BETWEEN loops
+bake in the interpreter's comparability lattice and ``a < b`` / ``a > b``
+probes, so NaN and mixed-type behaviour are bit-identical.  Arithmetic
+``+ - *`` has one per operator × shape (column∘column, column∘constant,
+constant∘column): two values whose class is exactly ``int`` or ``float``
+combine inline, any other goes to :func:`repro.sqldb.expressions.arithmetic`
+(the one home of the arithmetic rules) for its element, and an
+``OverflowError`` — an int no float holds meeting a float — sends the
+chunk through the helper again, which raises the interpreter's
+:class:`SqlTypeError` at that element.  ``/`` and ``%`` call the helper
+per value: no workload divides.
 
 Kernels live exactly as long as the physical plan that owns them: the
 executor's plan cache is invalidated by DDL and stats epochs, which is
@@ -71,11 +82,14 @@ from repro.sqldb.expressions import (
     RowContext,
     _truthy,
     aggregate_type_error,
+    arithmetic,
+    average,
     evaluate,
     first_occurrences,
     fold_aggregate,
 )
 from repro.sqldb.plan.planner import _AGGREGATE_NAMES, contains_aggregate
+from repro.sqldb.types import _OUT_OF_RANGE, is_comparable
 
 __all__ = ["compile_filter", "compile_project",
            "compile_aggregate_item_columnar",
@@ -103,47 +117,6 @@ def _row_independent(expr):
     row context for these two node types, so none is bound, and a missing
     parameter raises the interpreter's own error."""
     return isinstance(expr, (A.Literal, A.Param))
-
-
-def _const_type_check(constant):
-    """A predicate over row values matching ``is_comparable(v, constant)``
-    for the known, non-NULL constant."""
-    if isinstance(constant, bool):
-        return lambda v: isinstance(v, bool)
-    if isinstance(constant, (int, float)):
-        return lambda v: (not isinstance(v, bool)
-                          and isinstance(v, (int, float)))
-    expected = type(constant)
-    return lambda v: type(v) is expected
-
-
-def _arith_value(op, left, right):
-    """One arithmetic application — the single home for NULL propagation,
-    numeric type checking and divide-by-zero of the element-wise loops
-    (the interpreter's ``_eval_binary`` rules, value for value)."""
-    if left is None or right is None:
-        return None
-    if (isinstance(left, bool) or isinstance(right, bool)
-            or not isinstance(left, (int, float))
-            or not isinstance(right, (int, float))):
-        raise SqlTypeError(
-            f"arithmetic requires numbers, got {left!r} {op} {right!r}")
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            return None  # SQL semantics: division by zero yields NULL
-        result = left / right
-        if isinstance(left, int) and isinstance(right, int):
-            return int(result) if result == int(result) else result
-        return result
-    if right == 0:
-        return None
-    return left % right
 
 
 # ---------------------------------------------------------------------------
@@ -380,26 +353,51 @@ _CMP_EXPRS = {
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "<>": "<>"}
 
 # Per type-family row-value checks matching is_comparable(a, constant)
-# for a known non-NULL constant.
+# for a known non-NULL constant; ``{cls}`` names the constant's class.
 _KERNEL_CHECKS = {
     "num": ("a.__class__ is int or a.__class__ is float"
             " or (isinstance(a, (int, float))"
             " and not isinstance(a, bool))"),
     "bool": "a.__class__ is bool",
-    "exact": "type(a) is cls",
+    "exact": "type(a) is {cls}",
 }
 
-_CMP_KERNELS = {}
+# Operators as a generated loop's name spells them.
+_LOOP_NAMES = {"=": "eq", "<>": "ne", "<": "lt", ">": "gt", "<=": "le",
+               ">=": "ge", "+": "add", "-": "sub", "*": "mul", "/": "div",
+               "%": "mod"}
+
+_LOOPS = {}
 
 
-def _cmp_kernel(op, kind):
-    """The generated fused comparison loop for one (operator, type-family)
-    pair — built once per process, shared by every plan; ``fail(a, c)``
-    raises the incomparable-value error (``_fail_const_*``)."""
-    fn = _CMP_KERNELS.get((op, kind))
+def _loop(key, source):
+    """The generated loop for ``key`` = ``(kind, *parts)``, named
+    ``kind_part_part`` and built from ``source(name, *parts)`` on first
+    use (its line numbers are the generated source's)."""
+    fn = _LOOPS.get(key)
     if fn is None:
-        src = (
-            "def kernel(col, sel, c, cls, fail):\n"
+        name = "_".join(_LOOP_NAMES.get(part, part) for part in key)
+        namespace = {"arithmetic": arithmetic}
+        code = compile(source(name, *key[1:]), __file__, "exec")
+        exec(code, namespace)  # noqa: S102 - trusted, templated source
+        fn = _LOOPS[key] = namespace[name]
+    return fn
+
+
+def _family(constant):
+    """``(kind, cls)`` of a non-NULL constant: which ``_KERNEL_CHECKS``
+    entry a row value must pass to be comparable with it."""
+    if constant.__class__ is bool:
+        return "bool", None
+    if isinstance(constant, (int, float)):
+        return "num", None
+    return "exact", type(constant)
+
+
+def _pred_source(name, args, branches):
+    """A predicate loop ``name(col, sel, *args) -> (t, u)`` over the rows
+    ``sel``: NULL is UNKNOWN, ``branches`` decide every other value."""
+    return (f"def {name}(col, sel, {args}):\n"
             "    t = []\n"
             "    u = []\n"
             "    ta = t.append\n"
@@ -408,17 +406,66 @@ def _cmp_kernel(op, kind):
             "        a = col[i]\n"
             "        if a is None:\n"
             "            ua(i)\n"
-            f"        elif {_KERNEL_CHECKS[kind]}:\n"
-            f"            if {_CMP_EXPRS[op]}:\n"
-            "                ta(i)\n"
-            "        else:\n"
-            "            fail(a, c)\n"
+            f"{branches}"
             "    return t, u\n")
-        namespace = {}
-        exec(src, namespace)  # noqa: S102 - trusted, templated source
-        fn = namespace["kernel"]
-        _CMP_KERNELS[(op, kind)] = fn
-    return fn
+
+
+def _cmp_source(name, op, kind):
+    """``col <op> c``; ``fail(a, c)`` raises the incomparable-value error
+    (``_fail_const_*``)."""
+    return _pred_source(name, "c, cls, fail", (
+        f"        elif {_KERNEL_CHECKS[kind].format(cls='cls')}:\n"
+        f"            if {_CMP_EXPRS[op]}:\n"
+        "                ta(i)\n"
+        "        else:\n"
+        "            fail(a, c)\n"))
+
+
+def _between_source(name, low_kind, high_kind):
+    """``col BETWEEN low AND high``, checked in the interpreter's order:
+    the low bound's type, ``a < low`` (then the high bound is never looked
+    at), the high bound's type, ``a > high``."""
+    low_ok = _KERNEL_CHECKS[low_kind].format(cls="low_cls")
+    high_ok = _KERNEL_CHECKS[high_kind].format(cls="high_cls")
+    return _pred_source(name, "low, high, low_cls, high_cls, fail", (
+        f"        elif not ({low_ok}):\n"
+        "            fail(a, low)\n"
+        "        elif a < low:\n"
+        "            pass\n"
+        f"        elif not ({high_ok}):\n"
+        "            fail(a, high)\n"
+        "        elif not (a > high):\n"
+        "            ta(i)\n"))
+
+
+# What an arithmetic loop iterates, per shape: each side a vector (``v``,
+# a list aligned with the selection) or a scalar (``s``).
+_ARITH_ITERATIONS = {"vv": "for a, b in zip(left, right)",
+                     "vs": "for a in left", "sv": "for b in right"}
+
+
+def _arith_source(name, op, shape):
+    """``name(left, right) -> list``: ``left <op> right`` per value, inline
+    for two exact ints / floats under ``+ - *`` (a chunk that overflows
+    is redone through the helper), else by :func:`arithmetic`."""
+    each = _ARITH_ITERATIONS[shape]
+    number = "({0}.__class__ is int or {0}.__class__ is float)".format
+    scalars = [x for x, side in zip("ab", shape) if side == "s"]
+    vectors = [x for x, side in zip("ab", shape) if side == "v"]
+    lines = [f"def {name}(left, right):"]
+    lines += [f"    {x} = {'left' if x == 'a' else 'right'}" for x in scalars]
+    if op in ("+", "-", "*"):
+        inline = " and ".join(map(number, vectors))
+        lines += [
+            f"    if {' and '.join(map(number, scalars)) or 'True'}:",
+            "        try:",
+            f"            return [a {op} b if {inline}"
+            f" else arithmetic({op!r}, a, b) {each}]",
+            "        except OverflowError:",
+            "            pass",
+        ]
+    lines.append(f"    return [arithmetic({op!r}, a, b) {each}]")
+    return "\n".join(lines) + "\n"
 
 
 def _fail_const_right(a, c):
@@ -484,13 +531,8 @@ def _cmp_leaf(expr, positions, ambiguous):
         if (type(col) is DictColumn and c.__class__ is str
                 and (kop == "=" or kop == "<>")):
             return _dict_eq(col, sel, c, kop)
-        if c.__class__ is bool:
-            kind, cls = "bool", None
-        elif isinstance(c, (int, float)):
-            kind, cls = "num", None
-        else:
-            kind, cls = "exact", type(c)
-        return _cmp_kernel(kop, kind)(col, sel, c, cls, fail)
+        kind, cls = _family(c)
+        return _loop(("cmp", kop, kind), _cmp_source)(col, sel, c, cls, fail)
 
     def zone_test(zone_of, params):
         zone = zone_of(pos)
@@ -504,8 +546,7 @@ def _cmp_leaf(expr, positions, ambiguous):
             return (False, True, False)  # UNKNOWN on every evaluated row
         if lo is None:
             return _ALWAYS  # chunk has values but no orderable range
-        type_ok = _const_type_check(c)
-        if not (type_ok(lo) and type_ok(hi)):
+        if not (is_comparable(lo, c) and is_comparable(hi, c)):
             # Some chunk value is incomparable with the constant — the
             # fused kernel would raise; the chunk must be scanned.
             return (True, nulls > 0, True)
@@ -548,23 +589,11 @@ def _between_leaf(expr, positions, ambiguous):
         col = chunk.columns[pos]
         if low is None or high is None or col is None:
             return [], list(sel)
-        ok_low = _const_type_check(low)
-        ok_high = _const_type_check(high)
-        t, u = [], []
-        ta = t.append
-        ua = u.append
-        for i in sel:
-            a = col[i]
-            if a is None:
-                ua(i)
-            elif not ok_low(a):
-                raise SqlTypeError(f"cannot compare {a!r} with {low!r}")
-            elif a < low:
-                pass  # below the range; the high bound is never compared
-            elif not ok_high(a):
-                raise SqlTypeError(f"cannot compare {a!r} with {high!r}")
-            elif not (a > high):
-                ta(i)
+        low_kind, low_cls = _family(low)
+        high_kind, high_cls = _family(high)
+        between = _loop(("between", low_kind, high_kind), _between_source)
+        t, u = between(col, sel, low, high, low_cls, high_cls,
+                       _fail_const_right)
         if negated:
             t_set = set(t)
             u_set = set(u)
@@ -587,16 +616,14 @@ def _between_leaf(expr, positions, ambiguous):
             return (False, True, False)
         if lo is None:
             return _ALWAYS
-        ok_low = _const_type_check(low)
-        if not (ok_low(lo) and ok_low(hi)):
+        if not (is_comparable(lo, low) and is_comparable(hi, low)):
             return (True, True, True)
         try:
             if hi < low:
                 # Every value below the range: the fused loop never
                 # touches the high bound, so it cannot raise either.
                 return (False, nulls > 0, False)
-            ok_high = _const_type_check(high)
-            if not (ok_high(lo) and ok_high(hi)):
+            if not (is_comparable(lo, high) and is_comparable(hi, high)):
                 return (True, nulls > 0, True)
             may_true = not (lo > high)
         except TypeError:
@@ -639,13 +666,10 @@ def _compile_vec(expr, positions, ambiguous):
             lscalar, lval = lv(chunk, sel, params)
             rscalar, rval = rv(chunk, sel, params)
             if lscalar and rscalar:
-                return True, _arith_value(op, lval, rval)
-            if lscalar:
-                return False, [_arith_value(op, lval, b) for b in rval]
-            if rscalar:
-                return False, [_arith_value(op, a, rval) for a in lval]
-            return False, [_arith_value(op, a, b)
-                           for a, b in zip(lval, rval)]
+                return True, arithmetic(op, lval, rval)
+            shape = ("s" if lscalar else "v") + ("s" if rscalar else "v")
+            loop = _loop(("arith", op, shape), _arith_source)
+            return False, loop(lval, rval)
 
         return binary_vec
     return None
@@ -782,12 +806,14 @@ def compile_grouped_item_columnar(expr, positions, ambiguous):
                         st[1] = st[1] + v
             except TypeError:
                 raise aggregate_type_error(name, (v,)) from None
+            except OverflowError:
+                raise SqlTypeError(_OUT_OF_RANGE) from None
 
         if name == "SUM":
             final_sum = lambda state: state[1] if state[0] else None
         else:
             final_sum = (lambda state:
-                         state[1] / state[0] if state[0] else None)
+                         average(state[1], state[0]) if state[0] else None)
         return (lambda: [0, 0]), update_sum, final_sum
     if contains_aggregate(expr):
         return None  # composite shapes keep the interpreted form

@@ -17,6 +17,9 @@ DATE = "DATE"
 
 ALL_TYPES = (INTEGER, FLOAT, TEXT, BOOLEAN, DATE)
 
+# What a number no float can hold raises, wherever it meets one.
+_OUT_OF_RANGE = "numeric value out of range"
+
 # Aliases accepted in DDL, mapped to canonical names.
 TYPE_ALIASES = {
     "INT": INTEGER,
@@ -68,7 +71,10 @@ def _to_float(value):
     if value is None or type(value) is float:
         return value
     if not isinstance(value, bool) and isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise SqlTypeError(_OUT_OF_RANGE) from None
     raise SqlTypeError(f"cannot store {value!r} in FLOAT column")
 
 

@@ -605,6 +605,63 @@ def test_aggregates_over_text_and_empty_input_still_work():
         assert sharded.execute(sql).rows == expected, sql
 
 
+def _numbers(db, v):
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f REAL)")
+    db.execute("INSERT INTO t (id, v, f) VALUES (1, ?, 2.0), (2, ?, 4.0)",
+               (v, v))
+    return db
+
+
+def _number_dbs(v):
+    """Two rows holding ``v`` under every engine and on two shards."""
+    topology = ShardTopology(2, {"t": PartitionSpec("id")})
+    return (*(_numbers(Database(result_cache_size=0, engine=e), v)
+              for e in ENGINES),
+            _numbers(ShardedDatabase(topology, result_cache_size=0), v))
+
+
+def test_integer_division_is_exact():
+    """An int divided by an int that divides it is that int, exactly: the
+    quotient no longer goes through a float (``10**17 + 1`` over 1 came
+    back as ``10**17``).  A remainder still gives true division."""
+    v = 10 ** 17 + 1
+    *engines, sharded = _number_dbs(v)
+    for sql, params, expected in (
+            ("SELECT v / ? FROM t WHERE id = 1", (1,), (v,)),
+            ("SELECT v / ?, -v / ? FROM t WHERE id = 2", (-1, 1), (-v, -v)),
+            ("SELECT v / 2, 7 / 2, 6 / 3, v / f FROM t WHERE id = 1", (),
+             (v / 2, 3.5, 2, v / 2.0)),
+    ):
+        for rows in (_agree(*engines, sql, params).rows,
+                     sharded.execute(sql, params).rows):
+            assert rows == [expected], sql
+            assert list(map(type, rows[0])) == list(map(type, expected))
+
+
+@pytest.mark.parametrize("sql, params", [
+    ("SELECT v / 3 FROM t", ()),
+    ("SELECT v * f FROM t", ()),
+    ("SELECT v + f FROM t", ()),
+    ("SELECT f - v FROM t WHERE id = 2", ()),
+    ("SELECT v * ? FROM t", (1.0,)),
+    ("SELECT ? % v FROM t", (0.5,)),
+    ("SELECT SUM(v * 1.0) FROM t", ()),
+    ("SELECT AVG(v) FROM t", ()),
+    ("SELECT id, AVG(v) FROM t GROUP BY id", ()),
+    ("SELECT id, SUM(v) + f FROM t GROUP BY id, f", ()),
+])
+def test_a_result_no_float_holds_is_a_sql_type_error(sql, params):
+    """``10**400`` meets a float, or an int division no float holds: a
+    :class:`SqlTypeError`, never the builtin ``OverflowError`` — the same
+    on every engine, in every aggregate form and on two shards."""
+    *engines, sharded = _number_dbs(10 ** 400)
+    outcome = _agree(*engines, sql, params)
+    assert (type(outcome), str(outcome)) == (
+        SqlTypeError, "numeric value out of range")
+    with pytest.raises(SqlTypeError, match="numeric value out of range"):
+        sharded.execute(sql, params)
+
+
 def test_execute_script_keeps_semicolons_inside_string_literals():
     for db in (*_pair(3), _sharded(3)):
         results = db.execute_script(

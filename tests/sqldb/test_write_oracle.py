@@ -590,3 +590,46 @@ def test_a_multi_row_autocommit_statement_commits_once():
     assert table.write_version == 2
     assert not db.transactions.in_transaction
     assert not db.transactions.pending_table_names()
+
+
+# ---------------------------------------------------------------------------
+# Numbers a write computes or stores
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("engine", ["columnar", "row"])
+def test_an_update_stores_the_exact_quotient(engine):
+    """``v / 1`` of ``10**17 + 1`` is ``10**17 + 1``: the quotient of two
+    ints that divide evenly never goes through a float (it stored
+    ``10**17``)."""
+    db = Database(engine=engine)
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f REAL)")
+    db.execute("INSERT INTO t (id, v) VALUES (1, ?), (2, 7)", (10**17 + 1,))
+    result = db.execute("UPDATE t SET v = v / ? WHERE id = 1", (1,))
+    assert result.rowcount == 1
+    db.execute("UPDATE t SET v = -v / ? WHERE id = 2", (7,))
+    assert db.execute("SELECT id, v FROM t").rows == [(1, 10**17 + 1),
+                                                      (2, -1)]
+    with pytest.raises(SqlTypeError):  # 3.5 is no INTEGER
+        db.execute("UPDATE t SET v = 7 / 2 WHERE id = 2")
+
+
+@pytest.mark.parametrize("engine", ["columnar", "row"])
+@pytest.mark.parametrize("sql, params", [
+    ("INSERT INTO t (id, f) VALUES (3, ?)", (10**400,)),
+    ("UPDATE t SET f = v", ()),
+    ("UPDATE t SET f = v WHERE id = 2", ()),
+    ("UPDATE t SET f = v * 1.0", ()),
+])
+def test_a_value_no_real_holds_is_refused(engine, sql, params):
+    """An int no float can hold stored into a REAL column, or a product
+    that overflows, is a :class:`SqlTypeError` — never the builtin
+    ``OverflowError`` — and the statement changes nothing."""
+    db = Database(engine=engine)
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f REAL)")
+    db.execute("INSERT INTO t (id, v, f) VALUES (1, 1, 0.5), (2, ?, 1.5)",
+               (10**400,))
+    rows = db.execute("SELECT id, v, f FROM t").rows
+    with pytest.raises(SqlTypeError, match="numeric value out of range"):
+        db.execute(sql, params)
+    assert db.execute("SELECT id, v, f FROM t").rows == rows
+    check_storage(db)

@@ -37,21 +37,61 @@ def _load_tool():
     return module
 
 
+# The names ``plan/compile.py``'s ``_loop`` gives the loops it generates.
+GENERATED = re.compile(r"cmp_(eq|ne|lt|gt|le|ge)_(num|bool|exact)"
+                       r"|between_(num|bool|exact)_(num|bool|exact)"
+                       r"|arith_(add|sub|mul|div|mod)_(vv|vs|sv)")
+
+
 @functools.lru_cache(maxsize=None)
 def _mixed_rw_smoke_calls():
     """One profiled smoke episode, shared by the tests that read it."""
     return _load_tool().count_calls("mixed_rw", smoke=True)
 
 
+@functools.lru_cache(maxsize=None)
+def _reports_smoke_calls():
+    """One profiled smoke round of ``reports``, shared likewise."""
+    return _load_tool().count_calls("reports", smoke=True)
+
+
 def test_reports_smoke_counts_are_repeatable():
     traffic = _load_tool()
-    first = traffic.count_calls("reports", smoke=True)
+    first = _reports_smoke_calls()
     second = traffic.count_calls("reports", smoke=True)
     assert first[traffic.EXECUTE] > 0
     assert set(first) == set(second)
     defined = traffic.defined_functions()
-    assert set(first) <= defined  # every called name is a defined one
+    generated = traffic.generated_loops(first, defined)
+    assert generated  # the engine's hottest loops are counted
+    assert all(GENERATED.fullmatch(name) for _, name in generated)
+    # every other called name is a defined one
+    assert set(first) - generated <= defined
     assert not {name for _, name in defined} & DELETED
+
+
+def test_kernels_lists_each_generated_loop(monkeypatch, capsys):
+    """``--kernels``: each loop ``plan/compile.py`` generated and ran is a
+    row of kind ``generated`` with its calls and calls per execution.
+    ``reports`` runs both arithmetic loops of ``synth.project_arith``'s
+    ``amount * ? + kind``, BETWEEN over numbers and over dates, and the
+    comparison loops of its WHERE clauses, each once per chunk."""
+    traffic = _load_tool()
+    calls = _reports_smoke_calls()
+    monkeypatch.setattr(traffic, "count_calls",
+                        lambda target, seed, smoke: calls)
+    assert traffic.main(["--smoke", "--kernels", "reports"]) == 0
+    rows = {fields[1]: fields[2:] for fields in
+            map(str.split, capsys.readouterr().out.splitlines())
+            if fields and fields[0] == "generated"}
+    assert {"arith_mul_vs", "arith_add_vv", "between_num_num",
+            "between_exact_exact", "cmp_ge_num", "cmp_eq_num"} <= set(rows)
+    executions = calls[traffic.EXECUTE]
+    for name, (n, per_execution) in rows.items():
+        assert GENERATED.fullmatch(name)
+        assert 0 < int(n) < executions
+        assert float(per_execution) == pytest.approx(int(n) / executions,
+                                                     abs=5e-4)
 
 
 def test_plan_time_work_does_not_scale_with_executions():
@@ -98,7 +138,7 @@ def test_calls_prints_raw_counts_per_target(monkeypatch, capsys):
     into the cache at all."""
     traffic = _load_tool()
     runs = {"mixed_rw": _mixed_rw_smoke_calls(),
-            "reports": traffic.count_calls("reports", smoke=True)}
+            "reports": _reports_smoke_calls()}
     monkeypatch.setattr(traffic, "count_calls",
                         lambda target, seed, smoke: runs[target])
     names = ["Executor.select", "ResultCache.lookup", "Executor.plan_for",

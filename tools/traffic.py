@@ -22,8 +22,11 @@ module-level function that returns closures is a kernel *build*
 (``_cmp_leaf``, ``compile_project`` ...), a call of such a closure a kernel
 *exec* (``node``, ``zone_test``, ``project_fn`` ...), any other function a
 per-value *helper*; closures named ``interpreted_*`` are the *fallback*s
-that run ``expressions.evaluate`` per row for a shape with no kernel.
-Counts are raw and per ``PhysicalPlan.execute``.
+that run ``expressions.evaluate`` per row for a shape with no kernel; a
+function counted in ``plan/compile.py`` that its source does not define is
+a *generated* per-value loop (``cmp_ge_num``, ``between_num_num``,
+``arith_mul_vs`` ...: ``_loop`` compiles them under the module's file
+name).  Counts are raw and per ``PhysicalPlan.execute``.
 
 ``--calls NAME ...`` asks the other question of the same counters: how
 often did each target call these functions?  A NAME is a qualname as the
@@ -287,23 +290,32 @@ def defined_functions():
     return defined
 
 
-def print_kernels(calls):
-    """The build / exec / helper / fallback table for ``plan/compile.py``."""
+def generated_loops(calls, defined):
+    """The generated per-value loops among ``calls``: what was counted in
+    ``plan/compile.py`` that its source does not define."""
+    return {key for key in calls if key[0] == COMPILE and key not in defined}
+
+
+def print_kernels(calls, defined):
+    """The build / exec / helper / fallback / generated table for
+    ``plan/compile.py``."""
     executions = calls.get(EXECUTE, 0)
     counts = {name: n for (file, name), n in calls.items()
               if file == COMPILE}
+    generated = {name for _, name in generated_loops(calls, defined)}
     print(f"{'kernel (builder / closure)':<58} {'calls':>9} {'per exec':>9}")
     rows = sorted(set(counts) | set(FALLBACKS),
                   key=lambda q: (q.split(".<locals>.")[0], q))
     builders = {q.partition(".<locals>.")[0] for q in rows if "<locals>" in q}
     for qualname in rows:
         builder, _, closure = qualname.partition(".<locals>.")
-        kind = ("fallback" if closure.startswith("interpreted")
+        kind = ("generated" if qualname in generated
+                else "fallback" if closure.startswith("interpreted")
                 else "exec" if closure
                 else "build" if builder in builders else "helper")
         label = f"{builder} / {closure}" if closure else builder
         n = counts.get(qualname, 0)
-        print(f"{kind:<9}{label:<49} {n:>9} {n / max(executions, 1):>9.3f}")
+        print(f"{kind:<10}{label:<48} {n:>9} {n / max(executions, 1):>9.3f}")
 
 
 def print_calls(names, per_target):
@@ -407,7 +419,7 @@ def main(argv=None):
               f"{sum(calls.values())} calls, "
               f"{calls.get(EXECUTE, 0)} PhysicalPlan.execute")
         if args.kernels:
-            print_kernels(calls)
+            print_kernels(calls, defined)
     if names:
         print_calls(names, per_target)
     else:
