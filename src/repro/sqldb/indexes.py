@@ -107,7 +107,10 @@ class OrderedIndex:
     Keys (wrapped via :func:`wrap_key`) live in a sorted list maintained by
     binary insertion; a parallel dict maps each key to its row-id set.  The
     sorted list is what makes this index more than a hash index: bisecting
-    it answers range queries and yields rows in key order.
+    it answers range queries and yields rows in key order.  A key holding
+    NaN has no place in that order (the interpreter finds NaN equal to
+    every number): it lives in the dict only, and while one does the index
+    is not :attr:`walkable`.
     """
 
     method = "ordered"
@@ -122,11 +125,13 @@ class OrderedIndex:
         return tuple(row[i] for i in self.ordinals)
 
     def insert(self, row_id, row):
-        key = wrap_key(self.key_for(row))
+        values = self.key_for(row)
+        key = wrap_key(values)
         bucket = self._rows.get(key)
         if bucket is None:
             self._rows[key] = bucket = set()
-            insort(self._keys, key)
+            if all(value == value for value in values):  # no NaN
+                insort(self._keys, key)
         elif self.info.unique and bucket and all(
                 part is not _NULL_PART for part in key):
             # SQL unique semantics: NULL-bearing keys never conflict.
@@ -169,6 +174,12 @@ class OrderedIndex:
         return sum(len(bucket) for bucket in self._rows.values())
 
     # -- ordered access ------------------------------------------------------
+
+    @property
+    def walkable(self):
+        """Whether every key is in the sorted list (none holds NaN), so a
+        walk finds what a scan finds."""
+        return len(self._keys) == len(self._rows)
 
     def _region(self, prefix_values, low, high, low_incl, high_incl):
         """``(start, end)`` slice of ``_keys`` for an equality prefix plus

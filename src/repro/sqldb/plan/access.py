@@ -14,10 +14,11 @@ suffix + ORDER BY potential).  At *execution* time,
 :func:`resolve_index_lookup` only binds the actual parameters to the
 probe; a key that resolves to NULL or a missing parameter drops out of
 the conjunct set, which can disqualify the index and fall back to a full
-scan (SQL semantics: ``col = NULL`` never matches), and a key its column
-cannot compare disqualifies every index — which is why the final index
-decision cannot move to plan time.  What an equality probe decided is
-left out of the predicate a SELECT re-checks (:func:`residual_predicate`).
+scan (SQL semantics: ``col = NULL`` never matches), and a key or range
+bound its column cannot compare (or NaN) disqualifies the index — which
+is why the final index decision cannot move to plan time.  What an
+equality probe or an ordered walk decided is left out of the predicate a
+SELECT re-checks (:func:`residual_predicate`).
 """
 
 from repro.sqldb import ast_nodes as A
@@ -179,11 +180,17 @@ def equality_conjuncts(probe, params):
         if index is not None:
             value = params[index] if index < n else None
         if value is not None:
-            if value != value or (type(value) is not type(sample)
-                                  and not is_comparable(value, sample)):
+            if not keyable(value, sample):
                 return None
             bound[column] = value
     return bound
+
+
+def keyable(value, sample):
+    """Whether an index over a column storing ``sample``'s type finds what
+    a scan finds for the non-NULL key ``value`` (not NaN, comparable)."""
+    return value == value and (type(value) is type(sample)
+                               or is_comparable(value, sample))
 
 
 def resolve_index_lookup(table, probe, params):
@@ -235,25 +242,28 @@ def pk_lookup_keys(probe, params):
     return frozenset(keys) if keys is not None else None
 
 
-def residual_predicate(where, columns):
-    """``where`` without its equality conjunct on each of ``columns``: what
-    is left to check of the rows an equality probe keyed on them found
-    (None when nothing is).  A found row equals its comparable key, so
-    those conjuncts are TRUE for it.  ``where`` stays whole when a keyed
-    column has two or more equality conjuncts (the probe bound one of
-    them), and when the one conjunct left is not TRUE / FALSE / NULL
-    valued: an AND counts ``10`` as TRUE, a WHERE keeps only TRUE."""
-    keyed, rest = [], []
-    for node in split_conjuncts(where):
-        shape = next(_equality_shapes(node), None)
-        if shape is not None and shape[0] in columns:
-            keyed.append(shape[0])
-        else:
-            rest.append(node)
-    if len(set(keyed)) < len(keyed) or (
-            len(rest) == 1 and not _truth_valued(rest[0])):
+def residual_predicate(where, decides):
+    """``where`` without the top-level conjuncts ``decides`` holds for:
+    what is left to check of the rows an access path or a join found
+    (None when nothing is).  ``where`` stays whole when the one conjunct
+    left is not TRUE / FALSE / NULL valued: an AND counts ``10`` as TRUE,
+    a WHERE keeps only TRUE."""
+    rest = [node for node in split_conjuncts(where) if not decides(node)]
+    if len(rest) == 1 and not _truth_valued(rest[0]):
         return where
     return conjoin(rest)
+
+
+def keyed_conjuncts(where, columns):
+    """What an equality probe keyed on ``columns`` decided of ``where``:
+    their equality conjuncts (a found row equals its comparable key) —
+    none when a keyed column has two or more (the probe bound one)."""
+    keyed = [column for column, _ in _equality_shapes(where)
+             if column in columns]
+    if len(set(keyed)) < len(keyed):
+        return lambda node: False
+    return lambda node: any(column in columns
+                            for column, _ in _equality_shapes(node))
 
 
 def _truth_valued(node):
@@ -271,14 +281,16 @@ def candidate_rows(table, probe, ranged, params):
     (its :class:`IndexProbe`, its :func:`range_lookup_candidate`):
     equality index lookup when the predicate pins indexed columns,
     ordered-index range scan when it bounds an ordered index's key, full
-    scan otherwise.  The executor re-checks the full WHERE per candidate
-    row, so any superset is safe.
+    scan otherwise (also when a range value is not :func:`keyable`).  The
+    executor re-checks the full WHERE per candidate row, so any superset
+    is safe.
     """
     _, hits = resolve_index_lookup(table, probe, params)
     if hits is None and ranged is not None:
-        rows = table.rows
-        hits = [(row_id, rows[row_id]) for row_id in range_scan_ids(
-            table.indexes[ranged.index_name], ranged, params)]
+        ids = range_scan_ids(table.indexes[ranged.index_name], ranged, params)
+        if ids is not None:
+            rows = table.rows
+            hits = [(row_id, rows[row_id]) for row_id in ids]
     if hits is None:
         hits = list(table.scan())
     return hits
@@ -389,16 +401,18 @@ class RangeCandidate:
     (``prefix_exprs`` holds their constant nodes); ``low``/``high`` bound
     the next index column when the predicate ranges over it.  A candidate
     with neither a prefix nor bounds is still meaningful: a full in-order
-    walk can satisfy an ORDER BY.
+    walk can satisfy an ORDER BY.  ``samples``: per index column, a value
+    of its stored type.
     """
 
-    __slots__ = ("index_name", "columns", "ordinals", "n_prefix",
+    __slots__ = ("index_name", "columns", "ordinals", "samples", "n_prefix",
                  "prefix_exprs", "low", "low_incl", "high", "high_incl")
 
-    def __init__(self, index, n_prefix, prefix_exprs, bounds):
+    def __init__(self, index, n_prefix, prefix_exprs, bounds, samples):
         self.index_name = index.info.name
         self.columns = index.info.columns
         self.ordinals = index.ordinals
+        self.samples = samples
         self.n_prefix = n_prefix
         self.prefix_exprs = tuple(prefix_exprs)
         if bounds is not None:
@@ -429,7 +443,10 @@ def ordered_scan_candidates(table, where):
         prefix_exprs = [eq[c] for c in columns[:n_prefix]]
         rng = (bounds.get(columns[n_prefix])
                if n_prefix < len(columns) else None)
-        candidates.append(RangeCandidate(index, n_prefix, prefix_exprs, rng))
+        samples = tuple(STORED_SAMPLES[table.schema.column(c).type_name]
+                        for c in columns)
+        candidates.append(RangeCandidate(index, n_prefix, prefix_exprs, rng,
+                                         samples))
     return candidates
 
 
@@ -438,34 +455,48 @@ def range_scan_ids(index, shape, params, descending=False):
     operator (``IndexRangeScanOp``) and the UPDATE/DELETE candidate search.
 
     ``shape`` carries the plan-time scan description (``prefix_exprs``,
-    ``low``/``high`` + inclusivity, ``index_name`` — a
+    ``low``/``high`` + inclusivity, ``samples`` — a
     :class:`RangeCandidate` or the logical ``IndexRangeScan`` node, which
-    share the attribute protocol).  A prefix or bound constant that
-    resolves to NULL yields no rows — the conjunct it came from is UNKNOWN
-    for every row.
+    share the attribute protocol).  None when a value is not
+    :func:`keyable` or ``index`` is not ``walkable`` (it holds a NaN key):
+    the caller scans, as an unindexed table would.  Else
+    a prefix or bound constant that resolves to NULL yields no rows — the
+    conjunct it came from is UNKNOWN for every row.
     """
     ctx = RowContext({}).bind(())
-    prefix = tuple(evaluate(e, ctx, params) for e in shape.prefix_exprs)
-    if any(v is None for v in prefix):
+    prefix = [evaluate(e, ctx, params) for e in shape.prefix_exprs]
+    low, high = (None if e is None else evaluate(e, ctx, params)
+                 for e in (shape.low, shape.high))
+    n = shape.n_prefix
+    if not index.walkable or not all(
+            value is None or keyable(value, sample) for value, sample in
+            zip((*prefix, low, high),
+                (*shape.samples[:n], *shape.samples[n:n + 1] * 2))):
+        return None
+    if (None in prefix or (low is None) != (shape.low is None)
+            or (high is None) != (shape.high is None)):
         return []
-    low = high = None
-    if shape.low is not None:
-        low = evaluate(shape.low, ctx, params)
-        if low is None:
-            return []
-    if shape.high is not None:
-        high = evaluate(shape.high, ctx, params)
-        if high is None:
-            return []
-    try:
-        return list(index.scan(prefix, low, high, shape.low_incl,
-                               shape.high_incl, descending))
-    except TypeError:
-        # Mismatched bound type (e.g. a numeric bound on a TEXT column):
-        # surface the same error a scan-and-filter would.
-        raise SqlTypeError(
-            f"cannot compare range bound {low!r}/{high!r} against "
-            f"index {shape.index_name!r}") from None
+    return list(index.scan(prefix, low, high, shape.low_incl,
+                           shape.high_incl, descending))
+
+
+def walked_conjuncts(shape):
+    """What an ordered walk (``shape`` as in :func:`range_scan_ids`) over
+    keyable values decided: the equality whose constant keys each prefix
+    column, each comparison or BETWEEN whose constants are all bounds."""
+    prefix = dict(zip(shape.columns, shape.prefix_exprs))
+    ranged = shape.columns[shape.n_prefix:shape.n_prefix + 1]
+    bound = {">": shape.low, ">=": shape.low, "<": shape.high,
+             "<=": shape.high}
+
+    def decides(node):
+        for column, constant in _equality_shapes(node):
+            return prefix.get(column) is constant
+        sides = [constant is bound[op]
+                 for column, op, constant in _range_shapes(node)
+                 if column in ranged]
+        return len(sides) == 1 + (type(node) is A.Between) and all(sides)
+    return decides
 
 
 def range_lookup_candidate(table, where):

@@ -94,8 +94,8 @@ class IndexRangeScan(LogicalNode):
     ordered index between them; rows stream out sorted by the index key,
     which is what lets the optimizer's order-propagation pass elide a
     ``Sort`` above.  ``where`` is the full predicate the bounds were drawn
-    from (the ``Filter`` above re-applies it; the scanned range is a
-    superset).
+    from; the ``Filter`` above re-applies what the walk did not decide
+    (:func:`~repro.sqldb.plan.access.walked_conjuncts`).
     """
 
     _show = ("table", "index_name")
@@ -108,6 +108,7 @@ class IndexRangeScan(LogicalNode):
         self.index_name = candidate.index_name
         self.columns = candidate.columns
         self.ordinals = candidate.ordinals
+        self.samples = candidate.samples
         self.n_prefix = candidate.n_prefix
         self.prefix_exprs = candidate.prefix_exprs
         self.low = candidate.low

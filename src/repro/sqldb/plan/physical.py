@@ -7,8 +7,8 @@ Two operator flavours mirror the two halves of a SELECT:
   :class:`IndexNLJoinOp`, :class:`NestedLoopJoinOp`) stream flat joined
   rows.  They charge every storage row they examine to
   ``run.rows_touched``, which the cost model converts to database time.
-  A base-table access applies its own WHERE; ``FilterOp`` is left above
-  joins.
+  A base-table access applies its own WHERE, an INNER equi-join a Filter
+  over its own table; ``FilterOp`` is left above the other joins.
 
 - **Result operators** (:class:`ProjectOp`, :class:`AggregateOp`,
   :class:`DistinctOp`, :class:`SortOp`, :class:`LimitOp`) transform the
@@ -48,8 +48,8 @@ under both), so every figure's simulated cost is identical whichever
 engine produced it.
 
 ``build_physical`` lowers an optimized logical tree into a
-:class:`PhysicalPlan`, one operator per logical node (a base-table access
-absorbs the Filter above it), and keeps the tree
+:class:`PhysicalPlan`, one operator per logical node (but for a Filter
+absorbed as above), and keeps the tree
 (``PhysicalPlan.logical``); ``PhysicalPlan.execute(db, params)`` returns an
 :class:`repro.sqldb.result.ExecResult` of the result operators' tuples, and
 ``PhysicalPlan.execute_analyze`` additionally measures every operator and
@@ -57,7 +57,7 @@ writes each measurement on its node's EXPLAIN line (EXPLAIN ANALYZE).
 """
 
 import copy
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 from operator import itemgetter
 from time import perf_counter
 
@@ -66,15 +66,16 @@ from repro.sqldb.columnar import CHUNK_SIZE, ColumnChunk, DictColumn
 from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.expressions import (evaluate, first_occurrences,
                                      fold_aggregate, RowContext)
-from repro.sqldb.indexes import OrderedIndex, wrap_key
+from repro.sqldb.indexes import OrderedIndex
 from repro.sqldb.plan import logical as L
-from repro.sqldb.plan.access import (pk_lookup_keys, range_scan_ids,
-                                     residual_predicate,
-                                     resolve_index_lookup)
+from repro.sqldb.plan.access import (keyed_conjuncts, pk_lookup_keys,
+                                     range_scan_ids, residual_predicate,
+                                     resolve_index_lookup, walked_conjuncts)
 from repro.sqldb.plan.compile import (compile_aggregate_item_columnar,
                                       compile_filter,
                                       compile_grouped_item_columnar,
                                       compile_project)
+from repro.sqldb.plan.cost import conjunct_tables
 from repro.sqldb.plan.planner import _AGGREGATE_NAMES, order_by_position
 from repro.sqldb.result import ExecResult
 
@@ -162,10 +163,11 @@ class _BaseTableScan:
 
     Subclasses define ``_keep_rows(run, table)`` returning the kernel to
     run — ``keep``, the ``predicate``'s (the Filter directly above,
-    whole), or an index probe's residual — and the list of storage rows to
-    read.  Charging, padding, chunking and the predicate live
-    here so both protocols stay in exact accounting agreement; a
-    sequential scan owns its zone test and the shared-scan prefetch.
+    whole), or ``residuals[path]``, what an index path left of it — and
+    the list of storage rows to read.  Charging, padding, chunking and
+    the predicate live here so both protocols stay in exact accounting
+    agreement; a sequential scan owns its zone test and the shared-scan
+    prefetch.
 
     ``read`` is the table's share of the statement's read set
     (``SelectContext.table_reads``): the chunk protocol fills those lanes
@@ -315,21 +317,17 @@ class IndexLookupOp(_BaseTableScan):
     operator degrades to a sequential scan and its predicate does all the
     work.  An equality probe decides the conjuncts it keyed on, so the
     chunk protocol then runs ``residuals[path]`` — the predicate without
-    them (:func:`residual_predicate`), compiled per candidate path when
-    the plan is built — instead of ``keep``; an IN-list probe, the scan
-    and the interpreter re-check the whole predicate.
+    them (:func:`keyed_conjuncts`), compiled per candidate path when the
+    plan is built — instead of ``keep``; an IN-list probe, the scan and
+    the interpreter re-check the whole predicate.
     """
 
     def __init__(self, node, sctx, predicate):
         super().__init__(node, sctx, predicate)
         self.probe = node.probe
-        context = sctx.context
-        self.residuals = {}
-        for name, columns in self.probe.paths():
-            residual = residual_predicate(predicate, columns)
-            self.residuals[name] = None if residual is None else (
-                compile_filter(residual, context.positions,
-                               context.ambiguous)[0])
+        self.residuals = {name: _kernel(sctx, residual_predicate(
+            predicate, keyed_conjuncts(predicate, columns)))
+            for name, columns in self.probe.paths()}
 
     def _keep_rows(self, run, table):
         path, hits = resolve_index_lookup(table, self.probe, run.params)
@@ -345,40 +343,43 @@ class IndexRangeScanOp(_BaseTableScan):
     Prefix and bound constants resolve against the statement parameters at
     execution time.  A prefix or bound that resolves to NULL yields no
     rows — the conjunct it came from is UNKNOWN for every row, so the
-    predicate would reject everything anyway.  Unlike ``IndexLookupOp``
-    this operator never degrades to an *unordered* scan (a Sort may have
-    been elided on the strength of its ordering): if the index vanished
-    underneath a cached plan (only possible by editing storage behind the
-    catalog's back), it falls back to scanning and sorting by the key
-    columns, preserving the order contract.
+    predicate would reject everything anyway; else the chunk protocol
+    re-checks only what the walk did not decide (:func:`walked_conjuncts`).
+    Unlike ``IndexLookupOp`` this operator never degrades to an
+    *unordered* scan (a Sort may have been elided on the strength of its
+    ordering): for a value no walk serves (NaN, incomparable) or an index
+    that vanished underneath a cached plan (only possible by editing
+    storage behind the catalog's back), it scans in key order — the elided
+    ORDER BY's, if any — under the whole predicate.
     """
 
     def __init__(self, node, sctx, predicate):
         super().__init__(node, sctx, predicate)
         self.scan = node  # index, equality prefix, bounds and direction
-
-    def _row_ids(self, table, params):
-        scan = self.scan
-        index = table.indexes.get(scan.index_name)
-        if not isinstance(index, OrderedIndex):
-            return self._sorted_fallback(table)
-        return range_scan_ids(index, scan, params, scan.descending)
+        self.residuals = {node.index_name: _kernel(sctx, residual_predicate(
+            predicate, walked_conjuncts(node)))}
 
     def _sorted_fallback(self, table):
-        """Full scan in key order (see class docstring)."""
-        keyed = sorted(
-            ((wrap_key(tuple(row[i] for i in self.scan.ordinals)), row_id)
-             for row_id, row in table.rows.items()))
-        groups = [[row_id for _, row_id in group] for _, group in
-                  groupby(keyed, key=lambda pair: pair[0])]
-        if self.scan.descending:
-            groups.reverse()
-        return [row_id for group in groups for row_id in group]
+        """Full scan in key order (see class docstring), sorted as the
+        elided Sort sorts a scan: a NaN key lands where it would there."""
+        scan = self.scan
+        ordinals = [table.schema.ordinal_of(column)
+                    for column in scan.order_columns] or scan.ordinals
+        ids = sorted(table.rows)
+        rows = table.rows
+        return sort_rows(ids, [[rows[i][j] for i in ids] for j in ordinals],
+                         [scan.descending] * len(ordinals))
 
     def _keep_rows(self, run, table):
-        ids = self._row_ids(table, run.params)
-        return self.keep, [row for row in map(table.rows.get, ids)
-                           if row is not None]
+        scan = self.scan
+        index = table.indexes.get(scan.index_name)
+        ids = (range_scan_ids(index, scan, run.params, scan.descending)
+               if isinstance(index, OrderedIndex) else None)
+        keep = self.residuals.get(scan.index_name, self.keep)
+        if ids is None:
+            keep, ids = self.keep, self._sorted_fallback(table)
+        return keep, [row for row in map(table.rows.get, ids)
+                      if row is not None]
 
 
 class FilterOp:
@@ -405,13 +406,23 @@ class FilterOp:
                 yield ColumnChunk(chunk.columns, chunk.length, sel)
 
     def iter_rows_interp(self, run):
-        predicate = self.predicate
-        ctx = run.ctx
-        params = run.params
-        for values in self.child.iter_rows_interp(run):
-            ctx.bind(values)
-            if evaluate(predicate, ctx, params) is True:
-                yield values
+        return _kept_rows(run, self.child.iter_rows_interp(run),
+                          self.predicate)
+
+
+def _kernel(sctx, predicate):
+    """``predicate``'s chunk kernel over the plan's row layout, or None."""
+    return None if predicate is None else compile_filter(
+        predicate, sctx.context.positions, sctx.context.ambiguous)[0]
+
+
+def _kept_rows(run, rows, predicate):
+    """The interpreter's filter: ``rows`` whose ``predicate`` is TRUE."""
+    ctx = run.ctx
+    params = run.params
+    for values in rows:
+        if evaluate(predicate, ctx.bind(values), params) is True:
+            yield values
 
 
 def _build_join_buckets(run, table, right_ordinal):
@@ -428,12 +439,14 @@ def _build_join_buckets(run, table, right_ordinal):
     return buckets
 
 
-def _hash_join_rows(run, table, left_rows, kind, left_pos, right_ordinal,
-                    offset, width):
-    """Shared hash-join loop: build over ``table``, probe with
+def _hash_join_rows(run, table, left_rows, op):
+    """Shared hash-join loop of ``op``: build over ``table``, probe with
     ``left_rows``.  NULL keys never probe; LEFT joins emit the unmatched
     left row padded with NULLs (already present from the base padding)."""
-    buckets = _build_join_buckets(run, table, right_ordinal)
+    buckets = _build_join_buckets(run, table, op.right_ordinal)
+    offset = run.sctx.offsets[op.join_index]
+    width = run.sctx.widths[op.join_index]
+    left_pos, kind = op.left_pos, op.kind
     for values in left_rows:
         key = values[left_pos]
         matches = buckets.get(key, ()) if key is not None else ()
@@ -446,6 +459,16 @@ def _hash_join_rows(run, table, left_rows, kind, left_pos, right_ordinal,
             yield list(values)
 
 
+def _right_lanes(sctx, join_index, rows, columns):
+    """``columns`` with the joined table's read lanes transposed from
+    ``rows``, its storage rows.  Not zip(*rows): one GC-tracked iterator
+    per row costs a large probe half again its time."""
+    offset = sctx.offsets[join_index]
+    for j in sctx.table_reads[join_index]:
+        columns[offset + j] = [row[j] for row in rows]
+    return columns
+
+
 def _join_chunk(run, chunk, picks, right_rows, join_index):
     """The joined output chunk for one probe chunk — the emit step every
     equi-join shares: ``take`` replicates the left lanes at ``picks`` for
@@ -456,66 +479,96 @@ def _join_chunk(run, chunk, picks, right_rows, join_index):
     offset = sctx.offsets[join_index]
     out = chunk.take(
         picks, skip_range=(offset, offset + sctx.widths[join_index]))
-    # Not zip(*right_rows): one GC-tracked iterator per row costs a large
-    # probe half again its time.
-    for j in sctx.table_reads[join_index]:
-        out.columns[offset + j] = [row[j] for row in right_rows]
+    _right_lanes(sctx, join_index, right_rows, out.columns)
     run.batches += 1
     return out
 
 
-def _hash_join_chunks(run, table, chunks, kind, left_pos, right_ordinal,
-                      join_index):
+def _survivors(run, op, rows):
+    """The indices of ``rows``, ``op``'s storage rows, its ``keep`` keeps."""
+    sctx = run.sctx
+    columns = _right_lanes(sctx, op.join_index, rows,
+                           [None] * sctx.total_width)
+    return op.keep(ColumnChunk(columns, len(rows)), run.params)
+
+
+def _hash_join_chunks(run, table, chunks, op):
     """Columnar twin of :func:`_hash_join_rows`: the build is charged
     eagerly, even when the probe side turns out empty, exactly like the
     interpreted path."""
-    buckets = _build_join_buckets(run, table, right_ordinal)
-    null_row = (None,) * run.sctx.widths[join_index]
+    buckets = _build_join_buckets(run, table, op.right_ordinal)
+    kept = {}
     for chunk in chunks:
-        picks = []
-        right_rows = []
-        for i, key in zip(chunk.live_indices(), chunk.gather(left_pos)):
-            matches = buckets.get(key, ()) if key is not None else ()
-            if matches:
-                for row in matches:
-                    picks.append(i)
-                    right_rows.append(row)
-            elif kind == "LEFT":
+        out = _probe_chunk(run, op, chunk, chunk.gather(op.left_pos),
+                           buckets, kept)
+        if out is not None:
+            yield out
+
+
+def _probe_chunk(run, op, chunk, keys, matches, kept):
+    """The joined chunk (or None) for one probe chunk whose live rows carry
+    ``keys``, ``matches`` mapping a key to its storage rows — the emit step
+    every equi-join shares.  ``op.keep`` decides a storage row when a probe
+    first reaches its key — per chunk, over the keys reached first there —
+    into ``kept``, the survivors per key: an unreached row is not tested."""
+    if op.keep is not None:
+        reached = [key for key in dict.fromkeys(keys) if matches.get(key)]
+        fresh = [key for key in reached if key not in kept]
+        rows = [row for key in fresh for row in matches[key]]
+        kept.update((key, []) for key in fresh)
+        for i in _survivors(run, op, rows) if rows else ():
+            kept[rows[i][op.right_ordinal]].append(rows[i])
+        run.batches += bool(reached)  # the Join line's chunk step
+        matches = kept
+    get = matches.get
+    null_row = (None,) * run.sctx.widths[op.join_index]
+    left = op.kind == "LEFT"
+    picks = []
+    right_rows = []
+    for i, key in zip(chunk.live_indices(), keys):
+        found = get(key)  # no key maps NULL
+        if found:
+            for row in found:
                 picks.append(i)
-                right_rows.append(null_row)
-        if picks:
-            yield _join_chunk(run, chunk, picks, right_rows, join_index)
+                right_rows.append(row)
+        elif left:
+            picks.append(i)
+            right_rows.append(null_row)
+    if picks:
+        return _join_chunk(run, chunk, picks, right_rows, op.join_index)
+    return None
 
 
 class HashJoinOp:
     """Equi-join: build a hash table over the right table, probe with the
-    child's rows (one gathered key lane per chunk)."""
+    child's rows (one gathered key lane per chunk).  ``predicate`` is the
+    Filter it took (:func:`_absorbed`), ``keep`` its kernel: chunks carry
+    only the rows it keeps; the interpreter tests the joined rows."""
 
-    def __init__(self, child, join_index, kind, table_name,
-                 left_pos, right_ordinal):
+    def __init__(self, child, node, sctx, predicate=None):
         self.child = child
-        self.join_index = join_index
-        self.kind = kind
-        self.table_name = table_name
-        self.left_pos = left_pos
-        self.right_ordinal = right_ordinal
+        self.join_index = node.table_index
+        self.kind = node.kind
+        self.table_name = node.table
+        self.left_pos, self.right_ordinal = node.equi
+        self.predicate = predicate
+        self.keep = _kernel(sctx, predicate)
 
     def iter_rows_interp(self, run):
-        right_table = run.db.tables_get(self.table_name)
-        offset = run.sctx.offsets[self.join_index]
-        width = run.sctx.widths[self.join_index]
-        yield from _hash_join_rows(
-            run, right_table, self.child.iter_rows_interp(run), self.kind,
-            self.left_pos, self.right_ordinal, offset, width)
+        rows = self._joined_rows(run)
+        return rows if self.predicate is None else _kept_rows(
+            run, rows, self.predicate)
+
+    def _joined_rows(self, run):
+        return _hash_join_rows(run, run.db.tables_get(self.table_name),
+                               self.child.iter_rows_interp(run), self)
 
     def iter_cchunks(self, run):
-        yield from _hash_join_chunks(
-            run, run.db.tables_get(self.table_name),
-            self.child.iter_cchunks(run), self.kind, self.left_pos,
-            self.right_ordinal, self.join_index)
+        return _hash_join_chunks(run, run.db.tables_get(self.table_name),
+                                 self.child.iter_cchunks(run), self)
 
 
-class IndexNLJoinOp:
+class IndexNLJoinOp(HashJoinOp):
     """Index nested-loop equi-join: probe the right table's primary key or
     a single-column secondary index once per left row, touching only the
     rows each probe returns instead of building a hash table over a full
@@ -527,22 +580,18 @@ class IndexNLJoinOp:
     the right table (duplicate-heavy left keys re-touch the same right
     rows) it falls back to the hash build.  Index nested-loop therefore
     never touches more rows than the hash strategy it replaces, whatever
-    the optimizer's estimates predicted.
+    the optimizer's estimates predicted.  A chunk's probes map its keys
+    to the rows they fetched, which the hash join's emit step
+    (:func:`_probe_chunk`, ``keep`` included) joins.
 
     Both protocols materialize the child (the metadata pass needs every
     left key before anything streams), so accounting is identical by
     design.
     """
 
-    def __init__(self, child, join_index, kind, table_name,
-                 left_pos, right_ordinal, index_name):
-        self.child = child
-        self.join_index = join_index
-        self.kind = kind
-        self.table_name = table_name
-        self.left_pos = left_pos
-        self.right_ordinal = right_ordinal
-        self.index_name = index_name  # "<pk>" or a secondary index name
+    def __init__(self, child, node, sctx, predicate=None):
+        super().__init__(child, node, sctx, predicate)
+        self.index_name = node.index_name  # "<pk>" or a secondary index
 
     def _probe_ids(self, table, key):
         """Row ids matching ``key``, via the chosen access path."""
@@ -573,7 +622,7 @@ class IndexNLJoinOp:
                 return None
         return probes
 
-    def iter_rows_interp(self, run):
+    def _joined_rows(self, run):
         table = run.db.tables_get(self.table_name)
         offset = run.sctx.offsets[self.join_index]
         width = run.sctx.widths[self.join_index]
@@ -583,9 +632,7 @@ class IndexNLJoinOp:
         probes = self._probe_all(
             table, [values[left_pos] for values in left_rows])
         if probes is None:
-            yield from _hash_join_rows(run, table, left_rows, kind,
-                                       left_pos, self.right_ordinal,
-                                       offset, width)
+            yield from _hash_join_rows(run, table, left_rows, self)
             return
         for values, ids in zip(left_rows, probes):
             matched = False
@@ -604,35 +651,25 @@ class IndexNLJoinOp:
     def iter_cchunks(self, run):
         table = run.db.tables_get(self.table_name)
         left_pos = self.left_pos
-        kind = self.kind
         chunks = list(self.child.iter_cchunks(run))
         keys = [chunk.gather(left_pos) for chunk in chunks]
         probes = self._probe_all(table, chain.from_iterable(keys))
         if probes is None:
-            yield from _hash_join_chunks(run, table, chunks, kind, left_pos,
-                                         self.right_ordinal, self.join_index)
+            yield from _hash_join_chunks(run, table, chunks, self)
             return
         probe = iter(probes)
         rows_get = table.rows.get
-        null_row = (None,) * run.sctx.widths[self.join_index]
-        for chunk in chunks:
-            picks = []
-            right_rows = []
-            for i, ids in zip(chunk.live_indices(), probe):
-                matched = False
-                for row_id in sorted(ids):
-                    row = rows_get(row_id)
-                    if row is not None:
-                        run.rows_touched += 1
-                        picks.append(i)
-                        right_rows.append(row)
-                        matched = True
-                if not matched and kind == "LEFT":
-                    picks.append(i)
-                    right_rows.append(null_row)
-            if picks:
-                yield _join_chunk(run, chunk, picks, right_rows,
-                                  self.join_index)
+        kept = {}
+        for chunk, chunk_keys in zip(chunks, keys):
+            fetched = {}
+            for key, ids in zip(chunk_keys, probe):
+                rows = [row for row in map(rows_get, sorted(ids))
+                        if row is not None]
+                run.rows_touched += len(rows)
+                fetched[key] = rows
+            out = _probe_chunk(run, self, chunk, chunk_keys, fetched, kept)
+            if out is not None:
+                yield out
 
 
 class NestedLoopJoinOp:
@@ -1156,8 +1193,10 @@ class PhysicalPlan:
         ops = []
         op = self.source
         while op is not None:
-            if isinstance(op, _BaseTableScan) and op.predicate is not None:
-                # Its two EXPLAIN lines: the rows read, the rows kept.
+            if (isinstance(op, (_BaseTableScan, HashJoinOp))
+                    and op.predicate is not None):
+                # Its two EXPLAIN lines: the rows read (or joined), the
+                # rows kept.
                 bare = copy.copy(op)
                 bare.predicate = bare.keep = None
                 bare.residuals = {}  # an index probe's, with the predicate
@@ -1275,8 +1314,9 @@ class _TimedSource:
 
 def build_physical(root, sctx):
     """Lower an optimized logical tree into a :class:`PhysicalPlan`, one
-    operator per node but a ``Filter`` over a base-table access, which
-    that access operator applies."""
+    operator per node but a ``Filter`` over a base-table access or over
+    an INNER equi-join that decides it (:func:`_absorbed`), which that
+    operator applies."""
     node, above = root, []
     while isinstance(node, (L.Limit, L.Sort, L.Distinct)):
         above.append(node)
@@ -1318,31 +1358,38 @@ def _limit_hint(result_ops, sctx):
 
 _ACCESS_OPS = {L.Scan: SeqScanOp, L.IndexLookup: IndexLookupOp,
                L.IndexRangeScan: IndexRangeScanOp}
+_EQUI_JOIN_OPS = {"hash": HashJoinOp, "index": IndexNLJoinOp}
+
+
+def _absorbed(node, sctx):
+    """Whether the Filter ``node`` goes into the INNER equi-join below it:
+    when each conjunct reads only the joined table.  Beside one that reads
+    the left side, a conjunct tested before the emit would be evaluated on
+    rows the interpreter's short-circuit spares."""
+    join = node.child
+    return (isinstance(join, L.Join) and join.kind == "INNER"
+            and join.strategy in _EQUI_JOIN_OPS
+            and residual_predicate(node.predicate, lambda conjunct: (
+                conjunct_tables(sctx, conjunct) <= {join.table_index}))
+            is None)
 
 
 def _build_source(node, sctx):
     predicate = None
-    if isinstance(node, L.Filter) and type(node.child) in _ACCESS_OPS:
+    if isinstance(node, L.Filter) and (type(node.child) in _ACCESS_OPS
+                                       or _absorbed(node, sctx)):
         node, predicate = node.child, node.predicate
     access = _ACCESS_OPS.get(type(node))
     if access is not None:
         return access(node, sctx, predicate)
     if isinstance(node, L.Filter):
-        keep, _ = compile_filter(node.predicate, sctx.context.positions,
-                                 sctx.context.ambiguous)
         return FilterOp(_build_source(node.child, sctx), node.predicate,
-                        keep)
+                        _kernel(sctx, node.predicate))
     if isinstance(node, L.Join):
         child = _build_source(node.child, sctx)
-        if node.strategy == "index":
-            left_pos, right_ordinal = node.equi
-            return IndexNLJoinOp(child, node.table_index, node.kind,
-                                 node.table, left_pos, right_ordinal,
-                                 node.index_name)
-        if node.strategy == "hash":
-            left_pos, right_ordinal = node.equi
-            return HashJoinOp(child, node.table_index, node.kind,
-                              node.table, left_pos, right_ordinal)
+        join = _EQUI_JOIN_OPS.get(node.strategy)
+        if join is not None:
+            return join(child, node, sctx, predicate)
         return NestedLoopJoinOp(child, node.table_index, node.kind,
                                 node.table, node.condition)
     raise SqlError(f"unexpected plan node in row source: {node!r}")

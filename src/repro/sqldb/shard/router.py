@@ -40,6 +40,7 @@ from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlError
 from repro.sqldb.expressions import split_conjuncts
 from repro.sqldb.plan.planner import contains_aggregate, order_by_position
+from repro.sqldb.types import STORED_SAMPLES
 
 KIND_SINGLE = "single"
 KIND_SCATTER = "scatter"
@@ -105,10 +106,13 @@ class ScatterMerge:
 
 
 class Router:
-    """Classifies statements against one :class:`ShardTopology`."""
+    """Classifies statements against one :class:`ShardTopology`;
+    ``catalog``, a backend holding the tables, gives the partition
+    columns' stored types."""
 
-    def __init__(self, topology):
+    def __init__(self, topology, catalog):
         self.topology = topology
+        self.catalog = catalog
         self._plans = {}  # id(stmt) -> RoutePlan
 
     # -- public API ---------------------------------------------------------
@@ -135,10 +139,7 @@ class Router:
             spec = plan.partitioned[name]
             table_set = None
             for exprs in groups:
-                one = set()
-                for expr in exprs:
-                    value = _resolve_value(expr, params)
-                    one.add(spec.shard_of(value, shards))
+                one = self._key_shards(name, spec, exprs, params)
                 table_set = one if table_set is None else (table_set & one)
             sets[name] = table_set if table_set is not None else set(
                 range(shards))
@@ -196,12 +197,25 @@ class Router:
             if groups:
                 shards = None
                 for exprs in groups:
-                    one = {spec.shard_of(_resolve_value(e, params),
-                                         self.topology.shards)
-                           for e in exprs}
+                    one = self._key_shards(table, spec, exprs, params)
                     shards = one if shards is None else (shards & one)
                 return sorted(shards)
         return list(range(self.topology.shards))
+
+    def _key_shards(self, table, spec, exprs, params):
+        """The shards one conjunct's partition-key constants route to:
+        all when a value is NaN or not of the column's stored type — one
+        node finds ``2`` for ``2.0``, every number for NaN, raises for
+        text: no one placement answers that."""
+        values = [_resolve_value(expr, params) for expr in exprs]
+        sample = STORED_SAMPLES[self.catalog.tables_get(
+            table).schema.column(spec.column).type_name]
+        if any(value is not None and (value != value
+                                      or type(value) is not type(sample))
+               for value in values):
+            return set(range(self.topology.shards))
+        return {spec.shard_of(value, self.topology.shards)
+                for value in values}
 
     # -- static analysis ----------------------------------------------------
 

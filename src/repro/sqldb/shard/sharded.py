@@ -185,7 +185,6 @@ class ShardedDatabase:
                  engine=None, read_from_replicas=None):
         self.topology = topology
         self.name = name
-        self.router = Router(topology)
         self._result_cache_size = result_cache_size
 
         def make(suffix, cache_size=result_cache_size):
@@ -199,6 +198,7 @@ class ShardedDatabase:
                     for j in range(topology.replicas)])
             for i in range(topology.shards)
         ]
+        self.router = Router(topology, self.shards[0].primary)
         # The gather coordinator: holds broadcast tables (kept in sync on
         # write) and lazily-synced copies of partitioned tables.  No result
         # cache — its contents are rebuilt, not invalidated.
@@ -405,14 +405,18 @@ class ShardedDatabase:
         spec = self.topology.spec_for(stmt.table)
         if spec is None:
             return self._broadcast_write(stmt, params)
-        try:
+        if stmt.columns is None:  # VALUES in schema order
+            key_at = self.shards[0].primary.tables_get(
+                stmt.table).schema.ordinal_of(spec.column)
+        elif spec.column in stmt.columns:
             key_at = stmt.columns.index(spec.column)
-        except ValueError:
+        else:
             key_at = None  # partition key omitted -> NULL -> shard 0
         groups = {}
         last_shard = None
         for row in stmt.rows:
-            value = (None if key_at is None
+            # A short row routes anywhere: its shard refuses it.
+            value = (None if key_at is None or key_at >= len(row)
                      else _routed_value(row[key_at], params, stmt.table))
             shard = spec.shard_of(value, self.topology.shards)
             groups.setdefault(shard, []).append(row)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.net import CostModel, DatabaseServer
 from repro.sqldb import Database
-from repro.sqldb.errors import SqlError
+from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.executor import as_params
 from repro.sqldb.parser import parse
 from repro.sqldb.shard import (COORD_STATION, KIND_BROADCAST_READ,
@@ -19,8 +19,18 @@ TOPO = ShardTopology(4, {"t": PartitionSpec("grp"),
                          "other": PartitionSpec("grp", "range", (1, 2, 3))})
 
 
+def _catalog():
+    db = Database()
+    for table in ("t", "child", "other", "lk"):
+        db.execute(f"CREATE TABLE {table} (id INT PRIMARY KEY, grp INT)")
+    return db
+
+
+CATALOG = _catalog()
+
+
 def decide(sql, params=()):
-    return Router(TOPO).decide(parse(sql), params)
+    return Router(TOPO, CATALOG).decide(parse(sql), params)
 
 
 # ---------------------------------------------------------------------------
@@ -69,12 +79,19 @@ def test_broadcast_table_read_pins_to_one_shard():
 
 
 def test_broadcast_pin_varies_with_params_but_is_deterministic():
-    router = Router(TOPO)
+    router = Router(TOPO, CATALOG)
     stmt = parse("SELECT id FROM lk WHERE id = ?")
     pins = {router.broadcast_read_shard(stmt, (k,)) for k in range(32)}
     assert len(pins) > 1  # spreads across the fleet
     assert (router.broadcast_read_shard(stmt, (3,))
             == router.broadcast_read_shard(stmt, (3,)))
+
+
+def test_a_nan_key_scatters():
+    """NaN equals every number to one node: no placement holds its rows."""
+    d = decide("SELECT id FROM t WHERE grp = ?", (float("nan"),))
+    assert d.kind == KIND_SCATTER
+    assert list(d.shards) == [0, 1, 2, 3]
 
 
 def test_contradictory_keys_route_to_one_empty_shard():
@@ -125,6 +142,53 @@ def test_multi_row_insert_splits_by_partition_key():
                                                        {"id": 3}]
     assert db.primary(1).query("SELECT id FROM t") == [{"id": 2}]
     assert db.table_size("t") == 3
+
+
+def test_an_insert_without_a_column_list_routes_by_the_key_ordinal():
+    """VALUES in schema order carry the partition key at its ordinal (the
+    statement has no column list to look it up in)."""
+    db = make_db()
+    db.execute("INSERT INTO t VALUES (1, 0, 10), (2, 1, 20), (3, 4, 30)")
+    assert db.primary(0).query("SELECT id FROM t") == [{"id": 1},
+                                                       {"id": 3}]
+    assert db.primary(1).query("SELECT id FROM t") == [{"id": 2}]
+    assert db.execute("SELECT val FROM t WHERE grp = ?", (4,)).rows == [
+        (30,)]
+    with pytest.raises(SqlError, match="3 columns but 1 values"):
+        db.execute("INSERT INTO t VALUES (9)")
+
+
+@pytest.mark.parametrize("key, selected", [
+    (float("nan"), [(1,), (2,), (3,)]), (2.0, [(3,)]),
+    ("1", SqlTypeError), (True, SqlTypeError)])
+@pytest.mark.parametrize("sql", [
+    "SELECT id FROM t WHERE grp = ? ORDER BY id",
+    "SELECT id FROM t WHERE grp IN (?, 4) ORDER BY id",
+    "UPDATE t SET val = val + 1 WHERE grp = ?",
+    "DELETE FROM t WHERE grp = ? AND val < 0",
+])
+def test_a_key_no_placement_answers_goes_to_every_shard(key, selected, sql):
+    """One node compares the key with every row: NaN equals every number,
+    ``2.0`` the ``2`` placed as an int, text and TRUE raise wherever a row
+    is.  Routed by its own placement (shard 1, 0, 3, 3 here, where only
+    shards 0 and 2 hold rows), the key found none of that."""
+    outcomes = []
+    for db in (Database(), make_db()):
+        if isinstance(db, Database):
+            db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp INT, "
+                       "val INT)")
+        db.execute("INSERT INTO t (id, grp, val) VALUES (1, 0, 1), "
+                   "(2, 4, 2), (3, 2, 3)")
+        try:
+            result = db.execute(sql, (key,))
+        except SqlError as error:
+            outcomes.append(type(error))
+        else:
+            outcomes.append(result.rows if sql.startswith("SELECT")
+                            else result.rowcount)
+    assert outcomes[0] == outcomes[1]
+    if "grp = ? ORDER BY" in sql:
+        assert outcomes[0] == selected
 
 
 def test_partition_key_update_moving_shards_is_rejected():

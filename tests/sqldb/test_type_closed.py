@@ -15,7 +15,9 @@ here answered differently by data: a malformed row over no rows, an
 error over some).  A result row has exactly one value per column.  On
 one node an index answers what a scan does: the same statement over a
 twin table with no index and no primary key gives the same rows, or an
-error of the same type.
+error of the same type — and so does a range WHERE (``<``, ``<=``, ``>``,
+``>=``, BETWEEN, with and without an equality prefix) through an ordered
+index, with bounds NaN, ±inf, ``2**53 + 1``, text and TRUE among them.
 """
 
 import pytest
@@ -170,3 +172,127 @@ def test_a_nan_key_is_answered_by_the_scan(where):
     assert rows == {" WHERE id = ?": [(1,), (2,), (3,), (4,)],
                     " WHERE v = ?": [(1,), (3,), (4,)],
                     " WHERE v = ? AND id = 2": []}[where]
+
+
+# -- range WHEREs through an ordered index ----------------------------------
+
+NAN = float("nan")
+# ``f`` stores a NaN between other keys (bisect puts it where it lands);
+# the second row set holds none, so a walk over ``f`` decides its bounds.
+# No statement orders by ``f``: with NaN equal to every number no order
+# is total, and sorting before or after the WHERE can differ (ROADMAP).
+RANGE_ROWS = ((1, 1, 10, 1.0), (2, 1, None, NAN), (3, 2, 10, 5.0),
+              (4, 1, 7, 9.0), (5, None, 3, None), (6, 2, -2, -2.5))
+CLEAN_ROWS = RANGE_ROWS[:1] + ((2, 1, None, 2.5),) + RANGE_ROWS[2:]
+# The last three on ``v`` leave the residual an equality or a bound the
+# walk did not use (the first equality keys the prefix; a literal bound
+# beats a parameter).
+RANGE_WHERE = (" WHERE v < ?", " WHERE v <= ?", " WHERE ? < v",
+               " WHERE v >= ?", " WHERE v > ? AND v <= ?",
+               " WHERE v BETWEEN ? AND ?", " WHERE a = ? AND v >= ?",
+               " WHERE a = ? AND v < ?", " WHERE a = ? AND v BETWEEN ? AND ?",
+               " WHERE a = ? AND v >= ? AND a = 1", " WHERE v > ? AND v >= 3",
+               " WHERE v < ? AND v BETWEEN 0 AND 9", " WHERE f > ?",
+               " WHERE f <= ?", " WHERE ? > f", " WHERE f BETWEEN ? AND ?",
+               " WHERE f >= ? AND f < ?")
+BOUNDS = st.one_of(st.integers(-3, 12), st.floats(), st.none(),
+                   st.sampled_from([NAN, float("inf"), float("-inf"),
+                                    2**53 + 1, 7.5, "7", "", True]))
+
+
+def _range_backend(engine, rows):
+    db = Database(engine=engine)
+    db.execute("CREATE TABLE r (id INT PRIMARY KEY, a INT, v INT, f REAL)")
+    db.execute("CREATE INDEX r_v ON r (v) USING ORDERED")
+    db.execute("CREATE INDEX r_av ON r (a, v) USING ORDERED")
+    db.execute("CREATE INDEX r_f ON r (f) USING ORDERED")
+    db.execute("CREATE TABLE rtwin (id INT, a INT, v INT, f REAL)")
+    for table in ("r", "rtwin"):
+        for row in rows:
+            db.execute(f"INSERT INTO {table} VALUES (?, ?, ?, ?)", row)
+    return db
+
+
+RANGE_DATABASES = {(engine, name): _range_backend(engine, rows)
+                   for engine in Database.ENGINES
+                   for name, rows in (("empty", ()), ("nan", RANGE_ROWS),
+                                      ("clean", CLEAN_ROWS))}
+
+
+@st.composite
+def range_selects(draw):
+    sql = ("SELECT id, v, f FROM r" + draw(st.sampled_from(RANGE_WHERE))
+           + draw(st.sampled_from(("", " ORDER BY v", " ORDER BY v DESC"))))
+    return sql, tuple(draw(st.lists(BOUNDS, min_size=sql.count("?"),
+                                    max_size=sql.count("?"))))
+
+
+def _range_answer(db, sql, params):
+    answer = _answer(db, sql, params)
+    if "ORDER BY" in sql or not isinstance(answer, list):
+        return answer  # ties in row-id order on both tables
+    return sorted(answer, key=repr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(statement=range_selects())
+def test_an_ordered_walk_answers_what_the_unindexed_twin_answers(statement):
+    """A range WHERE, with and without an equality prefix, through an
+    ordered index: the walk decides its bounds and re-checks the rest,
+    and a NaN or incomparable bound, or a NaN key, makes it scan instead."""
+    sql, params = statement
+    twin = sql.replace(" FROM r", " FROM rtwin r", 1)
+    for key, db in RANGE_DATABASES.items():
+        if key[1] != "empty":
+            assert "IndexRangeScan" in db.explain(sql), sql
+        assert _range_answer(db, sql, params) == _range_answer(
+            db, twin, params), (key, sql, params)
+
+
+@pytest.mark.parametrize("engine", Database.ENGINES)
+@pytest.mark.parametrize("sql, params, expected", [
+    ("SELECT id FROM {r} WHERE v <= ?", (float("nan"),),
+     [(1,), (3,), (4,), (5,), (6,)]),
+    ("SELECT id FROM {r} WHERE v BETWEEN 5 AND ?", (float("nan"),),
+     [(1,), (3,), (4,)]),
+    ("SELECT id FROM {r} WHERE a = ? AND v > 0 ORDER BY v",
+     (float("nan"),), [(4,), (1,), (3,)]),
+    ("SELECT id FROM {r} WHERE v > ? AND v < 5", (2**53 + 1,), []),
+    # What the walk did not key on or bound by stays to re-check.
+    ("SELECT id FROM {r} WHERE a = ? AND v >= ? AND a = 2", (1, 0), []),
+    ("SELECT id FROM {r} WHERE v > ? AND v >= 3", (8,), [(1,), (3,)]),
+    ("SELECT id FROM {r} WHERE v < ? AND a = 9", ("7",), SqlTypeError),
+    ("UPDATE {r} SET a = a WHERE v <= ?", (float("nan"),), 5),
+    ("UPDATE {r} SET a = a WHERE v < ? AND a = 9", ("a",), SqlTypeError),
+    # A NaN key in ``r_f``: no walk, a scan the zone maps do not prune.
+    ("SELECT id FROM {r} WHERE f > ?", (-3,), [(1,), (3,), (4,), (6,)]),
+    ("SELECT id FROM {r} WHERE f BETWEEN ? AND 6", (2,), [(2,), (3,)]),
+    ("SELECT id FROM {r} WHERE f <= ?", (0.5,), [(2,), (6,)]),
+    ("SELECT id FROM {r} ORDER BY f DESC", (),
+     [(2,), (4,), (3,), (1,), (6,), (5,)]),
+    ("UPDATE {r} SET a = a WHERE f <= ?", (0.5,), 2),
+])
+def test_a_walk_is_answered_by_the_scan(engine, sql, params, expected):
+    """The walk found no row for ``v <= NaN`` (the interpreter's ``<`` /
+    ``>`` probes find NaN equal to every number) and none for an
+    incomparable bound beside an equality prefix no row has, where the
+    scan raises: a NaN or incomparable bound disqualifies the walk, and
+    the SELECT scans in key order — the elided ORDER BY's — while UPDATE /
+    DELETE scan.  A stored NaN, which bisect left wherever it landed, made
+    the walk answer ``f > -3`` with it once the bound went unchecked and
+    miss ``5.0`` under ``f BETWEEN 2 AND 6``; a zone map whose ``min``
+    skipped it pruned its chunk under ``f <= 0.5``.  An index holding a
+    NaN key is not walked."""
+    db = RANGE_DATABASES[engine, "nan"]
+    select = sql.startswith("SELECT")
+    outcomes = []
+    for table in ("r", "rtwin r" if select else "rtwin"):
+        statement = sql.format(r=table)
+        if select:
+            outcomes.append(_range_answer(db, statement, params))
+            continue
+        try:
+            outcomes.append(db.execute(statement, params).rowcount)
+        except SqlError as error:
+            outcomes.append(type(error))
+    assert outcomes == [expected, expected]

@@ -74,8 +74,9 @@ def test_kernels_lists_each_generated_loop(monkeypatch, capsys):
     """``--kernels``: each loop ``plan/compile.py`` generated and ran is a
     row of kind ``generated`` with its calls and calls per execution.
     ``reports`` runs both arithmetic loops of ``synth.project_arith``'s
-    ``amount * ? + kind``, BETWEEN over numbers and over dates, and the
-    comparison loops of its WHERE clauses, each once per chunk."""
+    ``amount * ? + kind`` and the comparison loops of its scans' and
+    joins' WHERE clauses, each once per chunk (an ordered-index walk
+    re-checks none of its bounds, so no BETWEEN loop runs)."""
     traffic = _load_tool()
     calls = _reports_smoke_calls()
     monkeypatch.setattr(traffic, "count_calls",
@@ -84,8 +85,8 @@ def test_kernels_lists_each_generated_loop(monkeypatch, capsys):
     rows = {fields[1]: fields[2:] for fields in
             map(str.split, capsys.readouterr().out.splitlines())
             if fields and fields[0] == "generated"}
-    assert {"arith_mul_vs", "arith_add_vv", "between_num_num",
-            "between_exact_exact", "cmp_ge_num", "cmp_eq_num"} <= set(rows)
+    assert {"arith_mul_vs", "arith_add_vv", "cmp_gt_num", "cmp_ge_num",
+            "cmp_lt_num", "cmp_eq_num"} <= set(rows)
     executions = calls[traffic.EXECUTE]
     for name, (n, per_execution) in rows.items():
         assert GENERATED.fullmatch(name)
