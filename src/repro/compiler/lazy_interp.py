@@ -67,8 +67,7 @@ class KernelServer:
         self.db = db
         self.cost_model = cost_model
 
-    def execute_batch(self, statements, batch_optimize=False, read_view=None,
-                      stats=None):
+    def execute_batch(self, statements, batch_optimize=False, stats=None):
         """Run ``statements`` in batch order — a write is the last of its
         batch, so the reads shipped with it observe the pre-write database.
         Each statement is priced as one row touched, one after the other."""

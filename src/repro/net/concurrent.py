@@ -44,12 +44,12 @@ dispatch over the union of their key sets.  With ``share_queries=False``
 merging still happens *within* each batch (the request's own
 ``batch_optimize`` behaviour) but never across requests.
 
-Replay is timing-only: row data was produced at trace time, under the
-recording request's read view, so the replayed workload must be read-only
-(the benchmark pages are).  Write statements are still costed — they
-serialize within their round — but their effects are not re-applied.
-Data-level interleaving correctness is covered separately by the
-read-view machinery (:mod:`repro.sqldb.read_view`) and its oracle tests.
+Replay is timing-only: row data was produced at trace time, when each
+request ran alone against the database, so the replayed workload must be
+read-only (the benchmark pages are).  Write statements are still costed —
+they serialize within their round — but their effects are not re-applied.
+No statement executes during replay, so nothing here interleaves the
+execution of different requests.
 """
 
 import heapq
@@ -154,8 +154,8 @@ class TracingBatchDriver(BatchDriver):
     re-applies sharing itself, within batches or across requests.
     """
 
-    def __init__(self, server, clock, cost_model=None, read_view=None):
-        super().__init__(server, clock, cost_model, read_view=read_view)
+    def __init__(self, server, clock, cost_model=None):
+        super().__init__(server, clock, cost_model)
         self.trace = PageTrace()
         self._last_app_ms = clock.phase_time(PHASE_APP)
         self._completion_batches = {}

@@ -57,14 +57,11 @@ class DriverStats:
 class Driver:
     """One statement per round trip (the original applications' driver)."""
 
-    def __init__(self, server, clock, cost_model=None, read_view=None):
+    def __init__(self, server, clock, cost_model=None):
         self.server = server
         self.clock = clock
         self.cost_model = cost_model or server.cost_model
         self.stats = DriverStats()
-        # Optional per-request snapshot every statement or batch executes
-        # under (see repro.sqldb.read_view); set by concurrent serving.
-        self.read_view = read_view
         self._closed = False
 
     def close(self):
@@ -82,8 +79,7 @@ class Driver:
         self.clock.charge(
             PHASE_NETWORK,
             model.round_trip_ms + model.serialization_per_query_ms)
-        result, cost_ms = self.server.execute_one(sql, params, self.read_view,
-                                                  self.stats)
+        result, cost_ms = self.server.execute_one(sql, params, self.stats)
         self.clock.charge(PHASE_DB, cost_ms)
         self.stats.record(1)
         return result
@@ -114,7 +110,7 @@ class BatchDriver(Driver):
             model.round_trip_ms
             + model.serialization_per_query_ms * len(statements))
         results, elapsed_ms = self.server.execute_batch(
-            statements, batch_optimize, self.read_view, self.stats)
+            statements, batch_optimize, self.stats)
         self.clock.charge(PHASE_DB, elapsed_ms)
         self.stats.record(len(statements))
         return results
@@ -140,7 +136,7 @@ class BatchDriver(Driver):
         network_ms = (model.round_trip_ms
                       + model.serialization_per_query_ms * len(statements))
         results, elapsed_ms = self.server.execute_batch(
-            statements, batch_optimize, self.read_view, self.stats)
+            statements, batch_optimize, self.stats)
         completion = self.clock.begin_async(
             ((PHASE_NETWORK, network_ms), (PHASE_DB, elapsed_ms)))
         self.stats.record(len(statements))

@@ -14,13 +14,13 @@ where ``parallel_elapsed`` assigns reads to the least-loaded worker
 (longest-processing-time-first greedy makespan).
 
 **One body.**  ``execute_batch`` (``execute_one`` runs it over a
-one-tuple): the request's read view *if it brought one*, dispatch, and
-counts taken where they arise, added to the ``DriverStats`` the caller
-hands in once the run returns.  The server keeps no counters of its own:
-every batch arrives through a driver, whose stats are the one home of the
-wire's counts.  What arrives is ``(sql, params)``; a statement is parsed
-here once (a probe of the process-wide parse cache), executed as an AST
-through ``execute_parsed``, and is a read or a write by its type.
+one-tuple): dispatch, and counts taken where they arise, added to the
+``DriverStats`` the caller hands in once the run returns.  The server keeps
+no counters of its own: every batch arrives through a driver, whose stats
+are the one home of the wire's counts.  What arrives is ``(sql, params)``;
+a statement is parsed here once (a probe of the process-wide parse cache),
+executed as an AST through ``execute_parsed``, and is a read or a write by
+its type.
 
 **Sharded backends.**  A :class:`repro.sqldb.shard.ShardedDatabase` result
 carries ``shard_phases`` — sequential phases of ``(station, rows_touched,
@@ -53,20 +53,19 @@ class DatabaseServer:
         self.database = database
         self.cost_model = cost_model
 
-    def execute_one(self, sql, params=(), read_view=None, stats=None):
+    def execute_one(self, sql, params=(), stats=None):
         """:meth:`execute_batch` over a one-tuple; returns ``(result,
         cost_ms)``.  ``cost_ms`` is the statement's standalone cost
         (:meth:`statement_cost`): on one node its one-statement batch's
         elapsed time, bit for bit; a sharded result sums its phases.
         """
         (result,), elapsed_ms = self.execute_batch(
-            ((sql, params),), False, read_view, stats)
+            ((sql, params),), False, stats)
         if result.shard_phases is None:
             return result, elapsed_ms
         return result, self.statement_cost(result)
 
-    def execute_batch(self, statements, batch_optimize=False,
-                      read_view=None, stats=None):
+    def execute_batch(self, statements, batch_optimize=False, stats=None):
         """Execute ``[(sql, params), ...]`` as one batch.
 
         Returns ``(results, elapsed_ms)`` where ``elapsed_ms`` models
@@ -74,20 +73,14 @@ class DatabaseServer:
         runs through the shared-scan planner first.  Either path consults
         the database's cross-request result cache per statement: cached
         SELECTs cost zero rows touched and, on the batch-plan path, drop
-        out of shared-scan grouping.  With ``read_view`` every statement
-        in the batch executes under that request's snapshot.  The run's
-        counts go, once it has returned, to ``stats`` (the calling
-        driver's ``DriverStats``); the server keeps none of its own.
+        out of shared-scan grouping.  The run's counts go, once it has
+        returned, to ``stats`` (the calling driver's ``DriverStats``); the
+        server keeps none of its own.
         """
-        database = self.database
         run = (self._execute_batch_plan
-               if batch_optimize and database.supports_batch_plan
+               if batch_optimize and self.database.supports_batch_plan
                else self._execute_batch_direct)
-        if read_view is None:
-            results, elapsed_ms, hits, groups, saved = run(statements)
-        else:
-            with database.read_views.using(read_view):
-                results, elapsed_ms, hits, groups, saved = run(statements)
+        results, elapsed_ms, hits, groups, saved = run(statements)
         if stats is not None:
             stats.result_cache_hits += hits
             stats.shared_scan_groups += groups

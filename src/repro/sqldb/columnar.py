@@ -167,26 +167,21 @@ class ColumnStore:
     nothing else; per column (by schema ordinal) :meth:`lane`,
     :meth:`zones` and :meth:`distinct` each materialise on first request
     and are cached, so a statement pays for the columns it reads and a
-    write for none.  ``rows_ref`` pins the exact ``table.rows`` dict the
-    snapshot was built from: validity is ``rows_ref is table.rows and
-    mutations == table's counter``, which survives the read-view manager
-    swapping ``table.rows`` wholesale (identity changes) and catches
-    every in-place mutation (the counter changes) — and holding the
-    reference means a dead dict's id can never be recycled into a false
-    match.  A facet built late cannot observe a later write: storage rows
-    are never mutated in place (an UPDATE installs a fresh list), so the
-    pinned ``rows`` keep their build-time values and every facet of one
-    store describes the same contents.  Any write or read-view swap
-    discards the store — lanes, dictionaries and zone maps with it.
+    write for none.  ``mutations`` pins the table's mutation counter at
+    build time: the store is valid while the counter has not moved, which
+    catches every write and rollback.  A facet built late cannot observe a
+    later write: storage rows are never mutated in place (an UPDATE
+    installs a fresh list), so the pinned ``rows`` keep their build-time
+    values and every facet of one store describes the same contents.  Any
+    write discards the store — lanes, dictionaries and zone maps with it.
     """
 
-    __slots__ = ("rows", "length", "rows_ref", "mutations", "_schema",
-                 "_lanes", "_zones", "_distinct")
+    __slots__ = ("rows", "length", "mutations", "_schema", "_lanes",
+                 "_zones", "_distinct")
 
-    def __init__(self, rows, schema_columns, rows_ref, mutations):
+    def __init__(self, rows, schema_columns, mutations):
         self.rows = rows
         self.length = len(rows)
-        self.rows_ref = rows_ref
         self.mutations = mutations
         self._schema = schema_columns
         self._lanes, self._zones, self._distinct = (
@@ -195,7 +190,7 @@ class ColumnStore:
     @classmethod
     def build(cls, table):
         return cls([row for _, row in sorted(table.rows.items())],
-                   table.schema.columns, table.rows, table._mutation_count)
+                   table.schema.columns, table._mutation_count)
 
     def lane(self, j):
         """Column ``j`` as a plain list or :class:`DictColumn`."""

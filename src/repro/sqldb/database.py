@@ -12,7 +12,6 @@ from repro.sqldb.executor import Executor, as_params
 from repro.sqldb.lexer import split_statements
 from repro.sqldb.parser import parse
 from repro.sqldb.plan import explain
-from repro.sqldb.read_view import ReadViewManager
 from repro.sqldb.result_cache import DEFAULT_RESULT_CACHE_LIMIT, ResultCache
 from repro.sqldb.transactions import TransactionManager
 
@@ -59,7 +58,6 @@ class Database:
         self.transactions = TransactionManager()
         self.optimizer_options = optimizer_options
         self.result_cache = ResultCache(result_cache_size)
-        self.read_views = ReadViewManager(self)
         self.executor = Executor(self)
         self.total_rows_touched = 0
 
@@ -86,12 +84,6 @@ class Database:
         if table is None:
             raise CatalogError(f"no such table: {name!r}")
         return table
-
-    @property
-    def active_read_view(self):
-        """The request read view SELECTs currently execute under, or None
-        (see :mod:`repro.sqldb.read_view`)."""
-        return self.read_views.active
 
     def execute(self, sql, params=()):
         """Parse and execute one SQL statement; returns :class:`ExecResult`."""

@@ -14,13 +14,9 @@ catalog/stats/options and unchanged write versions of every referenced
 table, returns its cached rows without building a plan or touching
 storage.
 
-The cache protocol lives in one function.  :meth:`Executor.select` reads
-the active read view once and then does exactly one of three things:
+The cache protocol lives in one function.  :meth:`Executor.select` does
+exactly one of two things:
 
-* **frozen** — the view is stale for a referenced table: the plan runs
-  against the frozen state and the cache is passed by in both directions
-  (entries validate against *live* versions, so a hit would hand a
-  snapshot reader rows from the future and a store would poison them);
 * **cache off** — the cached plan runs; no key, no version walk, no call
   into the cache;
 * **probe → run → store** — one key, one ``lookup`` (a hit returns here:
@@ -137,7 +133,6 @@ class Executor:
             self._invalidate_plans()
             return ExecResult()
         if kind is A.Truncate:
-            self.db.read_views.before_write(stmt.table)
             table = self.db.tables_get(stmt.table)
             removed = table.truncate(self.db.transactions.undo_log())
             # Emptying a table always invalidates the cardinality picture,
@@ -159,25 +154,18 @@ class Executor:
 
     def select(self, stmt, params, probe=True, base_rows=None):
         """The one body a SELECT runs through (the module docstring has its
-        three outcomes).  The batch planner, which has probed ahead, passes
+        two paths).  The batch planner, which has probed ahead, passes
         ``probe=False`` so that a miss counts once, and the rows of a scan
         group's shared scan as ``base_rows``."""
         db = self.db
-        view, plan = db.read_views.active, None
-        if view is not None:
-            plan = self.plan_for(stmt)
-            stale = view.stale_tables(plan.referenced_tables, db)
-            if stale:
-                with db.read_views.reading(stale):
-                    return plan.execute(db, params, base_rows)
         cache = db.result_cache
         if not cache.enabled:
-            return (plan or self.plan_for(stmt)).execute(db, params, base_rows)
+            return self.plan_for(stmt).execute(db, params, base_rows)
         key = self._result_key(stmt, params)
         cached = cache.lookup(key, db) if probe else None
         if cached is not None:
             return cached
-        plan = plan or self.plan_for(stmt)
+        plan = self.plan_for(stmt)
         # Versions from *before* the run: a commit landing inside it gets
         # the store refused, not its pre-commit rows cached as current.
         expected = current_versions(db, plan.referenced_tables)
@@ -186,17 +174,8 @@ class Executor:
         return result
 
     def cached_select(self, stmt, params, peek=False):
-        """Probe only: the cached result of a SELECT or None, and always
-        None when the active view is stale for it.  ``peek`` leaves the
-        counters and the LRU order alone (EXPLAIN)."""
-        view = self.db.read_views.active
-        if view is not None:
-            try:
-                plan = self.plan_for(stmt)
-            except SqlError:
-                return None  # execution raises it, at the statement's turn
-            if view.stale_tables(plan.referenced_tables, self.db):
-                return None
+        """Probe only: the cached result of a SELECT or None.  ``peek``
+        leaves the counters and the LRU order alone (EXPLAIN)."""
         return self.db.result_cache.lookup(
             self._result_key(stmt, params), self.db, peek=peek)
 
@@ -255,7 +234,6 @@ class Executor:
         together — a statement that raises part-way is undone to the open
         transaction's savepoint, or with the transaction of its own that an
         auto-committed statement over several rows runs in."""
-        self.db.read_views.before_write(stmt.table)
         table = self.db.tables_get(stmt.table)
         entry = self._plans.get(id(stmt))
         # A write plan holds nothing of statistics or options: it is stale

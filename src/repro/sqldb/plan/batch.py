@@ -11,8 +11,8 @@ independent execution; only the cost changes — the group touches the table
 once instead of N times.
 
 This module owns the grouping, the once-per-group row charge and the
-statement counters; the cache protocol, read views and the plan run are
-the executor's.  A run of reads is probed ahead (``Executor.cached_select``)
+statement counters; the cache protocol and the plan run are the
+executor's.  A run of reads is probed ahead (``Executor.cached_select``)
 and each miss then runs through ``Executor.select(..., probe=False)`` like
 a lone SELECT — a grouped member on the shared rows (``base_rows``).
 
@@ -158,17 +158,10 @@ def _flush_segment(db, segment, results, groups):
 
 def _start_shared_scan(db, table_name):
     """Scan ``table_name`` once for a group: identical row stream (padded,
-    insertion order) to what each member's private SeqScanOp produces.
-
-    Under a stale read view the scan runs against the frozen snapshot, so
-    every demultiplexed member observes the view's pinned version.
-    """
-    view = db.read_views.active
-    stale = view.stale_tables((table_name,), db) if view is not None else ()
-    with db.read_views.reading(stale):
-        table = db.tables_get(table_name)
-        width = len(table.schema.columns)
-        shared_rows = [_pad(row, 0, width) for _, row in table.scan()]
+    insertion order) to what each member's private SeqScanOp produces."""
+    table = db.tables_get(table_name)
+    width = len(table.schema.columns)
+    shared_rows = [_pad(row, 0, width) for _, row in table.scan()]
     group = SharedScanGroup(table_name, [])
     group.scan_rows = len(shared_rows)
     return group, shared_rows

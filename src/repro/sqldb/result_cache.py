@@ -15,19 +15,18 @@ that decide the rows::
 
 i.e. the executor's plan-cache key extended with the parameter tuple and
 its types (``executor.param_types``: ``(1,)`` and ``(True,)`` are equal
-tuples that bind differently, so they key apart).  The
-executor is the only caller, through two entries: ``Executor.select`` —
-one :meth:`~ResultCache.lookup`, then :func:`current_versions` before the
-run and one :meth:`~ResultCache.store` after it — and the probe-only
-``Executor.cached_select``.  ``select`` makes none of these calls while
-the cache is switched off, and neither entry does while the active read
-view is stale for the statement.  The
-**entry** additionally records the names and write versions of every table
-the plan reads.  A hit requires the key to match *and* every recorded
-version to equal the table's current :attr:`~repro.sqldb.storage.Table.
-write_version`; a committed write to any referenced table therefore
-invalidates exactly the dependent entries (validation is lazy — a stale
-entry is dropped, counted in ``invalidations``, when next looked up).
+tuples that bind differently, so they key apart).  The executor is the only
+caller, through two entries: ``Executor.select`` — one
+:meth:`~ResultCache.lookup`, then :func:`current_versions` before the run
+and one :meth:`~ResultCache.store` after it — and the probe-only
+``Executor.cached_select``.  ``select`` makes none of these calls while the
+cache is switched off.  The **entry** additionally records the names and
+write versions of every table the plan reads.  A hit requires the key to
+match *and* every recorded version to equal the table's current
+:attr:`~repro.sqldb.storage.Table.write_version`; a committed write to any
+referenced table therefore invalidates exactly the dependent entries
+(validation is lazy — a stale entry is dropped, counted in
+``invalidations``, when next looked up).
 
 Transactions: statements referencing a table with *uncommitted* writes
 bypass the cache entirely — no hit (storage is ahead of the recorded

@@ -13,13 +13,12 @@ Public surface:
 
 from repro.sqldb.shard.router import (KIND_BROADCAST_READ, KIND_GATHER,
                                       KIND_SCATTER, KIND_SINGLE, Router)
-from repro.sqldb.shard.sharded import (COORD_STATION, ShardedDatabase,
-                                       ShardedReadView)
+from repro.sqldb.shard.sharded import COORD_STATION, ShardedDatabase
 from repro.sqldb.shard.topology import HASH, RANGE, PartitionSpec, \
     ShardTopology
 
 __all__ = [
     "COORD_STATION", "HASH", "KIND_BROADCAST_READ", "KIND_GATHER",
     "KIND_SCATTER", "KIND_SINGLE", "PartitionSpec", "RANGE", "Router",
-    "ShardTopology", "ShardedDatabase", "ShardedReadView",
+    "ShardTopology", "ShardedDatabase",
 ]

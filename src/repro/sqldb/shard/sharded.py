@@ -17,12 +17,12 @@ a coordinator database and execute there.
 
 **Writes** route to primaries (split per shard for INSERT, key-routed for
 UPDATE/DELETE), bump the owning shard's table versions — which is what
-keeps each shard's result cache and read views correct, exactly as on a
-single node — and append to the shard's **replication log**.  Replicas
-apply log entries on demand: a replica read first catches up until its lag
-is within ``topology.staleness_bound`` entries, so bounded staleness is a
-property enforced at read time, not a race.  DDL is a replication barrier
-(replicas catch up fully, then apply the DDL directly).
+keeps each shard's result cache correct, exactly as on a single node — and
+append to the shard's **replication log**.  Replicas apply log entries on
+demand: a replica read first catches up until its lag is within
+``topology.staleness_bound`` entries, so bounded staleness is a property
+enforced at read time, not a race.  DDL is a replication barrier (replicas
+catch up fully, then apply the DDL directly).
 
 **Cost accounting**: every result carries ``shard_phases`` — a tuple of
 sequential phases, each a tuple of ``(station, rows_touched, from_cache)``
@@ -31,11 +31,9 @@ entries that execute in parallel.  The server charges each phase as the
 makes a scatter over N shards cost one shard's work, not N.
 """
 
-from contextlib import ExitStack, contextmanager
-
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.database import Database
-from repro.sqldb.errors import SqlError
+from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.executor import as_params
 from repro.sqldb.parser import parse
 from repro.sqldb.plan import explain
@@ -75,55 +73,6 @@ class _Shard:
         self.log = []
         self.txn_buffer = []
         self.next_replica = 0
-
-
-class ShardedReadView:
-    """A composite snapshot: one primary read view per shard."""
-
-    __slots__ = ("views",)
-
-    def __init__(self, views):
-        self.views = tuple(views)
-
-    def close(self):
-        for view in self.views:
-            view.close()
-
-
-class ShardedReadViewManager:
-    """Duck-types :class:`~repro.sqldb.read_view.ReadViewManager` for the
-    server: ``open()`` freezes every primary at once, ``using()`` threads
-    the per-shard views into each primary's own manager."""
-
-    def __init__(self, owner):
-        self._owner = owner
-        self.active = None
-
-    def open(self):
-        return ShardedReadView(
-            sh.primary.read_views.open() for sh in self._owner.shards)
-
-    @contextmanager
-    def using(self, view):
-        previous = self.active
-        self.active = view
-        try:
-            with ExitStack() as stack:
-                for sh, sub in zip(self._owner.shards, view.views):
-                    stack.enter_context(sh.primary.read_views.using(sub))
-                yield view
-        finally:
-            self.active = previous
-
-    @property
-    def open_view_count(self):
-        return sum(sh.primary.read_views.open_view_count
-                   for sh in self._owner.shards)
-
-    @property
-    def frozen_state_count(self):
-        return sum(sh.primary.read_views.frozen_state_count
-                   for sh in self._owner.shards)
 
 
 class ShardedResultCache:
@@ -207,7 +156,6 @@ class ShardedDatabase:
         self.read_from_replicas = (topology.replicas > 0
                                    if read_from_replicas is None
                                    else read_from_replicas)
-        self.read_views = ShardedReadViewManager(self)
         self.result_cache = ShardedResultCache(self)
         self.total_rows_touched = 0
         self._in_txn = False
@@ -287,10 +235,6 @@ class ShardedDatabase:
                                for db in self.all_databases()),
         }
 
-    @property
-    def active_read_view(self):
-        return self.read_views.active
-
     # -- reads ---------------------------------------------------------------
 
     def _execute_read(self, stmt, params):
@@ -306,14 +250,12 @@ class ShardedDatabase:
     def _read_on(self, shard, stmt, params):
         """Run one read on a shard — replica when permitted, else primary.
 
-        Returns ``(result, station_id)``.  Replicas are skipped while a
-        composite read view is active (views pin primary versions) and
-        inside transactions (read-your-writes needs the primary's
-        uncommitted state).
+        Returns ``(result, station_id)``.  Replicas are skipped inside
+        transactions (read-your-writes needs the primary's uncommitted
+        state).
         """
         sh = self.shards[shard]
-        if sh.replicas and self.read_from_replicas \
-                and self.read_views.active is None and not self._in_txn:
+        if sh.replicas and self.read_from_replicas and not self._in_txn:
             idx = sh.next_replica
             sh.next_replica = (idx + 1) % len(sh.replicas)
             rep = sh.replicas[idx]
@@ -359,13 +301,12 @@ class ShardedDatabase:
         """Refresh the coordinator's copy of one partitioned table.
 
         Skipped (and free) when every primary's committed version matches
-        the last sync.  Under an active read view or an open transaction
-        the pull always re-runs and the signature is invalidated — the
-        pulled rows are snapshot- or transaction-relative.
+        the last sync.  Under an open transaction the pull always re-runs
+        and the signature is invalidated — the pulled rows are
+        transaction-relative.
         """
-        unstable = (self.read_views.active is not None
-                    or any(sh.primary.transactions.in_transaction
-                           for sh in self.shards))
+        unstable = any(sh.primary.transactions.in_transaction
+                       for sh in self.shards)
         signature = tuple(sh.primary.tables_get(name).write_version
                           for sh in self.shards)
         if not unstable and self._coord_synced.get(name) == signature:
@@ -405,9 +346,10 @@ class ShardedDatabase:
         spec = self.topology.spec_for(stmt.table)
         if spec is None:
             return self._broadcast_write(stmt, params)
+        column = self.shards[0].primary.tables_get(
+            stmt.table).schema.column(spec.column)
         if stmt.columns is None:  # VALUES in schema order
-            key_at = self.shards[0].primary.tables_get(
-                stmt.table).schema.ordinal_of(spec.column)
+            key_at = column.ordinal
         elif spec.column in stmt.columns:
             key_at = stmt.columns.index(spec.column)
         else:
@@ -417,7 +359,8 @@ class ShardedDatabase:
         for row in stmt.rows:
             # A short row routes anywhere: its shard refuses it.
             value = (None if key_at is None or key_at >= len(row)
-                     else _routed_value(row[key_at], params, stmt.table))
+                     else _stored_key(column, row[key_at], params,
+                                      stmt.table))
             shard = spec.shard_of(value, self.topology.shards)
             groups.setdefault(shard, []).append(row)
             last_shard = shard
@@ -476,11 +419,13 @@ class ShardedDatabase:
 
     def _check_partition_key_update(self, stmt, params, spec):
         """Reject UPDATEs that would move a row to a different shard."""
-        for column, expr in stmt.assignments:
-            if column != spec.column:
+        for name, expr in stmt.assignments:
+            if name != spec.column:
                 continue
             shards = self.router.write_shards(stmt, params)
-            new_value = _routed_value(expr, params, stmt.table)
+            column = self.shards[0].primary.tables_get(
+                stmt.table).schema.column(name)
+            new_value = _stored_key(column, expr, params, stmt.table)
             target = spec.shard_of(new_value, self.topology.shards)
             if len(shards) != 1 or shards[0] != target:
                 raise SqlError(
@@ -659,6 +604,17 @@ def _with_phases(result, phases):
                      result.from_cache)
     out.shard_phases = phases
     return out
+
+
+def _stored_key(column, expr, params, table):
+    """A written partition key as ``column`` stores it (its coercer), so
+    ``2.0`` in an INTEGER key is placed where ``2`` is; a value the column
+    refuses routes as given — its shard raises."""
+    value = _routed_value(expr, params, table)
+    try:
+        return column.coerce(value)
+    except SqlTypeError:
+        return value
 
 
 def _routed_value(expr, params, table):

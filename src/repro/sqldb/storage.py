@@ -30,9 +30,7 @@ class Table:
         # Physical mutation counter: bumped on *every* row change the
         # instant it happens — including uncommitted transactional writes
         # and their rollbacks — unlike write_version, which only moves at
-        # COMMIT.  The columnar engine's cached snapshot keys on it (plus
-        # the identity of self.rows, which the read-view manager swaps
-        # wholesale without touching either counter).
+        # COMMIT.  The columnar engine's cached snapshot keys on it.
         self._mutation_count = 0
         self._column_store = None
 
@@ -239,16 +237,14 @@ class Table:
     def column_store(self):
         """The cached columnar snapshot of the current contents, in scan
         order (see :class:`repro.sqldb.columnar.ColumnStore`).  Replaced
-        lazily whenever the physical mutation counter moved or the rows
-        dict itself was swapped (per-request read views).
+        lazily whenever the physical mutation counter moved.
 
         Replacing it costs one sort of the rows: the snapshot is
         column-lazy — a scan materialises the lanes and zone maps its
         statement reads, the planner (under any engine) one column's
         distinct count — and every write or rollback discards it all."""
         store = self._column_store
-        if (store is None or store.rows_ref is not self.rows
-                or store.mutations != self._mutation_count):
+        if store is None or store.mutations != self._mutation_count:
             store = ColumnStore.build(self)
             self._column_store = store
         return store

@@ -149,13 +149,8 @@ class AppServer:
     DEFAULT_USER = {"name": "user1",
                     "privileges": ("VIEW_PATIENTS", "EDIT_ISSUES")}
 
-    def load_page(self, request, read_view=None):
-        """Run one request and measure it.
-
-        With ``read_view`` every statement the request issues executes
-        under that snapshot (see :mod:`repro.sqldb.read_view`); the
-        concurrent serving layer opens one per request at admission.
-        """
+    def load_page(self, request):
+        """Run one request and measure it."""
         if request.user is None:
             request.user = dict(self.DEFAULT_USER)
         controller, template = self.dispatcher.route(request.url)
@@ -166,8 +161,6 @@ class AppServer:
             if make_driver is None:
                 make_driver = BatchDriver
             driver = make_driver(self.db_server, self.clock, self.cost_model)
-            if read_view is not None:
-                driver.read_view = read_view
             runtime = SlothRuntime(driver, self.clock, self.cost_model,
                                    optimizations=self.optimizations,
                                    lazy_mode=True,
@@ -180,8 +173,6 @@ class AppServer:
             if make_driver is None:
                 make_driver = Driver
             driver = make_driver(self.db_server, self.clock, self.cost_model)
-            if read_view is not None:
-                driver.read_view = read_view
             runtime = SlothRuntime(driver, self.clock, self.cost_model,
                                    lazy_mode=False)
             backend = OriginalBackend(driver)

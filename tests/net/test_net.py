@@ -634,12 +634,10 @@ class TestOneStatementOrABatchOfOne:
                     for phase in result.shard_phases),
                 max(stations.values()))
 
-    def _step(self, one, batch, stats, sql, params=(), views=(None, None),
-              write=False):
-        result, cost_ms = one.execute_one(sql, params, read_view=views[0],
-                                          stats=stats[0])
+    def _step(self, one, batch, stats, sql, params=(), write=False):
+        result, cost_ms = one.execute_one(sql, params, stats=stats[0])
         (twin,), elapsed_ms = batch.execute_batch(
-            [(sql, params)], read_view=views[1], stats=stats[1])
+            [(sql, params)], stats=stats[1])
         assert (result.columns, result.rows, result.rowcount) == (
             twin.columns, twin.rows, twin.rowcount)
         assert result.shard_phases == twin.shard_phases
@@ -669,26 +667,6 @@ class TestOneStatementOrABatchOfOne:
             "UPDATE t SET val = val + 1 WHERE grp = ?", (1,), write=True)
         assert written.rowcount == 3 and cost_ms == elapsed_ms
         assert step(self.READ, (1,))[0].rows == [(1, 11), (5, 51), (9, 91)]
-
-        # A read view, opened on each twin, then made stale from outside.
-        views = [server.database.read_views.open()
-                 for server in (one, batch)]
-        for server in (one, batch):
-            server.database.execute(
-                "UPDATE t SET val = 0 WHERE grp = ?", (1,))
-        stale, _, _ = step(self.READ, (1,), views=views)
-        assert stale.rows == [(1, 11), (5, 51), (9, 91)]  # the snapshot
-        assert not stale.from_cache
-        assert step(self.READ, (1,))[0].rows == [(1, 0), (5, 0), (9, 0)]
-        for server in (one, batch):  # nothing stays installed
-            assert server.database.read_views.active is None
-        # A write under the view: read-your-writes from then on.
-        step("UPDATE t SET val = 7 WHERE grp = ?", (1,), views=views,
-             write=True)
-        assert step(self.READ, (1,), views=views)[0].rows == [
-            (1, 7), (5, 7), (9, 7)]
-        for view in views:
-            view.close()
 
         # More than one phase: sync the coordinator, then run there.
         gathered, cost_ms, elapsed_ms = step(self.GATHER)

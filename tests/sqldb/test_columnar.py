@@ -5,7 +5,7 @@ columnar engine's *results*; these tests pin the layout internals —
 dictionary-encoding decisions, ColumnStore snapshot caching and
 invalidation, selection-vector plumbing, per-chunk zone maps (their
 construction, the scans that skip on them, and their invalidation
-under writes, rollbacks and read-view swaps).
+under writes and rollbacks).
 """
 
 from hypothesis import given, settings
@@ -200,15 +200,6 @@ def test_lane_requested_after_a_write_comes_from_a_fresh_store():
     db.execute("UPDATE t SET v = 1000 WHERE id < 10")
     mid, after = write_between_requests(lambda: db.execute("ROLLBACK"))
     assert max(mid.lane(V)) == 1000 > max(after.lane(V))
-    # Read-view swap: table.rows replaced wholesale, counters untouched.
-    old_rows = table.rows
-    try:
-        _, swapped = write_between_requests(lambda: setattr(
-            table, "rows", dict(list(old_rows.items())[:10])))
-        assert swapped.length == 10
-    finally:
-        table.rows = old_rows
-    assert table.column_store().length == len(old_rows)
 
 
 def test_column_store_invalidated_by_rollback():
@@ -427,20 +418,18 @@ def test_zone_maps_invalidated_by_rollback():
     assert res.scalar() == 0
 
 
-def test_zone_maps_follow_read_view_swap():
+def test_zone_maps_follow_a_delete_that_empties_chunks():
     db = _db(n=2500)
     table = db.tables["t"]
     baseline = table.column_store()
     assert len(baseline.zones(ID)) == 3
-    old_rows = table.rows
-    table.rows = dict(list(old_rows.items())[:100])  # simulate _swap_in
-    try:
-        swapped = table.column_store()
-        assert swapped is not baseline
-        assert swapped.zones(ID) == [(0, 99, 0, 100)]
-    finally:
-        table.rows = old_rows
-    assert len(table.column_store().zones(ID)) == 3
+    db.execute("DELETE FROM t WHERE id >= 100")
+    shrunk = table.column_store()
+    assert shrunk is not baseline
+    assert shrunk.length == 100
+    assert shrunk.zones(ID) == [(0, 99, 0, 100)]
+    res = db.execute("SELECT COUNT(*) FROM t WHERE id > 99")
+    assert res.scalar() == 0 and res.chunks_skipped == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -487,23 +476,3 @@ def test_chunk_skipping_never_changes_results(values, low, span, op):
         assert row.chunks_skipped == 0
     finally:
         columnar_mod.CHUNK_SIZE = physical_mod.CHUNK_SIZE = old_chunk
-
-
-def test_read_view_swap_invalidates_snapshot():
-    """The per-request read-view manager swaps ``table.rows`` wholesale
-    without bumping counters; snapshot validity is keyed on the rows
-    dict's identity, so a snapshot of the old dict must not serve the
-    swapped-in contents."""
-    db = _db()
-    table = db.tables["t"]
-    baseline = table.column_store()
-    old_rows = table.rows
-    table.rows = dict(list(old_rows.items())[:10])  # simulate _swap_in
-    try:
-        swapped = table.column_store()
-        assert swapped is not baseline
-        assert swapped.length == 10
-    finally:
-        table.rows = old_rows
-    restored = table.column_store()
-    assert restored.length == 100

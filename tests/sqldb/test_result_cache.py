@@ -329,16 +329,6 @@ class TestOneBody:
         assert cached_db.execute(self.SQL, (3,)).from_cache
         assert calls == {"key": 1, "lookup": 1}
 
-    def test_a_stale_view_goes_past_the_cache(self, cached_db, calls):
-        cached_db.execute(self.SQL, (3,))  # cached, and about to go stale
-        view = cached_db.read_views.open()
-        cached_db.execute("UPDATE t SET v = 99 WHERE id = 3")
-        calls.clear()
-        with cached_db.read_views.using(view):
-            assert cached_db.execute(self.SQL, (3,)).rows == [(6,)]
-        assert calls == {"plan": 1, "run": 1}
-        view.close()
-
     def test_the_batch_planner_adds_its_probe_ahead_only(self, cached_db,
                                                          calls):
         """Two scans sharing one: each is probed once (ahead), snapshotted,

@@ -1,19 +1,16 @@
-"""The SELECT path against a dict model: result cache × read views ×
-transactions.
+"""The SELECT path against a dict model: result cache × transactions.
 
 ``test_write_oracle.py`` models what a write does to a table; this file
-models what happens to a *read* on its way to the plan.  Seeded sequences
-of parameterised SELECTs, INSERT / UPDATE / DELETE, BEGIN / COMMIT /
-ROLLBACK, read-view open / use / close and ``result_cache.enabled`` flips
-run over two tables, and after every step a model predicts the rows of
-each SELECT *and* which way it went: served from the cache (hit), probed
-and executed and stored (miss, or invalidated when a committed write moved
-a referenced table), executed without a store (a referenced table has
-uncommitted writes), or past the cache altogether (switched off, or the
-active view is stale for a referenced table and the statement reads the
-frozen state).  Checked: rows, ``from_cache``, ``rows_touched``, the five
-cache counters and the cache's size, ``plans_built``, every table's
-contents and write version.
+models what happens to a *read* on its way to the plan.  Seeded sequences of
+parameterised SELECTs, INSERT / UPDATE / DELETE, BEGIN / COMMIT / ROLLBACK
+and ``result_cache.enabled`` flips run over two tables, and after every
+step a model predicts the rows of each SELECT *and* which way it went:
+served from the cache (hit), probed and executed and stored (miss, or
+invalidated when a committed write moved a referenced table), executed
+without a store (a referenced table has uncommitted writes), or past the
+cache altogether (switched off).  Checked: rows, ``from_cache``,
+``rows_touched``, the five cache counters and the cache's size,
+``plans_built``, every table's contents and write version.
 
 Each sequence runs twice: statement by statement through
 ``Database.execute`` and batch by batch through
@@ -84,22 +81,6 @@ def make_db(limit):
     return db
 
 
-class ModelView:
-    """What a ``ReadView`` pins: versions and (what the engine freezes
-    lazily) the committed contents at open."""
-
-    def __init__(self, model, real):
-        self.real = real
-        self.versions = dict(model.version)
-        self.snap = {t: dict(rows) for t, rows in model.rows.items()}
-        self.own = set()
-
-    def is_stale(self, model, table):
-        return table not in self.own and (
-            model.version[table] != self.versions[table]
-            or table in model.pending)
-
-
 class Model:
     def __init__(self, db):
         self.rows = {t: {i: (i, i % 3, i * 10) for i in range(1, 7)}
@@ -107,7 +88,6 @@ class Model:
         self.version = {t: db.tables[t].write_version for t in TABLES}
         self.saved = None     # rows at BEGIN while a transaction is open
         self.pending = set()  # tables the open transaction changed
-        self.views = []
         self.enabled = True
         self.limit = db.result_cache.limit
         self.cache = collections.OrderedDict()  # (sql, params) -> (tables, versions)
@@ -119,18 +99,9 @@ class Model:
 
     # -- reads ----------------------------------------------------------------
 
-    def visible(self, view):
-        """table -> rows a SELECT under ``view`` reads."""
-        return {t: view.snap[t] if view is not None and view.is_stale(self, t)
-                else self.rows[t] for t in TABLES}
-
-    def probe(self, sql, params, view):
+    def probe(self, sql, params):
         """The cache probe ahead of execution: True on a hit."""
         tables = SELECTS[sql][0]
-        if view is not None:
-            self.planned.add(sql)  # staleness is asked of the plan's tables
-            if any(view.is_stale(self, t) for t in tables):
-                return self.note("view-bypass")
         if not self.enabled:
             return self.note("off")
         entry = self.cache.get((sql, params))
@@ -149,11 +120,9 @@ class Model:
         self.note("hit")
         return True
 
-    def execute_and_store(self, sql, params, view):
+    def execute_and_store(self, sql, params):
         tables = SELECTS[sql][0]
         self.planned.add(sql)
-        if view is not None and any(view.is_stale(self, t) for t in tables):
-            return
         if not self.enabled:
             return
         if self.pending.intersection(tables):
@@ -173,10 +142,8 @@ class Model:
 
     # -- writes ---------------------------------------------------------------
 
-    def write(self, table, change, view):
-        """Apply ``change(rows) -> rows changed`` to ``table``'s live rows."""
-        if view is not None:
-            view.own.add(table)  # read-your-writes: follows the live table
+    def write(self, table, change):
+        """Apply ``change(rows) -> rows changed`` to ``table``'s rows."""
         changed = change(self.rows[table])
         if not changed:
             return
@@ -284,11 +251,8 @@ class Direct:
     def __init__(self, db):
         self.db = db
 
-    def run(self, statements, view):
-        if view is None:
-            return [self.db.execute(sql, params) for sql, params in statements]
-        with self.db.read_views.using(view):
-            return [self.db.execute(sql, params) for sql, params in statements]
+    def run(self, statements):
+        return [self.db.execute(sql, params) for sql, params in statements]
 
 
 class Batched:
@@ -301,14 +265,13 @@ class Batched:
         self.server = DatabaseServer(db, CostModel())
         self.stats = DriverStats()
 
-    def run(self, statements, view):
+    def run(self, statements):
         results, _ = self.server.execute_batch(
-            statements, batch_optimize=True, read_view=view,
-            stats=self.stats)
+            statements, batch_optimize=True, stats=self.stats)
         return results
 
 
-def model_step(m, statements, view, segment_size):
+def model_step(m, statements, segment_size):
     """Run one step's statements over the model; returns per statement
     ``(rows, hit, rows_touched or None)`` for a SELECT and None for a
     write.  Reads probe in runs of ``segment_size`` (None: up to the next
@@ -321,14 +284,14 @@ def model_step(m, statements, view, segment_size):
         for index in segment:
             sql, params, _ = statements[index]
             _, _, rows, touched = SELECTS[sql]
-            tables = m.visible(view)
-            hit = m.probe(sql, params, view) is True
-            expected[index] = (sorted(rows(tables, params)), hit,
-                               0 if hit else touched and touched(tables, params))
+            hit = m.probe(sql, params) is True
+            expected[index] = (
+                sorted(rows(m.rows, params)), hit,
+                0 if hit else touched and touched(m.rows, params))
             if not hit:
                 fresh.append(index)
         for index in fresh:
-            m.execute_and_store(*statements[index][:2], view)
+            m.execute_and_store(*statements[index][:2])
         del segment[:]
 
     for index, (sql, params, effect) in enumerate(statements):
@@ -338,7 +301,7 @@ def model_step(m, statements, view, segment_size):
                 flush()
         else:
             flush()
-            m.write(*effect, view)
+            m.write(*effect)
     flush()
     return expected
 
@@ -367,34 +330,20 @@ def run_sequence(seed, mode, limit=None, steps=120):
             except TransactionError as error:
                 expected = type(error)
             try:
-                path.run([(verb, ())], None)
+                path.run([(verb, ())])
                 got = None
             except TransactionError as error:
                 got = type(error)
             assert got == expected, step
             m.note(verb.lower() if got is None else "refused")
-        elif roll < 0.35:
-            if len(m.views) < 3 and rng.random() < 0.6:
-                step += ": open a view"
-                if m.saved is not None:
-                    with pytest.raises(RuntimeError):
-                        db.read_views.open()
-                    m.note("refused")
-                else:
-                    m.views.append(ModelView(m, db.read_views.open()))
-            elif m.views:
-                step += ": close a view"
-                m.views.pop(rng.randrange(len(m.views))).real.close()
-        elif roll < (0.38 if m.enabled else 0.50):
+        elif roll > (0.97 if m.enabled else 0.85):
             step += ": flip the cache"
             m.enabled = db.result_cache.enabled = not m.enabled
         else:
-            view = rng.choice([None, None, *m.views])
             statements = a_step(rng, m)
-            step += f": {[s[:2] for s in statements]} under {view}"
-            expected = model_step(m, statements, view, path.segment_size)
-            results = path.run([s[:2] for s in statements],
-                               view and view.real)
+            step += f": {[s[:2] for s in statements]}"
+            expected = model_step(m, statements, path.segment_size)
+            results = path.run([s[:2] for s in statements])
             for result, want in zip(results, expected):
                 if want is None:
                     continue
@@ -453,9 +402,8 @@ def test_the_sequences_reach_every_outcome():
         outcomes = collections.Counter()
         for seed in SEEDS:
             outcomes += run_sequence(seed, mode)[0].outcomes
-        required = {"hit", "miss", "invalidated", "off", "view-bypass",
-                    "pending-bypass", "not-stored", "begin", "commit",
-                    "rollback", "refused"}
+        required = {"hit", "miss", "invalidated", "off", "pending-bypass",
+                    "not-stored", "begin", "commit", "rollback", "refused"}
         if mode is Batched:
             required.add("shared-scan-groups")
         assert not required - {k for k, n in outcomes.items() if n}, mode

@@ -160,25 +160,6 @@ def test_loose_bound_cache_hit_matches_replica_prefix():
     assert db.execute(_READ, (2,)).rows == [(1, 2, 9)]
 
 
-def test_open_read_view_bypasses_replicas_and_repeats():
-    """Reads under an open view are served by primaries and repeat
-    byte-for-byte while writes land outside the view."""
-    db = make_sharded(staleness_bound=3)
-    db.execute("INSERT INTO t (id, grp, val) VALUES (1, 2, 7)")
-    view = db.read_views.open()
-    try:
-        with db.read_views.using(view):
-            first = db.execute(_READ, (2,)).rows
-        db.execute("UPDATE t SET val = 8 WHERE grp = 2")
-        db.execute("INSERT INTO t (id, grp, val) VALUES (2, 2, 5)")
-        with db.read_views.using(view):
-            assert db.execute(_READ, (2,)).rows == first == [(1, 2, 7)]
-    finally:
-        view.close()
-    db.read_from_replicas = False  # the primaries saw both writes
-    assert db.execute(_READ, (2,)).rows == [(1, 2, 8), (2, 2, 5)]
-
-
 def test_replica_round_robin_spreads_reads():
     """Two replicas alternate serving consecutive reads of one shard."""
     db = make_sharded(staleness_bound=0, replicas=2)

@@ -191,6 +191,32 @@ def test_a_key_no_placement_answers_goes_to_every_shard(key, selected, sql):
         assert outcomes[0] == selected
 
 
+@pytest.mark.parametrize("spec", [PartitionSpec("grp"),
+                                  PartitionSpec("grp", "range", (1, 2, 3))],
+                         ids=["hash", "range"])
+@pytest.mark.parametrize("key", [1.0, 2.0, 3.0, 4.0, 5.0])
+def test_an_integral_float_key_is_placed_as_the_int_it_is_stored_as(
+        spec, key):
+    """An INTEGER column stores ``2.0`` as ``2``, so the row must sit on
+    ``2``'s shard: every later statement keyed on ``2`` is routed there
+    (hashing the text ``"2.0"`` put it on shard 0), and an UPDATE writing
+    ``2.0`` over ``2`` moves nothing."""
+    db = ShardedDatabase(ShardTopology(4, {"t": spec}))
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, grp INTEGER, v INT)")
+    db.execute("INSERT INTO t (id, grp, v) VALUES (?, ?, ?)", (1, key, 5))
+    stored = (int(key),)
+    assert db.execute("SELECT id, grp FROM t WHERE grp = ?",
+                      stored).rows == [(1, int(key))]
+    assert db.execute("UPDATE t SET v = v + 1 WHERE grp = ?",
+                      stored).rowcount == 1
+    assert db.execute("SELECT v FROM t WHERE id = 1").rows == [(6,)]
+    # Rewriting the key to the same stored value moves no row.
+    assert db.execute("UPDATE t SET grp = ? WHERE grp = ?",
+                      (key, *stored)).rowcount == 1
+    assert db.execute("DELETE FROM t WHERE grp = ?", stored).rowcount == 1
+    assert db.table_size("t") == 0
+
+
 def test_partition_key_update_moving_shards_is_rejected():
     db = make_db()
     db.execute("INSERT INTO t (id, grp, val) VALUES (1, 0, 10)")

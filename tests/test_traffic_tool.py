@@ -115,10 +115,7 @@ def test_a_statement_is_parsed_once_per_side_of_the_wire():
     """Every parse beyond the one an execution needs is a registration:
     the store classifies a statement (read or write) and the server parses
     it to execute it — 27 186 - 24 061 = 3 125 registrations in this run;
-    classifying on the server as well made it 2 x 3 125.  And a workload
-    that opens no read view never enters ``ReadViewManager.using`` (7 770
-    call and generator-resume events when a view-less request entered it
-    to install nothing)."""
+    classifying on the server as well made it 2 x 3 125."""
     calls = _mixed_rw_smoke_calls()
     parses = calls[os.path.join("sqldb", "parser.py"), "parse"]
     executions = calls[os.path.join("sqldb", "database.py"),
@@ -127,8 +124,6 @@ def test_a_statement_is_parsed_once_per_side_of_the_wire():
                           "QueryStore.register_query"]
     assert registrations > 3000
     assert parses - executions == registrations
-    assert (os.path.join("sqldb", "read_view.py"),
-            "ReadViewManager.using") not in calls
 
 
 def test_calls_prints_raw_counts_per_target(monkeypatch, capsys):

@@ -49,13 +49,13 @@ changed, and a digest over every (SQL, EXPLAIN with estimates stripped)
 pair built: two commits that print the same digest for a target built the
 same plans for it, baselines included.  It also judges the estimates the
 plans were chosen by: ``PhysicalPlan.execute`` is wrapped too, and after
-the first execution of each plan (one without shared-scan rows or an
-active read view) the plan runs once more under ``execute_analyze`` with
-the same parameters.  Every ``q=`` its text prints is one operator's
-q-error, estimated against actual rows; the table gives the operators, q
-median / p90 / max, and apart from them the operators of plans that stop
-after N rows (``limit_hint``), whose actual is the cutoff rather than what
-the estimate describes.  A tree whose EXPLAIN ANALYZE prints no q-error
+the first execution of each plan (one without shared-scan rows) the
+plan runs once more under ``execute_analyze`` with the same parameters.
+Every ``q=`` its text prints is one operator's q-error, estimated against
+actual rows; the table gives the operators, q median / p90 / max, and
+apart from them the operators of plans that stop after N rows
+(``limit_hint``), whose actual is the cutoff rather than what the estimate
+describes.  A tree whose EXPLAIN ANALYZE prints no q-error
 reads ``n/a``.
 
 Needs Python 3.11 (``co_qualname``).
@@ -213,8 +213,7 @@ def _plans_child(target, seed, smoke):
 
     def probe(plan, db, params=(), prefetched_base_rows=None):
         result = execute(plan, db, params, prefetched_base_rows)
-        if (plan not in probed and prefetched_base_rows is None
-                and db.active_read_view is None):
+        if plan not in probed and prefetched_base_rows is None:
             probed.add(plan)
             _, lines = plan.execute_analyze(db, params)
             found = map(float, _Q_ERROR.findall("\n".join(lines)))
