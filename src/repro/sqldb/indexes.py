@@ -1,8 +1,12 @@
 """Secondary index structures.
 
-Two index flavours serve the planner's two access-path families:
+Two index flavours serve the planner's two access-path families.  In both
+a key's bucket is the ascending list of the row ids carrying it, so every
+reader gets ids in row-id order (the scan's) without sorting: row ids only
+grow, so keeping a bucket ordered is an append for a fresh row and a
+bisect for a delete or an undo.
 
-- :class:`HashIndex` maps a tuple of column values to the set of row ids
+- :class:`HashIndex` maps a tuple of column values to the row ids
   carrying those values — equality lookups only.  Rows containing NULL in
   any indexed column are not indexed (matching standard SQL lookup
   semantics where ``col = NULL`` never matches).
@@ -23,6 +27,7 @@ nested-loop join probes, NDV statistics — works against either.
 """
 
 from bisect import bisect_left, insort
+from itertools import chain
 
 from repro.sqldb.errors import ConstraintError
 
@@ -47,13 +52,61 @@ def wrap_key(values):
     return tuple(wrap_part(v) for v in values)
 
 
-class HashIndex:
-    """Equality index over one or more columns of a table."""
+class _BucketIndex:
+    """What both flavours share: ``_buckets`` maps each indexed key to the
+    ascending list of its row ids (never empty), and the equality surface
+    (``covers`` / ``distinct_keys``) over it."""
 
     def __init__(self, info, ordinals):
         self.info = info
         self.ordinals = tuple(ordinals)
         self._buckets = {}
+
+    def _link(self, key, row_id, unique, shown):
+        """Add ``row_id`` to ``key``'s bucket — an append for a fresh row
+        — refusing a second row when ``unique``; True for a new key."""
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [row_id]
+            return True
+        if unique:
+            raise ConstraintError(
+                f"unique index {self.info.name!r} violated for key {shown!r}")
+        insort(bucket, row_id)
+        return False
+
+    def _unlink(self, key, row_id):
+        """Remove ``row_id`` from ``key``'s bucket if it is there (a refused
+        write unlinks its row from indexes it never reached); True when
+        that empties the bucket and drops the key."""
+        bucket = self._buckets.get(key, ())
+        pos = bisect_left(bucket, row_id)
+        if pos == len(bucket) or bucket[pos] != row_id:
+            return False
+        del bucket[pos]
+        if bucket:
+            return False
+        del self._buckets[key]
+        return True
+
+    def covers(self, pinned):
+        """Whether every indexed column appears in ``pinned`` (a set or
+        mapping of column names the predicate equates to constants) — the
+        planner's test for whether this index can serve a lookup."""
+        return all(col in pinned for col in self.info.columns)
+
+    @property
+    def distinct_keys(self):
+        """Live distinct-key count — the cost model's NDV estimate for the
+        indexed column(s) (exact, since the buckets are the index)."""
+        return len(self._buckets)
+
+    def __len__(self):
+        return sum(map(len, self._buckets.values()))
+
+
+class HashIndex(_BucketIndex):
+    """Equality index over one or more columns of a table."""
 
     def key_for(self, row):
         key = tuple(row[i] for i in self.ordinals)
@@ -63,63 +116,37 @@ class HashIndex:
 
     def insert(self, row_id, row):
         key = self.key_for(row)
-        if key is None:
-            return
-        bucket = self._buckets.setdefault(key, set())
-        if self.info.unique and bucket:
-            raise ConstraintError(
-                f"unique index {self.info.name!r} violated for key {key!r}")
-        bucket.add(row_id)
+        if key is not None:
+            self._link(key, row_id, self.info.unique, key)
 
     def delete(self, row_id, row):
         key = self.key_for(row)
-        if key is None:
-            return
-        bucket = self._buckets.get(key)
-        if bucket is not None:
-            bucket.discard(row_id)
-            if not bucket:
-                del self._buckets[key]
-
-    def covers(self, pinned):
-        """Whether every indexed column appears in ``pinned`` (a set or
-        mapping of column names the predicate equates to constants) — the
-        planner's test for whether this index can serve a lookup."""
-        return all(col in pinned for col in self.info.columns)
+        if key is not None:
+            self._unlink(key, row_id)
 
     def lookup(self, key):
-        """Return a set of row ids matching the key tuple (possibly empty)."""
-        return self._buckets.get(tuple(key), set())
-
-    @property
-    def distinct_keys(self):
-        """Live distinct-key count — the cost model's NDV estimate for the
-        indexed column(s) (exact, since the buckets are the index)."""
-        return len(self._buckets)
-
-    def __len__(self):
-        return sum(len(bucket) for bucket in self._buckets.values())
+        """The ascending row ids matching the key tuple (empty when none):
+        the index's own list, to read and not to change."""
+        return self._buckets.get(tuple(key), ())
 
 
-class OrderedIndex:
+class OrderedIndex(_BucketIndex):
     """Sorted-key index over one or more columns of a table.
 
-    Keys (wrapped via :func:`wrap_key`) live in a sorted list maintained by
-    binary insertion; a parallel dict maps each key to its row-id set.  The
-    sorted list is what makes this index more than a hash index: bisecting
-    it answers range queries and yields rows in key order.  A key holding
-    NaN has no place in that order (the interpreter finds NaN equal to
-    every number): it lives in the dict only, and while one does the index
-    is not :attr:`walkable`.
+    Keys (wrapped via :func:`wrap_key`) key the buckets and also live in a
+    sorted list maintained by binary insertion.  The sorted list is what
+    makes this index more than a hash index: bisecting it answers range
+    queries and yields rows in key order.  A key holding NaN has no place
+    in that order (the interpreter finds NaN equal to every number): it
+    has a bucket only, and while one does the index is not
+    :attr:`walkable`.  NULL-bearing keys count in :attr:`distinct_keys`.
     """
 
     method = "ordered"
 
     def __init__(self, info, ordinals):
-        self.info = info
-        self.ordinals = tuple(ordinals)
+        super().__init__(info, ordinals)
         self._keys = []  # sorted list of wrapped keys
-        self._rows = {}  # wrapped key -> set of row ids
 
     def key_for(self, row):
         return tuple(row[i] for i in self.ordinals)
@@ -127,51 +154,26 @@ class OrderedIndex:
     def insert(self, row_id, row):
         values = self.key_for(row)
         key = wrap_key(values)
-        bucket = self._rows.get(key)
-        if bucket is None:
-            self._rows[key] = bucket = set()
-            if all(value == value for value in values):  # no NaN
-                insort(self._keys, key)
-        elif self.info.unique and bucket and all(
-                part is not _NULL_PART for part in key):
-            # SQL unique semantics: NULL-bearing keys never conflict.
-            raise ConstraintError(
-                f"unique index {self.info.name!r} violated for key "
-                f"{self.key_for(row)!r}")
-        bucket.add(row_id)
+        # SQL unique semantics: NULL-bearing keys never conflict.
+        unique = self.info.unique and _NULL_PART not in key
+        if self._link(key, row_id, unique, values) and all(
+                value == value for value in values):  # no NaN
+            insort(self._keys, key)
 
     def delete(self, row_id, row):
         key = wrap_key(self.key_for(row))
-        bucket = self._rows.get(key)
-        if bucket is None:
-            return
-        bucket.discard(row_id)
-        if not bucket:
-            del self._rows[key]
+        if self._unlink(key, row_id):
             pos = bisect_left(self._keys, key)
             if pos < len(self._keys) and self._keys[pos] == key:
                 self._keys.pop(pos)
 
-    # -- equality surface (shared with HashIndex) ---------------------------
-
-    def covers(self, pinned):
-        """Equality cover test, identical to :meth:`HashIndex.covers`."""
-        return all(col in pinned for col in self.info.columns)
-
     def lookup(self, key):
-        """Row ids equal to ``key``; NULL key parts never match."""
+        """The ascending row ids equal to ``key``, as
+        :meth:`HashIndex.lookup`; NULL key parts never match."""
         key = tuple(key)
         if any(part is None for part in key):
-            return set()
-        return self._rows.get(wrap_key(key), set())
-
-    @property
-    def distinct_keys(self):
-        """Live distinct-key count (NULL-bearing keys included)."""
-        return len(self._rows)
-
-    def __len__(self):
-        return sum(len(bucket) for bucket in self._rows.values())
+            return ()
+        return self._buckets.get(wrap_key(key), ())
 
     # -- ordered access ------------------------------------------------------
 
@@ -179,7 +181,7 @@ class OrderedIndex:
     def walkable(self):
         """Whether every key is in the sorted list (none holds NaN), so a
         walk finds what a scan finds."""
-        return len(self._keys) == len(self._rows)
+        return len(self._keys) == len(self._buckets)
 
     def _region(self, prefix_values, low, high, low_incl, high_incl):
         """``(start, end)`` slice of ``_keys`` for an equality prefix plus
@@ -211,11 +213,12 @@ class OrderedIndex:
 
     def scan(self, prefix_values=(), low=None, high=None, low_incl=True,
              high_incl=True, descending=False):
-        """Yield row ids in key order for the equality prefix + range.
+        """An iterator of the row ids in key order for the equality prefix
+        + range: the region's buckets chained, one C-level pass.
 
-        Within one key, row ids come out ascending (insertion order), which
-        matches the stable tie order of the engine's explicit sort — so an
-        ordered walk is byte-identical to scan-then-sort, not merely
+        Within one key, row ids come out ascending (each bucket's order),
+        which matches the stable tie order of the engine's explicit sort —
+        so an ordered walk is byte-identical to scan-then-sort, not merely
         multiset-equal.  ``descending`` reverses the key order (the
         engine's DESC semantics: NULLs last), keeping the ascending
         within-key tie order.
@@ -224,7 +227,5 @@ class OrderedIndex:
                                   high_incl)
         keys = self._keys[start:end]
         if descending:
-            keys = reversed(keys)
-        for key in keys:
-            for row_id in sorted(self._rows[key]):
-                yield row_id
+            keys.reverse()
+        return chain.from_iterable(map(self._buckets.__getitem__, keys))

@@ -198,11 +198,12 @@ def resolve_index_lookup(table, probe, params):
     primary key or the longest candidate index its bound keys cover.
 
     Returns ``(path, hits)``: ``hits`` the ``(row_id, row)`` pairs found,
-    in row-id order (the scan's), or None when no candidate serves these
-    parameters and the caller scans; ``path`` the candidate whose equality
-    conjuncts the probe decided — ``"<pk>"`` or an index name — or None
-    (a scan, or a ``pk IN (...)`` multi-probe, which decides nothing).  A
-    primary-key equality is probed before any IN list or index.
+    in row-id order (the scan's, which an index bucket keeps), or
+    None when no candidate serves these parameters and the caller scans;
+    ``path`` the candidate whose equality conjuncts the probe decided —
+    ``"<pk>"`` or an index name — or None (a scan, or a ``pk IN (...)``
+    multi-probe, which decides nothing).  A primary-key equality is
+    probed before any IN list or index.
     """
     bound = equality_conjuncts(probe, params)
     if bound is None:
@@ -219,8 +220,8 @@ def resolve_index_lookup(table, probe, params):
         key = [bound[slot] for slot in slots]
         if None not in key:
             rows = table.rows
-            return name, [(row_id, rows[row_id]) for row_id in
-                          sorted(table.indexes[name].lookup(key))]
+            return name, [(row_id, rows[row_id])
+                          for row_id in table.indexes[name].lookup(key)]
     return None, None
 
 

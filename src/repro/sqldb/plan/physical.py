@@ -378,8 +378,7 @@ class IndexRangeScanOp(_BaseTableScan):
         keep = self.residuals.get(scan.index_name, self.keep)
         if ids is None:
             keep, ids = self.keep, self._sorted_fallback(table)
-        return keep, [row for row in map(table.rows.get, ids)
-                      if row is not None]
+        return keep, list(map(table.rows.__getitem__, ids))
 
 
 class FilterOp:
@@ -594,7 +593,7 @@ class IndexNLJoinOp(HashJoinOp):
         self.index_name = node.index_name  # "<pk>" or a secondary index
 
     def _probe_ids(self, table, key):
-        """Row ids matching ``key``, via the chosen access path."""
+        """Ascending row ids matching ``key``, via the chosen path."""
         if self.index_name == "<pk>":
             hit = table.find_by_pk(key)
             return (hit[0],) if hit is not None else ()
@@ -606,9 +605,9 @@ class IndexNLJoinOp(HashJoinOp):
         return index.lookup((key,))
 
     def _probe_all(self, table, keys):
-        """Metadata pass: the row-id set each left key's probe would
-        fetch (kept so the emit loop never probes twice), or None when
-        the hash fallback must run — the index vanished, or the probes
+        """Metadata pass: the ascending row ids each left key's probe
+        would fetch (kept so the emit loop never probes twice), or None
+        when the hash fallback must run — the index vanished, or the probes
         together would touch more rows than one full scan."""
         probes = []
         total_probe = 0
@@ -636,10 +635,7 @@ class IndexNLJoinOp(HashJoinOp):
             return
         for values, ids in zip(left_rows, probes):
             matched = False
-            for row_id in sorted(ids):
-                row = table.rows.get(row_id)
-                if row is None:
-                    continue
+            for row in map(table.rows.__getitem__, ids):
                 run.rows_touched += 1
                 merged = list(values)
                 merged[offset:offset + width] = row
@@ -658,13 +654,12 @@ class IndexNLJoinOp(HashJoinOp):
             yield from _hash_join_chunks(run, table, chunks, self)
             return
         probe = iter(probes)
-        rows_get = table.rows.get
+        rows_getitem = table.rows.__getitem__
         kept = {}
         for chunk, chunk_keys in zip(chunks, keys):
             fetched = {}
             for key, ids in zip(chunk_keys, probe):
-                rows = [row for row in map(rows_get, sorted(ids))
-                        if row is not None]
+                rows = list(map(rows_getitem, ids))
                 run.rows_touched += len(rows)
                 fetched[key] = rows
             out = _probe_chunk(run, self, chunk, chunk_keys, fetched, kept)

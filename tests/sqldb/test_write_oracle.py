@@ -348,8 +348,7 @@ def storage_state(db):
     table = db.tables["t"]
     return copy.deepcopy((
         table.rows, table._pk_index, table.write_version,
-        {name: (index._buckets if not isinstance(index, OrderedIndex)
-                else (index._keys, index._rows))
+        {name: (index._buckets, getattr(index, "_keys", None))
          for name, index in table.indexes.items()},
         len(db.transactions._undo_log), db.transactions.in_transaction))
 
@@ -359,19 +358,23 @@ def check_storage(db):
     assert table._pk_index == {row[ID]: rid for rid, row in table.rows.items()}
     for index in table.indexes.values():
         ordered = isinstance(index, OrderedIndex)
-        by_key = collections.defaultdict(set)
+        by_key = collections.defaultdict(list)
         for rid, row in table.rows.items():
             key = tuple(row[i] for i in index.ordinals)
             if ordered or None not in key:
-                by_key[key].add(rid)
+                by_key[key].append(rid)
         for key, rids in by_key.items():
-            assert index.lookup(key) == (rids if None not in key else set())
+            assert list(index.lookup(key)) == (
+                sorted(rids) if None not in key else [])
         # ...and nothing beside them: no entry of a row that left or moved.
         assert len(index) == sum(map(len, by_key.values()))
         assert index.distinct_keys == len(by_key)
+        # Every bucket is strictly ascending: readers rely on row-id order
+        # and a duplicate id would emit its row twice.
+        assert all(bucket and all(map(int.__lt__, bucket, bucket[1:]))
+                   for bucket in index._buckets.values())
         if ordered:
-            assert index._keys == sorted(index._rows)
-            assert all(index._rows.values())
+            assert index._keys == sorted(index._buckets)
 
 
 # ---------------------------------------------------------------------------
