@@ -1,7 +1,10 @@
 import pytest
 
 from repro.core.thunk import Thunk
-from repro.web.framework import Dispatcher, Request
+from repro.net.clock import CostModel
+from repro.sqldb import Database
+from repro.web.appserver import AppServer, MODE_ORIGINAL, MODE_SLOTH
+from repro.web.framework import Dispatcher, ModelAndView, Request
 from repro.web.templates import Template, TemplateError
 from repro.web.writer import ThunkWriter
 
@@ -126,6 +129,135 @@ class TestTemplates:
     def test_bad_expression_raises(self):
         with pytest.raises(TemplateError):
             Template("{{ a + b }}")
+
+
+MODES = pytest.mark.parametrize("lazy", [False, True],
+                                ids=["eager", "lazy"])
+
+
+def _render(source, scope, lazy):
+    writer = ThunkWriter()
+    Template(source).render(scope, writer, lazy_mode=lazy)
+    return writer
+
+
+class TestTemplateSemantics:
+    """What a page sees of the template engine, pinned in both modes."""
+
+    @MODES
+    @pytest.mark.parametrize("source", [
+        "{{ missing }}", "{{ missing.attr }}",
+        "{% for x in missing %}{% endfor %}",
+        "{% if missing %}{% endif %}", "{% if not missing %}{% endif %}"])
+    def test_unknown_head_variable_raises_at_render(self, lazy, source):
+        with pytest.raises(TemplateError, match="unknown template "
+                                                "variable 'missing'"):
+            _render(source, {"other": 1}, lazy)
+
+    @MODES
+    def test_none_in_the_middle_of_a_path_renders_empty(self, lazy):
+        class Obj:
+            rel = None
+
+        scope = {"d": {"b": None}, "o": Obj(),
+                 "t": Thunk(lambda: None)}
+        writer = _render("[{{ d.b.c }}|{{ o.rel.name.x }}|{{ t.name }}]",
+                         scope, lazy)
+        assert writer.flush() == "[||]"
+
+    @MODES
+    def test_missing_attribute_names_type_and_attribute(self, lazy):
+        class Patient:
+            name = "p"
+
+        with pytest.raises(TemplateError,
+                           match="Patient has no attribute 'nme'"):
+            writer = _render("{{ p.nme }}", {"p": Patient()}, lazy)
+            writer.flush()
+
+    def test_lazy_missing_attribute_on_plain_value_raises_at_render(self):
+        class Patient:
+            name = "p"
+
+        with pytest.raises(TemplateError,
+                           match="Patient has no attribute 'nme'"):
+            _render("{{ p.nme }}", {"p": Patient()}, True)
+
+    def test_lazy_missing_attribute_past_delayed_value_raises_at_flush(self):
+        class Concept:
+            text = "c"
+
+        forced = []
+
+        class Obs:
+            concept = Thunk(lambda: forced.append(1) or Concept())
+
+        writer = _render("{{ o.concept.txt }}", {"o": Obs()}, True)
+        assert not forced
+        with pytest.raises(TemplateError,
+                           match="Concept has no attribute 'txt'"):
+            writer.flush()
+
+    def test_eager_missing_attribute_past_delayed_value_raises_at_render(
+            self):
+        class Concept:
+            text = "c"
+
+        class Obs:
+            concept = Thunk(lambda: Concept())
+
+        with pytest.raises(TemplateError,
+                           match="Concept has no attribute 'txt'"):
+            _render("{{ o.concept.txt }}", {"o": Obs()}, False)
+
+    @MODES
+    def test_for_over_none_renders_nothing(self, lazy):
+        writer = _render("a{% for x in xs %}[{{ x }}]{% endfor %}b",
+                         {"xs": None}, lazy)
+        assert writer.flush() == "ab"
+        writer = _render("a{% for x in t.xs %}[{{ x }}]{% endfor %}b",
+                         {"t": Thunk(lambda: {"xs": None})}, lazy)
+        assert writer.flush() == "ab"
+
+    @MODES
+    @pytest.mark.parametrize("flag, expected", [
+        (False, "not-set"), (True, "set"), (None, "not-set"), ([], "not-set"),
+        ([0], "set")])
+    def test_if_not_with_and_without_else(self, lazy, flag, expected):
+        writer = _render("{% if not f %}not-set{% else %}set{% endif %}"
+                         "|{% if not f %}bare{% endif %}",
+                         {"f": flag}, lazy)
+        bare = "bare" if expected == "not-set" else ""
+        assert writer.flush() == f"{expected}|{bare}"
+
+    @MODES
+    def test_if_condition_through_a_delayed_value(self, lazy):
+        writer = _render("{% if not t.f %}no{% else %}yes{% endif %}",
+                         {"t": Thunk(lambda: {"f": 1})}, lazy)
+        assert writer.flush() == "yes"
+
+    @MODES
+    @pytest.mark.parametrize("xs, flag, entries", [
+        # "<ul>" + 2 texts and 1 cell per item + "</ul>" + one if-arm:
+        # the then-arm is a cell, the else-arm one text.
+        ([], True, 3), ([1, 2, 3], True, 12), ([1, 2, 3], False, 12),
+        ([7], False, 6)])
+    def test_render_charge_counts_texts_and_executed_cells(
+            self, lazy, xs, flag, entries):
+        """``AppServer.load_page`` charges ``app_op_ms`` per buffer entry:
+        one per text node and one per ``{{ }}`` cell executed."""
+        dispatcher = Dispatcher()
+        dispatcher.register(
+            "p", lambda ctx, request: ModelAndView(
+                "p", {"xs": xs, "f": flag, "a": "A"}),
+            Template("<ul>{% for i in xs %}<li>{{ i }}</li>{% endfor %}</ul>"
+                     "{% if f %}{{ a }}{% else %}x{% endif %}"))
+        server = AppServer(Database(), dispatcher, CostModel(app_op_ms=1.0),
+                           mode=MODE_SLOTH if lazy else MODE_ORIGINAL)
+        result = server.load_page(Request("p"))
+        assert result.phases["app"] == entries
+        items = "".join(f"<li>{i}</li>" for i in xs)
+        assert result.html == f"<ul>{items}</ul>" + ("A" if flag else "x")
 
 
 class TestDispatcher:
