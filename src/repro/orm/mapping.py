@@ -30,7 +30,8 @@ The info is also the class's **load plan** (ARCHITECTURE.md, "The statement
 path"): what a load needs and the mapping alone decides is resolved once —
 per class the SQL text (one ``str`` object a statement, hashed once
 downstream), the EAGER relations and each relation's key :class:`Column`;
-per relation its target and SELECT; per result shape
+per relation its target and SELECT; per ``Query`` shape its text
+(:meth:`EntityInfo.query_sql`); per result shape
 :meth:`EntityInfo.hydration`.  A row costs an identity-map probe, one
 generated ``fill`` and its EAGER loads.
 
@@ -41,7 +42,7 @@ enters no Python code; ``__get__`` runs only while the instance lacks the
 attribute (a column never set reads ``None``, a relation never loaded loads).
 """
 
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from operator import attrgetter
 
 from repro.orm.errors import MappingError
@@ -202,6 +203,23 @@ class EntityInfo:
         # The method runs at the first result set of a shape; a hit is a
         # C-level probe, and a refused shape is not remembered.
         self.hydration = cache(self.hydration)
+
+    # One ``str`` per query shape, shared by every query of it (one cache
+    # for every class: the infos live as long as their classes anyway);
+    # ``typed``: a LIMIT of 1 and one of 1.0 are two shapes.
+    @lru_cache(maxsize=None, typed=True)
+    def query_sql(self, where, order_by=None, limit=None, count=False):
+        """``Query.all``'s text (``Query.count``'s with ``count``) for AND-ed
+        ``where`` fragments (a tuple), an ORDER BY clause and a LIMIT."""
+        sql = (f"SELECT {'COUNT(*) AS n' if count else self.select_list} "
+               f"FROM {self.table}")
+        if where:
+            sql += " WHERE " + " AND ".join(where)
+        if order_by:
+            sql += f" ORDER BY {order_by}"
+        if limit is not None:
+            sql += f" LIMIT {limit}"
+        return sql
 
     def hydration(self, columns):
         """``(pk_position, fill, eager)`` for rows whose columns are the

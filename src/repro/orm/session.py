@@ -184,13 +184,13 @@ class Query:
     def __init__(self, session, cls):
         self.session = session
         self.cls = cls
-        self._where = []
+        self._where = ()
         self._params = []
         self._order_by = None
         self._limit = None
 
     def where(self, fragment, *params):
-        self._where.append(fragment)
+        self._where += (fragment,)
         self._params.extend(params)
         return self
 
@@ -204,14 +204,8 @@ class Query:
 
     def all(self):
         """All matching entities (a transparent proxy under Sloth)."""
-        info = self.cls.__info__
-        sql = f"SELECT {info.select_list} FROM {info.table}"
-        if self._where:
-            sql += " WHERE " + " AND ".join(self._where)
-        if self._order_by:
-            sql += f" ORDER BY {self._order_by}"
-        if self._limit is not None:
-            sql += f" LIMIT {self._limit}"
+        sql = self.cls.__info__.query_sql(self._where, self._order_by,
+                                          self._limit)
         session = self.session
         return session.backend.read_eager(
             sql, self._params, partial(session._deserialize_many, self.cls))
@@ -226,9 +220,6 @@ class Query:
 
     def count(self):
         """COUNT(*) over the filter (a lazy scalar under Sloth)."""
-        info = self.cls.__info__
-        sql = f"SELECT COUNT(*) AS n FROM {info.table}"
-        if self._where:
-            sql += " WHERE " + " AND ".join(self._where)
-        return self.session.backend.read_eager(sql, self._params,
-                                               ExecResult.scalar)
+        return self.session.backend.read_eager(
+            self.cls.__info__.query_sql(self._where, count=True),
+            self._params, ExecResult.scalar)

@@ -7,9 +7,10 @@ extensions of §5:
   mapping URLs to controllers (models may hold thunks, as in the Spring
   extension),
 - :mod:`repro.web.templates` — a small template engine (``{{ expr }}``,
-  ``{% for %}``, ``{% if %}``),
-- :mod:`repro.web.writer` — the JSP-writer analog whose ``write_thunk``
-  buffers thunks and forces them only at flush time,
+  ``{% for %}``, ``{% if %}``) whose templates parse to op programs that
+  one loop runs,
+- :mod:`repro.web.writer` — the JSP-writer analog whose ``buffer`` holds
+  delayed cells and forces them only at flush time,
 - :mod:`repro.web.appserver` — the request lifecycle: build session +
   runtime, run the controller, render the view, flush the writer.
 """

@@ -183,13 +183,11 @@ class AppServer:
         mav = controller(ctx, request)
         writer = ThunkWriter()
         # Template thunks are entries of the extended JSP writer's buffer
-        # (paper §5, writeThunk); their cost is the per-node render charge
-        # below, not a per-thunk allocation.
-        scope = dict(mav.model)
-        template.render(scope, writer, lazy_mode=(self.mode == MODE_SLOTH))
-        # Rendering itself costs CPU proportional to the page size.
+        # (paper §5, writeThunk): rendering costs one app op per entry (a
+        # text node or an executed cell), not a per-thunk allocation.
+        template.render(mav.model, writer, lazy_mode=self.mode == MODE_SLOTH)
         self.clock.charge(
-            PHASE_APP, self.cost_model.app_op_ms * max(1, len(writer._buffer)))
+            PHASE_APP, self.cost_model.app_op_ms * max(1, len(writer.buffer)))
         html = writer.flush()
         # NOTE: no query-store flush here.  Queries registered after the
         # last force are never issued — this is how Sloth ends up issuing

@@ -3,31 +3,43 @@
 Syntax::
 
     <h1>{{ patient.name }}</h1>
-    {% for enc in encounters %}
-      <li>{{ enc.note }} — {{ enc.concept.text }}</li>
-    {% endfor %}
+    {% for enc in encounters %}<li>{{ enc.concept.text }}</li>{% endfor %}
     {% if visits %} ... {% else %} ... {% endif %}
 
-Semantics match the paper's extended JSP engine:
+A template parses once into an *op program*, a list of ``(op, arg)``:
+``(TEXT, str)``, ``(VAR, path)`` for a ``{{ }}`` cell, ``(FOR, (path,
+name, body_ops))`` and ``(IF, (path, negated, body_ops, orelse_ops))``.  A
+dotted ``path`` compiles to its head name and the suffixes left to walk
+after it: ``a.b.c`` is ``("a", (("b", "c"), ("c",)))``.  A segment reads a
+dict key (missing: ``None``) or an attribute (missing: a
+:class:`TemplateError` naming the type and the attribute); ``None`` part-way
+along a path renders as nothing.  One loop, :func:`_run`, executes a
+program, appending straight to the writer's ``buffer``
+(:class:`repro.web.writer.ThunkWriter`), with the paper's semantics (§5):
 
-- ``{{ expr }}`` — under the original stack the expression is evaluated and
-  written immediately (forcing any lazily-fetched ORM value right there,
-  which is how the original OpenMRS pages incur one round trip per concept).
-  Under Sloth the value reached so far and the rest of the path are handed
-  to :meth:`repro.web.writer.ThunkWriter.write_thunk`, walked only when the
-  page flushes.
-- ``{% for %}`` / ``{% if %}`` — control flow needs real values, so the
-  iterated collection / condition is forced in both modes (rendering is an
-  externally visible output; its shape cannot be deferred).
+- ``{{ }}`` — the original stack walks the path, forcing any lazily-fetched
+  ORM value right there (one round trip per OpenMRS concept), and appends
+  its text.  Under Sloth the walk goes on while values are plain —
+  attribute access on a plain entity is what *registers* its relation
+  queries, so all N queries of a 1+N pattern register before any is forced
+  — and stops at the first delayed value: the entry is then ``(value
+  reached, path still to walk)``, finished at flush.
+- ``{% for %}`` / ``{% if %}`` force their collection / condition in both
+  modes: the page's shape cannot be deferred.  A loop over ``None`` renders
+  nothing.  A loop variable lives for its loop: afterwards the name is
+  bound again to what it shadowed, or unbound if it shadowed nothing.
 
-Expressions are dotted paths (``a.b.c``) resolved against the render scope,
-with dict-style lookup as a fallback, plus the literal ``not`` prefix for
-conditions.
+Each ``TEXT`` op and each executed cell is exactly one buffer entry, in
+both modes: ``AppServer.load_page`` charges the simulated render cost per
+entry, so the count is part of every page's virtual time.
 """
 
 import re
+import sys
+from functools import cache
 
-from repro.core.thunk import force, is_thunk
+from repro.core.proxy import LazyProxy
+from repro.core.thunk import Thunk, force
 
 
 class TemplateError(Exception):
@@ -35,21 +47,26 @@ class TemplateError(Exception):
 
 
 _TOKEN_RE = re.compile(r"({{.*?}}|{%.*?%})", re.DOTALL)
+_PATH_RE = re.compile(r"\w+(\.\w+)*$")
+
+TEXT, VAR, FOR, IF = range(4)
+
+# What ``force`` evaluates: a lazy-mode walk stops at it.
+_DELAYED = (Thunk, LazyProxy)
+_UNBOUND = object()
 
 
 class Template:
-    """A compiled template."""
+    """A compiled template: its op program (module docstring)."""
 
     def __init__(self, source, name="<template>"):
         self.name = name
-        self.nodes = _parse(_tokenize(source), name)
+        self.ops = _parse(_tokenize(source), name)
 
     def render(self, scope, writer, lazy_mode=False):
         """Render into ``writer``; ``lazy_mode`` selects Sloth semantics
         (defer ``{{ }}`` to flush)."""
-        frame = dict(scope)
-        for node in self.nodes:
-            node.render(frame, writer, lazy_mode)
+        _run(self.ops, dict(scope), writer.buffer.append, lazy_mode)
 
 
 def _tokenize(source):
@@ -57,37 +74,35 @@ def _tokenize(source):
 
 
 def _parse(tokens, name, stop=None):
-    """Parse a token stream into nodes until one of the ``stop`` tags."""
-    nodes = []
+    """Parse a token stream into ops until one of the ``stop`` tags."""
+    ops = []
     i = 0
     while i < len(tokens):
         token = tokens[i]
         if token.startswith("{{"):
-            expr = token[2:-2].strip()
-            nodes.append(_VarNode(_compile_path(expr, name)))
+            ops.append((VAR, _compile_path(token[2:-2], name)))
             i += 1
             continue
         if token.startswith("{%"):
             tag = token[2:-2].strip()
             word = tag.split()[0]
             if stop and word in stop:
-                return nodes, i, word
+                return ops, i, word
             if word == "for":
                 match = re.match(r"for\s+(\w+)\s+in\s+(.+)$", tag)
                 if not match:
                     raise TemplateError(f"{name}: bad for tag {tag!r}")
-                var, path = match.group(1), match.group(2).strip()
                 body, consumed, _ = _parse(tokens[i + 1:], name,
                                            stop=("endfor",))
-                nodes.append(_ForNode(var, _compile_path(path, name), body))
+                ops.append((FOR, (_compile_path(match.group(2), name),
+                                  match.group(1), body)))
                 i += consumed + 2
                 continue
             if word == "if":
                 path = tag[2:].strip()
-                negated = False
-                if path.startswith("not "):
-                    negated = True
-                    path = path[4:].strip()
+                negated = path.startswith("not ")
+                if negated:
+                    path = path[4:]
                 body, consumed, closer = _parse(tokens[i + 1:], name,
                                                 stop=("else", "endif"))
                 i += consumed + 2
@@ -96,137 +111,104 @@ def _parse(tokens, name, stop=None):
                     orelse, consumed, _ = _parse(tokens[i:], name,
                                                  stop=("endif",))
                     i += consumed + 1
-                nodes.append(_IfNode(_compile_path(path, name), negated,
-                                     body, orelse))
+                ops.append((IF, (_compile_path(path, name), negated, body,
+                                 orelse)))
                 continue
             raise TemplateError(f"{name}: unknown tag {tag!r}")
-        nodes.append(_TextNode(token))
+        ops.append((TEXT, sys.intern(token)))
         i += 1
     if stop:
         raise TemplateError(f"{name}: missing closing tag {stop}")
-    return nodes
+    return ops
 
 
 def _compile_path(expr, name):
     expr = expr.strip()
-    if not re.match(r"^\w+(\.\w+)*$", expr):
+    if not _PATH_RE.match(expr):
         raise TemplateError(f"{name}: unsupported expression {expr!r}")
-    return tuple(expr.split("."))
+    return _path(expr)
 
 
-def _lookup(scope, path):
-    """Resolve a dotted path against the scope to a plain value."""
-    head = path[0]
-    if head not in scope:
-        raise TemplateError(f"unknown template variable {head!r}")
-    return walk(scope[head], path[1:])
+@cache
+def _path(expr):
+    """``a.b.c`` → ``("a", (("b", "c"), ("c",)))`` (module docstring).
+    Shared by every template that repeats the expression, as interned text
+    is: a page set repeats both across its templates (memory)."""
+    head, *tail = expr.split(".")
+    return head, tuple(tuple(tail[i:]) for i in range(len(tail)))
 
 
-def _lookup_until_delayed(scope, path):
-    """Walk the path while values are plain (entities, dicts, scalars).
+def _run(ops, frame, append, lazy):
+    """Execute an op program against ``frame`` (the render scope, with the
+    enclosing loops' variables bound), appending buffer entries."""
+    for op, arg in ops:
+        if op == TEXT:
+            append(arg)
+            continue
+        head, steps = arg if op == VAR else arg[0]
+        try:
+            value = frame[head]
+        except KeyError:
+            raise TemplateError(
+                f"unknown template variable {head!r}") from None
+        # One walk: a delayed value on the way is forced, or, for a cell
+        # under Sloth, parked with the path still to walk from it.
+        defer = lazy and op == VAR
+        for rest in steps:
+            if isinstance(value, _DELAYED):
+                if defer:
+                    break
+                value = force(value)
+            if value is None:
+                break
+            segment = rest[0]
+            if isinstance(value, dict):
+                value = value.get(segment)
+                continue
+            try:
+                value = getattr(value, segment)
+            except AttributeError:
+                raise _no_attribute(value, segment) from None
+        else:
+            rest = ()
+            if not defer and isinstance(value, _DELAYED):
+                value = force(value)
+        if op == VAR:
+            if value.__class__ is not str:
+                value = ((value, rest) if defer and value is not None
+                         else to_text(value))
+            append(value)
+        elif op == FOR:
+            if value is None:
+                continue
+            _, name, body = arg
+            shadowed = frame.get(name, _UNBOUND)
+            for item in value:
+                frame[name] = item
+                _run(body, frame, append, lazy)
+            if shadowed is _UNBOUND:
+                frame.pop(name, None)
+            else:
+                frame[name] = shadowed
+        else:
+            _, negated, body, orelse = arg
+            _run(body if bool(value) is not negated else orelse, frame,
+                 append, lazy)
 
-    Returns ``(value, remaining_path)``: stops at the first thunk/proxy so
-    the caller can defer the rest.  Attribute access on *plain* entities may
-    return proxies (relation registration fires here) — those are returned
-    undisturbed, never forced.
-    """
-    head = path[0]
-    if head not in scope:
-        raise TemplateError(f"unknown template variable {head!r}")
-    value = scope[head]
-    for i, segment in enumerate(path[1:], start=1):
-        if is_thunk(value):
-            return value, path[i:]
-        if value is None:
-            return None, ()
-        value = _step(value, segment)
-    return value, ()
+
+def _no_attribute(value, segment):
+    return TemplateError(
+        f"{type(value).__name__} has no attribute {segment!r}")
 
 
-def walk(value, path):
-    """Forced traversal of ``path`` from ``value``: every thunk/proxy on the
-    way, and the value reached, is forced."""
-    for segment in path:
-        value = force(value)
-        if value is None:
-            return None
-        value = _step(value, segment)
-    return force(value)
-
-
-def _step(value, segment):
+def step(value, segment):
+    """One path segment from a plain value (module docstring)."""
     if isinstance(value, dict):
         return value.get(segment)
     try:
         return getattr(value, segment)
     except AttributeError:
-        raise TemplateError(
-            f"{type(value).__name__} has no attribute {segment!r}") from None
-
-
-class _TextNode:
-    __slots__ = ("text",)
-
-    def __init__(self, text):
-        self.text = text
-
-    def render(self, scope, writer, lazy_mode):
-        writer.write(self.text)
-
-
-class _VarNode:
-    __slots__ = ("path",)
-
-    def __init__(self, path):
-        self.path = path
-
-    def render(self, scope, writer, lazy_mode):
-        if lazy_mode:
-            # Sloth: walk the path eagerly while values are concrete — this
-            # is what *registers* relation queries during rendering, exactly
-            # like the compiled loop bodies in the paper (all N queries of a
-            # 1+N pattern register before any of them is forced).  Stop at
-            # the first delayed value and defer the rest of the path.
-            writer.write_thunk(*_lookup_until_delayed(scope, self.path))
-        else:
-            writer.write(to_text(_lookup(scope, self.path)))
-
-
-class _ForNode:
-    __slots__ = ("var", "path", "body")
-
-    def __init__(self, var, path, body):
-        self.var = var
-        self.path = path
-        self.body = body
-
-    def render(self, scope, writer, lazy_mode):
-        collection = _lookup(scope, self.path)
-        if collection is None:
-            return
-        for item in collection:
-            scope[self.var] = item
-            for node in self.body:
-                node.render(scope, writer, lazy_mode)
-        scope.pop(self.var, None)
-
-
-class _IfNode:
-    __slots__ = ("path", "negated", "body", "orelse")
-
-    def __init__(self, path, negated, body, orelse):
-        self.path = path
-        self.negated = negated
-        self.body = body
-        self.orelse = orelse
-
-    def render(self, scope, writer, lazy_mode):
-        truthy = bool(_lookup(scope, self.path))
-        if self.negated:
-            truthy = not truthy
-        branch = self.body if truthy else self.orelse
-        for node in branch:
-            node.render(scope, writer, lazy_mode)
+        raise _no_attribute(value, segment) from None
 
 
 def to_text(value):

@@ -363,3 +363,68 @@ def test_pinned_page_counts(app, url, request, monkeypatch):
                 round(page.time_ms, 6),
                 hashlib.sha256(page.html.encode()).hexdigest()[:16]
                 ) == pinned, mode
+
+
+# -- query text per shape -------------------------------------------------------
+
+
+def reference_query_sql(info, where, order_by, limit, count=False):
+    """The text ``Query.all`` / ``Query.count`` assembled on every call
+    before it was built once per shape."""
+    if count:
+        sql = f"SELECT COUNT(*) AS n FROM {info.table}"
+    else:
+        sql = f"SELECT {info.select_list} FROM {info.table}"
+    if where:
+        sql += " WHERE " + " AND ".join(where)
+    if not count:
+        if order_by:
+            sql += f" ORDER BY {order_by}"
+        if limit is not None:
+            sql += f" LIMIT {limit}"
+    return sql
+
+
+QUERY_SHAPES = [
+    (where, order_by, limit)
+    for where in ((), ("owner_id = ?",), ("owner_id = ?", "name <> ?"))
+    for order_by in (None, "", "id", "id DESC, name")
+    for limit in (None, 0, 1, 1.0, True, 3)
+]
+
+
+class TextBackend:
+    """A backend that records the text of each read and runs nothing."""
+
+    def __init__(self):
+        self.texts = []
+
+    def read_eager(self, sql, params, deserialize):
+        self.texts.append(sql)
+
+
+@pytest.mark.parametrize("cls", SYNTHETIC, ids=lambda cls: cls.__name__)
+def test_query_text_is_built_once_per_shape_and_byte_identical(cls):
+    """Every ``(where, order_by, limit)`` gives the text the per-call
+    assembly gave, and every query of one shape issues the same ``str``;
+    ``count`` likewise per ``where``.  A LIMIT of 1.0 or True is its own
+    shape, not the one of 1."""
+    backend = TextBackend()
+    session = Session(backend)
+    info = cls.__info__
+    for count in (False, True):
+        for where, order_by, limit in QUERY_SHAPES:
+            expected = reference_query_sql(info, where, order_by, limit,
+                                           count)
+            for twin in range(3):
+                query = session.query(cls)
+                for fragment in where:
+                    query.where(fragment, twin)
+                if order_by is not None:
+                    query.order_by(order_by)
+                if limit is not None:
+                    query.limit(limit)
+                query.count() if count else query.all()
+            first, *later = backend.texts[-3:]
+            assert first == expected
+            assert all(text is first for text in later), expected

@@ -25,7 +25,9 @@ DELETED = {
     "compile_grouped_item_columnar.<locals>.update_collect",
     "compile_aggregate_item_columnar.<locals>.first_row_fn",
     "QueryStore.begin_request", "QueryStore.enter_request",
-    "ThunkWriter.flushed",
+    "ThunkWriter.flushed", "ThunkWriter.write", "ThunkWriter.write_thunk",
+    "_TextNode.render", "_VarNode.render", "_ForNode.render",
+    "_IfNode.render", "_lookup_until_delayed",
 }
 
 

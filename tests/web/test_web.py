@@ -10,29 +10,39 @@ from repro.web.writer import ThunkWriter
 
 
 class TestWriter:
+    """The writer is its buffer: a ``str`` per text entry, ``(value, path
+    still to walk)`` per cell that may still be delayed."""
+
     def test_plain_writes(self):
         w = ThunkWriter()
-        w.write("a")
-        w.write("b")
+        w.buffer.append("a")
+        w.buffer.append("b")
         assert w.flush() == "ab"
 
     def test_thunk_not_forced_until_flush(self):
         calls = []
         w = ThunkWriter()
-        w.write_thunk(Thunk(lambda: calls.append(1) or "x"))
+        w.buffer.append((Thunk(lambda: calls.append(1) or "x"), ()))
         assert not calls
         assert w.flush() == "x"
         assert calls == [1]
 
     def test_none_renders_empty(self):
         w = ThunkWriter()
-        w.write_thunk(Thunk(lambda: None))
+        w.buffer.append((Thunk(lambda: None), ()))
+        w.buffer.append((Thunk(lambda: None), ("name", "x")))
         assert w.flush() == ""
 
     def test_float_formatting(self):
         w = ThunkWriter()
-        w.write_thunk(Thunk(lambda: 2.5))
+        w.buffer.append((Thunk(lambda: 2.5), ()))
         assert w.flush() == "2.5"
+
+    def test_path_walked_from_a_delayed_value_at_flush(self):
+        w = ThunkWriter()
+        w.buffer.append((Thunk(lambda: {"a": Thunk(lambda: {"b": 7})}),
+                         ("a", "b")))
+        assert w.flush() == "7"
 
 
 class TestTemplates:
@@ -166,22 +176,13 @@ class TestTemplateSemantics:
         assert writer.flush() == "[||]"
 
     @MODES
-    def test_missing_attribute_names_type_and_attribute(self, lazy):
+    def test_missing_attribute_on_plain_value_raises_at_render(self, lazy):
         class Patient:
             name = "p"
 
         with pytest.raises(TemplateError,
                            match="Patient has no attribute 'nme'"):
-            writer = _render("{{ p.nme }}", {"p": Patient()}, lazy)
-            writer.flush()
-
-    def test_lazy_missing_attribute_on_plain_value_raises_at_render(self):
-        class Patient:
-            name = "p"
-
-        with pytest.raises(TemplateError,
-                           match="Patient has no attribute 'nme'"):
-            _render("{{ p.nme }}", {"p": Patient()}, True)
+            _render("{{ p.nme }}", {"p": Patient()}, lazy)
 
     def test_lazy_missing_attribute_past_delayed_value_raises_at_flush(self):
         class Concept:
@@ -211,6 +212,28 @@ class TestTemplateSemantics:
             _render("{{ o.concept.txt }}", {"o": Obs()}, False)
 
     @MODES
+    def test_loop_variable_restores_the_binding_it_shadowed(self, lazy):
+        writer = _render("{{ x }}:{% for x in xs %}{{ x }}{% endfor %}:{{ x }}",
+                         {"x": "outer", "xs": [1, 2]}, lazy)
+        assert writer.flush() == "outer:12:outer"
+
+    @MODES
+    def test_same_named_inner_loop_leaves_the_outer_variable(self, lazy):
+        writer = _render("{% for r in rows %}{% for r in r.cells %}{{ r }}"
+                         "{% endfor %}/{{ r.name }};{% endfor %}",
+                         {"rows": [{"name": "a", "cells": [1, 2]},
+                                   {"name": "b", "cells": []}]}, lazy)
+        assert writer.flush() == "12/a;/b;"
+
+    @MODES
+    def test_loop_variable_is_unbound_after_a_loop_that_shadowed_nothing(
+            self, lazy):
+        with pytest.raises(TemplateError,
+                           match="unknown template variable 'x'"):
+            _render("{% for x in xs %}{% endfor %}{{ x }}", {"xs": [1]},
+                    lazy)
+
+    @MODES
     def test_for_over_none_renders_nothing(self, lazy):
         writer = _render("a{% for x in xs %}[{{ x }}]{% endfor %}b",
                          {"xs": None}, lazy)
@@ -238,10 +261,11 @@ class TestTemplateSemantics:
 
     @MODES
     @pytest.mark.parametrize("xs, flag, entries", [
-        # "<ul>" + 2 texts and 1 cell per item + "</ul>" + one if-arm:
-        # the then-arm is a cell, the else-arm one text.
-        ([], True, 3), ([1, 2, 3], True, 12), ([1, 2, 3], False, 12),
-        ([7], False, 6)])
+        # "<ul>" + 2 texts and 1 cell per item + "</ul>" + one if-arm
+        # (the then-arm is a cell, the else-arm one text) + one cell that
+        # renders empty, None part-way along its path.
+        ([], True, 4), ([1, 2, 3], True, 13), ([1, 2, 3], False, 13),
+        ([7], False, 7)])
     def test_render_charge_counts_texts_and_executed_cells(
             self, lazy, xs, flag, entries):
         """``AppServer.load_page`` charges ``app_op_ms`` per buffer entry:
@@ -249,9 +273,9 @@ class TestTemplateSemantics:
         dispatcher = Dispatcher()
         dispatcher.register(
             "p", lambda ctx, request: ModelAndView(
-                "p", {"xs": xs, "f": flag, "a": "A"}),
+                "p", {"xs": xs, "f": flag, "a": "A", "n": None}),
             Template("<ul>{% for i in xs %}<li>{{ i }}</li>{% endfor %}</ul>"
-                     "{% if f %}{{ a }}{% else %}x{% endif %}"))
+                     "{% if f %}{{ a }}{% else %}x{% endif %}{{ n.x }}"))
         server = AppServer(Database(), dispatcher, CostModel(app_op_ms=1.0),
                            mode=MODE_SLOTH if lazy else MODE_ORIGINAL)
         result = server.load_page(Request("p"))
