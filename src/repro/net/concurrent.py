@@ -263,8 +263,8 @@ class TracingBatchDriver(BatchDriver):
         if not isinstance(stmt, A.Select):
             return None
         try:
-            return self.server.database.planner_backend.executor.plan_for(
-                stmt)
+            backend = self.server.database.planner_backend
+            return backend.executor.plan_for(backend, stmt)
         except SqlError:
             return None
 

@@ -2,30 +2,18 @@
 
 Beyond pure metadata, each :class:`TableSchema` carries a :class:`TableStats`
 that storage keeps up to date on every INSERT/DELETE/TRUNCATE.  The cost
-model (:mod:`repro.sqldb.plan.cost`) reads row counts from it, and the
-catalog-wide :class:`StatsEpoch` ticks whenever any table's size shifts by
-more than 2x since its plans were last optimized — the executor folds the
-epoch into its plan-cache key, so cached plans re-optimize when the
-cardinalities they were costed against are no longer representative.
+model (:mod:`repro.sqldb.plan.cost`) reads row counts from it.  When a
+table's size shifts by more than 2x since its plans were last optimized,
+its name joins the catalog's ``shifted`` set; the executor drops the cached
+plans that read a table of that set before it next looks one up, so only
+the statements whose cardinality picture went stale re-optimize.
 """
 
 from repro.sqldb.errors import CatalogError
 from repro.sqldb.types import COERCERS, canonical_type
 
 
-class StatsEpoch:
-    """A counter shared by every table of one catalog; see module docstring."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0
-
-    def bump(self):
-        self.value += 1
-
-
-# Tables at or below this size never tick the epoch on growth alone: their
+# Tables at or below this size never count as shifted on growth alone: their
 # plans are trivially cheap either way, and the seed workloads churn many
 # tiny tables during setup.
 _BASELINE_FLOOR = 8
@@ -35,30 +23,32 @@ class TableStats:
     """Live statistics for one table.
 
     ``row_count`` mirrors the storage layer's row count; ``_baseline`` is the
-    count the table had when the stats epoch last ticked for it (i.e. the
-    cardinality current cached plans were optimized against).
+    count the table had when it last shifted (i.e. the cardinality its
+    cached plans were optimized against).
     """
 
-    __slots__ = ("row_count", "_baseline", "_epoch")
+    __slots__ = ("row_count", "_baseline", "_name", "_shifted")
 
-    def __init__(self):
+    def __init__(self, name):
         self.row_count = 0
         self._baseline = 0
-        self._epoch = None
+        self._name = name
+        self._shifted = None
 
-    def bind_epoch(self, epoch):
-        self._epoch = epoch
+    def bind(self, shifted):
+        self._shifted = shifted
 
     def note_mutation(self, row_count):
-        """Record the table's new size; tick the epoch on a >2x shift."""
+        """Record the table's new size; mark the table shifted on a >2x
+        change (in the catalog's ``shifted`` set, once registered)."""
         self.row_count = row_count
         base = self._baseline
         grew = row_count > 2 * max(base, _BASELINE_FLOOR)
         shrank = base > _BASELINE_FLOOR and row_count * 2 < base
         if grew or shrank:
             self._baseline = row_count
-            if self._epoch is not None:
-                self._epoch.bump()
+            if self._shifted is not None:
+                self._shifted.add(self._name)
 
 
 class Column:
@@ -102,7 +92,7 @@ class TableSchema:
                 pk = col
         self.primary_key = pk
         self.indexes = {}  # index name -> IndexInfo
-        self.stats = TableStats()
+        self.stats = TableStats(name)
 
     @property
     def column_names(self):
@@ -145,12 +135,12 @@ class Catalog:
     def __init__(self):
         self._tables = {}
         self._index_names = {}
-        self.stats_epoch = StatsEpoch()
+        self.shifted = set()  # names whose plans the executor must drop
 
     def create_table(self, schema):
         if schema.name in self._tables:
             raise CatalogError(f"table {schema.name!r} already exists")
-        schema.stats.bind_epoch(self.stats_epoch)
+        schema.stats.bind(self.shifted)
         self._tables[schema.name] = schema
 
     def drop_table(self, name):

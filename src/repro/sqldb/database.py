@@ -58,7 +58,7 @@ class Database:
         self.transactions = TransactionManager()
         self.optimizer_options = optimizer_options
         self.result_cache = ResultCache(result_cache_size)
-        self.executor = Executor(self)
+        self.executor = Executor(self.catalog)
         self.total_rows_touched = 0
 
     @property
@@ -98,7 +98,7 @@ class Database:
         batch planner uses this to run statements it has already
         classified without re-parsing or duplicating the accounting.
         """
-        result = self.executor.execute(stmt, as_params(params))
+        result = self.executor.execute(self, stmt, as_params(params))
         self.record_statement(result.rows_touched)
         return result
 
@@ -150,14 +150,14 @@ class Database:
             return repr(stmt)
         if params is not None:
             params = as_params(params)
-        plan = self.executor.plan_for(stmt)
+        plan = self.executor.plan_for(self, stmt)
         if analyze:
             _, lines = plan.execute_analyze(self, params or ())
             return "\n".join(lines)
         rendered = explain(plan.logical)
         if params is not None:
             status = ("hit" if self.executor.cached_select(
-                stmt, params, peek=True) is not None else "miss")
+                self, stmt, params, peek=True) is not None else "miss")
             cache = self.result_cache
             rendered += (
                 f"\nResultCache [status={status!r}, hits={cache.hits}, "

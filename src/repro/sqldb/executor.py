@@ -4,15 +4,15 @@ SELECT statements run through the planner subsystem
 (:mod:`repro.sqldb.plan`): the statement is translated to a logical plan,
 rewritten by the rule-based optimizer (predicate pushdown, index selection,
 join-strategy choice) and lowered to physical operators.
-Optimized plans are cached per parsed statement and invalidated when DDL
-changes the catalog — parameters never affect plan shape (index-key values
-are bound at execution time), so one plan serves every execution of a
-prepared statement.  On top of the plan cache sits the database's
-cross-request **result cache** (:mod:`repro.sqldb.result_cache`): a SELECT
-whose (statement, parameters) pair was executed before, against the same
-catalog/stats/options and unchanged write versions of every referenced
-table, returns its cached rows without building a plan or touching
-storage.
+Optimized plans are cached per parsed statement and invalidated by DDL
+and by a size shift of a table they read — parameters never affect plan
+shape (index-key values are bound at execution time), so one plan serves
+every execution of a prepared statement.  On top of the plan cache sits
+the database's cross-request **result cache**
+(:mod:`repro.sqldb.result_cache`): a SELECT whose (statement, parameters)
+pair was executed before, against the same catalog/options and unchanged
+write versions of every referenced table, returns its cached rows without
+building a plan or touching storage.
 
 The cache protocol lives in one function.  :meth:`Executor.select` does
 exactly one of two things:
@@ -92,19 +92,18 @@ _PARAM_TYPES = {}
 
 
 class Executor:
-    """Executes AST statements against a database's tables."""
+    """Executes AST statements against a database's tables.  It keeps no
+    reference to the database, which owns it: each entry takes it first,
+    so a dropped database needs no cycle collection to be freed."""
 
-    def __init__(self, database):
-        self.db = database
-        # id(stmt) -> (stmt, cache key, PhysicalPlan).  The strong
-        # reference to ``stmt`` pins the AST so the id cannot be reused
-        # while the entry lives.  The cache key combines the catalog
-        # version (DDL: table/index create and drop), the catalog's stats
-        # epoch (table sizes shifted >2x since the plan was optimized) and
-        # the database's optimizer options, so a hit is only possible when
-        # the schema, the cardinality picture and the rule set the plan was
-        # optimized under all still hold.
+    def __init__(self, catalog):
+        # id(stmt) -> (stmt, optimizer options, plan); ``stmt`` pins the
+        # AST so the id cannot be reused while the entry lives.  A SELECT
+        # entry is a hit only under the options it was optimized with; DDL
+        # empties the cache, and a >2x size shift of a table (the catalog's
+        # ``shifted`` set) drops the entries whose plan reads it.
         self._plans = {}
+        self._shifted = catalog.shifted
         self._catalog_version = 0
         self.plans_built = 0  # optimize() invocations, for staleness tests
         # Chunks that flowed between the physical operators, summed over
@@ -112,60 +111,59 @@ class Executor:
         # which is how tests assert which execution path ran.
         self.batches_executed = 0
 
-    def execute(self, stmt, params=()):
+    def execute(self, db, stmt, params=()):
         kind = type(stmt)
         if kind is A.Select:
-            return self.select(stmt, params)
+            return self.select(db, stmt, params)
         if kind is A.Insert or kind is A.Update or kind is A.Delete:
-            return self._exec_write(stmt, params)
+            return self._exec_write(db, stmt, params)
         if kind is A.CreateTable:
-            return self._exec_create_table(stmt)
+            return self._exec_create_table(db, stmt)
         if kind is A.CreateIndex:
-            return self._exec_create_index(stmt)
+            return self._exec_create_index(db, stmt)
         if kind is A.DropTable:
-            self.db.catalog.drop_table(stmt.name)
-            del self.db.tables[stmt.name]
+            db.catalog.drop_table(stmt.name)
+            del db.tables[stmt.name]
             self._invalidate_plans()
             return ExecResult()
         if kind is A.DropIndex:
-            info = self.db.catalog.drop_index(stmt.name)
-            self.db.tables_get(info.table).drop_index(stmt.name)
+            info = db.catalog.drop_index(stmt.name)
+            db.tables_get(info.table).drop_index(stmt.name)
             self._invalidate_plans()
             return ExecResult()
         if kind is A.Truncate:
-            table = self.db.tables_get(stmt.table)
-            removed = table.truncate(self.db.transactions.undo_log())
-            # Emptying a table always invalidates the cardinality picture,
-            # even for tables too small to trip the >2x epoch heuristic.
-            self.db.catalog.stats_epoch.bump()
+            table = db.tables_get(stmt.table)
+            removed = table.truncate(db.transactions.undo_log())
+            # Emptying a table always invalidates its cardinality picture,
+            # even for tables too small to trip the >2x shift rule.
+            self._shifted.add(stmt.table)
             return ExecResult(rowcount=removed, rows_touched=removed)
         if kind is A.Begin:
-            self.db.transactions.begin()
+            db.transactions.begin()
             return ExecResult()
         if kind is A.Commit:
-            self.db.transactions.commit()
+            db.transactions.commit()
             return ExecResult()
         if kind is A.Rollback:
-            self.db.transactions.rollback()
+            db.transactions.rollback()
             return ExecResult()
         raise SqlError(f"cannot execute statement {stmt!r}")
 
     # -- SELECT: the plan pipeline and the cross-request result cache ---------
 
-    def select(self, stmt, params, probe=True, base_rows=None):
+    def select(self, db, stmt, params, probe=True, base_rows=None):
         """The one body a SELECT runs through (the module docstring has its
         two paths).  The batch planner, which has probed ahead, passes
         ``probe=False`` so that a miss counts once, and the rows of a scan
         group's shared scan as ``base_rows``."""
-        db = self.db
         cache = db.result_cache
         if not cache.enabled:
-            return self.plan_for(stmt).execute(db, params, base_rows)
-        key = self._result_key(stmt, params)
+            return self.plan_for(db, stmt).execute(db, params, base_rows)
+        key = self._result_key(db, stmt, params)
         cached = cache.lookup(key, db) if probe else None
         if cached is not None:
             return cached
-        plan = self.plan_for(stmt)
+        plan = self.plan_for(db, stmt)
         # Versions from *before* the run: a commit landing inside it gets
         # the store refused, not its pre-commit rows cached as current.
         expected = current_versions(db, plan.referenced_tables)
@@ -173,32 +171,42 @@ class Executor:
         cache.store(key, stmt, plan.referenced_tables, result, db, expected)
         return result
 
-    def cached_select(self, stmt, params, peek=False):
+    def cached_select(self, db, stmt, params, peek=False):
         """Probe only: the cached result of a SELECT or None.  ``peek``
         leaves the counters and the LRU order alone (EXPLAIN)."""
-        return self.db.result_cache.lookup(
-            self._result_key(stmt, params), self.db, peek=peek)
+        return db.result_cache.lookup(
+            self._result_key(db, stmt, params), db, peek=peek)
 
-    def _result_key(self, stmt, params):
-        """The plan-cache key plus the parameters, which decide the rows."""
+    def _result_key(self, db, stmt, params):
+        """The result-cache key.  No size shift is in it: a table shifts only
+        through writes, whose versions retire the entries that read it."""
         return (id(stmt), params, param_types(params), self._catalog_version,
-                self.db.catalog.stats_epoch.value,
-                id(self.db.optimizer_options))
+                id(db.optimizer_options))
 
-    def plan_for(self, stmt):
+    def plan_for(self, db, stmt):
         """The cached optimized physical plan for a SELECT statement."""
-        key = (self._catalog_version, self.db.catalog.stats_epoch.value,
-               self.db.optimizer_options)
+        if self._shifted:
+            self._drop_shifted()
+        options = db.optimizer_options
         entry = self._plans.get(id(stmt))
-        if entry is not None and entry[1] == key:
+        if entry is not None and entry[1] is options:
             return entry[2]
         self.plans_built += 1
-        return self._cache_plan(stmt, key, plan_select(self.db, stmt))
+        return self._cache_plan(stmt, options, plan_select(db, stmt))
 
-    def _cache_plan(self, stmt, key, plan):
+    def _drop_shifted(self):
+        """Drop the SELECT plans that read a shifted table (a write plan
+        holds no statistics), then forget the shifts."""
+        for key, (_, _, plan) in list(self._plans.items()):
+            if type(plan) is not _WritePlan and \
+                    not self._shifted.isdisjoint(plan.referenced_tables):
+                del self._plans[key]
+        self._shifted.clear()
+
+    def _cache_plan(self, stmt, options, plan):
         if len(self._plans) >= _PLAN_CACHE_LIMIT:
             self._plans.clear()
-        self._plans[id(stmt)] = (stmt, key, plan)
+        self._plans[id(stmt)] = (stmt, options, plan)
         return plan
 
     def _invalidate_plans(self):
@@ -207,37 +215,37 @@ class Executor:
 
     # -- DDL ------------------------------------------------------------------
 
-    def _exec_create_table(self, stmt):
+    def _exec_create_table(self, db, stmt):
         columns = [
             Column(c.name, c.type_name, c.primary_key, c.not_null)
             for c in stmt.columns
         ]
         schema = TableSchema(stmt.name, columns)
-        self.db.catalog.create_table(schema)
-        self.db.tables[stmt.name] = Table(schema)
+        db.catalog.create_table(schema)
+        db.tables[stmt.name] = Table(schema)
         self._invalidate_plans()
         return ExecResult()
 
-    def _exec_create_index(self, stmt):
+    def _exec_create_index(self, db, stmt):
         info = IndexInfo(stmt.name, stmt.table, stmt.columns, stmt.unique,
                          method=stmt.method)
-        self.db.catalog.register_index(info)
-        self.db.tables[stmt.table].add_index(info)
+        db.catalog.register_index(info)
+        db.tables[stmt.table].add_index(info)
         self._invalidate_plans()
         return ExecResult()
 
     # -- writes ---------------------------------------------------------------
 
-    def _exec_write(self, stmt, params):
+    def _exec_write(self, db, stmt, params):
         """One INSERT / UPDATE / DELETE: bind its cached :class:`_WritePlan`
         to these parameters and apply it so that its rows succeed or fail
         together — a statement that raises part-way is undone to the open
         transaction's savepoint, or with the transaction of its own that an
         auto-committed statement over several rows runs in."""
-        table = self.db.tables_get(stmt.table)
+        table = db.tables_get(stmt.table)
         entry = self._plans.get(id(stmt))
-        # A write plan holds nothing of statistics or options: it is stale
-        # only after DDL, which empties the cache, so it needs no key.
+        # A write plan holds nothing of statistics or options: only DDL,
+        # which empties the cache, makes it stale.
         plan = entry[2] if entry is not None else self._cache_plan(
             stmt, None, _WritePlan(stmt, table))
         if plan.rows is not None:
@@ -245,7 +253,7 @@ class Executor:
         else:
             apply, targets = _change_rows, candidate_rows(
                 table, plan.probe, plan.ranged, params)
-        transactions = self.db.transactions
+        transactions = db.transactions
         own = len(targets) > 1 and not transactions.in_transaction
         if own:
             transactions.begin()

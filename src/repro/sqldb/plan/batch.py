@@ -69,7 +69,7 @@ def _shared_scan_table(db, stmt):
     the error at the statement's own batch position.
     """
     try:
-        return db.executor.plan_for(stmt).shared_scan_table
+        return db.executor.plan_for(db, stmt).shared_scan_table
     except SqlError:
         return None
 
@@ -120,7 +120,7 @@ def _flush_segment(db, segment, results, groups):
     # whole segment sees one snapshot, so probing ahead of order is safe.
     fresh = []
     for index, stmt, params in segment:
-        cached = db.executor.cached_select(stmt, params)
+        cached = db.executor.cached_select(db, stmt, params)
         if cached is not None:
             results[index] = cached  # touches no row: nothing to record
         else:
@@ -138,14 +138,14 @@ def _flush_segment(db, segment, results, groups):
     for index, stmt, params in fresh:
         table = eligible.get(index)
         if table is None or member_counts[table] < 2:
-            result = db.executor.select(stmt, params, probe=False)
+            result = db.executor.select(db, stmt, params, probe=False)
         else:
             entry = open_groups.get(table)
             if entry is None:
                 entry = open_groups[table] = _start_shared_scan(db, table)
                 groups.append(entry[0])
             group, shared_rows = entry
-            result = db.executor.select(stmt, params, probe=False,
+            result = db.executor.select(db, stmt, params, probe=False,
                                         base_rows=shared_rows)
             # Charge the scan once: the first member carries the shared
             # cost, the demultiplexed rest touch nothing new.

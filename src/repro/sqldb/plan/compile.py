@@ -63,9 +63,9 @@ chunk through the helper again, which raises the interpreter's
 per value: no workload divides.
 
 Kernels live exactly as long as the physical plan that owns them: the
-executor's plan cache is invalidated by DDL and stats epochs, which is
-also when column positions could shift, so a cached kernel can never
-read a stale layout.
+executor's plan cache drops a plan on DDL, the only event that could
+shift column positions, and on a size shift of a table it reads, so a
+cached kernel can never read a stale layout.
 
 One documented divergence: fused evaluation runs column-at-a-time, so
 when *several* rows of one chunk would raise (mixed-type data smuggled

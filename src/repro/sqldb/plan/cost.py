@@ -24,7 +24,7 @@ columnar engine consulted it, the two engines would pick different join
 orders and ``rows_touched`` would stop being engine-invariant.  Every
 table mutation invalidates the snapshot, so a fresh plan always sees
 current-data statistics; a *cached* plan can hold estimates from an older
-one until the stats epoch ticks — row-count stats' own staleness contract.
+one until a table it reads shifts — row-count stats' own staleness contract.
 
 Public API (documented formulas in ``docs/cost-model.md``):
 

@@ -7,16 +7,16 @@ too: a bounded LRU of finished result sets, shared by every session of one
 :class:`repro.sqldb.database.Database` (the app server's original driver,
 the Sloth batch driver and the batch shared-scan planner all land here).
 
-A cache **key** is everything that decides plan shape plus the parameters
-that decide the rows::
+A cache **key** is the statement and what it is planned under plus the
+parameters that decide the rows::
 
     (statement identity, parameters, their types,
-     catalog version, stats epoch, optimizer options)
+     catalog version, optimizer options)
 
-i.e. the executor's plan-cache key extended with the parameter tuple and
-its types (``executor.param_types``: ``(1,)`` and ``(True,)`` are equal
-tuples that bind differently, so they key apart).  The executor is the only
-caller, through two entries: ``Executor.select`` — one
+(``executor.param_types``: ``(1,)`` and ``(True,)`` are equal tuples that
+bind differently, so they key apart).  No table size is in it: a size
+shift comes from writes, whose versions retire the entries.  The executor
+is the only caller, through two entries: ``Executor.select`` — one
 :meth:`~ResultCache.lookup`, then :func:`current_versions` before the run
 and one :meth:`~ResultCache.store` after it — and the probe-only
 ``Executor.cached_select``.  ``select`` makes none of these calls while the

@@ -569,7 +569,8 @@ class ShardedDatabase:
             for name in sorted(plan.partitioned):
                 self._sync_coord_table(name)
             inner_db, inner_stmt = self._coord, stmt
-        rendered = explain(inner_db.executor.plan_for(inner_stmt).logical)
+        rendered = explain(
+            inner_db.executor.plan_for(inner_db, inner_stmt).logical)
         lines.extend("  " + line for line in rendered.splitlines())
         return "\n".join(lines)
 

@@ -313,7 +313,7 @@ def test_index_join_keeps_left_dictionary_lanes_encoded():
     for i in range(0, 600, 6):
         db.execute("INSERT INTO r VALUES (?, ?)", (i, -i))
     sql = "SELECT t.name, r.w FROM t JOIN r ON t.v = r.id WHERE t.id < 60"
-    plan = db.executor.plan_for(parse(sql))
+    plan = db.executor.plan_for(db, parse(sql))
     assert isinstance(plan.source, physical_mod.IndexNLJoinOp)
     run = physical_mod.PlanRun(db, (), plan.sctx)
     (chunk,) = plan.source.iter_cchunks(run)

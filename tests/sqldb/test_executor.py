@@ -1,7 +1,12 @@
+import gc
 import re
+import weakref
 
 import pytest
 
+from repro.net import CostModel, DatabaseServer
+from repro.net.driver import DriverStats
+from repro.sqldb import Database
 from repro.sqldb.errors import (
     CatalogError, ConstraintError, SqlError, SqlTypeError,
 )
@@ -260,3 +265,42 @@ class TestIndexUse:
         assert db.execute("SELECT id FROM u WHERE id = 2").rows == []
         assert db.execute("SELECT id FROM u WHERE code = 'a'").rows == [(1,)]
         assert len(db.tables["u"].indexes["uq"]) == 1
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("engine", Database.ENGINES)
+    def test_dropped_database_is_freed_without_the_cycle_collector(
+            self, engine):
+        """Nothing a used database owns refers back to it, so dropping the
+        last reference frees it at once: the cycle collector is off here."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            db = Database(engine=engine)
+            db.execute_script("""
+            CREATE TABLE a (id INT PRIMARY KEY, x INT);
+            CREATE TABLE b (id INT PRIMARY KEY, y INT);
+            CREATE INDEX b_y ON b (y) USING ORDERED
+            """)
+            for i in range(40):
+                db.execute("INSERT INTO a VALUES (?, ?)", (i, i % 7))
+                db.execute("INSERT INTO b VALUES (?, ?)", (i, i))
+            join = "SELECT a.id, b.id FROM a JOIN b ON a.x = b.y"
+            db.execute(join)
+            db.execute(join)  # a result-cache hit
+            db.execute("SELECT id FROM b WHERE y BETWEEN ? AND ? "
+                       "ORDER BY y LIMIT 3", (4, 30))
+            db.execute("BEGIN")
+            db.execute("UPDATE a SET x = ? WHERE id < ?", (1, 30))
+            db.execute("ROLLBACK")
+            db.explain(join, (), analyze=True)
+            DatabaseServer(db, CostModel()).execute_batch(
+                [("SELECT x FROM a", ()), ("SELECT id FROM a WHERE x = 1",
+                                           ())],
+                batch_optimize=True, stats=DriverStats())
+            ref = weakref.ref(db)
+            del db
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

@@ -335,7 +335,7 @@ def test_explain_is_the_plan_that_runs():
     """EXPLAIN renders the cached plan executions use, not a second
     planning.  Executed with ``a`` at 700 rows, the join probes ``b``
     through ``b_y`` (700 probes beat a 1 000-row hash build).  ``a`` then
-    grows to 1 150 rows, short of the >2x stats-epoch shift from its
+    grows to 1 150 rows, short of the >2x size shift from its
     575-row baseline, so the cached plan keeps running — a fresh planning
     would now pick the hash build, and that is what EXPLAIN used to
     print while ANALYZE and every execution ran the index join."""
@@ -349,10 +349,10 @@ def test_explain_is_the_plan_that_runs():
         db.execute("INSERT INTO a VALUES (?, ?)", (i, i))
     sql = "SELECT a.id, b.id FROM a JOIN b ON a.x = b.y"
     db.execute(sql)
-    epoch = db.catalog.stats_epoch.value
+    assert not db.catalog.shifted
     for i in range(700, 1150):
         db.execute("INSERT INTO a VALUES (?, ?)", (i, i))
-    assert db.catalog.stats_epoch.value == epoch
+    assert not db.catalog.shifted
 
     built = db.executor.plans_built
     plan = db.explain(sql)

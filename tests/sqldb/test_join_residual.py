@@ -68,7 +68,8 @@ def _agree(sql, params=()):
 
 def _source(sql):
     """The plan's row source: the join, or the FilterOp left above it."""
-    return DATABASES["columnar"].executor.plan_for(parse(sql)).source
+    db = DATABASES["columnar"]
+    return db.executor.plan_for(db, parse(sql)).source
 
 
 HASH = "SELECT e.id, u.id FROM e JOIN u ON e.uid = u.k"

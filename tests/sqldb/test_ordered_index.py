@@ -402,18 +402,18 @@ class TestPlanCache:
         for i in range(20):
             db.execute("INSERT INTO t (id, k) VALUES (?, ?)", (i, i % 5))
         stmt = parse("SELECT id FROM t WHERE k BETWEEN ? AND ?")
-        before = db.executor.plan_for(stmt)
+        before = db.executor.plan_for(db, stmt)
         db.execute("CREATE INDEX idx_k ON t (k) USING ORDERED")
-        after = db.executor.plan_for(stmt)
+        after = db.executor.plan_for(db, stmt)
         assert after is not before
         result = db.execute_parsed(stmt, (1, 2))
         assert result.rows_touched == 8  # 2 of 5 key groups
 
     def test_dropping_ordered_index_reoptimizes(self, events_db):
         stmt = parse("SELECT id FROM ev WHERE day > ?")
-        ranged = events_db.executor.plan_for(stmt)
+        ranged = events_db.executor.plan_for(events_db, stmt)
         events_db.execute("DROP INDEX idx_ev_day")
-        replanned = events_db.executor.plan_for(stmt)
+        replanned = events_db.executor.plan_for(events_db, stmt)
         assert replanned is not ranged
         result = events_db.execute_parsed(stmt, (5,))
         assert sorted(r[0] for r in result.rows) == [0, 4, 6]

@@ -1,7 +1,7 @@
 """Tests for the planner subsystem: logical plans, optimizer rules (incl.
 cost-based join reordering and index nested-loop joins), physical operators,
-the plan cache (DDL + stats-epoch invalidation), and the batch shared-scan
-optimizer."""
+the plan cache (DDL and per-table size-shift invalidation), and the batch
+shared-scan optimizer."""
 
 import pytest
 
@@ -109,15 +109,15 @@ class TestPkInPointLookups:
     def test_pk_probe_keys_metadata(self, people_db):
         executor = people_db.executor
         plan = executor.plan_for(
-            parse("SELECT name FROM person WHERE id IN (?, ?)"))
+            people_db, parse("SELECT name FROM person WHERE id IN (?, ?)"))
         assert plan.pk_probe_keys((1, 3)) == (
             "person", frozenset({1, 3}))
         eq_plan = executor.plan_for(
-            parse("SELECT name FROM person WHERE id = 2"))
+            people_db, parse("SELECT name FROM person WHERE id = 2"))
         assert eq_plan.pk_probe_keys(()) == (
             "person", frozenset({2}))
         scan_plan = executor.plan_for(
-            parse("SELECT name FROM person WHERE city = 'sf'"))
+            people_db, parse("SELECT name FROM person WHERE city = 'sf'"))
         assert scan_plan.pk_probe_keys(()) is None
 
     def test_pk_in_members_are_not_grouped(self, people_db):
@@ -322,15 +322,15 @@ class TestNullJoinKeys:
 class TestPlanCache:
     def test_repeated_statement_reuses_plan(self, people_db):
         stmt = parse("SELECT name FROM person WHERE id = ?")
-        plan1 = people_db.executor.plan_for(stmt)
-        plan2 = people_db.executor.plan_for(stmt)
+        plan1 = people_db.executor.plan_for(people_db, stmt)
+        plan2 = people_db.executor.plan_for(people_db, stmt)
         assert plan1 is plan2
 
     def test_ddl_invalidates_plans(self, people_db):
         stmt = parse("SELECT * FROM person WHERE age = 34")
-        plan1 = people_db.executor.plan_for(stmt)
+        plan1 = people_db.executor.plan_for(people_db, stmt)
         people_db.execute("CREATE INDEX idx_person_age ON person (age)")
-        plan2 = people_db.executor.plan_for(stmt)
+        plan2 = people_db.executor.plan_for(people_db, stmt)
         assert plan1 is not plan2
         # The new plan uses the new index.
         result = people_db.execute("SELECT * FROM person WHERE age = 34")
@@ -349,67 +349,128 @@ class TestPlanCache:
 
     def test_drop_index_invalidates_plans(self, people_db):
         stmt = parse("SELECT id FROM pet WHERE owner_id = 1")
-        plan1 = people_db.executor.plan_for(stmt)
+        plan1 = people_db.executor.plan_for(people_db, stmt)
         people_db.execute("DROP INDEX idx_pet_owner")
-        plan2 = people_db.executor.plan_for(stmt)
+        plan2 = people_db.executor.plan_for(people_db, stmt)
         assert plan1 is not plan2
         # Without the index the statement reverts to a full scan.
         result = people_db.execute("SELECT id FROM pet WHERE owner_id = 1")
         assert result.rows_touched == 4
 
-    def test_stats_epoch_reoptimizes_after_growth(self, db):
+    def test_growth_past_2x_reoptimizes(self, db):
         db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
         stmt = parse("SELECT v FROM t WHERE v = 1")
-        plan1 = db.executor.plan_for(stmt)
+        plan1 = db.executor.plan_for(db, stmt)
         built = db.executor.plans_built
-        # Growing the table >2x past the baseline ticks the stats epoch;
-        # the cached plan may no longer be reused.
+        # Growing the table >2x past the baseline marks it shifted; the
+        # cached plan may no longer be reused.
         for i in range(30):
             db.execute("INSERT INTO t (id, v) VALUES (?, ?)", (i, i))
-        assert db.catalog.stats_epoch.value > 0
-        plan2 = db.executor.plan_for(stmt)
+        assert db.catalog.shifted == {"t"}
+        plan2 = db.executor.plan_for(db, stmt)
         assert plan1 is not plan2
         assert db.executor.plans_built == built + 1
+        assert not db.catalog.shifted  # consumed by the lookup
 
-    def test_truncate_reoptimizes_via_stats_epoch(self, db):
+    def test_truncate_reoptimizes(self, db):
         db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
         for i in range(30):
             db.execute("INSERT INTO t (id, v) VALUES (?, ?)", (i, i))
         stmt = parse("SELECT v FROM t WHERE v = 1")
-        plan1 = db.executor.plan_for(stmt)
-        epoch = db.catalog.stats_epoch.value
+        plan1 = db.executor.plan_for(db, stmt)
+        assert not db.catalog.shifted
         result = db.execute("TRUNCATE TABLE t")
         assert result.rowcount == 30
         assert db.table_size("t") == 0
-        assert db.catalog.stats_epoch.value > epoch
-        assert db.executor.plan_for(stmt) is not plan1
+        assert db.catalog.shifted == {"t"}
+        assert db.executor.plan_for(db, stmt) is not plan1
 
     def test_stable_tables_keep_cached_plans(self, people_db):
         """No DDL, no >2x size shift: the plan must be reused, and the
         optimizer must not run again (counter stays flat)."""
         stmt = parse("SELECT name FROM person WHERE id = ?")
-        plan1 = people_db.executor.plan_for(stmt)
+        plan1 = people_db.executor.plan_for(people_db, stmt)
         built = people_db.executor.plans_built
         people_db.execute("INSERT INTO person (id, name) VALUES (99, 'eve')")
         people_db.execute("DELETE FROM person WHERE id = 99")
-        assert people_db.executor.plan_for(stmt) is plan1
+        assert people_db.executor.plan_for(people_db, stmt) is plan1
         assert people_db.executor.plans_built == built
 
     def test_changing_optimizer_options_invalidates_plans(self, people_db):
         stmt = parse(
             "SELECT p.name FROM person p JOIN pet q ON p.id = q.owner_id")
-        plan1 = people_db.executor.plan_for(stmt)
+        plan1 = people_db.executor.plan_for(people_db, stmt)
         people_db.optimizer_options = FROM_ORDER_OPTIONS
-        plan2 = people_db.executor.plan_for(stmt)
+        plan2 = people_db.executor.plan_for(people_db, stmt)
         assert plan1 is not plan2
 
     def test_truncate_of_small_table_still_invalidates(self, people_db):
-        # person never crossed the stats-epoch growth floor, but TRUNCATE
+        # person never crossed the size-shift growth floor, but TRUNCATE
         # must invalidate its plans regardless.
         stmt = parse("SELECT name FROM person WHERE age > 0")
-        plan1 = people_db.executor.plan_for(stmt)
+        plan1 = people_db.executor.plan_for(people_db, stmt)
         people_db.execute("TRUNCATE person")
-        assert people_db.executor.plan_for(stmt) is not plan1
+        assert people_db.executor.plan_for(people_db, stmt) is not plan1
+
+    @pytest.fixture
+    def ab_db(self):
+        """``a`` and ``b`` of 20 rows each, with a plan cached for every
+        statement of ``AB_SQL``."""
+        db = Database()
+        db.execute("CREATE TABLE a (id INT PRIMARY KEY, x INT)")
+        db.execute("CREATE TABLE b (id INT PRIMARY KEY, y INT)")
+        for i in range(20):
+            db.execute("INSERT INTO a VALUES (?, ?)", (i, i))
+            db.execute("INSERT INTO b VALUES (?, ?)", (i, i))
+        for sql in self.AB_SQL.values():
+            db.execute(sql)
+        return db
+
+    AB_SQL = {
+        "a": "SELECT x FROM a WHERE x > 3",
+        "b": "SELECT y FROM b WHERE y > 3",
+        "join": "SELECT a.id, b.id FROM a JOIN b ON a.x = b.y",
+        "join_ba": "SELECT b.id FROM b JOIN a ON a.id = b.y WHERE b.id < 9",
+    }
+
+    def _plans(self, db):
+        return {name: db.executor.plan_for(db, parse(sql))
+                for name, sql in self.AB_SQL.items()}
+
+    @pytest.mark.parametrize("rolled_back", [False, True])
+    def test_shift_of_one_table_replans_only_its_statements(
+            self, ab_db, rolled_back):
+        """Growing ``a`` past 2x, kept or rolled back, rebuilds every plan
+        that reads ``a`` once, joins included, and leaves the plan over
+        ``b`` the same object."""
+        before = self._plans(ab_db)
+        built = ab_db.executor.plans_built
+        if rolled_back:
+            ab_db.execute("BEGIN")
+        for i in range(20, 60):
+            ab_db.execute("INSERT INTO a VALUES (?, ?)", (i, i))
+        if rolled_back:
+            ab_db.execute("ROLLBACK")
+            assert ab_db.table_size("a") == 20
+        assert ab_db.catalog.shifted == {"a"}
+        after = self._plans(ab_db)
+        assert after["b"] is before["b"]
+        for name in ("a", "join", "join_ba"):
+            assert after[name] is not before[name], name
+        assert ab_db.executor.plans_built == built + 3
+        for name, plan in self._plans(ab_db).items():
+            assert plan is after[name], name
+        assert ab_db.executor.plans_built == built + 3
+
+    def test_shift_keeps_write_plans(self, ab_db):
+        stmt = parse("UPDATE a SET x = ? WHERE id = ?")
+        ab_db.execute_parsed(stmt, (1, 1))
+        write_plan = ab_db.executor._plans[id(stmt)][2]
+        for i in range(20, 60):
+            ab_db.execute("INSERT INTO a VALUES (?, ?)", (i, i))
+        self._plans(ab_db)  # drops the SELECT plans over ``a``
+        ab_db.execute_parsed(stmt, (2, 2))
+        assert ab_db.executor._plans[id(stmt)][2] is write_plan
 
     def test_stale_plan_reuse_impossible_after_any_invalidation(self, db):
         """Every invalidation class forces exactly one re-optimization."""
@@ -421,13 +482,13 @@ class TestPlanCache:
             "CREATE TABLE other (id INT PRIMARY KEY)",
             "DROP TABLE other",
         ]
-        db.executor.plan_for(stmt)
+        db.executor.plan_for(db, stmt)
         for ddl in invalidations:
             before = db.executor.plans_built
             db.execute(ddl)
-            db.executor.plan_for(stmt)
+            db.executor.plan_for(db, stmt)
             assert db.executor.plans_built == before + 1, ddl
-            db.executor.plan_for(stmt)
+            db.executor.plan_for(db, stmt)
             assert db.executor.plans_built == before + 1, ddl
 
 

@@ -137,6 +137,7 @@ class TestCacheHits:
     def test_unhashable_params_bypass(self, cached_db):
         # Defensive: an unhashable parameter value cannot key an entry.
         result = cached_db.executor.cached_select(
+            cached_db,
             __import__("repro.sqldb.parser", fromlist=["parse"]).parse(
                 self.SQL), ([1],))
         assert result is None
@@ -175,11 +176,28 @@ class TestInvalidation:
         result = cached_db.execute(sql, (6,))
         assert result.rows_touched == 1
 
-    def test_truncate_invalidates_via_stats_epoch(self, cached_db):
+    def test_truncate_invalidates(self, cached_db):
         sql = "SELECT COUNT(*) AS n FROM t"
         assert cached_db.execute(sql).scalar() == 20
         cached_db.execute("TRUNCATE t")
         assert cached_db.execute(sql).scalar() == 0
+        assert cached_db.execute(sql).from_cache
+
+    def test_size_shift_of_one_table_keeps_hits_over_another(
+            self, cached_db):
+        """A >2x shift of ``t`` comes from writes to ``t``: those retire
+        the entries that read ``t`` and leave the ones over ``u`` hits."""
+        over_u, over_t = "SELECT w FROM u WHERE id = ?", \
+            "SELECT v FROM t WHERE id = ?"
+        cached_db.execute(over_u, (3,))
+        cached_db.execute(over_t, (3,))
+        for i in range(20, 60):
+            cached_db.execute("INSERT INTO t (id, v) VALUES (?, ?)", (i, i))
+        assert cached_db.catalog.shifted == {"t"}
+        hit = cached_db.execute(over_u, (3,))
+        assert hit.from_cache and hit.rows == [(9,)]
+        again = cached_db.execute(over_t, (3,))
+        assert not again.from_cache and again.rows == [(6,)]
 
     def test_insert_and_delete_invalidate(self, cached_db):
         sql = "SELECT COUNT(*) AS n FROM t"

@@ -406,7 +406,7 @@ def test_prefetched_base_rows_feed_joins(label):
     for db in _pair(CHUNK_SIZE + 1):
         _seed_join_tables(db)
         private = db.execute(sql, (CHUNK_SIZE,))
-        plan = db.executor.plan_for(parse(sql))
+        plan = db.executor.plan_for(db, parse(sql))
         shared_rows = [_pad(row, 0, plan.sctx.total_width)
                        for _, row in db.tables["t"].scan()]
         shared = plan.execute(db, (CHUNK_SIZE,),

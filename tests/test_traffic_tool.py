@@ -175,6 +175,7 @@ def test_plans_mode_reports_decisions_and_digest(capsys):
     assert header.split() == ["reports"]
     rows = {name: cells for name, *cells in map(str.split, lines)}
     assert re.fullmatch("[0-9a-f]{12}", rows["digest"][0])
+    assert re.fullmatch("[0-9a-f]{12}", rows["shapes"][0])
     assert int(rows["builds"][0]) == int(rows["selects"][0]) > 20
     builds, selects = map(int, rows["ordered_access=False"][0].split("/"))
     assert builds >= selects > 0
@@ -186,3 +187,22 @@ def test_plans_mode_reports_decisions_and_digest(capsys):
     assert 1.0 <= median <= p90 <= worst
     assert worst > 2.0  # the fallback prices a range 0.3 whatever it holds
     assert int(rows["limit_cutoff"][0]) > 0
+
+
+def test_plans_shapes_digest_ignores_build_counts():
+    """``digest`` covers every (SQL, EXPLAIN) pair with its build count,
+    ``shapes`` the distinct pairs alone: a change that only rebuilds a
+    plan less often moves the first and keeps the second."""
+    digests = _load_tool().plans_digests
+    once = {("SELECT x FROM a", "Scan a"): 1,
+            ("SELECT y FROM b", "Scan b"): 1}
+    rebuilt = {("SELECT x FROM a", "Scan a"): 7,
+               ("SELECT y FROM b", "Scan b"): 1}
+    other_plan = {("SELECT x FROM a", "IndexScan a"): 1,
+                  ("SELECT y FROM b", "Scan b"): 1}
+    digest, shapes = digests(once)
+    assert all(re.fullmatch("[0-9a-f]{12}", d) for d in (digest, shapes))
+    assert digests(rebuilt)[1] == shapes
+    assert digests(rebuilt)[0] != digest
+    assert digests(other_plan)[1] != shapes
+    assert digests(dict(reversed(once.items()))) == (digest, shapes)

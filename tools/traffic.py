@@ -45,12 +45,15 @@ and divided by 4, all read off the tree, so the tool runs unchanged on any
 commit — and its EXPLAIN, estimates stripped, compared with the build's
 own.  The table gives per target the builds, the distinct SELECTs (and
 how many join), per variant the builds / distinct SELECTs whose plan
-changed, and a digest over every (SQL, EXPLAIN with estimates stripped)
-pair built: two commits that print the same digest for a target built the
-same plans for it, baselines included.  It also judges the estimates the
-plans were chosen by: ``PhysicalPlan.execute`` is wrapped too, and after
-the first execution of each plan (one without shared-scan rows) the
-plan runs once more under ``execute_analyze`` with the same parameters.
+changed, a ``digest`` over every (SQL, EXPLAIN with estimates stripped)
+pair built and how often, and a ``shapes`` digest over the distinct pairs
+alone: two commits that print the same digest for a target built the same
+plans for it as often, baselines included; two that print the same
+shapes built the same plans, however often each.  It also judges the
+estimates the plans were chosen by: ``PhysicalPlan.execute`` is wrapped
+too, and after the first execution of each plan (one without shared-scan
+rows) the plan runs once more under ``execute_analyze`` with the same
+parameters.
 Every ``q=`` its text prints is one operator's q-error, estimated against
 actual rows; the table gives the operators, q median / p90 / max, and
 apart from them the operators of plans that stop after N rows
@@ -227,8 +230,7 @@ def _plans_child(target, seed, smoke):
     finally:
         executor.plan_select = plan_select
         PhysicalPlan.execute = execute
-    digest = hashlib.sha256(json.dumps(sorted(
-        [sql, text, n] for (sql, text), n in built.items())).encode())
+    digest, shapes = plans_digests(built)
     print(json.dumps({
         "builds": sum(built.values()),
         "selects": len({sql for sql, _ in built}),
@@ -238,9 +240,21 @@ def _plans_child(target, seed, smoke):
         "operators": len(q_errors),
         "q": _q_summary(q_errors),
         "cutoff": len(cutoff),
-        "digest": digest.hexdigest()[:12],
+        "digest": digest,
+        "shapes": shapes,
     }))
     return int(status)
+
+
+def plans_digests(built):
+    """``(digest, shapes)`` of a ``{(SQL, EXPLAIN): builds}`` counter: the
+    first over every pair with its count, the second over the pairs
+    alone."""
+    def sha(value):
+        return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:12]
+
+    return (sha(sorted([sql, text, n] for (sql, text), n in built.items())),
+            sha(sorted(built)))
 
 
 def _child_output(target, seed, smoke, *flags):
@@ -268,7 +282,7 @@ def count_calls(target, seed=1, smoke=False):
 def plan_decisions(target, seed=1, smoke=False):
     """What ``--plans`` reports for one target (see the module docstring):
     ``{"builds", "selects", "joins", "changed": {variant: [builds,
-    selects]}, "digest"}``."""
+    selects]}, "digest", "shapes"}``."""
     return _child_output(target, seed, smoke, "--plans")
 
 
@@ -332,7 +346,7 @@ def print_plans(per_target):
     """Builds, distinct SELECTs and joins per target, builds / SELECTs
     whose plan each variant changed, the operators judged and their
     q-error median / p90 / max, the operators under a stop-after-N cutoff,
-    and the plans digest."""
+    and the plans digests, counted and distinct."""
     variants = list(dict.fromkeys(
         name for plans in per_target.values() for name in plans["changed"]))
     width = max(map(len, variants))
@@ -352,6 +366,7 @@ def print_plans(per_target):
             else f"{plans['q'][i]:.1f}")
     row("limit_cutoff", lambda plans: plans["cutoff"])
     row("digest", lambda plans: plans["digest"])
+    row("shapes", lambda plans: plans["shapes"])
 
 
 def print_zero_calls(defined, called):
@@ -387,7 +402,7 @@ def main(argv=None):
                         "targets may follow the names")
     parser.add_argument("--plans", action="store_true",
                         help="print what each optimizer switch and "
-                        "selectivity constant decides, and a plans digest, "
+                        "selectivity constant decides, and the plans digests, "
                         "instead of the zero-call report")
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
