@@ -294,9 +294,6 @@ def build_dispatcher():
     return dispatcher
 
 
-BENCHMARK_URLS = tuple(build_dispatcher().urls())
-
-
 def build_app(projects=data.DEFAULT_PROJECTS,
               issues_per_project=data.ISSUES_PER_PROJECT, db=None):
     """A seeded database plus the benchmark dispatcher.

@@ -5,6 +5,14 @@
 original JSP names.
 """
 
-from repro.apps.openmrs.pages import BENCHMARK_URLS, build_app
+from repro.apps.openmrs.pages import build_app, build_dispatcher
 
 __all__ = ["build_app", "BENCHMARK_URLS"]
+
+
+def __getattr__(name):  # BENCHMARK_URLS: built at first read, not import
+    if name != "BENCHMARK_URLS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global BENCHMARK_URLS
+    BENCHMARK_URLS = tuple(build_dispatcher().urls())
+    return BENCHMARK_URLS

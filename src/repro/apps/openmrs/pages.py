@@ -399,9 +399,6 @@ def build_dispatcher():
     return dispatcher
 
 
-BENCHMARK_URLS = tuple(build_dispatcher().urls())
-
-
 def build_app(patients=data.PATIENTS,
               obs_per_encounter=data.OBS_PER_ENCOUNTER, db=None):
     """A seeded database plus the benchmark dispatcher.

@@ -230,6 +230,12 @@ class QueryStore:
         while self._in_flight:
             self._wait_completion(self._in_flight[0])
 
+    def close(self):
+        """Drop the pending batch unissued (request end, paper §6.1)."""
+        self._buffer = []
+        self._buffer_ids = []
+        self._pending_keys = {}
+
     # -- internals -------------------------------------------------------------
 
     def _new_id(self):
@@ -241,9 +247,7 @@ class QueryStore:
         ``register_query``'s write branch, which flushes at once and says
         so — no statement is re-parsed to classify the batch."""
         batch, ids = self._buffer, self._buffer_ids
-        self._buffer = []
-        self._buffer_ids = []
-        self._pending_keys = {}
+        self.close()
         if not batch:
             return
         try:

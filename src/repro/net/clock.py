@@ -32,6 +32,8 @@ trips).  The ``(stall, overlap, shadowed)`` it returns always sums to the
 completion's in-flight time.
 """
 
+from array import array
+
 PHASE_NETWORK = "network"
 PHASE_DB = "db"
 PHASE_APP = "app"
@@ -82,11 +84,11 @@ class SimClock:
     def __init__(self):
         self._now = 0.0
         self._by_phase = {phase: 0.0 for phase in _PHASES}
-        # Merged, ordered [start, end) intervals of app-phase charges on
-        # this clock's timeline; adjacent charges coalesce, so the list
-        # grows only at app/stall alternation points; the latest one stays
-        # open as [_app_lo, _app_hi) (None before the first app charge).
-        self._app_intervals = []
+        # Merged, ordered [start, end) intervals of app-phase charges, as
+        # flat ``lo, hi`` doubles; adjacent charges coalesce, so it grows
+        # only at app/stall alternation points; the latest one stays open
+        # as [_app_lo, _app_hi) (None before the first app charge).
+        self._app_intervals = array("d")
         self._app_lo = self._app_hi = None
 
     @property
@@ -106,7 +108,7 @@ class SimClock:
         if phase == PHASE_APP and dt > 0:
             if self._app_hi != start:
                 if self._app_hi is not None:
-                    self._app_intervals.append((self._app_lo, self._app_hi))
+                    self._app_intervals.extend((self._app_lo, self._app_hi))
                 self._app_lo = start
             self._app_hi = now
 
@@ -118,10 +120,11 @@ class SimClock:
         # Intervals are ordered; scan from the right (the open one first),
         # since waits probe recent history (bounded by the in-flight window).
         covered = max(0.0, min(hi, end) - max(self._app_lo, start))
-        for lo, hi in reversed(self._app_intervals):
-            if hi <= start:
+        flat = self._app_intervals
+        for at in range(len(flat) - 1, 0, -2):  # at: an interval's hi
+            if flat[at] <= start:
                 break
-            covered += max(0.0, min(hi, end) - max(lo, start))
+            covered += max(0.0, min(flat[at], end) - max(flat[at - 1], start))
         return covered
 
     def begin_async(self, segments, start=None):

@@ -78,6 +78,12 @@ class Session:
         self.backend = backend
         self.identity_map = {}  # (cls, pk) -> entity
 
+    def close(self):
+        """Detach every entity and empty the identity map (request end)."""
+        for entity in self.identity_map.values():
+            entity.__sloth_session__ = None
+        self.identity_map.clear()
+
     # -- finders ---------------------------------------------------------------
 
     def find(self, cls, pk):

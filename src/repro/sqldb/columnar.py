@@ -163,7 +163,7 @@ def _column_zones(values, n):
 class ColumnStore:
     """A cached, column-lazy snapshot of one table, in ``row_id`` scan order.
 
-    :meth:`build` pins ``rows`` — the storage rows sorted by row id — and
+    :meth:`build` pins ``rows`` — the storage rows, in row-id order — and
     nothing else; per column (by schema ordinal) :meth:`lane`,
     :meth:`zones` and :meth:`distinct` each materialise on first request
     and are cached, so a statement pays for the columns it reads and a
@@ -189,7 +189,7 @@ class ColumnStore:
 
     @classmethod
     def build(cls, table):
-        return cls([row for _, row in sorted(table.rows.items())],
+        return cls(list(table.rows.values()),
                    table.schema.columns, table._mutation_count)
 
     def lane(self, j):

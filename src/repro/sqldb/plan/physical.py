@@ -365,7 +365,7 @@ class IndexRangeScanOp(_BaseTableScan):
         scan = self.scan
         ordinals = [table.schema.ordinal_of(column)
                     for column in scan.order_columns] or scan.ordinals
-        ids = sorted(table.rows)
+        ids = list(table.rows)
         rows = table.rows
         return sort_rows(ids, [[rows[i][j] for i in ids] for j in ordinals],
                          [scan.descending] * len(ordinals))

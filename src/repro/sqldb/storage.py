@@ -1,8 +1,8 @@
 """Row storage for one table.
 
-Rows are stored as lists indexed by a monotonically increasing row id.  The
-table maintains the primary-key index and any secondary indexes, and exposes
-undo hooks used by :mod:`repro.sqldb.transactions` for rollback.
+Rows are lists in a dict by monotonically increasing row id, kept in row-id
+order (scan order: no reader sorts).  The table maintains the primary-key
+index and any secondary indexes, and exposes undo hooks for rollback.
 """
 
 from repro.sqldb.columnar import ColumnStore
@@ -195,7 +195,7 @@ class Table:
             self._remove_row(row_id)
             self.schema.stats.note_mutation(len(self.rows))
 
-    def undo_delete(self, row_id, row):
+    def undo_delete(self, row_id, row):  # then restore_row_order()
         self._mutation_count += 1
         self.rows[row_id] = row
         pk = self.schema.primary_key
@@ -205,20 +205,22 @@ class Table:
             index.insert(row_id, row)
         self.schema.stats.note_mutation(len(self.rows))
 
+    def restore_row_order(self):  # after undo_delete: rows by row id again
+        items = sorted(self.rows.items())
+        self.rows.clear()
+        self.rows.update(items)
+
     def undo_update(self, row_id, old_row):
         self._mutation_count += 1
-        current = self.rows.get(row_id)
-        if current is not None:
-            for index in self.indexes.values():
-                index.delete(row_id, current)
-            pk = self.schema.primary_key
-            if pk is not None:
-                self._pk_index.pop(current[pk.ordinal], None)
+        # Present: a later removal was logged later, so undone first.
+        current = self.rows[row_id]
         self.rows[row_id] = old_row
         pk = self.schema.primary_key
         if pk is not None:
+            self._pk_index.pop(current[pk.ordinal], None)
             self._pk_index[old_row[pk.ordinal]] = row_id
         for index in self.indexes.values():
+            index.delete(row_id, current)
             index.insert(row_id, old_row)
 
     # -- lookups --------------------------------------------------------------
@@ -231,15 +233,15 @@ class Table:
         return row_id, self.rows[row_id]
 
     def scan(self):
-        """Iterate over (row_id, row) in insertion order."""
-        return iter(sorted(self.rows.items()))
+        """Iterate over (row_id, row) in row-id order."""
+        return iter(self.rows.items())
 
     def column_store(self):
         """The cached columnar snapshot of the current contents, in scan
         order (see :class:`repro.sqldb.columnar.ColumnStore`).  Replaced
         lazily whenever the physical mutation counter moved.
 
-        Replacing it costs one sort of the rows: the snapshot is
+        Replacing it costs one copy of the row list: the snapshot is
         column-lazy — a scan materialises the lanes and zone maps its
         statement reads, the planner (under any engine) one column's
         distinct count — and every write or rollback discards it all."""

@@ -86,6 +86,7 @@ class TransactionManager:
         ``savepoint`` (a length of its undo log): everything for ROLLBACK,
         one statement's rows when it raised part-way."""
         log = self._undo_log
+        reinserted = {e[1] for e in log[savepoint:] if e[0] == "delete"}
         while len(log) > savepoint:
             entry = log.pop()
             action = entry[0]
@@ -98,3 +99,5 @@ class TransactionManager:
             elif action == "update":
                 _, table, row_id, old_row = entry
                 table.undo_update(row_id, old_row)
+        for table in reinserted:
+            table.restore_row_order()

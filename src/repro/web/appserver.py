@@ -180,24 +180,26 @@ class AppServer:
         session = Session(backend)
         ctx = RequestContext(session, runtime, request, self.mode)
 
-        mav = controller(ctx, request)
-        writer = ThunkWriter()
-        # Template thunks are entries of the extended JSP writer's buffer
-        # (paper §5, writeThunk): rendering costs one app op per entry (a
-        # text node or an executed cell), not a per-thunk allocation.
-        template.render(mav.model, writer, lazy_mode=self.mode == MODE_SLOTH)
-        self.clock.charge(
-            PHASE_APP, self.cost_model.app_op_ms * max(1, len(writer.buffer)))
-        html = writer.flush()
-        # NOTE: no query-store flush here.  Queries registered after the
-        # last force are never issued — this is how Sloth ends up issuing
-        # *fewer* queries than the original on pages with unused eager
-        # fetches (paper §6.1).
-        if self.mode == MODE_SLOTH:
-            # Render-end drain: batches shipped in the background must land
-            # before the response is externalized.  Only residual stalls
-            # are charged; in synchronous dispatch this is a no-op.
-            runtime.query_store.drain()
+        try:
+            mav = controller(ctx, request)
+            writer = ThunkWriter()
+            # Template thunks are entries of the extended JSP writer's
+            # buffer (paper §5, writeThunk): one app op per entry (a text
+            # node or an executed cell), not a per-thunk allocation.
+            template.render(mav.model, writer,
+                            lazy_mode=self.mode == MODE_SLOTH)
+            self.clock.charge(PHASE_APP, self.cost_model.app_op_ms
+                              * max(1, len(writer.buffer)))
+            html = writer.flush()
+            # No query-store flush: queries registered after the last force
+            # are never issued, so Sloth can issue *fewer* queries than the
+            # original (paper §6.1).  The render-end drain lands background
+            # batches, charging residual stalls only (sync: a no-op).
+            if self.mode == MODE_SLOTH:
+                runtime.query_store.drain()
+        finally:  # ARCHITECTURE.md, "Request lifetime"
+            session.close()
+            runtime.query_store.close()
 
         elapsed, phases = self.clock.since(checkpoint)
         if self.mode == MODE_SLOTH:

@@ -1,11 +1,49 @@
 """Integration tests over the benchmark applications."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.apps import itracker, openmrs, tpcc, tpcw
 from repro.bench.harness import compare_pages, load_page
 from repro.net.clock import CostModel
 from repro.web.appserver import MODE_ORIGINAL, MODE_SLOTH
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "src")
+
+# Prints the number of dispatchers built after importing both apps and
+# after each app's BENCHMARK_URLS is first read (the check of the first
+# app's tuple builds one more in between).
+_IMPORT_PROBE = """
+import json
+from repro.web.framework import Dispatcher
+built = []
+init = Dispatcher.__init__
+Dispatcher.__init__ = lambda self: (built.append(self), init(self))[1]
+from repro.apps import itracker, openmrs
+counts = [len(built)]
+for app in (itracker, openmrs):
+    urls = app.BENCHMARK_URLS
+    counts.append(len(built))
+    assert app.BENCHMARK_URLS is urls and isinstance(urls, tuple)
+    assert urls == tuple(app.pages.build_dispatcher().urls())
+print(json.dumps(counts))
+"""
+
+
+def test_importing_the_apps_builds_no_dispatcher():
+    """Importing an app parses no template: ``BENCHMARK_URLS`` is built
+    at first use, once, and is the dispatcher's URL tuple."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, 1, 3]
 
 
 class TestItracker:

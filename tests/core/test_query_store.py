@@ -1,5 +1,6 @@
 import gc
 import sys
+import weakref
 from collections.abc import Sized
 
 import pytest
@@ -67,6 +68,34 @@ def test_unknown_id_raises(store):
     qs, _ = store
     with pytest.raises(KeyError):
         qs.get_result_set(QueryId(qs, 999_999))
+
+
+def test_close_drops_the_pending_batch_unissued(store):
+    """Request end: what was registered after the last force is never
+    issued (paper §6.1).  The store lets go of it — so a store with
+    pending reads and its ids form no cycle — and a fetch of a dropped id
+    raises without a round trip."""
+    _, driver = store
+    qs = QueryStore(driver)  # held by nothing but this test
+    sql = "SELECT v FROM t WHERE id = ?"
+    issued = qs.register_query(sql, (1,))
+    assert qs.get_result_set(issued).scalar() == 10
+    pending = qs.register_query(sql, (2,))
+    gc.disable()
+    try:
+        qs.close()
+        assert qs.pending_count == 0
+        with pytest.raises(KeyError):
+            qs.get_result_set(pending)
+        assert driver.stats.round_trips == 1
+        assert qs.get_result_set(issued).scalar() == 10
+        assert qs.register_query(sql, (2,)) is not pending  # no dedup
+        qs.close()
+        alive = weakref.ref(qs)
+        del qs, issued, pending
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 class TestQueryIdScoping:

@@ -334,7 +334,9 @@ class TestOpenAppInterval:
             assert clock.breakdown() == reference.breakdown()
             opened = ([] if clock._app_hi is None
                       else [(clock._app_lo, clock._app_hi)])
-            assert clock._app_intervals + opened == reference.intervals
+            flat = clock._app_intervals
+            assert list(zip(flat[::2], flat[1::2])) + opened == (
+                reference.intervals)
 
     def test_an_unknown_phase_moves_nothing(self):
         clock = SimClock()

@@ -355,6 +355,8 @@ def storage_state(db):
 
 def check_storage(db):
     table = db.tables["t"]
+    # Storage is in row-id order (scan order): no reader sorts it.
+    assert all(map(int.__lt__, table.rows, list(table.rows)[1:]))
     assert table._pk_index == {row[ID]: rid for rid, row in table.rows.items()}
     for index in table.indexes.values():
         ordered = isinstance(index, OrderedIndex)

@@ -206,3 +206,17 @@ def test_plans_shapes_digest_ignores_build_counts():
     assert digests(rebuilt)[0] != digest
     assert digests(other_plan)[1] != shapes
     assert digests(dict(reversed(once.items()))) == (digest, shapes)
+
+
+def test_cycles_mode_reads_zero_after_a_page_round(capsys):
+    """``--cycles WORKLOAD``: one row a workload, the objects the cycle
+    collector found after one round run without it.  A page load frees
+    itself (ARCHITECTURE.md, "Request lifetime"), so a page round leaves
+    nothing; a target that runs no round is refused."""
+    traffic = _load_tool()
+    assert traffic.main(["--smoke", "--cycles", "pages_sloth"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["objects", "top", "types"]
+    assert [row.split() for row in rows] == [["pages_sloth", "0"]]
+    with pytest.raises(SystemExit):
+        traffic.main(["--cycles", "figures"])

@@ -4,6 +4,7 @@
     python3 tools/traffic.py [--smoke] [--seed N] [--kernels] [TARGET ...]
     python3 tools/traffic.py [--smoke] [--seed N] --calls NAME ... [TARGET ...]
     python3 tools/traffic.py [--smoke] [--seed N] --plans [TARGET ...]
+    python3 tools/traffic.py [--smoke] [--seed N] --cycles [WORKLOAD ...]
 
 A TARGET is a perfbench workload (set-up, one round and its output check),
 ``figures`` (``pytest --benchmark-disable benchmarks`` — pytest-benchmark
@@ -61,11 +62,18 @@ apart from them the operators of plans that stop after N rows
 describes.  A tree whose EXPLAIN ANALYZE prints no q-error
 reads ``n/a``.
 
+``--cycles`` asks what a round leaves to the cycle collector: each
+workload (default: the five) is set up, then one round runs with the
+collector off, and the table gives the objects the next ``gc.collect()``
+finds — garbage that refcounting could not free — with its five commonest
+types.  A page load frees itself, so every workload should read 0.
+
 Needs Python 3.11 (``co_qualname``).
 """
 
 import argparse
 import collections
+import gc
 import glob
 import hashlib
 import json
@@ -139,6 +147,29 @@ def _count_child(target, seed, smoke):
     print(json.dumps([[file, name, n]
                       for (file, name), n in sorted(calls.items())]))
     return int(status)
+
+
+def _cycles_child(target, seed, smoke):
+    """Set one workload up, run one round of it with the cycle collector
+    off and collect; print ``[objects found, [[type, count], ...]]`` (the
+    five commonest types) as one JSON line."""
+    from perfbench import measure, workloads
+    workload = workloads.make(
+        target, workloads.SMOKE if smoke else workloads.FULL)
+    workload.setup(seed)
+    workloads.settle_heap()
+    timer = measure.CuTimer()
+    gc.disable()
+    try:
+        workload.run_round(timer)
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what it finds, to name it
+        found = gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.enable()
+    types = collections.Counter(type(obj).__qualname__ for obj in gc.garbage)
+    print(json.dumps([found, types.most_common(5)]))
+    return 0
 
 
 def _plan_variants():
@@ -286,6 +317,12 @@ def plan_decisions(target, seed=1, smoke=False):
     return _child_output(target, seed, smoke, "--plans")
 
 
+def cyclic_garbage(target, seed=1, smoke=False):
+    """What ``--cycles`` reports for one workload: ``[objects found,
+    [[type, count], ...]]``."""
+    return _child_output(target, seed, smoke, "--cycles")
+
+
 def defined_functions():
     """``{(file under src/repro, qualname)}`` of every function, method,
     lambda and closure in the tree (comprehensions belong to the function
@@ -369,6 +406,16 @@ def print_plans(per_target):
     row("shapes", lambda plans: plans["shapes"])
 
 
+def print_cycles(per_target):
+    """Objects the cycle collector found after one round, per workload,
+    with the five commonest types."""
+    width = max(map(len, per_target))
+    print(f"{'':<{width}} {'objects':>9}  top types")
+    for target, (found, types) in per_target.items():
+        print(f"{target:<{width}} {found:>9}  "
+              + ", ".join(f"{name} {n}" for name, n in types))
+
+
 def print_zero_calls(defined, called):
     """Functions nothing called, grouped by module and owner (the class, or
     the builder whose closure it is)."""
@@ -404,6 +451,10 @@ def main(argv=None):
                         help="print what each optimizer switch and "
                         "selectivity constant decides, and the plans digests, "
                         "instead of the zero-call report")
+    parser.add_argument("--cycles", action="store_true",
+                        help="print the objects the cycle collector finds "
+                        "after one round of each workload, instead of the "
+                        "zero-call report")
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -413,10 +464,18 @@ def main(argv=None):
     unknown = set(args.targets) - set(TARGETS)
     if unknown:
         parser.error(f"unknown target(s): {', '.join(sorted(unknown))}")
+    if args.cycles and not set(args.targets) <= set(WORKLOADS):
+        parser.error("--cycles runs workloads only: "
+                     f"any of {', '.join(WORKLOADS)}")
     if args.child:
         sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
-        child = _plans_child if args.plans else _count_child
+        child = (_plans_child if args.plans else
+                 _cycles_child if args.cycles else _count_child)
         return child(args.targets[0], args.seed, args.smoke)
+    if args.cycles:
+        print_cycles({target: cyclic_garbage(target, args.seed, args.smoke)
+                      for target in args.targets or WORKLOADS})
+        return 0
     if args.plans:
         print_plans({target: plan_decisions(target, args.seed, args.smoke)
                      for target in args.targets or TARGETS})
