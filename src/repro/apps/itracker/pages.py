@@ -7,6 +7,8 @@ page (each still runs the full framework prelude, which dominates their
 round-trip count, exactly as in the paper's measurements).
 """
 
+from functools import cache
+
 from repro.apps.itracker import controllers as C
 from repro.apps.itracker import data
 from repro.apps.itracker import schema as S
@@ -112,7 +114,11 @@ def make_static_page(view_name, body, ops):
 # Benchmark registry — URLs are the appendix table's page names
 # -----------------------------------------------------------------------------
 
+@cache
 def build_dispatcher():
+    """The benchmark dispatcher, built once per process: its routes and
+    templates are read-only, so every :func:`build_app` and the package's
+    ``BENCHMARK_URLS`` share one (the templates are parsed once)."""
     dispatcher = Dispatcher()
 
     def add(url, controller, template):
@@ -298,10 +304,8 @@ def build_app(projects=data.DEFAULT_PROJECTS,
               issues_per_project=data.ISSUES_PER_PROJECT, db=None):
     """A seeded database plus the benchmark dispatcher.
 
-    ``db`` injects a pre-built backend — e.g. a
-    :class:`repro.sqldb.shard.ShardedDatabase` over
-    :func:`repro.apps.itracker.schema.shard_topology` — which is seeded
-    through the exact same script as the single-node default.
+    ``db`` injects a pre-built :class:`Database` (one built with other
+    options), seeded through the same script as the default.
     """
     if db is None:
         db = Database("itracker")

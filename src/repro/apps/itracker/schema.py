@@ -196,22 +196,3 @@ EXTRA_DDL = [
     "CREATE INDEX idx_it_issue_proj_modified ON it_issue "
     "(project_id, last_modified) USING ORDERED",
 ]
-
-
-def shard_topology(shards, replicas=0, staleness_bound=0):
-    """The itracker cluster layout: partition by project (the paper's
-    partition-friendly access path — most pages are scoped to one
-    project), per-issue detail tables by issue, everything else broadcast
-    (users, preferences, admin/config tables are small and read-mostly)."""
-    # Cold path (once per cluster set-up): unsharded runs never load shard.
-    from repro.sqldb.shard import PartitionSpec, ShardTopology
-
-    return ShardTopology(shards, {
-        "it_project": PartitionSpec("id"),
-        "it_issue": PartitionSpec("project_id"),
-        "it_component": PartitionSpec("project_id"),
-        "it_version": PartitionSpec("project_id"),
-        "it_attachment": PartitionSpec("issue_id"),
-        "it_history": PartitionSpec("issue_id"),
-        "it_activity": PartitionSpec("issue_id"),
-    }, replicas=replicas, staleness_bound=staleness_bound)

@@ -6,6 +6,8 @@ its own entity, default row, option lists and CPU weight — matching how the
 real admin console is a family of similar but distinct JSPs).
 """
 
+from functools import cache
+
 from repro.apps.openmrs import controllers as C
 from repro.apps.openmrs import data
 from repro.apps.openmrs import schema as S
@@ -85,7 +87,11 @@ def make_static_page(view_name, body, ops):
     return controller, _template(body)
 
 
+@cache
 def build_dispatcher():
+    """The benchmark dispatcher, built once per process: its routes and
+    templates are read-only, so every :func:`build_app` and the package's
+    ``BENCHMARK_URLS`` share one (the templates are parsed once)."""
     dispatcher = Dispatcher()
 
     def add(url, controller, template):
@@ -403,8 +409,8 @@ def build_app(patients=data.PATIENTS,
               obs_per_encounter=data.OBS_PER_ENCOUNTER, db=None):
     """A seeded database plus the benchmark dispatcher.
 
-    ``db`` injects a pre-built backend (e.g. a sharded one partitioned by
-    patient); the default stays a single-node :class:`Database`.
+    ``db`` injects a pre-built :class:`Database` (one built with other
+    options), seeded through the same script as the default.
     """
     if db is None:
         db = Database("openmrs")

@@ -422,18 +422,3 @@ EXTRA_DDL = [
     "CREATE INDEX idx_obs_value_numeric ON obs (value_numeric) "
     "USING ORDERED",
 ]
-
-
-def shard_topology(shards, replicas=0, staleness_bound=0):
-    """The OpenMRS cluster layout: patient-scoped clinical data partitions
-    by patient, per-encounter detail by encounter; the concept dictionary
-    and other reference tables broadcast."""
-    # Cold path (once per cluster set-up): unsharded runs never load shard.
-    from repro.sqldb.shard import PartitionSpec, ShardTopology
-
-    return ShardTopology(shards, {
-        "patient": PartitionSpec("id"),
-        "encounter": PartitionSpec("patient_id"),
-        "visit": PartitionSpec("patient_id"),
-        "obs": PartitionSpec("encounter_id"),
-    }, replicas=replicas, staleness_bound=staleness_bound)

@@ -47,22 +47,3 @@ DDL = [
 def create_schema(db):
     for ddl in DDL:
         db.execute(ddl)
-
-
-def shard_topology(shards, replicas=0, staleness_bound=0):
-    """The classic TPC-C layout: everything partitions by warehouse (the
-    spec's own scaling unit — §1.4 home-warehouse locality makes ~90% of
-    transactions single-shard); the item catalog is broadcast."""
-    # Cold path (once per cluster set-up): unsharded runs never load shard.
-    from repro.sqldb.shard import PartitionSpec, ShardTopology
-
-    return ShardTopology(shards, {
-        "warehouse": PartitionSpec("w_id"),
-        "district": PartitionSpec("d_w_id"),
-        "customer": PartitionSpec("c_w_id"),
-        "orders": PartitionSpec("o_w_id"),
-        "new_order": PartitionSpec("no_w_id"),
-        "order_line": PartitionSpec("ol_w_id"),
-        "stock": PartitionSpec("s_w_id"),
-        "history": PartitionSpec("h_w_id"),
-    }, replicas=replicas, staleness_bound=staleness_bound)

@@ -1,109 +1,23 @@
-"""Fig. 10: load time vs database size — with backends that scale too.
+"""Fig. 10: load time vs database size on one node.
 
-Two sweeps live here:
-
-- :func:`run_modes` is the original single-node mode sweep (paper
-  result: on list-heavy pages Sloth stays faster and scales better as
-  entity counts grow, with batch sizes growing in step — 68 -> 1880
-  queries per batch in the paper's largest configuration).
-- :func:`run` is the **database-scaling analogue**: data *and* users
-  grow together, and the backend grows with them — scale ``s`` runs
-  ``s`` shards over ``s``× the projects and ``s``× the concurrent
-  users (:mod:`repro.sqldb.shard` + the per-shard stations of
-  :mod:`repro.net.concurrent`).  Because the per-shard slice of data
-  and load stays constant, sharded page latency should stay ~flat
-  while the single-node backend degrades.  The result carries two
-  gate booleans CI enforces: ``flat_within_1_3x`` (sharded mean at
-  the largest scale within 1.3× of scale 1) and
-  ``sharded_dominates_at_max`` (sharded beats single-node once the
-  data outgrows one node).
+:func:`run_modes` sweeps entity counts in both modes (paper result: on
+list-heavy pages Sloth stays faster and scales better as entity counts
+grow, with batch sizes growing in step — 68 -> 1880 queries per batch in
+the paper's largest configuration).
 """
 
 from repro.apps import itracker, openmrs
-from repro.apps.itracker import schema as itracker_schema
 from repro.bench.harness import load_page
 from repro.bench.report import format_table
 from repro.net.clock import CostModel
-from repro.net.concurrent import record_page_trace, simulate_concurrent
-from repro.sqldb.shard import ShardedDatabase
 from repro.web.appserver import MODE_ORIGINAL, MODE_SLOTH
 
 PROJECT_COUNTS = (10, 25, 50, 100)
 OBS_COUNTS = (50, 100, 200, 400)
 
-#: The scaling sweep: scale s = s shards, s x data, s x users.
-SCALES = (1, 2, 4)
-BASE_PROJECTS = 8
-BASE_USERS = 16
-ISSUES_PER_PROJECT = 40
-
-#: The Fig-10 flatness bound CI enforces on the sharded series.
-FLATNESS_BOUND = 1.3
-
-
-def _record_workload(db, dispatcher, projects, cost_model):
-    """One bounded page per project — the load spreads across shards the
-    way the partitioning spreads the data."""
-    return [record_page_trace(db, dispatcher,
-                              "module-projects/list_issues.jsp",
-                              cost_model, params={"project": p})
-            for p in range(1, projects + 1)]
-
-
-def run(scales=SCALES, base_projects=BASE_PROJECTS, base_users=BASE_USERS,
-        issues_per_project=ISSUES_PER_PROJECT):
-    """The database-scaling sweep; see the module docstring."""
-    cost_model = CostModel()
-    rows = []
-    for scale in scales:
-        projects = base_projects * scale
-        users = base_users * scale
-
-        single_db, single_disp = itracker.build_app(
-            projects=projects, issues_per_project=issues_per_project)
-        shard_db, shard_disp = itracker.build_app(
-            projects=projects, issues_per_project=issues_per_project,
-            db=ShardedDatabase(itracker_schema.shard_topology(scale)))
-
-        single_traces = _record_workload(single_db, single_disp, projects,
-                                         cost_model)
-        shard_traces = _record_workload(shard_db, shard_disp, projects,
-                                        cost_model)
-        for a, b in zip(single_traces, shard_traces):
-            if a.html != b.html:
-                raise AssertionError(
-                    f"sharded backend changed page content at scale "
-                    f"{scale}: {a.url}")
-
-        single = simulate_concurrent(single_traces, users, cost_model)
-        sharded = simulate_concurrent(shard_traces, users, cost_model)
-        rows.append({
-            "scale": scale,
-            "shards": scale,
-            "projects": projects,
-            "users": users,
-            "sharded_mean_ms": sharded.mean_response_ms,
-            "sharded_p95_ms": sharded.p95_response_ms,
-            "sharded_throughput_pps": sharded.throughput_pps,
-            "single_mean_ms": single.mean_response_ms,
-            "single_p95_ms": single.p95_response_ms,
-            "single_throughput_pps": single.throughput_pps,
-        })
-    first, last = rows[0], rows[-1]
-    return {
-        "rows": rows,
-        "flatness_bound": FLATNESS_BOUND,
-        "flatness_ratio": (last["sharded_mean_ms"]
-                           / first["sharded_mean_ms"]),
-        "flat_within_1_3x": (last["sharded_mean_ms"]
-                             <= first["sharded_mean_ms"] * FLATNESS_BOUND),
-        "sharded_dominates_at_max": (last["sharded_mean_ms"]
-                                     <= last["single_mean_ms"]),
-    }
-
 
 def run_modes(project_counts=PROJECT_COUNTS, obs_counts=OBS_COUNTS):
-    """The original single-node mode sweep (entity counts vs mode)."""
+    """The mode sweep: entity counts vs mode."""
     cost_model = CostModel()
     itracker_rows = []
     for projects in project_counts:
@@ -130,26 +44,6 @@ def run_modes(project_counts=PROJECT_COUNTS, obs_counts=OBS_COUNTS):
             "sloth_max_batch": sloth.largest_batch,
         })
     return {"itracker": itracker_rows, "openmrs": openmrs_rows}
-
-
-def format_result(result):
-    """Render the scaling sweep (:func:`run`)."""
-    rows = [
-        (r["scale"], r["shards"], r["projects"], r["users"],
-         round(r["sharded_mean_ms"], 2), round(r["sharded_p95_ms"], 2),
-         round(r["single_mean_ms"], 2), round(r["single_p95_ms"], 2))
-        for r in result["rows"]
-    ]
-    table = format_table(
-        ("scale", "shards", "projects", "users", "sharded mean ms",
-         "sharded p95 ms", "single mean ms", "single p95 ms"), rows,
-        title="Fig. 10 — database scaling (sharded vs single-node)")
-    gates = (f"flatness ratio {result['flatness_ratio']:.3f} "
-             f"(bound {result['flatness_bound']}) -> "
-             f"{'PASS' if result['flat_within_1_3x'] else 'FAIL'}; "
-             f"dominance at max scale -> "
-             f"{'PASS' if result['sharded_dominates_at_max'] else 'FAIL'}")
-    return table + "\n" + gates
 
 
 def format_modes_result(result):

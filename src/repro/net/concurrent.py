@@ -11,19 +11,12 @@ time, so concurrency is modelled the way a discrete-event simulator would:
    with per-statement cost and sharing metadata, and every wait.
 
 2. **Closed-loop replay.**  ``N`` simulated users replay the traces
-   against shared **db work queues**.  Each database backend is a
-   *station* that serves *rounds*: whenever it falls idle it takes every
-   queued batch, runs their reads in parallel across ``db_workers`` (the
-   same LPT-makespan model the synchronous server uses) and completes
-   them all at round end.  A batch's database time is therefore
-   ``queueing + service``: the delay until its round starts plus the
-   round's makespan.  Single-node backends are one station; a sharded
-   backend (:mod:`repro.sqldb.shard`) contributes one station per shard
-   primary, replica, and coordinator — a batch splits into per-station
-   parts (driven by each statement's ``shard_costs``) and completes when
-   its *last* part's round ends, so independent shards drain concurrent
-   load in parallel.  ``db_busy_ms`` sums busy time across stations, so
-   ``db_utilization`` can exceed 1.0 on multi-shard replays.
+   against one shared **db work queue**.  The database serves *rounds*:
+   whenever it falls idle it takes every queued batch, runs their reads
+   in parallel across ``db_workers`` (the same LPT-makespan model the
+   synchronous server uses) and completes them all at round end.  A
+   batch's database time is therefore ``queueing + service``: the delay
+   until its round starts plus the round's makespan.
 
 Each replayed request carries its own :class:`~repro.net.clock.SimClock`
 anchored at admission.  Synchronous batches charge network plus the full
@@ -78,20 +71,13 @@ class StatementTrace:
     work: ``("scan", table)`` for an always-sequential-scan SELECT,
     ``("pk", table)`` for a primary-key point lookup (``pk_keys`` holds
     the probed key set), ``None`` for everything else.
-
-    ``shard_costs`` is None for single-node backends.  Against a sharded
-    backend it maps *station id* (shard, replica, or coordinator — see
-    ``ExecResult.shard_phases``) to the statement's service cost on that
-    station; replay splits the statement into per-station parts so each
-    shard's work queues only at its own shard.
     """
 
     __slots__ = ("sql", "solo_cost_ms", "is_read", "share_key", "scan_rows",
-                 "pk_keys", "from_cache", "shard_costs")
+                 "pk_keys", "from_cache")
 
     def __init__(self, sql, solo_cost_ms, is_read, share_key=None,
-                 scan_rows=0, pk_keys=None, from_cache=False,
-                 shard_costs=None):
+                 scan_rows=0, pk_keys=None, from_cache=False):
         self.sql = sql
         self.solo_cost_ms = solo_cost_ms
         self.is_read = is_read
@@ -99,7 +85,6 @@ class StatementTrace:
         self.scan_rows = scan_rows
         self.pk_keys = pk_keys
         self.from_cache = from_cache
-        self.shard_costs = shard_costs
 
 
 class TraceBatch:
@@ -211,34 +196,18 @@ class TracingBatchDriver(BatchDriver):
 
     def _statement_meta(self, sql, params, result):
         is_read = is_read_statement(sql)
-        model = self.cost_model
-        phases = result.shard_phases
-        shard_costs = None
-        if phases is not None:
-            # Sharded execution: per-station costs drive replay (each
-            # station is its own work queue).
-            shard_costs = {}
-            for phase in phases:
-                for station, rows, cached in phase:
-                    shard_costs[station] = (
-                        shard_costs.get(station, 0.0)
-                        + model.query_cost_ms(rows, from_cache=cached))
-        solo = self.server.statement_cost(result)
+        solo = self.cost_model.query_cost_ms(result.rows_touched,
+                                             from_cache=result.from_cache)
         share_key = None
         scan_rows = 0
         pk_keys = None
-        # Sharing metadata: computed for single-node statements and for
-        # sharded statements served entirely by one station (single-shard
-        # routes, broadcast reads) — those merge within that station's
-        # rounds.  Multi-station scatter/gather statements stay unshared.
-        shareable = shard_costs is None or len(shard_costs) == 1
-        if is_read and not result.from_cache and shareable:
+        if is_read and not result.from_cache:
             plan = self._plan_of(sql)
             if plan is not None:
                 if plan.shared_scan_table is not None:
                     share_key = ("scan", plan.shared_scan_table)
-                    # Solo execution scanned the full (per-station) table,
-                    # so the statement's rows_touched IS the scan's size.
+                    # Solo execution scanned the full table, so the
+                    # statement's rows_touched IS the scan's size.
                     scan_rows = result.rows_touched
                 else:
                     probe = plan.pk_probe_keys(params)
@@ -247,15 +216,10 @@ class TracingBatchDriver(BatchDriver):
                         pk_keys = probe[1]
         return StatementTrace(sql, solo, is_read, share_key=share_key,
                               scan_rows=scan_rows, pk_keys=pk_keys,
-                              from_cache=result.from_cache,
-                              shard_costs=shard_costs)
+                              from_cache=result.from_cache)
 
     def _plan_of(self, sql):
-        """The plan of a SELECT, or None.
-
-        A sharded facade plans against its ``planner_backend`` — any
-        primary answers the structural questions (shared-scannable?
-        pk point lookup?) identically."""
+        """The plan of a SELECT, or None."""
         try:
             stmt = parse(sql)
         except SqlError:
@@ -263,8 +227,8 @@ class TracingBatchDriver(BatchDriver):
         if not isinstance(stmt, A.Select):
             return None
         try:
-            backend = self.server.database.planner_backend
-            return backend.executor.plan_for(backend, stmt)
+            db = self.server.database
+            return db.executor.plan_for(db, stmt)
         except SqlError:
             return None
 
@@ -408,51 +372,18 @@ class ConcurrentRunResult:
 
 
 class _DbJob:
-    """One batch queued at the database station(s).
+    """One batch queued at the database."""
 
-    ``parts`` maps station id to the statements that station serves.
-    Single-node statements land on the default station ``None``; sharded
-    statements split into one per-station part per entry in their
-    ``shard_costs``.  The job completes when its last part's round ends.
-    """
+    __slots__ = ("job_id", "owner", "statements", "arrival", "completed_at",
+                 "queue_ms")
 
-    __slots__ = ("job_id", "owner", "parts", "arrival", "completed_at",
-                 "parts_open", "queue_ms")
-
-    def __init__(self, job_id, owner, parts):
+    def __init__(self, job_id, owner, statements):
         self.job_id = job_id
         self.owner = owner
-        self.parts = parts
+        self.statements = statements
         self.arrival = None
         self.completed_at = None
-        self.parts_open = 0
         self.queue_ms = 0.0
-
-
-class _DbPart:
-    """One job's work at one station."""
-
-    __slots__ = ("job", "station", "statements")
-
-    def __init__(self, job, station, statements):
-        self.job = job
-        self.station = station
-        self.statements = statements
-
-
-class _Station:
-    """One database backend's work queue (shard, replica, or coordinator).
-
-    Single-node replays use exactly one station (id ``None``), which
-    reproduces the original single-queue behaviour; sharded replays get
-    one station per backend that served the traced statements."""
-
-    __slots__ = ("queue", "busy_until", "round_scheduled")
-
-    def __init__(self):
-        self.queue = []
-        self.busy_until = 0.0
-        self.round_scheduled = False
 
 
 class _RequestRun:
@@ -503,7 +434,9 @@ class _ConcurrentSimulation:
         self.think_time_ms = think_time_ms
         self._heap = []
         self._seq = 0
-        self._stations = {}  # station id -> _Station (lazily created)
+        self._queue = []  # jobs waiting for the next round
+        self._busy_until = 0.0
+        self._round_scheduled = False
         self._next_job_id = 0
         self._pages = []
         self._makespan = 0.0
@@ -530,7 +463,7 @@ class _ConcurrentSimulation:
             elif kind == "arrive":
                 self._arrive(payload, t)
             elif kind == "round_start":
-                self._start_round(payload, t)
+                self._start_round(t)
             elif kind == "round_done":
                 self._finish_round(payload, t)
         return ConcurrentRunResult(
@@ -597,7 +530,7 @@ class _ConcurrentSimulation:
 
         The completion is anchored at the *dispatch* point on the
         request's own timeline; its database segment is the batch's full
-        queueing + service time at the shared station.  The clock splits
+        queueing + service time at the shared database.  The clock splits
         the hidden prefix into overlap (behind this request's app work)
         and shadowed time (behind its other stalls) exactly.
         """
@@ -623,86 +556,50 @@ class _ConcurrentSimulation:
             self._push(end + self.think_time_ms, _PRIO_USER, "page",
                        (req.user, next_page))
 
-    # -- the db stations ----------------------------------------------------
+    # -- the db queue -------------------------------------------------------
 
     def _new_job(self, req, statements):
-        parts = {}
-        for stmt in statements:
-            if stmt.shard_costs is None:
-                parts.setdefault(None, []).append(stmt)
-            elif len(stmt.shard_costs) == 1:
-                # Single-station sharded statement: its solo cost IS the
-                # station cost, and it keeps its sharing metadata so it
-                # merges within that station's rounds.
-                (station,) = stmt.shard_costs
-                parts.setdefault(station, []).append(stmt)
-            else:
-                # Scatter/gather: one part per backend that served it,
-                # carrying only that station's share of the service cost.
-                for station, cost in stmt.shard_costs.items():
-                    parts.setdefault(station, []).append(StatementTrace(
-                        stmt.sql, cost, stmt.is_read,
-                        from_cache=stmt.from_cache))
-        job = _DbJob(self._next_job_id, req, parts)
+        job = _DbJob(self._next_job_id, req, statements)
         self._next_job_id += 1
         return job
 
-    def _station(self, station_id):
-        st = self._stations.get(station_id)
-        if st is None:
-            st = self._stations[station_id] = _Station()
-        return st
-
     def _arrive(self, job, now):
         job.arrival = now
-        job.parts_open = len(job.parts)
-        for station_id, statements in job.parts.items():
-            st = self._station(station_id)
-            st.queue.append(_DbPart(job, station_id, statements))
-            if now >= st.busy_until and not st.round_scheduled:
-                st.round_scheduled = True
-                self._push(now, _PRIO_ROUND, "round_start", station_id)
+        self._queue.append(job)
+        if now >= self._busy_until and not self._round_scheduled:
+            self._round_scheduled = True
+            self._push(now, _PRIO_ROUND, "round_start", None)
 
-    def _start_round(self, station_id, now):
-        st = self._stations[station_id]
-        st.round_scheduled = False
-        if not st.queue or now < st.busy_until:
+    def _start_round(self, now):
+        self._round_scheduled = False
+        if not self._queue or now < self._busy_until:
             return
-        parts = st.queue
-        st.queue = []
-        service = self._round_service(parts)
+        jobs = self._queue
+        self._queue = []
+        service = self._round_service(jobs)
         end = now + service
-        st.busy_until = end
+        self._busy_until = end
         self._db_busy_ms += service
         self._rounds += 1
-        self._largest_round = max(self._largest_round, len(parts))
-        for part in parts:
-            job = part.job
-            job.queue_ms = max(job.queue_ms, now - job.arrival)
-        self._push(end, _PRIO_DONE, "round_done", (station_id, parts))
+        self._largest_round = max(self._largest_round, len(jobs))
+        for job in jobs:
+            job.queue_ms = now - job.arrival
+        self._push(end, _PRIO_DONE, "round_done", jobs)
 
-    def _finish_round(self, payload, now):
-        station_id, parts = payload
-        for part in parts:
-            job = part.job
-            job.parts_open -= 1
-            if job.parts_open > 0:
-                continue
-            # Last part landed: the batch is done end-to-end.
+    def _finish_round(self, jobs, now):
+        for job in jobs:
             job.completed_at = now
             req = job.owner
             req.queue_ms += job.queue_ms
             if req.parked_on is job:
                 req.parked_on = None
                 self._push(now, _PRIO_USER, "user", req)
-        st = self._stations[station_id]
-        if st.queue and not st.round_scheduled:
-            st.round_scheduled = True
-            self._push(now, _PRIO_ROUND, "round_start", station_id)
+        if self._queue and not self._round_scheduled:
+            self._round_scheduled = True
+            self._push(now, _PRIO_ROUND, "round_start", None)
 
-    def _round_service(self, parts):
-        """Makespan of one station round: merged reads parallel, writes
-        serial.
+    def _round_service(self, jobs):
+        """Makespan of one round: merged reads parallel, writes serial.
 
         Sharing scope is the whole round when ``share_queries`` is on,
         one batch otherwise — so the unshared baseline keeps exactly the
@@ -712,9 +609,9 @@ class _ConcurrentSimulation:
         read_costs = []
         serial_ms = 0.0
         groups = {}
-        for part in parts:
-            scope = None if self.share_queries else part.job.job_id
-            for stmt in part.statements:
+        for job in jobs:
+            scope = None if self.share_queries else job.job_id
+            for stmt in job.statements:
                 if not stmt.is_read:
                     serial_ms += stmt.solo_cost_ms
                 elif stmt.share_key is None or stmt.from_cache:

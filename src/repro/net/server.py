@@ -22,17 +22,8 @@ a statement is parsed here once (a probe of the process-wide parse cache),
 executed as an AST through ``execute_parsed``, and is a read or a write by
 its type.
 
-**Sharded backends.**  A :class:`repro.sqldb.shard.ShardedDatabase` result
-carries ``shard_phases`` — sequential phases of ``(station, rows_touched,
-from_cache)`` entries that executed in parallel on distinct backends.  A
-statement's cost is then the sum over phases of the ``max()`` over each
-phase's per-station costs (parallel service across machines), and batch
-reads bucket **per station**: each shard contributes its own read costs to
-its own ``db_workers``-wide pool, and the batch's read elapsed time is the
-``max()`` across stations — N shards really do serve N× the work in one
-shard's time.  Sharded batches always take the direct path (the shared-scan
-batch planner needs single-node executor access;
-``database.supports_batch_plan`` gates it).
+A statement's cost is ``CostModel.query_cost_ms(rows_touched,
+from_cache=...)`` — one node, one price per statement.
 
 With ``batch_optimize`` the batch takes the **batch-plan path**
 (:mod:`repro.sqldb.plan.batch`): union-compatible SELECTs over one table
@@ -55,15 +46,12 @@ class DatabaseServer:
 
     def execute_one(self, sql, params=(), stats=None):
         """:meth:`execute_batch` over a one-tuple; returns ``(result,
-        cost_ms)``.  ``cost_ms`` is the statement's standalone cost
-        (:meth:`statement_cost`): on one node its one-statement batch's
-        elapsed time, bit for bit; a sharded result sums its phases.
+        cost_ms)``, ``cost_ms`` being the one-statement batch's elapsed
+        time — the statement's standalone cost.
         """
         (result,), elapsed_ms = self.execute_batch(
             ((sql, params),), False, stats)
-        if result.shard_phases is None:
-            return result, elapsed_ms
-        return result, self.statement_cost(result)
+        return result, elapsed_ms
 
     def execute_batch(self, statements, batch_optimize=False, stats=None):
         """Execute ``[(sql, params), ...]`` as one batch.
@@ -77,8 +65,7 @@ class DatabaseServer:
         returned, to ``stats`` (the calling driver's ``DriverStats``); the
         server keeps none of its own.
         """
-        run = (self._execute_batch_plan
-               if batch_optimize and self.database.supports_batch_plan
+        run = (self._execute_batch_plan if batch_optimize
                else self._execute_batch_direct)
         results, elapsed_ms, hits, groups, saved = run(statements)
         if stats is not None:
@@ -92,14 +79,8 @@ class DatabaseServer:
     def _execute_batch_direct(self, statements):
         """Every statement on its own plan (the pre-optimizer behaviour).
 
-        A single-node result is priced inline (``query_cost_ms``'s
-        arithmetic).  Reads bucket per station: statements without
-        ``shard_phases`` are the one default station (one node: a plain
-        list), while sharded statements spread their per-station entry
-        costs — and cache hits — across the stations that served them.
-        The batch's read time is the ``max()`` of the per-station
-        makespans: stations are separate machines with ``db_workers``
-        workers each.
+        Each result is priced inline (``query_cost_ms``'s arithmetic):
+        writes serialize, reads share the ``db_workers`` pool.
         """
         model = self.cost_model
         hit_ms, overhead_ms, row_ms = (model.cache_hit_cost_ms,
@@ -108,39 +89,22 @@ class DatabaseServer:
         execute = self.database.execute_parsed
         results = []
         read_costs = []
-        station_reads = None  # station id -> [cost, ...]
         serial_ms = 0.0
         hits = 0
         for sql, params in statements:
             stmt = parse(sql)
             result = execute(stmt, params)
             results.append(result)
-            phases = result.shard_phases
-            if phases is None:
-                hits += result.from_cache
-                cost = (hit_ms if result.from_cache
-                        else overhead_ms + row_ms * result.rows_touched)
-                if type(stmt) is Select:
-                    read_costs.append(cost)
-                else:
-                    serial_ms += cost
-                continue
-            hits += sum(entry[2] for phase in phases for entry in phase)
-            if type(stmt) is not Select:
-                serial_ms += self.statement_cost(result)
-                continue
-            if station_reads is None:
-                station_reads = {}
-            for phase in phases:
-                for station, rows, cached in phase:
-                    station_reads.setdefault(station, []).append(
-                        model.query_cost_ms(rows, from_cache=cached))
-        read_ms = _parallel_elapsed(read_costs, model.db_workers)
-        if station_reads:
-            read_ms = max(read_ms, max(
-                _parallel_elapsed(costs, model.db_workers)
-                for costs in station_reads.values()))
-        return results, serial_ms + read_ms, hits, 0, 0
+            hits += result.from_cache
+            cost = (hit_ms if result.from_cache
+                    else overhead_ms + row_ms * result.rows_touched)
+            if type(stmt) is Select:
+                read_costs.append(cost)
+            else:
+                serial_ms += cost
+        return (results,
+                serial_ms + _parallel_elapsed(read_costs, model.db_workers),
+                hits, 0, 0)
 
     def _execute_batch_plan(self, statements):
         """The shared-scan path: group, execute, charge groups once."""
@@ -159,7 +123,8 @@ class DatabaseServer:
                 continue  # the group job carries the cost; members are free
             result = plan_result.results[index]
             hits += result.from_cache
-            cost = self.statement_cost(result)
+            cost = model.query_cost_ms(result.rows_touched,
+                                       from_cache=result.from_cache)
             if is_read_statement(sql):
                 read_costs.append(cost)
             else:
@@ -168,23 +133,6 @@ class DatabaseServer:
                 serial_ms + _parallel_elapsed(read_costs, model.db_workers),
                 hits, len(plan_result.groups),
                 sum(group.rows_saved for group in plan_result.groups))
-
-    def statement_cost(self, result):
-        """One statement's standalone elapsed time.
-
-        Single-node results price directly off ``rows_touched``; sharded
-        results sum their sequential phases, each phase charged as the
-        ``max()`` over the backends that served it in parallel.
-        """
-        phases = result.shard_phases
-        if phases is None:
-            return self.cost_model.query_cost_ms(
-                result.rows_touched, from_cache=result.from_cache)
-        model = self.cost_model
-        return sum(
-            max(model.query_cost_ms(rows, from_cache=cached)
-                for _station, rows, cached in phase)
-            for phase in phases if phase)
 
 
 def _parallel_elapsed(costs, workers):

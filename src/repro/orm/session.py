@@ -29,7 +29,7 @@ from functools import partial
 
 from repro.core.proxy import LazyProxy
 from repro.core.thunk import QueryThunk, Thunk, force
-from repro.orm.errors import EntityNotFound
+from repro.orm.errors import EntityNotFound, MappingError
 from repro.sqldb.result import ExecResult
 
 
@@ -48,6 +48,24 @@ class OriginalBackend:
 
     def write(self, sql, params=()):
         return self.driver.execute(sql, tuple(params))
+
+    def close(self):
+        """Request end: a lazy proxy forced later raises before it reaches
+        the request's driver."""
+        self.driver = _ClosedDriver
+
+
+class _ClosedDriver:
+    """The driver of a closed :class:`OriginalBackend`."""
+
+    @staticmethod
+    def execute(sql, params=()):
+        raise _detached()
+
+
+def _detached():
+    return MappingError("loading through a closed session: its entities "
+                        "are detached")
 
 
 class SlothBackend:
@@ -70,6 +88,11 @@ class SlothBackend:
     def write(self, sql, params=()):
         return self.runtime.execute_write(sql, params)
 
+    def close(self):
+        """Request end: nothing to stop here — the store drops what it
+        never issued, and the session refuses to deserialize what it did
+        (:meth:`Session._deserialize_many`)."""
+
 
 class Session:
     """A unit of work bound to one backend."""
@@ -77,12 +100,18 @@ class Session:
     def __init__(self, backend):
         self.backend = backend
         self.identity_map = {}  # (cls, pk) -> entity
+        self.closed = False
 
     def close(self):
-        """Detach every entity and empty the identity map (request end)."""
+        """Detach every entity, empty the identity map and refuse every
+        later load (request end): a proxy forced after it raises
+        :class:`MappingError`, as Hibernate's lazy load after
+        ``Session.close`` does."""
         for entity in self.identity_map.values():
             entity.__sloth_session__ = None
         self.identity_map.clear()
+        self.closed = True
+        self.backend.close()
 
     # -- finders ---------------------------------------------------------------
 
@@ -161,6 +190,8 @@ class Session:
         """Materialize entities from a result set, honoring the identity map
         and triggering EAGER relation loads (paper §6.1: eager fetching
         issues queries whether or not the data is used)."""
+        if self.closed:
+            raise _detached()
         pk_at, fill, eager = cls.__info__.hydration(tuple(result_set.columns))
         identity_map = self.identity_map
         entities = []

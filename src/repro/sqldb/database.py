@@ -45,9 +45,6 @@ class Database:
 
     ENGINES = ("columnar", "row")
 
-    #: the server's shared-scan batch planner drives ``executor`` directly.
-    supports_batch_plan = True
-
     def __init__(self, name="main", optimizer_options=None,
                  result_cache_size=DEFAULT_RESULT_CACHE_LIMIT,
                  engine=None):
@@ -72,12 +69,6 @@ class Database:
                 f"unknown engine {name!r}; expected one of "
                 + ", ".join(repr(e) for e in self.ENGINES))
         self._engine = name
-
-    @property
-    def planner_backend(self):
-        """The database statements are planned against (itself; a sharded
-        facade names one of its primaries)."""
-        return self
 
     def tables_get(self, name):
         table = self.tables.get(name)

@@ -242,16 +242,11 @@ def find_equi_conjunct(sctx, table_index, condition):
     resolving inside the joined table and one outside.
 
     Returns ``(flat left position, right ordinal, right column name, expr)``
-    or None.  Conjuncts whose right column carries a probe-capable index are
-    preferred, so multi-equality ON conditions pick the probe-friendly key.
+    or None.
     """
     offset = sctx.offsets[table_index]
     width = sctx.widths[table_index]
     schema = sctx.schemas[table_index]
-    pk = schema.primary_key
-    indexed_columns = {info.columns[0] for info in schema.indexes.values()
-                       if len(info.columns) == 1}
-    best = None
     for conjunct in split_conjuncts(condition) if condition is not None else ():
         if not (isinstance(conjunct, A.BinaryOp) and conjunct.op == "="):
             continue
@@ -278,14 +273,8 @@ def find_equi_conjunct(sctx, table_index, condition):
         else:
             continue
         ordinal = right_pos - offset
-        column = schema.columns[ordinal].name
-        found = (left_pos, ordinal, column, conjunct)
-        if pk is not None and ordinal == pk.ordinal:
-            return found  # PK probe: best possible key
-        if best is None or (column in indexed_columns
-                            and best[2] not in indexed_columns):
-            best = found
-    return best
+        return left_pos, ordinal, schema.columns[ordinal].name, conjunct
+    return None
 
 
 def conjunct_tables(sctx, conjunct):

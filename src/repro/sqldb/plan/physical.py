@@ -1009,11 +1009,11 @@ class SortOp:
 
 def sort_rows(rows, columns, descending):
     """``rows`` sorted stably on ORDER BY ``columns`` (one value sequence
-    per key) with these DESC flags, for :class:`SortOp` and the shard
-    coordinator's merge.  Natively: ``v`` becomes ``(v is not None, v)``,
-    NULL first (last under ``reverse``, used when most keys are DESC), a
-    key of the other direction :class:`_Flipped`; ``==`` before ``<``
-    makes equal values (``1``, ``TRUE``) tie."""
+    per key) with these DESC flags, for :class:`SortOp` and an ordered
+    scan's sorted fallback.  Natively: ``v`` becomes ``(v is not None,
+    v)``, NULL first (last under ``reverse``, used when most keys are
+    DESC), a key of the other direction :class:`_Flipped`; ``==`` before
+    ``<`` makes equal values (``1``, ``TRUE``) tie."""
     reverse = 2 * sum(descending) > len(descending)
     decorated = []
     for values, desc in zip(columns, descending):
@@ -1050,8 +1050,8 @@ _NO_ROW = RowContext({}).bind(())
 
 def resolve_limit(limit_expr, offset_expr, params):
     """``(limit, offset)`` of a LIMIT clause — the one place its values
-    are validated; :class:`LimitOp`, the ``limit_hint`` cutoff and the
-    shard coordinator's merge all slice with what this returns.  Anything
+    are validated; :class:`LimitOp` and the ``limit_hint`` cutoff both
+    slice with what this returns.  Anything
     but a non-negative integer (a string, NULL, a float, a bool, ``-1``)
     raises instead of reaching a Python slice, where it would leak a
     ``TypeError`` or count from the wrong end."""

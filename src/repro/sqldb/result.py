@@ -24,16 +24,10 @@ class ExecResult:
     ``from_cache`` — True when the rows came from the cross-request result
     cache (the server charges the flat cache-hit cost instead of the
     per-statement dispatch overhead).
-    ``shard_phases`` — None for single-node executions.  A sharded backend
-    (:mod:`repro.sqldb.shard`) sets it to a tuple of sequential *phases*,
-    each a tuple of ``(station, rows_touched, from_cache)`` entries that ran
-    in parallel on distinct backends; the server charges each phase as the
-    ``max()`` over its entries rather than their sum.
     """
 
     __slots__ = ("columns", "rows", "rowcount", "rows_touched",
-                 "last_insert_id", "from_cache", "shard_phases",
-                 "chunks_skipped")
+                 "last_insert_id", "from_cache", "chunks_skipped")
 
     def __init__(self, columns=(), rows=None, rowcount=0, rows_touched=0,
                  last_insert_id=None, from_cache=False, chunks_skipped=0):
@@ -43,7 +37,6 @@ class ExecResult:
         self.rows_touched = rows_touched
         self.last_insert_id = last_insert_id
         self.from_cache = from_cache
-        self.shard_phases = None
         self.chunks_skipped = chunks_skipped
 
     def __repr__(self):

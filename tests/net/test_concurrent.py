@@ -65,6 +65,24 @@ class TestReplayMechanics:
         assert late_page.response_ms == pytest.approx(4.5)
         assert late_page.phases["db"] == pytest.approx(3.0)
 
+    def test_one_queue_serves_every_request(self):
+        # Two users scanning different tables, one db worker: both
+        # arrivals join one round that serves the two scans back to back
+        # — one database, one queue — and the database is never busier
+        # than the run is long.
+        model = CostModel(db_workers=1)
+        scan_cost = model.query_cost_ms(100)
+        a = _page([TraceBatch(0, "sync", 0.0, 0.5,
+                              [_read(scan_cost, ("scan", "a"), 100)])])
+        b = _page([TraceBatch(0, "sync", 0.0, 0.5,
+                              [_read(scan_cost, ("scan", "b"), 100)])])
+        result = simulate_concurrent([a, b], 2, cost_model=model)
+        assert result.rounds == 1
+        assert result.merged_scan_groups == 0
+        for page in result.pages:
+            assert page.response_ms == pytest.approx(0.5 + 2 * scan_cost)
+        assert result.db_utilization <= 1.0
+
     def test_async_wait_splits_stall_and_overlap(self):
         # Dispatch async at t=0, do 1 ms of app work, then wait.  The
         # in-flight timeline is 0.5 net + 2.0 db = 2.5; 1 ms hides behind
@@ -231,7 +249,7 @@ class TestRecordedWorkload:
         _db, _dispatcher, recorded = traces
         result = simulate_concurrent([recorded[0]], 1)
         page = result.pages[0]
-        # Alone on the station the replayed response stays within a few
+        # Alone on the database the replayed response stays within a few
         # percent of the recorded serial load (intra-batch merging may
         # only make it cheaper).
         assert page.response_ms <= recorded[0].serial_time_ms * 1.05

@@ -10,8 +10,6 @@ from repro.net.errors import DriverError
 from repro.net.server import DatabaseServer, _parallel_elapsed
 from repro.sqldb import Database
 from repro.sqldb.errors import SqlError
-from repro.sqldb.shard import (PartitionSpec, ShardTopology,
-                               ShardedDatabase)
 
 
 class TestSimClock:
@@ -592,26 +590,17 @@ def test_begin_async_accepts_any_iterable():
     assert stall == pytest.approx(3.0)
 
 
-def _single_node():
-    return Database()
-
-
-def _two_shards():
-    return ShardedDatabase(ShardTopology(2, {"t": PartitionSpec("grp")}))
-
-
 class TestOneStatementOrABatchOfOne:
     """``execute_one(sql, params)`` against ``execute_batch([(sql, params)])``
-    on twin servers: one body serves both, so rows and every counter agree
-    step by step; what differs is the time each charges for a *sharded*
-    statement of more than one phase, and that is pinned here."""
+    on twin servers: one body serves both, so rows, every counter and the
+    time each charges agree step by step."""
 
     READ = "SELECT id, val FROM t WHERE grp = ? ORDER BY id"
-    GATHER = "SELECT id FROM t ORDER BY id LIMIT 1 + 2"  # computed LIMIT
+    LIMITED = "SELECT id FROM t ORDER BY id LIMIT 1 + 2"  # computed LIMIT
 
     @staticmethod
-    def _server(make_db):
-        db = make_db()
+    def _server():
+        db = Database()
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, grp INT, "
                    "val INT)")
         for i in range(12):
@@ -619,62 +608,29 @@ class TestOneStatementOrABatchOfOne:
                        (i, i % 4, i * 10))
         return DatabaseServer(db, CostModel())
 
-    @staticmethod
-    def _by_hand(server, result):
-        """(phases summed, stations max'ed) off ``shard_phases``."""
-        cost = server.cost_model.query_cost_ms
-        if result.shard_phases is None:
-            solo = cost(result.rows_touched, from_cache=result.from_cache)
-            return solo, solo
-        stations = {}
-        for phase in result.shard_phases:
-            for station, rows, cached in phase:
-                stations[station] = (stations.get(station, 0.0)
-                                     + cost(rows, from_cache=cached))
-        return (sum(max(cost(rows, from_cache=cached)
-                        for _, rows, cached in phase)
-                    for phase in result.shard_phases),
-                max(stations.values()))
-
-    def _step(self, one, batch, stats, sql, params=(), write=False):
+    def _step(self, one, batch, stats, sql, params=()):
         result, cost_ms = one.execute_one(sql, params, stats=stats[0])
         (twin,), elapsed_ms = batch.execute_batch(
             [(sql, params)], stats=stats[1])
         assert (result.columns, result.rows, result.rowcount) == (
             twin.columns, twin.rows, twin.rowcount)
-        assert result.shard_phases == twin.shard_phases
         # The stats each twin was handed got the same counts.
         assert vars(stats[0]) == vars(stats[1])
         assert stats[0].shared_scan_groups == 0
-        summed, maxed = self._by_hand(one, result)
-        assert cost_ms == summed
-        # A write serializes at its standalone cost; a read is its
-        # stations' makespan.
-        assert elapsed_ms == (summed if write else maxed)
-        return result, cost_ms, elapsed_ms
+        # A statement's standalone cost is its one-statement batch's
+        # elapsed time, bit for bit.
+        assert cost_ms == elapsed_ms == one.cost_model.query_cost_ms(
+            result.rows_touched, from_cache=result.from_cache)
+        return result
 
-    @pytest.mark.parametrize("make_db", [_single_node, _two_shards],
-                             ids=["single-node", "two-shards"])
-    def test_rows_counters_and_charges(self, make_db):
-        one, batch = self._server(make_db), self._server(make_db)
-        sharded = make_db is _two_shards
+    def test_rows_counters_and_charges(self):
+        one, batch = self._server(), self._server()
         stats = (DriverStats(), DriverStats())
         step = functools.partial(self._step, one, batch, stats)
-        miss, cost_ms, elapsed_ms = step(self.READ, (1,))
-        assert miss.rows == [(1, 10), (5, 50), (9, 90)]
-        assert cost_ms == elapsed_ms  # one phase: summed is max'ed
-        hit, _, _ = step(self.READ, (1,))
+        assert step(self.READ, (1,)).rows == [(1, 10), (5, 50), (9, 90)]
+        hit = step(self.READ, (1,))
         assert hit.from_cache and stats[0].result_cache_hits == 1
-        written, cost_ms, elapsed_ms = step(
-            "UPDATE t SET val = val + 1 WHERE grp = ?", (1,), write=True)
-        assert written.rowcount == 3 and cost_ms == elapsed_ms
-        assert step(self.READ, (1,))[0].rows == [(1, 11), (5, 51), (9, 91)]
-
-        # More than one phase: sync the coordinator, then run there.
-        gathered, cost_ms, elapsed_ms = step(self.GATHER)
-        assert gathered.rows == [(0,), (1,), (2,)]
-        if sharded:
-            assert len(gathered.shard_phases) == 2
-            assert cost_ms > elapsed_ms  # phases summed vs stations max'ed
-        else:
-            assert cost_ms == elapsed_ms
+        written = step("UPDATE t SET val = val + 1 WHERE grp = ?", (1,))
+        assert written.rowcount == 3
+        assert step(self.READ, (1,)).rows == [(1, 11), (5, 51), (9, 91)]
+        assert step(self.LIMITED).rows == [(0,), (1,), (2,)]

@@ -1,34 +1,28 @@
-"""ORDER BY: native sort keys, the shard coordinator's merge, and which
-keys a plan may sort by — plus the row contract the result operators
-keep (tuples) and the re-check a base-table access applies.
+"""ORDER BY: native sort keys and which keys a plan may sort by — plus
+the row contract the result operators keep (tuples) and the re-check a
+base-table access applies.
 
-``SortOp`` sorts on :func:`~repro.sqldb.plan.physical.sort_keys`
-decorations with Python's own comparison, and the coordinator's k-way
-merge uses the same keys.  Both are held against a reference comparator:
-a key object that orders NULL first ascending and last descending, ties
-equal values, honours DESC per key and raises ``SqlTypeError`` on an
-incomparable pair — over ints, floats, bools, strings and NULL, one
-column mixing all of them, with 1–3 keys in mixed directions, ties, and
-keys over source expressions.
+``SortOp`` sorts on :func:`~repro.sqldb.plan.physical.sort_rows`
+decorations with Python's own comparison, held against a reference
+comparator: a key object that orders NULL first ascending and last
+descending, ties equal values, honours DESC per key and raises
+``SqlTypeError`` on an incomparable pair — over ints, floats, bools,
+strings and NULL, one column mixing all of them, with 1–3 keys in mixed
+directions, ties, and keys over source expressions.
 """
 
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sqldb import Database
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.expressions import RowContext, evaluate
 from repro.sqldb.plan.physical import SortOp
-from repro.sqldb.result import ExecResult
-from repro.sqldb.shard import PartitionSpec, ShardTopology, ShardedDatabase
-from repro.sqldb.shard.router import ScatterMerge
-from repro.sqldb.shard.sharded import _merge_streams
 
 ENGINES = ("columnar", "row")
-BACKENDS = (*ENGINES, "2 shards")
 
 
 class _ReferenceKey:
@@ -142,50 +136,16 @@ def test_sort_op_orders_like_the_reference_comparator(values, order_by):
     assert _ids(engine) == expected
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(_SOURCE_ROW, max_size=6), min_size=1, max_size=3),
-       st.lists(st.tuples(st.integers(0, 3), st.booleans()),
-                min_size=1, max_size=3))
-def test_merge_streams_orders_like_a_sort_of_the_concatenation(
-        streams, key_positions):
-    """Each shard's stream sorted the reference way, the coordinator's
-    merge equals the reference sort of the streams concatenated in shard
-    order — ties go to the lower shard — or both raise."""
-    descending = [desc for _, desc in key_positions]
-    rid = iter(range(100))
-    per_shard, concatenated = [], []
-    for stream in streams:
-        rows = [(*row[:4], next(rid)) for row in stream]
-        keys = [[row[pos] for pos, _ in key_positions] for row in rows]
-        try:
-            rows = _reference_sort(rows, keys, descending)
-        except SqlTypeError:
-            assume(False)  # a shard's own sort raises first
-        per_shard.append(ExecResult(OUT, rows))
-        concatenated.extend(rows)
-    merge = ScatterMerge(None, key_positions, 0, None)
-    stmt = SimpleNamespace(limit=None, offset=None)
-    keys = [[row[pos] for pos, _ in key_positions] for row in concatenated]
-    expected = _ids(lambda: _reference_sort(concatenated, keys, descending))
-    assert _ids(lambda: _merge_streams(per_shard, merge, stmt, ())[0]) \
-        == expected
-
-
 def _backend(name, rows=((1, 50), (1, 10), (2, 5), (3, 40), (3, 1))):
-    """``t(id, x, y)`` holding ``rows`` as (x, y), on one engine or
-    hash-partitioned on ``id`` over two shards."""
-    if name in ENGINES:
-        db = Database(result_cache_size=0, engine=name)
-    else:
-        db = ShardedDatabase(ShardTopology(2, {"t": PartitionSpec("id")}),
-                             result_cache_size=0)
+    """``t(id, x, y)`` holding ``rows`` as (x, y) on one engine."""
+    db = Database(result_cache_size=0, engine=name)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT, y INT)")
     for i, (x, y) in enumerate(rows, start=1):
         db.execute("INSERT INTO t (id, x, y) VALUES (?, ?, ?)", (i, x, y))
     return db
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 def test_distinct_ordered_by_a_column_it_does_not_select_raises(backend):
     """DISTINCT drops rows, so an ORDER BY key over the source row no
     longer lines up with the output: ``ORDER BY y`` would give output
@@ -201,7 +161,7 @@ def test_distinct_ordered_by_a_column_it_does_not_select_raises(backend):
         [(3, 1), (2, 5), (1, 10), (3, 40), (1, 50)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 @pytest.mark.parametrize("rows", [(), ((1, 50), (2, 5))],
                          ids=["empty", "rows"])
 def test_aggregate_ordered_by_a_source_column_raises_whatever_the_data(
@@ -214,7 +174,7 @@ def test_aggregate_ordered_by_a_source_column_raises_whatever_the_data(
                           "ORDER BY n DESC, 1").rows) == len(rows)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 def test_mixed_directions_and_nulls(backend):
     """NULL first ascending, last descending, and the minority direction
     flipped inside the majority's sort."""

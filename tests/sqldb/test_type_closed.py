@@ -9,11 +9,11 @@ Generated SELECTs over one small table put aggregates beside ``*`` and
 ORDER BY / LIMIT over columns and ``?``, under a WHERE of equalities on
 the primary key and on an indexed column; the parameters are ints (one no
 float can hold, one a float rounds), floats (NaN and ±inf among them),
-bools, text, NULL, a list and a dict.  Each statement runs on both engines and on two hash-partitioned
-shards, over an empty table and over a table with rows (several bugs
+bools, text, NULL, a list and a dict.  Each statement runs on both
+engines, over an empty table and over a table with rows (several bugs
 here answered differently by data: a malformed row over no rows, an
-error over some).  A result row has exactly one value per column.  On
-one node an index answers what a scan does: the same statement over a
+error over some).  A result row has exactly one value per column.  An
+index answers what a scan does: the same statement over a
 twin table with no index and no primary key gives the same rows, or an
 error of the same type — and so does a range WHERE (``<``, ``<=``, ``>``,
 ``>=``, BETWEEN, with and without an equality prefix) through an ordered
@@ -25,9 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqldb import Database
 from repro.sqldb.errors import SqlError, SqlTypeError
-from repro.sqldb.shard import PartitionSpec, ShardTopology, ShardedDatabase
 
-BACKENDS = ("columnar", "row", "2 shards")
+BACKENDS = Database.ENGINES
 ROWS = ((1, 10, "a"), (2, None, "b"), (3, 10, None), (4, 7, "a"))
 
 ITEMS = ("*", "t.*", "id", "v", "f", "?", "COUNT(*)", "SUM(v)", "AVG(v)",
@@ -48,16 +47,11 @@ PARAMS = st.one_of(st.integers(-3, 3), st.sampled_from([10**400, 2**53 + 1]),
 
 
 def _backend(name, rows):
-    if name == "2 shards":
-        db = ShardedDatabase(ShardTopology(2, {"t": PartitionSpec("id")}))
-    else:
-        db = Database(engine=name)
+    db = Database(engine=name)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f TEXT)")
     db.execute("CREATE INDEX t_v ON t (v)")
-    tables = ("t",) if name == "2 shards" else ("t", "twin")
-    if name != "2 shards":
-        db.execute("CREATE TABLE twin (id INT, v INT, f TEXT)")
-    for table in tables:
+    db.execute("CREATE TABLE twin (id INT, v INT, f TEXT)")
+    for table in ("t", "twin"):
         for row in rows:
             db.execute(f"INSERT INTO {table} (id, v, f) VALUES (?, ?, ?)",
                        row)
@@ -116,9 +110,8 @@ def test_an_index_answers_what_the_unindexed_twin_answers(statement):
     sql, params = statement
     twin = sql.replace(" FROM t", " FROM twin t", 1)
     for key, db in DATABASES.items():
-        if key[0] != "2 shards":
-            assert _answer(db, sql, params) == _answer(db, twin, params), (
-                key, sql, params)
+        assert _answer(db, sql, params) == _answer(db, twin, params), (
+            key, sql, params)
 
 
 # -- the two shapes the property found, pinned ------------------------------

@@ -21,7 +21,6 @@ from repro.sqldb import Database
 from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.parser import parse
 from repro.sqldb.plan.physical import CHUNK_SIZE, _pad
-from repro.sqldb.shard import PartitionSpec, ShardTopology, ShardedDatabase
 
 ENGINES = ("columnar", "row")
 
@@ -507,12 +506,6 @@ def test_all_null_column():
     assert _agree(*dbs, "SELECT id FROM n WHERE v = v").rows == []
 
 
-def _sharded(n_rows):
-    """The seeded table hash-partitioned on ``id`` over two shards."""
-    topology = ShardTopology(2, {"t": PartitionSpec("id")})
-    return _seed(ShardedDatabase(topology, result_cache_size=0), n_rows)
-
-
 @pytest.mark.parametrize("sql", [
     "SELECT SUM(s) FROM t",
     "SELECT AVG(s) FROM t",
@@ -527,9 +520,8 @@ def _sharded(n_rows):
 def test_sum_avg_over_text_raise_sql_type_error(sql):
     """SUM/AVG over a non-numeric column is a SqlTypeError naming the
     aggregate and the value's type — never a bare Python TypeError, and
-    the same text from every aggregate form, engine and topology."""
-    dbs = (*_pair(40), _sharded(40))
-    outcome = _agree(*dbs, sql)
+    the same text from every aggregate form and engine."""
+    outcome = _agree(*_pair(40), sql)
     assert type(outcome) is SqlTypeError
     name = "AVG" if "AVG" in sql else "SUM"
     assert str(outcome) == f"{name} requires numeric values, got str"
@@ -589,7 +581,7 @@ def test_unhashable_parameter_raises_sql_type_error_on_index_paths(
 
 
 def test_aggregates_over_text_and_empty_input_still_work():
-    engines, sharded = _pair(40), _sharded(40)
+    engines = _pair(40)
     for sql, expected in (
             ("SELECT MIN(s), MAX(p), COUNT(s), COUNT(DISTINCT s) FROM t",
              [("s0", "p9", 40, 5)]),
@@ -601,8 +593,6 @@ def test_aggregates_over_text_and_empty_input_still_work():
             ("SELECT SUM(s) FROM t WHERE id < 0", [(None,)]),
     ):
         assert _agree(*engines, sql).rows == expected, sql
-        # (a gather also charges the rows it pulls to the coordinator)
-        assert sharded.execute(sql).rows == expected, sql
 
 
 def _numbers(db, v):
@@ -613,11 +603,9 @@ def _numbers(db, v):
 
 
 def _number_dbs(v):
-    """Two rows holding ``v`` under every engine and on two shards."""
-    topology = ShardTopology(2, {"t": PartitionSpec("id")})
-    return (*(_numbers(Database(result_cache_size=0, engine=e), v)
-              for e in ENGINES),
-            _numbers(ShardedDatabase(topology, result_cache_size=0), v))
+    """Two rows holding ``v`` under every engine."""
+    return tuple(_numbers(Database(result_cache_size=0, engine=e), v)
+                 for e in ENGINES)
 
 
 def test_integer_division_is_exact():
@@ -625,17 +613,16 @@ def test_integer_division_is_exact():
     quotient no longer goes through a float (``10**17 + 1`` over 1 came
     back as ``10**17``).  A remainder still gives true division."""
     v = 10 ** 17 + 1
-    *engines, sharded = _number_dbs(v)
+    engines = _number_dbs(v)
     for sql, params, expected in (
             ("SELECT v / ? FROM t WHERE id = 1", (1,), (v,)),
             ("SELECT v / ?, -v / ? FROM t WHERE id = 2", (-1, 1), (-v, -v)),
             ("SELECT v / 2, 7 / 2, 6 / 3, v / f FROM t WHERE id = 1", (),
              (v / 2, 3.5, 2, v / 2.0)),
     ):
-        for rows in (_agree(*engines, sql, params).rows,
-                     sharded.execute(sql, params).rows):
-            assert rows == [expected], sql
-            assert list(map(type, rows[0])) == list(map(type, expected))
+        rows = _agree(*engines, sql, params).rows
+        assert rows == [expected], sql
+        assert list(map(type, rows[0])) == list(map(type, expected))
 
 
 @pytest.mark.parametrize("sql, params", [
@@ -653,17 +640,14 @@ def test_integer_division_is_exact():
 def test_a_result_no_float_holds_is_a_sql_type_error(sql, params):
     """``10**400`` meets a float, or an int division no float holds: a
     :class:`SqlTypeError`, never the builtin ``OverflowError`` — the same
-    on every engine, in every aggregate form and on two shards."""
-    *engines, sharded = _number_dbs(10 ** 400)
-    outcome = _agree(*engines, sql, params)
+    on every engine and in every aggregate form."""
+    outcome = _agree(*_number_dbs(10 ** 400), sql, params)
     assert (type(outcome), str(outcome)) == (
         SqlTypeError, "numeric value out of range")
-    with pytest.raises(SqlTypeError, match="numeric value out of range"):
-        sharded.execute(sql, params)
 
 
 def test_execute_script_keeps_semicolons_inside_string_literals():
-    for db in (*_pair(3), _sharded(3)):
+    for db in _pair(3):
         results = db.execute_script(
             "INSERT INTO t (id, v, s, p) VALUES (10, 1, 'a;b', 'it''s;');\n"
             "-- a comment; with a semicolon and an apostrophe '\n"

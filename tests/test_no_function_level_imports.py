@@ -27,18 +27,12 @@ UPWARD_ALLOWED = {
     ("net", "web"): "record_page_trace's function-level import (see ALLOWED)",
 }
 
-COLD_TOPOLOGY = ("cold path: once per cluster set-up; unsharded runs never "
-                 "load the shard package")
-
 ALLOWED = {
     ("sqldb/plan/optimizer.py", "_output_passthrough"):
         "cold path: once per plan build; keeps the logical optimizer "
         "loadable without the physical layer",
     ("net/concurrent.py", "record_page_trace"):
         "import cycle (web imports net); once per recorded page",
-    ("apps/tpcc/schema.py", "shard_topology"): COLD_TOPOLOGY,
-    ("apps/itracker/schema.py", "shard_topology"): COLD_TOPOLOGY,
-    ("apps/openmrs/schema.py", "shard_topology"): COLD_TOPOLOGY,
 }
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -28,6 +28,19 @@ DELETED = {
     "ThunkWriter.flushed", "ThunkWriter.write", "ThunkWriter.write_thunk",
     "_TextNode.render", "_VarNode.render", "_ForNode.render",
     "_IfNode.render", "_lookup_until_delayed",
+    # the partitioned multi-node backend and the arms that served only it
+    *(f"ShardedDatabase.{name}" for name in (
+        "__init__", "execute_parsed", "explain", "primary", "all_databases",
+        "planner_backend", "_execute_scatter", "_execute_gather",
+        "_execute_write", "_write_insert", "_write_update_delete",
+        "_broadcast_write", "_catch_up", "replica_lag")),
+    *(f"ShardedResultCache.{name}" for name in ("__init__", "stats")),
+    *(f"ShardTopology.{name}" for name in ("__init__", "shard_of")),
+    "PartitionSpec.shard_of", "Router.plan_select", "Router.decide",
+    "Router.broadcast_read_shard", "Router.write_shards", "_merge_streams",
+    "_with_phases", "_routed_value", "_pushdown_limit", "shard_topology",
+    "DatabaseServer.statement_cost", "Database.planner_backend",
+    "_DbPart.__init__", "_Station.__init__", "_ConcurrentSimulation._station",
 }
 
 

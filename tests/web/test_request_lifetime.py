@@ -106,3 +106,33 @@ def test_entities_are_detached_when_the_request_ends(mode, itracker_app):
         with pytest.raises(MappingError, match=f"{relation!r}.*detached"):
             getattr(entity, relation)
     assert db.total_rows_touched == touched
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_proxy_forced_after_the_request_ends_raises(mode, itracker_app):
+    """A LAZY relation the page never renders, stashed unforced: the
+    original's proxy never ran its query, Sloth's ran it with one of the
+    page's batches.  Forced after the request ended, either raises
+    ``MappingError`` like any lazy load on a detached entity — no
+    statement issued, no row touched, nothing attached to the closed
+    session again."""
+    db, dispatcher = itracker_app
+    kept = []
+
+    def keeping(ctx, request):
+        mav = view_issue(ctx, request)
+        kept.append((mav.model["attachments"], ctx.session,
+                     ctx.runtime.driver))
+        return mav
+
+    assert load_page(db, one_page(dispatcher, keeping), URL, mode=mode).html
+    attachments, session, driver = kept.pop()
+    thunk = object.__getattribute__(attachments, "_thunk")
+    assert not thunk.is_forced
+    if mode != MODE_ORIGINAL:
+        assert thunk.query_id.result is not None  # issued with the page
+    before = (driver.stats.statements, db.total_rows_touched)
+    with pytest.raises(MappingError, match="detached"):
+        force(attachments)
+    assert (driver.stats.statements, db.total_rows_touched) == before
+    assert session.identity_map == {}
