@@ -167,6 +167,78 @@ def test_a_nan_key_is_answered_by_the_scan(where):
                     " WHERE v = ? AND id = 2": []}[where]
 
 
+def _keyed_tables(engine):
+    """Three copies of the same rows on ``engine``: keyed through a hash
+    index, through an ordered index, and unindexed."""
+    db = Database(engine=engine)
+    for table, index in (("h", ""), ("o", " USING ORDERED"), ("u", None)):
+        db.execute(f"CREATE TABLE {table} (id INTEGER PRIMARY KEY, "
+                   "grp INT, val INT)")
+        if index is not None:
+            db.execute(f"CREATE INDEX {table}_grp ON {table} (grp){index}")
+        db.execute(f"INSERT INTO {table} (id, grp, val) VALUES (1, 0, 1), "
+                   "(2, 4, 2), (3, 2, 3)")
+    return db
+
+
+@pytest.mark.parametrize("key, selected", [
+    (float("nan"), [(1,), (2,), (3,)]), (2.0, [(3,)]),
+    ("1", SqlTypeError), (True, SqlTypeError)])
+@pytest.mark.parametrize("sql", [
+    "SELECT id FROM {t} WHERE grp = ? ORDER BY id",
+    "SELECT id FROM {t} WHERE grp IN (?, 4) ORDER BY id",
+    "UPDATE {t} SET val = val + 1 WHERE grp = ?",
+    "DELETE FROM {t} WHERE grp = ? AND val < 0",
+])
+def test_a_key_of_another_type_is_compared_with_every_row(key, selected,
+                                                          sql):
+    """A key is compared with every row whichever path finds it: NaN
+    equals every number, ``2.0`` the ``2`` stored as an int, and text and
+    TRUE raise wherever a row is — through a hash index, an ordered index
+    or a scan, on both engines."""
+    outcomes = []
+    for engine in Database.ENGINES:
+        db = _keyed_tables(engine)
+        for table in ("h", "o", "u"):
+            try:
+                result = db.execute(sql.format(t=table), (key,))
+            except SqlError as error:
+                outcomes.append(type(error))
+            else:
+                outcomes.append(result.rows if sql.startswith("SELECT")
+                                else result.rowcount)
+    assert outcomes == outcomes[:1] * len(outcomes)
+    if "grp = ? ORDER BY" in sql:
+        assert outcomes[0] == selected
+
+
+@pytest.mark.parametrize("index", ["", " USING ORDERED"],
+                         ids=["hash", "ordered"])
+@pytest.mark.parametrize("key", [1.0, 2.0, 3.0, 4.0, 5.0])
+def test_an_integral_float_key_is_stored_as_the_int(index, key):
+    """An INTEGER column stores ``2.0`` as ``2``: the index keys the row
+    by the int, so every later statement keyed on ``2`` (or on ``2.0``)
+    finds it, and an UPDATE writing ``2.0`` over ``2`` leaves it there."""
+    db = Database()
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, grp INTEGER, v INT)")
+    db.execute(f"CREATE INDEX t_grp ON t (grp){index}")
+    db.execute("INSERT INTO t (id, grp, v) VALUES (?, ?, ?)", (1, key, 5))
+    stored = (int(key),)
+    rows = db.execute("SELECT id, grp FROM t WHERE grp = ?", stored).rows
+    assert rows == [(1, int(key))] and type(rows[0][1]) is int
+    assert db.execute("SELECT id FROM t WHERE grp = ?", (key,)).rows == [
+        (1,)]
+    assert db.execute("UPDATE t SET v = v + 1 WHERE grp = ?",
+                      stored).rowcount == 1
+    assert db.execute("SELECT v FROM t WHERE id = 1").rows == [(6,)]
+    assert db.execute("UPDATE t SET grp = ? WHERE grp = ?",
+                      (key, *stored)).rowcount == 1
+    assert db.execute("SELECT id FROM t WHERE grp = ?", stored).rows == [
+        (1,)]
+    assert db.execute("DELETE FROM t WHERE grp = ?", stored).rowcount == 1
+    assert db.table_size("t") == 0
+
+
 # -- range WHEREs through an ordered index ----------------------------------
 
 NAN = float("nan")
