@@ -14,7 +14,7 @@ paper's evaluation.  It provides:
   join-strategy choice) and executes Volcano-style physical operators,
 - a thin execution facade dispatching statements through the pipeline
   (:mod:`repro.sqldb.executor`),
-- a cross-request result cache keyed by table write versions
+- a cross-request result cache that a write invalidates when it commits
   (:mod:`repro.sqldb.result_cache`),
 - simple transactions with rollback (:mod:`repro.sqldb.transactions`),
 - the top-level :class:`repro.sqldb.database.Database` facade.

@@ -10,23 +10,25 @@ shape (index-key values are bound at execution time), so one plan serves
 every execution of a prepared statement.  On top of the plan cache sits
 the database's cross-request **result cache**
 (:mod:`repro.sqldb.result_cache`): a SELECT whose (statement, parameters)
-pair was executed before, against the same catalog/options and unchanged
-write versions of every referenced table, returns its cached rows without
+pair was executed before, under the same options and with no write to a
+referenced table committed since, returns its cached rows without
 building a plan or touching storage.
 
-The cache protocol lives in one function.  :meth:`Executor.select` does
-exactly one of two things:
+The executor is the cache's only caller.  Reads go through one function,
+:meth:`Executor.select`, which does exactly one of two things:
 
-* **cache off** — the cached plan runs; no key, no version walk, no call
-  into the cache;
+* **cache off** — the cached plan runs; no key, no call into the cache;
 * **probe → run → store** — one key, one ``lookup`` (a hit returns here:
-  no plan, no rows touched), the referenced tables' write versions taken
-  before the run, the run, one ``store`` (refused if a version moved
-  meanwhile, or while a referenced table has uncommitted writes).
+  no plan, no rows touched), the cache's invalidation epoch read before
+  the run, the run, one ``store`` (refused if the epoch moved meanwhile,
+  or while a referenced table has uncommitted writes).
 
-:meth:`Executor.cached_select` is the only other entry: a probe that
+:meth:`Executor.cached_select` is the only other read entry: a probe that
 executes nothing, for ``EXPLAIN`` (``peek``) and for the batch planner's
-probe-ahead.
+probe-ahead.  Writes invalidate when they commit: an auto-committed
+statement that changed rows, a multi-row statement's own transaction and
+COMMIT each call ``invalidate`` with the tables they made durable;
+ROLLBACK calls nothing.  DDL empties the result cache with the plan cache.
 
 INSERT / UPDATE / DELETE get a :class:`_WritePlan` in the same cache —
 whatever depends only on the statement and the schema — and an execution
@@ -48,7 +50,6 @@ from repro.sqldb.plan import plan_select
 from repro.sqldb.plan.access import (IndexProbe, candidate_rows,
                                      range_lookup_candidate)
 from repro.sqldb.result import ExecResult
-from repro.sqldb.result_cache import current_versions
 from repro.sqldb.storage import Table
 
 __all__ = ["ExecResult", "Executor", "as_params", "param_types"]
@@ -104,7 +105,6 @@ class Executor:
         # ``shifted`` set) drops the entries whose plan reads it.
         self._plans = {}
         self._shifted = catalog.shifted
-        self._catalog_version = 0
         self.plans_built = 0  # optimize() invocations, for staleness tests
         # Chunks that flowed between the physical operators, summed over
         # every plan execution — stays 0 under Database(engine="row"),
@@ -124,12 +124,12 @@ class Executor:
         if kind is A.DropTable:
             db.catalog.drop_table(stmt.name)
             del db.tables[stmt.name]
-            self._invalidate_plans()
+            self._catalog_changed(db)
             return ExecResult()
         if kind is A.DropIndex:
             info = db.catalog.drop_index(stmt.name)
             db.tables_get(info.table).drop_index(stmt.name)
-            self._invalidate_plans()
+            self._catalog_changed(db)
             return ExecResult()
         if kind is A.Truncate:
             table = db.tables_get(stmt.table)
@@ -137,12 +137,14 @@ class Executor:
             # Emptying a table always invalidates its cardinality picture,
             # even for tables too small to trip the >2x shift rule.
             self._shifted.add(stmt.table)
+            if removed and not db.transactions.in_transaction:
+                db.result_cache.invalidate((stmt.table,))
             return ExecResult(rowcount=removed, rows_touched=removed)
         if kind is A.Begin:
             db.transactions.begin()
             return ExecResult()
         if kind is A.Commit:
-            db.transactions.commit()
+            _commit(db)
             return ExecResult()
         if kind is A.Rollback:
             db.transactions.rollback()
@@ -164,23 +166,27 @@ class Executor:
         if cached is not None:
             return cached
         plan = self.plan_for(db, stmt)
-        # Versions from *before* the run: a commit landing inside it gets
+        # The epoch from *before* the run: a commit landing inside it gets
         # the store refused, not its pre-commit rows cached as current.
-        expected = current_versions(db, plan.referenced_tables)
+        epoch = cache.epoch
         result = plan.execute(db, params, base_rows)
-        cache.store(key, stmt, plan.referenced_tables, result, db, expected)
+        cache.store(key, stmt, plan.referenced_tables, result, db, epoch)
         return result
 
     def cached_select(self, db, stmt, params, peek=False):
-        """Probe only: the cached result of a SELECT or None.  ``peek``
-        leaves the counters and the LRU order alone (EXPLAIN)."""
-        return db.result_cache.lookup(
-            self._result_key(db, stmt, params), db, peek=peek)
+        """Probe only: the cached result of a SELECT or None (always None
+        while the cache is off).  ``peek`` leaves the counters and the LRU
+        order alone (EXPLAIN)."""
+        cache = db.result_cache
+        if not cache.enabled:
+            return None
+        return cache.lookup(self._result_key(db, stmt, params), db, peek)
 
     def _result_key(self, db, stmt, params):
-        """The result-cache key.  No size shift is in it: a table shifts only
-        through writes, whose versions retire the entries that read it."""
-        return (id(stmt), params, param_types(params), self._catalog_version,
+        """The result-cache key.  Neither the catalog nor a size shift is in
+        it: DDL empties the cache, and a table shifts only through writes,
+        whose commits drop the entries that read it."""
+        return (id(stmt), params, param_types(params),
                 id(db.optimizer_options))
 
     def plan_for(self, db, stmt):
@@ -209,9 +215,10 @@ class Executor:
         self._plans[id(stmt)] = (stmt, options, plan)
         return plan
 
-    def _invalidate_plans(self):
-        self._catalog_version += 1
+    def _catalog_changed(self, db):
+        """DDL: every cached plan and result may be stale."""
         self._plans.clear()
+        db.result_cache.clear()
 
     # -- DDL ------------------------------------------------------------------
 
@@ -223,7 +230,7 @@ class Executor:
         schema = TableSchema(stmt.name, columns)
         db.catalog.create_table(schema)
         db.tables[stmt.name] = Table(schema)
-        self._invalidate_plans()
+        self._catalog_changed(db)
         return ExecResult()
 
     def _exec_create_index(self, db, stmt):
@@ -231,7 +238,7 @@ class Executor:
                          method=stmt.method)
         db.catalog.register_index(info)
         db.tables[stmt.table].add_index(info)
-        self._invalidate_plans()
+        self._catalog_changed(db)
         return ExecResult()
 
     # -- writes ---------------------------------------------------------------
@@ -241,7 +248,9 @@ class Executor:
         to these parameters and apply it so that its rows succeed or fail
         together — a statement that raises part-way is undone to the open
         transaction's savepoint, or with the transaction of its own that an
-        auto-committed statement over several rows runs in."""
+        auto-committed statement over several rows runs in.  What an
+        auto-committed statement changed is durable when it returns, so it
+        invalidates its table's result-cache entries then."""
         table = db.tables_get(stmt.table)
         entry = self._plans.get(id(stmt))
         # A write plan holds nothing of statistics or options: only DDL,
@@ -268,8 +277,18 @@ class Executor:
                 transactions.rollback_to(savepoint)
             raise
         if own:
-            transactions.commit()
+            _commit(db)
+        elif undo is None and result.rowcount:
+            db.result_cache.invalidate((stmt.table,))
         return result
+
+
+def _commit(db):
+    """COMMIT the open transaction and drop the result-cache entries that
+    read a table it wrote."""
+    committed = db.transactions.commit()
+    if committed:
+        db.result_cache.invalidate(committed)
 
 
 class _WritePlan:

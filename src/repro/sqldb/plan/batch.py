@@ -62,11 +62,11 @@ def _shared_scan_table(db, stmt):
     """The table this SELECT always sequentially scans, or None.
 
     Read off the cached physical plan (``PhysicalPlan.shared_scan_table``),
-    so eligibility is computed once per statement per catalog version, not
-    per flush.  Purely structural: a statement whose predicate could ever
-    pin an index stays on its private fast path.  Statements that fail to
-    plan (e.g. unknown table) are ineligible — individual execution raises
-    the error at the statement's own batch position.
+    so eligibility is computed once per cached plan, not per flush.
+    Purely structural: a statement whose predicate could ever pin an index
+    stays on its private fast path.  Statements that fail to plan (e.g.
+    unknown table) are ineligible — individual execution raises the error
+    at the statement's own batch position.
     """
     try:
         return db.executor.plan_for(db, stmt).shared_scan_table

@@ -1105,7 +1105,7 @@ class PhysicalPlan:
         self.sctx = sctx
         self.logical = logical
         # Every base table the plan reads (deduplicated, FROM order) — the
-        # result cache snapshots these tables' write versions per entry.
+        # result cache files each entry under these tables' names.
         self.referenced_tables = tuple(
             dict.fromkeys(ref.name for ref in sctx.tables))
         # Set only when a Sort was elided under a LIMIT (see _limit_hint):

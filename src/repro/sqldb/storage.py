@@ -3,6 +3,9 @@
 Rows are lists in a dict by monotonically increasing row id, kept in row-id
 order (scan order: no reader sorts).  The table maintains the primary-key
 index and any secondary indexes, and exposes undo hooks for rollback.
+It knows nothing of the result cache: a write inside a transaction names
+its table in the undo log, and the executor invalidates what a statement
+or a COMMIT made durable.
 """
 
 from repro.sqldb.columnar import ColumnStore
@@ -19,35 +22,12 @@ class Table:
         self._next_row_id = 1
         self._pk_index = {}  # pk value -> row_id
         self.indexes = {}  # index name -> HashIndex
-        # Monotonically increasing committed-write counter: bumped once per
-        # auto-committed mutation and once per table per COMMIT (also the
-        # implicit one of a multi-row statement) — never by rolled-back
-        # work (rollback restores the pre-transaction contents,
-        # so results computed against them are still valid).  The
-        # cross-request result cache keys cached rows on a snapshot of
-        # these versions (see repro.sqldb.result_cache).
-        self.write_version = 0
         # Physical mutation counter: bumped on *every* row change the
         # instant it happens — including uncommitted transactional writes
-        # and their rollbacks — unlike write_version, which only moves at
-        # COMMIT.  The columnar engine's cached snapshot keys on it.
+        # and their rollbacks.  The columnar engine's cached snapshot keys
+        # on it.
         self._mutation_count = 0
         self._column_store = None
-
-    def bump_write_version(self):
-        """Mark the table's committed contents as changed.
-
-        Called by the transaction manager at COMMIT for every table the
-        undo log touched; auto-committed mutations bump inline.
-        """
-        self.write_version += 1
-
-    def _note_write(self, undo_log):
-        """Version bookkeeping for one mutation: bump now when
-        auto-committing, defer to COMMIT when a transaction is open (the
-        undo log records which tables it touched)."""
-        if undo_log is None:
-            self.write_version += 1
 
     # -- index management ---------------------------------------------------
 
@@ -115,7 +95,6 @@ class Table:
             raise
         if undo_log is not None:
             undo_log.append(("insert", self, row_id))
-        self._note_write(undo_log)
         self.schema.stats.note_mutation(len(self.rows))
         return row_id
 
@@ -123,14 +102,13 @@ class Table:
         row = self._remove_row(row_id)
         if undo_log is not None:
             undo_log.append(("delete", self, row_id, row))
-        self._note_write(undo_log)
         self.schema.stats.note_mutation(len(self.rows))
         return row
 
     def _remove_row(self, row_id):
-        """Unlink one row from storage and every index (no undo entry, no
-        committed-version bump — shared by delete_row and the rollback
-        path; the physical mutation counter always moves)."""
+        """Unlink one row from storage and every index (no undo entry —
+        shared by delete_row and the rollback path; the physical mutation
+        counter always moves)."""
         self._mutation_count += 1
         row = self.rows.pop(row_id)
         pk = self.schema.primary_key
@@ -185,7 +163,6 @@ class Table:
             raise
         if undo_log is not None:
             undo_log.append(("update", self, row_id, old_row))
-        self._note_write(undo_log)
         return new_row
 
     # -- undo hooks (used by transactions) -----------------------------------

@@ -5,15 +5,19 @@ transactions only need atomicity, which the undo log provides.  When no
 transaction is open, statements auto-commit: a statement writing one row
 needs no undo log (storage refuses a row whole), one writing several runs as
 its own transaction, so a statement that raises part-way leaves nothing.
+COMMIT hands back the names of the tables the transaction wrote, and the
+executor drops the result-cache entries that read them; ROLLBACK restores
+the committed contents and drops nothing.
 """
 
 from repro.sqldb.errors import TransactionError
 
 
 class UndoLog(list):
-    """The undo list table mutations append to, tracking the distinct
-    tables it touches as entries arrive — so the result cache's
-    pending-write check is O(touched tables), not O(log entries)."""
+    """The undo list table mutations append to, tracking the names of the
+    distinct tables it touches as entries arrive — the tables a COMMIT
+    invalidates in the result cache, and the live set its pending check
+    reads."""
 
     __slots__ = ("tables",)
 
@@ -23,7 +27,7 @@ class UndoLog(list):
 
     def append(self, entry):
         super().append(entry)
-        self.tables.add(entry[1])
+        self.tables.add(entry[1].schema.name)
 
 
 class TransactionManager:
@@ -43,18 +47,14 @@ class TransactionManager:
         return self._undo_log if self._in_transaction else None
 
     def pending_table_names(self):
-        """Names of tables with uncommitted writes in the open transaction
-        (empty when auto-committing).
+        """The live set of names of the tables the open transaction has
+        written (empty when auto-committing: nothing appends to the log).
 
-        The result cache bypasses statements touching these tables: their
-        storage reflects in-flight work whose write versions have not been
-        bumped yet, so cached rows would be stale against it — and rows
-        computed from it must not be stored under pre-commit versions.
+        The result cache serves and stores no entry that reads one of them:
+        storage is ahead of the committed contents the entries hold, and
+        rows computed from it may roll back.
         """
-        if not self._in_transaction or not self._undo_log:
-            return frozenset()
-        return frozenset(
-            table.schema.name for table in self._undo_log.tables)
+        return self._undo_log.tables
 
     def begin(self):
         if self._in_transaction:
@@ -63,16 +63,16 @@ class TransactionManager:
         self._undo_log = UndoLog()
 
     def commit(self):
+        """End the open transaction; returns the names of the tables it
+        wrote, whose result-cache entries the caller invalidates.
+        Rollback never reaches this: the restored contents are the ones
+        those entries were computed from."""
         if not self._in_transaction:
             raise TransactionError("no transaction in progress")
-        # The transaction's writes become durable now: bump each touched
-        # table's write version exactly once, so result-cache entries that
-        # depend on it stop validating.  Rollback never reaches this —
-        # restored contents keep their pre-transaction versions.
-        for table in self._undo_log.tables:
-            table.bump_write_version()
+        committed = self._undo_log.tables
         self._in_transaction = False
         self._undo_log = UndoLog()
+        return committed
 
     def rollback(self):
         if not self._in_transaction:

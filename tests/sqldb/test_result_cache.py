@@ -1,14 +1,14 @@
-"""Cross-request result cache: hits, versioned invalidation, transactions.
+"""Cross-request result cache: hits, commit-time invalidation, transactions.
 
-Covers the whole vertical: table write versions in storage (auto-commit
-and COMMIT bumps, rollback neutrality), the per-database
-:class:`repro.sqldb.result_cache.ResultCache` (keying, LRU bound, stats
-counters, ``EXPLAIN`` status line), invalidation by committed writes and
-DDL, the transaction bypass (no stale hits, no spurious bumps, nothing
-cached from uncommitted state), the server batch paths (cached members
-drop out of shared-scan groups), hot repeated page loads through the app
-server in both modes, and a seeded differential oracle interleaving
-writer/reader sessions against a cache-disabled twin.
+Covers the whole vertical: what each write invalidates when it commits
+(auto-commit, COMMIT, none on ROLLBACK), the reader index beside the LRU,
+the per-database :class:`repro.sqldb.result_cache.ResultCache` (keying,
+LRU bound, stats counters, ``EXPLAIN`` status line), DDL emptying the
+cache, the transaction bypass (no stale hits, nothing cached from
+uncommitted state), the server batch paths (cached members drop out of
+shared-scan groups), hot repeated page loads through the app server in
+both modes, and a seeded differential oracle interleaving writer/reader
+sessions against a cache-disabled twin.
 """
 
 import collections
@@ -19,10 +19,24 @@ import pytest
 from repro.net.clock import CostModel, SimClock
 from repro.net.driver import BatchDriver, Driver, DriverStats
 from repro.net.server import DatabaseServer
-from repro.sqldb import Database, executor as executor_module
+from repro.sqldb import Database
 from repro.sqldb.executor import Executor
 from repro.sqldb.plan.physical import PhysicalPlan
 from repro.sqldb.result_cache import ResultCache
+
+
+def check_reader_index(cache):
+    """Each live entry's key is in exactly the reader sets of the tables it
+    reads, and no reader set holds a dead key; returns the index's size
+    (keys over all its sets)."""
+    entries, readers = cache._entries, cache._readers
+    for name, keys in readers.items():
+        for key in keys:
+            assert key in entries and name in entries[key][1], (name, key)
+    for key, (_stmt, tables, *_) in entries.items():
+        for name in tables:
+            assert key in readers.get(name, ()), (name, key)
+    return sum(map(len, readers.values()))
 
 
 @pytest.fixture
@@ -36,43 +50,128 @@ def cached_db():
     return db
 
 
-class TestWriteVersions:
-    def test_autocommit_bumps_per_statement(self, cached_db):
-        table = cached_db.tables["t"]
-        before = table.write_version
-        cached_db.execute("UPDATE t SET v = 1 WHERE id = 1")
-        assert table.write_version == before + 1
+class TestCommitInvalidation:
+    T_SQL, U_SQL = "SELECT v FROM t WHERE id = ?", "SELECT w FROM u WHERE id = ?"
 
-    def test_commit_bumps_once_per_table(self, cached_db):
-        t, u = cached_db.tables["t"], cached_db.tables["u"]
-        t_before, u_before = t.write_version, u.write_version
+    def cache_both(self, db):
+        db.execute(self.T_SQL, (1,))
+        db.execute(self.U_SQL, (1,))
+        assert len(db.result_cache) == 2
+
+    def test_an_autocommitted_write_invalidates_its_readers(self, cached_db):
+        self.cache_both(cached_db)
+        cache = cached_db.result_cache
+        epoch = cache.epoch
+        cached_db.execute("UPDATE t SET v = 1 WHERE id = 1")
+        assert cache.epoch == epoch + 1
+        assert len(cache) == 1 and cache.invalidations == 1  # u's stays
+        assert check_reader_index(cache) == 1
+
+    def test_commit_invalidates_once_per_table(self, cached_db):
+        self.cache_both(cached_db)
+        cache = cached_db.result_cache
+        epoch = cache.epoch
         cached_db.execute("BEGIN")
         cached_db.execute("UPDATE t SET v = 1 WHERE id = 1")
         cached_db.execute("UPDATE t SET v = 2 WHERE id = 2")
         cached_db.execute("DELETE FROM t WHERE id = 3")
-        # No bump until COMMIT.
-        assert t.write_version == t_before
+        # Nothing is dropped until COMMIT.
+        assert cache.epoch == epoch and len(cache) == 2
         cached_db.execute("COMMIT")
-        assert t.write_version == t_before + 1
-        assert u.write_version == u_before  # untouched table
+        assert cache.epoch == epoch + 1
+        assert len(cache) == 1 and cache.invalidations == 1  # u's stays
 
-    def test_rollback_never_bumps(self, cached_db):
-        table = cached_db.tables["t"]
-        before = table.write_version
+    def test_rollback_invalidates_nothing(self, cached_db):
+        self.cache_both(cached_db)
+        cache = cached_db.result_cache
+        epoch = cache.epoch
         cached_db.execute("BEGIN")
         cached_db.execute("UPDATE t SET v = 1 WHERE id = 1")
         cached_db.execute("INSERT INTO t (id, v) VALUES (100, 0)")
         cached_db.execute("ROLLBACK")
-        assert table.write_version == before
+        assert cache.epoch == epoch
+        assert len(cache) == 2 and cache.invalidations == 0
         # ...and the data really was restored.
         rows = cached_db.query("SELECT v FROM t WHERE id = 1")
         assert rows == [{"v": 2}]
 
-    def test_empty_transaction_commit_bumps_nothing(self, cached_db):
-        before = cached_db.tables["t"].write_version
+    def test_empty_transaction_commit_invalidates_nothing(self, cached_db):
+        self.cache_both(cached_db)
+        epoch = cached_db.result_cache.epoch
         cached_db.execute("BEGIN")
         cached_db.execute("COMMIT")
-        assert cached_db.tables["t"].write_version == before
+        assert cached_db.result_cache.epoch == epoch
+        assert len(cached_db.result_cache) == 2
+
+    def test_a_write_that_changes_no_row_invalidates_nothing(self, cached_db):
+        self.cache_both(cached_db)
+        epoch = cached_db.result_cache.epoch
+        cached_db.execute("UPDATE t SET v = 1 WHERE id = 999")
+        cached_db.execute("DELETE FROM t WHERE v > 999")
+        assert cached_db.result_cache.epoch == epoch
+        assert len(cached_db.result_cache) == 2
+
+    def test_invalidation_runs_while_the_cache_is_off(self, cached_db):
+        """Switched off, the cache keeps its entries: a commit must still
+        drop the stale ones, or switching it back on would serve them."""
+        self.cache_both(cached_db)
+        cached_db.result_cache.enabled = False
+        cached_db.execute("UPDATE t SET v = 99 WHERE id = 1")
+        cached_db.result_cache.enabled = True
+        assert cached_db.execute(self.T_SQL, (1,)).rows == [(99,)]
+        assert cached_db.execute(self.U_SQL, (1,)).from_cache
+
+
+class TestReaderIndex:
+    JOIN = "SELECT t.v, u.w FROM t JOIN u ON u.id = t.id WHERE t.id = ?"
+
+    def test_a_join_entry_is_filed_under_both_tables(self, cached_db):
+        cached_db.execute(self.JOIN, (3,))
+        cache = cached_db.result_cache
+        assert check_reader_index(cache) == 2
+        cached_db.execute("UPDATE u SET w = 0 WHERE id = 3")
+        assert len(cache) == 0 and check_reader_index(cache) == 0
+
+    def test_eviction_unlinks_the_key(self, cached_db):
+        cached_db.result_cache.limit = 2
+        for i in range(5):
+            cached_db.execute(self.JOIN, (i,))
+        assert check_reader_index(cached_db.result_cache) == 4
+
+    def test_a_long_run_of_writes_and_joins_keeps_the_index_small(self):
+        """Writes to either table, joins over both, transactions that commit
+        or roll back, and a cache small enough to evict: after every
+        statement the index holds each live key once per table it reads
+        and nothing else."""
+        rng = random.Random(7)
+        db = Database(result_cache_size=16)
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        db.execute("CREATE TABLE u (id INT PRIMARY KEY, w INT)")
+        for i in range(10):
+            db.execute("INSERT INTO t VALUES (?, ?)", (i, i))
+            db.execute("INSERT INTO u VALUES (?, ?)", (i, i))
+        cache = db.result_cache
+        reads = (self.JOIN, "SELECT v FROM t WHERE id = ?",
+                 "SELECT w FROM u WHERE id = ?")
+        writes = ("UPDATE t SET v = v + 1 WHERE id = ?",
+                  "UPDATE u SET w = w + 1 WHERE id = ?")
+        in_txn = False
+        for _ in range(2000):
+            roll = rng.random()
+            if roll < 0.7:
+                db.execute(rng.choice(reads), (rng.randrange(10),))
+            elif roll < 0.93:
+                db.execute(rng.choice(writes), (rng.randrange(10),))
+            else:
+                verb = rng.choice(("COMMIT", "ROLLBACK")) if in_txn \
+                    else "BEGIN"
+                db.execute(verb)
+                in_txn = verb == "BEGIN"
+            size = check_reader_index(cache)
+            assert size == sum(len(entry[1])
+                               for entry in cache._entries.values())
+            assert len(cache) <= 16 and set(cache._readers) <= {"t", "u"}
+        assert cache.invalidations and cache.hits and cache.stores > 16
 
 
 class TestCacheHits:
@@ -167,14 +266,20 @@ class TestInvalidation:
         assert refreshed.rows_touched > 0
         assert refreshed.rows == [(6, 0)]
 
-    def test_ddl_changes_the_key(self, cached_db):
+    def test_ddl_empties_the_cache(self, cached_db):
         sql = "SELECT v FROM t WHERE v = ?"
         cached_db.execute(sql, (6,))
+        cached_db.execute("SELECT w FROM u WHERE id = ?", (1,))
+        cache = cached_db.result_cache
         cached_db.execute("CREATE INDEX idx_t_v ON t (v)")
-        # New catalog version: the old entry is unreachable, the statement
-        # re-plans and re-executes (now through the index).
+        assert len(cache) == 0 and check_reader_index(cache) == 0
+        # The statement misses, re-plans and re-executes (now through the
+        # index), then stores.
+        misses, stores = cache.misses, cache.stores
         result = cached_db.execute(sql, (6,))
-        assert result.rows_touched == 1
+        assert result.rows_touched == 1 and not result.from_cache
+        assert (cache.misses, cache.stores) == (misses + 1, stores + 1)
+        assert cached_db.execute(sql, (6,)).from_cache
 
     def test_truncate_invalidates(self, cached_db):
         sql = "SELECT COUNT(*) AS n FROM t"
@@ -234,8 +339,8 @@ class TestTransactions:
         cached_db.execute("BEGIN")
         cached_db.execute("UPDATE t SET v = 77 WHERE id = 1")
         cached_db.execute("ROLLBACK")
-        # The pre-transaction entry is still valid: same committed data,
-        # same versions — a hit, not an invalidation.
+        # The pre-transaction entry is still valid: same committed data —
+        # a hit, not an invalidation.
         result = cached_db.execute(self.SQL, (1,))
         assert result.rows == [(2,)] and result.rows_touched == 0
         assert cached_db.result_cache_stats()["invalidations"] == 0
@@ -253,32 +358,46 @@ class TestTransactions:
         cached_db.execute("BEGIN")
         cached_db.execute("UPDATE t SET v = 77 WHERE id = 1")
         cached_db.execute("COMMIT")
+        assert cached_db.result_cache_stats()["invalidations"] == 1
         result = cached_db.execute(self.SQL, (1,))
         assert result.rows == [(77,)]
         assert result.rows_touched > 0
-        assert cached_db.result_cache_stats()["invalidations"] == 1
+
+    def test_every_lookup_is_one_hit_or_one_miss(self, cached_db):
+        """A read of a table with uncommitted writes is a miss: it is
+        neither served nor stored, and the entry stays for after a
+        ROLLBACK."""
+        cached_db.execute(self.SQL, (1,))  # miss, stored
+        cached_db.execute("BEGIN")
+        cached_db.execute("UPDATE t SET v = 77 WHERE id = 1")
+        assert cached_db.execute(self.SQL, (1,)).rows == [(77,)]  # bypass
+        assert cached_db.execute(self.SQL, (2,)).rows == [(4,)]  # bypass
+        cached_db.execute("ROLLBACK")
+        assert cached_db.execute(self.SQL, (1,)).from_cache  # hit
+        stats = cached_db.result_cache_stats()
+        assert (stats["hits"], stats["misses"]) == (1, 3)
+        assert stats["stores"] == 1 and stats["size"] == 1
 
 
 class TestStoreValidateRace:
     """A commit landing between execution and store must refuse the store.
 
-    The executor snapshots referenced-table write versions *before*
-    executing; the cache re-validates at store time.  Rows computed
-    concurrently with another request's commit can therefore never be
-    cached against the post-commit versions (where a later lookup would
-    wrongly serve them as current).
+    The executor reads the cache's invalidation epoch *before* executing;
+    the store compares it.  Rows computed concurrently with another
+    request's commit can therefore never be cached after the commit
+    (where a later lookup would wrongly serve them as current).
     """
 
     SQL = "SELECT v FROM t WHERE id = ?"
 
-    def test_stale_expected_versions_refuse_the_store(self, cached_db,
-                                                      monkeypatch):
+    def test_a_commit_during_the_run_refuses_the_store(self, cached_db,
+                                                       monkeypatch):
         run = PhysicalPlan.execute
 
         def execute_then_commit(plan, db, *args):
             result = run(plan, db, *args)
             # Another request's commit lands while the rows are being
-            # computed: after the version snapshot, before the store.
+            # computed: after the epoch is read, before the store.
             db.execute("UPDATE t SET v = 999 WHERE id = 1")
             return result
 
@@ -293,7 +412,7 @@ class TestStoreValidateRace:
         after = cached_db.execute(self.SQL, (1,))
         assert after.rows == [(999,)] and after.rows_touched > 0
 
-    def test_matching_versions_store_normally(self, cached_db):
+    def test_an_unmoved_epoch_stores_normally(self, cached_db):
         cached_db.execute(self.SQL, (3,))
         assert cached_db.result_cache.rejected_stores == 0
         hit = cached_db.execute(self.SQL, (3,))
@@ -328,18 +447,23 @@ class TestOneBody:
         count(Executor, "plan_for", "plan")
         count(PhysicalPlan, "execute", "run")
         count(Executor, "_result_key", "key")
-        count(executor_module, "current_versions", "versions")
+        count(ResultCache, "invalidate", "invalidate")
         return counts
 
     def test_cache_off_calls_nothing_of_the_cache(self, cached_db, calls):
         cached_db.result_cache.enabled = False
         assert cached_db.execute(self.SQL, (3,)).rows == [(6,)]
         assert calls == {"plan": 1, "run": 1}
+        calls.clear()
+        server = DatabaseServer(cached_db, CostModel())
+        server.execute_batch([(self.SQL, (3,)), (self.SQL, (4,))],
+                             batch_optimize=True)
+        assert "lookup" not in calls and "store" not in calls
 
-    def test_a_miss_probes_snapshots_and_stores_once(self, cached_db, calls):
+    def test_a_miss_probes_runs_and_stores_once(self, cached_db, calls):
         cached_db.execute(self.SQL, (3,))
-        assert calls == {"key": 1, "lookup": 1, "plan": 1, "versions": 1,
-                         "run": 1, "store": 1}
+        assert calls == {"key": 1, "lookup": 1, "plan": 1, "run": 1,
+                         "store": 1}
 
     def test_a_hit_is_one_lookup_and_no_plan(self, cached_db, calls):
         cached_db.execute(self.SQL, (3,))
@@ -349,19 +473,34 @@ class TestOneBody:
 
     def test_the_batch_planner_adds_its_probe_ahead_only(self, cached_db,
                                                          calls):
-        """Two scans sharing one: each is probed once (ahead), snapshotted,
-        run and stored once, by the same body."""
+        """Two scans sharing one: each is probed once (ahead), run and
+        stored once, by the same body."""
         server = DatabaseServer(cached_db, CostModel())
         stats = DriverStats()
         statements = [("SELECT v FROM t WHERE v > ?", (10,)),
                       ("SELECT v FROM t WHERE v > ?", (20,))]
         server.execute_batch(statements, batch_optimize=True, stats=stats)
         assert stats.shared_scan_groups == 1
-        assert calls == {"key": 4, "lookup": 2, "plan": 4, "versions": 2,
-                         "run": 2, "store": 2}
+        assert calls == {"key": 4, "lookup": 2, "plan": 4, "run": 2,
+                         "store": 2}
         calls.clear()
         server.execute_batch(statements, batch_optimize=True)  # both cached
         assert calls == {"key": 2, "lookup": 2}
+
+    def test_a_write_invalidates_once_when_it_commits(self, cached_db, calls):
+        """Auto-commit: one call per statement that changed rows, one row
+        or several.  In a transaction: one call, at COMMIT; none at
+        ROLLBACK.  A write never reads the cache."""
+        cached_db.execute("UPDATE t SET v = 1 WHERE id = 1")
+        cached_db.execute("UPDATE t SET v = 1 WHERE v > 30")
+        cached_db.execute("UPDATE t SET v = 1 WHERE id = 999")
+        assert calls == {"invalidate": 2}
+        for end, expected in (("ROLLBACK", 2), ("COMMIT", 3)):
+            cached_db.execute("BEGIN")
+            cached_db.execute("UPDATE t SET v = 2 WHERE id = 1")
+            cached_db.execute("INSERT INTO u (id, w) VALUES (99, 0)")
+            cached_db.execute(end)
+            assert calls == {"invalidate": expected}, end
 
 
 class TestServerBatchPaths:

@@ -5,12 +5,16 @@ models what happens to a *read* on its way to the plan.  Seeded sequences of
 parameterised SELECTs, INSERT / UPDATE / DELETE, BEGIN / COMMIT / ROLLBACK
 and ``result_cache.enabled`` flips run over two tables, and after every
 step a model predicts the rows of each SELECT *and* which way it went:
-served from the cache (hit), probed and executed and stored (miss, or
-invalidated when a committed write moved a referenced table), executed
-without a store (a referenced table has uncommitted writes), or past the
-cache altogether (switched off).  Checked: rows, ``from_cache``,
-``rows_touched``, the five cache counters and the cache's size,
-``plans_built``, every table's contents and write version.
+served from the cache (hit), probed and executed and stored (miss),
+probed as a miss and executed without a store (a referenced table has
+uncommitted writes), or past the cache altogether (switched off).  A
+write drops the entries that read its table when it commits — at once
+under auto-commit, at COMMIT in a transaction, never at ROLLBACK — even
+while the cache is off.  Checked: rows, ``from_cache``, ``rows_touched``,
+the five cache counters, the live entries and the tables each is filed
+under, ``plans_built``, every table's contents, and the reader index:
+each live entry's key in exactly the reader sets of its tables, no dead
+key in any.
 
 Each sequence runs twice: statement by statement through
 ``Database.execute`` and batch by batch through
@@ -28,6 +32,7 @@ from repro.net import CostModel, DatabaseServer
 from repro.net.driver import DriverStats
 from repro.sqldb import Database
 from repro.sqldb.errors import TransactionError
+from test_result_cache import check_reader_index
 
 TABLES = {"t": "v", "u": "w"}  # table -> its value column
 IDS = range(1, 13)  # at most 12 rows a table: no table ever shifts in size
@@ -85,12 +90,11 @@ class Model:
     def __init__(self, db):
         self.rows = {t: {i: (i, i % 3, i * 10) for i in range(1, 7)}
                      for t in TABLES}
-        self.version = {t: db.tables[t].write_version for t in TABLES}
         self.saved = None     # rows at BEGIN while a transaction is open
         self.pending = set()  # tables the open transaction changed
         self.enabled = True
         self.limit = db.result_cache.limit
-        self.cache = collections.OrderedDict()  # (sql, params) -> (tables, versions)
+        self.cache = collections.OrderedDict()  # (sql, params) -> tables
         self.counters = dict.fromkeys(
             ("hits", "misses", "invalidations", "stores", "rejected_stores"),
             0)
@@ -104,17 +108,12 @@ class Model:
         tables = SELECTS[sql][0]
         if not self.enabled:
             return self.note("off")
-        entry = self.cache.get((sql, params))
-        if entry is None:
+        if (sql, params) not in self.cache:
             self.counters["misses"] += 1
             return self.note("miss")
         if self.pending.intersection(tables):
-            return self.note("pending-bypass")  # neither served nor dropped
-        if entry != self.current(tables):
-            del self.cache[sql, params]
-            self.counters["invalidations"] += 1
-            self.counters["misses"] += 1
-            return self.note("invalidated")
+            self.counters["misses"] += 1  # neither served nor dropped
+            return self.note("pending-bypass")
         self.counters["hits"] += 1
         self.cache.move_to_end((sql, params))
         self.note("hit")
@@ -127,15 +126,20 @@ class Model:
             return
         if self.pending.intersection(tables):
             return self.note("not-stored")
-        self.cache[sql, params] = self.current(tables)
+        self.cache[sql, params] = tables
         self.cache.move_to_end((sql, params))
         self.counters["stores"] += 1
         while len(self.cache) > self.limit:
             self.cache.popitem(last=False)
             self.note("evicted")
 
-    def current(self, tables):
-        return tables, tuple(self.version[t] for t in tables)
+    def invalidate(self, tables):
+        """A commit: drop every entry that reads one of ``tables``."""
+        for key, read in list(self.cache.items()):
+            if not tables.isdisjoint(read):
+                del self.cache[key]
+                self.counters["invalidations"] += 1
+                self.note("invalidated")
 
     def note(self, outcome):
         self.outcomes[outcome] += 1
@@ -148,7 +152,7 @@ class Model:
         if not changed:
             return
         if self.saved is None:
-            self.version[table] += 1
+            self.invalidate({table})
         else:
             self.pending.add(table)
 
@@ -161,8 +165,7 @@ class Model:
         if verb == "ROLLBACK":
             self.rows = self.saved
         else:
-            for table in self.pending:
-                self.version[table] += 1
+            self.invalidate(self.pending)
         self.saved, self.pending = None, set()
 
 
@@ -358,13 +361,15 @@ def run_sequence(seed, mode, limit=None, steps=120):
             log.append([r.rows for r in results])
         stats = db.result_cache_stats()
         assert {k: stats[k] for k in m.counters} == m.counters, step
-        assert stats["size"] == len(m.cache), step
+        check_reader_index(db.result_cache)
+        live = {(entry[0].sql, key[1]): entry[1]
+                for key, entry in db.result_cache._entries.items()}
+        assert live == dict(m.cache), step
         assert db.executor.plans_built == len(m.planned), step
         assert not db.catalog.shifted, step
         for table in TABLES:
             stored = sorted(map(tuple, db.tables[table].rows.values()))
             assert stored == sorted(m.rows[table].values()), step
-            assert db.tables[table].write_version == m.version[table], step
         log.append(dict(m.counters))
     if isinstance(path, Batched):
         m.outcomes["shared-scan-groups"] = path.stats.shared_scan_groups

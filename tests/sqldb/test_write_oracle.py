@@ -347,7 +347,7 @@ STEPS = (step_insert, step_insert, step_insert, step_update, step_update,
 def storage_state(db):
     table = db.tables["t"]
     return copy.deepcopy((
-        table.rows, table._pk_index, table.write_version,
+        table.rows, table._pk_index, db.result_cache.epoch,
         {name: (index._buckets, getattr(index, "_keys", None))
          for name, index in table.indexes.items()},
         len(db.transactions._undo_log), db.transactions.in_transaction))
@@ -537,10 +537,10 @@ def test_a_refused_write_is_refused_everywhere(using):
     unchanged()  # also primes the result cache
     for sql in ("INSERT INTO t VALUES (3, 'a', 3)",
                 "UPDATE t SET email = 'a', v = 3 WHERE id = 2"):
-        version = db.tables["t"].write_version
+        epoch = db.result_cache.epoch
         with pytest.raises(ConstraintError, match="unique index 't_email'"):
             db.execute(sql)
-        assert db.tables["t"].write_version == version
+        assert db.result_cache.epoch == epoch  # nothing invalidated
         unchanged()
         for end in ("ROLLBACK", "COMMIT"):
             db.execute("BEGIN")
@@ -567,7 +567,7 @@ def test_a_statement_that_raises_part_way_leaves_nothing(sql, error, end):
     db.execute("INSERT INTO t VALUES (1, 1, NULL), (2, 2, 'x'), (3, 3, 'y')")
     rows = [(1, 1, None), (2, 2, "x"), (3, 3, "y")]
     assert db.execute("SELECT * FROM t").rows == rows
-    version = db.tables["t"].write_version
+    epoch = db.result_cache.epoch
     if end is not None:
         db.execute("BEGIN")
         db.execute("UPDATE t SET tag = 'z' WHERE id = 3")  # this one holds
@@ -582,17 +582,17 @@ def test_a_statement_that_raises_part_way_leaves_nothing(sql, error, end):
     assert not db.transactions.in_transaction
     assert db.execute("SELECT * FROM t").rows == rows
     assert db.execute("SELECT id FROM t WHERE v = 1").rows == [(1,)]
-    assert db.tables["t"].write_version == version + (end == "COMMIT")
+    assert db.result_cache.epoch == epoch + (end == "COMMIT")
 
 
 def test_a_multi_row_autocommit_statement_commits_once():
     db = Database()
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-    table = db.tables["t"]
+    epoch = db.result_cache.epoch
     db.execute("INSERT INTO t VALUES (1, 1), (2, 2), (3, 3)")
-    assert table.write_version == 1
+    assert db.result_cache.epoch == epoch + 1
     db.execute("UPDATE t SET v = 0 WHERE v > 1")
-    assert table.write_version == 2
+    assert db.result_cache.epoch == epoch + 2
     assert not db.transactions.in_transaction
     assert not db.transactions.pending_table_names()
 

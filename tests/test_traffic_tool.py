@@ -41,6 +41,9 @@ DELETED = {
     "_with_phases", "_routed_value", "_pushdown_limit", "shard_topology",
     "DatabaseServer.statement_cost", "Database.planner_backend",
     "_DbPart.__init__", "_Station.__init__", "_ConcurrentSimulation._station",
+    # the result cache's lookup-time validation by table write versions
+    "current_versions", "Table.bump_write_version", "Table._note_write",
+    "Executor._invalidate_plans",
 }
 
 
