@@ -53,7 +53,7 @@ from repro.net.driver import BatchDriver
 _MAX_STEPS = 400_000
 
 # ``R(v)`` and ``W(v)`` over the appendix's one relation, as statements the
-# query store can classify (``is_read_statement`` parses them); ``v`` is the
+# query store can classify (it parses them); ``v`` is the
 # one parameter.  :class:`KernelServer` gives them the kernel's meaning.
 _READ_SQL = "SELECT result FROM db WHERE query = ?"
 _WRITE_SQL = "UPDATE db SET result = result + 1 WHERE query = ?"

@@ -37,9 +37,9 @@ The pending batch is kept in the shape the driver receives it — a list of
 ``(sql, params)`` pairs (``params`` through the engine's ``as_params``),
 ids beside it; a flush hands the list over as it is.  A read's dedup key
 adds ``param_types(params)``, as the result cache's does: ``(1,)`` and
-``(True,)`` are two queries.  A statement is classified here, once
-(:func:`repro.sqldb.parser.is_read_statement`, a probe of the process-wide
-parse cache); the server parses it once more, to execute it.  A batch is
+``(True,)`` are two queries.  A statement is classified here, once, by
+the type of its parsed statement (a probe of the process-wide parse
+cache); the server parses it once more, to execute it.  A batch is
 one round trip and **fails as one**: when the driver raises, every id of
 the batch remembers the exception and re-raises it on every fetch; nothing
 is re-issued, and the failed batch is not counted as flushed.
@@ -50,8 +50,9 @@ object.  What ships is counted once, by the driver
 (:class:`repro.net.driver.DriverStats`: statements, largest batch).
 """
 
+from repro.sqldb.ast_nodes import Select
 from repro.sqldb.executor import as_params, param_types
-from repro.sqldb.parser import is_read_statement
+from repro.sqldb.parser import parse
 
 #: Default bound on concurrently in-flight async batches.
 DEFAULT_PIPELINE_DEPTH = 4
@@ -62,10 +63,10 @@ class QueryId:
     its result lands in.
 
     Ids are allocated per :class:`QueryStore` (no process-global counter to
-    leak across stores or benchmark runs).  Only ``QueryStore._new_id``
-    mints them, once per ``(store, value)``, so that pair being equal *is*
-    being the same object: ids hash and compare by identity, and equal
-    values from different stores stay distinct.
+    leak across stores or benchmark runs).  Only ``register_query`` mints
+    them, once per ``(store, value)``, so that pair being equal *is* being
+    the same object: ids hash and compare by identity, and equal values
+    from different stores stay distinct.
 
     ``result`` is None until the id's batch has been issued; ``completion``
     is the :class:`repro.net.clock.AsyncCompletion` of a batch shipped in
@@ -155,28 +156,29 @@ class QueryStore:
         Non-sequence ``params`` raise here, where the original executes.
         """
         params = as_params(params)
-        statement = (sql, params)
         self.stats.queries_registered += 1
-        if not is_read_statement(sql):
-            query_id = self._new_id()
-            self._buffer.append(statement)
-            self._buffer_ids.append(query_id)
-            self._flush(has_write=True)
-            return query_id
-        key = (sql, params, param_types(params))
-        try:
-            query_id = self._pending_keys.get(key)
+        read = type(parse(sql)) is Select
+        key = None
+        if read:
+            key = (sql, params, param_types(params))
+            try:
+                query_id = self._pending_keys.get(key)
+            except TypeError:
+                # An unhashable parameter: not a dedup key, so never a
+                # twin.  The statement ships and the engine names the error.
+                key = query_id = None
             if query_id is not None:
                 self.stats.dedup_hits += 1
                 return query_id
-            query_id = self._pending_keys[key] = self._new_id()
-        except TypeError:
-            # An unhashable parameter: not a dedup key, so never a twin.
-            # The statement ships and the engine names the error.
-            query_id = self._new_id()
-        self._buffer.append(statement)
+        self._next_id += 1
+        query_id = QueryId(self, self._next_id)
+        if key is not None:
+            self._pending_keys[key] = query_id
+        self._buffer.append((sql, params))
         self._buffer_ids.append(query_id)
-        if (self.auto_flush_threshold is not None
+        if not read:
+            self._flush(has_write=True)
+        elif (self.auto_flush_threshold is not None
                 and len(self._buffer) >= self.auto_flush_threshold):
             self._flush()
         return query_id
@@ -238,18 +240,15 @@ class QueryStore:
 
     # -- internals -------------------------------------------------------------
 
-    def _new_id(self):
-        self._next_id += 1
-        return QueryId(self, self._next_id)
-
     def _flush(self, has_write=False):
-        """Issue the pending batch.  A write is only ever appended by
-        ``register_query``'s write branch, which flushes at once and says
+        """Issue the pending batch: the buffers, taken whole.  A write is
+        only appended by ``register_query``, which flushes at once and says
         so — no statement is re-parsed to classify the batch."""
         batch, ids = self._buffer, self._buffer_ids
-        self.close()
         if not batch:
             return
+        self._buffer, self._buffer_ids = [], []
+        self._pending_keys.clear()
         try:
             if self.async_dispatch and not has_write:
                 self._dispatch_async(batch, ids)

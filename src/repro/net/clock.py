@@ -106,9 +106,11 @@ class SimClock:
         start = self._now
         self._now = now = start + dt
         if phase == PHASE_APP and dt > 0:
-            if self._app_hi != start:
-                if self._app_hi is not None:
-                    self._app_intervals.extend((self._app_lo, self._app_hi))
+            hi = self._app_hi
+            if hi != start:
+                if hi is not None:
+                    self._app_intervals.append(self._app_lo)
+                    self._app_intervals.append(hi)
                 self._app_lo = start
             self._app_hi = now
 

@@ -53,7 +53,7 @@ from repro.net.driver import BatchDriver
 from repro.net.server import _parallel_elapsed
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlError
-from repro.sqldb.parser import is_read_statement, parse
+from repro.sqldb.parser import parse
 
 #: Auto-flush threshold used when recording a trace with async dispatch
 #: and no explicit threshold (matches the harness's async mode).
@@ -195,14 +195,15 @@ class TracingBatchDriver(BatchDriver):
         return index
 
     def _statement_meta(self, sql, params, result):
-        is_read = is_read_statement(sql)
+        stmt = parse(sql)
+        is_read = type(stmt) is A.Select
         solo = self.cost_model.query_cost_ms(result.rows_touched,
                                              from_cache=result.from_cache)
         share_key = None
         scan_rows = 0
         pk_keys = None
         if is_read and not result.from_cache:
-            plan = self._plan_of(sql)
+            plan = self._plan_of(stmt)
             if plan is not None:
                 if plan.shared_scan_table is not None:
                     share_key = ("scan", plan.shared_scan_table)
@@ -218,14 +219,8 @@ class TracingBatchDriver(BatchDriver):
                               scan_rows=scan_rows, pk_keys=pk_keys,
                               from_cache=result.from_cache)
 
-    def _plan_of(self, sql):
+    def _plan_of(self, stmt):
         """The plan of a SELECT, or None."""
-        try:
-            stmt = parse(sql)
-        except SqlError:
-            return None
-        if not isinstance(stmt, A.Select):
-            return None
         try:
             db = self.server.database
             return db.executor.plan_for(db, stmt)

@@ -104,15 +104,19 @@ class BatchDriver(Driver):
         if not statements:
             return []
         model = self.cost_model
+        size = len(statements)
         self.clock.charge(PHASE_APP, model.driver_call_app_ms)
         self.clock.charge(
             PHASE_NETWORK,
-            model.round_trip_ms
-            + model.serialization_per_query_ms * len(statements))
+            model.round_trip_ms + model.serialization_per_query_ms * size)
+        stats = self.stats
         results, elapsed_ms = self.server.execute_batch(
-            statements, batch_optimize, self.stats)
+            statements, batch_optimize, stats)
         self.clock.charge(PHASE_DB, elapsed_ms)
-        self.stats.record(len(statements))
+        stats.round_trips += 1
+        stats.statements += size
+        if size > stats.largest_batch:
+            stats.largest_batch = size
         return results
 
     def execute_batch_async(self, statements, batch_optimize=False):

@@ -33,7 +33,7 @@ drops whenever the optimizer finds sharing.
 """
 
 from repro.sqldb.ast_nodes import Select
-from repro.sqldb.parser import is_read_statement, parse
+from repro.sqldb.parser import parse
 from repro.sqldb.plan.batch import execute_batch_plan
 
 
@@ -125,7 +125,7 @@ class DatabaseServer:
             hits += result.from_cache
             cost = model.query_cost_ms(result.rows_touched,
                                        from_cache=result.from_cache)
-            if is_read_statement(sql):
+            if type(parse(sql)) is Select:
                 read_costs.append(cost)
             else:
                 serial_ms += cost

@@ -33,7 +33,8 @@ ROLLBACK calls nothing.  DDL empties the result cache with the plan cache.
 INSERT / UPDATE / DELETE get a :class:`_WritePlan` in the same cache —
 whatever depends only on the statement and the schema — and an execution
 binds parameters to it; UPDATE/DELETE share the planner's access-path
-machinery (:mod:`repro.sqldb.plan.access`) for their candidate-row search.
+machinery (:mod:`repro.sqldb.plan.access`) for their candidate-row search
+and re-check only what the path that found a row left of the WHERE.
 A write statement's rows succeed or fail together.  DDL is interpreted
 directly here.
 
@@ -45,10 +46,12 @@ simulated server turns that into database time.
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.catalog import IndexInfo, TableSchema, Column
 from repro.sqldb.errors import SqlError
-from repro.sqldb.expressions import RowContext, evaluate
+from repro.sqldb.expressions import (RowContext, arithmetic, evaluate,
+                                     expr_columns)
 from repro.sqldb.plan import plan_select
-from repro.sqldb.plan.access import (IndexProbe, candidate_rows,
-                                     range_lookup_candidate)
+from repro.sqldb.plan.access import (IndexProbe, keyed_conjuncts,
+                                     range_lookup_candidate, range_scan_ids,
+                                     residual_predicate, resolve_index_lookup)
 from repro.sqldb.result import ExecResult
 from repro.sqldb.storage import Table
 
@@ -257,11 +260,11 @@ class Executor:
         # which empties the cache, makes it stale.
         plan = entry[2] if entry is not None else self._cache_plan(
             stmt, None, _WritePlan(stmt, table))
-        if plan.rows is not None:
-            apply, targets = _insert_rows, plan.rows
+        inserts = plan.rows is not None
+        if inserts:
+            targets = plan.rows
         else:
-            apply, targets = _change_rows, candidate_rows(
-                table, plan.probe, plan.ranged, params)
+            where, targets = _candidates(plan, table, params)
         transactions = db.transactions
         own = len(targets) > 1 and not transactions.in_transaction
         if own:
@@ -269,7 +272,9 @@ class Executor:
         undo = transactions.undo_log()
         savepoint = 0 if undo is None else len(undo)
         try:
-            result = apply(plan, table, targets, params, undo)
+            result = (_insert_rows(plan, table, targets, params, undo)
+                      if inserts else
+                      _change_rows(plan, table, targets, where, params, undo))
         except BaseException:
             if own:
                 transactions.rollback()
@@ -296,19 +301,22 @@ class _WritePlan:
     resolved once and cached beside the SELECT plans.  An execution binds
     parameters and does the per-row work: the candidate search (a NULL or
     missing key drops out, one its column cannot compare scans, per
-    execution), the
-    full-WHERE re-check of every candidate, assignment binding, undo.
+    execution), the re-check of what that search left of the WHERE,
+    assignment binding, undo.
 
     INSERT: ``rows`` holds, per value row, its :class:`_Cells` (arity
     checked).  UPDATE / DELETE: ``rows`` is None; ``ctx`` resolves the
     table's columns, ``probe`` / ``ranged`` are the WHERE's
-    :class:`IndexProbe` and :func:`range_lookup_candidate`; UPDATE alone
+    :class:`IndexProbe` and :func:`range_lookup_candidate`, ``residuals``
+    per equality path the WHERE without what it keyed on (empty while a
+    column of the WHERE does not resolve: the interpreter names it).
+    UPDATE alone
     has its SET list as ``assignments`` (:class:`_Cells`) and their
     ordinal set ``assigned``.
     """
 
     __slots__ = ("rows", "width", "pk", "where", "ctx", "probe", "ranged",
-                 "assignments", "assigned")
+                 "residuals", "assignments", "assigned")
 
     def __init__(self, stmt, table):
         schema = table.schema
@@ -321,39 +329,49 @@ class _WritePlan:
                     raise SqlError(
                         f"INSERT has {len(columns)} columns but "
                         f"{len(value_row)} values")
-            self.rows = [_Cells(zip(ordinals, row)) for row in stmt.rows]
+            self.rows = [_Cells(zip(ordinals, row), _NO_ROW)
+                         for row in stmt.rows]
             self.width = len(schema.columns)
             self.pk = schema.primary_key
             return
-        self.where = stmt.where
-        self.ctx = _single_table_context(schema, stmt.table)
-        self.probe = IndexProbe(table, stmt.where)
-        self.ranged = range_lookup_candidate(table, stmt.where)
+        where = self.where = stmt.where
+        self.ctx = ctx = _single_table_context(schema, stmt.table)
+        self.probe = IndexProbe(table, where)
+        self.ranged = range_lookup_candidate(table, where)
+        resolved = where is None or all((c.table, c.column) in ctx.positions
+                                        for c in expr_columns(where))
+        self.residuals = {
+            name: residual_predicate(where, keyed_conjuncts(where, columns))
+            for name, columns in self.probe.paths()} if resolved else {}
         if type(stmt) is A.Update:
-            self.assignments = _Cells((schema.ordinal_of(c), e)
-                                      for c, e in stmt.assignments)
+            self.assignments = _Cells(((schema.ordinal_of(c), e)
+                                       for c, e in stmt.assignments), ctx)
             self.assigned = frozenset(o for o, _ in self.assignments.pairs)
 
 
 class _Cells:
     """The ``(ordinal, expr)`` cells of an INSERT value row or a SET list:
     a ``Literal``'s value and a ``Param``'s index bind without the
-    interpreter, anything else is evaluated."""
+    interpreter, anything else is computed (:func:`_compute`).  ``arity``
+    counts every parameter bound or read by a computed cell."""
 
-    __slots__ = ("pairs", "consts", "binds", "evaluated", "arity")
+    __slots__ = ("pairs", "consts", "binds", "computed", "arity")
 
-    def __init__(self, pairs):
+    def __init__(self, pairs, ctx):
         self.pairs = pairs = list(pairs)
         self.consts = [(o, e.value) for o, e in pairs if type(e) is A.Literal]
         self.binds = [(o, e.index) for o, e in pairs if type(e) is A.Param]
-        self.evaluated = [(o, e) for o, e in pairs
-                          if type(e) not in (A.Literal, A.Param)]
-        self.arity = max((index + 1 for _, index in self.binds), default=0)
+        computed = [(o, *_compute(e, ctx.positions)) for o, e in pairs
+                    if type(e) not in (A.Literal, A.Param)]
+        self.computed = [(o, compute) for o, compute, _ in computed]
+        self.arity = max([index + 1 for _, index in self.binds]
+                         + [arity for _, _, arity in computed], default=0)
 
     def fill(self, row, ctx, params):
-        """Store each cell's value in ``row``.  A direct bind cannot fail;
-        with a parameter missing, every cell is evaluated in order so that
-        the interpreter names the first error."""
+        """Store each cell's value in ``row``, ``ctx`` bound to the row the
+        cells read.  A direct bind cannot fail; with a parameter missing,
+        every cell is evaluated in order so that the interpreter names the
+        first error."""
         if len(params) < self.arity:
             for ordinal, expr in self.pairs:
                 row[ordinal] = evaluate(expr, ctx, params)
@@ -362,8 +380,26 @@ class _Cells:
             row[ordinal] = value
         for ordinal, index in self.binds:
             row[ordinal] = params[index]
-        for ordinal, expr in self.evaluated:
-            row[ordinal] = evaluate(expr, ctx, params)
+        for ordinal, compute in self.computed:
+            row[ordinal] = compute(ctx, params)
+
+
+def _compute(expr, positions):
+    """``(compute(ctx, params), parameters it reads)``: ``column + - *
+    literal-or-parameter`` leaves only the rules to :func:`arithmetic`,
+    anything else is :func:`evaluate`."""
+    if type(expr) is A.BinaryOp and expr.op in ("+", "-", "*") and \
+            type(expr.left) is A.ColumnRef:
+        op, right = expr.op, expr.right
+        at = positions.get((expr.left.table, expr.left.column))
+        if at is not None and type(right) is A.Literal:
+            value = right.value
+            return lambda ctx, _: arithmetic(op, ctx.values[at], value), 0
+        if at is not None and type(right) is A.Param:
+            index = right.index
+            return (lambda ctx, params: arithmetic(
+                op, ctx.values[at], params[index])), index + 1
+    return (lambda ctx, params: evaluate(expr, ctx, params)), 0
 
 
 # What an INSERT value is evaluated against: no row, no column.
@@ -383,10 +419,26 @@ def _insert_rows(plan, table, rows, params, undo):
                       last_insert_id=last_id)
 
 
-def _change_rows(plan, table, candidates, params, undo):
+def _candidates(plan, table, params):
+    """``(what of the WHERE is left to check, the (row_id, row) pairs an
+    UPDATE / DELETE touches)``: an equality probe's hits and its path's
+    residual, else an ordered walk's or the whole table's and the WHERE."""
+    path, hits = resolve_index_lookup(table, plan.probe, params)
+    if hits is not None:
+        return plan.residuals.get(path, plan.where), hits
+    ranged = plan.ranged
+    if ranged is not None:
+        ids = range_scan_ids(table.indexes[ranged.index_name], ranged, params)
+        if ids is not None:
+            rows = table.rows
+            return plan.where, [(row_id, rows[row_id]) for row_id in ids]
+    return plan.where, list(table.scan())
+
+
+def _change_rows(plan, table, candidates, where, params, undo):
     """UPDATE, or DELETE (no assignments), every candidate ``(row_id,
-    row)`` the full WHERE holds for."""
-    ctx, where, assignments = plan.ctx, plan.where, plan.assignments
+    row)`` that ``where`` holds for."""
+    ctx, assignments = plan.ctx, plan.assignments
     changed = 0
     for row_id, row in candidates:
         ctx.bind(row)

@@ -69,12 +69,6 @@ def parse_cache_stats():
     }
 
 
-def is_read_statement(sql):
-    """Whether ``sql`` is a SELECT (used by the query store to decide
-    whether a statement can linger in a batch)."""
-    return isinstance(parse(sql), A.Select)
-
-
 class _Parser:
     def __init__(self, sql):
         self.sql = sql

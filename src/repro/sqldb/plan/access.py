@@ -2,7 +2,7 @@
 
 Shared by the SELECT pipeline (``IndexLookup`` / ``IndexRangeScan``
 physical operators) and by the ``UPDATE``/``DELETE`` candidate-row search
-in the executor facade.
+of the executor's write plans.
 
 Index choice has a structural half and a runtime half.  At *plan* time an
 :class:`IndexProbe` extracts the predicate's equality and IN-list
@@ -18,7 +18,8 @@ scan (SQL semantics: ``col = NULL`` never matches), and a key or range
 bound its column cannot compare (or NaN) disqualifies the index — which
 is why the final index decision cannot move to plan time.  What an
 equality probe or an ordered walk decided is left out of the predicate a
-SELECT re-checks (:func:`residual_predicate`).
+SELECT re-checks, and what an equality probe decided out of the one an
+UPDATE / DELETE re-checks (:func:`residual_predicate`).
 """
 
 from repro.sqldb import ast_nodes as A
@@ -272,29 +273,6 @@ def _truth_valued(node):
         return node.op in ("AND", "OR", "=", "<>", "<", ">", "<=", ">=")
     return type(node) in (A.IsNull, A.Between, A.InList, A.Like) or (
         type(node) is A.UnaryOp and node.op == "NOT")
-
-
-def candidate_rows(table, probe, ranged, params):
-    """The ``(row_id, row)`` pairs that may satisfy a WHERE — the rows the
-    statement touches.
-
-    Used by UPDATE/DELETE with what their write plan resolved of the WHERE
-    (its :class:`IndexProbe`, its :func:`range_lookup_candidate`):
-    equality index lookup when the predicate pins indexed columns,
-    ordered-index range scan when it bounds an ordered index's key, full
-    scan otherwise (also when a range value is not :func:`keyable`).  The
-    executor re-checks the full WHERE per candidate row, so any superset
-    is safe.
-    """
-    _, hits = resolve_index_lookup(table, probe, params)
-    if hits is None and ranged is not None:
-        ids = range_scan_ids(table.indexes[ranged.index_name], ranged, params)
-        if ids is not None:
-            rows = table.rows
-            hits = [(row_id, rows[row_id]) for row_id in ids]
-    if hits is None:
-        hits = list(table.scan())
-    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,12 @@ class UndoLog(list):
         self.tables.add(entry[1].schema.name)
 
 
+_NO_TABLES = frozenset()
+
+
 class TransactionManager:
-    """Tracks the open-transaction state and the undo log for rollback."""
+    """Tracks the open-transaction state and the undo log for rollback.
+    Only ``begin`` starts a log: COMMIT returns the ended one's tables."""
 
     def __init__(self):
         self._in_transaction = False
@@ -48,13 +52,13 @@ class TransactionManager:
 
     def pending_table_names(self):
         """The live set of names of the tables the open transaction has
-        written (empty when auto-committing: nothing appends to the log).
+        written (empty when auto-committing).
 
         The result cache serves and stores no entry that reads one of them:
         storage is ahead of the committed contents the entries hold, and
         rows computed from it may roll back.
         """
-        return self._undo_log.tables
+        return self._undo_log.tables if self._in_transaction else _NO_TABLES
 
     def begin(self):
         if self._in_transaction:
@@ -69,17 +73,16 @@ class TransactionManager:
         those entries were computed from."""
         if not self._in_transaction:
             raise TransactionError("no transaction in progress")
-        committed = self._undo_log.tables
+        log = self._undo_log
         self._in_transaction = False
-        self._undo_log = UndoLog()
-        return committed
+        log.clear()  # its rows are durable: hold none of them
+        return log.tables
 
     def rollback(self):
         if not self._in_transaction:
             raise TransactionError("no transaction in progress")
         self.rollback_to(0)
         self._in_transaction = False
-        self._undo_log = UndoLog()
 
     def rollback_to(self, savepoint):
         """Undo, newest first, what the open transaction logged beyond

@@ -26,7 +26,6 @@ from repro.net.driver import BatchDriver, Driver
 from repro.net.server import DatabaseServer
 from repro.sqldb import Database
 from repro.sqldb.errors import SqlError, SqlTypeError
-from repro.sqldb.parser import is_read_statement
 
 READ = "SELECT v FROM t WHERE id = ?"
 WRITE = "UPDATE t SET v = v + 1 WHERE id = 0"
@@ -64,7 +63,7 @@ class DictStore:
         self.minted = self.batches = self.dedup_hits = self.issued = 0
 
     def register(self, sql, params=()):
-        read = is_read_statement(sql)
+        read = sql != WRITE
         # A statement that cannot be a dict key has no twin.
         if read and _hashable(params):
             for query_id, pending_sql, pending_params in self.batch:

@@ -2,7 +2,7 @@ import pytest
 
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlParseError
-from repro.sqldb.parser import is_read_statement, parse
+from repro.sqldb.parser import parse
 
 
 def test_simple_select():
@@ -127,11 +127,6 @@ def test_drop_index():
 def test_truncate_with_and_without_table_keyword():
     assert parse("TRUNCATE TABLE t") == A.Truncate("t")
     assert parse("TRUNCATE t") == A.Truncate("t")
-
-
-def test_is_read_statement():
-    assert is_read_statement("SELECT 1 FROM t")
-    assert not is_read_statement("DELETE FROM t")
 
 
 def test_parse_cache_returns_same_object():

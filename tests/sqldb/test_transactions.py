@@ -1,7 +1,8 @@
 import pytest
 
-from repro.sqldb import Database
+from repro.sqldb import Database, transactions
 from repro.sqldb.errors import TransactionError
+from repro.sqldb.result_cache import ResultCache
 
 
 def test_rollback_undoes_insert(people_db):
@@ -114,3 +115,56 @@ def test_rolled_back_delete_keeps_storage_in_row_id_order(engine, undone):
     for sql in ("SELECT * FROM pet", "SELECT id FROM pet WHERE owner_id = 1",
                 "SELECT id, species FROM pet WHERE id > 10 LIMIT 2"):
         assert rolled.execute(sql).rows == twin.execute(sql).rows
+
+
+@pytest.mark.parametrize("end", ["COMMIT", "ROLLBACK"])
+def test_a_transaction_that_ended_leaves_nothing_pending(people_db, end):
+    """Once COMMIT or ROLLBACK has run, no table is pending: the result
+    cache serves and stores entries over the tables the transaction
+    wrote."""
+    people_db.execute("BEGIN")
+    people_db.execute("UPDATE person SET age = 35 WHERE id = 1")
+    people_db.execute("DELETE FROM pet WHERE owner_id = 1")
+    assert people_db.transactions.pending_table_names() == {"person", "pet"}
+    people_db.execute(end)
+    assert not people_db.transactions.pending_table_names()
+    sql = "SELECT age FROM person WHERE id = 1"
+    people_db.execute(sql)
+    assert people_db.execute(sql).from_cache
+
+
+def test_the_set_commit_returned_outlives_the_next_transaction(people_db,
+                                                               monkeypatch):
+    """The tables a COMMIT hands the result cache stay what they were while
+    the next transaction writes other tables."""
+    handed = []
+    monkeypatch.setattr(ResultCache, "invalidate",
+                        lambda cache, tables: handed.append(tables))
+    people_db.execute("BEGIN")
+    people_db.execute("UPDATE person SET age = 35 WHERE id = 1")
+    people_db.execute("COMMIT")
+    people_db.execute("BEGIN")
+    people_db.execute("DELETE FROM pet WHERE owner_id = 1")
+    assert handed == [{"person"}]
+    people_db.execute("COMMIT")
+    assert handed == [{"person"}, {"pet"}]
+
+
+def test_only_begin_starts_an_undo_log(people_db, monkeypatch):
+    """COMMIT and ROLLBACK allocate nothing: the next BEGIN starts the one
+    log its transaction appends to."""
+    started = []
+
+    class CountedUndoLog(transactions.UndoLog):
+        def __init__(self):
+            super().__init__()
+            started.append(self)
+
+    monkeypatch.setattr(transactions, "UndoLog", CountedUndoLog)
+    for end in ("COMMIT", "ROLLBACK", "COMMIT"):
+        people_db.execute("BEGIN")
+        people_db.execute("UPDATE person SET age = 35 WHERE id = 1")
+        people_db.execute(end)
+    assert len(started) == 3
+    assert people_db.transactions._undo_log is started[-1]
+    assert len(started[-1]) == 0  # a committed log holds no rows

@@ -44,6 +44,9 @@ DELETED = {
     # the result cache's lookup-time validation by table write versions
     "current_versions", "Table.bump_write_version", "Table._note_write",
     "Executor._invalidate_plans",
+    # the write path's whole-WHERE search and the per-statement helpers
+    # of the trip through core and net
+    "candidate_rows", "is_read_statement", "QueryStore._new_id",
 }
 
 
@@ -142,6 +145,24 @@ def test_a_statement_is_parsed_once_per_side_of_the_wire():
                           "QueryStore.register_query"]
     assert registrations > 3000
     assert parses - executions == registrations
+
+
+def test_a_write_keyed_on_its_primary_key_evaluates_nothing():
+    """Every TPC-C UPDATE / DELETE is keyed on its primary key, which
+    decides its whole WHERE, and each SET cell is a bind or ``column + - *
+    a literal or a parameter``: none of them calls the interpreter.  What
+    still does is the rest of the run — 439 ``evaluate`` calls here, 8 137
+    when every candidate re-checked the whole WHERE.  An undo log is
+    started by BEGIN and by a new database, never by COMMIT or ROLLBACK."""
+    calls = _mixed_rw_smoke_calls()
+    sqldb = "sqldb"
+    assert calls[os.path.join(sqldb, "executor.py"), "_change_rows"] > 1000
+    assert 0 < calls[os.path.join(sqldb, "expressions.py"), "evaluate"] < 1000
+    transactions = os.path.join(sqldb, "transactions.py")
+    begins = calls[transactions, "TransactionManager.begin"]
+    assert begins > 100
+    assert calls[transactions, "UndoLog.__init__"] == begins + calls[
+        transactions, "TransactionManager.__init__"]
 
 
 def test_calls_prints_raw_counts_per_target(monkeypatch, capsys):
