@@ -1,9 +1,7 @@
 """Columnar chunk layout: parallel column arrays + selection vectors.
 
-The production engine exchanges :class:`ColumnChunk` objects between
-physical operators (the reference interpreter, ``engine="row"``, pulls
-wide row lists instead).  A chunk holds one entry per flat joined-row
-position:
+The engine exchanges :class:`ColumnChunk` objects between physical
+operators.  A chunk holds one entry per flat joined-row position:
 
 - a plain Python list of values (one per chunk row),
 - a :class:`DictColumn` — dictionary-encoded strings, comparing codes
@@ -236,8 +234,8 @@ class ColumnChunk:
     def from_rows(cls, rows, width, read):
         """Transpose the ``read`` positions of wide rows into a fully-live
         chunk, every other lane all-NULL — the shim the prefetched
-        shared-scan path, the nested-loop join (row-shaped inside) and
-        the ``limit_hint`` cutoff's interpreted rows go through."""
+        shared-scan path and the nested-loop join (row-shaped inside) go
+        through."""
         columns = [None] * width
         for pos in read:
             columns[pos] = [row[pos] for row in rows]

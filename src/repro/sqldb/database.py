@@ -31,24 +31,19 @@ class Database:
     (:mod:`repro.sqldb.result_cache`); pass ``0`` to disable caching
     entirely (differential baselines, re-execution-counting tests).
 
-    ``engine`` selects the physical execution engine, one of
-    :attr:`ENGINES`: the first entry (the default) is the production
-    engine, exchanging :class:`ColumnChunk` column arrays with selection
-    vectors and fused predicate/projection loops (see
-    :mod:`repro.sqldb.columnar`); ``"row"`` is the interpreted
-    row-at-a-time pull, kept as the reference the differential oracles
-    compare against.  Results and ``rows_touched`` are identical under
-    both — only real wall-clock time differs.  The attribute may be
-    flipped between statements (an unknown name raises ``ValueError``);
-    cached plans carry both paths.
+    There is one execution engine: operators exchange :class:`ColumnChunk`
+    column arrays with selection vectors and fused predicate/projection
+    loops (see :mod:`repro.sqldb.columnar`).  ``ENGINES`` and ``engine``
+    say so to callers written when a second, row-at-a-time engine could
+    be chosen (``perfbench`` re-runs its checks on every entry of
+    ``ENGINES``): none is offered beside it.
     """
 
-    ENGINES = ("columnar", "row")
+    ENGINES = ()
+    engine = "columnar"
 
     def __init__(self, name="main", optimizer_options=None,
-                 result_cache_size=DEFAULT_RESULT_CACHE_LIMIT,
-                 engine=None):
-        self.engine = self.ENGINES[0] if engine is None else engine
+                 result_cache_size=DEFAULT_RESULT_CACHE_LIMIT):
         self.name = name
         self.catalog = Catalog()
         self.tables = {}
@@ -57,18 +52,6 @@ class Database:
         self.result_cache = ResultCache(result_cache_size)
         self.executor = Executor(self.catalog)
         self.total_rows_touched = 0
-
-    @property
-    def engine(self):
-        return self._engine
-
-    @engine.setter
-    def engine(self, name):
-        if name not in self.ENGINES:
-            raise ValueError(
-                f"unknown engine {name!r}; expected one of "
-                + ", ".join(repr(e) for e in self.ENGINES))
-        self._engine = name
 
     def tables_get(self, name):
         table = self.tables.get(name)
@@ -83,13 +66,17 @@ class Database:
     def execute_parsed(self, stmt, params=()):
         """Execute an already-parsed statement, with counter bookkeeping.
 
-        The one place a statement's ``params`` are normalised
-        (:func:`~repro.sqldb.executor.as_params`: a tuple passes untouched,
-        a list is copied, anything else raises :class:`SqlError`).  The
-        batch planner uses this to run statements it has already
-        classified without re-parsing or duplicating the accounting.
+        ``params`` are normalised here unless they already are: a tuple —
+        what the query store, which normalised them at registration, and
+        the batch planner hand on — passes as it is, anything else goes
+        through :func:`~repro.sqldb.executor.as_params` (a list is copied,
+        anything else raises :class:`SqlError`).  The batch planner uses
+        this to run statements it has already classified without
+        re-parsing or duplicating the accounting.
         """
-        result = self.executor.execute(self, stmt, as_params(params))
+        if type(params) is not tuple:
+            params = as_params(params)
+        result = self.executor.execute(self, stmt, params)
         self.record_statement(result.rows_touched)
         return result
 
@@ -122,8 +109,8 @@ class Database:
         With ``params`` the output gains a trailing ``ResultCache`` line
         reporting whether this exact (statement, parameters) execution
         would currently be served from the cross-request result cache,
-        plus the cache's cumulative counters, and an ``Engine`` line
-        naming the active execution engine; the probe is side-effect free
+        plus the cache's cumulative counters, and an ``Engine`` line with
+        the chunks executed so far; the probe is side-effect free
         (counters and LRU order stay untouched).
 
         With ``analyze=True`` the plan is **executed** (with ``params`` or
@@ -155,8 +142,8 @@ class Database:
                 f"misses={cache.misses}, "
                 f"invalidations={cache.invalidations}]")
             rendered += (
-                f"\nEngine [name={self.engine!r}, "
-                f"batches_executed={self.executor.batches_executed}]")
+                f"\nEngine [batches_executed="
+                f"{self.executor.batches_executed}]")
         return rendered
 
     def result_cache_stats(self):
@@ -165,12 +152,10 @@ class Database:
         return self.result_cache.stats()
 
     def engine_stats(self):
-        """Which execution engine is active and how much work it has done:
-        ``batches_executed`` counts every chunk that flowed between the
-        operators (0 forever under the row engine), so tests and
-        benchmarks can assert which path actually ran."""
+        """How much work the engine has done: ``batches_executed`` counts
+        every chunk that flowed between the operators, ``plans_built``
+        every plan the optimizer built."""
         return {
-            "engine": self.engine,
             "batches_executed": self.executor.batches_executed,
             "plans_built": self.executor.plans_built,
         }

@@ -110,8 +110,7 @@ class Executor:
         self._shifted = catalog.shifted
         self.plans_built = 0  # optimize() invocations, for staleness tests
         # Chunks that flowed between the physical operators, summed over
-        # every plan execution — stays 0 under Database(engine="row"),
-        # which is how tests assert which execution path ran.
+        # every plan execution.
         self.batches_executed = 0
 
     def execute(self, db, stmt, params=()):

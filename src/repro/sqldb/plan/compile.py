@@ -1,10 +1,10 @@
 """Chunk compilation: lower expression ASTs to kernels over column chunks.
 
 The engine has two expression evaluators.  The interpreter
-(:func:`repro.sqldb.expressions.evaluate`) re-walks an AST for every row:
-it is the ``engine="row"`` oracle.  This module is the other one.  It
-lowers an expression **once** (when the physical plan is built) into a
-kernel over a whole :class:`repro.sqldb.columnar.ColumnChunk`:
+(:func:`repro.sqldb.expressions.evaluate`) re-walks an AST for every row.
+This module is the other one.  It lowers an expression **once** (when the
+physical plan is built) into a kernel over a whole
+:class:`repro.sqldb.columnar.ColumnChunk`:
 
 - :func:`compile_filter` — a predicate becomes ``fn(chunk, params) ->
   sel``, the selection vector of rows evaluating to SQL TRUE, **and**, out
@@ -21,8 +21,9 @@ AND operand) with no kernel evaluates ``evaluate`` over ``chunk.row(i)``
 for each candidate row; the projection and aggregate compilers return
 None and their operators run their interpreted form (see
 :mod:`repro.sqldb.plan.physical`).  A gap in kernel coverage is
-therefore the oracle's own code — same values, same evaluation order,
-same errors — and never a third evaluator to keep in step by hand.
+therefore the interpreter's own code — same values, same evaluation
+order, same errors — and never a third evaluator to keep in step by
+hand.
 What has a kernel: comparisons and BETWEEN of a column against
 literals/parameters, ``IS [NOT] NULL`` of a column, AND over those — the
 sargable conjunctions :mod:`repro.sqldb.plan.access` recognises for index
@@ -67,12 +68,11 @@ executor's plan cache drops a plan on DDL, the only event that could
 shift column positions, and on a size shift of a table it reads, so a
 cached kernel can never read a stale layout.
 
-One documented divergence: fused evaluation runs column-at-a-time, so
-when *several* rows of one chunk would raise (mixed-type data smuggled
-past the typed storage layer), the row that wins the race — and thus the
-error message — can differ from the interpreter's strictly row-at-a-time
-order.  Whether an error is raised at all, and the result when none is,
-are identical.
+Fused evaluation runs column-at-a-time, so when *several* rows of one
+chunk would raise (mixed-type data smuggled past the typed storage
+layer), the row whose error is raised follows that order, not row order.
+Whether an error is raised at all, and the result when none is, are what
+row-at-a-time evaluation gives.
 """
 
 from repro.sqldb import ast_nodes as A
@@ -256,7 +256,7 @@ def _merge(a, b):
 
 
 def _and_pair(left, right):
-    """Kleene AND with the row engine's short-circuit scope: the right
+    """Kleene AND with the interpreter's short-circuit scope: the right
     operand is evaluated only where the left is TRUE or UNKNOWN — in the
     kernel row by row, in the zone test chunk by chunk.  A prunable left
     conjunct suffices to rule chunks out (AND ``may_true`` needs both)."""
@@ -287,7 +287,7 @@ def _and_pair(left, right):
         if lr:
             return _ALWAYS
         if not lt and not lu:
-            # Every row FALSE on the left: the row engine never
+            # Every row FALSE on the left: the interpreter never
             # evaluates the right operand (its errors included).
             return _NEVER
         if rzone is None:
@@ -772,8 +772,8 @@ def compile_grouped_item_columnar(expr, positions, ambiguous):
     ``make()`` builds a fresh group state, ``update(acc, gidxs, chunk,
     live, params)`` folds a chunk's live rows in (``gidxs`` maps each
     live row to its group slot), ``final(state)`` emits the value.
-    Accumulation order is scan order — the same order the row engine's
-    per-group row lists preserve — so float SUM/AVG results are
+    Accumulation order is scan order — the same order the interpreted
+    form's per-group row lists preserve — so float SUM/AVG results are
     bit-identical.
     """
     if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:

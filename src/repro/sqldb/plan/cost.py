@@ -19,12 +19,10 @@ same plans under it as under the five per-shape constants it replaced
 
 A snapshot statistic is **one column's distinct count, counted on demand
 at plan time** (``table.column_store().distinct(ordinal)`` builds no lane
-or zone map) whichever engine will execute the plan — if only the
-columnar engine consulted it, the two engines would pick different join
-orders and ``rows_touched`` would stop being engine-invariant.  Every
-table mutation invalidates the snapshot, so a fresh plan always sees
-current-data statistics; a *cached* plan can hold estimates from an older
-one until a table it reads shifts — row-count stats' own staleness contract.
+or zone map).  Every table mutation invalidates the snapshot, so a fresh
+plan always sees current-data statistics; a *cached* plan can hold
+estimates from an older one until a table it reads shifts — row-count
+stats' own staleness contract.
 
 Public API (documented formulas in ``docs/cost-model.md``):
 
@@ -83,8 +81,8 @@ def column_ndv(db, table_name, column):
     """Distinct-key count for one column: the row count for the primary
     key, the bucket count of a single-column index, else that column's
     distinct count from the table's columnar snapshot (counted on first
-    request, under every engine — see the module docstring; amortized
-    by the plan cache, planning only happens on a miss)."""
+    request — see the module docstring; amortized by the plan cache,
+    planning only happens on a miss)."""
     schema = db.catalog.table(table_name)
     pk = schema.primary_key
     if pk is not None and pk.name == column:

@@ -1,4 +1,4 @@
-"""Physical operators: columnar chunks in production, rows as the oracle.
+"""Physical operators: columnar chunks between every operator.
 
 Two operator flavours mirror the two halves of a SELECT:
 
@@ -14,38 +14,27 @@ Two operator flavours mirror the two halves of a SELECT:
   :class:`DistinctOp`, :class:`SortOp`, :class:`LimitOp`) transform the
   materialized output relation via ``apply(run)``.  Each has at most two
   forms: a chunk kernel over ``run.source_chunks`` and the interpreted
-  form over ``run.source_rows``.  The interpreted form is the oracle's
-  *and* the production fallback for any shape without a kernel (scalar
-  functions, boolean-valued items, HAVING, aggregate arithmetic), so no
-  result operator asks which engine is running — only whether chunks and
-  a kernel are there.
+  form over ``run.source_rows`` (the chunks transposed), the fallback for
+  any shape without a kernel (scalar functions, boolean-valued items,
+  HAVING, aggregate arithmetic).
 
-Row sources implement exactly **two execution protocols**:
+Row sources speak one protocol, ``iter_cchunks(run)``: operators exchange
+:class:`repro.sqldb.columnar.ColumnChunk` column arrays of up to
+:data:`CHUNK_SIZE` rows (fewer under the cutoff below), of which only the
+statement's read set (``SelectContext.read``) is filled.  Sequential scans slice chunks off the
+table's cached ``ColumnStore``; a scan's own predicate, **compiled once
+per cached plan** (:mod:`repro.sqldb.plan.compile`), sets each chunk's
+selection vector before the chunk is yielded; equi-joins gather probe
+keys per chunk and assemble their output column-wise.
 
-``iter_cchunks(run)``
-    The production engine: operators exchange
-    :class:`repro.sqldb.columnar.ColumnChunk` column arrays of up to
-    :data:`CHUNK_SIZE` rows, of which only the statement's read set
-    (``SelectContext.read``) is filled.  Sequential scans slice chunks off
-    the table's cached ``ColumnStore``; a scan's own predicate, **compiled
-    once per cached plan** (:mod:`repro.sqldb.plan.compile`), sets each
-    chunk's selection vector before the chunk is yielded; equi-joins
-    gather probe keys per chunk and assemble their output column-wise.
-
-``iter_rows_interp(run)``
-    The reference interpreter: a Volcano pull, one row at a time through
-    :func:`repro.sqldb.expressions.evaluate`.  Selectable
-    (``Database(engine="row")``) so the differential oracles can compare
-    the production engine against it, and used under **every** engine for
-    ``limit_hint`` stop-after-N execution, where chunked pulls would
-    overshoot the cutoff and charge storage rows the interpreter never
-    touches (production wraps those few rows in one chunk afterwards).
-
-``rows_touched`` is engine-invariant by construction: rows are charged
-only where storage is read, both protocols consume their sources to
-exhaustion (the only early stop — ``limit_hint`` — runs the interpreter
-under both), so every figure's simulated cost is identical whichever
-engine produced it.
+Rows are charged to ``rows_touched`` where storage is read, as the chunk
+that holds them is made.  A plan runs its source to exhaustion, but for
+one early stop: under a ``limit_hint`` (a Sort elided beneath a LIMIT)
+the pull ends after limit+offset rows, and no chunk reaches past the row
+the cut may fall on — the ordered walk's chunk holds at most the rows
+still wanted (one, below a join that may emit several rows for one), an
+index join emits one joined row a chunk — so the rows past the cut are
+neither read nor charged.
 
 ``build_physical`` lowers an optimized logical tree into a
 :class:`PhysicalPlan`, one operator per logical node (but for a Filter
@@ -57,7 +46,7 @@ writes each measurement on its node's EXPLAIN line (EXPLAIN ANALYZE).
 """
 
 import copy
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from time import perf_counter
 
@@ -90,24 +79,28 @@ class PlanRun:
 
     __slots__ = ("db", "params", "sctx", "_ctx", "rows_touched",
                  "_source_rows", "source_chunks", "out_columns", "out_rows",
-                 "prefetched_base_rows", "engine", "batches",
+                 "prefetched_base_rows", "cutoff", "chunk_size", "batches",
                  "chunks_skipped")
 
-    def __init__(self, db, params, sctx, prefetched_base_rows=None):
+    def __init__(self, db, params, sctx, cutoff,
+                 prefetched_base_rows=None):
         self.db = db
         self.params = tuple(params)
         self.sctx = sctx
         self._ctx = None
         self.rows_touched = 0
-        self._source_rows = None  # materialized rows entering projection
-        self.source_chunks = None  # ColumnChunks (None under the interpreter)
+        self._source_rows = None  # the source chunks as rows, on demand
+        self.source_chunks = None  # the source's ColumnChunks
         self.out_columns = None
         self.out_rows = None
         # When set, the base-table access operator yields these rows instead
         # of scanning storage (the batch shared-scan path): the scan already
         # happened once for the whole group, so no rows are charged here.
         self.prefetched_base_rows = prefetched_base_rows
-        self.engine = db.engine
+        self.cutoff = cutoff  # a limit_hint stops the pull
+        # Rows in the next chunk an index access makes; the cutoff sets it
+        # to the rows still wanted before each pull.
+        self.chunk_size = CHUNK_SIZE
         self.batches = 0  # chunks that flowed between the operators
         self.chunks_skipped = 0  # chunks zone maps proved irrelevant
 
@@ -123,13 +116,13 @@ class PlanRun:
     def source_rows(self):
         """The materialized source relation as wide rows.
 
-        Outside the interpreter the source lands as ``source_chunks``;
-        a result operator running its interpreted form (no chunk kernel
-        for the shape, or a Sort key over a source column) transposes it
-        here lazily — fully columnar pipelines never pay for the rows.
+        A result operator running its interpreted form (no chunk kernel
+        for the shape, or a Sort key over a source column) transposes
+        ``source_chunks`` here lazily — fully columnar pipelines never pay
+        for the rows.
         """
         rows = self._source_rows
-        if rows is None and self.source_chunks is not None:
+        if rows is None:
             rows = []
             extend = rows.extend
             for chunk in self.source_chunks:
@@ -164,20 +157,14 @@ class _BaseTableScan:
     Subclasses define ``_keep_rows(run, table)`` returning the kernel to
     run — ``keep``, the ``predicate``'s (the Filter directly above,
     whole), or ``residuals[path]``, what an index path left of it — and
-    the list of storage rows to read.  Charging, padding, chunking and
-    the predicate live here so both protocols stay in exact accounting
-    agreement; a sequential scan owns its zone test and the shared-scan
-    prefetch.
+    the list of storage rows to read.  Charging, chunking and the
+    predicate live here; a sequential scan owns its zone test and the
+    shared-scan prefetch.
 
     ``read`` is the table's share of the statement's read set
-    (``SelectContext.table_reads``): the chunk protocol fills those lanes
-    and leaves every other the all-NULL lane.  The interpreter reads
-    whole storage rows, and when the table sits at offset 0 of a layout
-    exactly as wide as itself (every single-table plan) the storage row
-    *is* the flat row — no ``[None] * total`` copy.  Both are safe
-    because storage rows are never mutated in place (updates install
-    fresh lists) and no plan operator mutates source rows: joins merge
-    into copies (``list(values)``) and projections emit new tuples.
+    (``SelectContext.table_reads``): the operator fills those lanes and
+    leaves every other the all-NULL lane.  The lanes are copies, so no
+    plan operator can reach a storage row to mutate it.
     """
 
     # A sequential scan slices its lanes off the table's cached
@@ -220,42 +207,27 @@ class _BaseTableScan:
             yield chunk
 
     def _keep_chunks(self, run):
-        """``(keep, chunks)``: the kernel to run and the chunks before it,
-        every row charged — one C-level transpose per chunk, of which the
-        read lanes are kept, as tuples (half the cost of a comprehension
-        per lane over a few rows)."""
+        """``(keep, chunks)``: the kernel to run and the chunks before it."""
         keep, rows = self._keep_rows(run, run.db.tables_get(self.table_name))
-        run.rows_touched += len(rows)
+        return keep, self._chunks(run, rows)
+
+    def _chunks(self, run, rows):
+        """``rows`` in chunks of ``run.chunk_size``, each charged as it is
+        made — one C-level transpose per chunk, of which the read lanes
+        are kept, as tuples (half the cost of a comprehension per lane
+        over a few rows)."""
         offset, read = self.offset, self.read
         total = run.sctx.total_width
-        chunks = []
-        for start in range(0, len(rows), CHUNK_SIZE):
-            lanes = list(zip(*rows[start:start + CHUNK_SIZE]))
+        start = 0
+        while start < len(rows):
+            part = rows[start:start + run.chunk_size]
+            start += len(part)
+            run.rows_touched += len(part)
+            lanes = list(zip(*part))
             columns = [None] * total
             for j in read:
                 columns[offset + j] = lanes[j]
-            chunks.append(ColumnChunk(columns, len(lanes[0])))
-        return keep, chunks
-
-    def iter_rows_interp(self, run):
-        predicate = self.predicate
-        ctx = run.ctx if predicate is not None else None
-        params = run.params
-        offset = self.offset
-        total = run.sctx.total_width
-        if self.sequential and run.prefetched_base_rows is not None:
-            rows, charge, pad = run.prefetched_base_rows, 0, False
-        else:
-            table = run.db.tables_get(self.table_name)
-            rows, charge = self._keep_rows(run, table)[1], 1
-            pad = offset != 0 or len(table.schema.columns) != total
-        for row in rows:
-            run.rows_touched += charge
-            if pad:
-                row = _pad(row, offset, total)
-            if (predicate is None
-                    or evaluate(predicate, ctx.bind(row), params) is True):
-                yield row
+            yield ColumnChunk(columns, len(part))
 
 
 class SeqScanOp(_BaseTableScan):
@@ -273,7 +245,9 @@ class SeqScanOp(_BaseTableScan):
     def _keep_chunks(self, run):
         """The table's cached ColumnStore sliced into chunks (or the
         batch's prefetched rows), every row charged: zone maps change
-        wall-clock, never the simulated cost."""
+        wall-clock, never the simulated cost.  The slices are the zone
+        maps' own, :data:`CHUNK_SIZE` rows: a cutoff never sits over a
+        sequential scan (only an ordered walk elides a Sort)."""
         sctx = run.sctx
         total = sctx.total_width
         if run.prefetched_base_rows is not None:
@@ -311,15 +285,15 @@ class IndexLookupOp(_BaseTableScan):
     """Index-accelerated base-table access with runtime fallback.
 
     Key values come from the statement parameters, so the final index
-    decision happens per execution (mirroring the legacy interpreter): when
-    :func:`resolve_index_lookup` finds no usable index for the values bound
-    to the plan's :class:`~repro.sqldb.plan.access.IndexProbe`, this
+    decision happens per execution: when :func:`resolve_index_lookup`
+    finds no usable index for the values bound to the plan's
+    :class:`~repro.sqldb.plan.access.IndexProbe`, this
     operator degrades to a sequential scan and its predicate does all the
     work.  An equality probe decides the conjuncts it keyed on, so the
-    chunk protocol then runs ``residuals[path]`` — the predicate without
-    them (:func:`keyed_conjuncts`), compiled per candidate path when the
-    plan is built — instead of ``keep``; an IN-list probe, the scan and
-    the interpreter re-check the whole predicate.
+    operator then runs ``residuals[path]`` — the predicate without them
+    (:func:`keyed_conjuncts`), compiled per candidate path when the plan
+    is built — instead of ``keep``; an IN-list probe and the scan
+    re-check the whole predicate.
     """
 
     def __init__(self, node, sctx, predicate):
@@ -343,8 +317,8 @@ class IndexRangeScanOp(_BaseTableScan):
     Prefix and bound constants resolve against the statement parameters at
     execution time.  A prefix or bound that resolves to NULL yields no
     rows — the conjunct it came from is UNKNOWN for every row, so the
-    predicate would reject everything anyway; else the chunk protocol
-    re-checks only what the walk did not decide (:func:`walked_conjuncts`).
+    predicate would reject everything anyway; else the operator re-checks
+    only what the walk did not decide (:func:`walked_conjuncts`).
     Unlike ``IndexLookupOp`` this operator never degrades to an
     *unordered* scan (a Sort may have been elided on the strength of its
     ordering): for a value no walk serves (NaN, incomparable) or an index
@@ -384,10 +358,9 @@ class IndexRangeScanOp(_BaseTableScan):
 class FilterOp:
     """Keep rows whose predicate evaluates to SQL TRUE (above a join).
 
-    The chunk path narrows the selection vector with ``keep``, the
-    plan-compiled fused predicate — the output chunk shares the input's
-    column arrays, so no row materializes; the interpreted path re-walks
-    the AST per row.
+    It narrows the selection vector with ``keep``, the plan-compiled
+    fused predicate — the output chunk shares the input's column arrays,
+    so no row materializes.
     """
 
     def __init__(self, child, predicate, keep):
@@ -404,24 +377,11 @@ class FilterOp:
                 run.batches += 1
                 yield ColumnChunk(chunk.columns, chunk.length, sel)
 
-    def iter_rows_interp(self, run):
-        return _kept_rows(run, self.child.iter_rows_interp(run),
-                          self.predicate)
-
 
 def _kernel(sctx, predicate):
     """``predicate``'s chunk kernel over the plan's row layout, or None."""
     return None if predicate is None else compile_filter(
         predicate, sctx.context.positions, sctx.context.ambiguous)[0]
-
-
-def _kept_rows(run, rows, predicate):
-    """The interpreter's filter: ``rows`` whose ``predicate`` is TRUE."""
-    ctx = run.ctx
-    params = run.params
-    for values in rows:
-        if evaluate(predicate, ctx.bind(values), params) is True:
-            yield values
 
 
 def _build_join_buckets(run, table, right_ordinal):
@@ -436,26 +396,6 @@ def _build_join_buckets(run, table, right_ordinal):
             continue
         buckets.setdefault(key, []).append(row)
     return buckets
-
-
-def _hash_join_rows(run, table, left_rows, op):
-    """Shared hash-join loop of ``op``: build over ``table``, probe with
-    ``left_rows``.  NULL keys never probe; LEFT joins emit the unmatched
-    left row padded with NULLs (already present from the base padding)."""
-    buckets = _build_join_buckets(run, table, op.right_ordinal)
-    offset = run.sctx.offsets[op.join_index]
-    width = run.sctx.widths[op.join_index]
-    left_pos, kind = op.left_pos, op.kind
-    for values in left_rows:
-        key = values[left_pos]
-        matches = buckets.get(key, ()) if key is not None else ()
-        if matches:
-            for row in matches:
-                merged = list(values)
-                merged[offset:offset + width] = row
-                yield merged
-        elif kind == "LEFT":
-            yield list(values)
 
 
 def _right_lanes(sctx, join_index, rows, columns):
@@ -492,16 +432,32 @@ def _survivors(run, op, rows):
 
 
 def _hash_join_chunks(run, table, chunks, op):
-    """Columnar twin of :func:`_hash_join_rows`: the build is charged
-    eagerly, even when the probe side turns out empty, exactly like the
-    interpreted path."""
+    """``op``'s hash join of ``chunks`` with ``table``: the build is
+    charged when the first chunk is asked for, even when the probe side
+    turns out empty.  NULL keys never probe; a LEFT join emits an
+    unmatched row beside an all-NULL right side."""
     buckets = _build_join_buckets(run, table, op.right_ordinal)
+    if run.cutoff and any(len(rows) > 1 for rows in buckets.values()):
+        chunks = _one_row_at_a_time(run, chunks)
     kept = {}
     for chunk in chunks:
         out = _probe_chunk(run, op, chunk, chunk.gather(op.left_pos),
                            buckets, kept)
         if out is not None:
             yield out
+
+
+def _one_row_at_a_time(run, chunks):
+    """``chunks``, a child's, each pulled with ``run.chunk_size`` 1: under
+    a cutoff, an operator that may emit several rows for one of its input
+    rows must not let its child read past the row the cut may fall on."""
+    chunks = iter(chunks)
+    while True:
+        run.chunk_size = 1
+        chunk = next(chunks, None)
+        if chunk is None:
+            return
+        yield chunk
 
 
 def _probe_chunk(run, op, chunk, keys, matches, kept):
@@ -542,7 +498,7 @@ class HashJoinOp:
     """Equi-join: build a hash table over the right table, probe with the
     child's rows (one gathered key lane per chunk).  ``predicate`` is the
     Filter it took (:func:`_absorbed`), ``keep`` its kernel: chunks carry
-    only the rows it keeps; the interpreter tests the joined rows."""
+    only the rows it keeps."""
 
     def __init__(self, child, node, sctx, predicate=None):
         self.child = child
@@ -552,15 +508,6 @@ class HashJoinOp:
         self.left_pos, self.right_ordinal = node.equi
         self.predicate = predicate
         self.keep = _kernel(sctx, predicate)
-
-    def iter_rows_interp(self, run):
-        rows = self._joined_rows(run)
-        return rows if self.predicate is None else _kept_rows(
-            run, rows, self.predicate)
-
-    def _joined_rows(self, run):
-        return _hash_join_rows(run, run.db.tables_get(self.table_name),
-                               self.child.iter_rows_interp(run), self)
 
     def iter_cchunks(self, run):
         return _hash_join_chunks(run, run.db.tables_get(self.table_name),
@@ -581,11 +528,10 @@ class IndexNLJoinOp(HashJoinOp):
     never touches more rows than the hash strategy it replaces, whatever
     the optimizer's estimates predicted.  A chunk's probes map its keys
     to the rows they fetched, which the hash join's emit step
-    (:func:`_probe_chunk`, ``keep`` included) joins.
-
-    Both protocols materialize the child (the metadata pass needs every
-    left key before anything streams), so accounting is identical by
-    design.
+    (:func:`_probe_chunk`, ``keep`` included) joins.  The child is
+    materialized whole (the metadata pass needs every left key before
+    anything streams); under a cutoff each joined row is its own chunk and
+    each fetched row is charged as its chunk is made.
     """
 
     def __init__(self, child, node, sctx, predicate=None):
@@ -621,29 +567,6 @@ class IndexNLJoinOp(HashJoinOp):
                 return None
         return probes
 
-    def _joined_rows(self, run):
-        table = run.db.tables_get(self.table_name)
-        offset = run.sctx.offsets[self.join_index]
-        width = run.sctx.widths[self.join_index]
-        left_pos = self.left_pos
-        kind = self.kind
-        left_rows = list(self.child.iter_rows_interp(run))
-        probes = self._probe_all(
-            table, [values[left_pos] for values in left_rows])
-        if probes is None:
-            yield from _hash_join_rows(run, table, left_rows, self)
-            return
-        for values, ids in zip(left_rows, probes):
-            matched = False
-            for row in map(table.rows.__getitem__, ids):
-                run.rows_touched += 1
-                merged = list(values)
-                merged[offset:offset + width] = row
-                yield merged
-                matched = True
-            if not matched and kind == "LEFT":
-                yield list(values)
-
     def iter_cchunks(self, run):
         table = run.db.tables_get(self.table_name)
         left_pos = self.left_pos
@@ -657,6 +580,9 @@ class IndexNLJoinOp(HashJoinOp):
         rows_getitem = table.rows.__getitem__
         kept = {}
         for chunk, chunk_keys in zip(chunks, keys):
+            if run.cutoff:
+                yield from self._row_chunks(run, chunk, probe, rows_getitem)
+                continue
             fetched = {}
             for key, ids in zip(chunk_keys, probe):
                 rows = list(map(rows_getitem, ids))
@@ -666,13 +592,30 @@ class IndexNLJoinOp(HashJoinOp):
             if out is not None:
                 yield out
 
+    def _row_chunks(self, run, chunk, probe, rows_getitem):
+        """``chunk`` joined under a cutoff: a chunk per joined row, each
+        fetched row charged as its chunk is made, so a stop inside a key's
+        rows leaves the rest of them uncharged."""
+        null_row = (None,) * run.sctx.widths[self.join_index]
+        keep = self.keep
+        for i in chunk.live_indices():
+            ids = next(probe)
+            for row in map(rows_getitem, ids):
+                run.rows_touched += 1
+                if keep is None or _survivors(run, self, [row]):
+                    yield _join_chunk(run, chunk, [i], [row],
+                                      self.join_index)
+            if not ids and self.kind == "LEFT":
+                yield _join_chunk(run, chunk, [i], [null_row],
+                                  self.join_index)
+
 
 class NestedLoopJoinOp:
     """General join with an arbitrary ON condition.
 
-    The per-pair work is row-shaped and has no chunk kernel, so both
-    protocols run the same interpreted per-row loop: the chunk path
-    transposes each probe chunk to rows, joins them, and transposes back.
+    The per-pair work is row-shaped and has no chunk kernel: each probe
+    chunk is transposed to rows, joined through the interpreted condition,
+    and transposed back.
     """
 
     def __init__(self, child, join_index, kind, table_name, condition):
@@ -684,7 +627,7 @@ class NestedLoopJoinOp:
 
     def _scan_right(self, run):
         """The right table's rows, charged once per execution — before
-        the first left row is pulled, under either protocol."""
+        the first left row is pulled."""
         right_rows = [row for _, row in
                       run.db.tables_get(self.table_name).scan()]
         run.rows_touched += len(right_rows)
@@ -709,15 +652,11 @@ class NestedLoopJoinOp:
             if not matched and keep_unmatched:
                 yield list(values)
 
-    def iter_rows_interp(self, run):
-        right_rows = self._scan_right(run)
-        yield from self._join_rows(run, self.child.iter_rows_interp(run),
-                                   right_rows)
-
     def iter_cchunks(self, run):
         right_rows = self._scan_right(run)
         total = run.sctx.total_width
-        for chunk in self.child.iter_cchunks(run):
+        chunks = self.child.iter_cchunks(run)
+        for chunk in _one_row_at_a_time(run, chunks) if run.cutoff else chunks:
             out = list(self._join_rows(run, chunk.to_rows(), right_rows))
             if out:
                 run.batches += 1
@@ -743,8 +682,7 @@ class ProjectOp:
         self.out_columns = _output_columns(sctx.stmt, self.expansions)
         # The fused projection: per-output-column gathers / vectorized
         # expression loops, zipped into tuples.  None when an item has
-        # no vector form — then every row is interpreted, under either
-        # engine.
+        # no vector form — then every row is interpreted.
         self._columnar = compile_project(items, self.expansions,
                                          sctx.context.positions,
                                          sctx.context.ambiguous)
@@ -752,7 +690,7 @@ class ProjectOp:
     def apply(self, run):
         run.out_columns = self.out_columns
         params = run.params
-        if run.source_chunks is not None and self._columnar is not None:
+        if self._columnar is not None:
             project = self._columnar
             out_rows = []
             extend = out_rows.extend
@@ -782,7 +720,7 @@ class AggregateOp:
     chunk-at-a-time form and every key is a plain column.  Every other
     shape — composite items (aggregates nested in arithmetic), computed
     keys, arguments without a vector form, HAVING — is interpreted over
-    the materialized source rows, under either engine.
+    the materialized source rows.
     """
 
     def __init__(self, items, group_by, having, sctx):
@@ -822,8 +760,7 @@ class AggregateOp:
 
     def apply(self, run):
         params = run.params
-        if (run.source_chunks is not None
-                and not self.group_by and self.having is None
+        if (not self.group_by and self.having is None
                 and self._citem_fns is not None):
             # Fused path: aggregates consume chunks directly — the wide
             # rows are never built.  A single implicit group, so one
@@ -833,8 +770,7 @@ class AggregateOp:
             run.out_rows = [tuple(fn(chunks, params)
                                   for fn in self._citem_fns)]
             return
-        if (run.source_chunks is not None
-                and self.group_by and self.having is None
+        if (self.group_by and self.having is None
                 and self._cgrouped_items is not None):
             # Grouped fused path: group by gathered key lanes — integer
             # dictionary codes directly for single dictionary-column
@@ -878,7 +814,7 @@ class AggregateOp:
         """Chunk-at-a-time grouped aggregation over columnar chunks.
 
         Groups live in a master dict keyed **by value** (first-encounter
-        order, exactly the row engine's), with one accumulator list per
+        order, exactly the interpreted form's), with one accumulator list per
         select item, one slot per group.  Single dictionary-column keys
         take the code fast path: a per-dictionary ``code -> group``
         translation array (plus a NULL slot) resolves each row with one
@@ -1135,36 +1071,20 @@ class PhysicalPlan:
         return op.table_name, keys
 
     def _materialize_source(self, run, source):
-        """Pull ``source`` to completion under the run's engine.
-
-        The ``limit_hint`` cutoff always streams the interpreted row-at-a-
-        time path — under *every* engine — because stop-after-N is the one
-        place chunked materialization would touch storage rows the
-        interpreter never reads, breaking ``rows_touched``
-        engine-invariance.  In production its few rows then re-enter the
-        pipeline as one chunk, so result operators see chunks only.
-        """
-        interpreted = run.engine == "row"
-        if self.limit_hint is None and not interpreted:
-            # Chunks are kept columnar; result operators that can consume
-            # them do so directly, and ``run.source_rows`` materializes
-            # wide rows lazily for the ones that cannot.
-            run.source_chunks = list(source.iter_cchunks(run))
-            return
-        rows = source.iter_rows_interp(run)
-        if self.limit_hint is not None:
+        """Pull ``source``'s chunks into ``run.source_chunks`` — all of
+        them, or under the ``limit_hint`` cutoff those that hold the first
+        limit+offset rows (none when that is 0).  Result operators that
+        can consume chunks do so directly, and ``run.source_rows``
+        materializes wide rows lazily for the ones that cannot."""
+        chunks = source.iter_cchunks(run)
+        if run.cutoff:
             limit, offset = resolve_limit(*self.limit_hint, run.params)
-            rows = islice(rows, limit + offset)
-        rows = list(rows)
-        if interpreted:
-            run._source_rows = rows
-        else:
-            run.source_chunks = [ColumnChunk.from_rows(
-                rows, run.sctx.total_width, run.sctx.read)]
+            chunks = _first_rows(run, chunks, limit + offset)
+        run.source_chunks = list(chunks)
 
     def execute(self, db, params=(), prefetched_base_rows=None):
         """Run the plan; returns an :class:`ExecResult`."""
-        run = PlanRun(db, params, self.sctx,
+        run = PlanRun(db, params, self.sctx, self.limit_hint is not None,
                       prefetched_base_rows=prefetched_base_rows)
         self._materialize_source(run, self.source)
         for op in self.result_ops:
@@ -1184,7 +1104,7 @@ class PhysicalPlan:
         Deliberately side-effect-light: no result-cache store, no
         statement counters — a profiling probe, not an execution.
         """
-        run = PlanRun(db, params, self.sctx)
+        run = PlanRun(db, params, self.sctx, self.limit_hint is not None)
         ops = []
         op = self.source
         while op is not None:
@@ -1226,8 +1146,12 @@ class PhysicalPlan:
             # Zone-map skips happen only in the base-table scan — the
             # deepest operator of the source chain.
             source_records[-1].skipped = run.chunks_skipped
-        header = (f"EXPLAIN ANALYZE [engine={run.engine}, "
-                  f"rows={len(run.out_rows)}, "
+        if run.cutoff:
+            # A cutoff's chunks are sized by the rows still wanted: their
+            # count says nothing about the chunk operators.
+            for record in source_records:
+                record.chunks = record.capacity = 0
+        header = (f"EXPLAIN ANALYZE [rows={len(run.out_rows)}, "
                   f"rows_touched={run.rows_touched}, "
                   f"total_ms={total * 1000:.3f}]")
         rendered = L.explain(self.logical,
@@ -1238,12 +1162,12 @@ class PhysicalPlan:
 class _AnalyzeRecord:
     """One operator's EXPLAIN ANALYZE measurements.
 
-    ``rows`` counts produced (live) rows under every engine, and ``q`` is
-    their q-error against the node's estimate, ``max(est / act, act /
-    est)`` with both floored at 1.  Chunked execution additionally reports
-    ``chunks`` (chunks yielded) and ``sel``, the live fraction of chunk
-    capacity, so EXPLAIN ANALYZE shows how dense the surviving selection
-    is after each operator.
+    ``rows`` counts produced (live) rows, and ``q`` is their q-error
+    against the node's estimate, ``max(est / act, act / est)`` with both
+    floored at 1.  A row source additionally reports ``chunks`` (chunks
+    yielded) and ``sel``, the live fraction of chunk capacity, so EXPLAIN
+    ANALYZE shows how dense the surviving selection is after each
+    operator.
     """
 
     __slots__ = ("rows", "seconds", "chunks", "capacity", "skipped")
@@ -1254,9 +1178,6 @@ class _AnalyzeRecord:
         self.chunks = 0
         self.capacity = 0
         self.skipped = 0  # chunks the scan's zone maps pruned
-
-    def add_row(self, values):
-        self.rows += 1
 
     def add_chunk(self, chunk):
         self.rows += chunk.n_live()
@@ -1280,31 +1201,25 @@ class _AnalyzeRecord:
 
 class _TimedSource:
     """Wraps a row source, accumulating inclusive pull time and produced
-    rows into an :class:`_AnalyzeRecord` under either protocol."""
+    chunks into an :class:`_AnalyzeRecord`."""
 
     def __init__(self, op, record):
         self.op = op
         self.record = record
 
-    def _timed(self, gen, count):
+    def iter_cchunks(self, run):
         record = self.record
+        chunks = self.op.iter_cchunks(run)
         while True:
             t0 = perf_counter()
             try:
-                item = next(gen)
+                chunk = next(chunks)
             except StopIteration:
                 record.seconds += perf_counter() - t0
                 return
             record.seconds += perf_counter() - t0
-            count(item)
-            yield item
-
-    def iter_cchunks(self, run):
-        return self._timed(self.op.iter_cchunks(run), self.record.add_chunk)
-
-    def iter_rows_interp(self, run):
-        return self._timed(self.op.iter_rows_interp(run),
-                           self.record.add_row)
+            record.add_chunk(chunk)
+            yield chunk
 
 
 def build_physical(root, sctx):
@@ -1335,6 +1250,20 @@ def build_physical(root, sctx):
             distinct = True
     source = _build_source(node.child, sctx)
     return PhysicalPlan(source, result_ops, sctx, root)
+
+
+def _first_rows(run, chunks, n):
+    """``chunks`` until ``n`` live rows have come out (every chunk a row
+    source yields holds one); not one is pulled when ``n`` is 0.  Each is
+    asked for the rows still wanted: below no join that may emit several
+    rows for one, no chunk then reaches past the row the cut falls on."""
+    while n > 0:
+        run.chunk_size = min(n, CHUNK_SIZE)
+        chunk = next(chunks, None)
+        if chunk is None:
+            return
+        yield chunk
+        n -= chunk.n_live()
 
 
 def _limit_hint(result_ops, sctx):
@@ -1452,11 +1381,14 @@ def _eval_aggregate_expr(expr, group_rows, ctx, params):
         operand = _eval_aggregate_expr(expr.operand, group_rows, ctx, params)
         return evaluate(A.UnaryOp(expr.op, A.Literal(operand)), ctx, params)
     # Plain expression: evaluate against the first row of the group
-    # (valid for GROUP BY keys, which are constant within a group).
+    # (valid for GROUP BY keys, which are constant within a group).  The
+    # one group of an aggregate over no row has none: every column reads
+    # NULL there, and a literal is itself.
     if group_rows:
         ctx.bind(group_rows[0])
-        return evaluate(expr, ctx, params)
-    return None
+    else:
+        ctx.bind([None] * (max(ctx.positions.values(), default=-1) + 1))
+    return evaluate(expr, ctx, params)
 
 
 def _eval_aggregate_call(expr, group_rows, ctx, params):

@@ -125,9 +125,17 @@ def build_select_plan(db, stmt):
 
     Returns ``(root, select_context)``.  Raises
     :class:`repro.sqldb.errors.CatalogError` for unknown tables, exactly as
-    direct execution would.
+    direct execution would, and :class:`SqlError` for a qualified WHERE
+    column the FROM list does not have: an index path may decide the
+    conjunct that names it without evaluating it, so it is refused here,
+    whatever the parameters and the data.
     """
     sctx = SelectContext(db, stmt)
+    positions = sctx.context.positions
+    for ref in expr_columns(stmt.where):
+        if ref.table is not None and (ref.table, ref.column) not in positions:
+            raise SqlError(
+                f"unknown column {ref.column!r} in table {ref.table!r}")
 
     node = L.Scan(0, sctx.tables[0].name, sctx.tables[0].alias)
     for join_index, join in enumerate(stmt.joins, start=1):

@@ -15,11 +15,10 @@ class ExecResult:
     ``rows`` — list of tuples, kept as given (empty for writes).
     ``rowcount`` — rows returned for reads, rows affected for writes.
     ``rows_touched`` — storage rows examined (cost-model input).  Chunks
-    the columnar engine skips via zone maps still charge their rows here
-    — skipping changes wall-clock, never the simulated cost — so the
-    figure stays engine-invariant.
-    ``chunks_skipped`` — columnar chunks zone maps proved irrelevant
-    (0 outside the columnar engine).
+    zone maps skip still charge their rows here — skipping changes
+    wall-clock, never the simulated cost.
+    ``chunks_skipped`` — chunks zone maps proved irrelevant (0 for
+    writes).
     ``last_insert_id`` — primary key of the last inserted row, if integral.
     ``from_cache`` — True when the rows came from the cross-request result
     cache (the server charges the flat cache-hit cost instead of the

@@ -1,27 +1,30 @@
 """LIMIT / OFFSET values and ORDER BY positions are validated in one place
-each, and a statement's parameters are normalised once, in
-``execute_parsed`` — the same error, or the same rows, on both engines."""
+each, and a statement's parameters are normalised once, where they enter
+``sqldb`` (or the query store) — a malformed value is the same
+``SqlError`` at every public entry."""
 
 import pytest
 
+from repro.core.query_store import QueryStore
 from repro.net import CostModel, DatabaseServer
+from repro.net.clock import SimClock
+from repro.net.driver import BatchDriver, Driver
 from repro.sqldb import Database
 from repro.sqldb.errors import SqlError
 from repro.sqldb.executor import as_params
+from repro.sqldb.parser import parse
 
 
-def _engines():
-    """The same five rows behind each engine; the ordered index makes
-    ``ORDER BY v LIMIT n`` take the ``limit_hint`` cutoff."""
-    dbs = [Database(engine=engine, result_cache_size=0)
-           for engine in Database.ENGINES]
-    for db in dbs:
-        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, s TEXT)")
-        db.execute("CREATE INDEX idx_t_v ON t (v) USING ORDERED")
-        for i in range(5):
-            db.execute("INSERT INTO t (id, v, s) VALUES (?, ?, ?)",
-                       (i, 10 - i, f"s{i}"))
-    return dbs
+def _database():
+    """Five rows; the ordered index makes ``ORDER BY v LIMIT n`` take the
+    ``limit_hint`` cutoff."""
+    db = Database(result_cache_size=0)
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, s TEXT)")
+    db.execute("CREATE INDEX idx_t_v ON t (v) USING ORDERED")
+    for i in range(5):
+        db.execute("INSERT INTO t (id, v, s) VALUES (?, ?, ?)",
+                   (i, 10 - i, f"s{i}"))
+    return db
 
 
 @pytest.mark.parametrize("sql, params, message", [
@@ -65,26 +68,25 @@ def _engines():
 def test_malformed_bounds_raise_sql_error_everywhere(sql, params, message):
     """Never a bare Python exception, never a silently wrong row set
     (``LIMIT -1`` used to drop the last row, ``ORDER BY 0`` to sort by the
-    last column) — and the same error on both engines."""
-    for db in _engines():
-        with pytest.raises(SqlError) as err:
-            db.execute(sql, params)
-        assert type(err.value) is SqlError and str(err.value) == message, db
+    last column)."""
+    with pytest.raises(SqlError) as err:
+        _database().execute(sql, params)
+    assert type(err.value) is SqlError and str(err.value) == message
 
 
 def test_valid_bounds_slice_as_before():
-    for db in _engines():
-        for sql, params, ids in [
-                ("SELECT id FROM t ORDER BY id LIMIT 0", (), []),
-                ("SELECT id FROM t ORDER BY id LIMIT 2 OFFSET 1", (), [1, 2]),
-                ("SELECT id FROM t ORDER BY id LIMIT ? OFFSET ?", (2, 3),
-                 [3, 4]),
-                ("SELECT id FROM t ORDER BY id LIMIT 9 OFFSET 4", (), [4]),
-                ("SELECT id FROM t ORDER BY v LIMIT ? OFFSET ?", (2, 1),
-                 [3, 2]),
-                ("SELECT id, v FROM t ORDER BY 2 DESC LIMIT 2", (), [0, 1])]:
-            rows = db.execute(sql, params).rows
-            assert [row[0] for row in rows] == ids, (db, sql)
+    db = _database()
+    for sql, params, ids in [
+            ("SELECT id FROM t ORDER BY id LIMIT 0", (), []),
+            ("SELECT id FROM t ORDER BY id LIMIT 2 OFFSET 1", (), [1, 2]),
+            ("SELECT id FROM t ORDER BY id LIMIT ? OFFSET ?", (2, 3),
+             [3, 4]),
+            ("SELECT id FROM t ORDER BY id LIMIT 9 OFFSET 4", (), [4]),
+            ("SELECT id FROM t ORDER BY v LIMIT ? OFFSET ?", (2, 1),
+             [3, 2]),
+            ("SELECT id, v FROM t ORDER BY 2 DESC LIMIT 2", (), [0, 1])]:
+        rows = db.execute(sql, params).rows
+        assert [row[0] for row in rows] == ids, (db, sql)
 
 
 @pytest.mark.parametrize("params", [
@@ -95,21 +97,35 @@ def test_valid_bounds_slice_as_before():
 ])
 def test_params_that_are_no_sequence_raise_sql_error_everywhere(params):
     """``None`` and a scalar used to leak ``TypeError`` from ``tuple()``;
-    ``"5"`` bound ``('5',)`` and ``{"a": 1}`` bound ``('a',)`` silently."""
-    engines = _engines()
-    for db in engines:
-        for sql in ("SELECT v FROM t WHERE id = ?",
-                    "UPDATE t SET v = 0 WHERE id = ?"):
+    ``"5"`` bound ``('5',)`` and ``{"a": 1}`` bound ``('a',)`` silently.
+    Each public entry that takes parameters refuses them the same way."""
+    db = _database()
+    model, clock = CostModel(), SimClock()
+    server = DatabaseServer(db, model)
+    driver = Driver(server, clock, model)
+    batch_driver = BatchDriver(server, clock, model)
+    for sql in ("SELECT v FROM t WHERE id = ?",
+                "UPDATE t SET v = 0 WHERE id = ?"):
+        entries = [
+            lambda: db.execute(sql, params),
+            lambda: db.execute_parsed(parse(sql), params),
+            lambda: db.query(sql, params),
+            lambda: server.execute_one(sql, params),
+            lambda: server.execute_batch([(sql, params)]),
+            lambda: server.execute_batch([(sql, params)], True),
+            lambda: driver.execute(sql, params),
+            lambda: batch_driver.execute_batch([(sql, params)]),
+            lambda: QueryStore(batch_driver).register_query(sql, params),
+        ]
+        if sql.startswith("SELECT") and params is not None:
+            # explain(params=None) is EXPLAIN without parameters.
+            entries.append(lambda: db.explain(sql, params))
+        for entry in entries:
             with pytest.raises(SqlError) as err:
-                db.execute(sql, params)
-            assert type(err.value) is SqlError, db
-            assert "must be a tuple or a list" in str(err.value)
-        assert db.execute("SELECT v FROM t WHERE id = 1").rows == [(9,)]
-    server = DatabaseServer(engines[0], CostModel())
-    for batch_optimize in (False, True):
-        with pytest.raises(SqlError):
-            server.execute_batch([("SELECT v FROM t WHERE id = ?", params)],
-                                 batch_optimize=batch_optimize)
+                entry()
+            assert type(err.value) is SqlError and \
+                "must be a tuple or a list" in str(err.value)
+    assert db.execute("SELECT v FROM t WHERE id = 1").rows == [(9,)]
 
 
 def test_a_tuple_passes_untouched_and_a_list_is_copied():
@@ -117,11 +133,11 @@ def test_a_tuple_passes_untouched_and_a_list_is_copied():
     assert as_params(params) is params
     listed = [1]
     assert as_params(listed) == (1,) and listed == [1]
-    for db in _engines():
-        assert db.execute("SELECT v FROM t WHERE id = ?", [1]).rows == [(9,)]
-        assert db.execute("UPDATE t SET v = ? WHERE id = ?",
-                          [7, 1]).rowcount == 1
-        assert db.execute("SELECT v FROM t WHERE id = ?", (1,)).rows == [(7,)]
+    db = _database()
+    assert db.execute("SELECT v FROM t WHERE id = ?", [1]).rows == [(9,)]
+    assert db.execute("UPDATE t SET v = ? WHERE id = ?",
+                      [7, 1]).rowcount == 1
+    assert db.execute("SELECT v FROM t WHERE id = ?", (1,)).rows == [(7,)]
     cached = Database()
     cached.execute("CREATE TABLE t (id INT PRIMARY KEY)")
     cached.execute("SELECT id FROM t WHERE id = ?", [1])

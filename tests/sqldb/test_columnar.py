@@ -1,7 +1,7 @@
 """Unit tests for the columnar chunk layout itself.
 
-The engine-parity suites (test_vectorized, test_join_oracle) pin the
-columnar engine's *results*; these tests pin the layout internals —
+The SQLite differentials (test_sqlite_oracle, test_join_oracle) pin the
+engine's *results*; these tests pin the layout internals —
 dictionary-encoding decisions, ColumnStore snapshot caching and
 invalidation, selection-vector plumbing, per-chunk zone maps (their
 construction, the scans that skip on them, and their invalidation
@@ -20,9 +20,11 @@ from repro.sqldb.parser import parse
 from repro.sqldb.plan import physical as physical_mod
 from repro.sqldb.plan.cost import column_ndv
 
+from sqlite_reference import assert_matches_sqlite
 
-def _db(engine="columnar", n=100):
-    db = Database(result_cache_size=0, engine=engine)
+
+def _db(n=100):
+    db = Database(result_cache_size=0)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, name TEXT, v INT)")
     for i in range(n):
         db.execute("INSERT INTO t VALUES (?, ?, ?)",
@@ -267,29 +269,25 @@ def test_from_rows_transpose_shim():
 # ---------------------------------------------------------------------------
 
 
-def test_dictionary_predicates_agree_with_row_engine():
-    queries = (
-        ("SELECT id FROM t WHERE name = 'label2'", ()),
-        ("SELECT id FROM t WHERE name <> 'label0'", ()),
-        ("SELECT id FROM t WHERE name LIKE 'label%'", ()),
-        ("SELECT id FROM t WHERE name LIKE '%2'", ()),
-        ("SELECT id FROM t WHERE name IN ('label1', 'label3', 'zzz')", ()),
-        ("SELECT id FROM t WHERE name IS NULL", ()),
-        ("SELECT name, COUNT(*) FROM t GROUP BY name ORDER BY name", ()),
-    )
-    columnar, row = _db("columnar"), _db("row")
-    for sql, params in queries:
-        a = columnar.execute(sql, params)
-        b = row.execute(sql, params)
-        assert a.rows == b.rows, sql
-        assert a.rows_touched == b.rows_touched, sql
+def test_dictionary_predicates_agree_with_sqlite():
+    db = _db()
+    for sql in ("SELECT id FROM t WHERE name = 'label2'",
+                "SELECT id FROM t WHERE name <> 'label0'",
+                "SELECT id FROM t WHERE name LIKE 'label%'",
+                "SELECT id FROM t WHERE name LIKE '%2'",
+                "SELECT id FROM t WHERE name IN ('label1', 'label3', 'zzz')",
+                "SELECT id FROM t WHERE name IS NULL"):
+        assert assert_matches_sqlite(db, sql).rows_touched == 100, sql
+    assert_matches_sqlite(
+        db, "SELECT name, COUNT(*) FROM t GROUP BY name ORDER BY name",
+        total=True)
 
 
 def test_sort_transposes_source_only_for_source_keys(monkeypatch):
     """ORDER BY over output aliases and positions sorts the projected rows
     alone; only a key that is an expression over the *source* row makes
     Sort ask for the wide rows (``PlanRun.source_rows``)."""
-    columnar, row = _db("columnar", n=50), _db("row", n=50)
+    db = _db(n=50)
     transposed = []
     to_rows = ColumnChunk.to_rows
     monkeypatch.setattr(
@@ -298,10 +296,10 @@ def test_sort_transposes_source_only_for_source_keys(monkeypatch):
     for sql in ("SELECT id, v AS w FROM t WHERE v > 30 ORDER BY w DESC, 1",
                 "SELECT name, COUNT(*) AS n FROM t GROUP BY name "
                 "ORDER BY n DESC, name"):
-        assert columnar.execute(sql).rows == row.execute(sql).rows
+        assert_matches_sqlite(db, sql, total=True)
         assert not transposed, sql
     sql = "SELECT id FROM t WHERE v > 30 ORDER BY name DESC, v % 7, id"
-    assert columnar.execute(sql).rows == row.execute(sql).rows
+    assert_matches_sqlite(db, sql, total=True)
     assert transposed
 
 
@@ -315,7 +313,7 @@ def test_index_join_keeps_left_dictionary_lanes_encoded():
     sql = "SELECT t.name, r.w FROM t JOIN r ON t.v = r.id WHERE t.id < 60"
     plan = db.executor.plan_for(db, parse(sql))
     assert isinstance(plan.source, physical_mod.IndexNLJoinOp)
-    run = physical_mod.PlanRun(db, (), plan.sctx)
+    run = physical_mod.PlanRun(db, (), plan.sctx, False)
     (chunk,) = plan.source.iter_cchunks(run)
     assert chunk.length == 30 and chunk.sel is None
     assert isinstance(chunk.columns[1], DictColumn)
@@ -352,14 +350,14 @@ def test_zone_maps_withhold_unorderable_ranges():
 
 
 def test_scan_skips_chunks_outside_range():
-    columnar, row = _db("columnar", n=2500), _db("row", n=2500)
-    sql = "SELECT id, v FROM t WHERE id < ?"
-    a, b = columnar.execute(sql, (1024,)), row.execute(sql, (1024,))
-    assert a.rows == b.rows and a.rowcount == 1024
+    db = _db(n=2500)
+    result = assert_matches_sqlite(db, "SELECT id, v FROM t WHERE id < ?",
+                                   (1024,))
+    assert result.rowcount == 1024
     # Chunks 2 and 3 (ids 1024..2499) are proven irrelevant and skipped —
-    # but still charge rows_touched: the cost currency is engine-invariant.
-    assert a.chunks_skipped == 2 and b.chunks_skipped == 0
-    assert a.rows_touched == b.rows_touched == 2500
+    # but still charge rows_touched: zone maps change wall-clock only.
+    assert result.chunks_skipped == 2
+    assert result.rows_touched == 2500
 
 
 def test_scan_skips_chunks_beside_interpreted_operand():
@@ -368,19 +366,17 @@ def test_scan_skips_chunks_beside_interpreted_operand():
     skipping chunks nor see the skipped rows.  With the interpreted
     operand on the left nothing can be ruled out: it runs — and may
     raise — on every row."""
-    columnar, row = _db("columnar", n=2500), _db("row", n=2500)
+    db = _db(n=2500)
     for operand in ("name IN ('label1', 'label3')", "name LIKE '%2'",
                     "(v = 30 OR name IS NULL)", "NOT (v > 300)"):
         sql = f"SELECT id, name FROM t WHERE id < ? AND {operand}"
-        a, b = columnar.execute(sql, (1024,)), row.execute(sql, (1024,))
-        assert a.rows == b.rows and a.rows, sql
-        assert a.chunks_skipped == 2 and b.chunks_skipped == 0, sql
-        assert a.rows_touched == b.rows_touched == 2500, sql
+        result = assert_matches_sqlite(db, sql, (1024,))
+        assert result.rows and result.chunks_skipped == 2, sql
+        assert result.rows_touched == 2500, sql
         sql = f"SELECT id, name FROM t WHERE {operand} AND id < ?"
-        a, b = columnar.execute(sql, (1024,)), row.execute(sql, (1024,))
-        assert a.rows == b.rows and a.rows, sql
-        assert a.chunks_skipped == 0, sql
-        assert a.rows_touched == b.rows_touched == 2500, sql
+        result = assert_matches_sqlite(db, sql, (1024,))
+        assert result.rows and result.chunks_skipped == 0, sql
+        assert result.rows_touched == 2500, sql
 
 
 def test_zone_maps_invalidated_by_interleaved_writes():
@@ -443,19 +439,16 @@ def test_zone_maps_follow_a_delete_that_empties_chunks():
 )
 def test_chunk_skipping_never_changes_results(values, low, span, op):
     """Differential oracle: with tiny chunks (so zone pruning fires on
-    realistic data sizes), the columnar engine must return exactly the
-    row engine's rows and rows_touched for every predicate shape the
-    prune compiler handles — skipping may only ever change wall-clock."""
+    realistic data sizes), the engine must return SQLite's rows, and
+    charge every row, for every predicate shape the prune compiler
+    handles — skipping may only ever change wall-clock."""
     old_chunk = columnar_mod.CHUNK_SIZE
     columnar_mod.CHUNK_SIZE = physical_mod.CHUNK_SIZE = 8
     try:
-        dbs = {}
-        for engine in Database.ENGINES:
-            db = Database(result_cache_size=0, engine=engine)
-            db.execute("CREATE TABLE o (id INT PRIMARY KEY, v INT)")
-            for i, v in enumerate(values):
-                db.execute("INSERT INTO o VALUES (?, ?)", (i, v))
-            dbs[engine] = db
+        db = Database(result_cache_size=0)
+        db.execute("CREATE TABLE o (id INT PRIMARY KEY, v INT)")
+        for i, v in enumerate(values):
+            db.execute("INSERT INTO o VALUES (?, ?)", (i, v))
         high = low + span
         if op == "BETWEEN":
             sql = "SELECT id, v FROM o WHERE v BETWEEN ? AND ?"
@@ -469,10 +462,7 @@ def test_chunk_skipping_never_changes_results(values, low, span, op):
             params = ()
         else:
             sql, params = f"SELECT id, v FROM o WHERE v {op} ?", (low,)
-        row = dbs["row"].execute(sql, params)
-        col = dbs["columnar"].execute(sql, params)
-        assert col.rows == row.rows
-        assert col.rows_touched == row.rows_touched
-        assert row.chunks_skipped == 0
+        result = assert_matches_sqlite(db, sql, params)
+        assert result.rows_touched == len(values)
     finally:
         columnar_mod.CHUNK_SIZE = physical_mod.CHUNK_SIZE = old_chunk

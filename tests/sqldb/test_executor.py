@@ -268,15 +268,13 @@ class TestIndexUse:
 
 
 class TestLifetime:
-    @pytest.mark.parametrize("engine", Database.ENGINES)
-    def test_dropped_database_is_freed_without_the_cycle_collector(
-            self, engine):
+    def test_dropped_database_is_freed_without_the_cycle_collector(self):
         """Nothing a used database owns refers back to it, so dropping the
         last reference frees it at once: the cycle collector is off here."""
         enabled = gc.isenabled()
         gc.disable()
         try:
-            db = Database(engine=engine)
+            db = Database()
             db.execute_script("""
             CREATE TABLE a (id INT PRIMARY KEY, x INT);
             CREATE TABLE b (id INT PRIMARY KEY, y INT);

@@ -4,7 +4,7 @@ A read that follows a write — auto-committed, committed in a transaction,
 rolled back, or a TRUNCATE — returns what a fresh database that ran the
 same writes returns, through every access path (sequential scan,
 primary-key lookup, hash and ordered secondary indexes, a grouped
-aggregate) and under both engines.  The reads run once before the write
+aggregate).  The reads run once before the write
 too, so the plan cache, the result cache and the column store are all warm
 when the write lands and must each notice it.
 
@@ -51,8 +51,8 @@ WRITES = {
 }
 
 
-def _db(engine, writes=()):
-    db = Database(engine=engine)
+def _db(writes=()):
+    db = Database()
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, grp INT, v INT, w INT)")
     db.execute("CREATE INDEX idx_grp ON t (grp)")
     db.execute("CREATE INDEX idx_v ON t (v) USING ORDERED")
@@ -69,14 +69,13 @@ def _read_all(db):
 
 
 @pytest.mark.parametrize("write", sorted(WRITES))
-@pytest.mark.parametrize("engine", Database.ENGINES)
-def test_a_read_after_a_write_matches_a_fresh_database(engine, write):
-    db = _db(engine)
+def test_a_read_after_a_write_matches_a_fresh_database(write):
+    db = _db()
     before = _read_all(db)
     assert _read_all(db) == before  # warm: the repeats hit the cache
     for sql in WRITES[write]:
         db.execute(sql)
-    expected = _read_all(_db(engine, WRITES[write]))
+    expected = _read_all(_db(WRITES[write]))
     assert _read_all(db) == expected
     if write == "rollback":
         assert expected == before
@@ -86,7 +85,7 @@ def test_a_read_after_a_write_matches_a_fresh_database(engine, write):
 
 def test_no_write_replaces_table_rows():
     for write in WRITES.values():
-        db = _db("columnar")
+        db = _db()
         table = db.tables["t"]
         rows = table.rows
         for sql in write:
@@ -95,15 +94,14 @@ def test_no_write_replaces_table_rows():
             assert table.column_store().length == len(rows), sql
 
 
-@pytest.mark.parametrize("engine", Database.ENGINES)
-def test_own_writes_are_visible_inside_a_transaction(engine):
-    db = _db(engine)
+def test_own_writes_are_visible_inside_a_transaction():
+    db = _db()
     before = _read_all(db)
     pending = WRITES["commit"][1:-1]
     db.execute("BEGIN")
     for sql in pending:
         db.execute(sql)
-    assert _read_all(db) == _read_all(_db(engine, pending))
+    assert _read_all(db) == _read_all(_db(pending))
     db.execute("ROLLBACK")
     assert _read_all(db) == before
 

@@ -148,9 +148,9 @@ class TestBucketOrderUpkeep:
             "UPDATE t SET h = 2, o = 2 WHERE id = 5", "ROLLBACK"],
     }
 
-    @pytest.fixture(params=Database.ENGINES)
-    def twins(self, request):
-        indexed, plain = (Database(engine=request.param) for _ in range(2))
+    @pytest.fixture
+    def twins(self):
+        indexed, plain = Database(), Database()
         for db in (indexed, plain):
             db.execute_script(";\n".join(self.SETUP))
         indexed.execute("CREATE INDEX t_h ON t (h)")

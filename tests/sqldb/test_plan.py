@@ -6,6 +6,7 @@ shared-scan optimizer."""
 import pytest
 
 from repro.sqldb import Database
+from repro.sqldb.errors import SqlError
 from repro.sqldb.parser import parse
 from repro.sqldb.plan import FROM_ORDER_OPTIONS
 from repro.sqldb.plan.batch import execute_batch_plan
@@ -660,3 +661,27 @@ class TestSharedScanThroughStack:
         for a, b in zip(direct, shared):
             assert a.columns == b.columns
             assert a.rows == b.rows
+
+
+class TestQualifiedWhereColumns:
+    """A qualified WHERE column the FROM list lacks is refused when the
+    plan is built: a primary-key probe used to decide ``x.id = ?`` on
+    ``t``'s key unevaluated, answering rows for some parameters."""
+
+    @pytest.mark.parametrize("where", [
+        "x.id = ?", "x.id = ? AND v > 0", "v > 0 AND x.v = ?",
+        "t.nope = ?", "id IN (?, 3) AND x.id = 1"])
+    @pytest.mark.parametrize("rows", [0, 3], ids=["empty", "rows"])
+    def test_an_unknown_qualified_column_is_refused(self, where, rows):
+        db = Database()
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        db.execute("CREATE INDEX t_v ON t (v)")
+        for i in range(1, rows + 1):
+            db.execute("INSERT INTO t VALUES (?, ?)", (i, 10 * i))
+        sql = f"SELECT v FROM t WHERE {where}"
+        for params in ((2,), (20,), (None,)):
+            with pytest.raises(SqlError, match="unknown column '(id|v|nope)' "
+                                               "in table '(x|t)'"):
+                db.execute(sql, params)
+        with pytest.raises(SqlError, match="unknown column"):
+            db.explain(sql)

@@ -583,8 +583,8 @@ class TestHotPageLoads:
 
 class TestDifferentialOracle:
     """Interleaved writer/reader sessions against a cache-disabled twin
-    (the ``test_join_oracle`` methodology: same statements, two engines,
-    byte-identical results everywhere)."""
+    (the ``test_join_oracle`` methodology: same statements, two
+    databases, byte-identical results everywhere)."""
 
     READS = (
         ("SELECT v FROM t WHERE id = ?", "pk"),

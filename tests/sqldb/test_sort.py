@@ -22,7 +22,7 @@ from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.expressions import RowContext, evaluate
 from repro.sqldb.plan.physical import SortOp
 
-ENGINES = ("columnar", "row")
+from sqlite_reference import assert_matches_sqlite
 
 
 class _ReferenceKey:
@@ -136,37 +136,37 @@ def test_sort_op_orders_like_the_reference_comparator(values, order_by):
     assert _ids(engine) == expected
 
 
-def _backend(name, rows=((1, 50), (1, 10), (2, 5), (3, 40), (3, 1))):
-    """``t(id, x, y)`` holding ``rows`` as (x, y) on one engine."""
-    db = Database(result_cache_size=0, engine=name)
+def _backend(rows=((1, 50), (1, 10), (2, 5), (3, 40), (3, 1))):
+    """``t(id, x, y)`` holding ``rows`` as (x, y)."""
+    db = Database(result_cache_size=0)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT, y INT)")
     for i, (x, y) in enumerate(rows, start=1):
         db.execute("INSERT INTO t (id, x, y) VALUES (?, ?, ?)", (i, x, y))
     return db
 
 
-@pytest.mark.parametrize("backend", ENGINES)
-def test_distinct_ordered_by_a_column_it_does_not_select_raises(backend):
+def test_distinct_ordered_by_a_column_it_does_not_select_raises():
     """DISTINCT drops rows, so an ORDER BY key over the source row no
     longer lines up with the output: ``ORDER BY y`` would give output
     ``(2,)`` the ``y`` of another row.  The plan refuses it."""
-    db = _backend(backend)
+    db = _backend()
     with pytest.raises(SqlError, match="for SELECT DISTINCT, ORDER BY "
                                        "expressions must appear in the "
                                        "select list"):
         db.execute("SELECT DISTINCT x FROM t ORDER BY y")
-    assert db.execute("SELECT DISTINCT x FROM t ORDER BY x DESC").rows == \
-        [(3,), (2,), (1,)]
-    assert db.execute("SELECT DISTINCT x, y FROM t ORDER BY 2").rows == \
+    assert assert_matches_sqlite(
+        db, "SELECT DISTINCT x FROM t ORDER BY x DESC", total=True).rows \
+        == [(3,), (2,), (1,)]
+    assert assert_matches_sqlite(
+        db, "SELECT DISTINCT x, y FROM t ORDER BY 2", total=True).rows == \
         [(3, 1), (2, 5), (1, 10), (3, 40), (1, 50)]
 
 
-@pytest.mark.parametrize("backend", ENGINES)
 @pytest.mark.parametrize("rows", [(), ((1, 50), (2, 5))],
                          ids=["empty", "rows"])
 def test_aggregate_ordered_by_a_source_column_raises_whatever_the_data(
-        backend, rows):
-    db = _backend(backend, rows)
+        rows):
+    db = _backend(rows)
     with pytest.raises(SqlError, match="ORDER BY in aggregate queries must "
                                        "reference output columns"):
         db.execute("SELECT x, COUNT(*) FROM t GROUP BY x ORDER BY y")
@@ -174,24 +174,24 @@ def test_aggregate_ordered_by_a_source_column_raises_whatever_the_data(
                           "ORDER BY n DESC, 1").rows) == len(rows)
 
 
-@pytest.mark.parametrize("backend", ENGINES)
-def test_mixed_directions_and_nulls(backend):
+def test_mixed_directions_and_nulls():
     """NULL first ascending, last descending, and the minority direction
     flipped inside the majority's sort."""
-    db = _backend(backend, ((1, None), (1, 3), (2, None), (2, 3), (1, 3)))
-    assert db.execute("SELECT id FROM t ORDER BY x DESC, y, id DESC").rows \
+    db = _backend(((1, None), (1, 3), (2, None), (2, 3), (1, 3)))
+    assert assert_matches_sqlite(
+        db, "SELECT id FROM t ORDER BY x DESC, y, id DESC", total=True).rows \
         == [(3,), (4,), (1,), (5,), (2,)]
-    assert db.execute("SELECT id FROM t ORDER BY y DESC, x, id").rows == \
+    assert assert_matches_sqlite(
+        db, "SELECT id FROM t ORDER BY y DESC, x, id", total=True).rows == \
         [(2,), (5,), (4,), (1,), (3,)]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_engine_rows_are_tuples(engine):
+def test_engine_rows_are_tuples():
     """Every result operator hands on tuples — the projection's kernel and
     interpreted form, the aggregates', DISTINCT's, LIMIT's and the
     stop-after-N cutoff's — and a result keeps the engine's list; a cache
     hit is a fresh list of the cached tuples."""
-    db = Database(engine=engine)
+    db = Database()
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT, y INT, s TEXT)")
     db.execute("CREATE INDEX idx_t_y ON t (y) USING ORDERED")
     for i in range(1, 9):
@@ -216,12 +216,11 @@ def test_engine_rows_are_tuples(engine):
         assert db.execute(sql, (0,)).rows == result.rows, sql
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_a_probe_key_of_the_wrong_type_is_caught_by_the_recheck(engine):
+def test_a_probe_key_of_the_wrong_type_is_caught_by_the_recheck():
     """``id = ?`` bound to TRUE would find row 1 through the primary-key
     hash (``TRUE == 1``).  TRUE is no key for an INTEGER column, so no index
     serves the execution and the scan's comparison is what raises."""
-    db = _backend(engine)
+    db = _backend()
     with pytest.raises(SqlTypeError, match="cannot compare 1 with True"):
         db.execute("SELECT x FROM t WHERE id = ?", (True,))
     assert db.execute("SELECT x FROM t WHERE id = ?", (1,)).rows == [(1,)]

@@ -4,11 +4,11 @@ Hypothesis generates table data (with NULL group keys) and a query of one
 shape — primary-key and group-key point lookups, IN lists, ORDER BY with
 LIMIT / OFFSET, an ORDER BY that leaves ties loose, INNER / LEFT joins
 against a lookup table, GROUP BY aggregates, DISTINCT and counts — and
-runs it on a :class:`Database` and on an in-memory ``sqlite3`` database
-seeded with the same rows.  Each shape runs under every configuration of
-one node: both physical engines, no result cache, and a hash or an
-ordered secondary index (so a point lookup, an IN list or an ORDER BY can
-take the index instead of the scan).
+runs it on a :class:`Database` and on an in-memory ``sqlite3`` copy of its
+tables (``sqlite_reference``).  Each shape runs under every configuration
+of one node: the defaults, no result cache, and a hash or an ordered
+secondary index (so a point lookup, an IN list or an ORDER BY can take the
+index instead of the scan).
 
 The oracle asserts:
 
@@ -23,19 +23,18 @@ The oracle asserts:
   writes must not answer for after them.
 """
 
-import sqlite3
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro.sqldb import Database
 
+from sqlite_reference import assert_matches_sqlite, sqlite_copy
+
 #: One node's configurations: constructor options and the index, if any,
 #: created beside the tables.
 CONFIGS = {
-    "columnar": ({"engine": "columnar"}, None),
-    "row": ({"engine": "row"}, None),
+    "default": ({}, None),
     "uncached": ({"result_cache_size": 0}, None),
     "hash-grp": ({}, "CREATE INDEX t_grp ON t (grp)"),
     "ordered-val": ({}, "CREATE INDEX t_val ON t (val) USING ORDERED"),
@@ -136,8 +135,7 @@ _DDL = ("CREATE TABLE t (id INTEGER PRIMARY KEY, grp INT, val INT)",
 
 
 def seed(db, t_rows, lk_rows, index=None):
-    """Create and fill both tables on ``db`` (a :class:`Database` or a
-    ``sqlite3`` connection: both take ``execute(sql, params)``)."""
+    """Create and fill both tables on ``db``."""
     for ddl in _DDL + ((index,) if index else ()):
         db.execute(ddl)
     for pk, (grp, val) in enumerate(t_rows):
@@ -149,47 +147,16 @@ def seed(db, t_rows, lk_rows, index=None):
 
 
 def make_pair(config, t_rows, lk_rows):
-    options, index = CONFIGS[config]
-    return (seed(Database("oracle", **options), t_rows, lk_rows, index),
-            seed(sqlite3.connect(":memory:"), t_rows, lk_rows))
-
-
-def canon(rows):
-    return sorted([tuple(row) for row in rows], key=repr)
-
-
-def assert_ordered(rows, order_positions):
-    """Adjacent pairs respect the ORDER BY keys with NULLs first
-    ascending and last descending."""
-    def rank(row):
-        key = []
-        for pos, descending in order_positions:
-            value = row[pos]
-            if descending:
-                key.append((value is None,
-                            -value if value is not None else 0))
-            else:
-                key.append((value is not None,
-                            value if value is not None else 0))
-        return key
-
-    ranks = [rank(row) for row in rows]
-    assert all(a <= b for a, b in zip(ranks, ranks[1:]))
+    db = seed(Database("oracle", **CONFIGS[config][0]), t_rows, lk_rows,
+              CONFIGS[config][1])
+    return db, sqlite_copy(db)
 
 
 def check(db, lite, query):
     """``db`` answers ``query`` with SQLite's rows, twice over."""
     sql, params, order_positions, exact = query
-    cursor = lite.execute(sql, params)
-    expected = [tuple(row) for row in cursor]
-    first = db.execute(sql, params)
-    assert len(first.columns) == len(cursor.description)
-    if exact:
-        assert first.rows == expected, sql
-    else:
-        assert canon(first.rows) == canon(expected), sql
-        if order_positions:
-            assert_ordered(first.rows, order_positions)
+    first = assert_matches_sqlite(db, sql, params, order_positions,
+                                  total=exact, lite=lite)
     assert db.execute(sql, params).rows == first.rows
 
 

@@ -9,15 +9,17 @@ Generated SELECTs over one small table put aggregates beside ``*`` and
 ORDER BY / LIMIT over columns and ``?``, under a WHERE of equalities on
 the primary key and on an indexed column; the parameters are ints (one no
 float can hold, one a float rounds), floats (NaN and ±inf among them),
-bools, text, NULL, a list and a dict.  Each statement runs on both
-engines, over an empty table and over a table with rows (several bugs
-here answered differently by data: a malformed row over no rows, an
-error over some).  A result row has exactly one value per column.  An
-index answers what a scan does: the same statement over a
-twin table with no index and no primary key gives the same rows, or an
-error of the same type — and so does a range WHERE (``<``, ``<=``, ``>``,
-``>=``, BETWEEN, with and without an equality prefix) through an ordered
-index, with bounds NaN, ±inf, ``2**53 + 1``, text and TRUE among them.
+bools, text, NULL, a list and a dict.  Each statement runs over an empty
+table and over a table with rows (several bugs here answered differently
+by data: a malformed row over no rows, an error over some).  A result row
+has exactly one value per column.  An index answers what a scan does: the
+same statement over a twin table with no index and no primary key gives
+the same rows, or an error of the same type — and so does a range WHERE
+(``<``, ``<=``, ``>``, ``>=``, BETWEEN, with and without an equality
+prefix) through an ordered index, with bounds NaN, ±inf, ``2**53 + 1``,
+text and TRUE among them.  Where the value domain is SQLite's too —
+integers, a few finite floats, NULL; no ``/`` or ``%``, no text beside a
+number, no ``*`` beside an aggregate — the answers are SQLite's.
 """
 
 import pytest
@@ -26,8 +28,11 @@ from hypothesis import given, settings, strategies as st
 from repro.sqldb import Database
 from repro.sqldb.errors import SqlError, SqlTypeError
 
-BACKENDS = Database.ENGINES
+from sqlite_reference import assert_matches_sqlite, sqlite_copy
+
 ROWS = ((1, 10, "a"), (2, None, "b"), (3, 10, None), (4, 7, "a"))
+MORE_ROWS = ROWS + tuple((i, i * 7 % 5 or None, "abc"[i % 3])
+                         for i in range(5, 13))
 
 ITEMS = ("*", "t.*", "id", "v", "f", "?", "COUNT(*)", "SUM(v)", "AVG(v)",
          "MAX(f)", "COUNT(DISTINCT v)", "COUNT(DISTINCT ?)", "MIN(?)",
@@ -46,8 +51,8 @@ PARAMS = st.one_of(st.integers(-3, 3), st.sampled_from([10**400, 2**53 + 1]),
                    st.just({"k": 1}))
 
 
-def _backend(name, rows):
-    db = Database(engine=name)
+def _backend(rows):
+    db = Database()
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f TEXT)")
     db.execute("CREATE INDEX t_v ON t (v)")
     db.execute("CREATE TABLE twin (id INT, v INT, f TEXT)")
@@ -58,9 +63,9 @@ def _backend(name, rows):
     return db
 
 
-# SELECTs never write: one set of backends serves every example.
-DATABASES = {(name, len(rows)): _backend(name, rows)
-             for name in BACKENDS for rows in ((), ROWS)}
+# SELECTs never write: one pair of databases serves every example.
+DATABASES = {len(rows): _backend(rows) for rows in ((), ROWS, MORE_ROWS)}
+LITES = {size: sqlite_copy(db, ["t"]) for size, db in DATABASES.items()}
 
 
 @st.composite
@@ -114,9 +119,79 @@ def test_an_index_answers_what_the_unindexed_twin_answers(statement):
             key, sql, params)
 
 
+SHARED_PARAMS = st.one_of(st.integers(-3, 12), st.none(),
+                          st.sampled_from([0.5, -1.5, 2.0, 2**53 + 1]))
+SHARED_ITEMS = ("v", "f", "?", "v + ?", "v * ?", "? + v", "v - 2")
+SHARED_AGGREGATES = ("COUNT(*)", "SUM(v)", "AVG(v)", "MAX(f)", "MIN(v)",
+                     "COUNT(DISTINCT v)", "COUNT(f)", "MIN(?)", "SUM(?)")
+#: What this engine refuses when the plan is built and SQLite answers: a
+#: ``*`` beside an aggregate, and an ORDER BY key over the source row
+#: above a DISTINCT or an aggregate (which source row's value would it
+#: be?).
+REFUSALS = ("'*' cannot be selected in an aggregate query",
+            "for SELECT DISTINCT, ORDER BY expressions must appear in the "
+            "select list",
+            "ORDER BY in aggregate queries must reference output columns")
+
+
+@st.composite
+def shared_selects(draw):
+    """``(sql, params, order, total)`` in the value domain SQLite shares.
+    A plain SELECT leads with the unique ``id``, so an ORDER BY ending in
+    it is total (a constant key may lead it); an aggregate one groups by
+    the leading ``v`` or by nothing; a refused one (``order`` None) is
+    compared whole, were it answered.  LIMIT follows a total order."""
+    where = draw(st.sampled_from(WHERE + (" WHERE v > ?",
+                                          " WHERE v BETWEEN ? AND ?")))
+    items = ["id"] + draw(st.lists(st.sampled_from(SHARED_ITEMS),
+                                   max_size=2))
+    aggregates = ", ".join(draw(st.lists(st.sampled_from(SHARED_AGGREGATES),
+                                         min_size=1, max_size=3)))
+    desc = draw(st.booleans())
+    keys = [(0, desc)] if len(items) == 1 else [(1, desc), (0, False)]
+    ordered = (draw(st.sampled_from(["", "TRUE, ", "FALSE, "]))
+               + ", ".join(f"{pos + 1}{' DESC' * d}" for pos, d in keys))
+    distinct = "DISTINCT " * draw(st.booleans())
+    sql, by, order = draw(st.sampled_from([
+        (f"SELECT {distinct}{', '.join(items)} FROM t{where}", None, ()),
+        (f"SELECT {distinct}{', '.join(items)} FROM t{where}", ordered,
+         keys),
+        (f"SELECT {aggregates} FROM t{where}", None, ()),
+        (f"SELECT v, {aggregates} FROM t{where} GROUP BY v",
+         f"1{' DESC' * desc}", [(0, desc)]),
+        (f"SELECT {aggregates}, {draw(st.sampled_from(['*', 't.*']))} "
+         f"FROM t{where}", None, None),
+        ("SELECT DISTINCT v FROM t",
+         draw(st.sampled_from(["f", "f DESC", "id DESC"])), None),
+        (f"SELECT v, COUNT(*) FROM t{where} GROUP BY v",
+         draw(st.sampled_from(["f", "id DESC"])), None)]))
+    total = order is None or bool(order)
+    if by is not None:
+        sql += " ORDER BY " + by + draw(st.sampled_from(
+            ("", " LIMIT 2", " LIMIT 1 OFFSET 1")))
+    params = draw(st.lists(SHARED_PARAMS, min_size=sql.count("?"),
+                           max_size=sql.count("?")))
+    return sql, tuple(params), order or (), total
+
+
+@settings(max_examples=300, deadline=None)
+@given(statement=shared_selects())
+def test_the_shared_value_domain_answers_what_sqlite_answers(statement):
+    """Rows as SQLite answers them, or one of :data:`REFUSALS` when the
+    plan is built."""
+    sql, params, order, total = statement
+    for size, db in DATABASES.items():
+        try:
+            db.explain(sql)
+        except SqlError as error:
+            assert str(error) in REFUSALS, sql
+            continue
+        assert_matches_sqlite(db, sql, params, order, total=total,
+                              lite=LITES[size])
+
+
 # -- the two shapes the property found, pinned ------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("rows", [(), ROWS], ids=["empty", "rows"])
 @pytest.mark.parametrize("sql", [
     "SELECT SUM(v), * FROM t",
@@ -125,16 +200,14 @@ def test_an_index_answers_what_the_unindexed_twin_answers(statement):
     "SELECT COUNT(*), * FROM t GROUP BY id",
     "SELECT *, COUNT(*) FROM t GROUP BY id",
 ])
-def test_a_star_beside_an_aggregate_is_refused_when_planned(backend, rows,
-                                                            sql):
-    db = DATABASES[backend, len(rows)]
+def test_a_star_beside_an_aggregate_is_refused_when_planned(rows, sql):
+    db = DATABASES[len(rows)]
     with pytest.raises(SqlError, match="'\\*' cannot be selected"):
         db.execute(sql)
     with pytest.raises(SqlError, match="'\\*' cannot be selected"):
         db.explain(sql)  # at build time: no row is read
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("sql, params, clause", [
     ("SELECT DISTINCT ? FROM t", ([1],), "DISTINCT"),
     ("SELECT DISTINCT ? FROM t ORDER BY 1", ({"k": 1},), "DISTINCT"),
@@ -143,11 +216,10 @@ def test_a_star_beside_an_aggregate_is_refused_when_planned(backend, rows,
     ("SELECT SUM(DISTINCT ?) FROM t GROUP BY f", ({},), "SUM DISTINCT"),
 ])
 def test_an_unhashable_parameter_is_a_type_error_where_it_is_hashed(
-        backend, sql, params, clause):
-    db = DATABASES[backend, len(ROWS)]
+        sql, params, clause):
     with pytest.raises(SqlTypeError, match=f"cannot compare {clause} values"):
-        db.execute(sql, params)
-    DATABASES[backend, 0].execute(sql, params)  # no rows: nothing hashed
+        DATABASES[len(ROWS)].execute(sql, params)
+    DATABASES[0].execute(sql, params)  # no rows: nothing hashed
 
 
 @pytest.mark.parametrize("where", [" WHERE id = ?", " WHERE v = ?",
@@ -157,7 +229,7 @@ def test_a_nan_key_is_answered_by_the_scan(where):
     number, which no lookup can find: a NaN key disqualifies the index
     and the scan answers (the property found the primary key returning no
     row for ``id = NaN`` where the unindexed twin returned all four)."""
-    db = DATABASES["columnar", len(ROWS)]
+    db = DATABASES[len(ROWS)]
     sql = "SELECT id FROM t" + where
     twin = sql.replace(" FROM t", " FROM twin t", 1)
     rows = db.execute(sql, (float("nan"),)).rows
@@ -167,10 +239,10 @@ def test_a_nan_key_is_answered_by_the_scan(where):
                     " WHERE v = ? AND id = 2": []}[where]
 
 
-def _keyed_tables(engine):
-    """Three copies of the same rows on ``engine``: keyed through a hash
-    index, through an ordered index, and unindexed."""
-    db = Database(engine=engine)
+def _keyed_tables():
+    """Three copies of the same rows: keyed through a hash index, through
+    an ordered index, and unindexed."""
+    db = Database()
     for table, index in (("h", ""), ("o", " USING ORDERED"), ("u", None)):
         db.execute(f"CREATE TABLE {table} (id INTEGER PRIMARY KEY, "
                    "grp INT, val INT)")
@@ -195,18 +267,17 @@ def test_a_key_of_another_type_is_compared_with_every_row(key, selected,
     """A key is compared with every row whichever path finds it: NaN
     equals every number, ``2.0`` the ``2`` stored as an int, and text and
     TRUE raise wherever a row is — through a hash index, an ordered index
-    or a scan, on both engines."""
+    or a scan."""
     outcomes = []
-    for engine in Database.ENGINES:
-        db = _keyed_tables(engine)
-        for table in ("h", "o", "u"):
-            try:
-                result = db.execute(sql.format(t=table), (key,))
-            except SqlError as error:
-                outcomes.append(type(error))
-            else:
-                outcomes.append(result.rows if sql.startswith("SELECT")
-                                else result.rowcount)
+    db = _keyed_tables()
+    for table in ("h", "o", "u"):
+        try:
+            result = db.execute(sql.format(t=table), (key,))
+        except SqlError as error:
+            outcomes.append(type(error))
+        else:
+            outcomes.append(result.rows if sql.startswith("SELECT")
+                            else result.rowcount)
     assert outcomes == outcomes[:1] * len(outcomes)
     if "grp = ? ORDER BY" in sql:
         assert outcomes[0] == selected
@@ -265,8 +336,8 @@ BOUNDS = st.one_of(st.integers(-3, 12), st.floats(), st.none(),
                                     2**53 + 1, 7.5, "7", "", True]))
 
 
-def _range_backend(engine, rows):
-    db = Database(engine=engine)
+def _range_backend(rows):
+    db = Database()
     db.execute("CREATE TABLE r (id INT PRIMARY KEY, a INT, v INT, f REAL)")
     db.execute("CREATE INDEX r_v ON r (v) USING ORDERED")
     db.execute("CREATE INDEX r_av ON r (a, v) USING ORDERED")
@@ -278,8 +349,7 @@ def _range_backend(engine, rows):
     return db
 
 
-RANGE_DATABASES = {(engine, name): _range_backend(engine, rows)
-                   for engine in Database.ENGINES
+RANGE_DATABASES = {name: _range_backend(rows)
                    for name, rows in (("empty", ()), ("nan", RANGE_ROWS),
                                       ("clean", CLEAN_ROWS))}
 
@@ -308,13 +378,12 @@ def test_an_ordered_walk_answers_what_the_unindexed_twin_answers(statement):
     sql, params = statement
     twin = sql.replace(" FROM r", " FROM rtwin r", 1)
     for key, db in RANGE_DATABASES.items():
-        if key[1] != "empty":
+        if key != "empty":
             assert "IndexRangeScan" in db.explain(sql), sql
         assert _range_answer(db, sql, params) == _range_answer(
             db, twin, params), (key, sql, params)
 
 
-@pytest.mark.parametrize("engine", Database.ENGINES)
 @pytest.mark.parametrize("sql, params, expected", [
     ("SELECT id FROM {r} WHERE v <= ?", (float("nan"),),
      [(1,), (3,), (4,), (5,), (6,)]),
@@ -337,7 +406,7 @@ def test_an_ordered_walk_answers_what_the_unindexed_twin_answers(statement):
      [(2,), (4,), (3,), (1,), (6,), (5,)]),
     ("UPDATE {r} SET a = a WHERE f <= ?", (0.5,), 2),
 ])
-def test_a_walk_is_answered_by_the_scan(engine, sql, params, expected):
+def test_a_walk_is_answered_by_the_scan(sql, params, expected):
     """The walk found no row for ``v <= NaN`` (the interpreter's ``<`` /
     ``>`` probes find NaN equal to every number) and none for an
     incomparable bound beside an equality prefix no row has, where the
@@ -348,7 +417,7 @@ def test_a_walk_is_answered_by_the_scan(engine, sql, params, expected):
     miss ``5.0`` under ``f BETWEEN 2 AND 6``; a zone map whose ``min``
     skipped it pruned its chunk under ``f <= 0.5``.  An index holding a
     NaN key is not walked."""
-    db = RANGE_DATABASES[engine, "nan"]
+    db = RANGE_DATABASES["nan"]
     select = sql.startswith("SELECT")
     outcomes = []
     for table in ("r", "rtwin r" if select else "rtwin"):

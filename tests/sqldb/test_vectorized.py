@@ -1,14 +1,15 @@
-"""Chunk-boundary and engine-parity tests for the production engine.
+"""Chunk-boundary tests for the engine, against SQLite.
 
-The columnar engine exchanges ``ColumnChunk`` column arrays of up to
-``CHUNK_SIZE`` rows, with selection vectors and fused predicates; the
-row engine is the interpreted row-at-a-time reference kept for
-differential testing.  These tests pin the edges the chunking can get
-wrong — empty inputs, result sizes straddling the chunk boundary, every
-join operator's native chunk path, LIMIT cutting mid-chunk, NULL-heavy
-data through the compiled three-valued logic — plus the observability
-surface (``engine_stats``, the explain Engine trailer, EXPLAIN ANALYZE),
-engine selection and the zero-copy scan's no-mutation contract.
+The engine exchanges ``ColumnChunk`` column arrays of up to
+``CHUNK_SIZE`` rows, with selection vectors and fused predicates.  These
+tests pin the edges the chunking can get wrong — empty inputs, result
+sizes straddling the chunk boundary, every join operator's chunk path,
+every shape the interpreter serves inside the chunk pipeline, LIMIT
+cutting mid-chunk, NULL-heavy data through the compiled three-valued
+logic — each answer held to SQLite's (``sqlite_reference``), and each
+error to this engine's own message.  Plus the observability surface
+(``engine_stats``, the explain Engine trailer, EXPLAIN ANALYZE) and the
+scan's no-mutation contract.
 """
 
 import pytest
@@ -22,10 +23,12 @@ from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.parser import parse
 from repro.sqldb.plan.physical import CHUNK_SIZE, _pad
 
-ENGINES = ("columnar", "row")
+from sqlite_reference import assert_matches_sqlite, sqlite_copy
 
 
-def _seed(db, n_rows):
+def _db(n_rows, result_cache_size=0):
+    """The seeded table (result cache off unless asked for)."""
+    db = Database(result_cache_size=result_cache_size)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, s TEXT, "
                "p TEXT, z TEXT)")
     for i in range(n_rows):
@@ -38,13 +41,6 @@ def _seed(db, n_rows):
     return db
 
 
-def _pair(n_rows):
-    """The same seeded table under every engine (result cache off), in
-    ``ENGINES`` order: ``(columnar, row)``."""
-    return tuple(_seed(Database(result_cache_size=0, engine=e), n_rows)
-                 for e in ENGINES)
-
-
 def _outcome(db, sql, params):
     try:
         return db.execute(sql, params)
@@ -52,51 +48,9 @@ def _outcome(db, sql, params):
         return exc
 
 
-def _agree(*args):
-    """``_agree(db, db, ..., sql[, params])`` — execute under every given
-    engine; exact row, column and accounting agreement, or — when the
-    statement raises — the same error type and message.  Returns the
-    first engine's result (or its error)."""
-    if isinstance(args[-1], tuple):
-        *dbs, sql, params = args
-    else:
-        *dbs, sql = args
-        params = ()
-    outcomes = [_outcome(db, sql, params) for db in dbs]
-    first = outcomes[0]
-    for db, other in zip(dbs[1:], outcomes[1:]):
-        if isinstance(first, SqlError) or isinstance(other, SqlError):
-            assert (type(other), str(other)) == (type(first), str(first)), \
-                db.engine
-            continue
-        assert other.rows == first.rows, db.engine
-        assert other.columns == first.columns, db.engine
-        assert other.rows_touched == first.rows_touched, db.engine
-    return first
-
-
 # ---------------------------------------------------------------------------
 # Chunk boundaries
 # ---------------------------------------------------------------------------
-
-
-def test_empty_table():
-    dbs = _pair(0)
-    assert _agree(*dbs, "SELECT id, v FROM t").rows == []
-    assert _agree(*dbs, "SELECT id FROM t WHERE v > ?", (5,)).rows == []
-    assert _agree(*dbs, "SELECT COUNT(*) FROM t").rows == [(0,)]
-    assert _agree(*dbs, "SELECT s, COUNT(v) FROM t GROUP BY s").rows == []
-
-
-def test_empty_join_sides():
-    dbs = _pair(0)
-    for db in dbs:
-        db.execute("CREATE TABLE u (id INT PRIMARY KEY, w INT)")
-        db.execute("INSERT INTO u (id, w) VALUES (1, 10)")
-    result = _agree(*dbs, "SELECT t.id, u.w FROM t JOIN u ON t.v = u.id")
-    assert result.rows == []
-    result = _agree(*dbs, "SELECT u.id, t.v FROM u LEFT JOIN t ON t.v = u.id")
-    assert result.rows == [(1, None)]
 
 
 # Join shapes over ``t`` (NULL and duplicate-heavy ``v``, dictionary-
@@ -138,9 +92,10 @@ JOIN_SHAPES = {
 # Shapes with no chunk kernel, each beside a fused leaf (``id < ?``) so the
 # interpreter fallback runs inside AND/OR nodes, projections, group and sort
 # keys and join conditions of an otherwise fused pipeline: label -> (SQL,
-# message of the error every row raises, or None).  A raising shape must
-# raise the identical error under both engines whenever a row reaches it —
-# and nothing when none does (size 0).
+# message of the error every row raises, or None).  A shape that raises
+# nothing answers SQLite's rows; a raising one raises this engine's error,
+# word for word, whenever a row reaches it — and nothing when none does
+# (size 0).
 FALLBACK_SHAPES = {
     "col-vs-col": ("SELECT id FROM t WHERE id < ? AND v < id", None),
     "col-vs-col-or": ("SELECT id FROM t WHERE id < ? "
@@ -264,8 +219,9 @@ FALLBACK_SHAPES = {
                                  "WHERE id < ? GROUP BY s", None),
     "group-computed-key": ("SELECT v % 3, COUNT(*), SUM(v) FROM t "
                            "WHERE id < ? GROUP BY v % 3", None),
-    "group-computed-key-mixed": ("SELECT s, id / 100, COUNT(*) FROM t "
-                                 "WHERE id < ? GROUP BY s, id / 100", None),
+    "group-computed-key-mixed": ("SELECT s, id - id % 100, COUNT(*) FROM t "
+                                 "WHERE id < ? GROUP BY s, id - id % 100",
+                                 None),
     "group-concat-key": ("SELECT s || '-', COUNT(*) FROM t WHERE id < ? "
                          "GROUP BY s || '-'", None),
     "ungrouped-plain-item": ("SELECT id + 1, 7, COUNT(*) FROM t WHERE id < ?",
@@ -288,9 +244,8 @@ FALLBACK_SHAPES = {
                             "GROUP BY p || id",
                             "'||' requires text operands"),
     # Read-set shapes: the chunk operators fill only the lanes the
-    # statement names (``SelectContext.read``) while the interpreter reads
-    # whole storage rows, so a column the read set missed would come back
-    # NULL under the columnar engine alone.  ``id`` is filtered but rarely
+    # statement names (``SelectContext.read``), so a column the read set
+    # missed would come back NULL.  ``id`` is filtered but rarely
     # projected; ``tiny`` / ``u`` lanes are filled by the join emit.
     "read-star": ("SELECT * FROM t WHERE id < ?", None),
     "read-alias-star": ("SELECT t.*, tiny.w FROM t LEFT JOIN tiny "
@@ -334,6 +289,11 @@ FALLBACK_SHAPES = {
                                  "ambiguous column reference 'id'"),
 }
 
+# The FALLBACK_SHAPES whose ORDER BY is total: compared with SQLite as
+# sequences, the rest as multisets.
+TOTAL_ORDER = {"func-order-key", "having", "agg-arith-grouped",
+               "read-order-unprojected"}
+
 
 def _seed_join_tables(db):
     db.execute("CREATE TABLE u (id INT PRIMARY KEY, k INT, w INT)")
@@ -352,46 +312,48 @@ def _seed_join_tables(db):
 @pytest.mark.parametrize("size", [0, 1, CHUNK_SIZE - 1, CHUNK_SIZE,
                                   CHUNK_SIZE + 1])
 def test_result_sizes_straddling_chunk_boundary(size):
-    columnar_db, row_db = _pair(CHUNK_SIZE + 1)
-    result = _agree(columnar_db, row_db,
-                    "SELECT id, v FROM t WHERE id < ?", (size,))
+    db = _db(CHUNK_SIZE + 1)
+    result = assert_matches_sqlite(db, "SELECT id, v FROM t WHERE id < ?",
+                                   (size,))
     assert len(result.rows) == size
     assert result.rows_touched == CHUNK_SIZE + 1
     # A multi-chunk scan really flowed through the chunked operators
     # (unless zone maps proved both chunks empty of ``id < 0``).
-    assert (columnar_db.executor.batches_executed > 0
-            or result.chunks_skipped == 2)
-    assert row_db.executor.batches_executed == 0
+    assert db.executor.batches_executed > 0 or result.chunks_skipped == 2
     # The same left-side sizes through every join operator's chunk path.
-    for db in (columnar_db, row_db):
-        _seed_join_tables(db)
+    _seed_join_tables(db)
+    lite = sqlite_copy(db)
     for label, (operator, sql) in JOIN_SHAPES.items():
-        _agree(columnar_db, row_db, sql, (size,))
-        assert operator in columnar_db.explain(
+        assert_matches_sqlite(db, sql, (size,), lite=lite)
+        assert operator in db.explain(
             sql, params=(size,), analyze=True), label
     # ... and through every shape the interpreter serves inside the
     # chunk pipeline, errors included.
     for label, (sql, message) in FALLBACK_SHAPES.items():
-        outcome = _agree(columnar_db, row_db, sql, (size,))
+        outcome = _outcome(db, sql, (size,))
         if message is not None and size:
             assert isinstance(outcome, SqlError), label
             assert str(outcome) == message, label
-        else:
-            assert not isinstance(outcome, SqlError), label
+            continue
+        assert not isinstance(outcome, SqlError), label
+        if message is None and sql.count("?") == 1:
+            # (SQLite binds every parameter before it reads a row.)
+            assert_matches_sqlite(db, sql, (size,), lite=lite,
+                                  total=label in TOTAL_ORDER)
 
 
 def test_index_join_falls_back_to_hash_on_duplicate_heavy_keys():
     """The metadata pass sums probe volume before fetching: a handful of
     left rows probe the index, a full ``t`` would re-touch ``small``'s
     rows more often than one scan of it costs, so the join hash-builds
-    instead — the same decision, and the same charge, in both engines."""
-    columnar_db, row_db = _pair(CHUNK_SIZE + 1)
-    for db in (columnar_db, row_db):
-        _seed_join_tables(db)
+    instead."""
+    db = _db(CHUNK_SIZE + 1)
+    _seed_join_tables(db)
+    lite = sqlite_copy(db)
     _, sql = JOIN_SHAPES["hash-fallback"]
-    probed = _agree(columnar_db, row_db, sql, (30,))
+    probed = assert_matches_sqlite(db, sql, (30,), lite=lite)
     assert CHUNK_SIZE + 1 < probed.rows_touched < CHUNK_SIZE + 1 + 49
-    fallback = _agree(columnar_db, row_db, sql, (CHUNK_SIZE + 1,))
+    fallback = assert_matches_sqlite(db, sql, (CHUNK_SIZE + 1,), lite=lite)
     assert fallback.rows_touched == CHUNK_SIZE + 1 + 49
     assert any(w is None for *_, w in fallback.rows)  # unmatched LEFT rows
 
@@ -402,23 +364,23 @@ def test_prefetched_base_rows_feed_joins(label):
     base scan under a join exactly as it does under a bare filter: same
     rows, and the base table's scan is not charged again."""
     _, sql = JOIN_SHAPES[label]
-    for db in _pair(CHUNK_SIZE + 1):
-        _seed_join_tables(db)
-        private = db.execute(sql, (CHUNK_SIZE,))
-        plan = db.executor.plan_for(db, parse(sql))
-        shared_rows = [_pad(row, 0, plan.sctx.total_width)
-                       for _, row in db.tables["t"].scan()]
-        shared = plan.execute(db, (CHUNK_SIZE,),
-                              prefetched_base_rows=shared_rows)
-        assert shared.rows == private.rows, db.engine
-        assert shared.rows_touched == private.rows_touched - len(shared_rows)
+    db = _db(CHUNK_SIZE + 1)
+    _seed_join_tables(db)
+    private = db.execute(sql, (CHUNK_SIZE,))
+    plan = db.executor.plan_for(db, parse(sql))
+    shared_rows = [_pad(row, 0, plan.sctx.total_width)
+                   for _, row in db.tables["t"].scan()]
+    shared = plan.execute(db, (CHUNK_SIZE,),
+                          prefetched_base_rows=shared_rows)
+    assert shared.rows == private.rows
+    assert shared.rows_touched == private.rows_touched - len(shared_rows)
 
 
 def test_shared_scan_members_read_different_columns():
     """A ``QueryStore(shared_scans=True)`` batch scans ``t`` once and hands
     every member the same wide rows; each member transposes its own read
     set out of them, so members naming different columns must each get
-    what a private execution — and the row engine — gets."""
+    what a private execution gets."""
     statements = [
         ("SELECT id, s FROM t WHERE v > ?", (90,)),
         ("SELECT p FROM t WHERE s = ? ORDER BY v DESC, id", ("s2",)),
@@ -427,58 +389,36 @@ def test_shared_scan_members_read_different_columns():
         ("SELECT * FROM t WHERE id < ?", (3,)),
         ("SELECT UPPER(s), z FROM t WHERE id < ?", (3,)),
     ]
-    answers = []
-    for db in _pair(CHUNK_SIZE + 5):
-        cost_model, clock = CostModel(), SimClock()
-        batch_driver = BatchDriver(DatabaseServer(db, cost_model), clock,
-                                   cost_model)
-        store = QueryStore(batch_driver, shared_scans=True)
-        ids = [store.register_query(sql, params)
-               for sql, params in statements]
-        shared = [store.get_result_set(query_id).rows for query_id in ids]
-        assert batch_driver.stats.shared_scan_groups == 1, db.engine
-        assert shared == [db.execute(sql, params).rows
-                          for sql, params in statements], db.engine
-        answers.append(shared)
-    assert answers[0] == answers[1]
+    db = _db(CHUNK_SIZE + 5)
+    cost_model, clock = CostModel(), SimClock()
+    batch_driver = BatchDriver(DatabaseServer(db, cost_model), clock,
+                               cost_model)
+    store = QueryStore(batch_driver, shared_scans=True)
+    ids = [store.register_query(sql, params) for sql, params in statements]
+    shared = [store.get_result_set(query_id).rows for query_id in ids]
+    assert batch_driver.stats.shared_scan_groups == 1
+    assert shared == [db.execute(sql, params).rows
+                      for sql, params in statements]
 
 
 def test_limit_cuts_mid_chunk():
-    n = CHUNK_SIZE + 400
-    dbs = _pair(n)
+    db = _db(CHUNK_SIZE + 400)
+    lite = sqlite_copy(db)
     for limit in (1, 700, CHUNK_SIZE, CHUNK_SIZE + 100):
-        result = _agree(*dbs, f"SELECT id FROM t LIMIT {limit}")
+        # This engine and SQLite both scan in primary-key order.
+        result = assert_matches_sqlite(db, f"SELECT id FROM t LIMIT {limit}",
+                                       total=True, lite=lite)
         assert len(result.rows) == limit
-    # LIMIT above a sort still returns exact-order-identical prefixes.
-    result = _agree(*dbs, "SELECT id, v FROM t ORDER BY v DESC, id LIMIT 10")
+    # LIMIT above a sort returns the sorted prefix.
+    result = assert_matches_sqlite(
+        db, "SELECT id, v FROM t ORDER BY v DESC, id LIMIT 10", total=True,
+        lite=lite)
     assert len(result.rows) == 10
 
 
-def test_limit_hint_stops_early_in_all_engines():
-    """With an ordered index the sort is elided and the limit hint stops
-    the scan after limit+offset rows — the one early-exit in the engine,
-    which must charge identical ``rows_touched`` under every engine."""
-    n = CHUNK_SIZE + 400
-    dbs = _pair(n)
-    for db in dbs:
-        db.execute("CREATE INDEX idx_t_v ON t (v) USING ORDERED")
-    for limit in (1, 700, CHUNK_SIZE + 100):
-        result = _agree(*dbs, f"SELECT id, v FROM t ORDER BY v LIMIT {limit}")
-        assert len(result.rows) == limit
-        # Early exit: far fewer rows touched than the full table.
-        assert result.rows_touched <= limit + 1
-    result = _agree(*dbs, "SELECT id, v FROM t ORDER BY v LIMIT 50 OFFSET 25")
-    assert len(result.rows) == 50
-    assert result.rows_touched <= 76
-    # The page's rows re-enter the chunk pipeline through the read lanes
-    # only: ``s`` is filtered and ``v`` ordered by, neither projected.
-    result = _agree(*dbs, "SELECT p, UPPER(p) FROM t WHERE s = ? "
-                          "ORDER BY v LIMIT 7", ("s1",))
-    assert len(result.rows) == 7 and all(p for p, _ in result.rows)
-
-
 def test_null_heavy_columns():
-    dbs = _pair(600)
+    db = _db(600)
+    lite = sqlite_copy(db)
     for sql, params in (
             ("SELECT id FROM t WHERE v > ?", (40,)),
             ("SELECT id FROM t WHERE v IS NULL", ()),
@@ -486,24 +426,27 @@ def test_null_heavy_columns():
             ("SELECT id FROM t WHERE v BETWEEN ? AND ?", (10, 20)),
             ("SELECT id FROM t WHERE v IN (1, 2, NULL, 3)", ()),
             ("SELECT id FROM t WHERE NOT (v > ?)", (50,)),
-            ("SELECT id, v FROM t ORDER BY v, id", ()),
-            ("SELECT s, COUNT(v), SUM(v), MIN(v), MAX(v) FROM t "
-             "GROUP BY s ORDER BY s", ()),
-            ("SELECT DISTINCT v FROM t ORDER BY v", ()),
             ("SELECT id FROM t WHERE v = ? OR v IS NULL", (7,)),
     ):
-        _agree(*dbs, sql, params)
+        assert_matches_sqlite(db, sql, params, lite=lite)
+    for sql in ("SELECT id, v FROM t ORDER BY v, id",
+                "SELECT s, COUNT(v), SUM(v), MIN(v), MAX(v) FROM t "
+                "GROUP BY s ORDER BY s",
+                "SELECT DISTINCT v FROM t ORDER BY v"):
+        assert_matches_sqlite(db, sql, total=True, lite=lite)
 
 
 def test_all_null_column():
-    dbs = tuple(Database(result_cache_size=0, engine=e) for e in ENGINES)
-    for db in dbs:
-        db.execute("CREATE TABLE n (id INT PRIMARY KEY, v INT)")
-        for i in range(50):
-            db.execute("INSERT INTO n (id, v) VALUES (?, NULL)", (i,))
-    assert _agree(*dbs, "SELECT COUNT(v), SUM(v), AVG(v) FROM n").rows == \
+    db = Database(result_cache_size=0)
+    db.execute("CREATE TABLE n (id INT PRIMARY KEY, v INT)")
+    for i in range(50):
+        db.execute("INSERT INTO n (id, v) VALUES (?, NULL)", (i,))
+    lite = sqlite_copy(db)
+    assert assert_matches_sqlite(
+        db, "SELECT COUNT(v), SUM(v), AVG(v) FROM n", lite=lite).rows == \
         [(0, None, None)]
-    assert _agree(*dbs, "SELECT id FROM n WHERE v = v").rows == []
+    assert assert_matches_sqlite(db, "SELECT id FROM n WHERE v = v",
+                                 lite=lite).rows == []
 
 
 @pytest.mark.parametrize("sql", [
@@ -520,14 +463,14 @@ def test_all_null_column():
 def test_sum_avg_over_text_raise_sql_type_error(sql):
     """SUM/AVG over a non-numeric column is a SqlTypeError naming the
     aggregate and the value's type — never a bare Python TypeError, and
-    the same text from every aggregate form and engine."""
-    outcome = _agree(*_pair(40), sql)
+    the same text from every aggregate form (SQLite reads the text as 0:
+    a dialect gap)."""
+    outcome = _outcome(_db(40), sql, ())
     assert type(outcome) is SqlTypeError
     name = "AVG" if "AVG" in sql else "SUM"
     assert str(outcome) == f"{name} requires numeric values, got str"
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("call, message", [
     ("UPPER(v)", "UPPER requires a text value, got int"),
     ("LOWER(id)", "LOWER requires a text value, got int"),
@@ -536,11 +479,11 @@ def test_sum_avg_over_text_raise_sql_type_error(sql):
     ("ABS(v IS NULL)", "ABS requires a numeric value, got bool"),
 ])
 def test_scalar_functions_over_the_wrong_type_raise_sql_type_error(
-        engine, call, message):
+        call, message):
     """A scalar function over a value of the wrong type is a SqlTypeError
     naming the function and the value's type — never the AttributeError /
     TypeError of the Python builtin behind it; NULL still yields NULL."""
-    db = _seed(Database(result_cache_size=0, engine=engine), 6)
+    db = _db(6)
     for sql in (f"SELECT {call} FROM t WHERE id = 1",
                 f"SELECT id FROM t WHERE {call} = 1"):
         outcome = _outcome(db, sql, ())
@@ -551,18 +494,17 @@ def test_scalar_functions_over_the_wrong_type_raise_sql_type_error(
         [(None, None, None, None, 3, 2)]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("column", ["id", "k"])  # primary key, hash index
 @pytest.mark.parametrize("bad", [[1], {1}, {1: 2}],
                          ids=lambda bad: type(bad).__name__)
 def test_unhashable_parameter_raises_sql_type_error_on_index_paths(
-        engine, column, bad):
+        column, bad):
     """``col = ?`` with a list / set / dict parameter is a SqlTypeError
     whichever access path serves it — not the ``TypeError`` of the index's
     dict probe — and a failed UPDATE / DELETE leaves the table as it was.
     A key its column cannot compare disqualifies the index, so the error is
     the scan's, the same as over the unindexed column below."""
-    db = Database(result_cache_size=0, engine=engine)
+    db = Database(result_cache_size=0)
     _seed_join_tables(db)
     before = db.execute("SELECT * FROM u").rows
     message = f"cannot compare 0 with {bad!r}"
@@ -581,7 +523,8 @@ def test_unhashable_parameter_raises_sql_type_error_on_index_paths(
 
 
 def test_aggregates_over_text_and_empty_input_still_work():
-    engines = _pair(40)
+    db = _db(40)
+    lite = sqlite_copy(db)
     for sql, expected in (
             ("SELECT MIN(s), MAX(p), COUNT(s), COUNT(DISTINCT s) FROM t",
              [("s0", "p9", 40, 5)]),
@@ -592,35 +535,32 @@ def test_aggregates_over_text_and_empty_input_still_work():
              [(None, None, None)]),
             ("SELECT SUM(s) FROM t WHERE id < 0", [(None,)]),
     ):
-        assert _agree(*engines, sql).rows == expected, sql
+        assert assert_matches_sqlite(db, sql, lite=lite).rows == expected, sql
 
 
-def _numbers(db, v):
+def _numbers(v):
+    """Two rows holding ``v``."""
+    db = Database(result_cache_size=0)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f REAL)")
     db.execute("INSERT INTO t (id, v, f) VALUES (1, ?, 2.0), (2, ?, 4.0)",
                (v, v))
     return db
 
 
-def _number_dbs(v):
-    """Two rows holding ``v`` under every engine."""
-    return tuple(_numbers(Database(result_cache_size=0, engine=e), v)
-                 for e in ENGINES)
-
-
 def test_integer_division_is_exact():
     """An int divided by an int that divides it is that int, exactly: the
     quotient no longer goes through a float (``10**17 + 1`` over 1 came
-    back as ``10**17``).  A remainder still gives true division."""
+    back as ``10**17``).  A remainder still gives true division (SQLite
+    truncates: a dialect gap)."""
     v = 10 ** 17 + 1
-    engines = _number_dbs(v)
+    db = _numbers(v)
     for sql, params, expected in (
             ("SELECT v / ? FROM t WHERE id = 1", (1,), (v,)),
             ("SELECT v / ?, -v / ? FROM t WHERE id = 2", (-1, 1), (-v, -v)),
             ("SELECT v / 2, 7 / 2, 6 / 3, v / f FROM t WHERE id = 1", (),
              (v / 2, 3.5, 2, v / 2.0)),
     ):
-        rows = _agree(*engines, sql, params).rows
+        rows = db.execute(sql, params).rows
         assert rows == [expected], sql
         assert list(map(type, rows[0])) == list(map(type, expected))
 
@@ -640,22 +580,21 @@ def test_integer_division_is_exact():
 def test_a_result_no_float_holds_is_a_sql_type_error(sql, params):
     """``10**400`` meets a float, or an int division no float holds: a
     :class:`SqlTypeError`, never the builtin ``OverflowError`` — the same
-    on every engine and in every aggregate form."""
-    outcome = _agree(*_number_dbs(10 ** 400), sql, params)
+    in every aggregate form."""
+    outcome = _outcome(_numbers(10 ** 400), sql, params)
     assert (type(outcome), str(outcome)) == (
         SqlTypeError, "numeric value out of range")
 
 
 def test_execute_script_keeps_semicolons_inside_string_literals():
-    for db in _pair(3):
-        results = db.execute_script(
-            "INSERT INTO t (id, v, s, p) VALUES (10, 1, 'a;b', 'it''s;');\n"
-            "-- a comment; with a semicolon and an apostrophe '\n"
-            "SELECT s, p FROM t WHERE id = 10; ;")
-        assert len(results) == 2
-        assert results[1].rows == [("a;b", "it's;")]
-        assert db.query("SELECT s FROM t WHERE p = 'it''s;'") == \
-            [{"s": "a;b"}]
+    db = _db(3)
+    results = db.execute_script(
+        "INSERT INTO t (id, v, s, p) VALUES (10, 1, 'a;b', 'it''s;');\n"
+        "-- a comment; with a semicolon and an apostrophe '\n"
+        "SELECT s, p FROM t WHERE id = 10; ;")
+    assert len(results) == 2
+    assert results[1].rows == [("a;b", "it's;")]
+    assert db.query("SELECT s FROM t WHERE p = 'it''s;'") == [{"s": "a;b"}]
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +602,10 @@ def test_execute_script_keeps_semicolons_inside_string_literals():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_zero_copy_scan_does_not_leak_mutable_storage_rows(engine):
-    """Single-table full-width scans hand storage data straight to the
-    operators (no ``_pad`` copy); results must still be immutable
-    snapshots — a later UPDATE may not rewrite previously returned rows."""
-    db = _seed(Database(result_cache_size=0, engine=engine), 100)
+def test_zero_copy_scan_does_not_leak_mutable_storage_rows():
+    """Results are immutable snapshots — a later UPDATE may not rewrite
+    previously returned rows."""
+    db = _db(100)
     before = db.execute("SELECT id, v, s FROM t WHERE id < 10")
     snapshot = [tuple(r) for r in before.rows]
     db.execute("UPDATE t SET v = 999, s = 'mut' WHERE id < 10")
@@ -677,93 +614,25 @@ def test_zero_copy_scan_does_not_leak_mutable_storage_rows(engine):
     assert all(r[1] == 999 and r[2] == "mut" for r in after.rows)
 
 
-def test_engines_agree_after_interleaved_writes():
-    dbs = _pair(300)
-    for db in dbs:
-        db.execute("UPDATE t SET v = v + 1 WHERE v > 50")
-        db.execute("DELETE FROM t WHERE id % 7 = 0")
-    _agree(*dbs, "SELECT id, v, s FROM t WHERE v >= ?", (40,))
-    _agree(*dbs, "SELECT COUNT(*) FROM t")
-
-
 # ---------------------------------------------------------------------------
-# Observability: engine selection, counters, explain surfaces
+# Observability: counters, explain surfaces
 # ---------------------------------------------------------------------------
 
 
-def test_engine_validation():
-    assert Database.ENGINES == ENGINES
-    assert Database().engine == "columnar"
-    for engine in ENGINES:
-        assert Database(engine=engine).engine == engine
-    db = Database()
-    # A typo must not silently select the production engine — that would
-    # turn a differential test into columnar-vs-columnar.
-    for attempt in (lambda: Database(engine="batch"),
-                    lambda: setattr(db, "engine", "batch"),
-                    lambda: setattr(db, "engine", "rwo")):
-        with pytest.raises(ValueError) as err:
-            attempt()
-        # The error names the accepted engines, and only those.
-        assert str(err.value).endswith("expected one of 'columnar', 'row'")
-    assert db.engine == "columnar"
-
-
-def test_engine_flip_rebinds_chunk_layout():
-    """Flipping ``db.engine`` mid-session re-routes the *cached* plan's
-    compiled closures to the new engine's chunk layout: a write between
-    flips must be visible under every engine, and results must stay
-    identical through columnar -> row -> columnar round trips."""
-    db = _seed(Database(result_cache_size=0, engine="columnar"), 300)
-    sql = "SELECT id, v, s FROM t WHERE v > ? ORDER BY id"
-    first = db.execute(sql, (40,)).rows
-    db.engine = "row"
-    assert db.execute(sql, (40,)).rows == first
-    # Mutate while the row engine is active: the columnar snapshot built
-    # for the first execution is now stale.
-    db.execute("UPDATE t SET v = 1 WHERE id % 2 = 0")
-    after_write = db.execute(sql, (40,)).rows
-    assert after_write != first
-    db.engine = "columnar"
-    assert db.execute(sql, (40,)).rows == after_write
-
-
-def test_engine_stats_counts_batches():
-    columnar_db, row_db = _pair(CHUNK_SIZE + 1)
-    for db in (columnar_db, row_db):
-        db.execute("SELECT id FROM t WHERE v > 10")
-    stats = columnar_db.engine_stats()
-    assert stats["engine"] == "columnar"
-    assert stats["batches_executed"] > 0
-    assert row_db.engine_stats() == {
-        "engine": "row",
-        "batches_executed": 0,
-        "plans_built": row_db.executor.plans_built,
-    }
-
-
-def test_engine_flippable_between_statements():
-    db = _seed(Database(result_cache_size=0), 200)
-    chunk_rows = db.execute("SELECT id, v FROM t WHERE v > 5").rows
-    flipped_at = db.executor.batches_executed
-    assert flipped_at > 0
-    db.engine = "row"
-    row_rows = db.execute("SELECT id, v FROM t WHERE v > 5").rows
-    assert row_rows == chunk_rows
-    # The cached plan served both paths; no chunks under the row engine.
-    assert db.executor.batches_executed == flipped_at
-
-
-def test_explain_engine_trailer():
-    db = _seed(Database(), 10)
-    with_params = db.explain("SELECT id FROM t WHERE v > ?", params=(1,))
-    assert "Engine [name='columnar', batches_executed=" in with_params
-    # The golden plain-explain surface is unchanged: no Engine line.
-    plain = db.explain("SELECT id FROM t WHERE v > ?")
-    assert "Engine [" not in plain
-    db.engine = "row"
-    assert "Engine [name='row'" in db.explain(
-        "SELECT id FROM t WHERE v > ?", params=(1,))
+def test_one_engine_and_its_counters():
+    with pytest.raises(TypeError):  # no such argument, whatever the name
+        Database(engine="columnar")
+    db = _db(CHUNK_SIZE + 1)
+    db.execute("SELECT id FROM t WHERE v > 10")
+    assert db.executor.batches_executed > 0
+    assert db.engine_stats() == {
+        "batches_executed": db.executor.batches_executed,
+        "plans_built": db.executor.plans_built}
+    # The Engine trailer comes with parameters only: the golden plain
+    # EXPLAIN has none.
+    sql = "SELECT id FROM t WHERE v > ?"
+    assert "\nEngine [batches_executed=" in db.explain(sql, params=(1,))
+    assert "Engine [" not in db.explain(sql)
 
 
 def _line(out, node):
@@ -777,12 +646,12 @@ def test_explain_analyze_shape():
     line; a line with an estimate also carries its q-error.  ``v > ?``
     is priced by the 0.3 fallback (~150 of 500 rows) and keeps 289, so
     ``q = 289 / 150``."""
-    db = _seed(Database(result_cache_size=0), 500)
+    db = _db(500)
     out = db.explain(
         "SELECT s, COUNT(*) FROM t WHERE v > ? GROUP BY s ORDER BY s",
         params=(10,), analyze=True)
     lines = out.splitlines()
-    assert lines[0].startswith("EXPLAIN ANALYZE [engine=columnar, rows=")
+    assert lines[0].startswith("EXPLAIN ANALYZE [rows=")
     assert "rows_touched=500" in lines[0]
     assert "total_ms=" in lines[0]
     assert [line.split(" [")[0].strip() for line in lines[1:]] == [
@@ -800,52 +669,38 @@ def test_explain_analyze_shape():
 
 
 def test_explain_analyze_columnar_chunks_and_density():
-    """Pins the columnar EXPLAIN ANALYZE annotation format: every chunked
-    source operator reports ``chunks=``; operators that narrow selection
-    vectors report ``sel=`` as live rows over chunk capacity."""
-    db = _seed(Database(result_cache_size=0, engine="columnar"),
-               2 * CHUNK_SIZE)
+    """Pins the EXPLAIN ANALYZE annotation format: every chunked source
+    operator reports ``chunks=``; operators that narrow selection vectors
+    report ``sel=`` as live rows over chunk capacity."""
+    db = _db(2 * CHUNK_SIZE)
     out = db.explain("SELECT id FROM t WHERE s = 's1'",
                      params=(), analyze=True)
-    assert out.startswith("EXPLAIN ANALYZE [engine=columnar, rows=")
+    assert out.startswith("EXPLAIN ANALYZE [rows=")
     scan_line, filter_line = _line(out, "Scan"), _line(out, "Filter")
     assert (f"actual [rows={2 * CHUNK_SIZE}, q=1.0, chunks=2, sel=100.0%, "
             f"time=") in scan_line
     # s cycles through 5 labels: the filter keeps exactly 1/5 of rows.
     assert "chunks=2" in filter_line
     assert "sel=20.0%" in filter_line
-    # Row engine output is unchanged: no chunk annotations at all.
-    db.engine = "row"
-    row_out = db.explain("SELECT id FROM t WHERE s = 's1'",
-                         params=(), analyze=True)
-    assert "chunks=" not in row_out
-    assert "sel=" not in row_out
 
 
 def test_explain_analyze_columnar_reports_chunks_skipped():
     """Pins the ``chunks_skipped=`` annotation: a chunk-order-correlated
     range bound lets zone maps prove two of three chunks irrelevant, the
     base scan reports them, and header ``rows_touched`` still charges
-    every storage row (the cost currency is engine-invariant).  The scan
-    produces one chunk's rows against an estimate of all three (q=3.0).
-    The row engine's output carries no chunk annotations at all."""
-    db = _seed(Database(result_cache_size=0, engine="columnar"),
-               3 * CHUNK_SIZE)
+    every storage row (zone maps change wall-clock only).  The scan
+    produces one chunk's rows against an estimate of all three (q=3.0)."""
+    db = _db(3 * CHUNK_SIZE)
     sql = "SELECT id FROM t WHERE id < ? AND v > ?"
     out = db.explain(sql, params=(CHUNK_SIZE, 0), analyze=True)
     assert f"rows_touched={3 * CHUNK_SIZE}" in out.splitlines()[0]
     assert (f"(~{3 * CHUNK_SIZE} rows, ~{3 * CHUNK_SIZE} touched) "
             f"actual [rows={CHUNK_SIZE}, q=3.0, chunks=1, chunks_skipped=2, "
             f"sel=100.0%, time=") in _line(out, "Scan")
-    db.engine = "row"
-    row_out = db.explain(sql, params=(CHUNK_SIZE, 0), analyze=True)
-    assert f"rows_touched={3 * CHUNK_SIZE}" in row_out.splitlines()[0]
-    assert "chunks_skipped=" not in row_out
-    assert "chunks=" not in row_out and "sel=" not in row_out
 
 
 def test_explain_analyze_is_side_effect_light():
-    db = _seed(Database(), 50)
+    db = _db(50, result_cache_size=64)
     touched = db.total_rows_touched
     db.explain("SELECT id FROM t WHERE v > ?", params=(3,), analyze=True)
     assert db.total_rows_touched == touched
@@ -855,9 +710,9 @@ def test_explain_analyze_is_side_effect_light():
 
 
 def test_explain_analyze_rows_match_execution():
-    dbs = _pair(800)
+    db = _db(800)
     sql = "SELECT id, v FROM t WHERE v > ? ORDER BY v LIMIT 20"
-    executed = _agree(*dbs, sql, (30,))
-    out = dbs[0].explain(sql, params=(30,), analyze=True)
+    executed = db.execute(sql, (30,))
+    out = db.explain(sql, params=(30,), analyze=True)
     assert f"rows={len(executed.rows)}" in out.splitlines()[0]
     assert f"rows_touched={executed.rows_touched}" in out.splitlines()[0]

@@ -601,12 +601,11 @@ def test_a_multi_row_autocommit_statement_commits_once():
 # Numbers a write computes or stores
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("engine", ["columnar", "row"])
-def test_an_update_stores_the_exact_quotient(engine):
+def test_an_update_stores_the_exact_quotient():
     """``v / 1`` of ``10**17 + 1`` is ``10**17 + 1``: the quotient of two
     ints that divide evenly never goes through a float (it stored
     ``10**17``)."""
-    db = Database(engine=engine)
+    db = Database()
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f REAL)")
     db.execute("INSERT INTO t (id, v) VALUES (1, ?), (2, 7)", (10**17 + 1,))
     result = db.execute("UPDATE t SET v = v / ? WHERE id = 1", (1,))
@@ -618,18 +617,17 @@ def test_an_update_stores_the_exact_quotient(engine):
         db.execute("UPDATE t SET v = 7 / 2 WHERE id = 2")
 
 
-@pytest.mark.parametrize("engine", ["columnar", "row"])
 @pytest.mark.parametrize("sql, params", [
     ("INSERT INTO t (id, f) VALUES (3, ?)", (10**400,)),
     ("UPDATE t SET f = v", ()),
     ("UPDATE t SET f = v WHERE id = 2", ()),
     ("UPDATE t SET f = v * 1.0", ()),
 ])
-def test_a_value_no_real_holds_is_refused(engine, sql, params):
+def test_a_value_no_real_holds_is_refused(sql, params):
     """An int no float can hold stored into a REAL column, or a product
     that overflows, is a :class:`SqlTypeError` — never the builtin
     ``OverflowError`` — and the statement changes nothing."""
-    db = Database(engine=engine)
+    db = Database()
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f REAL)")
     db.execute("INSERT INTO t (id, v, f) VALUES (1, 1, 0.5), (2, ?, 1.5)",
                (10**400,))

@@ -18,12 +18,13 @@ them.
 """
 
 import math
-import sqlite3
 
 import pytest
 
 from repro.sqldb import Database
 from repro.sqldb.errors import SqlError
+
+from sqlite_reference import sqlite_copy
 
 COLUMNS = "id, a, b, v, s, f"
 ROWS = ((1, 1, 1, 10, "x", 0.5), (2, 1, 2, 20, "y", 1.5),
@@ -44,14 +45,6 @@ def _database():
         for row in ROWS:
             db.execute(f"INSERT INTO {table} VALUES (?, ?, ?, ?, ?, ?)", row)
     return db
-
-
-def _sqlite():
-    lite = sqlite3.connect(":memory:")
-    lite.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a INT, b INT, "
-                 "v INT, s TEXT, f REAL)")
-    lite.executemany("INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)", ROWS)
-    return lite
 
 
 def _contents(db, table):
@@ -117,6 +110,7 @@ def test_every_path_changes_what_the_unindexed_twin_changes(verb, case):
     where, params, touched = CASES[case]
     sql = VERBS[verb] + where
     db = _database()
+    lite = sqlite_copy(db, ["t"])
     outcome = _run(db, sql.format(t="t"), params)
     twin = _run(db, sql.format(t="twin"), params)
     assert _contents(db, "t") == _contents(db, "twin"), (sql, params)
@@ -125,7 +119,6 @@ def test_every_path_changes_what_the_unindexed_twin_changes(verb, case):
         assert outcome[1] == touched  # the path
         assert twin[1] == len(ROWS)
         if NAN not in params:
-            lite = _sqlite()
             cursor = lite.execute(sql.format(t="t"), params)
             assert cursor.rowcount == outcome[0]
             assert sorted(lite.execute(f"SELECT {COLUMNS} FROM t"),
@@ -170,7 +163,7 @@ def test_a_set_cell_stores_what_the_interpreter_computes(expr, column,
                                                          operand, row_id):
     expr = expr.format(t="t")
     params = (operand, row_id) if "?" in expr else (row_id,)
-    reference = Database(engine="row", result_cache_size=0)
+    reference = Database(result_cache_size=0)
     reference.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, "
                       "v INT, s TEXT, f REAL)")
     for row in ROWS:

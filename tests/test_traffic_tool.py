@@ -119,13 +119,14 @@ def test_kernels_lists_each_generated_loop(monkeypatch, capsys):
 def test_plan_time_work_does_not_scale_with_executions():
     """A WHERE's lookup shape and a write's row context are built per
     plan; an execution only binds parameters to them.  Judged against the
-    executions that need a shape (2 559 in this run, before and after):
+    executions that need a shape (1 936 in this run; 2 559 while the
+    workload's check replayed its episode on a second engine):
     re-deriving per execution made 2.4x as many ``_equality_shapes`` calls
     and one ``_single_table_context`` per UPDATE / DELETE (1 041)."""
     calls = _mixed_rw_smoke_calls()
     access = os.path.join("sqldb", "plan", "access.py")
     executions = calls[access, "resolve_index_lookup"]
-    assert executions > 2000
+    assert executions > 1500
     assert 0 < calls[access, "_equality_shapes"] < executions
     contexts = calls[os.path.join("sqldb", "executor.py"),
                      "_single_table_context"]
@@ -135,28 +136,32 @@ def test_plan_time_work_does_not_scale_with_executions():
 def test_a_statement_is_parsed_once_per_side_of_the_wire():
     """Every parse beyond the one an execution needs is a registration:
     the store classifies a statement (read or write) and the server parses
-    it to execute it — 27 186 - 24 061 = 3 125 registrations in this run;
-    classifying on the server as well made it 2 x 3 125."""
+    it to execute it — 21 251 - 19 072 = 2 179 registrations in this run;
+    classifying on the server as well made it 2 x 2 179.  The store
+    normalises the parameters of each, and nothing after it does again."""
     calls = _mixed_rw_smoke_calls()
     parses = calls[os.path.join("sqldb", "parser.py"), "parse"]
     executions = calls[os.path.join("sqldb", "database.py"),
                        "Database.execute_parsed"]
     registrations = calls[os.path.join("core", "query_store.py"),
                           "QueryStore.register_query"]
-    assert registrations > 3000
+    assert registrations > 2000
     assert parses - executions == registrations
+    assert calls[os.path.join("sqldb", "executor.py"),
+                 "as_params"] == registrations
 
 
 def test_a_write_keyed_on_its_primary_key_evaluates_nothing():
     """Every TPC-C UPDATE / DELETE is keyed on its primary key, which
     decides its whole WHERE, and each SET cell is a bind or ``column + - *
     a literal or a parameter``: none of them calls the interpreter.  What
-    still does is the rest of the run — 439 ``evaluate`` calls here, 8 137
-    when every candidate re-checked the whole WHERE.  An undo log is
+    still does is the rest of the run — 260 ``evaluate`` calls here, 8 137
+    when every candidate re-checked the whole WHERE (in a run that also
+    replayed the episode on a second engine).  An undo log is
     started by BEGIN and by a new database, never by COMMIT or ROLLBACK."""
     calls = _mixed_rw_smoke_calls()
     sqldb = "sqldb"
-    assert calls[os.path.join(sqldb, "executor.py"), "_change_rows"] > 1000
+    assert calls[os.path.join(sqldb, "executor.py"), "_change_rows"] > 700
     assert 0 < calls[os.path.join(sqldb, "expressions.py"), "evaluate"] < 1000
     transactions = os.path.join(sqldb, "transactions.py")
     begins = calls[transactions, "TransactionManager.begin"]
@@ -189,7 +194,7 @@ def test_calls_prints_raw_counts_per_target(monkeypatch, capsys):
     selects, lookups, plans, stores = (table[name] for name in names)
     assert selects[0] > 1000 and lookups[0] == selects[0]
     assert 0 < stores[0] == plans[0] <= lookups[0]
-    assert selects[1] == plans[1] > 100 and lookups[1] == stores[1] == 0
+    assert selects[1] == plans[1] > 50 and lookups[1] == stores[1] == 0
     with pytest.raises(SystemExit):
         traffic.main(["--calls", "Executor.no_such_function", "reports"])
 
