@@ -6,6 +6,15 @@ from repro.net.clock import CostModel, SimClock
 from repro.net.driver import BatchDriver, Driver
 from repro.net.server import DatabaseServer
 from repro.sqldb import Database
+from repro.sqldb.result_cache import DEFAULT_RESULT_CACHE_LIMIT
+
+
+@pytest.fixture(params=["cached", "uncached"])
+def cache_size(request):
+    """A ``result_cache_size`` for each of a SELECT's two paths: the cache
+    on (probe, run, store) and off (plan and run only)."""
+    return {"cached": DEFAULT_RESULT_CACHE_LIMIT,
+            "uncached": 0}[request.param]
 
 
 @pytest.fixture

@@ -268,13 +268,14 @@ class TestIndexUse:
 
 
 class TestLifetime:
-    def test_dropped_database_is_freed_without_the_cycle_collector(self):
+    def test_dropped_database_is_freed_without_the_cycle_collector(
+            self, cache_size):
         """Nothing a used database owns refers back to it, so dropping the
         last reference frees it at once: the cycle collector is off here."""
         enabled = gc.isenabled()
         gc.disable()
         try:
-            db = Database()
+            db = Database(result_cache_size=cache_size)
             db.execute_script("""
             CREATE TABLE a (id INT PRIMARY KEY, x INT);
             CREATE TABLE b (id INT PRIMARY KEY, y INT);
@@ -285,7 +286,7 @@ class TestLifetime:
                 db.execute("INSERT INTO b VALUES (?, ?)", (i, i))
             join = "SELECT a.id, b.id FROM a JOIN b ON a.x = b.y"
             db.execute(join)
-            db.execute(join)  # a result-cache hit
+            db.execute(join)  # a result-cache hit, the cache on
             db.execute("SELECT id FROM b WHERE y BETWEEN ? AND ? "
                        "ORDER BY y LIMIT 3", (4, 30))
             db.execute("BEGIN")

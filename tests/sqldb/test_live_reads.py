@@ -4,9 +4,9 @@ A read that follows a write — auto-committed, committed in a transaction,
 rolled back, or a TRUNCATE — returns what a fresh database that ran the
 same writes returns, through every access path (sequential scan,
 primary-key lookup, hash and ordered secondary indexes, a grouped
-aggregate).  The reads run once before the write
-too, so the plan cache, the result cache and the column store are all warm
-when the write lands and must each notice it.
+aggregate), with the result cache on and off.  The reads run once before
+the write too, so the plan cache, the result cache and the column store
+are all warm when the write lands and must each notice it.
 
 Writes change ``table.rows`` in place and never replace it: the column
 store's mutation counter alone decides whether its snapshot is current.
@@ -18,6 +18,7 @@ from repro.net.clock import CostModel, SimClock
 from repro.net.driver import BatchDriver
 from repro.net.server import DatabaseServer
 from repro.sqldb import Database
+from repro.sqldb.result_cache import DEFAULT_RESULT_CACHE_LIMIT
 
 # One read per access path; ``w`` has no index, so its predicate scans.
 READS = {
@@ -51,8 +52,8 @@ WRITES = {
 }
 
 
-def _db(writes=()):
-    db = Database()
+def _db(writes=(), result_cache_size=DEFAULT_RESULT_CACHE_LIMIT):
+    db = Database(result_cache_size=result_cache_size)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, grp INT, v INT, w INT)")
     db.execute("CREATE INDEX idx_grp ON t (grp)")
     db.execute("CREATE INDEX idx_v ON t (v) USING ORDERED")
@@ -69,10 +70,10 @@ def _read_all(db):
 
 
 @pytest.mark.parametrize("write", sorted(WRITES))
-def test_a_read_after_a_write_matches_a_fresh_database(write):
-    db = _db()
+def test_a_read_after_a_write_matches_a_fresh_database(write, cache_size):
+    db = _db(result_cache_size=cache_size)
     before = _read_all(db)
-    assert _read_all(db) == before  # warm: the repeats hit the cache
+    assert _read_all(db) == before  # warm: the repeats hit any cache
     for sql in WRITES[write]:
         db.execute(sql)
     expected = _read_all(_db(WRITES[write]))
@@ -94,8 +95,8 @@ def test_no_write_replaces_table_rows():
             assert table.column_store().length == len(rows), sql
 
 
-def test_own_writes_are_visible_inside_a_transaction():
-    db = _db()
+def test_own_writes_are_visible_inside_a_transaction(cache_size):
+    db = _db(result_cache_size=cache_size)
     before = _read_all(db)
     pending = WRITES["commit"][1:-1]
     db.execute("BEGIN")

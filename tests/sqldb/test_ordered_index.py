@@ -149,8 +149,9 @@ class TestBucketOrderUpkeep:
     }
 
     @pytest.fixture
-    def twins(self):
-        indexed, plain = Database(), Database()
+    def twins(self, cache_size):
+        indexed, plain = (Database(result_cache_size=cache_size)
+                          for _ in range(2))
         for db in (indexed, plain):
             db.execute_script(";\n".join(self.SETUP))
         indexed.execute("CREATE INDEX t_h ON t (h)")

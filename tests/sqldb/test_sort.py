@@ -136,20 +136,21 @@ def test_sort_op_orders_like_the_reference_comparator(values, order_by):
     assert _ids(engine) == expected
 
 
-def _backend(rows=((1, 50), (1, 10), (2, 5), (3, 40), (3, 1))):
+def _backend(rows=((1, 50), (1, 10), (2, 5), (3, 40), (3, 1)),
+             result_cache_size=0):
     """``t(id, x, y)`` holding ``rows`` as (x, y)."""
-    db = Database(result_cache_size=0)
+    db = Database(result_cache_size=result_cache_size)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT, y INT)")
     for i, (x, y) in enumerate(rows, start=1):
         db.execute("INSERT INTO t (id, x, y) VALUES (?, ?, ?)", (i, x, y))
     return db
 
 
-def test_distinct_ordered_by_a_column_it_does_not_select_raises():
+def test_distinct_ordered_by_a_column_it_does_not_select_raises(cache_size):
     """DISTINCT drops rows, so an ORDER BY key over the source row no
     longer lines up with the output: ``ORDER BY y`` would give output
     ``(2,)`` the ``y`` of another row.  The plan refuses it."""
-    db = _backend()
+    db = _backend(result_cache_size=cache_size)
     with pytest.raises(SqlError, match="for SELECT DISTINCT, ORDER BY "
                                        "expressions must appear in the "
                                        "select list"):
@@ -165,8 +166,8 @@ def test_distinct_ordered_by_a_column_it_does_not_select_raises():
 @pytest.mark.parametrize("rows", [(), ((1, 50), (2, 5))],
                          ids=["empty", "rows"])
 def test_aggregate_ordered_by_a_source_column_raises_whatever_the_data(
-        rows):
-    db = _backend(rows)
+        rows, cache_size):
+    db = _backend(rows, cache_size)
     with pytest.raises(SqlError, match="ORDER BY in aggregate queries must "
                                        "reference output columns"):
         db.execute("SELECT x, COUNT(*) FROM t GROUP BY x ORDER BY y")
@@ -174,10 +175,10 @@ def test_aggregate_ordered_by_a_source_column_raises_whatever_the_data(
                           "ORDER BY n DESC, 1").rows) == len(rows)
 
 
-def test_mixed_directions_and_nulls():
+def test_mixed_directions_and_nulls(cache_size):
     """NULL first ascending, last descending, and the minority direction
     flipped inside the majority's sort."""
-    db = _backend(((1, None), (1, 3), (2, None), (2, 3), (1, 3)))
+    db = _backend(((1, None), (1, 3), (2, None), (2, 3), (1, 3)), cache_size)
     assert assert_matches_sqlite(
         db, "SELECT id FROM t ORDER BY x DESC, y, id DESC", total=True).rows \
         == [(3,), (4,), (1,), (5,), (2,)]
@@ -216,11 +217,11 @@ def test_engine_rows_are_tuples():
         assert db.execute(sql, (0,)).rows == result.rows, sql
 
 
-def test_a_probe_key_of_the_wrong_type_is_caught_by_the_recheck():
+def test_a_probe_key_of_the_wrong_type_is_caught_by_the_recheck(cache_size):
     """``id = ?`` bound to TRUE would find row 1 through the primary-key
     hash (``TRUE == 1``).  TRUE is no key for an INTEGER column, so no index
     serves the execution and the scan's comparison is what raises."""
-    db = _backend()
+    db = _backend(result_cache_size=cache_size)
     with pytest.raises(SqlTypeError, match="cannot compare 1 with True"):
         db.execute("SELECT x FROM t WHERE id = ?", (True,))
     assert db.execute("SELECT x FROM t WHERE id = ?", (1,)).rows == [(1,)]

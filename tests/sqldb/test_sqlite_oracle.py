@@ -6,9 +6,10 @@ LIMIT / OFFSET, an ORDER BY that leaves ties loose, INNER / LEFT joins
 against a lookup table, GROUP BY aggregates, DISTINCT and counts — and
 runs it on a :class:`Database` and on an in-memory ``sqlite3`` copy of its
 tables (``sqlite_reference``).  Each shape runs under every configuration
-of one node: the defaults, no result cache, and a hash or an ordered
-secondary index (so a point lookup, an IN list or an ORDER BY can take the
-index instead of the scan).
+of one node: the defaults, no result cache, a hash index on the group key,
+and an ordered index on the group key (NULL keys among its entries) or on
+the value (so a point lookup, an IN list or an ORDER BY can take the index
+instead of the scan).
 
 The oracle asserts:
 
@@ -37,6 +38,7 @@ CONFIGS = {
     "default": ({}, None),
     "uncached": ({"result_cache_size": 0}, None),
     "hash-grp": ({}, "CREATE INDEX t_grp ON t (grp)"),
+    "ordered-grp": ({}, "CREATE INDEX t_grp ON t (grp) USING ORDERED"),
     "ordered-val": ({}, "CREATE INDEX t_val ON t (val) USING ORDERED"),
 }
 

@@ -88,11 +88,14 @@ def test_rollback_undoes_truncate(people_db):
     "UPDATE pet SET species = 'eel' WHERE id = 12; DELETE FROM pet "
     "WHERE owner_id = 1; DELETE FROM pet WHERE id = 12",
 ])
-def test_rolled_back_delete_keeps_storage_in_row_id_order(undone):
+def test_rolled_back_delete_keeps_storage_in_row_id_order(undone,
+                                                          cache_size):
     """Rollback puts deleted rows back where they were: storage stays in
     row-id order, so scans and column lanes, which no longer sort, read
-    the same rows in the same order as a twin that never deleted."""
-    rolled, twin = Database(), Database()
+    the same rows in the same order as a twin that never deleted — and
+    so do reads that ran before the transaction, cached or not."""
+    rolled, twin = (Database(result_cache_size=cache_size)
+                    for _ in range(2))
     for db in (rolled, twin):
         db.execute("CREATE TABLE pet (id INT PRIMARY KEY, owner_id INT, "
                    "species TEXT)")
@@ -101,6 +104,10 @@ def test_rolled_back_delete_keeps_storage_in_row_id_order(undone):
                     (13, 3, "fish")]:
             db.execute("INSERT INTO pet VALUES (?, ?, ?)", pet)
         db.tables["pet"].column_store()
+    reads = ("SELECT * FROM pet", "SELECT id FROM pet WHERE owner_id = 1",
+             "SELECT id, species FROM pet WHERE id > 10 LIMIT 2")
+    for sql in reads:
+        rolled.execute(sql)
     rolled.execute("BEGIN")
     rolled.execute_script(undone)
     rolled.execute("ROLLBACK")
@@ -111,8 +118,7 @@ def test_rolled_back_delete_keeps_storage_in_row_id_order(undone):
     store, expected = table.column_store(), reference.column_store()
     assert [store.lane(j) for j in range(3)] == [
         expected.lane(j) for j in range(3)]
-    for sql in ("SELECT * FROM pet", "SELECT id FROM pet WHERE owner_id = 1",
-                "SELECT id, species FROM pet WHERE id > 10 LIMIT 2"):
+    for sql in reads:
         assert rolled.execute(sql).rows == twin.execute(sql).rows
 
 

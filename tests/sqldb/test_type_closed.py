@@ -19,7 +19,8 @@ the same rows, or an error of the same type — and so does a range WHERE
 prefix) through an ordered index, with bounds NaN, ±inf, ``2**53 + 1``,
 text and TRUE among them.  Where the value domain is SQLite's too —
 integers, a few finite floats, NULL; no ``/`` or ``%``, no text beside a
-number, no ``*`` beside an aggregate — the answers are SQLite's.
+number, no ``*`` beside an aggregate — the answers are SQLite's.  The
+pinned shapes run with the result cache on and off.
 """
 
 import pytest
@@ -27,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqldb import Database
 from repro.sqldb.errors import SqlError, SqlTypeError
+from repro.sqldb.result_cache import DEFAULT_RESULT_CACHE_LIMIT
 
 from sqlite_reference import assert_matches_sqlite, sqlite_copy
 
@@ -51,8 +53,8 @@ PARAMS = st.one_of(st.integers(-3, 3), st.sampled_from([10**400, 2**53 + 1]),
                    st.just({"k": 1}))
 
 
-def _backend(rows):
-    db = Database()
+def _backend(rows, result_cache_size=DEFAULT_RESULT_CACHE_LIMIT):
+    db = Database(result_cache_size=result_cache_size)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f TEXT)")
     db.execute("CREATE INDEX t_v ON t (v)")
     db.execute("CREATE TABLE twin (id INT, v INT, f TEXT)")
@@ -200,8 +202,9 @@ def test_the_shared_value_domain_answers_what_sqlite_answers(statement):
     "SELECT COUNT(*), * FROM t GROUP BY id",
     "SELECT *, COUNT(*) FROM t GROUP BY id",
 ])
-def test_a_star_beside_an_aggregate_is_refused_when_planned(rows, sql):
-    db = DATABASES[len(rows)]
+def test_a_star_beside_an_aggregate_is_refused_when_planned(rows, sql,
+                                                            cache_size):
+    db = _backend(rows, cache_size)
     with pytest.raises(SqlError, match="'\\*' cannot be selected"):
         db.execute(sql)
     with pytest.raises(SqlError, match="'\\*' cannot be selected"):
@@ -216,10 +219,10 @@ def test_a_star_beside_an_aggregate_is_refused_when_planned(rows, sql):
     ("SELECT SUM(DISTINCT ?) FROM t GROUP BY f", ({},), "SUM DISTINCT"),
 ])
 def test_an_unhashable_parameter_is_a_type_error_where_it_is_hashed(
-        sql, params, clause):
+        sql, params, clause, cache_size):
     with pytest.raises(SqlTypeError, match=f"cannot compare {clause} values"):
-        DATABASES[len(ROWS)].execute(sql, params)
-    DATABASES[0].execute(sql, params)  # no rows: nothing hashed
+        _backend(ROWS, cache_size).execute(sql, params)
+    _backend((), cache_size).execute(sql, params)  # no rows: nothing hashed
 
 
 @pytest.mark.parametrize("where", [" WHERE id = ?", " WHERE v = ?",
@@ -336,8 +339,8 @@ BOUNDS = st.one_of(st.integers(-3, 12), st.floats(), st.none(),
                                     2**53 + 1, 7.5, "7", "", True]))
 
 
-def _range_backend(rows):
-    db = Database()
+def _range_backend(rows, result_cache_size=DEFAULT_RESULT_CACHE_LIMIT):
+    db = Database(result_cache_size=result_cache_size)
     db.execute("CREATE TABLE r (id INT PRIMARY KEY, a INT, v INT, f REAL)")
     db.execute("CREATE INDEX r_v ON r (v) USING ORDERED")
     db.execute("CREATE INDEX r_av ON r (a, v) USING ORDERED")
@@ -406,7 +409,7 @@ def test_an_ordered_walk_answers_what_the_unindexed_twin_answers(statement):
      [(2,), (4,), (3,), (1,), (6,), (5,)]),
     ("UPDATE {r} SET a = a WHERE f <= ?", (0.5,), 2),
 ])
-def test_a_walk_is_answered_by_the_scan(sql, params, expected):
+def test_a_walk_is_answered_by_the_scan(sql, params, expected, cache_size):
     """The walk found no row for ``v <= NaN`` (the interpreter's ``<`` /
     ``>`` probes find NaN equal to every number) and none for an
     incomparable bound beside an equality prefix no row has, where the
@@ -417,7 +420,7 @@ def test_a_walk_is_answered_by_the_scan(sql, params, expected):
     miss ``5.0`` under ``f BETWEEN 2 AND 6``; a zone map whose ``min``
     skipped it pruned its chunk under ``f <= 0.5``.  An index holding a
     NaN key is not walked."""
-    db = RANGE_DATABASES["nan"]
+    db = _range_backend(RANGE_ROWS, cache_size)
     select = sql.startswith("SELECT")
     outcomes = []
     for table in ("r", "rtwin r" if select else "rtwin"):

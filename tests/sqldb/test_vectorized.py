@@ -53,6 +53,31 @@ def _outcome(db, sql, params):
 # ---------------------------------------------------------------------------
 
 
+def test_empty_table():
+    db = _db(0)
+    lite = sqlite_copy(db)
+    for sql, params, rows in (
+            ("SELECT id, v FROM t", (), []),
+            ("SELECT id FROM t WHERE v > ?", (5,), []),
+            ("SELECT COUNT(*) FROM t", (), [(0,)]),
+            ("SELECT s, COUNT(v) FROM t GROUP BY s", (), [])):
+        assert assert_matches_sqlite(db, sql, params,
+                                     lite=lite).rows == rows, sql
+
+
+def test_empty_join_sides():
+    db = _db(0)
+    db.execute("CREATE TABLE u (id INT PRIMARY KEY, w INT)")
+    db.execute("INSERT INTO u (id, w) VALUES (1, 10)")
+    lite = sqlite_copy(db)
+    assert assert_matches_sqlite(
+        db, "SELECT t.id, u.w FROM t JOIN u ON t.v = u.id",
+        lite=lite).rows == []
+    assert assert_matches_sqlite(
+        db, "SELECT u.id, t.v FROM u LEFT JOIN t ON t.v = u.id",
+        lite=lite).rows == [(1, None)]
+
+
 # Join shapes over ``t`` (NULL and duplicate-heavy ``v``, dictionary-
 # encoded ``s``) filtered to its first ``?`` rows, so every join probes
 # above a selection-vector chunk: label -> (the join the plan must run,
@@ -416,6 +441,31 @@ def test_limit_cuts_mid_chunk():
     assert len(result.rows) == 10
 
 
+def test_limit_hint_stops_early():
+    """With an ordered index the sort is elided and the limit hint stops
+    the walk after limit + offset rows — the one early exit in the
+    engine.  Ties on ``v`` leave the ids open, so the ``v`` column is held
+    to SQLite's."""
+    db = _db(CHUNK_SIZE + 400)
+    db.execute("CREATE INDEX idx_t_v ON t (v) USING ORDERED")
+    lite = sqlite_copy(db, ["t"])
+    for tail, touched in ((" LIMIT 1", 2), (" LIMIT 700", 701),
+                          (f" LIMIT {CHUNK_SIZE + 100}", CHUNK_SIZE + 101),
+                          (" LIMIT 50 OFFSET 25", 76)):
+        sql = "SELECT id, v FROM t ORDER BY v" + tail
+        assert "sort elided" in db.explain(sql)
+        result = db.execute(sql)
+        assert [v for _, v in result.rows] == [
+            v for (v,) in lite.execute("SELECT v FROM t ORDER BY v" + tail)]
+        # Early exit: far fewer rows touched than the full table.
+        assert result.rows_touched <= touched
+    # The page's rows re-enter the chunk pipeline through the read lanes
+    # only: ``s`` is filtered and ``v`` ordered by, neither projected.
+    result = db.execute("SELECT p, UPPER(p) FROM t WHERE s = ? "
+                        "ORDER BY v LIMIT 7", ("s1",))
+    assert len(result.rows) == 7 and all(p for p, _ in result.rows)
+
+
 def test_null_heavy_columns():
     db = _db(600)
     lite = sqlite_copy(db)
@@ -479,11 +529,11 @@ def test_sum_avg_over_text_raise_sql_type_error(sql):
     ("ABS(v IS NULL)", "ABS requires a numeric value, got bool"),
 ])
 def test_scalar_functions_over_the_wrong_type_raise_sql_type_error(
-        call, message):
+        call, message, cache_size):
     """A scalar function over a value of the wrong type is a SqlTypeError
     naming the function and the value's type — never the AttributeError /
     TypeError of the Python builtin behind it; NULL still yields NULL."""
-    db = _db(6)
+    db = _db(6, cache_size)
     for sql in (f"SELECT {call} FROM t WHERE id = 1",
                 f"SELECT id FROM t WHERE {call} = 1"):
         outcome = _outcome(db, sql, ())
@@ -498,13 +548,13 @@ def test_scalar_functions_over_the_wrong_type_raise_sql_type_error(
 @pytest.mark.parametrize("bad", [[1], {1}, {1: 2}],
                          ids=lambda bad: type(bad).__name__)
 def test_unhashable_parameter_raises_sql_type_error_on_index_paths(
-        column, bad):
+        column, bad, cache_size):
     """``col = ?`` with a list / set / dict parameter is a SqlTypeError
     whichever access path serves it — not the ``TypeError`` of the index's
     dict probe — and a failed UPDATE / DELETE leaves the table as it was.
     A key its column cannot compare disqualifies the index, so the error is
     the scan's, the same as over the unindexed column below."""
-    db = Database(result_cache_size=0)
+    db = Database(result_cache_size=cache_size)
     _seed_join_tables(db)
     before = db.execute("SELECT * FROM u").rows
     message = f"cannot compare 0 with {bad!r}"
@@ -602,16 +652,27 @@ def test_execute_script_keeps_semicolons_inside_string_literals():
 # ---------------------------------------------------------------------------
 
 
-def test_zero_copy_scan_does_not_leak_mutable_storage_rows():
+def test_zero_copy_scan_does_not_leak_mutable_storage_rows(cache_size):
     """Results are immutable snapshots — a later UPDATE may not rewrite
-    previously returned rows."""
-    db = _db(100)
+    previously returned rows, whether or not the result cache kept them."""
+    db = _db(100, cache_size)
     before = db.execute("SELECT id, v, s FROM t WHERE id < 10")
     snapshot = [tuple(r) for r in before.rows]
     db.execute("UPDATE t SET v = 999, s = 'mut' WHERE id < 10")
     assert [tuple(r) for r in before.rows] == snapshot
     after = db.execute("SELECT id, v, s FROM t WHERE id < 10")
     assert all(r[1] == 999 and r[2] == "mut" for r in after.rows)
+
+
+def test_interleaved_writes_answer_what_sqlite_answers():
+    db = _db(300)
+    lite = sqlite_copy(db)
+    for sql in ("UPDATE t SET v = v + 1 WHERE v > 50",
+                "DELETE FROM t WHERE id % 7 = 0"):
+        assert db.execute(sql).rowcount == lite.execute(sql).rowcount
+    assert_matches_sqlite(db, "SELECT id, v, s FROM t WHERE v >= ?", (40,),
+                          lite=lite)
+    assert_matches_sqlite(db, "SELECT COUNT(*) FROM t", lite=lite)
 
 
 # ---------------------------------------------------------------------------

@@ -601,11 +601,11 @@ def test_a_multi_row_autocommit_statement_commits_once():
 # Numbers a write computes or stores
 # ---------------------------------------------------------------------------
 
-def test_an_update_stores_the_exact_quotient():
+def test_an_update_stores_the_exact_quotient(cache_size):
     """``v / 1`` of ``10**17 + 1`` is ``10**17 + 1``: the quotient of two
     ints that divide evenly never goes through a float (it stored
     ``10**17``)."""
-    db = Database()
+    db = Database(result_cache_size=cache_size)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f REAL)")
     db.execute("INSERT INTO t (id, v) VALUES (1, ?), (2, 7)", (10**17 + 1,))
     result = db.execute("UPDATE t SET v = v / ? WHERE id = 1", (1,))
@@ -623,11 +623,11 @@ def test_an_update_stores_the_exact_quotient():
     ("UPDATE t SET f = v WHERE id = 2", ()),
     ("UPDATE t SET f = v * 1.0", ()),
 ])
-def test_a_value_no_real_holds_is_refused(sql, params):
+def test_a_value_no_real_holds_is_refused(sql, params, cache_size):
     """An int no float can hold stored into a REAL column, or a product
     that overflows, is a :class:`SqlTypeError` — never the builtin
     ``OverflowError`` — and the statement changes nothing."""
-    db = Database()
+    db = Database(result_cache_size=cache_size)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f REAL)")
     db.execute("INSERT INTO t (id, v, f) VALUES (1, 1, 0.5), (2, ?, 1.5)",
                (10**400,))
