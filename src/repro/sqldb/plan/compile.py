@@ -12,30 +12,29 @@ physical plan is built) into a kernel over a whole
   chunk out before it is scanned;
 - :func:`compile_project` — select items become per-column gathers and
   element-wise loops;
-- :func:`compile_aggregate_item_columnar`,
-  :func:`compile_grouped_item_columnar` — aggregates fold chunks into
-  accumulators.
+- :func:`compile_values` — any expression becomes ``fn(chunk, sel,
+  params) -> list``, its value at each selected row: the lane the
+  aggregate fold and the Sort read (see :mod:`repro.sqldb.plan.physical`).
 
-**Every shape without a kernel is the interpreter.**  A predicate (or an
-AND operand) with no kernel evaluates ``evaluate`` over ``chunk.row(i)``
-for each candidate row; the projection and aggregate compilers return
-None and their operators run their interpreted form (see
-:mod:`repro.sqldb.plan.physical`).  A gap in kernel coverage is
-therefore the interpreter's own code — same values, same evaluation
-order, same errors — and never a third evaluator to keep in step by
-hand.
+**Every shape without a kernel is one interpreted lane.**  ``_compile_vec``
+lowers literals, parameters, column references and ``+ - * / %`` to
+vector forms and every other shape (an unknown or ambiguous column
+included) to ``interpreted_lane``: ``evaluate`` over ``chunk.row(i)`` for
+each selected row, the one place this module calls the interpreter per
+row.  A predicate (or an AND operand) with no kernel reads that lane, as
+does a select item, an aggregate argument, a GROUP BY key or a Sort key.
+A gap in kernel coverage is therefore the interpreter's own code — same
+values, same errors — and never a third evaluator to keep in step by
+hand; a kernel for a new shape is one more case in ``_compile_vec`` (or
+``_compile_pred`` for a predicate with a zone test).
 What has a kernel: comparisons and BETWEEN of a column against
 literals/parameters, ``IS [NOT] NULL`` of a column, AND over those — the
 sargable conjunctions :mod:`repro.sqldb.plan.access` recognises for index
 paths, and the only WHERE shapes any workload issues; arithmetic over
-columns, literals and parameters in select lists and aggregate arguments;
-``COUNT(*)``, ungrouped aggregates of such an argument, grouped ``SUM`` /
-``AVG``.  What does not (a kernel needs a workload that issues its shape
-— see ROADMAP): OR, NOT, IN and LIKE, column-vs-column and
-computed-operand predicates, ``||``, unary minus, scalar function calls,
-boolean-valued select items, computed GROUP BY keys, grouped ``COUNT(col)``
-/ ``MIN`` / ``MAX`` / DISTINCT aggregates, aggregates nested in
-arithmetic, HAVING.
+columns, literals and parameters wherever an expression is read.  What
+does not (a kernel needs a workload that issues its shape — see ROADMAP):
+OR, NOT, IN and LIKE, column-vs-column and computed-operand predicates,
+``||``, unary minus, scalar function calls, boolean-valued expressions.
 
 Internally every predicate node is ``node(chunk, sel, params) -> (t, u)``
 — the ascending index lists where the node is TRUE and UNKNOWN (FALSE is
@@ -78,22 +77,10 @@ row-at-a-time evaluation gives.
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.columnar import DictColumn
 from repro.sqldb.errors import SqlTypeError
-from repro.sqldb.expressions import (
-    RowContext,
-    _truthy,
-    aggregate_type_error,
-    arithmetic,
-    average,
-    evaluate,
-    first_occurrences,
-    fold_aggregate,
-)
-from repro.sqldb.plan.planner import _AGGREGATE_NAMES, contains_aggregate
-from repro.sqldb.types import _OUT_OF_RANGE, is_comparable
+from repro.sqldb.expressions import RowContext, _truthy, arithmetic, evaluate
+from repro.sqldb.types import is_comparable
 
-__all__ = ["compile_filter", "compile_project",
-           "compile_aggregate_item_columnar",
-           "compile_grouped_item_columnar"]
+__all__ = ["compile_filter", "compile_project", "compile_values"]
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +88,10 @@ __all__ = ["compile_filter", "compile_project",
 # ---------------------------------------------------------------------------
 
 
-def _column_position(expr, positions, ambiguous):
+def column_position(expr, positions, ambiguous):
     """The flat row position of a ColumnRef, or None when the reference is
-    ambiguous or unknown: the shape then has no kernel, and the interpreter
-    raises the resolution error for each row it evaluates."""
+    ambiguous or unknown: the shape then has no kernel, and the interpreted
+    lane raises the resolution error for each row it evaluates."""
     if expr.table is None and expr.column in ambiguous:
         return None
     return positions.get((expr.table, expr.column))
@@ -154,25 +141,25 @@ def compile_filter(expr, positions, ambiguous=frozenset()):
     ``prune_fn(zone_of, params) -> must_scan`` is False only when the zone
     maps prove no chunk row can be TRUE and none can raise; it is None when
     no conjunct is zone-prunable (the scan then skips the per-chunk call
-    entirely).  Never raises at compile time; a shape without a kernel is
-    interpreted row by row.
+    entirely).  Never raises at compile time; a shape without a kernel
+    reads its lane (:func:`compile_values`).
     """
     try:
         compiled = _compile_pred(expr, positions, ambiguous)
     except Exception:  # defensive: compilation must never change behaviour
         compiled = None
     if compiled is None:
-        # Top-level fallback is *strict* (`is True`), exactly like a
-        # filter's interpreted form: a non-boolean predicate value keeps
-        # nothing and raises nothing (unlike the truthy classification AND
-        # operands use).
-        def interpreted_filter_fn(chunk, params):
-            ctx = RowContext(positions, ambiguous)
-            row = chunk.row
-            return [i for i in chunk.live_indices()
-                    if evaluate(expr, ctx.bind(row(i)), params) is True]
+        # Top-level fallback is *strict* (`is True`), as a WHERE is: a
+        # non-boolean predicate value keeps nothing and raises nothing
+        # (unlike the truthy classification AND operands use).
+        values = compile_values(expr, positions, ambiguous)
 
-        return interpreted_filter_fn, None
+        def lane_filter_fn(chunk, params):
+            sel = chunk.live_indices()
+            return [i for i, value in zip(sel, values(chunk, sel, params))
+                    if value is True]
+
+        return lane_filter_fn, None
     node, zone_test = compiled
 
     def filter_fn(chunk, params):
@@ -190,8 +177,7 @@ def compile_filter(expr, positions, ambiguous=frozenset()):
 
 def _compile_pred(expr, positions, ambiguous):
     """``(kernel, zone test or None)`` for one predicate, or None when the
-    shape has no kernel at this level (callers fall back to the
-    interpreter)."""
+    shape has no kernel at this level (callers read its lane)."""
     kind = type(expr)
     if kind is A.BinaryOp:
         if expr.op == "AND":
@@ -208,28 +194,26 @@ def _compile_pred(expr, positions, ambiguous):
 
 
 def _pred_operand(expr, positions, ambiguous):
-    """The pair for an AND operand: its kernel and zone test, or the
-    interpreter per candidate row — classified as AND classifies an operand
-    value (NULL is UNKNOWN, numbers count by ``!= 0``, non-numeric
-    non-bools raise — ``_truthy``) — with no zone test: an interpreted
-    operand may raise on any row."""
+    """The pair for an AND operand: its kernel and zone test, or its lane
+    over the candidate rows — each value classified as AND classifies an
+    operand (NULL is UNKNOWN, numbers count by ``!= 0``, non-numeric
+    non-bools raise — ``_truthy``) — with no zone test: a lane may raise
+    on any row."""
     compiled = _compile_pred(expr, positions, ambiguous)
     if compiled is not None:
         return compiled
+    values = compile_values(expr, positions, ambiguous)
 
-    def interpreted_node(chunk, sel, params):
-        ctx = RowContext(positions, ambiguous)
+    def lane_node(chunk, sel, params):
         t, u = [], []
-        row = chunk.row
-        for i in sel:
-            value = evaluate(expr, ctx.bind(row(i)), params)
+        for i, value in zip(sel, values(chunk, sel, params)):
             if value is None:
                 u.append(i)
             elif _truthy(value):
                 t.append(i)
         return t, u
 
-    return interpreted_node, None
+    return lane_node, None
 
 
 def _merge(a, b):
@@ -302,7 +286,7 @@ def _isnull_leaf(expr, positions, ambiguous):
     """Kernel and zone test for ``col IS [NOT] NULL``, or None."""
     if not isinstance(expr.expr, A.ColumnRef):
         return None
-    pos = _column_position(expr.expr, positions, ambiguous)
+    pos = column_position(expr.expr, positions, ambiguous)
     if pos is None:
         return None
     negated = expr.negated
@@ -516,7 +500,7 @@ def _cmp_leaf(expr, positions, ambiguous):
         const_is_right, kop = False, _FLIP[expr.op]
     else:
         return None
-    pos = _column_position(col_expr, positions, ambiguous)
+    pos = column_position(col_expr, positions, ambiguous)
     if pos is None:
         return None  # the interpreter raises the unknown-column error
     fail = _fail_const_right if const_is_right else _fail_const_left
@@ -576,7 +560,7 @@ def _between_leaf(expr, positions, ambiguous):
             and _row_independent(expr.low)
             and _row_independent(expr.high)):
         return None
-    pos = _column_position(expr.expr, positions, ambiguous)
+    pos = column_position(expr.expr, positions, ambiguous)
     if pos is None:
         return None
     negated = expr.negated
@@ -633,15 +617,15 @@ def _between_leaf(expr, positions, ambiguous):
     return node, zone_test
 
 
-# -- vectorized projection / aggregation ------------------------------------
+# -- lanes: one expression over a chunk's selected rows ---------------------
 
 
 def _compile_vec(expr, positions, ambiguous):
     """Compile an expression to ``fn(chunk, sel, params) -> (scalar, v)``
     — ``v`` a single broadcast value when ``scalar`` is true, else a list
-    aligned with ``sel``.  Returns None for shapes without a vector form
-    (function calls, comparisons, ``||``, unary minus, stars): callers
-    interpret rows instead.
+    aligned with ``sel``.  Literals, parameters, column references and
+    ``+ - * / %`` over them have vector forms; every other shape is the
+    interpreted lane.
     """
     kind = type(expr)
     if kind is A.Literal:
@@ -650,16 +634,13 @@ def _compile_vec(expr, positions, ambiguous):
     if kind is A.Param:
         return lambda chunk, sel, params: (
             True, evaluate(expr, None, params))
-    if kind is A.ColumnRef:
-        pos = _column_position(expr, positions, ambiguous)
-        if pos is None:
-            return None
+    pos = (column_position(expr, positions, ambiguous)
+           if kind is A.ColumnRef else None)
+    if pos is not None:
         return lambda chunk, sel, params: (False, chunk.gather_at(pos, sel))
     if kind is A.BinaryOp and expr.op in ("+", "-", "*", "/", "%"):
         lv = _compile_vec(expr.left, positions, ambiguous)
         rv = _compile_vec(expr.right, positions, ambiguous)
-        if lv is None or rv is None:
-            return None
         op = expr.op
 
         def binary_vec(chunk, sel, params):
@@ -672,7 +653,29 @@ def _compile_vec(expr, positions, ambiguous):
             return False, loop(lval, rval)
 
         return binary_vec
-    return None
+
+    def interpreted_lane(chunk, sel, params):
+        ctx = RowContext(positions, ambiguous)
+        row = chunk.row
+        return False, [evaluate(expr, ctx.bind(row(i)), params) for i in sel]
+
+    return interpreted_lane
+
+
+def compile_values(expr, positions, ambiguous):
+    """``fn(chunk, sel, params) -> list``: ``expr``'s value at each row of
+    ``sel`` (a scalar broadcast).  Over no row nothing is evaluated, so a
+    missing parameter raises only where a row reaches it.  The list may be
+    the chunk's own lane: callers read it and never write to it."""
+    vec = _compile_vec(expr, positions, ambiguous)
+
+    def values(chunk, sel, params):
+        if not sel:
+            return []
+        scalar, value = vec(chunk, sel, params)
+        return [value] * len(sel) if scalar else value
+
+    return values
 
 
 _PLAIN_LANES = frozenset((list, tuple))  # a plain-column select list zips
@@ -680,19 +683,18 @@ _PLAIN_LANES = frozenset((list, tuple))  # a plain-column select list zips
 
 def compile_project(items, expansions, positions, ambiguous):
     """Compile a select list to ``fn(chunk, params) -> list of tuples``
-    (the chunk's live output rows), or None when any item lacks a vector
-    form.  ``expansions`` is ProjectOp's star-expansion table: expanded
-    positions and plain column items become straight column gathers."""
-    makers = []  # a flat position (a gather) or a vector closure
+    (the chunk's live output rows).  ``expansions`` is ProjectOp's
+    star-expansion table: expanded positions and plain column items become
+    straight column gathers, every other item its lane."""
+    makers = []  # a flat position (a gather) or a lane
     for item, expansion in zip(items, expansions):
         if expansion is not None:
             makers.extend(pos for pos, _ in expansion)
-        elif type(item.expr) is A.ColumnRef:
-            makers.append(_column_position(item.expr, positions, ambiguous))
         else:
-            makers.append(_compile_vec(item.expr, positions, ambiguous))
-    if None in makers:
-        return None
+            pos = (column_position(item.expr, positions, ambiguous)
+                   if type(item.expr) is A.ColumnRef else None)
+            makers.append(pos if pos is not None
+                          else compile_values(item.expr, positions, ambiguous))
     if all(type(maker) is int for maker in makers):
         # Plain columns: the lanes zipped — as they stand on a fully-live
         # chunk of plain lanes, else each gathered once.
@@ -708,128 +710,8 @@ def compile_project(items, expansions, positions, ambiguous):
 
     def project_fn(chunk, params):
         sel = chunk.live_indices()
-        n = len(sel)
-        if n == 0:
-            return []
-        lanes = []
-        for maker in makers:
-            if type(maker) is int:
-                lanes.append(chunk.gather_at(maker, sel))
-            else:
-                scalar, value = maker(chunk, sel, params)
-                lanes.append([value] * n if scalar else value)
-        return list(zip(*lanes))
+        return list(zip(*[chunk.gather_at(maker, sel) if type(maker) is int
+                          else maker(chunk, sel, params)
+                          for maker in makers]))
 
     return project_fn
-
-
-def compile_aggregate_item_columnar(expr, positions, ambiguous):
-    """Compiled ``fn(chunks, params)`` for one select item of a
-    no-GROUP-BY aggregate query over columnar chunks, or None when the
-    shape needs the interpreted form (anything but one aggregate call
-    over a vector argument; grouped queries — handled by the caller)."""
-    if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:
-        name = expr.name
-        if name == "COUNT" and expr.args and isinstance(expr.args[0], A.Star):
-            return lambda chunks, params: sum(
-                chunk.n_live() for chunk in chunks)
-        if not expr.args:
-            return None  # interpreter raises "requires an argument"
-        vec = _compile_vec(expr.args[0], positions, ambiguous)
-        if vec is None:
-            return None
-        distinct = expr.distinct
-
-        def agg_fn(chunks, params):
-            collected = []
-            extend = collected.extend
-            for chunk in chunks:
-                n = chunk.n_live()
-                if n == 0:
-                    continue
-                scalar, value = vec(chunk, chunk.live_indices(), params)
-                if scalar:
-                    if value is not None:
-                        extend([value] * n)
-                else:
-                    extend(v for v in value if v is not None)
-            if distinct:
-                collected = first_occurrences(collected, name + " DISTINCT")
-            return fold_aggregate(name, collected)
-        return agg_fn
-    return None
-
-
-def compile_grouped_item_columnar(expr, positions, ambiguous):
-    """Compiled ``(make, update, final)`` triple for one select item of a
-    GROUP BY aggregate query over columnar chunks, or None when the shape
-    needs the interpreted form over rows.  ``COUNT(*)``, ``SUM`` / ``AVG``
-    and plain (group-constant) expressions fold chunks; DISTINCT
-    aggregates, ``COUNT(col)``, ``MIN`` / ``MAX``, composite aggregate
-    arithmetic and shapes without a vector form are interpreted.
-
-    The caller keeps one accumulator list per item, one slot per group:
-    ``make()`` builds a fresh group state, ``update(acc, gidxs, chunk,
-    live, params)`` folds a chunk's live rows in (``gidxs`` maps each
-    live row to its group slot), ``final(state)`` emits the value.
-    Accumulation order is scan order — the same order the interpreted
-    form's per-group row lists preserve — so float SUM/AVG results are
-    bit-identical.
-    """
-    if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:
-        name = expr.name
-        if name == "COUNT" and expr.args and isinstance(expr.args[0], A.Star):
-
-            def update_count_star(acc, gidxs, chunk, live, params):
-                for g in gidxs:
-                    acc[g] += 1
-
-            return (lambda: 0), update_count_star, (lambda state: state)
-        if name not in ("SUM", "AVG") or expr.distinct or not expr.args:
-            return None
-        vec = _compile_vec(expr.args[0], positions, ambiguous)
-        if vec is None:
-            return None
-
-        # state = [non-NULL count, running total]; the total starts
-        # at 0 so the first `0 + value` fails exactly where sum() does
-        # — on the first non-numeric value, with fold_aggregate's error.
-        def update_sum(acc, gidxs, chunk, live, params):
-            scalar, value = vec(chunk, live, params)
-            if scalar:
-                value = [value] * len(gidxs)
-            try:
-                for g, v in zip(gidxs, value):
-                    if v is not None:
-                        st = acc[g]
-                        st[0] += 1
-                        st[1] = st[1] + v
-            except TypeError:
-                raise aggregate_type_error(name, (v,)) from None
-            except OverflowError:
-                raise SqlTypeError(_OUT_OF_RANGE) from None
-
-        if name == "SUM":
-            final_sum = lambda state: state[1] if state[0] else None
-        else:
-            final_sum = (lambda state:
-                         average(state[1], state[0]) if state[0] else None)
-        return (lambda: [0, 0]), update_sum, final_sum
-    if contains_aggregate(expr):
-        return None  # composite shapes keep the interpreted form
-    vec = _compile_vec(expr, positions, ambiguous)
-    if vec is None:
-        return None
-
-    # Plain expression: constant within a group — evaluated against the
-    # group's first row, like the interpreted form's ``group_rows[0]``.
-    def update_first(acc, gidxs, chunk, live, params):
-        for i, g in zip(live, gidxs):
-            if acc[g] is None:
-                scalar, value = vec(chunk, (i,), params)
-                acc[g] = (value if scalar else value[0],)
-
-    def final_first(state):
-        return state[0] if state is not None else None
-
-    return (lambda: None), update_first, final_first

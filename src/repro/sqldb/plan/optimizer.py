@@ -572,23 +572,12 @@ def _output_passthrough(sctx):
     unmodified (None for computed expressions), plus the output names."""
     # Cold path (once per plan build): the logical optimizer otherwise
     # loads without the physical layer.
-    from repro.sqldb.plan.physical import _expand_stars, _output_columns
+    from repro.sqldb.plan.physical import (_expand_stars, _output_columns,
+                                           _output_positions)
 
     expansions = _expand_stars(sctx.stmt, sctx.context)
-    names = _output_columns(sctx.stmt, expansions)
-    sources = []
-    for item, expansion in zip(sctx.stmt.items, expansions):
-        if expansion is not None:
-            sources.extend(pos for pos, _ in expansion)
-            continue
-        expr = item.expr
-        pos = None
-        if isinstance(expr, A.ColumnRef) and not (
-                expr.table is None
-                and expr.column in sctx.context.ambiguous):
-            pos = sctx.context.positions.get((expr.table, expr.column))
-        sources.append(pos)
-    return sources, names
+    return (_output_positions(sctx.stmt, expansions, sctx.context),
+            _output_columns(sctx.stmt, expansions))
 
 
 def _order_satisfied(cand, pinned_ordinals, order_ordinals):

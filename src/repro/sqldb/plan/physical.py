@@ -12,11 +12,12 @@ Two operator flavours mirror the two halves of a SELECT:
 
 - **Result operators** (:class:`ProjectOp`, :class:`AggregateOp`,
   :class:`DistinctOp`, :class:`SortOp`, :class:`LimitOp`) transform the
-  materialized output relation via ``apply(run)``.  Each has at most two
-  forms: a chunk kernel over ``run.source_chunks`` and the interpreted
-  form over ``run.source_rows`` (the chunks transposed), the fallback for
-  any shape without a kernel (scalar functions, boolean-valued items,
-  HAVING, aggregate arithmetic).
+  materialized output relation via ``apply(run)``.  Each has one body.
+  ``ProjectOp``, ``AggregateOp`` and a Sort key over the source read
+  ``run.source_chunks`` through lanes (:mod:`repro.sqldb.plan.compile`):
+  a kernel where the shape has one, else the one interpreted lane.
+  ``AggregateOp`` is one fold for every shape — keys or none, HAVING,
+  DISTINCT, aggregates inside arithmetic.
 
 Row sources speak one protocol, ``iter_cchunks(run)``: operators exchange
 :class:`repro.sqldb.columnar.ColumnChunk` column arrays of up to
@@ -46,6 +47,7 @@ writes each measurement on its node's EXPLAIN line (EXPLAIN ANALYZE).
 """
 
 import copy
+from collections import Counter
 from itertools import chain
 from operator import itemgetter
 from time import perf_counter
@@ -60,10 +62,8 @@ from repro.sqldb.plan import logical as L
 from repro.sqldb.plan.access import (keyed_conjuncts, pk_lookup_keys,
                                      range_scan_ids, residual_predicate,
                                      resolve_index_lookup, walked_conjuncts)
-from repro.sqldb.plan.compile import (compile_aggregate_item_columnar,
-                                      compile_filter,
-                                      compile_grouped_item_columnar,
-                                      compile_project)
+from repro.sqldb.plan.compile import (column_position, compile_filter,
+                                      compile_project, compile_values)
 from repro.sqldb.plan.cost import conjunct_tables
 from repro.sqldb.plan.planner import _AGGREGATE_NAMES, order_by_position
 from repro.sqldb.result import ExecResult
@@ -77,19 +77,16 @@ from repro.sqldb.result import ExecResult
 class PlanRun:
     """Mutable state for one execution of a physical plan."""
 
-    __slots__ = ("db", "params", "sctx", "_ctx", "rows_touched",
-                 "_source_rows", "source_chunks", "out_columns", "out_rows",
-                 "prefetched_base_rows", "cutoff", "chunk_size", "batches",
-                 "chunks_skipped")
+    __slots__ = ("db", "params", "sctx", "rows_touched", "source_chunks",
+                 "out_columns", "out_rows", "prefetched_base_rows", "cutoff",
+                 "chunk_size", "batches", "chunks_skipped")
 
     def __init__(self, db, params, sctx, cutoff,
                  prefetched_base_rows=None):
         self.db = db
         self.params = tuple(params)
         self.sctx = sctx
-        self._ctx = None
         self.rows_touched = 0
-        self._source_rows = None  # the source chunks as rows, on demand
         self.source_chunks = None  # the source's ColumnChunks
         self.out_columns = None
         self.out_rows = None
@@ -103,32 +100,6 @@ class PlanRun:
         self.chunk_size = CHUNK_SIZE
         self.batches = 0  # chunks that flowed between the operators
         self.chunks_skipped = 0  # chunks zone maps proved irrelevant
-
-    @property
-    def ctx(self):
-        """A :class:`RowContext`, built when an interpreted form asks."""
-        ctx = self._ctx
-        if ctx is None:
-            ctx = self._ctx = self.sctx.fresh_context()
-        return ctx
-
-    @property
-    def source_rows(self):
-        """The materialized source relation as wide rows.
-
-        A result operator running its interpreted form (no chunk kernel
-        for the shape, or a Sort key over a source column) transposes
-        ``source_chunks`` here lazily — fully columnar pipelines never pay
-        for the rows.
-        """
-        rows = self._source_rows
-        if rows is None:
-            rows = []
-            extend = rows.extend
-            for chunk in self.source_chunks:
-                extend(chunk.to_rows())
-            self._source_rows = rows
-        return rows
 
     def result(self):
         return ExecResult(self.out_columns, self.out_rows,
@@ -638,7 +609,7 @@ class NestedLoopJoinOp:
         width = run.sctx.widths[self.join_index]
         condition = self.condition
         keep_unmatched = self.kind == "LEFT"
-        ctx = run.ctx
+        ctx = run.sctx.fresh_context()
         params = run.params
         for values in left_rows:
             matched = False
@@ -668,229 +639,252 @@ class NestedLoopJoinOp:
 # ---------------------------------------------------------------------------
 
 class ProjectOp:
-    """Evaluate the select list (with ``*`` expansion) over each row.
+    """Evaluate the select list (with ``*`` expansion) over each chunk.
 
     Star expansion and output-column names depend only on the statement and
     the FROM-list layout, both fixed for the plan's lifetime (DDL
     invalidates the plan cache), so they are computed once at build time —
-    as is the select list's chunk kernel, when every item has one.
+    as is the select list's kernel (:func:`compile_project`).
     """
 
     def __init__(self, items, sctx):
-        self.items = items
-        self.expansions = _expand_stars(sctx.stmt, sctx.context)
-        self.out_columns = _output_columns(sctx.stmt, self.expansions)
-        # The fused projection: per-output-column gathers / vectorized
-        # expression loops, zipped into tuples.  None when an item has
-        # no vector form — then every row is interpreted.
-        self._columnar = compile_project(items, self.expansions,
-                                         sctx.context.positions,
-                                         sctx.context.ambiguous)
+        expansions = _expand_stars(sctx.stmt, sctx.context)
+        self.out_columns = _output_columns(sctx.stmt, expansions)
+        self.out_positions = _output_positions(sctx.stmt, expansions,
+                                               sctx.context)
+        self._project = compile_project(items, expansions,
+                                        sctx.context.positions,
+                                        sctx.context.ambiguous)
 
     def apply(self, run):
-        run.out_columns = self.out_columns
-        params = run.params
-        if self._columnar is not None:
-            project = self._columnar
-            out_rows = []
-            extend = out_rows.extend
-            for chunk in run.source_chunks:
-                extend(project(chunk, params))
-            run.out_rows = out_rows
-            return
-        ctx = run.ctx
-        expansions = self.expansions
+        project, params = self._project, run.params
         out_rows = []
-        for values in run.source_rows:
-            ctx.bind(values)
-            out = []
-            for item, expansion in zip(self.items, expansions):
-                if expansion is not None:
-                    out.extend(values[pos] for pos, _ in expansion)
-                else:
-                    out.append(evaluate(item.expr, ctx, params))
-            out_rows.append(tuple(out))
+        extend = out_rows.extend
+        for chunk in run.source_chunks:
+            extend(project(chunk, params))
+        run.out_columns = self.out_columns
         run.out_rows = out_rows
 
 
 class AggregateOp:
-    """GROUP BY + aggregate select items + HAVING.
+    """GROUP BY + aggregate select items + HAVING: one fold, every shape.
 
-    Chunks fold straight into accumulators where every item has a
-    chunk-at-a-time form and every key is a plain column.  Every other
-    shape — composite items (aggregates nested in arithmetic), computed
-    keys, arguments without a vector form, HAVING — is interpreted over
-    the materialized source rows.
+    1. *Group.*  The key lanes map each live row to a group slot, slots in
+       first-encounter order; a single dictionary-encoded key maps codes,
+       decoding each distinct value once per dictionary.  A group keeps
+       its first row and its row count.  With no GROUP BY there is one
+       group, and it exists over no row too.
+    2. *HAVING.*  HAVING's own aggregate calls fold over every group's
+       rows, then HAVING is evaluated once per group.
+    3. *Items.*  The items' aggregate calls fold over the rows of the
+       groups HAVING kept, and only those: an argument's lane is read
+       there, its non-NULL values collected per group (first occurrences
+       under DISTINCT) and folded by :func:`fold_aggregate`; ``COUNT(*)``
+       is the group's row count.
+    4. *Output.*  An item (or HAVING) is evaluated per group by
+       :func:`_finish`: each aggregate call is its folded value, any
+       other leaf is read from the group's first row (all NULL in the
+       empty group).
+
+    That is the interpreter's evaluation scope for an aggregate query:
+    an argument is evaluated on the rows of the groups that are output, a
+    plain item on one row per group.  An aggregate call is one reached
+    from the item's root through operators; one anywhere else (inside a
+    scalar function, say) is a leaf the interpreter refuses.
     """
 
     def __init__(self, items, group_by, having, sctx):
-        self.items = items
-        self.group_by = group_by
-        self.having = having
         if any(isinstance(item.expr, A.Star) for item in items):
             # Refused at build time, data or no data: a group has no one
             # source row for ``*`` to expand over.
             raise SqlError("'*' cannot be selected in an aggregate query")
-        self.out_columns = _output_columns(sctx.stmt, [None] * len(items))
-        positions = sctx.context.positions
-        ambiguous = sctx.context.ambiguous
-        # Chunk-at-a-time aggregate closures for the fused no-GROUP-BY
-        # path (None: an item has none, so the query is interpreted).
-        fns = [compile_aggregate_item_columnar(item.expr, positions,
-                                               ambiguous) for item in items]
-        self._citem_fns = None if None in fns else fns
-        # Grouped columnar path: the items' makes, updates and finals
-        # plus the flat position of each key — every key a plain column
-        # (dictionary lanes group by integer code).  None means the query
-        # is interpreted: a computed key, or a reference only the
-        # interpreter can raise the error for.
-        self._cgrouped_items = None
-        self._ckey_positions = None
-        if group_by:
-            triples = [compile_grouped_item_columnar(
-                item.expr, positions, ambiguous) for item in items]
-            key_positions = [
-                positions.get((e.table, e.column))
-                if isinstance(e, A.ColumnRef)
-                and not (e.table is None and e.column in ambiguous)
-                else None for e in group_by]
-            if None not in triples and None not in key_positions:
-                self._cgrouped_items = tuple(zip(*triples))
-                self._ckey_positions = key_positions
+        context = sctx.context
+        positions, ambiguous = context.positions, context.ambiguous
+        no_stars = [None] * len(items)
+        self.out_columns = _output_columns(sctx.stmt, no_stars)
+        self.out_positions = _output_positions(sctx.stmt, no_stars, context)
+        self.exprs = [item.expr for item in items]
+        self.having = having
+        self.keys = [compile_values(e, positions, ambiguous)
+                     for e in group_by]
+        # A single plain-column key groups a dictionary lane by code.
+        self.code_key = (column_position(group_by[0], positions, ambiguous)
+                         if len(group_by) == 1
+                         and isinstance(group_by[0], A.ColumnRef) else None)
+        self.null_row = [None] * sctx.total_width  # the empty group's
+        self.having_calls = _aggregate_calls(
+            [] if having is None else [having], positions, ambiguous)
+        self.item_calls = _aggregate_calls(self.exprs, positions, ambiguous)
 
     def apply(self, run):
         params = run.params
-        if (not self.group_by and self.having is None
-                and self._citem_fns is not None):
-            # Fused path: aggregates consume chunks directly — the wide
-            # rows are never built.  A single implicit group, so one
-            # output row even over empty input (matching groups[()]).
-            chunks = run.source_chunks
-            run.out_columns = self.out_columns
-            run.out_rows = [tuple(fn(chunks, params)
-                                  for fn in self._citem_fns)]
-            return
-        if (self.group_by and self.having is None
-                and self._cgrouped_items is not None):
-            # Grouped fused path: group by gathered key lanes — integer
-            # dictionary codes directly for single dictionary-column
-            # keys — folding each chunk into per-group accumulator
-            # arrays.  No wide row is ever built.
-            run.out_columns = self.out_columns
-            run.out_rows = self._apply_grouped_columnar(run, params)
-            return
-        # Interpreted form.  Partition rows into groups by the GROUP BY
-        # key, in first-encounter order (a single group covering
-        # everything when there is no GROUP BY).
-        ctx = run.ctx
-        rows = run.source_rows
-        groups = {}
-        if not self.group_by:
-            groups[()] = list(rows)
-        else:
-            for values in rows:
-                ctx.bind(values)
-                key = tuple(evaluate(e, ctx, params) for e in self.group_by)
+        ctx = run.sctx.fresh_context()
+        parts, firsts, counts = self._group(run.source_chunks, params)
+        groups = range(len(firsts))
+        if self.having is not None:
+            folded = _fold(self.having_calls, parts, counts, params)
+            groups = [g for g in groups if self._output(
+                (self.having,), folded, firsts[g], g, ctx, params)[0]
+                is True]
+            if len(groups) < len(firsts):
+                parts = _narrowed(parts, groups, len(firsts))
+        folded = _fold(self.item_calls, parts, counts, params)
+        run.out_columns = self.out_columns
+        run.out_rows = [self._output(self.exprs, folded, firsts[g], g, ctx,
+                                     params) for g in groups]
+
+    def _group(self, chunks, params):
+        """Step 1: ``(parts, firsts, counts)`` — per chunk with live rows
+        ``(chunk, live, slots)``, ``slots`` each live row's group slot
+        (None: every row is slot 0's, no GROUP BY) — and per slot its
+        first row as ``(chunk, i)`` (None: the empty group) and its row
+        count."""
+        parts = [(chunk, chunk.live_indices(), None) for chunk in chunks
+                 if chunk.n_live()]
+        if not self.keys:
+            first = (parts[0][0], parts[0][1][0]) if parts else None
+            return parts, [first], [sum(len(live) for _, live, _ in parts)]
+        slot_of = {}  # key value (a tuple for several keys) -> slot
+        firsts = []
+        code_slots = {}  # id(dictionary) -> slot per code, NULL's last
+        grouped = []
+        for chunk, live, _ in parts:
+            slots = []
+            append = slots.append
+            col = (chunk.columns[self.code_key]
+                   if self.code_key is not None else None)
+            if type(col) is DictColumn:
+                meta, codes = col.meta, col.codes
+                code_map = code_slots.get(id(meta))
+                if code_map is None:
+                    code_map = code_slots[id(meta)] = [-1] * (
+                        len(meta.values) + 1)
+                for i in live:
+                    code = codes[i]
+                    g = code_map[code]  # NULL_CODE reads the last entry
+                    if g < 0:
+                        key = None if code < 0 else meta.values[code]
+                        g = slot_of.get(key)
+                        if g is None:
+                            g = slot_of[key] = len(firsts)
+                            firsts.append((chunk, i))
+                        code_map[code] = g
+                    append(g)
+            else:
+                lanes = [key(chunk, live, params) for key in self.keys]
+                keys = lanes[0] if len(lanes) == 1 else zip(*lanes)
                 try:
-                    groups.setdefault(key, []).append(values)
+                    for i, key in zip(live, keys):
+                        g = slot_of.get(key)
+                        if g is None:
+                            g = slot_of[key] = len(firsts)
+                            firsts.append((chunk, i))
+                        append(g)
                 except TypeError as exc:  # a list or dict parameter
                     raise SqlTypeError(
                         f"cannot compare GROUP BY values: {exc}") from None
+            grouped.append((chunk, live, slots))
+        counts = [0] * len(firsts)
+        for _, _, slots in grouped:
+            for g, n in Counter(slots).items():
+                counts[g] += n
+        return grouped, firsts, counts
 
-        run.out_columns = self.out_columns
-        out_rows = []
-        for group_rows in groups.values():
-            if self.having is not None:
-                keep = _eval_aggregate_expr(self.having, group_rows, ctx,
-                                            params)
-                if keep is not True:
-                    continue
-            out_rows.append(tuple(
-                _eval_aggregate_expr(item.expr, group_rows, ctx, params)
-                for item in self.items))
-        run.out_rows = out_rows
+    def _output(self, exprs, folded, first, g, ctx, params):
+        """Step 4: ``exprs`` over group ``g``, as a tuple."""
+        ctx.bind(self.null_row if first is None else first[0].row(first[1]))
+        calls = iter([values[g] for values in folded])
+        return tuple(_finish(expr, calls, ctx, params) for expr in exprs)
 
-    def _apply_grouped_columnar(self, run, params):
-        """Chunk-at-a-time grouped aggregation over columnar chunks.
 
-        Groups live in a master dict keyed **by value** (first-encounter
-        order, exactly the interpreted form's), with one accumulator list per
-        select item, one slot per group.  Single dictionary-column keys
-        take the code fast path: a per-dictionary ``code -> group``
-        translation array (plus a NULL slot) resolves each row with one
-        list index instead of a hash probe, decoding each distinct value
-        at most once.  The translation is keyed by the dictionary *meta*
-        (checked by identity) so chunks sharing a dictionary share it
-        while value-keyed grouping keeps differently-encoded chunks of
-        the same column correct.
-        """
-        makes, updates, finals = self._cgrouped_items
-        key_positions = self._ckey_positions
-        single = len(key_positions) == 1
-        groups = {}  # key value (scalar when single) -> group index
-        accs = [[] for _ in makes]
-        n_groups = 0
-        trans_cache = {}  # id(meta) -> (meta, code -> gidx list, [null gidx])
-        for chunk in run.source_chunks:
-            if chunk.n_live() == 0:
+def _fold(calls, parts, counts, params):
+    """Steps 2 and 3: per call, its folded value per group slot over
+    the rows of ``parts``."""
+    folded = []
+    for call, values in calls:
+        if values is None:  # COUNT(*) (or no argument: _finish raises)
+            folded.append(counts)
+            continue
+        buckets = [[] for _ in counts]
+        appends = [bucket.append for bucket in buckets]
+        for chunk, live, slots in parts:
+            column = values(chunk, live, params)
+            if slots is None:
+                buckets[0] += [v for v in column if v is not None]
                 continue
-            live = chunk.live_indices()
-            gidxs = []
-            ga = gidxs.append
-            col = chunk.columns[key_positions[0]] if single else None
-            if type(col) is DictColumn:
-                meta = col.meta
-                cached = trans_cache.get(id(meta))
-                if cached is None or cached[0] is not meta:
-                    cached = (meta, [-1] * len(meta.values), [-1])
-                    trans_cache[id(meta)] = cached
-                _, code_map, null_slot = cached
-                dict_values = meta.values
-                codes = col.codes
-                for i in live:
-                    cd = codes[i]
-                    if cd < 0:
-                        g = null_slot[0]
-                        if g < 0:
-                            g = groups.get(None, -1)
-                            if g < 0:
-                                g = n_groups
-                                groups[None] = g
-                                n_groups += 1
-                                for make, acc in zip(makes, accs):
-                                    acc.append(make())
-                            null_slot[0] = g
-                    else:
-                        g = code_map[cd]
-                        if g < 0:
-                            key = dict_values[cd]
-                            g = groups.get(key, -1)
-                            if g < 0:
-                                g = n_groups
-                                groups[key] = g
-                                n_groups += 1
-                                for make, acc in zip(makes, accs):
-                                    acc.append(make())
-                            code_map[cd] = g
-                    ga(g)
-            else:
-                keys = (chunk.gather_at(key_positions[0], live) if single
-                        else zip(*[chunk.gather_at(pos, live)
-                                   for pos in key_positions]))
-                for key in keys:
-                    g = groups.get(key, -1)
-                    if g < 0:
-                        g = n_groups
-                        groups[key] = g
-                        n_groups += 1
-                        for make, acc in zip(makes, accs):
-                            acc.append(make())
-                    ga(g)
-            for update, acc in zip(updates, accs):
-                update(acc, gidxs, chunk, live, params)
-        return [tuple(final(acc[g])
-                      for final, acc in zip(finals, accs))
-                for g in range(n_groups)]
+            for g, v in zip(slots, column):
+                if v is not None:
+                    appends[g](v)
+        name = call.name
+        if call.distinct:
+            buckets = [first_occurrences(bucket, name + " DISTINCT")
+                       for bucket in buckets]
+        folded.append([fold_aggregate(name, bucket)
+                       for bucket in buckets])
+    return folded
+
+
+def _aggregate_calls(exprs, positions, ambiguous):
+    """``(call, lane or None)`` for each aggregate call of ``exprs``, in
+    the order :func:`_finish` meets them; the lane reads the argument,
+    None for ``COUNT(*)`` and for a call without one."""
+    calls = []
+    for expr in exprs:
+        for call in _calls(expr):
+            arg = call.args[0] if call.args else None
+            counted = arg is None or (call.name == "COUNT"
+                                      and isinstance(arg, A.Star))
+            calls.append((call, None if counted else compile_values(
+                arg, positions, ambiguous)))
+    return calls
+
+
+def _calls(expr):
+    """The aggregate calls reached from ``expr`` through operators, left
+    to right."""
+    if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:
+        yield expr
+    elif isinstance(expr, A.BinaryOp):
+        yield from _calls(expr.left)
+        yield from _calls(expr.right)
+    elif isinstance(expr, A.UnaryOp):
+        yield from _calls(expr.operand)
+
+
+def _finish(expr, calls, ctx, params):
+    """``expr`` over one group: an aggregate call is the next of
+    ``calls`` (the folded values, in :func:`_calls` order), any other leaf
+    is evaluated against ``ctx`` (bound to the group's first row), and an
+    operator evaluates both operands before it combines them."""
+    if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:
+        if not expr.args:
+            raise SqlError(f"{expr.name} requires an argument")
+        return next(calls)
+    if isinstance(expr, A.BinaryOp):
+        left = _finish(expr.left, calls, ctx, params)
+        right = _finish(expr.right, calls, ctx, params)
+        return evaluate(A.BinaryOp(expr.op, A.Literal(left),
+                                   A.Literal(right)), ctx, params)
+    if isinstance(expr, A.UnaryOp):
+        operand = _finish(expr.operand, calls, ctx, params)
+        return evaluate(A.UnaryOp(expr.op, A.Literal(operand)), ctx, params)
+    return evaluate(expr, ctx, params)
+
+
+def _narrowed(parts, groups, n_groups):
+    """``parts`` without the rows of the groups not in ``groups``."""
+    kept = [False] * n_groups
+    for g in groups:
+        kept[g] = True
+    narrowed = []
+    for chunk, live, slots in parts:
+        if slots is None:  # the one group, dropped
+            continue
+        pairs = [(i, g) for i, g in zip(live, slots) if kept[g]]
+        if pairs:
+            live, slots = map(list, zip(*pairs))
+            narrowed.append((chunk, live, slots))
+    return narrowed
 
 
 class DistinctOp:
@@ -903,14 +897,17 @@ class DistinctOp:
 class SortOp:
     """ORDER BY over projected rows, sorted by :func:`sort_rows`.
 
-    A key is an output position (alias or ``ORDER BY <n>``), fixed at
-    build time, or None: an expression over the source row, which lines
-    up with the output only under a plain projection — above an aggregate
-    or a DISTINCT it raises at build time, data or no data."""
+    A key is an output position, fixed at build time — an alias, ``ORDER
+    BY <n>``, or a column reference (qualified or not) that an output
+    column carries as it stands — or else a lane over the source chunks,
+    which line up with the output rows only under a plain projection:
+    above an aggregate or a DISTINCT such a key raises at build time, data
+    or no data."""
 
-    def __init__(self, order_by, out_columns, aggregated, distinct):
+    def __init__(self, order_by, out_columns, out_positions, context,
+                 aggregated, distinct):
         alias_positions = {name: i for i, name in enumerate(out_columns)}
-        self.keys = []  # (output position or None, expression)
+        self.keys = []  # (output position, None) or (None, source lane)
         for item in order_by:
             expr = item.expr
             if (isinstance(expr, A.ColumnRef) and expr.table is None
@@ -918,28 +915,33 @@ class SortOp:
                 pos = alias_positions[expr.column]
             else:
                 pos = order_by_position(expr, len(out_columns))
+            if pos is None and isinstance(expr, A.ColumnRef):
+                flat = column_position(expr, context.positions,
+                                       context.ambiguous)
+                if flat is not None and flat in out_positions:
+                    pos = out_positions.index(flat)
             if pos is None and aggregated:
                 raise SqlError("ORDER BY in aggregate queries must reference "
                                "output columns")
             if pos is None and distinct:
                 raise SqlError("for SELECT DISTINCT, ORDER BY expressions "
                                "must appear in the select list")
-            self.keys.append((pos, expr))
-        self.reads_source = any(pos is None for pos, _ in self.keys)
+            self.keys.append((pos, None if pos is not None else
+                              compile_values(expr, context.positions,
+                                             context.ambiguous)))
         self.descending = [item.descending for item in order_by]
 
     def apply(self, run):
-        rows = run.out_rows
-        if self.reads_source:
-            # Row by row, keys in order: the interpreter's first error.
-            ctx, params = run.ctx, run.params
-            columns = list(zip(*[
-                [out[pos] if pos is not None
-                 else evaluate(expr, ctx.bind(source), params)
-                 for pos, expr in self.keys]
-                for out, source in zip(rows, run.source_rows)]))
-        else:
-            columns = [[row[pos] for row in rows] for pos, _ in self.keys]
+        rows, params = run.out_rows, run.params
+        columns = []
+        for pos, values in self.keys:
+            if values is None:
+                columns.append([row[pos] for row in rows])
+                continue
+            column = []
+            for chunk in run.source_chunks:
+                column += values(chunk, chunk.live_indices(), params)
+            columns.append(column)
         run.out_rows = sort_rows(rows, columns, self.descending)
 
 
@@ -1073,9 +1075,8 @@ class PhysicalPlan:
     def _materialize_source(self, run, source):
         """Pull ``source``'s chunks into ``run.source_chunks`` — all of
         them, or under the ``limit_hint`` cutoff those that hold the first
-        limit+offset rows (none when that is 0).  Result operators that
-        can consume chunks do so directly, and ``run.source_rows``
-        materializes wide rows lazily for the ones that cannot."""
+        limit+offset rows (none when that is 0), which the result
+        operators read through their lanes."""
         chunks = source.iter_cchunks(run)
         if run.cutoff:
             limit, offset = resolve_limit(*self.limit_hint, run.params)
@@ -1244,6 +1245,7 @@ def build_physical(root, sctx):
             result_ops.append(LimitOp(step.limit, step.offset))
         elif isinstance(step, L.Sort):
             result_ops.append(SortOp(step.order_by, op.out_columns,
+                                     op.out_positions, sctx.context,
                                      isinstance(op, AggregateOp), distinct))
         else:
             result_ops.append(DistinctOp())
@@ -1352,6 +1354,22 @@ def _expand_stars(stmt, ctx):
     return result
 
 
+def _output_positions(stmt, expansions, context):
+    """Per output column, the flat position it passes through as it
+    stands — a ``*`` column or a column item — or None for any other
+    expression (or a column that does not resolve)."""
+    positions = []
+    for item, expansion in zip(stmt.items, expansions):
+        if expansion is not None:
+            positions.extend(pos for pos, _ in expansion)
+        elif isinstance(item.expr, A.ColumnRef):
+            positions.append(column_position(
+                item.expr, context.positions, context.ambiguous))
+        else:
+            positions.append(None)
+    return positions
+
+
 def _output_columns(stmt, expansions):
     names = []
     for item, expansion in zip(stmt.items, expansions):
@@ -1366,44 +1384,3 @@ def _output_columns(stmt, expansions):
         else:
             names.append(f"col{len(names) + 1}")
     return names
-
-
-def _eval_aggregate_expr(expr, group_rows, ctx, params):
-    """Evaluate an expression that may contain aggregate calls over a group."""
-    if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:
-        return _eval_aggregate_call(expr, group_rows, ctx, params)
-    if isinstance(expr, A.BinaryOp):
-        left = _eval_aggregate_expr(expr.left, group_rows, ctx, params)
-        right = _eval_aggregate_expr(expr.right, group_rows, ctx, params)
-        synthetic = A.BinaryOp(expr.op, A.Literal(left), A.Literal(right))
-        return evaluate(synthetic, ctx, params)
-    if isinstance(expr, A.UnaryOp):
-        operand = _eval_aggregate_expr(expr.operand, group_rows, ctx, params)
-        return evaluate(A.UnaryOp(expr.op, A.Literal(operand)), ctx, params)
-    # Plain expression: evaluate against the first row of the group
-    # (valid for GROUP BY keys, which are constant within a group).  The
-    # one group of an aggregate over no row has none: every column reads
-    # NULL there, and a literal is itself.
-    if group_rows:
-        ctx.bind(group_rows[0])
-    else:
-        ctx.bind([None] * (max(ctx.positions.values(), default=-1) + 1))
-    return evaluate(expr, ctx, params)
-
-
-def _eval_aggregate_call(expr, group_rows, ctx, params):
-    name = expr.name
-    if name == "COUNT" and expr.args and isinstance(expr.args[0], A.Star):
-        return len(group_rows)
-    if not expr.args:
-        raise SqlError(f"{name} requires an argument")
-    arg = expr.args[0]
-    values = []
-    for row in group_rows:
-        ctx.bind(row)
-        value = evaluate(arg, ctx, params)
-        if value is not None:
-            values.append(value)
-    if expr.distinct:
-        values = first_occurrences(values, name + " DISTINCT")
-    return fold_aggregate(name, values)

@@ -283,24 +283,33 @@ def test_dictionary_predicates_agree_with_sqlite():
         total=True)
 
 
-def test_sort_transposes_source_only_for_source_keys(monkeypatch):
+def test_sort_reads_the_source_only_for_source_keys(monkeypatch):
     """ORDER BY over output aliases and positions sorts the projected rows
-    alone; only a key that is an expression over the *source* row makes
-    Sort ask for the wide rows (``PlanRun.source_rows``)."""
+    alone; a key over the *source* row reads its lane over the source
+    chunks, one row at a time (``ColumnChunk.row``) only for a shape with
+    no kernel.  An aggregate reads one row per group, its first, and no
+    result operator transposes a chunk to rows."""
     db = _db(n=50)
-    transposed = []
-    to_rows = ColumnChunk.to_rows
+    read, transposed = [], []
+    row, to_rows = ColumnChunk.row, ColumnChunk.to_rows
+    monkeypatch.setattr(ColumnChunk, "row",
+                        lambda chunk, i: read.append(i) or row(chunk, i))
     monkeypatch.setattr(
         ColumnChunk, "to_rows",
         lambda chunk: transposed.append(chunk) or to_rows(chunk))
-    for sql in ("SELECT id, v AS w FROM t WHERE v > 30 ORDER BY w DESC, 1",
-                "SELECT name, COUNT(*) AS n FROM t GROUP BY name "
-                "ORDER BY n DESC, name"):
-        assert_matches_sqlite(db, sql, total=True)
-        assert not transposed, sql
-    sql = "SELECT id FROM t WHERE v > 30 ORDER BY name DESC, v % 7, id"
-    assert_matches_sqlite(db, sql, total=True)
-    assert transposed
+    for sql, row_a_row in (
+            ("SELECT id, v AS w FROM t WHERE v > 30 ORDER BY w DESC, 1",
+             False),
+            ("SELECT name, COUNT(*) AS n FROM t GROUP BY name "
+             "ORDER BY n DESC, name", True),
+            ("SELECT id FROM t WHERE v > 30 ORDER BY name DESC, v % 7, id",
+             False),
+            ("SELECT id FROM t WHERE v > 30 "
+             "ORDER BY LENGTH(name) DESC, v % 7, id", True)):
+        read.clear()
+        result = assert_matches_sqlite(db, sql, total=True)
+        assert len(read) == (len(result.rows) if row_a_row else 0), sql
+    assert not transposed
 
 
 def test_index_join_keeps_left_dictionary_lanes_encoded():

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqldb import Database
 from repro.sqldb import ast_nodes as A
+from repro.sqldb.columnar import ColumnChunk
 from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.expressions import RowContext, evaluate
 from repro.sqldb.plan.physical import SortOp
@@ -127,9 +128,12 @@ def test_sort_op_orders_like_the_reference_comparator(values, order_by):
                   for out, source in zip(outs, sources)]
 
     def engine():
-        run = SimpleNamespace(out_rows=list(outs), source_rows=sources,
-                              ctx=_context(), params=())
-        SortOp(order_by, OUT, False, False).apply(run)
+        chunk = ColumnChunk.from_rows(sources, len(SOURCE),
+                                      range(len(SOURCE)))
+        run = SimpleNamespace(out_rows=list(outs), source_chunks=[chunk],
+                              params=())
+        SortOp(order_by, OUT, range(len(OUT)), _context(), False,
+               False).apply(run)
         return run.out_rows
 
     expected = _ids(lambda: _reference_sort(outs, key_values, descending))
@@ -175,6 +179,23 @@ def test_aggregate_ordered_by_a_source_column_raises_whatever_the_data(
                           "ORDER BY n DESC, 1").rows) == len(rows)
 
 
+@pytest.mark.parametrize("sql", [
+    "SELECT DISTINCT x FROM t ORDER BY t.x",
+    "SELECT DISTINCT x AS w FROM t ORDER BY t.x DESC",
+    "SELECT DISTINCT t.x, y FROM t ORDER BY t.y DESC, x",
+    "SELECT x, COUNT(*) FROM t GROUP BY x ORDER BY t.x",
+    "SELECT x, SUM(y) AS total FROM t GROUP BY x ORDER BY t.x DESC",
+])
+def test_a_qualified_key_sorts_by_the_output_column_it_names(sql,
+                                                            cache_size):
+    """A qualified ORDER BY key names the column an output column passes
+    through, so it sorts that output column, above a DISTINCT and above
+    an aggregate too; a column no output carries is still refused there
+    (the tests above)."""
+    db = _backend(result_cache_size=cache_size)
+    assert assert_matches_sqlite(db, sql, total=True).rows
+
+
 def test_mixed_directions_and_nulls(cache_size):
     """NULL first ascending, last descending, and the minority direction
     flipped inside the majority's sort."""
@@ -188,10 +209,10 @@ def test_mixed_directions_and_nulls(cache_size):
 
 
 def test_engine_rows_are_tuples():
-    """Every result operator hands on tuples — the projection's kernel and
-    interpreted form, the aggregates', DISTINCT's, LIMIT's and the
-    stop-after-N cutoff's — and a result keeps the engine's list; a cache
-    hit is a fresh list of the cached tuples."""
+    """Every result operator hands on tuples — the projection's (plain
+    columns zipped, or lanes), the aggregate fold's, DISTINCT's, LIMIT's
+    and the stop-after-N cutoff's — and a result keeps the engine's list;
+    a cache hit is a fresh list of the cached tuples."""
     db = Database()
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT, y INT, s TEXT)")
     db.execute("CREATE INDEX idx_t_y ON t (y) USING ORDERED")

@@ -125,7 +125,9 @@ SHARED_PARAMS = st.one_of(st.integers(-3, 12), st.none(),
                           st.sampled_from([0.5, -1.5, 2.0, 2**53 + 1]))
 SHARED_ITEMS = ("v", "f", "?", "v + ?", "v * ?", "? + v", "v - 2")
 SHARED_AGGREGATES = ("COUNT(*)", "SUM(v)", "AVG(v)", "MAX(f)", "MIN(v)",
-                     "COUNT(DISTINCT v)", "COUNT(f)", "MIN(?)", "SUM(?)")
+                     "MAX(v)", "COUNT(DISTINCT v)", "COUNT(f)", "MIN(?)",
+                     "SUM(?)", "COUNT(*) + 1", "SUM(v) * 2")
+SHARED_HAVING = ("", " HAVING COUNT(*) > ?", " HAVING SUM(v) > ?")
 #: What this engine refuses when the plan is built and SQLite answers: a
 #: ``*`` beside an aggregate, and an ORDER BY key over the source row
 #: above a DISTINCT or an aggregate (which source row's value would it
@@ -141,8 +143,9 @@ def shared_selects(draw):
     """``(sql, params, order, total)`` in the value domain SQLite shares.
     A plain SELECT leads with the unique ``id``, so an ORDER BY ending in
     it is total (a constant key may lead it); an aggregate one groups by
-    the leading ``v`` or by nothing; a refused one (``order`` None) is
-    compared whole, were it answered.  LIMIT follows a total order."""
+    the leading ``v`` (under a HAVING or not) or by nothing; a refused one
+    (``order`` None) is compared whole, were it answered.  LIMIT follows a
+    total order."""
     where = draw(st.sampled_from(WHERE + (" WHERE v > ?",
                                           " WHERE v BETWEEN ? AND ?")))
     items = ["id"] + draw(st.lists(st.sampled_from(SHARED_ITEMS),
@@ -159,12 +162,15 @@ def shared_selects(draw):
         (f"SELECT {distinct}{', '.join(items)} FROM t{where}", ordered,
          keys),
         (f"SELECT {aggregates} FROM t{where}", None, ()),
-        (f"SELECT v, {aggregates} FROM t{where} GROUP BY v",
-         f"1{' DESC' * desc}", [(0, desc)]),
+        (f"SELECT v, {aggregates} FROM t{where} GROUP BY v"
+         f"{draw(st.sampled_from(SHARED_HAVING))}",
+         f"{draw(st.sampled_from(['1', 'v', 't.v']))}{' DESC' * desc}",
+         [(0, desc)]),
         (f"SELECT {aggregates}, {draw(st.sampled_from(['*', 't.*']))} "
          f"FROM t{where}", None, None),
         ("SELECT DISTINCT v FROM t",
          draw(st.sampled_from(["f", "f DESC", "id DESC"])), None),
+        ("SELECT DISTINCT v FROM t", f"t.v{' DESC' * desc}", [(0, desc)]),
         (f"SELECT v, COUNT(*) FROM t{where} GROUP BY v",
          draw(st.sampled_from(["f", "id DESC"])), None)]))
     total = order is None or bool(order)

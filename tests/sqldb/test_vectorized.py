@@ -588,6 +588,58 @@ def test_aggregates_over_text_and_empty_input_still_work():
         assert assert_matches_sqlite(db, sql, lite=lite).rows == expected, sql
 
 
+def _grouped_u():
+    """``u(id, k, y)``: three groups of ``k``, each of at most five rows,
+    whose first row holds a NULL ``y`` and every later row an int."""
+    db = Database(result_cache_size=0)
+    db.execute("CREATE TABLE u (id INT PRIMARY KEY, k INT, y INT)")
+    for i in range(12):
+        db.execute("INSERT INTO u (id, k, y) VALUES (?, ?, ?)",
+                   (i, i % 3, None if i < 3 else i))
+    return db
+
+
+def test_an_aggregate_argument_is_evaluated_on_the_groups_output_only():
+    """HAVING decides a group before its items are folded: no group has
+    more than five rows, so ``id * 'x'`` is evaluated on none of them.
+    Without the HAVING every group is output and the first row raises."""
+    db = _grouped_u()
+    sql = "SELECT k, SUM(id * ?) FROM u GROUP BY k"
+    assert db.execute(sql + " HAVING COUNT(*) > 5", ("x",)).rows == []
+    with pytest.raises(SqlTypeError, match="arithmetic requires numbers"):
+        db.execute(sql, ("x",))
+    assert db.execute(sql + " HAVING COUNT(*) > 3 ORDER BY 1", (2,)).rows \
+        == [(0, 36), (1, 44), (2, 52)]
+
+
+@pytest.mark.parametrize("sql, rows", [
+    ("SELECT k, UPPER(y) FROM u GROUP BY k ORDER BY k",
+     [(0, None), (1, None), (2, None)]),
+    ("SELECT UPPER(y), COUNT(*) FROM u", [(None, 12)]),
+    ("SELECT k, UPPER(y), MAX(y) FROM u GROUP BY k HAVING UPPER(y) IS NULL "
+     "ORDER BY 1", [(0, None, 9), (1, None, 10), (2, None, 11)]),
+])
+def test_a_plain_item_is_read_from_its_groups_first_row_only(sql, rows):
+    """``UPPER`` of an int raises, of NULL answers NULL: the first row of
+    each group holds the NULL, so nothing raises."""
+    db = _grouped_u()
+    assert db.execute(sql).rows == rows
+    with pytest.raises(SqlTypeError, match="UPPER requires a text value"):
+        db.execute("SELECT k, UPPER(y) FROM u WHERE id > 2 GROUP BY k")
+
+
+def test_an_ungrouped_aggregate_over_no_row_is_one_group():
+    db = _grouped_u()
+    lite = sqlite_copy(db)
+    for sql, rows in (
+            ("SELECT COUNT(*) + 1, SUM(id) FROM u WHERE id < 0",
+             [(1, None)]),
+            ("SELECT COUNT(*) + 1, SUM(id) FROM u WHERE id < 0 "
+             "HAVING COUNT(*) = 0", [(1, None)]),
+            ("SELECT COUNT(*) FROM u WHERE id < 0 HAVING COUNT(*) > 0", [])):
+        assert assert_matches_sqlite(db, sql, lite=lite).rows == rows, sql
+
+
 def _numbers(v):
     """Two rows holding ``v``."""
     db = Database(result_cache_size=0)

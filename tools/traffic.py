@@ -22,8 +22,9 @@ paper semantics, or an input or error check.
 module-level function that returns closures is a kernel *build*
 (``_cmp_leaf``, ``compile_project`` ...), a call of such a closure a kernel
 *exec* (``node``, ``zone_test``, ``project_fn`` ...), any other function a
-per-value *helper*; closures named ``interpreted_*`` are the *fallback*s
-that run ``expressions.evaluate`` per row for a shape with no kernel; a
+per-value *helper*; ``_compile_vec``'s ``interpreted_lane`` is the one
+*fallback*, running ``expressions.evaluate`` per row for every shape with
+no kernel (a WHERE, select item, aggregate argument, key or Sort key); a
 function counted in ``plan/compile.py`` that its source does not define is
 a *generated* per-value loop (``cmp_ge_num``, ``between_num_num``,
 ``arith_mul_vs`` ...: ``_loop`` compiles them under the module's file
@@ -95,9 +96,8 @@ TARGETS = WORKLOADS + ("figures", "examples")
 COMPILE = os.path.join("sqldb", "plan", "compile.py")
 EXECUTE = (os.path.join("sqldb", "plan", "physical.py"),
            "PhysicalPlan.execute")
-# Interpreter fallbacks are listed even when never built or run.
-FALLBACKS = ("compile_filter.<locals>.interpreted_filter_fn",
-             "_pred_operand.<locals>.interpreted_node")
+# The interpreter fallback is listed even when never built or run.
+FALLBACKS = ("_compile_vec.<locals>.interpreted_lane",)
 _INLINE = ("<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>")
 # What EXPLAIN appends to a row-source node: estimates, not plan shape.
 _ESTIMATE = re.compile(r" \(~\d+ rows, ~\d+ touched\)")
