@@ -134,9 +134,7 @@ def _column_zones(values, n):
     every value NULL, or a mix of value types whose comparison SQL
     semantics would reject (e.g. a bool hiding in a numeric column) —
     zone pruning must never turn a would-be runtime type error into a
-    silently skipped chunk, so such chunks advertise no range at all —
-    or a NaN among them, which has no place in an order (the interpreter
-    finds it equal to every number: ``f <= 0.5`` is TRUE for it).
+    silently skipped chunk, so such chunks advertise no range at all.
     """
     zones = []
     for start in range(0, n, CHUNK_SIZE):
@@ -147,8 +145,7 @@ def _column_zones(values, n):
         lo = hi = None
         if nonnull:
             kinds = set(map(type, nonnull))
-            if (kinds <= {int, float} or len(kinds) == 1) and (
-                    float not in kinds or all(v == v for v in nonnull)):
+            if kinds <= {int, float} or len(kinds) == 1:
                 try:
                     lo = min(nonnull)
                     hi = max(nonnull)

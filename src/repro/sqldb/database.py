@@ -66,16 +66,12 @@ class Database:
     def execute_parsed(self, stmt, params=()):
         """Execute an already-parsed statement, with counter bookkeeping.
 
-        ``params`` are normalised here unless they already are: a tuple —
-        what the query store, which normalised them at registration, and
-        the batch planner hand on — passes as it is, anything else goes
-        through :func:`~repro.sqldb.executor.as_params` (a list is copied,
-        anything else raises :class:`SqlError`).  The batch planner uses
-        this to run statements it has already classified without
-        re-parsing or duplicating the accounting.
+        ``params`` go through :func:`~repro.sqldb.executor.as_params`, the
+        one door a parameter comes in by.  The batch planner uses this to
+        run statements it has already classified without re-parsing or
+        duplicating the accounting.
         """
-        if type(params) is not tuple:
-            params = as_params(params)
+        params = as_params(params)
         result = self.executor.execute(self, stmt, params)
         self.record_statement(result.rows_touched)
         return result

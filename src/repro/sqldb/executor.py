@@ -67,13 +67,18 @@ def as_params(params):
     a tuple as it is (the drivers and the query store send tuples), a list
     copied.  Anything else is refused — ``None`` and scalars are no
     sequence, text would bind one parameter per character, a mapping its
-    keys, a set in no order."""
-    if isinstance(params, tuple):
-        return params
-    if isinstance(params, list):
-        return tuple(params)
-    raise SqlError("statement parameters must be a tuple or a list, not "
-                   f"{type(params).__name__}")
+    keys, a set in no order.  The one door a parameter comes in by, so
+    SQLite's rule sits here: a NaN binds as NULL."""
+    if type(params) is not tuple:
+        if isinstance(params, list):
+            params = tuple(params)
+        elif not isinstance(params, tuple):
+            raise SqlError("statement parameters must be a tuple or a list, "
+                           f"not {type(params).__name__}")
+    for value in params:
+        if value != value:  # NaN: no other value differs from itself
+            return tuple(None if v != v else v for v in params)
+    return params
 
 
 def param_types(params):

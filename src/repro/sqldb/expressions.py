@@ -44,7 +44,8 @@ class RowContext:
 
 
 def like_to_regex(pattern):
-    """Convert a SQL LIKE pattern to an anchored Python regex."""
+    """Convert a SQL LIKE pattern to an anchored Python regex that, as
+    SQLite's LIKE, ignores the case of ASCII letters and of no other."""
     out = []
     for ch in pattern:
         if ch == "%":
@@ -53,7 +54,8 @@ def like_to_regex(pattern):
             out.append(".")
         else:
             out.append(re.escape(ch))
-    return re.compile("^" + "".join(out) + "$", re.DOTALL)
+    return re.compile("^" + "".join(out) + "$",
+                      re.DOTALL | re.IGNORECASE | re.ASCII)
 
 
 _LIKE_CACHE = {}
@@ -193,9 +195,10 @@ def _eval_binary(expr, ctx, params):
 def arithmetic(op, left, right):
     """One application of ``+ - * / %`` — the one home of SQL's arithmetic
     rules, for the interpreter and the compiled loops alike: NULL
-    propagates, only non-bool numbers combine, division and modulo by zero
-    yield NULL, an int divided by an int is exact when it divides evenly,
-    and a result no float can hold raises :class:`SqlTypeError`."""
+    propagates, only non-bool numbers combine, division by zero yields
+    NULL, an int divided by an int is exact when it divides evenly, ``%``
+    is SQLite's (:func:`_remainder`), and a result no float can hold
+    raises :class:`SqlTypeError`."""
     if left is None or right is None:
         return None
     if (isinstance(left, bool) or isinstance(right, bool)
@@ -210,10 +213,10 @@ def arithmetic(op, left, right):
             return left - right
         if op == "*":
             return left * right
+        if op == "%":
+            return _remainder(left, right)
         if right == 0:
             return None  # SQL semantics: division by zero yields NULL
-        if op == "%":
-            return left % right
         if isinstance(left, int) and isinstance(right, int):
             quotient, remainder = divmod(left, right)
             if remainder == 0:
@@ -221,6 +224,28 @@ def arithmetic(op, left, right):
         return left / right
     except OverflowError:
         raise SqlTypeError(_OUT_OF_RANGE) from None
+
+
+def _remainder(left, right):
+    """SQLite's ``%``: the remainder takes the dividend's sign; a REAL
+    operand makes both integers first (truncated toward zero, clamped to
+    64 bits) and the result REAL; a divisor of 0 yields NULL."""
+    if isinstance(left, float) or isinstance(right, float):
+        result = _remainder(_truncated(left), _truncated(right))
+        return None if result is None else float(result)
+    if right == 0:
+        return None
+    result = abs(left) % abs(right)
+    return -result if left < 0 else result
+
+
+def _truncated(value):
+    if isinstance(value, int):
+        float(value)  # an int no float holds meets a float: out of range
+        return value
+    if value >= 2.0 ** 63:
+        return 2 ** 63 - 1
+    return int(value) if value > -2.0 ** 63 else -2 ** 63
 
 
 def average(total, count):

@@ -136,10 +136,8 @@ class OrderedIndex(_BucketIndex):
     Keys (wrapped via :func:`wrap_key`) key the buckets and also live in a
     sorted list maintained by binary insertion.  The sorted list is what
     makes this index more than a hash index: bisecting it answers range
-    queries and yields rows in key order.  A key holding NaN has no place
-    in that order (the interpreter finds NaN equal to every number): it
-    has a bucket only, and while one does the index is not
-    :attr:`walkable`.  NULL-bearing keys count in :attr:`distinct_keys`.
+    queries and yields rows in key order.  NULL-bearing keys count in
+    :attr:`distinct_keys`.
     """
 
     method = "ordered"
@@ -156,16 +154,13 @@ class OrderedIndex(_BucketIndex):
         key = wrap_key(values)
         # SQL unique semantics: NULL-bearing keys never conflict.
         unique = self.info.unique and _NULL_PART not in key
-        if self._link(key, row_id, unique, values) and all(
-                value == value for value in values):  # no NaN
+        if self._link(key, row_id, unique, values):
             insort(self._keys, key)
 
     def delete(self, row_id, row):
         key = wrap_key(self.key_for(row))
         if self._unlink(key, row_id):
-            pos = bisect_left(self._keys, key)
-            if pos < len(self._keys) and self._keys[pos] == key:
-                self._keys.pop(pos)
+            del self._keys[bisect_left(self._keys, key)]
 
     def lookup(self, key):
         """The ascending row ids equal to ``key``, as
@@ -176,12 +171,6 @@ class OrderedIndex(_BucketIndex):
         return self._buckets.get(wrap_key(key), ())
 
     # -- ordered access ------------------------------------------------------
-
-    @property
-    def walkable(self):
-        """Whether every key is in the sorted list (none holds NaN), so a
-        walk finds what a scan finds."""
-        return len(self._keys) == len(self._buckets)
 
     def _region(self, prefix_values, low, high, low_incl, high_incl):
         """``(start, end)`` slice of ``_keys`` for an equality prefix plus

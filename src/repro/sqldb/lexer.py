@@ -139,16 +139,20 @@ def _read_string(sql, i):
     raise SqlParseError("unterminated string literal", position=i, sql=sql)
 
 
+# Digits with at most one dot, then an optional exponent.
+_NUMBER = re.compile(r"\d*\.?\d*([eE][+-]?\d+)?")
+
+
 def _read_number(sql, i):
-    """Read an integer or float literal starting at ``i``."""
-    start = i
-    n = len(sql)
-    saw_dot = False
-    while i < n and (sql[i].isdigit() or (sql[i] == "." and not saw_dot)):
-        if sql[i] == ".":
-            saw_dot = True
-        i += 1
-    text = sql[start:i]
-    if saw_dot:
-        return float(text), i
-    return int(text), i
+    """Read a numeric literal starting at ``i``: an integer, or a float when
+    it has a dot or an exponent (``1e3``, ``1E+2``, ``3.6e-05``; one too
+    large for a float reads as ``inf``), as SQLite reads them.  A letter
+    straight after it is no token (``1x``, ``1e``), as in SQLite."""
+    match = _NUMBER.match(sql, i)
+    end = match.end()
+    if end < len(sql) and (sql[end].isalpha() or sql[end] == "_"):
+        raise SqlParseError("unrecognized token", position=i, sql=sql)
+    text = match.group()
+    if match.group(1) or "." in text:
+        return float(text), end
+    return int(text), end

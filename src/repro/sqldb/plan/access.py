@@ -15,9 +15,9 @@ suffix + ORDER BY potential).  At *execution* time,
 probe; a key that resolves to NULL or a missing parameter drops out of
 the conjunct set, which can disqualify the index and fall back to a full
 scan (SQL semantics: ``col = NULL`` never matches), and a key or range
-bound its column cannot compare (or NaN) disqualifies the index — which
-is why the final index decision cannot move to plan time.  What an
-equality probe or an ordered walk decided is left out of the predicate a
+bound its column cannot compare disqualifies the index — which is why
+the final index decision cannot move to plan time.  What an equality
+probe or an ordered walk decided is left out of the predicate a
 SELECT re-checks, and what an equality probe decided out of the one an
 UPDATE / DELETE re-checks (:func:`residual_predicate`).
 """
@@ -170,11 +170,9 @@ def equality_conjuncts(probe, params):
     several conjuncts on a column the last non-NULL value wins; None where
     each is NULL or a missing parameter — the conjunct drops out), or None
     when a key is not comparable with what its column stores (``'1'`` for
-    an INTEGER, ``FALSE`` for a number, a list for anything) or is NaN
-    (which the interpreter's ``<`` / ``>`` probes find equal to every
-    number: no lookup finds that).  Such a key disqualifies every index
-    for the execution, so the scan that runs instead answers what an
-    unindexed table answers."""
+    an INTEGER, ``FALSE`` for a number, a list for anything).  Such a key
+    disqualifies every index for the execution, so the scan that runs
+    instead answers what an unindexed table answers."""
     n = len(params)
     bound = [None] * len(probe.columns)
     for index, value, sample, column in probe.keys:
@@ -189,9 +187,8 @@ def equality_conjuncts(probe, params):
 
 def keyable(value, sample):
     """Whether an index over a column storing ``sample``'s type finds what
-    a scan finds for the non-NULL key ``value`` (not NaN, comparable)."""
-    return value == value and (type(value) is type(sample)
-                               or is_comparable(value, sample))
+    a scan finds for the non-NULL key ``value`` (one comparable with it)."""
+    return type(value) is type(sample) or is_comparable(value, sample)
 
 
 def resolve_index_lookup(table, probe, params):
@@ -437,8 +434,7 @@ def range_scan_ids(index, shape, params, descending=False):
     ``low``/``high`` + inclusivity, ``samples`` — a
     :class:`RangeCandidate` or the logical ``IndexRangeScan`` node, which
     share the attribute protocol).  None when a value is not
-    :func:`keyable` or ``index`` is not ``walkable`` (it holds a NaN key):
-    the caller scans, as an unindexed table would.  Else
+    :func:`keyable`: the caller scans, as an unindexed table would.  Else
     a prefix or bound constant that resolves to NULL yields no rows — the
     conjunct it came from is UNKNOWN for every row.
     """
@@ -447,10 +443,9 @@ def range_scan_ids(index, shape, params, descending=False):
     low, high = (None if e is None else evaluate(e, ctx, params)
                  for e in (shape.low, shape.high))
     n = shape.n_prefix
-    if not index.walkable or not all(
-            value is None or keyable(value, sample) for value, sample in
-            zip((*prefix, low, high),
-                (*shape.samples[:n], *shape.samples[n:n + 1] * 2))):
+    if not all(value is None or keyable(value, sample) for value, sample in
+               zip((*prefix, low, high),
+                   (*shape.samples[:n], *shape.samples[n:n + 1] * 2))):
         return None
     if (None in prefix or (low is None) != (shape.low is None)
             or (high is None) != (shape.high is None)):

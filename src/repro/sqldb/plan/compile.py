@@ -322,8 +322,9 @@ def _isnull_leaf(expr, positions, ambiguous):
 
 
 # Comparison expressions over (a, c), derived from the interpreter's
-# `a < b` / `a > b` probes (``_compare``), not the native ==/!=, so NaN
-# behaviour is identical.
+# `a < b` / `a > b` probes (``_compare``), not the native ==/!=: a NaN
+# computed from ±inf (``inf - inf``; SQLite's would be NULL, a kept gap)
+# compares here as it does there.
 _CMP_EXPRS = {
     "=": "not (a < c or a > c)",
     "<>": "a < c or a > c",

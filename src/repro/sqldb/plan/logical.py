@@ -107,7 +107,6 @@ class IndexRangeScan(LogicalNode):
         self.where = where
         self.index_name = candidate.index_name
         self.columns = candidate.columns
-        self.ordinals = candidate.ordinals
         self.samples = candidate.samples
         self.n_prefix = candidate.n_prefix
         self.prefix_exprs = candidate.prefix_exprs

@@ -57,7 +57,6 @@ from repro.sqldb.columnar import CHUNK_SIZE, ColumnChunk, DictColumn
 from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.expressions import (evaluate, first_occurrences,
                                      fold_aggregate, RowContext)
-from repro.sqldb.indexes import OrderedIndex
 from repro.sqldb.plan import logical as L
 from repro.sqldb.plan.access import (keyed_conjuncts, pk_lookup_keys,
                                      range_scan_ids, residual_predicate,
@@ -289,13 +288,11 @@ class IndexRangeScanOp(_BaseTableScan):
     execution time.  A prefix or bound that resolves to NULL yields no
     rows — the conjunct it came from is UNKNOWN for every row, so the
     predicate would reject everything anyway; else the operator re-checks
-    only what the walk did not decide (:func:`walked_conjuncts`).
-    Unlike ``IndexLookupOp`` this operator never degrades to an
-    *unordered* scan (a Sort may have been elided on the strength of its
-    ordering): for a value no walk serves (NaN, incomparable) or an index
-    that vanished underneath a cached plan (only possible by editing
-    storage behind the catalog's back), it scans in key order — the elided
-    ORDER BY's, if any — under the whole predicate.
+    only what the walk did not decide (:func:`walked_conjuncts`).  A value
+    its column cannot compare is walked by no index: the operator scans
+    under the whole predicate, as ``IndexLookupOp`` does.  Row order cannot
+    matter there, though a Sort may have been elided: that conjunct raises
+    on the first row that reaches it, or the predicate keeps no row.
     """
 
     def __init__(self, node, sctx, predicate):
@@ -304,26 +301,14 @@ class IndexRangeScanOp(_BaseTableScan):
         self.residuals = {node.index_name: _kernel(sctx, residual_predicate(
             predicate, walked_conjuncts(node)))}
 
-    def _sorted_fallback(self, table):
-        """Full scan in key order (see class docstring), sorted as the
-        elided Sort sorts a scan: a NaN key lands where it would there."""
-        scan = self.scan
-        ordinals = [table.schema.ordinal_of(column)
-                    for column in scan.order_columns] or scan.ordinals
-        ids = list(table.rows)
-        rows = table.rows
-        return sort_rows(ids, [[rows[i][j] for i in ids] for j in ordinals],
-                         [scan.descending] * len(ordinals))
-
     def _keep_rows(self, run, table):
         scan = self.scan
-        index = table.indexes.get(scan.index_name)
-        ids = (range_scan_ids(index, scan, run.params, scan.descending)
-               if isinstance(index, OrderedIndex) else None)
-        keep = self.residuals.get(scan.index_name, self.keep)
+        ids = range_scan_ids(table.indexes[scan.index_name], scan,
+                             run.params, scan.descending)
         if ids is None:
-            keep, ids = self.keep, self._sorted_fallback(table)
-        return keep, list(map(table.rows.__getitem__, ids))
+            return self.keep, list(map(_ROW, table.scan()))
+        return (self.residuals.get(scan.index_name, self.keep),
+                list(map(table.rows.__getitem__, ids)))
 
 
 class FilterOp:
@@ -947,11 +932,11 @@ class SortOp:
 
 def sort_rows(rows, columns, descending):
     """``rows`` sorted stably on ORDER BY ``columns`` (one value sequence
-    per key) with these DESC flags, for :class:`SortOp` and an ordered
-    scan's sorted fallback.  Natively: ``v`` becomes ``(v is not None,
-    v)``, NULL first (last under ``reverse``, used when most keys are
-    DESC), a key of the other direction :class:`_Flipped`; ``==`` before
-    ``<`` makes equal values (``1``, ``TRUE``) tie."""
+    per key) with these DESC flags, for :class:`SortOp`.  Natively: ``v``
+    becomes ``(v is not None, v)``, NULL first (last under ``reverse``,
+    used when most keys are DESC), a key of the other direction
+    :class:`_Flipped`; ``==`` before ``<`` makes equal values (``1``,
+    ``TRUE``) tie."""
     reverse = 2 * sum(descending) > len(descending)
     decorated = []
     for values, desc in zip(columns, descending):

@@ -68,14 +68,16 @@ def _to_integer(value):
 
 
 def _to_float(value):
-    if value is None or type(value) is float:
-        return value
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
+    if type(value) is not float:
+        if value is None:
+            return value
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SqlTypeError(f"cannot store {value!r} in FLOAT column")
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:
             raise SqlTypeError(_OUT_OF_RANGE) from None
-    raise SqlTypeError(f"cannot store {value!r} in FLOAT column")
+    return value if value == value else None  # SQLite stores NaN as NULL
 
 
 def _to_text(type_name):
@@ -97,8 +99,9 @@ def _to_boolean(value):
 #: Canonical type -> the function coercing a Python value to it or raising
 #: ``SqlTypeError``; a :class:`~repro.sqldb.catalog.Column` resolves its
 #: own once.  ``None`` passes through (NULL is valid for any type until
-#: constraints are checked); ints widen to FLOAT, integral floats narrow to
-#: INTEGER, bools are 0 / 1 for INTEGER and 0 / 1 is a BOOLEAN.
+#: constraints are checked); ints widen to FLOAT, a NaN is stored as NULL,
+#: integral floats narrow to INTEGER, bools are 0 / 1 for INTEGER and
+#: 0 / 1 is a BOOLEAN.
 COERCERS = {
     INTEGER: _to_integer,
     FLOAT: _to_float,

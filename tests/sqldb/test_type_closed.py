@@ -8,33 +8,41 @@ Generated SELECTs over one small table put aggregates beside ``*`` and
 ``t.*``, arithmetic of a column and ``?``, and DISTINCT / GROUP BY /
 ORDER BY / LIMIT over columns and ``?``, under a WHERE of equalities on
 the primary key and on an indexed column; the parameters are ints (one no
-float can hold, one a float rounds), floats (NaN and ±inf among them),
-bools, text, NULL, a list and a dict.  Each statement runs over an empty
-table and over a table with rows (several bugs here answered differently
-by data: a malformed row over no rows, an error over some).  A result row
+float can hold, one a float rounds), floats (NaN, which binds as NULL,
+and ±inf among them), bools, text, NULL, a list and a dict.  Each
+statement runs over an empty table and over a table with rows (several
+bugs here answered differently by data: a malformed row over no rows, an
+error over some).  A result row
 has exactly one value per column.  An index answers what a scan does: the
 same statement over a twin table with no index and no primary key gives
 the same rows, or an error of the same type — and so does a range WHERE
 (``<``, ``<=``, ``>``, ``>=``, BETWEEN, with and without an equality
 prefix) through an ordered index, with bounds NaN, ±inf, ``2**53 + 1``,
 text and TRUE among them.  Where the value domain is SQLite's too —
-integers, a few finite floats, NULL; no ``/`` or ``%``, no text beside a
-number, no ``*`` beside an aggregate — the answers are SQLite's.  The
-pinned shapes run with the result cache on and off.
+integers, a few finite floats, NaN bound and stored, NULL, ``%``, LIKE and
+exponent literals; no ``/``, no text beside a number, no ``*`` beside an
+aggregate — the answers are SQLite's, which reads the rows through its own
+binding.  The pinned shapes run with the result cache on and off.
 """
+
+import math
+import sqlite3
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sqldb import Database
-from repro.sqldb.errors import SqlError, SqlTypeError
+from repro.sqldb.errors import ConstraintError, SqlError, SqlTypeError
 from repro.sqldb.result_cache import DEFAULT_RESULT_CACHE_LIMIT
 
-from sqlite_reference import assert_matches_sqlite, sqlite_copy
+from sqlite_reference import assert_matches_sqlite
 
-ROWS = ((1, 10, "a"), (2, None, "b"), (3, 10, None), (4, 7, "a"))
-MORE_ROWS = ROWS + tuple((i, i * 7 % 5 or None, "abc"[i % 3])
-                         for i in range(5, 13))
+NAN = math.nan
+# ``x`` is bound a NaN (row 2, and row 9 of the larger set): it stores NULL.
+ROWS = ((1, 10, "a", 1.5), (2, None, "b", NAN), (3, 10, None, -2.0),
+        (4, 7, "a", None))
+MORE_ROWS = ROWS + tuple((i, i * 7 % 5 or None, "abc"[i % 3],
+                          NAN if i == 9 else i / 4) for i in range(5, 13))
 
 ITEMS = ("*", "t.*", "id", "v", "f", "?", "COUNT(*)", "SUM(v)", "AVG(v)",
          "MAX(f)", "COUNT(DISTINCT v)", "COUNT(DISTINCT ?)", "MIN(?)",
@@ -55,19 +63,27 @@ PARAMS = st.one_of(st.integers(-3, 3), st.sampled_from([10**400, 2**53 + 1]),
 
 def _backend(rows, result_cache_size=DEFAULT_RESULT_CACHE_LIMIT):
     db = Database(result_cache_size=result_cache_size)
-    db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f TEXT)")
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, f TEXT, x REAL)")
     db.execute("CREATE INDEX t_v ON t (v)")
-    db.execute("CREATE TABLE twin (id INT, v INT, f TEXT)")
+    db.execute("CREATE TABLE twin (id INT, v INT, f TEXT, x REAL)")
     for table in ("t", "twin"):
         for row in rows:
-            db.execute(f"INSERT INTO {table} (id, v, f) VALUES (?, ?, ?)",
-                       row)
+            db.execute(f"INSERT INTO {table} (id, v, f, x) "
+                       "VALUES (?, ?, ?, ?)", row)
     return db
+
+
+def _lite(rows):
+    """SQLite holding ``rows`` as ``t``, bound through its own driver."""
+    lite = sqlite3.connect(":memory:")
+    lite.execute("CREATE TABLE t (id INT, v INT, f TEXT, x REAL)")
+    lite.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", rows)
+    return lite
 
 
 # SELECTs never write: one pair of databases serves every example.
 DATABASES = {len(rows): _backend(rows) for rows in ((), ROWS, MORE_ROWS)}
-LITES = {size: sqlite_copy(db, ["t"]) for size, db in DATABASES.items()}
+LITES = {len(rows): _lite(rows) for rows in ((), ROWS, MORE_ROWS)}
 
 
 @st.composite
@@ -101,14 +117,11 @@ def test_only_the_engines_own_errors_escape(statement):
 
 
 def _answer(db, sql, params):
-    """The rows, NaN spelled as a string so that two NaNs compare equal,
-    or the error type."""
+    """The rows, or the error type."""
     try:
-        rows = db.execute(sql, params).rows
+        return db.execute(sql, params).rows
     except SqlError as error:
         return type(error)
-    return [tuple("NaN" if value != value else value for value in row)
-            for row in rows]
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,11 +135,14 @@ def test_an_index_answers_what_the_unindexed_twin_answers(statement):
 
 
 SHARED_PARAMS = st.one_of(st.integers(-3, 12), st.none(),
-                          st.sampled_from([0.5, -1.5, 2.0, 2**53 + 1]))
-SHARED_ITEMS = ("v", "f", "?", "v + ?", "v * ?", "? + v", "v - 2")
+                          st.sampled_from([0.5, -1.5, 2.0, 2**53 + 1, NAN]))
+SHARED_ITEMS = ("v", "f", "x", "?", "v + ?", "v * ?", "? + v", "v - 2",
+                "v % ?", "? % v", "x % 2", "-v % 3", "x * 1e1",
+                "v + 2.5E-1", "f LIKE 'A'", "f LIKE '_'", "f LIKE 'B%'")
 SHARED_AGGREGATES = ("COUNT(*)", "SUM(v)", "AVG(v)", "MAX(f)", "MIN(v)",
                      "MAX(v)", "COUNT(DISTINCT v)", "COUNT(f)", "MIN(?)",
-                     "SUM(?)", "COUNT(*) + 1", "SUM(v) * 2")
+                     "SUM(?)", "COUNT(*) + 1", "SUM(v) * 2", "SUM(x)",
+                     "COUNT(x)", "MAX(v % 4)")
 SHARED_HAVING = ("", " HAVING COUNT(*) > ?", " HAVING SUM(v) > ?")
 #: What this engine refuses when the plan is built and SQLite answers: a
 #: ``*`` beside an aggregate, and an ORDER BY key over the source row
@@ -146,8 +162,9 @@ def shared_selects(draw):
     the leading ``v`` (under a HAVING or not) or by nothing; a refused one
     (``order`` None) is compared whole, were it answered.  LIMIT follows a
     total order."""
-    where = draw(st.sampled_from(WHERE + (" WHERE v > ?",
-                                          " WHERE v BETWEEN ? AND ?")))
+    where = draw(st.sampled_from(WHERE + (
+        " WHERE v > ?", " WHERE v BETWEEN ? AND ?", " WHERE x = ?",
+        " WHERE x < ?", " WHERE f LIKE 'A%'", " WHERE v >= 7e0")))
     items = ["id"] + draw(st.lists(st.sampled_from(SHARED_ITEMS),
                                    max_size=2))
     aggregates = ", ".join(draw(st.lists(st.sampled_from(SHARED_AGGREGATES),
@@ -231,21 +248,47 @@ def test_an_unhashable_parameter_is_a_type_error_where_it_is_hashed(
     _backend((), cache_size).execute(sql, params)  # no rows: nothing hashed
 
 
-@pytest.mark.parametrize("where", [" WHERE id = ?", " WHERE v = ?",
-                                   " WHERE v = ? AND id = 2"])
-def test_a_nan_key_is_answered_by_the_scan(where):
-    """The interpreter's ``<`` / ``>`` probes find NaN equal to every
-    number, which no lookup can find: a NaN key disqualifies the index
-    and the scan answers (the property found the primary key returning no
-    row for ``id = NaN`` where the unindexed twin returned all four)."""
-    db = DATABASES[len(ROWS)]
-    sql = "SELECT id FROM t" + where
-    twin = sql.replace(" FROM t", " FROM twin t", 1)
-    rows = db.execute(sql, (float("nan"),)).rows
-    assert rows == db.execute(twin, (float("nan"),)).rows
-    assert rows == {" WHERE id = ?": [(1,), (2,), (3,), (4,)],
-                    " WHERE v = ?": [(1,), (3,), (4,)],
-                    " WHERE v = ? AND id = 2": []}[where]
+@pytest.mark.parametrize("index", [None, "", " USING ORDERED"],
+                         ids=["scan", "hash", "ordered"])
+@pytest.mark.parametrize("sql, params, expected", [
+    ("SELECT id FROM n WHERE f = 5.0", (), [(2,)]),
+    ("SELECT id FROM n WHERE f = ?", (NAN,), []),
+    ("SELECT id FROM n WHERE f <= ?", (NAN,), []),
+    ("SELECT id FROM n WHERE f IS NULL", (), [(1,), (4,)]),
+    ("SELECT id, f FROM n WHERE f > 1 ORDER BY f DESC", (),
+     [(3, 7.0), (2, 5.0)]),
+    ("SELECT f FROM n WHERE id = ?", (1,), [(None,)]),
+])
+def test_a_nan_is_null_wherever_it_enters(index, sql, params, expected):
+    """SQLite's rule: a NaN bound as a parameter, or stored in a REAL
+    column (bound, or computed by the INSERT), is NULL.  Over ``(1, NaN),
+    (2, 5.0), (3, 7.0)`` a scan once answered ``f = 5.0`` with ids 1 and 2
+    and an index with 2, and ``f = NaN`` every row."""
+    db = Database()
+    db.execute("CREATE TABLE n (id INT PRIMARY KEY, f REAL)")
+    if index is not None:
+        db.execute(f"CREATE INDEX n_f ON n (f){index}")
+    lite = sqlite3.connect(":memory:")
+    lite.execute("CREATE TABLE n (id INT, f REAL)")
+    for target in (db, lite):
+        target.execute("INSERT INTO n VALUES (?, ?), (?, ?), (?, ?)",
+                       (1, NAN, 2, 5.0, 3, 7.0))
+        target.execute("INSERT INTO n VALUES (4, 1e999 - 1e999)")
+    assert db.execute(sql, params).rows == expected
+    assert lite.execute(sql, params).fetchall() == expected
+
+
+def test_a_not_null_real_column_refuses_a_nan():
+    db = Database()
+    db.execute("CREATE TABLE n (id INT PRIMARY KEY, f REAL NOT NULL)")
+    db.execute("INSERT INTO n VALUES (1, 2.5)")
+    for sql, params in (("INSERT INTO n VALUES (2, ?)", (NAN,)),
+                        ("INSERT INTO n VALUES (2, 1e999 - 1e999)", ()),
+                        ("UPDATE n SET f = f * ? - f * ?",
+                         (float("inf"), float("inf")))):
+        with pytest.raises(ConstraintError, match="NOT NULL"):
+            db.execute(sql, params)
+    assert db.execute("SELECT id, f FROM n").rows == [(1, 2.5)]
 
 
 def _keyed_tables():
@@ -263,8 +306,7 @@ def _keyed_tables():
 
 
 @pytest.mark.parametrize("key, selected", [
-    (float("nan"), [(1,), (2,), (3,)]), (2.0, [(3,)]),
-    ("1", SqlTypeError), (True, SqlTypeError)])
+    (NAN, []), (2.0, [(3,)]), ("1", SqlTypeError), (True, SqlTypeError)])
 @pytest.mark.parametrize("sql", [
     "SELECT id FROM {t} WHERE grp = ? ORDER BY id",
     "SELECT id FROM {t} WHERE grp IN (?, 4) ORDER BY id",
@@ -274,9 +316,9 @@ def _keyed_tables():
 def test_a_key_of_another_type_is_compared_with_every_row(key, selected,
                                                           sql):
     """A key is compared with every row whichever path finds it: NaN
-    equals every number, ``2.0`` the ``2`` stored as an int, and text and
-    TRUE raise wherever a row is — through a hash index, an ordered index
-    or a scan."""
+    binds as NULL and equals no row, ``2.0`` equals the ``2`` stored as an
+    int, and text and TRUE raise wherever a row is — through a hash index,
+    an ordered index or a scan."""
     outcomes = []
     db = _keyed_tables()
     for table in ("h", "o", "u"):
@@ -321,11 +363,8 @@ def test_an_integral_float_key_is_stored_as_the_int(index, key):
 
 # -- range WHEREs through an ordered index ----------------------------------
 
-NAN = float("nan")
-# ``f`` stores a NaN between other keys (bisect puts it where it lands);
-# the second row set holds none, so a walk over ``f`` decides its bounds.
-# No statement orders by ``f``: with NaN equal to every number no order
-# is total, and sorting before or after the WHERE can differ (ROADMAP).
+# ``f`` is bound a NaN, which it stores as NULL; the second row set holds
+# a number there instead.
 RANGE_ROWS = ((1, 1, 10, 1.0), (2, 1, None, NAN), (3, 2, 10, 5.0),
               (4, 1, 7, 9.0), (5, None, 3, None), (6, 2, -2, -2.5))
 CLEAN_ROWS = RANGE_ROWS[:1] + ((2, 1, None, 2.5),) + RANGE_ROWS[2:]
@@ -383,7 +422,7 @@ def _range_answer(db, sql, params):
 def test_an_ordered_walk_answers_what_the_unindexed_twin_answers(statement):
     """A range WHERE, with and without an equality prefix, through an
     ordered index: the walk decides its bounds and re-checks the rest,
-    and a NaN or incomparable bound, or a NaN key, makes it scan instead."""
+    and an incomparable bound makes it scan instead."""
     sql, params = statement
     twin = sql.replace(" FROM r", " FROM rtwin r", 1)
     for key, db in RANGE_DATABASES.items():
@@ -394,39 +433,39 @@ def test_an_ordered_walk_answers_what_the_unindexed_twin_answers(statement):
 
 
 @pytest.mark.parametrize("sql, params, expected", [
-    ("SELECT id FROM {r} WHERE v <= ?", (float("nan"),),
-     [(1,), (3,), (4,), (5,), (6,)]),
-    ("SELECT id FROM {r} WHERE v BETWEEN 5 AND ?", (float("nan"),),
-     [(1,), (3,), (4,)]),
-    ("SELECT id FROM {r} WHERE a = ? AND v > 0 ORDER BY v",
-     (float("nan"),), [(4,), (1,), (3,)]),
+    ("SELECT id FROM {r} WHERE v <= ?", (NAN,), []),
+    ("SELECT id FROM {r} WHERE v BETWEEN 5 AND ?", (NAN,), []),
+    ("SELECT id FROM {r} WHERE a = ? AND v > 0 ORDER BY v", (NAN,), []),
     ("SELECT id FROM {r} WHERE v > ? AND v < 5", (2**53 + 1,), []),
     # What the walk did not key on or bound by stays to re-check.
     ("SELECT id FROM {r} WHERE a = ? AND v >= ? AND a = 2", (1, 0), []),
     ("SELECT id FROM {r} WHERE v > ? AND v >= 3", (8,), [(1,), (3,)]),
+    # A bound the column cannot compare: a scan, in no order.
     ("SELECT id FROM {r} WHERE v < ? AND a = 9", ("7",), SqlTypeError),
-    ("UPDATE {r} SET a = a WHERE v <= ?", (float("nan"),), 5),
+    ("SELECT id FROM {r} WHERE a = ? AND v > 0 ORDER BY v DESC", ("1",),
+     SqlTypeError),
+    ("UPDATE {r} SET a = a WHERE v <= ?", (NAN,), 0),
     ("UPDATE {r} SET a = a WHERE v < ? AND a = 9", ("a",), SqlTypeError),
-    # A NaN key in ``r_f``: no walk, a scan the zone maps do not prune.
+    # The NaN ``f`` was bound is NULL: ``r_f`` is walked, zones prune.
     ("SELECT id FROM {r} WHERE f > ?", (-3,), [(1,), (3,), (4,), (6,)]),
-    ("SELECT id FROM {r} WHERE f BETWEEN ? AND 6", (2,), [(2,), (3,)]),
-    ("SELECT id FROM {r} WHERE f <= ?", (0.5,), [(2,), (6,)]),
+    ("SELECT id FROM {r} WHERE f BETWEEN ? AND 6", (2,), [(3,)]),
+    ("SELECT id FROM {r} WHERE f <= ?", (0.5,), [(6,)]),
     ("SELECT id FROM {r} ORDER BY f DESC", (),
-     [(2,), (4,), (3,), (1,), (6,), (5,)]),
-    ("UPDATE {r} SET a = a WHERE f <= ?", (0.5,), 2),
+     [(4,), (3,), (1,), (6,), (2,), (5,)]),
+    ("UPDATE {r} SET a = a WHERE f <= ?", (0.5,), 1),
 ])
 def test_a_walk_is_answered_by_the_scan(sql, params, expected, cache_size):
-    """The walk found no row for ``v <= NaN`` (the interpreter's ``<`` /
-    ``>`` probes find NaN equal to every number) and none for an
-    incomparable bound beside an equality prefix no row has, where the
-    scan raises: a NaN or incomparable bound disqualifies the walk, and
-    the SELECT scans in key order — the elided ORDER BY's — while UPDATE /
-    DELETE scan.  A stored NaN, which bisect left wherever it landed, made
-    the walk answer ``f > -3`` with it once the bound went unchecked and
-    miss ``5.0`` under ``f BETWEEN 2 AND 6``; a zone map whose ``min``
-    skipped it pruned its chunk under ``f <= 0.5``.  An index holding a
-    NaN key is not walked."""
+    """A NaN bound is NULL, so ``v <= NaN`` keeps no row, and a NaN bound
+    in a REAL column is a NULL key, so the index over it is walked.  A
+    bound its column cannot compare is walked by no index: the SELECT
+    scans under the whole WHERE — in no order, since that conjunct raises
+    on the first row that reaches it or the WHERE keeps no row — and an
+    UPDATE / DELETE scans.  SQLite answers the same, where it shares the
+    value domain (text beside a number is a dialect gap)."""
     db = _range_backend(RANGE_ROWS, cache_size)
+    lite = sqlite3.connect(":memory:")
+    lite.execute("CREATE TABLE r (id INT, a INT, v INT, f REAL)")
+    lite.executemany("INSERT INTO r VALUES (?, ?, ?, ?)", RANGE_ROWS)
     select = sql.startswith("SELECT")
     outcomes = []
     for table in ("r", "rtwin r" if select else "rtwin"):
@@ -439,3 +478,8 @@ def test_a_walk_is_answered_by_the_scan(sql, params, expected, cache_size):
         except SqlError as error:
             outcomes.append(type(error))
     assert outcomes == [expected, expected]
+    if isinstance(expected, list):
+        assert sorted(lite.execute(sql.format(r="r"), params).fetchall()) \
+            == sorted(expected)
+    elif isinstance(expected, int):
+        assert lite.execute(sql.format(r="r"), params).rowcount == expected

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sqldb import ast_nodes as A
@@ -75,7 +75,8 @@ def _dispatching_coerce(value, type_name):
         if isinstance(value, bool):
             raise SqlTypeError(f"cannot store {value!r} in FLOAT column")
         if isinstance(value, (int, float)):
-            return float(value)
+            value = float(value)
+            return None if value != value else value  # NaN is NULL
         raise SqlTypeError(f"cannot store {value!r} in FLOAT column")
     if type_name == TEXT or type_name == DATE:
         if isinstance(value, str):
@@ -107,6 +108,7 @@ cells = st.one_of(st.integers(), st.integers(-3, 3).map(float),
 
 class TestCoercers:
     @given(value=cells, type_name=st.sampled_from(ALL_TYPES))
+    @example(value=float("nan"), type_name=FLOAT)
     @settings(max_examples=500, deadline=None)
     def test_each_coercer_is_the_dispatching_coerce(self, value, type_name):
         expected = _outcome(_dispatching_coerce, value, type_name)
