@@ -34,12 +34,12 @@ barriers on every in-flight batch before issuing, preserving the [Write
 query] ordering on the virtual timeline as well as in the data.
 
 The pending batch is kept in the shape the driver receives it — a list of
-``(sql, params)`` pairs (``params`` through the engine's ``as_params``),
-ids beside it; a flush hands the list over as it is.  A read's dedup key
-adds ``param_types(params)``, as the result cache's does: ``(1,)`` and
-``(True,)`` are two queries.  A statement is classified here, once, by
-the type of its parsed statement (a probe of the process-wide parse
-cache); the server parses it once more, to execute it.  A batch is
+``(sql, params)`` pairs (a non-tuple ``params`` through ``as_params``; the
+engine binds them, once), ids beside it.  A read's dedup key adds
+``param_types(params)``, as the result cache's does: ``(1,)`` and
+``(True,)`` are two queries.  A statement is classified here, once, by its
+parsed type (a probe of the process-wide parse cache); the server parses
+it again to execute it: a shipped statement costs two probes.  A batch is
 one round trip and **fails as one**: when the driver raises, every id of
 the batch remembers the exception and re-raises it on every fetch; nothing
 is re-issued, and the failed batch is not counted as flushed.
@@ -155,7 +155,8 @@ class QueryStore:
         duplicate pending reads return the already-registered id.
         Non-sequence ``params`` raise here, where the original executes.
         """
-        params = as_params(params)
+        if type(params) is not tuple:
+            params = as_params(params)  # a list as a tuple, or refused
         self.stats.queries_registered += 1
         read = type(parse(sql)) is Select
         key = None
@@ -259,8 +260,7 @@ class QueryStore:
                 # synchronous dispatch nothing ever is in flight.
                 while self._in_flight:
                     self._wait_completion(self._in_flight[0])
-                results = self.driver.execute_batch(
-                    batch, batch_optimize=self.shared_scans)
+                results = self.driver.execute_batch(batch, self.shared_scans)
                 for query_id, result in zip(ids, results):
                     query_id.result = result
         except BaseException as error:

@@ -8,7 +8,8 @@ value is computed (``_compute``).  Two flavours, and a block of them:
 
 - :class:`Thunk` — wraps a zero-argument callable.
 - :class:`QueryThunk` — registers a query with the query store on
-  *construction* and fetches/deserializes the result set when forced (§3.3).
+  *construction*; forced, it reads the result set off its id once landed
+  (else the store flushes, waits or raises) and deserializes it (§3.3).
 - :class:`ThunkBlock` — a group of statements coalesced into one deferred
   unit whose named outputs are individual thunks (§4.3); forcing any output
   runs the whole block once.  The kernel-language interpreter
@@ -45,8 +46,9 @@ class Thunk:
         if self._value is _UNEVALUATED:
             if self._runtime is not None:
                 self._runtime.on_force()
+            value = self._compute()
             # Collapse chained laziness so callers always get a plain value.
-            self._value = force(self._compute())
+            self._value = force(value) if isinstance(value, _LAZY) else value
             self._fn = None  # release captured state
         return self._value
 
@@ -89,7 +91,9 @@ class QueryThunk(Thunk):
 
     def _compute(self):
         query_id = self.query_id
-        result_set = query_id.store.get_result_set(query_id)
+        result_set = query_id.result
+        if result_set is None or query_id.completion is not None:
+            result_set = query_id.store.get_result_set(query_id)
         return result_set if self._fn is None else self._fn(result_set)
 
     def __repr__(self):
@@ -169,3 +173,4 @@ def force(value):
 # ``force`` above find ``LazyProxy`` as a module global with no per-call
 # import.  ``repro.core.__init__`` imports this module before ``proxy``.
 from repro.core.proxy import LazyProxy  # noqa: E402
+_LAZY = (Thunk, LazyProxy)  # what ``Thunk.force`` hands on to ``force``

@@ -79,7 +79,8 @@ class AsyncCompletion:
 
 
 class SimClock:
-    """A virtual clock; times are in milliseconds."""
+    """A virtual clock in milliseconds: ``charge`` advances one phase,
+    ``round_trip`` a synchronous round trip's app, network and db legs."""
 
     def __init__(self):
         self._now = 0.0
@@ -113,6 +114,16 @@ class SimClock:
                     self._app_intervals.append(hi)
                 self._app_lo = start
             self._app_hi = now
+
+    def round_trip(self, app_ms, network_ms, db_ms):
+        """One synchronous round trip: ``charge``'s additions for its app,
+        network and db legs, in order; a negative leg moves nothing."""
+        if network_ms < 0 or db_ms < 0:
+            raise ValueError(f"negative time charge: {min(network_ms, db_ms)}")
+        self.charge(PHASE_APP, app_ms)
+        self._by_phase[PHASE_NETWORK] += network_ms
+        self._by_phase[PHASE_DB] += db_ms
+        self._now = self._now + network_ms + db_ms
 
     def _app_covered(self, start, end):
         """Length of ``[start, end)`` covered by app-phase charges."""

@@ -8,8 +8,9 @@ overlaps that round trip with continued app-server work (the paper's §6.7
 execution strategy): it returns an in-flight completion handle, and ``wait``
 charges only the residual stall.
 
-Both drivers charge network and database time to the shared
-:class:`repro.net.clock.SimClock` and count round trips / statements, which
+Both drivers charge a round trip to the shared
+:class:`repro.net.clock.SimClock` in one ``round_trip`` call once the server
+has run (no db time if it raised) and count round trips / statements, which
 is what the benchmark harness reads out; the server adds its cache hits
 and shared scans to the :class:`DriverStats` a driver hands it, and
 ``wait`` adds up what the clock returns.  A driver's :class:`DriverStats`
@@ -67,20 +68,19 @@ class Driver:
     def close(self):
         self._closed = True
 
-    def _check_open(self):
-        if self._closed:
-            raise DriverError("connection is closed")
-
     def execute(self, sql, params=()):
         """Execute one statement; returns the :class:`ExecResult`."""
-        self._check_open()
+        if self._closed:
+            raise DriverError("connection is closed")
         model = self.cost_model
-        self.clock.charge(PHASE_APP, model.driver_call_app_ms)
-        self.clock.charge(
-            PHASE_NETWORK,
-            model.round_trip_ms + model.serialization_per_query_ms)
-        result, cost_ms = self.server.execute_one(sql, params, self.stats)
-        self.clock.charge(PHASE_DB, cost_ms)
+        cost_ms = 0.0  # a statement that raises charges no db time
+        try:
+            result, cost_ms = self.server.execute_one(sql, params, self.stats)
+        finally:
+            self.clock.round_trip(
+                model.driver_call_app_ms,
+                model.round_trip_ms + model.serialization_per_query_ms,
+                cost_ms)
         self.stats.record(1)
         return result
 
@@ -100,19 +100,22 @@ class BatchDriver(Driver):
 
         Returns the list of :class:`ExecResult` in statement order.
         """
-        self._check_open()
+        if self._closed:
+            raise DriverError("connection is closed")
         if not statements:
             return []
         model = self.cost_model
         size = len(statements)
-        self.clock.charge(PHASE_APP, model.driver_call_app_ms)
-        self.clock.charge(
-            PHASE_NETWORK,
-            model.round_trip_ms + model.serialization_per_query_ms * size)
         stats = self.stats
-        results, elapsed_ms = self.server.execute_batch(
-            statements, batch_optimize, stats)
-        self.clock.charge(PHASE_DB, elapsed_ms)
+        elapsed_ms = 0.0  # a batch that raises charges no db time
+        try:
+            results, elapsed_ms = self.server.execute_batch(
+                statements, batch_optimize, stats)
+        finally:
+            self.clock.round_trip(
+                model.driver_call_app_ms,
+                model.round_trip_ms + model.serialization_per_query_ms * size,
+                elapsed_ms)
         stats.round_trips += 1
         stats.statements += size
         if size > stats.largest_batch:
@@ -132,7 +135,8 @@ class BatchDriver(Driver):
         Returns ``(completion, results)``; an empty batch returns
         ``(None, [])``.
         """
-        self._check_open()
+        if self._closed:
+            raise DriverError("connection is closed")
         if not statements:
             return None, []
         model = self.cost_model

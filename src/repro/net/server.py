@@ -13,14 +13,14 @@ Virtual database time for a batch is therefore::
 where ``parallel_elapsed`` assigns reads to the least-loaded worker
 (longest-processing-time-first greedy makespan).
 
-**One body.**  ``execute_batch`` (``execute_one`` runs it over a
-one-tuple): dispatch, and counts taken where they arise, added to the
-``DriverStats`` the caller hands in once the run returns.  The server keeps
-no counters of its own: every batch arrives through a driver, whose stats
-are the one home of the wire's counts.  What arrives is ``(sql, params)``;
-a statement is parsed here once (a probe of the process-wide parse cache),
-executed as an AST through ``execute_parsed``, and is a read or a write by
-its type.
+**One body.**  ``execute_batch`` runs a batch of any size (``execute_one``
+is it over a one-tuple) in one frame: each statement parsed (a probe of
+the process-wide parse cache), executed as an AST through
+``execute_parsed``, priced, a read or a write by its type; then its cache
+hits go to the ``DriverStats`` the caller hands in.  ``batch_optimize``
+hands the batch to the shared-scan path, which adds hits, groups and rows
+saved the same way.  The server keeps no counters of its own: every batch
+arrives through a driver, whose stats are the one home of the wire's counts.
 
 A statement's cost is ``CostModel.query_cost_ms(rows_touched,
 from_cache=...)`` — one node, one price per statement.
@@ -58,30 +58,16 @@ class DatabaseServer:
 
         Returns ``(results, elapsed_ms)`` where ``elapsed_ms`` models
         parallel execution of reads.  With ``batch_optimize`` the batch
-        runs through the shared-scan planner first.  Either path consults
-        the database's cross-request result cache per statement: cached
-        SELECTs cost zero rows touched and, on the batch-plan path, drop
-        out of shared-scan grouping.  The run's counts go, once it has
-        returned, to ``stats`` (the calling driver's ``DriverStats``); the
-        server keeps none of its own.
+        runs through the shared-scan planner; otherwise each statement
+        runs on its own plan, priced inline (``query_cost_ms``'s
+        arithmetic).  Either path consults the database's cross-request
+        result cache per statement: cached SELECTs cost zero rows touched
+        and, on the batch-plan path, drop out of shared-scan grouping.  The
+        run's counts go, once it has returned, to ``stats`` (the calling
+        driver's ``DriverStats``); the server keeps none of its own.
         """
-        run = (self._execute_batch_plan if batch_optimize
-               else self._execute_batch_direct)
-        results, elapsed_ms, hits, groups, saved = run(statements)
-        if stats is not None:
-            stats.result_cache_hits += hits
-            stats.shared_scan_groups += groups
-            stats.shared_scan_rows_saved += saved
-        return results, elapsed_ms
-
-    # -- the two batch paths: (results, elapsed_ms, hits, groups, saved) -----
-
-    def _execute_batch_direct(self, statements):
-        """Every statement on its own plan (the pre-optimizer behaviour).
-
-        Each result is priced inline (``query_cost_ms``'s arithmetic):
-        writes serialize, reads share the ``db_workers`` pool.
-        """
+        if batch_optimize:
+            return self._execute_batch_plan(statements, stats)
         model = self.cost_model
         hit_ms, overhead_ms, row_ms = (model.cache_hit_cost_ms,
                                        model.per_query_overhead_ms,
@@ -102,11 +88,12 @@ class DatabaseServer:
                 read_costs.append(cost)
             else:
                 serial_ms += cost
-        return (results,
-                serial_ms + _parallel_elapsed(read_costs, model.db_workers),
-                hits, 0, 0)
+        if stats is not None:
+            stats.result_cache_hits += hits
+        return results, serial_ms + _parallel_elapsed(read_costs,
+                                                      model.db_workers)
 
-    def _execute_batch_plan(self, statements):
+    def _execute_batch_plan(self, statements, stats):
         """The shared-scan path: group, execute, charge groups once."""
         plan_result = execute_batch_plan(self.database, statements)
         model = self.cost_model
@@ -129,10 +116,13 @@ class DatabaseServer:
                 read_costs.append(cost)
             else:
                 serial_ms += cost
+        if stats is not None:
+            stats.result_cache_hits += hits
+            stats.shared_scan_groups += len(plan_result.groups)
+            stats.shared_scan_rows_saved += sum(
+                group.rows_saved for group in plan_result.groups)
         return (plan_result.results,
-                serial_ms + _parallel_elapsed(read_costs, model.db_workers),
-                hits, len(plan_result.groups),
-                sum(group.rows_saved for group in plan_result.groups))
+                serial_ms + _parallel_elapsed(read_costs, model.db_workers))
 
 
 def _parallel_elapsed(costs, workers):

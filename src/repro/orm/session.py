@@ -222,13 +222,13 @@ class Query:
         self.session = session
         self.cls = cls
         self._where = ()
-        self._params = []
+        self._params = ()
         self._order_by = None
         self._limit = None
 
     def where(self, fragment, *params):
         self._where += (fragment,)
-        self._params.extend(params)
+        self._params += params
         return self
 
     def order_by(self, clause):

@@ -71,19 +71,9 @@ class Database:
         run statements it has already classified without re-parsing or
         duplicating the accounting.
         """
-        params = as_params(params)
-        result = self.executor.execute(self, stmt, params)
-        self.record_statement(result.rows_touched)
+        result = self.executor.execute(self, stmt, as_params(params))
+        self.total_rows_touched += result.rows_touched
         return result
-
-    def record_statement(self, rows_touched):
-        """Add one statement's rows to ``total_rows_touched``.
-
-        Also called directly by the batch planner for shared-scan group
-        members, whose row charge is attributed to the group's one scan
-        rather than re-counted per member.
-        """
-        self.total_rows_touched += rows_touched
 
     def execute_script(self, script):
         """Execute a semicolon-separated list of statements (DDL helper)."""

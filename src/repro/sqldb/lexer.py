@@ -83,16 +83,16 @@ def tokenize(sql):
             end = sql.find("\n", i)
             i = n if end == -1 else end + 1
             continue
+        start = i  # a token's position is where it starts
         if ch == "'":
             value, i = _read_string(sql, i)
-            tokens.append(Token(STRING, value, i))
+            tokens.append(Token(STRING, value, start))
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
             value, i = _read_number(sql, i)
-            tokens.append(Token(NUMBER, value, i))
+            tokens.append(Token(NUMBER, value, start))
             continue
         if ch.isalpha() or ch == "_":
-            start = i
             while i < n and (sql[i].isalnum() or sql[i] == "_"):
                 i += 1
             word = sql[start:i]

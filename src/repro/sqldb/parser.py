@@ -17,16 +17,17 @@ ORM, the benchmark applications and the TPC workloads:
     expr       := or_expr with the usual precedence
                   (OR < AND < NOT < comparison < additive < multiplicative)
 
-Parsed statements are cached in a process-wide LRU keyed by the SQL string
+Parsed statements are cached in a process-wide dict keyed by the SQL string
 (parameterized queries are parsed once and re-executed many times by the
-benchmarks).  The cache is shared by every consumer of :func:`parse` — the
-query store's write/read classification on one side of the wire, the
-simulated database server's execution on the other (it ships ``(sql,
-params)``, not ASTs) — so each distinct SQL string is parsed once per
-process and a shipped statement costs two probes.
+benchmarks).  A hit is one dict probe; a miss that would take the cache
+past ``_PARSE_CACHE_LIMIT`` entries empties it first, as the executor's
+plan cache does, so it stays bounded without keeping an LRU order on every
+hit.  The cache is shared by every consumer of :func:`parse` — the query
+store's write/read classification on one side of the wire, the simulated
+database server's execution on the other (it ships ``(sql, params)``, not
+ASTs) — so each distinct SQL string is parsed once per process and a
+shipped statement costs two probes.
 """
-
-from collections import OrderedDict
 
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlParseError
@@ -37,26 +38,25 @@ from repro.sqldb.lexer import (
 _AGGREGATES = frozenset(["COUNT", "SUM", "AVG", "MIN", "MAX"])
 _SCALAR_FUNCS = frozenset(["UPPER", "LOWER", "LENGTH", "ABS", "COALESCE"])
 
-_PARSE_CACHE = OrderedDict()
+_PARSE_CACHE = {}
 _PARSE_CACHE_LIMIT = 4096
 _parse_cache_hits = 0
 _parse_cache_misses = 0
 
 
 def parse(sql):
-    """Parse ``sql`` into a statement AST (LRU-cached per process)."""
+    """Parse ``sql`` into a statement AST (cached per process)."""
     global _parse_cache_hits, _parse_cache_misses
     cached = _PARSE_CACHE.get(sql)
     if cached is not None:
         _parse_cache_hits += 1
-        _PARSE_CACHE.move_to_end(sql)
         return cached
     _parse_cache_misses += 1
     stmt = _Parser(sql).parse_statement()
     stmt.sql = sql
+    if len(_PARSE_CACHE) >= _PARSE_CACHE_LIMIT:
+        _PARSE_CACHE.clear()
     _PARSE_CACHE[sql] = stmt
-    if len(_PARSE_CACHE) > _PARSE_CACHE_LIMIT:
-        _PARSE_CACHE.popitem(last=False)
     return stmt
 
 

@@ -89,15 +89,15 @@ def execute_batch_plan(database, statements):
     segment = []  # [(index, stmt, params), ...] consecutive reads
     for index, (sql, params) in enumerate(statements):
         try:
-            stmt, params = parse(sql), as_params(params)
+            stmt = parse(sql)
+            if isinstance(stmt, A.Select):  # a write binds in execute_parsed
+                segment.append((index, stmt, as_params(params)))
+                continue
         except SqlError:
             # Sequential execution would have run the buffered reads (and
             # surfaced any of their errors) before reaching this statement.
             _flush_segment(database, segment, results, groups)
             raise
-        if isinstance(stmt, A.Select):
-            segment.append((index, stmt, params))
-            continue
         _flush_segment(database, segment, results, groups)
         segment = []
         results[index] = database.execute_parsed(stmt, params)
@@ -153,7 +153,7 @@ def _flush_segment(db, segment, results, groups):
                 else group.scan_rows
             group.member_indices.append(index)
         results[index] = result
-        db.record_statement(result.rows_touched)
+        db.total_rows_touched += result.rows_touched
 
 
 def _start_shared_scan(db, table_name):

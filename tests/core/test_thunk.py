@@ -196,3 +196,38 @@ def test_query_thunk_without_a_deserialiser_delivers_the_result_set(
     thunk = QueryThunk(QueryStore(batch_driver), "SELECT v FROM t")
     assert thunk.force() is thunk.query_id.result
     assert thunk.force().rows == [(10,)]
+
+
+def test_a_query_thunk_reads_a_landed_result_off_its_id(sim_stack,
+                                                         monkeypatch):
+    """Forced after its batch has landed, a thunk reads the result off its
+    id and asks the store nothing; forced while its async batch is still
+    in flight, it goes through the store, which stalls for the residual."""
+    db, clock, server, driver, batch_driver = sim_stack
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+    db.execute("INSERT INTO t (id, v) VALUES (1, 10), (2, 20)")
+    sql = "SELECT v FROM t WHERE id = ?"
+    store = QueryStore(batch_driver)
+    first, second = QueryThunk(store, sql, (1,)), QueryThunk(store, sql, (2,))
+    fetches = []
+    get_result_set = QueryStore.get_result_set
+
+    def counted(self, query_id):
+        fetches.append(query_id)
+        return get_result_set(self, query_id)
+
+    monkeypatch.setattr(QueryStore, "get_result_set", counted)
+    assert first.force().rows == [(10,)]  # flushes the batch of two
+    assert second.force().rows == [(20,)]  # landed with it
+    assert fetches == [first.query_id]
+
+    in_flight = QueryStore(batch_driver, async_dispatch=True)
+    thunk = QueryThunk(in_flight, sql, (1,))
+    in_flight.flush()  # ships in the background: the result is there...
+    assert thunk.query_id.result is not None
+    network_before = clock.phase_time("network")
+    assert thunk.force().rows == [(10,)]
+    # ...but the force waited for the batch to land.
+    assert fetches[-1] is thunk.query_id
+    assert clock.phase_time("network") > network_before
+    assert in_flight.in_flight_count == 0

@@ -295,7 +295,16 @@ clock_steps = st.lists(st.one_of(
               st.lists(st.tuples(st.sampled_from(["network", "db"]),
                                  durations), min_size=1, max_size=2),
               st.one_of(st.none(), st.floats(0.0, 1.0))),
-    st.tuples(st.just("wait"), st.integers(0, 7))), max_size=40)
+    st.tuples(st.just("wait"), st.integers(0, 7)),
+    # A synchronous round trip: app, network, db in one call.
+    st.tuples(st.just("round_trip"), durations, durations, durations)),
+    max_size=40)
+
+
+def _timeline(clock):
+    """Everything a charge moves, as exact values."""
+    return (clock.now, clock.breakdown(), list(clock._app_intervals),
+            clock._app_lo, clock._app_hi)
 
 
 class TestOpenAppInterval:
@@ -312,6 +321,10 @@ class TestOpenAppInterval:
             if step[0] == "charge":
                 clock.charge(step[1], step[2])
                 reference.charge(step[1], step[2])
+            elif step[0] == "round_trip":
+                clock.round_trip(*step[1:])
+                for phase, dt in zip(("app", "network", "db"), step[1:]):
+                    reference.charge(phase, dt)
             elif step[0] == "begin":
                 start = (None if step[2] is None
                          else clock.now * step[2])
@@ -335,6 +348,34 @@ class TestOpenAppInterval:
             flat = clock._app_intervals
             assert list(zip(flat[::2], flat[1::2])) + opened == (
                 reference.intervals)
+
+    @given(steps=clock_steps)
+    @settings(max_examples=400, deadline=None)
+    def test_a_round_trip_is_three_charges_bit_for_bit(self, steps):
+        """``round_trip(app, network, db)`` leaves ``now``, the phase
+        totals and the app intervals exactly where ``charge`` leaves them
+        in three calls, zeros included, from any point of a timeline."""
+        clock, charged = SimClock(), SimClock()
+        for step in steps:
+            if step[0] == "charge":
+                clock.charge(step[1], step[2])
+                charged.charge(step[1], step[2])
+            elif step[0] == "round_trip":
+                clock.round_trip(*step[1:])
+                for phase, dt in zip(("app", "network", "db"), step[1:]):
+                    charged.charge(phase, dt)
+            assert _timeline(clock) == _timeline(charged)
+
+    @pytest.mark.parametrize("triple", [(-0.5, 1.0, 1.0), (0.1, -2.0, 1.0),
+                                        (0.1, 1.0, -3.0), (-1.0, -2.0, 0.0)])
+    def test_a_round_trip_refuses_a_negative_charge(self, triple):
+        clock = SimClock()
+        clock.charge("app", 1.0)
+        before = _timeline(clock)
+        with pytest.raises(ValueError,
+                           match=f"^negative time charge: {min(triple)}$"):
+            clock.round_trip(*triple)
+        assert _timeline(clock) == before  # refused before anything moved
 
     def test_an_unknown_phase_moves_nothing(self):
         clock = SimClock()
@@ -529,6 +570,35 @@ class TestDrivers:
         assert db.result_cache.hits == hits_before + 2  # they arose...
         assert (vars(driver.stats), vars(batch.stats)) == \
             stats_before  # ...uncounted
+
+    @pytest.mark.parametrize("batch_optimize", [False, True],
+                             ids=["direct", "batch-plan"])
+    def test_a_batch_that_raises_charges_app_and_network_time(
+            self, sim_stack, batch_optimize):
+        """The clock a failing round trip leaves is the one ``charge``
+        leaves after the driver call's app time and the network time: no
+        database time."""
+        db, clock, _, driver, batch = sim_stack
+        model = batch.cost_model
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        failing = [("SELECT id FROM t WHERE v > ?", (1,)),
+                   ("SELECT v FROM nope", ())]
+        reference = SimClock()
+        clock.charge("app", 0.25)
+        reference.charge("app", 0.25)
+        with pytest.raises(SqlError):
+            batch.execute_batch(failing, batch_optimize)
+        reference.charge("app", model.driver_call_app_ms)
+        reference.charge("network", model.round_trip_ms
+                         + model.serialization_per_query_ms * 2)
+        assert _timeline(clock) == _timeline(reference)
+        with pytest.raises(SqlError):
+            driver.execute("SELECT v FROM nope")
+        reference.charge("app", model.driver_call_app_ms)
+        reference.charge("network", model.round_trip_ms
+                         + model.serialization_per_query_ms)
+        assert _timeline(clock) == _timeline(reference)
+        assert clock.phase_time("db") == 0.0
 
 
 class TestAsyncBatchDriver:

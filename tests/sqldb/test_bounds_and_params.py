@@ -1,18 +1,20 @@
 """LIMIT / OFFSET values and ORDER BY positions are validated in one place
-each, and a statement's parameters are normalised once, where they enter
-``sqldb`` (or the query store) — a malformed value is the same
-``SqlError`` at every public entry."""
+each, and a statement's parameters are bound once, where they enter
+``sqldb`` (the query store refuses a non-sequence at registration) — a
+malformed value is the same ``SqlError`` at every public entry."""
 
 import pytest
 
+from repro.core import query_store
 from repro.core.query_store import QueryStore
 from repro.net import CostModel, DatabaseServer
 from repro.net.clock import SimClock
 from repro.net.driver import BatchDriver, Driver
-from repro.sqldb import Database
+from repro.sqldb import Database, database
 from repro.sqldb.errors import SqlError
 from repro.sqldb.executor import as_params
 from repro.sqldb.parser import parse
+from repro.sqldb.plan import batch
 
 
 def _database():
@@ -144,3 +146,32 @@ def test_a_tuple_passes_untouched_and_a_list_is_copied():
     assert cached.execute("SELECT id FROM t WHERE id = ?", (1,)).from_cache
     assert "status='hit'" in cached.explain(
         "SELECT id FROM t WHERE id = ?", params=[1])
+
+
+@pytest.mark.parametrize("shared_scans", [False, True],
+                         ids=["direct", "batch-plan"])
+def test_a_registered_statement_binds_its_parameters_once(monkeypatch,
+                                                          shared_scans):
+    """Through the query store, the driver and either server path, each
+    statement's parameters pass ``as_params`` once: the store keys a tuple
+    as it comes, the engine binds it.  (The store bound it as well, and
+    the shared-scan path bound a write a second time.)"""
+    bound = []
+
+    def counting(params):
+        bound.append(params)
+        return as_params(params)
+
+    model = CostModel()
+    store = QueryStore(BatchDriver(DatabaseServer(_database(), model),
+                                   SimClock(), model),
+                       shared_scans=shared_scans)
+    for module in (database, batch, query_store):
+        monkeypatch.setattr(module, "as_params", counting)
+    reads = [store.register_query("SELECT v FROM t WHERE id = ?", (i,))
+             for i in range(3)]
+    write = store.register_query("UPDATE t SET v = ? WHERE id = ?", (7, 0))
+    assert write.result.rowcount == 1
+    assert [store.get_result_set(r).rows for r in reads] == [
+        [(10,)], [(9,)], [(8,)]]
+    assert bound == [(0,), (1,), (2,), (7, 0)]

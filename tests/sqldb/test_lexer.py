@@ -4,6 +4,7 @@ from repro.sqldb.errors import SqlParseError
 from repro.sqldb.lexer import (
     EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, STRING, tokenize,
 )
+from repro.sqldb.parser import parse
 
 
 def kinds(sql):
@@ -58,6 +59,20 @@ def test_unexpected_character_raises_with_position():
     with pytest.raises(SqlParseError) as excinfo:
         tokenize("SELECT @")
     assert excinfo.value.position == 7
+
+
+@pytest.mark.parametrize("sql, position", [
+    ("SELECT id FROM t WHERE 12345 6", 29),
+    ("SELECT id FROM t WHERE 'abc' 'd'", 29),
+    ("SELECT id FROM t WHERE x 6", 25),
+])
+def test_a_parse_error_points_at_the_start_of_the_token(sql, position):
+    """A literal's position is where it starts, as a word's is: a parse
+    error once pointed just past the NUMBER or STRING token it named."""
+    with pytest.raises(SqlParseError) as excinfo:
+        parse(sql)
+    assert excinfo.value.position == position
+    assert [t.pos for t in tokenize("12 'a''b' x")] == [0, 3, 10, 11]
 
 
 def test_ends_with_eof():

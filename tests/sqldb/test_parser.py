@@ -1,8 +1,9 @@
 import pytest
 
 from repro.sqldb import ast_nodes as A
+from repro.sqldb import parser
 from repro.sqldb.errors import SqlParseError
-from repro.sqldb.parser import parse
+from repro.sqldb.parser import parse, parse_cache_stats
 
 
 def test_simple_select():
@@ -134,16 +135,27 @@ def test_parse_cache_returns_same_object():
         "SELECT a FROM cache_test")
 
 
-def test_parse_cache_is_lru_with_stats():
-    from repro.sqldb.parser import parse_cache_stats
-
+def test_parse_cache_stays_bounded_and_counts_hits_and_misses(monkeypatch):
+    """A hit is one probe and keeps no order; the miss that would take the
+    cache past ``_PARSE_CACHE_LIMIT`` entries empties it first, as the
+    plan cache does.  Every probe is counted as a hit or a miss."""
+    monkeypatch.setattr(parser, "_PARSE_CACHE", {})
+    limit = parser._PARSE_CACHE_LIMIT
     before = parse_cache_stats()
-    parse("SELECT a FROM lru_test_1")
-    parse("SELECT a FROM lru_test_1")
+    sizes = []
+    for index in range(limit + 2):
+        sql = f"SELECT a FROM bound_test_{index}"
+        assert parse(sql) is parse(sql)
+        sizes.append(parse_cache_stats()["size"])
     after = parse_cache_stats()
-    assert after["hits"] >= before["hits"] + 1
-    assert after["misses"] >= before["misses"] + 1
-    assert after["size"] <= 4096
+    assert after["misses"] - before["misses"] == limit + 2
+    assert after["hits"] - before["hits"] == limit + 2
+    assert max(sizes) == limit
+    assert sizes[limit - 1:] == [limit, 1, 2]
+    # Emptied, not evicted: the first statement is parsed anew.
+    first = parse("SELECT a FROM bound_test_0")
+    assert parse_cache_stats()["misses"] - after["misses"] == 1
+    assert first is parse("SELECT a FROM bound_test_0")
 
 
 def test_trailing_garbage_raises():

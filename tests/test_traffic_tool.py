@@ -49,6 +49,8 @@ DELETED = {
     "candidate_rows", "is_read_statement", "QueryStore._new_id",
     # the special cases a stored or bound NaN needed (a NaN enters as NULL)
     "OrderedIndex.walkable", "IndexRangeScanOp._sorted_fallback",
+    # the frames of the crossing that only forwarded
+    "Driver._check_open", "DatabaseServer._execute_batch_direct",
 }
 
 
@@ -139,9 +141,10 @@ def test_a_statement_is_parsed_once_per_side_of_the_wire():
     """Every parse beyond the one an execution needs is a registration:
     the store classifies a statement (read or write) and the server parses
     it to execute it — 21 251 - 19 072 = 2 179 registrations in this run;
-    classifying on the server as well made it 2 x 2 179.  Parameters pass
-    ``as_params`` once per execution, the engine's one door (where a NaN
-    binds as NULL), and once more where the store keys a registration."""
+    classifying on the server as well made it 2 x 2 179.  Parameters are
+    bound once per statement: ``as_params`` runs once per execution, at
+    the engine's one door (where a NaN binds as NULL), and the store keys
+    a tuple as it comes (binding it there too made 19 072 + 2 179)."""
     calls = _mixed_rw_smoke_calls()
     parses = calls[os.path.join("sqldb", "parser.py"), "parse"]
     executions = calls[os.path.join("sqldb", "database.py"),
@@ -151,7 +154,31 @@ def test_a_statement_is_parsed_once_per_side_of_the_wire():
     assert registrations > 2000
     assert parses - executions == registrations
     assert calls[os.path.join("sqldb", "executor.py"),
-                 "as_params"] == executions + registrations
+                 "as_params"] == executions
+
+
+def test_a_round_trip_is_one_clock_call():
+    """Each round trip, a batch or the original driver's one statement,
+    is one clock call, ``SimClock.round_trip`` (2 939 here), which charges
+    its app leg through ``charge``; every other ``charge`` is app work — a
+    thunk allocated or forced, a run of operations.  Three ``charge``s a
+    round trip made 10 902 charges where there are 5 024."""
+    calls = _mixed_rw_smoke_calls()
+    net, core = "net", "core"
+    round_trips = (calls[os.path.join(net, "driver.py"), "Driver.execute"]
+                   + calls[os.path.join(net, "driver.py"),
+                           "BatchDriver.execute_batch"])
+    assert round_trips > 2000
+    assert calls[os.path.join(net, "clock.py"),
+                 "SimClock.round_trip"] == round_trips
+    runtime = os.path.join(core, "runtime.py")
+    app_work = (calls[runtime, "SlothRuntime.on_thunk_allocated"]
+                + calls[runtime, "SlothRuntime.on_force"]
+                + calls[runtime, "SlothRuntime.run_ops"]
+                + calls[os.path.join("apps", "tpcc", "transactions.py"),
+                        "OriginalClient.ops"])
+    assert calls[os.path.join(net, "clock.py"), "SimClock.charge"] == \
+        app_work + round_trips
 
 
 def test_a_write_keyed_on_its_primary_key_evaluates_nothing():
