@@ -168,19 +168,21 @@ class ColumnStore:
     later write: storage rows are never mutated in place (an UPDATE
     installs a fresh list), so the pinned ``rows`` keep their build-time
     values and every facet of one store describes the same contents.  Any
-    write discards the store — lanes, dictionaries and zone maps with it.
+    write discards the store — lanes, slices, dictionaries and zone maps
+    with it.
     """
 
     __slots__ = ("rows", "length", "mutations", "_schema", "_lanes",
-                 "_zones", "_distinct")
+                 "_zones", "_distinct", "_pieces", "_slices")
 
     def __init__(self, rows, schema_columns, mutations):
         self.rows = rows
         self.length = len(rows)
         self.mutations = mutations
         self._schema = schema_columns
-        self._lanes, self._zones, self._distinct = (
-            [None] * len(schema_columns) for _ in range(3))
+        self._lanes, self._zones, self._distinct, self._pieces = (
+            [None] * len(schema_columns) for _ in range(4))
+        self._slices = {}  # a scan's layout -> its chunk slices
 
     @classmethod
     def build(cls, table):
@@ -207,6 +209,45 @@ class ColumnStore:
                 values = [row[j] for row in self.rows]
             zones = self._zones[j] = _column_zones(values, self.length)
         return zones
+
+    def slices(self, layout):
+        """The table cut into :data:`CHUNK_SIZE` slices for a scan's
+        ``layout`` = ``(offset, read, width, zoned)``: per slice ``(columns,
+        length, zone_of)``, ``columns`` joined-row wide with ordinal
+        ``j`` of ``read`` at ``offset + j`` (every other lane all-NULL) and
+        ``zone_of`` the ``get`` of the ``zoned`` ordinals' zones by flat
+        position.  Cut on the layout's first scan and kept with the store,
+        so a scan that runs again slices nothing; a column is sliced once
+        for every layout, and a slice that spans a whole lane is the lane.
+        Nothing may write to what this returns."""
+        cut = self._slices.get(layout)
+        if cut is None:
+            offset, read, width, zoned = layout
+            zones = [(offset + j, self.zones(j)) for j in zoned]
+            lanes = [(offset + j, self._sliced(j)) for j in read]
+            cut = self._slices[layout] = []
+            for ci, start in enumerate(range(0, self.length, CHUNK_SIZE)):
+                columns = [None] * width
+                for pos, pieces in lanes:
+                    columns[pos] = pieces[ci]
+                cut.append((columns, min(CHUNK_SIZE, self.length - start),
+                            {pos: zone[ci] for pos, zone in zones}.get))
+        return cut
+
+    def _sliced(self, j):
+        """Column ``j``'s lane cut into :data:`CHUNK_SIZE` slices.  A lane
+        longer than one is kept as its slices alone (:meth:`lane` builds
+        it again if asked), so the store holds each value once."""
+        pieces = self._pieces[j]
+        if pieces is None:
+            lane = self.lane(j)
+            whole = len(lane) <= CHUNK_SIZE
+            pieces = self._pieces[j] = [
+                lane if whole else lane[start:start + CHUNK_SIZE]
+                for start in range(0, self.length, CHUNK_SIZE)]
+            if not whole:
+                self._lanes[j] = None
+        return pieces
 
     def distinct(self, j):
         """Column ``j``'s distinct non-NULL count (no lane is built)."""

@@ -119,44 +119,12 @@ class Executor:
         self.batches_executed = 0
 
     def execute(self, db, stmt, params=()):
-        kind = type(stmt)
-        if kind is A.Select:
-            return self.select(db, stmt, params)
-        if kind is A.Insert or kind is A.Update or kind is A.Delete:
-            return self._exec_write(db, stmt, params)
-        if kind is A.CreateTable:
-            return self._exec_create_table(db, stmt)
-        if kind is A.CreateIndex:
-            return self._exec_create_index(db, stmt)
-        if kind is A.DropTable:
-            db.catalog.drop_table(stmt.name)
-            del db.tables[stmt.name]
-            self._catalog_changed(db)
-            return ExecResult()
-        if kind is A.DropIndex:
-            info = db.catalog.drop_index(stmt.name)
-            db.tables_get(info.table).drop_index(stmt.name)
-            self._catalog_changed(db)
-            return ExecResult()
-        if kind is A.Truncate:
-            table = db.tables_get(stmt.table)
-            removed = table.truncate(db.transactions.undo_log())
-            # Emptying a table always invalidates its cardinality picture,
-            # even for tables too small to trip the >2x shift rule.
-            self._shifted.add(stmt.table)
-            if removed and not db.transactions.in_transaction:
-                db.result_cache.invalidate((stmt.table,))
-            return ExecResult(rowcount=removed, rows_touched=removed)
-        if kind is A.Begin:
-            db.transactions.begin()
-            return ExecResult()
-        if kind is A.Commit:
-            _commit(db)
-            return ExecResult()
-        if kind is A.Rollback:
-            db.transactions.rollback()
-            return ExecResult()
-        raise SqlError(f"cannot execute statement {stmt!r}")
+        """Run ``stmt`` through the handler of its type (``_HANDLERS``)."""
+        try:
+            handler = _HANDLERS[type(stmt)]
+        except KeyError:
+            raise SqlError(f"cannot execute statement {stmt!r}") from None
+        return handler(self, db, stmt, params)
 
     # -- SELECT: the plan pipeline and the cross-request result cache ---------
 
@@ -227,9 +195,9 @@ class Executor:
         self._plans.clear()
         db.result_cache.clear()
 
-    # -- DDL ------------------------------------------------------------------
+    # -- DDL and transaction control ------------------------------------------
 
-    def _exec_create_table(self, db, stmt):
+    def _exec_create_table(self, db, stmt, params):
         columns = [
             Column(c.name, c.type_name, c.primary_key, c.not_null)
             for c in stmt.columns
@@ -240,12 +208,46 @@ class Executor:
         self._catalog_changed(db)
         return ExecResult()
 
-    def _exec_create_index(self, db, stmt):
+    def _exec_create_index(self, db, stmt, params):
         info = IndexInfo(stmt.name, stmt.table, stmt.columns, stmt.unique,
                          method=stmt.method)
         db.catalog.register_index(info)
         db.tables[stmt.table].add_index(info)
         self._catalog_changed(db)
+        return ExecResult()
+
+    def _exec_drop_table(self, db, stmt, params):
+        db.catalog.drop_table(stmt.name)
+        del db.tables[stmt.name]
+        self._catalog_changed(db)
+        return ExecResult()
+
+    def _exec_drop_index(self, db, stmt, params):
+        info = db.catalog.drop_index(stmt.name)
+        db.tables_get(info.table).drop_index(stmt.name)
+        self._catalog_changed(db)
+        return ExecResult()
+
+    def _exec_truncate(self, db, stmt, params):
+        table = db.tables_get(stmt.table)
+        removed = table.truncate(db.transactions.undo_log())
+        # Emptying a table always invalidates its cardinality picture,
+        # even for tables too small to trip the >2x shift rule.
+        self._shifted.add(stmt.table)
+        if removed and not db.transactions.in_transaction:
+            db.result_cache.invalidate((stmt.table,))
+        return ExecResult(rowcount=removed, rows_touched=removed)
+
+    def _exec_begin(self, db, stmt, params):
+        db.transactions.begin()
+        return ExecResult()
+
+    def _exec_commit(self, db, stmt, params):
+        _commit(db)
+        return ExecResult()
+
+    def _exec_rollback(self, db, stmt, params):
+        db.transactions.rollback()
         return ExecResult()
 
     # -- writes ---------------------------------------------------------------
@@ -290,6 +292,22 @@ class Executor:
         elif undo is None and result.rowcount:
             db.result_cache.invalidate((stmt.table,))
         return result
+
+
+# Statement type -> the Executor method that runs it, called with
+# ``(executor, db, stmt, params)``.
+_HANDLERS = {
+    A.Select: Executor.select,
+    A.Insert: Executor._exec_write, A.Update: Executor._exec_write,
+    A.Delete: Executor._exec_write,
+    A.CreateTable: Executor._exec_create_table,
+    A.CreateIndex: Executor._exec_create_index,
+    A.DropTable: Executor._exec_drop_table,
+    A.DropIndex: Executor._exec_drop_index,
+    A.Truncate: Executor._exec_truncate,
+    A.Begin: Executor._exec_begin, A.Commit: Executor._exec_commit,
+    A.Rollback: Executor._exec_rollback,
+}
 
 
 def _commit(db):

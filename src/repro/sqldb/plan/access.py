@@ -24,8 +24,8 @@ UPDATE / DELETE re-checks (:func:`residual_predicate`).
 
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlTypeError
-from repro.sqldb.expressions import (RowContext, conjoin, evaluate,
-                                     split_conjuncts)
+from repro.sqldb.expressions import conjoin, split_conjuncts
+from repro.sqldb.plan.compile import compile_operand
 from repro.sqldb.types import STORED_SAMPLES, is_comparable
 
 
@@ -157,9 +157,9 @@ def _in_list_keys(column, probe, params):
         if any(isinstance(item, A.Param) and item.index >= len(params)
                for item in items):
             continue
-        ctx = RowContext({}).bind(())
         values = {_probe_key(column, value) for value in
-                  (evaluate(item, ctx, params) for item in items)
+                  (item.value if type(item) is A.Literal
+                   else params[item.index] for item in items)
                   if value is not None}
         keys = values if keys is None else (keys & values)
     return keys
@@ -378,11 +378,14 @@ class RangeCandidate:
     the next index column when the predicate ranges over it.  A candidate
     with neither a prefix nor bounds is still meaningful: a full in-order
     walk can satisfy an ORDER BY.  ``samples``: per index column, a value
-    of its stored type.
+    of its stored type.  ``operands`` resolve the prefix constants, then
+    the low and the high bound, and ``operand_samples`` are the samples
+    their values are checked against (:func:`range_scan_ids`).
     """
 
     __slots__ = ("index_name", "columns", "ordinals", "samples", "n_prefix",
-                 "prefix_exprs", "low", "low_incl", "high", "high_incl")
+                 "prefix_exprs", "low", "low_incl", "high", "high_incl",
+                 "operands", "operand_samples")
 
     def __init__(self, index, n_prefix, prefix_exprs, bounds, samples):
         self.index_name = index.info.name
@@ -396,6 +399,11 @@ class RangeCandidate:
         else:
             self.low = self.high = None
             self.low_incl = self.high_incl = True
+        self.operands = tuple(
+            compile_operand(A.Literal(None) if expr is None else expr)
+            for expr in (*prefix_exprs, self.low, self.high))
+        self.operand_samples = (*samples[:n_prefix],
+                                *samples[n_prefix:n_prefix + 1] * 2)
 
     @property
     def has_bounds(self):
@@ -430,23 +438,21 @@ def range_scan_ids(index, shape, params, descending=False):
     """Row ids for one resolved ordered-index scan, shared by the SELECT
     operator (``IndexRangeScanOp``) and the UPDATE/DELETE candidate search.
 
-    ``shape`` carries the plan-time scan description (``prefix_exprs``,
-    ``low``/``high`` + inclusivity, ``samples`` — a
+    ``shape`` carries the plan-time scan description (``operands``,
+    ``operand_samples``, ``n_prefix``, ``low``/``high`` + inclusivity — a
     :class:`RangeCandidate` or the logical ``IndexRangeScan`` node, which
-    share the attribute protocol).  None when a value is not
-    :func:`keyable`: the caller scans, as an unindexed table would.  Else
-    a prefix or bound constant that resolves to NULL yields no rows — the
-    conjunct it came from is UNKNOWN for every row.
+    share the attribute protocol).  A missing parameter raises, rows or
+    no rows.  None when a value is not :func:`keyable`: the caller scans,
+    as an unindexed table would.  Else a prefix or bound constant that
+    resolves to NULL yields no rows — the conjunct it came from is UNKNOWN
+    for every row.
     """
-    ctx = RowContext({}).bind(())
-    prefix = [evaluate(e, ctx, params) for e in shape.prefix_exprs]
-    low, high = (None if e is None else evaluate(e, ctx, params)
-                 for e in (shape.low, shape.high))
+    values = [resolve(params) for resolve in shape.operands]
+    for value, sample in zip(values, shape.operand_samples):
+        if value is not None and not keyable(value, sample):
+            return None
     n = shape.n_prefix
-    if not all(value is None or keyable(value, sample) for value, sample in
-               zip((*prefix, low, high),
-                   (*shape.samples[:n], *shape.samples[n:n + 1] * 2))):
-        return None
+    prefix, (low, high) = values[:n], values[n:]
     if (None in prefix or (low is None) != (shape.low is None)
             or (high is None) != (shape.high is None)):
         return []

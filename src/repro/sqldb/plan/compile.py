@@ -74,13 +74,16 @@ Whether an error is raised at all, and the result when none is, are what
 row-at-a-time evaluation gives.
 """
 
+from operator import itemgetter
+
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.columnar import DictColumn
 from repro.sqldb.errors import SqlTypeError
 from repro.sqldb.expressions import RowContext, _truthy, arithmetic, evaluate
 from repro.sqldb.types import is_comparable
 
-__all__ = ["compile_filter", "compile_project", "compile_values"]
+__all__ = ["compile_filter", "compile_operand", "compile_project",
+           "compile_values"]
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +101,28 @@ def column_position(expr, positions, ambiguous):
 
 
 def _row_independent(expr):
-    """True when ``expr`` resolves without a row: a literal or parameter.
-    Kernels resolve such an operand once per chunk with
-    ``evaluate(expr, None, params)`` — the interpreter never consults the
-    row context for these two node types, so none is bound, and a missing
-    parameter raises the interpreter's own error."""
+    """True when ``expr`` resolves without a row: a literal or parameter,
+    which a kernel reads through :func:`compile_operand`."""
     return isinstance(expr, (A.Literal, A.Param))
+
+
+def compile_operand(expr):
+    """``resolve(params)``: a literal's value, or a parameter read by its
+    index, built with the plan.  A missing parameter raises the
+    interpreter's own error when this is called, and a kernel calls it
+    only over rows: over no row nothing raises."""
+    if type(expr) is A.Literal:
+        value = expr.value
+        return lambda params: value
+    index = expr.index
+
+    def parameter(params):
+        try:
+            return params[index]
+        except IndexError:
+            return evaluate(expr, None, params)  # the error, as it words it
+
+    return parameter
 
 
 # ---------------------------------------------------------------------------
@@ -505,19 +524,25 @@ def _cmp_leaf(expr, positions, ambiguous):
     if pos is None:
         return None  # the interpreter raises the unknown-column error
     fail = _fail_const_right if const_is_right else _fail_const_left
+    resolve = compile_operand(const_expr)
+    by_dict = kop == "=" or kop == "<>"
+    loops = {}  # the constant's class -> (its loop, the class it checks)
 
     def node(chunk, sel, params):
         if not sel:
             return [], []  # nothing evaluated, nothing raised
-        c = evaluate(const_expr, None, params)
+        c = resolve(params)
         col = chunk.columns[pos]
         if c is None or col is None:
             return [], list(sel)
-        if (type(col) is DictColumn and c.__class__ is str
-                and (kop == "=" or kop == "<>")):
+        if by_dict and type(col) is DictColumn and c.__class__ is str:
             return _dict_eq(col, sel, c, kop)
-        kind, cls = _family(c)
-        return _loop(("cmp", kop, kind), _cmp_source)(col, sel, c, cls, fail)
+        found = loops.get(c.__class__)
+        if found is None:
+            kind, cls = _family(c)
+            found = loops[c.__class__] = (
+                _loop(("cmp", kop, kind), _cmp_source), cls)
+        return found[0](col, sel, c, found[1], fail)
 
     def zone_test(zone_of, params):
         zone = zone_of(pos)
@@ -526,7 +551,7 @@ def _cmp_leaf(expr, positions, ambiguous):
         lo, hi, nulls, count = zone
         if count == 0:
             return _NEVER
-        c = evaluate(const_expr, None, params)
+        c = resolve(params)
         if c is None or nulls == count:
             return (False, True, False)  # UNKNOWN on every evaluated row
         if lo is None:
@@ -565,12 +590,13 @@ def _between_leaf(expr, positions, ambiguous):
     if pos is None:
         return None
     negated = expr.negated
+    low_of, high_of = compile_operand(expr.low), compile_operand(expr.high)
 
     def node(chunk, sel, params):
         if not sel:
             return [], []
-        low = evaluate(expr.low, None, params)
-        high = evaluate(expr.high, None, params)
+        low = low_of(params)
+        high = high_of(params)
         col = chunk.columns[pos]
         if low is None or high is None or col is None:
             return [], list(sel)
@@ -595,8 +621,8 @@ def _between_leaf(expr, positions, ambiguous):
         lo, hi, nulls, count = zone
         if count == 0:
             return _NEVER
-        low = evaluate(expr.low, None, params)
-        high = evaluate(expr.high, None, params)
+        low = low_of(params)
+        high = high_of(params)
         if low is None or high is None or nulls == count:
             return (False, True, False)
         if lo is None:
@@ -629,12 +655,9 @@ def _compile_vec(expr, positions, ambiguous):
     interpreted lane.
     """
     kind = type(expr)
-    if kind is A.Literal:
-        value = expr.value
-        return lambda chunk, sel, params: (True, value)
-    if kind is A.Param:
-        return lambda chunk, sel, params: (
-            True, evaluate(expr, None, params))
+    if kind is A.Literal or kind is A.Param:
+        resolve = compile_operand(expr)
+        return lambda chunk, sel, params: (True, resolve(params))
     pos = (column_position(expr, positions, ambiguous)
            if kind is A.ColumnRef else None)
     if pos is not None:
@@ -668,6 +691,10 @@ def compile_values(expr, positions, ambiguous):
     ``sel`` (a scalar broadcast).  Over no row nothing is evaluated, so a
     missing parameter raises only where a row reaches it.  The list may be
     the chunk's own lane: callers read it and never write to it."""
+    pos = (column_position(expr, positions, ambiguous)
+           if type(expr) is A.ColumnRef else None)
+    if pos is not None:
+        return lambda chunk, sel, params: chunk.gather_at(pos, sel)
     vec = _compile_vec(expr, positions, ambiguous)
 
     def values(chunk, sel, params):
@@ -698,10 +725,16 @@ def compile_project(items, expansions, positions, ambiguous):
                           else compile_values(item.expr, positions, ambiguous))
     if all(type(maker) is int for maker in makers):
         # Plain columns: the lanes zipped — as they stand on a fully-live
-        # chunk of plain lanes, else each gathered once.
+        # chunk of plain lanes, else each gathered once.  ``pick`` takes
+        # them off a chunk in one step: a slice where they sit side by
+        # side, in order (``*``, or the table's columns as declared).
+        first, last = makers[0], makers[0] + len(makers)
+        pick = (itemgetter(slice(first, last))
+                if makers == list(range(first, last)) else itemgetter(*makers))
+
         def zip_columns(chunk, params):
             if chunk.sel is None:
-                lanes = list(map(chunk.columns.__getitem__, makers))
+                lanes = pick(chunk.columns)
                 if _PLAIN_LANES.issuperset(map(type, lanes)):
                     return list(zip(*lanes))
             sel = chunk.live_indices()

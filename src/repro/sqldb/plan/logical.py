@@ -114,6 +114,8 @@ class IndexRangeScan(LogicalNode):
         self.low_incl = candidate.low_incl
         self.high = candidate.high
         self.high_incl = candidate.high_incl
+        self.operands = candidate.operands
+        self.operand_samples = candidate.operand_samples
         self.descending = False
         self.sort_elided = False
         self.order_columns = ()  # set when a Sort was elided (for explain)

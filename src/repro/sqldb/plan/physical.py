@@ -48,8 +48,9 @@ writes each measurement on its node's EXPLAIN line (EXPLAIN ANALYZE).
 
 import copy
 from collections import Counter
+from functools import partial
 from itertools import chain
-from operator import itemgetter
+from operator import is_not, itemgetter
 from time import perf_counter
 
 from repro.sqldb import ast_nodes as A
@@ -62,7 +63,8 @@ from repro.sqldb.plan.access import (keyed_conjuncts, pk_lookup_keys,
                                      range_scan_ids, residual_predicate,
                                      resolve_index_lookup, walked_conjuncts)
 from repro.sqldb.plan.compile import (column_position, compile_filter,
-                                      compile_project, compile_values)
+                                      compile_operand, compile_project,
+                                      compile_values)
 from repro.sqldb.plan.cost import conjunct_tables
 from repro.sqldb.plan.planner import _AGGREGATE_NAMES, order_by_position
 from repro.sqldb.result import ExecResult
@@ -74,37 +76,28 @@ from repro.sqldb.result import ExecResult
 
 
 class PlanRun:
-    """Mutable state for one execution of a physical plan."""
+    """Mutable state for one execution of a physical plan: what it reads
+    (the database, the parameters, a batch's shared-scan rows), what it
+    counts, and what flows between its operators.  Everything else an
+    operator needs is its own, fixed when the plan was built."""
 
-    __slots__ = ("db", "params", "sctx", "rows_touched", "source_chunks",
-                 "out_columns", "out_rows", "prefetched_base_rows", "cutoff",
-                 "chunk_size", "batches", "chunks_skipped")
+    __slots__ = ("db", "params", "prefetched_base_rows", "rows_touched",
+                 "batches", "chunks_skipped", "chunk_size", "source_chunks",
+                 "out_rows")
 
-    def __init__(self, db, params, sctx, cutoff,
-                 prefetched_base_rows=None):
+    def __init__(self, db, params, prefetched_base_rows=None):
         self.db = db
         self.params = tuple(params)
-        self.sctx = sctx
-        self.rows_touched = 0
-        self.source_chunks = None  # the source's ColumnChunks
-        self.out_columns = None
-        self.out_rows = None
         # When set, the base-table access operator yields these rows instead
         # of scanning storage (the batch shared-scan path): the scan already
         # happened once for the whole group, so no rows are charged here.
         self.prefetched_base_rows = prefetched_base_rows
-        self.cutoff = cutoff  # a limit_hint stops the pull
-        # Rows in the next chunk an index access makes; the cutoff sets it
-        # to the rows still wanted before each pull.
-        self.chunk_size = CHUNK_SIZE
+        self.rows_touched = 0
         self.batches = 0  # chunks that flowed between the operators
         self.chunks_skipped = 0  # chunks zone maps proved irrelevant
-
-    def result(self):
-        return ExecResult(self.out_columns, self.out_rows,
-                          rowcount=len(self.out_rows),
-                          rows_touched=self.rows_touched,
-                          chunks_skipped=self.chunks_skipped)
+        # Rows in the next chunk an index access makes; a cutoff sets it
+        # to the rows still wanted before each pull.
+        self.chunk_size = CHUNK_SIZE
 
 
 # The row of a ``(row_id, row)`` pair.
@@ -124,12 +117,12 @@ def _pad(row, offset, total_width):
 class _BaseTableScan:
     """Shared scaffolding for base-table access operators.
 
-    Subclasses define ``_keep_rows(run, table)`` returning the kernel to
-    run — ``keep``, the ``predicate``'s (the Filter directly above,
-    whole), or ``residuals[path]``, what an index path left of it — and
-    the list of storage rows to read.  Charging, chunking and the
-    predicate live here; a sequential scan owns its zone test and the
-    shared-scan prefetch.
+    Subclasses define ``_keep_chunks(run)`` returning the kernel to run —
+    ``keep``, the ``predicate``'s (the Filter directly above, whole), or
+    ``residuals[path]``, what an index path left of it — and the chunks
+    to run it over.  The predicate lives here; a sequential scan owns its
+    zone test and the shared-scan prefetch, an index access its rows'
+    chunking (:meth:`_chunks`).
 
     ``read`` is the table's share of the statement's read set
     (``SelectContext.table_reads``): the operator fills those lanes and
@@ -142,23 +135,27 @@ class _BaseTableScan:
     # scan rows; index access paths transpose their rows per execution.
     sequential = False
     prune = None
-    prune_ordinals = ()
 
     def __init__(self, node, sctx, predicate):
         self.table_name = node.table
         self.offset = sctx.offsets[node.table_index]
         self.read = sctx.table_reads[node.table_index]
+        self.width = sctx.total_width
         self.predicate = predicate
         self.keep = None
+        zoned = ()
         if predicate is not None:
             context = sctx.context
             self.keep, prune = compile_filter(predicate, context.positions,
                                               context.ambiguous)
             if prune is not None and self.sequential:
                 tested = sctx.positions_of([predicate])
-                self.prune = prune
-                self.prune_ordinals = [j for j in self.read
-                                       if self.offset + j in tested]
+                zoned = tuple(j for j in self.read
+                              if self.offset + j in tested)
+                self.prune = prune if zoned else None
+        # What the table's ColumnStore cuts this scan's chunks by.
+        self.layout = (self.offset, tuple(self.read), self.width, zoned)
+        self.all_read = sctx.read  # the prefetched rows' lanes
 
     def iter_cchunks(self, run):
         keep, chunks = self._keep_chunks(run)
@@ -176,25 +173,19 @@ class _BaseTableScan:
             run.batches += filtered
             yield chunk
 
-    def _keep_chunks(self, run):
-        """``(keep, chunks)``: the kernel to run and the chunks before it."""
-        keep, rows = self._keep_rows(run, run.db.tables_get(self.table_name))
-        return keep, self._chunks(run, rows)
-
     def _chunks(self, run, rows):
         """``rows`` in chunks of ``run.chunk_size``, each charged as it is
         made — one C-level transpose per chunk, of which the read lanes
         are kept, as tuples (half the cost of a comprehension per lane
         over a few rows)."""
-        offset, read = self.offset, self.read
-        total = run.sctx.total_width
+        offset, read, width = self.offset, self.read, self.width
         start = 0
         while start < len(rows):
             part = rows[start:start + run.chunk_size]
             start += len(part)
             run.rows_touched += len(part)
             lanes = list(zip(*part))
-            columns = [None] * total
+            columns = [None] * width
             for j in read:
                 columns[offset + j] = lanes[j]
             yield ColumnChunk(columns, len(part))
@@ -209,45 +200,32 @@ class SeqScanOp(_BaseTableScan):
 
     sequential = True
 
-    def _keep_rows(self, run, table):
-        return self.keep, list(map(_ROW, table.scan()))
-
     def _keep_chunks(self, run):
-        """The table's cached ColumnStore sliced into chunks (or the
-        batch's prefetched rows), every row charged: zone maps change
-        wall-clock, never the simulated cost.  The slices are the zone
-        maps' own, :data:`CHUNK_SIZE` rows: a cutoff never sits over a
-        sequential scan (only an ordered walk elides a Sort)."""
-        sctx = run.sctx
-        total = sctx.total_width
+        """The table's cached ColumnStore in its :meth:`ColumnStore.slices`
+        for this scan (or the batch's prefetched rows), every row charged:
+        zone maps change wall-clock, never the simulated cost.  The slices
+        are the zone maps' own, :data:`CHUNK_SIZE` rows: a cutoff never
+        sits over a sequential scan (only an ordered walk elides a Sort)."""
         if run.prefetched_base_rows is not None:
             rows = run.prefetched_base_rows
             return self.keep, [
-                ColumnChunk.from_rows(rows[start:start + CHUNK_SIZE], total,
-                                      sctx.read)
+                ColumnChunk.from_rows(rows[start:start + CHUNK_SIZE],
+                                      self.width, self.all_read)
                 for start in range(0, len(rows), CHUNK_SIZE)]
         store = run.db.tables_get(self.table_name).column_store()
-        length, offset = store.length, self.offset
-        zone_lists = [(offset + j, store.zones(j))
-                      for j in self.prune_ordinals]
-        run.rows_touched += length
-        lanes = [(offset + j, store.lane(j)) for j in self.read]
+        run.rows_touched += store.length
+        prune, params = self.prune, run.params
         chunks = []
-        for ci, start in enumerate(range(0, length, CHUNK_SIZE)):
-            if zone_lists:
-                zones = {pos: zl[ci] for pos, zl in zone_lists}
+        for columns, length, zone_of in store.slices(self.layout):
+            if prune is not None:
                 try:
-                    must_scan = self.prune(zones.get, run.params)
+                    must_scan = prune(zone_of, params)
                 except Exception:
                     must_scan = True  # scan and surface the error
                 if not must_scan:
                     run.chunks_skipped += 1
                     continue
-            stop = min(start + CHUNK_SIZE, length)
-            columns = [None] * total
-            for pos, values in lanes:
-                columns[pos] = values[start:stop]
-            chunks.append(ColumnChunk(columns, stop - start))
+            chunks.append(ColumnChunk(columns, length))
         return self.keep, chunks
 
 
@@ -273,11 +251,13 @@ class IndexLookupOp(_BaseTableScan):
             predicate, keyed_conjuncts(predicate, columns)))
             for name, columns in self.probe.paths()}
 
-    def _keep_rows(self, run, table):
+    def _keep_chunks(self, run):
+        table = run.db.tables_get(self.table_name)
         path, hits = resolve_index_lookup(table, self.probe, run.params)
         if hits is None:
-            return self.keep, list(map(_ROW, table.scan()))
-        return self.residuals.get(path, self.keep), list(map(_ROW, hits))
+            return self.keep, self._chunks(run, list(map(_ROW, table.scan())))
+        return (self.residuals.get(path, self.keep),
+                self._chunks(run, list(map(_ROW, hits))))
 
 
 class IndexRangeScanOp(_BaseTableScan):
@@ -301,14 +281,15 @@ class IndexRangeScanOp(_BaseTableScan):
         self.residuals = {node.index_name: _kernel(sctx, residual_predicate(
             predicate, walked_conjuncts(node)))}
 
-    def _keep_rows(self, run, table):
+    def _keep_chunks(self, run):
+        table = run.db.tables_get(self.table_name)
         scan = self.scan
         ids = range_scan_ids(table.indexes[scan.index_name], scan,
                              run.params, scan.descending)
         if ids is None:
-            return self.keep, list(map(_ROW, table.scan()))
+            return self.keep, self._chunks(run, list(map(_ROW, table.scan())))
         return (self.residuals.get(scan.index_name, self.keep),
-                list(map(table.rows.__getitem__, ids)))
+                self._chunks(run, list(map(table.rows.__getitem__, ids))))
 
 
 class FilterOp:
@@ -364,13 +345,13 @@ def _right_lanes(sctx, join_index, rows, columns):
     return columns
 
 
-def _join_chunk(run, chunk, picks, right_rows, join_index):
+def _join_chunk(run, op, chunk, picks, right_rows):
     """The joined output chunk for one probe chunk — the emit step every
     equi-join shares: ``take`` replicates the left lanes at ``picks`` for
     the match fan-out (dictionary lanes stay encoded) and the right
     table's read lanes are transposed from ``right_rows``, the matched
     storage rows (an all-NULL row for a LEFT join's unmatched row)."""
-    sctx = run.sctx
+    sctx, join_index = op.sctx, op.join_index
     offset = sctx.offsets[join_index]
     out = chunk.take(
         picks, skip_range=(offset, offset + sctx.widths[join_index]))
@@ -381,7 +362,7 @@ def _join_chunk(run, chunk, picks, right_rows, join_index):
 
 def _survivors(run, op, rows):
     """The indices of ``rows``, ``op``'s storage rows, its ``keep`` keeps."""
-    sctx = run.sctx
+    sctx = op.sctx
     columns = _right_lanes(sctx, op.join_index, rows,
                            [None] * sctx.total_width)
     return op.keep(ColumnChunk(columns, len(rows)), run.params)
@@ -393,7 +374,7 @@ def _hash_join_chunks(run, table, chunks, op):
     turns out empty.  NULL keys never probe; a LEFT join emits an
     unmatched row beside an all-NULL right side."""
     buckets = _build_join_buckets(run, table, op.right_ordinal)
-    if run.cutoff and any(len(rows) > 1 for rows in buckets.values()):
+    if op.cutoff and any(len(rows) > 1 for rows in buckets.values()):
         chunks = _one_row_at_a_time(run, chunks)
     kept = {}
     for chunk in chunks:
@@ -432,7 +413,7 @@ def _probe_chunk(run, op, chunk, keys, matches, kept):
         run.batches += bool(reached)  # the Join line's chunk step
         matches = kept
     get = matches.get
-    null_row = (None,) * run.sctx.widths[op.join_index]
+    null_row = (None,) * op.sctx.widths[op.join_index]
     left = op.kind == "LEFT"
     picks = []
     right_rows = []
@@ -446,7 +427,7 @@ def _probe_chunk(run, op, chunk, keys, matches, kept):
             picks.append(i)
             right_rows.append(null_row)
     if picks:
-        return _join_chunk(run, chunk, picks, right_rows, op.join_index)
+        return _join_chunk(run, op, chunk, picks, right_rows)
     return None
 
 
@@ -454,10 +435,13 @@ class HashJoinOp:
     """Equi-join: build a hash table over the right table, probe with the
     child's rows (one gathered key lane per chunk).  ``predicate`` is the
     Filter it took (:func:`_absorbed`), ``keep`` its kernel: chunks carry
-    only the rows it keeps."""
+    only the rows it keeps.  ``cutoff``: the plan stops after its first
+    rows (:func:`_first_rows`), so the join must not read past them."""
 
-    def __init__(self, child, node, sctx, predicate=None):
+    def __init__(self, child, node, sctx, predicate, cutoff):
         self.child = child
+        self.sctx = sctx
+        self.cutoff = cutoff
         self.join_index = node.table_index
         self.kind = node.kind
         self.table_name = node.table
@@ -490,8 +474,8 @@ class IndexNLJoinOp(HashJoinOp):
     each fetched row is charged as its chunk is made.
     """
 
-    def __init__(self, child, node, sctx, predicate=None):
-        super().__init__(child, node, sctx, predicate)
+    def __init__(self, child, node, sctx, predicate, cutoff):
+        super().__init__(child, node, sctx, predicate, cutoff)
         self.index_name = node.index_name  # "<pk>" or a secondary index
 
     def _probe_ids(self, table, key):
@@ -536,7 +520,7 @@ class IndexNLJoinOp(HashJoinOp):
         rows_getitem = table.rows.__getitem__
         kept = {}
         for chunk, chunk_keys in zip(chunks, keys):
-            if run.cutoff:
+            if self.cutoff:
                 yield from self._row_chunks(run, chunk, probe, rows_getitem)
                 continue
             fetched = {}
@@ -552,18 +536,16 @@ class IndexNLJoinOp(HashJoinOp):
         """``chunk`` joined under a cutoff: a chunk per joined row, each
         fetched row charged as its chunk is made, so a stop inside a key's
         rows leaves the rest of them uncharged."""
-        null_row = (None,) * run.sctx.widths[self.join_index]
+        null_row = (None,) * self.sctx.widths[self.join_index]
         keep = self.keep
         for i in chunk.live_indices():
             ids = next(probe)
             for row in map(rows_getitem, ids):
                 run.rows_touched += 1
                 if keep is None or _survivors(run, self, [row]):
-                    yield _join_chunk(run, chunk, [i], [row],
-                                      self.join_index)
+                    yield _join_chunk(run, self, chunk, [i], [row])
             if not ids and self.kind == "LEFT":
-                yield _join_chunk(run, chunk, [i], [null_row],
-                                  self.join_index)
+                yield _join_chunk(run, self, chunk, [i], [null_row])
 
 
 class NestedLoopJoinOp:
@@ -574,12 +556,14 @@ class NestedLoopJoinOp:
     and transposed back.
     """
 
-    def __init__(self, child, join_index, kind, table_name, condition):
+    def __init__(self, child, node, sctx, cutoff):
         self.child = child
-        self.join_index = join_index
-        self.kind = kind
-        self.table_name = table_name
-        self.condition = condition
+        self.sctx = sctx
+        self.cutoff = cutoff
+        self.join_index = node.table_index
+        self.kind = node.kind
+        self.table_name = node.table
+        self.condition = node.condition
 
     def _scan_right(self, run):
         """The right table's rows, charged once per execution — before
@@ -590,11 +574,12 @@ class NestedLoopJoinOp:
         return right_rows
 
     def _join_rows(self, run, left_rows, right_rows):
-        offset = run.sctx.offsets[self.join_index]
-        width = run.sctx.widths[self.join_index]
+        offset = self.sctx.offsets[self.join_index]
+        width = self.sctx.widths[self.join_index]
         condition = self.condition
         keep_unmatched = self.kind == "LEFT"
-        ctx = run.sctx.fresh_context()
+        ctx = RowContext(self.sctx.context.positions,
+                         self.sctx.context.ambiguous)
         params = run.params
         for values in left_rows:
             matched = False
@@ -610,13 +595,13 @@ class NestedLoopJoinOp:
 
     def iter_cchunks(self, run):
         right_rows = self._scan_right(run)
-        total = run.sctx.total_width
+        total = self.sctx.total_width
         chunks = self.child.iter_cchunks(run)
-        for chunk in _one_row_at_a_time(run, chunks) if run.cutoff else chunks:
+        for chunk in _one_row_at_a_time(run, chunks) if self.cutoff else chunks:
             out = list(self._join_rows(run, chunk.to_rows(), right_rows))
             if out:
                 run.batches += 1
-                yield ColumnChunk.from_rows(out, total, run.sctx.read)
+                yield ColumnChunk.from_rows(out, total, self.sctx.read)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +632,6 @@ class ProjectOp:
         extend = out_rows.extend
         for chunk in run.source_chunks:
             extend(project(chunk, params))
-        run.out_columns = self.out_columns
         run.out_rows = out_rows
 
 
@@ -666,10 +650,10 @@ class AggregateOp:
        there, its non-NULL values collected per group (first occurrences
        under DISTINCT) and folded by :func:`fold_aggregate`; ``COUNT(*)``
        is the group's row count.
-    4. *Output.*  An item (or HAVING) is evaluated per group by
-       :func:`_finish`: each aggregate call is its folded value, any
-       other leaf is read from the group's first row (all NULL in the
-       empty group).
+    4. *Output.*  An item (or HAVING) is evaluated per group by its
+       finisher (:func:`_finisher`, compiled with the plan): each
+       aggregate call is its folded value, any other leaf is its lane at
+       the group's first row (the all-NULL row of the empty group).
 
     That is the interpreter's evaluation scope for an aggregate query:
     an argument is evaluated on the rows of the groups that are output, a
@@ -688,47 +672,57 @@ class AggregateOp:
         no_stars = [None] * len(items)
         self.out_columns = _output_columns(sctx.stmt, no_stars)
         self.out_positions = _output_positions(sctx.stmt, no_stars, context)
-        self.exprs = [item.expr for item in items]
-        self.having = having
         self.keys = [compile_values(e, positions, ambiguous)
                      for e in group_by]
         # A single plain-column key groups a dictionary lane by code.
         self.code_key = (column_position(group_by[0], positions, ambiguous)
                          if len(group_by) == 1
                          and isinstance(group_by[0], A.ColumnRef) else None)
-        self.null_row = [None] * sctx.total_width  # the empty group's
-        self.having_calls = _aggregate_calls(
-            [] if having is None else [having], positions, ambiguous)
-        self.item_calls = _aggregate_calls(self.exprs, positions, ambiguous)
+        # The empty group's first row: an all-NULL one.
+        self.no_row = (ColumnChunk([None] * sctx.total_width, 1), 0)
+        # Per aggregate call ``(name, distinct, lane or None)``, in the
+        # order the finishers index their folded values.
+        self.having_calls = []
+        self.having = None if having is None else _finisher(
+            having, self.having_calls, positions, ambiguous)
+        self.item_calls = []
+        self.finishers = [_finisher(item.expr, self.item_calls, positions,
+                                    ambiguous) for item in items]
 
     def apply(self, run):
         params = run.params
-        ctx = run.sctx.fresh_context()
         parts, firsts, counts = self._group(run.source_chunks, params)
-        groups = range(len(firsts))
+        groups = None  # every group, else those HAVING kept
         if self.having is not None:
-            folded = _fold(self.having_calls, parts, counts, params)
-            groups = [g for g in groups if self._output(
-                (self.having,), folded, firsts[g], g, ctx, params)[0]
-                is True]
+            kept = self.having(_fold(self.having_calls, parts, counts, params),
+                               firsts, params)
+            groups = [g for g, holds in enumerate(kept) if holds is True]
             if len(groups) < len(firsts):
                 parts = _narrowed(parts, groups, len(firsts))
         folded = _fold(self.item_calls, parts, counts, params)
-        run.out_columns = self.out_columns
-        run.out_rows = [self._output(self.exprs, folded, firsts[g], g, ctx,
-                                     params) for g in groups]
+        if groups is not None:
+            folded = [[values[g] for g in groups] for values in folded]
+            firsts = [firsts[g] for g in groups]
+        columns = []  # step 4: per item its value per group
+        for finish in self.finishers:
+            columns.append(finish(folded, firsts, params))
+        run.out_rows = list(zip(*columns))
 
     def _group(self, chunks, params):
         """Step 1: ``(parts, firsts, counts)`` — per chunk with live rows
         ``(chunk, live, slots)``, ``slots`` each live row's group slot
         (None: every row is slot 0's, no GROUP BY) — and per slot its
-        first row as ``(chunk, i)`` (None: the empty group) and its row
-        count."""
-        parts = [(chunk, chunk.live_indices(), None) for chunk in chunks
-                 if chunk.n_live()]
+        first row as ``(chunk, i)`` and its row count."""
+        parts = []
+        rows = 0
+        for chunk in chunks:
+            live = chunk.live_indices()
+            if live:
+                parts.append((chunk, live, None))
+                rows += len(live)
         if not self.keys:
-            first = (parts[0][0], parts[0][1][0]) if parts else None
-            return parts, [first], [sum(len(live) for _, live, _ in parts)]
+            return parts, [(parts[0][0], parts[0][1][0]) if parts
+                           else self.no_row], [rows]
         slot_of = {}  # key value (a tuple for several keys) -> slot
         firsts = []
         code_slots = {}  # id(dictionary) -> slot per code, NULL's last
@@ -775,85 +769,86 @@ class AggregateOp:
                 counts[g] += n
         return grouped, firsts, counts
 
-    def _output(self, exprs, folded, first, g, ctx, params):
-        """Step 4: ``exprs`` over group ``g``, as a tuple."""
-        ctx.bind(self.null_row if first is None else first[0].row(first[1]))
-        calls = iter([values[g] for values in folded])
-        return tuple(_finish(expr, calls, ctx, params) for expr in exprs)
-
 
 def _fold(calls, parts, counts, params):
     """Steps 2 and 3: per call, its folded value per group slot over
     the rows of ``parts``."""
     folded = []
-    for call, values in calls:
-        if values is None:  # COUNT(*) (or no argument: _finish raises)
+    for name, distinct, values in calls:
+        if values is None:  # COUNT(*)
             folded.append(counts)
             continue
-        buckets = [[] for _ in counts]
-        appends = [bucket.append for bucket in buckets]
+        buckets = []
+        for _ in counts:
+            buckets.append([])
+        appends = None
         for chunk, live, slots in parts:
             column = values(chunk, live, params)
             if slots is None:
-                buckets[0] += [v for v in column if v is not None]
+                buckets[0] += filter(_NOT_NULL, column)
                 continue
+            if appends is None:
+                appends = [bucket.append for bucket in buckets]
             for g, v in zip(slots, column):
                 if v is not None:
                     appends[g](v)
-        name = call.name
-        if call.distinct:
+        if distinct:
             buckets = [first_occurrences(bucket, name + " DISTINCT")
                        for bucket in buckets]
-        folded.append([fold_aggregate(name, bucket)
-                       for bucket in buckets])
+        per_group = []
+        for bucket in buckets:
+            per_group.append(fold_aggregate(name, bucket))
+        folded.append(per_group)
     return folded
 
 
-def _aggregate_calls(exprs, positions, ambiguous):
-    """``(call, lane or None)`` for each aggregate call of ``exprs``, in
-    the order :func:`_finish` meets them; the lane reads the argument,
-    None for ``COUNT(*)`` and for a call without one."""
-    calls = []
-    for expr in exprs:
-        for call in _calls(expr):
-            arg = call.args[0] if call.args else None
-            counted = arg is None or (call.name == "COUNT"
-                                      and isinstance(arg, A.Star))
-            calls.append((call, None if counted else compile_values(
-                arg, positions, ambiguous)))
-    return calls
+# Whether a value is not NULL, at C speed.
+_NOT_NULL = partial(is_not, None)
 
 
-def _calls(expr):
-    """The aggregate calls reached from ``expr`` through operators, left
-    to right."""
-    if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:
-        yield expr
-    elif isinstance(expr, A.BinaryOp):
-        yield from _calls(expr.left)
-        yield from _calls(expr.right)
-    elif isinstance(expr, A.UnaryOp):
-        yield from _calls(expr.operand)
-
-
-def _finish(expr, calls, ctx, params):
-    """``expr`` over one group: an aggregate call is the next of
-    ``calls`` (the folded values, in :func:`_calls` order), any other leaf
-    is evaluated against ``ctx`` (bound to the group's first row), and an
-    operator evaluates both operands before it combines them."""
+def _finisher(expr, calls, positions, ambiguous):
+    """``finish(folded, firsts, params)``: ``expr``'s value per group, the
+    groups' first rows ``(chunk, i)`` in ``firsts``.  An aggregate call
+    reached from ``expr`` through operators is its folded values (the
+    call is appended to ``calls``, which :func:`_fold` folds into
+    ``folded``); any other leaf is its lane at each first row; an
+    operator evaluates both operands before it combines them.  An item
+    is evaluated over every group before the next item is: where two
+    items would raise on different groups, which error is raised follows
+    that order."""
     if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:
         if not expr.args:
-            raise SqlError(f"{expr.name} requires an argument")
-        return next(calls)
-    if isinstance(expr, A.BinaryOp):
-        left = _finish(expr.left, calls, ctx, params)
-        right = _finish(expr.right, calls, ctx, params)
-        return evaluate(A.BinaryOp(expr.op, A.Literal(left),
-                                   A.Literal(right)), ctx, params)
-    if isinstance(expr, A.UnaryOp):
-        operand = _finish(expr.operand, calls, ctx, params)
-        return evaluate(A.UnaryOp(expr.op, A.Literal(operand)), ctx, params)
-    return evaluate(expr, ctx, params)
+            message = f"{expr.name} requires an argument"
+
+            def no_argument(folded, firsts, params):
+                if firsts:
+                    raise SqlError(message)
+                return []
+
+            return no_argument
+        arg = expr.args[0]
+        counted = expr.name == "COUNT" and isinstance(arg, A.Star)
+        k = len(calls)
+        calls.append((expr.name, expr.distinct, None if counted else
+                      compile_values(arg, positions, ambiguous)))
+        return lambda folded, firsts, params: folded[k]
+    if isinstance(expr, (A.BinaryOp, A.UnaryOp)):
+        binary = type(expr) is A.BinaryOp
+        operands = [_finisher(operand, calls, positions, ambiguous)
+                    for operand in ((expr.left, expr.right) if binary
+                                    else (expr.operand,))]
+
+        def combined(folded, firsts, params):
+            columns = [finish(folded, firsts, params) for finish in operands]
+            return [evaluate(A.BinaryOp(expr.op, *map(A.Literal, values))
+                             if binary else
+                             A.UnaryOp(expr.op, *map(A.Literal, values)),
+                             _NO_ROW, params) for values in zip(*columns)]
+
+        return combined
+    lane = compile_values(expr, positions, ambiguous)
+    return lambda folded, firsts, params: [
+        lane(chunk, [i], params)[0] for chunk, i in firsts]
 
 
 def _narrowed(parts, groups, n_groups):
@@ -967,37 +962,54 @@ class _Flipped:
         return self.key == other.key
 
 
-# LIMIT / OFFSET expressions never read a row.
+# What an operator over values alone, or a LIMIT / OFFSET expression other
+# than a literal or a parameter, is evaluated against: no row.
 _NO_ROW = RowContext({}).bind(())
 
 
-def resolve_limit(limit_expr, offset_expr, params):
-    """``(limit, offset)`` of a LIMIT clause — the one place its values
-    are validated; :class:`LimitOp` and the ``limit_hint`` cutoff both
-    slice with what this returns.  Anything
-    but a non-negative integer (a string, NULL, a float, a bool, ``-1``)
-    raises instead of reaching a Python slice, where it would leak a
-    ``TypeError`` or count from the wrong end."""
-    bounds = []
-    for clause, expr in (("LIMIT", limit_expr), ("OFFSET", offset_expr)):
-        value = evaluate(expr, _NO_ROW, params) if expr is not None else 0
-        if (isinstance(value, bool) or not isinstance(value, int)
-                or value < 0):
-            raise SqlError(
-                f"{clause} must be a non-negative integer, got {value!r}")
-        bounds.append(value)
-    return bounds
+def limit_bound(clause, expr):
+    """``value(params)`` of a LIMIT or OFFSET clause (0 when absent),
+    built with the plan: a valid literal is its value, anything else goes
+    through :func:`resolve_limit` when the statement runs — an invalid
+    literal raises then too, never when the plan is built."""
+    expr = A.Literal(0) if expr is None else expr
+    if type(expr) is A.Literal and _is_bound(expr.value):
+        value = expr.value
+        return lambda params: value
+    resolve = (compile_operand(expr) if type(expr) in (A.Literal, A.Param)
+               else partial(evaluate, expr, _NO_ROW))
+    return lambda params: resolve_limit(clause, resolve(params))
+
+
+def resolve_limit(clause, value):
+    """``value`` as a LIMIT or OFFSET bound — the one place one is
+    validated; :class:`LimitOp` and the ``limit_hint`` cutoff both slice
+    with what :func:`limit_bound` returns.  Anything but a non-negative
+    integer (a string, NULL, a float, a bool, ``-1``) raises instead of
+    reaching a Python slice, where it would leak a ``TypeError`` or count
+    from the wrong end."""
+    if not _is_bound(value):
+        raise SqlError(
+            f"{clause} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _is_bound(value):
+    return (not isinstance(value, bool) and isinstance(value, int)
+            and value >= 0)
 
 
 class LimitOp:
-    """LIMIT/OFFSET (expressions may reference parameters)."""
+    """LIMIT/OFFSET (expressions may reference parameters): ``limit`` and
+    ``offset`` read their values (:func:`limit_bound`)."""
 
     def __init__(self, limit, offset):
-        self.limit = limit
-        self.offset = offset
+        self.limit = limit_bound("LIMIT", limit)
+        self.offset = limit_bound("OFFSET", offset)
 
     def apply(self, run):
-        limit, offset = resolve_limit(self.limit, self.offset, run.params)
+        limit = self.limit(run.params)
+        offset = self.offset(run.params)
         run.out_rows = run.out_rows[offset:offset + limit]
 
 
@@ -1017,25 +1029,28 @@ class PhysicalPlan:
     sequential scan (no joins, no index access path) — the batch shared-scan
     optimizer's eligibility test, precomputed here so it rides the plan
     cache instead of re-walking the AST on every batch flush.
+
+    ``limit_hint`` is the :class:`LimitOp` whose bounds stop the pull, set
+    only when a Sort was elided under a LIMIT (see :func:`_limit_hint`):
+    the first limit+offset source rows are the final answer, so the plan
+    stops pulling once they have streamed out — top-N-by-key pages touch
+    ~N rows instead of the whole range.
     """
 
-    __slots__ = ("source", "result_ops", "sctx", "logical",
+    __slots__ = ("source", "result_ops", "sctx", "logical", "out_columns",
                  "shared_scan_table", "limit_hint", "referenced_tables")
 
-    def __init__(self, source, result_ops, sctx, logical):
+    def __init__(self, source, result_ops, sctx, logical, limit_hint):
         self.source = source
         self.result_ops = result_ops
         self.sctx = sctx
         self.logical = logical
+        self.out_columns = result_ops[0].out_columns
         # Every base table the plan reads (deduplicated, FROM order) — the
         # result cache files each entry under these tables' names.
         self.referenced_tables = tuple(
             dict.fromkeys(ref.name for ref in sctx.tables))
-        # Set only when a Sort was elided under a LIMIT (see _limit_hint):
-        # the first limit+offset source rows are the final answer, so stop
-        # pulling once they have streamed out — top-N-by-key pages touch
-        # ~N rows instead of the whole range.
-        self.limit_hint = _limit_hint(result_ops, sctx)
+        self.limit_hint = limit_hint
         self.shared_scan_table = (
             source.table_name if isinstance(source, SeqScanOp) else None)
 
@@ -1057,26 +1072,24 @@ class PhysicalPlan:
             return None
         return op.table_name, keys
 
-    def _materialize_source(self, run, source):
-        """Pull ``source``'s chunks into ``run.source_chunks`` — all of
-        them, or under the ``limit_hint`` cutoff those that hold the first
-        limit+offset rows (none when that is 0), which the result
-        operators read through their lanes."""
-        chunks = source.iter_cchunks(run)
-        if run.cutoff:
-            limit, offset = resolve_limit(*self.limit_hint, run.params)
-            chunks = _first_rows(run, chunks, limit + offset)
-        run.source_chunks = list(chunks)
-
     def execute(self, db, params=(), prefetched_base_rows=None):
-        """Run the plan; returns an :class:`ExecResult`."""
-        run = PlanRun(db, params, self.sctx, self.limit_hint is not None,
-                      prefetched_base_rows=prefetched_base_rows)
-        self._materialize_source(run, self.source)
+        """Run the plan; returns an :class:`ExecResult`.  The result
+        operators read the source's chunks — all of them, or under the
+        ``limit_hint`` cutoff those that hold the first limit+offset rows
+        (none when that is 0) — through their lanes."""
+        run = PlanRun(db, params, prefetched_base_rows)
+        chunks = self.source.iter_cchunks(run)
+        cut = self.limit_hint
+        if cut is not None:
+            chunks = _first_rows(run, chunks, cut.limit(run.params)
+                                 + cut.offset(run.params))
+        run.source_chunks = list(chunks)
         for op in self.result_ops:
             op.apply(run)
         db.executor.batches_executed += run.batches
-        return run.result()
+        rows = run.out_rows
+        return ExecResult(self.out_columns, rows, len(rows),
+                          run.rows_touched, chunks_skipped=run.chunks_skipped)
 
     def execute_analyze(self, db, params=()):
         """Run the plan with per-operator instrumentation.
@@ -1090,7 +1103,7 @@ class PhysicalPlan:
         Deliberately side-effect-light: no result-cache store, no
         statement counters — a profiling probe, not an execution.
         """
-        run = PlanRun(db, params, self.sctx, self.limit_hint is not None)
+        run = PlanRun(db, params)
         ops = []
         op = self.source
         while op is not None:
@@ -1117,7 +1130,12 @@ class PhysicalPlan:
         source_records.reverse()  # top-of-chain first
 
         started = perf_counter()
-        self._materialize_source(run, timed)
+        chunks = timed.iter_cchunks(run)
+        cut = self.limit_hint
+        if cut is not None:  # as ``execute`` pulls them
+            chunks = _first_rows(run, chunks, cut.limit(run.params)
+                                 + cut.offset(run.params))
+        run.source_chunks = list(chunks)
         result_records = []
         for op in self.result_ops:
             record = _AnalyzeRecord()
@@ -1132,17 +1150,21 @@ class PhysicalPlan:
             # Zone-map skips happen only in the base-table scan — the
             # deepest operator of the source chain.
             source_records[-1].skipped = run.chunks_skipped
-        if run.cutoff:
+        if self.limit_hint is not None:
             # A cutoff's chunks are sized by the rows still wanted: their
             # count says nothing about the chunk operators.
             for record in source_records:
                 record.chunks = record.capacity = 0
-        header = (f"EXPLAIN ANALYZE [rows={len(run.out_rows)}, "
+        rows = run.out_rows
+        header = (f"EXPLAIN ANALYZE [rows={len(rows)}, "
                   f"rows_touched={run.rows_touched}, "
                   f"total_ms={total * 1000:.3f}]")
         rendered = L.explain(self.logical,
                              result_records[::-1] + source_records)
-        return run.result(), [header, *rendered.splitlines()]
+        return (ExecResult(self.out_columns, rows, len(rows),
+                           run.rows_touched,
+                           chunks_skipped=run.chunks_skipped),
+                [header, *rendered.splitlines()])
 
 
 class _AnalyzeRecord:
@@ -1235,8 +1257,9 @@ def build_physical(root, sctx):
         else:
             result_ops.append(DistinctOp())
             distinct = True
-    source = _build_source(node.child, sctx)
-    return PhysicalPlan(source, result_ops, sctx, root)
+    limit_hint = _limit_hint(result_ops, sctx)
+    source = _build_source(node.child, sctx, limit_hint is not None)
+    return PhysicalPlan(source, result_ops, sctx, root, limit_hint)
 
 
 def _first_rows(run, chunks, n):
@@ -1254,7 +1277,7 @@ def _first_rows(run, chunks, n):
 
 
 def _limit_hint(result_ops, sctx):
-    """``(limit expr, offset expr)`` when the source's first limit+offset
+    """The :class:`LimitOp` when the source's first limit+offset
     rows are provably the final answer: the statement has an ORDER BY whose
     Sort was elided (rows already stream in order), no DISTINCT, a plain
     projection (1:1 with source rows), and a LIMIT to stop at."""
@@ -1264,7 +1287,7 @@ def _limit_hint(result_ops, sctx):
     shapes = [type(op) for op in result_ops]
     if shapes != [ProjectOp, LimitOp]:
         return None  # SortOp present (not elided), DistinctOp, or Aggregate
-    return stmt.limit, stmt.offset
+    return result_ops[1]
 
 
 _ACCESS_OPS = {L.Scan: SeqScanOp, L.IndexLookup: IndexLookupOp,
@@ -1285,7 +1308,9 @@ def _absorbed(node, sctx):
             is None)
 
 
-def _build_source(node, sctx):
+def _build_source(node, sctx, cutoff):
+    """The row-source operator chain of ``node``; ``cutoff``: the plan
+    stops after its first rows (a ``limit_hint``)."""
     predicate = None
     if isinstance(node, L.Filter) and (type(node.child) in _ACCESS_OPS
                                        or _absorbed(node, sctx)):
@@ -1294,15 +1319,14 @@ def _build_source(node, sctx):
     if access is not None:
         return access(node, sctx, predicate)
     if isinstance(node, L.Filter):
-        return FilterOp(_build_source(node.child, sctx), node.predicate,
-                        _kernel(sctx, node.predicate))
+        return FilterOp(_build_source(node.child, sctx, cutoff),
+                        node.predicate, _kernel(sctx, node.predicate))
     if isinstance(node, L.Join):
-        child = _build_source(node.child, sctx)
+        child = _build_source(node.child, sctx, cutoff)
         join = _EQUI_JOIN_OPS.get(node.strategy)
         if join is not None:
-            return join(child, node, sctx, predicate)
-        return NestedLoopJoinOp(child, node.table_index, node.kind,
-                                node.table, node.condition)
+            return join(child, node, sctx, predicate, cutoff)
+        return NestedLoopJoinOp(child, node, sctx, cutoff)
     raise SqlError(f"unexpected plan node in row source: {node!r}")
 
 

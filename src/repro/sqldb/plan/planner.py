@@ -84,11 +84,6 @@ class SelectContext:
                 if ref.table is not None or ref.column not in ambiguous)
         return found - {None}
 
-    def fresh_context(self):
-        """A new (unbound) RowContext over the same layout, safe for use on
-        a second concurrent evaluation (contexts carry bound row state)."""
-        return RowContext(self.context.positions, self.context.ambiguous)
-
 
 def contains_aggregate(expr):
     if isinstance(expr, A.FuncCall) and expr.name in _AGGREGATE_NAMES:

@@ -11,19 +11,19 @@ from repro.net import CostModel, DatabaseServer
 from repro.net.clock import SimClock
 from repro.net.driver import BatchDriver, Driver
 from repro.sqldb import Database, database
-from repro.sqldb.errors import SqlError
+from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.executor import as_params
 from repro.sqldb.parser import parse
 from repro.sqldb.plan import batch
 
 
-def _database():
-    """Five rows; the ordered index makes ``ORDER BY v LIMIT n`` take the
-    ``limit_hint`` cutoff."""
+def _database(rows=5):
+    """Five rows (or ``rows``); the ordered index makes ``ORDER BY v LIMIT
+    n`` take the ``limit_hint`` cutoff."""
     db = Database(result_cache_size=0)
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, s TEXT)")
     db.execute("CREATE INDEX idx_t_v ON t (v) USING ORDERED")
-    for i in range(5):
+    for i in range(rows):
         db.execute("INSERT INTO t (id, v, s) VALUES (?, ?, ?)",
                    (i, 10 - i, f"s{i}"))
     return db
@@ -89,6 +89,66 @@ def test_valid_bounds_slice_as_before():
             ("SELECT id, v FROM t ORDER BY 2 DESC LIMIT 2", (), [0, 1])]:
         rows = db.execute(sql, params).rows
         assert [row[0] for row in rows] == ids, (db, sql)
+
+
+_MISSING = (SqlError, "missing parameter #1 (got 0 parameters)")
+
+
+@pytest.mark.parametrize("sql, over_rows, over_none", [
+    pytest.param("SELECT id FROM t WHERE s > ?", _MISSING, [],
+                 id="scan-kernel"),
+    pytest.param("SELECT id FROM t WHERE id + 0 > ?", _MISSING, [],
+                 id="scan-lane"),
+    pytest.param("SELECT id FROM t WHERE s BETWEEN 's1' AND ?", _MISSING,
+                 [], id="scan-between"),
+    pytest.param("SELECT id FROM t WHERE v + 0 > 99 AND s = ?", [], [],
+                 id="scan-operand-no-row-reaches"),
+    pytest.param("SELECT id FROM t WHERE v + 0 > 99 AND s BETWEEN ? AND ?",
+                 [], [], id="scan-bound-no-row-reaches"),
+    pytest.param("SELECT id FROM t WHERE v + 0 > 99 AND id + ?", [], [],
+                 id="scan-lane-no-row-reaches"),
+    pytest.param("SELECT id FROM t WHERE id = ?", _MISSING, [],
+                 id="index-probe"),
+    pytest.param("SELECT id FROM t WHERE v > ? ORDER BY v", _MISSING,
+                 _MISSING, id="ordered-walk"),
+    pytest.param("SELECT id FROM t ORDER BY id LIMIT ?", _MISSING, _MISSING,
+                 id="limit"),
+    pytest.param("SELECT id FROM t ORDER BY v LIMIT 1 OFFSET ?", _MISSING,
+                 _MISSING, id="offset-cutoff"),
+    pytest.param("SELECT SUM(v + ?) FROM t", _MISSING, [(None,)],
+                 id="aggregate-argument"),
+    pytest.param("SELECT s, SUM(v + ?) FROM t GROUP BY s", _MISSING, [],
+                 id="grouped-aggregate-argument"),
+    pytest.param("SELECT COUNT(*) + ? FROM t", _MISSING, _MISSING,
+                 id="aggregate-item"),
+    pytest.param("SELECT id FROM t WHERE s = 3",
+                 (SqlTypeError, "cannot compare 's0' with 3"), [],
+                 id="incomparable-constant"),
+    pytest.param("SELECT id FROM t WHERE 3 = s",
+                 (SqlTypeError, "cannot compare 3 with 's0'"), [],
+                 id="incomparable-constant-left"),
+    pytest.param("SELECT id FROM t WHERE s BETWEEN 1 AND 3",
+                 (SqlTypeError, "cannot compare 's0' with 1"), [],
+                 id="incomparable-bound"),
+])
+def test_a_plan_built_operand_raises_where_the_interpreter_does(
+        sql, over_rows, over_none):
+    """A literal or parameter is resolved by a closure built with the
+    plan, and only where a row reaches it: over five rows and over none,
+    each statement raises the interpreter's error — type and message —
+    or returns the rows it returned when every execution resolved its
+    operands through ``evaluate``.  An empty table raises nothing but
+    where the operand is read before any row (a LIMIT, an ordered walk's
+    bound, an item of the one group), and so does a conjunct no row
+    reaches past the one before it."""
+    for db, expected in ((_database(), over_rows),
+                         (_database(rows=0), over_none)):
+        if type(expected) is list:
+            assert db.execute(sql, ()).rows == expected
+            continue
+        with pytest.raises(SqlError) as err:
+            db.execute(sql, ())
+        assert (type(err.value), str(err.value)) == expected
 
 
 @pytest.mark.parametrize("params", [

@@ -287,8 +287,9 @@ def test_sort_reads_the_source_only_for_source_keys(monkeypatch):
     """ORDER BY over output aliases and positions sorts the projected rows
     alone; a key over the *source* row reads its lane over the source
     chunks, one row at a time (``ColumnChunk.row``) only for a shape with
-    no kernel.  An aggregate reads one row per group, its first, and no
-    result operator transposes a chunk to rows."""
+    no kernel.  An aggregate reads a plain item's lane at each group's
+    first row, never the whole row, and no result operator transposes a
+    chunk to rows."""
     db = _db(n=50)
     read, transposed = [], []
     row, to_rows = ColumnChunk.row, ColumnChunk.to_rows
@@ -301,7 +302,7 @@ def test_sort_reads_the_source_only_for_source_keys(monkeypatch):
             ("SELECT id, v AS w FROM t WHERE v > 30 ORDER BY w DESC, 1",
              False),
             ("SELECT name, COUNT(*) AS n FROM t GROUP BY name "
-             "ORDER BY n DESC, name", True),
+             "ORDER BY n DESC, name", False),
             ("SELECT id FROM t WHERE v > 30 ORDER BY name DESC, v % 7, id",
              False),
             ("SELECT id FROM t WHERE v > 30 "
@@ -322,7 +323,7 @@ def test_index_join_keeps_left_dictionary_lanes_encoded():
     sql = "SELECT t.name, r.w FROM t JOIN r ON t.v = r.id WHERE t.id < 60"
     plan = db.executor.plan_for(db, parse(sql))
     assert isinstance(plan.source, physical_mod.IndexNLJoinOp)
-    run = physical_mod.PlanRun(db, (), plan.sctx, False)
+    run = physical_mod.PlanRun(db, ())
     (chunk,) = plan.source.iter_cchunks(run)
     assert chunk.length == 30 and chunk.sel is None
     assert isinstance(chunk.columns[1], DictColumn)
