@@ -19,17 +19,23 @@ shared by any number of downstream chunks.
 sequential scans slice chunks from (see ``Table.column_store``).  It is
 **column-lazy**: building it pins the table's rows in scan order, and a
 column's lane (dictionary-encoded when it is TEXT / DATE with a distinct
-count at or below half the row count), zone map and distinct count are
-each materialised the first time a statement asks for them.
+count at or below half the row count), zone map, equality facet and
+distinct count are each materialised the first time a statement asks for
+them.
 
 A column's **zone map** is one ``(lo, hi, nulls, count)`` tuple per
 :data:`CHUNK_SIZE` slice of the table.  ``lo``/``hi`` are the chunk's
 non-NULL min/max — ``None`` when the slice holds no usable range (all
 NULL, or mixed value types whose ordering SQL would reject), in which
-case only the null count is trustworthy.  Sequential scans consult them
-through the zone test compiled alongside each filter kernel
-(:func:`repro.sqldb.plan.compile.compile_filter`) to skip whole chunks;
-the cost model reads a column's ``distinct`` as its snapshot statistic.
+case only the null count is trustworthy.  A column's **equality facet**
+(:func:`_column_facets`) is, per slice, the rows of each value, the NULL
+rows and the value classes present.  Sequential scans hand both to the
+zone test compiled alongside each filter kernel
+(:func:`repro.sqldb.plan.compile.compile_filter`) to skip whole chunks,
+and the facets to the chunks they make, where ``col = c`` reads its rows
+off them; the cost model reads a column's ``distinct`` as its snapshot
+statistic.  Zone maps and facets change wall-clock time, never
+``rows_touched``.
 
 Everything here is layout only — expression evaluation over these
 chunks lives in :mod:`repro.sqldb.plan.compile`, the operators in
@@ -51,15 +57,13 @@ NULL_CODE = -1
 
 class DictMeta:
     """The shared dictionary behind one or more :class:`DictColumn`
-    slices: the distinct values in first-appearance order (``values``)
-    and the reverse map (``code_of``) that equality kernels and group-by
-    translate through."""
+    slices: the distinct values in first-appearance order (``values``),
+    which group-by and the equality facets translate codes through."""
 
-    __slots__ = ("values", "code_of")
+    __slots__ = ("values",)
 
-    def __init__(self, values, code_of):
+    def __init__(self, values):
         self.values = values
-        self.code_of = code_of
 
 
 class DictColumn:
@@ -124,7 +128,7 @@ def _encode_dict(values):
     dict_values = [None] * n_distinct
     for value, code in code_of.items():
         dict_values[code] = value
-    return DictColumn(codes, DictMeta(dict_values, code_of)), n_distinct
+    return DictColumn(codes, DictMeta(dict_values)), n_distinct
 
 
 def _column_zones(values, n):
@@ -155,33 +159,70 @@ def _column_zones(values, n):
     return zones
 
 
+# The classes a facet indexes, each hashing and comparing as SQL compares it.
+_FACETED = frozenset((bool, int, float, str))
+
+
+def _column_facets(pieces):
+    """Per slice of one column, ``(positions, nulls, classes)``: each
+    non-NULL value's ascending rows, the NULL rows and the value classes
+    present — or None where a class lies outside :data:`_FACETED`.  A
+    dictionary slice maps its codes, then each code's value.  ``1``,
+    ``1.0`` and ``True`` share a key: only ``classes`` tells a bool from a
+    number, so a reader checks it before trusting a lookup."""
+    facets = []
+    for piece in pieces:
+        values = piece.meta.values if type(piece) is DictColumn else None
+        if values is None:
+            classes = set(map(type, piece)) - {type(None)}
+            if not classes <= _FACETED:
+                facets.append(None)
+                continue
+        else:
+            piece, classes = piece.codes, {str}
+        positions = {}
+        get = positions.get
+        for i, value in enumerate(piece):
+            rows = get(value)
+            if rows is None:
+                positions[value] = [i]
+            else:
+                rows.append(i)
+        nulls = positions.pop(None if values is None else NULL_CODE, [])
+        if values is not None:
+            positions = {values[code]: rows
+                         for code, rows in positions.items()}
+        facets.append((positions, nulls, frozenset(classes)))
+    return facets
+
+
 class ColumnStore:
     """A cached, column-lazy snapshot of one table, in ``row_id`` scan order.
 
     :meth:`build` pins ``rows`` — the storage rows, in row-id order — and
     nothing else; per column (by schema ordinal) :meth:`lane`,
-    :meth:`zones` and :meth:`distinct` each materialise on first request
-    and are cached, so a statement pays for the columns it reads and a
-    write for none.  ``mutations`` pins the table's mutation counter at
-    build time: the store is valid while the counter has not moved, which
-    catches every write and rollback.  A facet built late cannot observe a
-    later write: storage rows are never mutated in place (an UPDATE
-    installs a fresh list), so the pinned ``rows`` keep their build-time
-    values and every facet of one store describes the same contents.  Any
-    write discards the store — lanes, slices, dictionaries and zone maps
-    with it.
+    :meth:`zones`, :meth:`equality` and :meth:`distinct` each materialise
+    on first request and are cached, so a statement pays for the columns
+    it reads and a write for none.  ``mutations`` pins the table's
+    mutation counter at build time: the store is valid while the counter
+    has not moved, which catches every write and rollback.  A facet built
+    late cannot observe a later write: storage rows are never mutated in
+    place (an UPDATE installs a fresh list), so the pinned ``rows`` keep
+    their build-time values and every facet of one store describes the
+    same contents.  Any write discards the store — lanes, slices,
+    dictionaries, zone maps and equality facets with it.
     """
 
     __slots__ = ("rows", "length", "mutations", "_schema", "_lanes",
-                 "_zones", "_distinct", "_pieces", "_slices")
+                 "_zones", "_facets", "_distinct", "_pieces", "_slices")
 
     def __init__(self, rows, schema_columns, mutations):
         self.rows = rows
         self.length = len(rows)
         self.mutations = mutations
         self._schema = schema_columns
-        self._lanes, self._zones, self._distinct, self._pieces = (
-            [None] * len(schema_columns) for _ in range(4))
+        (self._lanes, self._zones, self._facets, self._distinct,
+         self._pieces) = ([None] * len(schema_columns) for _ in range(5))
         self._slices = {}  # a scan's layout -> its chunk slices
 
     @classmethod
@@ -210,20 +251,29 @@ class ColumnStore:
             zones = self._zones[j] = _column_zones(values, self.length)
         return zones
 
+    def equality(self, j):
+        """Column ``j``'s equality facets, one per slice."""
+        facets = self._facets[j]
+        if facets is None:
+            facets = self._facets[j] = _column_facets(self._sliced(j))
+        return facets
+
     def slices(self, layout):
         """The table cut into :data:`CHUNK_SIZE` slices for a scan's
-        ``layout`` = ``(offset, read, width, zoned)``: per slice ``(columns,
-        length, zone_of)``, ``columns`` joined-row wide with ordinal
-        ``j`` of ``read`` at ``offset + j`` (every other lane all-NULL) and
-        ``zone_of`` the ``get`` of the ``zoned`` ordinals' zones by flat
-        position.  Cut on the layout's first scan and kept with the store,
-        so a scan that runs again slices nothing; a column is sliced once
-        for every layout, and a slice that spans a whole lane is the lane.
-        Nothing may write to what this returns."""
+        ``layout`` = ``(offset, read, width, zoned, equal)``: per slice
+        ``(columns, length, zone_of, facet_of)``, ``columns`` joined-row
+        wide with ordinal ``j`` of ``read`` at ``offset + j`` (every other
+        lane all-NULL), ``zone_of`` / ``facet_of`` the ``get`` of the
+        ``zoned`` ordinals' zones / the ``equal`` ordinals' equality facets
+        by flat position.  Cut on the layout's first scan and kept with the
+        store, so a scan that runs again slices nothing; a column is sliced
+        once for every layout, and a slice that spans a whole lane is the
+        lane.  Nothing may write to what this returns."""
         cut = self._slices.get(layout)
         if cut is None:
-            offset, read, width, zoned = layout
+            offset, read, width, zoned, equal = layout
             zones = [(offset + j, self.zones(j)) for j in zoned]
+            facets = [(offset + j, self.equality(j)) for j in equal]
             lanes = [(offset + j, self._sliced(j)) for j in read]
             cut = self._slices[layout] = []
             for ci, start in enumerate(range(0, self.length, CHUNK_SIZE)):
@@ -231,7 +281,8 @@ class ColumnStore:
                 for pos, pieces in lanes:
                     columns[pos] = pieces[ci]
                 cut.append((columns, min(CHUNK_SIZE, self.length - start),
-                            {pos: zone[ci] for pos, zone in zones}.get))
+                            {pos: zone[ci] for pos, zone in zones}.get,
+                            {pos: facet[ci] for pos, facet in facets}.get))
         return cut
 
     def _sliced(self, j):
@@ -259,14 +310,16 @@ class ColumnStore:
 
 
 class ColumnChunk:
-    """One batch of rows in columnar form (see module docstring)."""
+    """One batch of rows in columnar form (see module docstring); ``facets``
+    is its snapshot slice's ``facet_of``, None where no snapshot backs it."""
 
-    __slots__ = ("columns", "length", "sel")
+    __slots__ = ("columns", "length", "sel", "facets")
 
-    def __init__(self, columns, length, sel=None):
+    def __init__(self, columns, length, sel=None, facets=None):
         self.columns = columns
         self.length = length
         self.sel = sel
+        self.facets = facets
 
     @classmethod
     def from_rows(cls, rows, width, read):

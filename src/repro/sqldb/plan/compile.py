@@ -8,9 +8,9 @@ physical plan is built) into a kernel over a whole
 
 - :func:`compile_filter` — a predicate becomes ``fn(chunk, params) ->
   sel``, the selection vector of rows evaluating to SQL TRUE, **and**, out
-  of the same walk, a test over a chunk's zone map that can rule the
-  chunk out before it is scanned;
-- :func:`compile_project` — select items become per-column gathers and
+  of the same walk, a test over a chunk's zone maps and equality facets
+  that can rule the chunk out before it is scanned;
+- :func:`compile_project` — select items become per-column reads and
   element-wise loops;
 - :func:`compile_values` — any expression becomes ``fn(chunk, sel,
   params) -> list``, its value at each selected row: the lane the
@@ -41,18 +41,24 @@ Internally every predicate node is ``node(chunk, sel, params) -> (t, u)``
 the remainder) — so AND combines Kleene-exactly and preserves the
 interpreter's short-circuit scope: it evaluates its right operand only
 over the left's TRUE∪UNKNOWN rows, which is also all an interpreted
-operand beside a selective fused leaf ever sees.
-Dictionary-encoded columns get code-level equality.  Errors the
+operand beside a selective fused leaf ever sees.  Errors the
 interpreter raises only when a row is actually evaluated (missing
 parameters, type errors) are raised by the kernels only when a row is
 evaluated too, so an empty input still raises nothing.
 
+``col = c`` over a chunk a sequential scan sliced off a snapshot reads
+``c``'s rows off the slice's equality facet (:func:`_facet_eq`); a chunk
+no snapshot backs (index hits, join output, shared-scan rows) runs the
+loop.
+
 **Generated loops.**  ``_loop`` builds the per-value loops from source
 templates: one function per key, at most once per process, shared by
 every plan and compiled under this file's name (``cmp_ge_num``,
-``between_num_exact``, ``arith_mul_vs``).  Comparison and BETWEEN loops
-bake in the interpreter's comparability lattice and ``a < b`` / ``a > b``
-probes, so NaN and mixed-type behaviour are bit-identical.  Arithmetic
+``between_num_exact``, ``arith_mul_vs``, ``project_ppd``).  Comparison
+and BETWEEN loops bake in the interpreter's comparability lattice and
+``a < b`` / ``a > b`` probes, so NaN and mixed-type behaviour are
+bit-identical.  A projection loop builds the rows at ``sel`` in one pass,
+one per sequence of lane kinds (plain, dictionary, all-NULL).  Arithmetic
 ``+ - *`` has one per operator × shape (column∘column, column∘constant,
 constant∘column): two values whose class is exactly ``int`` or ``float``
 combine inline, any other goes to :func:`repro.sqldb.expressions.arithmetic`
@@ -138,33 +144,39 @@ def compile_operand(expr):
 #   ascending iterable of candidate row indices and ``t``/``u`` are the
 #   ascending index lists where the node evaluates to TRUE and UNKNOWN;
 #   FALSE is implicit (see the module docstring);
-# - the zone test ``zone_test(zone_of, params) -> (may_true, may_unknown,
-#   may_raise)`` — conservative upper bounds on whether *any* row of the
-#   chunk could evaluate TRUE / UNKNOWN / raise — or None when the shape
-#   can rule no chunk out (an interpreted operand, NOT BETWEEN).
-#   ``zone_of(pos)`` returns the chunk's ``(lo, hi, nulls, count)`` for a
-#   flat column position, or None when no zone is known for it.  A chunk
-#   may be skipped only when it can neither produce a TRUE row nor raise:
-#   pruning must never suppress an error the full scan would surface.
+# - the zone test ``zone_test(zone_of, facet_of, params) -> (may_true,
+#   may_unknown, may_raise)`` — conservative upper bounds on whether *any*
+#   row of the chunk could evaluate TRUE / UNKNOWN / raise — or None when
+#   the shape can rule no chunk out (an interpreted operand, NOT BETWEEN).
+#   ``zone_of(pos)`` / ``facet_of(pos)`` return the chunk's ``(lo, hi,
+#   nulls, count)`` / equality facet for a flat column position, or None.
+#   A chunk may be skipped only when it can neither produce a TRUE row nor
+#   raise: pruning must never suppress an error the full scan would surface.
+#   Each builder adds its column to ``reads = (zoned, equal)``: the zone
+#   maps its zone test reads, or the facets an ``=`` leaf reads.
 
 _ALWAYS = (True, True, True)
 _NEVER = (False, False, False)
 
 
 def compile_filter(expr, positions, ambiguous=frozenset()):
-    """Compile a WHERE predicate to ``(filter_fn, prune_fn)``, both built
-    in the same walk so they cannot disagree about which shapes they cover.
+    """Compile a WHERE predicate to ``(filter_fn, prune_fn, reads)``, all
+    built in the same walk so they cannot disagree about which shapes they
+    cover.
 
     ``filter_fn(chunk, params) -> sel`` is the selection vector (ascending
     live indices) of chunk rows where the predicate is strictly TRUE.
-    ``prune_fn(zone_of, params) -> must_scan`` is False only when the zone
-    maps prove no chunk row can be TRUE and none can raise; it is None when
-    no conjunct is zone-prunable (the scan then skips the per-chunk call
-    entirely).  Never raises at compile time; a shape without a kernel
-    reads its lane (:func:`compile_values`).
+    ``prune_fn(zone_of, facet_of, params) -> must_scan`` is False only when
+    the zone maps and facets prove no chunk row can be TRUE and none can
+    raise; it is None when no conjunct is zone-prunable (the scan then
+    skips the per-chunk call entirely).  ``reads = (zoned, equal)``: the
+    flat positions whose zone maps ``prune_fn`` reads, and whose equality
+    facets the ``=`` leaves read.  Never raises at compile time; a shape
+    without a kernel reads its lane (:func:`compile_values`).
     """
+    reads = (set(), set())
     try:
-        compiled = _compile_pred(expr, positions, ambiguous)
+        compiled = _compile_pred(expr, positions, ambiguous, reads)
     except Exception:  # defensive: compilation must never change behaviour
         compiled = None
     if compiled is None:
@@ -178,47 +190,49 @@ def compile_filter(expr, positions, ambiguous=frozenset()):
             return [i for i, value in zip(sel, values(chunk, sel, params))
                     if value is True]
 
-        return lane_filter_fn, None
+        return lane_filter_fn, None, ((), ())
     node, zone_test = compiled
+    zoned, equal = reads
 
     def filter_fn(chunk, params):
         return node(chunk, chunk.live_indices(), params)[0]
 
     if zone_test is None:
-        return filter_fn, None
+        return filter_fn, None, ((), equal)
 
-    def prune_fn(zone_of, params):
-        may_true, _, may_raise = zone_test(zone_of, params)
+    def prune_fn(zone_of, facet_of, params):
+        may_true, _, may_raise = zone_test(zone_of, facet_of, params)
         return may_true or may_raise
 
-    return filter_fn, prune_fn
+    return filter_fn, prune_fn, (zoned, equal)
 
 
-def _compile_pred(expr, positions, ambiguous):
+def _compile_pred(expr, positions, ambiguous, reads):
     """``(kernel, zone test or None)`` for one predicate, or None when the
     shape has no kernel at this level (callers read its lane)."""
     kind = type(expr)
     if kind is A.BinaryOp:
         if expr.op == "AND":
-            return _and_pair(_pred_operand(expr.left, positions, ambiguous),
-                             _pred_operand(expr.right, positions, ambiguous))
+            return _and_pair(
+                _pred_operand(expr.left, positions, ambiguous, reads),
+                _pred_operand(expr.right, positions, ambiguous, reads))
         if expr.op in _CMP_EXPRS:
-            return _cmp_leaf(expr, positions, ambiguous)
+            return _cmp_leaf(expr, positions, ambiguous, reads)
         return None
     if kind is A.IsNull:
-        return _isnull_leaf(expr, positions, ambiguous)
+        return _isnull_leaf(expr, positions, ambiguous, reads)
     if kind is A.Between:
-        return _between_leaf(expr, positions, ambiguous)
+        return _between_leaf(expr, positions, ambiguous, reads)
     return None
 
 
-def _pred_operand(expr, positions, ambiguous):
+def _pred_operand(expr, positions, ambiguous, reads):
     """The pair for an AND operand: its kernel and zone test, or its lane
     over the candidate rows — each value classified as AND classifies an
     operand (NULL is UNKNOWN, numbers count by ``!= 0``, non-numeric
     non-bools raise — ``_truthy``) — with no zone test: a lane may raise
     on any row."""
-    compiled = _compile_pred(expr, positions, ambiguous)
+    compiled = _compile_pred(expr, positions, ambiguous, reads)
     if compiled is not None:
         return compiled
     values = compile_values(expr, positions, ambiguous)
@@ -285,8 +299,8 @@ def _and_pair(left, right):
         # them: whatever the right knows, no chunk can be ruled out.
         return node, None
 
-    def zone_test(zone_of, params):
-        lt, lu, lr = lzone(zone_of, params)
+    def zone_test(zone_of, facet_of, params):
+        lt, lu, lr = lzone(zone_of, facet_of, params)
         if lr:
             return _ALWAYS
         if not lt and not lu:
@@ -295,13 +309,13 @@ def _and_pair(left, right):
             return _NEVER
         if rzone is None:
             return _ALWAYS
-        rt, ru, rr = rzone(zone_of, params)
+        rt, ru, rr = rzone(zone_of, facet_of, params)
         return (lt and rt, lu or ru, rr)
 
     return node, zone_test
 
 
-def _isnull_leaf(expr, positions, ambiguous):
+def _isnull_leaf(expr, positions, ambiguous, reads):
     """Kernel and zone test for ``col IS [NOT] NULL``, or None."""
     if not isinstance(expr.expr, A.ColumnRef):
         return None
@@ -309,6 +323,7 @@ def _isnull_leaf(expr, positions, ambiguous):
     if pos is None:
         return None
     negated = expr.negated
+    reads[0].add(pos)
 
     def node(chunk, sel, params):
         col = chunk.columns[pos]
@@ -326,7 +341,7 @@ def _isnull_leaf(expr, positions, ambiguous):
         null_set = set(nulls)
         return [i for i in sel if i not in null_set], []
 
-    def zone_test(zone_of, params):
+    def zone_test(zone_of, facet_of, params):
         zone = zone_of(pos)
         if zone is None:
             return _ALWAYS
@@ -482,36 +497,36 @@ def _fail_const_left(a, c):
     raise SqlTypeError(f"cannot compare {c!r} with {a!r}")
 
 
-def _dict_eq(col, sel, constant, op):
-    """Equality over a dictionary-encoded column: compare codes, never
-    strings.  A constant outside the dictionary matches nothing (``=``)
-    or every non-NULL row (``<>``)."""
-    code = col.meta.code_of.get(constant, -2)
-    codes = col.codes
-    t, u = [], []
-    ta = t.append
-    ua = u.append
-    if op == "=":
-        for i in sel:
-            cd = codes[i]
-            if cd == code:
-                ta(i)
-            elif cd < 0:
-                ua(i)
-    else:  # <>
-        for i in sel:
-            cd = codes[i]
-            if cd < 0:
-                ua(i)
-            elif cd != code:
-                ta(i)
-    return t, u
+# The value classes each constant family meets without raising, as
+# ``_KERNEL_CHECKS`` admits them (an exact family meets its own class).
+_MEETS = {"num": frozenset((int, float)), "bool": frozenset((bool,))}
 
 
-def _cmp_leaf(expr, positions, ambiguous):
+def _facet_eq(facet, c, sel, length):
+    """``col = c`` off the chunk's equality facet: ``c``'s rows TRUE and
+    the NULL rows UNKNOWN, within ``sel`` (over a whole chunk, the facet's
+    own lists: nobody writes to them).  It is the loop's ``not (a < c or
+    a > c)`` because the caller checked that ``c`` meets every class in
+    the slice (``_MEETS``): there ``a == c`` exactly when neither ``a < c``
+    nor ``a > c``, ints and floats mixed (``1 = 1.0``) as bools or strings,
+    and equal values hash alike.  Only NaN breaks that, and no stored value
+    or bound constant is NaN (it enters as NULL).  A bool never meets a
+    number: such a slice runs the loop, which raises at its first such
+    row of ``sel``."""
+    positions, nulls, _ = facet
+    t = positions.get(c) or []
+    if len(sel) < length and (t or nulls):
+        kept = set(sel)
+        return [i for i in t if i in kept], [i for i in nulls if i in kept]
+    return t, nulls
+
+
+def _cmp_leaf(expr, positions, ambiguous, reads):
     """Kernel and zone test for a column compared with a row-independent
     operand, or None (column-vs-column and arbitrary expressions are
-    interpreted)."""
+    interpreted).  ``=`` reads a chunk's equality facet where it has one
+    (:func:`_facet_eq`); every other chunk, and every other comparison,
+    runs the generated loop."""
     left, right = expr.left, expr.right
     if isinstance(left, A.ColumnRef) and _row_independent(right):
         col_expr, const_expr, const_is_right, kop = left, right, True, expr.op
@@ -525,8 +540,19 @@ def _cmp_leaf(expr, positions, ambiguous):
         return None  # the interpreter raises the unknown-column error
     fail = _fail_const_right if const_is_right else _fail_const_left
     resolve = compile_operand(const_expr)
-    by_dict = kop == "=" or kop == "<>"
-    loops = {}  # the constant's class -> (its loop, the class it checks)
+    faceted = kop == "="
+    zoned, equal = reads
+    (equal if faceted else zoned).add(pos)
+    # The constant's class -> its loop, the class it checks and the
+    # classes it meets; ``family`` fills it on a class's first sight.
+    families = {}
+
+    def family(c):
+        kind, cls = _family(c)
+        found = families[c.__class__] = (
+            _loop(("cmp", kop, kind), _cmp_source), cls,
+            _MEETS.get(kind) or frozenset((cls,)))
+        return found
 
     def node(chunk, sel, params):
         if not sel:
@@ -535,16 +561,25 @@ def _cmp_leaf(expr, positions, ambiguous):
         col = chunk.columns[pos]
         if c is None or col is None:
             return [], list(sel)
-        if by_dict and type(col) is DictColumn and c.__class__ is str:
-            return _dict_eq(col, sel, c, kop)
-        found = loops.get(c.__class__)
-        if found is None:
-            kind, cls = _family(c)
-            found = loops[c.__class__] = (
-                _loop(("cmp", kop, kind), _cmp_source), cls)
-        return found[0](col, sel, c, found[1], fail)
+        loop, cls, meets = families.get(c.__class__) or family(c)
+        if faceted and chunk.facets is not None:
+            facet = chunk.facets(pos)
+            if facet is not None and facet[2] <= meets:
+                return _facet_eq(facet, c, sel, chunk.length)
+        return loop(col, sel, c, cls, fail)
 
-    def zone_test(zone_of, params):
+    def zone_test(zone_of, facet_of, params):
+        if faceted:
+            facet = facet_of(pos)
+            if facet is None:
+                return _ALWAYS
+            c = resolve(params)
+            values, nulls, classes = facet
+            if c is None or not classes:
+                return (False, True, False)  # UNKNOWN on every row
+            if not classes <= (families.get(c.__class__) or family(c))[2]:
+                return (True, bool(nulls), True)  # the loop would raise
+            return (c in values, bool(nulls), False)
         zone = zone_of(pos)
         if zone is None:
             return _ALWAYS
@@ -561,9 +596,7 @@ def _cmp_leaf(expr, positions, ambiguous):
             # fused kernel would raise; the chunk must be scanned.
             return (True, nulls > 0, True)
         try:
-            if kop == "=":
-                may_true = not (c < lo or c > hi)
-            elif kop == "<":
+            if kop == "<":
                 may_true = lo < c
             elif kop == "<=":
                 may_true = not (lo > c)
@@ -580,7 +613,7 @@ def _cmp_leaf(expr, positions, ambiguous):
     return node, zone_test
 
 
-def _between_leaf(expr, positions, ambiguous):
+def _between_leaf(expr, positions, ambiguous, reads):
     """Kernel and zone test for ``col [NOT] BETWEEN c AND c``, or None."""
     if not (isinstance(expr.expr, A.ColumnRef)
             and _row_independent(expr.low)
@@ -613,8 +646,9 @@ def _between_leaf(expr, positions, ambiguous):
 
     if negated:
         return node, None  # both bounds open-ended: rules no chunk out
+    reads[0].add(pos)
 
-    def zone_test(zone_of, params):
+    def zone_test(zone_of, facet_of, params):
         zone = zone_of(pos)
         if zone is None:
             return _ALWAYS
@@ -708,12 +742,32 @@ def compile_values(expr, positions, ambiguous):
 
 _PLAIN_LANES = frozenset((list, tuple))  # a plain-column select list zips
 
+# What a projection loop binds and reads per lane, by the lane's kind: a
+# plain list or tuple by index, a dictionary lane through its codes, an
+# all-NULL lane not at all.
+_LANE_KINDS = {list: "p", tuple: "p", DictColumn: "d", type(None): "n"}
+_LANE_CODE = {"p": ("l{0} = lanes[{0}]", "l{0}[i]"),
+              "d": ("c{0}, v{0} = lanes[{0}].codes, lanes[{0}].meta.values",
+                    "(None if c{0}[i] < 0 else v{0}[c{0}[i]])"),
+              "n": ("pass", "None")}
+
+
+def _project_source(name, kinds):
+    """``name(lanes, sel) -> list of tuples``: the rows at ``sel`` in one
+    pass, lane ``k`` read as its kind ``kinds[k]`` says."""
+    code = [(bind.format(k), read.format(k))
+            for k, (bind, read) in enumerate(map(_LANE_CODE.get, kinds))]
+    return "".join([f"def {name}(lanes, sel):\n",
+                    *(f"    {bind}\n" for bind, _ in code),
+                    f"    return [({', '.join(r for _, r in code)},)"
+                    " for i in sel]\n"])
+
 
 def compile_project(items, expansions, positions, ambiguous):
     """Compile a select list to ``fn(chunk, params) -> list of tuples``
     (the chunk's live output rows).  ``expansions`` is ProjectOp's
     star-expansion table: expanded positions and plain column items become
-    straight column gathers, every other item its lane."""
+    straight column reads, every other item its lane."""
     makers = []  # a flat position (a gather) or a lane
     for item, expansion in zip(items, expansions):
         if expansion is not None:
@@ -724,21 +778,31 @@ def compile_project(items, expansions, positions, ambiguous):
             makers.append(pos if pos is not None
                           else compile_values(item.expr, positions, ambiguous))
     if all(type(maker) is int for maker in makers):
-        # Plain columns: the lanes zipped — as they stand on a fully-live
-        # chunk of plain lanes, else each gathered once.  ``pick`` takes
-        # them off a chunk in one step: a slice where they sit side by
-        # side, in order (``*``, or the table's columns as declared).
+        # Plain columns: the lanes zipped as they stand on a fully-live
+        # chunk of plain lanes, else the live rows built in one pass by
+        # the projection loop for the lanes' kinds (``plain`` when every
+        # lane is).  ``pick`` takes the lanes off a chunk in one step: a
+        # slice where they sit side by side, in order (``*``, or the
+        # table's columns as declared).
         first, last = makers[0], makers[0] + len(makers)
         pick = (itemgetter(slice(first, last))
                 if makers == list(range(first, last)) else itemgetter(*makers))
+        plain = _loop(("project", "p" * len(makers)), _project_source)
+        loops = {}  # the lanes' kinds -> their projection loop
 
         def zip_columns(chunk, params):
-            if chunk.sel is None:
-                lanes = pick(chunk.columns)
-                if _PLAIN_LANES.issuperset(map(type, lanes)):
-                    return list(zip(*lanes))
-            sel = chunk.live_indices()
-            return list(zip(*[chunk.gather_at(pos, sel) for pos in makers]))
+            lanes = pick(chunk.columns)
+            if _PLAIN_LANES.issuperset(map(type, lanes)):
+                sel = chunk.sel
+                return list(zip(*lanes)) if sel is None else plain(lanes, sel)
+            # Keyed by a str: keyed by a tuple of the lanes' types, the page
+            # sweeps read about 1 MB more peak RSS.
+            kinds = "".join(map(_LANE_KINDS.__getitem__, map(type, lanes)))
+            loop = loops.get(kinds)
+            if loop is None:
+                loop = loops[kinds] = _loop(("project", kinds),
+                                            _project_source)
+            return loop(lanes, chunk.live_indices())
 
         return zip_columns
 

@@ -143,18 +143,19 @@ class _BaseTableScan:
         self.width = sctx.total_width
         self.predicate = predicate
         self.keep = None
-        zoned = ()
+        zoned = equal = ()
         if predicate is not None:
             context = sctx.context
-            self.keep, prune = compile_filter(predicate, context.positions,
-                                              context.ambiguous)
-            if prune is not None and self.sequential:
-                tested = sctx.positions_of([predicate])
-                zoned = tuple(j for j in self.read
-                              if self.offset + j in tested)
-                self.prune = prune if zoned else None
+            self.keep, prune, reads = compile_filter(
+                predicate, context.positions, context.ambiguous)
+            if self.sequential:
+                zoned, equal = (tuple(j for j in self.read
+                                      if self.offset + j in positions)
+                                for positions in reads)
+                self.prune = prune if zoned or equal else None
         # What the table's ColumnStore cuts this scan's chunks by.
-        self.layout = (self.offset, tuple(self.read), self.width, zoned)
+        self.layout = (self.offset, tuple(self.read), self.width, zoned,
+                       equal)
         self.all_read = sctx.read  # the prefetched rows' lanes
 
     def iter_cchunks(self, run):
@@ -203,9 +204,10 @@ class SeqScanOp(_BaseTableScan):
     def _keep_chunks(self, run):
         """The table's cached ColumnStore in its :meth:`ColumnStore.slices`
         for this scan (or the batch's prefetched rows), every row charged:
-        zone maps change wall-clock, never the simulated cost.  The slices
-        are the zone maps' own, :data:`CHUNK_SIZE` rows: a cutoff never
-        sits over a sequential scan (only an ordered walk elides a Sort)."""
+        zone maps and equality facets change wall-clock, never the
+        simulated cost.  A chunk carries its slice's facets.  The slices are
+        the zone maps' own, :data:`CHUNK_SIZE` rows: a cutoff never sits
+        over a sequential scan (only an ordered walk elides a Sort)."""
         if run.prefetched_base_rows is not None:
             rows = run.prefetched_base_rows
             return self.keep, [
@@ -216,16 +218,16 @@ class SeqScanOp(_BaseTableScan):
         run.rows_touched += store.length
         prune, params = self.prune, run.params
         chunks = []
-        for columns, length, zone_of in store.slices(self.layout):
+        for columns, length, zone_of, facet_of in store.slices(self.layout):
             if prune is not None:
                 try:
-                    must_scan = prune(zone_of, params)
+                    must_scan = prune(zone_of, facet_of, params)
                 except Exception:
                     must_scan = True  # scan and surface the error
                 if not must_scan:
                     run.chunks_skipped += 1
                     continue
-            chunks.append(ColumnChunk(columns, length))
+            chunks.append(ColumnChunk(columns, length, None, facet_of))
         return self.keep, chunks
 
 

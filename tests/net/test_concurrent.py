@@ -257,6 +257,24 @@ class TestRecordedWorkload:
 
 
 class TestRecordingSeams:
+    def test_a_synchronous_recording_replays_its_page(self):
+        """Recorded without async dispatch, a page is one sync batch per
+        round trip, waits on none, and one user replays it in the time
+        the same page takes to load."""
+        from repro.apps import itracker
+        from repro.bench.harness import MODE_SLOTH, load_page
+
+        db, dispatcher = itracker.build_app()
+        for url in itracker.BENCHMARK_URLS[:3]:
+            trace = record_page_trace(db, dispatcher, url,
+                                      async_dispatch=False)
+            page = load_page(db, dispatcher, url, mode=MODE_SLOTH)
+            assert [event.kind for event in trace.events] == \
+                ["sync"] * page.round_trips
+            assert trace.html == page.html
+            replayed = simulate_concurrent([trace], 1).pages[0]
+            assert replayed.response_ms == pytest.approx(page.time_ms)
+
     def test_record_page_trace_restores_result_cache(self):
         from repro.apps import itracker
 

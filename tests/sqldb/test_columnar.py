@@ -127,25 +127,29 @@ def test_store_materialises_only_what_statements_read():
     first = db.execute(sql).rows
     assert _materialised(order_line) == (
         {"ol_w_id", "ol_amount"}, set(), set())
-    # A filtered scan adds its own lanes, and zones of the filtered
-    # columns only — the projected lanes are never zone-tested.
+    # A filtered scan adds its own lanes, the zones of the columns a range
+    # tests and the equality facets of those ``=`` tests — the projected
+    # lanes are never zone-tested.
     db.execute("SELECT ol_i_id, ol_delivery_d FROM order_line "
                "WHERE ol_quantity > ? AND ol_d_id = ?", (3, 1))
     lanes, zones, distinct = _materialised(order_line)
     assert lanes == {"ol_w_id", "ol_amount", "ol_i_id", "ol_delivery_d",
                      "ol_quantity", "ol_d_id"}
-    assert zones == {"ol_quantity", "ol_d_id"}
+    assert zones == {"ol_quantity"}
+    store = order_line.column_store()
+    assert {name for name, facet in zip(order_line.schema.column_names,
+                                        store._facets)
+            if facet is not None} == {"ol_d_id"}
     # Planning priced ``ol_d_id = ?`` by that column's count; encoding the
     # TEXT lane ol_delivery_d counted its distinct values on the way.
     assert distinct == {"ol_d_id", "ol_delivery_d"}
     # A second execution builds nothing: same store, same facet objects.
-    store = order_line.column_store()
-    facets = [list(f) for f in (store._lanes, store._zones, store._distinct)]
+    cached = (store._lanes, store._zones, store._facets, store._distinct)
+    facets = [list(f) for f in cached]
     assert db.execute(sql).rows == first
     assert order_line.column_store() is store
-    assert all(now is before for cached, was in zip(
-        (store._lanes, store._zones, store._distinct), facets)
-        for now, before in zip(cached, was))
+    assert all(now is before for slots, was in zip(cached, facets)
+               for now, before in zip(slots, was))
 
 
 def test_column_ndv_counts_one_column_and_builds_no_lane():

@@ -130,7 +130,7 @@ def test_arithmetic_chunks_match_the_interpreter(op, shape, size, poison):
 
 
 def _filtered(expr, lanes, params):
-    keep, _ = C.compile_filter(expr, POSITIONS)
+    keep = C.compile_filter(expr, POSITIONS)[0]
     chunk = ColumnChunk([list(lane) for lane in lanes], len(lanes[0]))
     return _outcome(lambda: list(keep(chunk, params)))
 

@@ -51,6 +51,8 @@ DELETED = {
     "OrderedIndex.walkable", "IndexRangeScanOp._sorted_fallback",
     # the frames of the crossing that only forwarded
     "Driver._check_open", "DatabaseServer._execute_batch_direct",
+    # code-level equality over a dictionary lane, once scans read facets
+    "_dict_eq",
 }
 
 
@@ -65,7 +67,8 @@ def _load_tool():
 # The names ``plan/compile.py``'s ``_loop`` gives the loops it generates.
 GENERATED = re.compile(r"cmp_(eq|ne|lt|gt|le|ge)_(num|bool|exact)"
                        r"|between_(num|bool|exact)_(num|bool|exact)"
-                       r"|arith_(add|sub|mul|div|mod)_(vv|vs|sv)")
+                       r"|arith_(add|sub|mul|div|mod)_(vv|vs|sv)"
+                       r"|project_[pdn]+")
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,6 +81,12 @@ def _mixed_rw_smoke_calls():
 def _pages_sloth_smoke_calls():
     """One profiled smoke round of ``pages_sloth``, shared likewise."""
     return _load_tool().count_calls("pages_sloth", smoke=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _pages_original_smoke_calls():
+    """One profiled smoke round of ``pages_original``, shared likewise."""
+    return _load_tool().count_calls("pages_original", smoke=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,6 +242,31 @@ def test_a_cached_plan_resolves_its_constants_once(target):
                   "resolve_limit"),
                  (traffic.COMPILE, traffic.FALLBACKS[0])):
         assert calls.get(name, 0) == 0, name
+
+
+@pytest.mark.parametrize("target", ["pages_sloth", "pages_original"])
+def test_a_page_equality_reads_its_snapshot(target):
+    """Every ``col = ?`` a page sweep tests is a scan's, over chunks of a
+    table's snapshot, so each reads the slice's equality facet
+    (``_facet_eq``, 477 calls in ``pages_sloth``) and no ``cmp_eq_*`` loop
+    runs — 0 left: the sweeps test no ``=`` over index hits or join
+    output.  With the loop as the kernel a smoke round ran 240
+    ``cmp_eq_exact``, 105 ``cmp_eq_num`` and 132 ``_dict_eq`` (code-level
+    equality over a dictionary lane, deleted with its last caller).  A
+    column the pages' scans test only with ``=`` needs no zone map:
+    ``_column_zones`` reads 0 (10 while ``=`` pruned by ranges).  A
+    column's facets are built at most once per snapshot: 10 builds over
+    21 snapshots."""
+    calls = (_pages_sloth_smoke_calls() if target == "pages_sloth"
+             else _pages_original_smoke_calls())
+    traffic = _load_tool()
+    columnar = os.path.join("sqldb", "columnar.py")
+    assert calls[traffic.COMPILE, "_facet_eq"] > 400
+    assert calls[columnar, "_column_facets"] <= calls[
+        columnar, "ColumnStore.build"]
+    assert not {name for file, name in calls
+                if file == traffic.COMPILE and name.startswith("cmp_eq_")}
+    assert calls.get((columnar, "_column_zones"), 0) == 0
 
 
 def test_calls_prints_raw_counts_per_target(monkeypatch, capsys):
