@@ -325,8 +325,8 @@ class ColumnChunk:
     def from_rows(cls, rows, width, read):
         """Transpose the ``read`` positions of wide rows into a fully-live
         chunk, every other lane all-NULL — the shim the prefetched
-        shared-scan path and the nested-loop join (row-shaped inside) go
-        through."""
+        shared-scan path, the nested-loop join (row-shaped inside) and an
+        UPDATE / DELETE's residual check go through."""
         columns = [None] * width
         for pos in read:
             columns[pos] = [row[pos] for row in rows]

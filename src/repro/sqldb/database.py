@@ -85,7 +85,7 @@ class Database:
         return [dict(zip(result.columns, row)) for row in result.rows]
 
     def explain(self, sql, params=None, analyze=False):
-        """The plan a SELECT executes, as an indented tree — join order
+        """The plan a statement executes, as an indented tree — join order
         (tree nesting), join strategy (hash / index / nested) and per-node
         cost estimates included.  It is the executor's cached plan
         (``Executor.plan_for``: built and cached on a miss, exactly as an
@@ -107,19 +107,25 @@ class Database:
         cache and statement counters: it measures the plan, it doesn't
         count as workload.
 
-        For non-SELECT statements, returns the statement repr.
+        An UPDATE or DELETE renders the plan of its row search under an
+        ``Update`` / ``Delete`` root line (no ResultCache line); EXPLAIN
+        ANALYZE runs that search and changes nothing.  For INSERT and DDL,
+        returns the statement repr.
         """
         stmt = parse(sql)
-        if not isinstance(stmt, A.Select):
+        select = type(stmt) is A.Select
+        if not select and type(stmt) not in (A.Update, A.Delete):
             return repr(stmt)
         if params is not None:
             params = as_params(params)
         plan = self.executor.plan_for(self, stmt)
+        if not select:
+            plan = plan.search
         if analyze:
             _, lines = plan.execute_analyze(self, params or ())
             return "\n".join(lines)
         rendered = explain(plan.logical)
-        if params is not None:
+        if params is not None and select:
             status = ("hit" if self.executor.cached_select(
                 self, stmt, params, peek=True) is not None else "miss")
             cache = self.result_cache

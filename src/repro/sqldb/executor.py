@@ -30,13 +30,13 @@ statement that changed rows, a multi-row statement's own transaction and
 COMMIT each call ``invalidate`` with the tables they made durable;
 ROLLBACK calls nothing.  DDL empties the result cache with the plan cache.
 
-INSERT / UPDATE / DELETE get a :class:`_WritePlan` in the same cache —
-whatever depends only on the statement and the schema — and an execution
-binds parameters to it; UPDATE/DELETE share the planner's access-path
-machinery (:mod:`repro.sqldb.plan.access`) for their candidate-row search
-and re-check only what the path that found a row left of the WHERE.
-A write statement's rows succeed or fail together.  DDL is interpreted
-directly here.
+An INSERT gets an :class:`_InsertPlan` and an UPDATE / DELETE a
+:class:`_WritePlan` in the same cache, and an execution binds parameters
+to it.  An UPDATE or DELETE finds its rows through the plan of ``SELECT 1
+FROM t WHERE …``, built, cached and replanned as any SELECT's: its base
+access operator's candidate search and kernel pick the rows, and the
+write changes exactly those.  A write statement's rows succeed or fail
+together.  DDL is interpreted directly here.
 
 Every execution returns an :class:`ExecResult` carrying the result rows plus
 ``rows_touched``, the number of storage rows the statement examined; the
@@ -46,12 +46,9 @@ simulated server turns that into database time.
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.catalog import IndexInfo, TableSchema, Column
 from repro.sqldb.errors import SqlError
-from repro.sqldb.expressions import (RowContext, arithmetic, evaluate,
-                                     expr_columns)
+from repro.sqldb.expressions import NO_ROW, arithmetic, evaluate
+from repro.sqldb.plan import logical as L
 from repro.sqldb.plan import plan_select
-from repro.sqldb.plan.access import (IndexProbe, keyed_conjuncts,
-                                     range_lookup_candidate, range_scan_ids,
-                                     residual_predicate, resolve_index_lookup)
 from repro.sqldb.result import ExecResult
 from repro.sqldb.storage import Table
 
@@ -107,8 +104,9 @@ class Executor:
 
     def __init__(self, catalog):
         # id(stmt) -> (stmt, optimizer options, plan); ``stmt`` pins the
-        # AST so the id cannot be reused while the entry lives.  A SELECT
-        # entry is a hit only under the options it was optimized with; DDL
+        # AST so the id cannot be reused while the entry lives.  An entry
+        # is a hit only under the options it was optimized with (an
+        # INSERT's, None, is read without :meth:`plan_for`); DDL
         # empties the cache, and a >2x size shift of a table (the catalog's
         # ``shifted`` set) drops the entries whose plan reads it.
         self._plans = {}
@@ -165,7 +163,7 @@ class Executor:
                 id(db.optimizer_options))
 
     def plan_for(self, db, stmt):
-        """The cached optimized physical plan for a SELECT statement."""
+        """The cached optimized plan of a SELECT, UPDATE or DELETE."""
         if self._shifted:
             self._drop_shifted()
         options = db.optimizer_options
@@ -173,14 +171,14 @@ class Executor:
         if entry is not None and entry[1] is options:
             return entry[2]
         self.plans_built += 1
-        return self._cache_plan(stmt, options, plan_select(db, stmt))
+        plan = (plan_select(db, stmt) if type(stmt) is A.Select
+                else _WritePlan(db, stmt))
+        return self._cache_plan(stmt, options, plan)
 
     def _drop_shifted(self):
-        """Drop the SELECT plans that read a shifted table (a write plan
-        holds no statistics), then forget the shifts."""
+        """Drop the plans that read a shifted table, forget the shifts."""
         for key, (_, _, plan) in list(self._plans.items()):
-            if type(plan) is not _WritePlan and \
-                    not self._shifted.isdisjoint(plan.referenced_tables):
+            if not self._shifted.isdisjoint(plan.referenced_tables):
                 del self._plans[key]
         self._shifted.clear()
 
@@ -253,24 +251,30 @@ class Executor:
     # -- writes ---------------------------------------------------------------
 
     def _exec_write(self, db, stmt, params):
-        """One INSERT / UPDATE / DELETE: bind its cached :class:`_WritePlan`
-        to these parameters and apply it so that its rows succeed or fail
-        together — a statement that raises part-way is undone to the open
-        transaction's savepoint, or with the transaction of its own that an
+        """One INSERT / UPDATE / DELETE: bind its cached plan
+        (:class:`_InsertPlan`, :class:`_WritePlan`) to these parameters and
+        apply it so that its rows succeed or fail together — a statement
+        that raises part-way is undone to the open transaction's
+        savepoint, or with the transaction of its own that an
         auto-committed statement over several rows runs in.  What an
         auto-committed statement changed is durable when it returns, so it
         invalidates its table's result-cache entries then."""
         table = db.tables_get(stmt.table)
-        entry = self._plans.get(id(stmt))
-        # A write plan holds nothing of statistics or options: only DDL,
-        # which empties the cache, makes it stale.
-        plan = entry[2] if entry is not None else self._cache_plan(
-            stmt, None, _WritePlan(stmt, table))
-        inserts = plan.rows is not None
+        inserts = type(stmt) is A.Insert
         if inserts:
+            entry = self._plans.get(id(stmt))
+            # An INSERT plan holds nothing of statistics or options: only
+            # DDL, which empties the cache, makes it stale.
+            plan = entry[2] if entry is not None else self._cache_plan(
+                stmt, None, _InsertPlan(stmt, table))
             targets = plan.rows
         else:
-            where, targets = _candidates(plan, table, params)
+            plan = self.plan_for(db, stmt)
+            source = plan.source
+            keep, targets = source.search(table, params)
+            touched = len(targets)
+            if keep is not None and targets:
+                targets = source.narrow(keep, targets, table, params)
         transactions = db.transactions
         own = len(targets) > 1 and not transactions.in_transaction
         if own:
@@ -280,7 +284,8 @@ class Executor:
         try:
             result = (_insert_rows(plan, table, targets, params, undo)
                       if inserts else
-                      _change_rows(plan, table, targets, where, params, undo))
+                      _change_rows(plan, table, targets, touched, params,
+                                   undo))
         except BaseException:
             if own:
                 transactions.rollback()
@@ -318,57 +323,58 @@ def _commit(db):
         db.result_cache.invalidate(committed)
 
 
-class _WritePlan:
-    """What an INSERT / UPDATE / DELETE needs of its statement and schema,
-    resolved once and cached beside the SELECT plans.  An execution binds
-    parameters and does the per-row work: the candidate search (a NULL or
-    missing key drops out, one its column cannot compare scans, per
-    execution), the re-check of what that search left of the WHERE,
-    assignment binding, undo.
+class _InsertPlan:
+    """An INSERT's plan: per value row its :class:`_Cells` (arity
+    checked).  It reads no table."""
 
-    INSERT: ``rows`` holds, per value row, its :class:`_Cells` (arity
-    checked).  UPDATE / DELETE: ``rows`` is None; ``ctx`` resolves the
-    table's columns, ``probe`` / ``ranged`` are the WHERE's
-    :class:`IndexProbe` and :func:`range_lookup_candidate`, ``residuals``
-    per equality path the WHERE without what it keyed on (empty while a
-    column of the WHERE does not resolve: the interpreter names it).
-    UPDATE alone
-    has its SET list as ``assignments`` (:class:`_Cells`) and their
-    ordinal set ``assigned``.
-    """
-
-    __slots__ = ("rows", "width", "pk", "where", "ctx", "probe", "ranged",
-                 "residuals", "assignments", "assigned")
+    __slots__ = ("rows", "width", "pk")
+    referenced_tables = ()
 
     def __init__(self, stmt, table):
         schema = table.schema
-        self.rows = self.assignments = None
-        if type(stmt) is A.Insert:
-            columns = stmt.columns or schema.column_names
-            ordinals = [schema.ordinal_of(c) for c in columns]
-            for value_row in stmt.rows:
-                if len(value_row) != len(columns):
-                    raise SqlError(
-                        f"INSERT has {len(columns)} columns but "
-                        f"{len(value_row)} values")
-            self.rows = [_Cells(zip(ordinals, row), _NO_ROW)
-                         for row in stmt.rows]
-            self.width = len(schema.columns)
-            self.pk = schema.primary_key
-            return
-        where = self.where = stmt.where
-        self.ctx = ctx = _single_table_context(schema, stmt.table)
-        self.probe = IndexProbe(table, where)
-        self.ranged = range_lookup_candidate(table, where)
-        resolved = where is None or all((c.table, c.column) in ctx.positions
-                                        for c in expr_columns(where))
-        self.residuals = {
-            name: residual_predicate(where, keyed_conjuncts(where, columns))
-            for name, columns in self.probe.paths()} if resolved else {}
+        columns = stmt.columns or schema.column_names
+        ordinals = [schema.ordinal_of(c) for c in columns]
+        for value_row in stmt.rows:
+            if len(value_row) != len(columns):
+                raise SqlError(f"INSERT has {len(columns)} columns but "
+                               f"{len(value_row)} values")
+        self.rows = [_Cells(zip(ordinals, row), NO_ROW) for row in stmt.rows]
+        self.width = len(schema.columns)
+        self.pk = schema.primary_key
+
+
+class _WritePlan:
+    """An UPDATE or DELETE's plan: ``search``, the physical plan of
+    ``SELECT 1 FROM t WHERE …`` over its WHERE, whose base access operator
+    (``source``) finds the rows it changes.  The search's tree
+    (``search.logical``, which EXPLAIN renders) has the write for its
+    root.  UPDATE alone has its SET list as ``assignments``
+    (:class:`_Cells`, bound against the search's row layout, ``ctx``) and
+    their ordinal set ``assigned``.
+    """
+
+    __slots__ = ("search", "source", "referenced_tables", "ctx",
+                 "assignments", "assigned")
+
+    def __init__(self, db, stmt):
+        self.search = search = plan_select(db, A.Select(
+            _SEARCH_ITEMS, A.TableRef(stmt.table), where=stmt.where))
+        self.source = search.source
+        self.referenced_tables = search.referenced_tables
+        self.ctx = ctx = search.sctx.context
+        rows = search.logical.child  # below the search's Project
+        self.assignments = None
+        search.logical = L.Delete(rows, stmt.table)
         if type(stmt) is A.Update:
+            schema = search.sctx.schemas[0]
             self.assignments = _Cells(((schema.ordinal_of(c), e)
                                        for c, e in stmt.assignments), ctx)
             self.assigned = frozenset(o for o, _ in self.assignments.pairs)
+            search.logical = L.Update(rows, stmt.table, stmt.assignments)
+
+
+# The select list of a write's row search, which reads no column.
+_SEARCH_ITEMS = [A.SelectItem(A.Literal(1))]
 
 
 class _Cells:
@@ -424,16 +430,12 @@ def _compute(expr, positions):
     return (lambda ctx, params: evaluate(expr, ctx, params)), 0
 
 
-# What an INSERT value is evaluated against: no row, no column.
-_NO_ROW = RowContext({}).bind(())
-
-
 def _insert_rows(plan, table, rows, params, undo):
     pk = plan.pk
     last_id = None
     for cells in rows:
         full = [None] * plan.width
-        cells.fill(full, _NO_ROW, params)
+        cells.fill(full, NO_ROW, params)
         table.insert_row(full, undo)
         if pk is not None and isinstance(full[pk.ordinal], int):
             last_id = full[pk.ordinal]
@@ -441,45 +443,17 @@ def _insert_rows(plan, table, rows, params, undo):
                       last_insert_id=last_id)
 
 
-def _candidates(plan, table, params):
-    """``(what of the WHERE is left to check, the (row_id, row) pairs an
-    UPDATE / DELETE touches)``: an equality probe's hits and its path's
-    residual, else an ordered walk's or the whole table's and the WHERE."""
-    path, hits = resolve_index_lookup(table, plan.probe, params)
-    if hits is not None:
-        return plan.residuals.get(path, plan.where), hits
-    ranged = plan.ranged
-    if ranged is not None:
-        ids = range_scan_ids(table.indexes[ranged.index_name], ranged, params)
-        if ids is not None:
-            rows = table.rows
-            return plan.where, [(row_id, rows[row_id]) for row_id in ids]
-    return plan.where, list(table.scan())
-
-
-def _change_rows(plan, table, candidates, where, params, undo):
-    """UPDATE, or DELETE (no assignments), every candidate ``(row_id,
-    row)`` that ``where`` holds for."""
-    ctx, assignments = plan.ctx, plan.assignments
-    changed = 0
-    for row_id, row in candidates:
-        ctx.bind(row)
-        if where is not None and evaluate(where, ctx, params) is not True:
-            continue
+def _change_rows(plan, table, ids, touched, params, undo):
+    """UPDATE, or DELETE (no assignments), the rows ``ids`` that the row
+    search kept of the ``touched`` it read (each row is changed once, so
+    the rows not yet changed are the ones the search read)."""
+    ctx, assignments, rows = plan.ctx, plan.assignments, table.rows
+    for row_id in ids:
+        row = rows[row_id]
         if assignments is None:
             table.delete_row(row_id, undo)
         else:
             new_row = list(row)
-            assignments.fill(new_row, ctx, params)
+            assignments.fill(new_row, ctx.bind(row), params)
             table.update_row(row_id, new_row, plan.assigned, undo)
-        changed += 1
-    return ExecResult(rowcount=changed, rows_touched=len(candidates))
-
-
-def _single_table_context(schema, table_name):
-    """A RowContext for statements over a single unaliased table."""
-    positions = {}
-    for col in schema.columns:
-        positions[(table_name, col.name)] = col.ordinal
-        positions[(None, col.name)] = col.ordinal
-    return RowContext(positions)
+    return ExecResult(rowcount=len(ids), rows_touched=touched)

@@ -43,6 +43,11 @@ class RowContext:
         return self.values[pos]
 
 
+# What an INSERT value, an operator over values alone or a LIMIT / OFFSET
+# expression is evaluated against: no row.
+NO_ROW = RowContext({}).bind(())
+
+
 def like_to_regex(pattern):
     """Convert a SQL LIKE pattern to an anchored Python regex that, as
     SQLite's LIKE, ignores the case of ASCII letters and of no other."""

@@ -14,8 +14,8 @@ The classic optimizer pipeline, in miniature:
    optimized logical tree (``PhysicalPlan.logical``), which is what EXPLAIN
    and EXPLAIN ANALYZE render.
 
-:mod:`repro.sqldb.plan.access` holds the index-selection machinery shared by
-``SELECT`` scans and ``UPDATE``/``DELETE`` candidate-row lookups, and
+:mod:`repro.sqldb.plan.access` holds the index-selection machinery of the
+index access operators, and
 :mod:`repro.sqldb.plan.batch` implements the batch-level shared-scan
 optimizer used by the simulated database server.
 """

@@ -1,8 +1,7 @@
 """Access-path selection: resolving a WHERE clause to index lookups.
 
-Shared by the SELECT pipeline (``IndexLookup`` / ``IndexRangeScan``
-physical operators) and by the ``UPDATE``/``DELETE`` candidate-row search
-of the executor's write plans.
+Used by the ``IndexLookup`` / ``IndexRangeScan`` physical operators,
+which find a SELECT's rows and an UPDATE or DELETE's alike.
 
 Index choice has a structural half and a runtime half.  At *plan* time an
 :class:`IndexProbe` extracts the predicate's equality and IN-list
@@ -17,9 +16,8 @@ the conjunct set, which can disqualify the index and fall back to a full
 scan (SQL semantics: ``col = NULL`` never matches), and a key or range
 bound its column cannot compare disqualifies the index — which is why
 the final index decision cannot move to plan time.  What an equality
-probe or an ordered walk decided is left out of the predicate a
-SELECT re-checks, and what an equality probe decided out of the one an
-UPDATE / DELETE re-checks (:func:`residual_predicate`).
+probe or an ordered walk decided is left out of the predicate the
+operator re-checks (:func:`residual_predicate`).
 """
 
 from repro.sqldb import ast_nodes as A
@@ -195,9 +193,9 @@ def resolve_index_lookup(table, probe, params):
     """Probe ``table`` for the rows a WHERE may hold for, through the
     primary key or the longest candidate index its bound keys cover.
 
-    Returns ``(path, hits)``: ``hits`` the ``(row_id, row)`` pairs found,
-    in row-id order (the scan's, which an index bucket keeps), or
-    None when no candidate serves these parameters and the caller scans;
+    Returns ``(path, ids)``: ``ids`` a fresh list of the row ids found,
+    ascending (the scan's order, which an index bucket keeps), or None
+    when no candidate serves these parameters and the caller scans;
     ``path`` the candidate whose equality conjuncts the probe decided —
     ``"<pk>"`` or an index name — or None (a scan, or a ``pk IN (...)``
     multi-probe, which decides nothing).  A primary-key equality is
@@ -207,19 +205,18 @@ def resolve_index_lookup(table, probe, params):
     if bound is None:
         return None, None
     if probe.pk_slot is not None and bound[probe.pk_slot] is not None:
-        hit = table.find_by_pk(bound[probe.pk_slot])
-        return "<pk>", [hit] if hit else []
+        row_id = table.row_id_of(bound[probe.pk_slot])
+        return "<pk>", [] if row_id is None else [row_id]
     if probe.pk is not None:
         keys = _in_list_keys(probe.pk, probe, params)
         if keys is not None:
             # One pk probe per distinct key; row-id order is the scan's.
-            return None, sorted(filter(None, map(table.find_by_pk, keys)))
+            return None, sorted(row_id for row_id in map(table.row_id_of, keys)
+                                if row_id is not None)
     for name, _, slots in probe.indexes:
         key = [bound[slot] for slot in slots]
         if None not in key:
-            rows = table.rows
-            return name, [(row_id, rows[row_id])
-                          for row_id in table.indexes[name].lookup(key)]
+            return name, list(table.indexes[name].lookup(key))
     return None, None
 
 
@@ -435,8 +432,7 @@ def ordered_scan_candidates(table, where):
 
 
 def range_scan_ids(index, shape, params, descending=False):
-    """Row ids for one resolved ordered-index scan, shared by the SELECT
-    operator (``IndexRangeScanOp``) and the UPDATE/DELETE candidate search.
+    """Row ids for one resolved ordered-index scan (``IndexRangeScanOp``).
 
     ``shape`` carries the plan-time scan description (``operands``,
     ``operand_samples``, ``n_prefix``, ``low``/``high`` + inclusivity — a
@@ -478,14 +474,3 @@ def walked_conjuncts(shape):
         return len(sides) == 1 + (type(node) is A.Between) and all(sides)
     return decides
 
-
-def range_lookup_candidate(table, where):
-    """The ordered-index range scan an UPDATE/DELETE falls back to when no
-    equality lookup serves an execution, chosen once per write plan: the
-    candidate with the longest pinned prefix (bounds required — a
-    bound-free walk is no cheaper than the scan it replaces), or None.
-    :func:`range_scan_ids` binds it per execution.
-    """
-    candidates = [c for c in ordered_scan_candidates(table, where)
-                  if c.has_bounds]
-    return max(candidates, key=lambda c: c.n_prefix, default=None)

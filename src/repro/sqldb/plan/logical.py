@@ -15,6 +15,8 @@ The optimized tree is kept on the physical plan lowered from it
 (``PhysicalPlan.logical``): the lowering maps node to operator one to one,
 so :func:`explain` renders the plan that executes — its estimates, and
 under EXPLAIN ANALYZE each operator's measurements on the same lines.
+An UPDATE or DELETE is planned as ``SELECT 1`` over its WHERE, and the
+write (:class:`Update`, :class:`Delete`) takes the Project's place.
 """
 
 
@@ -224,6 +226,23 @@ class Aggregate(LogicalNode):
 
     def children(self):
         return (self.child,)
+
+
+class Update(LogicalNode):
+    """An UPDATE of ``table`` (``set``: its SET list), or a DELETE: it
+    changes the rows its child, the access plan of its WHERE, keeps."""
+
+    _show = ("table", "set")
+
+    def __init__(self, child, table, assignments=None):
+        self.child, self.table, self.set = child, table, assignments
+
+    def children(self):
+        return (self.child,)
+
+
+class Delete(Update):
+    _show = ("table",)
 
 
 class Distinct(LogicalNode):

@@ -50,13 +50,13 @@ import copy
 from collections import Counter
 from functools import partial
 from itertools import chain
-from operator import is_not, itemgetter
+from operator import is_not
 from time import perf_counter
 
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.columnar import CHUNK_SIZE, ColumnChunk, DictColumn
 from repro.sqldb.errors import SqlError, SqlTypeError
-from repro.sqldb.expressions import (evaluate, first_occurrences,
+from repro.sqldb.expressions import (NO_ROW, evaluate, first_occurrences,
                                      fold_aggregate, RowContext)
 from repro.sqldb.plan import logical as L
 from repro.sqldb.plan.access import (keyed_conjuncts, pk_lookup_keys,
@@ -100,10 +100,6 @@ class PlanRun:
         self.chunk_size = CHUNK_SIZE
 
 
-# The row of a ``(row_id, row)`` pair.
-_ROW = itemgetter(1)
-
-
 def _pad(row, offset, total_width):
     values = [None] * total_width
     values[offset:offset + len(row)] = row
@@ -117,12 +113,14 @@ def _pad(row, offset, total_width):
 class _BaseTableScan:
     """Shared scaffolding for base-table access operators.
 
-    Subclasses define ``_keep_chunks(run)`` returning the kernel to run —
+    Each has one candidate search, :meth:`search`: the ids of the rows it
+    reads, and the kernel that decides which the predicate keeps —
     ``keep``, the ``predicate``'s (the Filter directly above, whole), or
-    ``residuals[path]``, what an index path left of it — and the chunks
-    to run it over.  The predicate lives here; a sequential scan owns its
-    zone test and the shared-scan prefetch, an index access its rows'
-    chunking (:meth:`_chunks`).
+    ``residuals[path]``, what an index path left of it.  An index access
+    runs the kernel over its rows' chunks; a sequential scan slices its
+    chunks off the table's snapshot, zone test and shared-scan prefetch
+    included.  An UPDATE or DELETE changes the rows kept (:meth:`narrow`
+    runs the kernel, when there is one, over what the search found).
 
     ``read`` is the table's share of the statement's read set
     (``SelectContext.table_reads``): the operator fills those lanes and
@@ -173,6 +171,28 @@ class _BaseTableScan:
                     chunk.sel = sel  # nothing else holds the chunk yet
             run.batches += filtered
             yield chunk
+
+    def search(self, table, params):
+        """``(kernel, ids)``, the ids a fresh list in the order the rows are
+        read: here the whole table under ``keep`` (also where no index
+        serves)."""
+        return self.keep, list(table.rows)
+
+    def narrow(self, keep, ids, table, params):
+        """The searched ``ids`` whose rows the kernel ``keep`` keeps: what
+        an UPDATE or DELETE changes.  One chunk holds their rows (a write's
+        search reads one table, so a storage row is a chunk row), of which
+        only the read lanes are built."""
+        rows = table.rows
+        chunk = ColumnChunk.from_rows([rows[i] for i in ids], self.width,
+                                      self.read)
+        return [ids[i] for i in keep(chunk, params)]
+
+    def _keep_chunks(self, run):
+        table = run.db.tables_get(self.table_name)
+        keep, ids = self.search(table, run.params)
+        rows = table.rows
+        return keep, self._chunks(run, [rows[i] for i in ids])
 
     def _chunks(self, run, rows):
         """``rows`` in chunks of ``run.chunk_size``, each charged as it is
@@ -253,13 +273,11 @@ class IndexLookupOp(_BaseTableScan):
             predicate, keyed_conjuncts(predicate, columns)))
             for name, columns in self.probe.paths()}
 
-    def _keep_chunks(self, run):
-        table = run.db.tables_get(self.table_name)
-        path, hits = resolve_index_lookup(table, self.probe, run.params)
-        if hits is None:
-            return self.keep, self._chunks(run, list(map(_ROW, table.scan())))
-        return (self.residuals.get(path, self.keep),
-                self._chunks(run, list(map(_ROW, hits))))
+    def search(self, table, params):
+        path, ids = resolve_index_lookup(table, self.probe, params)
+        if ids is None:
+            return super().search(table, params)
+        return self.residuals.get(path, self.keep), ids
 
 
 class IndexRangeScanOp(_BaseTableScan):
@@ -283,15 +301,13 @@ class IndexRangeScanOp(_BaseTableScan):
         self.residuals = {node.index_name: _kernel(sctx, residual_predicate(
             predicate, walked_conjuncts(node)))}
 
-    def _keep_chunks(self, run):
-        table = run.db.tables_get(self.table_name)
+    def search(self, table, params):
         scan = self.scan
-        ids = range_scan_ids(table.indexes[scan.index_name], scan,
-                             run.params, scan.descending)
+        ids = range_scan_ids(table.indexes[scan.index_name], scan, params,
+                             scan.descending)
         if ids is None:
-            return self.keep, self._chunks(run, list(map(_ROW, table.scan())))
-        return (self.residuals.get(scan.index_name, self.keep),
-                self._chunks(run, list(map(table.rows.__getitem__, ids))))
+            return super().search(table, params)
+        return self.residuals.get(scan.index_name, self.keep), ids
 
 
 class FilterOp:
@@ -483,8 +499,8 @@ class IndexNLJoinOp(HashJoinOp):
     def _probe_ids(self, table, key):
         """Ascending row ids matching ``key``, via the chosen path."""
         if self.index_name == "<pk>":
-            hit = table.find_by_pk(key)
-            return (hit[0],) if hit is not None else ()
+            row_id = table.row_id_of(key)
+            return () if row_id is None else (row_id,)
         # A missing index means the plan outlived a direct storage edit
         # (DDL invalidates cached plans); signal the hash fallback.
         index = table.indexes.get(self.index_name)
@@ -845,7 +861,7 @@ def _finisher(expr, calls, positions, ambiguous):
             return [evaluate(A.BinaryOp(expr.op, *map(A.Literal, values))
                              if binary else
                              A.UnaryOp(expr.op, *map(A.Literal, values)),
-                             _NO_ROW, params) for values in zip(*columns)]
+                             NO_ROW, params) for values in zip(*columns)]
 
         return combined
     lane = compile_values(expr, positions, ambiguous)
@@ -964,11 +980,6 @@ class _Flipped:
         return self.key == other.key
 
 
-# What an operator over values alone, or a LIMIT / OFFSET expression other
-# than a literal or a parameter, is evaluated against: no row.
-_NO_ROW = RowContext({}).bind(())
-
-
 def limit_bound(clause, expr):
     """``value(params)`` of a LIMIT or OFFSET clause (0 when absent),
     built with the plan: a valid literal is its value, anything else goes
@@ -979,7 +990,7 @@ def limit_bound(clause, expr):
         value = expr.value
         return lambda params: value
     resolve = (compile_operand(expr) if type(expr) in (A.Literal, A.Param)
-               else partial(evaluate, expr, _NO_ROW))
+               else partial(evaluate, expr, NO_ROW))
     return lambda params: resolve_limit(clause, resolve(params))
 
 

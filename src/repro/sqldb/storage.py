@@ -202,12 +202,9 @@ class Table:
 
     # -- lookups --------------------------------------------------------------
 
-    def find_by_pk(self, key):
-        """Return (row_id, row) for a primary-key value, or None."""
-        row_id = self._pk_index.get(key)
-        if row_id is None:
-            return None
-        return row_id, self.rows[row_id]
+    def row_id_of(self, key):
+        """The id of the row holding a primary-key value, or None."""
+        return self._pk_index.get(key)
 
     def scan(self):
         """Iterate over (row_id, row) in row-id order."""

@@ -103,7 +103,7 @@ class TestSharedAstIsolation:
 
     def test_write_statements_share_safely(self):
         """UPDATE/DELETE go through the access-path machinery too — the
-        shared AST must survive candidate-row search on differently
+        shared AST must survive the row search on differently
         indexed databases (executed inside a rolled-back transaction so
         the data stays comparable)."""
         databases = [_seeded(indexes) for indexes in INDEX_SETS]

@@ -200,7 +200,8 @@ class TestWrites:
                           "name = name || ? WHERE id = ?", (True, "!", 7))
         assert people_db.query("SELECT * FROM person WHERE id = 7") == [
             {"id": 7, "name": "erin!", "age": 1, "city": "sf"}]
-        stored = people_db.tables["person"].find_by_pk(7)[1]
+        table = people_db.tables["person"]
+        stored = table.rows[table.row_id_of(7)]
         assert [type(value) for value in stored] == [int, str, int, str]
 
     @pytest.mark.parametrize("sql,params,error,message", [

@@ -1,5 +1,6 @@
 """Golden EXPLAIN plans for representative itracker / OpenMRS / TPC-C
-statements.
+statements, writes included (an UPDATE / DELETE shows the plan of its row
+search under an ``Update`` / ``Delete`` line).
 
 These lock the optimizer's chosen join order (tree nesting), join strategy
 (hash / index / nested), access path and cost annotations over the
@@ -325,6 +326,75 @@ Sort [order_by=[OrderItem(expr=ColumnRef(table=None, column='c_id'), descending=
     Filter [predicate=BinaryOp(op='AND', left=BinaryOp(op='=', left=ColumnRef(table=None, column='c_last'), right=Param(index=0)), right=BinaryOp(op='=', left=ColumnRef(table=None, column='c_d_id'), right=Param(index=1)))] (~1 rows, ~1 touched)
       IndexLookup [table='customer', candidates=['idx_customer_last']] (~1 rows, ~1 touched)
 """, params=("BARBARABLE", 1))
+
+
+# ---------------------------------------------------------------------------
+# Writes: the plan of the row search under the write
+# ---------------------------------------------------------------------------
+
+def test_tpcc_new_order_stock_update_by_pk(tpcc_db):
+    assert_plan(tpcc_db, (
+        "UPDATE stock SET s_quantity = ?, s_ytd = s_ytd + 5, "
+        "s_order_cnt = s_order_cnt + 1 WHERE s_id = ?"), """
+Update [table='stock', set=[('s_quantity', Param(index=0)), ('s_ytd', BinaryOp(op='+', left=ColumnRef(table=None, column='s_ytd'), right=Literal(value=5))), ('s_order_cnt', BinaryOp(op='+', left=ColumnRef(table=None, column='s_order_cnt'), right=Literal(value=1)))]]
+  Filter [predicate=BinaryOp(op='=', left=ColumnRef(table=None, column='s_id'), right=Param(index=1))] (~1 rows, ~1 touched)
+    IndexLookup [table='stock', candidates=['<pk>']] (~1 rows, ~1 touched)
+""", params=(40, 7))
+
+
+def test_tpcc_delivery_new_order_delete_by_pk(tpcc_db):
+    assert_plan(tpcc_db, "DELETE FROM new_order WHERE no_o_id = ?", """
+Delete [table='new_order']
+  Filter [predicate=BinaryOp(op='=', left=ColumnRef(table=None, column='no_o_id'), right=Param(index=0))] (~1 rows, ~1 touched)
+    IndexLookup [table='new_order', candidates=['<pk>']] (~1 rows, ~1 touched)
+""", params=(8,))
+
+
+@pytest.fixture
+def write_plan_db():
+    from test_write_plan import _database
+
+    return _database()
+
+
+def test_a_range_update_walks_its_ordered_index(write_plan_db):
+    assert_plan(write_plan_db, (
+        "UPDATE t SET s = 'new', v = v + 1, f = f * 2 "
+        "WHERE v > ? AND v < ?"), """
+Update [table='t', set=[('s', Literal(value='new')), ('v', BinaryOp(op='+', left=ColumnRef(table=None, column='v'), right=Literal(value=1))), ('f', BinaryOp(op='*', left=ColumnRef(table=None, column='f'), right=Literal(value=2)))]]
+  Filter [predicate=BinaryOp(op='AND', left=BinaryOp(op='>', left=ColumnRef(table=None, column='v'), right=Param(index=0)), right=BinaryOp(op='<', left=ColumnRef(table=None, column='v'), right=Param(index=1)))] (~1 rows, ~2 touched)
+    IndexRangeScan [table='t', index='t_v', bounds='? < v < ?'] (~1 rows, ~2 touched)
+""", params=(15, 55))
+
+
+def test_an_unindexed_delete_scans(write_plan_db):
+    assert_plan(write_plan_db, "DELETE FROM t WHERE s = ?", """
+Delete [table='t']
+  Filter [predicate=BinaryOp(op='=', left=ColumnRef(table=None, column='s'), right=Param(index=0))] (~2 rows, ~6 touched)
+    Scan [table='t', alias='t'] (~6 rows, ~6 touched)
+""", params=("x",))
+
+
+@pytest.mark.parametrize("sql, params, rows", [
+    ("UPDATE t SET s = 'new', v = v + 1 WHERE v > ? AND v < ?", (15, 55), 3),
+    ("DELETE FROM t WHERE s = ?", ("x",), 2),
+    ("UPDATE t SET v = 0 WHERE id = ? AND a = ?", (2, 1), 1),
+])
+def test_explain_analyze_of_a_write_changes_nothing(write_plan_db, sql,
+                                                    params, rows):
+    """EXPLAIN ANALYZE of a write runs its row search, reports the rows
+    the write would change, and leaves the table as it was, byte for
+    byte, and the rows the write then changes are those."""
+    db = write_plan_db
+    table = db.tables["t"]
+    before = repr((table.rows, table._pk_index, {
+        name: index._buckets for name, index in table.indexes.items()}))
+    header = db.explain(sql, params, analyze=True).splitlines()[0]
+    assert header.startswith(f"EXPLAIN ANALYZE [rows={rows}, ")
+    assert repr((table.rows, table._pk_index, {
+        name: index._buckets for name, index in table.indexes.items()})) \
+        == before
+    assert db.execute(sql, params).rowcount == rows
 
 
 # ---------------------------------------------------------------------------

@@ -388,14 +388,17 @@ class TestPlanCache:
 
     def test_stable_tables_keep_cached_plans(self, people_db):
         """No DDL, no >2x size shift: the plan must be reused, and the
-        optimizer must not run again (counter stays flat)."""
+        optimizer must not run again for it.  The DELETE's row search is
+        planned once (the counter moves by it alone), the INSERT not."""
         stmt = parse("SELECT name FROM person WHERE id = ?")
         plan1 = people_db.executor.plan_for(people_db, stmt)
         built = people_db.executor.plans_built
-        people_db.execute("INSERT INTO person (id, name) VALUES (99, 'eve')")
-        people_db.execute("DELETE FROM person WHERE id = 99")
+        for _ in range(2):
+            people_db.execute(
+                "INSERT INTO person (id, name) VALUES (99, 'eve')")
+            people_db.execute("DELETE FROM person WHERE id = 99")
         assert people_db.executor.plan_for(people_db, stmt) is plan1
-        assert people_db.executor.plans_built == built
+        assert people_db.executor.plans_built == built + 1
 
     def test_changing_optimizer_options_invalidates_plans(self, people_db):
         stmt = parse(
@@ -463,15 +466,23 @@ class TestPlanCache:
             assert plan is after[name], name
         assert ab_db.executor.plans_built == built + 3
 
-    def test_shift_keeps_write_plans(self, ab_db):
+    def test_shift_replans_write_plans(self, ab_db):
+        """An UPDATE's row search is a plan over ``a``'s statistics: the
+        shift that replans the SELECTs over ``a`` replans it too, and the
+        INSERT's plan, which reads no table, stays."""
         stmt = parse("UPDATE a SET x = ? WHERE id = ?")
+        insert = parse("INSERT INTO a VALUES (?, ?)")
         ab_db.execute_parsed(stmt, (1, 1))
         write_plan = ab_db.executor._plans[id(stmt)][2]
         for i in range(20, 60):
-            ab_db.execute("INSERT INTO a VALUES (?, ?)", (i, i))
-        self._plans(ab_db)  # drops the SELECT plans over ``a``
+            ab_db.execute_parsed(insert, (i, i))
+        insert_plan = ab_db.executor._plans[id(insert)][2]
+        built = ab_db.executor.plans_built
         ab_db.execute_parsed(stmt, (2, 2))
-        assert ab_db.executor._plans[id(stmt)][2] is write_plan
+        assert ab_db.executor._plans[id(stmt)][2] is not write_plan
+        assert ab_db.executor._plans[id(insert)][2] is insert_plan
+        assert ab_db.executor.plans_built == built + 1
+        assert ab_db.execute("SELECT x FROM a WHERE id = 2").rows == [(2,)]
 
     def test_stale_plan_reuse_impossible_after_any_invalidation(self, db):
         """Every invalidation class forces exactly one re-optimization."""

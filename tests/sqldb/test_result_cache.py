@@ -490,17 +490,19 @@ class TestOneBody:
     def test_a_write_invalidates_once_when_it_commits(self, cached_db, calls):
         """Auto-commit: one call per statement that changed rows, one row
         or several.  In a transaction: one call, at COMMIT; none at
-        ROLLBACK.  A write never reads the cache."""
+        ROLLBACK.  A write never reads the cache: an UPDATE takes its row
+        search's plan from the plan cache and runs no result pipeline."""
         cached_db.execute("UPDATE t SET v = 1 WHERE id = 1")
         cached_db.execute("UPDATE t SET v = 1 WHERE v > 30")
         cached_db.execute("UPDATE t SET v = 1 WHERE id = 999")
-        assert calls == {"invalidate": 2}
+        assert calls == {"plan": 3, "invalidate": 2}
         for end, expected in (("ROLLBACK", 2), ("COMMIT", 3)):
             cached_db.execute("BEGIN")
             cached_db.execute("UPDATE t SET v = 2 WHERE id = 1")
             cached_db.execute("INSERT INTO u (id, w) VALUES (99, 0)")
             cached_db.execute(end)
-            assert calls == {"invalidate": expected}, end
+            assert calls == {"plan": 4 + (end == "COMMIT"),
+                             "invalidate": expected}, end
 
 
 class TestServerBatchPaths:

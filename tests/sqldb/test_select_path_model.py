@@ -98,7 +98,9 @@ class Model:
         self.counters = dict.fromkeys(
             ("hits", "misses", "invalidations", "stores", "rejected_stores"),
             0)
-        self.planned = set()  # SELECT texts a plan was built for
+        # SELECT, UPDATE and DELETE texts a plan was built for (an INSERT
+        # is not planned).
+        self.planned = set()
         self.outcomes = collections.Counter()
 
     # -- reads ----------------------------------------------------------------
@@ -304,6 +306,8 @@ def model_step(m, statements, segment_size):
                 flush()
         else:
             flush()
+            if not sql.startswith("INSERT"):
+                m.planned.add(sql)  # the row search's plan
             m.write(*effect)
     flush()
     return expected

@@ -1,17 +1,19 @@
 """The write oracle: INSERT / UPDATE / DELETE against a dict model.
 
-Writes run from a cached write plan (``executor._WritePlan``) and storage
-maintains only the indexes an UPDATE assigns, so there is no interpreter
-left to compare them with.  This file is the comparison: seeded sequences
-of writes, transactions and index DDL over one table that has every kind of
-access path, checked after *every* step against a model that re-implements
-the semantics row by row — contents, ``rowcount``, ``rows_touched``, error
-type — and against storage's own invariants: each index answers what
-scan-and-filter answers, ordered keys stay sorted and duplicate-free, a
-step that raised changed nothing.  The two atomicity bugs fixed together
-with write plans (a refused write left half-applied, a multi-row statement
-keeping the rows before the one that raised) have their fixed cases at the
-bottom, beside the hand-written ``rows_touched`` table.
+Writes run from a cached write plan (``executor._WritePlan``: an UPDATE or
+DELETE finds its rows through the plan of its WHERE, as a SELECT would)
+and storage maintains only the indexes an UPDATE assigns, so there is no
+interpreter left to compare them with.  This file is the comparison:
+seeded sequences of writes, transactions and index DDL over one table
+that has every kind of access path, checked after *every* step against a
+model that re-implements the semantics row by row — contents,
+``rowcount``, ``rows_touched``, error type — and against storage's own
+invariants: each index answers what scan-and-filter answers, ordered keys
+stay sorted and duplicate-free, a step that raised changed nothing.  The
+two atomicity bugs fixed together with write plans (a refused write left
+half-applied, a multi-row statement keeping the rows before the one that
+raised) have their fixed cases at the bottom, beside the hand-written
+``rows_touched`` table.
 """
 
 import collections
@@ -52,13 +54,16 @@ def make_db():
 
 class Model:
     """Table contents by insertion order (``rid``: the model's own counter,
-    ordered like storage's row ids) plus which droppable indexes exist."""
+    ordered like storage's row ids) plus which droppable indexes exist.
+    ``walks``: whether the plan of the step's statement walks ``t_score``
+    — a cost-based choice the model takes from EXPLAIN, not makes."""
 
     def __init__(self):
         self.rows = {}
         self.next_rid = 1
         self.indexes = set(DDL)
         self.saved = None  # rows at BEGIN while a transaction is open
+        self.walks = False
 
     def check_and_store(self, rows, rid, new):
         """What storage checks for one row, in storage's order; ``rows``
@@ -151,7 +156,7 @@ def w_between(rng):
         return low is not None and high is not None and low <= score <= high
 
     def candidates(m):
-        if "t_score" not in m.indexes:
+        if not m.walks:
             return all_rids(m)
         return score_region(m, inside)
     return Where("range", "score BETWEEN ? AND ?", (low, high),
@@ -165,8 +170,8 @@ def w_eq_and_range(rng):
     def above(score):
         return low is not None and score > low
 
-    def candidates(m):  # (grp) alone covers no index: the range serves
-        if "t_score" not in m.indexes:
+    def candidates(m):  # (grp) alone covers no index: a walk or a scan
+        if not m.walks:
             return all_rids(m)
         return score_region(m, above)
     return Where("eq+range", "grp = ? AND score > ?", (grp, low),
@@ -251,18 +256,17 @@ def where_params(where):
 
 
 def apply_to_matches(m, where, change):
-    """The engine's UPDATE / DELETE loop over the model: candidates in
-    visiting order, the WHERE re-checked on each, ``change`` applied to a
-    working copy that replaces the rows only if no row raised."""
+    """The engine's UPDATE / DELETE over the model: the WHERE decided on
+    every candidate, in visiting order, before any row changes (the rows
+    its SELECT returns, or its error), then ``change`` applied to each
+    match in a working copy that replaces the rows only if none raised."""
     candidates = where.candidates(m)
+    matches = [rid for rid in candidates if where.match(m.rows[rid])]
     rows = dict(m.rows)
-    matched = 0
-    for rid in candidates:
-        if where.match(rows[rid]):
-            change(rows, rid)
-            matched += 1
+    for rid in matches:
+        change(rows, rid)
     m.rows = rows
-    return matched, len(candidates)
+    return len(matches), len(candidates)
 
 
 def step_insert(rng, m):
@@ -396,6 +400,7 @@ def run_sequence(seed, steps=80):
         stmt = statements.setdefault(sql, parse(sql))
         before = storage_state(db)
         before_model = (dict(m.rows), m.next_rid, set(m.indexes), m.saved)
+        m.walks = "IndexRangeScan" in db.explain(sql)
         try:
             expected = model()
         except SqlError as error:

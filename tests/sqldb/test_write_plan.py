@@ -8,7 +8,9 @@ and over an unindexed twin with no primary key, which scans and checks the
 whole WHERE, and both must change the same rows, report the same rowcount
 and raise the same error, word for word; where neither raises, SQLite must
 agree too.  ``rows_touched`` pins the path the indexed
-table took.
+table took.  The write finds its rows through the plan of its WHERE, so it
+changes exactly the rows ``SELECT id FROM t WHERE …`` returns, touching as
+many, or raises that SELECT's error.
 
 A SET cell ``column + - * literal-or-parameter`` runs without the
 interpreter.  Its value must be what the interpreter computes for the same
@@ -18,6 +20,7 @@ them.
 """
 
 import math
+import sqlite3
 
 import pytest
 
@@ -50,6 +53,21 @@ def _database():
 def _contents(db, table):
     return sorted(map(tuple, db.execute(f"SELECT {COLUMNS} FROM {table}")
                       .rows), key=repr)
+
+
+def _by_id(db, table):
+    return {row[0]: row for row in db.execute(
+        f"SELECT {COLUMNS} FROM {table}").rows}
+
+
+def _selected(db, where, params):
+    """``(ids, rows_touched)`` of ``SELECT id FROM t WHERE <where>``, or the
+    error's type and text."""
+    try:
+        result = db.execute(f"SELECT id FROM t WHERE {where}", params)
+    except SqlError as error:
+        return type(error), str(error)
+    return sorted(key for key, in result.rows), result.rows_touched
 
 
 def _run(db, sql, params):
@@ -111,20 +129,41 @@ def test_every_path_changes_what_the_unindexed_twin_changes(verb, case):
     sql = VERBS[verb] + where
     db = _database()
     lite = sqlite_copy(db, ["t"])
+    selected = _selected(_database(), where.format(t="t"), params)
+    before = _by_id(db, "t")
     outcome = _run(db, sql.format(t="t"), params)
     twin = _run(db, sql.format(t="twin"), params)
     assert _contents(db, "t") == _contents(db, "twin"), (sql, params)
+    after = _by_id(db, "t")
+    changed = sorted(key for key, row in before.items()
+                     if after.get(key) != row)
     if type(outcome[0]) is int:
         assert outcome[0] == twin[0]  # the rowcount
         assert outcome[1] == touched  # the path
+        assert selected == (changed, outcome[1])  # its SELECT's rows
         assert twin[1] == len(ROWS)
         cursor = lite.execute(sql.format(t="t"), params)
         assert cursor.rowcount == outcome[0]
         assert sorted(lite.execute(f"SELECT {COLUMNS} FROM t"),
                       key=repr) == _contents(db, "t")
     else:
-        assert outcome == twin
+        assert outcome == twin == selected
         assert touched is None
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_an_unknown_qualifier_is_refused_over_an_empty_table(verb):
+    """Refused when the plan is built, as its SELECT and SQLite refuse it:
+    with no row to evaluate it on, no path answers 0 rows."""
+    db = Database(result_cache_size=0)
+    db.execute("CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, v INT, "
+               "s TEXT, f REAL)")
+    sql = VERBS[verb].format(t="t") + "x.id = 1"
+    expected = _selected(db, "x.id = 1", ())
+    assert expected == (SqlError, "unknown column 'id' in table 'x'")
+    assert _run(db, sql, ()) == expected
+    with pytest.raises(sqlite3.OperationalError, match="no such column"):
+        sqlite_copy(db, ["t"]).execute(sql)
 
 
 def test_the_cases_reach_every_outcome():

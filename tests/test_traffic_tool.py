@@ -53,6 +53,8 @@ DELETED = {
     "Driver._check_open", "DatabaseServer._execute_batch_direct",
     # code-level equality over a dictionary lane, once scans read facets
     "_dict_eq",
+    # the write's own row search, beside its WHERE's read plan
+    "_candidates", "range_lookup_candidate", "_single_table_context",
 }
 
 
@@ -136,19 +138,23 @@ def test_kernels_lists_each_generated_loop(monkeypatch, capsys):
 
 
 def test_plan_time_work_does_not_scale_with_executions():
-    """A WHERE's lookup shape and a write's row context are built per
-    plan; an execution only binds parameters to them.  Judged against the
-    executions that need a shape (1 936 in this run; 2 559 while the
-    workload's check replayed its episode on a second engine):
-    re-deriving per execution made 2.4x as many ``_equality_shapes`` calls
-    and one ``_single_table_context`` per UPDATE / DELETE (1 041)."""
+    """A WHERE's lookup shape and a statement's row context are built per
+    plan — an UPDATE / DELETE's with its row search's plan (127 plans in
+    this run, 32 of them writes'); an execution only binds parameters to
+    them.  Judged against the executions that need a shape (1 936 in this
+    run; 2 559 while the workload's check replayed its episode on a second
+    engine): re-deriving per execution made 2.4x as many
+    ``_equality_shapes`` calls and one row context per UPDATE / DELETE
+    (1 041)."""
     calls = _mixed_rw_smoke_calls()
     access = os.path.join("sqldb", "plan", "access.py")
     executions = calls[access, "resolve_index_lookup"]
     assert executions > 1500
     assert 0 < calls[access, "_equality_shapes"] < executions
-    contexts = calls[os.path.join("sqldb", "executor.py"),
-                     "_single_table_context"]
+    contexts = calls[os.path.join("sqldb", "plan", "planner.py"),
+                     "SelectContext._build_context"]
+    assert contexts == calls[os.path.join("sqldb", "plan", "__init__.py"),
+                             "plan_select"]
     assert 0 < contexts <= executions // 10
 
 
@@ -273,7 +279,8 @@ def test_calls_prints_raw_counts_per_target(monkeypatch, capsys):
     """``--calls NAME ... TARGET ...``: one row a function, one column a
     target, raw counts.  Read off it: with the cache on (``mixed_rw``) a
     SELECT is exactly one ``lookup`` and a miss exactly one ``plan_for``
-    and one ``store``; with it off (``reports``) a SELECT makes no call
+    and one ``store``, and every UPDATE / DELETE (``_change_rows``) one
+    ``plan_for`` more; with it off (``reports``) a SELECT makes no call
     into the cache at all."""
     traffic = _load_tool()
     runs = {"mixed_rw": _mixed_rw_smoke_calls(),
@@ -281,7 +288,7 @@ def test_calls_prints_raw_counts_per_target(monkeypatch, capsys):
     monkeypatch.setattr(traffic, "count_calls",
                         lambda target, seed, smoke: runs[target])
     names = ["Executor.select", "ResultCache.lookup", "Executor.plan_for",
-             "ResultCache.store"]
+             "ResultCache.store", "_change_rows"]
     assert traffic.main(["--smoke", "--calls", *names, "mixed_rw",
                          "reports"]) == 0
     header, *rows = [line.split() for line in
@@ -290,10 +297,12 @@ def test_calls_prints_raw_counts_per_target(monkeypatch, capsys):
     assert header == ["mixed_rw", "reports"]
     assert [row[0] for row in rows] == names
     table = {row[0]: list(map(int, row[1:])) for row in rows}
-    selects, lookups, plans, stores = (table[name] for name in names)
+    selects, lookups, plans, stores, writes = (table[name] for name in names)
     assert selects[0] > 1000 and lookups[0] == selects[0]
-    assert 0 < stores[0] == plans[0] <= lookups[0]
+    assert 0 < stores[0] <= lookups[0] and writes[0] > 700
+    assert plans[0] == stores[0] + writes[0]
     assert selects[1] == plans[1] > 50 and lookups[1] == stores[1] == 0
+    assert writes[1] == 0
     with pytest.raises(SystemExit):
         traffic.main(["--calls", "Executor.no_such_function", "reports"])
 
@@ -328,6 +337,21 @@ def test_plans_mode_reports_decisions_and_digest(capsys):
     assert 1.0 <= median <= p90 <= worst
     assert worst > 2.0  # the fallback prices a range 0.3 whatever it holds
     assert int(rows["limit_cutoff"][0]) > 0
+
+
+def test_plans_counts_the_write_plans_apart():
+    """An UPDATE / DELETE plans its WHERE through ``plan_select`` too:
+    ``--plans`` counts those builds as ``writes``, under their own digest,
+    and keeps ``builds``, ``digest`` and ``shapes`` over the SELECTs, so
+    that they compare with a tree whose writes planned nothing.  Together
+    the two are every ``plan_select`` call of the same smoke episode."""
+    plans = _load_tool().plan_decisions("mixed_rw", smoke=True)
+    built = _mixed_rw_smoke_calls()[
+        os.path.join("sqldb", "plan", "__init__.py"), "plan_select"]
+    assert plans["writes"] > 0 and plans["builds"] > 0
+    assert plans["builds"] + plans["writes"] == built
+    assert re.fullmatch("[0-9a-f]{12}", plans["writes_digest"])
+    assert plans["writes_digest"] not in (plans["digest"], plans["shapes"])
 
 
 def test_plans_shapes_digest_ignores_build_counts():

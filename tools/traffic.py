@@ -51,7 +51,10 @@ changed, a ``digest`` over every (SQL, EXPLAIN with estimates stripped)
 pair built and how often, and a ``shapes`` digest over the distinct pairs
 alone: two commits that print the same digest for a target built the same
 plans for it as often, baselines included; two that print the same
-shapes built the same plans, however often each.  It also judges the
+shapes built the same plans, however often each.  All of that is over
+SELECTs: an UPDATE or DELETE plans its WHERE as a ``SELECT 1`` (its
+items are ``executor._SEARCH_ITEMS``), and those builds are counted
+apart, as ``writes`` with their own ``writes_digest``.  It also judges the
 estimates the plans were chosen by: ``PhysicalPlan.execute`` is wrapped
 too, and after the first execution of each plan (one without shared-scan
 rows) the plan runs once more under ``execute_analyze`` with the same
@@ -223,6 +226,8 @@ def _plans_child(target, seed, smoke):
 
     variants = _plan_variants()
     built = collections.Counter()
+    writes = collections.Counter()  # the UPDATE / DELETE row searches
+    search_items = getattr(executor, "_SEARCH_ITEMS", None)
     joins = set()
     changed = {name: collections.Counter() for name, _, _ in variants}
     plan_select = executor.plan_select
@@ -232,6 +237,9 @@ def _plans_child(target, seed, smoke):
         options = db.optimizer_options or optimizer.DEFAULT_OPTIONS
         sql = stmt.sql or repr(stmt)
         own = shape(db, stmt, options, {})
+        if stmt.items is search_items:
+            writes[sql, own] += 1
+            return plan
         built[sql, own] += 1
         if stmt.joins:
             joins.add(sql)
@@ -273,6 +281,8 @@ def _plans_child(target, seed, smoke):
         "cutoff": len(cutoff),
         "digest": digest,
         "shapes": shapes,
+        "writes": sum(writes.values()),
+        "writes_digest": plans_digests(writes)[0],
     }))
     return int(status)
 
@@ -313,7 +323,8 @@ def count_calls(target, seed=1, smoke=False):
 def plan_decisions(target, seed=1, smoke=False):
     """What ``--plans`` reports for one target (see the module docstring):
     ``{"builds", "selects", "joins", "changed": {variant: [builds,
-    selects]}, "digest", "shapes"}``."""
+    selects]}, "operators", "q", "cutoff", "digest", "shapes", "writes",
+    "writes_digest"}``."""
     return _child_output(target, seed, smoke, "--plans")
 
 
@@ -383,7 +394,8 @@ def print_plans(per_target):
     """Builds, distinct SELECTs and joins per target, builds / SELECTs
     whose plan each variant changed, the operators judged and their
     q-error median / p90 / max, the operators under a stop-after-N cutoff,
-    and the plans digests, counted and distinct."""
+    the plans digests, counted and distinct, and the UPDATE / DELETE row
+    searches built and their digest."""
     variants = list(dict.fromkeys(
         name for plans in per_target.values() for name in plans["changed"]))
     width = max(map(len, variants))
@@ -404,6 +416,8 @@ def print_plans(per_target):
     row("limit_cutoff", lambda plans: plans["cutoff"])
     row("digest", lambda plans: plans["digest"])
     row("shapes", lambda plans: plans["shapes"])
+    row("writes", lambda plans: plans["writes"])
+    row("writes_digest", lambda plans: plans["writes_digest"])
 
 
 def print_cycles(per_target):
