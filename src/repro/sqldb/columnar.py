@@ -325,7 +325,7 @@ class ColumnChunk:
     def from_rows(cls, rows, width, read):
         """Transpose the ``read`` positions of wide rows into a fully-live
         chunk, every other lane all-NULL — the shim the prefetched
-        shared-scan path, the nested-loop join (row-shaped inside) and an
+        shared-scan path, the nested-loop join (its chunk of pairs) and an
         UPDATE / DELETE's residual check go through."""
         columns = [None] * width
         for pos in read:
@@ -340,10 +340,6 @@ class ColumnChunk:
     def n_live(self):
         sel = self.sel
         return self.length if sel is None else len(sel)
-
-    def row(self, i):
-        """Row ``i`` as a flat wide list (decoding dict lanes)."""
-        return [None if col is None else col[i] for col in self.columns]
 
     def to_rows(self):
         """Live rows as wide lists — the boundary shim back to the

@@ -46,9 +46,10 @@ simulated server turns that into database time.
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.catalog import IndexInfo, TableSchema, Column
 from repro.sqldb.errors import SqlError
-from repro.sqldb.expressions import NO_ROW, arithmetic, evaluate
+from repro.sqldb.expressions import arithmetic
 from repro.sqldb.plan import logical as L
 from repro.sqldb.plan import plan_select
+from repro.sqldb.plan.compile import compile_row
 from repro.sqldb.result import ExecResult
 from repro.sqldb.storage import Table
 
@@ -338,7 +339,7 @@ class _InsertPlan:
             if len(value_row) != len(columns):
                 raise SqlError(f"INSERT has {len(columns)} columns but "
                                f"{len(value_row)} values")
-        self.rows = [_Cells(zip(ordinals, row), NO_ROW) for row in stmt.rows]
+        self.rows = [_Cells(zip(ordinals, row), {}) for row in stmt.rows]
         self.width = len(schema.columns)
         self.pk = schema.primary_key
 
@@ -349,26 +350,26 @@ class _WritePlan:
     (``source``) finds the rows it changes.  The search's tree
     (``search.logical``, which EXPLAIN renders) has the write for its
     root.  UPDATE alone has its SET list as ``assignments``
-    (:class:`_Cells`, bound against the search's row layout, ``ctx``) and
-    their ordinal set ``assigned``.
+    (:class:`_Cells`, over the search's row layout) and their ordinal set
+    ``assigned``.
     """
 
-    __slots__ = ("search", "source", "referenced_tables", "ctx",
-                 "assignments", "assigned")
+    __slots__ = ("search", "source", "referenced_tables", "assignments",
+                 "assigned")
 
     def __init__(self, db, stmt):
         self.search = search = plan_select(db, A.Select(
             _SEARCH_ITEMS, A.TableRef(stmt.table), where=stmt.where))
         self.source = search.source
         self.referenced_tables = search.referenced_tables
-        self.ctx = ctx = search.sctx.context
         rows = search.logical.child  # below the search's Project
         self.assignments = None
         search.logical = L.Delete(rows, stmt.table)
         if type(stmt) is A.Update:
             schema = search.sctx.schemas[0]
-            self.assignments = _Cells(((schema.ordinal_of(c), e)
-                                       for c, e in stmt.assignments), ctx)
+            self.assignments = _Cells(
+                ((schema.ordinal_of(c), e) for c, e in stmt.assignments),
+                search.sctx.context.positions)
             self.assigned = frozenset(o for o, _ in self.assignments.pairs)
             search.logical = L.Update(rows, stmt.table, stmt.assignments)
 
@@ -378,56 +379,60 @@ _SEARCH_ITEMS = [A.SelectItem(A.Literal(1))]
 
 
 class _Cells:
-    """The ``(ordinal, expr)`` cells of an INSERT value row or a SET list:
-    a ``Literal``'s value and a ``Param``'s index bind without the
-    interpreter, anything else is computed (:func:`_compute`).  ``arity``
-    counts every parameter bound or read by a computed cell."""
+    """The ``(ordinal, expr)`` cells of an INSERT value row or a SET list
+    over rows laid out as ``positions`` say: a ``Literal``'s value and a
+    ``Param``'s index bind as they stand, anything else is computed
+    (:func:`_compute`).  ``arity`` counts every parameter bound or read by
+    a computed cell; ``lanes`` holds every cell's lane
+    (:func:`compile_row`)."""
 
-    __slots__ = ("pairs", "consts", "binds", "computed", "arity")
+    __slots__ = ("pairs", "lanes", "consts", "binds", "computed", "arity")
 
-    def __init__(self, pairs, ctx):
+    def __init__(self, pairs, positions):
         self.pairs = pairs = list(pairs)
+        self.lanes = lanes = [compile_row(e, positions) for _, e in pairs]
         self.consts = [(o, e.value) for o, e in pairs if type(e) is A.Literal]
         self.binds = [(o, e.index) for o, e in pairs if type(e) is A.Param]
-        computed = [(o, *_compute(e, ctx.positions)) for o, e in pairs
+        computed = [(o, *_compute(e, positions, lane))
+                    for (o, e), lane in zip(pairs, lanes)
                     if type(e) not in (A.Literal, A.Param)]
         self.computed = [(o, compute) for o, compute, _ in computed]
         self.arity = max([index + 1 for _, index in self.binds]
                          + [arity for _, _, arity in computed], default=0)
 
-    def fill(self, row, ctx, params):
-        """Store each cell's value in ``row``, ``ctx`` bound to the row the
-        cells read.  A direct bind cannot fail; with a parameter missing,
-        every cell is evaluated in order so that the interpreter names the
-        first error."""
+    def fill(self, row, source, params):
+        """Store each cell's value in ``row``, computed over the stored row
+        ``source`` (``()`` for an INSERT).  A direct bind cannot fail; with
+        a parameter missing, every cell's lane runs in order so that the
+        first error is named."""
         if len(params) < self.arity:
-            for ordinal, expr in self.pairs:
-                row[ordinal] = evaluate(expr, ctx, params)
+            for (ordinal, _), lane in zip(self.pairs, self.lanes):
+                row[ordinal] = lane(source, params)
             return
         for ordinal, value in self.consts:
             row[ordinal] = value
         for ordinal, index in self.binds:
             row[ordinal] = params[index]
         for ordinal, compute in self.computed:
-            row[ordinal] = compute(ctx, params)
+            row[ordinal] = compute(source, params)
 
 
-def _compute(expr, positions):
-    """``(compute(ctx, params), parameters it reads)``: ``column + - *
+def _compute(expr, positions, lane):
+    """``(compute(row, params), parameters it reads)``: ``column + - *
     literal-or-parameter`` leaves only the rules to :func:`arithmetic`,
-    anything else is :func:`evaluate`."""
+    anything else is the expression's ``lane`` over the row."""
     if type(expr) is A.BinaryOp and expr.op in ("+", "-", "*") and \
             type(expr.left) is A.ColumnRef:
         op, right = expr.op, expr.right
         at = positions.get((expr.left.table, expr.left.column))
         if at is not None and type(right) is A.Literal:
             value = right.value
-            return lambda ctx, _: arithmetic(op, ctx.values[at], value), 0
+            return lambda row, _: arithmetic(op, row[at], value), 0
         if at is not None and type(right) is A.Param:
             index = right.index
-            return (lambda ctx, params: arithmetic(
-                op, ctx.values[at], params[index])), index + 1
-    return (lambda ctx, params: evaluate(expr, ctx, params)), 0
+            return (lambda row, params: arithmetic(
+                op, row[at], params[index])), index + 1
+    return lane, 0
 
 
 def _insert_rows(plan, table, rows, params, undo):
@@ -435,7 +440,7 @@ def _insert_rows(plan, table, rows, params, undo):
     last_id = None
     for cells in rows:
         full = [None] * plan.width
-        cells.fill(full, NO_ROW, params)
+        cells.fill(full, (), params)
         table.insert_row(full, undo)
         if pk is not None and isinstance(full[pk.ordinal], int):
             last_id = full[pk.ordinal]
@@ -447,13 +452,13 @@ def _change_rows(plan, table, ids, touched, params, undo):
     """UPDATE, or DELETE (no assignments), the rows ``ids`` that the row
     search kept of the ``touched`` it read (each row is changed once, so
     the rows not yet changed are the ones the search read)."""
-    ctx, assignments, rows = plan.ctx, plan.assignments, table.rows
+    assignments, rows = plan.assignments, table.rows
     for row_id in ids:
         row = rows[row_id]
         if assignments is None:
             table.delete_row(row_id, undo)
         else:
             new_row = list(row)
-            assignments.fill(new_row, ctx.bind(row), params)
+            assignments.fill(new_row, row, params)
             table.update_row(row_id, new_row, plan.assigned, undo)
     return ExecResult(rowcount=len(ids), rows_touched=touched)

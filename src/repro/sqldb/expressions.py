@@ -1,9 +1,13 @@
-"""Expression evaluation over rows, with SQL three-valued logic.
+"""SQL's per-value rules, with three-valued logic, and the AST helpers the
+planner shares.
 
-The evaluator works against a :class:`RowContext` that resolves (possibly
-qualified) column references to values of the current joined row.  NULL
-propagates through arithmetic and comparisons; ``AND``/``OR`` use
-three-valued logic (``None`` stands for UNKNOWN).
+Each rule here takes values that are already computed (``None`` is NULL
+or UNKNOWN) and is the one definition of its operator: :func:`arithmetic`,
+the comparisons and ``||`` (:data:`BINARY_RULES`), :func:`negate`,
+:func:`_truthy` (how AND, OR and NOT read an operand), :func:`between`,
+:func:`like`, :func:`in_match` and :func:`scalar_function`.  The engine's
+one evaluator, :mod:`repro.sqldb.plan.compile`, maps them over a chunk's
+rows and decides which operands are evaluated on which rows.
 """
 
 import operator
@@ -12,40 +16,6 @@ import re
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.types import _OUT_OF_RANGE, is_comparable
-
-
-class RowContext:
-    """Resolves column references against the current row.
-
-    ``columns`` maps ``(alias, column)`` and ``(None, column)`` keys to
-    positions in the flat ``values`` list.  Unqualified names that are
-    ambiguous across tables must be registered as ambiguous by the executor.
-    """
-
-    __slots__ = ("positions", "ambiguous", "values")
-
-    def __init__(self, positions, ambiguous=frozenset()):
-        self.positions = positions
-        self.ambiguous = ambiguous
-        self.values = None
-
-    def bind(self, values):
-        self.values = values
-        return self
-
-    def resolve(self, table, column):
-        if table is None and column in self.ambiguous:
-            raise SqlError(f"ambiguous column reference {column!r}")
-        pos = self.positions.get((table, column))
-        if pos is None:
-            where = f"table {table!r}" if table else "any table"
-            raise SqlError(f"unknown column {column!r} in {where}")
-        return self.values[pos]
-
-
-# What an INSERT value, an operator over values alone or a LIMIT / OFFSET
-# expression is evaluated against: no row.
-NO_ROW = RowContext({}).bind(())
 
 
 def like_to_regex(pattern):
@@ -75,67 +45,6 @@ def _like_match(value, pattern):
     return regex.match(value) is not None
 
 
-def evaluate(expr, ctx, params=()):
-    """Evaluate ``expr`` against a bound :class:`RowContext`.
-
-    ``params`` supplies values for ``?`` placeholders.  Returns a Python
-    value; ``None`` means SQL NULL / UNKNOWN.
-    """
-    kind = type(expr)
-    if kind is A.Literal:
-        return expr.value
-    if kind is A.Param:
-        try:
-            return params[expr.index]
-        except IndexError:
-            raise SqlError(
-                f"missing parameter #{expr.index + 1} "
-                f"(got {len(params)} parameters)") from None
-    if kind is A.ColumnRef:
-        return ctx.resolve(expr.table, expr.column)
-    if kind is A.BinaryOp:
-        return _eval_binary(expr, ctx, params)
-    if kind is A.UnaryOp:
-        value = evaluate(expr.operand, ctx, params)
-        if expr.op == "NOT":
-            return None if value is None else (not _truthy(value))
-        if expr.op == "-":
-            if value is None:
-                return None
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SqlTypeError(f"cannot negate {value!r}")
-            return -value
-        raise SqlError(f"unknown unary operator {expr.op!r}")
-    if kind is A.IsNull:
-        value = evaluate(expr.expr, ctx, params)
-        result = value is None
-        return (not result) if expr.negated else result
-    if kind is A.InList:
-        return _eval_in(expr, ctx, params)
-    if kind is A.Between:
-        value = evaluate(expr.expr, ctx, params)
-        low = evaluate(expr.low, ctx, params)
-        high = evaluate(expr.high, ctx, params)
-        if value is None or low is None or high is None:
-            return None
-        result = _compare(value, low) >= 0 and _compare(value, high) <= 0
-        return (not result) if expr.negated else result
-    if kind is A.Like:
-        value = evaluate(expr.expr, ctx, params)
-        pattern = evaluate(expr.pattern, ctx, params)
-        if value is None or pattern is None:
-            return None
-        if not isinstance(value, str) or not isinstance(pattern, str):
-            raise SqlTypeError("LIKE requires text operands")
-        result = _like_match(value, pattern)
-        return (not result) if expr.negated else result
-    if kind is A.FuncCall:
-        return _eval_scalar_func(expr, ctx, params)
-    if kind is A.Star:
-        raise SqlError("'*' is only valid in a select list or COUNT(*)")
-    raise SqlError(f"cannot evaluate expression node {expr!r}")
-
-
 def _truthy(value):
     if isinstance(value, bool):
         return value
@@ -154,52 +63,71 @@ def _compare(a, b):
     return 0
 
 
-# Comparison operator -> the test of ``_compare``'s -1 / 0 / 1 against 0.
-_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
-                ">": operator.gt, "<=": operator.le, ">=": operator.ge}
-
-
-def _eval_binary(expr, ctx, params):
-    op = expr.op
-    if op == "AND":
-        left = evaluate(expr.left, ctx, params)
-        if left is not None and not _truthy(left):
-            return False
-        right = evaluate(expr.right, ctx, params)
-        if right is not None and not _truthy(right):
-            return False
+def _comparison(holds):
+    """The rule of one comparison: ``holds`` tests :func:`_compare`'s
+    -1 / 0 / 1 against 0."""
+    def compare(left, right):
         if left is None or right is None:
             return None
-        return True
-    if op == "OR":
-        left = evaluate(expr.left, ctx, params)
-        if left is not None and _truthy(left):
-            return True
-        right = evaluate(expr.right, ctx, params)
-        if right is not None and _truthy(right):
-            return True
-        if left is None or right is None:
-            return None
-        return False
-    left = evaluate(expr.left, ctx, params)
-    right = evaluate(expr.right, ctx, params)
+        return holds(_compare(left, right), 0)
+    return compare
+
+
+def concat(left, right):
+    """``||``: NULL propagates, only text concatenates."""
     if left is None or right is None:
         return None
-    holds = _COMPARISONS.get(op)
-    if holds is not None:
-        return holds(_compare(left, right), 0)
-    if op == "||":
-        if not isinstance(left, str) or not isinstance(right, str):
-            raise SqlTypeError("'||' requires text operands")
-        return left + right
-    if op in ("+", "-", "*", "/", "%"):
-        return arithmetic(op, left, right)
-    raise SqlError(f"unknown binary operator {op!r}")
+    if not isinstance(left, str) or not isinstance(right, str):
+        raise SqlTypeError("'||' requires text operands")
+    return left + right
+
+
+# Binary operator -> its rule over two values, but for AND / OR (which
+# read their operands with ``_truthy``) and ``+ - * / %`` (arithmetic).
+BINARY_RULES = {"=": _comparison(operator.eq), "<>": _comparison(operator.ne),
+                "<": _comparison(operator.lt), ">": _comparison(operator.gt),
+                "<=": _comparison(operator.le), ">=": _comparison(operator.ge),
+                "||": concat}
+
+
+def negate(value):
+    """Unary minus: NULL propagates, only non-bool numbers negate."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SqlTypeError(f"cannot negate {value!r}")
+    return -value
+
+
+def between(value, low, high):
+    """``value BETWEEN low AND high``; the high bound is compared only
+    when the value is not below the low one."""
+    if value is None or low is None or high is None:
+        return None
+    return _compare(value, low) >= 0 and _compare(value, high) <= 0
+
+
+def like(value, pattern):
+    """``value LIKE pattern``: NULL propagates, only text matches."""
+    if value is None or pattern is None:
+        return None
+    if not isinstance(value, str) or not isinstance(pattern, str):
+        raise SqlTypeError("LIKE requires text operands")
+    return _like_match(value, pattern)
+
+
+def in_match(value, item):
+    """One IN item against a non-NULL value: True when they are equal,
+    None for a NULL item (the list may still match, else it is UNKNOWN),
+    False otherwise — an item of another type never matches."""
+    if item is None:
+        return None
+    return is_comparable(value, item) and _compare(value, item) == 0
 
 
 def arithmetic(op, left, right):
     """One application of ``+ - * / %`` — the one home of SQL's arithmetic
-    rules, for the interpreter and the compiled loops alike: NULL
+    rules, for the generated loops and every other caller: NULL
     propagates, only non-bool numbers combine, division by zero yields
     NULL, an int divided by an int is exact when it divides evenly, ``%``
     is SQLite's (:func:`_remainder`), and a result no float can hold
@@ -262,23 +190,6 @@ def average(total, count):
         raise SqlTypeError(_OUT_OF_RANGE) from None
 
 
-def _eval_in(expr, ctx, params):
-    value = evaluate(expr.expr, ctx, params)
-    if value is None:
-        return None
-    saw_null = False
-    for item in expr.items:
-        candidate = evaluate(item, ctx, params)
-        if candidate is None:
-            saw_null = True
-            continue
-        if is_comparable(value, candidate) and _compare(value, candidate) == 0:
-            return not expr.negated
-    if saw_null:
-        return None
-    return expr.negated
-
-
 # One-argument scalar functions: name -> (types accepted, their name, body).
 _SCALAR_FUNCS = {
     "UPPER": ((str,), "a text", str.upper),
@@ -288,12 +199,9 @@ _SCALAR_FUNCS = {
 }
 
 
-def _eval_scalar_func(expr, ctx, params):
-    name = expr.name
-    if name in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
-        raise SqlError(
-            f"aggregate {name} is not allowed in this context")
-    args = [evaluate(arg, ctx, params) for arg in expr.args]
+def scalar_function(name, *args):
+    """A scalar function over its argument values: COALESCE's first
+    non-NULL one, else the one-argument function ``name``."""
     if name == "COALESCE":
         for value in args:
             if value is not None:
@@ -338,7 +246,7 @@ def first_occurrences(values, clause):
 def fold_aggregate(name, values):
     """COUNT/SUM/AVG/MIN/MAX over the collected non-NULL argument values
     (already deduplicated for DISTINCT) — the one fold behind every
-    aggregate form that collects a list, interpreted or compiled."""
+    aggregate form that collects a list."""
     if name == "COUNT":
         return len(values)
     if not values:
@@ -382,34 +290,20 @@ def conjoin(conjuncts):
     return combined
 
 
+def operands(expr):
+    """``expr``'s direct sub-expressions, in the order they are written."""
+    kind = type(expr)
+    return (expr.args if kind is A.FuncCall else
+            (expr.left, expr.right) if kind is A.BinaryOp else
+            (expr.operand,) if kind is A.UnaryOp else
+            (expr.expr, *expr.items) if kind is A.InList else
+            (expr.expr, expr.low, expr.high) if kind is A.Between else
+            (expr.expr, expr.pattern) if kind is A.Like else
+            (expr.expr,) if kind is A.IsNull else ())
+
+
 def expr_columns(expr):
     """Collect all ColumnRef nodes in an expression (for planning)."""
-    found = []
-    _walk_columns(expr, found)
-    return found
-
-
-def _walk_columns(expr, found):
-    if isinstance(expr, A.ColumnRef):
-        found.append(expr)
-        return
-    if isinstance(expr, A.BinaryOp):
-        _walk_columns(expr.left, found)
-        _walk_columns(expr.right, found)
-    elif isinstance(expr, A.UnaryOp):
-        _walk_columns(expr.operand, found)
-    elif isinstance(expr, A.FuncCall):
-        for arg in expr.args:
-            _walk_columns(arg, found)
-    elif isinstance(expr, A.InList):
-        _walk_columns(expr.expr, found)
-        for item in expr.items:
-            _walk_columns(item, found)
-    elif isinstance(expr, A.Between):
-        _walk_columns(expr.expr, found)
-        _walk_columns(expr.low, found)
-        _walk_columns(expr.high, found)
-    elif isinstance(expr, (A.IsNull, A.Like)):
-        _walk_columns(expr.expr, found)
-        if isinstance(expr, A.Like):
-            _walk_columns(expr.pattern, found)
+    if type(expr) is A.ColumnRef:
+        return [expr]
+    return [ref for operand in operands(expr) for ref in expr_columns(operand)]

@@ -1,10 +1,7 @@
-"""Chunk compilation: lower expression ASTs to kernels over column chunks.
+"""Chunk compilation: the engine's one expression evaluator.
 
-The engine has two expression evaluators.  The interpreter
-(:func:`repro.sqldb.expressions.evaluate`) re-walks an AST for every row.
-This module is the other one.  It lowers an expression **once** (when the
-physical plan is built) into a kernel over a whole
-:class:`repro.sqldb.columnar.ColumnChunk`:
+An expression is lowered **once** (when the physical plan is built) into a
+kernel over a whole :class:`repro.sqldb.columnar.ColumnChunk`:
 
 - :func:`compile_filter` — a predicate becomes ``fn(chunk, params) ->
   sel``, the selection vector of rows evaluating to SQL TRUE, **and**, out
@@ -14,37 +11,32 @@ physical plan is built) into a kernel over a whole
   element-wise loops;
 - :func:`compile_values` — any expression becomes ``fn(chunk, sel,
   params) -> list``, its value at each selected row: the lane the
-  aggregate fold and the Sort read (see :mod:`repro.sqldb.plan.physical`).
+  aggregate fold and the Sort read (see :mod:`repro.sqldb.plan.physical`);
+  :func:`compile_row` reads it over one row.
 
-**Every shape without a kernel is one interpreted lane.**  ``_compile_vec``
-lowers literals, parameters, column references and ``+ - * / %`` to
-vector forms and every other shape (an unknown or ambiguous column
-included) to ``interpreted_lane``: ``evaluate`` over ``chunk.row(i)`` for
-each selected row, the one place this module calls the interpreter per
-row.  A predicate (or an AND operand) with no kernel reads that lane, as
-does a select item, an aggregate argument, a GROUP BY key or a Sort key.
-A gap in kernel coverage is therefore the interpreter's own code — same
-values, same errors — and never a third evaluator to keep in step by
-hand; a kernel for a new shape is one more case in ``_compile_vec`` (or
-``_compile_pred`` for a predicate with a zone test).
-What has a kernel: comparisons and BETWEEN of a column against
-literals/parameters, ``IS [NOT] NULL`` of a column, AND over those — the
-sargable conjunctions :mod:`repro.sqldb.plan.access` recognises for index
-paths, and the only WHERE shapes any workload issues; arithmetic over
-columns, literals and parameters wherever an expression is read.  What
-does not (a kernel needs a workload that issues its shape — see ROADMAP):
-OR, NOT, IN and LIKE, column-vs-column and computed-operand predicates,
-``||``, unary minus, scalar function calls, boolean-valued expressions.
+**Every AST node is a lane** (``_compile_vec``).  Literals, parameters,
+column references and ``+ - * / %`` have vector forms; a node with no loop
+of its own compiles its operands' lanes and maps its per-value rule
+(:mod:`repro.sqldb.expressions`: comparisons, ``||``, negation, IS NULL,
+BETWEEN, LIKE, IN, scalar functions) over their values — every operand on
+every row, as the rule reads them.  AND, OR and NOT are predicate nodes
+(below) read back as True / None / False.  An unknown or ambiguous column,
+a ``*`` or an aggregate outside a fold is a lane that raises its error
+where a row reaches it.  What has a kernel: comparisons and BETWEEN of a
+column against literals/parameters, ``IS [NOT] NULL`` of a column, AND
+over those — the sargable conjunctions :mod:`repro.sqldb.plan.access`
+recognises for index paths, and the only WHERE shapes any workload
+issues; arithmetic over columns, literals and parameters.  A kernel for a
+new shape is one more case in ``_compile_vec`` (or ``_compile_pred``).
 
-Internally every predicate node is ``node(chunk, sel, params) -> (t, u)``
-— the ascending index lists where the node is TRUE and UNKNOWN (FALSE is
-the remainder) — so AND combines Kleene-exactly and preserves the
-interpreter's short-circuit scope: it evaluates its right operand only
-over the left's TRUE∪UNKNOWN rows, which is also all an interpreted
-operand beside a selective fused leaf ever sees.  Errors the
-interpreter raises only when a row is actually evaluated (missing
-parameters, type errors) are raised by the kernels only when a row is
-evaluated too, so an empty input still raises nothing.
+Every predicate node is ``node(chunk, sel, params) -> (t, u)`` — the
+ascending index lists where the node is TRUE and UNKNOWN (FALSE is the
+remainder) — so Kleene logic has one home, ``_and_pair``, with NOT the
+complement and OR De Morgan's.  That fixes the evaluation scope too: AND
+evaluates its right operand only where the left is not FALSE, OR only
+where it is not TRUE; IN evaluates no item for a NULL value and none
+after the first that matches.  A lane is called over rows only, so an
+empty input raises nothing (a missing parameter, a type error).
 
 ``col = c`` over a chunk a sequential scan sliced off a snapshot reads
 ``c``'s rows off the slice's equality facet (:func:`_facet_eq`); a chunk
@@ -55,7 +47,7 @@ loop.
 templates: one function per key, at most once per process, shared by
 every plan and compiled under this file's name (``cmp_ge_num``,
 ``between_num_exact``, ``arith_mul_vs``, ``project_ppd``).  Comparison
-and BETWEEN loops bake in the interpreter's comparability lattice and
+and BETWEEN loops bake in ``_compare``'s comparability lattice and
 ``a < b`` / ``a > b`` probes, so NaN and mixed-type behaviour are
 bit-identical.  A projection loop builds the rows at ``sel`` in one pass,
 one per sequence of lane kinds (plain, dictionary, all-NULL).  Arithmetic
@@ -64,7 +56,7 @@ constant∘column): two values whose class is exactly ``int`` or ``float``
 combine inline, any other goes to :func:`repro.sqldb.expressions.arithmetic`
 (the one home of the arithmetic rules) for its element, and an
 ``OverflowError`` — an int no float holds meeting a float — sends the
-chunk through the helper again, which raises the interpreter's
+chunk through the helper again, which raises its
 :class:`SqlTypeError` at that element.  ``/`` and ``%`` call the helper
 per value: no workload divides.
 
@@ -76,20 +68,25 @@ cached kernel can never read a stale layout.
 Fused evaluation runs column-at-a-time, so when *several* rows of one
 chunk would raise (mixed-type data smuggled past the typed storage
 layer), the row whose error is raised follows that order, not row order.
-Whether an error is raised at all, and the result when none is, are what
-row-at-a-time evaluation gives.
+Whether an error is raised at all, and the result when none is, do not
+depend on that order.
 """
 
-from operator import itemgetter
+from functools import partial
+from itertools import repeat
+from operator import is_, is_not, itemgetter
 
 from repro.sqldb import ast_nodes as A
-from repro.sqldb.columnar import DictColumn
-from repro.sqldb.errors import SqlTypeError
-from repro.sqldb.expressions import RowContext, _truthy, arithmetic, evaluate
+from repro.sqldb.columnar import ColumnChunk, DictColumn
+from repro.sqldb.errors import SqlError, SqlTypeError
+from repro.sqldb.expressions import (BINARY_RULES, _truthy, arithmetic,
+                                     between, in_match, like, negate,
+                                     operands, scalar_function)
+from repro.sqldb.plan.planner import _AGGREGATE_NAMES
 from repro.sqldb.types import is_comparable
 
 __all__ = ["compile_filter", "compile_operand", "compile_project",
-           "compile_values"]
+           "compile_row", "compile_values"]
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +94,15 @@ __all__ = ["compile_filter", "compile_operand", "compile_project",
 # ---------------------------------------------------------------------------
 
 
-def column_position(expr, positions, ambiguous):
-    """The flat row position of a ColumnRef, or None when the reference is
-    ambiguous or unknown: the shape then has no kernel, and the interpreted
-    lane raises the resolution error for each row it evaluates."""
-    if expr.table is None and expr.column in ambiguous:
-        return None
-    return positions.get((expr.table, expr.column))
+def column_position(expr, positions):
+    """The flat row position of a ColumnRef, or None for any other
+    expression and for a reference that is unknown or ambiguous (an
+    ambiguous name has no unqualified entry in ``positions``): the shape
+    then has no kernel, and its lane raises the resolution error where a
+    row reaches it."""
+    if type(expr) is A.ColumnRef:
+        return positions.get((expr.table, expr.column))
+    return None
 
 
 def _row_independent(expr):
@@ -114,9 +113,9 @@ def _row_independent(expr):
 
 def compile_operand(expr):
     """``resolve(params)``: a literal's value, or a parameter read by its
-    index, built with the plan.  A missing parameter raises the
-    interpreter's own error when this is called, and a kernel calls it
-    only over rows: over no row nothing raises."""
+    index, built with the plan.  A missing parameter raises when this is
+    called, and a kernel calls it only over rows: over no row nothing
+    raises."""
     if type(expr) is A.Literal:
         value = expr.value
         return lambda params: value
@@ -126,7 +125,8 @@ def compile_operand(expr):
         try:
             return params[index]
         except IndexError:
-            return evaluate(expr, None, params)  # the error, as it words it
+            raise SqlError(f"missing parameter #{index + 1} "
+                           f"(got {len(params)} parameters)") from None
 
     return parameter
 
@@ -147,7 +147,7 @@ def compile_operand(expr):
 # - the zone test ``zone_test(zone_of, facet_of, params) -> (may_true,
 #   may_unknown, may_raise)`` — conservative upper bounds on whether *any*
 #   row of the chunk could evaluate TRUE / UNKNOWN / raise — or None when
-#   the shape can rule no chunk out (an interpreted operand, NOT BETWEEN).
+#   the shape can rule no chunk out (a lane operand, OR, NOT, NOT BETWEEN).
 #   ``zone_of(pos)`` / ``facet_of(pos)`` return the chunk's ``(lo, hi,
 #   nulls, count)`` / equality facet for a flat column position, or None.
 #   A chunk may be skipped only when it can neither produce a TRUE row nor
@@ -216,9 +216,15 @@ def _compile_pred(expr, positions, ambiguous, reads):
             return _and_pair(
                 _pred_operand(expr.left, positions, ambiguous, reads),
                 _pred_operand(expr.right, positions, ambiguous, reads))
+        if expr.op == "OR":
+            return _not(_and_pair(_not(_truth(expr.left, positions, ambiguous)),
+                                  _not(_truth(expr.right, positions,
+                                              ambiguous))))
         if expr.op in _CMP_EXPRS:
             return _cmp_leaf(expr, positions, ambiguous, reads)
         return None
+    if kind is A.UnaryOp and expr.op == "NOT":
+        return _not(_truth(expr.operand, positions, ambiguous))
     if kind is A.IsNull:
         return _isnull_leaf(expr, positions, ambiguous, reads)
     if kind is A.Between:
@@ -249,6 +255,28 @@ def _pred_operand(expr, positions, ambiguous, reads):
     return lane_node, None
 
 
+def _truth(expr, positions, ambiguous):
+    """The pair of an OR or NOT operand, or of AND / OR / NOT read as a
+    value.  It adds nothing to the statement's reads, and its zone test
+    goes unused: OR and NOT rule no chunk out."""
+    return _pred_operand(expr, positions, ambiguous, (set(), set()))
+
+
+def _not(operand):
+    """Kleene NOT: TRUE where the operand is FALSE, UNKNOWN where it is."""
+    onode = operand[0]
+
+    def node(chunk, sel, params):
+        t, u = onode(chunk, sel, params)
+        if not t and not u:
+            return sel if type(sel) is list else list(sel), []
+        skip = set(t)
+        skip.update(u)
+        return [i for i in sel if i not in skip], u
+
+    return node, None
+
+
 def _merge(a, b):
     """Merge two ascending, disjoint index lists."""
     if not a:
@@ -273,7 +301,7 @@ def _merge(a, b):
 
 
 def _and_pair(left, right):
-    """Kleene AND with the interpreter's short-circuit scope: the right
+    """Kleene AND, evaluated in SQL's short-circuit scope: the right
     operand is evaluated only where the left is TRUE or UNKNOWN — in the
     kernel row by row, in the zone test chunk by chunk.  A prunable left
     conjunct suffices to rule chunks out (AND ``may_true`` needs both)."""
@@ -304,8 +332,8 @@ def _and_pair(left, right):
         if lr:
             return _ALWAYS
         if not lt and not lu:
-            # Every row FALSE on the left: the interpreter never
-            # evaluates the right operand (its errors included).
+            # Every row FALSE on the left: the right operand is never
+            # evaluated (its errors included).
             return _NEVER
         if rzone is None:
             return _ALWAYS
@@ -317,9 +345,7 @@ def _and_pair(left, right):
 
 def _isnull_leaf(expr, positions, ambiguous, reads):
     """Kernel and zone test for ``col IS [NOT] NULL``, or None."""
-    if not isinstance(expr.expr, A.ColumnRef):
-        return None
-    pos = column_position(expr.expr, positions, ambiguous)
+    pos = column_position(expr.expr, positions)
     if pos is None:
         return None
     negated = expr.negated
@@ -355,8 +381,8 @@ def _isnull_leaf(expr, positions, ambiguous, reads):
     return node, zone_test
 
 
-# Comparison expressions over (a, c), derived from the interpreter's
-# `a < b` / `a > b` probes (``_compare``), not the native ==/!=: a NaN
+# Comparison expressions over (a, c), derived from ``_compare``'s
+# `a < b` / `a > b` probes, not the native ==/!=: a NaN
 # computed from ±inf (``inf - inf``; SQLite's would be NULL, a kept gap)
 # compares here as it does there.
 _CMP_EXPRS = {
@@ -441,7 +467,7 @@ def _cmp_source(name, op, kind):
 
 
 def _between_source(name, low_kind, high_kind):
-    """``col BETWEEN low AND high``, checked in the interpreter's order:
+    """``col BETWEEN low AND high``, checked in :func:`between`'s order:
     the low bound's type, ``a < low`` (then the high bound is never looked
     at), the high bound's type, ``a > high``."""
     low_ok = _KERNEL_CHECKS[low_kind].format(cls="low_cls")
@@ -523,8 +549,8 @@ def _facet_eq(facet, c, sel, length):
 
 def _cmp_leaf(expr, positions, ambiguous, reads):
     """Kernel and zone test for a column compared with a row-independent
-    operand, or None (column-vs-column and arbitrary expressions are
-    interpreted).  ``=`` reads a chunk's equality facet where it has one
+    operand, or None (column-vs-column and arbitrary expressions read
+    their lanes).  ``=`` reads a chunk's equality facet where it has one
     (:func:`_facet_eq`); every other chunk, and every other comparison,
     runs the generated loop."""
     left, right = expr.left, expr.right
@@ -535,9 +561,9 @@ def _cmp_leaf(expr, positions, ambiguous, reads):
         const_is_right, kop = False, _FLIP[expr.op]
     else:
         return None
-    pos = column_position(col_expr, positions, ambiguous)
+    pos = column_position(col_expr, positions)
     if pos is None:
-        return None  # the interpreter raises the unknown-column error
+        return None  # its lane raises the unknown-column error
     fail = _fail_const_right if const_is_right else _fail_const_left
     resolve = compile_operand(const_expr)
     faceted = kop == "="
@@ -615,12 +641,9 @@ def _cmp_leaf(expr, positions, ambiguous, reads):
 
 def _between_leaf(expr, positions, ambiguous, reads):
     """Kernel and zone test for ``col [NOT] BETWEEN c AND c``, or None."""
-    if not (isinstance(expr.expr, A.ColumnRef)
-            and _row_independent(expr.low)
-            and _row_independent(expr.high)):
-        return None
-    pos = column_position(expr.expr, positions, ambiguous)
-    if pos is None:
+    pos = column_position(expr.expr, positions)
+    if pos is None or not (_row_independent(expr.low)
+                           and _row_independent(expr.high)):
         return None
     negated = expr.negated
     low_of, high_of = compile_operand(expr.low), compile_operand(expr.high)
@@ -684,21 +707,36 @@ def _between_leaf(expr, positions, ambiguous, reads):
 def _compile_vec(expr, positions, ambiguous):
     """Compile an expression to ``fn(chunk, sel, params) -> (scalar, v)``
     — ``v`` a single broadcast value when ``scalar`` is true, else a list
-    aligned with ``sel``.  Literals, parameters, column references and
-    ``+ - * / %`` over them have vector forms; every other shape is the
-    interpreted lane.
+    aligned with ``sel``, which is never empty.  Every node has one (see
+    the module docstring).
     """
     kind = type(expr)
     if kind is A.Literal or kind is A.Param:
         resolve = compile_operand(expr)
         return lambda chunk, sel, params: (True, resolve(params))
-    pos = (column_position(expr, positions, ambiguous)
-           if kind is A.ColumnRef else None)
-    if pos is not None:
-        return lambda chunk, sel, params: (False, chunk.gather_at(pos, sel))
+    if kind is A.ColumnRef:
+        pos = column_position(expr, positions)
+        if pos is not None:
+            return lambda chunk, sel, params: (False,
+                                               chunk.gather_at(pos, sel))
+        if expr.table is None and expr.column in ambiguous:
+            return _raising(f"ambiguous column reference {expr.column!r}")
+        where = f"table {expr.table!r}" if expr.table else "any table"
+        return _raising(f"unknown column {expr.column!r} in {where}")
+    if (kind is A.BinaryOp and expr.op in ("AND", "OR")
+            or kind is A.UnaryOp and expr.op == "NOT"):
+        return _truth_values(_truth(expr, positions, ambiguous)[0])
+    if kind is A.InList:
+        return _in_list(expr, positions, ambiguous)
+    if kind is A.FuncCall and expr.name in _AGGREGATE_NAMES:
+        return _raising(f"aggregate {expr.name} is not allowed in this "
+                        "context")
+    if kind is A.Star:
+        return _raising("'*' is only valid in a select list or COUNT(*)")
+    lanes = [_compile_vec(operand, positions, ambiguous)
+             for operand in operands(expr)]
     if kind is A.BinaryOp and expr.op in ("+", "-", "*", "/", "%"):
-        lv = _compile_vec(expr.left, positions, ambiguous)
-        rv = _compile_vec(expr.right, positions, ambiguous)
+        lv, rv = lanes
         op = expr.op
 
         def binary_vec(chunk, sel, params):
@@ -711,13 +749,91 @@ def _compile_vec(expr, positions, ambiguous):
             return False, loop(lval, rval)
 
         return binary_vec
+    if kind is A.BinaryOp:
+        rule = BINARY_RULES[expr.op]
+    elif kind is A.UnaryOp:
+        rule = negate
+    elif kind is A.FuncCall:
+        rule = partial(scalar_function, expr.name)
+    elif kind is A.IsNull:
+        rule = partial(is_not if expr.negated else is_, None)
+    else:
+        rule = between if kind is A.Between else like
+        if expr.negated:
+            rule = partial(_inverted, rule)
+    return _mapped(rule, lanes)
 
-    def interpreted_lane(chunk, sel, params):
-        ctx = RowContext(positions, ambiguous)
-        row = chunk.row
-        return False, [evaluate(expr, ctx.bind(row(i)), params) for i in sel]
 
-    return interpreted_lane
+def _raising(message):
+    """The lane of a node that has no value: it raises ``message``
+    wherever a row reaches it."""
+    def raising(chunk, sel, params):
+        raise SqlError(message)
+
+    return raising
+
+
+def _inverted(rule, *values):
+    """NOT BETWEEN / NOT LIKE: ``rule``'s result negated, NULL kept."""
+    result = rule(*values)
+    return None if result is None else not result
+
+
+def _mapped(rule, lanes):
+    """The generic lane: ``rule`` over the values of its operands'
+    ``lanes``, each evaluated over every row — once when all are
+    scalars."""
+    def mapped(chunk, sel, params):
+        evaluated = [lane(chunk, sel, params) for lane in lanes]
+        if all(scalar for scalar, _ in evaluated):
+            return True, rule(*[value for _, value in evaluated])
+        return False, list(map(rule, *[repeat(value) if scalar else value
+                                        for scalar, value in evaluated]))
+
+    return mapped
+
+
+def _truth_values(node):
+    """A predicate node's lane: True / None / False per row."""
+    def truth(chunk, sel, params):
+        t, u = node(chunk, sel, params)
+        t, u = set(t), set(u)
+        return False, [True if i in t else None if i in u else False
+                       for i in sel]
+
+    return truth
+
+
+def _in_list(expr, positions, ambiguous):
+    """``value [NOT] IN (items)``: each item's lane is evaluated only over
+    the rows with a non-NULL value that no earlier item matched, and read
+    by :func:`in_match`."""
+    value_of = compile_values(expr.expr, positions, ambiguous)
+    items = [compile_values(item, positions, ambiguous)
+             for item in expr.items]
+    found = not expr.negated
+
+    def in_list(chunk, sel, params):
+        values = value_of(chunk, sel, params)
+        out = [None if value is None else not found for value in values]
+        pending = [k for k, value in enumerate(values) if value is not None]
+        for item in items:
+            if not pending:
+                break
+            unmatched = []
+            for k, candidate in zip(pending, item(
+                    chunk, [sel[k] for k in pending], params)):
+                match = in_match(values[k], candidate)
+                if match:
+                    out[k] = found
+                    continue
+                if match is None:
+                    out[k] = None
+                unmatched.append(k)
+            pending = unmatched
+        return False, out
+
+    return in_list
 
 
 def compile_values(expr, positions, ambiguous):
@@ -725,8 +841,7 @@ def compile_values(expr, positions, ambiguous):
     ``sel`` (a scalar broadcast).  Over no row nothing is evaluated, so a
     missing parameter raises only where a row reaches it.  The list may be
     the chunk's own lane: callers read it and never write to it."""
-    pos = (column_position(expr, positions, ambiguous)
-           if type(expr) is A.ColumnRef else None)
+    pos = column_position(expr, positions)
     if pos is not None:
         return lambda chunk, sel, params: chunk.gather_at(pos, sel)
     vec = _compile_vec(expr, positions, ambiguous)
@@ -739,6 +854,20 @@ def compile_values(expr, positions, ambiguous):
 
     return values
 
+
+def compile_row(expr, positions, ambiguous=frozenset()):
+    """``fn(row, params)``: ``expr``'s value over one row laid out as
+    ``positions`` say (``()`` for no row) — its lane over a one-row
+    chunk."""
+    values = compile_values(expr, positions, ambiguous)
+
+    def value(row, params):
+        return values(ColumnChunk([[v] for v in row], 1), _ONE, params)[0]
+
+    return value
+
+
+_ONE = [0]  # the selection of a one-row chunk
 
 _PLAIN_LANES = frozenset((list, tuple))  # a plain-column select list zips
 
@@ -773,8 +902,7 @@ def compile_project(items, expansions, positions, ambiguous):
         if expansion is not None:
             makers.extend(pos for pos, _ in expansion)
         else:
-            pos = (column_position(item.expr, positions, ambiguous)
-                   if type(item.expr) is A.ColumnRef else None)
+            pos = column_position(item.expr, positions)
             makers.append(pos if pos is not None
                           else compile_values(item.expr, positions, ambiguous))
     if all(type(maker) is int for maker in makers):

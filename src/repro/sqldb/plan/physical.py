@@ -15,7 +15,7 @@ Two operator flavours mirror the two halves of a SELECT:
   materialized output relation via ``apply(run)``.  Each has one body.
   ``ProjectOp``, ``AggregateOp`` and a Sort key over the source read
   ``run.source_chunks`` through lanes (:mod:`repro.sqldb.plan.compile`):
-  a kernel where the shape has one, else the one interpreted lane.
+  a kernel where the shape has one, else its generic lane.
   ``AggregateOp`` is one fold for every shape — keys or none, HAVING,
   DISTINCT, aggregates inside arithmetic.
 
@@ -56,15 +56,15 @@ from time import perf_counter
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.columnar import CHUNK_SIZE, ColumnChunk, DictColumn
 from repro.sqldb.errors import SqlError, SqlTypeError
-from repro.sqldb.expressions import (NO_ROW, evaluate, first_occurrences,
-                                     fold_aggregate, RowContext)
+from repro.sqldb.expressions import (first_occurrences, fold_aggregate,
+                                     operands)
 from repro.sqldb.plan import logical as L
 from repro.sqldb.plan.access import (keyed_conjuncts, pk_lookup_keys,
                                      range_scan_ids, residual_predicate,
                                      resolve_index_lookup, walked_conjuncts)
 from repro.sqldb.plan.compile import (column_position, compile_filter,
                                       compile_operand, compile_project,
-                                      compile_values)
+                                      compile_row, compile_values)
 from repro.sqldb.plan.cost import conjunct_tables
 from repro.sqldb.plan.planner import _AGGREGATE_NAMES, order_by_position
 from repro.sqldb.result import ExecResult
@@ -569,9 +569,11 @@ class IndexNLJoinOp(HashJoinOp):
 class NestedLoopJoinOp:
     """General join with an arbitrary ON condition.
 
-    The per-pair work is row-shaped and has no chunk kernel: each probe
-    chunk is transposed to rows, joined through the interpreted condition,
-    and transposed back.
+    The ON condition is compiled once (:func:`compile_filter`): each
+    probe chunk is transposed to rows, every left row paired with the
+    right rows in order, and the condition filters those pairs
+    :data:`CHUNK_SIZE` at a time; a LEFT join pads a left row no pair of
+    which it kept.
     """
 
     def __init__(self, child, node, sctx, cutoff):
@@ -581,7 +583,8 @@ class NestedLoopJoinOp:
         self.join_index = node.table_index
         self.kind = node.kind
         self.table_name = node.table
-        self.condition = node.condition
+        self.keep = compile_filter(node.condition, sctx.context.positions,
+                                   sctx.context.ambiguous)[0]
 
     def _scan_right(self, run):
         """The right table's rows, charged once per execution — before
@@ -593,21 +596,22 @@ class NestedLoopJoinOp:
 
     def _join_rows(self, run, left_rows, right_rows):
         offset = self.sctx.offsets[self.join_index]
-        width = self.sctx.widths[self.join_index]
-        condition = self.condition
+        stop = offset + self.sctx.widths[self.join_index]
+        total, read = self.sctx.total_width, self.sctx.read
         keep_unmatched = self.kind == "LEFT"
-        ctx = RowContext(self.sctx.context.positions,
-                         self.sctx.context.ambiguous)
-        params = run.params
         for values in left_rows:
             matched = False
-            for row in right_rows:
-                merged = list(values)
-                merged[offset:offset + width] = row
-                ctx.bind(merged)
-                if evaluate(condition, ctx, params) is True:
-                    yield merged
-                    matched = True
+            for start in range(0, len(right_rows), CHUNK_SIZE):
+                pairs = []
+                for row in right_rows[start:start + CHUNK_SIZE]:
+                    merged = list(values)
+                    merged[offset:stop] = row
+                    pairs.append(merged)
+                kept = self.keep(ColumnChunk.from_rows(pairs, total, read),
+                                 run.params)
+                for k in kept:
+                    yield pairs[k]
+                matched = matched or bool(kept)
             if not matched and keep_unmatched:
                 yield list(values)
 
@@ -673,11 +677,11 @@ class AggregateOp:
        aggregate call is its folded value, any other leaf is its lane at
        the group's first row (the all-NULL row of the empty group).
 
-    That is the interpreter's evaluation scope for an aggregate query:
-    an argument is evaluated on the rows of the groups that are output, a
-    plain item on one row per group.  An aggregate call is one reached
-    from the item's root through operators; one anywhere else (inside a
-    scalar function, say) is a leaf the interpreter refuses.
+    That is SQL's evaluation scope for an aggregate query: an argument is
+    evaluated on the rows of the groups that are output, a plain item on
+    one row per group.  An aggregate call is one reached from the item's
+    root through operators; one anywhere else (inside a scalar function,
+    say) is a leaf whose lane raises.
     """
 
     def __init__(self, items, group_by, having, sctx):
@@ -693,9 +697,8 @@ class AggregateOp:
         self.keys = [compile_values(e, positions, ambiguous)
                      for e in group_by]
         # A single plain-column key groups a dictionary lane by code.
-        self.code_key = (column_position(group_by[0], positions, ambiguous)
-                         if len(group_by) == 1
-                         and isinstance(group_by[0], A.ColumnRef) else None)
+        self.code_key = (column_position(group_by[0], positions)
+                         if len(group_by) == 1 else None)
         # The empty group's first row: an all-NULL one.
         self.no_row = (ColumnChunk([None] * sctx.total_width, 1), 0)
         # Per aggregate call ``(name, distinct, lane or None)``, in the
@@ -852,16 +855,19 @@ def _finisher(expr, calls, positions, ambiguous):
         return lambda folded, firsts, params: folded[k]
     if isinstance(expr, (A.BinaryOp, A.UnaryOp)):
         binary = type(expr) is A.BinaryOp
-        operands = [_finisher(operand, calls, positions, ambiguous)
-                    for operand in ((expr.left, expr.right) if binary
-                                    else (expr.operand,))]
+        finishers = [_finisher(operand, calls, positions, ambiguous)
+                     for operand in operands(expr)]
+        # The operator over its operands' columns, as lanes of one chunk.
+        slots = [A.ColumnRef(None, k) for k in range(len(finishers))]
+        rule = compile_values(
+            A.BinaryOp(expr.op, *slots) if binary
+            else A.UnaryOp(expr.op, *slots),
+            {(None, k): k for k in range(len(finishers))}, frozenset())
 
         def combined(folded, firsts, params):
-            columns = [finish(folded, firsts, params) for finish in operands]
-            return [evaluate(A.BinaryOp(expr.op, *map(A.Literal, values))
-                             if binary else
-                             A.UnaryOp(expr.op, *map(A.Literal, values)),
-                             NO_ROW, params) for values in zip(*columns)]
+            columns = [finish(folded, firsts, params) for finish in finishers]
+            return rule(ColumnChunk(columns, len(firsts)),
+                        range(len(firsts)), params)
 
         return combined
     lane = compile_values(expr, positions, ambiguous)
@@ -913,9 +919,8 @@ class SortOp:
                 pos = alias_positions[expr.column]
             else:
                 pos = order_by_position(expr, len(out_columns))
-            if pos is None and isinstance(expr, A.ColumnRef):
-                flat = column_position(expr, context.positions,
-                                       context.ambiguous)
+            if pos is None:
+                flat = column_position(expr, context.positions)
                 if flat is not None and flat in out_positions:
                     pos = out_positions.index(flat)
             if pos is None and aggregated:
@@ -982,15 +987,16 @@ class _Flipped:
 
 def limit_bound(clause, expr):
     """``value(params)`` of a LIMIT or OFFSET clause (0 when absent),
-    built with the plan: a valid literal is its value, anything else goes
-    through :func:`resolve_limit` when the statement runs — an invalid
+    built with the plan: a valid literal is its value, anything else (its
+    lane over no row) goes through :func:`resolve_limit` when the
+    statement runs — an invalid
     literal raises then too, never when the plan is built."""
     expr = A.Literal(0) if expr is None else expr
     if type(expr) is A.Literal and _is_bound(expr.value):
         value = expr.value
         return lambda params: value
     resolve = (compile_operand(expr) if type(expr) in (A.Literal, A.Param)
-               else partial(evaluate, expr, NO_ROW))
+               else partial(compile_row(expr, {}), ()))
     return lambda params: resolve_limit(clause, resolve(params))
 
 
@@ -1312,7 +1318,7 @@ def _absorbed(node, sctx):
     """Whether the Filter ``node`` goes into the INNER equi-join below it:
     when each conjunct reads only the joined table.  Beside one that reads
     the left side, a conjunct tested before the emit would be evaluated on
-    rows the interpreter's short-circuit spares."""
+    rows AND's short-circuit spares."""
     join = node.child
     return (isinstance(join, L.Join) and join.kind == "INNER"
             and join.strategy in _EQUI_JOIN_OPS
@@ -1384,11 +1390,8 @@ def _output_positions(stmt, expansions, context):
     for item, expansion in zip(stmt.items, expansions):
         if expansion is not None:
             positions.extend(pos for pos, _ in expansion)
-        elif isinstance(item.expr, A.ColumnRef):
-            positions.append(column_position(
-                item.expr, context.positions, context.ambiguous))
         else:
-            positions.append(None)
+            positions.append(column_position(item.expr, context.positions))
     return positions
 
 

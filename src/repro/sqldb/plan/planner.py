@@ -6,12 +6,20 @@ by every operator), and emits the canonical node tree.  It performs *no*
 optimization — see :mod:`repro.sqldb.plan.optimizer`.
 """
 
+from collections import namedtuple
+
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlError
-from repro.sqldb.expressions import RowContext, expr_columns
+from repro.sqldb.expressions import expr_columns
 from repro.sqldb.plan import logical as L
 
 _AGGREGATE_NAMES = frozenset(["COUNT", "SUM", "AVG", "MIN", "MAX"])
+
+# How a statement's column references resolve: ``positions`` maps
+# ``(alias, column)`` and ``(None, column)`` to flat row positions;
+# ``ambiguous`` holds the unqualified names two tables share, which
+# ``positions`` leaves out.
+Layout = namedtuple("Layout", "positions ambiguous")
 
 
 class SelectContext:
@@ -19,7 +27,7 @@ class SelectContext:
 
     Joined rows are flat lists; table ``i``'s columns live at positions
     ``offsets[i] .. offsets[i] + widths[i]``.  ``context`` is the
-    :class:`RowContext` every expression in the statement evaluates against.
+    :class:`Layout` every expression in the statement resolves against.
 
     ``read`` is the statement's **read set**: the sorted flat positions
     its select items, join conditions, WHERE, GROUP BY, HAVING and ORDER
@@ -66,7 +74,7 @@ class SelectContext:
         for name, pos in unqualified.items():
             if name not in ambiguous:
                 positions[(None, name)] = pos
-        return RowContext(positions, frozenset(ambiguous))
+        return Layout(positions, frozenset(ambiguous))
 
     def positions_of(self, exprs):
         """The flat positions ``exprs`` (None entries allowed) can read:

@@ -131,16 +131,15 @@ _MISSING = (SqlError, "missing parameter #1 (got 0 parameters)")
                  (SqlTypeError, "cannot compare 's0' with 1"), [],
                  id="incomparable-bound"),
 ])
-def test_a_plan_built_operand_raises_where_the_interpreter_does(
+def test_a_plan_built_operand_raises_where_a_row_reaches_it(
         sql, over_rows, over_none):
     """A literal or parameter is resolved by a closure built with the
     plan, and only where a row reaches it: over five rows and over none,
-    each statement raises the interpreter's error — type and message —
-    or returns the rows it returned when every execution resolved its
-    operands through ``evaluate``.  An empty table raises nothing but
-    where the operand is read before any row (a LIMIT, an ordered walk's
-    bound, an item of the one group), and so does a conjunct no row
-    reaches past the one before it."""
+    each statement raises the error — type and message — or returns the
+    rows given.  An empty table raises nothing but where the operand is
+    read before any row (a LIMIT, an ordered walk's bound, an item of the
+    one group), and so does a conjunct no row reaches past the one before
+    it."""
     for db, expected in ((_database(), over_rows),
                          (_database(rows=0), over_none)):
         if type(expected) is list:

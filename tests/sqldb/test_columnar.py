@@ -17,6 +17,7 @@ from repro.sqldb import columnar as columnar_mod
 from repro.sqldb.columnar import (ColumnChunk, DictColumn, NULL_CODE,
                                   _column_zones, _encode_dict)
 from repro.sqldb.parser import parse
+from repro.sqldb.plan import compile as compile_mod
 from repro.sqldb.plan import physical as physical_mod
 from repro.sqldb.plan.cost import column_ndv
 
@@ -251,7 +252,7 @@ def test_chunk_take_keeps_dictionaries_encoded():
     # skip_range lanes become all-NULL placeholders.
     skipped = chunk.take([1], skip_range=(1, 2))
     assert skipped.columns[1] is None
-    assert skipped.row(0) == [20, None]
+    assert skipped.to_rows() == [[20, None]]
 
 
 def test_from_rows_transpose_shim():
@@ -290,19 +291,22 @@ def test_dictionary_predicates_agree_with_sqlite():
 def test_sort_reads_the_source_only_for_source_keys(monkeypatch):
     """ORDER BY over output aliases and positions sorts the projected rows
     alone; a key over the *source* row reads its lane over the source
-    chunks, one row at a time (``ColumnChunk.row``) only for a shape with
-    no kernel.  An aggregate reads a plain item's lane at each group's
-    first row, never the whole row, and no result operator transposes a
-    chunk to rows."""
+    chunks' kept rows only — ``LENGTH(name)``, a shape with no loop of its
+    own, is evaluated once per result row and never on a row the WHERE
+    dropped, and no other key calls a function.  An aggregate reads a
+    plain item's lane at each group's first row, never the whole row, and
+    no result operator transposes a chunk to rows."""
     db = _db(n=50)
-    read, transposed = [], []
-    row, to_rows = ColumnChunk.row, ColumnChunk.to_rows
-    monkeypatch.setattr(ColumnChunk, "row",
-                        lambda chunk, i: read.append(i) or row(chunk, i))
+    called, transposed = [], []
+    scalar_function, to_rows = compile_mod.scalar_function, ColumnChunk.to_rows
+    # Bound into each function lane when its plan is built, below.
+    monkeypatch.setattr(
+        compile_mod, "scalar_function",
+        lambda *args: called.append(args) or scalar_function(*args))
     monkeypatch.setattr(
         ColumnChunk, "to_rows",
         lambda chunk: transposed.append(chunk) or to_rows(chunk))
-    for sql, row_a_row in (
+    for sql, a_function_key in (
             ("SELECT id, v AS w FROM t WHERE v > 30 ORDER BY w DESC, 1",
              False),
             ("SELECT name, COUNT(*) AS n FROM t GROUP BY name "
@@ -311,9 +315,9 @@ def test_sort_reads_the_source_only_for_source_keys(monkeypatch):
              False),
             ("SELECT id FROM t WHERE v > 30 "
              "ORDER BY LENGTH(name) DESC, v % 7, id", True)):
-        read.clear()
+        called.clear()
         result = assert_matches_sqlite(db, sql, total=True)
-        assert len(read) == (len(result.rows) if row_a_row else 0), sql
+        assert len(called) == (len(result.rows) if a_function_key else 0), sql
     assert not transposed
 
 
@@ -377,8 +381,8 @@ def test_scan_skips_chunks_outside_range():
 def test_scan_skips_chunks_beside_interpreted_operand():
     """IN / LIKE / OR / NOT have no kernel and no zone test; as the right
     operand of a fused leaf they neither stop the leaf's zone test from
-    skipping chunks nor see the skipped rows.  With the interpreted
-    operand on the left nothing can be ruled out: it runs — and may
+    skipping chunks nor see the skipped rows.  With that operand on the
+    left nothing can be ruled out: it runs — and may
     raise — on every row."""
     db = _db(n=2500)
     for operand in ("name IN ('label1', 'label3')", "name LIKE '%2'",

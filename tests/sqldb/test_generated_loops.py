@@ -1,11 +1,12 @@
 """The generated per-value loops of ``plan/compile.py`` against the
-interpreter, element by element.
+per-value rules, element by element.
 
 Arithmetic (``+ - * / %``, each over column∘column, column∘parameter and
 parameter∘column) and BETWEEN (each pair of bound families, negated, NULL
 bounds) run as loops generated per key.  A loop inlines the common case
 and sends every other value to the shared helper, so over any chunk it
-must give what ``expressions.evaluate`` gives row by row: the same values
+must give what the rule (``expressions.arithmetic``, or
+``expressions.between`` for the kept rows) gives row by row: the same values
 — NaN-aware, and of the same type — or, when a row raises, the error of
 the first raising row, same type and message.  Value kinds: ints, floats,
 NaN, ±inf, bools, NULL, text, an int no float can hold (``10**400``) and
@@ -20,7 +21,7 @@ import pytest
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.columnar import ColumnChunk
 from repro.sqldb.errors import SqlError
-from repro.sqldb.expressions import RowContext, evaluate
+from repro.sqldb.expressions import arithmetic, between
 from repro.sqldb.plan import compile as C
 
 POSITIONS = {(None, "a"): 0, (None, "b"): 1}
@@ -58,12 +59,20 @@ def _outcome(fn):
         return type(error), str(error)
 
 
-def _interpreted(expr, lanes, params):
-    """What the interpreter gives row by row: the values, or the first
+def _operand(expr, row, params):
+    """A loop operand's value at ``row``: a column or a parameter."""
+    if type(expr) is A.ColumnRef:
+        return row[POSITIONS[None, expr.column]]
+    return params[expr.index]
+
+
+def _reference(expr, lanes, params):
+    """What ``arithmetic`` gives row by row: the values, or the first
     raising row's error."""
-    ctx = RowContext(POSITIONS)
     return _outcome(lambda: [
-        evaluate(expr, ctx.bind(row), params) for row in zip(*lanes)])
+        arithmetic(expr.op, _operand(expr.left, row, params),
+                   _operand(expr.right, row, params))
+        for row in zip(*lanes)])
 
 
 def _projected(expr, lanes, params):
@@ -94,12 +103,12 @@ def _arith_case(op, shape, left, right):
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("op", ["+", "-", "*", "/", "%"])
-def test_arithmetic_pairs_match_the_interpreter(op, shape):
+def test_arithmetic_pairs_match_the_rule(op, shape):
     """Every pair of value kinds, one row at a time."""
     for a, b in itertools.product(VALUES, repeat=2):
         expr, lanes, params = _arith_case(op, shape, [a], [b])
         _agree(_projected(expr, lanes, params),
-               _interpreted(expr, lanes, params))
+               _reference(expr, lanes, params))
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -107,10 +116,10 @@ def test_arithmetic_pairs_match_the_interpreter(op, shape):
 @pytest.mark.parametrize("op", ["+", "-", "*", "/", "%"])
 @pytest.mark.parametrize("poison", [None, True, "x", HUGE],
                          ids=["none", "bool", "text", "huge"])
-def test_arithmetic_chunks_match_the_interpreter(op, shape, size, poison):
+def test_arithmetic_chunks_match_the_rule(op, shape, size, poison):
     """Whole chunks of safe values, with one value that raises (or, for
     ``10**400`` beside an int, does not) last: the inline pass and, when
-    it overflows, the helper's second pass give the interpreter's rows or
+    it overflows, the helper's second pass give the rule's rows or
     its first error."""
     for offset in range(len(SAFE)):
         left = [SAFE[(i + offset) % len(SAFE)] for i in range(size)]
@@ -126,7 +135,7 @@ def test_arithmetic_chunks_match_the_interpreter(op, shape, size, poison):
         for case in cases:
             expr, lanes, params = _arith_case(op, shape, *case)
             _agree(_projected(expr, lanes, params),
-                   _interpreted(expr, lanes, params))
+                   _reference(expr, lanes, params))
 
 
 def _filtered(expr, lanes, params):
@@ -136,10 +145,14 @@ def _filtered(expr, lanes, params):
 
 
 def _kept(expr, lanes, params):
-    ctx = RowContext(POSITIONS)
+    """The rows where ``between`` (negated under NOT) is TRUE, or the
+    first raising row's error."""
+    def holds(row):
+        result = between(row[0], *params)
+        return (result is not None and not result) if expr.negated \
+            else result is True
     return _outcome(lambda: [
-        i for i, row in enumerate(zip(*lanes))
-        if evaluate(expr, ctx.bind(row), params) is True])
+        i for i, row in enumerate(zip(*lanes)) if holds(row)])
 
 
 BOUNDS = {"num": (1, 2.5, NAN, HUGE), "bool": (False, True),
@@ -151,7 +164,7 @@ COLUMN = (0, 1, 2, 2.5, 3, NAN, INF, -INF, HUGE, 2 ** 53 + 1, False, True,
 @pytest.mark.parametrize("negated", [False, True])
 @pytest.mark.parametrize("low_family, high_family",
                          list(itertools.product(BOUNDS, repeat=2)))
-def test_between_matches_the_interpreter(low_family, high_family, negated):
+def test_between_matches_the_rule(low_family, high_family, negated):
     """Every column value kind against every bound pair of two families,
     one row at a time, then as whole chunks of each value's own family."""
     expr = A.Between(A.ColumnRef(None, "a"), A.Param(0), A.Param(1), negated)

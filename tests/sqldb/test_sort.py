@@ -20,8 +20,9 @@ from repro.sqldb import Database
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.columnar import ColumnChunk
 from repro.sqldb.errors import SqlError, SqlTypeError
-from repro.sqldb.expressions import RowContext, evaluate
+from repro.sqldb.expressions import arithmetic
 from repro.sqldb.plan.physical import SortOp
+from repro.sqldb.plan.planner import Layout
 
 from sqlite_reference import assert_matches_sqlite
 
@@ -104,16 +105,21 @@ def _context():
     positions = {}
     for pos, name in enumerate(SOURCE):
         positions[(None, name)] = positions[("t", name)] = pos
-    return RowContext(positions)
+    return Layout(positions, frozenset())
 
 
 def _reference_value(expr, out, source, ctx):
+    """A key's value by hand: an alias or a position reads the output
+    row, a column the source row, ``i + 1`` the arithmetic rule."""
     if isinstance(expr, A.ColumnRef) and expr.table is None \
             and expr.column in OUT:
         return out[OUT.index(expr.column)]
     if isinstance(expr, A.Literal):
         return out[expr.value - 1]
-    return evaluate(expr, ctx.bind(source), ())
+    if isinstance(expr, A.BinaryOp):
+        return arithmetic(expr.op, _reference_value(expr.left, out, source,
+                                                    ctx), expr.right.value)
+    return source[ctx.positions[(expr.table, expr.column)]]
 
 
 @settings(max_examples=300, deadline=None)

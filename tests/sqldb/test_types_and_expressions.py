@@ -4,8 +4,10 @@ from hypothesis import strategies as st
 
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.catalog import Column
+from repro.sqldb.columnar import ColumnChunk
 from repro.sqldb.errors import SqlTypeError
-from repro.sqldb.expressions import RowContext, evaluate, like_to_regex
+from repro.sqldb.expressions import like_to_regex
+from repro.sqldb.plan.compile import compile_values
 from repro.sqldb.types import (
     ALL_TYPES, BOOLEAN, COERCERS, DATE, FLOAT, INTEGER, TEXT, canonical_type,
     is_comparable,
@@ -120,10 +122,11 @@ class TestCoercers:
 
 
 def ev(expr, **env):
-    positions = {(None, k): i for i, k in enumerate(sorted(env))}
-    ctx = RowContext(positions).bind(
-        [env[k] for k in sorted(env)])
-    return evaluate(expr, ctx)
+    """``expr``'s lane over a one-row chunk holding ``env``."""
+    names = sorted(env)
+    values = compile_values(expr, {(None, k): i for i, k in enumerate(names)},
+                            frozenset())
+    return values(ColumnChunk([[env[k]] for k in names], 1), [0], ())[0]
 
 
 class TestThreeValuedLogic:

@@ -4,7 +4,7 @@ The engine exchanges ``ColumnChunk`` column arrays of up to
 ``CHUNK_SIZE`` rows, with selection vectors and fused predicates.  These
 tests pin the edges the chunking can get wrong — empty inputs, result
 sizes straddling the chunk boundary, every join operator's chunk path,
-every shape the interpreter serves inside the chunk pipeline, LIMIT
+every shape with no kernel inside the chunk pipeline, LIMIT
 cutting mid-chunk, NULL-heavy data through the compiled three-valued
 logic — each answer held to SQLite's (``sqlite_reference``), and each
 error to this engine's own message.  Plus the observability surface
@@ -111,11 +111,17 @@ JOIN_SHAPES = {
                     "SELECT t.id, t.s, small.w FROM t LEFT JOIN small "
                     "ON small.id < t.v AND small.id > t.v - 4 "
                     "WHERE t.id < ?"),
+    # More right rows than one batch of pairs holds: a left row matches
+    # only in the second batch, across both, or nowhere (NULL-padded).
+    "nested-left-wide": ("table='t', strategy='nested'",
+                         "SELECT small.id, t.id FROM small LEFT JOIN t "
+                         "ON t.id BETWEEN small.id * 16 AND ? + 1023 "
+                         "WHERE small.id < 99"),
 }
 
 
-# Shapes with no chunk kernel, each beside a fused leaf (``id < ?``) so the
-# interpreter fallback runs inside AND/OR nodes, projections, group and sort
+# Shapes with no chunk kernel, each beside a fused leaf (``id < ?``) so a
+# generic lane runs inside AND/OR nodes, projections, group and sort
 # keys and join conditions of an otherwise fused pipeline: label -> (SQL,
 # message of the error every row raises, or None).  A shape that raises
 # nothing answers SQLite's rows; a raising one raises this engine's error,
@@ -173,11 +179,28 @@ FALLBACK_SHAPES = {
                     "cannot negate 'x'"),
     "negate-text-where": ("SELECT id FROM t WHERE id < ? AND -s < 1",
                           "cannot negate 's0'"),
+    # Evaluation scope: an operand that would raise (``-s``) is evaluated
+    # only where its scope reaches — OR's right where the left is not
+    # TRUE, AND's where it is not FALSE, an IN item after no earlier one
+    # matched and never for a NULL value, a source ORDER BY key on the
+    # rows the WHERE kept — while COALESCE evaluates every argument
+    # (unlike SQLite).
+    "scope-or": ("SELECT id FROM t WHERE id < ? AND (id >= 0 OR -s < 1)",
+                 None),
+    "scope-in": ("SELECT id FROM t WHERE id < ? AND v IN (v, -s)", None),
+    "scope-and": ("SELECT id FROM t WHERE id < ? AND (id < 0 AND -s < 1)",
+                  None),
+    "scope-select": ("SELECT id, (id >= 0 OR -s < 1), (id < 0 AND -s < 1) "
+                     "FROM t WHERE id < ?", None),
+    "scope-coalesce": ("SELECT id FROM t WHERE id < ? "
+                       "AND COALESCE(v, -s) > 0", "cannot negate 's0'"),
+    "scope-order-key": ("SELECT id FROM t WHERE id < ? AND v IS NOT NULL "
+                        "ORDER BY -COALESCE(v, s), id", None),
     "missing-parameter": ("SELECT id FROM t WHERE id < ? AND v + 1 < ?",
                           "missing parameter #2 (got 1 parameters)"),
     # OR / NOT / IN / LIKE have no kernel (no workload issues them): alone
-    # the whole WHERE is interpreted over full chunks, under AND the
-    # interpreter sees the fused leaf's selection vector.  Each over the
+    # the whole WHERE runs generic lanes over full chunks, under AND they
+    # see the fused leaf's selection vector.  Each over the
     # dictionary-encoded lane ``s``, the plain TEXT lane ``p`` and the
     # all-NULL lane ``z``.
     "or-alone": ("SELECT id FROM t WHERE id < ? OR s = 'nope'", None),
@@ -230,8 +253,8 @@ FALLBACK_SHAPES = {
     "not-like-all-null-alone": ("SELECT id, ? FROM t WHERE z NOT LIKE 'a%'",
                                 None),
     # Aggregate and vector shapes without a kernel (no workload issues
-    # them): the whole projection / aggregation is interpreted over the
-    # rows the fused filter kept.  Over the NULL-bearing lane ``v``, the
+    # them): the whole projection / aggregation runs generic lanes over
+    # the rows the fused filter kept.  Over the NULL-bearing lane ``v``, the
     # dictionary lane ``s``, the plain lane ``p`` and the all-NULL ``z``.
     "group-count-col": ("SELECT s, COUNT(v), COUNT(z), COUNT(s) FROM t "
                         "WHERE id < ? GROUP BY s", None),
@@ -298,7 +321,7 @@ FALLBACK_SHAPES = {
     "read-on-unprojected-nested": ("SELECT t.p FROM t LEFT JOIN tiny "
                                    "ON tiny.id < t.v AND tiny.w > 1 "
                                    "WHERE t.id < ?", None),
-    "read-interpreted-items": ("SELECT UPPER(s), v IS NULL, LENGTH(p) > 2 "
+    "read-mapped-items": ("SELECT UPPER(s), v IS NULL, LENGTH(p) > 2 "
                                "FROM t WHERE id < ?", None),
     "read-unknown-order-key": ("SELECT s FROM t WHERE id < ? ORDER BY nope",
                                "unknown column 'nope' in any table"),
@@ -317,7 +340,7 @@ FALLBACK_SHAPES = {
 # The FALLBACK_SHAPES whose ORDER BY is total: compared with SQLite as
 # sequences, the rest as multisets.
 TOTAL_ORDER = {"func-order-key", "having", "agg-arith-grouped",
-               "read-order-unprojected"}
+               "read-order-unprojected", "scope-order-key"}
 
 
 def _seed_join_tables(db):
@@ -352,7 +375,7 @@ def test_result_sizes_straddling_chunk_boundary(size):
         assert_matches_sqlite(db, sql, (size,), lite=lite)
         assert operator in db.explain(
             sql, params=(size,), analyze=True), label
-    # ... and through every shape the interpreter serves inside the
+    # ... and through every shape with no kernel inside the
     # chunk pipeline, errors included.
     for label, (sql, message) in FALLBACK_SHAPES.items():
         outcome = _outcome(db, sql, (size,))

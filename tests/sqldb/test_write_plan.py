@@ -12,11 +12,11 @@ table took.  The write finds its rows through the plan of its WHERE, so it
 changes exactly the rows ``SELECT id FROM t WHERE …`` returns, touching as
 many, or raises that SELECT's error.
 
-A SET cell ``column + - * literal-or-parameter`` runs without the
-interpreter.  Its value must be what the interpreter computes for the same
-expression in a SELECT, stored as a bound parameter would be, NULL
-included, and its errors the interpreter's — a missing parameter among
-them.
+A SET cell ``column + - * literal-or-parameter`` reads the stored row
+directly, any other cell its lane over that row.  Its value must be what
+the same expression computes in a SELECT, stored as a bound parameter
+would be, NULL included, and its errors the SELECT's — a missing
+parameter among them.
 """
 
 import math
@@ -197,8 +197,8 @@ def _cell_outcome(db, sql, params):
 @pytest.mark.parametrize("row_id", [1, 4])
 @pytest.mark.parametrize("operand", OPERANDS, ids=repr)
 @pytest.mark.parametrize("expr, column", CELLS)
-def test_a_set_cell_stores_what_the_interpreter_computes(expr, column,
-                                                         operand, row_id):
+def test_a_set_cell_stores_what_a_select_computes(expr, column, operand,
+                                                  row_id):
     expr = expr.format(t="t")
     params = (operand, row_id) if "?" in expr else (row_id,)
     reference = Database(result_cache_size=0)
@@ -210,7 +210,7 @@ def test_a_set_cell_stores_what_the_interpreter_computes(expr, column,
         (value,), = reference.execute(
             f"SELECT {expr} FROM t WHERE id = ?", params).rows
     except SqlError as error:
-        # The interpreter refuses the expression: so does the cell, word
+        # The SELECT refuses the expression: so does the cell, word
         # for word, and the row stays as it was.
         expected = (type(error), str(error)), _contents(reference, "t")
     else:
@@ -230,7 +230,7 @@ def test_a_set_cell_stores_what_the_interpreter_computes(expr, column,
     ("UPDATE t SET f = f * ?, v = v - ? WHERE id = 1", (2.0,),
      "missing parameter #2 (got 1 parameters)"),
 ])
-def test_a_missing_parameter_of_a_cell_is_the_interpreters_error(
+def test_a_missing_parameter_of_a_cell_raises_in_cell_order(
         sql, params, message):
     db = _database()
     before = _contents(db, "t")

@@ -19,7 +19,9 @@ DELETED = {
     "_order_stats_fraction", "_snapshot_range_fraction", "_bound_fraction",
     "_literal_prefix", "_snapshot_stats", "TableStats.range_fraction",
     "OrderedIndex.range_fraction", "OrderedIndex.prefix_range_fraction",
-    "compile_vec", "_neg_value", "_concat_value",
+    "compile_vec", "_neg_value", "_concat_value", "evaluate",
+    "_eval_binary", "_eval_in", "_eval_scalar_func", "RowContext.resolve",
+    "RowContext.bind", "_compile_vec.<locals>.interpreted_lane",
     "compile_grouped_item_columnar.<locals>.update_count",
     "compile_grouped_item_columnar.<locals>.update_extremum",
     "compile_grouped_item_columnar.<locals>.update_collect",
@@ -205,19 +207,17 @@ def test_a_round_trip_is_one_clock_call():
 def test_a_write_keyed_on_its_primary_key_evaluates_nothing():
     """Every TPC-C UPDATE / DELETE is keyed on its primary key, which
     decides its whole WHERE, and each SET cell is a bind or ``column + - *
-    a literal or a parameter``: none of them calls the interpreter, and
+    a literal or a parameter``: none of them runs a generic lane, and
     since an ordered walk resolves its prefix and bounds through closures
-    built with its plan, nothing else in the episode does either (8 137
-    ``evaluate`` calls when every candidate re-checked the whole WHERE, in
-    a run that also replayed the episode on a second engine; 296 while the
-    walks resolved their constants through the interpreter).  An undo log
-    is started by BEGIN and by a new database, never by COMMIT or
+    built with its plan, nothing else in the episode does either.  An undo
+    log is started by BEGIN and by a new database, never by COMMIT or
     ROLLBACK."""
     calls = _mixed_rw_smoke_calls()
     sqldb = "sqldb"
     assert calls[os.path.join(sqldb, "executor.py"), "_change_rows"] > 700
-    assert calls.get((os.path.join(sqldb, "expressions.py"), "evaluate"),
-                     0) == 0
+    traffic = _load_tool()
+    for fallback in traffic.FALLBACKS:
+        assert calls.get((traffic.COMPILE, fallback), 0) == 0, fallback
     transactions = os.path.join(sqldb, "transactions.py")
     begins = calls[transactions, "TransactionManager.begin"]
     assert begins > 100
@@ -230,23 +230,20 @@ def test_a_cached_plan_resolves_its_constants_once(target):
     """A kernel's or a zone test's literal or parameter, a LIMIT and an
     OFFSET, an ordered walk's prefix and bounds, and an aggregate's plain
     items resolve through closures built with the plan, so no page and no
-    report statement calls the interpreter; the only SELECT shapes that
-    still would are those with no kernel (``interpreted_lane``: OR, NOT,
-    IN, LIKE, ...), which neither workload issues.  A literal LIMIT is
+    report statement runs a generic lane; the only SELECT shapes that
+    would are those with no loop of their own (``traffic.FALLBACKS``: OR,
+    NOT, IN, LIKE, ...), which neither workload issues.  A literal LIMIT is
     checked once, when its plan is built: ``resolve_limit`` checks a
     ``LIMIT ?`` value and an invalid literal, and neither workload has
-    one.  While those constants went through the interpreter on every
-    execution, a smoke run made 1 302 ``evaluate`` and 348
-    ``resolve_limit`` calls in ``pages_sloth``, 159 and 18 in
-    ``reports``."""
+    one."""
     calls = (_pages_sloth_smoke_calls() if target == "pages_sloth"
              else _reports_smoke_calls())
     traffic = _load_tool()
     assert calls[traffic.EXECUTE] > (1000 if target == "pages_sloth" else 50)
-    for name in ((os.path.join("sqldb", "expressions.py"), "evaluate"),
-                 (os.path.join("sqldb", "plan", "physical.py"),
+    for name in ((os.path.join("sqldb", "plan", "physical.py"),
                   "resolve_limit"),
-                 (traffic.COMPILE, traffic.FALLBACKS[0])):
+                 *((traffic.COMPILE, fallback)
+                   for fallback in traffic.FALLBACKS)):
         assert calls.get(name, 0) == 0, name
 
 

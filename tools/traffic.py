@@ -22,9 +22,10 @@ paper semantics, or an input or error check.
 module-level function that returns closures is a kernel *build*
 (``_cmp_leaf``, ``compile_project`` ...), a call of such a closure a kernel
 *exec* (``node``, ``zone_test``, ``project_fn`` ...), any other function a
-per-value *helper*; ``_compile_vec``'s ``interpreted_lane`` is the one
-*fallback*, running ``expressions.evaluate`` per row for every shape with
-no kernel (a WHERE, select item, aggregate argument, key or Sort key); a
+per-value *helper*; the generic lanes (``_mapped``'s ``mapped``,
+``_truth_values``' ``truth``, ``_in_list``'s ``in_list`` and ``_raising``'s
+``raising``) are the *fallback*, a node's per-value rule mapped over its
+operands' values for every shape with no loop of its own; a
 function counted in ``plan/compile.py`` that its source does not define is
 a *generated* per-value loop (``cmp_ge_num``, ``between_num_num``,
 ``arith_mul_vs`` ...: ``_loop`` compiles them under the module's file
@@ -99,8 +100,9 @@ TARGETS = WORKLOADS + ("figures", "examples")
 COMPILE = os.path.join("sqldb", "plan", "compile.py")
 EXECUTE = (os.path.join("sqldb", "plan", "physical.py"),
            "PhysicalPlan.execute")
-# The interpreter fallback is listed even when never built or run.
-FALLBACKS = ("_compile_vec.<locals>.interpreted_lane",)
+# The generic lanes are listed even when never built or run.
+FALLBACKS = ("_mapped.<locals>.mapped", "_truth_values.<locals>.truth",
+             "_in_list.<locals>.in_list", "_raising.<locals>.raising")
 _INLINE = ("<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>")
 # What EXPLAIN appends to a row-source node: estimates, not plan shape.
 _ESTIMATE = re.compile(r" \(~\d+ rows, ~\d+ touched\)")
@@ -371,7 +373,7 @@ def print_kernels(calls, defined):
     for qualname in rows:
         builder, _, closure = qualname.partition(".<locals>.")
         kind = ("generated" if qualname in generated
-                else "fallback" if closure.startswith("interpreted")
+                else "fallback" if qualname in FALLBACKS
                 else "exec" if closure
                 else "build" if builder in builders else "helper")
         label = f"{builder} / {closure}" if closure else builder
