@@ -11,9 +11,17 @@ operators.  A chunk holds one entry per flat joined-row position:
 
 ``sel`` is the optional **selection vector**: ``None`` means every chunk
 row is live; otherwise an ascending list of live row indices.  Filters
-never copy column data — they yield the same columns with a narrowed
-``sel`` — so a chunk's arrays are immutable once yielded and may be
-shared by any number of downstream chunks.
+never copy column data — they narrow ``sel`` — so a chunk's arrays are
+immutable once yielded and may be shared by any number of downstream
+chunks.
+
+A chunk is backed one of two ways.  A lane chunk holds its lanes (a
+snapshot slice, a join's output).  A :class:`RowChunk` holds the storage
+rows an access path cut it from and cuts a lane (:func:`cut_lane`) only
+when an operator first reads it, so a chunk that only the projection
+reads cuts none.  Both rest on one invariant: storage rows are never
+mutated in place (an UPDATE installs a fresh list), and only the
+projection reads a chunk's rows, building tuples.
 
 :class:`ColumnStore` is the per-table cached columnar snapshot that
 sequential scans slice chunks from (see ``Table.column_store``).  It is
@@ -45,7 +53,7 @@ chunks lives in :mod:`repro.sqldb.plan.compile`, the operators in
 from repro.sqldb.types import DATE, TEXT, canonical_type
 
 __all__ = ["CHUNK_SIZE", "ColumnChunk", "ColumnStore", "DictColumn",
-           "DictMeta"]
+           "DictMeta", "RowChunk", "cut_lane", "uncut_lanes"]
 
 # Rows per chunk (re-exported by
 # ``repro.sqldb.plan.physical``).  Zone maps are built at this
@@ -323,14 +331,11 @@ class ColumnChunk:
 
     @classmethod
     def from_rows(cls, rows, width, read):
-        """Transpose the ``read`` positions of wide rows into a fully-live
-        chunk, every other lane all-NULL — the shim the prefetched
-        shared-scan path, the nested-loop join (its chunk of pairs) and an
-        UPDATE / DELETE's residual check go through."""
-        columns = [None] * width
-        for pos in read:
-            columns[pos] = [row[pos] for row in rows]
-        return cls(columns, len(rows), None)
+        """A fully-live :class:`RowChunk` over wide rows whose ``read``
+        positions are its lanes, every other lane all-NULL — how the
+        prefetched shared-scan rows and the nested-loop join's pairs
+        become a chunk."""
+        return RowChunk(rows, 0, uncut_lanes(width, read))
 
     def live_indices(self):
         """The live row indices, ascending (a range when all live)."""
@@ -396,3 +401,80 @@ class ColumnChunk:
             else:
                 out.append([col[i] for i in picks])
         return ColumnChunk(out, len(picks), None)
+
+
+# What an uncut lane of a :class:`RowChunk` holds until it is first read.
+_UNCUT = object()
+
+
+def uncut_lanes(width, positions):
+    """The lanes a :class:`RowChunk` starts with: ``width`` all-NULL lanes
+    but at ``positions``, each cut from the rows when first read."""
+    lanes = [None] * width
+    for pos in positions:
+        lanes[pos] = _UNCUT
+    return lanes
+
+
+def cut_lane(rows, j):
+    """Ordinal ``j`` of ``rows`` as a lane: the one place a chunk's storage
+    rows are transposed."""
+    return [row[j] for row in rows]
+
+
+class RowChunk(ColumnChunk):
+    """A chunk backed by the storage rows an access path cut it from.
+
+    ``rows`` are the rows themselves, never copied: flat position ``pos``
+    is ordinal ``pos - offset`` of a row.  ``columns`` is built when an
+    operator first reads it, a :class:`_Lanes` whose lane ``pos`` is cut
+    (:func:`cut_lane`) the first time it is read, for the positions
+    ``uncut`` marks (:func:`uncut_lanes`; every other lane is all-NULL).
+    So a chunk that only the projection reads cuts no lane: the projection
+    maps an ``itemgetter`` over its live ``rows``."""
+
+    __slots__ = ("rows", "offset", "uncut", "_lanes")
+
+    def __init__(self, rows, offset, uncut):
+        self.rows = rows
+        self.length = len(rows)
+        self.sel = None
+        self.facets = None
+        self.offset = offset
+        self.uncut = uncut
+        self._lanes = None
+
+    @property
+    def columns(self):
+        lanes = self._lanes
+        if lanes is None:
+            lanes = self._lanes = _Lanes(self.rows, self.offset, self.uncut)
+        return lanes
+
+    def take(self, picks, skip_range=None):
+        """As :meth:`ColumnChunk.take`, each lane cut from the picked rows."""
+        rows, offset = self.rows, self.offset
+        picked = [rows[i] for i in picks]
+        lo, hi = skip_range if skip_range is not None else (0, 0)
+        return ColumnChunk([
+            None if lane is None or lo <= pos < hi
+            else cut_lane(picked, pos - offset)
+            for pos, lane in enumerate(self.uncut)], len(picks), None)
+
+
+class _Lanes:
+    """A :class:`RowChunk`'s ``columns``: read like a list of lanes (an
+    ``int`` index, or iteration), each lane cut once, on its first read."""
+
+    __slots__ = ("rows", "offset", "lanes")
+
+    def __init__(self, rows, offset, uncut):
+        self.rows = rows
+        self.offset = offset
+        self.lanes = list(uncut)
+
+    def __getitem__(self, pos):
+        lane = self.lanes[pos]  # IndexError past the end ends iteration
+        if lane is _UNCUT:
+            lane = self.lanes[pos] = cut_lane(self.rows, pos - self.offset)
+        return lane

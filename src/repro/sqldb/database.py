@@ -7,8 +7,8 @@ helpers.  It also keeps one cumulative counter, ``total_rows_touched``.
 
 from repro.sqldb import ast_nodes as A
 from repro.sqldb.catalog import Catalog
-from repro.sqldb.errors import CatalogError
-from repro.sqldb.executor import Executor, as_params
+from repro.sqldb.errors import CatalogError, SqlError
+from repro.sqldb.executor import HANDLERS, Executor, as_params
 from repro.sqldb.lexer import split_statements
 from repro.sqldb.parser import parse
 from repro.sqldb.plan import explain
@@ -67,11 +67,17 @@ class Database:
         """Execute an already-parsed statement, with counter bookkeeping.
 
         ``params`` go through :func:`~repro.sqldb.executor.as_params`, the
-        one door a parameter comes in by.  The batch planner uses this to
+        one door a parameter comes in by, and the statement to the
+        executor's handler of its type (``executor.HANDLERS``; a SELECT's
+        is ``Executor.select``).  The batch planner uses this to
         run statements it has already classified without re-parsing or
         duplicating the accounting.
         """
-        result = self.executor.execute(self, stmt, as_params(params))
+        try:
+            handler = HANDLERS[type(stmt)]
+        except KeyError:
+            raise SqlError(f"cannot execute statement {stmt!r}") from None
+        result = handler(self.executor, self, stmt, as_params(params))
         self.total_rows_touched += result.rows_touched
         return result
 

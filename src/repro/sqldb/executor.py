@@ -53,7 +53,7 @@ from repro.sqldb.plan.compile import compile_row
 from repro.sqldb.result import ExecResult
 from repro.sqldb.storage import Table
 
-__all__ = ["ExecResult", "Executor", "as_params", "param_types"]
+__all__ = ["ExecResult", "Executor", "HANDLERS", "as_params", "param_types"]
 
 # Cached physical plans per executor; cleared wholesale on overflow (the
 # workloads' hot sets are far smaller) and invalidated by catalog changes.
@@ -116,14 +116,6 @@ class Executor:
         # Chunks that flowed between the physical operators, summed over
         # every plan execution.
         self.batches_executed = 0
-
-    def execute(self, db, stmt, params=()):
-        """Run ``stmt`` through the handler of its type (``_HANDLERS``)."""
-        try:
-            handler = _HANDLERS[type(stmt)]
-        except KeyError:
-            raise SqlError(f"cannot execute statement {stmt!r}") from None
-        return handler(self, db, stmt, params)
 
     # -- SELECT: the plan pipeline and the cross-request result cache ---------
 
@@ -301,8 +293,8 @@ class Executor:
 
 
 # Statement type -> the Executor method that runs it, called with
-# ``(executor, db, stmt, params)``.
-_HANDLERS = {
+# ``(executor, db, stmt, params)`` by ``Database.execute_parsed``.
+HANDLERS = {
     A.Select: Executor.select,
     A.Insert: Executor._exec_write, A.Update: Executor._exec_write,
     A.Delete: Executor._exec_write,

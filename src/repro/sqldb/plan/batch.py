@@ -29,7 +29,6 @@ from repro.sqldb import ast_nodes as A
 from repro.sqldb.errors import SqlError
 from repro.sqldb.executor import as_params
 from repro.sqldb.parser import parse
-from repro.sqldb.plan.physical import _pad
 
 
 class SharedScanGroup:
@@ -157,11 +156,10 @@ def _flush_segment(db, segment, results, groups):
 
 
 def _start_shared_scan(db, table_name):
-    """Scan ``table_name`` once for a group: identical row stream (padded,
-    insertion order) to what each member's private SeqScanOp produces."""
-    table = db.tables_get(table_name)
-    width = len(table.schema.columns)
-    shared_rows = [_pad(row, 0, width) for _, row in table.scan()]
+    """Scan ``table_name`` once for a group: the storage rows, in the order
+    each member's private SeqScanOp reads them (a member's chunks hold
+    them as they are: storage rows are never mutated in place)."""
+    shared_rows = list(db.tables_get(table_name).rows.values())
     group = SharedScanGroup(table_name, [])
     group.scan_rows = len(shared_rows)
     return group, shared_rows

@@ -77,7 +77,7 @@ from itertools import repeat
 from operator import is_, is_not, itemgetter
 
 from repro.sqldb import ast_nodes as A
-from repro.sqldb.columnar import ColumnChunk, DictColumn
+from repro.sqldb.columnar import ColumnChunk, DictColumn, RowChunk
 from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.expressions import (BINARY_RULES, _truthy, arithmetic,
                                      between, in_match, like, negate,
@@ -893,10 +893,11 @@ def _project_source(name, kinds):
 
 
 def compile_project(items, expansions, positions, ambiguous):
-    """Compile a select list to ``fn(chunk, params) -> list of tuples``
-    (the chunk's live output rows).  ``expansions`` is ProjectOp's
-    star-expansion table: expanded positions and plain column items become
-    straight column reads, every other item its lane."""
+    """Compile a select list to ``fn(chunk, sel, params) -> list of
+    tuples``, the output rows at ``sel`` (every row when None), live rows
+    of the chunk.  ``expansions`` is ProjectOp's star-expansion table:
+    expanded positions and plain column items become straight column
+    reads, every other item its lane."""
     makers = []  # a flat position (a gather) or a lane
     for item, expansion in zip(items, expansions):
         if expansion is not None:
@@ -906,22 +907,32 @@ def compile_project(items, expansions, positions, ambiguous):
             makers.append(pos if pos is not None
                           else compile_values(item.expr, positions, ambiguous))
     if all(type(maker) is int for maker in makers):
-        # Plain columns: the lanes zipped as they stand on a fully-live
-        # chunk of plain lanes, else the live rows built in one pass by
-        # the projection loop for the lanes' kinds (``plain`` when every
-        # lane is).  ``pick`` takes the lanes off a chunk in one step: a
-        # slice where they sit side by side, in order (``*``, or the
-        # table's columns as declared).
+        # Plain columns.  Over a chunk of storage rows at offset 0 (the
+        # rows of one table, or wide joined rows), one ``itemgetter`` per
+        # row builds the tuples (wrapped in a 1-tuple by ``zip`` for one
+        # column).  Else the lanes zipped as they stand on a fully-live
+        # chunk of plain lanes, or the rows built in one pass by the
+        # projection loop for the lanes' kinds (``plain`` when every lane
+        # is).  ``pick`` takes the lanes off a chunk in one step: a slice
+        # where they sit side by side, in order (``*``, or the table's
+        # columns as declared).
+        get = itemgetter(*makers)
+        one = len(makers) == 1
         first, last = makers[0], makers[0] + len(makers)
         pick = (itemgetter(slice(first, last))
-                if makers == list(range(first, last)) else itemgetter(*makers))
+                if makers == list(range(first, last)) else get)
         plain = _loop(("project", "p" * len(makers)), _project_source)
         loops = {}  # the lanes' kinds -> their projection loop
 
-        def zip_columns(chunk, params):
+        def zip_columns(chunk, sel, params):
+            if type(chunk) is RowChunk and not chunk.offset:
+                rows = chunk.rows
+                if sel is not None:
+                    rows = [rows[i] for i in sel]
+                return list(zip(map(get, rows))) if one else list(
+                    map(get, rows))
             lanes = pick(chunk.columns)
             if _PLAIN_LANES.issuperset(map(type, lanes)):
-                sel = chunk.sel
                 return list(zip(*lanes)) if sel is None else plain(lanes, sel)
             # Keyed by a str: keyed by a tuple of the lanes' types, the page
             # sweeps read about 1 MB more peak RSS.
@@ -930,12 +941,13 @@ def compile_project(items, expansions, positions, ambiguous):
             if loop is None:
                 loop = loops[kinds] = _loop(("project", kinds),
                                             _project_source)
-            return loop(lanes, chunk.live_indices())
+            return loop(lanes, range(chunk.length) if sel is None else sel)
 
         return zip_columns
 
-    def project_fn(chunk, params):
-        sel = chunk.live_indices()
+    def project_fn(chunk, sel, params):
+        if sel is None:
+            sel = range(chunk.length)
         return list(zip(*[chunk.gather_at(maker, sel) if type(maker) is int
                           else maker(chunk, sel, params)
                           for maker in makers]))

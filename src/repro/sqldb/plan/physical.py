@@ -12,21 +12,26 @@ Two operator flavours mirror the two halves of a SELECT:
 
 - **Result operators** (:class:`ProjectOp`, :class:`AggregateOp`,
   :class:`DistinctOp`, :class:`SortOp`, :class:`LimitOp`) transform the
-  materialized output relation via ``apply(run)``.  Each has one body.
-  ``ProjectOp``, ``AggregateOp`` and a Sort key over the source read
-  ``run.source_chunks`` through lanes (:mod:`repro.sqldb.plan.compile`):
-  a kernel where the shape has one, else its generic lane.
-  ``AggregateOp`` is one fold for every shape — keys or none, HAVING,
-  DISTINCT, aggregates inside arithmetic.
+  materialized output relation: ``apply(chunks, rows, params)`` returns
+  the rows the next one takes.  Each has one body.  ``ProjectOp``,
+  ``AggregateOp`` and a Sort key over the source read the source
+  ``chunks`` through lanes (:mod:`repro.sqldb.plan.compile`): a kernel
+  where the shape has one, else its generic lane; a plain-column
+  projection reads a row chunk's rows.  ``AggregateOp`` is one fold for
+  every shape — keys or none, HAVING, DISTINCT, aggregates inside
+  arithmetic.
 
 Row sources speak one protocol, ``iter_cchunks(run)``: operators exchange
-:class:`repro.sqldb.columnar.ColumnChunk` column arrays of up to
-:data:`CHUNK_SIZE` rows (fewer under the cutoff below), of which only the
-statement's read set (``SelectContext.read``) is filled.  Sequential scans slice chunks off the
-table's cached ``ColumnStore``; a scan's own predicate, **compiled once
-per cached plan** (:mod:`repro.sqldb.plan.compile`), sets each chunk's
-selection vector before the chunk is yielded; equi-joins gather probe
-keys per chunk and assemble their output column-wise.
+:class:`repro.sqldb.columnar.ColumnChunk` s of up to :data:`CHUNK_SIZE`
+rows (fewer under the cutoff below), of which only the statement's read
+set (``SelectContext.read``) can be read.  Sequential scans slice chunks
+off the table's cached ``ColumnStore``; index probes and ordered walks
+hand on the storage rows they found as
+:class:`repro.sqldb.columnar.RowChunk` s, which cut a lane only when it
+is read.  A scan's own predicate, **compiled once per cached plan**
+(:mod:`repro.sqldb.plan.compile`), sets each chunk's selection vector
+before the chunk is yielded; equi-joins gather probe keys per chunk and
+assemble their output column-wise.
 
 Rows are charged to ``rows_touched`` where storage is read, as the chunk
 that holds them is made.  A plan runs its source to exhaustion, but for
@@ -40,8 +45,10 @@ neither read nor charged.
 ``build_physical`` lowers an optimized logical tree into a
 :class:`PhysicalPlan`, one operator per logical node (but for a Filter
 absorbed as above), and keeps the tree
-(``PhysicalPlan.logical``); ``PhysicalPlan.execute(db, params)`` returns an
-:class:`repro.sqldb.result.ExecResult` of the result operators' tuples, and
+(``PhysicalPlan.logical``); ``PhysicalPlan.execute(db, params)`` returns
+its :class:`PlanRun` — the one object an execution allocates, an
+:class:`repro.sqldb.result.ExecResult` of the result operators' tuples —
+and
 ``PhysicalPlan.execute_analyze`` additionally measures every operator and
 writes each measurement on its node's EXPLAIN line (EXPLAIN ANALYZE).
 """
@@ -54,7 +61,8 @@ from operator import is_not
 from time import perf_counter
 
 from repro.sqldb import ast_nodes as A
-from repro.sqldb.columnar import CHUNK_SIZE, ColumnChunk, DictColumn
+from repro.sqldb.columnar import (CHUNK_SIZE, ColumnChunk, DictColumn,
+                                  RowChunk, uncut_lanes)
 from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.expressions import (first_occurrences, fold_aggregate,
                                      operands)
@@ -75,19 +83,24 @@ from repro.sqldb.result import ExecResult
 # a chunk of joined rows stays cache-friendly.
 
 
-class PlanRun:
-    """Mutable state for one execution of a physical plan: what it reads
-    (the database, the parameters, a batch's shared-scan rows), what it
-    counts, and what flows between its operators.  Everything else an
-    operator needs is its own, fixed when the plan was built."""
+class PlanRun(ExecResult):
+    """One execution of a physical plan, and its result: the one object an
+    execution allocates.  The row sources read what it reads (the
+    database, the parameters, a batch's shared-scan rows) and add to what
+    it counts; :meth:`PhysicalPlan.execute` then fills in the result's
+    columns and rows and drops the database.  Everything else an operator
+    needs is its own, fixed when the plan was built."""
 
-    __slots__ = ("db", "params", "prefetched_base_rows", "rows_touched",
-                 "batches", "chunks_skipped", "chunk_size", "source_chunks",
-                 "out_rows")
+    __slots__ = ("db", "params", "prefetched_base_rows", "batches",
+                 "chunk_size")
+
+    # A SELECT inserts nothing, and its rows are no cache hit.
+    last_insert_id = None
+    from_cache = False
 
     def __init__(self, db, params, prefetched_base_rows=None):
         self.db = db
-        self.params = tuple(params)
+        self.params = params
         # When set, the base-table access operator yields these rows instead
         # of scanning storage (the batch shared-scan path): the scan already
         # happened once for the whole group, so no rows are charged here.
@@ -98,12 +111,6 @@ class PlanRun:
         # Rows in the next chunk an index access makes; a cutoff sets it
         # to the rows still wanted before each pull.
         self.chunk_size = CHUNK_SIZE
-
-
-def _pad(row, offset, total_width):
-    values = [None] * total_width
-    values[offset:offset + len(row)] = row
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -117,20 +124,19 @@ class _BaseTableScan:
     reads, and the kernel that decides which the predicate keeps —
     ``keep``, the ``predicate``'s (the Filter directly above, whole), or
     ``residuals[path]``, what an index path left of it.  An index access
-    runs the kernel over its rows' chunks; a sequential scan slices its
-    chunks off the table's snapshot, zone test and shared-scan prefetch
-    included.  An UPDATE or DELETE changes the rows kept (:meth:`narrow`
-    runs the kernel, when there is one, over what the search found).
+    runs the kernel over :class:`RowChunk` s of its rows; a sequential
+    scan slices its chunks off the table's snapshot, zone test and
+    shared-scan prefetch included.  An UPDATE or DELETE changes the rows
+    kept (:meth:`narrow` runs the kernel, when there is one, over what the
+    search found).
 
     ``read`` is the table's share of the statement's read set
-    (``SelectContext.table_reads``): the operator fills those lanes and
-    leaves every other the all-NULL lane.  The lanes are copies, so no
-    plan operator can reach a storage row to mutate it.
+    (``SelectContext.table_reads``): a chunk's lanes at those positions
+    (``uncut``) are cut from its rows when an operator reads them, every
+    other lane is all-NULL.  Storage rows are never mutated in place (an
+    UPDATE installs a fresh list), so a chunk may hold them as they are.
     """
 
-    # A sequential scan slices its lanes off the table's cached
-    # ColumnStore (no transpose per query) and takes the batch's shared
-    # scan rows; index access paths transpose their rows per execution.
     sequential = False
     prune = None
 
@@ -139,6 +145,8 @@ class _BaseTableScan:
         self.offset = sctx.offsets[node.table_index]
         self.read = sctx.table_reads[node.table_index]
         self.width = sctx.total_width
+        self.uncut = uncut_lanes(self.width,
+                                 [self.offset + j for j in self.read])
         self.predicate = predicate
         self.keep = None
         zoned = equal = ()
@@ -157,19 +165,29 @@ class _BaseTableScan:
         self.all_read = sctx.read  # the prefetched rows' lanes
 
     def iter_cchunks(self, run):
-        keep, chunks = self._keep_chunks(run)
+        """The searched rows in :class:`RowChunk` s of ``run.chunk_size``,
+        each charged as it is made, under the kernel the search names."""
+        table = run.db.tables_get(self.table_name)
         params = run.params
-        filtered = self.predicate is not None
-        for chunk in chunks:
-            # One chunk step per EXPLAIN line: the scan, then the Filter.
-            run.batches += 1
+        keep, ids = self.search(table, params)
+        get = table.rows.__getitem__
+        offset, uncut = self.offset, self.uncut
+        # One chunk step per EXPLAIN line: the access, then the Filter.
+        steps = 1 + (self.predicate is not None)
+        start, n = 0, len(ids)
+        while start < n:
+            rows = list(map(get, ids[start:start + run.chunk_size]))
+            start += len(rows)
+            run.rows_touched += len(rows)
+            chunk = RowChunk(rows, offset, uncut)
             if keep is not None:
                 sel = keep(chunk, params)
                 if not sel:
+                    run.batches += 1
                     continue
                 if len(sel) < chunk.length:
                     chunk.sel = sel  # nothing else holds the chunk yet
-            run.batches += filtered
+            run.batches += steps
             yield chunk
 
     def search(self, table, params):
@@ -181,35 +199,10 @@ class _BaseTableScan:
     def narrow(self, keep, ids, table, params):
         """The searched ``ids`` whose rows the kernel ``keep`` keeps: what
         an UPDATE or DELETE changes.  One chunk holds their rows (a write's
-        search reads one table, so a storage row is a chunk row), of which
-        only the read lanes are built."""
+        search reads one table, so a storage row is a chunk row)."""
         rows = table.rows
-        chunk = ColumnChunk.from_rows([rows[i] for i in ids], self.width,
-                                      self.read)
+        chunk = RowChunk([rows[i] for i in ids], self.offset, self.uncut)
         return [ids[i] for i in keep(chunk, params)]
-
-    def _keep_chunks(self, run):
-        table = run.db.tables_get(self.table_name)
-        keep, ids = self.search(table, run.params)
-        rows = table.rows
-        return keep, self._chunks(run, [rows[i] for i in ids])
-
-    def _chunks(self, run, rows):
-        """``rows`` in chunks of ``run.chunk_size``, each charged as it is
-        made — one C-level transpose per chunk, of which the read lanes
-        are kept, as tuples (half the cost of a comprehension per lane
-        over a few rows)."""
-        offset, read, width = self.offset, self.read, self.width
-        start = 0
-        while start < len(rows):
-            part = rows[start:start + run.chunk_size]
-            start += len(part)
-            run.rows_touched += len(part)
-            lanes = list(zip(*part))
-            columns = [None] * width
-            for j in read:
-                columns[offset + j] = lanes[j]
-            yield ColumnChunk(columns, len(part))
 
 
 class SeqScanOp(_BaseTableScan):
@@ -221,34 +214,48 @@ class SeqScanOp(_BaseTableScan):
 
     sequential = True
 
-    def _keep_chunks(self, run):
+    def iter_cchunks(self, run):
         """The table's cached ColumnStore in its :meth:`ColumnStore.slices`
-        for this scan (or the batch's prefetched rows), every row charged:
-        zone maps and equality facets change wall-clock, never the
-        simulated cost.  A chunk carries its slice's facets.  The slices are
-        the zone maps' own, :data:`CHUNK_SIZE` rows: a cutoff never sits
-        over a sequential scan (only an ordered walk elides a Sort)."""
-        if run.prefetched_base_rows is not None:
-            rows = run.prefetched_base_rows
-            return self.keep, [
-                ColumnChunk.from_rows(rows[start:start + CHUNK_SIZE],
-                                      self.width, self.all_read)
-                for start in range(0, len(rows), CHUNK_SIZE)]
-        store = run.db.tables_get(self.table_name).column_store()
-        run.rows_touched += store.length
-        prune, params = self.prune, run.params
-        chunks = []
-        for columns, length, zone_of, facet_of in store.slices(self.layout):
-            if prune is not None:
-                try:
-                    must_scan = prune(zone_of, facet_of, params)
-                except Exception:
-                    must_scan = True  # scan and surface the error
-                if not must_scan:
-                    run.chunks_skipped += 1
+        for this scan (or the batch's prefetched rows), every row charged,
+        under ``keep``: zone maps and equality facets change wall-clock,
+        never the simulated cost.  A chunk carries its slice's facets.  The
+        slices are the zone maps' own, :data:`CHUNK_SIZE` rows: a cutoff
+        never sits over a sequential scan (only an ordered walk elides a
+        Sort)."""
+        params = run.params
+        rows = run.prefetched_base_rows
+        if rows is not None:
+            chunks = [ColumnChunk.from_rows(rows[start:start + CHUNK_SIZE],
+                                            self.width, self.all_read)
+                      for start in range(0, len(rows), CHUNK_SIZE)]
+        else:
+            store = run.db.tables_get(self.table_name).column_store()
+            run.rows_touched += store.length
+            prune = self.prune
+            chunks = []
+            for columns, length, zone_of, facet_of in store.slices(
+                    self.layout):
+                if prune is not None:
+                    try:
+                        must_scan = prune(zone_of, facet_of, params)
+                    except Exception:
+                        must_scan = True  # scan and surface the error
+                    if not must_scan:
+                        run.chunks_skipped += 1
+                        continue
+                chunks.append(ColumnChunk(columns, length, None, facet_of))
+        keep = self.keep
+        steps = 1 + (self.predicate is not None)
+        for chunk in chunks:
+            if keep is not None:
+                sel = keep(chunk, params)
+                if not sel:
+                    run.batches += 1
                     continue
-            chunks.append(ColumnChunk(columns, length, None, facet_of))
-        return self.keep, chunks
+                if len(sel) < chunk.length:
+                    chunk.sel = sel
+            run.batches += steps
+            yield chunk
 
 
 class IndexLookupOp(_BaseTableScan):
@@ -314,8 +321,7 @@ class FilterOp:
     """Keep rows whose predicate evaluates to SQL TRUE (above a join).
 
     It narrows the selection vector with ``keep``, the plan-compiled
-    fused predicate — the output chunk shares the input's column arrays,
-    so no row materializes.
+    fused predicate, so no row materializes.
     """
 
     def __init__(self, child, predicate, keep):
@@ -330,7 +336,8 @@ class FilterOp:
             sel = keep(chunk, params)
             if sel:
                 run.batches += 1
-                yield ColumnChunk(chunk.columns, chunk.length, sel)
+                chunk.sel = sel  # a join's chunk: nothing else holds it
+                yield chunk
 
 
 def _kernel(sctx, predicate):
@@ -380,10 +387,8 @@ def _join_chunk(run, op, chunk, picks, right_rows):
 
 def _survivors(run, op, rows):
     """The indices of ``rows``, ``op``'s storage rows, its ``keep`` keeps."""
-    sctx = op.sctx
-    columns = _right_lanes(sctx, op.join_index, rows,
-                           [None] * sctx.total_width)
-    return op.keep(ColumnChunk(columns, len(rows)), run.params)
+    return op.keep(RowChunk(rows, op.sctx.offsets[op.join_index], op.uncut),
+                   run.params)
 
 
 def _hash_join_chunks(run, table, chunks, op):
@@ -466,6 +471,9 @@ class HashJoinOp:
         self.left_pos, self.right_ordinal = node.equi
         self.predicate = predicate
         self.keep = _kernel(sctx, predicate)
+        offset = sctx.offsets[self.join_index]
+        self.uncut = uncut_lanes(sctx.total_width, [
+            offset + j for j in sctx.table_reads[self.join_index]])
 
     def iter_cchunks(self, run):
         return _hash_join_chunks(run, run.db.tables_get(self.table_name),
@@ -636,7 +644,10 @@ class ProjectOp:
     Star expansion and output-column names depend only on the statement and
     the FROM-list layout, both fixed for the plan's lifetime (DDL
     invalidates the plan cache), so they are computed once at build time —
-    as is the select list's kernel (:func:`compile_project`).
+    as is the select list's kernel (:func:`compile_project`).  ``limit``
+    is the :class:`LimitOp` directly above, when no Sort or Distinct sits
+    between them: then only the first limit+offset live rows are
+    projected, and a select-list error on a row past them never surfaces.
     """
 
     def __init__(self, items, sctx):
@@ -647,14 +658,25 @@ class ProjectOp:
         self._project = compile_project(items, expansions,
                                         sctx.context.positions,
                                         sctx.context.ambiguous)
+        self.limit = None
 
-    def apply(self, run):
-        project, params = self._project, run.params
-        out_rows = []
-        extend = out_rows.extend
-        for chunk in run.source_chunks:
-            extend(project(chunk, params))
-        run.out_rows = out_rows
+    def apply(self, chunks, rows, params):
+        project, limit = self._project, self.limit
+        wanted = (None if limit is None
+                  else limit.limit(params) + limit.offset(params))
+        out = []
+        for chunk in chunks:
+            sel = chunk.sel
+            if wanted is not None:
+                if not wanted:
+                    break
+                live = chunk.length if sel is None else len(sel)
+                if live > wanted:
+                    sel = range(wanted) if sel is None else sel[:wanted]
+                    live = wanted
+                wanted -= live
+            out += project(chunk, sel, params)
+        return out
 
 
 class AggregateOp:
@@ -710,9 +732,8 @@ class AggregateOp:
         self.finishers = [_finisher(item.expr, self.item_calls, positions,
                                     ambiguous) for item in items]
 
-    def apply(self, run):
-        params = run.params
-        parts, firsts, counts = self._group(run.source_chunks, params)
+    def apply(self, chunks, rows, params):
+        parts, firsts, counts = self._group(chunks, params)
         groups = None  # every group, else those HAVING kept
         if self.having is not None:
             kept = self.having(_fold(self.having_calls, parts, counts, params),
@@ -727,7 +748,7 @@ class AggregateOp:
         columns = []  # step 4: per item its value per group
         for finish in self.finishers:
             columns.append(finish(folded, firsts, params))
-        run.out_rows = list(zip(*columns))
+        return list(zip(*columns))
 
     def _group(self, chunks, params):
         """Step 1: ``(parts, firsts, counts)`` — per chunk with live rows
@@ -894,8 +915,8 @@ def _narrowed(parts, groups, n_groups):
 class DistinctOp:
     """Drop duplicate output rows (tuples), keeping first occurrences."""
 
-    def apply(self, run):
-        run.out_rows = first_occurrences(run.out_rows, "DISTINCT")
+    def apply(self, chunks, rows, params):
+        return first_occurrences(rows, "DISTINCT")
 
 
 class SortOp:
@@ -934,18 +955,17 @@ class SortOp:
                                              context.ambiguous)))
         self.descending = [item.descending for item in order_by]
 
-    def apply(self, run):
-        rows, params = run.out_rows, run.params
+    def apply(self, chunks, rows, params):
         columns = []
         for pos, values in self.keys:
             if values is None:
                 columns.append([row[pos] for row in rows])
                 continue
             column = []
-            for chunk in run.source_chunks:
+            for chunk in chunks:
                 column += values(chunk, chunk.live_indices(), params)
             columns.append(column)
-        run.out_rows = sort_rows(rows, columns, self.descending)
+        return sort_rows(rows, columns, self.descending)
 
 
 def sort_rows(rows, columns, descending):
@@ -1026,10 +1046,10 @@ class LimitOp:
         self.limit = limit_bound("LIMIT", limit)
         self.offset = limit_bound("OFFSET", offset)
 
-    def apply(self, run):
-        limit = self.limit(run.params)
-        offset = self.offset(run.params)
-        run.out_rows = run.out_rows[offset:offset + limit]
+    def apply(self, chunks, rows, params):
+        limit = self.limit(params)
+        offset = self.offset(params)
+        return rows[offset:offset + limit]
 
 
 # ---------------------------------------------------------------------------
@@ -1092,23 +1112,28 @@ class PhysicalPlan:
         return op.table_name, keys
 
     def execute(self, db, params=(), prefetched_base_rows=None):
-        """Run the plan; returns an :class:`ExecResult`.  The result
-        operators read the source's chunks — all of them, or under the
-        ``limit_hint`` cutoff those that hold the first limit+offset rows
-        (none when that is 0) — through their lanes."""
+        """Run the plan; returns its :class:`PlanRun`, an
+        :class:`ExecResult`.  The result operators read the source's
+        chunks — all of them, or under the ``limit_hint`` cutoff those
+        that hold the first limit+offset rows (none when that is 0) — each
+        ``apply(chunks, rows, params)`` returning the rows the next one
+        takes."""
         run = PlanRun(db, params, prefetched_base_rows)
         chunks = self.source.iter_cchunks(run)
         cut = self.limit_hint
         if cut is not None:
-            chunks = _first_rows(run, chunks, cut.limit(run.params)
-                                 + cut.offset(run.params))
-        run.source_chunks = list(chunks)
+            chunks = _first_rows(run, chunks,
+                                 cut.limit(params) + cut.offset(params))
+        chunks = list(chunks)
+        rows = None
         for op in self.result_ops:
-            op.apply(run)
+            rows = op.apply(chunks, rows, params)
         db.executor.batches_executed += run.batches
-        rows = run.out_rows
-        return ExecResult(self.out_columns, rows, len(rows),
-                          run.rows_touched, chunks_skipped=run.chunks_skipped)
+        run.db = None  # a result does not keep its database alive
+        run.columns = self.out_columns
+        run.rows = rows
+        run.rowcount = len(rows)
+        return run
 
     def execute_analyze(self, db, params=()):
         """Run the plan with per-operator instrumentation.
@@ -1152,16 +1177,17 @@ class PhysicalPlan:
         chunks = timed.iter_cchunks(run)
         cut = self.limit_hint
         if cut is not None:  # as ``execute`` pulls them
-            chunks = _first_rows(run, chunks, cut.limit(run.params)
-                                 + cut.offset(run.params))
-        run.source_chunks = list(chunks)
+            chunks = _first_rows(run, chunks,
+                                 cut.limit(params) + cut.offset(params))
+        chunks = list(chunks)
+        rows = None
         result_records = []
         for op in self.result_ops:
             record = _AnalyzeRecord()
             t0 = perf_counter()
-            op.apply(run)
+            rows = op.apply(chunks, rows, params)
             record.seconds = perf_counter() - t0
-            record.rows = len(run.out_rows)
+            record.rows = len(rows)
             result_records.append(record)
         total = perf_counter() - started
 
@@ -1174,16 +1200,16 @@ class PhysicalPlan:
             # count says nothing about the chunk operators.
             for record in source_records:
                 record.chunks = record.capacity = 0
-        rows = run.out_rows
         header = (f"EXPLAIN ANALYZE [rows={len(rows)}, "
                   f"rows_touched={run.rows_touched}, "
                   f"total_ms={total * 1000:.3f}]")
         rendered = L.explain(self.logical,
                              result_records[::-1] + source_records)
-        return (ExecResult(self.out_columns, rows, len(rows),
-                           run.rows_touched,
-                           chunks_skipped=run.chunks_skipped),
-                [header, *rendered.splitlines()])
+        run.db = None
+        run.columns = self.out_columns
+        run.rows = rows
+        run.rowcount = len(rows)
+        return run, [header, *rendered.splitlines()]
 
 
 class _AnalyzeRecord:
@@ -1269,6 +1295,8 @@ def build_physical(root, sctx):
     for step in reversed(above):  # bottom-up, as the operators run
         if isinstance(step, L.Limit):
             result_ops.append(LimitOp(step.limit, step.offset))
+            if len(result_ops) == 2 and isinstance(op, ProjectOp):
+                op.limit = result_ops[1]
         elif isinstance(step, L.Sort):
             result_ops.append(SortOp(step.order_by, op.out_columns,
                                      op.out_positions, sctx.context,
@@ -1408,4 +1436,4 @@ def _output_columns(stmt, expansions):
             names.append(item.expr.name.lower())
         else:
             names.append(f"col{len(names) + 1}")
-    return names
+    return tuple(names)

@@ -2,16 +2,19 @@
 
 Lives in its own module so both the executor facade and the plan pipeline
 (:mod:`repro.sqldb.plan`) can build results without importing each other.
-A result keeps the list of tuples it is given — the engine's result
-operators emit tuples — so a SELECT's rows are not copied on the way out;
-the result cache hands each hit a fresh list.
+A result keeps what it is given: the list of tuples the engine's result
+operators emit, so a SELECT's rows are not copied on the way out (the
+result cache hands each hit a fresh list), and the plan's tuple of column
+names, shared by every execution.  A SELECT's result is the execution
+itself (:class:`repro.sqldb.plan.physical.PlanRun`, a subclass): an
+execution allocates no second object to report what it did.
 """
 
 
 class ExecResult:
     """Result of executing one statement.
 
-    ``columns`` — output column names (empty for writes).
+    ``columns`` — output column names, a tuple (empty for writes).
     ``rows`` — list of tuples, kept as given (empty for writes).
     ``rowcount`` — rows returned for reads, rows affected for writes.
     ``rows_touched`` — storage rows examined (cost-model input).  Chunks
@@ -30,7 +33,7 @@ class ExecResult:
 
     def __init__(self, columns=(), rows=None, rowcount=0, rows_touched=0,
                  last_insert_id=None, from_cache=False, chunks_skipped=0):
-        self.columns = list(columns)
+        self.columns = columns
         self.rows = [] if rows is None else rows
         self.rowcount = rowcount
         self.rows_touched = rows_touched

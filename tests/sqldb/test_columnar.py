@@ -8,6 +8,7 @@ construction, the scans that skip on them, and their invalidation
 under writes and rollbacks).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,9 @@ from repro.apps import tpcc
 from repro.sqldb import Database
 from repro.sqldb import columnar as columnar_mod
 from repro.sqldb.columnar import (ColumnChunk, DictColumn, NULL_CODE,
-                                  _column_zones, _encode_dict)
+                                  RowChunk, _column_zones, _encode_dict,
+                                  uncut_lanes)
+from repro.sqldb.errors import SqlTypeError
 from repro.sqldb.parser import parse
 from repro.sqldb.plan import compile as compile_mod
 from repro.sqldb.plan import physical as physical_mod
@@ -256,16 +259,19 @@ def test_chunk_take_keeps_dictionaries_encoded():
 
 
 def test_from_rows_transpose_shim():
-    chunk = ColumnChunk.from_rows([[1, "a"], [2, "b"]], 2, (0, 1))
-    assert chunk.length == 2 and chunk.sel is None
-    assert chunk.columns == [[1, 2], ["a", "b"]]
+    """``from_rows`` keeps the rows it is given; its ``columns`` read like
+    the lanes a transpose would build."""
+    rows = [[1, "a"], [2, "b"]]
+    chunk = ColumnChunk.from_rows(rows, 2, (0, 1))
+    assert chunk.length == 2 and chunk.sel is None and chunk.rows is rows
+    assert list(chunk.columns) == [[1, 2], ["a", "b"]]
     # Positions outside the read set stay the all-NULL lane.
     pruned = ColumnChunk.from_rows([[1, "a", 7], [2, "b", 8]], 3, (1,))
-    assert pruned.columns == [None, ["a", "b"], None]
+    assert list(pruned.columns) == [None, ["a", "b"], None]
     assert pruned.to_rows() == [[None, "a", None], [None, "b", None]]
     empty = ColumnChunk.from_rows([], 3, (0, 2))
     assert empty.length == 0
-    assert empty.columns == [[], None, []]
+    assert list(empty.columns) == [[], None, []]
     assert empty.to_rows() == []
 
 
@@ -339,6 +345,109 @@ def test_index_join_keeps_left_dictionary_lanes_encoded():
     assert db.execute(sql).rows == [
         (None if i % 10 == 9 else f"label{i % 4}", -3 * i)
         for i in range(0, 60, 2)]
+
+
+# ---------------------------------------------------------------------------
+# Base-row chunks
+# ---------------------------------------------------------------------------
+
+
+def _both_chunks(db, plan, sel):
+    """The rows of ``db``'s table ``t`` as a :class:`RowChunk` over its
+    storage rows and as the lane chunk a snapshot slice would be (the TEXT
+    lane dictionary-encoded), both narrowed to ``sel``."""
+    rows = list(db.tables["t"].rows.values())
+    read = plan.sctx.read
+    row_chunk = RowChunk(rows, 0, uncut_lanes(plan.sctx.total_width, read))
+    lanes = [[row[pos] for row in rows] if pos in read else None
+             for pos in range(plan.sctx.total_width)]
+    if lanes[NAME] is not None:
+        lanes[NAME] = _encode_dict(lanes[NAME])[0]
+    lane_chunk = ColumnChunk(lanes, len(rows))
+    row_chunk.sel = lane_chunk.sel = sel
+    return row_chunk, lane_chunk
+
+
+@pytest.mark.parametrize("sql, params", [
+    ("SELECT id FROM t WHERE v > ? AND (name LIKE ? OR name IS NULL)",
+     (30, "%2")),
+    ("SELECT id, v * 2, LENGTH(name) FROM t WHERE v > ? "
+     "ORDER BY name DESC, v % 7, id", (-1,)),
+    ("SELECT name, COUNT(*), SUM(v), MAX(id) FROM t WHERE v >= ? "
+     "GROUP BY name", (0,)),
+    ("SELECT name, v FROM t WHERE id < ? LIMIT 5 OFFSET 2", (90,)),
+    ("SELECT * FROM t WHERE id <> ?", (3,)),
+], ids=["residual", "sort-key-and-computed-items", "aggregate",
+        "limit", "star"])
+@pytest.mark.parametrize("sel", [None, list(range(1, 100, 3))],
+                         ids=["all-live", "narrowed"])
+def test_a_row_chunk_answers_what_its_lanes_answer(sql, params, sel):
+    """A kernel, a Sort key over the source, an aggregate and a computed or
+    plain select item answer over a chunk of storage rows exactly what
+    they answer over the lane chunk of the same rows."""
+    db = _db(n=100)
+    plan = db.executor.plan_for(db, parse(sql))
+    keep = plan.source.keep
+    answers = []
+    for chunk in _both_chunks(db, plan, sel):
+        kept = keep(chunk, params)
+        chunk.sel = kept
+        rows = None
+        for op in plan.result_ops:
+            rows = op.apply([chunk], rows, params)
+        answers.append((kept, rows))
+    assert answers[0] == answers[1]
+    assert answers[0][1]
+
+
+def test_a_point_read_cuts_only_the_lanes_its_kernel_reads(monkeypatch):
+    """An index probe's chunk holds the storage rows it found: with nothing
+    left of the WHERE, the projection reads them and no lane is cut; a
+    residual cuts the lanes its kernel reads, one per column, once."""
+    db = _db(n=100)
+    db.execute("CREATE INDEX t_v ON t (v)")
+    cut = []
+    cut_lane = columnar_mod.cut_lane
+    monkeypatch.setattr(columnar_mod, "cut_lane", lambda rows, j: (
+        cut.append(j) or cut_lane(rows, j)))
+    assert db.execute("SELECT id, name, v FROM t WHERE id = ?",
+                      (7,)).rows == [(7, "label3", 21)]
+    assert db.execute("SELECT * FROM t WHERE v = ?", (21,)).rows == [
+        (7, "label3", 21)]
+    assert cut == []
+    assert db.execute("SELECT id, name FROM t WHERE id = ? AND v > ?",
+                      (7, 3)).rows == [(7, "label3")]
+    assert cut == [V]
+    del cut[:]
+    assert db.execute("SELECT name FROM t WHERE id = ? AND v > ? AND v < ? "
+                      "AND id >= ?", (7, 3, 99, 0)).rows == [("label3",)]
+    assert sorted(cut) == [ID, V]
+
+
+def test_a_projection_under_a_limit_builds_only_the_rows_kept(monkeypatch):
+    """A Project directly under a LIMIT evaluates its items on the first
+    limit+offset live rows only: ``LENGTH(name)`` runs twice over ten
+    matches, and a select-list error on a row past the limit does not
+    surface (SQLite evaluates no row past it either).  With a Sort between
+    them every row is projected."""
+    called = []
+    scalar_function = compile_mod.scalar_function
+    monkeypatch.setattr(
+        compile_mod, "scalar_function",
+        lambda *args: called.append(args) or scalar_function(*args))
+    db = _db(n=100)
+    sql = "SELECT LENGTH(name) FROM t WHERE v < ?"
+    assert db.execute(sql + " LIMIT 2", (30,)).rows == [(6,), (6,)]
+    assert len(called) == 2
+    assert db.execute(sql + " LIMIT 2 OFFSET 3", (30,)).rows == [(6,), (6,)]
+    assert len(called) == 2 + 5
+    del called[:]
+    db.execute(sql + " ORDER BY id LIMIT 2", (30,))
+    assert len(called) == 10
+    past = "SELECT id, -name FROM t WHERE name IS NULL OR id > ?"
+    assert db.execute(past + " LIMIT 1", (50,)).rows == [(9, None)]
+    with pytest.raises(SqlTypeError, match="cannot negate"):
+        db.execute(past, (50,))
 
 
 # ---------------------------------------------------------------------------

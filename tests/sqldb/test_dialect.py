@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sqldb import Database
-from repro.sqldb.errors import SqlParseError, SqlTypeError
+from repro.sqldb.errors import SqlError, SqlParseError, SqlTypeError
 
 from sqlite_reference import assert_matches_sqlite, sqlite_copy
 
@@ -28,8 +28,11 @@ LITE = sqlite_copy(DB)
     # A NaN computed from infinities: SQLite's is NULL.
     ("SELECT 1e999 - 1e999 IS NULL, n * 1e999 - 1e999 IS NULL FROM t", (),
      [(False, False)], [(1, 1)]),
+    # SQLite reads a negative LIMIT as none, a negative OFFSET as 0.
+    ("SELECT id FROM t LIMIT -1", (), SqlError, [(1,)]),
+    ("SELECT id FROM t LIMIT 1 OFFSET ?", (-1,), SqlError, [(1,)]),
 ], ids=["true-division", "text-beside-a-number", "select-needs-from",
-        "computed-nan-is-a-value"])
+        "computed-nan-is-a-value", "limit-negative", "offset-negative"])
 def test_a_dialect_gap(sql, params, here, sqlite):
     if isinstance(here, list):
         assert DB.execute(sql, params).rows == here

@@ -79,7 +79,8 @@ def _projected(expr, lanes, params):
     project = C.compile_project([A.SelectItem(expr)], [None], POSITIONS,
                                 frozenset())
     chunk = ColumnChunk([list(lane) for lane in lanes], len(lanes[0]))
-    return _outcome(lambda: [row[0] for row in project(chunk, params)])
+    return _outcome(lambda: [row[0] for row in project(chunk, chunk.sel,
+                                                       params)])
 
 
 def _agree(got, want):

@@ -11,8 +11,6 @@ strings and NULL, one column mixing all of them, with 1–3 keys in mixed
 directions, ties, and keys over source expressions.
 """
 
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,11 +134,8 @@ def test_sort_op_orders_like_the_reference_comparator(values, order_by):
     def engine():
         chunk = ColumnChunk.from_rows(sources, len(SOURCE),
                                       range(len(SOURCE)))
-        run = SimpleNamespace(out_rows=list(outs), source_chunks=[chunk],
-                              params=())
-        SortOp(order_by, OUT, range(len(OUT)), _context(), False,
-               False).apply(run)
-        return run.out_rows
+        return SortOp(order_by, OUT, range(len(OUT)), _context(), False,
+                      False).apply([chunk], list(outs), ())
 
     expected = _ids(lambda: _reference_sort(outs, key_values, descending))
     assert _ids(engine) == expected

@@ -21,7 +21,7 @@ from repro.net.server import DatabaseServer
 from repro.sqldb import Database
 from repro.sqldb.errors import SqlError, SqlTypeError
 from repro.sqldb.parser import parse
-from repro.sqldb.plan.physical import CHUNK_SIZE, _pad
+from repro.sqldb.plan.physical import CHUNK_SIZE
 
 from sqlite_reference import assert_matches_sqlite, sqlite_copy
 
@@ -416,8 +416,8 @@ def test_prefetched_base_rows_feed_joins(label):
     _seed_join_tables(db)
     private = db.execute(sql, (CHUNK_SIZE,))
     plan = db.executor.plan_for(db, parse(sql))
-    shared_rows = [_pad(row, 0, plan.sctx.total_width)
-                   for _, row in db.tables["t"].scan()]
+    pad = [None] * (plan.sctx.total_width - len(db.tables["t"].schema.columns))
+    shared_rows = [list(row) + pad for _, row in db.tables["t"].scan()]
     shared = plan.execute(db, (CHUNK_SIZE,),
                           prefetched_base_rows=shared_rows)
     assert shared.rows == private.rows

@@ -4,11 +4,15 @@
     python3 tools/yardstick.py [--smoke] [--seed N] [-k K] [--number N]
         [WORKLOAD ...]
 
-A WORKLOAD is ``reports`` or ``pages_sloth`` (the default is both).  The
-tool sets the perfbench workload up, collects each distinct SELECT it
-issues — ``reports``' statements as listed, ``pages_sloth``'s as one
-sweep sends them to the server, each with the parameters it was first
-sent with — and copies every database they read into
+A WORKLOAD is ``reports``, ``pages_sloth``, ``pages_original`` or
+``mixed_rw`` (the default is ``reports pages_sloth``).  The tool sets the
+perfbench workload up, collects each distinct SELECT it issues —
+``reports``' statements as listed, each with the executions a round runs;
+the others' as one round sends them to ``DatabaseServer.execute_batch``
+(a page sweep; a TPC-C episode, whose dashboards call
+``Database.execute`` and are not recorded), each with the parameters it
+was first sent with and the times the round sent it — and copies every
+database they read into
 ``sqlite3.connect(":memory:")`` (the loader of
 ``tests/sqldb/sqlite_reference.py``, plus an index per primary key and
 per index of the catalog).  Then, with the result cache off, it times
@@ -17,8 +21,10 @@ the two interleaved, ``-k`` times, and keeps the best of each side.
 
 It prints, per statement, its plan shape (the physical operators: the
 result operators, then the row-source chain from the top), µs per
-execution here and in sqlite3, their ratio, and the rows each returned;
-then, per plan shape, the statements and the median of each column.  A
+execution here and in sqlite3, their ratio, the rows each returned and
+its executions per recorded round; then, per plan shape, the statements,
+their executions per round (so the workload that runs a shape most is a
+number) and the median of each timing column.  A
 ratio says where this engine's fixed and per-row costs sit against a
 yardstick that neither the day's noise nor the network moves; the tool
 claims nothing, and gates nothing.
@@ -32,7 +38,8 @@ import sys
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("reports", "pages_sloth")
+WORKLOADS = ("reports", "pages_sloth", "pages_original", "mixed_rw")
+DEFAULT_WORKLOADS = ("reports", "pages_sloth")
 
 
 def _prepare_imports():
@@ -51,8 +58,9 @@ def _sqlite_copy():
 
 
 def collect(target, seed=1, smoke=False):
-    """``[(name, db, sql, params), ...]``: each distinct SELECT ``target``
-    issues, in first-issued order."""
+    """``[(name, db, sql, params, executions), ...]``: each distinct SELECT
+    ``target`` issues, in first-issued order, with the times one round
+    runs it."""
     from perfbench import measure, workloads
     from repro.net.server import DatabaseServer
     from repro.sqldb import ast_nodes as A
@@ -61,15 +69,15 @@ def collect(target, seed=1, smoke=False):
                               else workloads.FULL)
     workload.setup(seed)
     if target == "reports":
-        return [(kind, db, sql, params)
-                for kind, db, sql, params, _reps in workload.statements]
-    seen = {}
+        return list(workload.statements)
+    seen = {}  # sql -> [db, first parameters, executions]
     execute_batch = DatabaseServer.execute_batch
 
     def recording(server, statements, *args, **kwargs):
         for sql, params in statements:
-            if sql not in seen and type(parse(sql)) is A.Select:
-                seen[sql] = (server.database, tuple(params))
+            if type(parse(sql)) is A.Select:
+                seen.setdefault(sql, [server.database, tuple(params), 0])[
+                    2] += 1
         return execute_batch(server, statements, *args, **kwargs)
 
     DatabaseServer.execute_batch = recording
@@ -77,8 +85,9 @@ def collect(target, seed=1, smoke=False):
         workload.run_round(measure.CuTimer())
     finally:
         DatabaseServer.execute_batch = execute_batch
-    return [(f"{target}#{n}", db, sql, params)
-            for n, (sql, (db, params)) in enumerate(seen.items(), 1)]
+    return [(f"{target}#{n}", db, sql, params, executions)
+            for n, (sql, (db, params, executions))
+            in enumerate(seen.items(), 1)]
 
 
 def _lite(db, sqlite_copy):
@@ -120,12 +129,12 @@ def _timed(run, number):
 
 def measure_statements(statements, k, number):
     """Per statement ``(name, shape, µs here, µs sqlite3, rows here, rows
-    sqlite3, sql)``: each side the best of ``k`` timings of ``number``
-    executions, the sides taking turns."""
+    sqlite3, executions, sql)``: each side the best of ``k`` timings of
+    ``number`` executions, the sides taking turns."""
     sqlite_copy = _sqlite_copy()
     lites = {}  # id(db) -> its sqlite3 copy
     rows = []
-    for name, db, sql, params in statements:
+    for name, db, sql, params, executions in statements:
         lite = lites.get(id(db))
         if lite is None:
             lite = lites[id(db)] = _lite(db, sqlite_copy)
@@ -143,7 +152,7 @@ def measure_statements(statements, k, number):
         finally:
             db.result_cache.enabled = enabled
         rows.append((name, shape(db, sql), here, there, n_here, n_there,
-                     sql))
+                     executions, sql))
     for lite in lites.values():
         lite.close()
     return rows
@@ -151,24 +160,27 @@ def measure_statements(statements, k, number):
 
 def print_report(target, rows, out=sys.stdout):
     """One line per statement (name, µs here, µs in sqlite3, ratio, rows
-    here, rows in sqlite3, plan shape, SQL), then one per plan shape."""
+    here, rows in sqlite3, executions per round, plan shape, SQL), then
+    one per plan shape."""
     print(f"# {target}: {len(rows)} statements; us per execution, best of "
           "k; ratio = here / sqlite3", file=out)
     print(f"# {'statement':38s} {'us':>9s} {'us_sqlite':>9s} {'ratio':>7s} "
-          f"{'rows':>6s} {'rows_sqlite':>11s}  shape  sql", file=out)
+          f"{'rows':>6s} {'rows_sqlite':>11s} {'execs':>6s}  shape  sql",
+          file=out)
     by_shape = {}
-    for name, plan_shape, here, there, n_here, n_there, sql in rows:
+    for name, plan_shape, here, there, n_here, n_there, execs, sql in rows:
         print(f"{name:40s} {here:9.1f} {there:9.1f} {here / there:7.2f} "
-              f"{n_here:6d} {n_there:11d}  {plan_shape}  "
+              f"{n_here:6d} {n_there:11d} {execs:6d}  {plan_shape}  "
               f"{' '.join(sql.split())}", file=out)
-        by_shape.setdefault(plan_shape, []).append((here, there))
-    print(f"# {target} per plan shape: statements, median us here, median "
-          "us in sqlite3, median ratio", file=out)
+        by_shape.setdefault(plan_shape, []).append((here, there, execs))
+    print(f"# {target} per plan shape: statements, executions per round, "
+          "median us here, median us in sqlite3, median ratio", file=out)
     for plan_shape, times in sorted(by_shape.items()):
         print(f"# {plan_shape:44s} {len(times):4d} "
-              f"{statistics.median(h for h, _ in times):9.1f} "
-              f"{statistics.median(t for _, t in times):9.1f} "
-              f"{statistics.median(h / t for h, t in times):7.2f}",
+              f"{sum(e for _, _, e in times):6d} "
+              f"{statistics.median(h for h, _, _ in times):9.1f} "
+              f"{statistics.median(t for _, t, _ in times):9.1f} "
+              f"{statistics.median(h / t for h, t, _ in times):7.2f}",
               file=out)
 
 
@@ -188,7 +200,7 @@ def main(argv=None):
     if unknown:
         parser.error(f"no such workload: {', '.join(sorted(unknown))}")
     _prepare_imports()
-    for target in args.workloads or WORKLOADS:
+    for target in args.workloads or DEFAULT_WORKLOADS:
         statements = collect(target, args.seed, args.smoke)
         print_report(target, measure_statements(statements, args.k,
                                                 args.number))
